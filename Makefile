@@ -5,21 +5,15 @@ TELEMETRY_DEMO_OUT ?= telemetry-demo
 PROFILE_OUT ?= profiles
 FABRIC_ADDR ?= 127.0.0.1:9178
 FABRIC_TMP := $(shell mktemp -u /tmp/fabric-smoke.XXXXXX)
-BENCH_JSON ?= BENCH_PR9.json
-BENCH_BASELINE ?= BENCH_PR9.json
-BENCH_DIFF_JSON := $(shell mktemp -u /tmp/bench-diff.XXXXXX.json)
 OBS_DEMO_ADDR ?= 127.0.0.1:9177
 
-.PHONY: check lint vet build test race smoke fabric-smoke bench-smoke telemetry-demo profile bench-json bench-diff obs-demo clean
+.PHONY: check lint vet build test race smoke fabric-smoke bench-smoke bench-quick bench telemetry-demo profile obs-demo clean
 
 # check is the full pre-merge gate: static analysis, build, race-enabled
-# tests, an end-to-end smoke sweep through cmd/sweep, and a one-iteration
-# compile-and-run pass over every benchmark. bench-diff is advisory (the
-# leading dash): it re-measures the headline benchmarks and prints the
-# delta against the committed baseline, but machine noise means a red row
-# is a prompt to investigate, not a build failure.
-check: lint build race smoke bench-smoke
-	-$(MAKE) bench-diff
+# tests, an end-to-end smoke sweep through cmd/sweep, a one-iteration
+# compile-and-run pass over every microbenchmark, and the repository
+# benchmark at smoke scale (every workload, every output check).
+check: lint build race smoke bench-smoke bench-quick
 
 # lint is all static analysis: go vet plus the repository's own analyzers
 # (determinism, seedflow, paniclint, laneowner, hotpath, publish — see
@@ -122,6 +116,18 @@ fabric-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
+# bench-quick runs the repository benchmark (bench/, BENCHMARK.json) at
+# 1/20 scale: every workload and every output check, exiting non-zero when
+# any operation or check fails. Its numbers are not comparable.
+bench-quick:
+	$(GO) run ./bench -all -quick
+
+# bench is the real measurement: every workload at full scale, the way the
+# driver runs it. Append the last output line of several runs per commit to
+# a file each and gate with `go run ./bench -compare A B` (bench/README.md).
+bench:
+	bash bench/run.sh -all
+
 # telemetry-demo produces the paper's bottom-vs-diamond link-load contrast
 # as telemetry artifacts: two instrumented runs whose heatmap.csv files
 # show the MC-edge concentration (bottom) against the spread-out diamond.
@@ -131,28 +137,6 @@ telemetry-demo:
 	$(GO) run ./cmd/nocsim -bench KMN -placement diamond \
 		-telemetry-epoch 1000 -telemetry-out $(TELEMETRY_DEMO_OUT)/diamond
 	@echo "artifacts in $(TELEMETRY_DEMO_OUT)/{bottom,diamond}/{series.jsonl,heatmap.csv,trace.json}"
-
-# bench-json measures the headline cycle-kernel benchmarks — full-GPU cycle
-# under the active-set and reference steppers, the 16×16 large mesh at each
-# worker count, plus the saturated router step — as 8 fixed-iteration runs
-# each, and writes the min/median/max summary to $(BENCH_JSON) via
-# cmd/benchjson. Fixed iterations + medians make the file meaningful to
-# diff between commits on the same machine.
-bench-json:
-	$(GO) test -run '^$$' \
-		-bench '^(BenchmarkGPUCycle|BenchmarkGPUCycleReference|BenchmarkGPUCycleLarge|BenchmarkRouterStep)$$' \
-		-benchtime 20000x -count 8 . | $(GO) run ./cmd/benchjson -out $(BENCH_JSON)
-	@echo "wrote $(BENCH_JSON)"
-
-# bench-diff re-measures the headline benchmarks and compares median ns/op
-# against the committed baseline (BENCH_BASELINE) with a ±5% noise band.
-# Exit status is the comparison verdict: non-zero when any benchmark
-# regressed beyond the band or vanished from the new run.
-bench-diff:
-	$(MAKE) bench-json BENCH_JSON=$(BENCH_DIFF_JSON)
-	$(GO) run ./cmd/benchjson diff -baseline $(BENCH_BASELINE) \
-		-new $(BENCH_DIFF_JSON) -fail-on-regress
-	@rm -f $(BENCH_DIFF_JSON)
 
 # obs-demo shows the live observability surface: a real run with the HTTP
 # server up, scraped once per endpoint mid-flight. See README

@@ -205,7 +205,7 @@ func BenchmarkNetworkDivision(b *testing.B) {
 
 func runScheme(b *testing.B, cfg config.Config, bench string) gpu.Result {
 	b.Helper()
-	res, err := gpu.Run(context.Background(), cfg, bench, gpu.RunOptions{})
+	res, err := gpu.Run(context.Background(), cfg, bench, gpu.Instrumentation{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -360,23 +360,6 @@ func BenchmarkGPUCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkGPUCycleReference runs the same full-system cycle path under the
-// naive scan-everything reference stepper. The ratio against
-// BenchmarkGPUCycle is the measured win of the event-sparse active-set
-// kernel (DESIGN.md §9); results are bit-identical (equivalence_test.go).
-func BenchmarkGPUCycleReference(b *testing.B) {
-	cfg := config.Default()
-	cfg.NoC.ReferenceStepper = true
-	sim, err := gpu.New(cfg, workload.MustGet("KMN"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Step()
-	}
-}
-
 // BenchmarkGPUCycleLarge measures full-system cycles per second on a 16×16
 // mesh (240 SMs + 16 MCs — 4× the paper's system), where the parallel
 // cycle kernel has enough rows per domain to amortize the barriers. The
@@ -399,40 +382,6 @@ func BenchmarkGPUCycleLarge(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sim.Step()
-			}
-		})
-	}
-}
-
-// BenchmarkGPUCycleFastForward measures the idle-cycle fast-forward payoff
-// on a drain/warmup-heavy workload (long compute sleeps, no memory traffic,
-// the idleProfile the equivalence tests certify): one full warmup+measure
-// run per iteration, with -fastforward off vs on. Results are bit-identical
-// (equivalence_test.go); the off/on ratio is the measured win.
-func BenchmarkGPUCycleFastForward(b *testing.B) {
-	for _, ff := range []bool{false, true} {
-		name := "off"
-		if ff {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := config.Default()
-			cfg.WarmupCycles = 1000
-			cfg.MeasureCycles = 10000
-			cfg.FastForward = ff
-			prof := idleProfile()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sim, err := gpu.New(cfg, prof)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sim.RunContext(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				if ff && sim.FastForwarded == 0 {
-					b.Fatal("fast-forward never engaged on the idle profile")
-				}
 			}
 		})
 	}

@@ -94,6 +94,7 @@ func main() {
 		exit(1)
 	}
 	inst := gpu.Instrumentation{
+		SanitizeEvery:  *sanitize,
 		TelemetryEpoch: *telEpoch,
 		Spans:          of.SpansEnabled(),
 		SpanRate:       of.SampleRate,
@@ -115,7 +116,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
 	}
-	sim.SanitizeEvery = *sanitize
 	if srv != nil {
 		fmt.Printf("observability: http://%s/{metrics,state,progress,healthz}\n", srv.Addr())
 	}

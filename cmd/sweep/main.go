@@ -92,28 +92,28 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// The instruments compose into one options value: sanitizer, telemetry,
-	// and the flight recorder all thread through gpu.RunOptions; fault
+	// The instruments compose into one value: sanitizer, telemetry, and the
+	// flight recorder all thread through gpu.Instrumentation; fault
 	// injection (single mode) then wraps the runner rather than replacing
 	// it, so every job except the targeted one still simulates for real.
 	fdir := *flightDir
 	if fdir == "" {
 		fdir = *out + ".flight"
 	}
-	ropts := gpu.RunOptions{
+	inst := gpu.Instrumentation{
 		SanitizeEvery:  *sanitize,
 		FlightRecorder: *flightN,
 		FlightDir:      fdir,
 	}
 	telemetryDir := ""
 	if *telEpoch > 0 {
-		ropts.TelemetryEpoch = *telEpoch
+		inst.TelemetryEpoch = *telEpoch
 		telemetryDir = *telDir
 		if telemetryDir == "" {
 			telemetryDir = *out + ".telemetry"
 		}
 	}
-	runner := sweep.SimulateOpts(ropts)
+	runner := sweep.SimulateWith(inst)
 
 	switch fab.Mode() {
 	case "serve":
@@ -126,9 +126,9 @@ func main() {
 			// The flight recorder stays on — dumps are per-process and land
 			// on the worker's own disk where its crash is diagnosed.
 			fmt.Fprintln(os.Stderr, "sweep: -telemetry-epoch is ignored in worker mode (artifacts would be stranded on the worker)")
-			wopts := ropts
-			wopts.TelemetryEpoch = 0
-			runner = sweep.SimulateOpts(wopts)
+			winst := inst
+			winst.TelemetryEpoch = 0
+			runner = sweep.SimulateWith(winst)
 		}
 		if err := runWorker(ctx, fab, runner, *jobsN, *timeout); err != nil && ctx.Err() == nil {
 			fatal(err)

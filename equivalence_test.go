@@ -1,10 +1,10 @@
-// Stepper-equivalence suite: the event-sparse active-set cycle kernel must
-// be indistinguishable from the naive full-scan reference stepper — not
-// statistically close, bit-identical — and the parallel kernel must be
-// indistinguishable from both at every worker count. Anything less means
-// the active set dropped a wakeup, an arbitration got reordered, or a
-// cross-domain merge ran out of order, and every derived result (figure
-// tables, latency distributions, telemetry) silently drifts.
+// Kernel-equivalence suite over the public surface: the shipped cycle
+// kernel must produce bit-identical results — not statistically close — at
+// every worker count, and the shipped run loop (which jumps over globally
+// idle cycles) must be indistinguishable from driving Simulator.Step by
+// hand, one call per cycle. Anything less means a cross-domain merge ran
+// out of order or a jump skipped something observable, and every derived
+// result (figure tables, latency distributions, telemetry) silently drifts.
 //
 // Coverage: the eight Figure 9 schemes (every placement, routing, and VC
 // policy family) × three seeds × workers ∈ {1, 2, 4, 8}, plus the dual
@@ -12,8 +12,12 @@
 // IPC, cycle count, the complete stats.Net (including floating-point
 // Welford latency accumulators, which pin the ejection order), and the
 // full telemetry JSONL export. Runs are sanitized, so CheckInvariants —
-// including the active-set invariant — is exercised under the optimized
-// path throughout.
+// including the active-set invariant — is exercised throughout.
+//
+// The two oracles that are not part of the shipped surface are compared
+// where they are visible: the full-scan reference stepper in
+// internal/noc/oracle_test.go, the stepped (never fast-forwarding) run loop
+// in internal/gpu/fastforward_test.go.
 package gpgpunoc_test
 
 import (
@@ -25,7 +29,6 @@ import (
 	"testing"
 
 	"gpgpunoc/internal/config"
-	"gpgpunoc/internal/core"
 	"gpgpunoc/internal/experiments"
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/workload"
@@ -55,52 +58,31 @@ func equivCfg() config.Config {
 	return cfg
 }
 
-// runOne runs the benchmark instrumented (telemetry every 400 cycles) and
-// sanitized (invariants every 256 cycles) with the given kernel worker
-// count (0 keeps cfg's).
+// instrumented is what every run in this suite carries: telemetry every 400
+// cycles and the invariant sanitizer every 256.
+var instrumented = gpu.Instrumentation{SanitizeEvery: 256, TelemetryEpoch: 400}
+
+// runOne runs the named benchmark instrumented with the given kernel worker
+// count.
 func runOne(t *testing.T, cfg config.Config, bench string, workers int) gpu.Result {
 	t.Helper()
-	if workers > 1 {
-		forcePool(t)
-	}
-	res, err := gpu.Run(context.Background(), cfg, bench, gpu.RunOptions{
-		SanitizeEvery:  256,
-		TelemetryEpoch: 400,
-		Workers:        workers,
-	})
-	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	return res
+	return runProfile(t, cfg, workload.MustGet(bench), workers)
 }
 
-// runBoth runs the same benchmark under both steppers.
-func runBoth(t *testing.T, cfg config.Config, bench string) (opt, ref gpu.Result) {
-	t.Helper()
-	run := func(reference bool) gpu.Result {
-		c := cfg
-		c.NoC.ReferenceStepper = reference
-		return runOne(t, c, bench, 0)
-	}
-	return run(false), run(true)
-}
-
-// checkWorkers runs the benchmark at workers ∈ {2, 4, 8} and requires each
+// checkWorkers runs the benchmark at each worker count and requires every
 // run bit-identical to the single-threaded baseline.
-func checkWorkers(t *testing.T, cfg config.Config, bench string, base gpu.Result) {
+func checkWorkers(t *testing.T, cfg config.Config, bench string, base gpu.Result, workers ...int) {
 	t.Helper()
-	for _, w := range []int{2, 4, 8} {
-		res := runOne(t, cfg, bench, w)
-		compareResults(t, res, base)
+	for _, w := range workers {
+		compareResults(t, runOne(t, cfg, bench, w), base)
 	}
 }
 
-// compareResults asserts bit-identical observable state between the two
-// steppers.
+// compareResults asserts bit-identical observable state between two runs.
 func compareResults(t *testing.T, opt, ref gpu.Result) {
 	t.Helper()
 	if opt.IPC != ref.IPC {
-		t.Errorf("IPC diverged: active-set %v, reference %v", opt.IPC, ref.IPC)
+		t.Errorf("IPC diverged: %v vs %v", opt.IPC, ref.IPC)
 	}
 	if opt.Cycles != ref.Cycles || opt.Deadlocked != ref.Deadlocked {
 		t.Errorf("run shape diverged: cycles %d/%d, deadlocked %v/%v",
@@ -112,21 +94,23 @@ func compareResults(t *testing.T, opt, ref gpu.Result) {
 	if !reflect.DeepEqual(opt.Net, ref.Net) {
 		t.Errorf("network stats diverged (latency accumulators are order-sensitive: check ejection ordering)")
 	}
-	var ob, rb bytes.Buffer
-	if err := opt.Tel.WriteJSONL(&ob); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Tel.WriteJSONL(&rb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ob.Bytes(), rb.Bytes()) {
-		t.Errorf("telemetry export diverged (%d vs %d bytes)", ob.Len(), rb.Len())
+	if ob, rb := telemetryJSONL(t, opt), telemetryJSONL(t, ref); !bytes.Equal(ob, rb) {
+		t.Errorf("telemetry export diverged (%d vs %d bytes)", len(ob), len(rb))
 	}
 }
 
+func telemetryJSONL(t *testing.T, res gpu.Result) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := res.Tel.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 // TestStepperEquivalenceFig9Schemes covers the full Figure 9 design space,
-// three seeds each: active-set vs reference stepper, then the parallel
-// kernel at workers ∈ {2, 4, 8} against the single-threaded run.
+// three seeds each: the parallel kernel at workers ∈ {2, 4, 8} against the
+// single-threaded run.
 func TestStepperEquivalenceFig9Schemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed design-space sweep")
@@ -137,9 +121,7 @@ func TestStepperEquivalenceFig9Schemes(t *testing.T) {
 				t.Parallel()
 				cfg := s.Apply(equivCfg())
 				cfg.Seed = seed
-				opt, ref := runBoth(t, cfg, "KMN")
-				compareResults(t, opt, ref)
-				checkWorkers(t, cfg, "KMN", opt)
+				checkWorkers(t, cfg, "KMN", runOne(t, cfg, "KMN", 1), 2, 4, 8)
 			})
 		}
 	}
@@ -155,9 +137,7 @@ func TestStepperEquivalenceDual(t *testing.T) {
 			cfg.NoC.PhysicalSubnets = true
 			cfg.NoC.SubnetHalfWidth = half
 			cfg.NoC.VCsPerPort = 4 // 2 per subnet
-			opt, ref := runBoth(t, cfg, "RED")
-			compareResults(t, opt, ref)
-			compareResults(t, runOne(t, cfg, "RED", 4), opt)
+			checkWorkers(t, cfg, "RED", runOne(t, cfg, "RED", 1), 4)
 		})
 	}
 }
@@ -170,53 +150,53 @@ func TestStepperEquivalenceAsymmetric(t *testing.T) {
 	cfg.NoC.VCsPerPort = 4
 	cfg.NoC.Routing = config.RoutingXYYX
 	cfg.NoC.VCPolicy = config.VCAsymmetric
-	opt, ref := runBoth(t, cfg, "BFS")
-	compareResults(t, opt, ref)
-	compareResults(t, runOne(t, cfg, "BFS", 4), opt)
+	checkWorkers(t, cfg, "BFS", runOne(t, cfg, "BFS", 1), 4)
 }
 
-// TestFigureTableEquivalence regenerates a figure table under the parallel
-// active-set kernel and under the reference stepper and requires the
-// rendered tables to be byte-identical — the property that makes the
-// regenerated EXPERIMENTS.md trustworthy regardless of worker count or
-// kernel.
+// TestFigureTableEquivalence regenerates a figure table with jobs run
+// concurrently on the serial kernel and one at a time on the four-lane
+// kernel and requires the rendered tables to be byte-identical — the
+// property that makes the regenerated EXPERIMENTS.md trustworthy regardless
+// of job parallelism or worker count.
 func TestFigureTableEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates a figure grid twice")
 	}
+	forcePool(t)
+	four := 4
+	lanes := config.Overrides{Workers: &four}
 	base := experiments.Opts{
 		Benchmarks:    []string{"KMN", "RED"},
 		WarmupCycles:  400,
 		MeasureCycles: 1600,
 	}
-	refTrue := true
-	ref := base
-	ref.Parallel = 1
-	ref.Overrides = config.Overrides{ReferenceStepper: &refTrue}
+	par := base
+	par.Parallel = 1
+	par.Overrides = lanes
 
-	optTab, err := experiments.Fig7(base)
+	baseTab, err := experiments.Fig7(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refTab, err := experiments.Fig7(ref)
+	parTab, err := experiments.Fig7(par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if optTab.String() != refTab.String() {
-		t.Errorf("Fig7 table diverged between kernels:\nactive-set:\n%s\nreference:\n%s", optTab, refTab)
+	if baseTab.String() != parTab.String() {
+		t.Errorf("Fig7 table diverged between kernels:\nserial:\n%s\nworkers=4:\n%s", baseTab, parTab)
 	}
 
 	// The synthetic-harness sweep exercises the custom RunFunc path.
-	optSweep, err := experiments.Sweep(experiments.Opts{MeasureCycles: 1500})
+	baseSweep, err := experiments.Sweep(experiments.Opts{MeasureCycles: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSweep, err := experiments.Sweep(experiments.Opts{MeasureCycles: 1500, Parallel: 1, Overrides: config.Overrides{ReferenceStepper: &refTrue}})
+	parSweep, err := experiments.Sweep(experiments.Opts{MeasureCycles: 1500, Parallel: 1, Overrides: lanes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if optSweep.String() != refSweep.String() {
-		t.Errorf("Sweep table diverged between kernels:\nactive-set:\n%s\nreference:\n%s", optSweep, refSweep)
+	if baseSweep.String() != parSweep.String() {
+		t.Errorf("Sweep table diverged between kernels:\nserial:\n%s\nworkers=4:\n%s", baseSweep, parSweep)
 	}
 }
 
@@ -243,52 +223,79 @@ func trickleProfile() workload.Profile {
 	}
 }
 
-// runProfile runs an unregistered profile on a full instrumented simulator
-// (telemetry every 400 cycles, sanitizer every 256) and returns the result
-// plus the cycles fast-forward skipped.
-func runProfile(t *testing.T, cfg config.Config, prof workload.Profile, workers int, ff bool) (gpu.Result, int64) {
+// runProfile runs a profile (registered or not) instrumented at the given
+// worker count and returns the result, whose FastForwarded field counts the
+// cycles the run loop skipped.
+func runProfile(t *testing.T, cfg config.Config, prof workload.Profile, workers int) gpu.Result {
 	t.Helper()
-	c := cfg
-	if ff {
-		c.FastForward = true
-	}
-	if workers > 0 {
-		c.NoC.Workers = workers
-	}
-	if c.NoC.Workers > 1 {
+	if workers > 1 {
 		forcePool(t)
 	}
-	sim, err := gpu.NewInstrumented(c, prof, gpu.Instrumentation{TelemetryEpoch: 400})
+	cfg.NoC.Workers = workers
+	sim, err := gpu.NewInstrumented(cfg, prof, instrumented)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	sim.SanitizeEvery = 256
 	res, err := sim.RunContext(context.Background())
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return res
+}
+
+// checkStepByStep drives a second, identically built simulator through the
+// exported per-cycle API by hand — one Step per cycle, statistics off for
+// the warmup, no run loop and therefore no fast-forward — and requires what
+// that leaves observable from outside, the network statistics and the
+// telemetry series (which samples the core counters), to match the run
+// loop's result bit for bit.
+func checkStepByStep(t *testing.T, cfg config.Config, prof workload.Profile, run gpu.Result) {
+	t.Helper()
+	sim, err := gpu.NewInstrumented(cfg, prof, instrumented)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, sim.FastForwarded
+	defer sim.Close()
+	sim.Net.EnableStats(false)
+	for i := 0; i < cfg.WarmupCycles; i++ {
+		sim.Step()
+	}
+	sim.Net.EnableStats(true)
+	for i := 0; i < cfg.MeasureCycles; i++ {
+		sim.Step()
+	}
+	sim.Tel.Flush(int64(cfg.WarmupCycles + cfg.MeasureCycles))
+	net := sim.Net.Stats()
+	net.Cycles = int64(cfg.MeasureCycles)
+	if !reflect.DeepEqual(run.Net, net) {
+		t.Errorf("network stats diverged between RunContext and hand-stepping")
+	}
+	var b bytes.Buffer
+	if err := sim.Tel.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	if rb := telemetryJSONL(t, run); !bytes.Equal(rb, b.Bytes()) {
+		t.Errorf("telemetry export diverged between RunContext and hand-stepping (%d vs %d bytes)", len(rb), b.Len())
+	}
 }
 
 // TestStepperEquivalenceFastForward covers the full Figure 9 design space,
-// three seeds each, with idle-cycle fast-forward on vs off: IPC, stats, and
-// telemetry bytes must be identical whether idle cycles are stepped or
-// skipped.
+// three seeds each, on a workload that keeps the fabric busy: statistics
+// and telemetry bytes must be identical whether the run loop (fast-forward
+// armed on every cycle) or a hand-written Step loop drives the simulator.
 func TestStepperEquivalenceFastForward(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed design-space sweep")
 	}
+	kmn := workload.MustGet("KMN")
 	for _, s := range experiments.Fig9Schemes() {
 		for _, seed := range []uint64{1, 7, 1234577} {
 			t.Run(fmt.Sprintf("%s/seed=%d", s.Label, seed), func(t *testing.T) {
 				t.Parallel()
 				cfg := s.Apply(equivCfg())
 				cfg.Seed = seed
-				base := runOne(t, cfg, "KMN", 0)
-				ffCfg := cfg
-				ffCfg.FastForward = true
-				compareResults(t, runOne(t, ffCfg, "KMN", 0), base)
+				checkStepByStep(t, cfg, kmn, runProfile(t, cfg, kmn, 1))
 			})
 		}
 	}
@@ -298,53 +305,29 @@ func TestStepperEquivalenceFastForward(t *testing.T) {
 // actually trigger it: a pure-compute profile (fabric always empty; the
 // skip must cover most of the run) and a trickle profile whose idle spans
 // border real memory traffic (exercising the span-edge compensation). Both
-// must match the stepped run and the reference stepper bit-for-bit, serial
-// and parallel.
+// must match the hand-stepped run bit-for-bit, and the four-lane kernel
+// must match the serial one.
 func TestStepperEquivalenceFastForwardIdle(t *testing.T) {
 	cfg := equivCfg()
 	for _, prof := range []workload.Profile{idleProfile(), trickleProfile()} {
 		t.Run(prof.Name, func(t *testing.T) {
 			t.Parallel()
-			base, _ := runProfile(t, cfg, prof, 1, false)
-			ff, skipped := runProfile(t, cfg, prof, 1, true)
-			t.Logf("%s: fast-forwarded %d of %d cycles", prof.Name, skipped,
+			ff := runProfile(t, cfg, prof, 1)
+			t.Logf("%s: fast-forwarded %d of %d cycles", prof.Name, ff.FastForwarded,
 				cfg.WarmupCycles+cfg.MeasureCycles)
-			if skipped == 0 {
+			if ff.FastForwarded == 0 {
 				t.Fatalf("%s never fast-forwarded", prof.Name)
 			}
-			compareResults(t, ff, base)
-
-			rcfg := cfg
-			rcfg.NoC.ReferenceStepper = true
-			ref, _ := runProfile(t, rcfg, prof, 1, false)
-			compareResults(t, ff, ref)
-
-			pff, _ := runProfile(t, cfg, prof, 4, true)
-			compareResults(t, pff, base)
+			checkStepByStep(t, cfg, prof, ff)
+			compareResults(t, runProfile(t, cfg, prof, 4), ff)
 		})
 	}
 }
 
-// TestStepperEquivalenceRebalance pins load-adaptive lane retiling as a
-// pure performance knob: with retiling every 64 cycles the run must be
-// bit-identical across workers ∈ {1, 2, 4, 8} and to the un-retiled serial
-// kernel.
-func TestStepperEquivalenceRebalance(t *testing.T) {
-	cfg := equivCfg()
-	cfg.NoC.RebalanceEpoch = 64
-	base := runOne(t, cfg, "KMN", 1)
-	for _, w := range []int{2, 4, 8} {
-		compareResults(t, runOne(t, cfg, "KMN", w), base)
-	}
-	plain := equivCfg()
-	compareResults(t, base, runOne(t, plain, "KMN", 1))
-}
-
-// TestStepperEquivalenceSoak exercises rebalancing and fast-forward
-// together on the workers=4 kernel over a longer run — under -race in CI,
-// this is the soak that lets the detector watch retiled lanes and barrier
-// generations interleave for real — and requires bit-identity with the
-// plain serial run.
+// TestStepperEquivalenceSoak runs the workers=4 kernel over a longer run —
+// under -race in CI, this is the soak that lets the detector watch barrier
+// generations and fast-forward jumps interleave for real — and requires
+// bit-identity with the serial run.
 func TestStepperEquivalenceSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
@@ -352,33 +335,13 @@ func TestStepperEquivalenceSoak(t *testing.T) {
 	cfg := equivCfg()
 	cfg.WarmupCycles = 800
 	cfg.MeasureCycles = 4000
-	soak := cfg
-	soak.FastForward = true
-	soak.NoC.RebalanceEpoch = 96
 
-	base := runOne(t, cfg, "KMN", 1)
-	compareResults(t, runOne(t, soak, "KMN", 4), base)
+	checkWorkers(t, cfg, "KMN", runOne(t, cfg, "KMN", 1), 4)
 
 	prof := idleProfile()
-	pbase, _ := runProfile(t, cfg, prof, 1, false)
-	sres, skipped := runProfile(t, soak, prof, 4, true)
-	if skipped == 0 {
+	sres := runProfile(t, cfg, prof, 4)
+	if sres.FastForwarded == 0 {
 		t.Fatal("soak never fast-forwarded")
 	}
-	compareResults(t, sres, pbase)
-}
-
-// TestReferenceStepperFlagPlumbing ensures the -reference-stepper override
-// reaches the network for single, scheme-modified, and dual configurations.
-func TestReferenceStepperFlagPlumbing(t *testing.T) {
-	on := true
-	base := config.Default()
-	cfg := config.Overrides{ReferenceStepper: &on}.Apply(base)
-	if !cfg.NoC.ReferenceStepper {
-		t.Fatal("override did not set NoC.ReferenceStepper")
-	}
-	cfg = core.BestProposed.Apply(cfg)
-	if !cfg.NoC.ReferenceStepper {
-		t.Fatal("scheme application dropped NoC.ReferenceStepper")
-	}
+	compareResults(t, sres, runProfile(t, cfg, prof, 1))
 }

@@ -23,7 +23,7 @@ func main() {
 	m := mesh.New(8, 8)
 	ctx := context.Background()
 
-	base, err := gpu.Run(ctx, config.Default(), bench, gpu.RunOptions{})
+	base, err := gpu.Run(ctx, config.Default(), bench, gpu.Instrumentation{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 			log.Fatal(err)
 		}
 		hops, _, _ := pl.AverageHops()
-		res, err := gpu.Run(ctx, s.Apply(config.Default()), bench, gpu.RunOptions{})
+		res, err := gpu.Run(ctx, s.Apply(config.Default()), bench, gpu.Instrumentation{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func main() {
 	cfg := config.Default()
 	ctx := context.Background()
 
-	baseline, err := gpu.Run(ctx, cfg, "KMN", gpu.RunOptions{})
+	baseline, err := gpu.Run(ctx, cfg, "KMN", gpu.Instrumentation{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func main() {
 	// monopolizing — safe because the link-usage analysis proves request
 	// and reply traffic never share a directed link (Section 3.2.1).
 	best := core.BestProposed.Apply(cfg)
-	proposed, err := gpu.Run(ctx, best, "KMN", gpu.RunOptions{})
+	proposed, err := gpu.Run(ctx, best, "KMN", gpu.Instrumentation{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func main() {
 		for i, r := range routings {
 			cfg := config.Default()
 			cfg.NoC.Routing = r
-			res, err := gpu.Run(context.Background(), cfg, b, gpu.RunOptions{})
+			res, err := gpu.Run(context.Background(), cfg, b, gpu.Instrumentation{})
 			if err != nil {
 				log.Fatal(err)
 			}

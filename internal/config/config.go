@@ -79,21 +79,12 @@ type NoC struct {
 	// flit per two cycles), holding the total wire budget equal to the
 	// single network instead of doubling it.
 	SubnetHalfWidth bool
-	// ReferenceStepper selects the naive full-scan cycle kernel instead of
-	// the event-sparse active-set kernel. Results are bit-identical; the
-	// flag exists for equivalence testing and performance triage.
-	ReferenceStepper bool
 	// Workers is the number of spatial domains the cycle kernel steps in
 	// parallel: 0 means GOMAXPROCS, 1 is the serial kernel. Results are
 	// bit-identical for every value (per-domain state is merged in a fixed
 	// order at each cycle boundary); the kernel clamps the count to the
 	// mesh height, since domains are contiguous row stripes.
 	Workers int
-	// RebalanceEpoch, when positive, retiles the parallel kernel's lane
-	// stripes from per-row load every RebalanceEpoch cycles. Results are
-	// bit-identical for every value — partitioning cannot affect output —
-	// so this is a pure performance knob. 0 disables retiling.
-	RebalanceEpoch int64
 }
 
 // Mem is the memory-system configuration.
@@ -145,13 +136,6 @@ type Config struct {
 	// design wedge). It travels with the configuration so every entry
 	// point — CLIs, sweep jobs, JSON files — shares one escape hatch.
 	AllowUnsafe bool
-
-	// FastForward lets the simulator jump over globally idle cycles (no
-	// flits in flight, no core or memory-controller events pending) to the
-	// next event horizon instead of stepping them one by one. Results,
-	// telemetry, and statistics are bit-identical to stepping; only wall
-	// time changes.
-	FastForward bool
 }
 
 // Default returns the Table 2 baseline configuration: 56 SMs + 8 MCs on an
@@ -235,8 +219,6 @@ func (c Config) Validate() error {
 		return errors.New("config: need injection bandwidth >= 1 flit/cycle")
 	case n.Workers < 0:
 		return errors.New("config: workers must be >= 0 (0 = GOMAXPROCS, 1 = serial kernel)")
-	case n.RebalanceEpoch < 0:
-		return errors.New("config: rebalance epoch must be >= 0 (0 disables lane retiling)")
 	}
 	switch n.Routing {
 	case RoutingXY, RoutingYX, RoutingXYYX:

@@ -64,27 +64,21 @@ func TestFlagsOverridesOnlyExplicit(t *testing.T) {
 }
 
 func TestFlagsPerfKnobs(t *testing.T) {
-	f := bind(t, "-fastforward", "-rebalance-epoch", "512", "-workers", "4")
-	o := f.Overrides()
-	if o.FastForward == nil || !*o.FastForward {
-		t.Errorf("explicit -fastforward missing from overrides: %+v", o)
-	}
-	if o.RebalanceEpoch == nil || *o.RebalanceEpoch != 512 {
-		t.Errorf("explicit -rebalance-epoch missing from overrides: %+v", o)
+	f := bind(t, "-workers", "4")
+	if o := f.Overrides(); o.Workers == nil || *o.Workers != 4 {
+		t.Errorf("explicit -workers missing from overrides: %+v", o)
 	}
 	cfg, err := f.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := config.Default()
-	want.FastForward = true
-	want.NoC.RebalanceEpoch = 512
 	want.NoC.Workers = 4
 	if cfg != want {
 		t.Errorf("Config() mismatch:\n got %+v\nwant %+v", cfg, want)
 	}
-	if _, err := bind(t, "-rebalance-epoch", "-3").Config(); err == nil {
-		t.Error("negative -rebalance-epoch accepted")
+	if _, err := bind(t, "-workers", "-3").Config(); err == nil {
+		t.Error("negative -workers accepted")
 	}
 }
 

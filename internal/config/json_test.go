@@ -3,6 +3,7 @@ package config
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -55,6 +56,22 @@ func TestParsePartialOverride(t *testing.T) {
 func TestParseRejectsUnknownField(t *testing.T) {
 	if _, err := Parse([]byte(`{"Typo": 1}`)); err == nil {
 		t.Error("unknown field accepted")
+	}
+}
+
+// TestDecodeRejectsRetiredKeys: files saved by WriteFile before the stepping
+// knobs were removed carry all three keys; loading one must fail naming the
+// key rather than silently dropping a setting the user once made.
+func TestDecodeRejectsRetiredKeys(t *testing.T) {
+	for key, doc := range map[string]string{
+		"ReferenceStepper": `{"NoC": {"ReferenceStepper": false}}`,
+		"RebalanceEpoch":   `{"NoC": {"RebalanceEpoch": 0}}`,
+		"FastForward":      `{"FastForward": false}`,
+	} {
+		_, err := Decode([]byte(doc))
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("Decode(%s) = %v, want an error naming %q", doc, err, key)
+		}
 	}
 }
 

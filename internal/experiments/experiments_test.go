@@ -281,7 +281,7 @@ func TestScalingHoldsAcrossMeshes(t *testing.T) {
 }
 
 func TestSummaryFormat(t *testing.T) {
-	res, err := gpu.Run(context.Background(), quick("CP").apply(mustDefault()), "CP", gpu.RunOptions{})
+	res, err := gpu.Run(context.Background(), quick("CP").apply(mustDefault()), "CP", gpu.Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func runAllInstrumented(jobs []job, workers int, epoch int64) (map[string]gpu.Re
 	}
 	outs, err := sweep.Run(context.Background(), sj, nil, sweep.Options{
 		Workers: workers,
-		Run:     sweep.SimulateInstrumented(0, epoch),
+		Run:     sweep.SimulateWith(gpu.Instrumentation{TelemetryEpoch: epoch}),
 	})
 	if err != nil {
 		return nil, err

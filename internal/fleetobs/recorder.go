@@ -49,9 +49,6 @@ const (
 	// KindPool: the parallel kernel's worker pool changed. A: worker lanes
 	// running (0 = pool parked).
 	KindPool
-	// KindRetile: the serial tail moved the lane boundaries. A: lane count,
-	// B: first interior boundary row.
-	KindRetile
 	// KindRegister: fabric: a worker registered. A: wall ms, B: worker number.
 	KindRegister
 	// KindLease: fabric: a lease was granted. A: wall ms, B: worker number,
@@ -73,7 +70,7 @@ const (
 
 var kindNames = [...]string{
 	"phase", "checkpoint", "invariant_ok", "invariant_fail", "fast_forward",
-	"watchdog", "panic", "pool", "retile", "register", "lease", "heartbeat",
+	"watchdog", "panic", "pool", "register", "lease", "heartbeat",
 	"lease_expired", "complete", "requeue", "quarantine",
 }
 

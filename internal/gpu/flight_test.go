@@ -139,9 +139,7 @@ func TestFlightDumpOnPanic(t *testing.T) {
 }
 
 func TestFlightRecordsCleanRun(t *testing.T) {
-	cfg := quickCfg()
-	cfg.FastForward = true
-	res, err := Run(context.Background(), cfg, "KMN", RunOptions{
+	res, err := Run(context.Background(), quickCfg(), "KMN", Instrumentation{
 		FlightRecorder: 4096,
 	})
 	if err != nil {
@@ -177,11 +175,11 @@ func TestFlightRecordsCleanRun(t *testing.T) {
 }
 
 func TestFlightRecorderDoesNotChangeResults(t *testing.T) {
-	base, err := Run(context.Background(), quickCfg(), "KMN", RunOptions{})
+	base, err := Run(context.Background(), quickCfg(), "KMN", Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Run(context.Background(), quickCfg(), "KMN", RunOptions{FlightRecorder: 1 << 14})
+	rec, err := Run(context.Background(), quickCfg(), "KMN", Instrumentation{FlightRecorder: 1 << 14})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ type Simulator struct {
 	// Flight, when non-nil (see AttachFlight), is the always-on flight
 	// recorder: a bounded ring of recent cycle-domain events (phase
 	// entries, checkpoints, invariant checks, fast-forward jumps, kernel
-	// pool/retile events) dumped as JSONL post-mortem on panic, invariant
+	// pool events) dumped as JSONL post-mortem on panic, invariant
 	// failure, or watchdog trip. Recording never reads wall clock or
 	// scheduler state and never feeds back into simulation, so results
 	// stay bit-identical with it attached.
@@ -74,9 +74,15 @@ type Simulator struct {
 	MCs []*mc.MC
 
 	// FastForwarded counts the cycles the run loop jumped over instead of
-	// stepping (Cfg.FastForward); results are unaffected, so this exists
-	// for reporting and tests.
+	// stepping; results are unaffected, so this exists for reporting and
+	// tests.
 	FastForwarded int64
+
+	// stepped makes RunContext step every cycle instead of jumping over
+	// globally idle ones: the oracle the fast-forward equivalence tests
+	// compare the shipped loop against. Only this package's _test.go files
+	// set it.
+	stepped bool
 
 	// gpu holds the core-side counters, written only from the stepping
 	// goroutine (SM Tick and fetch paths). MC sinks run on kernel worker
@@ -152,14 +158,17 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 }
 
 // NewInstrumented is New plus observability applied at construction, before
-// the first cycle: telemetry when inst.TelemetryEpoch > 0, span tracing when
-// inst.Spans, live HTTP exposition when inst.Obs is set. Instrumentation is
-// a construction-time decision; there is no post-construction attach API.
+// the first cycle: the invariant sanitizer when inst.SanitizeEvery > 0,
+// telemetry when inst.TelemetryEpoch > 0, span tracing when inst.Spans, live
+// HTTP exposition when inst.Obs is set, the flight recorder when
+// inst.FlightRecorder > 0. Instrumentation is a construction-time decision;
+// the one post-construction hook is AttachFlight.
 func NewInstrumented(cfg config.Config, prof workload.Profile, inst Instrumentation) (*Simulator, error) {
 	s, err := New(cfg, prof)
 	if err != nil {
 		return nil, err
 	}
+	s.SanitizeEvery = inst.SanitizeEvery
 	if inst.TelemetryEpoch > 0 {
 		s.attachTelemetry(inst.TelemetryEpoch)
 	}
@@ -206,6 +215,11 @@ const defaultPublishEvery = 1024
 // Instrumentation selects the observability to build into a simulator at
 // construction. The zero value instruments nothing.
 type Instrumentation struct {
+	// SanitizeEvery > 0 validates the interconnect's internal invariants
+	// every SanitizeEvery cycles, aborting the run with an error on the
+	// first violation.
+	SanitizeEvery int
+
 	// TelemetryEpoch > 0 attaches the cycle-domain telemetry subsystem
 	// sampling every TelemetryEpoch cycles; the result's Tel field carries
 	// the collected series for export.
@@ -480,8 +494,6 @@ func (s *Simulator) Run() Result {
 // timeouts — a cancelled job stops simulating instead of leaking a
 // goroutine until it finishes on its own.
 func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
-	const watchdogWindow = 2048
-	ff := s.Cfg.FastForward
 	if s.Flight != nil {
 		defer func() {
 			if r := recover(); r != nil {
@@ -494,50 +506,15 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 
 	s.Net.EnableStats(false)
 	s.Flight.Record(s.cycle, fleetobs.KindPhase, 0, 0, 0)
-	for i := 0; i < s.Cfg.WarmupCycles; i++ {
-		s.Step()
-		if err := s.sanitize(); err != nil {
-			return s.result(false, int64(i)), err
-		}
-		if ff {
-			// Cap each jump at the next watchdog/cancellation checkpoint
-			// (i ≡ 511 mod 512) and at the phase end, so the checks below
-			// run at exactly the loop indices a stepped run would check.
-			i += int(s.fastForward(min(int64((i|511)-i), int64(s.Cfg.WarmupCycles-1-i))))
-		}
-		if i%512 == 511 {
-			if err := ctx.Err(); err != nil {
-				return s.result(false, int64(i)), err
-			}
-			s.Flight.Record(s.cycle, fleetobs.KindCheckpoint, int64(s.Net.FlitsInFlight()), s.FastForwarded, 0)
-			if s.Net.Quiescent(watchdogWindow) {
-				s.flightWatchdog()
-				return s.result(true, int64(i)), nil
-			}
-		}
+	if res, stop, err := s.runPhase(ctx, s.Cfg.WarmupCycles); stop {
+		return res, err
 	}
 
 	before := s.gpuTotals()
 	s.Net.EnableStats(true)
 	s.Flight.Record(s.cycle, fleetobs.KindPhase, 1, 0, 0)
-	for i := 0; i < s.Cfg.MeasureCycles; i++ {
-		s.Step()
-		if err := s.sanitize(); err != nil {
-			return s.result(false, int64(i)), err
-		}
-		if ff {
-			i += int(s.fastForward(min(int64((i|511)-i), int64(s.Cfg.MeasureCycles-1-i))))
-		}
-		if i%512 == 511 {
-			if err := ctx.Err(); err != nil {
-				return s.result(false, int64(i)), err
-			}
-			s.Flight.Record(s.cycle, fleetobs.KindCheckpoint, int64(s.Net.FlitsInFlight()), s.FastForwarded, 0)
-			if s.Net.Quiescent(watchdogWindow) {
-				s.flightWatchdog()
-				return s.result(true, int64(i)), nil
-			}
-		}
+	if res, stop, err := s.runPhase(ctx, s.Cfg.MeasureCycles); stop {
+		return res, err
 	}
 
 	res := s.result(false, int64(s.Cfg.MeasureCycles))
@@ -545,6 +522,47 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	res.GPU.Cycles = int64(s.Cfg.MeasureCycles)
 	res.IPC = res.GPU.IPC()
 	return res, nil
+}
+
+// runPhase simulates one phase (warmup or measurement) of the given length.
+// After every stepped cycle it jumps over whatever globally idle span
+// follows (fastForward), capped so that nothing a cycle-by-cycle loop does
+// at a fixed cycle is skipped: the jump stops at the next sanitizer
+// boundary, at the next watchdog/cancellation checkpoint (i ≡ 511 mod 512)
+// and at the phase end, and each check then runs exactly where stepping
+// would have run it. The bool reports an early exit — sanitizer failure,
+// cancellation, or a watchdog trip — with the partial result and error
+// RunContext must return.
+func (s *Simulator) runPhase(ctx context.Context, cycles int) (Result, bool, error) {
+	const watchdogWindow = 2048
+	for i := 0; i < cycles; i++ {
+		s.Step()
+		err := s.sanitize()
+		if err == nil && !s.stepped {
+			skip := min(int64((i|511)-i), int64(cycles-1-i))
+			if every := int64(s.SanitizeEvery); every > 0 {
+				skip = min(skip, every-s.cycle%every)
+			}
+			if n := s.fastForward(skip); n > 0 {
+				i += int(n)
+				err = s.sanitize()
+			}
+		}
+		if err != nil {
+			return s.result(false, int64(i)), true, err
+		}
+		if i%512 == 511 {
+			if err := ctx.Err(); err != nil {
+				return s.result(false, int64(i)), true, err
+			}
+			s.Flight.Record(s.cycle, fleetobs.KindCheckpoint, int64(s.Net.FlitsInFlight()), s.FastForwarded, 0)
+			if s.Net.Quiescent(watchdogWindow) {
+				s.flightWatchdog()
+				return s.result(true, int64(i)), true, nil
+			}
+		}
+	}
+	return Result{}, false, nil
 }
 
 // sanitize runs the sampled interconnect invariant check when enabled; a
@@ -630,68 +648,20 @@ func delta(before, after stats.GPU) stats.GPU {
 	}
 }
 
-// RunOptions configures one Run call. The zero value is the plain
-// uninstrumented run on the configured kernel.
-type RunOptions struct {
-	// SanitizeEvery > 0 validates the interconnect's internal invariants
-	// every SanitizeEvery cycles, aborting the run with an error on the
-	// first violation.
-	SanitizeEvery int
-
-	// TelemetryEpoch > 0 attaches the telemetry subsystem sampling every
-	// TelemetryEpoch cycles; the result's Tel field carries the series.
-	TelemetryEpoch int64
-
-	// Workers, when positive, overrides cfg.NoC.Workers — the number of
-	// spatial domains the cycle kernel steps in parallel (1 = serial).
-	// Zero keeps the configured value. Results are bit-identical for
-	// every worker count.
-	Workers int
-
-	// Spans attaches per-packet span tracing at SpanRate; see
-	// Instrumentation.
-	Spans    bool
-	SpanRate float64
-
-	// FastForward turns on idle-cycle skipping (see Config.FastForward);
-	// it never turns a configured-on value off. Results are bit-identical
-	// either way.
-	FastForward bool
-
-	// FlightRecorder > 0 attaches the flight recorder retaining that many
-	// recent events; FlightDir is where post-mortem dumps land ("" keeps
-	// the ring in memory only). See Instrumentation.
-	FlightRecorder int
-	FlightDir      string
-}
-
 // Run is the one-call runner: build a simulator for cfg and the named
 // benchmark with the requested instrumentation, simulate warmup then
 // measurement under ctx's cancellation, release the kernel's worker pool,
 // and return the result. On cancellation the partial result is returned
 // together with ctx's error.
-func Run(ctx context.Context, cfg config.Config, benchmark string, opts RunOptions) (Result, error) {
+func Run(ctx context.Context, cfg config.Config, benchmark string, inst Instrumentation) (Result, error) {
 	prof, err := workload.Get(benchmark)
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.Workers > 0 {
-		cfg.NoC.Workers = opts.Workers
-	}
-	if opts.FastForward {
-		cfg.FastForward = true
-	}
-	sim, err := NewInstrumented(cfg, prof, Instrumentation{
-		TelemetryEpoch: opts.TelemetryEpoch,
-		Spans:          opts.Spans,
-		SpanRate:       opts.SpanRate,
-		FlightRecorder: opts.FlightRecorder,
-		FlightDir:      opts.FlightDir,
-	})
+	sim, err := NewInstrumented(cfg, prof, inst)
 	if err != nil {
 		return Result{}, err
 	}
 	defer sim.Close()
-	sim.SanitizeEvery = opts.SanitizeEvery
 	return sim.RunContext(ctx)
 }

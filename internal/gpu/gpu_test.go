@@ -20,7 +20,7 @@ func quickCfg() config.Config {
 }
 
 func TestBaselineRuns(t *testing.T) {
-	res, err := Run(context.Background(), quickCfg(), "KMN", RunOptions{})
+	res, err := Run(context.Background(), quickCfg(), "KMN", Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestBaselineRuns(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() Result {
-		res, err := Run(context.Background(), quickCfg(), "SRAD", RunOptions{})
+		res, err := Run(context.Background(), quickCfg(), "SRAD", Instrumentation{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,12 +52,12 @@ func TestDeterminism(t *testing.T) {
 
 func TestSeedChangesExecution(t *testing.T) {
 	cfg := quickCfg()
-	a, err := Run(context.Background(), cfg, "KMN", RunOptions{})
+	a, err := Run(context.Background(), cfg, "KMN", Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 99
-	b, err := Run(context.Background(), cfg, "KMN", RunOptions{})
+	b, err := Run(context.Background(), cfg, "KMN", Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestSeedChangesExecution(t *testing.T) {
 
 func TestComputeBoundVsMemoryBound(t *testing.T) {
 	cfg := quickCfg()
-	cp, err := Run(context.Background(), cfg, "NQU", RunOptions{})
+	cp, err := Run(context.Background(), cfg, "NQU", Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kmn, err := Run(context.Background(), cfg, "KMN", RunOptions{})
+	kmn, err := Run(context.Background(), cfg, "KMN", Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestComputeBoundVsMemoryBound(t *testing.T) {
 // XY < YX < {YX monopolized}.
 func TestProposedSchemesImprove(t *testing.T) {
 	ipc := func(s core.Scheme) float64 {
-		res, err := Run(context.Background(), s.Apply(quickCfg()), "KMN", RunOptions{})
+		res, err := Run(context.Background(), s.Apply(quickCfg()), "KMN", Instrumentation{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestProposedSchemesImprove(t *testing.T) {
 }
 
 func TestRequestsBalanceReplies(t *testing.T) {
-	res, err := Run(context.Background(), quickCfg(), "MM", RunOptions{})
+	res, err := Run(context.Background(), quickCfg(), "MM", Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestAllSafeCombosRun(t *testing.T) {
 			c.Placement = pl
 			c.NoC.Routing = rt
 			c.NoC.VCPolicy = config.VCSplit
-			res, err := Run(context.Background(), c, "LPS", RunOptions{})
+			res, err := Run(context.Background(), c, "LPS", Instrumentation{})
 			if err != nil {
 				t.Errorf("%s+%s: %v", pl, rt, err)
 				continue
@@ -193,7 +193,7 @@ func TestPartialMonopolizingSafeEverywhere(t *testing.T) {
 	for _, pl := range config.Placements() {
 		c := cfg
 		c.Placement = pl
-		res, err := Run(context.Background(), c, "LPS", RunOptions{})
+		res, err := Run(context.Background(), c, "LPS", Instrumentation{})
 		if err != nil {
 			t.Errorf("%s: %v", pl, err)
 			continue
@@ -207,7 +207,7 @@ func TestPartialMonopolizingSafeEverywhere(t *testing.T) {
 func TestDualNetworkRuns(t *testing.T) {
 	cfg := quickCfg()
 	cfg.NoC.PhysicalSubnets = true
-	res, err := Run(context.Background(), cfg, "KMN", RunOptions{})
+	res, err := Run(context.Background(), cfg, "KMN", Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestInvalidInputsRejected(t *testing.T) {
 	if _, err := New(cfg, workload.MustGet("CP")); err == nil {
 		t.Error("bad routing accepted")
 	}
-	if _, err := Run(context.Background(), quickCfg(), "NOT-A-BENCH", RunOptions{}); err == nil {
+	if _, err := Run(context.Background(), quickCfg(), "NOT-A-BENCH", Instrumentation{}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 	bad := workload.Profile{Name: "bad", FootprintBytes: 0, RunAhead: 1}
@@ -234,7 +234,7 @@ func TestInvalidInputsRejected(t *testing.T) {
 // TestInstructionFetchEndToEnd: kernels larger than the L1I generate
 // instruction read traffic that round-trips through the MCs' L2 slices.
 func TestInstructionFetchEndToEnd(t *testing.T) {
-	res, err := Run(context.Background(), quickCfg(), "RAY", RunOptions{}) // 8KB kernel vs 2KB L1I
+	res, err := Run(context.Background(), quickCfg(), "RAY", Instrumentation{}) // 8KB kernel vs 2KB L1I
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +259,11 @@ func TestWarmupBiasBounded(t *testing.T) {
 	short.WarmupCycles, short.MeasureCycles = 3000, 8000
 	long := short
 	long.MeasureCycles = 16000
-	a, err := Run(context.Background(), short, "KMN", RunOptions{})
+	a, err := Run(context.Background(), short, "KMN", Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), long, "KMN", RunOptions{})
+	b, err := Run(context.Background(), long, "KMN", Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 func TestInstrumentedRun(t *testing.T) {
 	cfg := quickCfg()
-	res, err := Run(context.Background(), cfg, "KMN", RunOptions{TelemetryEpoch: 500})
+	res, err := Run(context.Background(), cfg, "KMN", Instrumentation{TelemetryEpoch: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestAttachTelemetryTwicePanics(t *testing.T) {
 func TestInstrumentedDualSubnets(t *testing.T) {
 	cfg := quickCfg()
 	cfg.NoC.PhysicalSubnets = true
-	res, err := Run(context.Background(), cfg, "BFS", RunOptions{TelemetryEpoch: 1000})
+	res, err := Run(context.Background(), cfg, "BFS", Instrumentation{TelemetryEpoch: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func spinWait(gen *uint64, want uint64, yield func()) {
 	}
 }
 
-// retile mirrors the lane-rebalance epoch path: gathering members into a
+// retile is an epoch-boundary regroup of lane members: gathering them into a
 // scratch slice that keeps its capacity across epochs is the sanctioned
 // amortized pattern, while building a fresh map per epoch is not.
 //

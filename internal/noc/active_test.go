@@ -136,7 +136,8 @@ func TestStepperEquivalenceNetworkLevel(t *testing.T) {
 	for _, v := range variants {
 		t.Run(string(v.rt)+"/"+string(v.pol), func(t *testing.T) {
 			opt := newTestNet(t, v.rt, v.pol, v.opts...)
-			ref := newTestNet(t, v.rt, v.pol, append([]Option{WithReferenceStepper()}, v.opts...)...)
+			ref := newTestNet(t, v.rt, v.pol, v.opts...)
+			ref.reference = true
 			attachCollectors(opt)
 			attachCollectors(ref)
 

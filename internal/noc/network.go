@@ -19,11 +19,11 @@
 // nonempty injection queue is always scheduled — is maintained by waking a
 // router on every event that hands it work (a flit pushed into one of its
 // buffers, a packet queued for injection) and only retiring it once both
-// counters reach zero. A naive full-scan stepper is retained behind
-// WithReferenceStepper (config: NoC.ReferenceStepper) and must produce
-// bit-identical results; both steppers share every phase helper and iterate
-// routers in ascending ID order, which pins the floating-point statistics
-// accumulation order.
+// counters reach zero. A naive full-scan stepper (stepReference) is retained
+// as the equivalence oracle: it is selectable only from this package's
+// tests (export_test.go) and must produce bit-identical results; both
+// steppers share every phase helper and iterate routers in ascending ID
+// order, which pins the floating-point statistics accumulation order.
 //
 // The kernel can additionally step the mesh as several spatial domains in
 // parallel (config: NoC.Workers; see parallel.go): contiguous row stripes
@@ -103,7 +103,7 @@ type Interconnect interface {
 	// nil check per probe site).
 	SetSpans(sp *obs.Spans)
 	// SetRecorder installs the flight recorder capturing kernel-structure
-	// events (pool spawn/park, lane retiles). The recorder itself is
+	// events (pool spawn/park). The recorder itself is
 	// nil-receiver safe, so record sites pay one predictable nil check;
 	// recording never influences simulation results.
 	SetRecorder(r *fleetobs.Recorder)
@@ -173,7 +173,8 @@ type Network struct {
 	// equal-resource physical subnet (Section 4.2).
 	linkPeriod int64
 	// reference selects the naive full-scan stepper instead of the
-	// active-set kernel; results must be bit-identical.
+	// active-set kernel; results must be bit-identical. Test-only: nothing
+	// outside this package's _test.go files sets it.
 	reference bool
 
 	routers []router
@@ -200,15 +201,6 @@ type Network struct {
 	// (bit-identical by partition independence).
 	pool   *workerPool
 	poolOK bool
-
-	// rebalanceEvery, when positive with more than one lane, retiles the
-	// lane stripes from per-row load every rebalanceEvery cycles (see
-	// rebalance.go). The scratch slices below are preallocated so the
-	// retile itself is allocation-free in steady state.
-	rebalanceEvery int64
-	rowWeight      []int   // per-row load estimate, reused each retile
-	laneBounds     []int   // candidate row boundaries, len(lanes)+1
-	setScratch     []int32 // gathered active/inj IDs during redistribution
 
 	// routeTab caches the routing algorithm per (class, current, dest):
 	// NextHop is a pure function of those three, so RC becomes one array
@@ -261,15 +253,6 @@ func WithInjectionQueue(flits int) Option {
 	}
 }
 
-// WithReferenceStepper selects the naive stepper that scans every router
-// and every node each cycle. It exists to validate the active-set kernel:
-// the two must produce bit-identical statistics, telemetry, and cycle
-// counts for any workload. Config files and CLIs reach it through
-// NoC.ReferenceStepper.
-func WithReferenceStepper() Option {
-	return func(n *Network) { n.reference = true }
-}
-
 // New builds the network described by cfg with the given routing algorithm
 // and VC assigner (a vc.Policy or a link-aware partial-monopolizing
 // assigner). The caller is responsible for having validated the assigner
@@ -288,7 +271,6 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 		pipeDelay:  2,
 		injRate:    max(1, cfg.InjectionFlitsPerCycle),
 		linkPeriod: 1,
-		reference:  cfg.ReferenceStepper,
 		routers:    make([]router, nn),
 		inj:        make([]injQueue, nn),
 		sinks:      make([]Sink, nn),
@@ -298,12 +280,6 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 		stats:      stats.NewNet(m),
 	}
 	n.buildLanes(cfg.Workers, cfg.Width, cfg.Height)
-	n.rebalanceEvery = cfg.RebalanceEpoch
-	if n.rebalanceEvery > 0 {
-		n.rowWeight = make([]int, cfg.Height)
-		n.laneBounds = make([]int, len(n.lanes)+1)
-		n.setScratch = make([]int32, 0, nn)
-	}
 	arena := newRouterArena(nn, n.vcs, n.depth)
 	for id := range n.routers {
 		rt := &n.routers[id]
@@ -404,9 +380,7 @@ func (n *Network) Quiescent(window int64) bool {
 // traversals, or credit returns can occur, and finishCycle would only
 // advance the counter — so the jump is observationally identical to delta
 // empty Steps. lastMove is deliberately left alone: empty Steps would not
-// have moved anything either. Lane rebalancing epochs inside the span are
-// skipped; retiling is a pure performance knob with no observable effect
-// (see rebalance.go), so this cannot perturb results.
+// have moved anything either.
 func (n *Network) FastForward(delta int64) {
 	if delta <= 0 {
 		return
@@ -828,10 +802,6 @@ func (n *Network) finishCycle() {
 	}
 	n.cycle++
 	n.stats.Cycles = n.cycle
-
-	if n.rebalanceEvery > 0 && len(n.lanes) > 1 && n.cycle%n.rebalanceEvery == 0 {
-		n.rebalanceLanes()
-	}
 }
 
 // Step advances the network by one cycle: injection, router pipelines
@@ -983,35 +953,6 @@ func (n *Network) CheckInvariants() error {
 	}
 	if count != n.inFlight {
 		return fmt.Errorf("noc: flit conservation broken: counted %d, tracked %d", count, n.inFlight)
-	}
-	// Lane-tiling invariant: the stripes must cover [0, numNodes) in
-	// ascending whole-row ranges, and laneOf must agree — a retile that
-	// broke this would corrupt wake routing.
-	prev := 0
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		if ln.lo != prev || ln.hi <= ln.lo || ln.lo%n.m.Width != 0 {
-			return fmt.Errorf("noc: lane %d covers [%d,%d), previous ended at %d", li, ln.lo, ln.hi, prev)
-		}
-		for id := ln.lo; id < ln.hi; id++ {
-			if int(n.laneOf[id]) != li {
-				return fmt.Errorf("noc: laneOf[%d] = %d, want %d", id, n.laneOf[id], li)
-			}
-		}
-		for _, id := range ln.active {
-			if int(id) < ln.lo || int(id) >= ln.hi {
-				return fmt.Errorf("noc: lane %d [%d,%d) schedules router %d it does not own", li, ln.lo, ln.hi, id)
-			}
-		}
-		for _, id := range ln.injActive {
-			if int(id) < ln.lo || int(id) >= ln.hi {
-				return fmt.Errorf("noc: lane %d [%d,%d) schedules injector %d it does not own", li, ln.lo, ln.hi, id)
-			}
-		}
-		prev = ln.hi
-	}
-	if prev != n.numNodes {
-		return fmt.Errorf("noc: lanes end at %d, want %d", prev, n.numNodes)
 	}
 	return nil
 }

@@ -1,0 +1,148 @@
+// Full-system oracle suite: the event-sparse active-set kernel must be
+// indistinguishable from stepReference, the naive full-scan stepper — not
+// statistically close, bit-identical. Anything less means the active set
+// dropped a wakeup or an arbitration got reordered, and every derived result
+// (figure tables, latency distributions, telemetry) silently drifts.
+//
+// The oracle is selectable only through this package's export_test.go, so
+// these comparisons live here, in the external test package that can drive
+// a whole gpu.Simulator. Worker-count equivalence of the shipped kernel
+// needs no oracle and lives in the root package's equivalence_test.go;
+// fast-forward vs stepping lives in internal/gpu.
+package noc_test
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"gpgpunoc/internal/config"
+	"gpgpunoc/internal/experiments"
+	"gpgpunoc/internal/gpu"
+	"gpgpunoc/internal/noc"
+	"gpgpunoc/internal/workload"
+)
+
+// equivCfg is a reduced-scale configuration: long enough that traffic
+// saturates the MC rows and backpressure (the active set's hard case)
+// appears, short enough that the whole suite stays in seconds.
+func equivCfg() config.Config {
+	cfg := config.Default()
+	cfg.WarmupCycles = 400
+	cfg.MeasureCycles = 1600
+	return cfg
+}
+
+// run simulates prof under cfg with telemetry every 400 cycles and the
+// sanitizer every 256 — so CheckInvariants, active-set invariant included,
+// is exercised on both paths — on the shipped kernel or on the oracle.
+func run(t *testing.T, cfg config.Config, prof workload.Profile, reference bool) gpu.Result {
+	t.Helper()
+	sim, err := gpu.NewInstrumented(cfg, prof, gpu.Instrumentation{SanitizeEvery: 256, TelemetryEpoch: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	if reference {
+		noc.UseReferenceStepper(sim.Net)
+	}
+	res, err := sim.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// checkOracle runs prof under both steppers and requires bit-identical
+// observable state: IPC, run shape, core and network statistics (the
+// floating-point Welford latency accumulators pin the ejection order) and
+// the telemetry JSONL bytes.
+func checkOracle(t *testing.T, cfg config.Config, prof workload.Profile) {
+	t.Helper()
+	opt, ref := run(t, cfg, prof, false), run(t, cfg, prof, true)
+	if opt.IPC != ref.IPC || opt.Cycles != ref.Cycles || opt.Deadlocked != ref.Deadlocked {
+		t.Errorf("run shape diverged: IPC %v/%v, cycles %d/%d, deadlocked %v/%v",
+			opt.IPC, ref.IPC, opt.Cycles, ref.Cycles, opt.Deadlocked, ref.Deadlocked)
+	}
+	if opt.GPU != ref.GPU {
+		t.Errorf("GPU stats diverged:\nactive-set %+v\n reference %+v", opt.GPU, ref.GPU)
+	}
+	if !reflect.DeepEqual(opt.Net, ref.Net) {
+		t.Errorf("network stats diverged (latency accumulators are order-sensitive: check ejection ordering)")
+	}
+	var ob, rb bytes.Buffer
+	if err := opt.Tel.WriteJSONL(&ob); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Tel.WriteJSONL(&rb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ob.Bytes(), rb.Bytes()) {
+		t.Errorf("telemetry export diverged (%d vs %d bytes)", ob.Len(), rb.Len())
+	}
+}
+
+// TestReferenceOracleFig9Schemes covers the full Figure 9 design space
+// (every placement, routing, and VC policy family), three seeds each.
+func TestReferenceOracleFig9Schemes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-seed design-space sweep")
+	}
+	kmn := workload.MustGet("KMN")
+	for _, s := range experiments.Fig9Schemes() {
+		for _, seed := range []uint64{1, 7, 1234577} {
+			t.Run(fmt.Sprintf("%s/seed=%d", s.Label, seed), func(t *testing.T) {
+				t.Parallel()
+				cfg := s.Apply(equivCfg())
+				cfg.Seed = seed
+				checkOracle(t, cfg, kmn)
+			})
+		}
+	}
+}
+
+// TestReferenceOracleDual covers the two-physical-subnets design, with
+// full-width and half-width (linkPeriod=2) channels.
+func TestReferenceOracleDual(t *testing.T) {
+	for _, half := range []bool{false, true} {
+		t.Run(fmt.Sprintf("halfwidth=%v", half), func(t *testing.T) {
+			t.Parallel()
+			cfg := equivCfg()
+			cfg.NoC.PhysicalSubnets = true
+			cfg.NoC.SubnetHalfWidth = half
+			cfg.NoC.VCsPerPort = 4 // 2 per subnet
+			checkOracle(t, cfg, workload.MustGet("RED"))
+		})
+	}
+}
+
+// TestReferenceOracleAsymmetric covers the Figure 10 asymmetric VC
+// partition (1 request : 3 reply), which stresses uneven per-class ranges
+// in the precomputed injection and link VC tables.
+func TestReferenceOracleAsymmetric(t *testing.T) {
+	cfg := equivCfg()
+	cfg.NoC.VCsPerPort = 4
+	cfg.NoC.Routing = config.RoutingXYYX
+	cfg.NoC.VCPolicy = config.VCAsymmetric
+	checkOracle(t, cfg, workload.MustGet("BFS"))
+}
+
+// TestReferenceOracleIdle covers the workloads fast-forward actually skips
+// on: a pure-compute profile that never touches the fabric, and a trickle
+// profile whose idle spans border real memory traffic, so the kernel is
+// repeatedly entered from and left in the empty state.
+func TestReferenceOracleIdle(t *testing.T) {
+	for _, prof := range []workload.Profile{
+		{Name: "IDLE", Suite: "synthetic", Locality: 0.5, FootprintBytes: 256 << 10,
+			RunAhead: 4, LongOpFraction: 1, LongOpLatency: 600},
+		{Name: "TRICKLE", Suite: "synthetic", MemFraction: 0.03, Locality: 0.6, FootprintBytes: 1 << 20,
+			RunAhead: 2, LongOpFraction: 1, LongOpLatency: 900},
+	} {
+		t.Run(prof.Name, func(t *testing.T) {
+			t.Parallel()
+			checkOracle(t, equivCfg(), prof)
+		})
+	}
+}

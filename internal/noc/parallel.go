@@ -27,17 +27,15 @@ package noc
 // (sums, min/max, histogram buckets), so per-lane sharding plus an ordered
 // merge reproduces the serial totals exactly. Partition boundaries
 // therefore cannot affect results either, which is what makes Workers=0
-// (GOMAXPROCS-many lanes) safe to use in reproducible experiments — and
-// what lets rebalanceLanes retile the stripes mid-run (see rebalance.go)
-// without touching results.
+// (GOMAXPROCS-many lanes) safe to use in reproducible experiments.
 //
 // Happens-before argument for the barrier (workerPool): phase boundaries
 // are generation-counter barriers built from sync/atomic operations, which
 // the Go memory model gives sequentially consistent semantics. A release
 // is an atomic increment of gen; workers spin (or park) until they load the
 // new value, so every write the coordinator made before release() — the
-// serial tail of the previous cycle, including lane retiling — is visible
-// to every worker's phase. Symmetrically, a worker's arrive() is an atomic
+// serial tail of the previous cycle — is visible to every worker's phase.
+// Symmetrically, a worker's arrive() is an atomic
 // increment of arrived, and the coordinator spins (or parks) in gather()
 // until arrived == workers, so every write a worker made during its phase
 // is visible to the coordinator (and, via the next release, to every other

@@ -21,40 +21,17 @@ type RunFunc func(ctx context.Context, j Job) (gpu.Result, error)
 // Simulate is the production RunFunc: a full cycle-level GPU simulation of
 // the job's benchmark under its configuration.
 func Simulate(ctx context.Context, j Job) (gpu.Result, error) {
-	return gpu.Run(ctx, j.Cfg, j.Benchmark, gpu.RunOptions{})
+	return gpu.Run(ctx, j.Cfg, j.Benchmark, gpu.Instrumentation{})
 }
 
-// SimulateSanitized returns a RunFunc like Simulate with the runtime
-// sanitizer enabled: every `every` cycles the interconnect invariants are
-// validated, and a violation fails the job instead of corrupting its
-// statistics silently.
-func SimulateSanitized(every int) RunFunc {
+// SimulateWith returns a RunFunc like Simulate with the given
+// instrumentation (sanitizer, telemetry, span tracing, flight recorder)
+// built into every job's simulator. Instrumented results carry their
+// telemetry in Result.Tel; pair with Options.TelemetryDir to persist
+// per-job artifacts.
+func SimulateWith(inst gpu.Instrumentation) RunFunc {
 	return func(ctx context.Context, j Job) (gpu.Result, error) {
-		return gpu.Run(ctx, j.Cfg, j.Benchmark, gpu.RunOptions{SanitizeEvery: every})
-	}
-}
-
-// SimulateInstrumented returns a RunFunc like Simulate with both runtime
-// instruments enabled: the sampled sanitizer every sanitizeEvery cycles
-// (0 disables) and the telemetry subsystem sampling every telemetryEpoch
-// cycles (0 disables). Instrumented results carry their telemetry in
-// Result.Tel; pair with Options.TelemetryDir to persist per-job artifacts.
-func SimulateInstrumented(sanitizeEvery int, telemetryEpoch int64) RunFunc {
-	return func(ctx context.Context, j Job) (gpu.Result, error) {
-		return gpu.Run(ctx, j.Cfg, j.Benchmark, gpu.RunOptions{
-			SanitizeEvery:  sanitizeEvery,
-			TelemetryEpoch: telemetryEpoch,
-		})
-	}
-}
-
-// SimulateOpts returns a RunFunc running the full simulation with the given
-// gpu.RunOptions verbatim — the general form the specialized Simulate*
-// constructors cover common cases of. The CLI uses it to thread the flight
-// recorder and sanitizer through one options value.
-func SimulateOpts(opts gpu.RunOptions) RunFunc {
-	return func(ctx context.Context, j Job) (gpu.Result, error) {
-		return gpu.Run(ctx, j.Cfg, j.Benchmark, opts)
+		return gpu.Run(ctx, j.Cfg, j.Benchmark, inst)
 	}
 }
 

@@ -112,6 +112,9 @@ type Harness struct {
 // policy is protocol-deadlock unsafe for the placement and routing are
 // rejected.
 func New(p Params) (*Harness, error) {
+	// The harness's sinks share plain counters across nodes, so it always
+	// steps the serial kernel (results do not depend on the worker count).
+	p.NoC.Workers = 1
 	m := mesh.New(p.NoC.Width, p.NoC.Height)
 	pl, err := placement.New(p.Placement, m, p.NumMCs)
 	if err != nil {
