@@ -21,12 +21,10 @@ import (
 	"gpgpunoc/internal/experiments"
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/mesh"
-	"gpgpunoc/internal/noc"
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/profiling"
 	"gpgpunoc/internal/telemetry"
-	"gpgpunoc/internal/trace"
 	"gpgpunoc/internal/workload"
 )
 
@@ -35,7 +33,6 @@ func main() {
 		bench    = flag.String("bench", "KMN", "benchmark name ("+strings.Join(workload.Names(), ",")+")")
 		heatmap  = flag.Bool("heatmap", false, "print per-direction link utilization heatmaps")
 		linkCSV  = flag.String("linkcsv", "", "write per-link flit counts as CSV to this file")
-		traceCSV = flag.String("trace", "", "write a packet/flit lifecycle trace as CSV to this file")
 		sanitize = flag.Int("sanitize", 0, "validate interconnect invariants every N cycles (0 = off)")
 
 		telEpoch = flag.Int64("telemetry-epoch", 0, "sample cycle-domain telemetry every N cycles (0 = off)")
@@ -119,34 +116,7 @@ func main() {
 	if srv != nil {
 		fmt.Printf("observability: http://%s/{metrics,state,progress,healthz}\n", srv.Addr())
 	}
-	var traceFlush func() error
-	if *traceCSV != "" {
-		net, ok := sim.Net.(*noc.Network)
-		if !ok {
-			fmt.Fprintln(os.Stderr, "tracing is not supported with -dual")
-			exit(1)
-		}
-		f, err := os.Create(*traceCSV)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-		cw := trace.NewCSVWriter(f)
-		net.SetTracer(cw)
-		traceFlush = func() error {
-			if err := cw.Flush(); err != nil {
-				return err
-			}
-			return f.Close()
-		}
-	}
 	res, runErr := sim.RunContext(context.Background())
-	if traceFlush != nil {
-		if err := traceFlush(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-	}
 	if runErr != nil {
 		// Sanitizer violations (and cancellations) still report the partial
 		// result; the non-zero exit is what CI keys on.

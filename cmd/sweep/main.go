@@ -197,24 +197,13 @@ func main() {
 		if nw <= 0 {
 			nw = runtime.GOMAXPROCS(0)
 		}
-		tracker := obs.NewSweepTracker(srv, len(jobs), nw)
+		tracker := sweep.NewTracker(srv, len(jobs), nw)
 		// Chain the tracker behind the printer: one engine callback feeds
 		// both the terminal progress lines and the HTTP exposition.
-		prev := opts.Progress
-		opts.Progress = func(ev sweep.Event) {
-			if prev != nil {
-				prev(ev)
-			}
-			switch ev.Type {
-			case sweep.EventStart:
-				tracker.JobStart(ev.Job.Key)
-			case sweep.EventDone:
-				tracker.JobDone(ev.Job.Key, ev.IPC, ev.Cycles, ev.Elapsed)
-			case sweep.EventFail:
-				tracker.JobFail(ev.Job.Key, ev.Err)
-			case sweep.EventSkip:
-				tracker.JobSkip(ev.Job.Key)
-			}
+		if prev := opts.Progress; prev != nil {
+			opts.Progress = func(ev sweep.Event) { prev(ev); tracker.Handle(ev) }
+		} else {
+			opts.Progress = tracker.Handle
 		}
 		fmt.Fprintf(os.Stderr, "observability: http://%s/{metrics,state,progress,healthz}\n", srv.Addr())
 	}

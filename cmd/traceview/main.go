@@ -1,20 +1,17 @@
-// Command traceview summarizes packet-level trace artifacts.
+// Command traceview summarizes packet-level and fleet-level trace artifacts.
 //
-// Its original mode reads a flit-event CSV produced by `nocsim -trace`:
-// per-type delivery counts and latencies, plus the head-flit hop histogram.
-// With -spans it instead reads a span JSONL log produced by `nocsim -spans`
-// and renders each sampled packet's hop timeline: cycle, router, VC, and
-// stall causes along the way. With -timeline it reads a fleet job-lifecycle
-// timeline (the coordinator's /sweeps/{id}/timeline payload) and renders
-// per-job span tables — or, with -chrome, converts it to a Chrome-trace
-// JSON loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+// With -spans it reads a span JSONL log produced by `nocsim -spans`: per-type
+// delivery counts and network latencies plus the head-flit hop histogram over
+// the whole log, then each sampled packet's hop timeline — cycle, router, VC,
+// and stall causes along the way. With -timeline it reads a fleet
+// job-lifecycle timeline (the coordinator's /sweeps/{id}/timeline payload)
+// and renders per-job span tables — or, with -chrome, converts it to a
+// Chrome-trace JSON loadable in Perfetto (https://ui.perfetto.dev) or
+// chrome://tracing.
 //
 // Examples:
 //
-//	nocsim -bench KMN -cycles 5000 -trace /tmp/kmn.csv
-//	traceview /tmp/kmn.csv
-//
-//	nocsim -bench KMN -cycles 5000 -spans /tmp/kmn.spans.jsonl
+//	nocsim -bench KMN -cycles 5000 -spans /tmp/kmn.spans.jsonl -obs-sample-rate 1
 //	traceview -spans -n 5 /tmp/kmn.spans.jsonl
 //
 //	curl -s http://127.0.0.1:9178/sweeps/s0123abc/timeline > tl.json
@@ -26,87 +23,65 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"gpgpunoc/internal/fleetobs"
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
-	"gpgpunoc/internal/trace"
 )
 
-func main() {
-	spans := flag.Bool("spans", false, "input is a span JSONL log (from nocsim -spans)")
-	timeline := flag.Bool("timeline", false, "input is a fleet timeline JSON (from the coordinator's /sweeps/{id}/timeline)")
-	chromeOut := flag.String("chrome", "", "with -timeline, write a Chrome-trace/Perfetto JSON file instead of the text summary")
-	limit := flag.Int("n", 0, "with -spans or -timeline, show at most N timelines (0 = all)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: traceview [-spans | -timeline [-chrome out.json]] [-n N] <trace.csv | spans.jsonl | timeline.json>")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters, so tests can pin
+// what each mode prints. It returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("traceview", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	spans := fs.Bool("spans", false, "input is a span JSONL log (from nocsim -spans)")
+	timeline := fs.Bool("timeline", false, "input is a fleet timeline JSON (from the coordinator's /sweeps/{id}/timeline)")
+	chromeOut := fs.String("chrome", "", "with -timeline, write a Chrome-trace/Perfetto JSON file instead of the text summary")
+	limit := fs.Int("n", 0, "show at most N per-packet or per-job timelines (0 = all)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	f, err := os.Open(flag.Arg(0))
+	if fs.NArg() != 1 || *spans == *timeline {
+		fmt.Fprintln(stderr, "usage: traceview {-spans | -timeline [-chrome out.json]} [-n N] <spans.jsonl | timeline.json>")
+		return 2
+	}
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	defer f.Close()
-
-	if *timeline {
-		var tl fleetobs.Timeline
-		if err := json.NewDecoder(f).Decode(&tl); err != nil {
-			fmt.Fprintln(os.Stderr, "traceview: parse timeline:", err)
-			os.Exit(1)
-		}
-		if *chromeOut != "" {
-			if err := writeChrome(*chromeOut, &tl); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("chrome trace: %s (load in https://ui.perfetto.dev or chrome://tracing)\n", *chromeOut)
-			return
-		}
-		showTimeline(&tl, *limit)
-		return
-	}
 
 	if *spans {
 		log, err := obs.ReadSpans(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		showSpans(log, *limit)
-		return
+		showSpans(stdout, log, *limit)
+		return 0
 	}
 
-	c, err := trace.ParseCSV(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	var tl fleetobs.Timeline
+	if err := json.NewDecoder(f).Decode(&tl); err != nil {
+		fmt.Fprintln(stderr, "traceview: parse timeline:", err)
+		return 1
 	}
-
-	s := c.Summarize()
-	fmt.Printf("%d events\n\n", len(c.Events))
-	fmt.Printf("%-14s %10s %12s %10s\n", "type", "delivered", "mean lat", "max lat")
-	for t := packet.Type(0); t < packet.NumTypes; t++ {
-		if s.Delivered[t] == 0 {
-			continue
+	if *chromeOut != "" {
+		if err := writeChrome(*chromeOut, &tl); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Printf("%-14s %10d %12.1f %10d\n", t, s.Delivered[t], s.MeanLat[t], s.MaxLat[t])
+		fmt.Fprintf(stdout, "chrome trace: %s (load in https://ui.perfetto.dev or chrome://tracing)\n", *chromeOut)
+		return 0
 	}
-
-	if len(s.Hops) > 0 {
-		fmt.Println("\nhead-flit hops per packet:")
-		var hops []int
-		for h := range s.Hops {
-			hops = append(hops, h)
-		}
-		sort.Ints(hops)
-		for _, h := range hops {
-			fmt.Printf("  %2d hops: %d packets\n", h, s.Hops[h])
-		}
-	}
+	showTimeline(stdout, &tl, *limit)
+	return 0
 }
 
 // writeChrome converts a fleet timeline to a Chrome-trace file.
@@ -123,15 +98,15 @@ func writeChrome(path string, tl *fleetobs.Timeline) error {
 }
 
 // showTimeline renders each job's fleet lifecycle as a span table.
-func showTimeline(tl *fleetobs.Timeline, limit int) {
-	fmt.Printf("sweep %s: %d jobs, now %dms\n", tl.SweepID, len(tl.Jobs), tl.NowMS)
+func showTimeline(w io.Writer, tl *fleetobs.Timeline, limit int) {
+	fmt.Fprintf(w, "sweep %s: %d jobs, now %dms\n", tl.SweepID, len(tl.Jobs), tl.NowMS)
 	n := len(tl.Jobs)
 	if limit > 0 && limit < n {
 		n = limit
 	}
 	for _, jt := range tl.Jobs[:n] {
-		fmt.Printf("\n%s (%s)\n", jt.Key, jt.Fingerprint)
-		fmt.Printf("  %9s %9s  %-10s %-8s %s\n", "start", "end", "span", "worker", "detail")
+		fmt.Fprintf(w, "\n%s (%s)\n", jt.Key, jt.Fingerprint)
+		fmt.Fprintf(w, "  %9s %9s  %-10s %-8s %s\n", "start", "end", "span", "worker", "detail")
 		for _, sp := range jt.Spans {
 			end := fmt.Sprintf("%dms", sp.EndMS)
 			if sp.EndMS < 0 {
@@ -148,11 +123,11 @@ func showTimeline(tl *fleetobs.Timeline, limit int) {
 			if worker == "" {
 				worker = "-"
 			}
-			fmt.Printf("  %8dms %9s  %-10s %-8s %s\n", sp.StartMS, end, sp.Kind, worker, detail)
+			fmt.Fprintf(w, "  %8dms %9s  %-10s %-8s %s\n", sp.StartMS, end, sp.Kind, worker, detail)
 		}
 	}
 	if n < len(tl.Jobs) {
-		fmt.Printf("\n... %d more jobs (raise -n to show them)\n", len(tl.Jobs)-n)
+		fmt.Fprintf(w, "\n... %d more jobs (raise -n to show them)\n", len(tl.Jobs)-n)
 	}
 }
 
@@ -163,26 +138,75 @@ func sep(detail string) string {
 	return ": " + detail
 }
 
-// showSpans renders each sampled packet's lifecycle as a cycle-ordered
-// timeline table.
-func showSpans(log *obs.SpanLog, limit int) {
-	fmt.Printf("span log: seed %d, sample rate %g, %d traced packets\n",
+// summarizeSpans prints per-type delivered counts with mean and maximum
+// network latency (injection to ejection) and the histogram of head-flit
+// hops per packet. At sample rate 1 the log holds every packet, so this is
+// the run's full delivery picture; below 1 it describes the sample.
+func summarizeSpans(w io.Writer, log *obs.SpanLog) {
+	type stat struct {
+		delivered      int
+		sumLat, maxLat int64
+	}
+	byType := map[string]*stat{}
+	hops := map[int]int{}
+	for _, t := range log.Traces {
+		if n := len(t.Hops()); n > 0 {
+			hops[n]++
+		}
+		lat, ok := t.NetLatency()
+		if !ok {
+			continue
+		}
+		st := byType[t.Type]
+		if st == nil {
+			st = &stat{}
+			byType[t.Type] = st
+		}
+		st.delivered++
+		st.sumLat += lat
+		st.maxLat = max(st.maxLat, lat)
+	}
+	fmt.Fprintf(w, "\n%-14s %10s %12s %10s\n", "type", "delivered", "mean lat", "max lat")
+	for t := packet.Type(0); t < packet.NumTypes; t++ {
+		if st := byType[t.String()]; st != nil {
+			fmt.Fprintf(w, "%-14s %10d %12.1f %10d\n", t, st.delivered,
+				float64(st.sumLat)/float64(st.delivered), st.maxLat)
+		}
+	}
+	if len(hops) > 0 {
+		fmt.Fprintln(w, "\nhead-flit hops per packet:")
+		var counts []int
+		for h := range hops {
+			counts = append(counts, h)
+		}
+		sort.Ints(counts)
+		for _, h := range counts {
+			fmt.Fprintf(w, "  %2d hops: %d packets\n", h, hops[h])
+		}
+	}
+}
+
+// showSpans prints the log-wide delivery summary, then each sampled
+// packet's lifecycle as a cycle-ordered timeline table.
+func showSpans(w io.Writer, log *obs.SpanLog, limit int) {
+	fmt.Fprintf(w, "span log: seed %d, sample rate %g, %d traced packets\n",
 		log.Seed, log.Rate, len(log.Traces))
+	summarizeSpans(w, log)
 	n := len(log.Traces)
 	if limit > 0 && limit < n {
 		n = limit
 	}
 	for _, t := range log.Traces[:n] {
-		fmt.Printf("\npkt#%d %s N%d->N%d (%d flits, trace#%d)\n",
+		fmt.Fprintf(w, "\npkt#%d %s N%d->N%d (%d flits, trace#%d)\n",
 			t.ID, t.Type, t.Src, t.Dst, t.Flits, t.Trace)
-		fmt.Printf("  %10s  %-10s %6s  %s\n", "cycle", "router", "vc", "event")
+		fmt.Fprintf(w, "  %10s  %-10s %6s  %s\n", "cycle", "router", "vc", "event")
 		for _, e := range t.Events {
-			fmt.Printf("  %10d  %-10s %6s  %s\n",
+			fmt.Fprintf(w, "  %10d  %-10s %6s  %s\n",
 				e.Cycle, routerCol(e), vcCol(e), eventCol(e))
 		}
 	}
 	if n < len(log.Traces) {
-		fmt.Printf("\n... %d more packets (raise -n to show them)\n", len(log.Traces)-n)
+		fmt.Fprintf(w, "\n... %d more packets (raise -n to show them)\n", len(log.Traces)-n)
 	}
 }
 

@@ -1,0 +1,91 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current build")
+
+// runOK runs traceview with args, requires a clean exit, and returns stdout.
+func runOK(t *testing.T, args ...string) []byte {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("traceview %v exited %d: %s", args, code, stderr.String())
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("traceview %v wrote to stderr: %s", args, stderr.String())
+	}
+	return stdout.Bytes()
+}
+
+// checkGolden pins got to testdata/name.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s:\n--- got\n%s--- want\n%s", path, got, want)
+	}
+}
+
+func TestSpansOutput(t *testing.T) {
+	checkGolden(t, "spans.golden", runOK(t, "-spans", "testdata/spans.jsonl"))
+	checkGolden(t, "spans_n2.golden", runOK(t, "-spans", "-n", "2", "testdata/spans.jsonl"))
+}
+
+func TestTimelineOutput(t *testing.T) {
+	checkGolden(t, "timeline.golden", runOK(t, "-timeline", "testdata/timeline.json"))
+	checkGolden(t, "timeline_n1.golden", runOK(t, "-timeline", "-n", "1", "testdata/timeline.json"))
+
+	out := filepath.Join(t.TempDir(), "trace.json")
+	if stdout := runOK(t, "-timeline", "-chrome", out, "testdata/timeline.json"); !bytes.Contains(stdout, []byte(out)) {
+		t.Errorf("-chrome did not say where it wrote: %s", stdout)
+	}
+	trace, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "timeline_chrome.golden", trace)
+}
+
+func TestUsageAndInputErrors(t *testing.T) {
+	for name, tc := range map[string]struct {
+		args []string
+		code int
+		want string
+	}{
+		"no mode":        {[]string{"testdata/spans.jsonl"}, 2, "usage:"},
+		"both modes":     {[]string{"-spans", "-timeline", "testdata/spans.jsonl"}, 2, "usage:"},
+		"no file":        {[]string{"-spans"}, 2, "usage:"},
+		"unknown flag":   {[]string{"-trace", "x.csv"}, 2, "flag provided but not defined"},
+		"missing file":   {[]string{"-spans", "testdata/absent.jsonl"}, 1, "absent.jsonl"},
+		"not a span log": {[]string{"-spans", "testdata/timeline.json"}, 1, "span log line 1"},
+		"not a timeline": {[]string{"-timeline", "main_test.go"}, 1, "parse timeline"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != tc.code {
+			t.Errorf("%s: exit %d, want %d (stderr %q)", name, code, tc.code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%s: stderr %q does not mention %q", name, stderr.String(), tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: wrote to stdout: %s", name, stdout.String())
+		}
+	}
+}

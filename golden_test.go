@@ -1,0 +1,132 @@
+// Golden pins for every artifact one instrumented run can produce. The files
+// under testdata/golden were written by this test at the commit before the
+// observability packages were collapsed onto one spine; any byte that moves
+// is a change to a format users read.
+//
+// Regenerate (only when a format change is intended) with
+//
+//	go test . -run TestGoldenRunArtifacts -update
+package gpgpunoc_test
+
+import (
+	"bytes"
+	"flag"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"gpgpunoc/internal/config"
+	"gpgpunoc/internal/gpu"
+	"gpgpunoc/internal/mesh"
+	"gpgpunoc/internal/obs"
+	"gpgpunoc/internal/telemetry"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden from the current build")
+
+// goldenCfg is a 4x4 system — 6 SMs, 4 MCs on the bottom row — run for 500
+// cycles: every probe family and span event kind appears, and the rate-1 span
+// log stays small enough to commit.
+func goldenCfg(dual bool) config.Config {
+	cfg := config.Default()
+	cfg.NoC.Width, cfg.NoC.Height = 4, 4
+	cfg.Core.NumSMs = 6
+	cfg.Mem.NumMCs = 4
+	cfg.WarmupCycles = 100
+	cfg.MeasureCycles = 400
+	cfg.Seed = 7
+	cfg.NoC.PhysicalSubnets = dual
+	return cfg
+}
+
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: %d bytes, golden has %d; first difference at byte %d",
+			name, len(got), len(want), firstDiff(got, want))
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+func TestGoldenRunArtifacts(t *testing.T) {
+	for _, tc := range []struct {
+		dir  string
+		dual bool
+	}{{"single", false}, {"dual", true}} {
+		t.Run(tc.dir, func(t *testing.T) {
+			cfg := goldenCfg(tc.dual)
+			srv, err := obs.NewServer("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			sim := newSim(t, cfg, "KMN", gpu.Instrumentation{
+				TelemetryEpoch: 100, Spans: true, SpanRate: 1,
+				Obs: srv, PublishEvery: 250,
+			})
+			res := sim.Run()
+			if res.Deadlocked {
+				t.Fatal("golden run deadlocked")
+			}
+
+			render := func(name string, write func(io.Writer) error) {
+				t.Helper()
+				var b bytes.Buffer
+				if err := write(&b); err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, filepath.Join(tc.dir, name), b.Bytes())
+			}
+			render("series.jsonl", res.Tel.WriteJSONL)
+			render("heatmap.csv", func(w io.Writer) error {
+				return res.Tel.WriteHeatmapCSV(w, mesh.New(cfg.NoC.Width, cfg.NoC.Height))
+			})
+			render("trace.json", func(w io.Writer) error {
+				return res.Tel.WriteChromeTrace(w, telemetry.DefaultTraceFilter)
+			})
+			render("spans.jsonl", res.Spans.WriteJSONL)
+			render("spans.trace.json", res.Spans.WriteChromeTrace)
+
+			// The run's final publication is the /metrics body a scraper
+			// sees once the run is done.
+			resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/metrics = %d %s", resp.StatusCode, body)
+			}
+			checkGolden(t, filepath.Join(tc.dir, "metrics.prom"), body)
+		})
+	}
+}

@@ -17,6 +17,7 @@ package dram
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"gpgpunoc/internal/telemetry"
 )
@@ -118,19 +119,27 @@ func (d *DRAM) Enqueue(id uint64, addr uint64, now int64) bool {
 // QueueLen returns the number of queued (unissued) requests.
 func (d *DRAM) QueueLen() int { return len(d.queue) }
 
-// AttachTelemetry registers the channel's probes on reg under prefix (e.g.
-// "mc.3.dram."), all as GaugeFuncs reading state the channel already
-// tracks: queue depth, issued-but-incomplete accesses, and the row-buffer
-// hit/miss counters. Nothing on the per-cycle path changes.
-func (d *DRAM) AttachTelemetry(reg *telemetry.Registry, prefix string) {
+// AttachTelemetry registers the probes of the channel behind memory
+// controller mc on reg (names "mc.<mc>.dram.<field>"), all as GaugeFuncs
+// reading state the channel already tracks: queue depth,
+// issued-but-incomplete accesses, and the row-buffer hit/miss counters.
+// Nothing on the per-cycle path changes.
+func (d *DRAM) AttachTelemetry(reg *telemetry.Registry, mc int) {
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc(prefix+"queue_depth", func() int64 { return int64(len(d.queue)) })
-	reg.GaugeFunc(prefix+"inflight", func() int64 { return int64(len(d.inflight)) })
-	reg.GaugeFunc(prefix+"row_hits", func() int64 { return d.RowHits })
-	reg.GaugeFunc(prefix+"row_misses", func() int64 { return d.RowMisses })
-	reg.GaugeFunc(prefix+"served", func() int64 { return d.Served })
+	gauge := func(field string, fn func() int64) {
+		reg.GaugeFunc(fmt.Sprintf("mc.%d.dram.%s", mc, field), telemetry.Desc{
+			Family: "noc_mc_dram_" + field,
+			Help:   "DRAM channel state behind a memory controller.",
+			Labels: []string{"mc", strconv.Itoa(mc)},
+		}, fn)
+	}
+	gauge("queue_depth", func() int64 { return int64(len(d.queue)) })
+	gauge("inflight", func() int64 { return int64(len(d.inflight)) })
+	gauge("row_hits", func() int64 { return d.RowHits })
+	gauge("row_misses", func() int64 { return d.RowMisses })
+	gauge("served", func() int64 { return d.Served })
 }
 
 // SetIssueHook installs a command-issue observer (nil disables it, the

@@ -46,23 +46,29 @@ type fleetMetrics struct {
 
 func newFleetMetrics() *fleetMetrics {
 	reg := telemetry.NewRegistry()
+	counter := func(field, help string) *telemetry.Counter {
+		return reg.Counter("fleet."+field, telemetry.Desc{Family: "fleet_" + field + "_total", Help: help})
+	}
+	gauge := func(field, help string) *telemetry.Gauge {
+		return reg.Gauge("fleet."+field, telemetry.Desc{Family: "fleet_" + field, Help: help})
+	}
 	return &fleetMetrics{
 		reg:           reg,
-		submits:       reg.Counter("fleet.submits"),
-		jobsExpanded:  reg.Counter("fleet.jobs"),
-		leasesGranted: reg.Counter("fleet.leases_granted"),
-		leasesExpired: reg.Counter("fleet.leases_expired"),
-		heartbeats:    reg.Counter("fleet.heartbeats"),
-		retries:       reg.Counter("fleet.retries"),
-		requeued:      reg.Counter("fleet.requeued"),
-		quarantined:   reg.Counter("fleet.quarantined"),
-		storeHits:     reg.Counter("fleet.store_hits"),
-		storeMisses:   reg.Counter("fleet.store_misses"),
-		jobsDone:      reg.Counter("fleet.jobs_done"),
-		jobsFailed:    reg.Counter("fleet.jobs_failed"),
-		workers:       reg.Counter("fleet.workers"),
-		queueDepth:    reg.Gauge("fleet.queue_depth"),
-		running:       reg.Gauge("fleet.running"),
+		submits:       counter("submits", "Sweep submissions accepted by the coordinator."),
+		jobsExpanded:  counter("jobs", "Jobs expanded across all sweeps."),
+		leasesGranted: counter("leases_granted", "Leases granted to workers."),
+		leasesExpired: counter("leases_expired", "Leases that died unrenewed and were reclaimed."),
+		heartbeats:    counter("heartbeats", "Lease renewals received."),
+		retries:       counter("retries", "Job attempts beyond the first."),
+		requeued:      counter("requeued", "Jobs returned to the queue after a failed attempt."),
+		quarantined:   counter("quarantined", "Poison-job quarantine events."),
+		storeHits:     counter("store_hits", "Jobs satisfied from the content-addressed result store."),
+		storeMisses:   counter("store_misses", "Jobs that missed the result store and must run."),
+		jobsDone:      counter("jobs_done", "OK records accepted from any worker."),
+		jobsFailed:    counter("jobs_failed", "Failed job attempts reported by any worker."),
+		workers:       counter("workers", "Workers ever registered with the coordinator."),
+		queueDepth:    gauge("queue_depth", "Jobs currently waiting for a lease."),
+		running:       gauge("running", "Jobs currently leased out."),
 	}
 }
 
@@ -71,12 +77,18 @@ func newFleetMetrics() *fleetMetrics {
 // same lock every workerState mutation holds — so the closures are
 // race-free by construction.
 func (c *Coordinator) registerWorkerProbes(w *workerState) {
-	prefix := "fleet.worker." + w.id + "."
-	c.met.reg.GaugeFunc(prefix+"leases_held", func() int64 { return int64(w.leases) })
-	c.met.reg.GaugeFunc(prefix+"lease_grants", func() int64 { return int64(w.grants) })
-	c.met.reg.GaugeFunc(prefix+"jobs_done", func() int64 { return int64(w.done) })
-	c.met.reg.GaugeFunc(prefix+"jobs_failed", func() int64 { return int64(w.failed) })
-	c.met.reg.GaugeFunc(prefix+"heartbeat_age_ms", func() int64 {
+	gauge := func(field, help string, fn func() int64) {
+		c.met.reg.GaugeFunc("fleet.worker."+w.id+"."+field, telemetry.Desc{
+			Family: "fleet_worker_" + field,
+			Help:   help,
+			Labels: []string{"worker", w.id},
+		}, fn)
+	}
+	gauge("leases_held", "Leases this worker currently holds.", func() int64 { return int64(w.leases) })
+	gauge("lease_grants", "Leases ever granted to this worker.", func() int64 { return int64(w.grants) })
+	gauge("jobs_done", "Records accepted from this worker.", func() int64 { return int64(w.done) })
+	gauge("jobs_failed", "Failed attempts reported by this worker.", func() int64 { return int64(w.failed) })
+	gauge("heartbeat_age_ms", "Milliseconds since this worker was last heard from.", func() int64 {
 		return time.Since(w.lastSeen).Milliseconds()
 	})
 }
@@ -205,7 +217,7 @@ func (c *Coordinator) attachWorkerSpansLocked(workerID string, spans []WireSpan)
 // derived sample the registry's int64 probes cannot express: jobs/sec over
 // the coordinator's lifetime.
 func (c *Coordinator) renderMetricsLocked() []byte {
-	b := fleetobs.RenderProm(c.met.reg)
+	b := c.met.reg.RenderPrometheus()
 	secs := time.Since(c.start).Seconds()
 	rate := 0.0
 	if secs > 0 {

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"gpgpunoc/internal/fleetobs"
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/sweep"
 	"gpgpunoc/internal/telemetry"
@@ -76,13 +75,17 @@ type workerMetrics struct {
 
 func newWorkerMetrics() *workerMetrics {
 	reg := telemetry.NewRegistry()
+	counter := func(field, help string) *telemetry.Counter {
+		return reg.Counter("fleet."+field, telemetry.Desc{Family: "fleet_" + field + "_total", Help: help})
+	}
 	return &workerMetrics{
 		reg:        reg,
-		leases:     reg.Counter("fleet.leases"),
-		batches:    reg.Counter("fleet.batches"),
-		jobsOK:     reg.Counter("fleet.jobs_ok"),
-		jobsFailed: reg.Counter("fleet.jobs_failed"),
-		busy:       reg.Gauge("fleet.busy"),
+		leases:     counter("leases", "Leases this worker has taken."),
+		batches:    counter("batches", "Lease batches this worker has completed."),
+		jobsOK:     counter("jobs_ok", "Jobs this worker ran successfully."),
+		jobsFailed: counter("jobs_failed", "Jobs this worker ran that failed."),
+		busy: reg.Gauge("fleet.busy", telemetry.Desc{Family: "fleet_busy",
+			Help: "1 while the worker is running a lease batch, else 0."}),
 	}
 }
 
@@ -92,7 +95,7 @@ func (w *Worker) publishObs() {
 	if w.obsrv == nil {
 		return
 	}
-	w.obsrv.SetMetrics(fleetobs.RenderProm(w.wmet.reg))
+	w.obsrv.SetMetrics(w.wmet.reg.RenderPrometheus())
 }
 
 // NewWorker returns a worker for the coordinator at baseURL

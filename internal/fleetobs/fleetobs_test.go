@@ -5,10 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"gpgpunoc/internal/telemetry"
 )
 
 func TestRecorderRetainsRecent(t *testing.T) {
@@ -134,43 +131,6 @@ func TestKindStringsRoundTrip(t *testing.T) {
 	}
 	if s := Kind(200).String(); s != "kind(200)" {
 		t.Fatalf("out-of-range kind string %q", s)
-	}
-}
-
-func TestRenderProm(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	subs := reg.Counter("fleet.submits")
-	subs.Add(3)
-	reg.Gauge("fleet.queue_depth").Set(7)
-	reg.Counter("fleet.worker.w1.jobs_done").Add(5)
-	reg.GaugeFunc("fleet.worker.w1.heartbeat_age_ms", func() int64 { return 250 })
-	reg.Counter("other.thing").Inc()
-
-	out := string(RenderProm(reg))
-	for _, want := range []string{
-		"# TYPE fleet_submits_total counter",
-		"fleet_submits_total 3",
-		"# TYPE fleet_queue_depth gauge",
-		"fleet_queue_depth 7",
-		`fleet_worker_jobs_done_total{worker="w1"} 5`,
-		`fleet_worker_heartbeat_age_ms{worker="w1"} 250`,
-		`fleet_probe{name="other.thing"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("RenderProm output missing %q:\n%s", want, out)
-		}
-	}
-	// Families must be sorted by name.
-	var fams []string
-	for _, line := range strings.Split(out, "\n") {
-		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			fams = append(fams, strings.Fields(f)[0])
-		}
-	}
-	for i := 1; i < len(fams); i++ {
-		if fams[i] < fams[i-1] {
-			t.Fatalf("families not sorted: %v", fams)
-		}
 	}
 }
 

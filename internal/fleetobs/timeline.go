@@ -1,11 +1,11 @@
 package fleetobs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+
+	"gpgpunoc/internal/telemetry"
 )
 
 // Span kinds used in job timelines. These are strings, not Kind values:
@@ -50,36 +50,21 @@ type Timeline struct {
 	Jobs        []*JobTimeline `json:"jobs"`
 }
 
-// chromeEvent is one Chrome trace-event (the Perfetto-compatible JSON array
-// format). Ph "X" is a complete span, "i" an instant, "M" metadata.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`            // microseconds
-	Dur  int64          `json:"dur,omitempty"` // microseconds
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant scope
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChromeTimeline renders the timeline as a Chrome trace-event JSON
 // array loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Each job
 // becomes one "thread" named by its key; spans become complete ("X") events
 // and zero-length spans become instants.
 func WriteChromeTimeline(w io.Writer, tl *Timeline) error {
-	bw := bufio.NewWriter(w)
-	var events []chromeEvent
-	events = append(events, chromeEvent{
+	events := []telemetry.TraceEvent{{
 		Name: "process_name", Ph: "M", PID: 1,
 		Args: map[string]any{"name": "sweep " + tl.SweepID},
-	})
+	}}
 	jobs := make([]*JobTimeline, len(tl.Jobs))
 	copy(jobs, tl.Jobs)
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Key < jobs[j].Key })
 	for ti, jt := range jobs {
 		tid := ti + 1
-		events = append(events, chromeEvent{
+		events = append(events, telemetry.TraceEvent{
 			Name: "thread_name", Ph: "M", PID: 1, TID: tid,
 			Args: map[string]any{"name": jt.Key},
 		})
@@ -109,37 +94,18 @@ func WriteChromeTimeline(w io.Writer, tl *Timeline) error {
 				end = tl.NowMS
 			}
 			if end <= sp.StartMS {
-				events = append(events, chromeEvent{
-					Name: name, Ph: "i", Ts: sp.StartMS * 1000,
+				events = append(events, telemetry.TraceEvent{
+					Name: name, Ph: "i", TS: sp.StartMS * 1000,
 					PID: 1, TID: tid, S: "t", Args: args,
 				})
 				continue
 			}
-			events = append(events, chromeEvent{
-				Name: name, Ph: "X", Ts: sp.StartMS * 1000, Dur: (end - sp.StartMS) * 1000,
+			dur := (end - sp.StartMS) * 1000
+			events = append(events, telemetry.TraceEvent{
+				Name: name, Ph: "X", TS: sp.StartMS * 1000, Dur: &dur,
 				PID: 1, TID: tid, Args: args,
 			})
 		}
 	}
-	if _, err := bw.WriteString("[\n"); err != nil {
-		return err
-	}
-	for i, ev := range events {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if i > 0 {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("\n]\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return telemetry.WriteTraceArray(w, events)
 }

@@ -295,11 +295,17 @@ func (s *Simulator) instrument(reg *telemetry.Registry) {
 	for _, m := range s.MCs {
 		m.AttachTelemetry(reg)
 	}
-	reg.GaugeFunc("core.instructions", func() int64 { return s.gpuTotals().Instructions })
-	reg.GaugeFunc("core.mem_requests", func() int64 { return s.gpuTotals().MemRequests })
-	reg.GaugeFunc("core.stall_cycles", func() int64 { return s.gpuTotals().StallCycles })
-	reg.GaugeFunc("core.l1_misses", func() int64 { return s.gpuTotals().L1Misses })
-	reg.GaugeFunc("core.l2_misses", func() int64 { return s.gpuTotals().L2Misses })
+	gauge := func(field string, fn func() int64) {
+		reg.GaugeFunc("core."+field, telemetry.Desc{
+			Family: "noc_core_" + field,
+			Help:   "Aggregate processor-side counters.",
+		}, fn)
+	}
+	gauge("instructions", func() int64 { return s.gpuTotals().Instructions })
+	gauge("mem_requests", func() int64 { return s.gpuTotals().MemRequests })
+	gauge("stall_cycles", func() int64 { return s.gpuTotals().StallCycles })
+	gauge("l1_misses", func() int64 { return s.gpuTotals().L1Misses })
+	gauge("l2_misses", func() int64 { return s.gpuTotals().L2Misses })
 }
 
 // attachSpans installs per-packet span tracing: a deterministic sampler
@@ -349,7 +355,6 @@ func (s *Simulator) attachObs(srv *obs.Server, every int64) *obs.Publisher {
 	p := &obs.Publisher{
 		Srv:       srv,
 		Reg:       reg,
-		Mesh:      mesh.New(s.Cfg.NoC.Width, s.Cfg.NoC.Height),
 		State:     s.Net.StateSnapshot,
 		Every:     every,
 		Benchmark: s.Prof.Name,

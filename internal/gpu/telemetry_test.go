@@ -90,13 +90,14 @@ func TestInstrumentedDualSubnets(t *testing.T) {
 	}
 	// Class separation is physical: the request subnet's reply counters must
 	// all be zero and vice versa.
-	res.Tel.Reg.EachScalar(func(name string, _ telemetry.Kind, v int64) {
+	values := res.Tel.Reg.Snapshot()
+	for i, name := range res.Tel.Reg.ScalarNames() {
 		wrong := len(name) > 4 && ((name[:4] == "req." && hasSuffix(name, ".reply.flits")) ||
 			(name[:4] == "rep." && hasSuffix(name, ".request.flits")))
-		if wrong && v != 0 {
-			t.Errorf("misclassed traffic on %s = %d", name, v)
+		if wrong && values[i] != 0 {
+			t.Errorf("misclassed traffic on %s = %d", name, values[i])
 		}
-	})
+	}
 }
 
 func hasSuffix(s, suf string) bool {

@@ -19,8 +19,9 @@ import (
 //     flagged. Rebinding the identifier to an unrelated value ends
 //     tracking: a fresh buffer is exactly the sanctioned pattern.
 //   - Server side: inside the obs package, the snapshot fields themselves
-//     may be assigned only in Set*-named methods, so no maintenance path
-//     can swap a snapshot without going through the publishing contract.
+//     (Server's, and the one buffer of the Snapshot they are made of) may
+//     be assigned only in Set*-named methods, so no maintenance path can
+//     swap a snapshot without going through the publishing contract.
 //
 // The caller-side scan is linear over each function body (statement source
 // order, branches merged conservatively), which matches how publishers are
@@ -34,12 +35,13 @@ var Publish = &Analyzer{
 	Run:  runPublish,
 }
 
-// snapshotFields are the Server fields holding published bytes; they are
-// immutable outside the Set* publishers.
+// snapshotFields are the Server and Snapshot fields holding published
+// bytes; they are immutable outside the Set* publishers.
 var snapshotFields = map[string]bool{
 	"metrics":  true,
 	"state":    true,
 	"progress": true,
+	"b":        true,
 }
 
 func runPublish(ctx *Context) []Finding {
@@ -138,8 +140,8 @@ func (p *publishPass) checkAssign(as *ast.AssignStmt) {
 	}
 }
 
-// checkSnapshotStore flags assignments to Server snapshot fields outside
-// Set*-named methods.
+// checkSnapshotStore flags assignments to Server and Snapshot snapshot
+// fields outside Set*-named methods.
 func (p *publishPass) checkSnapshotStore(lhs ast.Expr) {
 	sel, ok := lhs.(*ast.SelectorExpr)
 	if !ok || !snapshotFields[sel.Sel.Name] {
@@ -154,7 +156,7 @@ func (p *publishPass) checkSnapshotStore(lhs ast.Expr) {
 		recv = ptr.Elem()
 	}
 	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Name() != "Server" {
+	if !ok || (named.Obj().Name() != "Server" && named.Obj().Name() != "Snapshot") {
 		return
 	}
 	if strings.HasPrefix(p.fn, "Set") {

@@ -24,3 +24,15 @@ func (s *Server) SetProgress(b []byte) { s.progress = b }
 func (s *Server) reset() {
 	s.metrics = nil // want "snapshot field s.metrics may only be assigned in Set"
 }
+
+// Snapshot mirrors the single-buffer holder the real Server's endpoints are
+// made of.
+type Snapshot struct{ b []byte }
+
+// Set publishes a snapshot; the holder retains b.
+func (s *Snapshot) Set(b []byte) { s.b = b }
+
+// clear swaps the buffer outside the publishing contract.
+func (s *Snapshot) clear() {
+	s.b = nil // want "snapshot field s.b may only be assigned in Set"
+}

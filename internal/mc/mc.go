@@ -11,6 +11,7 @@ package mc
 
 import (
 	"fmt"
+	"strconv"
 
 	"gpgpunoc/internal/cache"
 	"gpgpunoc/internal/config"
@@ -82,14 +83,20 @@ func (m *MC) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	prefix := fmt.Sprintf("mc.%d.", m.Index)
-	reg.GaugeFunc(prefix+"queue_depth", func() int64 { return int64(m.queue) })
-	reg.GaugeFunc(prefix+"outbox", func() int64 { return int64(len(m.outbox)) })
-	reg.GaugeFunc(prefix+"dram_retry", func() int64 { return int64(len(m.retryDRAM)) })
-	reg.GaugeFunc(prefix+"l2_wait", func() int64 { return int64(len(m.inL2)) })
-	reg.GaugeFunc(prefix+"reads_served", func() int64 { return m.ReadsServed })
-	reg.GaugeFunc(prefix+"writes_served", func() int64 { return m.WritesServed })
-	m.dram.AttachTelemetry(reg, prefix+"dram.")
+	gauge := func(field string, fn func() int64) {
+		reg.GaugeFunc(fmt.Sprintf("mc.%d.%s", m.Index, field), telemetry.Desc{
+			Family: "noc_mc_" + field,
+			Help:   "Memory-controller state.",
+			Labels: []string{"mc", strconv.Itoa(m.Index)},
+		}, fn)
+	}
+	gauge("queue_depth", func() int64 { return int64(m.queue) })
+	gauge("outbox", func() int64 { return int64(len(m.outbox)) })
+	gauge("dram_retry", func() int64 { return int64(len(m.retryDRAM)) })
+	gauge("l2_wait", func() int64 { return int64(len(m.inL2)) })
+	gauge("reads_served", func() int64 { return m.ReadsServed })
+	gauge("writes_served", func() int64 { return m.WritesServed })
+	m.dram.AttachTelemetry(reg, m.Index)
 }
 
 // SetSpans installs the span collector (nil disables span tracing): the MC

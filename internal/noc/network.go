@@ -51,19 +51,6 @@ import (
 // backpressure into the network.
 type Sink func(f packet.Flit) bool
 
-// Tracer observes packet lifecycle events. Implementations must be cheap:
-// hooks run on the hot path (package trace provides buffered writers and an
-// in-memory collector). A nil tracer costs one predictable branch.
-type Tracer interface {
-	// PacketInjected fires when a packet's head flit enters its source
-	// router.
-	PacketInjected(p *packet.Packet, cycle int64)
-	// FlitHop fires for every flit crossing every inter-router link.
-	FlitHop(f packet.Flit, l mesh.Link, cycle int64)
-	// PacketEjected fires when a packet's tail flit reaches its sink.
-	PacketEjected(p *packet.Packet, cycle int64)
-}
-
 // Interconnect is the interface endpoints drive. Network implements it for a
 // single physical network; Dual implements it for the two-physical-subnets
 // comparison of Section 4.2.
@@ -96,11 +83,11 @@ type Interconnect interface {
 	// AttachTelemetry registers the fabric's cycle-domain probes (per-link
 	// flit counters by class, VC occupancy gauges, stall attribution) on
 	// reg. A nil registry leaves the fabric un-instrumented: every probe
-	// site then costs one predictable nil check, like a nil Tracer.
+	// site then costs one predictable nil check.
 	AttachTelemetry(reg *telemetry.Registry)
 	// SetSpans installs the per-packet span collector (nil disables span
-	// tracing; like a nil Tracer, disabled tracing costs one predictable
-	// nil check per probe site).
+	// tracing; disabled tracing costs one predictable nil check per probe
+	// site).
 	SetSpans(sp *obs.Spans)
 	// SetRecorder installs the flight recorder capturing kernel-structure
 	// events (pool spawn/park). The recorder itself is
@@ -211,7 +198,6 @@ type Network struct {
 	injRng [][packet.NumClasses]vc.Range
 
 	stats    *stats.Net
-	tracer   Tracer
 	tel      *telemetry.NetProbes
 	spans    *obs.Spans
 	frec     *fleetobs.Recorder
@@ -468,9 +454,6 @@ func (n *Network) InjectSpace(node mesh.NodeID) int {
 // SetSink installs the ejection callback for node.
 func (n *Network) SetSink(node mesh.NodeID, s Sink) { n.sinks[node] = s }
 
-// SetTracer installs a lifecycle observer (nil disables tracing).
-func (n *Network) SetTracer(tr Tracer) { n.tracer = tr }
-
 // SetSpans installs the per-packet span collector (nil disables span
 // tracing). Probe sites gate on the collector pointer and the packet's
 // Sampled bit, so tracing off costs one branch per site.
@@ -566,18 +549,16 @@ func (n *Network) attachTelemetry(reg *telemetry.Registry, prefix string) {
 			if !op.exists {
 				continue
 			}
-			stem := prefix + telemetry.LinkName(n.m, mesh.Link{From: rt.id, Dir: d})
 			for v := 0; v < n.vcs; v++ {
 				buf := &n.routers[op.downNode].in[op.downPort][v].buf
-				reg.GaugeFunc(fmt.Sprintf("%s.vc%d.occupancy", stem, v),
+				n.tel.VCOccupancy(mesh.Link{From: rt.id, Dir: d}, v,
 					func() int64 { return int64(buf.len()) })
 			}
 		}
 	}
 	for id := range n.inj {
 		q := &n.inj[id]
-		reg.GaugeFunc(fmt.Sprintf("%snode.%d.injq.flits", prefix, id),
-			func() int64 { return int64(q.flits) })
+		n.tel.InjQueue(mesh.NodeID(id), func() int64 { return int64(q.flits) })
 	}
 }
 
@@ -639,10 +620,6 @@ func (n *Network) injectNode(ln *lane, id int) {
 			q.vc = best
 			p.InjectedAt = n.cycle
 			ln.stats.CountInjection(p)
-			if n.tracer != nil {
-				//noclint:laneowner serial-only: Step runs lanes inline whenever a tracer is attached
-				n.tracer.PacketInjected(p, n.cycle)
-			}
 			if n.spans != nil && p.Sampled {
 				//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
 				n.spans.Injected(p, best, n.cycle)
@@ -813,19 +790,18 @@ func (n *Network) finishCycle() {
 // parallel.go for the dense/sparse walk).
 //
 // With one lane this is the serial event-sparse kernel. With several lanes,
-// more than one P available (poolOK), and no tracer or span collector
-// attached (both are externally supplied, not thread-safe, and
-// order-sensitive), the lanes run on the persistent worker pool with a
-// barrier between the compute phases and the link phase; otherwise the
-// lanes run inline in lane order, which produces the exact global phase
-// order of the classic kernel because lanes are contiguous ascending ID
-// ranges.
+// more than one P available (poolOK), and no span collector attached (it
+// is externally supplied, not thread-safe, and order-sensitive), the lanes
+// run on the persistent worker pool with a barrier between the compute
+// phases and the link phase; otherwise the lanes run inline in lane order,
+// which produces the exact global phase order of the classic kernel because
+// lanes are contiguous ascending ID ranges.
 func (n *Network) Step() {
 	if n.reference {
 		n.stepReference()
 		return
 	}
-	if len(n.lanes) > 1 && n.poolOK && n.tracer == nil && n.spans == nil {
+	if len(n.lanes) > 1 && n.poolOK && n.spans == nil {
 		n.stepParallel()
 		return
 	}

@@ -428,7 +428,7 @@ func (n *Network) countStalls(ln *lane, rt *router, movedVC *[mesh.NumPorts]int)
 // is either owned by the lane stepping rt (the router itself, ln's stats
 // shard and tallies), a single-writer slot keyed by rt (link-flit counters,
 // the upstream port's pending tally — each written only by the one lane that
-// owns the downstream router), or serial-only (tracer, spans).
+// owns the downstream router), or serial-only (spans).
 func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) bool {
 	ivc := &rt.in[p][v]
 	if d == mesh.Local {
@@ -463,10 +463,6 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 		}
 		if f.Tail {
 			ln.stats.CountEjection(f.Pkt)
-			if n.tracer != nil {
-				//noclint:laneowner serial-only: Step runs lanes inline whenever a tracer is attached
-				n.tracer.PacketEjected(f.Pkt, n.cycle)
-			}
 			if n.tel != nil {
 				// Deferred to the end-of-cycle flush: the latency histograms
 				// are shared across lanes, so observations are replayed in
@@ -488,10 +484,6 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 		rt.regCount++
 		//noclint:laneowner single-writer counter: the link (rt, d) is traversed only by rt's owning lane
 		n.stats.CountLink(mesh.Link{From: rt.id, Dir: d}, f.Pkt.Class())
-		if n.tracer != nil {
-			//noclint:laneowner serial-only: Step runs lanes inline whenever a tracer is attached
-			n.tracer.FlitHop(f, mesh.Link{From: rt.id, Dir: d}, n.cycle)
-		}
 		if n.tel != nil {
 			//noclint:laneowner single-writer counter: the link (rt, d) is traversed only by rt's owning lane
 			n.tel.LinkFlits[f.Pkt.Class()][n.m.LinkIndex(mesh.Link{From: rt.id, Dir: d})].Inc()

@@ -73,14 +73,15 @@ func TestTelemetryMatchesStats(t *testing.T) {
 	}
 
 	var inj, ej int64
-	reg.EachScalar(func(name string, _ telemetry.Kind, v int64) {
+	values := reg.Snapshot()
+	for i, name := range reg.ScalarNames() {
 		switch {
 		case len(name) > 15 && name[:5] == "node." && name[len(name)-15:] == ".injected.flits":
-			inj += v
+			inj += values[i]
 		case len(name) > 14 && name[:5] == "node." && name[len(name)-14:] == ".ejected.flits":
-			ej += v
+			ej += values[i]
 		}
-	})
+	}
 	var statInj, statEj int64
 	for typ := 0; typ < packet.NumTypes; typ++ {
 		statInj += st.InjectedFlits[typ]

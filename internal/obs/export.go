@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"gpgpunoc/internal/telemetry"
 )
 
 // spanHeader is the first JSONL line: enough to re-run the sampling
@@ -91,30 +93,18 @@ func ReadSpans(r io.Reader) (*SpanLog, error) {
 	return log, nil
 }
 
-// chromeEvent is one entry of the Chrome trace-event JSON array. Complete
-// ("X") events carry a duration; metadata ("M") events name threads.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  *int64         `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChromeTrace renders the span log as Chrome trace-event JSON: one
 // track (tid) per sampled packet, named after the packet, with the whole
 // lifetime as the outermost span and queue wait, hops, stalls, and
 // MC/DRAM service nested inside by time containment. One simulated cycle
 // maps to one microsecond of trace time.
 func (s *Spans) WriteChromeTrace(w io.Writer) error {
-	var evs []chromeEvent
+	var evs []telemetry.TraceEvent
 	const pid = 1
 	dur := func(d int64) *int64 { return &d }
 	for i, t := range s.order {
 		tid := i + 1
-		evs = append(evs, chromeEvent{
+		evs = append(evs, telemetry.TraceEvent{
 			Name: "thread_name", Ph: "M", PID: pid, TID: tid,
 			Args: map[string]any{"name": fmt.Sprintf("pkt#%d %s N%d->N%d trace#%d", t.ID, t.Type, t.Src, t.Dst, t.Trace)},
 		})
@@ -123,13 +113,13 @@ func (s *Spans) WriteChromeTrace(w io.Writer) error {
 		ejected, okEjected := t.Find(EvEjected)
 		end := lastCycle(t)
 		if okCreated {
-			evs = append(evs, chromeEvent{
-				Name: t.Type, Ph: "X", Ts: created.Cycle, Dur: dur(end - created.Cycle), PID: pid, TID: tid,
+			evs = append(evs, telemetry.TraceEvent{
+				Name: t.Type, Ph: "X", TS: created.Cycle, Dur: dur(end - created.Cycle), PID: pid, TID: tid,
 				Args: map[string]any{"trace": t.Trace, "flits": t.Flits},
 			})
 			if okInjected {
-				evs = append(evs, chromeEvent{
-					Name: "srcqueue", Ph: "X", Ts: created.Cycle, Dur: dur(injected.Cycle - created.Cycle), PID: pid, TID: tid,
+				evs = append(evs, telemetry.TraceEvent{
+					Name: "srcqueue", Ph: "X", TS: created.Cycle, Dur: dur(injected.Cycle - created.Cycle), PID: pid, TID: tid,
 				})
 			}
 		}
@@ -141,64 +131,60 @@ func (s *Spans) WriteChromeTrace(w io.Writer) error {
 			switch e.Kind {
 			case EvHop:
 				if prevOK {
-					evs = append(evs, chromeEvent{
+					evs = append(evs, telemetry.TraceEvent{
 						Name: fmt.Sprintf("N%d->N%d vc%d", e.Node, e.To, e.VC),
-						Ph:   "X", Ts: prev, Dur: dur(e.Cycle - prev), PID: pid, TID: tid,
+						Ph:   "X", TS: prev, Dur: dur(e.Cycle - prev), PID: pid, TID: tid,
 					})
 				}
 				prev, prevOK = e.Cycle, true
 			case EvEjected:
 				if prevOK {
-					evs = append(evs, chromeEvent{
+					evs = append(evs, telemetry.TraceEvent{
 						Name: fmt.Sprintf("eject N%d", e.Node),
-						Ph:   "X", Ts: prev, Dur: dur(e.Cycle - prev), PID: pid, TID: tid,
+						Ph:   "X", TS: prev, Dur: dur(e.Cycle - prev), PID: pid, TID: tid,
 					})
 				}
 			case EvStall:
-				evs = append(evs, chromeEvent{
+				evs = append(evs, telemetry.TraceEvent{
 					Name: fmt.Sprintf("stall:%s@N%d", e.Cause, e.Node),
-					Ph:   "X", Ts: e.Cycle, Dur: dur(e.N), PID: pid, TID: tid,
+					Ph:   "X", TS: e.Cycle, Dur: dur(e.N), PID: pid, TID: tid,
 					Args: map[string]any{"cycles": e.N},
 				})
 			case EvVCGrant:
-				evs = append(evs, chromeEvent{
+				evs = append(evs, telemetry.TraceEvent{
 					Name: fmt.Sprintf("vcgrant N%d vc%d", e.Node, e.VC),
-					Ph:   "i", Ts: e.Cycle, PID: pid, TID: tid,
+					Ph:   "i", TS: e.Cycle, PID: pid, TID: tid,
 				})
 			case EvMCService:
-				evs = append(evs, chromeEvent{
+				evs = append(evs, telemetry.TraceEvent{
 					Name: fmt.Sprintf("l2 %s", hitMiss(e.Hit)),
-					Ph:   "i", Ts: e.Cycle, PID: pid, TID: tid,
+					Ph:   "i", TS: e.Cycle, PID: pid, TID: tid,
 				})
 			case EvDRAMIssue:
-				evs = append(evs, chromeEvent{
+				evs = append(evs, telemetry.TraceEvent{
 					Name: fmt.Sprintf("dram issue bank%d %s", e.Bank, hitMiss(e.Hit)),
-					Ph:   "i", Ts: e.Cycle, PID: pid, TID: tid,
+					Ph:   "i", TS: e.Cycle, PID: pid, TID: tid,
 				})
 			}
 		}
 		// MC/DRAM service spans on the request track.
 		if q, ok := t.Find(EvDRAMQueued); ok {
 			if d, ok2 := t.Find(EvDRAMDone); ok2 {
-				evs = append(evs, chromeEvent{
-					Name: "dram", Ph: "X", Ts: q.Cycle, Dur: dur(d.Cycle - q.Cycle), PID: pid, TID: tid,
+				evs = append(evs, telemetry.TraceEvent{
+					Name: "dram", Ph: "X", TS: q.Cycle, Dur: dur(d.Cycle - q.Cycle), PID: pid, TID: tid,
 				})
 			}
 		}
 		if okEjected {
 			if rep, ok := t.Find(EvReply); ok {
-				evs = append(evs, chromeEvent{
-					Name: "mc.service", Ph: "X", Ts: ejected.Cycle, Dur: dur(rep.Cycle - ejected.Cycle), PID: pid, TID: tid,
+				evs = append(evs, telemetry.TraceEvent{
+					Name: "mc.service", Ph: "X", TS: ejected.Cycle, Dur: dur(rep.Cycle - ejected.Cycle), PID: pid, TID: tid,
 					Args: map[string]any{"reply": rep.Reply},
 				})
 			}
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string        `json:"displayTimeUnit"`
-	}{TraceEvents: evs, DisplayTimeUnit: "ns"})
+	return telemetry.WriteTraceObject(w, evs, "ns", nil)
 }
 
 func hitMiss(hit bool) string {

@@ -1,6 +1,6 @@
 // Progress publication: a per-run Publisher that snapshots telemetry,
-// mesh state, and run progress at cycle boundaries, and a SweepTracker
-// that aggregates all workers of a cmd/sweep run behind one server.
+// mesh state, and run progress at cycle boundaries. (The sweep-wide
+// counterpart is sweep.Tracker, next to the engine events it consumes.)
 //
 // This file is the only place obs reads the wall clock (cycles/sec and
 // ETA are real-time quantities); it is allowlisted for the determinism
@@ -11,11 +11,8 @@ package obs
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
-	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/telemetry"
 )
 
@@ -39,7 +36,6 @@ type RunProgress struct {
 type Publisher struct {
 	Srv   *Server
 	Reg   *telemetry.Registry
-	Mesh  mesh.Mesh
 	State func() MeshState // cycle-boundary snapshot hook
 	Every int64            // publication period in cycles
 
@@ -73,7 +69,7 @@ func (p *Publisher) Publish(cycle int64, done bool) {
 		p.lastCycle, p.lastTime = cycle, now
 	}
 
-	p.Srv.SetMetrics(RenderPrometheus(p.Reg, p.Mesh))
+	p.Srv.SetMetrics(p.Reg.RenderPrometheus())
 	if p.State != nil {
 		if err := p.Srv.SetStateJSON(p.State()); err != nil {
 			panic(fmt.Sprintf("obs: publish state: %v", err)) // the snapshot types always marshal
@@ -105,164 +101,4 @@ func (p *Publisher) phase(cycle int64, done bool) string {
 	default:
 		return "measure"
 	}
-}
-
-// SweepProgress is the /progress payload of a cmd/sweep run.
-type SweepProgress struct {
-	TotalJobs      int     `json:"total_jobs"`
-	Done           int     `json:"done"`
-	Running        int     `json:"running"`
-	Failed         int     `json:"failed"`
-	Skipped        int     `json:"skipped"`
-	SimCycles      int64   `json:"sim_cycles"`
-	CyclesPerSec   float64 `json:"cycles_per_sec"`
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	ETASeconds     float64 `json:"eta_seconds"`
-}
-
-// SweepJob is one job's row in the sweep /state payload.
-type SweepJob struct {
-	Key     string  `json:"key"`
-	Status  string  `json:"status"` // "running", "ok", "fail", "skip"
-	IPC     float64 `json:"ipc,omitempty"`
-	Seconds float64 `json:"seconds,omitempty"`
-	Error   string  `json:"error,omitempty"`
-}
-
-// SweepTracker aggregates progress across all workers of a sweep behind
-// one Server. It is driven from the engine's Progress callback, which may
-// fire from any worker goroutine, so every method locks.
-type SweepTracker struct {
-	mu      sync.Mutex
-	srv     *Server
-	total   int
-	workers int
-	start   time.Time
-
-	done, running, failed, skipped int
-	simCycles                      int64
-	jobSeconds                     float64
-	jobs                           []SweepJob
-	index                          map[string]int
-}
-
-// NewSweepTracker returns a tracker over total jobs running on the given
-// worker count, publishing to srv. It publishes an initial empty snapshot
-// so the endpoints are live before the first job finishes.
-func NewSweepTracker(srv *Server, total, workers int) *SweepTracker {
-	if workers < 1 {
-		workers = 1
-	}
-	t := &SweepTracker{srv: srv, total: total, workers: workers,
-		start: time.Now(), index: map[string]int{}}
-	t.mu.Lock()
-	t.publishLocked()
-	t.mu.Unlock()
-	return t
-}
-
-// JobStart records a job entering a worker.
-func (t *SweepTracker) JobStart(key string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.running++
-	t.upsertLocked(key, SweepJob{Key: key, Status: "running"})
-	t.publishLocked()
-}
-
-// JobDone records a successful job: its measured IPC, the simulated cycle
-// count, and real elapsed time.
-func (t *SweepTracker) JobDone(key string, ipc float64, cycles int64, elapsed time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.endLocked()
-	t.done++
-	t.simCycles += cycles
-	t.jobSeconds += elapsed.Seconds()
-	t.upsertLocked(key, SweepJob{Key: key, Status: "ok", IPC: ipc, Seconds: elapsed.Seconds()})
-	t.publishLocked()
-}
-
-// JobFail records a failed job.
-func (t *SweepTracker) JobFail(key string, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.endLocked()
-	t.failed++
-	msg := ""
-	if err != nil {
-		msg = err.Error()
-	}
-	t.upsertLocked(key, SweepJob{Key: key, Status: "fail", Error: msg})
-	t.publishLocked()
-}
-
-// JobSkip records a job skipped by resume.
-func (t *SweepTracker) JobSkip(key string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.skipped++
-	t.upsertLocked(key, SweepJob{Key: key, Status: "skip"})
-	t.publishLocked()
-}
-
-func (t *SweepTracker) endLocked() {
-	if t.running > 0 {
-		t.running--
-	}
-}
-
-func (t *SweepTracker) upsertLocked(key string, j SweepJob) {
-	if i, ok := t.index[key]; ok {
-		t.jobs[i] = j
-		return
-	}
-	t.index[key] = len(t.jobs)
-	t.jobs = append(t.jobs, j)
-}
-
-// publishLocked re-renders all three endpoints from the tracker state.
-func (t *SweepTracker) publishLocked() {
-	elapsed := time.Since(t.start).Seconds()
-	prog := SweepProgress{
-		TotalJobs: t.total, Done: t.done, Running: t.running,
-		Failed: t.failed, Skipped: t.skipped,
-		SimCycles: t.simCycles, ElapsedSeconds: elapsed,
-	}
-	if elapsed > 0 {
-		prog.CyclesPerSec = float64(t.simCycles) / elapsed
-	}
-	finished := t.done + t.failed
-	if remaining := t.total - finished - t.skipped; remaining > 0 && finished > 0 {
-		meanJob := t.jobSeconds / float64(finished)
-		prog.ETASeconds = float64(remaining) * meanJob / float64(t.workers)
-	}
-	if err := t.srv.SetProgressJSON(prog); err != nil {
-		panic(fmt.Sprintf("obs: publish sweep progress: %v", err))
-	}
-
-	// /state for a sweep is the job table, stable by key.
-	jobs := append([]SweepJob(nil), t.jobs...)
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Key < jobs[j].Key })
-	if err := t.srv.SetStateJSON(struct {
-		Jobs []SweepJob `json:"jobs"`
-	}{Jobs: jobs}); err != nil {
-		panic(fmt.Sprintf("obs: publish sweep state: %v", err))
-	}
-
-	// /metrics for a sweep is a small hand-rendered exposition.
-	t.srv.SetMetrics([]byte(fmt.Sprintf(
-		"# HELP sweep_jobs_total Jobs in the sweep grid.\n"+
-			"# TYPE sweep_jobs_total gauge\n"+
-			"sweep_jobs_total %d\n"+
-			"# HELP sweep_jobs Jobs by terminal status.\n"+
-			"# TYPE sweep_jobs gauge\n"+
-			"sweep_jobs{status=\"done\"} %d\n"+
-			"sweep_jobs{status=\"running\"} %d\n"+
-			"sweep_jobs{status=\"failed\"} %d\n"+
-			"sweep_jobs{status=\"skipped\"} %d\n"+
-			"# HELP sweep_sim_cycles_total Simulated cycles completed across all jobs.\n"+
-			"# TYPE sweep_sim_cycles_total counter\n"+
-			"sweep_sim_cycles_total %d\n",
-		t.total, t.done, t.running, t.failed, t.skipped, t.simCycles)))
 }

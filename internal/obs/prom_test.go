@@ -8,21 +8,33 @@ import (
 	"gpgpunoc/internal/telemetry"
 )
 
+// published returns the /metrics body a Publisher over reg puts on its
+// server: the exposition exactly as a scraper of a live run receives it.
+func published(t *testing.T, reg *telemetry.Registry) string {
+	t.Helper()
+	srv, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	(&Publisher{Srv: srv, Reg: reg, Every: 1}).Publish(0, false)
+	return string(srv.metrics.Bytes())
+}
+
 func TestRenderPrometheusStructuredFamilies(t *testing.T) {
 	m := mesh.New(8, 8)
 	reg := telemetry.NewRegistry()
-	reg.Counter("link.N0->N1.request.flits").Add(42)
-	reg.Gauge("link.N0->N1.vc0.occupancy").Set(3)
-	reg.Counter("node.9.injected.flits").Add(7)
-	reg.Gauge("node.9.injq.flits").Set(2)
-	reg.Counter("net.stall.credit").Add(5)
-	reg.Gauge("mc.3.queue_depth").Set(11)
-	reg.Gauge("mc.3.dram.row_hits").Set(6)
-	reg.GaugeFunc("core.instructions", func() int64 { return 1000 })
-	reg.Counter("some.unknown.probe").Add(1)
-	reg.Histogram("latency.read.reqnet", telemetry.ExpBounds(8, 2, 3)).Observe(20)
+	np := telemetry.NewNetProbes(reg, m, "")
+	link := mesh.Link{From: 0, Dir: mesh.East}
+	np.LinkFlits[0][m.LinkIndex(link)].Add(42)
+	np.VCOccupancy(link, 0, func() int64 { return 3 })
+	np.InjFlits[9].Add(7)
+	np.InjQueue(9, func() int64 { return 2 })
+	np.StallCredit.Add(5)
+	np.LatencyHistogram("read", telemetry.SegReqNet).Observe(20)
+	reg.Counter("some.unknown.probe", telemetry.Desc{}).Add(1)
 
-	out := string(RenderPrometheus(reg, m))
+	out := published(t, reg)
 	for _, want := range []string{
 		// Mesh coordinates: node 1 is row 0 col 1, node 9 is row 1 col 1.
 		`noc_link_flits_total{from="0",from_row="0",from_col="0",to="1",to_row="0",to_col="1",class="request"} 42`,
@@ -30,10 +42,7 @@ func TestRenderPrometheusStructuredFamilies(t *testing.T) {
 		`noc_node_injected_flits_total{node="9",node_row="1",node_col="1"} 7`,
 		`noc_node_injq_flits{node="9",node_row="1",node_col="1"} 2`,
 		`noc_stall_cycles_total{cause="credit"} 5`,
-		`noc_mc_queue_depth{mc="3"} 11`,
-		`noc_mc_dram_row_hits{mc="3"} 6`,
-		"noc_core_instructions 1000",
-		`noc_probe{name="some.unknown.probe"} 1`,
+		`probe{name="some.unknown.probe"} 1`,
 		"# TYPE noc_link_flits_total counter",
 		"# TYPE noc_node_injq_flits gauge",
 		"# TYPE noc_latency_cycles histogram",
@@ -47,17 +56,17 @@ func TestRenderPrometheusStructuredFamilies(t *testing.T) {
 		}
 	}
 	// Deterministic: two renders are byte-identical.
-	if out != string(RenderPrometheus(reg, m)) {
+	if out != published(t, reg) {
 		t.Fatal("exposition is not deterministic")
 	}
 }
 
 func TestRenderPrometheusSubnetLabels(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := mesh.New(2, 2)
 	reg := telemetry.NewRegistry()
-	reg.Counter("req.net.stall.vcalloc").Add(2)
-	reg.Counter("rep.net.stall.vcalloc").Add(3)
-	out := string(RenderPrometheus(reg, m))
+	telemetry.NewNetProbes(reg, m, "req.").StallVCAlloc.Add(2)
+	telemetry.NewNetProbes(reg, m, "rep.").StallVCAlloc.Add(3)
+	out := published(t, reg)
 	for _, want := range []string{
 		`noc_stall_cycles_total{subnet="req",cause="vcalloc"} 2`,
 		`noc_stall_cycles_total{subnet="rep",cause="vcalloc"} 3`,
@@ -69,15 +78,15 @@ func TestRenderPrometheusSubnetLabels(t *testing.T) {
 }
 
 func TestRenderPrometheusCumulativeBuckets(t *testing.T) {
-	m := mesh.New(8, 8)
 	reg := telemetry.NewRegistry()
-	h := reg.Histogram("latency.write.mcservice", telemetry.ExpBounds(8, 2, 3)) // bounds 8,16,32
+	h := reg.Histogram("h", telemetry.Desc{Family: "h_cycles"}, telemetry.ExpBounds(8, 2, 3)) // bounds 8,16,32
 	for _, v := range []int64{4, 4, 12, 100} {
 		h.Observe(v)
 	}
-	out := string(RenderPrometheus(reg, m))
+	out := published(t, reg)
 	for _, want := range []string{
-		`le="8"} 2`, `le="16"} 3`, `le="32"} 3`, `le="+Inf"} 4`,
+		`h_cycles_bucket{le="8"} 2`, `h_cycles_bucket{le="16"} 3`, `h_cycles_bucket{le="32"} 3`,
+		`h_cycles_bucket{le="+Inf"} 4`, "h_cycles_sum 120", "h_cycles_count 4",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cumulative buckets wrong: missing %q in\n%s", want, out)
@@ -86,9 +95,9 @@ func TestRenderPrometheusCumulativeBuckets(t *testing.T) {
 }
 
 func TestLabelEscaping(t *testing.T) {
-	got := labelSet("name", `a"b\c`+"\n", "empty", "")
-	want := `{name="a\"b\\c\n"}`
-	if got != want {
-		t.Fatalf("labelSet = %s, want %s", got, want)
+	reg := telemetry.NewRegistry()
+	reg.Gauge("g", telemetry.Desc{Family: "g", Labels: []string{"name", `a"b\c` + "\n", "empty", ""}})
+	if out, want := published(t, reg), `g{name="a\"b\\c\n"} 0`+"\n"; !strings.HasSuffix(out, want) {
+		t.Fatalf("exposition %q does not end in %q", out, want)
 	}
 }

@@ -1,17 +1,16 @@
 // The HTTP exposition server. The server never touches simulator state:
 // the simulation goroutine renders snapshots to bytes at cycle boundaries
 // and publishes them with Set*; handlers only read the latest published
-// bytes under a read lock. That split keeps the kernel single-threaded
-// and makes /metrics and /state safe under the race detector mid-run.
+// bytes (one Snapshot per endpoint). That split keeps the kernel
+// single-threaded and makes /metrics and /state safe under the race
+// detector mid-run.
 
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 )
 
@@ -20,10 +19,7 @@ import (
 // /healthz. Construct with NewServer; publish snapshots with SetMetrics,
 // SetStateJSON, and SetProgressJSON.
 type Server struct {
-	mu       sync.RWMutex
-	metrics  []byte
-	state    []byte
-	progress []byte
+	metrics, state, progress Snapshot
 
 	ln   net.Listener
 	http *http.Server
@@ -38,10 +34,10 @@ func NewServer(addr string) (*Server, error) {
 	}
 	s := &Server{ln: ln}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/state", s.handleState)
-	mux.HandleFunc("/progress", s.handleProgress)
+	mux.HandleFunc("/healthz", Healthz)
+	mux.HandleFunc("/metrics", s.metrics.Handler("text/plain; version=0.0.4; charset=utf-8"))
+	mux.HandleFunc("/state", s.state.Handler("application/json"))
+	mux.HandleFunc("/progress", s.progress.Handler("application/json"))
 	s.http = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		// ErrServerClosed after Close is the clean shutdown path; any
@@ -58,58 +54,12 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the server.
 func (s *Server) Close() error { return s.http.Close() }
 
-// SetMetrics publishes a rendered Prometheus exposition.
-func (s *Server) SetMetrics(b []byte) {
-	s.mu.Lock()
-	s.metrics = b
-	s.mu.Unlock()
-}
+// SetMetrics publishes a rendered Prometheus exposition. The slice is
+// retained and served concurrently: the caller must not mutate it afterwards.
+func (s *Server) SetMetrics(b []byte) { s.metrics.Set(b) }
 
 // SetStateJSON marshals and publishes a /state payload.
-func (s *Server) SetStateJSON(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("obs: marshal state: %w", err)
-	}
-	s.mu.Lock()
-	s.state = b
-	s.mu.Unlock()
-	return nil
-}
+func (s *Server) SetStateJSON(v any) error { return s.state.SetJSON(v) }
 
 // SetProgressJSON marshals and publishes a /progress payload.
-func (s *Server) SetProgressJSON(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("obs: marshal progress: %w", err)
-	}
-	s.mu.Lock()
-	s.progress = b
-	s.mu.Unlock()
-	return nil
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	Healthz(w, r)
-}
-
-// serveSnapshot writes the latest published bytes, or 503 before the
-// first publication.
-func (s *Server) serveSnapshot(w http.ResponseWriter, contentType string, read func() []byte) {
-	s.mu.RLock()
-	b := read()
-	s.mu.RUnlock()
-	WriteSnapshot(w, contentType, b)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.serveSnapshot(w, "text/plain; version=0.0.4; charset=utf-8", func() []byte { return s.metrics })
-}
-
-func (s *Server) handleState(w http.ResponseWriter, _ *http.Request) {
-	s.serveSnapshot(w, "application/json", func() []byte { return s.state })
-}
-
-func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {
-	s.serveSnapshot(w, "application/json", func() []byte { return s.progress })
-}
+func (s *Server) SetProgressJSON(v any) error { return s.progress.SetJSON(v) }

@@ -1,8 +1,9 @@
 // Shared publish/serve helpers for exposition servers. The pattern — a
 // producer renders a snapshot to bytes and publishes it; HTTP handlers only
 // read the latest published bytes under a read lock, answering 503 before
-// the first publication — originated in Server and is reused by other
-// services (the fabric coordinator's /progress and /workers endpoints).
+// the first publication — is what Server's three endpoints are made of and
+// is reused by other services (the fabric coordinator's /progress and
+// /workers endpoints).
 // The published slice is retained and served concurrently, so callers must
 // treat it as frozen after Set; the publish analyzer enforces this.
 

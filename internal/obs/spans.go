@@ -116,6 +116,26 @@ func (t *PacketTrace) Find(k EventKind) (Event, bool) {
 	return Event{}, false
 }
 
+// NetLatency returns the packet's in-network latency — head-flit injection
+// to tail ejection, in cycles — and false while the packet is in flight.
+func (t *PacketTrace) NetLatency() (int64, bool) {
+	inj, okInj := t.Find(EvInjected)
+	ej, okEj := t.Find(EvEjected)
+	return ej.Cycle - inj.Cycle, okInj && okEj
+}
+
+// Hops returns the packet's hop events in order: the links (Node -> To) its
+// head flit crossed so far.
+func (t *PacketTrace) Hops() []Event {
+	var hops []Event
+	for _, e := range t.Events {
+		if e.Kind == EvHop {
+			hops = append(hops, e)
+		}
+	}
+	return hops
+}
+
 // Spans collects per-packet lifecycle traces for a deterministic sample of
 // packets. The sampling decision is a pure function of (seed, packet ID) —
 // a SplitMix64-style hash compared against the sample rate — so two runs

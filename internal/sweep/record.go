@@ -87,11 +87,18 @@ func (r Record) Canonical() Record {
 // a truncated SHA-256 over the canonical JSON encoding. Two jobs share a
 // fingerprint iff they would simulate the same thing, which is what makes
 // resume (skip fingerprints already on disk) sound.
+//
+// NoC.Workers is host-side parallelism: results are bit-identical at every
+// worker count, so it is hashed at its default and a store filled at one
+// count answers every other. Fingerprints of default-count jobs — every
+// store and result file written so far — are unchanged by this.
 func (j Job) Fingerprint() string {
+	cfg := j.Cfg
+	cfg.NoC.Workers = config.Default().NoC.Workers
 	b, err := json.Marshal(struct {
 		Benchmark string
 		Cfg       config.Config
-	}{j.Benchmark, j.Cfg})
+	}{j.Benchmark, cfg})
 	if err != nil {
 		// config.Config is a plain value struct; Marshal cannot fail.
 		panic("sweep: fingerprint encoding: " + err.Error())

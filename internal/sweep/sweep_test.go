@@ -155,6 +155,14 @@ func TestFingerprint(t *testing.T) {
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Error("distinct jobs share a fingerprint")
 	}
+	// The kernel's worker count is host-side parallelism with bit-identical
+	// results: it must not split one simulation over several store keys.
+	w4 := a
+	w4.Cfg.NoC.Workers = 4
+	if w4.Fingerprint() != a.Fingerprint() {
+		t.Errorf("workers=4 fingerprint %s differs from workers=%d fingerprint %s",
+			w4.Fingerprint(), a.Cfg.NoC.Workers, a.Fingerprint())
+	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
@@ -642,9 +650,13 @@ func TestSpecFileExamples(t *testing.T) {
 	for _, tc := range []struct {
 		path    string
 		minJobs int
+		// fingerprints, when set, are the store keys existing stores and
+		// result files already hold for this spec; they must never move.
+		fingerprints []string
 	}{
-		{"../../examples/sweepspec.json", 24},
-		{"../../examples/sweepspec_smoke.json", 4},
+		{"../../examples/sweepspec.json", 24, nil},
+		{"../../examples/sweepspec_smoke.json", 4, []string{
+			"fb07a8ace26d6b7e", "5624ffd2fd6a6ca5", "50060a93fd46aff5", "34d33d2ac59c52ed"}},
 	} {
 		if _, err := os.Stat(tc.path); err != nil {
 			t.Fatalf("example spec missing: %v", err)
@@ -659,6 +671,11 @@ func TestSpecFileExamples(t *testing.T) {
 		}
 		if len(jobs) < tc.minJobs {
 			t.Errorf("%s expands to %d jobs, want >= %d", tc.path, len(jobs), tc.minJobs)
+		}
+		for i, want := range tc.fingerprints {
+			if got := jobs[i].Fingerprint(); got != want {
+				t.Errorf("%s job %d (%s): fingerprint %s, want %s", tc.path, i, jobs[i].Key, got, want)
+			}
 		}
 	}
 }

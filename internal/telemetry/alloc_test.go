@@ -13,9 +13,9 @@ import (
 
 func TestProbeUpdatesDoNotAllocate(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("c")
-	g := reg.Gauge("g")
-	h := reg.Histogram("h", ExpBounds(8, 2, 12))
+	c := reg.Counter("c", Desc{})
+	g := reg.Gauge("g", Desc{})
+	h := reg.Histogram("h", Desc{}, ExpBounds(8, 2, 12))
 
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()

@@ -171,23 +171,56 @@ func (t *Telemetry) WriteHeatmapCSV(w io.Writer, m mesh.Mesh) error {
 	return bw.Flush()
 }
 
-// chromeEvent is one trace event in the Chrome trace-event JSON format
-// (loadable by chrome://tracing and Perfetto).
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    int64          `json:"ts"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Cat   string         `json:"cat,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
+// TraceEvent is one event of the Chrome trace-event JSON format (loadable by
+// chrome://tracing and Perfetto). It is the one event shape every exporter in
+// the repository writes — telemetry counter tracks, per-packet spans, fleet
+// job timelines — so the field order here is the field order of all three
+// files. Ph "C" is a counter sample, "X" a complete span (Dur set, possibly
+// to zero), "i" an instant (S is its scope), "M" metadata.
+type TraceEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	TS   int64          `json:"ts"`
+	Dur  *int64         `json:"dur,omitempty"`
+	PID  int            `json:"pid"`
+	TID  int            `json:"tid"`
+	Cat  string         `json:"cat,omitempty"`
+	S    string         `json:"s,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
 }
 
-// chromeTrace is the top-level Chrome trace JSON object.
-type chromeTrace struct {
-	TraceEvents     []chromeEvent  `json:"traceEvents"`
-	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	OtherData       map[string]any `json:"otherData,omitempty"`
+// WriteTraceObject writes events in the trace format's object form, one
+// line: {"traceEvents":[...],"displayTimeUnit":unit,"otherData":other},
+// otherData omitted when nil.
+func WriteTraceObject(w io.Writer, events []TraceEvent, unit string, other map[string]any) error {
+	bw := bufio.NewWriter(w)
+	if err := json.NewEncoder(bw).Encode(struct {
+		TraceEvents     []TraceEvent   `json:"traceEvents"`
+		DisplayTimeUnit string         `json:"displayTimeUnit"`
+		OtherData       map[string]any `json:"otherData,omitempty"`
+	}{events, unit, other}); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// WriteTraceArray writes events in the trace format's bare-array form, one
+// event per line so the file diffs and greps by event.
+func WriteTraceArray(w io.Writer, events []TraceEvent) error {
+	bw := bufio.NewWriter(w)
+	bw.WriteString("[\n")
+	for i, ev := range events {
+		b, err := json.Marshal(ev)
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			bw.WriteString(",\n")
+		}
+		bw.Write(b)
+	}
+	bw.WriteString("\n]\n")
+	return bw.Flush() // reports the first write error, if any
 }
 
 // DefaultTraceFilter keeps the aggregate series (stalls, MC/DRAM state,
@@ -215,14 +248,10 @@ func (t *Telemetry) WriteChromeTrace(w io.Writer, filter func(name string) bool)
 			keep = append(keep, i)
 		}
 	}
-	tr := chromeTrace{
-		DisplayTimeUnit: "ms",
-		OtherData:       map[string]any{"epoch_cycles": t.EpochLen, "source": "gpgpunoc telemetry"},
-		TraceEvents: []chromeEvent{{
-			Name: "process_name", Phase: "M", PID: 1,
-			Args: map[string]any{"name": "gpgpunoc"},
-		}},
-	}
+	events := []TraceEvent{{
+		Name: "process_name", Ph: "M", PID: 1,
+		Args: map[string]any{"name": "gpgpunoc"},
+	}}
 	for si, s := range t.samples {
 		for _, i := range keep {
 			v := s.Values[i]
@@ -232,16 +261,12 @@ func (t *Telemetry) WriteChromeTrace(w io.Writer, filter func(name string) bool)
 				}
 				v -= t.samples[si-1].Values[i]
 			}
-			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-				Name: names[i], Phase: "C", TS: s.Cycle, PID: 1, TID: 1, Cat: "telemetry",
+			events = append(events, TraceEvent{
+				Name: names[i], Ph: "C", TS: s.Cycle, PID: 1, TID: 1, Cat: "telemetry",
 				Args: map[string]any{"value": v},
 			})
 		}
 	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(tr); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return WriteTraceObject(w, events, "ms",
+		map[string]any{"epoch_cycles": t.EpochLen, "source": "gpgpunoc telemetry"})
 }

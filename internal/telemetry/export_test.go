@@ -16,9 +16,9 @@ import (
 
 func TestJSONLRoundTrip(t *testing.T) {
 	tel := New(50)
-	c := tel.Reg.Counter("flits")
-	g := tel.Reg.Gauge("depth")
-	h := tel.Reg.Histogram("lat", []int64{8, 64})
+	c := tel.Reg.Counter("flits", Desc{})
+	g := tel.Reg.Gauge("depth", Desc{})
+	h := tel.Reg.Histogram("lat", Desc{}, []int64{8, 64})
 	for cycle := int64(1); cycle <= 120; cycle++ {
 		c.Inc()
 		g.Set(cycle % 7)
@@ -132,9 +132,9 @@ func TestHeatmapCSVRoundTrip(t *testing.T) {
 
 func TestChromeTraceRoundTrip(t *testing.T) {
 	tel := New(10)
-	c := tel.Reg.Counter("net.stall.credit")
-	g := tel.Reg.Gauge("mc.0.queue_depth")
-	tel.Reg.Counter("link.N0->N1.request.flits") // dropped by the default filter
+	c := tel.Reg.Counter("net.stall.credit", Desc{})
+	g := tel.Reg.Gauge("mc.0.queue_depth", Desc{})
+	tel.Reg.Counter("link.N0->N1.request.flits", Desc{}) // dropped by the default filter
 	for cycle := int64(1); cycle <= 30; cycle++ {
 		c.Inc()
 		if cycle%10 == 0 {

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/packet"
@@ -9,17 +11,30 @@ import (
 
 // Probe naming scheme (see DESIGN.md §8). All names are prefixed by the
 // subnet prefix ("" for a single physical network, "req."/"rep." for the
-// two subnets of noc.Dual):
+// two subnets of noc.Dual). Names are the JSONL/heatmap column schema; the
+// exposition family and labels on the right are declared next to each name
+// at its registration site — this file for the fabric, mc/dram/gpu for theirs.
 //
-//	link.N<from>->N<to>.<class>.flits     counter  flits of a class crossing the link
-//	link.N<from>->N<to>.vc<k>.occupancy   gauge    downstream input-VC buffer fill
-//	node.<id>.injected.flits              counter  flits entering the fabric at the node
-//	node.<id>.ejected.flits               counter  flits leaving the fabric at the node
-//	node.<id>.injq.flits                  gauge    injection-queue backlog
-//	net.stall.credit|route|vcalloc        counter  per-cycle stall attributions
-//	latency.<read|write>.<segment>        histogram transaction latency decomposition
-//	mc.<i>.*, mc.<i>.dram.*               gauges   memory-controller / DRAM state
-//	core.*                                gauges   aggregate processor-side counters
+//	link.N<from>->N<to>.<class>.flits     counter  noc_link_flits_total{subnet,from*,to*,class}
+//	link.N<from>->N<to>.vc<k>.occupancy   gauge    noc_link_vc_occupancy_flits{subnet,from*,to*,vc}
+//	node.<id>.injected.flits              counter  noc_node_injected_flits_total{subnet,node*}
+//	node.<id>.ejected.flits               counter  noc_node_ejected_flits_total{subnet,node*}
+//	node.<id>.injq.flits                  gauge    noc_node_injq_flits{subnet,node*}
+//	net.stall.credit|route|vcalloc        counter  noc_stall_cycles_total{subnet,cause}
+//	latency.<read|write>.<segment>        histogram noc_latency_cycles{subnet,kind,segment}
+//	mc.<i>.*, mc.<i>.dram.*               gauges   noc_mc_*{mc}, noc_mc_dram_*{mc}
+//	core.*                                gauges   noc_core_*
+//
+// (from*, to*, node* each expand to the node id plus its _row and _col.)
+
+// Exposition families of the fabric probes; Summarize folds by these.
+const (
+	famLinkFlits = "noc_link_flits_total"
+	famInjected  = "noc_node_injected_flits_total"
+	famEjected   = "noc_node_ejected_flits_total"
+	famStall     = "noc_stall_cycles_total"
+	famLatency   = "noc_latency_cycles"
+)
 
 // Segment indexes the four pieces a memory transaction's end-to-end latency
 // decomposes into: waiting in the source's injection queue, crossing the
@@ -63,9 +78,8 @@ func DefaultLatencyBounds() []int64 { return ExpBounds(8, 2, 12) }
 
 // NetProbes is the probe bundle for one physical network: slice-indexed
 // pointers so every hot-path update is a direct int64 increment with no map
-// or string work. Construction registers every probe by name; the fabric
-// additionally registers its private-state GaugeFuncs (VC occupancy,
-// injection-queue backlog) itself.
+// or string work. Construction registers every counting probe; the fabric
+// adds the gauges over its private state through VCOccupancy and InjQueue.
 type NetProbes struct {
 	// LinkFlits counts flit traversals per class, indexed by
 	// mesh.LinkIndex; slots without a physical link are nil.
@@ -77,6 +91,29 @@ type NetProbes struct {
 	StallCredit, StallRoute, StallVCAlloc *Counter
 
 	lat [numTx][NumSegments]*Histogram
+
+	reg    *Registry
+	m      mesh.Mesh
+	prefix string
+}
+
+// subnet is the exposition label for the probe-name prefix: "req."/"rep."
+// name the two subnets of noc.Dual, "" a single physical network.
+func (np *NetProbes) subnet() string { return strings.TrimSuffix(np.prefix, ".") }
+
+// nodeLabels appends the id and mesh coordinates of node id under key.
+func (np *NetProbes) nodeLabels(labels []string, key string, id mesh.NodeID) []string {
+	c := np.m.Coord(id)
+	return append(labels, key, strconv.Itoa(int(id)),
+		key+"_row", strconv.Itoa(c.Row), key+"_col", strconv.Itoa(c.Col))
+}
+
+// linkLabels returns subnet, both endpoints of l, and one trailing pair.
+func (np *NetProbes) linkLabels(l mesh.Link, key, value string) []string {
+	to, _ := np.m.Neighbor(np.m.Coord(l.From), l.Dir)
+	labels := np.nodeLabels([]string{"subnet", np.subnet()}, "from", l.From)
+	labels = np.nodeLabels(labels, "to", np.m.ID(to))
+	return append(labels, key, value)
 }
 
 // LinkName returns the canonical probe-name stem for a directed link:
@@ -92,7 +129,7 @@ func LinkName(m mesh.Mesh, l mesh.Link) string {
 // NewNetProbes registers the network probe set on reg, with every name
 // prefixed by prefix, and returns the bundle.
 func NewNetProbes(reg *Registry, m mesh.Mesh, prefix string) *NetProbes {
-	np := &NetProbes{}
+	np := &NetProbes{reg: reg, m: m, prefix: prefix}
 	for c := range np.LinkFlits {
 		np.LinkFlits[c] = make([]*Counter, m.NumLinkSlots())
 	}
@@ -100,26 +137,61 @@ func NewNetProbes(reg *Registry, m mesh.Mesh, prefix string) *NetProbes {
 		stem := prefix + LinkName(m, l)
 		idx := m.LinkIndex(l)
 		for c := packet.Class(0); c < packet.NumClasses; c++ {
-			np.LinkFlits[c][idx] = reg.Counter(fmt.Sprintf("%s.%s.flits", stem, c))
+			np.LinkFlits[c][idx] = reg.Counter(fmt.Sprintf("%s.%s.flits", stem, c), Desc{
+				Family: famLinkFlits,
+				Help:   "Flits that crossed a directed inter-router link, by traffic class.",
+				Labels: np.linkLabels(l, "class", c.String()),
+			})
 		}
 	}
 	np.InjFlits = make([]*Counter, m.NumNodes())
 	np.EjFlits = make([]*Counter, m.NumNodes())
 	for id := 0; id < m.NumNodes(); id++ {
-		np.InjFlits[id] = reg.Counter(fmt.Sprintf("%snode.%d.injected.flits", prefix, id))
-		np.EjFlits[id] = reg.Counter(fmt.Sprintf("%snode.%d.ejected.flits", prefix, id))
+		labels := np.nodeLabels([]string{"subnet", np.subnet()}, "node", mesh.NodeID(id))
+		np.InjFlits[id] = reg.Counter(fmt.Sprintf("%snode.%d.injected.flits", prefix, id),
+			Desc{Family: famInjected, Help: "Flits that entered the fabric at a node.", Labels: labels})
+		np.EjFlits[id] = reg.Counter(fmt.Sprintf("%snode.%d.ejected.flits", prefix, id),
+			Desc{Family: famEjected, Help: "Flits that left the fabric at a node.", Labels: labels})
 	}
-	np.StallCredit = reg.Counter(prefix + "net.stall.credit")
-	np.StallRoute = reg.Counter(prefix + "net.stall.route")
-	np.StallVCAlloc = reg.Counter(prefix + "net.stall.vcalloc")
+	stall := func(cause string) *Counter {
+		return reg.Counter(prefix+"net.stall."+cause, Desc{
+			Family: famStall,
+			Help:   "Switch-allocation stall attributions, by cause.",
+			Labels: []string{"subnet", np.subnet(), "cause", cause},
+		})
+	}
+	np.StallCredit, np.StallRoute, np.StallVCAlloc = stall("credit"), stall("route"), stall("vcalloc")
 	bounds := DefaultLatencyBounds()
 	for tx := 0; tx < numTx; tx++ {
 		for seg := Segment(0); seg < NumSegments; seg++ {
-			np.lat[tx][seg] = reg.Histogram(
-				fmt.Sprintf("%slatency.%s.%s", prefix, txNames[tx], seg), bounds)
+			np.lat[tx][seg] = reg.Histogram(fmt.Sprintf("%slatency.%s.%s", prefix, txNames[tx], seg), Desc{
+				Family: famLatency,
+				Help:   "Transaction latency decomposition histogram, in cycles.",
+				Labels: []string{"subnet", np.subnet(), "kind", txNames[tx], "segment", seg.String()},
+			}, bounds)
 		}
 	}
 	return np
+}
+
+// VCOccupancy registers the fill gauge of the input-VC buffer downstream of
+// link l. The buffers are router-private, so the fabric supplies the reader;
+// fn runs only when a snapshot fires.
+func (np *NetProbes) VCOccupancy(l mesh.Link, vc int, fn func() int64) {
+	np.reg.GaugeFunc(fmt.Sprintf("%s%s.vc%d.occupancy", np.prefix, LinkName(np.m, l), vc), Desc{
+		Family: "noc_link_vc_occupancy_flits",
+		Help:   "Downstream input-VC buffer occupancy of a directed link, in flits.",
+		Labels: np.linkLabels(l, "vc", strconv.Itoa(vc)),
+	}, fn)
+}
+
+// InjQueue registers the injection-queue backlog gauge of node id.
+func (np *NetProbes) InjQueue(id mesh.NodeID, fn func() int64) {
+	np.reg.GaugeFunc(fmt.Sprintf("%snode.%d.injq.flits", np.prefix, int(id)), Desc{
+		Family: "noc_node_injq_flits",
+		Help:   "Injection-queue backlog at a node, in flits.",
+		Labels: np.nodeLabels([]string{"subnet", np.subnet()}, "node", id),
+	}, fn)
 }
 
 // PacketEjected records per-packet telemetry at tail ejection. For replies

@@ -7,7 +7,7 @@
 // The subsystem is opt-in and built for a zero-allocation hot path: probe
 // sites hold pointers obtained once at registration, incrementing a probe is
 // a plain int64 field update, and an un-instrumented component pays exactly
-// one nil check per site (the same pattern as noc.Network.SetTracer).
+// one nil check per site (the same pattern as noc.Network.SetSpans).
 // Instantaneous levels — VC occupancy, queue depths — are registered as
 // GaugeFuncs read only when the sampler fires, so they cost nothing between
 // epochs.
@@ -15,7 +15,7 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 )
 
 // Kind classifies a probe.
@@ -169,10 +169,56 @@ func ExpBounds(start, factor int64, n int) []int64 {
 	return out
 }
 
+// Desc is a probe's exposition identity, stated once at the site that
+// registers it: the Prometheus metric family the probe is a sample of, that
+// family's help text, and the sample's label pairs (key, value alternating;
+// a pair with an empty value is dropped). The renderer prints what is stored
+// here and never looks inside a probe name. The zero Desc files the probe
+// under the catch-all "probe" family, labelled with its name, so a scrape
+// never silently drops data.
+type Desc struct {
+	Family string
+	Help   string
+	Labels []string
+}
+
+// label returns the value of the named label, or "".
+func (d *Desc) label(key string) string {
+	for i := 0; i+1 < len(d.Labels); i += 2 {
+		if d.Labels[i] == key {
+			return d.Labels[i+1]
+		}
+	}
+	return ""
+}
+
+// renderLabels renders label pairs as the k="v",... body of a Prometheus
+// label set (without braces, so the histogram renderer can append le).
+func renderLabels(kv []string) string {
+	var b strings.Builder
+	for i := 0; i+1 < len(kv); i += 2 {
+		if kv[i+1] == "" {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(kv[i])
+		b.WriteString(`="`)
+		b.WriteString(labelEscaper.Replace(kv[i+1]))
+		b.WriteByte('"')
+	}
+	return b.String()
+}
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // probeEntry is one registered probe, in registration order.
 type probeEntry struct {
 	name    string
 	kind    Kind
+	desc    Desc
+	labels  string // desc.Labels rendered once, at registration
 	counter *Counter
 	gauge   *Gauge
 	gaugeFn func() int64
@@ -213,6 +259,11 @@ func (r *Registry) register(e probeEntry) {
 	if _, dup := r.index[e.name]; dup {
 		panic("telemetry: duplicate probe name " + e.name)
 	}
+	if e.desc.Family == "" {
+		e.desc = Desc{Family: "probe", Help: "Probes registered without an exposition family.",
+			Labels: []string{"name", e.name}}
+	}
+	e.labels = renderLabels(e.desc.Labels)
 	r.index[e.name] = len(r.probes)
 	if e.kind != KindHistogram {
 		r.scalars = append(r.scalars, len(r.probes))
@@ -221,39 +272,36 @@ func (r *Registry) register(e probeEntry) {
 }
 
 // Counter registers and returns a counter probe.
-func (r *Registry) Counter(name string) *Counter {
+func (r *Registry) Counter(name string, d Desc) *Counter {
 	c := &Counter{}
-	r.register(probeEntry{name: name, kind: KindCounter, counter: c})
+	r.register(probeEntry{name: name, kind: KindCounter, desc: d, counter: c})
 	return c
 }
 
 // Gauge registers and returns a gauge probe.
-func (r *Registry) Gauge(name string) *Gauge {
+func (r *Registry) Gauge(name string, d Desc) *Gauge {
 	g := &Gauge{}
-	r.register(probeEntry{name: name, kind: KindGauge, gauge: g})
+	r.register(probeEntry{name: name, kind: KindGauge, desc: d, gauge: g})
 	return g
 }
 
 // GaugeFunc registers a gauge whose level is read by calling fn — only when
 // a snapshot fires, so the instrumented hot path pays nothing. Use it for
 // occupancies and queue depths that are already tracked by the component.
-func (r *Registry) GaugeFunc(name string, fn func() int64) {
+func (r *Registry) GaugeFunc(name string, d Desc, fn func() int64) {
 	if fn == nil {
 		panic("telemetry: GaugeFunc registered with a nil function")
 	}
-	r.register(probeEntry{name: name, kind: KindGaugeFunc, gaugeFn: fn})
+	r.register(probeEntry{name: name, kind: KindGaugeFunc, desc: d, gaugeFn: fn})
 }
 
 // Histogram registers and returns a fixed-bucket histogram with the given
 // sorted upper bounds.
-func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+func (r *Registry) Histogram(name string, d Desc, bounds []int64) *Histogram {
 	h := newHistogram(bounds)
-	r.register(probeEntry{name: name, kind: KindHistogram, hist: h})
+	r.register(probeEntry{name: name, kind: KindHistogram, desc: d, hist: h})
 	return h
 }
-
-// NumProbes returns the total number of registered probes.
-func (r *Registry) NumProbes() int { return len(r.probes) }
 
 // ScalarNames returns the names of all scalar (non-histogram) probes in
 // registration order — the column schema of every Snapshot.
@@ -294,14 +342,6 @@ func (r *Registry) Value(name string) (int64, bool) {
 	return r.probes[idx].scalarValue(), true
 }
 
-// EachScalar calls fn for every scalar probe in registration order.
-func (r *Registry) EachScalar(fn func(name string, kind Kind, value int64)) {
-	for _, idx := range r.scalars {
-		p := &r.probes[idx]
-		fn(p.name, p.kind, p.scalarValue())
-	}
-}
-
 // EachHistogram calls fn for every histogram probe in registration order.
 func (r *Registry) EachHistogram(fn func(name string, h *Histogram)) {
 	for i := range r.probes {
@@ -318,12 +358,4 @@ func (r *Registry) FindHistogram(name string) *Histogram {
 		return nil
 	}
 	return r.probes[idx].hist
-}
-
-// SortedScalarNames returns all scalar probe names sorted lexically; export
-// formats that want a stable, order-independent view use it.
-func (r *Registry) SortedScalarNames() []string {
-	names := r.ScalarNames()
-	sort.Strings(names)
-	return names
 }

@@ -7,8 +7,8 @@ import (
 
 func TestCounterAndGauge(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c")
-	g := r.Gauge("g")
+	c := r.Counter("c", Desc{})
+	g := r.Gauge("g", Desc{})
 	c.Inc()
 	c.Add(4)
 	g.Set(10)
@@ -67,17 +67,17 @@ func TestDuplicateProbePanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("x")
-	r.Gauge("x")
+	r.Counter("x", Desc{})
+	r.Gauge("x", Desc{})
 }
 
 func TestSnapshotAlignsWithScalarNames(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("a.count")
-	r.Histogram("h", []int64{1}) // excluded from scalars
-	g := r.Gauge("b.level")
+	c := r.Counter("a.count", Desc{})
+	r.Histogram("h", Desc{}, []int64{1}) // excluded from scalars
+	g := r.Gauge("b.level", Desc{})
 	calls := 0
-	r.GaugeFunc("c.fn", func() int64 { calls++; return 42 })
+	r.GaugeFunc("c.fn", Desc{}, func() int64 { calls++; return 42 })
 	c.Add(3)
 	g.Set(-1)
 
@@ -103,7 +103,7 @@ func TestSnapshotAlignsWithScalarNames(t *testing.T) {
 
 func TestEpochSampler(t *testing.T) {
 	tel := New(100)
-	c := tel.Reg.Counter("c")
+	c := tel.Reg.Counter("c", Desc{})
 	for cycle := int64(1); cycle <= 250; cycle++ {
 		c.Inc()
 		tel.MaybeSample(cycle)

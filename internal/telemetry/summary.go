@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"strings"
-
-	"gpgpunoc/internal/packet"
-)
+import "gpgpunoc/internal/packet"
 
 // LatencySegmentStat condenses one latency-decomposition histogram, merged
 // across subnets.
@@ -43,56 +39,45 @@ func (s Summary) ReplyRequestRatio() float64 {
 }
 
 // Summarize folds the registry's current probe values into a Summary. It
-// classifies probes by the naming scheme, so it works unchanged for single
-// and dual fabrics (subnet prefixes merge into the same totals).
+// classifies probes by the exposition family and labels they were registered
+// with, so it works unchanged for single and dual fabrics (the subnet label
+// is simply not consulted, and both subnets merge into the same totals).
 func (t *Telemetry) Summarize() Summary {
 	s := Summary{Cycles: t.LastCycle()}
-	t.Reg.EachScalar(func(name string, _ Kind, v int64) {
-		switch {
-		case strings.Contains(name, "link.N") && strings.HasSuffix(name, ".request.flits"):
-			s.LinkFlits[packet.Request] += v
-		case strings.Contains(name, "link.N") && strings.HasSuffix(name, ".reply.flits"):
-			s.LinkFlits[packet.Reply] += v
-		case strings.HasSuffix(name, ".injected.flits"):
-			s.InjectedFlits += v
-		case strings.HasSuffix(name, ".ejected.flits"):
-			s.EjectedFlits += v
-		case strings.HasSuffix(name, "net.stall.credit"):
-			s.CreditStalls += v
-		case strings.HasSuffix(name, "net.stall.route"):
-			s.RouteStalls += v
-		case strings.HasSuffix(name, "net.stall.vcalloc"):
-			s.VCAllocStalls += v
-		}
-	})
-
-	// Merge latency histograms across subnets by (kind, segment).
+	// Latency histograms merge across subnets by (kind, segment).
 	var count, sum, max [numTx][NumSegments]int64
-	t.Reg.EachHistogram(func(name string, h *Histogram) {
-		i := strings.Index(name, "latency.")
-		if i < 0 || h.Count() == 0 {
-			return
-		}
-		parts := strings.Split(name[i+len("latency."):], ".")
-		if len(parts) != 2 {
-			return
-		}
-		for tx, tn := range txNames {
-			if tn != parts[0] {
-				continue
-			}
-			for seg := Segment(0); seg < NumSegments; seg++ {
-				if seg.String() != parts[1] {
-					continue
-				}
-				count[tx][seg] += h.Count()
-				sum[tx][seg] += h.Sum()
-				if h.Max() > max[tx][seg] {
-					max[tx][seg] = h.Max()
+	for i := range t.Reg.probes {
+		p := &t.Reg.probes[i]
+		switch p.desc.Family {
+		case famLinkFlits:
+			for c := packet.Class(0); c < packet.NumClasses; c++ {
+				if p.desc.label("class") == c.String() {
+					s.LinkFlits[c] += p.scalarValue()
 				}
 			}
+		case famInjected:
+			s.InjectedFlits += p.scalarValue()
+		case famEjected:
+			s.EjectedFlits += p.scalarValue()
+		case famStall:
+			switch p.desc.label("cause") {
+			case "credit":
+				s.CreditStalls += p.scalarValue()
+			case "route":
+				s.RouteStalls += p.scalarValue()
+			case "vcalloc":
+				s.VCAllocStalls += p.scalarValue()
+			}
+		case famLatency:
+			tx := indexOf(txNames[:], p.desc.label("kind"))
+			seg := indexOf(segmentNames[:], p.desc.label("segment"))
+			count[tx][seg] += p.hist.Count()
+			sum[tx][seg] += p.hist.Sum()
+			if p.hist.Max() > max[tx][seg] {
+				max[tx][seg] = p.hist.Max()
+			}
 		}
-	})
+	}
 	for tx := 0; tx < numTx; tx++ {
 		for seg := Segment(0); seg < NumSegments; seg++ {
 			if count[tx][seg] == 0 {
@@ -108,4 +93,15 @@ func (t *Telemetry) Summarize() Summary {
 		}
 	}
 	return s
+}
+
+// indexOf returns the position of v in names. Every caller passes a label
+// this package wrote from the same table, so a miss is a bug.
+func indexOf(names []string, v string) int {
+	for i, n := range names {
+		if n == v {
+			return i
+		}
+	}
+	panic("telemetry: label value " + v + " is not in its own name table")
 }
