@@ -35,10 +35,10 @@ import (
 )
 
 // forcePool keeps the multi-worker comparisons honest on a one-core
-// machine: networks built on a single-P runtime step their lanes inline
-// (bit-identical, see noc.Network's poolOK), which would quietly remove
-// the worker pool — and everything the race detector learns from it —
-// from this suite. Bumping GOMAXPROCS before construction restores the
+// machine: a simulator built on a single-P runtime gets no lane workers and
+// steps its lanes inline (bit-identical, see noc's workerPool), which would
+// quietly remove the concurrent kernel — and everything the race detector
+// learns from it — from this suite. Bumping GOMAXPROCS before construction restores the
 // real concurrent kernel; results cannot depend on it.
 func forcePool(t testing.TB) {
 	if runtime.GOMAXPROCS(0) > 1 {
@@ -228,11 +228,17 @@ func trickleProfile() workload.Profile {
 // cycles the run loop skipped.
 func runProfile(t *testing.T, cfg config.Config, prof workload.Profile, workers int) gpu.Result {
 	t.Helper()
+	return runWith(t, cfg, prof, workers, instrumented)
+}
+
+// runWith is runProfile with the instrumentation spelled out.
+func runWith(t *testing.T, cfg config.Config, prof workload.Profile, workers int, inst gpu.Instrumentation) gpu.Result {
+	t.Helper()
 	if workers > 1 {
 		forcePool(t)
 	}
 	cfg.NoC.Workers = workers
-	sim, err := gpu.NewInstrumented(cfg, prof, instrumented)
+	sim, err := gpu.NewInstrumented(cfg, prof, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +332,13 @@ func TestStepperEquivalenceFastForwardIdle(t *testing.T) {
 
 // TestStepperEquivalenceSoak runs the workers=4 kernel over a longer run —
 // under -race in CI, this is the soak that lets the detector watch barrier
-// generations and fast-forward jumps interleave for real — and requires
-// bit-identity with the serial run.
+// generations, endpoint ticks on the lanes and fast-forward jumps interleave
+// for real — and requires bit-identity with the serial run. The dense
+// variants put the two cycle-boundary readers of lane-written state right
+// behind the workers: the telemetry sampler folds the per-endpoint counter
+// shards every 16 cycles, and the sanitizer recounts the fabric against the
+// sharded in-flight tally every 7, on the single network and on the dual
+// subnets that share one pool.
 func TestStepperEquivalenceSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
@@ -344,4 +355,11 @@ func TestStepperEquivalenceSoak(t *testing.T) {
 		t.Fatal("soak never fast-forwarded")
 	}
 	compareResults(t, sres, runProfile(t, cfg, prof, 1))
+
+	dense := gpu.Instrumentation{SanitizeEvery: 7, TelemetryEpoch: 16}
+	kmn := workload.MustGet("KMN")
+	compareResults(t, runWith(t, cfg, kmn, 4, dense), runWith(t, cfg, kmn, 1, dense))
+	cfg.NoC.PhysicalSubnets = true
+	cfg.NoC.VCsPerPort = 4
+	compareResults(t, runWith(t, cfg, kmn, 4, dense), runWith(t, cfg, kmn, 1, dense))
 }

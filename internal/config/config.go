@@ -6,6 +6,7 @@ package config
 import (
 	"errors"
 	"fmt"
+	"runtime"
 )
 
 // Placement names a memory-controller placement scheme (Figure 5).
@@ -288,6 +289,13 @@ func (c Config) Warnings() []string {
 		out = append(out, fmt.Sprintf(
 			"config: %d workers exceed the mesh's %d rows; domains are row stripes, so the kernel clamps to %d",
 			c.NoC.Workers, c.NoC.Height, c.NoC.Height))
+	}
+	// The kernel never runs more goroutines than Ps (0 workers asks for one
+	// lane per P and cannot exceed them).
+	if lanes, procs := min(c.NoC.Workers, c.NoC.Height), runtime.GOMAXPROCS(0); lanes > procs {
+		out = append(out, fmt.Sprintf(
+			"config: %d lanes exceed GOMAXPROCS=%d; lanes are stepped by %d goroutines, each taking a contiguous block of lanes",
+			lanes, procs, procs))
 	}
 	return out
 }

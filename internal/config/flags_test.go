@@ -9,6 +9,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"gpgpunoc/internal/config"
@@ -83,6 +85,9 @@ func TestFlagsPerfKnobs(t *testing.T) {
 }
 
 func TestWarnings(t *testing.T) {
+	// The lanes-vs-Ps advisory depends on the runtime; give the geometry
+	// cases Ps to spare, then pin it on its own below.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
 	if w := config.Default().Warnings(); len(w) != 0 {
 		t.Errorf("baseline configuration warns: %v", w)
 	}
@@ -102,6 +107,16 @@ func TestWarnings(t *testing.T) {
 	cfg.NoC.Workers = cfg.NoC.Height
 	if w := cfg.Warnings(); len(w) != 0 {
 		t.Errorf("workers == rows warned: %v", w)
+	}
+	// More lanes than Ps: the kernel runs one goroutine per P, not per lane.
+	runtime.GOMAXPROCS(2)
+	cfg.NoC.Workers = 4
+	if w := cfg.Warnings(); len(w) != 1 || !strings.Contains(w[0], "lanes are stepped by 2 goroutines") {
+		t.Errorf("4 lanes on 2 Ps: warnings %v, want the goroutine-count advisory", w)
+	}
+	cfg.NoC.Workers = 2
+	if w := cfg.Warnings(); len(w) != 0 {
+		t.Errorf("2 lanes on 2 Ps warned: %v", w)
 	}
 }
 

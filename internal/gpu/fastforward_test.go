@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"gpgpunoc/internal/config"
@@ -56,11 +55,8 @@ func trickleProfile() workload.Profile {
 // shipped loop) or stepped (the oracle).
 func run(t *testing.T, cfg config.Config, prof workload.Profile, stepped bool) gpu.Result {
 	t.Helper()
-	if cfg.NoC.Workers > 1 && runtime.GOMAXPROCS(0) == 1 {
-		// A single-P runtime steps lanes inline; bring the real worker pool
-		// into the comparison (results cannot depend on it).
-		old := runtime.GOMAXPROCS(2)
-		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	if cfg.NoC.Workers > 1 {
+		forcePool(t)
 	}
 	sim, err := gpu.NewInstrumented(cfg, prof, gpu.Instrumentation{
 		SanitizeEvery: 256, TelemetryEpoch: 400, FlightRecorder: 1 << 12,

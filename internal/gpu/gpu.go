@@ -84,15 +84,30 @@ type Simulator struct {
 	// set it.
 	stepped bool
 
-	// gpu holds the core-side counters, written only from the stepping
-	// goroutine (SM Tick and fetch paths). MC sinks run on kernel worker
-	// goroutines under the parallel cycle kernel, so each MC writes its own
-	// mcGPU shard instead; gpuTotals folds the shards at cycle boundaries.
-	gpu    stats.GPU
-	mcGPU  []stats.GPU
-	nextID uint64
+	// endpoints maps every node to the SM or MC sitting on it (nil for an
+	// unpopulated tile); tick is tickLane bound once, so Step hands the
+	// interconnect a ready func value instead of allocating one per cycle.
+	endpoints []ticker
+	tick      func(lo, hi int)
+
+	// Endpoints tick and eject on whichever kernel goroutine owns their
+	// node, so no counter here has more than one writer: shards holds one
+	// stats.GPU per endpoint (SMs, then MCs; gpuTotals folds them at cycle
+	// boundaries) and ids one packet-ID counter per SM.
+	shards []stats.GPU
+	ids    []uint64
 	cycle  int64
 }
+
+// ticker is what tickLane needs of an endpoint; *smcore.SM and *mc.MC both
+// are one.
+type ticker interface{ Tick(now int64) }
+
+// smIDBase is where SM i's private packet-ID stream starts: streams are
+// 2^40 IDs apart, so IDs of different SMs never collide whichever goroutine
+// ticks them, and request IDs stay far below bit 63, which marks a reply
+// (mc.replyIDBit). One scheme for every worker count.
+func smIDBase(i int) uint64 { return uint64(i+1) << 40 }
 
 // New builds a simulator for cfg running the named workload profile.
 // Validation — structural and protocol-deadlock safety — is centralized in
@@ -137,10 +152,16 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 	if len(cores) < cfg.Core.NumSMs {
 		return nil, fmt.Errorf("gpu: placement leaves %d core tiles for %d SMs", len(cores), cfg.Core.NumSMs)
 	}
+	s.endpoints = make([]ticker, m.NumNodes())
+	s.tick = s.tickLane
+	s.shards = make([]stats.GPU, cfg.Core.NumSMs+len(pl.MCs))
+	s.ids = make([]uint64, cfg.Core.NumSMs)
 	for i := 0; i < cfg.Core.NumSMs; i++ {
+		s.ids[i] = smIDBase(i)
 		sm := smcore.New(i, cores[i], cfg.Core, cfg.Mem, prof,
-			cfg.Seed+uint64(i)*0x9e3779b9, net, pl, &s.gpu, &s.nextID)
+			cfg.Seed+uint64(i)*0x9e3779b9, net, pl, &s.shards[i], &s.ids[i])
 		s.SMs = append(s.SMs, sm)
+		s.endpoints[sm.Node] = sm
 		net.SetSink(sm.Node, sm.Sink())
 	}
 	// Unpopulated core tiles (none in the 56+8 system, but possible in
@@ -148,10 +169,10 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 	for i := cfg.Core.NumSMs; i < len(cores); i++ {
 		net.SetSink(cores[i], func(packet.Flit) bool { return true })
 	}
-	s.mcGPU = make([]stats.GPU, len(pl.MCs))
 	for i := range pl.MCs {
-		ctrl := mc.New(i, pl.MCNode(i), cfg.Mem, net, &s.mcGPU[i])
+		ctrl := mc.New(i, pl.MCNode(i), cfg.Mem, net, &s.shards[cfg.Core.NumSMs+i])
 		s.MCs = append(s.MCs, ctrl)
+		s.endpoints[ctrl.Node] = ctrl
 		net.SetSink(ctrl.Node, ctrl.Sink(func() int64 { return s.cycle }))
 	}
 	return s, nil
@@ -244,19 +265,19 @@ type Instrumentation struct {
 	FlightDir      string
 }
 
-// Close releases the simulator's resources — the interconnect's worker pool
+// Close releases the simulator's resources — the interconnect's lane workers
 // when the parallel cycle kernel is active. The simulator stays usable
-// (stepping respawns the pool); call at a cycle boundary. Idempotent.
+// (stepping respawns them); call at a cycle boundary. Idempotent.
 func (s *Simulator) Close() { s.Net.Close() }
 
-// gpuTotals folds the per-MC shards into the core-side counters. Shards are
-// folded in MC order, and every field is an int64 sum, so the result is
-// identical to what unsharded accumulation would have produced. Call only at
-// a cycle boundary (MC sinks write shards mid-cycle).
+// gpuTotals folds the per-endpoint shards. Every field is an int64 sum, so
+// the result is identical to what unsharded accumulation would have
+// produced. Call only at a cycle boundary (ticks and sinks write shards
+// mid-cycle).
 func (s *Simulator) gpuTotals() stats.GPU {
-	g := s.gpu
-	for i := range s.mcGPU {
-		m := &s.mcGPU[i]
+	var g stats.GPU
+	for i := range s.shards {
+		m := &s.shards[i]
 		g.Instructions += m.Instructions
 		g.MemRequests += m.MemRequests
 		g.L1Hits += m.L1Hits
@@ -366,14 +387,23 @@ func (s *Simulator) attachObs(srv *obs.Server, every int64) *obs.Publisher {
 	return p
 }
 
-// Step advances the whole system one NoC cycle.
+// tickLane ticks the endpoints on nodes [lo, hi). The interconnect calls it
+// once per kernel lane, on the goroutine that owns those nodes and runs
+// their ejection sinks: a tick touches only its own endpoint, its own
+// counter shard and — through Inject — its own node's injection queue.
+func (s *Simulator) tickLane(lo, hi int) {
+	for _, e := range s.endpoints[lo:hi] {
+		if e != nil {
+			e.Tick(s.cycle)
+		}
+	}
+}
+
+// Step advances the whole system one NoC cycle: every endpoint ticks, then
+// the network steps. Both go through s.Net, so a decorator installed over
+// it sees (and forwards) them.
 func (s *Simulator) Step() {
-	for _, sm := range s.SMs {
-		sm.Tick(s.cycle)
-	}
-	for _, m := range s.MCs {
-		m.Tick(s.cycle)
-	}
+	s.Net.RunLanes(s.tick)
 	s.Net.Step()
 	s.cycle++
 	if s.Tel != nil {

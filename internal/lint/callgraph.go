@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // Call-graph construction shared by the semantic analyzers (laneowner,
@@ -156,6 +157,25 @@ func (g *callGraph) goRoots() []*types.Func {
 			}
 			return true
 		})
+	}
+	return roots
+}
+
+// docRoots returns the functions whose doc comment carries a line starting
+// with marker: the annotation-driven roots of the hotpath analyzer, and the
+// way laneowner learns of worker entry points no go statement reaches.
+func (g *callGraph) docRoots(marker string) []*types.Func {
+	var roots []*types.Func
+	for fn, fd := range g.decls {
+		if fd.Doc == nil {
+			continue
+		}
+		for _, c := range fd.Doc.List {
+			if strings.HasPrefix(c.Text, marker) {
+				roots = append(roots, fn)
+				break
+			}
+		}
 	}
 	return roots
 }

@@ -50,18 +50,7 @@ var Hotpath = &Analyzer{
 func runHotpath(ctx *Context) []Finding {
 	pkg := ctx.Pkg
 	g := buildCallGraph(pkg)
-	var roots []*types.Func
-	for fn, fd := range g.decls {
-		if fd.Doc == nil {
-			continue
-		}
-		for _, c := range fd.Doc.List {
-			if strings.HasPrefix(c.Text, strings.TrimSpace(hotpathMarker)) {
-				roots = append(roots, fn)
-				break
-			}
-		}
-	}
+	roots := g.docRoots(strings.TrimSpace(hotpathMarker))
 	if len(roots) == 0 {
 		return nil
 	}

@@ -29,10 +29,19 @@ import (
 // Roots are discovered, not configured: every function launched by a go
 // statement in the package (and every package function referenced inside a
 // `go func(){}` literal) seeds the reachable set, so adding a new worker
-// phase automatically extends the checked region. Genuinely safe sites —
-// single-writer slots, serial-only observers — carry justified
+// phase automatically extends the checked region. What discovery cannot see
+// is code the workers reach through a callback defined in another package —
+// Network.Inject, called by the endpoints RunLanes ticks on the lanes — so,
+// mirroring hotpath, a function whose doc comment carries a
+// `//noclint:laneowner root: <why>` line is a root too. Genuinely safe
+// sites — single-writer slots, serial-only observers — carry justified
 // //noclint:laneowner directives.
 const laneownerName = "laneowner"
+
+// laneownerRootMarker is the doc-comment prefix that roots a function. Like
+// hotpathMarker it parses as a justified noclint directive, so the
+// reason-required rule covers it.
+const laneownerRootMarker = "//noclint:laneowner root:"
 
 var Laneowner = &Analyzer{
 	Name: laneownerName,
@@ -70,7 +79,7 @@ func runLaneowner(ctx *Context) []Finding {
 	}
 
 	g := buildCallGraph(pkg)
-	roots := g.goRoots()
+	roots := append(g.goRoots(), g.docRoots(laneownerRootMarker)...)
 	if len(roots) == 0 && len(g.goRootLits) == 0 {
 		return nil
 	}
@@ -216,7 +225,9 @@ func (p *laneownerPass) checkCall(call *ast.CallExpr) {
 		return // conversion
 	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if s := p.pkg.Info.Selections[sel]; s != nil {
+		// A method selection; a func-valued field (n.laneFn(...)) is a dynamic
+		// call and falls through to that check below.
+		if s := p.pkg.Info.Selections[sel]; s != nil && s.Kind() != types.FieldVal {
 			if p.classOf(sel.X) != classNet {
 				return
 			}

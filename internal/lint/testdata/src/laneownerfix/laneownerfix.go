@@ -12,8 +12,10 @@ type Network struct {
 	inj      []injQueue
 	cycle    int64
 	lastMove int64
+	inFlight int
 	active   []int32
 	sinks    []func(int)
+	laneFn   func(int)
 	stats    *collector
 	mesh     meshInfo
 	tr       tracer
@@ -76,6 +78,7 @@ func (n *Network) phase(ln *lane) {
 	local.CountLink() // rebound to a fresh value: no longer shared
 
 	n.sinks[0](7) // want "dynamic call through shared function value n.sinks"
+	n.laneFn(7)   // want "dynamic call through shared function value n.laneFn"
 
 	n.tr.Trace(1) // want "interface method Trace on shared network state n.tr"
 
@@ -95,6 +98,17 @@ func (n *Network) helper(ln *lane) {
 // though the call site itself is exempt.
 func (n *Network) moveCycle() {
 	n.cycle++ // want "worker-phase write to shared network state n.cycle"
+}
+
+// Inject is reached from the workers only through a callback another package
+// defines, which the per-package call graph cannot follow: the doc-comment
+// marker roots it, and the unsharded tally — the exact defect the real
+// Inject had before endpoint ticks moved onto the lanes — is flagged.
+//
+//noclint:laneowner root: fixture: called by endpoint callbacks the workers run
+func (n *Network) Inject(node, flits int) {
+	n.inj[node].n += flits // arena element: lane-owned by ID range
+	n.inFlight += flits    // want "worker-phase write to shared network state n.inFlight"
 }
 
 // spawnLit roots a goroutine literal; its captured network is shared.

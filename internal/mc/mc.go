@@ -43,8 +43,8 @@ type MC struct {
 	queue     int // accepted requests whose replies are not yet injected
 	inL2      []pendingReply
 	dramWait  map[uint64]*packet.Packet // DRAM access id -> request awaiting fill
-	retryDRAM []*packet.Packet          // L2 misses waiting for DRAM queue space
-	outbox    []*packet.Packet
+	retryDRAM packet.FIFO               // L2 misses waiting for DRAM queue space
+	outbox    packet.FIFO
 
 	nextDRAMID uint64
 	svcTokens  int // clock-domain throttle
@@ -91,8 +91,8 @@ func (m *MC) AttachTelemetry(reg *telemetry.Registry) {
 		}, fn)
 	}
 	gauge("queue_depth", func() int64 { return int64(m.queue) })
-	gauge("outbox", func() int64 { return int64(len(m.outbox)) })
-	gauge("dram_retry", func() int64 { return int64(len(m.retryDRAM)) })
+	gauge("outbox", func() int64 { return int64(m.outbox.Len()) })
+	gauge("dram_retry", func() int64 { return int64(m.retryDRAM.Len()) })
 	gauge("l2_wait", func() int64 { return int64(len(m.inL2)) })
 	gauge("reads_served", func() int64 { return m.ReadsServed })
 	gauge("writes_served", func() int64 { return m.WritesServed })
@@ -186,7 +186,7 @@ func (m *MC) service(req *packet.Packet, now int64) {
 		m.gpu.L2Misses++
 	}
 	if !m.tryDRAM(req, now) {
-		m.retryDRAM = append(m.retryDRAM, req)
+		m.retryDRAM.Push(req)
 	}
 }
 
@@ -240,7 +240,7 @@ func (m *MC) makeReply(req *packet.Packet, now int64) *packet.Packet {
 // cycle change nothing except the service-token refresh, which FastForward
 // compensates — together they make skipping exact.
 func (m *MC) NextEvent(now int64) int64 {
-	if len(m.outbox) > 0 || len(m.retryDRAM) > 0 {
+	if m.outbox.Len() > 0 || m.retryDRAM.Len() > 0 {
 		return now
 	}
 	h := m.dram.NextEvent(now)
@@ -295,12 +295,12 @@ func (m *MC) Tick(now int64) {
 		if m.spans != nil && req.Sampled {
 			m.spans.DRAMDone(req, int(m.Node), now)
 		}
-		m.outbox = append(m.outbox, m.makeReply(req, now))
+		m.outbox.Push(m.makeReply(req, now))
 	}
 
 	// Retry DRAM enqueues blocked on queue space.
-	for len(m.retryDRAM) > 0 && m.tryDRAM(m.retryDRAM[0], now) {
-		m.retryDRAM = m.retryDRAM[1:]
+	for m.retryDRAM.Len() > 0 && m.tryDRAM(m.retryDRAM.Front(), now) {
+		m.retryDRAM.Pop()
 	}
 
 	// L2-latency completions.
@@ -308,7 +308,7 @@ func (m *MC) Tick(now int64) {
 		keep := m.inL2[:0]
 		for _, pr := range m.inL2 {
 			if pr.readyAt <= now {
-				m.outbox = append(m.outbox, pr.reply)
+				m.outbox.Push(pr.reply)
 			} else {
 				keep = append(keep, pr)
 			}
@@ -318,11 +318,11 @@ func (m *MC) Tick(now int64) {
 
 	// Inject replies, spending service tokens; free queue slots as replies
 	// leave.
-	for len(m.outbox) > 0 && m.svcTokens > 0 {
-		if !m.net.Inject(m.outbox[0]) {
+	for m.outbox.Len() > 0 && m.svcTokens > 0 {
+		if !m.net.Inject(m.outbox.Front()) {
 			break
 		}
-		m.outbox = m.outbox[1:]
+		m.outbox.Pop()
 		m.queue--
 		m.svcTokens--
 	}

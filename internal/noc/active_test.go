@@ -245,14 +245,14 @@ func TestInjectQueueReuse(t *testing.T) {
 		n.Step()
 	}
 	q := &n.inj[9]
-	grew := cap(q.pkts)
+	grew := q.Cap()
 	for i := 0; i < 2000; i++ {
 		id++
 		n.Inject(mkPacket(id, packet.WriteRequest, 9, 54, 0))
 		n.Step()
 	}
-	if cap(q.pkts) > grew {
-		t.Errorf("injection queue backing array grew under steady-state traffic: %d -> %d", grew, cap(q.pkts))
+	if q.Cap() > grew {
+		t.Errorf("injection queue backing array grew under steady-state traffic: %d -> %d", grew, q.Cap())
 	}
 	if !n.Drain(5000) {
 		t.Fatal("failed to drain")

@@ -40,11 +40,15 @@ func NewDual(cfg config.NoC, alg routing.Algorithm, opts ...Option) *Dual {
 	}
 	sub.VCPolicy = config.VCShared
 	pol := vc.MustNewPolicy(sub)
-	return &Dual{
+	d := &Dual{
 		request: New(sub, alg, pol, opts...),
 		reply:   New(sub, alg, pol, opts...),
 		merged:  stats.NewNet(mesh.New(cfg.Width, cfg.Height)),
 	}
+	// Same mesh, same Workers, hence the same row stripes: the subnets step
+	// one after the other, so one set of lane workers serves both.
+	d.reply.pool = d.request.pool
+	return d
 }
 
 func (d *Dual) subnet(cls packet.Class) *Network {
@@ -72,6 +76,9 @@ func (d *Dual) SetSink(node mesh.NodeID, s Sink) {
 	d.request.SetSink(node, s)
 	d.reply.SetSink(node, s)
 }
+
+// RunLanes runs fn over the lanes the two subnets share.
+func (d *Dual) RunLanes(fn func(lo, hi int)) { d.request.RunLanes(fn) }
 
 // Step advances both subnets one cycle.
 func (d *Dual) Step() {
@@ -120,11 +127,8 @@ func (d *Dual) EnableStats(on bool) {
 	d.reply.EnableStats(on)
 }
 
-// Close stops both subnets' worker pools.
-func (d *Dual) Close() {
-	d.request.Close()
-	d.reply.Close()
-}
+// Close stops the lane workers the subnets share.
+func (d *Dual) Close() { d.request.Close() }
 
 // FlitsInFlight sums both subnets.
 func (d *Dual) FlitsInFlight() int {
@@ -169,8 +173,6 @@ func (d *Dual) StateSnapshot() obs.MeshState {
 	}
 }
 
-// Quiescent reports deadlock only if the whole system is stuck: flits exist
-// and neither subnet has moved recently.
 // CheckInvariants validates both subnets, naming the one that failed.
 func (d *Dual) CheckInvariants() error {
 	if err := d.request.CheckInvariants(); err != nil {
@@ -182,12 +184,11 @@ func (d *Dual) CheckInvariants() error {
 	return nil
 }
 
+// Quiescent reports deadlock only if the whole system is stuck: flits exist
+// and neither subnet holding any has moved recently.
 func (d *Dual) Quiescent(window int64) bool {
-	if d.FlitsInFlight() == 0 {
-		return false
-	}
-	stuck := func(n *Network) bool {
-		return n.inFlight == 0 || n.cycle-n.lastMove >= window
-	}
-	return stuck(d.request) && stuck(d.reply)
+	rq, rp := d.request.FlitsInFlight(), d.reply.FlitsInFlight()
+	return rq+rp > 0 &&
+		(rq == 0 || d.request.stuck(window)) &&
+		(rp == 0 || d.reply.stuck(window))
 }

@@ -63,6 +63,16 @@ type Interconnect interface {
 	InjectSpace(node mesh.NodeID) int
 	// SetSink installs the ejection callback for a node.
 	SetSink(node mesh.NodeID, s Sink)
+	// RunLanes runs fn over disjoint node ranges [lo, hi) that together
+	// cover the mesh, and returns when every call has: once per kernel lane,
+	// concurrently on the lane workers, whenever Step would use them;
+	// otherwise one inline call over the whole mesh. It is how an endpoint
+	// layer gets its per-cycle work onto the goroutine that owns the node:
+	// within one call fn may touch only the endpoints sitting on nodes in
+	// its range, and of the interconnect only Inject and InjectSpace for
+	// those nodes. Call at a cycle boundary, before Step; bind fn once —
+	// a method value built per cycle allocates.
+	RunLanes(fn func(lo, hi int))
 	// Step advances the network one cycle.
 	Step()
 	// Cycle returns the number of completed cycles.
@@ -72,7 +82,8 @@ type Interconnect interface {
 	// EnableStats toggles measurement collection (off during warmup).
 	EnableStats(on bool)
 	// FlitsInFlight returns flits buffered anywhere in the fabric,
-	// including injection queues.
+	// including injection queues. Exact at every cycle boundary — between
+	// Inject and the next Step too.
 	FlitsInFlight() int
 	// Quiescent reports no movement for the trailing window cycles while
 	// flits remain in flight — the deadlock watchdog.
@@ -104,37 +115,24 @@ type Interconnect interface {
 	// so skipping is observationally identical to stepping. Panics if
 	// flits are in flight.
 	FastForward(delta int64)
-	// Close stops the kernel's persistent worker pool, if one is running.
-	// The interconnect stays usable (a later parallel Step respawns the
-	// pool); call at a cycle boundary, typically deferred after
-	// construction.
+	// Close stops the kernel's lane workers, if any are running. The
+	// interconnect stays usable (the next parallel phase respawns them);
+	// call at a cycle boundary, typically deferred after construction.
 	Close()
 }
 
-// injQueue is a node's bounded injection FIFO, in flits. Consumption
-// advances a head index instead of re-slicing pkts, so the backing array is
-// reused in steady state: Inject compacts the live tail down only when the
-// array is full, and the slot of a consumed packet is nilled immediately so
-// it does not pin the packet for the arena's lifetime.
+// injQueue is a node's bounded injection FIFO, in flits. The packets sit in
+// a packet.FIFO, so the backing array is reused in steady state and a
+// consumed packet is not pinned for the arena's lifetime.
 type injQueue struct {
-	pkts  []*packet.Packet // packets not yet fully injected, live from head
-	head  int              // index of the front packet in pkts
-	sent  int              // flits of the front packet already pushed into the router
-	flits int              // total flits queued (for capacity accounting)
-	cap   int
-	vc    int // local input VC receiving the current packet
+	packet.FIFO     // packets not yet fully injected
+	sent        int // flits of the front packet already pushed into the router
+	flits       int // total flits queued (for capacity accounting)
+	cap         int
+	vc          int // local input VC receiving the current packet
 }
 
-func (q *injQueue) empty() bool { return q.head == len(q.pkts) }
-
-func (q *injQueue) popFront() {
-	q.pkts[q.head] = nil
-	q.head++
-	if q.head == len(q.pkts) {
-		q.pkts = q.pkts[:0]
-		q.head = 0
-	}
-}
+func (q *injQueue) empty() bool { return q.Len() == 0 }
 
 // routeTabMaxNodes bounds the dense route-table precompute (NumClasses ×
 // N² bytes); beyond it RC falls back to the algorithm call.
@@ -180,14 +178,11 @@ type Network struct {
 	activeIn []bool
 	injIn    []bool
 
-	// pool is the persistent worker pool stepping lanes 1..N-1; spawned
-	// lazily on the first parallel Step, stopped by Close. poolOK records
-	// whether the runtime had more than one P when the lanes were built:
-	// on a single P the pool cannot overlap phases — it can only add
-	// scheduler round-trips — so Step runs the lanes inline instead
-	// (bit-identical by partition independence).
+	// pool is the lane executor (parallel.go); a Dual's two subnets share
+	// one. Its goroutines are spawned lazily by the first parallel phase and
+	// stopped by Close. laneFn is RunLanes' callback for the open phase.
 	pool   *workerPool
-	poolOK bool
+	laneFn func(lo, hi int)
 
 	// routeTab caches the routing algorithm per (class, current, dest):
 	// NextHop is a pure function of those three, so RC becomes one array
@@ -204,7 +199,7 @@ type Network struct {
 	cycle    int64
 	moved    bool
 	lastMove int64
-	inFlight int // flits inside routers + injection queues
+	inFlight int // flits inside routers + injection queues as of the last serial tail; see FlitsInFlight
 }
 
 // Option tweaks network construction.
@@ -337,14 +332,11 @@ func (n *Network) EnableStats(on bool) {
 	}
 }
 
-// Close stops the persistent worker pool, if one was spawned. The network
-// remains usable — a later parallel Step respawns the pool — so Close is
-// safe to defer as soon as the network is built. Call only at a cycle
-// boundary.
+// Close stops the lane workers, if any were spawned. The network remains
+// usable — a later parallel phase respawns them — so Close is safe to defer
+// as soon as the network is built. Call only at a cycle boundary.
 func (n *Network) Close() {
-	if n.pool != nil {
-		n.pool.stop()
-		n.pool = nil
+	if n.pool.stop() {
 		n.frec.Record(n.cycle, fleetobs.KindPool, 0, 0, 0)
 	}
 }
@@ -352,13 +344,25 @@ func (n *Network) Close() {
 // Cycle returns the current cycle count.
 func (n *Network) Cycle() int64 { return n.cycle }
 
-// FlitsInFlight returns the number of flits buffered in the fabric.
-func (n *Network) FlitsInFlight() int { return n.inFlight }
+// FlitsInFlight returns the number of flits buffered in the fabric: the
+// count as of the last serial tail plus what Inject has accepted since,
+// which sits in per-lane tallies so endpoints on different lanes can inject
+// concurrently.
+func (n *Network) FlitsInFlight() int {
+	total := n.inFlight
+	for i := range n.lanes {
+		total += n.lanes[i].injectedFlits
+	}
+	return total
+}
+
+// stuck reports no movement for the trailing window cycles.
+func (n *Network) stuck(window int64) bool { return n.cycle-n.lastMove >= window }
 
 // Quiescent reports whether nothing has moved for window cycles with flits
 // still in flight: the protocol-deadlock watchdog.
 func (n *Network) Quiescent(window int64) bool {
-	return n.inFlight > 0 && n.cycle-n.lastMove >= window
+	return n.FlitsInFlight() > 0 && n.stuck(window)
 }
 
 // FastForward advances the cycle counter by delta without stepping. An
@@ -371,7 +375,7 @@ func (n *Network) FastForward(delta int64) {
 	if delta <= 0 {
 		return
 	}
-	if n.inFlight != 0 {
+	if n.FlitsInFlight() != 0 {
 		panic("noc: FastForward with flits in flight")
 	}
 	n.cycle += delta
@@ -411,11 +415,14 @@ func (n *Network) wake(id mesh.NodeID) {
 }
 
 // wakeInj adds a node to its lane's injection-active set; idempotent and
-// O(1). Only called from serial contexts (endpoint Inject between cycles).
+// O(1). Called only from Inject, so — like wake — during a parallel phase
+// it only ever targets a node the executing lane owns.
 func (n *Network) wakeInj(id mesh.NodeID) {
 	if !n.injIn[id] {
+		//noclint:laneowner single-writer slot: injIn[id] is written only by the lane owning id during the phases, serial tail otherwise
 		n.injIn[id] = true
 		ln := &n.lanes[n.laneOf[id]]
+		//noclint:laneowner Inject runs on the lane owning id, so this resolves to the caller's own shard
 		ln.injActive = append(ln.injActive, int32(id))
 	}
 }
@@ -423,23 +430,28 @@ func (n *Network) wakeInj(id mesh.NodeID) {
 // Inject queues p at its source node. The packet's CreatedAt should already
 // be stamped by the caller; InjectedAt is stamped when the head flit enters
 // the router.
+//
+// Endpoints call it from RunLanes callbacks, so it runs on whichever
+// goroutine steps the lane owning p.Src, concurrently with other lanes'
+// injections: everything it writes — the node's queue, the lane's
+// injected-flit tally and injection-active set, the node's membership mark
+// — belongs to that lane. Between cycles (tests, the synthetic harness) it
+// is plain serial code.
+//
+//noclint:laneowner root: reached from the lane workers through RunLanes' endpoint callbacks, which the per-package call graph cannot follow
 func (n *Network) Inject(p *packet.Packet) bool {
 	q := &n.inj[p.Src]
 	if q.flits+p.Flits > q.cap {
 		return false
 	}
-	if q.head > 0 && len(q.pkts) == cap(q.pkts) {
-		// Compact the live tail down instead of growing the backing array.
-		live := copy(q.pkts, q.pkts[q.head:])
-		clear(q.pkts[live:])
-		q.pkts = q.pkts[:live]
-		q.head = 0
-	}
-	q.pkts = append(q.pkts, p)
+	q.Push(p)
 	q.flits += p.Flits
-	n.inFlight += p.Flits
+	ln := &n.lanes[n.laneOf[p.Src]]
+	//noclint:laneowner RunLanes hands a lane only its own nodes, so the lane of p.Src is the caller's own shard
+	ln.injectedFlits += p.Flits
 	n.wakeInj(mesh.NodeID(p.Src))
 	if n.spans != nil {
+		//noclint:laneowner serial-only: RunLanes runs inline whenever a span collector is attached
 		n.spans.Offer(p)
 	}
 	return true
@@ -472,7 +484,7 @@ func (n *Network) StateSnapshot() obs.MeshState {
 		Cycle:    n.cycle,
 		Width:    n.m.Width,
 		Height:   n.m.Height,
-		InFlight: n.inFlight,
+		InFlight: st.InFlight,
 		Subnets:  []obs.SubnetState{st},
 	}
 }
@@ -482,7 +494,7 @@ func (n *Network) subnetState(name string) obs.SubnetState {
 	st := obs.SubnetState{
 		Subnet:          name,
 		Cycle:           n.cycle,
-		InFlight:        n.inFlight,
+		InFlight:        n.FlitsInFlight(),
 		ActiveRouters:   n.activeCount(),
 		ActiveInjectors: n.injActiveCount(),
 		Links:           make([]obs.LinkState, 0, len(n.routers)*mesh.NumLinkDirs),
@@ -602,7 +614,7 @@ func (n *Network) injectNode(ln *lane, id int) {
 	}
 	rt := &n.routers[id]
 	for budget := n.injRate; budget > 0 && !q.empty(); {
-		p := q.pkts[q.head]
+		p := q.Front()
 		if q.sent == 0 {
 			// Pick the allowed local VC with the most free space; any
 			// choice is correct (flits within a VC stay FIFO), emptiest
@@ -644,7 +656,7 @@ func (n *Network) injectNode(ln *lane, id int) {
 		if q.sent < p.Flits {
 			break // out of budget or VC space mid-packet
 		}
-		q.popFront()
+		q.Pop()
 		q.sent = 0
 		q.vc = -1
 	}
@@ -747,8 +759,8 @@ func (n *Network) finishCycle() {
 	for li := range n.lanes {
 		ln := &n.lanes[li]
 		moved = moved || ln.moved
-		n.inFlight -= ln.ejectedFlits
-		ln.ejectedFlits = 0
+		n.inFlight += ln.injectedFlits - ln.ejectedFlits
+		ln.injectedFlits, ln.ejectedFlits = 0, 0
 
 		w := 0
 		for _, id := range ln.active {
@@ -781,6 +793,39 @@ func (n *Network) finishCycle() {
 	n.stats.Cycles = n.cycle
 }
 
+// onPool reports whether this network's phases run on the lane workers:
+// the pool has goroutines to offer (several lanes and more than one P) and
+// no span collector is attached — it is externally supplied, not
+// thread-safe, and order-sensitive. RunLanes and Step share the predicate.
+func (n *Network) onPool() bool { return n.pool.workers > 0 && n.spans == nil }
+
+// runPhase runs one phase on every lane through the pool, spawning its
+// goroutines on first use.
+func (n *Network) runPhase(ph phase) {
+	if n.pool.spawn() {
+		n.frec.Record(n.cycle, fleetobs.KindPool, int64(n.pool.workers), 0, 0)
+	}
+	n.pool.run(n, ph)
+}
+
+// RunLanes runs fn once per lane on the lane workers, or once over the
+// whole mesh when the kernel steps inline (see Interconnect.RunLanes) — one
+// lane through the same callback is the serial order, whatever Workers says.
+func (n *Network) RunLanes(fn func(lo, hi int)) {
+	if !n.onPool() {
+		fn(0, n.numNodes)
+		return
+	}
+	n.laneFn = fn
+	n.runPhase(phaseCall)
+}
+
+// laneCall hands one lane's node range to RunLanes' callback.
+func (n *Network) laneCall(ln *lane) {
+	//noclint:laneowner RunLanes' contract confines the callback to the endpoints and injection queues of nodes in [lo, hi), which this lane owns
+	n.laneFn(ln.lo, ln.hi)
+}
+
 // Step advances the network by one cycle: injection, router pipelines
 // (RC/VA/SA/ST), then link traversal, and finally the serial tail (credit
 // returns, cross-domain deliveries, compaction). Within each lane only
@@ -789,30 +834,29 @@ func (n *Network) finishCycle() {
 // and statistics accumulate identically (see injectPhase / routerPhase in
 // parallel.go for the dense/sparse walk).
 //
-// With one lane this is the serial event-sparse kernel. With several lanes,
-// more than one P available (poolOK), and no span collector attached (it
-// is externally supplied, not thread-safe, and order-sensitive), the lanes
-// run on the persistent worker pool with a barrier between the compute
-// phases and the link phase; otherwise the lanes run inline in lane order,
-// which produces the exact global phase order of the classic kernel because
-// lanes are contiguous ascending ID ranges.
+// With one lane this is the serial event-sparse kernel. With several lanes
+// on the pool (onPool) the lanes run concurrently with a barrier between
+// the compute phases and the link phase; otherwise they run inline in lane
+// order, which produces the exact global phase order of the classic kernel
+// because lanes are contiguous ascending ID ranges.
 func (n *Network) Step() {
 	if n.reference {
 		n.stepReference()
 		return
 	}
-	if len(n.lanes) > 1 && n.poolOK && n.spans == nil {
-		n.stepParallel()
-		return
-	}
-	for li := range n.lanes {
-		n.injectPhase(&n.lanes[li])
-	}
-	for li := range n.lanes {
-		n.routerPhase(&n.lanes[li])
-	}
-	for li := range n.lanes {
-		n.linkPhaseLane(&n.lanes[li])
+	if n.onPool() {
+		n.runPhase(phaseRouter)
+		n.runPhase(phaseLink)
+	} else {
+		for li := range n.lanes {
+			n.injectPhase(&n.lanes[li])
+		}
+		for li := range n.lanes {
+			n.routerPhase(&n.lanes[li])
+		}
+		for li := range n.lanes {
+			n.linkPhaseLane(&n.lanes[li])
+		}
 	}
 	n.finishCycle()
 }
@@ -852,10 +896,10 @@ func (n *Network) stepReference() {
 // Drain runs the network until no flits remain in flight or maxCycles pass;
 // it returns true if the network drained. Useful in tests.
 func (n *Network) Drain(maxCycles int) bool {
-	for i := 0; i < maxCycles && n.inFlight > 0; i++ {
+	for i := 0; i < maxCycles && n.FlitsInFlight() > 0; i++ {
 		n.Step()
 	}
-	return n.inFlight == 0
+	return n.FlitsInFlight() == 0
 }
 
 // CheckInvariants validates internal consistency; tests call it after
@@ -927,8 +971,8 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("noc: active-set invariant broken: node %d has queued packets but is not scheduled for injection", i)
 		}
 	}
-	if count != n.inFlight {
-		return fmt.Errorf("noc: flit conservation broken: counted %d, tracked %d", count, n.inFlight)
+	if tracked := n.FlitsInFlight(); count != tracked {
+		return fmt.Errorf("noc: flit conservation broken: counted %d, tracked %d", count, tracked)
 	}
 	return nil
 }

@@ -4,14 +4,20 @@ package noc
 //
 // The mesh is partitioned into contiguous row stripes ("lanes"); node IDs
 // are row-major, so each lane owns a contiguous router-ID range and, via
-// the router arena, a contiguous block of hot state. Every cycle runs in
-// three phases:
+// the router arena, a contiguous block of hot state. Every simulated cycle
+// runs in three parallel phases and a serial tail:
 //
+//	tick phase (parallel, RunLanes): per lane, the caller's callback over
+//	  the lane's node range — the gpu layer ticks the SMs and MCs sitting
+//	  on those nodes. A tick touches its own endpoint and, through Inject,
+//	  its own node's injection queue, its lane's injected-flit tally and
+//	  its lane's injection-active set: all owned by the executing lane.
 //	phase A (parallel): per lane, injection then RC/VA/SA/ST for the
 //	  lane's routers. Cross-lane interactions in this phase are confined
 //	  to single-writer slots — the credit tally (op.pending, written only
 //	  by the downstream router's lane) and per-link counters (written only
 //	  by the upstream router's lane) — plus read-only shared state.
+//	  Ejection sinks run here, on the lane owning the ejecting node.
 //	phase B (parallel, after a barrier): per lane, link traversal. Each
 //	  router's input buffers receive pushes only from its owning lane;
 //	  deliveries crossing a lane boundary are deferred to the lane's
@@ -27,25 +33,28 @@ package noc
 // (sums, min/max, histogram buckets), so per-lane sharding plus an ordered
 // merge reproduces the serial totals exactly. Partition boundaries
 // therefore cannot affect results either, which is what makes Workers=0
-// (GOMAXPROCS-many lanes) safe to use in reproducible experiments.
+// (GOMAXPROCS-many lanes) safe to use in reproducible experiments, and what
+// lets one goroutine step several lanes when there are fewer Ps than lanes.
 //
-// Happens-before argument for the barrier (workerPool): phase boundaries
-// are generation-counter barriers built from sync/atomic operations, which
-// the Go memory model gives sequentially consistent semantics. A release
-// is an atomic increment of gen; workers spin (or park) until they load the
-// new value, so every write the coordinator made before release() — the
-// serial tail of the previous cycle — is visible to every worker's phase.
-// Symmetrically, a worker's arrive() is an atomic
-// increment of arrived, and the coordinator spins (or parks) in gather()
-// until arrived == workers, so every write a worker made during its phase
-// is visible to the coordinator (and, via the next release, to every other
-// worker's next phase). The park paths preserve this: a worker publishes
-// its intent with an atomic sleepers increment *before* re-checking gen
-// under the mutex, and the releaser checks sleepers *after* bumping gen, so
-// (by sequential consistency of the atomics) either the releaser sees the
-// sleeper and broadcasts under the same mutex, or the parker's re-check
-// sees the new gen and never blocks. The gather park path mirrors this
-// with gatherParked/arrived.
+// Happens-before argument for the barrier (workerPool): every phase — tick,
+// A, B alike — is one generation of the same barrier, built from sync/atomic
+// operations, which the Go memory model gives sequentially consistent
+// semantics. A release is an atomic increment of gen; workers spin (or park)
+// until they load the new value, so every write the stepping goroutine made
+// before release() — the work descriptor (net, ph), the serial tail of the
+// previous cycle, and whatever the caller did between two phases (the gpu
+// layer advances its cycle counter there) — is visible to every worker's
+// phase. Symmetrically, a worker's arrive() is an atomic increment of
+// arrived, and the coordinator spins (or parks) in gather() until arrived ==
+// workers, so every write a worker made during its phase is visible to the
+// coordinator (and, via the next release, to every other worker's next
+// phase: what a tick queued is what phase A injects). The park paths
+// preserve this: a worker publishes its intent with an atomic sleepers
+// increment *before* re-checking gen under the mutex, and the releaser
+// checks sleepers *after* bumping gen, so (by sequential consistency of the
+// atomics) either the releaser sees the sleeper and broadcasts under the
+// same mutex, or the parker's re-check sees the new gen and never blocks.
+// The gather park path mirrors this with gatherParked/arrived.
 
 import (
 	"runtime"
@@ -53,7 +62,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gpgpunoc/internal/fleetobs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/stats"
 )
@@ -106,8 +114,13 @@ type lane struct {
 	stallRoute   int64
 	ejected      []*packet.Packet
 
-	moved        bool // any flit moved in this lane this cycle
-	ejectedFlits int  // flits ejected this cycle (in-flight delta)
+	moved bool // any flit moved in this lane this cycle
+
+	// In-flight deltas since the last serial tail, which folds them into
+	// Network.inFlight: flits Inject accepted at this lane's nodes (written
+	// by whichever goroutine runs the lane's endpoints) and flits ejected.
+	injectedFlits int
+	ejectedFlits  int
 }
 
 // effectiveDomains resolves the Workers configuration to a lane count:
@@ -134,13 +147,8 @@ func effectiveDomains(workers, height int) int {
 // lane ID ranges are contiguous and ascending.
 func (n *Network) buildLanes(workers, width, height int) {
 	d := effectiveDomains(workers, height)
-	// On a single P the worker pool cannot overlap phases; every barrier
-	// crossing is a scheduler round-trip with no parallel work to show for
-	// it. Step then runs the lanes inline in lane order, which is
-	// bit-identical by partition independence. Sampled once here: the
-	// answer cannot affect results, only which kernel produces them.
-	n.poolOK = runtime.GOMAXPROCS(0) > 1
 	n.lanes = make([]lane, d)
+	n.pool = newWorkerPool(d)
 	n.laneOf = make([]int32, n.numNodes)
 	for i := range n.lanes {
 		ln := &n.lanes[i]
@@ -267,27 +275,72 @@ func (n *Network) foldStats() {
 	}
 }
 
-// Spin budgets for the barrier's fast paths. The phases between barriers
-// are a few microseconds of router work, so a released worker almost always
-// shows up within the pure-load spin; the Gosched band covers scheduler
-// jitter and oversubscribed machines; only a genuinely idle wait (e.g. the
-// stepping goroutine off doing non-NoC work between cycles) parks.
+// Wait ladder for both sides of the barrier: rounds of pure atomic loads with
+// one runtime.Gosched between rounds, then park on a condvar. Sized by
+// measurement on mesh16_lanes (16x16 mesh, two lanes, 2 vCPUs; the tables
+// are in DESIGN.md §14), where a load costs ~0.5 ns and the waits a busy
+// simulation produces are the serial span between two generations
+// (finishCycle plus Simulator.Step's epilogue, ~4 µs) and the imbalance
+// between lanes inside one (the lighter lane waits ~20 µs for the MC rows'
+// router phase).
+//
+//   - The budget before parking is ~100 µs. A budget a busy wait can outlast
+//     (2^15 loads and below) parks a goroutine every cycle and doubles the
+//     cycle time; what is left to park is a genuinely idle stepping
+//     goroutine — a fast-forward span, result assembly, the gap between two
+//     runs.
+//   - The yield is sparse, one per ~1 µs of spinning. Back to back — the
+//     ladder this replaces was 128 loads, then 256 x (load, Gosched) — every
+//     yield with nothing else runnable is a trip through findRunnable and
+//     wakep on the scheduler lock beside the one thread doing useful work:
+//     28% of all samples with serial ticks, still ~1.5x the cycle time
+//     with the ticks on the lanes.
+//   - The yield stays: with more runnable goroutines than Ps (parallel
+//     tests, several -workers jobs in one process) the goroutine a spinner
+//     waits for may not be running, and a spinner that never yields holds
+//     its P for the whole budget. Spin-then-park is within the noise of
+//     this ladder on mesh16_lanes and 3.3x slower on the root equivalence
+//     suite.
 const (
-	spinLoads  = 128 // pure atomic-load spins before yielding
-	spinYields = 256 // Gosched-interleaved spins before parking
+	spinLoads   = 2048 // pure atomic-load spins per round
+	yieldRounds = 64   // rounds followed by a Gosched before parking
 )
 
-// workerPool runs lanes 1..N-1 on persistent goroutines; lane 0 always runs
-// on the stepping goroutine. Phase boundaries are generation-counter
-// barriers: the coordinator bumps gen to release workers into a phase, and
-// workers count into arrived to hand the phase back. Both sides spin with a
-// bounded budget before parking on a cond, so a cycle's two barriers cost
-// two atomic RMWs per worker instead of four channel operations. See the
-// package comment for the happens-before argument.
-type workerPool struct {
-	workers int // worker goroutines (lanes beyond lane 0)
+// phase selects what every lane does in one barrier generation.
+type phase uint8
 
-	gen     atomic.Uint64 // barrier generation; odd = phase A, even = phase B
+const (
+	phaseCall   phase = iota // RunLanes' callback over the lane's node range
+	phaseRouter              // injection, then RC/VA/SA/ST (phaseA)
+	phaseLink                // link traversal (linkPhaseLane)
+)
+
+// workerPool is the lane executor: it runs one phase of one network across
+// all lanes and returns when every lane is done. One pool serves everything
+// a simulator steps — RunLanes' endpoint ticks and the router and link
+// phases of its network, or of both subnets of a Dual, which share the mesh
+// and Workers and hence the row stripes. It never runs more goroutines than
+// there are Ps: min(lanes, GOMAXPROCS) in all, the stepping goroutine
+// included, each stepping a contiguous block of lanes. GOMAXPROCS is sampled
+// once, at construction; by partition independence the answer cannot affect
+// results, only which goroutine produces them. With a single P (or a single
+// lane) workers is zero and callers step the lanes inline.
+//
+// A phase is one barrier generation: run publishes the work (net, ph),
+// bumps gen to release the workers, steps block 0 itself and gathers; the
+// workers count into arrived to hand the phase back. Both sides spin with a
+// bounded budget before parking on a cond, so a barrier costs one atomic RMW
+// per worker. See the package comment for the happens-before argument.
+type workerPool struct {
+	workers int  // goroutines beyond the stepping one
+	running bool // goroutines spawned (lazily, by the first run) and not stopped
+
+	// The open generation's work, written by the stepping goroutine before
+	// the gen bump that publishes it.
+	net *Network
+	ph  phase
+
+	gen     atomic.Uint64 // barrier generation, one per phase run
 	arrived atomic.Int64  // workers that finished the current phase
 
 	// Worker park path: a worker that exhausts its spin budget registers
@@ -305,19 +358,55 @@ type workerPool struct {
 	wg       sync.WaitGroup
 }
 
-func newWorkerPool(n *Network) *workerPool {
-	w := len(n.lanes) - 1
-	p := &workerPool{workers: w}
+func newWorkerPool(lanes int) *workerPool {
+	p := &workerPool{workers: min(lanes, runtime.GOMAXPROCS(0)) - 1}
 	p.cond = sync.NewCond(&p.mu)
 	p.gcond = sync.NewCond(&p.gmu)
-	p.wg.Add(w)
-	for i := 0; i < w; i++ {
+	return p
+}
+
+// spawn starts the worker goroutines if they are not running and reports
+// whether it did.
+func (p *workerPool) spawn() bool {
+	if p.running {
+		return false
+	}
+	p.running = true
+	p.stopping.Store(false)
+	next := p.gen.Load() + 1
+	p.wg.Add(p.workers)
+	for i := 1; i <= p.workers; i++ {
 		// Scheduling order across lane goroutines cannot affect results:
 		// phases touch disjoint or single-writer state and every
 		// cross-lane effect is merged in fixed lane order by finishCycle.
-		go p.worker(n, i+1) //noclint:determinism lanes are race-free by ownership; all cross-lane effects merge in fixed lane order in finishCycle
+		go p.worker(i, next) //noclint:determinism lanes are race-free by ownership; all cross-lane effects merge in fixed lane order in finishCycle
 	}
-	return p
+	return true
+}
+
+// run executes phase ph of network n on every lane.
+func (p *workerPool) run(n *Network, ph phase) {
+	p.net, p.ph = n, ph
+	p.release()
+	p.runBlock(0)
+	p.gather()
+}
+
+// runBlock steps goroutine g's contiguous share of the lanes through the
+// open generation's phase.
+func (p *workerPool) runBlock(g int) {
+	n, per := p.net, p.workers+1
+	for li := g * len(n.lanes) / per; li < (g+1)*len(n.lanes)/per; li++ {
+		ln := &n.lanes[li]
+		switch p.ph {
+		case phaseCall:
+			n.laneCall(ln)
+		case phaseRouter:
+			n.phaseA(ln)
+		case phaseLink:
+			n.linkPhaseLane(ln)
+		}
+	}
 }
 
 // release opens the next barrier generation, admitting every worker waiting
@@ -332,21 +421,21 @@ func (p *workerPool) release() {
 	}
 }
 
-// await blocks until generation g opens: a short pure-load spin, then a
-// Gosched-interleaved spin, then park. The sleepers increment is published
-// before the locked gen re-check, so a concurrent release either sees the
-// sleeper or the re-check sees the new gen.
+// await blocks until generation g opens: the spin ladder, then park. The
+// sleepers increment is published before the locked gen re-check, so a
+// concurrent release either sees the sleeper or the re-check sees the new
+// gen.
 //
-//noclint:hotpath root: per-cycle barrier wait on the worker side
+//noclint:hotpath root: per-phase barrier wait on the worker side
 func (p *workerPool) await(g uint64) {
-	for i := 0; i < spinLoads; i++ {
-		if p.gen.Load() >= g {
-			return
+	for r := 0; ; r++ {
+		for i := 0; i < spinLoads; i++ {
+			if p.gen.Load() >= g {
+				return
+			}
 		}
-	}
-	for i := 0; i < spinYields; i++ {
-		if p.gen.Load() >= g {
-			return
+		if r == yieldRounds {
+			break
 		}
 		runtime.Gosched()
 	}
@@ -369,76 +458,63 @@ func (p *workerPool) arrive() {
 	}
 }
 
-// gather blocks until every worker has arrived, then resets the count for
-// the next phase. The reset is safe without further synchronization:
-// workers do not touch arrived again until after the next release.
+// gather blocks until every worker has arrived — the same ladder as await,
+// parking on gcond — then resets the count for the next phase. The reset is
+// safe without further synchronization: workers do not touch arrived again
+// until after the next release.
 //
-//noclint:hotpath root: per-cycle barrier wait on the coordinator side
+//noclint:hotpath root: per-phase barrier wait on the coordinator side
 func (p *workerPool) gather() {
-	w := int64(p.workers)
-	if p.arrived.Load() != w {
-		spun := false
-		for i := 0; i < spinLoads && !spun; i++ {
-			spun = p.arrived.Load() == w
-		}
-		for i := 0; i < spinYields && !spun; i++ {
-			spun = p.arrived.Load() == w
-			runtime.Gosched()
-		}
-		if !spun {
-			p.gmu.Lock()
-			p.gatherParked.Add(1)
-			for p.arrived.Load() != w {
-				p.gcond.Wait()
-			}
-			p.gatherParked.Add(-1)
-			p.gmu.Unlock()
-		}
-	}
+	p.awaitArrivals()
 	p.arrived.Store(0)
 }
 
-func (p *workerPool) worker(n *Network, li int) {
+func (p *workerPool) awaitArrivals() {
+	w := int64(p.workers)
+	for r := 0; ; r++ {
+		for i := 0; i < spinLoads; i++ {
+			if p.arrived.Load() == w {
+				return
+			}
+		}
+		if r == yieldRounds {
+			break
+		}
+		runtime.Gosched()
+	}
+	p.gmu.Lock()
+	p.gatherParked.Add(1)
+	for p.arrived.Load() != w {
+		p.gcond.Wait()
+	}
+	p.gatherParked.Add(-1)
+	p.gmu.Unlock()
+}
+
+// worker is goroutine g's loop: one block of lanes per generation, starting
+// at generation next.
+func (p *workerPool) worker(g int, next uint64) {
 	defer p.wg.Done()
-	ln := &n.lanes[li]
-	var g uint64
-	for {
-		g++
-		p.await(g) // phase A opens
+	for ; ; next++ {
+		p.await(next)
 		if p.stopping.Load() {
 			return
 		}
-		n.phaseA(ln)
-		p.arrive()
-		g++
-		p.await(g) // phase B opens
-		n.linkPhaseLane(ln)
+		p.runBlock(g)
 		p.arrive()
 	}
 }
 
-// stop terminates the worker goroutines. Must be called at a cycle
-// boundary, when every worker is waiting for the next phase-A release.
-func (p *workerPool) stop() {
+// stop terminates the worker goroutines and reports whether any were
+// running. Must be called at a cycle boundary, when every worker is waiting
+// for the next generation.
+func (p *workerPool) stop() bool {
+	if !p.running {
+		return false
+	}
 	p.stopping.Store(true)
 	p.release()
 	p.wg.Wait()
-}
-
-// stepParallel advances one cycle with the lanes on the worker pool:
-// release phase A, run lane 0's share inline, gather; same for phase B;
-// then the serial tail.
-func (n *Network) stepParallel() {
-	if n.pool == nil {
-		n.pool = newWorkerPool(n)
-		n.frec.Record(n.cycle, fleetobs.KindPool, int64(n.pool.workers), 0, 0)
-	}
-	p := n.pool
-	p.release()
-	n.phaseA(&n.lanes[0])
-	p.gather()
-	p.release()
-	n.linkPhaseLane(&n.lanes[0])
-	p.gather()
-	n.finishCycle()
+	p.running = false
+	return true
 }

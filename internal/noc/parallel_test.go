@@ -13,10 +13,10 @@ import (
 )
 
 // forcePool makes sure networks built after this call actually use the
-// worker pool: on a single-P runtime Step inlines the lanes (see poolOK),
-// which would quietly turn every concurrency test in this file into a
-// serial walk. Results are identical either way — this is about what the
-// race detector gets to see.
+// lane workers: a pool built on a single-P runtime has none and Step walks
+// the lanes inline (see workerPool), which would quietly turn every
+// concurrency test in this file into a serial walk. Results are identical
+// either way — this is about what the race detector gets to see.
 func forcePool(t testing.TB) {
 	if runtime.GOMAXPROCS(0) > 1 {
 		return
@@ -159,18 +159,18 @@ func TestParallelKernelClose(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		n.Step()
 	}
-	if n.pool == nil {
+	if !n.pool.running {
 		t.Fatal("parallel stepping did not spawn the pool")
 	}
 	n.Close()
-	if n.pool != nil {
-		t.Fatal("Close left the pool installed")
+	if n.pool.running {
+		t.Fatal("Close left the pool running")
 	}
 	n.Close() // idempotent
 	if !n.Drain(2000) {
 		t.Fatalf("network unusable after Close; %d in flight", n.FlitsInFlight())
 	}
-	if n.pool == nil {
+	if !n.pool.running {
 		t.Fatal("stepping after Close did not respawn the pool")
 	}
 	n.Close()
@@ -207,5 +207,137 @@ func TestEffectiveDomains(t *testing.T) {
 	}
 	if prev != cfg.Width*cfg.Height {
 		t.Fatalf("lanes end at %d, want %d", prev, cfg.Width*cfg.Height)
+	}
+}
+
+// TestLaneCallbackInjectVisibleBeforeStep guards the sharded in-flight
+// tally: Inject parks its flits in a per-lane count until the next serial
+// tail, and everything that reads the fabric between an Inject and a Step —
+// FlitsInFlight, Drain's loop condition, CheckInvariants, the snapshot, the
+// FastForward guard — must see them, at every lane count, on the single
+// network and on both subnets of a Dual.
+func TestLaneCallbackInjectVisibleBeforeStep(t *testing.T) {
+	for _, w := range []int{1, 2, 4, 8} {
+		n := newWorkerNet(t, config.RoutingXY, config.VCSplit, w)
+		cs := attachCollectors(n)
+		want := 0
+		for i, src := range []mesh.NodeID{0, 9, 31, 32, 63} { // both sides of every stripe boundary
+			p := mkPacket(uint64(i+1), packet.ReadReply, src, 63-src, 0)
+			if !n.Inject(p) {
+				t.Fatalf("workers=%d: injection at node %d refused", w, src)
+			}
+			want += p.Flits
+		}
+		if got := n.FlitsInFlight(); got != want {
+			t.Fatalf("workers=%d: FlitsInFlight before any Step = %d, want %d", w, got, want)
+		}
+		if got := n.StateSnapshot().InFlight; got != want {
+			t.Errorf("workers=%d: snapshot InFlight before any Step = %d, want %d", w, got, want)
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Errorf("workers=%d: invariants before any Step: %v", w, err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("workers=%d: FastForward accepted a fabric with queued injections", w)
+				}
+			}()
+			n.FastForward(1)
+		}()
+		if !n.Drain(2000) || n.Cycle() == 0 {
+			t.Fatalf("workers=%d: Drain stepped %d cycles and left %d flits in flight", w, n.Cycle(), n.FlitsInFlight())
+		}
+		delivered := 0
+		for _, c := range cs {
+			delivered += c.flits
+		}
+		if delivered != want {
+			t.Errorf("workers=%d: delivered %d flits, want %d", w, delivered, want)
+		}
+	}
+
+	forcePool(t)
+	cfg := config.Default().NoC
+	cfg.Workers = 4
+	d := NewDual(cfg, routing.MustNew(cfg.Routing))
+	t.Cleanup(d.Close)
+	for i := 0; i < cfg.Width*cfg.Height; i++ {
+		d.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
+	}
+	req, rep := mkPacket(1, packet.ReadRequest, 3, 60, 0), mkPacket(2, packet.ReadReply, 60, 3, 0)
+	if !d.Inject(req) || !d.Inject(rep) {
+		t.Fatal("dual: injection refused")
+	}
+	if got, want := d.FlitsInFlight(), req.Flits+rep.Flits; got != want {
+		t.Fatalf("dual: FlitsInFlight before any Step = %d, want %d", got, want)
+	}
+	if !d.Quiescent(0) {
+		t.Error("dual: queued injections with no movement must read as quiescent at window 0")
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Errorf("dual: invariants before any Step: %v", err)
+	}
+}
+
+// TestLaneCallbackConcurrentInject drives Inject the way the gpu layer does:
+// from RunLanes callbacks, one per lane, concurrently on the lane workers
+// (the race detector watches the per-lane tallies and injection-active
+// sets), every node injecting every cycle. The result must match a serial
+// network fed the same packets from one full-range callback.
+func TestLaneCallbackConcurrentInject(t *testing.T) {
+	const cycles = 300
+	drive := func(n *Network) {
+		nn := n.Mesh().NumNodes()
+		attachCollectors(n)
+		calls := make([]int, nn) // per-node: single writer, the node's lane
+		inject := func(lo, hi int) {
+			for src := lo; src < hi; src++ {
+				calls[src]++
+				dst := (src*7 + int(n.Cycle())) % nn
+				n.Inject(&packet.Packet{
+					ID: uint64(src+1)<<32 | uint64(n.Cycle()), Type: packet.ReadReply,
+					Src: src, Dst: dst, Flits: packet.LongFlits, CreatedAt: n.Cycle(),
+				})
+			}
+		}
+		for c := 0; c < cycles; c++ {
+			before := n.FlitsInFlight()
+			queued := 0
+			for i := range n.inj {
+				queued -= n.inj[i].flits
+			}
+			n.RunLanes(inject)
+			for i := range n.inj {
+				queued += n.inj[i].flits
+			}
+			if got := n.FlitsInFlight(); got != before+queued {
+				t.Fatalf("cycle %d: FlitsInFlight %d after the callbacks queued %d flits on top of %d", c, got, queued, before)
+			}
+			n.Step()
+		}
+		for src, k := range calls {
+			if k != cycles {
+				t.Fatalf("node %d was handed to the callback %d times in %d cycles", src, k, cycles)
+			}
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := newWorkerNet(t, config.RoutingXY, config.VCSplit, 1)
+	drive(base)
+	bs := base.Stats()
+	for _, w := range []int{2, 4, 8} {
+		n := newWorkerNet(t, config.RoutingXY, config.VCSplit, w)
+		drive(n)
+		s := n.Stats()
+		if s.InjectedFlits != bs.InjectedFlits || s.EjectedFlits != bs.EjectedFlits ||
+			s.TotalLatency != bs.TotalLatency || n.FlitsInFlight() != base.FlitsInFlight() {
+			t.Errorf("workers=%d: statistics diverged from the serial network", w)
+		}
+		if !n.Drain(20000) {
+			t.Fatalf("workers=%d failed to drain", w)
+		}
 	}
 }

@@ -166,3 +166,44 @@ func Flitize(p *Packet) []Flit {
 	}
 	return fs
 }
+
+// FIFO is a queue of packets that keeps its backing array. Pop advances a
+// head index instead of re-slicing from the front — q = q[1:] forfeits the
+// consumed capacity, so the next append reallocates — and nils the vacated
+// slot so a consumed packet is not pinned; Push compacts the live tail down
+// only when the array is full. In steady state the queue allocates nothing.
+// The zero value is an empty queue.
+type FIFO struct {
+	pkts []*Packet // live from head
+	head int
+}
+
+// Len returns the number of queued packets.
+func (q *FIFO) Len() int { return len(q.pkts) - q.head }
+
+// Cap returns the capacity of the backing array (the reuse tests watch it).
+func (q *FIFO) Cap() int { return cap(q.pkts) }
+
+// Front returns the oldest packet; the queue must not be empty.
+func (q *FIFO) Front() *Packet { return q.pkts[q.head] }
+
+// Push appends p.
+func (q *FIFO) Push(p *Packet) {
+	if q.head > 0 && len(q.pkts) == cap(q.pkts) {
+		live := copy(q.pkts, q.pkts[q.head:])
+		clear(q.pkts[live:])
+		q.pkts = q.pkts[:live]
+		q.head = 0
+	}
+	q.pkts = append(q.pkts, p)
+}
+
+// Pop removes the oldest packet; the queue must not be empty.
+func (q *FIFO) Pop() {
+	q.pkts[q.head] = nil
+	q.head++
+	if q.head == len(q.pkts) {
+		q.pkts = q.pkts[:0]
+		q.head = 0
+	}
+}

@@ -99,3 +99,43 @@ func TestReplyRequestFlitRatio(t *testing.T) {
 		t.Errorf("reply:request flit ratio = %d:%d, want 2:1", rep, req)
 	}
 }
+
+// TestFIFOKeepsItsBackingArray: a queue that never quite empties — the
+// outbox of a backpressured SM or MC — must hold FIFO order and stop
+// growing once warm; re-slicing from the front instead reallocates on
+// every refill.
+func TestFIFOKeepsItsBackingArray(t *testing.T) {
+	var q FIFO
+	next, want := uint64(0), uint64(1)
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			next++
+			q.Push(&Packet{ID: next})
+		}
+	}
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			if got := q.Front().ID; got != want {
+				t.Fatalf("popped packet %d, want %d", got, want)
+			}
+			q.Pop()
+			want++
+		}
+	}
+	push(5)
+	for i := 0; i < 64; i++ {
+		pop(3)
+		push(3)
+	}
+	warm := q.Cap()
+	allocs := testing.AllocsPerRun(1000, func() {
+		q.Pop()
+		q.Push(nil)
+	})
+	if allocs != 0 || q.Cap() != warm {
+		t.Errorf("steady-state pop+push allocates %.1f times, capacity %d -> %d", allocs, warm, q.Cap())
+	}
+	if q.Len() != 5 {
+		t.Errorf("Len = %d, want 5", q.Len())
+	}
+}

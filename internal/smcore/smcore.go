@@ -76,12 +76,12 @@ type SM struct {
 	icache       *cache.Cache
 	pendingFetch map[uint64][]int // inst line -> waiting warps
 
-	outbox    []*packet.Packet
+	outbox    packet.FIFO
 	outboxCap int
 	greedy    int // GTO: last warp issued from
 
 	gpu    *stats.GPU
-	nextID *uint64 // shared packet id counter
+	nextID *uint64 // this SM's packet id counter (see gpu.New for the id scheme)
 }
 
 // New builds an SM running prof at the given mesh node.
@@ -201,7 +201,7 @@ func (s *SM) fetch(w *warp, wi int, now int64) bool {
 		w.fetchWait = true
 		return false
 	}
-	if len(s.outbox) >= s.outboxCap {
+	if s.outbox.Len() >= s.outboxCap {
 		return false // fetch retries next cycle; warp stays eligible
 	}
 	if s.gpu != nil {
@@ -209,7 +209,7 @@ func (s *SM) fetch(w *warp, wi int, now int64) bool {
 	}
 	p := s.newPacket(packet.ReadRequest, line, wi, now)
 	p.Access.IsInst = true
-	s.outbox = append(s.outbox, p)
+	s.outbox.Push(p)
 	s.pendingFetch[line] = []int{wi}
 	w.fetchWait = true
 	return false
@@ -234,7 +234,7 @@ func (s *SM) eligible(w *warp, now int64) bool {
 // strictly before the returned cycle only increment StallCycles, which
 // FastForward applies in bulk — together they make skipping exact.
 func (s *SM) NextEvent(now int64) int64 {
-	if len(s.outbox) > 0 {
+	if s.outbox.Len() > 0 {
 		return now
 	}
 	h := int64(math.MaxInt64)
@@ -266,8 +266,8 @@ func (s *SM) FastForward(delta int64) {
 func (s *SM) Tick(now int64) {
 	// Drain the write/request outbox into the network first; a full outbox
 	// stalls the memory stage below.
-	for len(s.outbox) > 0 && s.net.Inject(s.outbox[0]) {
-		s.outbox = s.outbox[1:]
+	for s.outbox.Len() > 0 && s.net.Inject(s.outbox.Front()) {
+		s.outbox.Pop()
 	}
 
 	// GTO scheduling: keep issuing from the greedy warp; on stall, switch
@@ -368,7 +368,7 @@ func (s *SM) execute(w *warp, wi int, in workload.Instr, now int64) bool {
 			w.readyAt = now + 1
 			return true
 		case cache.Primary:
-			if len(s.outbox) >= s.outboxCap {
+			if s.outbox.Len() >= s.outboxCap {
 				// Undo the allocation: the request cannot be sent.
 				s.mshr.Fill(line)
 				return false
@@ -379,9 +379,9 @@ func (s *SM) execute(w *warp, wi int, in workload.Instr, now int64) bool {
 			}
 			res := s.l1.Access(in.Addr, false) // install line (fill in flight)
 			if res.Eviction {
-				s.outbox = append(s.outbox, s.newPacket(packet.WriteRequest, res.VictimAddr, wi, now))
+				s.outbox.Push(s.newPacket(packet.WriteRequest, res.VictimAddr, wi, now))
 			}
-			s.outbox = append(s.outbox, s.newPacket(packet.ReadRequest, in.Addr, wi, now))
+			s.outbox.Push(s.newPacket(packet.ReadRequest, in.Addr, wi, now))
 			w.outstanding++
 			w.readyAt = now + 1
 			return true
@@ -389,7 +389,7 @@ func (s *SM) execute(w *warp, wi int, in workload.Instr, now int64) bool {
 		return false
 
 	case workload.Store:
-		if len(s.outbox) >= s.outboxCap {
+		if s.outbox.Len() >= s.outboxCap {
 			return false // write buffer full
 		}
 		res := s.l1.Access(in.Addr, true) // write-allocate, no fetch
@@ -404,7 +404,7 @@ func (s *SM) execute(w *warp, wi int, in workload.Instr, now int64) bool {
 			if s.gpu != nil {
 				s.gpu.MemRequests++
 			}
-			s.outbox = append(s.outbox, s.newPacket(packet.WriteRequest, res.VictimAddr, wi, now))
+			s.outbox.Push(s.newPacket(packet.WriteRequest, res.VictimAddr, wi, now))
 		}
 		w.readyAt = now + 1
 		return true
