@@ -203,6 +203,10 @@ var safetyCheck func(Config) error
 // validation from Validate alone.
 func RegisterSafetyCheck(f func(Config) error) { safetyCheck = f }
 
+// maxVCsPerPort is the router's VC limit: internal/noc keeps one bit per
+// input VC of a router's five ports in a single 64-bit word.
+const maxVCsPerPort = 12
+
 // Validate checks internal consistency; every entry point (CLIs, sweep
 // jobs, JSON files, simulator construction) calls it so configuration bugs
 // fail fast with a clear message. Beyond structural checks it runs the
@@ -214,6 +218,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: mesh %dx%d too small", n.Width, n.Height)
 	case n.VCsPerPort < 1:
 		return errors.New("config: need at least 1 VC per port")
+	case n.VCsPerPort > maxVCsPerPort:
+		return fmt.Errorf("config: %d VCs per port exceed %d: the router tracks its 5 ports x V input VCs in one 64-bit request mask",
+			n.VCsPerPort, maxVCsPerPort)
 	case n.VCDepth < 1:
 		return errors.New("config: need VC depth >= 1")
 	case n.InjectionFlitsPerCycle < 1:

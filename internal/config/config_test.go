@@ -47,6 +47,7 @@ func TestValidateRejections(t *testing.T) {
 	mutations := map[string]func(*Config){
 		"tiny mesh":             func(c *Config) { c.NoC.Width = 1 },
 		"zero VCs":              func(c *Config) { c.NoC.VCsPerPort = 0 },
+		"too many VCs":          func(c *Config) { c.NoC.VCsPerPort = 13; c.NoC.VCPolicy = VCShared; c.AllowUnsafe = true },
 		"zero depth":            func(c *Config) { c.NoC.VCDepth = 0 },
 		"bad routing":           func(c *Config) { c.NoC.Routing = "zigzag" },
 		"bad policy":            func(c *Config) { c.NoC.VCPolicy = "magic" },

@@ -103,7 +103,7 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.placement, "placement", string(d.Placement), "MC placement: bottom, top, edge, top-bottom, diamond")
 	fs.StringVar(&f.routing, "routing", string(d.NoC.Routing), "routing algorithm: xy, yx, xy-yx")
 	fs.StringVar(&f.vcpolicy, "vcpolicy", string(d.NoC.VCPolicy), "VC policy: split, asymmetric, monopolized, partial, shared")
-	fs.IntVar(&f.vcs, "vcs", d.NoC.VCsPerPort, "virtual channels per port")
+	fs.IntVar(&f.vcs, "vcs", d.NoC.VCsPerPort, "virtual channels per port, 1-12")
 	fs.IntVar(&f.depth, "depth", d.NoC.VCDepth, "VC buffer depth in flits")
 	fs.IntVar(&f.reqvcs, "reqvcs", d.NoC.AsymmetricRequestVCs, "request VCs under the asymmetric policy")
 	fs.IntVar(&f.cycles, "cycles", d.MeasureCycles, "measurement cycles")

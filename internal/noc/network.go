@@ -240,6 +240,11 @@ func WithInjectionQueue(flits int) Option {
 // against the placement via the core package when safety matters;
 // deliberately unsafe configurations are allowed (and will deadlock).
 func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option) *Network {
+	if cfg.VCsPerPort > maxVCs {
+		// config.Validate rejects this; the synthetic harness and tests
+		// reach New without it.
+		panic(fmt.Sprintf("noc: 5·V input VCs exceed the 64-bit request masks (VCsPerPort %d > %d)", cfg.VCsPerPort, maxVCs))
+	}
 	m := mesh.New(cfg.Width, cfg.Height)
 	nn := m.NumNodes()
 	n := &Network{
@@ -613,6 +618,7 @@ func (n *Network) injectNode(ln *lane, id int) {
 		return
 	}
 	rt := &n.routers[id]
+	localBase := int(mesh.Local) * n.vcs
 	for budget := n.injRate; budget > 0 && !q.empty(); {
 		p := q.Front()
 		if q.sent == 0 {
@@ -640,10 +646,7 @@ func (n *Network) injectNode(ln *lane, id int) {
 		ivc := &rt.in[mesh.Local][q.vc]
 		for budget > 0 && q.sent < p.Flits && ivc.buf.free() > 0 {
 			f := packet.Flit{Pkt: p, Seq: q.sent, Head: q.sent == 0, Tail: q.sent == p.Flits-1}
-			ivc.buf.push(f, n.cycle)
-			rt.bufFlits++
-			rt.portFlits[mesh.Local]++
-			n.wake(rt.id)
+			n.enqueue(rt, localBase+q.vc, f)
 			q.sent++
 			q.flits--
 			budget--
@@ -680,9 +683,9 @@ func (n *Network) linkPhase(ln *lane, rt *router) {
 			continue
 		}
 		if dn := int(op.downNode); dn >= ln.lo && dn < ln.hi {
-			n.deliver(rt, op)
+			n.deliver(op)
 		} else {
-			ln.outbox = append(ln.outbox, delivery{rt: rt, op: op}) //noclint:hotpath amortized: outbox keeps its backing array across the serial tail's [:0] reset
+			ln.outbox = append(ln.outbox, op) //noclint:hotpath amortized: outbox keeps its backing array across the serial tail's [:0] reset
 		}
 	}
 }
@@ -690,14 +693,10 @@ func (n *Network) linkPhase(ln *lane, rt *router) {
 // deliver commits one link traversal: the flit in op's register arrives at
 // the downstream input buffer, the register frees, and the downstream
 // router wakes.
-func (n *Network) deliver(rt *router, op *outPort) {
-	down := &n.routers[op.downNode]
-	down.in[op.downPort][op.regVC].buf.push(op.reg, n.cycle)
-	down.bufFlits++
-	down.portFlits[op.downPort]++
-	n.wake(op.downNode)
+func (n *Network) deliver(op *outPort) {
+	n.enqueue(&n.routers[op.downNode], int(op.downPort)*n.vcs+op.regVC, op.reg)
 	op.regValid = false
-	rt.regCount--
+	op.rt.regCount--
 }
 
 // finishCycle is the serial tail of every step: with all lanes' phases done
@@ -715,8 +714,8 @@ func (n *Network) deliver(rt *router, op *outPort) {
 func (n *Network) finishCycle() {
 	for li := range n.lanes {
 		ln := &n.lanes[li]
-		for _, dv := range ln.outbox {
-			n.deliver(dv.rt, dv.op)
+		for _, op := range ln.outbox {
+			n.deliver(op)
 		}
 		ln.outbox = ln.outbox[:0]
 	}
@@ -724,10 +723,18 @@ func (n *Network) finishCycle() {
 		ln := &n.lanes[li]
 		for _, op := range ln.creditDirty {
 			for v, pend := range op.pending {
-				if pend != 0 {
-					op.credits[v] += pend
-					op.pending[v] = 0
+				if pend == 0 {
+					continue
 				}
+				if op.credits[v] == 0 && op.owner[v] != noOwner {
+					// The VC's holder can send again. This writes the mask
+					// of the router owning op from whichever lane returned
+					// the credit, which is safe only here: the serial tail
+					// runs with every lane parked.
+					op.rt.credOK |= 1 << op.owner[v]
+				}
+				op.credits[v] += pend
+				op.pending[v] = 0
 			}
 			op.dirty = false
 		}
@@ -904,30 +911,49 @@ func (n *Network) Drain(maxCycles int) bool {
 
 // CheckInvariants validates internal consistency; tests call it after
 // stepping and the gpu sanitizer samples it during runs. It recounts, from
-// buffer state alone: credit accounting per (output port, VC) — now against
-// the per-port pending tally, not a scan of a credit event list — flit
-// conservation, every router's redundant occupancy counters, and the
+// buffer and per-VC routing state alone: credit accounting per (output port,
+// VC) against the per-port pending tally, flit conservation, every router's
+// occupancy counters, request masks and pipeline-gate stamps, and the
 // active-set invariant (any router or node holding work must be scheduled).
 func (n *Network) CheckInvariants() error {
 	count := 0
 	for i := range n.routers {
 		rt := &n.routers[i]
-		bufFlits, regCount, vaReq := 0, 0, 0
-		var portFlits, demand [mesh.NumPorts]int
-		for p := 0; p < mesh.NumPorts; p++ {
-			for v := range rt.in[p] {
-				ivc := &rt.in[p][v]
-				occ := ivc.buf.len()
+		bufFlits, regCount := 0, 0
+		var want reqMasks // what the per-VC state says the masks should read
+		for idx := range rt.vcs {
+			ivc := &rt.vcs[idx]
+			bit := uint64(1) << idx
+			if occ := ivc.buf.len(); occ > 0 {
 				count += occ
 				bufFlits += occ
-				portFlits[p] += occ
-				if ivc.routed {
-					demand[ivc.route]++
-					if ivc.route != mesh.Local && ivc.outVC == -1 {
-						vaReq++
-					}
+				want.occ |= bit
+				if ready := ivc.buf.frontArrived() + n.pipeDelay; ivc.readyAt != ready {
+					return fmt.Errorf("noc: pipeline gate at %v input VC %d: readyAt %d, front flit is ready at %d",
+						rt.coord, idx, ivc.readyAt, ready)
 				}
 			}
+			if !ivc.routed {
+				continue
+			}
+			want.rcDone |= bit
+			want.want[ivc.route] |= bit
+			switch {
+			case ivc.route == mesh.Local:
+				want.credOK |= bit
+			case ivc.outVC == -1:
+				// VA trusts that a requester still has its head at the front.
+				if ivc.buf.len() == 0 || !ivc.buf.front().flit.Head || ivc.buf.front().flit.Pkt.Class() != ivc.cls {
+					return fmt.Errorf("noc: input VC %d at %v awaits an output VC without a class-%s head at its front", idx, rt.coord, ivc.cls)
+				}
+				want.vaWait[ivc.route][ivc.cls] |= bit
+			case rt.out[ivc.route].credits[ivc.outVC] > 0:
+				want.credOK |= bit
+			}
+		}
+		if rt.reqMasks != want {
+			name, got, exp := rt.reqMasks.firstDiff(&want)
+			return fmt.Errorf("noc: request mask %s at %v: %#x, per-VC state says %#x", name, rt.coord, got, exp)
 		}
 		for d := mesh.North; d < mesh.Local; d++ {
 			op := &rt.out[d]
@@ -955,10 +981,6 @@ func (n *Network) CheckInvariants() error {
 		if bufFlits != rt.bufFlits || regCount != rt.regCount {
 			return fmt.Errorf("noc: occupancy counters at %v: bufFlits %d (counted %d), regCount %d (counted %d)",
 				rt.coord, rt.bufFlits, bufFlits, rt.regCount, regCount)
-		}
-		if portFlits != rt.portFlits || demand != rt.demand || vaReq != rt.vaReq {
-			return fmt.Errorf("noc: scheduling counters at %v: portFlits %v (counted %v), demand %v (counted %v), vaReq %d (counted %d)",
-				rt.coord, rt.portFlits, portFlits, rt.demand, demand, rt.vaReq, vaReq)
 		}
 		if (bufFlits > 0 || regCount > 0) && !n.activeIn[i] {
 			return fmt.Errorf("noc: active-set invariant broken: router %v holds work (%d flits, %d regs) but is not scheduled",

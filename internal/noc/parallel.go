@@ -66,13 +66,6 @@ import (
 	"gpgpunoc/internal/stats"
 )
 
-// delivery is one deferred cross-domain link traversal: the flit sits in
-// op's link register until the serial tail commits it downstream.
-type delivery struct {
-	rt *router
-	op *outPort
-}
-
 // lane is one spatial domain of the cycle kernel: the routers and nodes
 // with IDs in [lo, hi), their active sets, and every per-domain accumulator
 // that would otherwise be shared across workers. A single lane spanning the
@@ -97,8 +90,10 @@ type lane struct {
 	// tail drains lanes in order.
 	creditDirty []*outPort
 
-	// outbox defers link deliveries that cross the lane boundary.
-	outbox []delivery
+	// outbox defers link deliveries that cross the lane boundary: each flit
+	// sits in its port's link register until the serial tail commits it
+	// downstream.
+	outbox []*outPort
 
 	// stats is the lane's private shard of order-sensitive accumulators
 	// (injection/ejection counts, latency samplers); Network.Stats folds

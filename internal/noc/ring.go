@@ -51,7 +51,7 @@ func (r *ring) push(f packet.Flit, cycle int64) {
 // front returns the oldest buffered flit without copying it; the pointer is
 // valid until the next push or pop.
 //
-//noclint:hotpath root: VC ring peek, inside the allocation scans
+//noclint:hotpath root: VC ring peek, at RC, the VA grant and ejection
 func (r *ring) front() *bufFlit {
 	if r.n == 0 {
 		panic("noc: front of empty VC buffer")
@@ -59,10 +59,11 @@ func (r *ring) front() *bufFlit {
 	return &r.buf[r.head]
 }
 
-// frontArrived returns the arrival cycle of the oldest buffered flit; the
-// pipeline-delay check in sendable needs only this field.
+// frontArrived returns the arrival cycle of the oldest buffered flit, from
+// which the router stamps the VC's pipeline gate when a pop exposes a new
+// front.
 //
-//noclint:hotpath root: VC ring peek, inside the pipeline-delay gate
+//noclint:hotpath root: VC ring peek, once per flit moved through the switch
 func (r *ring) frontArrived() int64 {
 	if r.n == 0 {
 		panic("noc: front of empty VC buffer")

@@ -1,6 +1,9 @@
 package noc
 
 import (
+	"fmt"
+	"math/bits"
+
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
@@ -11,11 +14,12 @@ import (
 // routing state lives here: wormhole switching routes per packet, and flits
 // of at most one packet are in flight through the switch from a VC at a time.
 type inputVC struct {
-	buf    ring
-	routed bool           // front packet's route computed
-	route  mesh.Direction // output port of the front packet
-	cls    packet.Class   // front packet's class, cached at route compute
-	outVC  int            // allocated downstream VC, -1 if none
+	buf     ring
+	readyAt int64          // front flit's arrival + pipeline delay; meaningful while buf is non-empty
+	routed  bool           // front packet's route computed
+	route   mesh.Direction // output port of the front packet
+	cls     packet.Class   // front packet's class, cached at route compute
+	outVC   int            // allocated downstream VC, -1 if none
 }
 
 const noOwner = -1
@@ -24,6 +28,7 @@ const noOwner = -1
 // VC ownership table, and the single-flit link register feeding the
 // downstream router.
 type outPort struct {
+	rt       *router // the router this port belongs to
 	exists   bool
 	downNode mesh.NodeID    // downstream router
 	downPort mesh.Direction // input port at the downstream router
@@ -46,55 +51,90 @@ type outPort struct {
 // route computation, separable round-robin VC and switch allocation, and
 // credit-based flow control.
 //
-// The occupancy counters (bufFlits, portFlits, regCount, demand, vaReq) are
-// redundant summaries of buffer and pipeline state, maintained at every
-// push/pop/grant site. They exist so the cycle kernel can skip provably idle
-// work: an empty port never enters the allocation scans, an undemanded
-// output never arbitrates, and a router with bufFlits == 0 and
-// regCount == 0 drops out of the active set entirely. CheckInvariants
-// recounts all of them from first principles.
+// The allocators never scan input VCs. Each router keeps request masks — one
+// word each, bit p·V+v for input VC (p, v) — that summarize the per-VC state
+// and are updated at the few sites that change it (buffer push and pop, RC,
+// the VA grant, credit decrement and return, tail release); RC, VA, SA and
+// the stall attribution walk set bits with math/bits, so a router whose
+// every VC is blocked costs a handful of mask tests. The masks, like the
+// occupancy counters (bufFlits, regCount: a router with both zero drops out
+// of the active set), are redundant: CheckInvariants recounts all of them
+// from the per-VC state.
 type router struct {
 	id    mesh.NodeID
 	coord mesh.Coord
 
-	in  [mesh.NumPorts][]inputVC
+	in  [mesh.NumPorts][]inputVC // per port; slices of vcs
+	vcs []inputVC                // all input VCs, indexed p·V+v like the masks
 	out [mesh.NumPorts]outPort
 
-	bufFlits  int                     // flits buffered across all input VCs
-	portFlits [mesh.NumPorts]int      // flits buffered per input port
-	regCount  int                     // occupied output link registers
-	demand    [mesh.NumPorts]int      // routed input VCs targeting each output
-	vaReq     int                     // routed non-local input VCs awaiting an output VC
-	upstream  [mesh.NumPorts]*outPort // output port feeding each input port (nil for Local)
+	bufFlits int                     // flits buffered across all input VCs
+	regCount int                     // occupied output link registers
+	upstream [mesh.NumPorts]*outPort // output port feeding each input port (nil for Local)
+
+	reqMasks
 
 	// Round-robin pointers for fair, deterministic arbitration.
 	vaPtr   [mesh.NumPorts]int // per output port, over input (port*V+vc)
 	saVCPtr [mesh.NumPorts]int // per input port, over its VCs
 	saPtr   [mesh.NumPorts]int // per output port, over input ports
+}
 
-	// reqScratch collects VA requesters per output direction each cycle,
-	// avoiding a full input scan per output VC.
-	reqScratch [mesh.NumLinkDirs][]int
+// reqMasks are a router's request masks. Bit i of each mask stands for input
+// VC i = p·V+v, and is set when that VC ...
+type reqMasks struct {
+	occ    uint64                                      // holds at least one flit
+	rcDone uint64                                      // has its front packet routed (inputVC.routed)
+	credOK uint64                                      // is routed to Local, or holds an output VC with a downstream credit
+	want   [mesh.NumPorts]uint64                       // is routed to output d
+	vaWait [mesh.NumLinkDirs][packet.NumClasses]uint64 // is routed to link output d, class c, and holds no output VC yet
+}
+
+// maxVCs is the largest VC count whose 5·V input VCs fit one mask word.
+const maxVCs = 64 / mesh.NumPorts
+
+// firstDiff names the first mask on which m and o disagree, with both
+// values.
+func (m *reqMasks) firstDiff(o *reqMasks) (name string, a, b uint64) {
+	switch {
+	case m.occ != o.occ:
+		return "occ", m.occ, o.occ
+	case m.rcDone != o.rcDone:
+		return "rcDone", m.rcDone, o.rcDone
+	case m.credOK != o.credOK:
+		return "credOK", m.credOK, o.credOK
+	}
+	for d := range m.want {
+		if m.want[d] != o.want[d] {
+			return fmt.Sprintf("want[%s]", mesh.Direction(d)), m.want[d], o.want[d]
+		}
+	}
+	for d := range m.vaWait {
+		for c := range m.vaWait[d] {
+			if m.vaWait[d][c] != o.vaWait[d][c] {
+				return fmt.Sprintf("vaWait[%s][%s]", mesh.Direction(d), packet.Class(c)), m.vaWait[d][c], o.vaWait[d][c]
+			}
+		}
+	}
+	return "", 0, 0
 }
 
 // routerArena backs every router's per-VC state — input-VC descriptors,
-// ring-buffer storage, credit/pending/owner tables, VA scratch — with a
-// handful of contiguous allocations carved in router-ID order. Domains are
-// contiguous ID ranges, so each worker's hot state is one dense block
-// instead of thousands of individually allocated slices.
+// ring-buffer storage, credit/pending/owner tables — with a handful of
+// contiguous allocations carved in router-ID order. Domains are contiguous
+// ID ranges, so each worker's hot state is one dense block instead of
+// thousands of individually allocated slices.
 type routerArena struct {
-	vcs     []inputVC
-	flits   []bufFlit
-	ints    []int
-	scratch []int
+	vcs   []inputVC
+	flits []bufFlit
+	ints  []int
 }
 
 func newRouterArena(nodes, vcs, depth int) *routerArena {
 	return &routerArena{
-		vcs:     make([]inputVC, nodes*mesh.NumPorts*vcs),
-		flits:   make([]bufFlit, nodes*mesh.NumPorts*vcs*depth),
-		ints:    make([]int, nodes*mesh.NumLinkDirs*vcs*3),
-		scratch: make([]int, nodes*mesh.NumLinkDirs*mesh.NumPorts*vcs),
+		vcs:   make([]inputVC, nodes*mesh.NumPorts*vcs),
+		flits: make([]bufFlit, nodes*mesh.NumPorts*vcs*depth),
+		ints:  make([]int, nodes*mesh.NumLinkDirs*vcs*3),
 	}
 }
 
@@ -116,20 +156,15 @@ func (a *routerArena) takeInts(k int) []int {
 	return s
 }
 
-func (a *routerArena) takeScratch(k int) []int {
-	s := a.scratch[:0:k]
-	a.scratch = a.scratch[k:]
-	return s
-}
-
 func (rt *router) init(id mesh.NodeID, m mesh.Mesh, vcs, depth int, ar *routerArena) {
 	rt.id = id
 	rt.coord = m.Coord(id)
+	rt.vcs = ar.takeVCs(mesh.NumPorts * vcs)
+	for i := range rt.vcs {
+		rt.vcs[i] = inputVC{buf: newRingFrom(ar.takeFlits(depth)), outVC: -1}
+	}
 	for p := 0; p < mesh.NumPorts; p++ {
-		rt.in[p] = ar.takeVCs(vcs)
-		for v := range rt.in[p] {
-			rt.in[p][v] = inputVC{buf: newRingFrom(ar.takeFlits(depth)), outVC: -1}
-		}
+		rt.in[p] = rt.vcs[p*vcs : (p+1)*vcs : (p+1)*vcs]
 	}
 	for d := mesh.North; d < mesh.Local; d++ {
 		n, ok := m.Neighbor(rt.coord, d)
@@ -137,6 +172,7 @@ func (rt *router) init(id mesh.NodeID, m mesh.Mesh, vcs, depth int, ar *routerAr
 			continue
 		}
 		op := &rt.out[d]
+		op.rt = rt
 		op.exists = true
 		op.downNode = m.ID(n)
 		op.downPort = d.Opposite()
@@ -151,216 +187,188 @@ func (rt *router) init(id mesh.NodeID, m mesh.Mesh, vcs, depth int, ar *routerAr
 	}
 	// The local output port ejects to the attached node; it has no VCs or
 	// credits — the node's sink callback provides backpressure.
-	rt.out[mesh.Local] = outPort{exists: true, downNode: id, downPort: mesh.Local, orient: mesh.LocalPort}
-	for d := range rt.reqScratch {
-		rt.reqScratch[d] = ar.takeScratch(mesh.NumPorts * vcs)
+	rt.out[mesh.Local] = outPort{rt: rt, exists: true, downNode: id, downPort: mesh.Local, orient: mesh.LocalPort}
+}
+
+// enqueue buffers f at input VC i of rt and wakes the router: the one push
+// path, shared by injection and link delivery. A flit entering an empty
+// buffer becomes the front, so it sets occ and stamps the pipeline gate.
+func (n *Network) enqueue(rt *router, i int, f packet.Flit) {
+	ivc := &rt.vcs[i]
+	ivc.buf.push(f, n.cycle)
+	if ivc.buf.n == 1 {
+		rt.occ |= 1 << i
+		ivc.readyAt = n.cycle + n.pipeDelay
 	}
+	rt.bufFlits++
+	n.wake(rt.id)
 }
 
 // routeCompute runs RC for every input VC whose front flit is an unrouted
-// head.
+// head: the occupied VCs with no route yet.
 func (n *Network) routeCompute(rt *router) {
-	for p := 0; p < mesh.NumPorts; p++ {
-		if rt.portFlits[p] == 0 {
-			continue
+	for m := rt.occ &^ rt.rcDone; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		ivc := &rt.vcs[i]
+		f := &ivc.buf.front().flit
+		if !f.Head {
+			// A body flit at the front of an unrouted VC means the
+			// head already left and released state — impossible under
+			// wormhole discipline.
+			panic("noc: body flit at front of unrouted VC")
 		}
-		for v := range rt.in[p] {
-			ivc := &rt.in[p][v]
-			if ivc.routed || ivc.buf.len() == 0 {
-				continue
-			}
-			f := &ivc.buf.front().flit
-			if !f.Head {
-				// A body flit at the front of an unrouted VC means the
-				// head already left and released state — impossible under
-				// wormhole discipline.
-				panic("noc: body flit at front of unrouted VC")
-			}
-			cls := f.Pkt.Class()
-			if tab := n.routeTab[cls]; tab != nil {
-				ivc.route = mesh.Direction(tab[int(rt.id)*n.numNodes+int(f.Pkt.Dst)])
-			} else {
-				//noclint:laneowner read-only: routing algorithms are pure functions of (coord, dest, class)
-				ivc.route = n.alg.NextHop(rt.coord, n.m.Coord(mesh.NodeID(f.Pkt.Dst)), cls)
-			}
-			ivc.cls = cls
-			ivc.routed = true
-			rt.demand[ivc.route]++
-			if ivc.route != mesh.Local {
-				rt.vaReq++
-			}
+		cls := f.Pkt.Class()
+		if tab := n.routeTab[cls]; tab != nil {
+			ivc.route = mesh.Direction(tab[int(rt.id)*n.numNodes+int(f.Pkt.Dst)])
+		} else {
+			//noclint:laneowner read-only: routing algorithms are pure functions of (coord, dest, class)
+			ivc.route = n.alg.NextHop(rt.coord, n.m.Coord(mesh.NodeID(f.Pkt.Dst)), cls)
+		}
+		ivc.cls = cls
+		ivc.routed = true
+		bit := uint64(1) << i
+		rt.rcDone |= bit
+		rt.want[ivc.route] |= bit
+		if ivc.route == mesh.Local {
+			rt.credOK |= bit // ejection needs no output VC; the sink has the final say
+		} else {
+			rt.vaWait[ivc.route][cls] |= bit
 		}
 	}
 }
 
 // vcAllocate runs separable VC allocation: each free output VC is granted to
 // at most one requesting input VC whose policy range admits it, in
-// round-robin order over inputs.
+// round-robin order over inputs — the first requester at or after the
+// output's pointer, wrapping. A requester granted this cycle has left
+// vaWait, so it cannot win a second VC.
 func (n *Network) vcAllocate(rt *router) {
-	if rt.vaReq == 0 {
-		return
-	}
-	V := n.vcs
-	total := mesh.NumPorts * V
-	// Gather requesters once: input VCs whose front flit is a routed head
-	// awaiting an output VC.
-	for d := range rt.reqScratch {
-		rt.reqScratch[d] = rt.reqScratch[d][:0]
-	}
-	for p := 0; p < mesh.NumPorts; p++ {
-		if rt.portFlits[p] == 0 {
-			continue
-		}
-		for v := 0; v < V; v++ {
-			ivc := &rt.in[p][v]
-			if !ivc.routed || ivc.outVC != -1 || ivc.route == mesh.Local || ivc.buf.len() == 0 {
-				continue
-			}
-			if !ivc.buf.front().flit.Head {
-				continue
-			}
-			// Pack (input index, class) into one word so the grant scan
-			// below needs no division or buffer access per requester.
-			rt.reqScratch[ivc.route] = append(rt.reqScratch[ivc.route], (p*V+v)<<1|int(ivc.cls)) //noclint:hotpath amortized: scratch is arena-backed with capacity for every (port, VC) pair
-		}
-	}
 	for d := mesh.North; d < mesh.Local; d++ {
-		op := &rt.out[d]
-		reqs := rt.reqScratch[d]
-		if !op.exists || len(reqs) == 0 {
-			continue
-		}
-		for ovc := 0; ovc < V; ovc++ {
-			if op.owner[ovc] != noOwner {
-				continue
-			}
-			// Grant to the eligible requester closest after the round-robin
-			// pointer.
-			bestK, bestDist := -1, total+1
-			for k, code := range reqs {
-				if code < 0 {
-					continue
-				}
-				if !op.rng[packet.Class(code&1)].Contains(ovc) {
-					continue
-				}
-				dist := code>>1 - rt.vaPtr[d]
-				if dist < 0 {
-					dist += total
-				}
-				if dist < bestDist {
-					bestK, bestDist = k, dist
-				}
-			}
-			if bestK < 0 {
-				continue
-			}
-			idx := reqs[bestK] >> 1
-			op.owner[ovc] = idx
-			rt.in[idx/V][idx%V].outVC = ovc
-			rt.vaReq--
-			if n.spans != nil {
-				if pkt := rt.in[idx/V][idx%V].buf.front().flit.Pkt; pkt.Sampled {
-					//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
-					n.spans.VCGrant(pkt, int(rt.id), int(op.downNode), ovc, n.cycle)
-				}
-			}
-			reqs[bestK] = -1 // granted; no second VC this cycle
-			rt.vaPtr[d] = idx + 1
-			if rt.vaPtr[d] == total {
-				rt.vaPtr[d] = 0
-			}
-		}
-	}
-}
-
-// The requester packing above keeps the class in the low bit; this fails to
-// compile if the class space ever outgrows it.
-var _ [2 - packet.NumClasses]struct{}
-
-// switchAllocateAndTraverse runs SA and ST: each output port grants at most
-// one flit per cycle, each input port sends at most one flit per cycle, and
-// arbitration is round-robin over (input port, VC) pairs. A sink refusal
-// (full MC queue) does not mask other candidates — the scan continues with
-// the remaining VCs and ports, which is essential to avoid artificial
-// wedging when an ejection-blocked packet shares a port with through
-// traffic.
-//
-// Output ports with no routed demand and input ports with no buffered flits
-// are skipped outright; both gates eliminate only scans that could not have
-// granted anything, so arbitration order is unchanged.
-func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
-	V := n.vcs
-	var usedInput [mesh.NumPorts]bool
-	var movedVC [mesh.NumPorts]int
-	for p := range movedVC {
-		movedVC[p] = -1
-	}
-	for d := mesh.Direction(0); d < mesh.NumPorts; d++ {
-		if rt.demand[d] == 0 {
+		wait := &rt.vaWait[d]
+		if wait[packet.Request]|wait[packet.Reply] == 0 {
 			continue
 		}
 		op := &rt.out[d]
 		if !op.exists {
 			continue
 		}
-		local := d == mesh.Local
-		if !local && op.regValid {
-			continue
-		}
-	grant:
-		for k := 0; k < mesh.NumPorts; k++ {
-			p := rt.saPtr[d] + k
-			if p >= mesh.NumPorts {
-				p -= mesh.NumPorts
-			}
-			if usedInput[p] || rt.portFlits[p] == 0 {
+		for ovc, owner := range op.owner {
+			if owner != noOwner {
 				continue
 			}
-			vcs := rt.in[p]
-			for j := 0; j < V; j++ {
-				v := rt.saVCPtr[p] + j
-				if v >= V {
-					v -= V
-				}
-				// Sendability, ignoring switch contention (which this scan
-				// resolves): a routed front flit past the pipeline delay,
-				// holding an output VC with a downstream credit — or, for
-				// ejection, a present sink; the final say then belongs to
-				// the sink at traversal time.
-				ivc := &vcs[v]
-				if ivc.buf.n == 0 || !ivc.routed || ivc.route != d {
+			var elig uint64
+			if op.rng[packet.Request].Contains(ovc) {
+				elig = wait[packet.Request]
+			}
+			if op.rng[packet.Reply].Contains(ovc) {
+				elig |= wait[packet.Reply]
+			}
+			if elig == 0 {
+				continue
+			}
+			idx := bits.TrailingZeros64(elig)
+			if after := elig >> rt.vaPtr[d] << rt.vaPtr[d]; after != 0 {
+				idx = bits.TrailingZeros64(after)
+			}
+			ivc := &rt.vcs[idx]
+			front := &ivc.buf.front().flit
+			if !front.Head {
+				// routed with no output VC means the head has not left.
+				panic("noc: VC allocation request from a VC with no head at its front")
+			}
+			op.owner[ovc] = idx
+			ivc.outVC = ovc
+			bit := uint64(1) << idx
+			wait[ivc.cls] &^= bit
+			if op.credits[ovc] > 0 {
+				rt.credOK |= bit
+			}
+			if n.spans != nil && front.Pkt.Sampled {
+				//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
+				n.spans.VCGrant(front.Pkt, int(rt.id), int(op.downNode), ovc, n.cycle)
+			}
+			rt.vaPtr[d] = idx + 1
+			if rt.vaPtr[d] == len(rt.vcs) {
+				rt.vaPtr[d] = 0
+			}
+		}
+	}
+}
+
+// switchAllocateAndTraverse runs SA and ST: each output port grants at most
+// one flit per cycle, each input port sends at most one flit per cycle, and
+// arbitration is round-robin over (input port, VC) pairs: outputs in port
+// order, input ports from the output's pointer, a port's VCs from the port's
+// pointer. A sink refusal (full MC queue) does not mask other candidates —
+// the walk continues with the remaining VCs and ports, which is essential to
+// avoid artificial wedging when an ejection-blocked packet shares a port
+// with through traffic.
+//
+// The candidates for an output are the VCs that are sendable ignoring switch
+// contention (which this walk resolves) and the pipeline delay (checked per
+// candidate): a buffered flit routed there, holding an output VC with a
+// downstream credit — or, for ejection, a present sink; the final say then
+// belongs to the sink at traversal time. A traversal changes the masks only
+// at the VC that moved, whose whole port is then out of the running, so one
+// snapshot of occ & credOK serves every output.
+func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
+	var moved uint64 // the VCs that sent a flit this cycle
+	if ready := rt.occ & rt.credOK; ready != 0 {
+		V := n.vcs
+		vmask := uint64(1)<<V - 1
+		for d := mesh.Direction(0); d < mesh.NumPorts; d++ {
+			cand := rt.want[d] & ready
+			if cand == 0 {
+				continue
+			}
+			if d == mesh.Local {
+				if n.sinks[rt.id] == nil {
 					continue
 				}
-				if n.cycle < ivc.buf.buf[ivc.buf.head].arrived+n.pipeDelay {
-					continue // still in the first pipeline stage
+			} else if rt.out[d].regValid {
+				continue
+			}
+		grant:
+			for k := 0; k < mesh.NumPorts; k++ {
+				p := rt.saPtr[d] + k
+				if p >= mesh.NumPorts {
+					p -= mesh.NumPorts
 				}
-				if local {
-					if n.sinks[rt.id] == nil {
-						continue
+				slice := cand >> (p * V) & vmask
+				if slice == 0 {
+					continue
+				}
+				// Rotate the port's slice so bit 0 is the VC under the
+				// pointer; set bits then come up in round-robin order.
+				ptr := rt.saVCPtr[p]
+				for rot := (slice>>ptr | slice<<(V-ptr)) & vmask; rot != 0; rot &= rot - 1 {
+					v := ptr + bits.TrailingZeros64(rot)
+					if v >= V {
+						v -= V
 					}
-				} else if ivc.outVC == -1 || op.credits[ivc.outVC] == 0 {
-					continue
+					if n.cycle < rt.in[p][v].readyAt {
+						continue // still in the first pipeline stage
+					}
+					if !n.traverse(ln, rt, p, v, d) {
+						continue // sink refused this packet; try the next VC
+					}
+					ready &^= vmask << (p * V) // one flit per input port per cycle
+					moved |= 1 << (p*V + v)
+					rt.saPtr[d] = p + 1
+					if rt.saPtr[d] == mesh.NumPorts {
+						rt.saPtr[d] = 0
+					}
+					rt.saVCPtr[p] = v + 1
+					if rt.saVCPtr[p] == V {
+						rt.saVCPtr[p] = 0
+					}
+					break grant
 				}
-				if !n.traverse(ln, rt, p, v, d) {
-					continue // sink refused this packet; try the next VC
-				}
-				usedInput[p] = true
-				movedVC[p] = v
-				rt.saPtr[d] = p + 1
-				if rt.saPtr[d] == mesh.NumPorts {
-					rt.saPtr[d] = 0
-				}
-				rt.saVCPtr[p] = v + 1
-				if rt.saVCPtr[p] == V {
-					rt.saVCPtr[p] = 0
-				}
-				break grant
 			}
 		}
 	}
 	if n.tel != nil || n.spans != nil {
-		n.countStalls(ln, rt, &movedVC)
+		n.countStalls(ln, rt, moved)
 	}
 }
 
@@ -375,46 +383,36 @@ func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
 // lane's private tally and are flushed into the shared telemetry counters at
 // the end of the cycle, in lane order, so the parallel kernel never has two
 // writers on one counter.
-func (n *Network) countStalls(ln *lane, rt *router, movedVC *[mesh.NumPorts]int) {
-	for p := 0; p < mesh.NumPorts; p++ {
-		if rt.portFlits[p] == 0 {
-			continue
+func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
+	for m := rt.occ & rt.rcDone &^ rt.want[mesh.Local] &^ moved; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		ivc := &rt.vcs[i]
+		if n.cycle < ivc.readyAt {
+			continue // still in the first pipeline stage
 		}
-		for v := range rt.in[p] {
-			ivc := &rt.in[p][v]
-			if ivc.buf.len() == 0 || !ivc.routed || ivc.route == mesh.Local {
-				continue
-			}
-			if movedVC[p] == v {
-				continue // progressed this cycle
-			}
-			if n.cycle < ivc.buf.frontArrived()+n.pipeDelay {
-				continue // still in the first pipeline stage
-			}
-			var cause obs.StallCause
-			switch {
-			case ivc.outVC == -1:
-				cause = obs.StallVCAlloc
-			case rt.out[ivc.route].credits[ivc.outVC] == 0:
-				cause = obs.StallCredit
+		var cause obs.StallCause
+		switch {
+		case rt.credOK>>i&1 != 0:
+			cause = obs.StallRoute
+		case ivc.outVC == -1:
+			cause = obs.StallVCAlloc
+		default:
+			cause = obs.StallCredit
+		}
+		if n.tel != nil {
+			switch cause {
+			case obs.StallVCAlloc:
+				ln.stallVCAlloc++
+			case obs.StallCredit:
+				ln.stallCredit++
 			default:
-				cause = obs.StallRoute
+				ln.stallRoute++
 			}
-			if n.tel != nil {
-				switch cause {
-				case obs.StallVCAlloc:
-					ln.stallVCAlloc++
-				case obs.StallCredit:
-					ln.stallCredit++
-				default:
-					ln.stallRoute++
-				}
-			}
-			if n.spans != nil {
-				if pkt := ivc.buf.front().flit.Pkt; pkt.Sampled {
-					//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
-					n.spans.Stall(pkt, int(rt.id), cause, n.cycle)
-				}
+		}
+		if n.spans != nil {
+			if pkt := ivc.buf.front().flit.Pkt; pkt.Sampled {
+				//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
+				n.spans.Stall(pkt, int(rt.id), cause, n.cycle)
 			}
 		}
 	}
@@ -447,7 +445,12 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 	bf := ivc.buf.pop()
 	f := bf.flit
 	rt.bufFlits--
-	rt.portFlits[p]--
+	bit := uint64(1) << (p*n.vcs + v)
+	if ivc.buf.n == 0 {
+		rt.occ &^= bit
+	} else {
+		ivc.readyAt = ivc.buf.frontArrived() + n.pipeDelay
+	}
 
 	// Return a credit upstream for the freed buffer slot (not for the
 	// injection port: the injection queue tracks its own space).
@@ -477,6 +480,9 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 	} else {
 		op := &rt.out[d]
 		op.credits[ivc.outVC]--
+		if op.credits[ivc.outVC] == 0 {
+			rt.credOK &^= bit
+		}
 		op.reg = f
 		op.regVC = ivc.outVC
 		op.regValid = true
@@ -496,7 +502,9 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 
 	if f.Tail {
 		// Release the output VC and the per-packet routing state.
-		rt.demand[d]--
+		rt.rcDone &^= bit
+		rt.want[d] &^= bit
+		rt.credOK &^= bit
 		if d != mesh.Local {
 			rt.out[d].owner[ivc.outVC] = noOwner
 		}

@@ -130,6 +130,23 @@ func TestExpandSkipInvalid(t *testing.T) {
 	}
 }
 
+// TestExpandSurfacesVCLimit: a vcs grid value beyond the router's mask width
+// fails expansion with config.Validate's reason, or becomes a reasoned skip.
+func TestExpandSurfacesVCLimit(t *testing.T) {
+	s := Spec{Benchmarks: []string{"KMN"}, VCsPerPort: []int{4, 16}}
+	if _, _, err := s.Expand(); err == nil || !strings.Contains(err.Error(), "64-bit request mask") {
+		t.Fatalf("vcs=16 expanded with error %v, want the request-mask limit", err)
+	}
+	s.SkipInvalid = true
+	jobs, skips, err := s.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 || len(skips) != 1 || !strings.Contains(skips[0].Reason, "64-bit request mask") {
+		t.Errorf("got %d jobs and skips %+v, want the vcs=4 job and one reasoned skip", len(jobs), skips)
+	}
+}
+
 func TestExpandRejectsUnknownBenchmark(t *testing.T) {
 	s := Spec{Benchmarks: []string{"NOT-A-BENCH"}}
 	if _, _, err := s.Expand(); err == nil {
