@@ -69,9 +69,8 @@ type Result struct {
 	Hit bool
 	// Eviction reports that installing the line evicted a dirty victim
 	// whose write-back the caller must emit.
-	Eviction     bool
-	VictimAddr   uint64 // line-aligned address of the dirty victim
-	victimSetTag struct{}
+	Eviction   bool
+	VictimAddr uint64 // line-aligned address of the dirty victim
 }
 
 // Probe reports whether addr hits without updating any state.
@@ -80,6 +79,26 @@ func (c *Cache) Probe(addr uint64) bool {
 	for w := 0; w < c.ways; w++ {
 		l := &c.lines[set*c.ways+w]
 		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+// Touch is the read-hit half of Access in one set scan: on a hit it does
+// exactly what Access(addr, false) does (refreshes the LRU stamp, counts the
+// hit) and returns true; on a miss it changes nothing — no counter, no
+// install — so a caller that must check resources before allocating can
+// still back out.
+func (c *Cache) Touch(addr uint64) bool {
+	set, tag := c.index(addr)
+	base := set * c.ways
+	for w := 0; w < c.ways; w++ {
+		l := &c.lines[base+w]
+		if l.valid && l.tag == tag {
+			c.stamp++
+			l.lru = c.stamp
+			c.Hits++
 			return true
 		}
 	}
@@ -188,10 +207,12 @@ const (
 	Stall
 )
 
-// Lookup reports whether a fill for lineAddr is outstanding.
-func (m *MSHR) Lookup(lineAddr uint64) bool {
-	_, ok := m.entries[lineAddr]
-	return ok
+// Lookup reports whether a fill for lineAddr is outstanding and how many
+// warps wait on it. It changes nothing: callers use it to decide, before
+// Allocate, whether an access would stall.
+func (m *MSHR) Lookup(lineAddr uint64) (waiters int, ok bool) {
+	w, ok := m.entries[lineAddr]
+	return len(w), ok
 }
 
 // Allocate records warp's interest in lineAddr.

@@ -109,6 +109,36 @@ func TestProbeDoesNotTouch(t *testing.T) {
 	}
 }
 
+// TestTouchIsProbeThenAccess drives twin caches with one address stream,
+// one through Touch and the other through the Probe-then-Access pair Touch
+// fuses: hit/miss answers, counters and every later eviction (hence the LRU
+// order) must agree, and a Touch miss must leave no trace.
+func TestTouchIsProbeThenAccess(t *testing.T) {
+	fused, pair := New(1024, 2, 64), New(1024, 2, 64)
+	x := uint64(1)
+	for i := 0; i < 20000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		addr := x >> 33 % 48 * 64 // three times the capacity: hits and evictions both common
+		if x>>60 < 4 {            // install, so later touches can hit
+			if fused.Access(addr, x>>59&1 == 0) != pair.Access(addr, x>>59&1 == 0) {
+				t.Fatalf("op %d: Access diverged (LRU order differs)", i)
+			}
+			continue
+		}
+		hit := pair.Probe(addr)
+		if hit {
+			pair.Access(addr, false)
+		}
+		if fused.Touch(addr) != hit || fused.Hits != pair.Hits || fused.Misses != pair.Misses {
+			t.Fatalf("op %d: Touch(%#x) vs Probe+Access: hit %v, counters %d/%d vs %d/%d",
+				i, addr, hit, fused.Hits, fused.Misses, pair.Hits, pair.Misses)
+		}
+	}
+	if fused.Hits < 1000 {
+		t.Fatalf("stream produced only %d hits", fused.Hits)
+	}
+}
+
 func TestInvalidate(t *testing.T) {
 	c := New(4096, 4, 128)
 	c.Access(0x80, true)
@@ -169,14 +199,14 @@ func TestMSHRMerge(t *testing.T) {
 	if got := m.Allocate(0x100, 2); got != Merged {
 		t.Fatalf("second allocate = %v", got)
 	}
-	if !m.Lookup(0x100) || m.Occupancy() != 1 {
+	if n, ok := m.Lookup(0x100); !ok || n != 2 || m.Occupancy() != 1 {
 		t.Error("lookup/occupancy wrong after merge")
 	}
 	waiters := m.Fill(0x100)
 	if len(waiters) != 2 || waiters[0] != 1 || waiters[1] != 2 {
 		t.Errorf("waiters = %v", waiters)
 	}
-	if m.Lookup(0x100) || m.Occupancy() != 0 {
+	if _, ok := m.Lookup(0x100); ok || m.Occupancy() != 0 {
 		t.Error("entry survived fill")
 	}
 }

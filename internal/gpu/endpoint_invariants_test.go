@@ -1,0 +1,74 @@
+package gpu_test
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"gpgpunoc/internal/gpu"
+	"gpgpunoc/internal/noc"
+	"gpgpunoc/internal/workload"
+)
+
+// corruptingNet hands one sleeping MC work behind its back after a given
+// number of steps: a DRAM write-back (odd id, so no reply is owed) enqueued
+// straight into the channel, without the wake MC.Sink performs.
+type corruptingNet struct {
+	noc.Interconnect
+	sim   *gpu.Simulator
+	steps int
+}
+
+func (c *corruptingNet) Step() {
+	c.Interconnect.Step()
+	if c.steps++; c.steps == 10 {
+		c.sim.MCs[5].DRAM().Enqueue(1, 0, c.Interconnect.Cycle())
+	}
+}
+
+// TestEndpointInvariants: the sanitizer covers the endpoints' sleep state.
+// Checked after every cycle, saturated, write-heavy and mostly-idle systems
+// on one and two subnets, at one and four workers, never trip it; an MC
+// that is asleep while its DRAM channel has work fails the run with an
+// error naming the controller and the cause.
+func TestEndpointInvariants(t *testing.T) {
+	forcePool(t)
+	for _, prof := range []workload.Profile{workload.MustGet("KMN"), workload.MustGet("RAY"), trickleProfile()} {
+		for _, dual := range []bool{false, true} {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/dual=%t/workers=%d", prof.Name, dual, workers), func(t *testing.T) {
+					cfg := equivCfg()
+					cfg.NoC.PhysicalSubnets = dual
+					cfg.NoC.Workers = workers
+					sim, err := gpu.NewInstrumented(cfg, prof, gpu.Instrumentation{SanitizeEvery: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sim.Close()
+					if _, err := sim.RunContext(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+
+	t.Run("corrupted", func(t *testing.T) {
+		sim, err := gpu.NewInstrumented(equivCfg(), idleProfile(), gpu.Instrumentation{SanitizeEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Close()
+		sim.Net = &corruptingNet{Interconnect: sim.Net, sim: sim}
+		_, err = sim.RunContext(context.Background())
+		if err == nil {
+			t.Fatal("a sleeping MC with DRAM work pending passed the sanitizer")
+		}
+		for _, want := range []string{"sanitizer at cycle", "MC 5 asleep", "a DRAM issue or completion"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q lacks %q", err, want)
+			}
+		}
+	})
+}

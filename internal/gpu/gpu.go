@@ -33,10 +33,11 @@ type Simulator struct {
 	Place *placement.Placement
 
 	// SanitizeEvery, when > 0, makes RunContext validate the interconnect's
-	// internal invariants (credit accounting, flit conservation) every
-	// SanitizeEvery cycles and abort the run with an error on the first
-	// violation. Sampling keeps the cost proportional to 1/N; zero (the
-	// default) disables the sanitizer entirely.
+	// internal invariants (credit accounting, flit conservation) and every
+	// sleeping endpoint's reason to sleep every SanitizeEvery cycles and
+	// abort the run with an error on the first violation. Sampling keeps the
+	// cost proportional to 1/N; zero (the default) disables the sanitizer
+	// entirely.
 	SanitizeEvery int
 
 	// Tel, when non-nil (see Instrumentation.TelemetryEpoch), is the
@@ -236,9 +237,9 @@ const defaultPublishEvery = 1024
 // Instrumentation selects the observability to build into a simulator at
 // construction. The zero value instruments nothing.
 type Instrumentation struct {
-	// SanitizeEvery > 0 validates the interconnect's internal invariants
-	// every SanitizeEvery cycles, aborting the run with an error on the
-	// first violation.
+	// SanitizeEvery > 0 validates the interconnect's and the endpoints'
+	// internal invariants every SanitizeEvery cycles, aborting the run with
+	// an error on the first violation.
 	SanitizeEvery int
 
 	// TelemetryEpoch > 0 attaches the cycle-domain telemetry subsystem
@@ -600,14 +601,33 @@ func (s *Simulator) runPhase(ctx context.Context, cycles int) (Result, bool, err
 	return Result{}, false, nil
 }
 
-// sanitize runs the sampled interconnect invariant check when enabled; a
-// violation is a simulator bug (or corrupted state), reported as an error
-// rather than left to surface as a silent hang or skewed statistics.
+// checkInvariants validates the interconnect, then every endpoint's sleep
+// state (a sleeping SM or MC must still have its reason to sleep).
+func (s *Simulator) checkInvariants() error {
+	if err := s.Net.CheckInvariants(); err != nil {
+		return err
+	}
+	for _, sm := range s.SMs {
+		if err := sm.CheckInvariants(s.cycle); err != nil {
+			return err
+		}
+	}
+	for _, m := range s.MCs {
+		if err := m.CheckInvariants(s.cycle); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sanitize runs the sampled invariant check when enabled; a violation is a
+// simulator bug (or corrupted state), reported as an error rather than left
+// to surface as a silent hang or skewed statistics.
 func (s *Simulator) sanitize() error {
 	if s.SanitizeEvery <= 0 || s.cycle%int64(s.SanitizeEvery) != 0 {
 		return nil
 	}
-	if err := s.Net.CheckInvariants(); err != nil {
+	if err := s.checkInvariants(); err != nil {
 		s.Flight.Record(s.cycle, fleetobs.KindInvariantFail, 0, 0, 0)
 		if path := s.dumpFlight("invariant"); path != "" {
 			return fmt.Errorf("gpu: sanitizer at cycle %d (flight dump: %s): %w", s.cycle, path, err)

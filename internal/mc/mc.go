@@ -49,6 +49,13 @@ type MC struct {
 	nextDRAMID uint64
 	svcTokens  int // clock-domain throttle
 
+	// idleUntil is the sleep horizon: every tick ends by recording its
+	// NextEvent here — with nothing to inject and nothing to retry that is
+	// the earliest L2 or DRAM completion — and until then Tick only
+	// refreshes the service token. Servicing a request wakes the controller by zeroing
+	// it. Both writers run on the lane that owns this MC's node.
+	idleUntil int64
+
 	gpu   *stats.GPU
 	spans *obs.Spans
 
@@ -138,6 +145,7 @@ func (m *MC) Sink(now func() int64) noc.Sink {
 		}
 		if f.Tail {
 			m.service(f.Pkt, now())
+			m.idleUntil = 0 // new L2 or DRAM work
 		}
 		return true
 	}
@@ -252,6 +260,32 @@ func (m *MC) NextEvent(now int64) int64 {
 	return h
 }
 
+// CheckInvariants validates the sleep state at the cycle boundary before
+// Tick(now), side-effect free: if that tick would take the early-out,
+// NextEvent — recomputed from the queues, the L2 waits and the DRAM channel
+// — must still lie at or beyond the horizon. The gpu sanitizer samples it
+// next to the interconnect's own check.
+func (m *MC) CheckInvariants(now int64) error {
+	if now >= m.idleUntil {
+		return nil
+	}
+	e := m.NextEvent(now)
+	if e >= m.idleUntil {
+		return nil
+	}
+	cause := "an L2 completion"
+	switch {
+	case m.outbox.Len() > 0:
+		cause = "replies wait in the outbox"
+	case m.retryDRAM.Len() > 0:
+		cause = "DRAM enqueues wait to retry"
+	case m.dram.NextEvent(now) == e:
+		cause = "a DRAM issue or completion"
+	}
+	return fmt.Errorf("mc: MC %d asleep until cycle %d at cycle %d, but %s is due at cycle %d",
+		m.Index, m.idleUntil, now, cause, e)
+}
+
 // FastForward applies the per-cycle effects of the skipped ticks at cycles
 // from..to inclusive (all of which NextEvent certified as no-ops): the only
 // such effect is the service-token refresh, which sets — not accumulates —
@@ -280,6 +314,9 @@ func (m *MC) Tick(now int64) {
 		m.svcTokens = 1
 	} else if now%int64(m.cfg.MCServicePeriod) == 0 {
 		m.svcTokens = 1
+	}
+	if now < m.idleUntil {
+		return
 	}
 
 	m.dram.Tick(now)
@@ -326,4 +363,10 @@ func (m *MC) Tick(now int64) {
 		m.queue--
 		m.svcTokens--
 	}
+
+	// Sleep until the next event: that is the very next cycle (no sleep)
+	// while replies or DRAM retries are queued, else the earliest L2 or
+	// DRAM completion — every tick before it would find the same empty
+	// queues.
+	m.idleUntil = m.NextEvent(now + 1)
 }

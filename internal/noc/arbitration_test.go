@@ -1,17 +1,12 @@
 package noc
 
 import (
-	"bufio"
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"hash"
-	"hash/fnv"
-	"os"
-	"strings"
 	"testing"
 
 	"gpgpunoc/internal/config"
+	"gpgpunoc/internal/digests"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/rng"
@@ -115,14 +110,6 @@ func arbCases() []arbCase {
 	return cases
 }
 
-func hashInts(h hash.Hash64, vals ...int64) {
-	var b [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		h.Write(b[:])
-	}
-}
-
 // arbRefuses is the sinks' refusal schedule: a pure function of (node,
 // cycle, packet), so every kernel and every worker count sees the same one,
 // and — like an MC whose request queue is full while its reply path is not —
@@ -149,7 +136,7 @@ func arbDigest(t *testing.T, key string, ic Interconnect) string {
 		tailCycles   = 30
 	)
 	ic.EnableStats(true)
-	h := fnv.New64a()
+	h := digests.New()
 	var cycle int64
 	// One record list per node: a node's sink runs only on the lane owning
 	// the node, so each list has a single writer; the fold below is serial.
@@ -191,11 +178,11 @@ func arbDigest(t *testing.T, key string, ic Interconnect) string {
 		}
 		for node, recs := range ejected {
 			for i := 0; i < len(recs); i += 2 {
-				hashInts(h, recs[i], recs[i+1], int64(node), cycle)
+				h.Ints(recs[i], recs[i+1], int64(node), cycle)
 			}
 			ejected[node] = recs[:0]
 		}
-		hashInts(h, int64(ic.FlitsInFlight()))
+		h.Ints(int64(ic.FlitsInFlight()))
 	}
 	fmt.Fprintf(h, "%v", *ic.Stats())
 	switch n := ic.(type) {
@@ -205,27 +192,27 @@ func arbDigest(t *testing.T, key string, ic Interconnect) string {
 		n.request.hashArbState(h)
 		n.reply.hashArbState(h)
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return h.String()
 }
 
 // hashArbState folds every router's allocator state into h: round-robin
 // pointers, output-VC ownership and credits, and each input VC's routing
 // state and occupancy.
-func (n *Network) hashArbState(h hash.Hash64) {
+func (n *Network) hashArbState(h *digests.Hash) {
 	for i := range n.routers {
 		rt := &n.routers[i]
 		for p := 0; p < mesh.NumPorts; p++ {
-			hashInts(h, int64(rt.vaPtr[p]), int64(rt.saVCPtr[p]), int64(rt.saPtr[p]))
+			h.Ints(int64(rt.vaPtr[p]), int64(rt.saVCPtr[p]), int64(rt.saPtr[p]))
 			for v := range rt.in[p] {
 				ivc := &rt.in[p][v]
 				routed := int64(0)
 				if ivc.routed {
 					routed = 1 + int64(ivc.route)
 				}
-				hashInts(h, int64(ivc.buf.len()), routed, int64(ivc.outVC))
+				h.Ints(int64(ivc.buf.len()), routed, int64(ivc.outVC))
 			}
 			for v := range rt.out[p].owner {
-				hashInts(h, int64(rt.out[p].owner[v]), int64(rt.out[p].credits[v]))
+				h.Ints(int64(rt.out[p].owner[v]), int64(rt.out[p].credits[v]))
 			}
 		}
 	}
@@ -240,46 +227,14 @@ func (n *Network) hashArbState(h hash.Hash64) {
 func TestArbitrationDigests(t *testing.T) {
 	forcePool(t)
 	cases := arbCases()
-	got := make([]string, len(cases))
+	keys, got := make([]string, len(cases)), make([]string, len(cases))
 	for i, c := range cases {
-		got[i] = arbDigest(t, c.key, c.build(1))
+		keys[i], got[i] = c.key, arbDigest(t, c.key, c.build(1))
 		if par := arbDigest(t, c.key+"/workers=4", c.build(4)); par != got[i] {
 			t.Errorf("%s: workers=4 digest %s, workers=1 %s", c.key, par, got[i])
 		}
 	}
-	if *updateDigests {
-		var sb strings.Builder
-		for i, c := range cases {
-			fmt.Fprintf(&sb, "%s %s\n", c.key, got[i])
-		}
-		if err := os.WriteFile(arbDigestFile, []byte(sb.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	f, err := os.Open(arbDigestFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want := map[string]string{}
-	for sc := bufio.NewScanner(f); sc.Scan(); {
-		if key, dig, ok := strings.Cut(sc.Text(), " "); ok {
-			want[key] = dig
-		}
-	}
-	if len(want) != len(cases) {
-		t.Errorf("%s holds %d digests, the grid has %d cases", arbDigestFile, len(want), len(cases))
-	}
-	failed := 0
-	for i, c := range cases {
-		if want[c.key] != got[i] {
-			if failed++; failed <= 10 {
-				t.Errorf("%s: digest %s, want %s", c.key, got[i], want[c.key])
-			}
-		}
-	}
-	if failed > 10 {
-		t.Errorf("... and %d more mismatches", failed-10)
+	for _, msg := range digests.Check(arbDigestFile, *updateDigests, keys, got) {
+		t.Error(msg)
 	}
 }

@@ -13,6 +13,7 @@
 package smcore
 
 import (
+	"fmt"
 	"math"
 
 	"gpgpunoc/internal/cache"
@@ -82,6 +83,16 @@ type SM struct {
 
 	gpu    *stats.GPU
 	nextID *uint64 // this SM's packet id counter (see gpu.New for the id scheme)
+
+	// idleUntil is the sleep horizon. A tick that ends in a pure stall — no
+	// eligible warp, or the chosen warp's instruction structurally blocked —
+	// would repeat itself verbatim until a fill arrives, the outbox drains a
+	// packet, or a warp's readyAt comes due; it records the earliest such
+	// due cycle here, and until then Tick only retries the outbox drain and
+	// counts the stall. Sink and the drain wake the SM by zeroing it. Both
+	// writers run on the lane that owns this SM's node.
+	idleUntil  int64
+	sleptTicks int64 // ticks that took the early-out; tests assert sleeping happens
 }
 
 // New builds an SM running prof at the given mesh node.
@@ -167,6 +178,7 @@ func (s *SM) Sink() noc.Sink {
 		if !f.Tail || f.Pkt.Type != packet.ReadReply {
 			return true
 		}
+		s.idleUntil = 0 // a fill can make a warp eligible or free an MSHR entry
 		line := s.lineAddr(f.Pkt.Access.Addr)
 		if f.Pkt.Access.IsInst {
 			s.icache.Access(line, false) // install; clean, never written back
@@ -192,8 +204,7 @@ func (s *SM) fetch(w *warp, wi int, now int64) bool {
 		return true
 	}
 	line := s.lineAddr(instBase + w.loopBase + w.pc)
-	if s.icache.Probe(line) {
-		s.icache.Access(line, false) // refresh LRU
+	if s.icache.Touch(line) {
 		return true
 	}
 	if _, outstanding := s.pendingFetch[line]; outstanding {
@@ -226,6 +237,26 @@ func (s *SM) eligible(w *warp, now int64) bool {
 	return true
 }
 
+// timeHorizon scans the warps that only need time to pass (not a fill or a
+// fetch return): eligible reports whether one of them can issue at now, h
+// is the earliest readyAt after now among the rest (math.MaxInt64 if none).
+// NextEvent and the sleep entry both read their horizon from it.
+func (s *SM) timeHorizon(now int64) (h int64, eligible bool) {
+	h = math.MaxInt64
+	for i := range s.warps {
+		w := &s.warps[i]
+		if w.fetchWait || w.outstanding >= s.prof.RunAhead {
+			continue // unblocked by a reply, not by time
+		}
+		if w.readyAt <= now {
+			eligible = true
+		} else if w.readyAt < h {
+			h = w.readyAt
+		}
+	}
+	return h, eligible
+}
+
 // NextEvent returns the earliest cycle at or after now at which Tick could
 // do work beyond counting a stall: now itself when the outbox has packets
 // to drain or any warp is eligible, otherwise the earliest readyAt among
@@ -237,18 +268,9 @@ func (s *SM) NextEvent(now int64) int64 {
 	if s.outbox.Len() > 0 {
 		return now
 	}
-	h := int64(math.MaxInt64)
-	for i := range s.warps {
-		w := &s.warps[i]
-		if w.fetchWait || w.outstanding >= s.prof.RunAhead {
-			continue // unblocked by a reply, not by time
-		}
-		if w.readyAt <= now {
-			return now // eligible: Tick would issue
-		}
-		if w.readyAt < h {
-			h = w.readyAt
-		}
+	h, eligible := s.timeHorizon(now)
+	if eligible {
+		return now
 	}
 	return h
 }
@@ -262,41 +284,66 @@ func (s *SM) FastForward(delta int64) {
 	}
 }
 
+// stall counts one issue-less cycle.
+func (s *SM) stall() {
+	if s.gpu != nil {
+		s.gpu.StallCycles++
+	}
+}
+
+// sleep ends a tick that changed nothing the next tick would read: no warp
+// was eligible, or the chosen warp's instruction is structurally blocked
+// (it is now marked stalled, stays the GTO choice, and would replay against
+// the same L1, MSHR file and outbox). Eligible warps stay eligible and
+// blocked ones stay blocked until a fill or an outbox pop — both wake the
+// SM — or until a readyAt comes due, which is the horizon recorded here.
+func (s *SM) sleep(now int64) {
+	s.idleUntil, _ = s.timeHorizon(now)
+	s.stall()
+}
+
+// pick is GTO scheduling: keep issuing from the greedy warp; on stall,
+// switch to the oldest (lowest-index) eligible warp. -1 means none.
+func (s *SM) pick(now int64) int {
+	if s.eligible(&s.warps[s.greedy], now) {
+		return s.greedy
+	}
+	for i := range s.warps {
+		if s.eligible(&s.warps[i], now) {
+			return i
+		}
+	}
+	return -1
+}
+
 // Tick advances the SM one cycle, issuing at most one warp-instruction.
 func (s *SM) Tick(now int64) {
 	// Drain the write/request outbox into the network first; a full outbox
-	// stalls the memory stage below.
+	// stalls the memory stage below. A refused Inject has no side effects,
+	// so a sleeping SM keeps retrying it every cycle.
 	for s.outbox.Len() > 0 && s.net.Inject(s.outbox.Front()) {
 		s.outbox.Pop()
+		s.idleUntil = 0 // outbox space may unblock a stalled miss or store
+	}
+	if now < s.idleUntil {
+		s.sleptTicks++
+		s.stall()
+		return
 	}
 
-	// GTO scheduling: keep issuing from the greedy warp; on stall, switch
-	// to the oldest (lowest-index) eligible warp.
-	wi := -1
-	if s.eligible(&s.warps[s.greedy], now) {
-		wi = s.greedy
-	} else {
-		for i := range s.warps {
-			if s.eligible(&s.warps[i], now) {
-				wi = i
-				break
-			}
-		}
-	}
+	wi := s.pick(now)
 	if wi < 0 {
-		if s.gpu != nil {
-			s.gpu.StallCycles++
-		}
+		s.sleep(now)
 		return
 	}
 	w := &s.warps[wi]
 
 	// Fetch stage: the instruction must be in the L1I before issue. A
-	// replayed (stalled) instruction was already fetched.
+	// replayed (stalled) instruction was already fetched. A fetch miss
+	// changes state (fetchWait, a request in the outbox), so the next tick
+	// may choose another warp: no sleep.
 	if !w.stalled && !s.fetch(w, wi, now) {
-		if s.gpu != nil {
-			s.gpu.StallCycles++
-		}
+		s.stall()
 		return
 	}
 
@@ -310,9 +357,7 @@ func (s *SM) Tick(now int64) {
 		// replays a stalled memory op.
 		w.pending = instr
 		w.stalled = true
-		if s.gpu != nil {
-			s.gpu.StallCycles++
-		}
+		s.sleep(now)
 		return
 	}
 	w.stalled = false
@@ -330,6 +375,18 @@ func (s *SM) Tick(now int64) {
 	}
 }
 
+// missBlocked reports whether a load that missed the L1 on line cannot
+// proceed: its MSHR entry has no merge slot left, or it has no entry and
+// the file or the outbox (the request needs a slot) is full. Side-effect
+// free — execute decides the stall with it before allocating anything, and
+// CheckInvariants re-derives a sleeper's cause from it.
+func (s *SM) missBlocked(line uint64) bool {
+	if waiters, ok := s.mshr.Lookup(line); ok {
+		return waiters >= s.mshr.MaxMerged
+	}
+	return s.mshr.Full() || s.outbox.Len() >= s.outboxCap
+}
+
 // execute attempts one instruction; false means a structural stall (MSHR or
 // write buffer full) and the instruction must be retried.
 func (s *SM) execute(w *warp, wi int, in workload.Instr, now int64) bool {
@@ -345,8 +402,7 @@ func (s *SM) execute(w *warp, wi int, in workload.Instr, now int64) bool {
 		return true
 
 	case workload.Load:
-		if s.l1.Probe(in.Addr) {
-			s.l1.Access(in.Addr, false)
+		if s.l1.Touch(in.Addr) {
 			if s.gpu != nil {
 				s.gpu.L1Hits++
 			}
@@ -354,39 +410,27 @@ func (s *SM) execute(w *warp, wi int, in workload.Instr, now int64) bool {
 			return true
 		}
 		line := s.lineAddr(in.Addr)
-		// Allocate the MSHR before touching the cache so a stall has no
-		// side effects.
-		switch s.mshr.Allocate(line, wi) {
-		case cache.Stall:
+		if s.missBlocked(line) {
 			return false
+		}
+		if s.gpu != nil {
+			s.gpu.L1Misses++
+			s.gpu.MemRequests++ // a merged miss adds no NoC traffic
+		}
+		switch s.mshr.Allocate(line, wi) {
 		case cache.Merged:
-			if s.gpu != nil {
-				s.gpu.L1Misses++
-				s.gpu.MemRequests++ // merged at L1; no extra NoC traffic
-			}
-			w.outstanding++
-			w.readyAt = now + 1
-			return true
 		case cache.Primary:
-			if s.outbox.Len() >= s.outboxCap {
-				// Undo the allocation: the request cannot be sent.
-				s.mshr.Fill(line)
-				return false
-			}
-			if s.gpu != nil {
-				s.gpu.L1Misses++
-				s.gpu.MemRequests++
-			}
 			res := s.l1.Access(in.Addr, false) // install line (fill in flight)
 			if res.Eviction {
 				s.outbox.Push(s.newPacket(packet.WriteRequest, res.VictimAddr, wi, now))
 			}
 			s.outbox.Push(s.newPacket(packet.ReadRequest, in.Addr, wi, now))
-			w.outstanding++
-			w.readyAt = now + 1
-			return true
+		default:
+			panic("smcore: MSHR refused an allocation missBlocked admitted")
 		}
-		return false
+		w.outstanding++
+		w.readyAt = now + 1
+		return true
 
 	case workload.Store:
 		if s.outbox.Len() >= s.outboxCap {
@@ -410,6 +454,51 @@ func (s *SM) execute(w *warp, wi int, in workload.Instr, now int64) bool {
 		return true
 	}
 	panic("smcore: unknown instruction kind")
+}
+
+// CheckInvariants validates the sleep state at the cycle boundary before
+// Tick(now), side-effect free: if that tick would take the early-out, the
+// reason is re-derived from scratch — no readyAt comes due before the
+// horizon, and the GTO choice is either no warp or a stalled warp whose
+// pending instruction is still blocked by the MSHR file or the outbox. The
+// gpu sanitizer samples it next to the interconnect's own check.
+func (s *SM) CheckInvariants(now int64) error {
+	if now >= s.idleUntil {
+		return nil
+	}
+	fail := func(format string, a ...any) error {
+		return fmt.Errorf("smcore: SM %d asleep until cycle %d at cycle %d, but "+format,
+			append([]any{s.Index, s.idleUntil, now}, a...)...)
+	}
+	if h, _ := s.timeHorizon(now); h < s.idleUntil {
+		return fail("a warp's readyAt comes due at cycle %d", h)
+	}
+	wi := s.pick(now)
+	if wi < 0 {
+		return nil
+	}
+	w := &s.warps[wi]
+	if !w.stalled {
+		return fail("warp %d is eligible and not stalled", wi)
+	}
+	switch in := w.pending; in.Kind {
+	case workload.Store:
+		if s.outbox.Len() < s.outboxCap {
+			return fail("warp %d's stalled store would issue: the outbox has space (%d of %d)",
+				wi, s.outbox.Len(), s.outboxCap)
+		}
+	case workload.Load:
+		if s.l1.Probe(in.Addr) {
+			return fail("warp %d's stalled load would hit the L1", wi)
+		}
+		if !s.missBlocked(s.lineAddr(in.Addr)) {
+			return fail("warp %d's stalled load would issue: MSHR occupancy %d, outbox %d of %d",
+				wi, s.mshr.Occupancy(), s.outbox.Len(), s.outboxCap)
+		}
+	default:
+		return fail("warp %d is stalled on an instruction that cannot stall", wi)
+	}
+	return nil
 }
 
 // Outstanding returns total in-flight loads across warps (test hook).
