@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sim.Close()
-	res := sim.Run()
+	res, err := sim.RunContext(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("custom workload on baseline: IPC = %.3f, L1 miss = %.2f\n",
 		res.IPC, res.GPU.L1MissRate())
 

@@ -89,7 +89,7 @@ func TestGoldenRunArtifacts(t *testing.T) {
 				TelemetryEpoch: 100, Spans: true, SpanRate: 1,
 				Obs: srv, PublishEvery: 250,
 			})
-			res := sim.Run()
+			res := runSim(t, sim)
 			if res.Deadlocked {
 				t.Fatal("golden run deadlocked")
 			}

@@ -220,7 +220,7 @@ func (d *DRAM) Tick(now int64) {
 // could issue, otherwise the earliest in-flight completion or bank release
 // that would unblock the scheduler, or math.MaxInt64 for an empty channel.
 // Ticks strictly before the returned cycle are no-ops, which is what lets
-// the simulator fast-forward over them.
+// the memory controller sleep through them.
 func (d *DRAM) NextEvent(now int64) int64 {
 	if len(d.done) > 0 || d.pick(now) >= 0 {
 		return now

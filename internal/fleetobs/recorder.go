@@ -34,14 +34,12 @@ const (
 	// KindPhase: run-phase entry. A: 0 = warmup, 1 = measurement.
 	KindPhase Kind = iota
 	// KindCheckpoint: periodic watchdog/cancellation checkpoint (every 512
-	// cycles). A: flits in flight, B: total fast-forwarded cycles.
+	// cycles). A: flits in flight.
 	KindCheckpoint
 	// KindInvariantOK: a sampled CheckInvariants pass.
 	KindInvariantOK
 	// KindInvariantFail: CheckInvariants failed; the run aborts after this.
 	KindInvariantFail
-	// KindFastForward: an idle-cycle jump landed. A: cycles skipped.
-	KindFastForward
 	// KindWatchdog: the deadlock watchdog tripped. A: flits in flight.
 	KindWatchdog
 	// KindPanic: a panic unwound through the run loop.
@@ -69,9 +67,9 @@ const (
 )
 
 var kindNames = [...]string{
-	"phase", "checkpoint", "invariant_ok", "invariant_fail", "fast_forward",
-	"watchdog", "panic", "pool", "register", "lease", "heartbeat",
-	"lease_expired", "complete", "requeue", "quarantine",
+	"phase", "checkpoint", "invariant_ok", "invariant_fail", "watchdog",
+	"panic", "pool", "register", "lease", "heartbeat", "lease_expired",
+	"complete", "requeue", "quarantine",
 }
 
 // String names the kind.

@@ -149,15 +149,13 @@ func TestFlightRecordsCleanRun(t *testing.T) {
 		t.Fatal("result does not carry the recorder")
 	}
 	events := res.Flight.Events()
-	var phases, checkpoints, ffs int
+	var phases, checkpoints int
 	for _, e := range events {
 		switch e.Kind {
 		case fleetobs.KindPhase:
 			phases++
 		case fleetobs.KindCheckpoint:
 			checkpoints++
-		case fleetobs.KindFastForward:
-			ffs++
 		}
 	}
 	if phases != 2 {
@@ -165,12 +163,6 @@ func TestFlightRecordsCleanRun(t *testing.T) {
 	}
 	if checkpoints == 0 {
 		t.Fatal("no checkpoint events recorded")
-	}
-	if res.FastForwarded > 0 && ffs == 0 {
-		t.Fatalf("run fast-forwarded %d cycles but recorded no jumps", res.FastForwarded)
-	}
-	if res.FastForwarded == 0 {
-		t.Log("run never idled; fast-forward events not exercised")
 	}
 }
 

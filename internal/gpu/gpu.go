@@ -7,7 +7,6 @@ package gpu
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/core"
@@ -60,11 +59,10 @@ type Simulator struct {
 
 	// Flight, when non-nil (see AttachFlight), is the always-on flight
 	// recorder: a bounded ring of recent cycle-domain events (phase
-	// entries, checkpoints, invariant checks, fast-forward jumps, kernel
-	// pool events) dumped as JSONL post-mortem on panic, invariant
-	// failure, or watchdog trip. Recording never reads wall clock or
-	// scheduler state and never feeds back into simulation, so results
-	// stay bit-identical with it attached.
+	// entries, checkpoints, invariant checks, kernel pool events) dumped as
+	// JSONL post-mortem on panic, invariant failure, or watchdog trip.
+	// Recording never reads wall clock or scheduler state and never feeds
+	// back into simulation, so results stay bit-identical with it attached.
 	Flight *fleetobs.Recorder
 
 	// FlightDir is where post-mortem dumps land ("" disables dumping; the
@@ -73,17 +71,6 @@ type Simulator struct {
 
 	SMs []*smcore.SM
 	MCs []*mc.MC
-
-	// FastForwarded counts the cycles the run loop jumped over instead of
-	// stepping; results are unaffected, so this exists for reporting and
-	// tests.
-	FastForwarded int64
-
-	// stepped makes RunContext step every cycle instead of jumping over
-	// globally idle ones: the oracle the fast-forward equivalence tests
-	// compare the shipped loop against. Only this package's _test.go files
-	// set it.
-	stepped bool
 
 	// endpoints maps every node to the SM or MC sitting on it (nil for an
 	// unpopulated tile); tick is tickLane bound once, so Step hands the
@@ -415,75 +402,6 @@ func (s *Simulator) Step() {
 	}
 }
 
-// fastForward jumps over globally idle cycles: when no flits are anywhere
-// in the fabric and every SM and MC reports its next event strictly in the
-// future, every intervening Step would be a no-op apart from three exactly
-// compensable per-cycle effects — the SMs' stall counters (bulk-added), the
-// MCs' service-token refresh (recomputed over the span), and telemetry
-// epoch sampling. The jump advances in chunks that land exactly on each
-// telemetry epoch boundary, applying compensation before sampling, so
-// every epoch inside the span flushes with the same cycle stamp and the
-// same probe readings a stepped run would record — byte-identical series.
-// Skips at most maxSkip cycles and returns the number skipped (0 when the
-// system is not idle).
-func (s *Simulator) fastForward(maxSkip int64) int64 {
-	if maxSkip <= 0 || s.Net.FlitsInFlight() != 0 {
-		return 0
-	}
-	h := int64(math.MaxInt64)
-	for _, sm := range s.SMs {
-		e := sm.NextEvent(s.cycle)
-		if e <= s.cycle {
-			return 0
-		}
-		if e < h {
-			h = e
-		}
-	}
-	for _, m := range s.MCs {
-		e := m.NextEvent(s.cycle)
-		if e <= s.cycle {
-			return 0
-		}
-		if e < h {
-			h = e
-		}
-	}
-	if limit := s.cycle + maxSkip; h > limit {
-		h = limit
-	}
-	start := s.cycle
-	for s.cycle < h {
-		to := h
-		if s.Tel != nil {
-			if b := (s.cycle/s.Tel.EpochLen + 1) * s.Tel.EpochLen; b < to {
-				to = b
-			}
-		}
-		delta := to - s.cycle
-		for _, sm := range s.SMs {
-			sm.FastForward(delta)
-		}
-		for _, m := range s.MCs {
-			m.FastForward(s.cycle, to-1)
-		}
-		s.Net.FastForward(delta)
-		s.cycle = to
-		if s.Tel != nil {
-			s.Tel.MaybeSample(s.cycle)
-		}
-	}
-	// One live snapshot per crossed publication boundary would only repeat
-	// identical idle state; publish once at the landing cycle instead so
-	// /progress keeps moving.
-	if s.Pub != nil && s.cycle/s.Pub.Every > start/s.Pub.Every {
-		s.Pub.Publish(s.cycle, false)
-	}
-	s.FastForwarded += s.cycle - start
-	s.Flight.Record(s.cycle, fleetobs.KindFastForward, s.cycle-start, s.FastForwarded, 0)
-	return s.cycle - start
-}
-
 // Result summarizes one run.
 type Result struct {
 	Benchmark  string
@@ -504,10 +422,6 @@ type Result struct {
 	// JSONL log and the Chrome trace-event file.
 	Spans *obs.Spans
 
-	// FastForwarded counts the cycles the run loop jumped over instead of
-	// stepping — part of the job's resource footprint.
-	FastForwarded int64
-
 	// Flight carries the flight recorder when one was attached
 	// (AttachFlight); nil otherwise.
 	Flight *fleetobs.Recorder
@@ -517,18 +431,13 @@ type Result struct {
 // sweep engine records per job.
 func (r Result) Metrics() stats.Metrics { return stats.Collect(r.GPU, r.Net) }
 
-// Run simulates warmup then measurement and returns the results. The
-// deadlock watchdog aborts wedged runs (Deadlocked set, stats best-effort).
-func (s *Simulator) Run() Result {
-	res, _ := s.RunContext(context.Background())
-	return res
-}
-
-// RunContext is Run with cooperative cancellation: the simulation loop
-// checks ctx every 512 cycles and, when cancelled, returns the partial
-// result alongside ctx's error. This is what gives sweep jobs real
-// timeouts — a cancelled job stops simulating instead of leaking a
-// goroutine until it finishes on its own.
+// RunContext simulates warmup then measurement and returns the results. The
+// deadlock watchdog aborts wedged runs (Deadlocked set, stats best-effort),
+// a sanitizer violation aborts with an error, and the loop checks ctx every
+// 512 cycles: when cancelled it returns the partial result alongside ctx's
+// error. This is what gives sweep jobs real timeouts — a cancelled job
+// stops simulating instead of leaking a goroutine until it finishes on its
+// own.
 func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	if s.Flight != nil {
 		defer func() {
@@ -560,38 +469,23 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	return res, nil
 }
 
-// runPhase simulates one phase (warmup or measurement) of the given length.
-// After every stepped cycle it jumps over whatever globally idle span
-// follows (fastForward), capped so that nothing a cycle-by-cycle loop does
-// at a fixed cycle is skipped: the jump stops at the next sanitizer
-// boundary, at the next watchdog/cancellation checkpoint (i ≡ 511 mod 512)
-// and at the phase end, and each check then runs exactly where stepping
-// would have run it. The bool reports an early exit — sanitizer failure,
-// cancellation, or a watchdog trip — with the partial result and error
-// RunContext must return.
+// runPhase simulates one phase (warmup or measurement) of the given length,
+// one Step per cycle; every 512th cycle is the cancellation, flight
+// checkpoint and deadlock-watchdog boundary. The bool reports an early exit
+// — sanitizer failure, cancellation, or a watchdog trip — with the partial
+// result and error RunContext must return.
 func (s *Simulator) runPhase(ctx context.Context, cycles int) (Result, bool, error) {
 	const watchdogWindow = 2048
 	for i := 0; i < cycles; i++ {
 		s.Step()
-		err := s.sanitize()
-		if err == nil && !s.stepped {
-			skip := min(int64((i|511)-i), int64(cycles-1-i))
-			if every := int64(s.SanitizeEvery); every > 0 {
-				skip = min(skip, every-s.cycle%every)
-			}
-			if n := s.fastForward(skip); n > 0 {
-				i += int(n)
-				err = s.sanitize()
-			}
-		}
-		if err != nil {
+		if err := s.sanitize(); err != nil {
 			return s.result(false, int64(i)), true, err
 		}
 		if i%512 == 511 {
 			if err := ctx.Err(); err != nil {
 				return s.result(false, int64(i)), true, err
 			}
-			s.Flight.Record(s.cycle, fleetobs.KindCheckpoint, int64(s.Net.FlitsInFlight()), s.FastForwarded, 0)
+			s.Flight.Record(s.cycle, fleetobs.KindCheckpoint, int64(s.Net.FlitsInFlight()), 0, 0)
 			if s.Net.Quiescent(watchdogWindow) {
 				s.flightWatchdog()
 				return s.result(true, int64(i)), true, nil
@@ -677,16 +571,15 @@ func (s *Simulator) result(deadlocked bool, cycles int64) Result {
 		s.Pub.Publish(s.cycle, true)
 	}
 	return Result{
-		Benchmark:     s.Prof.Name,
-		IPC:           g.IPC(),
-		Cycles:        cycles,
-		Deadlocked:    deadlocked,
-		GPU:           g,
-		Net:           st,
-		Tel:           s.Tel,
-		Spans:         s.Spans,
-		FastForwarded: s.FastForwarded,
-		Flight:        s.Flight,
+		Benchmark:  s.Prof.Name,
+		IPC:        g.IPC(),
+		Cycles:     cycles,
+		Deadlocked: deadlocked,
+		GPU:        g,
+		Net:        st,
+		Tel:        s.Tel,
+		Spans:      s.Spans,
+		Flight:     s.Flight,
 	}
 }
 

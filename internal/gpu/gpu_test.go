@@ -154,7 +154,10 @@ func TestSharedVCsDeadlockEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sim.Run()
+	res, err := sim.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Deadlocked {
 		t.Error("shared VCs on diamond did not deadlock the full system")
 	}

@@ -50,7 +50,7 @@ type MC struct {
 	svcTokens  int // clock-domain throttle
 
 	// idleUntil is the sleep horizon: every tick ends by recording its
-	// NextEvent here — with nothing to inject and nothing to retry that is
+	// nextEvent here — with nothing to inject and nothing to retry that is
 	// the earliest L2 or DRAM completion — and until then Tick only
 	// refreshes the service token. Servicing a request wakes the controller by zeroing
 	// it. Both writers run on the lane that owns this MC's node.
@@ -241,13 +241,13 @@ func (m *MC) makeReply(req *packet.Packet, now int64) *packet.Packet {
 	return rep
 }
 
-// NextEvent returns the earliest cycle at or after now at which Tick could
+// nextEvent returns the earliest cycle at or after now at which Tick could
 // do observable work: now itself when replies wait to inject or DRAM
 // enqueues wait to retry, otherwise the earliest L2 or DRAM completion, or
 // math.MaxInt64 for an idle controller. Ticks strictly before the returned
-// cycle change nothing except the service-token refresh, which FastForward
-// compensates — together they make skipping exact.
-func (m *MC) NextEvent(now int64) int64 {
+// cycle change nothing except the service-token refresh, which Tick does
+// before its sleep check — that is what makes sleeping until then exact.
+func (m *MC) nextEvent(now int64) int64 {
 	if m.outbox.Len() > 0 || m.retryDRAM.Len() > 0 {
 		return now
 	}
@@ -262,14 +262,14 @@ func (m *MC) NextEvent(now int64) int64 {
 
 // CheckInvariants validates the sleep state at the cycle boundary before
 // Tick(now), side-effect free: if that tick would take the early-out,
-// NextEvent — recomputed from the queues, the L2 waits and the DRAM channel
+// nextEvent — recomputed from the queues, the L2 waits and the DRAM channel
 // — must still lie at or beyond the horizon. The gpu sanitizer samples it
 // next to the interconnect's own check.
 func (m *MC) CheckInvariants(now int64) error {
 	if now >= m.idleUntil {
 		return nil
 	}
-	e := m.NextEvent(now)
+	e := m.nextEvent(now)
 	if e >= m.idleUntil {
 		return nil
 	}
@@ -284,18 +284,6 @@ func (m *MC) CheckInvariants(now int64) error {
 	}
 	return fmt.Errorf("mc: MC %d asleep until cycle %d at cycle %d, but %s is due at cycle %d",
 		m.Index, m.idleUntil, now, cause, e)
-}
-
-// FastForward applies the per-cycle effects of the skipped ticks at cycles
-// from..to inclusive (all of which NextEvent certified as no-ops): the only
-// such effect is the service-token refresh, which sets — not accumulates —
-// one token at every MCServicePeriod boundary. The token state after the
-// span therefore depends only on whether the span contained a boundary.
-func (m *MC) FastForward(from, to int64) {
-	p := int64(m.cfg.MCServicePeriod)
-	if p <= 1 || from <= 0 || to/p > (from-1)/p {
-		m.svcTokens = 1
-	}
 }
 
 // Tick advances the MC one NoC cycle.
@@ -368,5 +356,5 @@ func (m *MC) Tick(now int64) {
 	// while replies or DRAM retries are queued, else the earliest L2 or
 	// DRAM completion — every tick before it would find the same empty
 	// queues.
-	m.idleUntil = m.NextEvent(now + 1)
+	m.idleUntil = m.nextEvent(now + 1)
 }

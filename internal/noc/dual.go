@@ -86,13 +86,6 @@ func (d *Dual) Step() {
 	d.reply.Step()
 }
 
-// FastForward advances both subnets' cycle counters by delta; the caller
-// must have established that both are empty (FlitsInFlight() == 0).
-func (d *Dual) FastForward(delta int64) {
-	d.request.FastForward(delta)
-	d.reply.FastForward(delta)
-}
-
 // Cycle returns the completed cycle count.
 func (d *Dual) Cycle() int64 { return d.request.Cycle() }
 

@@ -109,12 +109,6 @@ type Interconnect interface {
 	// sizes. Callers must invoke it only at a cycle boundary (between
 	// Step calls) so the kernel is never read mid-phase.
 	StateSnapshot() obs.MeshState
-	// FastForward advances the cycle counter by delta without stepping.
-	// Callers must have established that the fabric is empty
-	// (FlitsInFlight() == 0): an empty fabric is a fixed point of Step,
-	// so skipping is observationally identical to stepping. Panics if
-	// flits are in flight.
-	FastForward(delta int64)
 	// Close stops the kernel's lane workers, if any are running. The
 	// interconnect stays usable (the next parallel phase respawns them);
 	// call at a cycle boundary, typically deferred after construction.
@@ -368,23 +362,6 @@ func (n *Network) stuck(window int64) bool { return n.cycle-n.lastMove >= window
 // still in flight: the protocol-deadlock watchdog.
 func (n *Network) Quiescent(window int64) bool {
 	return n.FlitsInFlight() > 0 && n.stuck(window)
-}
-
-// FastForward advances the cycle counter by delta without stepping. An
-// empty fabric is a fixed point of Step — no injections, pipelines, link
-// traversals, or credit returns can occur, and finishCycle would only
-// advance the counter — so the jump is observationally identical to delta
-// empty Steps. lastMove is deliberately left alone: empty Steps would not
-// have moved anything either.
-func (n *Network) FastForward(delta int64) {
-	if delta <= 0 {
-		return
-	}
-	if n.FlitsInFlight() != 0 {
-		panic("noc: FastForward with flits in flight")
-	}
-	n.cycle += delta
-	n.stats.Cycles = n.cycle
 }
 
 // activeCount sums the scheduled routers across lanes.

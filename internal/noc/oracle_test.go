@@ -7,8 +7,7 @@
 // The oracle is selectable only through this package's export_test.go, so
 // these comparisons live here, in the external test package that can drive
 // a whole gpu.Simulator. Worker-count equivalence of the shipped kernel
-// needs no oracle and lives in the root package's equivalence_test.go;
-// fast-forward vs stepping lives in internal/gpu.
+// needs no oracle and lives in the root package's equivalence_test.go.
 package noc_test
 
 import (
@@ -129,10 +128,10 @@ func TestReferenceOracleAsymmetric(t *testing.T) {
 	checkOracle(t, cfg, workload.MustGet("BFS"))
 }
 
-// TestReferenceOracleIdle covers the workloads fast-forward actually skips
-// on: a pure-compute profile that never touches the fabric, and a trickle
-// profile whose idle spans border real memory traffic, so the kernel is
-// repeatedly entered from and left in the empty state.
+// TestReferenceOracleIdle covers the mostly-empty fabric: a pure-compute
+// profile that never touches it, and a trickle profile whose idle spans
+// border real memory traffic, so the kernel is repeatedly entered from and
+// left in the empty state.
 func TestReferenceOracleIdle(t *testing.T) {
 	for _, prof := range []workload.Profile{
 		{Name: "IDLE", Suite: "synthetic", Locality: 0.5, FootprintBytes: 256 << 10,

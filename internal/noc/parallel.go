@@ -282,8 +282,7 @@ func (n *Network) foldStats() {
 //   - The budget before parking is ~100 µs. A budget a busy wait can outlast
 //     (2^15 loads and below) parks a goroutine every cycle and doubles the
 //     cycle time; what is left to park is a genuinely idle stepping
-//     goroutine — a fast-forward span, result assembly, the gap between two
-//     runs.
+//     goroutine — result assembly, the gap between two runs.
 //   - The yield is sparse, one per ~1 µs of spinning. Back to back — the
 //     ladder this replaces was 128 loads, then 256 x (load, Gosched) — every
 //     yield with nothing else runnable is a trip through findRunnable and

@@ -213,9 +213,9 @@ func TestEffectiveDomains(t *testing.T) {
 // TestLaneCallbackInjectVisibleBeforeStep guards the sharded in-flight
 // tally: Inject parks its flits in a per-lane count until the next serial
 // tail, and everything that reads the fabric between an Inject and a Step —
-// FlitsInFlight, Drain's loop condition, CheckInvariants, the snapshot, the
-// FastForward guard — must see them, at every lane count, on the single
-// network and on both subnets of a Dual.
+// FlitsInFlight, Drain's loop condition, CheckInvariants, the snapshot —
+// must see them, at every lane count, on the single network and on both
+// subnets of a Dual.
 func TestLaneCallbackInjectVisibleBeforeStep(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		n := newWorkerNet(t, config.RoutingXY, config.VCSplit, w)
@@ -237,14 +237,6 @@ func TestLaneCallbackInjectVisibleBeforeStep(t *testing.T) {
 		if err := n.CheckInvariants(); err != nil {
 			t.Errorf("workers=%d: invariants before any Step: %v", w, err)
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("workers=%d: FastForward accepted a fabric with queued injections", w)
-				}
-			}()
-			n.FastForward(1)
-		}()
 		if !n.Drain(2000) || n.Cycle() == 0 {
 			t.Fatalf("workers=%d: Drain stepped %d cycles and left %d flits in flight", w, n.Cycle(), n.FlitsInFlight())
 		}

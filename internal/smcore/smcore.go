@@ -237,51 +237,21 @@ func (s *SM) eligible(w *warp, now int64) bool {
 	return true
 }
 
-// timeHorizon scans the warps that only need time to pass (not a fill or a
-// fetch return): eligible reports whether one of them can issue at now, h
-// is the earliest readyAt after now among the rest (math.MaxInt64 if none).
-// NextEvent and the sleep entry both read their horizon from it.
-func (s *SM) timeHorizon(now int64) (h int64, eligible bool) {
-	h = math.MaxInt64
+// timeHorizon returns the earliest readyAt after now among the warps that
+// only need time to pass (not a fill or a fetch return), math.MaxInt64 if
+// there is none: the sleep horizon.
+func (s *SM) timeHorizon(now int64) int64 {
+	h := int64(math.MaxInt64)
 	for i := range s.warps {
 		w := &s.warps[i]
 		if w.fetchWait || w.outstanding >= s.prof.RunAhead {
 			continue // unblocked by a reply, not by time
 		}
-		if w.readyAt <= now {
-			eligible = true
-		} else if w.readyAt < h {
+		if w.readyAt > now && w.readyAt < h {
 			h = w.readyAt
 		}
 	}
-	return h, eligible
-}
-
-// NextEvent returns the earliest cycle at or after now at which Tick could
-// do work beyond counting a stall: now itself when the outbox has packets
-// to drain or any warp is eligible, otherwise the earliest readyAt among
-// warps that only need time to pass (not a fill or fetch return), or
-// math.MaxInt64 when every warp is blocked on in-flight memory. Ticks
-// strictly before the returned cycle only increment StallCycles, which
-// FastForward applies in bulk — together they make skipping exact.
-func (s *SM) NextEvent(now int64) int64 {
-	if s.outbox.Len() > 0 {
-		return now
-	}
-	h, eligible := s.timeHorizon(now)
-	if eligible {
-		return now
-	}
 	return h
-}
-
-// FastForward applies the per-cycle effects of delta skipped ticks, all of
-// which NextEvent certified as issue-less: each would have counted one
-// stall cycle.
-func (s *SM) FastForward(delta int64) {
-	if s.gpu != nil {
-		s.gpu.StallCycles += delta
-	}
 }
 
 // stall counts one issue-less cycle.
@@ -298,7 +268,7 @@ func (s *SM) stall() {
 // blocked ones stay blocked until a fill or an outbox pop — both wake the
 // SM — or until a readyAt comes due, which is the horizon recorded here.
 func (s *SM) sleep(now int64) {
-	s.idleUntil, _ = s.timeHorizon(now)
+	s.idleUntil = s.timeHorizon(now)
 	s.stall()
 }
 
@@ -470,7 +440,7 @@ func (s *SM) CheckInvariants(now int64) error {
 		return fmt.Errorf("smcore: SM %d asleep until cycle %d at cycle %d, but "+format,
 			append([]any{s.Index, s.idleUntil, now}, a...)...)
 	}
-	if h, _ := s.timeHorizon(now); h < s.idleUntil {
+	if h := s.timeHorizon(now); h < s.idleUntil {
 		return fail("a warp's readyAt comes due at cycle %d", h)
 	}
 	wi := s.pick(now)

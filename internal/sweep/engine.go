@@ -226,7 +226,6 @@ func Run(ctx context.Context, jobs []Job, sink Sink, opts Options) ([]Outcome, e
 					o.Record.Status = StatusOK
 					o.Record.Deadlocked = r.Deadlocked
 					o.Record.Exec.Cycles = r.Cycles
-					o.Record.Exec.FFCycles = r.FastForwarded
 					m := r.Metrics()
 					o.Record.Metrics = &m
 					o.Res = &r

@@ -50,12 +50,12 @@ type Record struct {
 	Deadlocked bool           `json:"deadlocked,omitempty"`
 	Metrics    *stats.Metrics `json:"metrics,omitempty"`
 
-	// Exec is the job's execution footprint — wall time, cycles actually
-	// stepped vs fast-forwarded, allocation cost, and (under the fabric)
-	// which worker ran it on which attempt. It describes the run, not the
-	// experiment: two executions of the same job produce the same record
-	// apart from Exec, so every identity comparison (resume, golden tests,
-	// cross-mode equivalence) uses the canonical form with Exec stripped.
+	// Exec is the job's execution footprint — wall time, cycles simulated,
+	// allocation cost, and (under the fabric) which worker ran it on which
+	// attempt. It describes the run, not the experiment: two executions of
+	// the same job produce the same record apart from Exec, so every
+	// identity comparison (resume, golden tests, cross-mode equivalence)
+	// uses the canonical form with Exec stripped.
 	Exec *Exec `json:"exec,omitempty"`
 }
 
@@ -67,7 +67,6 @@ type Record struct {
 type Exec struct {
 	WallMS     int64  `json:"wall_ms"`
 	Cycles     int64  `json:"cycles,omitempty"`
-	FFCycles   int64  `json:"ff_cycles,omitempty"`
 	AllocBytes int64  `json:"alloc_bytes,omitempty"`
 	Worker     string `json:"worker,omitempty"`
 	Attempt    int    `json:"attempt,omitempty"`

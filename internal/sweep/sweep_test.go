@@ -217,6 +217,18 @@ func TestJSONLRoundTrip(t *testing.T) {
 			t.Errorf("record %d mismatch:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
+
+	// Readers ignore members they do not know: a stored line that carries
+	// the "ff_cycles" footprint records used to have still loads, with the
+	// identity of the same record without it.
+	const line = `{"fingerprint":"f","status":"ok","exec":{"wall_ms":1%s}}` + "\n"
+	old, err := ReadRecords(strings.NewReader(fmt.Sprintf(line, `,"ff_cycles":7`) + fmt.Sprintf(line, "")))
+	if err != nil {
+		t.Fatalf("a record with ff_cycles no longer loads: %v", err)
+	}
+	if old[0].Exec == nil || old[0].Exec.WallMS != 1 || old[0].Canonical() != old[1].Canonical() {
+		t.Errorf("ff_cycles changed the decoded record: %+v vs %+v", old[0], old[1])
+	}
 }
 
 func TestRunPanicIsolation(t *testing.T) {

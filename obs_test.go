@@ -9,6 +9,7 @@
 package gpgpunoc_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -46,6 +47,16 @@ func newSim(t *testing.T, cfg config.Config, bench string, inst gpu.Instrumentat
 	return sim
 }
 
+// runSim runs sim to completion; a run that ends in an error fails the test.
+func runSim(t *testing.T, sim *gpu.Simulator) gpu.Result {
+	t.Helper()
+	res, err := sim.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestSpanRateZeroMatchesDisabled pins the zero-overhead-when-off contract
 // on a Figure 9 scheme: a run with the span collector attached at rate 0
 // must be bit-identical — IPC, GPU counters, and the full network stats
@@ -56,10 +67,10 @@ func TestSpanRateZeroMatchesDisabled(t *testing.T) {
 	cfg.NoC.Routing = config.RoutingYX
 
 	plain := newSim(t, cfg, "KMN", gpu.Instrumentation{})
-	resPlain := plain.Run()
+	resPlain := runSim(t, plain)
 
 	traced := newSim(t, cfg, "KMN", gpu.Instrumentation{Spans: true})
-	resTraced := traced.Run()
+	resTraced := runSim(t, traced)
 
 	if resPlain.IPC != resTraced.IPC {
 		t.Errorf("IPC diverged: %v vs %v", resPlain.IPC, resTraced.IPC)
@@ -83,7 +94,7 @@ func TestSpanRateZeroMatchesDisabled(t *testing.T) {
 func TestSpanSegmentsMatchTelemetry(t *testing.T) {
 	sim := newSim(t, obsCfg(), "KMN", gpu.Instrumentation{TelemetryEpoch: 400, Spans: true, SpanRate: 1})
 	tel := sim.Tel
-	res := sim.Run()
+	res := runSim(t, sim)
 
 	type agg struct {
 		count int64
@@ -142,7 +153,13 @@ func TestObsEndpointsMidRun(t *testing.T) {
 	base := "http://" + srv.Addr()
 
 	done := make(chan gpu.Result, 1)
-	go func() { done <- sim.Run() }()
+	go func() {
+		res, err := sim.RunContext(context.Background())
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
 
 	fetch := func(ep string) (int, []byte) {
 		resp, err := http.Get(base + ep)
