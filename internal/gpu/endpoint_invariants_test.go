@@ -31,7 +31,8 @@ func (c *corruptingNet) Step() {
 // Checked after every cycle, saturated, write-heavy and mostly-idle systems
 // on one and two subnets, at one and four workers, never trip it; an MC
 // that is asleep while its DRAM channel has work fails the run with an
-// error naming the controller and the cause.
+// error naming the controller and the cause, and so does an endpoint still
+// waiting for injection space after its queue drained.
 func TestEndpointInvariants(t *testing.T) {
 	forcePool(t)
 	for _, prof := range []workload.Profile{workload.MustGet("KMN"), workload.MustGet("RAY"), trickleProfile()} {
@@ -71,4 +72,30 @@ func TestEndpointInvariants(t *testing.T) {
 			}
 		}
 	})
+
+	// Free queue space without the wake: one endpoint's inject wake is
+	// replaced by a no-op, so once its outbox front is refused it waits on
+	// while the network drains its node's queue.
+	for _, who := range []string{"SM 50", "MC 5"} {
+		t.Run("lost drain wake/"+who, func(t *testing.T) {
+			sim, err := gpu.NewInstrumented(equivCfg(), workload.MustGet("KMN"), gpu.Instrumentation{SanitizeEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Close()
+			node := sim.SMs[50].Node
+			if who == "MC 5" {
+				node = sim.MCs[5].Node
+			}
+			sim.Net.SetInjectWake(node, func() {})
+			_, err = sim.RunContext(context.Background())
+			if err == nil {
+				t.Fatal("an endpoint waiting for space its queue already has passed the sanitizer")
+			}
+			want := fmt.Sprintf("%s waits for injection space node %d already has: the drain wake was lost", who, node)
+			if !strings.Contains(err.Error(), "sanitizer at cycle") || !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q lacks %q", err, want)
+			}
+		})
+	}
 }

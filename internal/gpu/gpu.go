@@ -151,6 +151,7 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 		s.SMs = append(s.SMs, sm)
 		s.endpoints[sm.Node] = sm
 		net.SetSink(sm.Node, sm.Sink())
+		net.SetInjectWake(sm.Node, sm.WakeInject)
 	}
 	// Unpopulated core tiles (none in the 56+8 system, but possible in
 	// ablations) simply absorb anything misrouted to them.
@@ -162,6 +163,7 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 		s.MCs = append(s.MCs, ctrl)
 		s.endpoints[ctrl.Node] = ctrl
 		net.SetSink(ctrl.Node, ctrl.Sink(func() int64 { return s.cycle }))
+		net.SetInjectWake(ctrl.Node, ctrl.WakeInject)
 	}
 	return s, nil
 }
@@ -496,7 +498,9 @@ func (s *Simulator) runPhase(ctx context.Context, cycles int) (Result, bool, err
 }
 
 // checkInvariants validates the interconnect, then every endpoint's sleep
-// state (a sleeping SM or MC must still have its reason to sleep).
+// state (a sleeping SM or MC must still have its reason to sleep) and, across
+// the two layers, every endpoint waiting for injection space: the queue that
+// refused its packet must still lack the room, or the drain's wake was lost.
 func (s *Simulator) checkInvariants() error {
 	if err := s.Net.CheckInvariants(); err != nil {
 		return err
@@ -505,11 +509,28 @@ func (s *Simulator) checkInvariants() error {
 		if err := sm.CheckInvariants(s.cycle); err != nil {
 			return err
 		}
+		if err := s.checkRefused("SM", sm.Index, sm.Node, sm.Refused()); err != nil {
+			return err
+		}
 	}
 	for _, m := range s.MCs {
 		if err := m.CheckInvariants(s.cycle); err != nil {
 			return err
 		}
+		if err := s.checkRefused("MC", m.Index, m.Node, m.Refused()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkRefused fails when the endpoint waits (p, its refused outbox front,
+// is non-nil) for space its node's injection queue already has. On two
+// subnets InjectSpace is the smaller of the two queues' space, so the check
+// is sound there too, only weaker.
+func (s *Simulator) checkRefused(kind string, idx int, node mesh.NodeID, p *packet.Packet) error {
+	if p != nil && s.Net.InjectSpace(node) >= p.Flits {
+		return fmt.Errorf("gpu: %s %d waits for injection space node %d already has: the drain wake was lost", kind, idx, node)
 	}
 	return nil
 }

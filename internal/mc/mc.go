@@ -50,11 +50,18 @@ type MC struct {
 	svcTokens  int // clock-domain throttle
 
 	// idleUntil is the sleep horizon: every tick ends by recording its
-	// nextEvent here — with nothing to inject and nothing to retry that is
+	// nextEvent here — with nothing injectable and nothing to retry that is
 	// the earliest L2 or DRAM completion — and until then Tick only
-	// refreshes the service token. Servicing a request wakes the controller by zeroing
-	// it. Both writers run on the lane that owns this MC's node.
+	// refreshes the service token. Servicing a request and the inject wake
+	// after a refusal wake the controller by zeroing it. All three writers
+	// run on the lane that owns this MC's node.
 	idleUntil int64
+
+	// injBlocked: the interconnect refused the outbox front. Queue space
+	// grows only when the network drains this node's injection queue, so the
+	// reply loop stops retrying — and nextEvent stops counting the outbox as
+	// work — until the interconnect's inject wake (WakeInject).
+	injBlocked bool
 
 	gpu   *stats.GPU
 	spans *obs.Spans
@@ -242,13 +249,14 @@ func (m *MC) makeReply(req *packet.Packet, now int64) *packet.Packet {
 }
 
 // nextEvent returns the earliest cycle at or after now at which Tick could
-// do observable work: now itself when replies wait to inject or DRAM
+// do observable work: now itself when replies wait to inject (for a token,
+// not for queue space: a refused outbox is WakeInject's to restart) or DRAM
 // enqueues wait to retry, otherwise the earliest L2 or DRAM completion, or
 // math.MaxInt64 for an idle controller. Ticks strictly before the returned
 // cycle change nothing except the service-token refresh, which Tick does
 // before its sleep check — that is what makes sleeping until then exact.
 func (m *MC) nextEvent(now int64) int64 {
-	if m.outbox.Len() > 0 || m.retryDRAM.Len() > 0 {
+	if m.injectable() || m.retryDRAM.Len() > 0 {
 		return now
 	}
 	h := m.dram.NextEvent(now)
@@ -258,6 +266,33 @@ func (m *MC) nextEvent(now int64) int64 {
 		}
 	}
 	return h
+}
+
+// injectable reports replies in the outbox that the interconnect has not
+// refused: the reply loop's work, given a service token.
+func (m *MC) injectable() bool { return m.outbox.Len() > 0 && !m.injBlocked }
+
+// WakeInject is the MC's inject wake (noc.Interconnect.SetInjectWake): the
+// network freed space in this node's injection queue after refusing the
+// outbox front, so the controller wakes and the next Tick retries it. It
+// runs on the lane that owns the MC's node. Calling it spuriously is
+// harmless — a driver that knows nothing of wakes calls it before every
+// Tick and gets the polling MC; an MC that was not refused stays asleep.
+func (m *MC) WakeInject() {
+	if m.injBlocked {
+		m.injBlocked = false
+		m.idleUntil = 0
+	}
+}
+
+// Refused returns the outbox front the interconnect refused and has not yet
+// made room for, nil if the MC is not waiting on injection space. The gpu
+// sanitizer checks it against the queue's actual space.
+func (m *MC) Refused() *packet.Packet {
+	if !m.injBlocked {
+		return nil
+	}
+	return m.outbox.Front()
 }
 
 // CheckInvariants validates the sleep state at the cycle boundary before
@@ -275,7 +310,7 @@ func (m *MC) CheckInvariants(now int64) error {
 	}
 	cause := "an L2 completion"
 	switch {
-	case m.outbox.Len() > 0:
+	case m.injectable():
 		cause = "replies wait in the outbox"
 	case m.retryDRAM.Len() > 0:
 		cause = "DRAM enqueues wait to retry"
@@ -343,8 +378,9 @@ func (m *MC) Tick(now int64) {
 
 	// Inject replies, spending service tokens; free queue slots as replies
 	// leave.
-	for m.outbox.Len() > 0 && m.svcTokens > 0 {
+	for m.injectable() && m.svcTokens > 0 {
 		if !m.net.Inject(m.outbox.Front()) {
+			m.injBlocked = true
 			break
 		}
 		m.outbox.Pop()
@@ -353,8 +389,8 @@ func (m *MC) Tick(now int64) {
 	}
 
 	// Sleep until the next event: that is the very next cycle (no sleep)
-	// while replies or DRAM retries are queued, else the earliest L2 or
-	// DRAM completion — every tick before it would find the same empty
-	// queues.
+	// while injectable replies or DRAM retries are queued, else the earliest
+	// L2 or DRAM completion — every tick before it would find the same
+	// empty (or refused) queues.
 	m.idleUntil = m.nextEvent(now + 1)
 }

@@ -29,6 +29,7 @@ func newHarness(t *testing.T, memCfg config.Mem) *harness {
 	var gs stats.GPU
 	h.mc = New(0, 63, memCfg, h.net, &gs)
 	h.net.SetSink(63, h.mc.Sink(func() int64 { return h.cycle }))
+	h.net.SetInjectWake(63, h.mc.WakeInject)
 	for i := 0; i < 63; i++ {
 		h.net.SetSink(mesh.NodeID(i), func(f packet.Flit) bool {
 			if f.Tail {

@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"gpgpunoc/internal/config"
+	"gpgpunoc/internal/noc"
 	"gpgpunoc/internal/packet"
+	"gpgpunoc/internal/stats"
 )
 
 // TestSleepLockstep runs two MCs fed the same scripted request stream for
@@ -98,5 +101,67 @@ func TestSleepInvariants(t *testing.T) {
 				t.Errorf("error %q does not name MC 0 and %q", err, m.want)
 			}
 		})
+	}
+}
+
+// gateNet refuses every Inject while shut, and counts the calls.
+type gateNet struct {
+	noc.Interconnect
+	shut  bool
+	calls int
+}
+
+func (g *gateNet) Inject(*packet.Packet) bool {
+	g.calls++
+	return !g.shut
+}
+
+// TestBlockedOutboxSleeps: an MC whose reply was refused does not count the
+// outbox as work — it sleeps to its L2/DRAM horizon (forever, here), passes
+// its own invariant check, and offers the reply again only after
+// WakeInject, which also wakes it.
+func TestBlockedOutboxSleeps(t *testing.T) {
+	net := &gateNet{shut: true}
+	var gs stats.GPU
+	m := New(0, 60, config.Default().Mem, net, &gs)
+	now := int64(0)
+	sink := m.Sink(func() int64 { return now })
+	req := &packet.Packet{ID: 1, Type: packet.ReadRequest, Src: 3, Dst: 60, Flits: 1}
+	if !sink(packet.Flit{Pkt: req, Head: true, Tail: true}) {
+		t.Fatal("request refused by an empty MC")
+	}
+	tick := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := m.CheckInvariants(now); err != nil {
+				t.Fatal(err)
+			}
+			m.Tick(now)
+			now++
+		}
+	}
+	tick(2000)
+	if net.calls != 1 || m.Refused() == nil || m.idleUntil != math.MaxInt64 {
+		t.Fatalf("after 2000 ticks against a shut network: %d Inject calls (want 1), refused front %v, asleep until %d (want forever)",
+			net.calls, m.Refused(), m.idleUntil)
+	}
+	net.shut = false
+	tick(100)
+	if net.calls != 1 {
+		t.Fatalf("the MC retried a refused Inject without a wake (%d calls)", net.calls)
+	}
+	m.WakeInject()
+	if m.idleUntil != 0 {
+		t.Fatalf("WakeInject left the MC asleep until %d", m.idleUntil)
+	}
+	tick(int(m.cfg.MCServicePeriod))
+	if net.calls != 2 || m.Refused() != nil || m.QueueLen() != 0 {
+		t.Fatalf("woken MC did not inject its reply: %d Inject calls, refused front %v, queue %d", net.calls, m.Refused(), m.QueueLen())
+	}
+	// Not refused, so a spurious wake leaves a sleeping MC asleep.
+	tick(1)
+	if asleep := m.idleUntil; asleep == 0 {
+		t.Fatal("idle MC not asleep")
+	} else if m.WakeInject(); m.idleUntil != asleep {
+		t.Error("a spurious WakeInject woke an MC that was not refused")
 	}
 }

@@ -21,7 +21,10 @@ const tickDigestFile = "testdata/tick.digests"
 // outbox backs up, the request queue fills, heads are refused) and a
 // quarter of the replies otherwise — a pure function of (cycle, packet).
 // MCs call nothing but Inject on an Interconnect; anything else hits the
-// nil embedded interface and panics.
+// nil embedded interface and panics. A refusal here ends with the clock, not
+// with a drain, so the script has no inject wake to deliver: the rig calls
+// WakeInject before every Tick instead — a spurious wake is legal — which is
+// the MC that retries a refused Inject every cycle.
 type scriptNet struct {
 	noc.Interconnect
 	cycle int64
@@ -135,6 +138,7 @@ func (r *tickRig) arrive() {
 func (r *tickRig) step() {
 	n := r.net
 	n.sent = n.sent[:0]
+	r.mc.WakeInject()
 	r.mc.Tick(n.cycle)
 	r.arrive()
 	if len(r.port) > 0 && r.sink(r.port[0]) {

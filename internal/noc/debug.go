@@ -9,11 +9,19 @@ import (
 
 // DumpBlocked writes a human-readable snapshot of every occupied input VC to
 // w: which packet is at the front, where it wants to go, and what resource
-// it is waiting for. It is the tool for diagnosing deadlocks and was used to
-// verify the protocol-deadlock demonstrations in the test suite.
+// it is waiting for — and who sleeps: one line per idle router holding
+// flits, and each non-empty injection queue marked blocked (not visited
+// until a local VC pops) and/or refused (owes its node an inject wake). A
+// sleeper next to the resource it waits for is a lost wake at a glance. It
+// is the tool for diagnosing deadlocks and was used to verify the
+// protocol-deadlock demonstrations in the test suite.
 func (n *Network) DumpBlocked(w io.Writer) {
 	for i := range n.routers {
 		rt := &n.routers[i]
+		if rt.idle && rt.bufFlits > 0 {
+			fmt.Fprintf(w, "router %v idle: %d flits buffered, skipped until a credit returns or a flit arrives in an empty VC\n",
+				rt.coord, rt.bufFlits)
+		}
 		for p := 0; p < mesh.NumPorts; p++ {
 			for v := range rt.in[p] {
 				ivc := &rt.in[p][v]
@@ -43,8 +51,15 @@ func (n *Network) DumpBlocked(w io.Writer) {
 		}
 	}
 	for i := range n.inj {
-		if n.inj[i].flits > 0 {
-			fmt.Fprintf(w, "inject queue node %d: %d flits queued\n", i, n.inj[i].flits)
+		if q := &n.inj[i]; q.flits > 0 {
+			state := ""
+			if q.blocked {
+				state += " blocked"
+			}
+			if q.refused {
+				state += " refused"
+			}
+			fmt.Fprintf(w, "inject queue node %d: %d flits queued%s\n", i, q.flits, state)
 		}
 	}
 }

@@ -77,6 +77,14 @@ func (d *Dual) SetSink(node mesh.NodeID, s Sink) {
 	d.reply.SetSink(node, s)
 }
 
+// SetInjectWake installs the wake on both subnets: each calls it after its
+// own drain, so a caller refused on one subnet is woken by that subnet,
+// whatever the other one is doing.
+func (d *Dual) SetInjectWake(node mesh.NodeID, wake func()) {
+	d.request.SetInjectWake(node, wake)
+	d.reply.SetInjectWake(node, wake)
+}
+
 // RunLanes runs fn over the lanes the two subnets share.
 func (d *Dual) RunLanes(fn func(lo, hi int)) { d.request.RunLanes(fn) }
 

@@ -15,3 +15,36 @@ func UseReferenceStepper(ic Interconnect) {
 		panic("noc: UseReferenceStepper on a foreign Interconnect")
 	}
 }
+
+// GateCounts is what the back-pressure gates did since construction, summed
+// over lanes (and over both subnets of a Dual).
+type GateCounts struct {
+	RouterVisits, IdleSkips    int64 // router-phase visits: full RC/VA/SA, idle early-out
+	InjectVisits, BlockedSkips int64 // inject-phase visits of a non-empty queue: injectNode, skipped as blocked
+	RefusedInjects             int64
+}
+
+// Gates reads the per-lane visit counters. Call at a cycle boundary.
+func Gates(ic Interconnect) GateCounts {
+	var g GateCounts
+	add := func(n *Network) {
+		for i := range n.lanes {
+			ln := &n.lanes[i]
+			g.RouterVisits += ln.routerVisits
+			g.IdleSkips += ln.idleSkips
+			g.InjectVisits += ln.injectVisits
+			g.BlockedSkips += ln.blockedSkips
+			g.RefusedInjects += ln.refusedInjects
+		}
+	}
+	switch n := ic.(type) {
+	case *Network:
+		add(n)
+	case *Dual:
+		add(n.request)
+		add(n.reply)
+	default:
+		panic("noc: Gates on a foreign Interconnect")
+	}
+	return g
+}

@@ -225,3 +225,110 @@ func TestNewRejectsVCCountBeyondMasks(t *testing.T) {
 	}()
 	New(cfg.NoC, routing.MustNew(cfg.NoC.Routing), vc.MustNewPolicy(cfg.NoC))
 }
+
+// TestIdleInvariants: an idle router and a blocked injection queue are not
+// visited, so a lost wake is a silent hang. On a saturated network — where
+// both are everywhere — the three events that end such a sleep are applied
+// by hand *without* their wake, and CheckInvariants must name the sleeper
+// and what it slept through.
+func TestIdleInvariants(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		// mutate corrupts one sleeper of n and returns how the error must
+		// name it.
+		mutate func(t *testing.T, n *Network) string
+		want   string
+	}{
+		{
+			name: "return a credit",
+			mutate: func(t *testing.T, n *Network) string {
+				for i := range n.routers {
+					rt := &n.routers[i]
+					for idx := range rt.vcs {
+						ivc := &rt.vcs[idx]
+						if !rt.idle || ivc.buf.len() == 0 || !ivc.routed || ivc.route == mesh.Local || ivc.outVC == -1 {
+							continue
+						}
+						// What finishCycle's credit application does, minus
+						// `op.rt.idle = false`.
+						op := &rt.out[ivc.route]
+						op.credits[ivc.outVC]++
+						rt.credOK |= 1 << idx
+						return fmt.Sprintf("router %v is idle", rt.coord)
+					}
+				}
+				t.Fatal("no idle router waits for a credit")
+				return ""
+			},
+			want: "the credit wake was lost",
+		},
+		{
+			name: "push into an empty VC",
+			mutate: func(t *testing.T, n *Network) string {
+				for i := range n.routers {
+					rt := &n.routers[i]
+					// A local VC: no upstream port keeps credits for it.
+					for idx := int(mesh.Local) * n.vcs; idx < len(rt.vcs); idx++ {
+						if !rt.idle || rt.bufFlits == 0 || rt.vcs[idx].buf.len() != 0 {
+							continue
+						}
+						// enqueue, minus its `rt.idle = false`.
+						p := mkPacket(1<<50, packet.ReadRequest, 0, rt.id, n.cycle)
+						n.enqueue(rt, idx, packet.Flit{Pkt: p, Head: true, Tail: true})
+						rt.idle = true
+						return fmt.Sprintf("router %v is idle", rt.coord)
+					}
+				}
+				t.Fatal("no idle router has an empty input VC")
+				return ""
+			},
+			want: "the wake of a push into an empty VC was lost",
+		},
+		{
+			name: "pop a Local VC",
+			mutate: func(t *testing.T, n *Network) string {
+				for id := range n.inj {
+					q := &n.inj[id]
+					if !q.blocked {
+						continue
+					}
+					rt := &n.routers[id]
+					r := n.injRng[id][q.Front().Class()]
+					if q.sent > 0 {
+						r = vc.Range{Lo: q.vc, Hi: q.vc + 1}
+					}
+					for v := r.Lo; v < r.Hi; v++ {
+						ivc := &rt.in[mesh.Local][v]
+						// A body flit: popping it releases no per-packet state.
+						if f := ivc.buf.front().flit; f.Head || f.Tail {
+							continue
+						}
+						// traverse's pop, minus its `blocked = false`.
+						ivc.buf.pop()
+						rt.bufFlits--
+						ivc.readyAt = ivc.buf.frontArrived() + n.pipeDelay
+						if ivc.buf.len() == 0 {
+							rt.occ &^= 1 << (int(mesh.Local)*n.vcs + v)
+						}
+						return fmt.Sprintf("injection queue of node %d is blocked", id)
+					}
+				}
+				t.Fatal("no blocked queue faces a local VC with a body flit at its front")
+				return ""
+			},
+			want: "the unblock of a Local pop was lost",
+		},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			n := loadedNet(t)
+			who := m.mutate(t, n)
+			err := n.CheckInvariants()
+			if err == nil {
+				t.Fatal("mutation not detected")
+			}
+			if !strings.Contains(err.Error(), who) || !strings.Contains(err.Error(), m.want) {
+				t.Errorf("error %q does not name %q and %q", err, who, m.want)
+			}
+		})
+	}
+}

@@ -63,6 +63,15 @@ type Interconnect interface {
 	InjectSpace(node mesh.NodeID) int
 	// SetSink installs the ejection callback for a node.
 	SetSink(node mesh.NodeID, s Sink)
+	// SetInjectWake installs the node's inject-wake callback, the same idiom
+	// as SetSink in the other direction. After refusing an Inject at a node
+	// the interconnect calls that node's wake, on the lane that owns the
+	// node, once it has freed any space in the queue that refused; it may
+	// call it spuriously (the freed space need not fit the refused packet,
+	// and a refusal the caller has since retried still counts). So a caller
+	// that registers a wake may stop retrying a refused Inject until the
+	// wake runs; a caller that registers nothing may keep polling.
+	SetInjectWake(node mesh.NodeID, wake func())
 	// RunLanes runs fn over disjoint node ranges [lo, hi) that together
 	// cover the mesh, and returns when every call has: once per kernel lane,
 	// concurrently on the lane workers, whenever Step would use them;
@@ -124,6 +133,15 @@ type injQueue struct {
 	flits       int // total flits queued (for capacity accounting)
 	cap         int
 	vc          int // local input VC receiving the current packet
+
+	// blocked: the last injectNode visit moved no flit — no admissible local
+	// VC has space, or the mid-packet VC is full — so the inject phase skips
+	// the queue until traverse pops a Local-port VC of the same router, the
+	// only event that frees such space. refused: Inject turned a packet away
+	// since the queue last drained a flit; the drain that clears it owes the
+	// node its inject wake.
+	blocked bool
+	refused bool
 }
 
 func (q *injQueue) empty() bool { return q.Len() == 0 }
@@ -159,6 +177,7 @@ type Network struct {
 	routers []router
 	inj     []injQueue
 	sinks   []Sink
+	injWake []func() // per node; nil for a node whose endpoint polls
 
 	// lanes are the kernel's spatial domains: contiguous row stripes, each
 	// owning its routers' active sets, stats shard, and cross-domain
@@ -254,6 +273,7 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 		routers:    make([]router, nn),
 		inj:        make([]injQueue, nn),
 		sinks:      make([]Sink, nn),
+		injWake:    make([]func(), nn),
 		activeIn:   make([]bool, nn),
 		injIn:      make([]bool, nn),
 		injRng:     make([][packet.NumClasses]vc.Range, nn),
@@ -308,6 +328,14 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 	}
 	for _, o := range opts {
 		o(n)
+	}
+	for i := range n.inj {
+		if c := n.inj[i].cap; c < packet.LongFlits {
+			// Inject admits whole packets, so such a queue would refuse every
+			// long packet forever — silently: the endpoint waits for a drain
+			// that cannot come and the watchdog sees no flit in flight.
+			panic(fmt.Sprintf("noc: injection queue of %d flits at node %d cannot hold a %d-flit packet", c, i, packet.LongFlits))
+		}
 	}
 	return n
 }
@@ -418,17 +446,21 @@ func (n *Network) wakeInj(id mesh.NodeID) {
 // injections: everything it writes — the node's queue, the lane's
 // injected-flit tally and injection-active set, the node's membership mark
 // — belongs to that lane. Between cycles (tests, the synthetic harness) it
-// is plain serial code.
+// is plain serial code. A refusal marks the queue, so the drain that next
+// frees space in it calls the node's inject wake (see SetInjectWake).
 //
 //noclint:laneowner root: reached from the lane workers through RunLanes' endpoint callbacks, which the per-package call graph cannot follow
 func (n *Network) Inject(p *packet.Packet) bool {
 	q := &n.inj[p.Src]
+	ln := &n.lanes[n.laneOf[p.Src]]
 	if q.flits+p.Flits > q.cap {
+		q.refused = true
+		//noclint:laneowner RunLanes hands a lane only its own nodes, so the lane of p.Src is the caller's own shard
+		ln.refusedInjects++
 		return false
 	}
 	q.Push(p)
 	q.flits += p.Flits
-	ln := &n.lanes[n.laneOf[p.Src]]
 	//noclint:laneowner RunLanes hands a lane only its own nodes, so the lane of p.Src is the caller's own shard
 	ln.injectedFlits += p.Flits
 	n.wakeInj(mesh.NodeID(p.Src))
@@ -447,6 +479,9 @@ func (n *Network) InjectSpace(node mesh.NodeID) int {
 
 // SetSink installs the ejection callback for node.
 func (n *Network) SetSink(node mesh.NodeID, s Sink) { n.sinks[node] = s }
+
+// SetInjectWake installs the inject-wake callback for node.
+func (n *Network) SetInjectWake(node mesh.NodeID, wake func()) { n.injWake[node] = wake }
 
 // SetSpans installs the per-packet span collector (nil disables span
 // tracing). Probe sites gate on the collector pointer and the packet's
@@ -588,7 +623,10 @@ func (n *Network) queueCredit(ln *lane, rt *router, inPort mesh.Direction, vcIdx
 }
 
 // injectNode moves up to injRate flits from the node's injection queue into
-// local input VCs of its router.
+// local input VCs of its router. A visit that moves nothing marks the queue
+// blocked: nothing but a pop from one of those VCs (traverse) can change the
+// outcome, so the inject phase stops visiting it until then. A visit that
+// frees space in a queue that has refused a packet owes the node its wake.
 func (n *Network) injectNode(ln *lane, id int) {
 	q := &n.inj[id]
 	if q.empty() {
@@ -596,7 +634,8 @@ func (n *Network) injectNode(ln *lane, id int) {
 	}
 	rt := &n.routers[id]
 	localBase := int(mesh.Local) * n.vcs
-	for budget := n.injRate; budget > 0 && !q.empty(); {
+	budget := n.injRate
+	for budget > 0 && !q.empty() {
 		p := q.Front()
 		if q.sent == 0 {
 			// Pick the allowed local VC with the most free space; any
@@ -639,6 +678,15 @@ func (n *Network) injectNode(ln *lane, id int) {
 		q.Pop()
 		q.sent = 0
 		q.vc = -1
+	}
+	if budget == n.injRate {
+		q.blocked = true
+	} else if q.refused {
+		q.refused = false
+		if wake := n.injWake[id]; wake != nil {
+			//noclint:laneowner inject wakes are per-node state: a node's wake runs only on the lane owning that node and writes only that node's endpoint
+			wake()
+		}
 	}
 }
 
@@ -704,11 +752,13 @@ func (n *Network) finishCycle() {
 					continue
 				}
 				if op.credits[v] == 0 && op.owner[v] != noOwner {
-					// The VC's holder can send again. This writes the mask
-					// of the router owning op from whichever lane returned
-					// the credit, which is safe only here: the serial tail
-					// runs with every lane parked.
+					// The VC's holder can send again, so its router has a
+					// switch candidate: wake it. This writes the state of
+					// the router owning op from whichever lane returned the
+					// credit, which is safe only here: the serial tail runs
+					// with every lane parked.
 					op.rt.credOK |= 1 << op.owner[v]
+					op.rt.idle = false
 				}
 				op.credits[v] += pend
 				op.pending[v] = 0
@@ -890,8 +940,11 @@ func (n *Network) Drain(maxCycles int) bool {
 // stepping and the gpu sanitizer samples it during runs. It recounts, from
 // buffer and per-VC routing state alone: credit accounting per (output port,
 // VC) against the per-port pending tally, flit conservation, every router's
-// occupancy counters, request masks and pipeline-gate stamps, and the
-// active-set invariant (any router or node holding work must be scheduled).
+// occupancy counters, request masks and pipeline-gate stamps, the active-set
+// invariant (any router or node holding work must be scheduled), and every
+// sleeper's reason to sleep: an idle router must have nothing a visit could
+// act on (runnable), a blocked injection queue no local VC space it could
+// use (injectable).
 func (n *Network) CheckInvariants() error {
 	count := 0
 	for i := range n.routers {
@@ -932,6 +985,11 @@ func (n *Network) CheckInvariants() error {
 			name, got, exp := rt.reqMasks.firstDiff(&want)
 			return fmt.Errorf("noc: request mask %s at %v: %#x, per-VC state says %#x", name, rt.coord, got, exp)
 		}
+		if rt.idle {
+			if cause := n.runnable(rt); cause != "" {
+				return fmt.Errorf("noc: router %v is idle, but %s", rt.coord, cause)
+			}
+		}
 		for d := mesh.North; d < mesh.Local; d++ {
 			op := &rt.out[d]
 			if !op.exists {
@@ -965,13 +1023,75 @@ func (n *Network) CheckInvariants() error {
 		}
 	}
 	for i := range n.inj {
-		count += n.inj[i].flits
-		if !n.inj[i].empty() && !n.injIn[i] {
+		q := &n.inj[i]
+		count += q.flits
+		if !q.empty() && !n.injIn[i] {
 			return fmt.Errorf("noc: active-set invariant broken: node %d has queued packets but is not scheduled for injection", i)
+		}
+		if q.blocked {
+			if cause := n.injectable(i); cause != "" {
+				return fmt.Errorf("noc: injection queue of node %d is blocked, but %s", i, cause)
+			}
 		}
 	}
 	if tracked := n.FlitsInFlight(); count != tracked {
 		return fmt.Errorf("noc: flit conservation broken: counted %d, tracked %d", count, tracked)
 	}
 	return nil
+}
+
+// runnable re-derives, from the per-VC state and the output ports' owner and
+// credit tables alone (not from the masks), whether a visit to rt could do
+// anything: it names the first thing RC, VA or SA would act on — whose wake
+// an idle router must therefore have missed — or returns "". Side-effect
+// free.
+func (n *Network) runnable(rt *router) string {
+	for i := range rt.vcs {
+		ivc := &rt.vcs[i]
+		if ivc.buf.len() == 0 {
+			continue
+		}
+		switch {
+		case !ivc.routed:
+			return fmt.Sprintf("input VC %d holds an unrouted head: the wake of a push into an empty VC was lost", i)
+		case ivc.route == mesh.Local:
+			return fmt.Sprintf("input VC %d is routed to the ejection port", i)
+		case ivc.outVC == -1:
+			op := &rt.out[ivc.route]
+			for ovc := op.rng[ivc.cls].Lo; ovc < op.rng[ivc.cls].Hi; ovc++ {
+				if op.owner[ovc] == noOwner {
+					return fmt.Sprintf("input VC %d waits for an output VC on %s and VC %d is free", i, ivc.route, ovc)
+				}
+			}
+		case rt.out[ivc.route].credits[ivc.outVC] > 0:
+			return fmt.Sprintf("input VC %d holds output VC %d on %s with %d credits: the credit wake was lost",
+				i, ivc.outVC, ivc.route, rt.out[ivc.route].credits[ivc.outVC])
+		}
+	}
+	return ""
+}
+
+// injectable re-derives whether a blocked queue still has its reason: it
+// names the local VC with space injectNode could use — whose pop the queue
+// must have missed — or says the queue is empty (only a visit that found a
+// packet and moved nothing blocks), or returns "". Side-effect free.
+func (n *Network) injectable(id int) string {
+	q := &n.inj[id]
+	if q.empty() {
+		return "it is empty"
+	}
+	local := n.routers[id].in[mesh.Local]
+	if q.sent > 0 {
+		if free := local[q.vc].buf.free(); free > 0 {
+			return fmt.Sprintf("its mid-packet local VC %d has %d free slots: the unblock of a Local pop was lost", q.vc, free)
+		}
+		return ""
+	}
+	r := n.injRng[id][q.Front().Class()]
+	for v := r.Lo; v < r.Hi; v++ {
+		if free := local[v].buf.free(); free > 0 {
+			return fmt.Sprintf("local VC %d has %d free slots: the unblock of a Local pop was lost", v, free)
+		}
+	}
+	return ""
 }

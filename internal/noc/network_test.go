@@ -384,6 +384,92 @@ func TestDualNetworkSeparation(t *testing.T) {
 	}
 }
 
+// fillQueue injects typ packets at node 0 until one is refused and returns
+// how many were accepted.
+func fillQueue(t *testing.T, ic Interconnect, typ packet.Type) int {
+	t.Helper()
+	for i := 0; i < 100; i++ {
+		if !ic.Inject(mkPacket(uint64(1000+i), typ, 0, 63, 0)) {
+			return i
+		}
+	}
+	t.Fatal("injection queue never filled")
+	return 0
+}
+
+// TestInjectWake pins the wake contract of SetInjectWake: no wake without a
+// refusal, none while the refusing queue has not drained, exactly one from
+// the first drain after the refusal, and none again until the next refusal.
+func TestInjectWake(t *testing.T) {
+	n := newTestNet(t, config.RoutingXY, config.VCSplit)
+	attachCollectors(n)
+	wakes := 0
+	n.SetInjectWake(0, func() { wakes++ })
+
+	n.Inject(mkPacket(1, packet.ReadReply, 0, 63, 0))
+	n.Drain(1000)
+	if wakes != 0 {
+		t.Fatalf("%d wakes with no Inject refused", wakes)
+	}
+
+	fillQueue(t, n, packet.ReadReply)
+	if wakes != 0 {
+		t.Fatalf("%d wakes before the refusing queue drained a flit", wakes)
+	}
+	n.Step()
+	if wakes != 1 {
+		t.Fatalf("%d wakes after the first drain following a refusal, want 1", wakes)
+	}
+	n.Drain(1000)
+	if wakes != 1 {
+		t.Fatalf("%d wakes for one refusal, want 1", wakes)
+	}
+}
+
+// TestDualInjectWake: each subnet owes its own wake. A refusal on the
+// request subnet is woken by that subnet's drain with the reply subnet
+// idle, and the other way round; an endpoint registered once hears both.
+func TestDualInjectWake(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		typ  packet.Type // fills (and is refused by) one subnet; the other stays idle
+	}{
+		{"request subnet refuses", packet.WriteRequest},
+		{"reply subnet refuses", packet.ReadReply},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := config.Default().NoC
+			d := NewDual(cfg, routing.MustNew(config.RoutingXY))
+			for i := 0; i < 64; i++ {
+				d.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
+			}
+			wakes := 0
+			d.SetInjectWake(0, func() { wakes++ })
+			fillQueue(t, d, c.typ)
+			busy, idle := d.subnet(c.typ.Class()), d.subnet(1-c.typ.Class())
+			if idle.FlitsInFlight() != 0 {
+				t.Fatal("the other subnet holds flits")
+			}
+			d.Step()
+			if wakes != 1 {
+				t.Fatalf("%d wakes after the refusing subnet's first drain, want 1", wakes)
+			}
+			for d.FlitsInFlight() > 0 {
+				d.Step()
+			}
+			if wakes != 1 {
+				t.Errorf("%d wakes for one refusal, want 1", wakes)
+			}
+			if g := Gates(d); g.RefusedInjects != 1 {
+				t.Errorf("%d refused Injects counted, want 1", g.RefusedInjects)
+			}
+			if busy.inj[0].refused || idle.inj[0].refused {
+				t.Error("a drained queue still owes a wake")
+			}
+		})
+	}
+}
+
 func TestLinkStatsMatchRoute(t *testing.T) {
 	n := newTestNet(t, config.RoutingXY, config.VCSplit)
 	attachCollectors(n)

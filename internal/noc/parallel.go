@@ -116,6 +116,15 @@ type lane struct {
 	// by whichever goroutine runs the lane's endpoints) and flits ejected.
 	injectedFlits int
 	ejectedFlits  int
+
+	// Visit counters, read by tests through export_test.go so the
+	// back-pressure gates cannot rot silently: router visits that ran
+	// RC/VA/SA and those that took the idle early-out, injection-queue
+	// visits that ran injectNode and those skipped as blocked, and Injects
+	// refused at this lane's nodes.
+	routerVisits, idleSkips    int64
+	injectVisits, blockedSkips int64
+	refusedInjects             int64
 }
 
 // effectiveDomains resolves the Workers configuration to a lane count:
@@ -167,15 +176,26 @@ func (n *Network) injectPhase(ln *lane) {
 	if len(ln.injActive)*4 >= ln.hi-ln.lo {
 		for id := ln.lo; id < ln.hi; id++ {
 			if !n.inj[id].empty() {
-				n.injectNode(ln, id)
+				n.visitQueue(ln, id)
 			}
 		}
 	} else {
 		slices.Sort(ln.injActive)
 		for _, id := range ln.injActive {
-			n.injectNode(ln, int(id))
+			n.visitQueue(ln, int(id))
 		}
 	}
+}
+
+// visitQueue is the inject phase's visit of a non-empty injection queue:
+// nothing for a blocked one (see injQueue.blocked), injectNode otherwise.
+func (n *Network) visitQueue(ln *lane, id int) {
+	if n.inj[id].blocked {
+		ln.blockedSkips++
+		return
+	}
+	ln.injectVisits++
+	n.injectNode(ln, id)
 }
 
 // routerPhase runs RC/VA/SA/ST for the lane's active routers, ascending.
@@ -193,6 +213,11 @@ func (n *Network) routerPhase(ln *lane) {
 			if rt.bufFlits == 0 {
 				continue
 			}
+			if rt.idle {
+				n.idleVisit(ln, rt)
+				continue
+			}
+			ln.routerVisits++
 			n.routeCompute(rt)
 			n.vcAllocate(rt)
 			n.switchAllocateAndTraverse(ln, rt)
@@ -208,10 +233,27 @@ func (n *Network) routerPhase(ln *lane) {
 			if rt.bufFlits == 0 {
 				continue // only a link register in flight; nothing to arbitrate
 			}
+			if rt.idle {
+				n.idleVisit(ln, rt)
+				continue
+			}
+			ln.routerVisits++
 			n.routeCompute(rt)
 			n.vcAllocate(rt)
 			n.switchAllocateAndTraverse(ln, rt)
 		}
+	}
+}
+
+// idleVisit is all the router phase does for an idle router (see
+// router.idle); small enough to inline, so the early-out stays a load and a
+// branch in the loop. An observed run keeps its numbers: stall attribution
+// is charged per cycle per stalled VC, so it still runs — exactly as the
+// skipped visit would have run it, with no VC having moved.
+func (n *Network) idleVisit(ln *lane, rt *router) {
+	ln.idleSkips++
+	if n.tel != nil || n.spans != nil {
+		n.countStalls(ln, rt, 0)
 	}
 }
 

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -91,6 +93,15 @@ func TestInjectionQueueOption(t *testing.T) {
 	if n.Inject(mkPacket(2, packet.ReadRequest, 0, 1, 0)) {
 		t.Fatal("queue should be full")
 	}
+
+	// A queue shorter than a long packet would refuse it forever; New says
+	// so instead.
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "cannot hold a 5-flit packet") {
+			t.Errorf("New with a 4-flit injection queue: recovered %v, want the capacity panic", r)
+		}
+	}()
+	New(cfg, routing.MustNew(cfg.Routing), vc.MustNewPolicy(cfg), WithInjectionQueue(packet.LongFlits-1))
 }
 
 // TestPipelineDelayLatency: per-hop latency scales with the configured

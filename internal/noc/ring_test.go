@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +112,25 @@ func TestDumpBlockedOutput(t *testing.T) {
 	n.DumpBlocked(&b)
 	if b.s == "" {
 		t.Error("dump produced no output for a network holding flits")
+	}
+
+	// Who sleeps: fill node 0's queue behind the wedged packet until Inject
+	// refuses. Its router's local VCs fill up and nothing pops them, so the
+	// router goes idle and the queue ends up blocked and refused.
+	for i, id := 0, uint64(2); i < 200; i++ {
+		for ; n.Inject(mkPacket(id, packet.ReadReply, 0, 3, 0)); id++ {
+		}
+		n.Step()
+	}
+	b.s = ""
+	n.DumpBlocked(&b)
+	for _, want := range []string{
+		"router (0,0) idle: ",
+		"inject queue node 0: 16 flits queued blocked refused\n",
+	} {
+		if !strings.Contains(b.s, want) {
+			t.Errorf("dump lacks %q:\n%s", want, b.s)
+		}
 	}
 }
 

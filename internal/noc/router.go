@@ -60,6 +60,10 @@ type outPort struct {
 // occupancy counters (bufFlits, regCount: a router with both zero drops out
 // of the active set), are redundant: CheckInvariants recounts all of them
 // from the per-VC state.
+//
+// A router whose visit ends with no switch candidate goes idle: the router
+// phase skips it until a flit arrives in an empty VC or a credit returns to
+// a VC it holds (see idle).
 type router struct {
 	id    mesh.NodeID
 	coord mesh.Coord
@@ -73,6 +77,15 @@ type router struct {
 	upstream [mesh.NumPorts]*outPort // output port feeding each input port (nil for Local)
 
 	reqMasks
+
+	// idle: the last visit reached SA with occ & credOK == 0. RC and VA had
+	// just run, so every occupied VC is routed and no free output VC admits
+	// a waiter; nothing moved, so no output VC freed. Until a flit becomes
+	// the front of an empty VC (enqueue) or a credit returns to a VC held
+	// here (finishCycle) a visit would repeat itself, and the router phase
+	// skips it. A push behind an existing front changes nothing the
+	// allocators read. The router stays on the active list.
+	idle bool
 
 	// Round-robin pointers for fair, deterministic arbitration.
 	vaPtr   [mesh.NumPorts]int // per output port, over input (port*V+vc)
@@ -192,13 +205,15 @@ func (rt *router) init(id mesh.NodeID, m mesh.Mesh, vcs, depth int, ar *routerAr
 
 // enqueue buffers f at input VC i of rt and wakes the router: the one push
 // path, shared by injection and link delivery. A flit entering an empty
-// buffer becomes the front, so it sets occ and stamps the pipeline gate.
+// buffer becomes the front, so it sets occ, stamps the pipeline gate and
+// ends the router's idleness (a new head needs RC).
 func (n *Network) enqueue(rt *router, i int, f packet.Flit) {
 	ivc := &rt.vcs[i]
 	ivc.buf.push(f, n.cycle)
 	if ivc.buf.n == 1 {
 		rt.occ |= 1 << i
 		ivc.readyAt = n.cycle + n.pipeDelay
+		rt.idle = false
 	}
 	rt.bufFlits++
 	n.wake(rt.id)
@@ -310,10 +325,13 @@ func (n *Network) vcAllocate(rt *router) {
 // downstream credit — or, for ejection, a present sink; the final say then
 // belongs to the sink at traversal time. A traversal changes the masks only
 // at the VC that moved, whose whole port is then out of the running, so one
-// snapshot of occ & credOK serves every output.
+// snapshot of occ & credOK serves every output. An empty snapshot puts the
+// router to sleep (see router.idle).
 func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
 	var moved uint64 // the VCs that sent a flit this cycle
-	if ready := rt.occ & rt.credOK; ready != 0 {
+	ready := rt.occ & rt.credOK
+	rt.idle = ready == 0
+	if ready != 0 {
 		V := n.vcs
 		vmask := uint64(1)<<V - 1
 		for d := mesh.Direction(0); d < mesh.NumPorts; d++ {
@@ -452,10 +470,13 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 		ivc.readyAt = ivc.buf.frontArrived() + n.pipeDelay
 	}
 
-	// Return a credit upstream for the freed buffer slot (not for the
-	// injection port: the injection queue tracks its own space).
+	// Return a credit upstream for the freed buffer slot. The injection port
+	// has no credits — the injection queue reads the local VCs' space itself
+	// — so there the pop unblocks the node's queue instead.
 	if p != int(mesh.Local) {
 		n.queueCredit(ln, rt, mesh.Direction(p), v)
+	} else {
+		n.inj[rt.id].blocked = false
 	}
 
 	if d == mesh.Local {

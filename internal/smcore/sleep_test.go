@@ -6,7 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"gpgpunoc/internal/config"
+	"gpgpunoc/internal/mesh"
+	"gpgpunoc/internal/noc"
 	"gpgpunoc/internal/packet"
+	"gpgpunoc/internal/placement"
+	"gpgpunoc/internal/stats"
 	"gpgpunoc/internal/workload"
 )
 
@@ -175,5 +180,51 @@ func TestSleepInvariants(t *testing.T) {
 				t.Errorf("error %q does not name SM 3 and %q", err, m.want)
 			}
 		})
+	}
+}
+
+// gateNet refuses every Inject while shut, and counts the calls.
+type gateNet struct {
+	noc.Interconnect
+	shut  bool
+	calls int
+}
+
+func (g *gateNet) Inject(*packet.Packet) bool {
+	g.calls++
+	return !g.shut
+}
+
+// TestRefusedDrainWaitsForWake: a refused outbox front is not offered again
+// — however many ticks pass, whether or not the queue has space by now —
+// until WakeInject; Refused reports the waiting packet meanwhile.
+func TestRefusedDrainWaitsForWake(t *testing.T) {
+	cfg := config.Default()
+	pl := placement.MustNew(cfg.Placement, mesh.New(cfg.NoC.Width, cfg.NoC.Height), cfg.Mem.NumMCs)
+	net := &gateNet{shut: true}
+	var gs stats.GPU
+	var nextID uint64
+	sm := New(3, pl.Cores()[3], cfg.Core, cfg.Mem, workload.MustGet("KMN"), 1, net, pl, &gs, &nextID)
+
+	now := int64(0)
+	tick := func(n int) {
+		for i := 0; i < n; i++ {
+			sm.Tick(now)
+			now++
+		}
+	}
+	tick(500)
+	if net.calls != 1 || sm.Refused() == nil || sm.Refused() != sm.outbox.Front() {
+		t.Fatalf("after 500 ticks against a shut network: %d Inject calls (want 1), refused front %v", net.calls, sm.Refused())
+	}
+	net.shut = false
+	tick(100)
+	if net.calls != 1 {
+		t.Fatalf("the SM retried a refused Inject without a wake (%d calls)", net.calls)
+	}
+	sm.WakeInject()
+	tick(1)
+	if net.calls == 1 || sm.Refused() != nil {
+		t.Fatalf("woken SM did not retry: %d Inject calls, refused front %v", net.calls, sm.Refused())
 	}
 }

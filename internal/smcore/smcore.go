@@ -88,11 +88,17 @@ type SM struct {
 	// eligible warp, or the chosen warp's instruction structurally blocked —
 	// would repeat itself verbatim until a fill arrives, the outbox drains a
 	// packet, or a warp's readyAt comes due; it records the earliest such
-	// due cycle here, and until then Tick only retries the outbox drain and
-	// counts the stall. Sink and the drain wake the SM by zeroing it. Both
-	// writers run on the lane that owns this SM's node.
+	// due cycle here, and until then Tick only runs the outbox drain (nothing,
+	// while injBlocked) and counts the stall. Sink and the drain wake the SM
+	// by zeroing it. Both writers run on the lane that owns this SM's node.
 	idleUntil  int64
 	sleptTicks int64 // ticks that took the early-out; tests assert sleeping happens
+
+	// injBlocked: the interconnect refused the outbox front. The front does
+	// not change while it waits and queue space grows only when the network
+	// drains the node's injection queue, so Tick stops retrying until the
+	// interconnect's inject wake (WakeInject) says space was freed.
+	injBlocked bool
 }
 
 // New builds an SM running prof at the given mesh node.
@@ -286,12 +292,33 @@ func (s *SM) pick(now int64) int {
 	return -1
 }
 
+// WakeInject is the SM's inject wake (noc.Interconnect.SetInjectWake): the
+// network freed space in this node's injection queue after refusing the
+// outbox front, so the next Tick retries it. It runs on the lane that owns
+// the SM's node. Calling it spuriously is harmless — a driver that knows
+// nothing of wakes calls it before every Tick and gets the polling SM.
+func (s *SM) WakeInject() { s.injBlocked = false }
+
+// Refused returns the outbox front the interconnect refused and has not yet
+// made room for, nil if the SM is not waiting on injection space. The gpu
+// sanitizer checks it against the queue's actual space.
+func (s *SM) Refused() *packet.Packet {
+	if !s.injBlocked {
+		return nil
+	}
+	return s.outbox.Front()
+}
+
 // Tick advances the SM one cycle, issuing at most one warp-instruction.
 func (s *SM) Tick(now int64) {
 	// Drain the write/request outbox into the network first; a full outbox
-	// stalls the memory stage below. A refused Inject has no side effects,
-	// so a sleeping SM keeps retrying it every cycle.
-	for s.outbox.Len() > 0 && s.net.Inject(s.outbox.Front()) {
+	// stalls the memory stage below. A refusal blocks the drain until the
+	// inject wake, so what is left of a sleeping SM's tick is two compares.
+	for !s.injBlocked && s.outbox.Len() > 0 {
+		if !s.net.Inject(s.outbox.Front()) {
+			s.injBlocked = true
+			break
+		}
 		s.outbox.Pop()
 		s.idleUntil = 0 // outbox space may unblock a stalled miss or store
 	}

@@ -35,6 +35,7 @@ func newRig(t *testing.T, prof workload.Profile) *rig {
 	pl := placement.MustNew(cfg.Placement, m, cfg.Mem.NumMCs)
 	r.sm = New(0, pl.Cores()[0], cfg.Core, cfg.Mem, prof, 42, r.net, pl, &r.gs, &r.nextID)
 	r.net.SetSink(r.sm.Node, r.sm.Sink())
+	r.net.SetInjectWake(r.sm.Node, r.sm.WakeInject)
 
 	// Echo MCs: answer every tail immediately.
 	for i := range pl.MCs {
@@ -160,6 +161,7 @@ func TestStallsWithoutReplies(t *testing.T) {
 	prof := workload.MustGet("KMN")
 	sm := New(0, pl.Cores()[0], cfg.Core, cfg.Mem, prof, 42, net, pl, &gs, &nextID)
 	net.SetSink(sm.Node, sm.Sink())
+	net.SetInjectWake(sm.Node, sm.WakeInject)
 	for i := 0; i < m.NumNodes(); i++ {
 		if mesh.NodeID(i) != sm.Node {
 			net.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true }) // swallow, never reply
@@ -249,6 +251,7 @@ func TestFetchStallsWithoutFills(t *testing.T) {
 	prof := workload.MustGet("RAY") // large kernel: every warp will miss
 	sm := New(0, pl.Cores()[0], cfg.Core, cfg.Mem, prof, 42, net, pl, &gs, &nextID)
 	net.SetSink(sm.Node, sm.Sink())
+	net.SetInjectWake(sm.Node, sm.WakeInject)
 	for i := 0; i < m.NumNodes(); i++ {
 		if mesh.NodeID(i) != sm.Node {
 			net.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
@@ -285,6 +288,7 @@ func TestSharedMemoryLatencyHiding(t *testing.T) {
 		prof := workload.MustGet("NQU") // 20% shared ops, 1.5 mean conflicts
 		sm := New(0, pl.Cores()[0], cfg.Core, cfg.Mem, prof, 42, net, pl, &gs, &nextID)
 		net.SetSink(sm.Node, sm.Sink())
+		net.SetInjectWake(sm.Node, sm.WakeInject)
 		for i := 0; i < m.NumNodes(); i++ {
 			node := mesh.NodeID(i)
 			if node != sm.Node {

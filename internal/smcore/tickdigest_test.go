@@ -25,7 +25,10 @@ const tickDigestFile = "testdata/tick.digests"
 // to fill the 16-entry outbox) and a third of the packets otherwise, and an
 // accepted request is answered through the SM's sink a fixed delay plus a
 // per-packet jitter later. SMs call nothing but Inject on an Interconnect;
-// anything else hits the nil embedded interface and panics.
+// anything else hits the nil embedded interface and panics. A refusal here
+// ends with the clock, not with a drain, so the script has no inject wake to
+// deliver: the rig calls WakeInject before every Tick instead — a spurious
+// wake is legal — which is the SM that retries a refused Inject every cycle.
 type scriptNet struct {
 	noc.Interconnect
 	cycle int64
@@ -120,6 +123,7 @@ func newTickRig(c tickCase) *tickRig {
 func (r *tickRig) step() {
 	n := r.net
 	n.sent = n.sent[:0]
+	r.sm.WakeInject()
 	r.sm.Tick(n.cycle)
 	for _, req := range n.due[n.cycle] {
 		rt := req.Type.Reply()
