@@ -112,8 +112,10 @@ fabric-smoke:
 	echo "resubmit served entirely from store (store-hit series non-zero)"
 	@rm -rf $(FABRIC_TMP)
 
-# bench-smoke compiles and runs every benchmark exactly once — it catches
-# bit-rotted benches without paying for real measurement runs.
+# bench-smoke compiles and runs every testing.B benchmark exactly once — the
+# nine left in the root bench_test.go: GPUCycle, GPUCycleLarge,
+# GPUCycleTelemetry, RouterStep and five ablations — so none bit-rots. It
+# measures nothing; measurement is bench/ (bench-quick, bench).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

@@ -1,27 +1,19 @@
-// Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation, plus ablation benches for the design choices DESIGN.md
-// calls out and microbenchmarks of the hot simulator paths.
-//
-// Figure benches run a reduced configuration (a representative benchmark
-// subset at shorter windows) so `go test -bench=.` completes in minutes;
-// cmd/experiments regenerates the full-scale tables recorded in
-// EXPERIMENTS.md. Headline numbers are attached as custom benchmark metrics
-// (e.g. geomean_speedup) and the full table is printed once per bench.
+// Microbenchmarks bench/ does not carry: the full-system and bare-network
+// cycle (GPUCycle, GPUCycleLarge, GPUCycleTelemetry, RouterStep — the ns/op
+// CHANGES.md has quoted since PR 4) and five ablations of design choices
+// DESIGN.md calls out, which report simulated IPC or latency as custom
+// metrics. Per-figure regeneration times, result shapes and the cache, DRAM,
+// workload and analyzer microbenchmarks live in bench/ (BENCHMARK.json) and
+// in internal/experiments' tests; cmd/experiments regenerates the
+// full-scale tables recorded in EXPERIMENTS.md.
 package gpgpunoc_test
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 
-	"gpgpunoc/internal/cache"
 	"gpgpunoc/internal/config"
-	"gpgpunoc/internal/core"
-	"gpgpunoc/internal/dram"
-	"gpgpunoc/internal/experiments"
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/noc"
@@ -32,176 +24,6 @@ import (
 	"gpgpunoc/internal/vc"
 	"gpgpunoc/internal/workload"
 )
-
-// benchOpts is the reduced scale used by the figure benches: a spread of
-// memory-bound, write-heavy and compute-bound benchmarks.
-func benchOpts() experiments.Opts {
-	return experiments.Opts{
-		Benchmarks:    []string{"CP", "RAY", "RED", "KMN", "BFS", "SRAD"},
-		WarmupCycles:  1000,
-		MeasureCycles: 6000,
-	}
-}
-
-// geomeanOf extracts a numeric cell from the table's Geomean row by column
-// label.
-func geomeanOf(b *testing.B, tab *experiments.Table, column string) float64 {
-	b.Helper()
-	col := -1
-	for i, c := range tab.Columns {
-		if c == column {
-			col = i
-		}
-	}
-	if col < 0 {
-		b.Fatalf("no column %q in %s", column, tab.ID)
-	}
-	for _, r := range tab.Rows {
-		if r[0] == "Geomean" {
-			v, err := strconv.ParseFloat(strings.TrimSuffix(r[col], "%"), 64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return v
-		}
-	}
-	b.Fatalf("no Geomean row in %s", tab.ID)
-	return 0
-}
-
-func printOnce(b *testing.B, done *bool, tab *experiments.Table) {
-	if !*done {
-		*done = true
-		fmt.Fprintf(os.Stderr, "\n%s", tab.String())
-	}
-}
-
-// BenchmarkFig2TrafficVolumes regenerates Figure 2 (request vs reply
-// traffic volumes) and reports the geomean reply:request flit ratio
-// (paper: ~2).
-func BenchmarkFig2TrafficVolumes(b *testing.B) {
-	var printed bool
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Fig2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(b, &printed, tab)
-		b.ReportMetric(geomeanOf(b, tab, "MC-to-Core (Reply)"), "reply_to_request_ratio")
-	}
-}
-
-// BenchmarkFig3PacketTypes regenerates Figure 3 (packet type distribution).
-func BenchmarkFig3PacketTypes(b *testing.B) {
-	var printed bool
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Fig3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(b, &printed, tab)
-	}
-}
-
-// BenchmarkFig4LinkLoads regenerates the Figure 4 / Equation 2 link-load
-// validation.
-func BenchmarkFig4LinkLoads(b *testing.B) {
-	var printed bool
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Fig4(experiments.Opts{MeasureCycles: 15000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(b, &printed, tab)
-	}
-}
-
-// BenchmarkTable1HopCounts regenerates Table 1 (hop analysis).
-func BenchmarkTable1HopCounts(b *testing.B) {
-	var printed bool
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(b, &printed, tab)
-	}
-}
-
-// BenchmarkFig7Routing regenerates Figure 7 and reports the YX and XY-YX
-// geomean speedups (paper: 1.393 and 1.647).
-func BenchmarkFig7Routing(b *testing.B) {
-	var printed bool
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Fig7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(b, &printed, tab)
-		b.ReportMetric(geomeanOf(b, tab, "YX"), "yx_geomean_speedup")
-		b.ReportMetric(geomeanOf(b, tab, "XY-YX"), "xyyx_geomean_speedup")
-	}
-}
-
-// BenchmarkFig8Monopolizing regenerates Figure 8 and reports the YX
-// fully-monopolized geomean speedup (paper: 1.889).
-func BenchmarkFig8Monopolizing(b *testing.B) {
-	var printed bool
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Fig8(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(b, &printed, tab)
-		b.ReportMetric(geomeanOf(b, tab, "YX (Monopolized)"), "yx_mono_geomean_speedup")
-		b.ReportMetric(geomeanOf(b, tab, "XY-YX (Partially Monopolized)"), "xyyx_pm_geomean_speedup")
-	}
-}
-
-// BenchmarkFig9Placements regenerates Figure 9 and reports the headline
-// comparison: the proposed bottom+YX+FM against the diamond placement.
-func BenchmarkFig9Placements(b *testing.B) {
-	var printed bool
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Fig9(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(b, &printed, tab)
-		b.ReportMetric(geomeanOf(b, tab, "Bottom (YX FM)"), "bottom_yx_fm_geomean")
-		b.ReportMetric(geomeanOf(b, tab, "Diamond (XY)"), "diamond_xy_geomean")
-	}
-}
-
-// BenchmarkFig10AsymmetricVC regenerates Figure 10 (1:3 vs 2:2 with 4 VCs).
-func BenchmarkFig10AsymmetricVC(b *testing.B) {
-	var printed bool
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Fig10(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(b, &printed, tab)
-		b.ReportMetric(geomeanOf(b, tab, "VC Partitioned (1:3)"), "asymmetric_geomean_speedup")
-	}
-}
-
-// BenchmarkNetworkDivision regenerates the Section 4.2 one-net-vs-two-nets
-// comparison.
-func BenchmarkNetworkDivision(b *testing.B) {
-	var printed bool
-	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		opts.Benchmarks = []string{"RED", "KMN", "LPS"}
-		tab, err := experiments.NetworkDivision(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(b, &printed, tab)
-	}
-}
-
-// --- Ablation benches (design choices beyond the paper's figures) ---
 
 func runScheme(b *testing.B, cfg config.Config, bench string) gpu.Result {
 	b.Helper()
@@ -319,8 +141,6 @@ func BenchmarkAblationInjectionRateCurve(b *testing.B) {
 	}
 }
 
-// --- Microbenchmarks of the simulator's hot paths ---
-
 // BenchmarkRouterStep measures raw network stepping speed under load.
 func BenchmarkRouterStep(b *testing.B) {
 	cfg := config.Default().NoC
@@ -400,73 +220,5 @@ func BenchmarkGPUCycleTelemetry(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Step()
-	}
-}
-
-// BenchmarkCacheAccess measures the L1 model's access path.
-func BenchmarkCacheAccess(b *testing.B) {
-	c := cache.New(16<<10, 4, 128)
-	r := rng.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(r.Uint64n(1<<20)&^127, i%4 == 0)
-	}
-}
-
-// BenchmarkDRAMTick measures the DRAM channel model.
-func BenchmarkDRAMTick(b *testing.B) {
-	d := dram.New(dram.DefaultParams())
-	r := rng.New(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Enqueue(uint64(i), r.Uint64n(1<<24), int64(i))
-		d.Tick(int64(i))
-		d.Completed()
-	}
-}
-
-// BenchmarkAnalyzer measures the core link-usage analysis (runs at every
-// simulator construction).
-func BenchmarkAnalyzer(b *testing.B) {
-	cfg := config.Default()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.ValidateScheme(core.Baseline, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWorkloadGen measures instruction stream generation.
-func BenchmarkWorkloadGen(b *testing.B) {
-	g := workload.NewGenerator(workload.MustGet("KMN"), 1, 0, 0, 48)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next()
-	}
-}
-
-// BenchmarkExtensionSweep regenerates the latency/throughput curve table.
-func BenchmarkExtensionSweep(b *testing.B) {
-	var printed bool
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Sweep(experiments.Opts{MeasureCycles: 4000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(b, &printed, tab)
-	}
-}
-
-// BenchmarkExtensionScaling regenerates the mesh-size scaling study.
-func BenchmarkExtensionScaling(b *testing.B) {
-	var printed bool
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Scaling(experiments.Opts{
-			Benchmarks: []string{"KMN", "RED"}, WarmupCycles: 800, MeasureCycles: 4000,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(b, &printed, tab)
 	}
 }

@@ -13,7 +13,7 @@
 // IPC, cycle count, the complete stats.Net (including floating-point
 // Welford latency accumulators, which pin the ejection order), and the
 // full telemetry JSONL export. Runs are sanitized, so CheckInvariants —
-// including the active-set invariant — is exercised throughout.
+// including the run-mask recount — is exercised throughout.
 //
 // The oracle that is not part of the shipped surface, the full-scan
 // reference stepper, is compared where it is visible: in
@@ -49,7 +49,7 @@ func forcePool(t testing.TB) {
 }
 
 // equivCfg is a reduced-scale configuration: long enough that traffic
-// saturates the MC rows and backpressure (the active set's hard case)
+// saturates the MC rows and backpressure (the schedule's hard case)
 // appears, short enough that the whole suite stays in seconds.
 func equivCfg() config.Config {
 	cfg := config.Default()

@@ -68,7 +68,7 @@ func TestSteadyStateStepDoesNotAllocate(t *testing.T) {
 		}
 	}
 
-	// Warmup grows the active sets, outboxes and telemetry-free scratch
+	// Warmup grows the outboxes, dirty lists and telemetry-free scratch
 	// arenas to steady-state capacity.
 	drive(400)
 

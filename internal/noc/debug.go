@@ -10,10 +10,10 @@ import (
 // DumpBlocked writes a human-readable snapshot of every occupied input VC to
 // w: which packet is at the front, where it wants to go, and what resource
 // it is waiting for — and who sleeps: one line per idle router holding
-// flits, and each non-empty injection queue marked blocked (not visited
-// until a local VC pops) and/or refused (owes its node an inject wake). A
-// sleeper next to the resource it waits for is a lost wake at a glance. It
-// is the tool for diagnosing deadlocks and was used to verify the
+// flits, and each non-empty injection queue marked blocked (unscheduled: not
+// visited until a local VC pops) and/or refused (owes its node an inject
+// wake). A sleeper next to the resource it waits for is a lost wake at a
+// glance. It is the tool for diagnosing deadlocks and was used to verify the
 // protocol-deadlock demonstrations in the test suite.
 func (n *Network) DumpBlocked(w io.Writer) {
 	for i := range n.routers {
@@ -53,7 +53,7 @@ func (n *Network) DumpBlocked(w io.Writer) {
 	for i := range n.inj {
 		if q := &n.inj[i]; q.flits > 0 {
 			state := ""
-			if q.blocked {
+			if ln, bit := n.laneBit(i); !ln.queues.has(bit) {
 				state += " blocked"
 			}
 			if q.refused {

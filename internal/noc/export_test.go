@@ -1,5 +1,7 @@
 package noc
 
+import "math/bits"
+
 // UseReferenceStepper switches a freshly built interconnect — a *Network or
 // a *Dual, before its first Step — to stepReference, the naive full-scan
 // stepper the equivalence suites hold the shipped kernel to. This file is
@@ -16,12 +18,29 @@ func UseReferenceStepper(ic Interconnect) {
 	}
 }
 
+// scheduled popcounts the three run masks over all lanes.
+func (n *Network) scheduled() (routers, links, queues int) {
+	count := func(m nodeMask) (c int) {
+		for _, w := range m {
+			c += bits.OnesCount64(w)
+		}
+		return c
+	}
+	for i := range n.lanes {
+		ln := &n.lanes[i]
+		routers += count(ln.routers)
+		links += count(ln.links)
+		queues += count(ln.queues)
+	}
+	return
+}
+
 // GateCounts is what the back-pressure gates did since construction, summed
 // over lanes (and over both subnets of a Dual).
 type GateCounts struct {
-	RouterVisits, IdleSkips    int64 // router-phase visits: full RC/VA/SA, idle early-out
-	InjectVisits, BlockedSkips int64 // inject-phase visits of a non-empty queue: injectNode, skipped as blocked
-	RefusedInjects             int64
+	RouterVisits, IdleSkips int64 // router-phase visits: full RC/VA/SA, idle early-out
+	InjectVisits            int64 // inject-phase visits: injectNode on a scheduled queue
+	RefusedInjects          int64
 }
 
 // Gates reads the per-lane visit counters. Call at a cycle boundary.
@@ -33,7 +52,6 @@ func Gates(ic Interconnect) GateCounts {
 			g.RouterVisits += ln.routerVisits
 			g.IdleSkips += ln.idleSkips
 			g.InjectVisits += ln.injectVisits
-			g.BlockedSkips += ln.blockedSkips
 			g.RefusedInjects += ln.refusedInjects
 		}
 	}

@@ -119,9 +119,9 @@ func TestDualCheckInvariants(t *testing.T) {
 
 // loadedNet returns a saturated network — every mask populated, credits
 // exhausted on the hot links, sinks refusing — verified clean.
-func loadedNet(t *testing.T) *Network {
+func loadedNet(t *testing.T, workers int, opts ...Option) *Network {
 	t.Helper()
-	n := newTestNet(t, config.RoutingXY, config.VCSplit)
+	n := newWorkerNet(t, config.RoutingXY, config.VCSplit, workers, opts...)
 	nn := n.Mesh().NumNodes()
 	for i := 0; i < nn; i++ {
 		node := i
@@ -140,12 +140,18 @@ func loadedNet(t *testing.T) *Network {
 	return n
 }
 
-// TestMaskInvariants: the request masks and the pipeline-gate stamps are
-// redundant summaries the allocators trust blindly, so CheckInvariants must
-// catch any single flipped bit in any mask of any router, and any skewed
-// stamp, and say which router and which mask.
+// TestMaskInvariants: the request masks, the pipeline-gate stamps and the
+// lanes' run masks are redundant summaries the allocators and the phase
+// walks trust blindly, so CheckInvariants must catch any single flipped bit
+// in any mask of any router, any skewed stamp, and either corruption of a
+// queues bit that matters — set on an empty queue, cleared on a queue with
+// local VC space to use — and say which router or node and which mask.
 func TestMaskInvariants(t *testing.T) {
-	n := loadedNet(t)
+	eachWorkers(t, maskInvariants)
+}
+
+func maskInvariants(t *testing.T, workers int) {
+	n := loadedNet(t, workers)
 	populated := map[string]bool{}
 	for i := range n.routers {
 		rt := &n.routers[i]
@@ -190,14 +196,66 @@ func TestMaskInvariants(t *testing.T) {
 			}
 		}
 	}
-	// 3 scalar masks, 5 want, 4x2 vaWait, and the stamps: the load must
-	// have exercised every one somewhere, or the flips above only ever
-	// turned bits on.
-	if len(populated) != 3+mesh.NumPorts+mesh.NumLinkDirs*packet.NumClasses+1 {
+	for i := range n.routers {
+		flipRunBit(t, n, i, "routers", populated)
+		flipRunBit(t, n, i, "links", populated)
+		ln, bit := n.laneBit(i)
+		switch q := &n.inj[i]; {
+		case q.empty():
+			populated["queues set"] = true
+			ln.queues.set(bit)
+			err := n.CheckInvariants()
+			ln.queues.clear(bit)
+			if want := fmt.Sprintf("injection queue of node %d is scheduled, but it is empty", i); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("node %d: scheduling its empty queue reported as %v", i, err)
+			}
+		case ln.queues.has(bit) && n.injectable(i) != "":
+			populated["queues cleared"] = true
+			ln.queues.clear(bit)
+			err := n.CheckInvariants()
+			ln.queues.set(bit)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("injection queue of node %d is blocked", i)) ||
+				!strings.Contains(err.Error(), "the unblock of a Local pop was lost") {
+				t.Fatalf("node %d: unscheduling its injectable queue reported as %v", i, err)
+			}
+		}
+	}
+	// A link register outlives the cycle that filled it only on a half-width
+	// link, so only there does a flip ever turn a links bit off.
+	half := loadedNet(t, workers, WithLinkPeriod(2))
+	for i := range half.routers {
+		flipRunBit(t, half, i, "links", populated)
+	}
+	// 3 scalar masks, 5 want, 4x2 vaWait, the stamps, 2 run masks and the 2
+	// queues corruptions: the load must have exercised every one somewhere,
+	// or the flips above only ever turned bits on.
+	if len(populated) != 3+mesh.NumPorts+mesh.NumLinkDirs*packet.NumClasses+1+2+2 {
 		t.Errorf("load left some masks empty on every router; populated: %v", populated)
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Errorf("invariants broken after every corruption was undone: %v", err)
+	}
+}
+
+// flipRunBit flips router i's bit of the named run mask, requires
+// CheckInvariants to name the router and the mask, and undoes the flip. A bit
+// found set is recorded in populated.
+func flipRunBit(t *testing.T, n *Network, i int, name string, populated map[string]bool) {
+	t.Helper()
+	ln, bit := n.laneBit(i)
+	m := map[string]nodeMask{"routers": ln.routers, "links": ln.links}[name]
+	if m.has(bit) {
+		populated[name] = true
+	}
+	m[bit>>6] ^= 1 << (bit & 63)
+	err := n.CheckInvariants()
+	m[bit>>6] ^= 1 << (bit & 63)
+	coord := n.routers[i].coord
+	if err == nil {
+		t.Fatalf("router %v: flipping its bit of %s went unnoticed", coord, name)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "run mask "+name+" ") || !strings.Contains(msg, coord.String()) {
+		t.Fatalf("router %v: flipping its bit of %s reported as %q", coord, name, msg)
 	}
 }
 
@@ -226,11 +284,11 @@ func TestNewRejectsVCCountBeyondMasks(t *testing.T) {
 	New(cfg.NoC, routing.MustNew(cfg.NoC.Routing), vc.MustNewPolicy(cfg.NoC))
 }
 
-// TestIdleInvariants: an idle router and a blocked injection queue are not
-// visited, so a lost wake is a silent hang. On a saturated network — where
-// both are everywhere — the three events that end such a sleep are applied
-// by hand *without* their wake, and CheckInvariants must name the sleeper
-// and what it slept through.
+// TestIdleInvariants: an idle router and a blocked injection queue —
+// non-empty, its queues bit clear — are not visited, so a lost wake is a
+// silent hang. On a saturated network — where both are everywhere — the three
+// events that end such a sleep are applied by hand *without* their wake, and
+// CheckInvariants must name the sleeper and what it slept through.
 func TestIdleInvariants(t *testing.T) {
 	for _, m := range []struct {
 		name string
@@ -274,7 +332,8 @@ func TestIdleInvariants(t *testing.T) {
 						}
 						// enqueue, minus its `rt.idle = false`.
 						p := mkPacket(1<<50, packet.ReadRequest, 0, rt.id, n.cycle)
-						n.enqueue(rt, idx, packet.Flit{Pkt: p, Head: true, Tail: true})
+						ln, _ := n.laneBit(i)
+						n.enqueue(ln, rt, idx, packet.Flit{Pkt: p, Head: true, Tail: true})
 						rt.idle = true
 						return fmt.Sprintf("router %v is idle", rt.coord)
 					}
@@ -289,7 +348,7 @@ func TestIdleInvariants(t *testing.T) {
 			mutate: func(t *testing.T, n *Network) string {
 				for id := range n.inj {
 					q := &n.inj[id]
-					if !q.blocked {
+					if ln, bit := n.laneBit(id); q.empty() || ln.queues.has(bit) {
 						continue
 					}
 					rt := &n.routers[id]
@@ -303,7 +362,7 @@ func TestIdleInvariants(t *testing.T) {
 						if f := ivc.buf.front().flit; f.Head || f.Tail {
 							continue
 						}
-						// traverse's pop, minus its `blocked = false`.
+						// traverse's pop, minus its `queues.set`.
 						ivc.buf.pop()
 						rt.bufFlits--
 						ivc.readyAt = ivc.buf.frontArrived() + n.pipeDelay
@@ -320,7 +379,7 @@ func TestIdleInvariants(t *testing.T) {
 		},
 	} {
 		t.Run(m.name, func(t *testing.T) {
-			n := loadedNet(t)
+			n := loadedNet(t, 1)
 			who := m.mutate(t, n)
 			err := n.CheckInvariants()
 			if err == nil {

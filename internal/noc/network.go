@@ -10,20 +10,17 @@
 // refuse flits — is modelled, which is what makes protocol deadlock a real,
 // demonstrable phenomenon rather than an abstraction.
 //
-// The cycle kernel is event-sparse: Step walks an active set of routers
-// (those holding buffered flits or occupied link registers) and an active
-// set of injecting nodes, not the whole mesh. GPGPU NoC traffic is bursty
-// and concentrated on the MC rows, so most routers on most cycles have
-// nothing to do; the active set makes those routers free. The activity
-// invariant — a router with any buffered flit, valid output register, or
-// nonempty injection queue is always scheduled — is maintained by waking a
-// router on every event that hands it work (a flit pushed into one of its
-// buffers, a packet queued for injection) and only retiring it once both
-// counters reach zero. A naive full-scan stepper (stepReference) is retained
-// as the equivalence oracle: it is selectable only from this package's
-// tests (export_test.go) and must produce bit-identical results; both
-// steppers share every phase helper and iterate routers in ascending ID
-// order, which pins the floating-point statistics accumulation order.
+// Step does not scan the mesh: each phase of a cycle walks the set bits of
+// one run mask (parallel.go) — the routers holding buffered flits, the
+// routers with an occupied link register, the injection queues worth a
+// visit. The masks are exact, set and cleared where the count they summarize
+// leaves or reaches zero and recounted by CheckInvariants, so a drained
+// network steps for free and a saturated one pays a word load per 64 nodes.
+// A naive full-scan stepper (stepReference) is retained as the equivalence
+// oracle: it is selectable only from this package's tests (export_test.go),
+// ignores the masks, and must produce bit-identical results; both steppers
+// share every phase helper and visit routers in ascending ID order, which
+// pins the floating-point statistics accumulation order.
 //
 // The kernel can additionally step the mesh as several spatial domains in
 // parallel (config: NoC.Workers; see parallel.go): contiguous row stripes
@@ -114,9 +111,9 @@ type Interconnect interface {
 	// nil-receiver safe, so record sites pay one predictable nil check;
 	// recording never influences simulation results.
 	SetRecorder(r *fleetobs.Recorder)
-	// StateSnapshot captures per-link/per-VC occupancy and active-set
-	// sizes. Callers must invoke it only at a cycle boundary (between
-	// Step calls) so the kernel is never read mid-phase.
+	// StateSnapshot captures per-link/per-VC occupancy and how many routers
+	// and injection queues hold work. Callers must invoke it only at a cycle
+	// boundary (between Step calls) so the kernel is never read mid-phase.
 	StateSnapshot() obs.MeshState
 	// Close stops the kernel's lane workers, if any are running. The
 	// interconnect stays usable (the next parallel phase respawns them);
@@ -134,13 +131,8 @@ type injQueue struct {
 	cap         int
 	vc          int // local input VC receiving the current packet
 
-	// blocked: the last injectNode visit moved no flit — no admissible local
-	// VC has space, or the mid-packet VC is full — so the inject phase skips
-	// the queue until traverse pops a Local-port VC of the same router, the
-	// only event that frees such space. refused: Inject turned a packet away
-	// since the queue last drained a flit; the drain that clears it owes the
-	// node its inject wake.
-	blocked bool
+	// refused: Inject turned a packet away since the queue last drained a
+	// flit; the drain that clears it owes the node its inject wake.
 	refused bool
 }
 
@@ -170,7 +162,7 @@ type Network struct {
 	// equal-resource physical subnet (Section 4.2).
 	linkPeriod int64
 	// reference selects the naive full-scan stepper instead of the
-	// active-set kernel; results must be bit-identical. Test-only: nothing
+	// run-mask kernel; results must be bit-identical. Test-only: nothing
 	// outside this package's _test.go files sets it.
 	reference bool
 
@@ -180,16 +172,11 @@ type Network struct {
 	injWake []func() // per node; nil for a node whose endpoint polls
 
 	// lanes are the kernel's spatial domains: contiguous row stripes, each
-	// owning its routers' active sets, stats shard, and cross-domain
-	// outboxes (see parallel.go). A single lane covering the whole mesh is
-	// the serial kernel. laneOf maps each node ID to its owning lane.
-	// activeIn / injIn are the global membership marks for the per-lane
-	// active sets; each slot has a single writer (the owning lane during
-	// the phases, the serial tail otherwise).
-	lanes    []lane
-	laneOf   []int32
-	activeIn []bool
-	injIn    []bool
+	// owning its nodes' run masks, stats shard, and cross-domain outboxes
+	// (see parallel.go). A single lane covering the whole mesh is the serial
+	// kernel. laneOf maps each node ID to its owning lane.
+	lanes  []lane
+	laneOf []int32
 
 	// pool is the lane executor (parallel.go); a Dual's two subnets share
 	// one. Its goroutines are spawned lazily by the first parallel phase and
@@ -274,8 +261,6 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 		inj:        make([]injQueue, nn),
 		sinks:      make([]Sink, nn),
 		injWake:    make([]func(), nn),
-		activeIn:   make([]bool, nn),
-		injIn:      make([]bool, nn),
 		injRng:     make([][packet.NumClasses]vc.Range, nn),
 		stats:      stats.NewNet(m),
 	}
@@ -392,49 +377,11 @@ func (n *Network) Quiescent(window int64) bool {
 	return n.FlitsInFlight() > 0 && n.stuck(window)
 }
 
-// activeCount sums the scheduled routers across lanes.
-func (n *Network) activeCount() int {
-	total := 0
-	for i := range n.lanes {
-		total += len(n.lanes[i].active)
-	}
-	return total
-}
-
-// injActiveCount sums the injection-scheduled nodes across lanes.
-func (n *Network) injActiveCount() int {
-	total := 0
-	for i := range n.lanes {
-		total += len(n.lanes[i].injActive)
-	}
-	return total
-}
-
-// wake adds a router to its lane's active set; idempotent and O(1). During
-// the parallel phases it is only ever called for routers the executing lane
-// owns (cross-domain deliveries wake from the serial tail), so the set and
-// its membership mark have a single writer.
-func (n *Network) wake(id mesh.NodeID) {
-	if !n.activeIn[id] {
-		//noclint:laneowner single-writer slot: activeIn[id] is written only by the lane owning id during the phases, serial tail otherwise
-		n.activeIn[id] = true
-		ln := &n.lanes[n.laneOf[id]]
-		//noclint:laneowner phase-time wakes target only routers the executing lane owns, so this resolves to the caller's own shard
-		ln.active = append(ln.active, int32(id)) //noclint:hotpath amortized: active keeps its backing array across compactions
-	}
-}
-
-// wakeInj adds a node to its lane's injection-active set; idempotent and
-// O(1). Called only from Inject, so — like wake — during a parallel phase
-// it only ever targets a node the executing lane owns.
-func (n *Network) wakeInj(id mesh.NodeID) {
-	if !n.injIn[id] {
-		//noclint:laneowner single-writer slot: injIn[id] is written only by the lane owning id during the phases, serial tail otherwise
-		n.injIn[id] = true
-		ln := &n.lanes[n.laneOf[id]]
-		//noclint:laneowner Inject runs on the lane owning id, so this resolves to the caller's own shard
-		ln.injActive = append(ln.injActive, int32(id))
-	}
+// laneBit returns the lane owning node id and id's bit in that lane's run
+// masks, for code outside the phases (they are handed their lane).
+func (n *Network) laneBit(id int) (*lane, int) {
+	ln := &n.lanes[n.laneOf[id]]
+	return ln, id - ln.lo
 }
 
 // Inject queues p at its source node. The packet's CreatedAt should already
@@ -444,10 +391,10 @@ func (n *Network) wakeInj(id mesh.NodeID) {
 // Endpoints call it from RunLanes callbacks, so it runs on whichever
 // goroutine steps the lane owning p.Src, concurrently with other lanes'
 // injections: everything it writes — the node's queue, the lane's
-// injected-flit tally and injection-active set, the node's membership mark
-// — belongs to that lane. Between cycles (tests, the synthetic harness) it
-// is plain serial code. A refusal marks the queue, so the drain that next
-// frees space in it calls the node's inject wake (see SetInjectWake).
+// injected-flit tally and queues mask — belongs to that lane. Between cycles
+// (tests, the synthetic harness) it is plain serial code. A refusal marks
+// the queue, so the drain that next frees space in it calls the node's
+// inject wake (see SetInjectWake).
 //
 //noclint:laneowner root: reached from the lane workers through RunLanes' endpoint callbacks, which the per-package call graph cannot follow
 func (n *Network) Inject(p *packet.Packet) bool {
@@ -459,11 +406,14 @@ func (n *Network) Inject(p *packet.Packet) bool {
 		ln.refusedInjects++
 		return false
 	}
+	if q.empty() {
+		// A non-empty queue is scheduled already, or blocked and stays so.
+		ln.queues.set(p.Src - ln.lo)
+	}
 	q.Push(p)
 	q.flits += p.Flits
 	//noclint:laneowner RunLanes hands a lane only its own nodes, so the lane of p.Src is the caller's own shard
 	ln.injectedFlits += p.Flits
-	n.wakeInj(mesh.NodeID(p.Src))
 	if n.spans != nil {
 		//noclint:laneowner serial-only: RunLanes runs inline whenever a span collector is attached
 		n.spans.Offer(p)
@@ -509,16 +459,20 @@ func (n *Network) StateSnapshot() obs.MeshState {
 // subnetState snapshots one physical network under a subnet name.
 func (n *Network) subnetState(name string) obs.SubnetState {
 	st := obs.SubnetState{
-		Subnet:          name,
-		Cycle:           n.cycle,
-		InFlight:        n.FlitsInFlight(),
-		ActiveRouters:   n.activeCount(),
-		ActiveInjectors: n.injActiveCount(),
-		Links:           make([]obs.LinkState, 0, len(n.routers)*mesh.NumLinkDirs),
-		Nodes:           make([]obs.NodeState, 0, len(n.routers)),
+		Subnet:   name,
+		Cycle:    n.cycle,
+		InFlight: n.FlitsInFlight(),
+		Links:    make([]obs.LinkState, 0, len(n.routers)*mesh.NumLinkDirs),
+		Nodes:    make([]obs.NodeState, 0, len(n.routers)),
 	}
 	for i := range n.routers {
 		rt := &n.routers[i]
+		if rt.bufFlits > 0 || rt.regCount > 0 {
+			st.ActiveRouters++
+		}
+		if !n.inj[i].empty() {
+			st.ActiveInjectors++
+		}
 		for d := mesh.North; d < mesh.Local; d++ {
 			op := &rt.out[d]
 			if !op.exists {
@@ -623,9 +577,10 @@ func (n *Network) queueCredit(ln *lane, rt *router, inPort mesh.Direction, vcIdx
 }
 
 // injectNode moves up to injRate flits from the node's injection queue into
-// local input VCs of its router. A visit that moves nothing marks the queue
-// blocked: nothing but a pop from one of those VCs (traverse) can change the
-// outcome, so the inject phase stops visiting it until then. A visit that
+// local input VCs of its router. A visit that moves nothing — no admissible
+// local VC has space, or the mid-packet VC is full — found the queue blocked:
+// only a pop from one of those VCs (traverse) can change the outcome, so the
+// queue is unscheduled until then, as is one the visit emptied. A visit that
 // frees space in a queue that has refused a packet owes the node its wake.
 func (n *Network) injectNode(ln *lane, id int) {
 	q := &n.inj[id]
@@ -662,7 +617,7 @@ func (n *Network) injectNode(ln *lane, id int) {
 		ivc := &rt.in[mesh.Local][q.vc]
 		for budget > 0 && q.sent < p.Flits && ivc.buf.free() > 0 {
 			f := packet.Flit{Pkt: p, Seq: q.sent, Head: q.sent == 0, Tail: q.sent == p.Flits-1}
-			n.enqueue(rt, localBase+q.vc, f)
+			n.enqueue(ln, rt, localBase+q.vc, f)
 			q.sent++
 			q.flits--
 			budget--
@@ -679,9 +634,10 @@ func (n *Network) injectNode(ln *lane, id int) {
 		q.sent = 0
 		q.vc = -1
 	}
-	if budget == n.injRate {
-		q.blocked = true
-	} else if q.refused {
+	if budget == n.injRate || q.empty() {
+		ln.queues.clear(id - ln.lo)
+	}
+	if budget < n.injRate && q.refused {
 		q.refused = false
 		if wake := n.injWake[id]; wake != nil {
 			//noclint:laneowner inject wakes are per-node state: a node's wake runs only on the lane owning that node and writes only that node's endpoint
@@ -691,16 +647,16 @@ func (n *Network) injectNode(ln *lane, id int) {
 }
 
 // linkPhase delivers this router's completed link traversals: flits whose
-// link occupancy has elapsed arrive at downstream buffers, waking the
-// downstream router. A half-width link (period 2) holds each flit an extra
-// cycle, blocking the next switch traversal through that port.
+// link occupancy has elapsed arrive at downstream buffers. A half-width link
+// (period 2) holds each flit an extra cycle, blocking the next switch
+// traversal through that port.
 //
 // Deliveries into routers the lane owns commit immediately; deliveries that
 // cross a domain boundary are deferred to the lane's outbox and applied by
 // the serial tail in lane order, so two lanes never push into one router's
 // buffers concurrently. Deferral is invisible to results: at most one flit
 // crosses a link per cycle, deferred pushes land in disjoint rings with the
-// same arrival stamp, and wake is idempotent.
+// same arrival stamp, and a mask bit set twice is set once.
 func (n *Network) linkPhase(ln *lane, rt *router) {
 	for d := mesh.North; d < mesh.Local; d++ {
 		op := &rt.out[d]
@@ -708,7 +664,7 @@ func (n *Network) linkPhase(ln *lane, rt *router) {
 			continue
 		}
 		if dn := int(op.downNode); dn >= ln.lo && dn < ln.hi {
-			n.deliver(op)
+			n.deliver(ln, ln, op)
 		} else {
 			ln.outbox = append(ln.outbox, op) //noclint:hotpath amortized: outbox keeps its backing array across the serial tail's [:0] reset
 		}
@@ -716,31 +672,31 @@ func (n *Network) linkPhase(ln *lane, rt *router) {
 }
 
 // deliver commits one link traversal: the flit in op's register arrives at
-// the downstream input buffer, the register frees, and the downstream
-// router wakes.
-func (n *Network) deliver(op *outPort) {
-	n.enqueue(&n.routers[op.downNode], int(op.downPort)*n.vcs+op.regVC, op.reg)
+// the downstream input buffer and the register frees. from owns op's router
+// and to the downstream one; in the link phase they are the same lane.
+func (n *Network) deliver(from, to *lane, op *outPort) {
+	n.enqueue(to, &n.routers[op.downNode], int(op.downPort)*n.vcs+op.regVC, op.reg)
 	op.regValid = false
 	op.rt.regCount--
+	if op.rt.regCount == 0 {
+		from.links.clear(int(op.rt.id) - from.lo)
+	}
 }
 
 // finishCycle is the serial tail of every step: with all lanes' phases done
 // (and their workers parked at the barrier), it merges cross-domain effects
 // in lane order — the fixed merge order that makes results independent of
-// worker count — then compacts the active sets and advances the cycle.
+// worker count — then advances the cycle.
 //
-// Merge order per lane: outbox deliveries (buffer pushes + wakes), credit
-// tallies, telemetry flush (stall counters, deferred per-packet latency
-// observations), movement/in-flight folds, active-set compaction. Routers
-// retire only when they hold no buffered flits and no occupied link
-// register; nodes retire when their injection queue drains. Everything that
-// re-arms activity (buffer pushes, Inject) wakes the target, so retirement
-// can never strand work.
+// Merge order per lane: outbox deliveries (buffer pushes), credit tallies,
+// telemetry flush (stall counters, deferred per-packet latency
+// observations), movement/in-flight folds. The run masks need no pass of
+// their own: the deliveries keep them exact like every other push.
 func (n *Network) finishCycle() {
 	for li := range n.lanes {
 		ln := &n.lanes[li]
 		for _, op := range ln.outbox {
-			n.deliver(op)
+			n.deliver(ln, &n.lanes[n.laneOf[op.downNode]], op)
 		}
 		ln.outbox = ln.outbox[:0]
 	}
@@ -795,28 +751,6 @@ func (n *Network) finishCycle() {
 		moved = moved || ln.moved
 		n.inFlight += ln.injectedFlits - ln.ejectedFlits
 		ln.injectedFlits, ln.ejectedFlits = 0, 0
-
-		w := 0
-		for _, id := range ln.active {
-			rt := &n.routers[id]
-			if rt.bufFlits > 0 || rt.regCount > 0 {
-				ln.active[w] = id
-				w++
-			} else {
-				n.activeIn[id] = false
-			}
-		}
-		ln.active = ln.active[:w]
-		w = 0
-		for _, id := range ln.injActive {
-			if !n.inj[id].empty() {
-				ln.injActive[w] = id
-				w++
-			} else {
-				n.injIn[id] = false
-			}
-		}
-		ln.injActive = ln.injActive[:w]
 	}
 	n.moved = moved
 
@@ -862,17 +796,16 @@ func (n *Network) laneCall(ln *lane) {
 
 // Step advances the network by one cycle: injection, router pipelines
 // (RC/VA/SA/ST), then link traversal, and finally the serial tail (credit
-// returns, cross-domain deliveries, compaction). Within each lane only
-// active routers and injecting nodes are visited, in ascending id order —
-// exactly the order the reference full scan produces, so endpoint callbacks
-// and statistics accumulate identically (see injectPhase / routerPhase in
-// parallel.go for the dense/sparse walk).
+// returns, cross-domain deliveries). Within each lane a phase visits only
+// the nodes its run mask names, in ascending id order — exactly the order
+// the reference full scan produces, so endpoint callbacks and statistics
+// accumulate identically.
 //
-// With one lane this is the serial event-sparse kernel. With several lanes
-// on the pool (onPool) the lanes run concurrently with a barrier between
-// the compute phases and the link phase; otherwise they run inline in lane
-// order, which produces the exact global phase order of the classic kernel
-// because lanes are contiguous ascending ID ranges.
+// With one lane this is the serial kernel. With several lanes on the pool
+// (onPool) the lanes run concurrently with a barrier between the compute
+// phases and the link phase; otherwise they run inline in lane order, which
+// produces the exact global phase order of the classic kernel because lanes
+// are contiguous ascending ID ranges.
 func (n *Network) Step() {
 	if n.reference {
 		n.stepReference()
@@ -896,11 +829,11 @@ func (n *Network) Step() {
 }
 
 // stepReference is the naive stepper: every node and every router, every
-// cycle. It shares all phase helpers (and therefore all bookkeeping —
-// active-set maintenance included) with the event-sparse kernel; only the
-// iteration differs. Equivalence tests hold the two bit-identical. It
-// always runs inline: lanes are contiguous ascending ID ranges, so the
-// lane-ordered sweeps below are the classic full scans.
+// cycle, whatever the run masks say. It shares all phase helpers (and
+// therefore all bookkeeping — the masks' upkeep included) with the shipped
+// kernel; only the iteration differs. Equivalence tests hold the two
+// bit-identical. It always runs inline: lanes are contiguous ascending ID
+// ranges, so the lane-ordered sweeps below are the classic full scans.
 func (n *Network) stepReference() {
 	for li := range n.lanes {
 		ln := &n.lanes[li]
@@ -940,11 +873,12 @@ func (n *Network) Drain(maxCycles int) bool {
 // stepping and the gpu sanitizer samples it during runs. It recounts, from
 // buffer and per-VC routing state alone: credit accounting per (output port,
 // VC) against the per-port pending tally, flit conservation, every router's
-// occupancy counters, request masks and pipeline-gate stamps, the active-set
-// invariant (any router or node holding work must be scheduled), and every
-// sleeper's reason to sleep: an idle router must have nothing a visit could
-// act on (runnable), a blocked injection queue no local VC space it could
-// use (injectable).
+// occupancy counters, request masks and pipeline-gate stamps, the run masks
+// (a routers or links bit says its recounted counter is non-zero, a queues
+// bit that the queue holds a packet), and every sleeper's reason to sleep:
+// an idle router must have nothing a visit could act on (runnable), a
+// non-empty unscheduled queue no local VC space it could use (injectable).
+// A scheduled queue may turn out blocked: spurious wakes are legal.
 func (n *Network) CheckInvariants() error {
 	count := 0
 	for i := range n.routers {
@@ -1017,18 +951,22 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("noc: occupancy counters at %v: bufFlits %d (counted %d), regCount %d (counted %d)",
 				rt.coord, rt.bufFlits, bufFlits, rt.regCount, regCount)
 		}
-		if (bufFlits > 0 || regCount > 0) && !n.activeIn[i] {
-			return fmt.Errorf("noc: active-set invariant broken: router %v holds work (%d flits, %d regs) but is not scheduled",
-				rt.coord, bufFlits, regCount)
+		ln, bit := n.laneBit(i)
+		if ln.routers.has(bit) != (bufFlits > 0) {
+			return fmt.Errorf("noc: run mask routers at %v reads %t, recounted bufFlits %d", rt.coord, ln.routers.has(bit), bufFlits)
+		}
+		if ln.links.has(bit) != (regCount > 0) {
+			return fmt.Errorf("noc: run mask links at %v reads %t, recounted regCount %d", rt.coord, ln.links.has(bit), regCount)
 		}
 	}
 	for i := range n.inj {
 		q := &n.inj[i]
 		count += q.flits
-		if !q.empty() && !n.injIn[i] {
-			return fmt.Errorf("noc: active-set invariant broken: node %d has queued packets but is not scheduled for injection", i)
-		}
-		if q.blocked {
+		ln, bit := n.laneBit(i)
+		switch scheduled := ln.queues.has(bit); {
+		case scheduled && q.empty():
+			return fmt.Errorf("noc: injection queue of node %d is scheduled, but it is empty", i)
+		case !scheduled && !q.empty():
 			if cause := n.injectable(i); cause != "" {
 				return fmt.Errorf("noc: injection queue of node %d is blocked, but %s", i, cause)
 			}
@@ -1071,15 +1009,11 @@ func (n *Network) runnable(rt *router) string {
 	return ""
 }
 
-// injectable re-derives whether a blocked queue still has its reason: it
-// names the local VC with space injectNode could use — whose pop the queue
-// must have missed — or says the queue is empty (only a visit that found a
-// packet and moved nothing blocks), or returns "". Side-effect free.
+// injectable re-derives whether a blocked queue — non-empty, not scheduled —
+// still has its reason: it names the local VC with space injectNode could
+// use, whose pop the queue must have missed, or returns "". Side-effect free.
 func (n *Network) injectable(id int) string {
 	q := &n.inj[id]
-	if q.empty() {
-		return "it is empty"
-	}
 	local := n.routers[id].in[mesh.Local]
 	if q.sent > 0 {
 		if free := local[q.vc].buf.free(); free > 0 {

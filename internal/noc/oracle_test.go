@@ -1,8 +1,8 @@
-// Full-system oracle suite: the event-sparse active-set kernel must be
-// indistinguishable from stepReference, the naive full-scan stepper — not
-// statistically close, bit-identical. Anything less means the active set
-// dropped a wakeup or an arbitration got reordered, and every derived result
-// (figure tables, latency distributions, telemetry) silently drifts.
+// Full-system oracle suite: the run-mask kernel must be indistinguishable
+// from stepReference, the naive full-scan stepper — not statistically close,
+// bit-identical. Anything less means a run mask lost a bit or an arbitration
+// got reordered, and every derived result (figure tables, latency
+// distributions, telemetry) silently drifts.
 //
 // The oracle is selectable only through this package's export_test.go, so
 // these comparisons live here, in the external test package that can drive
@@ -25,7 +25,7 @@ import (
 )
 
 // equivCfg is a reduced-scale configuration: long enough that traffic
-// saturates the MC rows and backpressure (the active set's hard case)
+// saturates the MC rows and backpressure (the schedule's hard case)
 // appears, short enough that the whole suite stays in seconds.
 func equivCfg() config.Config {
 	cfg := config.Default()
@@ -35,7 +35,7 @@ func equivCfg() config.Config {
 }
 
 // run simulates prof under cfg with telemetry every 400 cycles and the
-// sanitizer every 256 — so CheckInvariants, active-set invariant included,
+// sanitizer every 256 — so CheckInvariants, the run-mask recount included,
 // is exercised on both paths — on the shipped kernel or on the oracle.
 func run(t *testing.T, cfg config.Config, prof workload.Profile, reference bool) gpu.Result {
 	t.Helper()
@@ -66,7 +66,7 @@ func checkOracle(t *testing.T, cfg config.Config, prof workload.Profile) {
 			opt.IPC, ref.IPC, opt.Cycles, ref.Cycles, opt.Deadlocked, ref.Deadlocked)
 	}
 	if opt.GPU != ref.GPU {
-		t.Errorf("GPU stats diverged:\nactive-set %+v\n reference %+v", opt.GPU, ref.GPU)
+		t.Errorf("GPU stats diverged:\n run-mask %+v\nreference %+v", opt.GPU, ref.GPU)
 	}
 	if !reflect.DeepEqual(opt.Net, ref.Net) {
 		t.Errorf("network stats diverged (latency accumulators are order-sensitive: check ejection ordering)")

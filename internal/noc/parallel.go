@@ -11,7 +11,7 @@ package noc
 //	  the lane's node range — the gpu layer ticks the SMs and MCs sitting
 //	  on those nodes. A tick touches its own endpoint and, through Inject,
 //	  its own node's injection queue, its lane's injected-flit tally and
-//	  its lane's injection-active set: all owned by the executing lane.
+//	  its lane's queues mask: all owned by the executing lane.
 //	phase A (parallel): per lane, injection then RC/VA/SA/ST for the
 //	  lane's routers. Cross-lane interactions in this phase are confined
 //	  to single-writer slots — the credit tally (op.pending, written only
@@ -24,7 +24,31 @@ package noc
 //	  outbox.
 //	serial tail: finishCycle merges all deferred cross-lane effects in
 //	  lane order — outbox deliveries, credit drains, telemetry flushes,
-//	  movement/in-flight folds — then compacts the active sets.
+//	  movement/in-flight folds.
+//
+// Which nodes a phase visits is one of three bit sets per lane, the run
+// masks, bit id − lane.lo, each kept exact at the only sites that change
+// what it says, so a phase is one ascending walk over set bits — the
+// reference full scan minus its no-op visits:
+//
+//	routers  bufFlits > 0. Set by enqueue on 0 → 1, cleared by traverse on
+//	         → 0; walked by routerPhase.
+//	links    regCount > 0. Set by traverse on 0 → 1, cleared by deliver on
+//	         → 0; walked by linkPhaseLane.
+//	queues   the injection queue is non-empty and not known to be blocked.
+//	         Set by Inject into an empty queue and by traverse popping a
+//	         Local VC of a node with queued packets, cleared by an injectNode
+//	         visit that moved nothing or emptied the queue; walked by
+//	         injectPhase.
+//
+// A walk reads each mask word once, and that is as good as a live read: a
+// visit changes only its own bit of the mask being walked. injectNode clears
+// its own queues bit and sets a routers bit; a router visit clears its own
+// routers bit and may set its own node's links and queues bits; a delivery
+// clears its own links bit and sets downstream routers bits. Single writer:
+// a lane's masks are written by that lane during the phases — Inject,
+// injection, traversal and in-lane deliveries act on nodes it owns — and by
+// the serial tail otherwise, where cross-lane deliveries enqueue.
 //
 // Determinism argument, in short: within a phase, lanes touch disjoint or
 // single-writer state, so the interleaving cannot affect values; everything
@@ -57,8 +81,8 @@ package noc
 // The gather park path mirrors this with gatherParked/arrived.
 
 import (
+	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,24 +90,21 @@ import (
 	"gpgpunoc/internal/stats"
 )
 
+// nodeMask is a bit set over one lane's nodes: bit id − lane.lo.
+type nodeMask []uint64
+
+func (m nodeMask) set(i int)      { m[i>>6] |= 1 << (i & 63) }
+func (m nodeMask) clear(i int)    { m[i>>6] &^= 1 << (i & 63) }
+func (m nodeMask) has(i int) bool { return m[i>>6]>>(i&63)&1 != 0 }
+
 // lane is one spatial domain of the cycle kernel: the routers and nodes
-// with IDs in [lo, hi), their active sets, and every per-domain accumulator
+// with IDs in [lo, hi), their run masks, and every per-domain accumulator
 // that would otherwise be shared across workers. A single lane spanning the
 // whole mesh is the serial kernel.
 type lane struct {
 	lo, hi int // owned node-ID range [lo, hi)
 
-	// Active sets: dense ID lists of this lane's routers with work and
-	// nodes with queued injections. Sorted ascending at the top of the
-	// router phase so iteration order matches the reference full scan;
-	// compacted by the serial tail when the work drains.
-	active    []int32
-	injActive []int32
-
-	// k and dense carry the router phase's iteration decision over to the
-	// link phase: the sorted-prefix snapshot length, or a dense scan.
-	k     int
-	dense bool
+	routers, links, queues nodeMask // the run masks; see the header
 
 	// creditDirty lists output ports with credits returned this cycle by
 	// this lane's routers (accumulated in outPort.pending); the serial
@@ -118,13 +139,9 @@ type lane struct {
 	ejectedFlits  int
 
 	// Visit counters, read by tests through export_test.go so the
-	// back-pressure gates cannot rot silently: router visits that ran
-	// RC/VA/SA and those that took the idle early-out, injection-queue
-	// visits that ran injectNode and those skipped as blocked, and Injects
-	// refused at this lane's nodes.
-	routerVisits, idleSkips    int64
-	injectVisits, blockedSkips int64
-	refusedInjects             int64
+	// back-pressure gates cannot rot silently: full router visits, idle
+	// early-outs, injectNode visits, Injects refused at this lane's nodes.
+	routerVisits, idleSkips, injectVisits, refusedInjects int64
 }
 
 // effectiveDomains resolves the Workers configuration to a lane count:
@@ -159,80 +176,40 @@ func (n *Network) buildLanes(workers, width, height int) {
 		ln.lo = (i * height / d) * width
 		ln.hi = ((i + 1) * height / d) * width
 		ln.stats = stats.NewNet(n.m)
+		words := (ln.hi - ln.lo + 63) / 64
+		masks := make(nodeMask, max(3*words, 8)) // a cache line of its own: lanes write their masks concurrently
+		ln.routers, ln.links, ln.queues = masks[:words], masks[words:2*words], masks[2*words:3*words]
 		for id := ln.lo; id < ln.hi; id++ {
 			n.laneOf[id] = int32(i)
 		}
 	}
 }
 
-// injectPhase drains injection queues for the lane's nodes, ascending.
-// Sparse sets are sorted and walked directly; once a set covers a quarter
-// of the lane, a full ascending scan through the same emptiness gate is
-// cheaper than sorting, and visits the same nodes in the same order.
+// injectPhase runs injectNode for the lane's scheduled queues, ascending.
 //
 //noclint:hotpath root: per-cycle injection phase of the cycle kernel
 func (n *Network) injectPhase(ln *lane) {
 	ln.moved = false
-	if len(ln.injActive)*4 >= ln.hi-ln.lo {
-		for id := ln.lo; id < ln.hi; id++ {
-			if !n.inj[id].empty() {
-				n.visitQueue(ln, id)
-			}
-		}
-	} else {
-		slices.Sort(ln.injActive)
-		for _, id := range ln.injActive {
-			n.visitQueue(ln, int(id))
+	for wi, w := range ln.queues {
+		for base := ln.lo + wi<<6; w != 0; w &= w - 1 {
+			ln.injectVisits++
+			n.injectNode(ln, base+bits.TrailingZeros64(w))
 		}
 	}
 }
 
-// visitQueue is the inject phase's visit of a non-empty injection queue:
-// nothing for a blocked one (see injQueue.blocked), injectNode otherwise.
-func (n *Network) visitQueue(ln *lane, id int) {
-	if n.inj[id].blocked {
-		ln.blockedSkips++
-		return
-	}
-	ln.injectVisits++
-	n.injectNode(ln, id)
-}
-
-// routerPhase runs RC/VA/SA/ST for the lane's active routers, ascending.
-// The sort happens after injection so routers woken by this cycle's
-// injected flits are visited, exactly as the reference scan would.
+// routerPhase runs RC/VA/SA/ST for the lane's routers holding flits,
+// ascending; it follows injection, so a router this cycle's injected flits
+// filled is visited, exactly as the reference scan would. An idle router
+// keeps its bit: an observed run charges its stalls every cycle, so it must
+// stay visited, only cheaply (idleVisit); out of the mask, every traced run
+// would pay for full visits instead.
 //
 //noclint:hotpath root: per-cycle router step (RC/VA/SA/ST)
 func (n *Network) routerPhase(ln *lane) {
-	ln.dense = len(ln.active)*4 >= ln.hi-ln.lo
-	if ln.dense {
-		// Dense: the gates (bufFlits, regCount) are live counters, so this
-		// is the reference loop minus its no-op visits.
-		for i := ln.lo; i < ln.hi; i++ {
-			rt := &n.routers[i]
-			if rt.bufFlits == 0 {
-				continue
-			}
-			if rt.idle {
-				n.idleVisit(ln, rt)
-				continue
-			}
-			ln.routerVisits++
-			n.routeCompute(rt)
-			n.vcAllocate(rt)
-			n.switchAllocateAndTraverse(ln, rt)
-		}
-	} else {
-		// Sparse: snapshot the sorted active prefix; wakes during the
-		// phases append routers that, by construction, have no switch work
-		// or link register to process this cycle.
-		slices.Sort(ln.active)
-		ln.k = len(ln.active)
-		for i := 0; i < ln.k; i++ {
-			rt := &n.routers[ln.active[i]]
-			if rt.bufFlits == 0 {
-				continue // only a link register in flight; nothing to arbitrate
-			}
+	for wi, w := range ln.routers {
+		for base := ln.lo + wi<<6; w != 0; w &= w - 1 {
+			rt := &n.routers[base+bits.TrailingZeros64(w)]
 			if rt.idle {
 				n.idleVisit(ln, rt)
 				continue
@@ -257,24 +234,14 @@ func (n *Network) idleVisit(ln *lane, rt *router) {
 	}
 }
 
-// linkPhaseLane delivers completed link traversals for the lane's routers,
-// walking the same snapshot the router phase used.
+// linkPhaseLane delivers completed link traversals for the lane's routers
+// with an occupied link register, ascending.
 //
 //noclint:hotpath root: per-cycle link traversal phase
 func (n *Network) linkPhaseLane(ln *lane) {
-	if ln.dense {
-		for i := ln.lo; i < ln.hi; i++ {
-			rt := &n.routers[i]
-			if rt.regCount > 0 {
-				n.linkPhase(ln, rt)
-			}
-		}
-	} else {
-		for i := 0; i < ln.k; i++ {
-			rt := &n.routers[ln.active[i]]
-			if rt.regCount > 0 {
-				n.linkPhase(ln, rt)
-			}
+	for wi, w := range ln.links {
+		for base := ln.lo + wi<<6; w != 0; w &= w - 1 {
+			n.linkPhase(ln, &n.routers[base+bits.TrailingZeros64(w)])
 		}
 	}
 }

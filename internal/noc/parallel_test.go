@@ -143,8 +143,8 @@ func TestParallelKernelUnderLoadRace(t *testing.T) {
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if n.activeCount() != 0 || n.injActiveCount() != 0 {
-		t.Fatal("drained network still schedules work")
+	if r, l, q := n.scheduled(); r != 0 || l != 0 || q != 0 {
+		t.Fatalf("drained network still schedules work: %d routers, %d links, %d queues", r, l, q)
 	}
 }
 
@@ -274,8 +274,8 @@ func TestLaneCallbackInjectVisibleBeforeStep(t *testing.T) {
 
 // TestLaneCallbackConcurrentInject drives Inject the way the gpu layer does:
 // from RunLanes callbacks, one per lane, concurrently on the lane workers
-// (the race detector watches the per-lane tallies and injection-active
-// sets), every node injecting every cycle. The result must match a serial
+// (the race detector watches the per-lane tallies and queues masks), every
+// node injecting every cycle. The result must match a serial
 // network fed the same packets from one full-range callback.
 func TestLaneCallbackConcurrentInject(t *testing.T) {
 	const cycles = 300

@@ -57,9 +57,9 @@ type outPort struct {
 // the VA grant, credit decrement and return, tail release); RC, VA, SA and
 // the stall attribution walk set bits with math/bits, so a router whose
 // every VC is blocked costs a handful of mask tests. The masks, like the
-// occupancy counters (bufFlits, regCount: a router with both zero drops out
-// of the active set), are redundant: CheckInvariants recounts all of them
-// from the per-VC state.
+// occupancy counters (bufFlits, regCount: each one's lane keeps a run-mask
+// bit that says it is non-zero), are redundant: CheckInvariants recounts all
+// of them from the per-VC state.
 //
 // A router whose visit ends with no switch candidate goes idle: the router
 // phase skips it until a flit arrives in an empty VC or a credit returns to
@@ -84,7 +84,7 @@ type router struct {
 	// the front of an empty VC (enqueue) or a credit returns to a VC held
 	// here (finishCycle) a visit would repeat itself, and the router phase
 	// skips it. A push behind an existing front changes nothing the
-	// allocators read. The router stays on the active list.
+	// allocators read. The router keeps its routers bit (see routerPhase).
 	idle bool
 
 	// Round-robin pointers for fair, deterministic arbitration.
@@ -203,11 +203,12 @@ func (rt *router) init(id mesh.NodeID, m mesh.Mesh, vcs, depth int, ar *routerAr
 	rt.out[mesh.Local] = outPort{rt: rt, exists: true, downNode: id, downPort: mesh.Local, orient: mesh.LocalPort}
 }
 
-// enqueue buffers f at input VC i of rt and wakes the router: the one push
-// path, shared by injection and link delivery. A flit entering an empty
-// buffer becomes the front, so it sets occ, stamps the pipeline gate and
-// ends the router's idleness (a new head needs RC).
-func (n *Network) enqueue(rt *router, i int, f packet.Flit) {
+// enqueue buffers f at input VC i of rt, which ln owns: the one push path,
+// shared by injection and link delivery. A flit entering an empty buffer
+// becomes the front, so it sets occ, stamps the pipeline gate and ends the
+// router's idleness (a new head needs RC); the first flit in an empty router
+// schedules it.
+func (n *Network) enqueue(ln *lane, rt *router, i int, f packet.Flit) {
 	ivc := &rt.vcs[i]
 	ivc.buf.push(f, n.cycle)
 	if ivc.buf.n == 1 {
@@ -216,7 +217,9 @@ func (n *Network) enqueue(rt *router, i int, f packet.Flit) {
 		rt.idle = false
 	}
 	rt.bufFlits++
-	n.wake(rt.id)
+	if rt.bufFlits == 1 {
+		ln.routers.set(int(rt.id) - ln.lo)
+	}
 }
 
 // routeCompute runs RC for every input VC whose front flit is an unrouted
@@ -463,6 +466,9 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 	bf := ivc.buf.pop()
 	f := bf.flit
 	rt.bufFlits--
+	if rt.bufFlits == 0 {
+		ln.routers.clear(int(rt.id) - ln.lo)
+	}
 	bit := uint64(1) << (p*n.vcs + v)
 	if ivc.buf.n == 0 {
 		rt.occ &^= bit
@@ -472,11 +478,11 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 
 	// Return a credit upstream for the freed buffer slot. The injection port
 	// has no credits — the injection queue reads the local VCs' space itself
-	// — so there the pop unblocks the node's queue instead.
+	// — so there the pop schedules the node's queue, blocked or not, instead.
 	if p != int(mesh.Local) {
 		n.queueCredit(ln, rt, mesh.Direction(p), v)
-	} else {
-		n.inj[rt.id].blocked = false
+	} else if !n.inj[rt.id].empty() {
+		ln.queues.set(int(rt.id) - ln.lo)
 	}
 
 	if d == mesh.Local {
@@ -509,6 +515,9 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 		op.regValid = true
 		op.regReadyAt = n.cycle + n.linkPeriod - 1
 		rt.regCount++
+		if rt.regCount == 1 {
+			ln.links.set(int(rt.id) - ln.lo)
+		}
 		//noclint:laneowner single-writer counter: the link (rt, d) is traversed only by rt's owning lane
 		n.stats.CountLink(mesh.Link{From: rt.id, Dir: d}, f.Pkt.Class())
 		if n.tel != nil {

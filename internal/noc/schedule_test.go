@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"gpgpunoc/internal/config"
@@ -11,43 +12,58 @@ import (
 	"gpgpunoc/internal/vc"
 )
 
-// TestActiveSetIdleNetworkEmpty: a drained network must have empty active
-// sets — that emptiness is exactly what makes idle cycles near-free — and
-// further Steps must keep them empty while the cycle counter advances.
-func TestActiveSetIdleNetworkEmpty(t *testing.T) {
-	n := newTestNet(t, config.RoutingXY, config.VCSplit)
-	attachCollectors(n)
-	if !n.Inject(mkPacket(1, packet.ReadReply, 0, 63, 0)) {
-		t.Fatal("injection refused")
-	}
-	if !n.Drain(2000) {
-		t.Fatal("failed to drain")
-	}
-	if n.activeCount() != 0 || n.injActiveCount() != 0 {
-		t.Fatalf("drained network still schedules work: %d routers, %d injectors",
-			n.activeCount(), n.injActiveCount())
-	}
-	before := n.Cycle()
-	for i := 0; i < 100; i++ {
-		n.Step()
-	}
-	if n.Cycle() != before+100 {
-		t.Errorf("idle stepping lost cycles: %d -> %d", before, n.Cycle())
-	}
-	if n.activeCount() != 0 || n.injActiveCount() != 0 {
-		t.Error("idle stepping re-activated routers")
-	}
-	if err := n.CheckInvariants(); err != nil {
-		t.Error(err)
+// eachWorkers runs f as a subtest at each lane count the run-mask tests use:
+// the serial kernel, and four two-row lanes, where bit 0 of a mask is not
+// node 0.
+func eachWorkers(t *testing.T, f func(t *testing.T, workers int)) {
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) { f(t, w) })
 	}
 }
 
-// TestActiveSetInvariantUnderLoad holds the scheduling invariant — any
-// router or node with work is in its active set, all redundant counters
+// TestDrainedNetworkSchedulesNothing: a drained network must have all three
+// run masks zero — that emptiness is exactly what makes idle cycles
+// near-free — and further Steps must keep them zero while the cycle counter
+// advances.
+func TestDrainedNetworkSchedulesNothing(t *testing.T) {
+	eachWorkers(t, func(t *testing.T, workers int) {
+		n := newWorkerNet(t, config.RoutingXY, config.VCSplit, workers)
+		attachCollectors(n)
+		if !n.Inject(mkPacket(1, packet.ReadReply, 0, 63, 0)) {
+			t.Fatal("injection refused")
+		}
+		if !n.Drain(2000) {
+			t.Fatal("failed to drain")
+		}
+		if r, l, q := n.scheduled(); r != 0 || l != 0 || q != 0 {
+			t.Fatalf("drained network still schedules work: %d routers, %d links, %d queues", r, l, q)
+		}
+		before := n.Cycle()
+		for i := 0; i < 100; i++ {
+			n.Step()
+		}
+		if n.Cycle() != before+100 {
+			t.Errorf("idle stepping lost cycles: %d -> %d", before, n.Cycle())
+		}
+		if r, l, q := n.scheduled(); r != 0 || l != 0 || q != 0 {
+			t.Errorf("idle stepping scheduled work: %d routers, %d links, %d queues", r, l, q)
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// TestRunMasksExactUnderLoad holds the scheduling invariant — every run-mask
+// bit says exactly what its router or queue holds, all redundant counters
 // recount exactly — after every single cycle of a loaded, backpressured
 // run, through drain.
-func TestActiveSetInvariantUnderLoad(t *testing.T) {
-	n := newTestNet(t, config.RoutingYX, config.VCMonopolized)
+func TestRunMasksExactUnderLoad(t *testing.T) {
+	eachWorkers(t, runMasksExactUnderLoad)
+}
+
+func runMasksExactUnderLoad(t *testing.T, workers int) {
+	n := newWorkerNet(t, config.RoutingYX, config.VCMonopolized, workers)
 	attachCollectors(n)
 	r := rng.New(42)
 	id := uint64(0)
@@ -73,11 +89,15 @@ func TestActiveSetInvariantUnderLoad(t *testing.T) {
 	}
 }
 
-// TestActiveSetRefusingSink: a sink that refuses ejection keeps the router
-// active (the flit stays buffered) instead of silently retiring it, and
-// delivery resumes when the sink relents.
-func TestActiveSetRefusingSink(t *testing.T) {
-	n := newTestNet(t, config.RoutingXY, config.VCSplit)
+// TestRefusingSinkKeepsRouterScheduled: a sink that refuses ejection keeps
+// the router's routers bit (the flit stays buffered) instead of silently
+// unscheduling it, and delivery resumes when the sink relents.
+func TestRefusingSinkKeepsRouterScheduled(t *testing.T) {
+	eachWorkers(t, refusingSinkKeepsRouterScheduled)
+}
+
+func refusingSinkKeepsRouterScheduled(t *testing.T, workers int) {
+	n := newWorkerNet(t, config.RoutingXY, config.VCSplit, workers)
 	accept := false
 	var got []packet.Flit
 	for i := 0; i < 64; i++ {
@@ -104,8 +124,8 @@ func TestActiveSetRefusingSink(t *testing.T) {
 	if n.FlitsInFlight() == 0 {
 		t.Fatal("packet vanished while its sink was refusing it")
 	}
-	if !n.activeIn[58] {
-		t.Fatal("router with an ejection-blocked packet left the active set")
+	if ln, bit := n.laneBit(58); !ln.routers.has(bit) {
+		t.Fatal("router with an ejection-blocked packet lost its routers bit")
 	}
 	accept = true
 	if !n.Drain(100) {

@@ -33,8 +33,8 @@ type SubnetState struct {
 	Subnet          string      `json:"subnet"` // "", "req", "rep"
 	Cycle           int64       `json:"cycle"`
 	InFlight        int         `json:"flits_in_flight"`
-	ActiveRouters   int         `json:"active_routers"`   // event-sparse active set size
-	ActiveInjectors int         `json:"active_injectors"` // nodes with pending injections
+	ActiveRouters   int         `json:"active_routers"`   // routers holding a buffered flit or an occupied link register
+	ActiveInjectors int         `json:"active_injectors"` // nodes with a non-empty injection queue
 	Links           []LinkState `json:"links"`
 	Nodes           []NodeState `json:"nodes"`
 }
