@@ -11,7 +11,9 @@
 // argument: Analyze enumerates every route of both classes and records which
 // classes use each directed link; Verdict then says whether full, partial or
 // no monopolization is protocol-deadlock safe, and CheckPolicy validates any
-// concrete VC policy against the analysis.
+// concrete VC policy against the analysis. Structure (structure.go) holds
+// the analysis and its verdict once per design point; config.Validate and
+// gpu.New both go through it.
 package core
 
 import (
@@ -24,38 +26,6 @@ import (
 	"gpgpunoc/internal/routing"
 	"gpgpunoc/internal/vc"
 )
-
-// init installs the exact link-usage safety analysis as config.Validate's
-// deadlock check: any package importing core (gpu, sweep, experiments and
-// every cmd) gets full validation — structure plus protocol-deadlock
-// safety — from config.Validate alone. Configurations that set AllowUnsafe
-// bypass only this check, never the structural ones.
-func init() {
-	config.RegisterSafetyCheck(func(cfg config.Config) error {
-		m := mesh.New(cfg.NoC.Width, cfg.NoC.Height)
-		pl, err := placement.New(cfg.Placement, m, cfg.Mem.NumMCs)
-		if err != nil {
-			return err
-		}
-		alg, err := routing.New(cfg.NoC.Routing)
-		if err != nil {
-			return err
-		}
-		u := Analyze(m, pl, alg)
-		asg, err := BuildAssigner(u, cfg.NoC)
-		if err != nil {
-			return err
-		}
-		if err := u.CheckPolicy(asg); err != nil {
-			return err
-		}
-		// Second, independent proof: the link-overlap test above is the
-		// paper's geometric argument; the channel-dependency-graph prover
-		// verifies acyclicity of the induced waiting graph and would catch
-		// any cycle the overlap test's link-local view missed.
-		return u.CDG(asg, cfg.NoC.VCsPerPort).ProveDeadlockFree()
-	})
-}
 
 // classBit marks link usage by a traffic class.
 const (
@@ -278,37 +248,3 @@ var (
 	// best prior work in the paper's runs).
 	BestProposed = YXMonopolized
 )
-
-// ValidateScheme builds the scheme's pieces on the mesh defined by base and
-// verifies protocol-deadlock safety, returning the analysis for inspection.
-func ValidateScheme(s Scheme, base config.Config) (*LinkUsage, error) {
-	cfg := s.Apply(base)
-	// Structural validation only here: the safety analysis is done
-	// explicitly below so the LinkUsage can be returned for inspection
-	// even when the scheme is unsafe.
-	cfg.AllowUnsafe = true
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	m := mesh.New(cfg.NoC.Width, cfg.NoC.Height)
-	pl, err := placement.New(cfg.Placement, m, cfg.Mem.NumMCs)
-	if err != nil {
-		return nil, err
-	}
-	alg, err := routing.New(cfg.NoC.Routing)
-	if err != nil {
-		return nil, err
-	}
-	u := Analyze(m, pl, alg)
-	asg, err := BuildAssigner(u, cfg.NoC)
-	if err != nil {
-		return u, err
-	}
-	if err := u.CheckPolicy(asg); err != nil {
-		return u, err
-	}
-	if err := u.CDG(asg, cfg.NoC.VCsPerPort).ProveDeadlockFree(); err != nil {
-		return u, err
-	}
-	return u, nil
-}

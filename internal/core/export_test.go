@@ -1,0 +1,16 @@
+package core
+
+// StructureCap is the table's capacity.
+const StructureCap = structureCap
+
+// ProofsRun is how many structures have been proved since process start.
+func ProofsRun() int64 { return proofsRun.Load() }
+
+// ResetStructures empties the table, so a test counts from a known state.
+func ResetStructures() {
+	t := &structures
+	t.Lock()
+	defer t.Unlock()
+	t.byKey = map[StructureKey]*Structure{}
+	t.order = nil
+}

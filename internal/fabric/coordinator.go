@@ -217,16 +217,27 @@ func (c *Coordinator) Submit(spec sweep.Spec) (SubmitResponse, error) {
 	id := SweepID(spec)
 
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.expireLocked(time.Now())
-
-	if sw, ok := c.sweeps[id]; ok {
-		return c.submitResponseLocked(sw), nil
+	resp, known := c.knownSweepLocked(id)
+	c.mu.Unlock()
+	if known {
+		return resp, nil
 	}
 
+	// Expansion validates every job and proves each structure it sees for
+	// the first time — tens of milliseconds on a 16x16 mesh — so it runs
+	// outside the lock: leases, heartbeats and completes do not wait for it.
 	jobs, skips, err := spec.Expand()
 	if err != nil {
 		return SubmitResponse{}, errf(http.StatusBadRequest, "fabric: submit: %v", err)
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// A concurrent Submit of the same spec may have registered it meanwhile;
+	// the second one in answers from the first's registration.
+	if resp, known = c.knownSweepLocked(id); known {
+		return resp, nil
 	}
 	now := c.nowMS()
 	c.met.submits.Inc()
@@ -262,11 +273,20 @@ func (c *Coordinator) Submit(spec sweep.Spec) (SubmitResponse, error) {
 	}
 	c.sweeps[id] = sw
 	c.sweepOrder = append(c.sweepOrder, id)
-	resp := c.submitResponseLocked(sw)
+	resp = c.submitResponseLocked(sw)
 	c.opts.Logf("fabric: sweep %s submitted: %d jobs, %d cached, %d pending, %d skipped",
 		id, resp.Total, resp.Cached, resp.Pending, resp.Skipped)
 	c.publishLocked()
 	return resp, nil
+}
+
+// knownSweepLocked answers a Submit of an already registered sweep.
+func (c *Coordinator) knownSweepLocked(id string) (SubmitResponse, bool) {
+	sw, ok := c.sweeps[id]
+	if !ok {
+		return SubmitResponse{}, false
+	}
+	return c.submitResponseLocked(sw), true
 }
 
 func (c *Coordinator) submitResponseLocked(sw *sweepRun) SubmitResponse {

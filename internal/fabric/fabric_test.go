@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -269,6 +270,67 @@ func TestDuplicateSubmitServedFromStore(t *testing.T) {
 	}
 	if n := sims.Load(); n != 4 {
 		t.Fatalf("resubmits triggered simulations: %d total, want 4", n)
+	}
+}
+
+// TestSubmitConcurrent: Submit expands outside the coordinator's lock, so
+// two clients posting one spec at once may both expand it. Exactly one of
+// them registers the sweep; every caller gets the same answer, and jobs,
+// store hits and queue entries are counted once.
+func TestSubmitConcurrent(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough seeds that an expansion outlasts the release of the clients:
+	// they overlap in Expand and race to register.
+	const seeds, cached = 400, 2
+	spec := specSeeds()
+	for s := uint64(1); s <= seeds; s++ {
+		spec.Seeds = append(spec.Seeds, s)
+	}
+	jobs, _, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs[:cached] {
+		if err := store.Put(sweep.Record{Fingerprint: j.Fingerprint(), Status: sweep.StatusOK}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	co := NewCoordinator(store, Options{})
+
+	const clients = 8
+	resps := make([]SubmitResponse, clients)
+	errs := make([]error, clients)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			resps[i], errs[i] = co.Submit(spec)
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	total := len(jobs) // 2 routings x seeds
+	want := SubmitResponse{SweepID: SweepID(spec), Total: total, Cached: cached, Pending: total - cached}
+	for i := range resps {
+		if errs[i] != nil || resps[i] != want {
+			t.Errorf("client %d: %+v, %v; want %+v", i, resps[i], errs[i], want)
+		}
+	}
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if len(co.sweeps) != 1 || len(co.sweepOrder) != 1 || len(co.jobs) != total || len(co.queue) != total-cached {
+		t.Errorf("%d sweeps (%d ordered), %d jobs, %d queued; want 1 (1), %d, %d",
+			len(co.sweeps), len(co.sweepOrder), len(co.jobs), len(co.queue), total, total-cached)
+	}
+	if s, e, h := co.met.submits.Value(), co.met.jobsExpanded.Value(), co.met.storeHits.Value(); s != 1 || e != int64(total) || h != cached || co.storeHits != cached {
+		t.Errorf("submits %d, jobs expanded %d, store hits %d (%d); want 1, %d, %d (%d)", s, e, h, co.storeHits, total, cached, cached)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/placement"
-	"gpgpunoc/internal/routing"
 	"gpgpunoc/internal/smcore"
 	"gpgpunoc/internal/stats"
 	"gpgpunoc/internal/telemetry"
@@ -100,7 +99,8 @@ func smIDBase(i int) uint64 { return uint64(i+1) << 40 }
 // New builds a simulator for cfg running the named workload profile.
 // Validation — structural and protocol-deadlock safety — is centralized in
 // cfg.Validate; set cfg.AllowUnsafe to simulate a deliberately unsafe
-// design and watch it wedge.
+// design and watch it wedge. Placement, routing algorithm and VC assigner
+// come from the design point's shared, read-only core.Structure.
 func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -108,20 +108,11 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	m := mesh.New(cfg.NoC.Width, cfg.NoC.Height)
-	pl, err := placement.New(cfg.Placement, m, cfg.Mem.NumMCs)
+	st, err := core.StructureFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	alg, err := routing.New(cfg.NoC.Routing)
-	if err != nil {
-		return nil, err
-	}
-	usage := core.Analyze(m, pl, alg)
-	asg, err := core.BuildAssigner(usage, cfg.NoC)
-	if err != nil {
-		return nil, err
-	}
+	pl := st.Placement
 
 	var net noc.Interconnect
 	if cfg.NoC.PhysicalSubnets {
@@ -129,9 +120,9 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 		if cfg.NoC.SubnetHalfWidth {
 			subOpts = append(subOpts, noc.WithLinkPeriod(2))
 		}
-		net = noc.NewDual(cfg.NoC, alg, subOpts...)
+		net = noc.NewDual(cfg.NoC, st.Algorithm, subOpts...)
 	} else {
-		net = noc.New(cfg.NoC, alg, asg)
+		net = noc.New(cfg.NoC, st.Algorithm, st.Assigner)
 	}
 
 	s := &Simulator{Cfg: cfg, Prof: prof, Net: net, Place: pl}
@@ -140,7 +131,7 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 	if len(cores) < cfg.Core.NumSMs {
 		return nil, fmt.Errorf("gpu: placement leaves %d core tiles for %d SMs", len(cores), cfg.Core.NumSMs)
 	}
-	s.endpoints = make([]ticker, m.NumNodes())
+	s.endpoints = make([]ticker, st.Mesh.NumNodes())
 	s.tick = s.tickLane
 	s.shards = make([]stats.GPU, cfg.Core.NumSMs+len(pl.MCs))
 	s.ids = make([]uint64, cfg.Core.NumSMs)

@@ -21,6 +21,16 @@ func New(seed uint64) *Stream {
 	return &Stream{state: seed}
 }
 
+// NewSlab returns n streams in one allocation, the i-th seeded with seed(i),
+// for a caller that builds many at once and hands each out by pointer.
+func NewSlab(n int, seed func(i int) uint64) []Stream {
+	s := make([]Stream, n)
+	for i := range s {
+		s[i].state = seed(i)
+	}
+	return s
+}
+
 // golden gamma constant for SplitMix64.
 const gamma = 0x9e3779b97f4a7c15
 

@@ -148,3 +148,16 @@ func TestZeroValueUsable(t *testing.T) {
 		t.Error("zero-value stream produced degenerate output")
 	}
 }
+
+func TestNewSlabMatchesNew(t *testing.T) {
+	seed := func(i int) uint64 { return uint64(i)*0x9e37 + 5 }
+	slab := NewSlab(4, seed)
+	for i := range slab {
+		want := New(seed(i))
+		for d := 0; d < 100; d++ {
+			if got := slab[i].Uint64(); got != want.Uint64() {
+				t.Fatalf("slab stream %d diverged from New(seed(%d)) at draw %d", i, i, d)
+			}
+		}
+	}
+}

@@ -125,8 +125,9 @@ func New(idx int, node mesh.NodeID, core config.Core, memCfg config.Mem,
 		sm.icache = cache.New(memCfg.L1InstBytes, memCfg.L1InstWays, memCfg.LineBytes)
 		sm.pendingFetch = make(map[uint64][]int)
 	}
+	gens := workload.NewGenerators(&sm.prof, seed, idx, core.WarpsPerSM)
 	for w := range sm.warps {
-		sm.warps[w].gen = workload.NewGenerator(prof, seed, idx, w, core.WarpsPerSM)
+		sm.warps[w].gen = &gens[w]
 		// Stagger loop phases slightly so warps do not fetch in lockstep;
 		// warps of one SM still share the same hot region, as CTAs of one
 		// kernel do.

@@ -208,7 +208,7 @@ type Instr struct {
 // Generator produces the deterministic instruction stream of one warp. Each
 // (benchmark, seed, SM, warp) tuple yields the same stream every run.
 type Generator struct {
-	prof   Profile
+	prof   *Profile
 	rng    *rng.Stream
 	cursor uint64
 	stride uint64
@@ -221,13 +221,32 @@ const accessBytes = 32
 
 // NewGenerator builds the stream generator for a warp.
 func NewGenerator(prof Profile, seed uint64, smID, warpID, warpsPerSM int) *Generator {
-	r := rng.New(seed ^ uint64(smID)<<32 ^ uint64(warpID)<<16 ^ 0x9e37)
-	g := &Generator{prof: prof, rng: r, stride: accessBytes}
+	g := newGenerator(&prof, rng.New(warpSeed(seed, smID, warpID)), smID, warpID, warpsPerSM)
+	return &g
+}
+
+// NewGenerators builds the generators of all of an SM's warps in two
+// allocations — the generators and their streams — instead of two per warp;
+// element w is what NewGenerator returns for warp w. The generators read
+// *prof for as long as they live and never write it.
+func NewGenerators(prof *Profile, seed uint64, smID, warpsPerSM int) []Generator {
+	streams := rng.NewSlab(warpsPerSM, func(w int) uint64 { return warpSeed(seed, smID, w) })
+	gs := make([]Generator, warpsPerSM)
+	for w := range gs {
+		gs[w] = newGenerator(prof, &streams[w], smID, w, warpsPerSM)
+	}
+	return gs
+}
+
+func warpSeed(seed uint64, smID, warpID int) uint64 {
+	return seed ^ uint64(smID)<<32 ^ uint64(warpID)<<16 ^ 0x9e37
+}
+
+func newGenerator(prof *Profile, r *rng.Stream, smID, warpID, warpsPerSM int) Generator {
 	// Each warp starts its stream at a distinct offset so warps cover the
 	// footprint; interleaving across SMs spreads home-MC traffic uniformly.
 	lane := uint64(smID*warpsPerSM + warpID)
-	g.cursor = (lane * 8192) % prof.FootprintBytes
-	return g
+	return Generator{prof: prof, rng: r, stride: accessBytes, cursor: (lane * 8192) % prof.FootprintBytes}
 }
 
 // Next returns the warp's next instruction.

@@ -245,3 +245,18 @@ func TestNoSharedWhenDisabled(t *testing.T) {
 		}
 	}
 }
+
+// TestNewGeneratorsMatchesNewGenerator: the per-SM slab is the same
+// generators NewGenerator builds one at a time.
+func TestNewGeneratorsMatchesNewGenerator(t *testing.T) {
+	prof := MustGet("KMN")
+	slab := NewGenerators(&prof, 7, 3, 48)
+	for w := range slab {
+		one := NewGenerator(prof, 7, 3, w, 48)
+		for i := 0; i < 200; i++ {
+			if a, b := slab[w].Next(), one.Next(); a != b {
+				t.Fatalf("warp %d instruction %d: slab %+v, single %+v", w, i, a, b)
+			}
+		}
+	}
+}
