@@ -122,6 +122,15 @@ func main() {
 		// result; the non-zero exit is what CI keys on.
 		fmt.Fprintln(os.Stderr, runErr)
 	}
+	if lanes := sim.Net.StateSnapshot().Lanes; len(lanes) > 1 {
+		// The partition the parallel kernel ended on: which rows each lane
+		// stepped and its share of the last window's counted work.
+		fmt.Fprint(os.Stderr, "lanes:")
+		for _, l := range lanes {
+			fmt.Fprintf(os.Stderr, " %d=rows %d-%d (%.0f%%)", l.Lane, l.FirstRow, l.FirstRow+l.Rows-1, 100*l.WorkShare)
+		}
+		fmt.Fprintln(os.Stderr)
+	}
 	if res.Spans != nil {
 		if err := writeSpans(res.Spans, of.SpansOut, of.TraceOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -84,7 +84,10 @@ type NoC struct {
 	// parallel: 0 means GOMAXPROCS, 1 is the serial kernel. Results are
 	// bit-identical for every value (per-domain state is merged in a fixed
 	// order at each cycle boundary); the kernel clamps the count to the
-	// mesh height, since domains are contiguous row stripes.
+	// mesh height, since domains are contiguous row stripes, and re-cuts
+	// the stripes by counted work as the run goes. What it buys is bounded
+	// by the busiest stripe and the serial tail, not by the core count: on
+	// a small mesh, or for many short runs, 1 is the faster choice.
 	Workers int
 }
 

@@ -47,6 +47,9 @@ const (
 	// KindPool: the parallel kernel's worker pool changed. A: worker lanes
 	// running (0 = pool parked).
 	KindPool
+	// KindRetile: the parallel kernel re-cut its lanes and this lane's rows
+	// changed. A: lane, B: its first row, C: its row count.
+	KindRetile
 	// KindRegister: fabric: a worker registered. A: wall ms, B: worker number.
 	KindRegister
 	// KindLease: fabric: a lease was granted. A: wall ms, B: worker number,
@@ -68,7 +71,7 @@ const (
 
 var kindNames = [...]string{
 	"phase", "checkpoint", "invariant_ok", "invariant_fail", "watchdog",
-	"panic", "pool", "register", "lease", "heartbeat", "lease_expired",
+	"panic", "pool", "retile", "register", "lease", "heartbeat", "lease_expired",
 	"complete", "requeue", "quarantine",
 }
 

@@ -86,9 +86,12 @@ type Simulator struct {
 	cycle  int64
 }
 
-// ticker is what tickLane needs of an endpoint; *smcore.SM and *mc.MC both
-// are one.
-type ticker interface{ Tick(now int64) }
+// ticker is what tickLane and awakeTicks need of an endpoint; *smcore.SM and
+// *mc.MC both are one.
+type ticker interface {
+	Tick(now int64)
+	SleptTicks() int64
+}
 
 // smIDBase is where SM i's private packet-ID stream starts: streams are
 // 2^40 IDs apart, so IDs of different SMs never collide whichever goroutine
@@ -380,13 +383,29 @@ func (s *Simulator) tickLane(lo, hi int) {
 	}
 }
 
+// awakeTicks counts the ticks that ran their body on nodes [lo, hi) since
+// construction — the endpoint term of the work the kernel's lanes are cut by.
+func (s *Simulator) awakeTicks(lo, hi int) (n int64) {
+	for _, e := range s.endpoints[lo:hi] {
+		if e != nil {
+			n += s.cycle - e.SleptTicks()
+		}
+	}
+	return n
+}
+
 // Step advances the whole system one NoC cycle: every endpoint ticks, then
-// the network steps. Both go through s.Net, so a decorator installed over
-// it sees (and forwards) them.
+// the network steps (on the lane workers the ticks run inside Net.Step). It
+// all goes through s.Net, so a decorator over it sees (and forwards) it.
 func (s *Simulator) Step() {
 	s.Net.RunLanes(s.tick)
 	s.Net.Step()
 	s.cycle++
+	if c := s.cycle; c >= 256 && c&(c-1) == 0 {
+		// Re-cut the kernel's lanes at every power of two, not once: the
+		// first cycles are a transient (DESIGN.md §11 has the MC row's shares).
+		s.Net.Rebalance(s.awakeTicks)
+	}
 	if s.Tel != nil {
 		s.Tel.MaybeSample(s.cycle)
 	}

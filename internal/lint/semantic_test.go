@@ -66,7 +66,7 @@ func TestPublishFixture(t *testing.T) {
 // TestLaneownerCatchesSeededMutation is the analyzer's end-to-end proof: a
 // direct cross-lane write injected into the real parallel kernel must be
 // caught. The noc sources are copied to a temp dir, a shared-state store is
-// inserted at the top of the worker's phase A, and the mutated package is
+// inserted at the top of the worker's lane cycle, and the mutated package is
 // typechecked under a synthetic /internal/noc import path.
 func TestLaneownerCatchesSeededMutation(t *testing.T) {
 	if testing.Short() {
@@ -79,7 +79,7 @@ func TestLaneownerCatchesSeededMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const anchor = "func (n *Network) phaseA(ln *lane) {"
+	const anchor = "func (n *Network) laneCycle(ln *lane) {"
 	mutated := false
 	for _, e := range entries {
 		name := e.Name()
@@ -113,7 +113,7 @@ func TestLaneownerCatchesSeededMutation(t *testing.T) {
 		t.Fatalf("got %d findings, want exactly the seeded mutation: %v", len(findings), findings)
 	}
 	f := findings[0]
-	if !strings.Contains(f.Message, "n.lastMove") || !strings.Contains(f.Message, "phaseA") {
+	if !strings.Contains(f.Message, "n.lastMove") || !strings.Contains(f.Message, "laneCycle") {
 		t.Errorf("finding does not pinpoint the seeded write: %s", f)
 	}
 }

@@ -55,7 +55,8 @@ type MC struct {
 	// refreshes the service token. Servicing a request and the inject wake
 	// after a refusal wake the controller by zeroing it. All three writers
 	// run on the lane that owns this MC's node.
-	idleUntil int64
+	idleUntil  int64
+	sleptTicks int64 // ticks that took the early-out
 
 	// injBlocked: the interconnect refused the outbox front. Queue space
 	// grows only when the network drains this node's injection queue, so the
@@ -321,6 +322,10 @@ func (m *MC) CheckInvariants(now int64) error {
 		m.Index, m.idleUntil, now, cause, e)
 }
 
+// SleptTicks returns how many Tick calls took the sleeping early-out, the
+// twin of smcore.SM.SleptTicks.
+func (m *MC) SleptTicks() int64 { return m.sleptTicks }
+
 // Tick advances the MC one NoC cycle.
 func (m *MC) Tick(now int64) {
 	// Service-bandwidth throttle: the MC issues at most one reply every
@@ -339,6 +344,7 @@ func (m *MC) Tick(now int64) {
 		m.svcTokens = 1
 	}
 	if now < m.idleUntil {
+		m.sleptTicks++
 		return
 	}
 

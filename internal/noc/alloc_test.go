@@ -77,3 +77,42 @@ func TestSteadyStateStepDoesNotAllocate(t *testing.T) {
 		t.Errorf("steady-state Step allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestRebalanceStepDoesNotAllocate: a cut is free of allocations, and so is
+// every Step after it — a lane that grew finds its credit lists, outbox and
+// masks sized for the whole mesh. The load is reply traffic out of the bottom
+// row, so the counted cut moves off the equal stripes inside the window.
+func TestRebalanceStepDoesNotAllocate(t *testing.T) {
+	n := newWorkerNet(t, config.RoutingXY, config.VCSplit, 2)
+	nodes := n.Mesh().NumNodes()
+	for i := 0; i < nodes; i++ {
+		n.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
+	}
+	pool := make([]*packet.Packet, 0, 4000)
+	for i := 0; len(pool) < cap(pool); i++ {
+		pool = append(pool, mkPacket(uint64(i+1), packet.ReadReply, mesh.NodeID(56+i%8), mesh.NodeID((i*7)%56), 0))
+	}
+	next := 0
+	drive := func(cycles int) {
+		for c := 0; c < cycles; c++ {
+			for s := 0; s < 4 && next < len(pool) && n.Inject(pool[next]); s++ {
+				next++
+			}
+			n.Step()
+		}
+	}
+	noWork := func(lo, hi int) int64 { return 0 }
+	drive(50)
+	before := n.lanes[0].hi
+	allocs := testing.AllocsPerRun(4, func() {
+		drive(40)
+		n.Rebalance(noWork)
+		drive(40)
+	})
+	if allocs != 0 {
+		t.Errorf("a window of Steps around a cut allocated %.1f times per run, want 0", allocs)
+	}
+	if n.lanes[0].hi == before {
+		t.Errorf("the cut never moved off [0,%d): the window tested no retile", before)
+	}
+}

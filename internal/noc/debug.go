@@ -53,7 +53,7 @@ func (n *Network) DumpBlocked(w io.Writer) {
 	for i := range n.inj {
 		if q := &n.inj[i]; q.flits > 0 {
 			state := ""
-			if ln, bit := n.laneBit(i); !ln.queues.has(bit) {
+			if !n.laneAt(i).queues.has(i) {
 				state += " blocked"
 			}
 			if q.refused {

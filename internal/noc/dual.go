@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/fleetobs"
@@ -45,8 +46,8 @@ func NewDual(cfg config.NoC, alg routing.Algorithm, opts ...Option) *Dual {
 		reply:   New(sub, alg, pol, opts...),
 		merged:  stats.NewNet(mesh.New(cfg.Width, cfg.Height)),
 	}
-	// Same mesh, same Workers, hence the same row stripes: the subnets step
-	// one after the other, so one set of lane workers serves both.
+	// Same mesh, same Workers and one cut (Rebalance): the subnets step one
+	// after the other, so one set of lane workers serves both.
 	d.reply.pool = d.request.pool
 	return d
 }
@@ -85,10 +86,18 @@ func (d *Dual) SetInjectWake(node mesh.NodeID, wake func()) {
 	d.reply.SetInjectWake(node, wake)
 }
 
-// RunLanes runs fn over the lanes the two subnets share.
+// RunLanes runs fn over the lanes the two subnets share (on the pool: as the
+// first stage of the request subnet's Step).
 func (d *Dual) RunLanes(fn func(lo, hi int)) { d.request.RunLanes(fn) }
 
-// Step advances both subnets one cycle.
+// Rebalance cuts both subnets at the same rows from their summed counts: a
+// tick staged on a request-subnet lane writes the reply subnet's queue, mask
+// and tallies of the same node, which must be that lane's there too.
+func (d *Dual) Rebalance(endpointWork func(lo, hi int) int64) {
+	d.request.rebalance(endpointWork, d.reply)
+}
+
+// Step advances both subnets one cycle: two barrier generations on the pool.
 func (d *Dual) Step() {
 	d.request.Step()
 	d.reply.Step()
@@ -167,6 +176,7 @@ func (d *Dual) StateSnapshot() obs.MeshState {
 		Width:    d.request.m.Width,
 		Height:   d.request.m.Height,
 		InFlight: d.FlitsInFlight(),
+		Lanes:    d.request.laneStates(),
 		Subnets: []obs.SubnetState{
 			d.request.subnetState("req"),
 			d.reply.subnetState("rep"),
@@ -174,8 +184,12 @@ func (d *Dual) StateSnapshot() obs.MeshState {
 	}
 }
 
-// CheckInvariants validates both subnets, naming the one that failed.
+// CheckInvariants validates both subnets, naming the one that failed, and
+// that they share one partition (see Rebalance).
 func (d *Dual) CheckInvariants() error {
+	if !slices.Equal(d.request.cut, d.reply.cut) {
+		return fmt.Errorf("noc: the request subnet is cut at rows %v, the reply subnet at %v", d.request.cut, d.reply.cut)
+	}
 	if err := d.request.CheckInvariants(); err != nil {
 		return fmt.Errorf("noc: request subnet: %w", err)
 	}

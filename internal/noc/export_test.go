@@ -47,22 +47,44 @@ type GateCounts struct {
 func Gates(ic Interconnect) GateCounts {
 	var g GateCounts
 	add := func(n *Network) {
+		for i := range n.routers {
+			g.RouterVisits += n.routers[i].visits
+		}
 		for i := range n.lanes {
 			ln := &n.lanes[i]
-			g.RouterVisits += ln.routerVisits
 			g.IdleSkips += ln.idleSkips
 			g.InjectVisits += ln.injectVisits
 			g.RefusedInjects += ln.refusedInjects
 		}
 	}
-	switch n := ic.(type) {
-	case *Network:
+	for _, n := range subnets(ic) {
 		add(n)
-	case *Dual:
-		add(n.request)
-		add(n.reply)
-	default:
-		panic("noc: Gates on a foreign Interconnect")
 	}
 	return g
 }
+
+// subnets returns ic's physical networks: one, or a Dual's two.
+func subnets(ic Interconnect) []*Network {
+	switch n := ic.(type) {
+	case *Network:
+		return []*Network{n}
+	case *Dual:
+		return []*Network{n.request, n.reply}
+	}
+	panic("noc: foreign Interconnect")
+}
+
+// Lanes returns ic's lane count.
+func Lanes(ic Interconnect) int { return len(subnets(ic)[0].lanes) }
+
+// SetCut re-cuts ic's lanes at a cycle boundary the way Rebalance does, both
+// subnets of a Dual at the same rows: lane i gets rows [cut[i], cut[i+1]),
+// cut[0] = 0, cut[lanes] = the mesh height, strictly ascending.
+func SetCut(ic Interconnect, cut []int) {
+	for _, n := range subnets(ic) {
+		n.retile(cut)
+	}
+}
+
+// RowWork returns the per-row work of the last Rebalance window.
+func RowWork(ic Interconnect) []int64 { return subnets(ic)[0].rowWork }

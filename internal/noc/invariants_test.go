@@ -199,7 +199,7 @@ func maskInvariants(t *testing.T, workers int) {
 	for i := range n.routers {
 		flipRunBit(t, n, i, "routers", populated)
 		flipRunBit(t, n, i, "links", populated)
-		ln, bit := n.laneBit(i)
+		ln, bit := n.laneAt(i), i
 		switch q := &n.inj[i]; {
 		case q.empty():
 			populated["queues set"] = true
@@ -242,7 +242,7 @@ func maskInvariants(t *testing.T, workers int) {
 // found set is recorded in populated.
 func flipRunBit(t *testing.T, n *Network, i int, name string, populated map[string]bool) {
 	t.Helper()
-	ln, bit := n.laneBit(i)
+	ln, bit := n.laneAt(i), i
 	m := map[string]nodeMask{"routers": ln.routers, "links": ln.links}[name]
 	if m.has(bit) {
 		populated[name] = true
@@ -332,8 +332,7 @@ func TestIdleInvariants(t *testing.T) {
 						}
 						// enqueue, minus its `rt.idle = false`.
 						p := mkPacket(1<<50, packet.ReadRequest, 0, rt.id, n.cycle)
-						ln, _ := n.laneBit(i)
-						n.enqueue(ln, rt, idx, packet.Flit{Pkt: p, Head: true, Tail: true})
+						n.enqueue(n.laneAt(i), rt, idx, packet.Flit{Pkt: p, Head: true, Tail: true})
 						rt.idle = true
 						return fmt.Sprintf("router %v is idle", rt.coord)
 					}
@@ -348,7 +347,7 @@ func TestIdleInvariants(t *testing.T) {
 			mutate: func(t *testing.T, n *Network) string {
 				for id := range n.inj {
 					q := &n.inj[id]
-					if ln, bit := n.laneBit(id); q.empty() || ln.queues.has(bit) {
+					if q.empty() || n.laneAt(id).queues.has(id) {
 						continue
 					}
 					rt := &n.routers[id]

@@ -23,10 +23,10 @@
 // pins the floating-point statistics accumulation order.
 //
 // The kernel can additionally step the mesh as several spatial domains in
-// parallel (config: NoC.Workers; see parallel.go): contiguous row stripes
-// run the compute phases concurrently, separated by cycle-boundary
-// barriers, and all cross-domain effects merge in a fixed lane order — so
-// results stay bit-identical for every worker count.
+// parallel (config: NoC.Workers; see parallel.go): contiguous row stripes,
+// cut by counted work, each run a whole cycle per barrier, and all
+// cross-domain effects merge in a fixed lane order — so results stay
+// bit-identical for every worker count and every cut.
 package noc
 
 import (
@@ -69,18 +69,24 @@ type Interconnect interface {
 	// that registers a wake may stop retrying a refused Inject until the
 	// wake runs; a caller that registers nothing may keep polling.
 	SetInjectWake(node mesh.NodeID, wake func())
-	// RunLanes runs fn over disjoint node ranges [lo, hi) that together
-	// cover the mesh, and returns when every call has: once per kernel lane,
-	// concurrently on the lane workers, whenever Step would use them;
-	// otherwise one inline call over the whole mesh. It is how an endpoint
-	// layer gets its per-cycle work onto the goroutine that owns the node:
-	// within one call fn may touch only the endpoints sitting on nodes in
-	// its range, and of the interconnect only Inject and InjectSpace for
-	// those nodes. Call at a cycle boundary, before Step; bind fn once —
-	// a method value built per cycle allocates.
+	// RunLanes hands the kernel the cycle's endpoint stage: fn runs over
+	// disjoint node ranges [lo, hi) that together cover the mesh, once per
+	// kernel lane. A kernel on the lane workers only records fn and runs it
+	// as the first stage of the following Step, on the goroutine that then
+	// steps that lane's routers; an inline kernel calls fn(0, nodes) at once.
+	// So a RunLanes is followed by a Step and the caller may not observe the
+	// fabric between the two. Within one call fn may touch only the endpoints
+	// on nodes in its range, and of the interconnect only Inject and
+	// InjectSpace for those nodes. Bind fn once: a method value built per
+	// cycle allocates.
 	RunLanes(fn func(lo, hi int))
 	// Step advances the network one cycle.
 	Step()
+	// Rebalance lets the kernel re-cut its lanes by the work counted since
+	// the previous call: its own router visits plus endpointWork(lo, hi), the
+	// caller's cumulative count of endpoint work on nodes [lo, hi). Counts
+	// only: the cut is reproducible, and results never depend on it.
+	Rebalance(endpointWork func(lo, hi int) int64)
 	// Cycle returns the number of completed cycles.
 	Cycle() int64
 	// Stats returns the collector (merged across subnets for Dual).
@@ -88,8 +94,8 @@ type Interconnect interface {
 	// EnableStats toggles measurement collection (off during warmup).
 	EnableStats(on bool)
 	// FlitsInFlight returns flits buffered anywhere in the fabric,
-	// including injection queues. Exact at every cycle boundary — between
-	// Inject and the next Step too.
+	// including injection queues. Exact at every cycle boundary, a direct
+	// Inject since the last Step included (not between RunLanes and Step).
 	FlitsInFlight() int
 	// Quiescent reports no movement for the trailing window cycles while
 	// flits remain in flight — the deadlock watchdog.
@@ -107,12 +113,12 @@ type Interconnect interface {
 	// site).
 	SetSpans(sp *obs.Spans)
 	// SetRecorder installs the flight recorder capturing kernel-structure
-	// events (pool spawn/park). The recorder itself is
+	// events (pool spawn/park, lane cuts). The recorder itself is
 	// nil-receiver safe, so record sites pay one predictable nil check;
 	// recording never influences simulation results.
 	SetRecorder(r *fleetobs.Recorder)
-	// StateSnapshot captures per-link/per-VC occupancy and how many routers
-	// and injection queues hold work. Callers must invoke it only at a cycle
+	// StateSnapshot captures per-link/per-VC occupancy, how many routers and
+	// injection queues hold work, and the live lane cut. Invoke it only at a cycle
 	// boundary (between Step calls) so the kernel is never read mid-phase.
 	StateSnapshot() obs.MeshState
 	// Close stops the kernel's lane workers, if any are running. The
@@ -174,15 +180,21 @@ type Network struct {
 	// lanes are the kernel's spatial domains: contiguous row stripes, each
 	// owning its nodes' run masks, stats shard, and cross-domain outboxes
 	// (see parallel.go). A single lane covering the whole mesh is the serial
-	// kernel. laneOf maps each node ID to its owning lane.
-	lanes  []lane
-	laneOf []int32
+	// kernel. laneOf maps each node ID to its owning lane; lane i owns rows
+	// [cut[i], cut[i+1]). Rebalance keeps, per row, the last window's work
+	// and the cumulative count behind it, and each lane's share of that
+	// window under the cut.
+	lanes            []lane
+	laneOf           []int32
+	cut              []int
+	rowWork, rowSeen []int64
+	laneWork         []float64
 
 	// pool is the lane executor (parallel.go); a Dual's two subnets share
-	// one. Its goroutines are spawned lazily by the first parallel phase and
-	// stopped by Close. laneFn is RunLanes' callback for the open phase.
-	pool   *workerPool
-	laneFn func(lo, hi int)
+	// one. Its goroutines are spawned lazily by the first pooled Step and
+	// stopped by Close. stage is RunLanes' callback awaiting that Step.
+	pool  *workerPool
+	stage func(lo, hi int)
 
 	// routeTab caches the routing algorithm per (class, current, dest):
 	// NextHop is a pure function of those three, so RC becomes one array
@@ -377,12 +389,9 @@ func (n *Network) Quiescent(window int64) bool {
 	return n.FlitsInFlight() > 0 && n.stuck(window)
 }
 
-// laneBit returns the lane owning node id and id's bit in that lane's run
-// masks, for code outside the phases (they are handed their lane).
-func (n *Network) laneBit(id int) (*lane, int) {
-	ln := &n.lanes[n.laneOf[id]]
-	return ln, id - ln.lo
-}
+// laneAt returns the lane owning node id, whose run masks hold id's bits, for
+// code outside the phases (they are handed their lane).
+func (n *Network) laneAt(id int) *lane { return &n.lanes[n.laneOf[id]] }
 
 // Inject queues p at its source node. The packet's CreatedAt should already
 // be stamped by the caller; InjectedAt is stamped when the head flit enters
@@ -390,7 +399,7 @@ func (n *Network) laneBit(id int) (*lane, int) {
 //
 // Endpoints call it from RunLanes callbacks, so it runs on whichever
 // goroutine steps the lane owning p.Src, concurrently with other lanes'
-// injections: everything it writes — the node's queue, the lane's
+// cycles: everything it writes — the node's queue, the lane's
 // injected-flit tally and queues mask — belongs to that lane. Between cycles
 // (tests, the synthetic harness) it is plain serial code. A refusal marks
 // the queue, so the drain that next frees space in it calls the node's
@@ -408,7 +417,7 @@ func (n *Network) Inject(p *packet.Packet) bool {
 	}
 	if q.empty() {
 		// A non-empty queue is scheduled already, or blocked and stays so.
-		ln.queues.set(p.Src - ln.lo)
+		ln.queues.set(p.Src)
 	}
 	q.Push(p)
 	q.flits += p.Flits
@@ -452,8 +461,18 @@ func (n *Network) StateSnapshot() obs.MeshState {
 		Width:    n.m.Width,
 		Height:   n.m.Height,
 		InFlight: st.InFlight,
+		Lanes:    n.laneStates(),
 		Subnets:  []obs.SubnetState{st},
 	}
+}
+
+// laneStates reports the live cut: each lane's rows and work share (obs.LaneState).
+func (n *Network) laneStates() []obs.LaneState {
+	out := make([]obs.LaneState, len(n.lanes))
+	for i := range out {
+		out[i] = obs.LaneState{Lane: i, FirstRow: n.cut[i], Rows: n.cut[i+1] - n.cut[i], WorkShare: n.laneWork[i]}
+	}
+	return out
 }
 
 // subnetState snapshots one physical network under a subnet name.
@@ -557,11 +576,12 @@ func (n *Network) sinkAccept(node mesh.NodeID, f packet.Flit) bool {
 
 // queueCredit defers a credit increment to the end of the cycle, modelling
 // a one-cycle credit loop uniformly regardless of router iteration order.
-// The credit lands in the upstream output port's pending tally; the serial
-// tail applies dirty tallies in lane order. Race-freedom: each output port
-// feeds exactly one input port, so (op.pending, op.dirty) are written only
-// by the lane owning the downstream router — the port's owning lane
-// concurrently touches only disjoint fields (credits, reg, owner).
+// The credit lands in the upstream output port's pending tally, and the port
+// on ln's own list when ln also owns the port's router, on the boundary list
+// otherwise. Race-freedom: each output port feeds exactly one input port, so
+// (op.pending, op.dirty) are written only by the lane owning the downstream
+// router — a boundary port's owning lane concurrently touches only disjoint
+// fields (credits, reg, owner).
 //
 //noclint:hotpath root: credit tally, once per flit moved through the switch
 func (n *Network) queueCredit(ln *lane, rt *router, inPort mesh.Direction, vcIdx int) {
@@ -572,8 +592,35 @@ func (n *Network) queueCredit(ln *lane, rt *router, inPort mesh.Direction, vcIdx
 	op.pending[vcIdx]++
 	if !op.dirty {
 		op.dirty = true
-		ln.creditDirty = append(ln.creditDirty, op) //noclint:hotpath amortized: creditDirty keeps its backing array across the serial tail's [:0] reset
+		list := &ln.creditDirty
+		if up := int(rt.out[inPort].downNode); up >= ln.lo && up < ln.hi { // op's router: rt's neighbour through inPort
+			list = &ln.creditLocal
+		}
+		*list = append(*list, op) //noclint:hotpath amortized: both lists are sized for every port they can hold at construction and reset to [:0] by applyCredits
 	}
+}
+
+// applyCredits lands the listed ports' pending credits and empties the list.
+// It writes the routers owning the ports: a lane may call it only on its own
+// list, after its router phase; the rest waits for the serial tail.
+func (n *Network) applyCredits(list *[]*outPort) {
+	for _, op := range *list {
+		for v, pend := range op.pending {
+			if pend == 0 {
+				continue
+			}
+			if op.credits[v] == 0 && op.owner[v] != noOwner {
+				// The VC's holder can send again, so its router has a
+				// switch candidate: wake it.
+				op.rt.credOK |= 1 << op.owner[v]
+				op.rt.idle = false
+			}
+			op.credits[v] += pend
+			op.pending[v] = 0
+		}
+		op.dirty = false
+	}
+	*list = (*list)[:0]
 }
 
 // injectNode moves up to injRate flits from the node's injection queue into
@@ -635,7 +682,7 @@ func (n *Network) injectNode(ln *lane, id int) {
 		q.vc = -1
 	}
 	if budget == n.injRate || q.empty() {
-		ln.queues.clear(id - ln.lo)
+		ln.queues.clear(id)
 	}
 	if budget < n.injRate && q.refused {
 		q.refused = false
@@ -666,7 +713,7 @@ func (n *Network) linkPhase(ln *lane, rt *router) {
 		if dn := int(op.downNode); dn >= ln.lo && dn < ln.hi {
 			n.deliver(ln, ln, op)
 		} else {
-			ln.outbox = append(ln.outbox, op) //noclint:hotpath amortized: outbox keeps its backing array across the serial tail's [:0] reset
+			ln.outbox = append(ln.outbox, op) //noclint:hotpath amortized: sized for every boundary port at construction and reset to [:0] by the serial tail
 		}
 	}
 }
@@ -679,19 +726,18 @@ func (n *Network) deliver(from, to *lane, op *outPort) {
 	op.regValid = false
 	op.rt.regCount--
 	if op.rt.regCount == 0 {
-		from.links.clear(int(op.rt.id) - from.lo)
+		from.links.clear(int(op.rt.id))
 	}
 }
 
-// finishCycle is the serial tail of every step: with all lanes' phases done
+// finishCycle is the serial tail of every step: with all lanes' cycles done
 // (and their workers parked at the barrier), it merges cross-domain effects
 // in lane order — the fixed merge order that makes results independent of
-// worker count — then advances the cycle.
-//
-// Merge order per lane: outbox deliveries (buffer pushes), credit tallies,
-// telemetry flush (stall counters, deferred per-packet latency
-// observations), movement/in-flight folds. The run masks need no pass of
-// their own: the deliveries keep them exact like every other push.
+// worker count — then advances the cycle. Per lane: outbox deliveries
+// (buffer pushes), credit tallies (boundary ports, and what an inline
+// kernel's lanes left on their own lists), telemetry flush (stall counters,
+// deferred per-packet latency observations), movement/in-flight folds. The
+// run masks need no pass of their own: the deliveries keep them exact.
 func (n *Network) finishCycle() {
 	for li := range n.lanes {
 		ln := &n.lanes[li]
@@ -701,27 +747,8 @@ func (n *Network) finishCycle() {
 		ln.outbox = ln.outbox[:0]
 	}
 	for li := range n.lanes {
-		ln := &n.lanes[li]
-		for _, op := range ln.creditDirty {
-			for v, pend := range op.pending {
-				if pend == 0 {
-					continue
-				}
-				if op.credits[v] == 0 && op.owner[v] != noOwner {
-					// The VC's holder can send again, so its router has a
-					// switch candidate: wake it. This writes the state of
-					// the router owning op from whichever lane returned the
-					// credit, which is safe only here: the serial tail runs
-					// with every lane parked.
-					op.rt.credOK |= 1 << op.owner[v]
-					op.rt.idle = false
-				}
-				op.credits[v] += pend
-				op.pending[v] = 0
-			}
-			op.dirty = false
-		}
-		ln.creditDirty = ln.creditDirty[:0]
+		n.applyCredits(&n.lanes[li].creditLocal)
+		n.applyCredits(&n.lanes[li].creditDirty)
 	}
 	if n.tel != nil {
 		for li := range n.lanes {
@@ -761,37 +788,19 @@ func (n *Network) finishCycle() {
 	n.stats.Cycles = n.cycle
 }
 
-// onPool reports whether this network's phases run on the lane workers:
-// the pool has goroutines to offer (several lanes and more than one P) and
-// no span collector is attached — it is externally supplied, not
-// thread-safe, and order-sensitive. RunLanes and Step share the predicate.
-func (n *Network) onPool() bool { return n.pool.workers > 0 && n.spans == nil }
+// onPool reports whether this network's cycles run on the lane workers: the
+// pool has goroutines (several lanes, several Ps), no span collector is
+// attached — not thread-safe, order-sensitive — and no inline oracle steps.
+func (n *Network) onPool() bool { return n.pool.workers > 0 && n.spans == nil && !n.reference }
 
-// runPhase runs one phase on every lane through the pool, spawning its
-// goroutines on first use.
-func (n *Network) runPhase(ph phase) {
-	if n.pool.spawn() {
-		n.frec.Record(n.cycle, fleetobs.KindPool, int64(n.pool.workers), 0, 0)
-	}
-	n.pool.run(n, ph)
-}
-
-// RunLanes runs fn once per lane on the lane workers, or once over the
-// whole mesh when the kernel steps inline (see Interconnect.RunLanes) — one
-// lane through the same callback is the serial order, whatever Workers says.
+// RunLanes records fn as the first stage of the next pooled Step; an inline
+// kernel runs it at once over the whole mesh, which is the serial order.
 func (n *Network) RunLanes(fn func(lo, hi int)) {
-	if !n.onPool() {
+	if n.onPool() {
+		n.stage = fn
+	} else {
 		fn(0, n.numNodes)
-		return
 	}
-	n.laneFn = fn
-	n.runPhase(phaseCall)
-}
-
-// laneCall hands one lane's node range to RunLanes' callback.
-func (n *Network) laneCall(ln *lane) {
-	//noclint:laneowner RunLanes' contract confines the callback to the endpoints and injection queues of nodes in [lo, hi), which this lane owns
-	n.laneFn(ln.lo, ln.hi)
 }
 
 // Step advances the network by one cycle: injection, router pipelines
@@ -799,21 +808,21 @@ func (n *Network) laneCall(ln *lane) {
 // returns, cross-domain deliveries). Within each lane a phase visits only
 // the nodes its run mask names, in ascending id order — exactly the order
 // the reference full scan produces, so endpoint callbacks and statistics
-// accumulate identically.
-//
-// With one lane this is the serial kernel. With several lanes on the pool
-// (onPool) the lanes run concurrently with a barrier between the compute
-// phases and the link phase; otherwise they run inline in lane order, which
-// produces the exact global phase order of the classic kernel because lanes
-// are contiguous ascending ID ranges.
+// accumulate identically. With one lane this is the serial kernel. On the
+// pool every lane runs its whole cycle, RunLanes' stage first, in one
+// barrier generation; otherwise the phases run inline in lane order — the
+// classic kernel's global phase order, lanes being ascending ID ranges.
 func (n *Network) Step() {
 	if n.reference {
 		n.stepReference()
 		return
 	}
 	if n.onPool() {
-		n.runPhase(phaseRouter)
-		n.runPhase(phaseLink)
+		if n.pool.spawn() {
+			n.frec.Record(n.cycle, fleetobs.KindPool, int64(n.pool.workers), 0, 0)
+		}
+		n.pool.run(n)
+		n.stage = nil
 	} else {
 		for li := range n.lanes {
 			n.injectPhase(&n.lanes[li])
@@ -873,9 +882,10 @@ func (n *Network) Drain(maxCycles int) bool {
 // stepping and the gpu sanitizer samples it during runs. It recounts, from
 // buffer and per-VC routing state alone: credit accounting per (output port,
 // VC) against the per-port pending tally, flit conservation, every router's
-// occupancy counters, request masks and pipeline-gate stamps, the run masks
-// (a routers or links bit says its recounted counter is non-zero, a queues
-// bit that the queue holds a packet), and every sleeper's reason to sleep:
+// occupancy counters, request masks and pipeline-gate stamps, the partition,
+// the run masks (a routers or links bit says its recounted counter is
+// non-zero, a queues bit that the queue holds a packet), and every sleeper's
+// reason to sleep:
 // an idle router must have nothing a visit could act on (runnable), a
 // non-empty unscheduled queue no local VC space it could use (injectable).
 // A scheduled queue may turn out blocked: spurious wakes are legal.
@@ -951,19 +961,29 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("noc: occupancy counters at %v: bufFlits %d (counted %d), regCount %d (counted %d)",
 				rt.coord, rt.bufFlits, bufFlits, rt.regCount, regCount)
 		}
-		ln, bit := n.laneBit(i)
-		if ln.routers.has(bit) != (bufFlits > 0) {
-			return fmt.Errorf("noc: run mask routers at %v reads %t, recounted bufFlits %d", rt.coord, ln.routers.has(bit), bufFlits)
+		for li := range n.lanes {
+			// The partition: laneOf names the one lane whose range holds the
+			// node, and no other lane's run masks carry its bits.
+			o, own := &n.lanes[li], li == int(n.laneOf[i])
+			if (i >= o.lo && i < o.hi) != own {
+				return fmt.Errorf("noc: laneOf puts node %d on lane %d, but lane %d covers [%d,%d)", i, n.laneOf[i], li, o.lo, o.hi)
+			}
+			if !own && (o.routers.has(i) || o.links.has(i) || o.queues.has(i)) {
+				return fmt.Errorf("noc: lane %d holds a run-mask bit of node %d, which lane %d owns", li, i, n.laneOf[i])
+			}
 		}
-		if ln.links.has(bit) != (regCount > 0) {
-			return fmt.Errorf("noc: run mask links at %v reads %t, recounted regCount %d", rt.coord, ln.links.has(bit), regCount)
+		ln := n.laneAt(i)
+		if ln.routers.has(i) != (bufFlits > 0) {
+			return fmt.Errorf("noc: run mask routers at %v reads %t, recounted bufFlits %d", rt.coord, ln.routers.has(i), bufFlits)
+		}
+		if ln.links.has(i) != (regCount > 0) {
+			return fmt.Errorf("noc: run mask links at %v reads %t, recounted regCount %d", rt.coord, ln.links.has(i), regCount)
 		}
 	}
 	for i := range n.inj {
 		q := &n.inj[i]
 		count += q.flits
-		ln, bit := n.laneBit(i)
-		switch scheduled := ln.queues.has(bit); {
+		switch scheduled := n.laneAt(i).queues.has(i); {
 		case scheduled && q.empty():
 			return fmt.Errorf("noc: injection queue of node %d is scheduled, but it is empty", i)
 		case !scheduled && !q.empty():

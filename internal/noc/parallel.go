@@ -4,32 +4,34 @@ package noc
 //
 // The mesh is partitioned into contiguous row stripes ("lanes"); node IDs
 // are row-major, so each lane owns a contiguous router-ID range and, via
-// the router arena, a contiguous block of hot state. Every simulated cycle
-// runs in three parallel phases and a serial tail:
+// the router arena, a contiguous block of hot state. On the pool a cycle is
+// one barrier generation, each lane running back to back (laneCycle):
 //
-//	tick phase (parallel, RunLanes): per lane, the caller's callback over
-//	  the lane's node range — the gpu layer ticks the SMs and MCs sitting
-//	  on those nodes. A tick touches its own endpoint and, through Inject,
-//	  its own node's injection queue, its lane's injected-flit tally and
-//	  its lane's queues mask: all owned by the executing lane.
-//	phase A (parallel): per lane, injection then RC/VA/SA/ST for the
-//	  lane's routers. Cross-lane interactions in this phase are confined
-//	  to single-writer slots — the credit tally (op.pending, written only
-//	  by the downstream router's lane) and per-link counters (written only
-//	  by the upstream router's lane) — plus read-only shared state.
-//	  Ejection sinks run here, on the lane owning the ejecting node.
-//	phase B (parallel, after a barrier): per lane, link traversal. Each
-//	  router's input buffers receive pushes only from its owning lane;
-//	  deliveries crossing a lane boundary are deferred to the lane's
-//	  outbox.
-//	serial tail: finishCycle merges all deferred cross-lane effects in
-//	  lane order — outbox deliveries, credit drains, telemetry flushes,
-//	  movement/in-flight folds.
+//	tick: the endpoint stage RunLanes handed over, on the lane's node range
+//	  (gpu: the SMs and MCs there). A tick touches its own endpoint and,
+//	  through Inject, its node's queue and its lane's tally and queues mask.
+//	inject, then RC/VA/SA/ST for the lane's routers. Cross-lane writes are
+//	  confined to single-writer slots — a boundary port's credit tally
+//	  (op.pending/dirty, written only by the downstream router's lane) and
+//	  per-link counters (only the upstream router's lane). Ejection sinks and
+//	  inject wakes run here, on the lane owning the node.
+//	link traversal. Each router's input buffers receive pushes only from its
+//	  owning lane; a delivery crossing a lane boundary waits in the outbox.
+//	in-lane credits: a credit owed to a router the lane itself owns was
+//	  filed on the lane's own list (queueCredit) and lands here — the lane's
+//	  router phase is over, so the one-cycle credit loop holds.
 //
-// Which nodes a phase visits is one of three bit sets per lane, the run
-// masks, bit id − lane.lo, each kept exact at the only sites that change
-// what it says, so a phase is one ascending walk over set bits — the
-// reference full scan minus its no-op visits:
+// No lane reads what another lane writes before the tail, so the stages need
+// no barrier between them. The serial tail (finishCycle) merges the rest in
+// lane order: outbox deliveries, boundary-port credits, telemetry, folds.
+// Inline kernels (one lane, one P, spans attached) run the stages as sweeps
+// in lane order — the classic event order — with all credits in the tail.
+//
+// Which nodes a stage visits is one of three bit sets per lane, the run
+// masks, bit = node ID (a lane's masks span the mesh, so a cut moves bits and
+// never resizes), each kept exact at the only sites that change what it
+// says, so a stage is one ascending walk over set bits — the reference full
+// scan minus its no-op visits:
 //
 //	routers  bufFlits > 0. Set by enqueue on 0 → 1, cleared by traverse on
 //	         → 0; walked by routerPhase.
@@ -42,43 +44,37 @@ package noc
 //	         injectPhase.
 //
 // A walk reads each mask word once, and that is as good as a live read: a
-// visit changes only its own bit of the mask being walked. injectNode clears
-// its own queues bit and sets a routers bit; a router visit clears its own
-// routers bit and may set its own node's links and queues bits; a delivery
-// clears its own links bit and sets downstream routers bits. Single writer:
-// a lane's masks are written by that lane during the phases — Inject,
-// injection, traversal and in-lane deliveries act on nodes it owns — and by
-// the serial tail otherwise, where cross-lane deliveries enqueue.
+// visit changes only its own bit of the mask being walked. Single writer: a
+// lane's masks are written by that lane during its cycle — Inject, injection,
+// traversal and in-lane deliveries act on nodes it owns — and by the serial
+// section otherwise: cross-lane deliveries, and a cut.
 //
-// Determinism argument, in short: within a phase, lanes touch disjoint or
-// single-writer state, so the interleaving cannot affect values; everything
-// that is order-sensitive is deferred and merged in fixed lane order; and
-// every statistics accumulator is integer-valued with commutative updates
-// (sums, min/max, histogram buckets), so per-lane sharding plus an ordered
-// merge reproduces the serial totals exactly. Partition boundaries
-// therefore cannot affect results either, which is what makes Workers=0
-// (GOMAXPROCS-many lanes) safe to use in reproducible experiments, and what
-// lets one goroutine step several lanes when there are fewer Ps than lanes.
+// The stripes are cut by counted work (rebalance): equal at construction,
+// then, whenever the caller asks (gpu.Simulator.Step: every power-of-two
+// cycle from 256, the first cycles being a transient), a greedy prefix over
+// each row's count since the last cut: full router visits plus the caller's
+// awake endpoint ticks, both 100–200 ns of host time. Counts, never clocks,
+// so the partition is reproducible. A cut runs in the serial section, moves
+// laneOf and the run-mask bits of every node that changes hands, and
+// allocates nothing. A Dual cuts both subnets at the same rows (see there).
 //
-// Happens-before argument for the barrier (workerPool): every phase — tick,
-// A, B alike — is one generation of the same barrier, built from sync/atomic
-// operations, which the Go memory model gives sequentially consistent
-// semantics. A release is an atomic increment of gen; workers spin (or park)
-// until they load the new value, so every write the stepping goroutine made
-// before release() — the work descriptor (net, ph), the serial tail of the
-// previous cycle, and whatever the caller did between two phases (the gpu
-// layer advances its cycle counter there) — is visible to every worker's
-// phase. Symmetrically, a worker's arrive() is an atomic increment of
-// arrived, and the coordinator spins (or parks) in gather() until arrived ==
-// workers, so every write a worker made during its phase is visible to the
-// coordinator (and, via the next release, to every other worker's next
-// phase: what a tick queued is what phase A injects). The park paths
-// preserve this: a worker publishes its intent with an atomic sleepers
-// increment *before* re-checking gen under the mutex, and the releaser
-// checks sleepers *after* bumping gen, so (by sequential consistency of the
-// atomics) either the releaser sees the sleeper and broadcasts under the
-// same mutex, or the parker's re-check sees the new gen and never blocks.
-// The gather park path mirrors this with gatherParked/arrived.
+// Determinism argument, in short: within a generation, lanes touch disjoint
+// or single-writer state, so the interleaving cannot affect values;
+// everything order-sensitive is deferred and merged in fixed lane order; and
+// every statistics accumulator is integer-valued with commutative updates,
+// so per-lane shards merge to the serial totals exactly. Partition boundaries
+// therefore cannot affect results either: Workers=0, a cut that moves mid-run
+// and one goroutine stepping several lanes are all safe to reproduce.
+//
+// Happens-before argument for the barrier (workerPool): a release is an
+// atomic increment of gen (sync/atomic: sequentially consistent); workers
+// spin (or park) until they load the new value, so every write the stepping
+// goroutine made before it — the network and its stage, the previous tail, a
+// cut, the caller's own cycle counter — is visible to every worker's
+// generation. Symmetrically a worker's arrive() increments arrived and the
+// coordinator waits in gather() until arrived == workers, so every write a
+// worker made is visible to it and, via the next release, to every worker.
+// The park paths preserve this (see release, await and awaitArrivals).
 
 import (
 	"math/bits"
@@ -86,16 +82,26 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gpgpunoc/internal/fleetobs"
+	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/stats"
 )
 
-// nodeMask is a bit set over one lane's nodes: bit id − lane.lo.
+// nodeMask is a bit set over the mesh's nodes: bit = node ID.
 type nodeMask []uint64
 
 func (m nodeMask) set(i int)      { m[i>>6] |= 1 << (i & 63) }
 func (m nodeMask) clear(i int)    { m[i>>6] &^= 1 << (i & 63) }
 func (m nodeMask) has(i int) bool { return m[i>>6]>>(i&63)&1 != 0 }
+
+// moveTo hands node i's bit, if set, over to dst.
+func (m nodeMask) moveTo(dst nodeMask, i int) {
+	if m.has(i) {
+		m.clear(i)
+		dst.set(i)
+	}
+}
 
 // lane is one spatial domain of the cycle kernel: the routers and nodes
 // with IDs in [lo, hi), their run masks, and every per-domain accumulator
@@ -106,10 +112,11 @@ type lane struct {
 
 	routers, links, queues nodeMask // the run masks; see the header
 
-	// creditDirty lists output ports with credits returned this cycle by
-	// this lane's routers (accumulated in outPort.pending); the serial
-	// tail drains lanes in order.
-	creditDirty []*outPort
+	// Output ports owed credits by this lane's routers this cycle
+	// (outPort.pending): creditLocal those of routers the lane owns, which
+	// it applies itself; creditDirty those across a lane boundary, which the
+	// serial tail drains.
+	creditLocal, creditDirty []*outPort
 
 	// outbox defers link deliveries that cross the lane boundary: each flit
 	// sits in its port's link register until the serial tail commits it
@@ -139,16 +146,15 @@ type lane struct {
 	ejectedFlits  int
 
 	// Visit counters, read by tests through export_test.go so the
-	// back-pressure gates cannot rot silently: full router visits, idle
-	// early-outs, injectNode visits, Injects refused at this lane's nodes.
-	routerVisits, idleSkips, injectVisits, refusedInjects int64
+	// back-pressure gates cannot rot silently: idle early-outs, injectNode
+	// visits, Injects refused at this lane's nodes (full router visits are
+	// counted per router: router.visits).
+	idleSkips, injectVisits, refusedInjects int64
 }
 
-// effectiveDomains resolves the Workers configuration to a lane count:
-// 0 means GOMAXPROCS, and the count is clamped to the mesh height since
-// domains are row stripes. Because partition boundaries cannot affect
-// results (see the package comment above), a GOMAXPROCS-derived count is
-// still reproducible.
+// effectiveDomains resolves the Workers configuration to a lane count: 0
+// means GOMAXPROCS — reproducible, since partition boundaries cannot affect
+// results — and the count is clamped to the mesh height (row stripes).
 func effectiveDomains(workers, height int) int {
 	d := workers
 	if d <= 0 {
@@ -163,24 +169,91 @@ func effectiveDomains(workers, height int) int {
 	return d
 }
 
-// buildLanes partitions the mesh into row stripes. Every lane is non-empty
-// (the domain count is clamped to the height) and covers whole rows, so
-// lane ID ranges are contiguous and ascending.
+// buildLanes partitions the mesh into equal row stripes. Every lane is
+// non-empty and covers whole rows, so lane ID ranges are contiguous and
+// ascending — before and after every cut.
 func (n *Network) buildLanes(workers, width, height int) {
 	d := effectiveDomains(workers, height)
 	n.lanes = make([]lane, d)
 	n.pool = newWorkerPool(d)
 	n.laneOf = make([]int32, n.numNodes)
+	n.rowWork, n.rowSeen = make([]int64, height), make([]int64, height)
+	n.cut, n.laneWork = make([]int, d+1), make([]float64, d)
+	words := (n.numNodes + 63) / 64
 	for i := range n.lanes {
 		ln := &n.lanes[i]
-		ln.lo = (i * height / d) * width
-		ln.hi = ((i + 1) * height / d) * width
 		ln.stats = stats.NewNet(n.m)
-		words := (ln.hi - ln.lo + 63) / 64
-		masks := make(nodeMask, max(3*words, 8)) // a cache line of its own: lanes write their masks concurrently
+		masks := make(nodeMask, (3*words+7)&^7) // whole cache lines of its own: lanes write their masks concurrently
 		ln.routers, ln.links, ln.queues = masks[:words], masks[words:2*words], masks[2*words:3*words]
+		if d > 1 { // a cut can grow this lane: size its lists for every port they can hold
+			ln.creditLocal = make([]*outPort, 0, mesh.NumLinkDirs*n.numNodes)
+			ln.creditDirty = make([]*outPort, 0, 2*width)
+			ln.outbox = make([]*outPort, 0, 2*width)
+		}
+		n.cut[i+1] = (i + 1) * height / d
+	}
+	n.retile(n.cut)
+}
+
+// Rebalance re-cuts the row stripes; see Interconnect.Rebalance.
+func (n *Network) Rebalance(endpointWork func(lo, hi int) int64) { n.rebalance(endpointWork, nil) }
+
+// rebalance cuts n and, when non-nil, the peer subnet of a Dual at the same
+// rows, from their summed counts since the last cut: lane i ends at the row
+// whose running total comes closest to (i+1)/lanes of it, with ≥ 1 row each.
+func (n *Network) rebalance(endpointWork func(lo, hi int) int64, peer *Network) {
+	lanes, rows, w := len(n.lanes), len(n.rowWork), n.m.Width
+	if lanes == 1 {
+		return
+	}
+	var total int64
+	for r := range n.rowWork {
+		c := endpointWork(r*w, (r+1)*w)
+		for id := r * w; id < (r+1)*w; id++ {
+			c += n.routers[id].visits
+			if peer != nil {
+				c += peer.routers[id].visits
+			}
+		}
+		n.rowWork[r], n.rowSeen[r] = c-n.rowSeen[r], c
+		total += n.rowWork[r]
+	}
+	if total == 0 {
+		return
+	}
+	r, acc := 0, int64(0)
+	for li := range n.lanes {
+		first, before := r, acc
+		target, end := total*int64(li+1)/int64(lanes), rows-(lanes-1-li)
+		for acc, r = acc+n.rowWork[r], r+1; r < end && acc+n.rowWork[r]-target <= target-acc; r++ {
+			acc += n.rowWork[r]
+		}
+		n.laneWork[li], n.cut[li+1] = float64(acc-before)/float64(total), r
+		if ln := &n.lanes[li]; first*w != ln.lo || r*w != ln.hi {
+			n.frec.Record(n.cycle, fleetobs.KindRetile, int64(li), int64(first), int64(r-first))
+		}
+	}
+	n.retile(n.cut)
+	if peer != nil {
+		peer.retile(n.cut)
+	}
+}
+
+// retile makes lane i own rows [cut[i], cut[i+1]), moving laneOf and the
+// run-mask bits of every node that changes hands. Serial section only: there
+// every per-lane list is empty and every tally folds the same from any lane.
+func (n *Network) retile(cut []int) {
+	copy(n.cut, cut)
+	for li := range n.lanes {
+		ln := &n.lanes[li]
+		ln.lo, ln.hi = cut[li]*n.m.Width, cut[li+1]*n.m.Width
 		for id := ln.lo; id < ln.hi; id++ {
-			n.laneOf[id] = int32(i)
+			if old := &n.lanes[n.laneOf[id]]; old != ln {
+				old.routers.moveTo(ln.routers, id)
+				old.links.moveTo(ln.links, id)
+				old.queues.moveTo(ln.queues, id)
+				n.laneOf[id] = int32(li)
+			}
 		}
 	}
 }
@@ -191,7 +264,7 @@ func (n *Network) buildLanes(workers, width, height int) {
 func (n *Network) injectPhase(ln *lane) {
 	ln.moved = false
 	for wi, w := range ln.queues {
-		for base := ln.lo + wi<<6; w != 0; w &= w - 1 {
+		for base := wi << 6; w != 0; w &= w - 1 {
 			ln.injectVisits++
 			n.injectNode(ln, base+bits.TrailingZeros64(w))
 		}
@@ -208,13 +281,13 @@ func (n *Network) injectPhase(ln *lane) {
 //noclint:hotpath root: per-cycle router step (RC/VA/SA/ST)
 func (n *Network) routerPhase(ln *lane) {
 	for wi, w := range ln.routers {
-		for base := ln.lo + wi<<6; w != 0; w &= w - 1 {
+		for base := wi << 6; w != 0; w &= w - 1 {
 			rt := &n.routers[base+bits.TrailingZeros64(w)]
 			if rt.idle {
 				n.idleVisit(ln, rt)
 				continue
 			}
-			ln.routerVisits++
+			rt.visits++
 			n.routeCompute(rt)
 			n.vcAllocate(rt)
 			n.switchAllocateAndTraverse(ln, rt)
@@ -240,17 +313,23 @@ func (n *Network) idleVisit(ln *lane, rt *router) {
 //noclint:hotpath root: per-cycle link traversal phase
 func (n *Network) linkPhaseLane(ln *lane) {
 	for wi, w := range ln.links {
-		for base := ln.lo + wi<<6; w != 0; w &= w - 1 {
+		for base := wi << 6; w != 0; w &= w - 1 {
 			n.linkPhase(ln, &n.routers[base+bits.TrailingZeros64(w)])
 		}
 	}
 }
 
-// phaseA is a worker's compute phase: injection then router pipelines for
-// one lane.
-func (n *Network) phaseA(ln *lane) {
+// laneCycle is one lane's whole cycle on the pool, the one thing a barrier
+// generation runs; the header says why no barrier separates its stages.
+func (n *Network) laneCycle(ln *lane) {
+	if n.stage != nil {
+		//noclint:laneowner RunLanes' contract confines the callback to the endpoints and injection queues of nodes in [lo, hi), which this lane owns
+		n.stage(ln.lo, ln.hi)
+	}
 	n.injectPhase(ln)
 	n.routerPhase(ln)
+	n.linkPhaseLane(ln)
+	n.applyCredits(&ln.creditLocal)
 }
 
 // foldStats drains every lane's stats shard into the shared collector in
@@ -281,70 +360,45 @@ func (n *Network) foldStats() {
 
 // Wait ladder for both sides of the barrier: rounds of pure atomic loads with
 // one runtime.Gosched between rounds, then park on a condvar. Sized by
-// measurement on mesh16_lanes (16x16 mesh, two lanes, 2 vCPUs; the tables
-// are in DESIGN.md §14), where a load costs ~0.5 ns and the waits a busy
-// simulation produces are the serial span between two generations
-// (finishCycle plus Simulator.Step's epilogue, ~4 µs) and the imbalance
-// between lanes inside one (the lighter lane waits ~20 µs for the MC rows'
-// router phase).
+// measurement on mesh16_lanes when a cycle was three generations (tables in
+// DESIGN.md §14); the waits it has to outlast — the serial span between two
+// generations, the imbalance between lanes inside one — are shorter now.
 //
 //   - The budget before parking is ~100 µs. A budget a busy wait can outlast
-//     (2^15 loads and below) parks a goroutine every cycle and doubles the
-//     cycle time; what is left to park is a genuinely idle stepping
-//     goroutine — result assembly, the gap between two runs.
-//   - The yield is sparse, one per ~1 µs of spinning. Back to back — the
-//     ladder this replaces was 128 loads, then 256 x (load, Gosched) — every
-//     yield with nothing else runnable is a trip through findRunnable and
-//     wakep on the scheduler lock beside the one thread doing useful work:
-//     28% of all samples with serial ticks, still ~1.5x the cycle time
-//     with the ticks on the lanes.
+//     parks a goroutine every cycle and doubles the cycle time; what is left
+//     to park is a genuinely idle stepping goroutine (between two runs).
+//   - The yield is sparse, one per ~1 µs of spinning: back to back, each is
+//     a trip through findRunnable and wakep on the scheduler lock beside the
+//     one thread doing useful work.
 //   - The yield stays: with more runnable goroutines than Ps (parallel
 //     tests, several -workers jobs in one process) the goroutine a spinner
 //     waits for may not be running, and a spinner that never yields holds
-//     its P for the whole budget. Spin-then-park is within the noise of
-//     this ladder on mesh16_lanes and 3.3x slower on the root equivalence
-//     suite.
+//     its P for the whole budget (3.3x slower on the root equivalence suite).
 const (
 	spinLoads   = 2048 // pure atomic-load spins per round
 	yieldRounds = 64   // rounds followed by a Gosched before parking
 )
 
-// phase selects what every lane does in one barrier generation.
-type phase uint8
-
-const (
-	phaseCall   phase = iota // RunLanes' callback over the lane's node range
-	phaseRouter              // injection, then RC/VA/SA/ST (phaseA)
-	phaseLink                // link traversal (linkPhaseLane)
-)
-
-// workerPool is the lane executor: it runs one phase of one network across
-// all lanes and returns when every lane is done. One pool serves everything
-// a simulator steps — RunLanes' endpoint ticks and the router and link
-// phases of its network, or of both subnets of a Dual, which share the mesh
-// and Workers and hence the row stripes. It never runs more goroutines than
-// there are Ps: min(lanes, GOMAXPROCS) in all, the stepping goroutine
-// included, each stepping a contiguous block of lanes. GOMAXPROCS is sampled
-// once, at construction; by partition independence the answer cannot affect
-// results, only which goroutine produces them. With a single P (or a single
-// lane) workers is zero and callers step the lanes inline.
+// workerPool is the lane executor: it runs one cycle of one network
+// (laneCycle) across all lanes and returns when every lane is done. One pool
+// serves a simulator's network, or both subnets of a Dual. It never runs more
+// goroutines than there are Ps: min(lanes, GOMAXPROCS) in all (sampled once,
+// at construction), the stepping goroutine included, each stepping a block
+// of lanes. With one P (or one lane) workers is zero and callers step inline.
 //
-// A phase is one barrier generation: run publishes the work (net, ph),
+// A network cycle is one barrier generation: run publishes the network,
 // bumps gen to release the workers, steps block 0 itself and gathers; the
-// workers count into arrived to hand the phase back. Both sides spin with a
+// workers count into arrived to hand the cycle back. Both sides spin with a
 // bounded budget before parking on a cond, so a barrier costs one atomic RMW
 // per worker. See the package comment for the happens-before argument.
 type workerPool struct {
 	workers int  // goroutines beyond the stepping one
 	running bool // goroutines spawned (lazily, by the first run) and not stopped
 
-	// The open generation's work, written by the stepping goroutine before
-	// the gen bump that publishes it.
-	net *Network
-	ph  phase
+	net *Network // the open generation's network, written before the gen bump that publishes it
 
-	gen     atomic.Uint64 // barrier generation, one per phase run
-	arrived atomic.Int64  // workers that finished the current phase
+	gen     atomic.Uint64 // barrier generation, one per network cycle
+	arrived atomic.Int64  // workers that finished the current generation
 
 	// Worker park path: a worker that exhausts its spin budget registers
 	// in sleepers, then re-checks gen under mu before waiting on cond.
@@ -380,35 +434,27 @@ func (p *workerPool) spawn() bool {
 	p.wg.Add(p.workers)
 	for i := 1; i <= p.workers; i++ {
 		// Scheduling order across lane goroutines cannot affect results:
-		// phases touch disjoint or single-writer state and every
+		// lanes touch disjoint or single-writer state and every
 		// cross-lane effect is merged in fixed lane order by finishCycle.
 		go p.worker(i, next) //noclint:determinism lanes are race-free by ownership; all cross-lane effects merge in fixed lane order in finishCycle
 	}
 	return true
 }
 
-// run executes phase ph of network n on every lane.
-func (p *workerPool) run(n *Network, ph phase) {
-	p.net, p.ph = n, ph
+// run executes one cycle of network n on every lane.
+func (p *workerPool) run(n *Network) {
+	p.net = n
 	p.release()
 	p.runBlock(0)
 	p.gather()
 }
 
 // runBlock steps goroutine g's contiguous share of the lanes through the
-// open generation's phase.
+// open generation.
 func (p *workerPool) runBlock(g int) {
 	n, per := p.net, p.workers+1
 	for li := g * len(n.lanes) / per; li < (g+1)*len(n.lanes)/per; li++ {
-		ln := &n.lanes[li]
-		switch p.ph {
-		case phaseCall:
-			n.laneCall(ln)
-		case phaseRouter:
-			n.phaseA(ln)
-		case phaseLink:
-			n.linkPhaseLane(ln)
-		}
+		n.laneCycle(&n.lanes[li])
 	}
 }
 
@@ -429,7 +475,7 @@ func (p *workerPool) release() {
 // concurrent release either sees the sleeper or the re-check sees the new
 // gen.
 //
-//noclint:hotpath root: per-phase barrier wait on the worker side
+//noclint:hotpath root: per-generation barrier wait on the worker side
 func (p *workerPool) await(g uint64) {
 	for r := 0; ; r++ {
 		for i := 0; i < spinLoads; i++ {
@@ -451,7 +497,7 @@ func (p *workerPool) await(g uint64) {
 	p.mu.Unlock()
 }
 
-// arrive counts this worker out of the current phase; the last one to
+// arrive counts this worker out of the current generation; the last one to
 // arrive wakes a parked coordinator.
 func (p *workerPool) arrive() {
 	if p.arrived.Add(1) == int64(p.workers) && p.gatherParked.Load() != 0 {
@@ -462,11 +508,11 @@ func (p *workerPool) arrive() {
 }
 
 // gather blocks until every worker has arrived — the same ladder as await,
-// parking on gcond — then resets the count for the next phase. The reset is
+// parking on gcond — then resets the count for the next one. The reset is
 // safe without further synchronization: workers do not touch arrived again
 // until after the next release.
 //
-//noclint:hotpath root: per-phase barrier wait on the coordinator side
+//noclint:hotpath root: per-generation barrier wait on the coordinator side
 func (p *workerPool) gather() {
 	p.awaitArrivals()
 	p.arrived.Store(0)

@@ -275,38 +275,40 @@ func TestLaneCallbackInjectVisibleBeforeStep(t *testing.T) {
 // TestLaneCallbackConcurrentInject drives Inject the way the gpu layer does:
 // from RunLanes callbacks, one per lane, concurrently on the lane workers
 // (the race detector watches the per-lane tallies and queues masks), every
-// node injecting every cycle. The result must match a serial
-// network fed the same packets from one full-range callback.
+// node injecting every cycle. A pooled kernel runs the callback as the first
+// stage of the following Step, so the fabric is observed only after it: the
+// in-flight count must then have grown by what the callbacks queued minus
+// what the sinks took. The result must match a serial network fed the same
+// packets from one full-range callback.
 func TestLaneCallbackConcurrentInject(t *testing.T) {
 	const cycles = 300
 	drive := func(n *Network) {
 		nn := n.Mesh().NumNodes()
-		attachCollectors(n)
-		calls := make([]int, nn) // per-node: single writer, the node's lane
+		cs := attachCollectors(n)
+		calls := make([]int, nn)  // per-node: single writer, the node's lane
+		queued := make([]int, nn) // flits Inject accepted at the node, likewise
 		inject := func(lo, hi int) {
 			for src := lo; src < hi; src++ {
 				calls[src]++
 				dst := (src*7 + int(n.Cycle())) % nn
-				n.Inject(&packet.Packet{
+				if n.Inject(&packet.Packet{
 					ID: uint64(src+1)<<32 | uint64(n.Cycle()), Type: packet.ReadReply,
 					Src: src, Dst: dst, Flits: packet.LongFlits, CreatedAt: n.Cycle(),
-				})
+				}) {
+					queued[src] += packet.LongFlits
+				}
 			}
 		}
 		for c := 0; c < cycles; c++ {
-			before := n.FlitsInFlight()
-			queued := 0
-			for i := range n.inj {
-				queued -= n.inj[i].flits
-			}
 			n.RunLanes(inject)
-			for i := range n.inj {
-				queued += n.inj[i].flits
-			}
-			if got := n.FlitsInFlight(); got != before+queued {
-				t.Fatalf("cycle %d: FlitsInFlight %d after the callbacks queued %d flits on top of %d", c, got, queued, before)
-			}
 			n.Step()
+			want := 0
+			for i := range queued {
+				want += queued[i] - cs[i].flits
+			}
+			if got := n.FlitsInFlight(); got != want {
+				t.Fatalf("cycle %d: FlitsInFlight %d after the Step, the callbacks queued and the sinks took %d net", c, got, want)
+			}
 		}
 		for src, k := range calls {
 			if k != cycles {
@@ -331,5 +333,56 @@ func TestLaneCallbackConcurrentInject(t *testing.T) {
 		if !n.Drain(20000) {
 			t.Fatalf("workers=%d failed to drain", w)
 		}
+	}
+}
+
+// TestGenerationPerCycle pins the barrier's cost: a pooled Network cycle —
+// RunLanes' stage, injection, routers, links — is exactly one generation, a
+// Dual's two (the stage rides on the request subnet's).
+func TestGenerationPerCycle(t *testing.T) {
+	const cycles = 50
+	calls := make([]int, 64) // stage calls by first node: one writer each, the node's lane
+	tick := func(lo, hi int) { calls[lo]++ }
+	count := func() (n int) {
+		for i, k := range calls {
+			n, calls[i] = n+k, 0
+		}
+		return n
+	}
+
+	n := newWorkerNet(t, config.RoutingXY, config.VCSplit, 4)
+	attachCollectors(n)
+	n.Step() // spawns the pool
+	for before, c := n.pool.gen.Load(), 1; c <= cycles; c++ {
+		n.Inject(mkPacket(uint64(c), packet.ReadReply, mesh.NodeID(c%64), mesh.NodeID(63-c%64), n.Cycle()))
+		n.RunLanes(tick)
+		n.Step()
+		if got := n.pool.gen.Load() - before; got != uint64(c) {
+			t.Fatalf("network: %d barrier generations after %d cycles", got, c)
+		}
+	}
+	if got := count(); got != cycles*len(n.lanes) {
+		t.Errorf("network: the stage ran %d times over %d cycles of %d lanes", got, cycles, len(n.lanes))
+	}
+
+	cfg := config.Default().NoC
+	cfg.Workers = 4
+	d := NewDual(cfg, routing.MustNew(cfg.Routing))
+	t.Cleanup(d.Close)
+	for i := 0; i < cfg.Width*cfg.Height; i++ {
+		d.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
+	}
+	d.Step()
+	for before, c := d.request.pool.gen.Load(), 1; c <= cycles; c++ {
+		d.Inject(mkPacket(uint64(c), packet.ReadRequest, mesh.NodeID(c%64), mesh.NodeID(63-c%64), d.Cycle()))
+		d.Inject(mkPacket(uint64(c)|1<<32, packet.ReadReply, mesh.NodeID(63-c%64), mesh.NodeID(c%64), d.Cycle()))
+		d.RunLanes(tick)
+		d.Step()
+		if got := d.request.pool.gen.Load() - before; got != uint64(2*c) {
+			t.Fatalf("dual: %d barrier generations after %d cycles", got, c)
+		}
+	}
+	if got := count(); got != cycles*len(d.request.lanes) {
+		t.Errorf("dual: the stage ran %d times over %d cycles of %d lanes", got, cycles, len(d.request.lanes))
 	}
 }

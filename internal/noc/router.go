@@ -36,7 +36,7 @@ type outPort struct {
 
 	credits []int                       // free downstream buffer slots per VC
 	pending []int                       // credits returned this cycle, applied in the credit phase
-	dirty   bool                        // on Network.creditDirty, pending not yet applied
+	dirty   bool                        // on a lane's credit list, pending not yet applied
 	owner   []int                       // per VC: owning input (port*V + vc) or noOwner
 	rng     [packet.NumClasses]vc.Range // per-class allowed VCs on this link
 
@@ -82,10 +82,11 @@ type router struct {
 	// just run, so every occupied VC is routed and no free output VC admits
 	// a waiter; nothing moved, so no output VC freed. Until a flit becomes
 	// the front of an empty VC (enqueue) or a credit returns to a VC held
-	// here (finishCycle) a visit would repeat itself, and the router phase
+	// here (applyCredits) a visit would repeat itself, and the router phase
 	// skips it. A push behind an existing front changes nothing the
 	// allocators read. The router keeps its routers bit (see routerPhase).
-	idle bool
+	idle   bool
+	visits int64 // full visits since construction: the router term of the work lanes are cut by
 
 	// Round-robin pointers for fair, deterministic arbitration.
 	vaPtr   [mesh.NumPorts]int // per output port, over input (port*V+vc)
@@ -218,7 +219,7 @@ func (n *Network) enqueue(ln *lane, rt *router, i int, f packet.Flit) {
 	}
 	rt.bufFlits++
 	if rt.bufFlits == 1 {
-		ln.routers.set(int(rt.id) - ln.lo)
+		ln.routers.set(int(rt.id))
 	}
 }
 
@@ -467,7 +468,7 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 	f := bf.flit
 	rt.bufFlits--
 	if rt.bufFlits == 0 {
-		ln.routers.clear(int(rt.id) - ln.lo)
+		ln.routers.clear(int(rt.id))
 	}
 	bit := uint64(1) << (p*n.vcs + v)
 	if ivc.buf.n == 0 {
@@ -482,7 +483,7 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 	if p != int(mesh.Local) {
 		n.queueCredit(ln, rt, mesh.Direction(p), v)
 	} else if !n.inj[rt.id].empty() {
-		ln.queues.set(int(rt.id) - ln.lo)
+		ln.queues.set(int(rt.id))
 	}
 
 	if d == mesh.Local {
@@ -516,7 +517,7 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 		op.regReadyAt = n.cycle + n.linkPeriod - 1
 		rt.regCount++
 		if rt.regCount == 1 {
-			ln.links.set(int(rt.id) - ln.lo)
+			ln.links.set(int(rt.id))
 		}
 		//noclint:laneowner single-writer counter: the link (rt, d) is traversed only by rt's owning lane
 		n.stats.CountLink(mesh.Link{From: rt.id, Dir: d}, f.Pkt.Class())

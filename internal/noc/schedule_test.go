@@ -124,7 +124,7 @@ func refusingSinkKeepsRouterScheduled(t *testing.T, workers int) {
 	if n.FlitsInFlight() == 0 {
 		t.Fatal("packet vanished while its sink was refusing it")
 	}
-	if ln, bit := n.laneBit(58); !ln.routers.has(bit) {
+	if !n.laneAt(58).routers.has(58) {
 		t.Fatal("router with an ejection-blocked packet lost its routers bit")
 	}
 	accept = true

@@ -62,13 +62,25 @@ func (st *SubnetState) CountFlits() int {
 	return total
 }
 
-// MeshState is the full /state payload: one or more subnet snapshots
-// (one for a single physical network, two for noc.Dual).
+// LaneState is one lane of the parallel kernel's live partition: the mesh
+// rows it steps, and its share of the work counted in the window the cut
+// was last taken from (0 until the first cut).
+type LaneState struct {
+	Lane      int     `json:"lane"`
+	FirstRow  int     `json:"first_row"`
+	Rows      int     `json:"rows"`
+	WorkShare float64 `json:"work_share"`
+}
+
+// MeshState is the full /state payload: the kernel's lanes (the subnets of
+// a noc.Dual share one partition) and one or more subnet snapshots (one for
+// a single physical network, two for noc.Dual).
 type MeshState struct {
 	Cycle    int64         `json:"cycle"`
 	Width    int           `json:"width"`
 	Height   int           `json:"height"`
 	InFlight int           `json:"flits_in_flight"`
+	Lanes    []LaneState   `json:"lanes"`
 	Subnets  []SubnetState `json:"subnets"`
 }
 

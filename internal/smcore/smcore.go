@@ -92,7 +92,7 @@ type SM struct {
 	// while injBlocked) and counts the stall. Sink and the drain wake the SM
 	// by zeroing it. Both writers run on the lane that owns this SM's node.
 	idleUntil  int64
-	sleptTicks int64 // ticks that took the early-out; tests assert sleeping happens
+	sleptTicks int64 // ticks that took the early-out
 
 	// injBlocked: the interconnect refused the outbox front. The front does
 	// not change while it waits and queue space grows only when the network
@@ -309,6 +309,11 @@ func (s *SM) Refused() *packet.Packet {
 	}
 	return s.outbox.Front()
 }
+
+// SleptTicks returns how many Tick calls took the sleeping early-out: ticks
+// minus it is the SM's share of the host's work, which the kernel's lanes
+// are cut by (noc.Interconnect.Rebalance).
+func (s *SM) SleptTicks() int64 { return s.sleptTicks }
 
 // Tick advances the SM one cycle, issuing at most one warp-instruction.
 func (s *SM) Tick(now int64) {
