@@ -8,12 +8,18 @@
 //	experiments -run fig7 -format json
 //	experiments -run fig2,fig3 -format csv > traffic.csv
 //	experiments -list
+//
+// Runs that figures share — the Table 2 baseline under Figs. 2, 3, 7, 8, 9
+// and the division study — are simulated once per process; after each figure
+// a stderr line such as "fig3: 5 results, 5 reused" says how many of its
+// results came from a run already finished.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -21,32 +27,41 @@ import (
 	"gpgpunoc/internal/experiments"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters, so tests can pin
+// what it prints. It returns the process exit code: 2 for flags it cannot
+// parse, 1 for anything that fails after that.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		run       = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
-		list      = flag.Bool("list", false, "list available experiments and exit")
-		benchmark = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 25)")
-		parallel  = flag.Int("parallel", 0, "worker goroutines (default GOMAXPROCS)")
-		format    = flag.String("format", "text", "output format: text, json or csv")
+		runIDs    = fs.String("run", "all", "comma-separated experiment ids, or 'all'")
+		list      = fs.Bool("list", false, "list available experiments and exit")
+		benchmark = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all 25)")
+		parallel  = fs.Int("parallel", 0, "worker goroutines (default GOMAXPROCS)")
+		format    = fs.String("format", "text", "output format: text, json or csv")
 	)
 	// Configuration overrides (-cycles, -warmup, -seed, -vcs, ...) come
 	// from the shared config.BindFlags API and are layered over each
 	// experiment's own base configuration.
-	cf := config.BindFlags(flag.CommandLine)
-	flag.Parse()
+	cf := config.BindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, r := range experiments.Runners() {
-			fmt.Printf("%-10s %s\n", r.ID, r.Desc)
+			fmt.Fprintf(stdout, "%-10s %s\n", r.ID, r.Desc)
 		}
-		return
+		return 0
 	}
 
 	switch *format {
 	case "text", "json", "csv":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -format %q (want text, json or csv)\n", *format)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "unknown -format %q (want text, json or csv)\n", *format)
+		return 1
 	}
 
 	opts := experiments.Opts{
@@ -54,32 +69,46 @@ func main() {
 		Overrides: cf.Overrides(),
 	}
 	if *benchmark != "" {
-		opts.Benchmarks = strings.Split(*benchmark, ",")
+		for _, b := range strings.Split(*benchmark, ",") {
+			b = strings.TrimSpace(b)
+			if b == "" {
+				fmt.Fprintf(stderr, "-benchmarks %q: empty benchmark name\n", *benchmark)
+				return 2
+			}
+			opts.Benchmarks = append(opts.Benchmarks, b)
+		}
 	}
 
 	var ids []string
-	if *run == "all" {
+	if *runIDs == "all" {
 		for _, r := range experiments.Runners() {
 			ids = append(ids, r.ID)
 		}
 	} else {
-		ids = strings.Split(*run, ",")
+		ids = strings.Split(*runIDs, ",")
 	}
 
 	var tables []*experiments.Table
 	for _, id := range ids {
 		r, err := experiments.ByID(strings.TrimSpace(id))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
+		sim0, reused0 := experiments.MemoCounts()
 		t, err := r.Run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", r.ID, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "%s: %v\n", r.ID, err)
+			return 1
+		}
+		// Silent for the experiments that simulate nothing through the
+		// figure runners' shared table (table1, fig4, sweep).
+		sim1, reused1 := experiments.MemoCounts()
+		if n := sim1 - sim0 + reused1 - reused0; n > 0 {
+			fmt.Fprintf(stderr, "%s: %d results, %d reused\n", r.ID, n, reused1-reused0)
 		}
 		if *format == "text" {
-			t.Fprint(os.Stdout) // stream tables as they finish
+			t.Fprint(stdout) // stream tables as they finish
 		}
 		tables = append(tables, t)
 	}
@@ -88,24 +117,25 @@ func main() {
 	case "text":
 		// already streamed
 	case "json":
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(tables); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	case "csv":
 		for i, t := range tables {
 			if i > 0 {
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
 			if len(tables) > 1 {
-				fmt.Printf("# %s: %s\n", t.ID, t.Title)
+				fmt.Fprintf(stdout, "# %s: %s\n", t.ID, t.Title)
 			}
-			if err := t.WriteCSV(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := t.WriteCSV(stdout); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 		}
 	}
+	return 0
 }

@@ -1,0 +1,73 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current build")
+
+// TestGoldenFig2Fig3 pins the JSON the CLI prints for the two traffic
+// figures at reduced scale, and that Fig. 3 — the same runs as Fig. 2, read
+// differently — simulates nothing and says so on stderr.
+func TestGoldenFig2Fig3(t *testing.T) {
+	args := []string{"-run", "fig2,fig3", "-benchmarks", "KMN,RAY", "-warmup", "200", "-cycles", "800", "-format", "json"}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("experiments %v exited %d: %s", args, code, stderr.String())
+	}
+	path := filepath.Join("testdata", "fig2_fig3.golden")
+	if *update {
+		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("output differs from %s:\n--- got\n%s--- want\n%s", path, stdout.Bytes(), want)
+	}
+	// Fig. 2's own line depends on what ran earlier in the process (go test
+	// -count=2 reuses the first pass); Fig. 3's does not.
+	if got := stderr.String(); !strings.HasPrefix(got, "fig2: 2 results, ") || !strings.HasSuffix(got, "\nfig3: 2 results, 2 reused\n") {
+		t.Errorf("stderr = %q; want one line per figure, fig3 reusing both of its results", got)
+	}
+
+	// Benchmark names are trimmed like experiment ids.
+	args[3] = " KMN, RAY "
+	stdout.Reset()
+	if code := run(args, &stdout, &stderr); code != 0 || !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("-benchmarks %q exited %d with output\n%s--- want that of KMN,RAY\n%s", args[3], code, stdout.Bytes(), want)
+	}
+}
+
+// TestGoldenUsageErrors: a command line that cannot mean anything is refused
+// before any experiment runs, naming the flag at fault.
+func TestGoldenUsageErrors(t *testing.T) {
+	for name, tc := range map[string]struct {
+		args []string
+		code int
+		want string
+	}{
+		"trailing comma":  {[]string{"-run", "fig2", "-benchmarks", "KMN,"}, 2, "-benchmarks \"KMN,\": empty benchmark name"},
+		"only spaces":     {[]string{"-run", "fig2", "-benchmarks", " "}, 2, "-benchmarks"},
+		"unknown flag":    {[]string{"-bench", "KMN"}, 2, "flag provided but not defined"},
+		"unknown format":  {[]string{"-format", "xml"}, 1, "unknown -format"},
+		"unknown figure":  {[]string{"-run", "fig99"}, 1, "unknown experiment \"fig99\""},
+		"unknown program": {[]string{"-run", "fig2", "-benchmarks", "KMN,NOPE", "-cycles", "100"}, 1, "NOPE"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%s: experiments %v exited %d with stderr %q; want %d and %q", name, tc.args, code, stderr.String(), tc.code, tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: wrote to stdout: %s", name, stdout.String())
+		}
+	}
+}

@@ -1,6 +1,8 @@
 // Command trafficstat characterizes GPGPU on-chip traffic per benchmark:
 // Figure 2 (request vs reply volumes) and Figure 3 (packet type
-// distribution) on the baseline system.
+// distribution) on the baseline system. Both figures read the same runs:
+// internal/experiments keeps finished runs for the life of the process, so
+// each benchmark is simulated once and Figure 3 costs only its rendering.
 //
 // Examples:
 //

@@ -153,6 +153,9 @@ func TestStepperEquivalenceAsymmetric(t *testing.T) {
 	checkWorkers(t, cfg, "BFS", runOne(t, cfg, "BFS", 1), 4)
 }
 
+// figureTablePasses counts TestFigureTableEquivalence's invocations.
+var figureTablePasses uint64
+
 // TestFigureTableEquivalence regenerates a figure table with jobs run
 // concurrently on the serial kernel and one at a time on the four-lane
 // kernel and requires the rendered tables to be byte-identical — the
@@ -165,22 +168,37 @@ func TestFigureTableEquivalence(t *testing.T) {
 	forcePool(t)
 	four := 4
 	lanes := config.Overrides{Workers: &four}
+	// A seed no earlier pass of this test used (go test -count=N), so every
+	// pass simulates and the counter assertion below means what it says.
+	figureTablePasses++
 	base := experiments.Opts{
 		Benchmarks:    []string{"KMN", "RED"},
 		WarmupCycles:  400,
 		MeasureCycles: 1600,
+		Seed:          figureTablePasses,
 	}
 	par := base
 	par.Parallel = 1
 	par.Overrides = lanes
 
+	sim0, reused0 := experiments.MemoCounts()
 	baseTab, err := experiments.Fig7(base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim1, _ := experiments.MemoCounts()
 	parTab, err := experiments.Fig7(par)
 	if err != nil {
 		t.Fatal(err)
+	}
+	sim2, reused2 := experiments.MemoCounts()
+	// The figure runners reuse finished runs keyed by the exact
+	// configuration. Keyed by anything that folds Workers away, the second
+	// pass would be handed the first one's results and this test would
+	// compare a table with itself.
+	if want := int64(3 * len(base.Benchmarks)); sim1-sim0 != want || sim2-sim1 != want || reused2 != reused0 {
+		t.Fatalf("Fig7 simulated %d then %d runs and reused %d; want %d, %d, 0: both kernels must run",
+			sim1-sim0, sim2-sim1, reused2-reused0, want, want)
 	}
 	if baseTab.String() != parTab.String() {
 		t.Errorf("Fig7 table diverged between kernels:\nserial:\n%s\nworkers=4:\n%s", baseTab, parTab)

@@ -1,11 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (see DESIGN.md's per-experiment index). Each runner returns a
-// formatted Table; cmd/experiments prints them and the root bench suite
-// wraps them in testing.B benchmarks.
+// formatted Table; cmd/experiments prints them and the repository benchmark
+// (bench/, workload figs) times them at reduced scale.
 //
 // Runs are parallelized across (benchmark, configuration) pairs — every
 // simulation is independent and deterministic, so tables are reproducible
-// regardless of worker count.
+// regardless of worker count, and a run that several figures ask for is
+// simulated once per process (memo.go).
 package experiments
 
 import (
@@ -166,17 +167,18 @@ type job struct {
 	cfg   config.Config
 }
 
-// runAll executes every job on the sweep engine's worker pool and returns
+// simulate executes every job on the sweep engine's worker pool and returns
 // results keyed by job key. Jobs run and report in slice order, so callers
 // control ordering explicitly instead of relying on map traversal. The figure
 // runners are thereby thin consumers of the same engine cmd/sweep drives:
-// same parallelism, same panic isolation, same deterministic behavior.
-func runAll(jobs []job, workers int) (map[string]gpu.Result, error) {
+// same parallelism, same panic isolation, same deterministic behavior. A nil
+// run is sweep.Simulate.
+func simulate(jobs []job, workers int, run sweep.RunFunc) (map[string]gpu.Result, error) {
 	sj := make([]sweep.Job, 0, len(jobs))
 	for _, j := range jobs {
 		sj = append(sj, sweep.Job{Key: j.key, Benchmark: j.bench, Cfg: j.cfg})
 	}
-	outs, err := sweep.Run(context.Background(), sj, nil, sweep.Options{Workers: workers})
+	outs, err := sweep.Run(context.Background(), sj, nil, sweep.Options{Workers: workers, Run: run})
 	if err != nil {
 		return nil, err
 	}

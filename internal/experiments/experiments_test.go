@@ -13,7 +13,8 @@ import (
 
 // quick options: a 3-benchmark subset at reduced cycles keeps the whole
 // figure pipeline testable in seconds; full-scale numbers are produced by
-// cmd/experiments and the root bench suite.
+// cmd/experiments. The tests share the result memo, and with it the
+// baseline runs their benchmark lists have in common.
 func quick(benchmarks ...string) Opts {
 	if len(benchmarks) == 0 {
 		benchmarks = []string{"CP", "RAY", "KMN"}

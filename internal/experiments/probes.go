@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"gpgpunoc/internal/config"
@@ -75,28 +74,9 @@ func readSegmentMean(sum telemetry.Summary, seg telemetry.Segment) float64 {
 }
 
 // runAllInstrumented is runAll with the telemetry subsystem attached to
-// every job, sampling every epoch cycles.
+// every job, sampling every epoch cycles. It goes around the result memo:
+// its results carry their run's telemetry, which no other caller wants and
+// a stored plain result cannot supply.
 func runAllInstrumented(jobs []job, workers int, epoch int64) (map[string]gpu.Result, error) {
-	sj := make([]sweep.Job, 0, len(jobs))
-	for _, j := range jobs {
-		sj = append(sj, sweep.Job{Key: j.key, Benchmark: j.bench, Cfg: j.cfg})
-	}
-	outs, err := sweep.Run(context.Background(), sj, nil, sweep.Options{
-		Workers: workers,
-		Run:     sweep.SimulateWith(gpu.Instrumentation{TelemetryEpoch: epoch}),
-	})
-	if err != nil {
-		return nil, err
-	}
-	results := make(map[string]gpu.Result, len(jobs))
-	var firstErr error
-	for _, o := range outs {
-		if o.Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%s: %w", o.Job.Key, o.Err)
-		}
-		if o.Res != nil {
-			results[o.Job.Key] = *o.Res
-		}
-	}
-	return results, firstErr
+	return simulate(jobs, workers, sweep.SimulateWith(gpu.Instrumentation{TelemetryEpoch: epoch}))
 }

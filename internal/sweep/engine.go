@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -170,6 +171,7 @@ func Run(ctx context.Context, jobs []Job, sink Sink, opts Options) ([]Outcome, e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			allocBytes := allocCounter()
 			for i := range idx {
 				j := jobs[i]
 				rec := newRecord(j)
@@ -187,7 +189,7 @@ func Run(ctx context.Context, jobs []Job, sink Sink, opts Options) ([]Outcome, e
 				if opts.Timeout > 0 {
 					jctx, jcancel = context.WithTimeout(sinkCtx, opts.Timeout)
 				}
-				allocBefore := totalAllocBytes()
+				allocBefore := allocBytes()
 				start := time.Now()
 				res, err := runShielded(jctx, runFn, j)
 				elapsed := time.Since(start)
@@ -205,14 +207,15 @@ func Run(ctx context.Context, jobs []Job, sink Sink, opts Options) ([]Outcome, e
 				ev := Event{Job: j, Index: i, Total: len(jobs), Elapsed: elapsed}
 				// The execution footprint is stamped on ran jobs (ok and
 				// failed, never skips). AllocBytes is the process-wide
-				// allocation delta across the job — exact at Workers=1, an
-				// upper-bound approximation when jobs overlap. Attempt
+				// allocation delta across the job — the job's own at Workers=1
+				// (see allocCounter for how closely), an upper-bound
+				// approximation when jobs overlap. Attempt
 				// starts at 1; the fabric coordinator overwrites Worker and
 				// Attempt with fleet-level attribution when it accepts the
 				// record.
 				o.Record.Exec = &Exec{
 					WallMS:     elapsed.Milliseconds(),
-					AllocBytes: int64(totalAllocBytes() - allocBefore),
+					AllocBytes: int64(allocBytes() - allocBefore),
 					Attempt:    1,
 				}
 				if err != nil {
@@ -295,14 +298,21 @@ func writeJobTelemetry(dir, fingerprint string, r *gpu.Result) error {
 	return h.Close()
 }
 
-// totalAllocBytes reads the process's cumulative heap allocation. The
-// engine differences it around each job for the Exec footprint;
-// ReadMemStats costs a brief stop-the-world, negligible against a
-// simulation job but worth knowing about.
-func totalAllocBytes() uint64 {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.TotalAlloc
+// allocCounter returns a reader of the process's cumulative heap allocation
+// (the quantity MemStats.TotalAlloc reports), which the engine differences
+// around each job for the Exec footprint. It reads runtime/metrics rather
+// than ReadMemStats: that stops the world, twice per job, and so stalls the
+// other workers' simulations. What it gives up is the flush of the
+// allocator's per-P caches that ReadMemStats does: a read trails by the
+// spans still being filled, tens of kilobytes against a job's megabytes.
+// Each worker holds its own reader — the sample slice is the reader's
+// scratch — so a read allocates nothing.
+func allocCounter() func() uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	return func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
 }
 
 // runShielded invokes fn with panic recovery: a panicking job reports as a

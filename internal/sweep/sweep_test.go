@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -706,5 +707,31 @@ func TestSpecFileExamples(t *testing.T) {
 				t.Errorf("%s job %d (%s): fingerprint %s, want %s", tc.path, i, jobs[i].Key, got, want)
 			}
 		}
+	}
+}
+
+// TestExecAllocBytesIsTotalAlloc: the exec footprint's allocation counter
+// (runtime/metrics, no stop-the-world) measures what MemStats.TotalAlloc
+// measures. One job at Workers=1, long enough that the spans the
+// stop-the-world read flushes and the other does not (about 20 KB) and the
+// engine's own bookkeeping around the job are well under 1% of it.
+func TestExecAllocBytesIsTotalAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulation")
+	}
+	cfg := config.Default()
+	cfg.WarmupCycles, cfg.MeasureCycles = 500, 40000
+	jobs := []Job{{Key: "NQU", Benchmark: "NQU", Cfg: cfg}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	outs, err := Run(context.Background(), jobs, nil, Options{Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil || len(outs) != 1 || outs[0].Err != nil {
+		t.Fatalf("run: %v, %+v", err, outs)
+	}
+	got, want := float64(outs[0].Record.Exec.AllocBytes), float64(after.TotalAlloc-before.TotalAlloc)
+	t.Logf("Exec.AllocBytes %.0f, MemStats.TotalAlloc delta %.0f", got, want)
+	if want == 0 || got < 0.99*want || got > 1.01*want {
+		t.Errorf("Exec.AllocBytes = %.0f, MemStats.TotalAlloc moved by %.0f; want within 1%%", got, want)
 	}
 }
