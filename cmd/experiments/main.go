@@ -64,19 +64,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	opts := experiments.Opts{
-		Parallel:  *parallel,
-		Overrides: cf.Overrides(),
+	benchmarks, err := experiments.ParseBenchmarks(*benchmark)
+	if err != nil {
+		fmt.Fprintf(stderr, "-benchmarks %q: %v\n", *benchmark, err)
+		return 2
 	}
-	if *benchmark != "" {
-		for _, b := range strings.Split(*benchmark, ",") {
-			b = strings.TrimSpace(b)
-			if b == "" {
-				fmt.Fprintf(stderr, "-benchmarks %q: empty benchmark name\n", *benchmark)
-				return 2
-			}
-			opts.Benchmarks = append(opts.Benchmarks, b)
-		}
+	opts := experiments.Opts{
+		Benchmarks: benchmarks,
+		Parallel:   *parallel,
+		Overrides:  cf.Overrides(),
 	}
 
 	var ids []string

@@ -36,10 +36,11 @@ import (
 
 // forcePool keeps the multi-worker comparisons honest on a one-core
 // machine: a simulator built on a single-P runtime gets no lane workers and
-// steps its lanes inline (bit-identical, see noc's workerPool), which would
-// quietly remove the concurrent kernel — and everything the race detector
-// learns from it — from this suite. Bumping GOMAXPROCS before construction restores the
-// real concurrent kernel; results cannot depend on it.
+// runs its lanes on the stepping goroutine (bit-identical, see noc's
+// workerPool), which would quietly remove the concurrent kernel — and
+// everything the race detector learns from it — from this suite. Bumping
+// GOMAXPROCS before construction restores the real concurrent kernel;
+// results cannot depend on it.
 func forcePool(t testing.TB) {
 	if runtime.GOMAXPROCS(0) > 1 {
 		return

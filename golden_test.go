@@ -11,6 +11,7 @@ package gpgpunoc_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -73,60 +74,79 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
+// TestGoldenRunArtifacts runs each system on one lane and on four (the 4x4
+// mesh's four rows) and holds both to the same files: spans keep the lanes
+// on the stepping goroutine, which runs them lane by lane, so the span
+// stream at four lanes is the event order of a multi-lane cycle.
 func TestGoldenRunArtifacts(t *testing.T) {
 	for _, tc := range []struct {
 		dir  string
 		dual bool
 	}{{"single", false}, {"dual", true}} {
 		t.Run(tc.dir, func(t *testing.T) {
-			cfg := goldenCfg(tc.dual)
-			srv, err := obs.NewServer("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
+			for _, w := range []int{1, 4} {
+				t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+					if *update && w != 1 {
+						t.Skip("the goldens are written from the one-lane run")
+					}
+					cfg := goldenCfg(tc.dual)
+					cfg.NoC.Workers = w
+					goldenRun(t, tc.dir, cfg)
+				})
 			}
-			defer srv.Close()
-			sim := newSim(t, cfg, "KMN", gpu.Instrumentation{
-				TelemetryEpoch: 100, Spans: true, SpanRate: 1,
-				Obs: srv, PublishEvery: 250,
-			})
-			res := runSim(t, sim)
-			if res.Deadlocked {
-				t.Fatal("golden run deadlocked")
-			}
-
-			render := func(name string, write func(io.Writer) error) {
-				t.Helper()
-				var b bytes.Buffer
-				if err := write(&b); err != nil {
-					t.Fatal(err)
-				}
-				checkGolden(t, filepath.Join(tc.dir, name), b.Bytes())
-			}
-			render("series.jsonl", res.Tel.WriteJSONL)
-			render("heatmap.csv", func(w io.Writer) error {
-				return res.Tel.WriteHeatmapCSV(w, mesh.New(cfg.NoC.Width, cfg.NoC.Height))
-			})
-			render("trace.json", func(w io.Writer) error {
-				return res.Tel.WriteChromeTrace(w, telemetry.DefaultTraceFilter)
-			})
-			render("spans.jsonl", res.Spans.WriteJSONL)
-			render("spans.trace.json", res.Spans.WriteChromeTrace)
-
-			// The run's final publication is the /metrics body a scraper
-			// sees once the run is done.
-			resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("/metrics = %d %s", resp.StatusCode, body)
-			}
-			checkGolden(t, filepath.Join(tc.dir, "metrics.prom"), body)
 		})
 	}
+}
+
+// goldenRun runs cfg with every instrument attached and checks each artifact
+// against its golden under dir.
+func goldenRun(t *testing.T, dir string, cfg config.Config) {
+	t.Helper()
+	srv, err := obs.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sim := newSim(t, cfg, "KMN", gpu.Instrumentation{
+		TelemetryEpoch: 100, Spans: true, SpanRate: 1,
+		Obs: srv, PublishEvery: 250,
+	})
+	res := runSim(t, sim)
+	if res.Deadlocked {
+		t.Fatal("golden run deadlocked")
+	}
+
+	render := func(name string, write func(io.Writer) error) {
+		t.Helper()
+		var b bytes.Buffer
+		if err := write(&b); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, filepath.Join(dir, name), b.Bytes())
+	}
+	render("series.jsonl", res.Tel.WriteJSONL)
+	render("heatmap.csv", func(w io.Writer) error {
+		return res.Tel.WriteHeatmapCSV(w, mesh.New(cfg.NoC.Width, cfg.NoC.Height))
+	})
+	render("trace.json", func(w io.Writer) error {
+		return res.Tel.WriteChromeTrace(w, telemetry.DefaultTraceFilter)
+	})
+	render("spans.jsonl", res.Spans.WriteJSONL)
+	render("spans.trace.json", res.Spans.WriteChromeTrace)
+
+	// The run's final publication is the /metrics body a scraper sees once
+	// the run is done.
+	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics = %d %s", resp.StatusCode, body)
+	}
+	checkGolden(t, filepath.Join(dir, "metrics.prom"), body)
 }

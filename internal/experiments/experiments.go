@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -40,6 +41,24 @@ type Opts struct {
 	// Scheme-controlled dimensions (placement, routing, VC policy) are
 	// still applied by the experiment after these.
 	Overrides config.Overrides
+}
+
+// ParseBenchmarks splits a comma-separated benchmark list, as the CLIs'
+// -benchmarks flag takes it, trimming the spaces around each name. The empty
+// list is nil, meaning all; an empty entry ("KMN,") is an error.
+func ParseBenchmarks(list string) ([]string, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var names []string
+	for _, b := range strings.Split(list, ",") {
+		b = strings.TrimSpace(b)
+		if b == "" {
+			return nil, errors.New("empty benchmark name")
+		}
+		names = append(names, b)
+	}
+	return names, nil
 }
 
 func (o Opts) benchmarks() []string {

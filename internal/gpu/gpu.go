@@ -72,10 +72,8 @@ type Simulator struct {
 	MCs []*mc.MC
 
 	// endpoints maps every node to the SM or MC sitting on it (nil for an
-	// unpopulated tile); tick is tickLane bound once, so Step hands the
-	// interconnect a ready func value instead of allocating one per cycle.
+	// unpopulated tile).
 	endpoints []ticker
-	tick      func(lo, hi int)
 
 	// Endpoints tick and eject on whichever kernel goroutine owns their
 	// node, so no counter here has more than one writer: shards holds one
@@ -135,7 +133,7 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 		return nil, fmt.Errorf("gpu: placement leaves %d core tiles for %d SMs", len(cores), cfg.Core.NumSMs)
 	}
 	s.endpoints = make([]ticker, st.Mesh.NumNodes())
-	s.tick = s.tickLane
+	net.SetStage(s.tickLane)
 	s.shards = make([]stats.GPU, cfg.Core.NumSMs+len(pl.MCs))
 	s.ids = make([]uint64, cfg.Core.NumSMs)
 	for i := 0; i < cfg.Core.NumSMs; i++ {
@@ -232,8 +230,8 @@ type Instrumentation struct {
 
 	// Spans attaches per-packet span tracing at SpanRate (the fraction of
 	// request packets sampled; 0 installs the collector but samples
-	// nothing). Span probes observe mid-cycle state, so tracing runs on
-	// the serial kernel regardless of Workers.
+	// nothing). Span probes observe mid-cycle state, so with tracing on the
+	// lanes run on the stepping goroutine, in lane order, whatever Workers is.
 	Spans    bool
 	SpanRate float64
 
@@ -371,10 +369,10 @@ func (s *Simulator) attachObs(srv *obs.Server, every int64) *obs.Publisher {
 	return p
 }
 
-// tickLane ticks the endpoints on nodes [lo, hi). The interconnect calls it
-// once per kernel lane, on the goroutine that owns those nodes and runs
-// their ejection sinks: a tick touches only its own endpoint, its own
-// counter shard and — through Inject — its own node's injection queue.
+// tickLane ticks the endpoints on nodes [lo, hi), the interconnect's endpoint
+// stage: it runs once per kernel lane, on the goroutine that owns those nodes
+// and runs their ejection sinks. A tick touches only its own endpoint, its
+// own counter shard and — through Inject — its own node's injection queue.
 func (s *Simulator) tickLane(lo, hi int) {
 	for _, e := range s.endpoints[lo:hi] {
 		if e != nil {
@@ -394,11 +392,9 @@ func (s *Simulator) awakeTicks(lo, hi int) (n int64) {
 	return n
 }
 
-// Step advances the whole system one NoC cycle: every endpoint ticks, then
-// the network steps (on the lane workers the ticks run inside Net.Step). It
-// all goes through s.Net, so a decorator over it sees (and forwards) it.
+// Step advances the whole system one NoC cycle. The endpoints tick inside
+// Net.Step, each lane's first, so a decorator over s.Net sees the whole cycle.
 func (s *Simulator) Step() {
-	s.Net.RunLanes(s.tick)
 	s.Net.Step()
 	s.cycle++
 	if c := s.cycle; c >= 256 && c&(c-1) == 0 {

@@ -31,7 +31,7 @@ import (
 // `go func(){}` literal) seeds the reachable set, so adding a new worker
 // phase automatically extends the checked region. What discovery cannot see
 // is code the workers reach through a callback defined in another package —
-// Network.Inject, called by the endpoints RunLanes ticks on the lanes — so,
+// Network.Inject, called by the endpoints SetStage's stage ticks on the lanes — so,
 // mirroring hotpath, a function whose doc comment carries a
 // `//noclint:laneowner root: <why>` line is a root too. Genuinely safe
 // sites — single-writer slots, serial-only observers — carry justified

@@ -86,9 +86,9 @@ func (d *Dual) SetInjectWake(node mesh.NodeID, wake func()) {
 	d.reply.SetInjectWake(node, wake)
 }
 
-// RunLanes runs fn over the lanes the two subnets share (on the pool: as the
-// first stage of the request subnet's Step).
-func (d *Dual) RunLanes(fn func(lo, hi int)) { d.request.RunLanes(fn) }
+// SetStage installs the stage on the request subnet, whose Step runs it over
+// the lanes the two subnets share.
+func (d *Dual) SetStage(fn func(lo, hi int)) { d.request.SetStage(fn) }
 
 // Rebalance cuts both subnets at the same rows from their summed counts: a
 // tick staged on a request-subnet lane writes the reply subnet's queue, mask

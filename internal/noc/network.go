@@ -69,17 +69,13 @@ type Interconnect interface {
 	// that registers a wake may stop retrying a refused Inject until the
 	// wake runs; a caller that registers nothing may keep polling.
 	SetInjectWake(node mesh.NodeID, wake func())
-	// RunLanes hands the kernel the cycle's endpoint stage: fn runs over
-	// disjoint node ranges [lo, hi) that together cover the mesh, once per
-	// kernel lane. A kernel on the lane workers only records fn and runs it
-	// as the first stage of the following Step, on the goroutine that then
-	// steps that lane's routers; an inline kernel calls fn(0, nodes) at once.
-	// So a RunLanes is followed by a Step and the caller may not observe the
-	// fabric between the two. Within one call fn may touch only the endpoints
-	// on nodes in its range, and of the interconnect only Inject and
-	// InjectSpace for those nodes. Bind fn once: a method value built per
-	// cycle allocates.
-	RunLanes(fn func(lo, hi int))
+	// SetStage installs the endpoint stage, the same idiom as SetSink: every
+	// Step first runs fn over disjoint node ranges [lo, hi) that together
+	// cover the mesh, once per kernel lane, on the goroutine that then steps
+	// that lane's routers. Within one call fn may touch only the endpoints on
+	// nodes in its range, and of the interconnect only Inject and InjectSpace
+	// for those nodes. nil removes the stage.
+	SetStage(fn func(lo, hi int))
 	// Step advances the network one cycle.
 	Step()
 	// Rebalance lets the kernel re-cut its lanes by the work counted since
@@ -95,7 +91,7 @@ type Interconnect interface {
 	EnableStats(on bool)
 	// FlitsInFlight returns flits buffered anywhere in the fabric,
 	// including injection queues. Exact at every cycle boundary, a direct
-	// Inject since the last Step included (not between RunLanes and Step).
+	// Inject since the last Step included.
 	FlitsInFlight() int
 	// Quiescent reports no movement for the trailing window cycles while
 	// flits remain in flight — the deadlock watchdog.
@@ -192,7 +188,7 @@ type Network struct {
 
 	// pool is the lane executor (parallel.go); a Dual's two subnets share
 	// one. Its goroutines are spawned lazily by the first pooled Step and
-	// stopped by Close. stage is RunLanes' callback awaiting that Step.
+	// stopped by Close. stage is the endpoint stage SetStage installed.
 	pool  *workerPool
 	stage func(lo, hi int)
 
@@ -397,21 +393,21 @@ func (n *Network) laneAt(id int) *lane { return &n.lanes[n.laneOf[id]] }
 // be stamped by the caller; InjectedAt is stamped when the head flit enters
 // the router.
 //
-// Endpoints call it from RunLanes callbacks, so it runs on whichever
-// goroutine steps the lane owning p.Src, concurrently with other lanes'
-// cycles: everything it writes — the node's queue, the lane's
+// Endpoints call it from the endpoint stage (SetStage), so it runs on
+// whichever goroutine steps the lane owning p.Src, concurrently with other
+// lanes' cycles: everything it writes — the node's queue, the lane's
 // injected-flit tally and queues mask — belongs to that lane. Between cycles
 // (tests, the synthetic harness) it is plain serial code. A refusal marks
 // the queue, so the drain that next frees space in it calls the node's
 // inject wake (see SetInjectWake).
 //
-//noclint:laneowner root: reached from the lane workers through RunLanes' endpoint callbacks, which the per-package call graph cannot follow
+//noclint:laneowner root: reached from the lane workers through the endpoint stage, which the per-package call graph cannot follow
 func (n *Network) Inject(p *packet.Packet) bool {
 	q := &n.inj[p.Src]
 	ln := &n.lanes[n.laneOf[p.Src]]
 	if q.flits+p.Flits > q.cap {
 		q.refused = true
-		//noclint:laneowner RunLanes hands a lane only its own nodes, so the lane of p.Src is the caller's own shard
+		//noclint:laneowner the stage hands a lane only its own nodes, so the lane of p.Src is the caller's own shard
 		ln.refusedInjects++
 		return false
 	}
@@ -421,10 +417,10 @@ func (n *Network) Inject(p *packet.Packet) bool {
 	}
 	q.Push(p)
 	q.flits += p.Flits
-	//noclint:laneowner RunLanes hands a lane only its own nodes, so the lane of p.Src is the caller's own shard
+	//noclint:laneowner the stage hands a lane only its own nodes, so the lane of p.Src is the caller's own shard
 	ln.injectedFlits += p.Flits
 	if n.spans != nil {
-		//noclint:laneowner serial-only: RunLanes runs inline whenever a span collector is attached
+		//noclint:laneowner serial-only: the lanes stay on the stepping goroutine whenever a span collector is attached
 		n.spans.Offer(p)
 	}
 	return true
@@ -441,6 +437,9 @@ func (n *Network) SetSink(node mesh.NodeID, s Sink) { n.sinks[node] = s }
 
 // SetInjectWake installs the inject-wake callback for node.
 func (n *Network) SetInjectWake(node mesh.NodeID, wake func()) { n.injWake[node] = wake }
+
+// SetStage installs the endpoint stage every lane's cycle starts with.
+func (n *Network) SetStage(fn func(lo, hi int)) { n.stage = fn }
 
 // SetSpans installs the per-packet span collector (nil disables span
 // tracing). Probe sites gate on the collector pointer and the packet's
@@ -734,10 +733,10 @@ func (n *Network) deliver(from, to *lane, op *outPort) {
 // (and their workers parked at the barrier), it merges cross-domain effects
 // in lane order — the fixed merge order that makes results independent of
 // worker count — then advances the cycle. Per lane: outbox deliveries
-// (buffer pushes), credit tallies (boundary ports, and what an inline
-// kernel's lanes left on their own lists), telemetry flush (stall counters,
-// deferred per-packet latency observations), movement/in-flight folds. The
-// run masks need no pass of their own: the deliveries keep them exact.
+// (buffer pushes), boundary-port credit tallies, telemetry flush (stall
+// counters, deferred per-packet latency observations), movement/in-flight
+// folds. The run masks need no pass of their own: the deliveries keep them
+// exact.
 func (n *Network) finishCycle() {
 	for li := range n.lanes {
 		ln := &n.lanes[li]
@@ -747,7 +746,6 @@ func (n *Network) finishCycle() {
 		ln.outbox = ln.outbox[:0]
 	}
 	for li := range n.lanes {
-		n.applyCredits(&n.lanes[li].creditLocal)
 		n.applyCredits(&n.lanes[li].creditDirty)
 	}
 	if n.tel != nil {
@@ -788,62 +786,44 @@ func (n *Network) finishCycle() {
 	n.stats.Cycles = n.cycle
 }
 
-// onPool reports whether this network's cycles run on the lane workers: the
-// pool has goroutines (several lanes, several Ps), no span collector is
-// attached — not thread-safe, order-sensitive — and no inline oracle steps.
-func (n *Network) onPool() bool { return n.pool.workers > 0 && n.spans == nil && !n.reference }
-
-// RunLanes records fn as the first stage of the next pooled Step; an inline
-// kernel runs it at once over the whole mesh, which is the serial order.
-func (n *Network) RunLanes(fn func(lo, hi int)) {
-	if n.onPool() {
-		n.stage = fn
-	} else {
-		fn(0, n.numNodes)
-	}
-}
-
-// Step advances the network by one cycle: injection, router pipelines
-// (RC/VA/SA/ST), then link traversal, and finally the serial tail (credit
-// returns, cross-domain deliveries). Within each lane a phase visits only
-// the nodes its run mask names, in ascending id order — exactly the order
-// the reference full scan produces, so endpoint callbacks and statistics
-// accumulate identically. With one lane this is the serial kernel. On the
-// pool every lane runs its whole cycle, RunLanes' stage first, in one
-// barrier generation; otherwise the phases run inline in lane order — the
-// classic kernel's global phase order, lanes being ascending ID ranges.
+// Step advances the network by one cycle: every lane runs laneCycle — the
+// endpoint stage, injection, router pipelines (RC/VA/SA/ST), link traversal,
+// its own credits — and the serial tail then merges what crossed lanes
+// (deliveries, boundary credits). Within each lane a phase visits only the
+// nodes its run mask names, in ascending id order — exactly the order the
+// reference full scan produces, so endpoint callbacks and statistics
+// accumulate identically. The lanes run on the pool, one barrier generation
+// per cycle, unless it has no goroutines (one lane, one P) or a span
+// collector is attached — not thread-safe, order-sensitive; then the
+// stepping goroutine runs them in lane order.
 func (n *Network) Step() {
-	if n.reference {
+	switch {
+	case n.reference:
 		n.stepReference()
-		return
-	}
-	if n.onPool() {
+	case n.pool.workers > 0 && n.spans == nil:
 		if n.pool.spawn() {
 			n.frec.Record(n.cycle, fleetobs.KindPool, int64(n.pool.workers), 0, 0)
 		}
 		n.pool.run(n)
-		n.stage = nil
-	} else {
+	default:
 		for li := range n.lanes {
-			n.injectPhase(&n.lanes[li])
-		}
-		for li := range n.lanes {
-			n.routerPhase(&n.lanes[li])
-		}
-		for li := range n.lanes {
-			n.linkPhaseLane(&n.lanes[li])
+			n.laneCycle(&n.lanes[li])
 		}
 	}
 	n.finishCycle()
 }
 
 // stepReference is the naive stepper: every node and every router, every
-// cycle, whatever the run masks say. It shares all phase helpers (and
+// cycle, whatever the run masks say, one phase at a time across the whole
+// mesh — the classic order, lanes being contiguous ascending ID ranges,
+// where Step runs each lane's cycle whole. It shares all phase helpers (and
 // therefore all bookkeeping — the masks' upkeep included) with the shipped
-// kernel; only the iteration differs. Equivalence tests hold the two
-// bit-identical. It always runs inline: lanes are contiguous ascending ID
-// ranges, so the lane-ordered sweeps below are the classic full scans.
+// kernel; only iteration and order differ. Equivalence tests hold the two
+// bit-identical.
 func (n *Network) stepReference() {
+	if n.stage != nil {
+		n.stage(0, n.numNodes)
+	}
 	for li := range n.lanes {
 		ln := &n.lanes[li]
 		ln.moved = false
@@ -866,7 +846,9 @@ func (n *Network) stepReference() {
 			n.linkPhase(ln, &n.routers[i])
 		}
 	}
-	n.finishCycle()
+	for li := range n.lanes {
+		n.applyCredits(&n.lanes[li].creditLocal)
+	}
 }
 
 // Drain runs the network until no flits remain in flight or maxCycles pass;

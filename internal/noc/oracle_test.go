@@ -6,8 +6,10 @@
 //
 // The oracle is selectable only through this package's export_test.go, so
 // these comparisons live here, in the external test package that can drive
-// a whole gpu.Simulator. Worker-count equivalence of the shipped kernel
-// needs no oracle and lives in the root package's equivalence_test.go.
+// a whole gpu.Simulator. Each comparison runs at one lane and at four, so the
+// lane-by-lane kernel is held to the phase-by-phase oracle; worker-count
+// equivalence of the shipped kernel alone lives in the root package's
+// equivalence_test.go.
 package noc_test
 
 import (
@@ -83,6 +85,21 @@ func checkOracle(t *testing.T, cfg config.Config, prof workload.Profile) {
 	}
 }
 
+// checkOracleLanes runs checkOracle as one row per lane count: the serial
+// kernel, and four lanes — on the pool when there is a second P, lane by
+// lane on the stepping goroutine otherwise. The oracle steps phase by phase
+// across the whole mesh whatever the lane count.
+func checkOracleLanes(t *testing.T, cfg config.Config, prof workload.Profile) {
+	t.Helper()
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			c := cfg
+			c.NoC.Workers = w
+			checkOracle(t, c, prof)
+		})
+	}
+}
+
 // TestReferenceOracleFig9Schemes covers the full Figure 9 design space
 // (every placement, routing, and VC policy family), three seeds each.
 func TestReferenceOracleFig9Schemes(t *testing.T) {
@@ -96,7 +113,7 @@ func TestReferenceOracleFig9Schemes(t *testing.T) {
 				t.Parallel()
 				cfg := s.Apply(equivCfg())
 				cfg.Seed = seed
-				checkOracle(t, cfg, kmn)
+				checkOracleLanes(t, cfg, kmn)
 			})
 		}
 	}
@@ -112,7 +129,7 @@ func TestReferenceOracleDual(t *testing.T) {
 			cfg.NoC.PhysicalSubnets = true
 			cfg.NoC.SubnetHalfWidth = half
 			cfg.NoC.VCsPerPort = 4 // 2 per subnet
-			checkOracle(t, cfg, workload.MustGet("RED"))
+			checkOracleLanes(t, cfg, workload.MustGet("RED"))
 		})
 	}
 }
@@ -125,7 +142,7 @@ func TestReferenceOracleAsymmetric(t *testing.T) {
 	cfg.NoC.VCsPerPort = 4
 	cfg.NoC.Routing = config.RoutingXYYX
 	cfg.NoC.VCPolicy = config.VCAsymmetric
-	checkOracle(t, cfg, workload.MustGet("BFS"))
+	checkOracleLanes(t, cfg, workload.MustGet("BFS"))
 }
 
 // TestReferenceOracleIdle covers the mostly-empty fabric: a pure-compute
@@ -141,7 +158,7 @@ func TestReferenceOracleIdle(t *testing.T) {
 	} {
 		t.Run(prof.Name, func(t *testing.T) {
 			t.Parallel()
-			checkOracle(t, equivCfg(), prof)
+			checkOracleLanes(t, equivCfg(), prof)
 		})
 	}
 }

@@ -4,10 +4,11 @@ package noc
 //
 // The mesh is partitioned into contiguous row stripes ("lanes"); node IDs
 // are row-major, so each lane owns a contiguous router-ID range and, via
-// the router arena, a contiguous block of hot state. On the pool a cycle is
-// one barrier generation, each lane running back to back (laneCycle):
+// the router arena, a contiguous block of hot state. A cycle runs each lane
+// whole, its stages back to back (laneCycle) — on the pool as one barrier
+// generation, otherwise lane by lane on the stepping goroutine:
 //
-//	tick: the endpoint stage RunLanes handed over, on the lane's node range
+//	tick: the endpoint stage SetStage installed, on the lane's node range
 //	  (gpu: the SMs and MCs there). A tick touches its own endpoint and,
 //	  through Inject, its node's queue and its lane's tally and queues mask.
 //	inject, then RC/VA/SA/ST for the lane's routers. Cross-lane writes are
@@ -24,8 +25,6 @@ package noc
 // No lane reads what another lane writes before the tail, so the stages need
 // no barrier between them. The serial tail (finishCycle) merges the rest in
 // lane order: outbox deliveries, boundary-port credits, telemetry, folds.
-// Inline kernels (one lane, one P, spans attached) run the stages as sweeps
-// in lane order — the classic event order — with all credits in the tail.
 //
 // Which nodes a stage visits is one of three bit sets per lane, the run
 // masks, bit = node ID (a lane's masks span the mesh, so a cut moves bits and
@@ -185,11 +184,10 @@ func (n *Network) buildLanes(workers, width, height int) {
 		ln.stats = stats.NewNet(n.m)
 		masks := make(nodeMask, (3*words+7)&^7) // whole cache lines of its own: lanes write their masks concurrently
 		ln.routers, ln.links, ln.queues = masks[:words], masks[words:2*words], masks[2*words:3*words]
-		if d > 1 { // a cut can grow this lane: size its lists for every port they can hold
-			ln.creditLocal = make([]*outPort, 0, mesh.NumLinkDirs*n.numNodes)
-			ln.creditDirty = make([]*outPort, 0, 2*width)
-			ln.outbox = make([]*outPort, 0, 2*width)
-		}
+		// A cut can grow this lane: size its lists for every port they can hold.
+		ln.creditLocal = make([]*outPort, 0, mesh.NumLinkDirs*n.numNodes)
+		ln.creditDirty = make([]*outPort, 0, 2*width)
+		ln.outbox = make([]*outPort, 0, 2*width)
 		n.cut[i+1] = (i + 1) * height / d
 	}
 	n.retile(n.cut)
@@ -319,11 +317,13 @@ func (n *Network) linkPhaseLane(ln *lane) {
 	}
 }
 
-// laneCycle is one lane's whole cycle on the pool, the one thing a barrier
-// generation runs; the header says why no barrier separates its stages.
+// laneCycle is one lane's whole cycle, the one schedule Step has: a barrier
+// generation runs it for every lane, and so does the stepping goroutine, in
+// lane order, when the pool is not used. The header says why no barrier
+// separates its stages.
 func (n *Network) laneCycle(ln *lane) {
 	if n.stage != nil {
-		//noclint:laneowner RunLanes' contract confines the callback to the endpoints and injection queues of nodes in [lo, hi), which this lane owns
+		//noclint:laneowner SetStage's contract confines the stage to the endpoints and injection queues of nodes in [lo, hi), which this lane owns
 		n.stage(ln.lo, ln.hi)
 	}
 	n.injectPhase(ln)
@@ -384,7 +384,8 @@ const (
 // serves a simulator's network, or both subnets of a Dual. It never runs more
 // goroutines than there are Ps: min(lanes, GOMAXPROCS) in all (sampled once,
 // at construction), the stepping goroutine included, each stepping a block
-// of lanes. With one P (or one lane) workers is zero and callers step inline.
+// of lanes. With one P (or one lane) workers is zero and Step runs the lanes
+// on the stepping goroutine.
 //
 // A network cycle is one barrier generation: run publishes the network,
 // bumps gen to release the workers, steps block 0 itself and gathers; the

@@ -13,10 +13,10 @@ import (
 )
 
 // forcePool makes sure networks built after this call actually use the
-// lane workers: a pool built on a single-P runtime has none and Step walks
-// the lanes inline (see workerPool), which would quietly turn every
-// concurrency test in this file into a serial walk. Results are identical
-// either way — this is about what the race detector gets to see.
+// lane workers: a pool built on a single-P runtime has none and Step runs
+// the lanes on the stepping goroutine (see workerPool), which would quietly
+// turn every concurrency test in this file into a serial walk. Results are
+// identical either way — this is about what the race detector gets to see.
 func forcePool(t testing.TB) {
 	if runtime.GOMAXPROCS(0) > 1 {
 		return
@@ -273,13 +273,11 @@ func TestLaneCallbackInjectVisibleBeforeStep(t *testing.T) {
 }
 
 // TestLaneCallbackConcurrentInject drives Inject the way the gpu layer does:
-// from RunLanes callbacks, one per lane, concurrently on the lane workers
+// from the endpoint stage, once per lane, concurrently on the lane workers
 // (the race detector watches the per-lane tallies and queues masks), every
-// node injecting every cycle. A pooled kernel runs the callback as the first
-// stage of the following Step, so the fabric is observed only after it: the
-// in-flight count must then have grown by what the callbacks queued minus
-// what the sinks took. The result must match a serial network fed the same
-// packets from one full-range callback.
+// node injecting every cycle. After each Step the in-flight count must have
+// grown by what the stage queued minus what the sinks took. The result must
+// match a serial network fed the same packets from one full-range stage.
 func TestLaneCallbackConcurrentInject(t *testing.T) {
 	const cycles = 300
 	drive := func(n *Network) {
@@ -299,25 +297,26 @@ func TestLaneCallbackConcurrentInject(t *testing.T) {
 				}
 			}
 		}
+		n.SetStage(inject)
 		for c := 0; c < cycles; c++ {
-			n.RunLanes(inject)
 			n.Step()
 			want := 0
 			for i := range queued {
 				want += queued[i] - cs[i].flits
 			}
 			if got := n.FlitsInFlight(); got != want {
-				t.Fatalf("cycle %d: FlitsInFlight %d after the Step, the callbacks queued and the sinks took %d net", c, got, want)
+				t.Fatalf("cycle %d: FlitsInFlight %d after the Step, the stage queued and the sinks took %d net", c, got, want)
 			}
 		}
 		for src, k := range calls {
 			if k != cycles {
-				t.Fatalf("node %d was handed to the callback %d times in %d cycles", src, k, cycles)
+				t.Fatalf("node %d was handed to the stage %d times in %d cycles", src, k, cycles)
 			}
 		}
 		if err := n.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+		n.SetStage(nil) // a stage that injects every cycle never drains
 	}
 	base := newWorkerNet(t, config.RoutingXY, config.VCSplit, 1)
 	drive(base)
@@ -337,8 +336,8 @@ func TestLaneCallbackConcurrentInject(t *testing.T) {
 }
 
 // TestGenerationPerCycle pins the barrier's cost: a pooled Network cycle —
-// RunLanes' stage, injection, routers, links — is exactly one generation, a
-// Dual's two (the stage rides on the request subnet's).
+// the endpoint stage, injection, routers, links — is exactly one generation,
+// a Dual's two (the stage rides on the request subnet's).
 func TestGenerationPerCycle(t *testing.T) {
 	const cycles = 50
 	calls := make([]int, 64) // stage calls by first node: one writer each, the node's lane
@@ -353,9 +352,9 @@ func TestGenerationPerCycle(t *testing.T) {
 	n := newWorkerNet(t, config.RoutingXY, config.VCSplit, 4)
 	attachCollectors(n)
 	n.Step() // spawns the pool
+	n.SetStage(tick)
 	for before, c := n.pool.gen.Load(), 1; c <= cycles; c++ {
 		n.Inject(mkPacket(uint64(c), packet.ReadReply, mesh.NodeID(c%64), mesh.NodeID(63-c%64), n.Cycle()))
-		n.RunLanes(tick)
 		n.Step()
 		if got := n.pool.gen.Load() - before; got != uint64(c) {
 			t.Fatalf("network: %d barrier generations after %d cycles", got, c)
@@ -373,10 +372,10 @@ func TestGenerationPerCycle(t *testing.T) {
 		d.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
 	}
 	d.Step()
+	d.SetStage(tick)
 	for before, c := d.request.pool.gen.Load(), 1; c <= cycles; c++ {
 		d.Inject(mkPacket(uint64(c), packet.ReadRequest, mesh.NodeID(c%64), mesh.NodeID(63-c%64), d.Cycle()))
 		d.Inject(mkPacket(uint64(c)|1<<32, packet.ReadReply, mesh.NodeID(63-c%64), mesh.NodeID(c%64), d.Cycle()))
-		d.RunLanes(tick)
 		d.Step()
 		if got := d.request.pool.gen.Load() - before; got != uint64(2*c) {
 			t.Fatalf("dual: %d barrier generations after %d cycles", got, c)

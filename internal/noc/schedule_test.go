@@ -6,6 +6,7 @@ import (
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/mesh"
+	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/rng"
 	"gpgpunoc/internal/routing"
@@ -140,7 +141,8 @@ func refusingSinkKeepsRouterScheduled(t *testing.T, workers int) {
 // identical injection schedule at the Network level and requires identical
 // statistics, per-cycle movement, and in-flight occupancy — the fastest
 // place to localize a divergence the system-level suite would only report
-// wholesale.
+// wholesale. Each variant runs on one lane and on four: on the pool, and on
+// the stepping goroutine, where a rate-0 span collector keeps them.
 func TestStepperEquivalenceNetworkLevel(t *testing.T) {
 	variants := []struct {
 		rt   config.Routing
@@ -153,62 +155,91 @@ func TestStepperEquivalenceNetworkLevel(t *testing.T) {
 		{config.RoutingXY, config.VCSplit, []Option{WithLinkPeriod(2)}},
 		{config.RoutingXY, config.VCShared, []Option{WithPipelineDelay(1)}},
 	}
+	kernels := []struct {
+		name    string
+		workers int
+		spans   bool
+	}{
+		{"workers=1", 1, false},
+		{"workers=4,pool", 4, false},
+		{"workers=4,stepping", 4, true},
+	}
 	for _, v := range variants {
 		t.Run(string(v.rt)+"/"+string(v.pol), func(t *testing.T) {
-			opt := newTestNet(t, v.rt, v.pol, v.opts...)
-			ref := newTestNet(t, v.rt, v.pol, v.opts...)
-			ref.reference = true
-			attachCollectors(opt)
-			attachCollectors(ref)
-
-			inject := func(n *Network, seed uint64) {
-				r := rng.New(seed)
-				id := uint64(0)
-				for cycle := 0; cycle < 800; cycle++ {
-					for k := 0; k < 2; k++ {
-						id++
-						p := &packet.Packet{
-							ID: id, Type: packet.ReadReply,
-							Src: r.Intn(64), Dst: r.Intn(64),
-							Flits: packet.LongFlits, CreatedAt: n.Cycle(),
+			for _, k := range kernels {
+				t.Run(k.name, func(t *testing.T) {
+					opt := newWorkerNet(t, v.rt, v.pol, k.workers, v.opts...)
+					ref := newWorkerNet(t, v.rt, v.pol, k.workers, v.opts...)
+					ref.reference = true
+					if k.spans {
+						sp, err := obs.NewSpans(1, 0)
+						if err != nil {
+							t.Fatal(err)
 						}
-						n.Inject(p)
+						opt.SetSpans(sp)
 					}
-					n.Step()
-					if err := n.CheckInvariants(); err != nil {
-						t.Fatalf("cycle %d: %v", cycle, err)
+					checkStepperEquivalence(t, opt, ref)
+					if pooled := opt.pool.workers > 0 && !k.spans; opt.pool.running != pooled {
+						t.Errorf("lane workers running: %v, want %v", opt.pool.running, pooled)
 					}
-				}
-			}
-			inject(opt, 99)
-			inject(ref, 99)
-			if opt.FlitsInFlight() != ref.FlitsInFlight() {
-				t.Errorf("in-flight diverged: %d vs %d", opt.FlitsInFlight(), ref.FlitsInFlight())
-			}
-			if opt.lastMove != ref.lastMove {
-				t.Errorf("movement tracking diverged: %d vs %d", opt.lastMove, ref.lastMove)
-			}
-			so, sr := opt.Stats(), ref.Stats()
-			if so.InjectedPackets != sr.InjectedPackets || so.EjectedPackets != sr.EjectedPackets {
-				t.Errorf("packet accounting diverged: inj %v/%v ej %v/%v",
-					so.InjectedPackets, sr.InjectedPackets, so.EjectedPackets, sr.EjectedPackets)
-			}
-			for c := 0; c < packet.NumClasses; c++ {
-				if so.NetLatency[c] != sr.NetLatency[c] || so.TotalLatency[c] != sr.TotalLatency[c] {
-					t.Errorf("class %d latency accumulators diverged", c)
-				}
-				for i := range so.LinkFlits[c] {
-					if so.LinkFlits[c][i] != sr.LinkFlits[c][i] {
-						t.Fatalf("class %d link %d flit counts diverged", c, i)
-					}
-				}
-			}
-			do := opt.Drain(5000)
-			dr := ref.Drain(5000)
-			if do != dr || opt.FlitsInFlight() != ref.FlitsInFlight() {
-				t.Errorf("drain diverged: %v(%d) vs %v(%d)", do, opt.FlitsInFlight(), dr, ref.FlitsInFlight())
+				})
 			}
 		})
+	}
+}
+
+// checkStepperEquivalence drives opt and ref with one injection schedule and
+// compares them.
+func checkStepperEquivalence(t *testing.T, opt, ref *Network) {
+	t.Helper()
+	attachCollectors(opt)
+	attachCollectors(ref)
+	inject := func(n *Network, seed uint64) {
+		r := rng.New(seed)
+		id := uint64(0)
+		for cycle := 0; cycle < 800; cycle++ {
+			for k := 0; k < 2; k++ {
+				id++
+				p := &packet.Packet{
+					ID: id, Type: packet.ReadReply,
+					Src: r.Intn(64), Dst: r.Intn(64),
+					Flits: packet.LongFlits, CreatedAt: n.Cycle(),
+				}
+				n.Inject(p)
+			}
+			n.Step()
+			if err := n.CheckInvariants(); err != nil {
+				t.Fatalf("cycle %d: %v", cycle, err)
+			}
+		}
+	}
+	inject(opt, 99)
+	inject(ref, 99)
+	if opt.FlitsInFlight() != ref.FlitsInFlight() {
+		t.Errorf("in-flight diverged: %d vs %d", opt.FlitsInFlight(), ref.FlitsInFlight())
+	}
+	if opt.lastMove != ref.lastMove {
+		t.Errorf("movement tracking diverged: %d vs %d", opt.lastMove, ref.lastMove)
+	}
+	so, sr := opt.Stats(), ref.Stats()
+	if so.InjectedPackets != sr.InjectedPackets || so.EjectedPackets != sr.EjectedPackets {
+		t.Errorf("packet accounting diverged: inj %v/%v ej %v/%v",
+			so.InjectedPackets, sr.InjectedPackets, so.EjectedPackets, sr.EjectedPackets)
+	}
+	for c := 0; c < packet.NumClasses; c++ {
+		if so.NetLatency[c] != sr.NetLatency[c] || so.TotalLatency[c] != sr.TotalLatency[c] {
+			t.Errorf("class %d latency accumulators diverged", c)
+		}
+		for i := range so.LinkFlits[c] {
+			if so.LinkFlits[c][i] != sr.LinkFlits[c][i] {
+				t.Fatalf("class %d link %d flit counts diverged", c, i)
+			}
+		}
+	}
+	do := opt.Drain(5000)
+	dr := ref.Drain(5000)
+	if do != dr || opt.FlitsInFlight() != ref.FlitsInFlight() {
+		t.Errorf("drain diverged: %v(%d) vs %v(%d)", do, opt.FlitsInFlight(), dr, ref.FlitsInFlight())
 	}
 }
 
