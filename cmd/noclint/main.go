@@ -5,8 +5,7 @@
 // seed provenance (every rng.Stream comes from rng.New/Split and stays
 // goroutine-local), panic hygiene (package-prefixed messages or Must*
 // constructors only), and the semantic safety contracts — lane ownership in
-// the parallel kernel (laneowner), zero-allocation hot paths (hotpath), and
-// frozen published buffers (publish).
+// the parallel kernel (laneowner) and frozen published buffers (publish).
 //
 // Usage:
 //

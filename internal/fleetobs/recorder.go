@@ -127,8 +127,6 @@ func NewRecorder(size int) *Recorder {
 
 // Record appends one event, overwriting the oldest when the ring is full.
 // Single-writer: the owner's goroutine (or lock) serializes calls.
-//
-//noclint:hotpath root: flight-recorder store, a few int64 writes into a preallocated ring
 func (r *Recorder) Record(cycle int64, k Kind, a, b, c int64) {
 	if r == nil {
 		return

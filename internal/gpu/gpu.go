@@ -259,15 +259,7 @@ func (s *Simulator) Close() { s.Net.Close() }
 func (s *Simulator) gpuTotals() stats.GPU {
 	var g stats.GPU
 	for i := range s.shards {
-		m := &s.shards[i]
-		g.Instructions += m.Instructions
-		g.MemRequests += m.MemRequests
-		g.L1Hits += m.L1Hits
-		g.L1Misses += m.L1Misses
-		g.L2Hits += m.L2Hits
-		g.L2Misses += m.L2Misses
-		g.InstFetchMisses += m.InstFetchMisses
-		g.StallCycles += m.StallCycles
+		g.Add(&s.shards[i])
 	}
 	return g
 }
@@ -471,7 +463,8 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	}
 
 	res := s.result(false, int64(s.Cfg.MeasureCycles))
-	res.GPU = delta(before, s.gpuTotals())
+	res.GPU = s.gpuTotals()
+	res.GPU.Sub(&before)
 	res.GPU.Cycles = int64(s.Cfg.MeasureCycles)
 	res.IPC = res.GPU.IPC()
 	return res, nil
@@ -607,19 +600,6 @@ func (s *Simulator) result(deadlocked bool, cycles int64) Result {
 		Tel:        s.Tel,
 		Spans:      s.Spans,
 		Flight:     s.Flight,
-	}
-}
-
-func delta(before, after stats.GPU) stats.GPU {
-	return stats.GPU{
-		Instructions:    after.Instructions - before.Instructions,
-		MemRequests:     after.MemRequests - before.MemRequests,
-		L1Hits:          after.L1Hits - before.L1Hits,
-		L1Misses:        after.L1Misses - before.L1Misses,
-		L2Hits:          after.L2Hits - before.L2Hits,
-		L2Misses:        after.L2Misses - before.L2Misses,
-		InstFetchMisses: after.InstFetchMisses - before.InstFetchMisses,
-		StallCycles:     after.StallCycles - before.StallCycles,
 	}
 }
 

@@ -6,14 +6,14 @@ import (
 	"strings"
 )
 
-// Call-graph construction shared by the semantic analyzers (laneowner,
-// hotpath). The graph is intra-package and conservative in the direction the
-// analyzers need: an edge exists for every static call AND for every bare
-// reference to a package function (a function stored or passed as a value may
-// be called later, so its body must satisfy the same discipline as its
-// referents). Dynamic calls through interfaces or function-typed values have
-// no edge — the analyzers compensate by flagging such calls directly when
-// their receiver or callee is rooted in shared state.
+// Call-graph construction for the laneowner analyzer. The graph is
+// intra-package and conservative in the direction the analyzer needs: an
+// edge exists for every static call AND for every bare reference to a package
+// function (a function stored or passed as a value may be called later, so
+// its body must satisfy the same discipline as its referents). Dynamic calls
+// through interfaces or function-typed values have no edge — the analyzer
+// compensates by flagging such calls directly when their receiver or callee
+// is rooted in shared state.
 //
 // Function literals are folded into their enclosing declaration: a call made
 // inside a closure is an edge from the function that created the closure.
@@ -162,8 +162,8 @@ func (g *callGraph) goRoots() []*types.Func {
 }
 
 // docRoots returns the functions whose doc comment carries a line starting
-// with marker: the annotation-driven roots of the hotpath analyzer, and the
-// way laneowner learns of worker entry points no go statement reaches.
+// with marker: the way laneowner learns of worker entry points no go
+// statement reaches.
 func (g *callGraph) docRoots(marker string) []*types.Func {
 	var roots []*types.Func
 	for fn, fd := range g.decls {

@@ -31,16 +31,16 @@ import (
 // `go func(){}` literal) seeds the reachable set, so adding a new worker
 // phase automatically extends the checked region. What discovery cannot see
 // is code the workers reach through a callback defined in another package —
-// Network.Inject, called by the endpoints SetStage's stage ticks on the lanes — so,
-// mirroring hotpath, a function whose doc comment carries a
+// Network.Inject, called by the endpoints SetStage's stage ticks on the
+// lanes — so a function whose doc comment carries a
 // `//noclint:laneowner root: <why>` line is a root too. Genuinely safe
 // sites — single-writer slots, serial-only observers — carry justified
 // //noclint:laneowner directives.
 const laneownerName = "laneowner"
 
-// laneownerRootMarker is the doc-comment prefix that roots a function. Like
-// hotpathMarker it parses as a justified noclint directive, so the
-// reason-required rule covers it.
+// laneownerRootMarker is the doc-comment prefix that roots a function. It
+// parses as a justified noclint directive, so the reason-required rule
+// covers it.
 const laneownerRootMarker = "//noclint:laneowner root:"
 
 var Laneowner = &Analyzer{

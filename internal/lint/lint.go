@@ -4,7 +4,7 @@
 // fingerprints, the test suite and every figure depend on it) and disciplined
 // failure behavior in the simulation hot paths.
 //
-// Three analyzers run over the module's production code:
+// Five analyzers run over the module's production code:
 //
 //   - determinism: forbids wall-clock reads (time.Now, time.Since, ...),
 //     math/rand, and map iteration inside simulation packages, all of which
@@ -15,12 +15,16 @@
 //   - paniclint: no bare panic in internal packages — a panic must carry a
 //     package-prefixed message (the "noc: ..." convention) or live in a
 //     Must* constructor.
+//   - laneowner: code reachable inside a parallel worker phase writes only
+//     lane-owned network state.
+//   - publish: a buffer published to the obs exposition server is never
+//     written again.
 //
 // Findings at wall-clock-legitimate sites are suppressed by an explicit
 // per-analyzer path allowlist (DefaultConfig) or by a justified source
 // directive: `//noclint:<analyzer> <reason>` on or immediately above the
-// offending line. A directive without a reason is itself a finding, so every
-// suppression is documented in place.
+// offending line. A directive without a reason, or naming no analyzer, is
+// itself a finding, so every suppression is documented in place.
 package lint
 
 import (
@@ -34,7 +38,6 @@ import (
 // Finding is one analyzer diagnosis at a source position.
 type Finding struct {
 	Analyzer string
-	Severity string // SeverityError or SeverityWarning; filled by Run
 	Pos      token.Position
 	Message  string
 }
@@ -48,18 +51,13 @@ func (f Finding) String() string {
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Severity classifies the analyzer's findings (SeverityError when
-	// empty). Warnings are heuristic checks with documented false-positive
-	// modes (hotpath); they still fail the run.
-	Severity string
-	Run      func(*Context) []Finding
+	Run  func(*Context) []Finding
 }
 
 // Analyzers returns the full suite in deterministic order: the three
-// syntactic analyzers from PR 2, then the three semantic analyzers
-// (call-graph based) from PR 7.
+// syntactic analyzers, then the two call-graph based ones.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, Seedflow, Paniclint, Laneowner, Hotpath, Publish}
+	return []*Analyzer{Determinism, Seedflow, Paniclint, Laneowner, Publish}
 }
 
 // Context is what an analyzer sees: the package under analysis plus the
@@ -149,8 +147,9 @@ type directive struct {
 }
 
 // parseDirectives extracts //noclint:<analyzer> <reason> comments from a
-// file. Directives missing a reason are returned separately as findings:
-// an unjustified suppression is itself a defect.
+// file. Directives missing a reason or naming no analyzer of the full suite
+// are returned separately as findings: an unjustified suppression is itself a
+// defect, and a misspelled one would silently suppress nothing.
 func parseDirectives(fset *token.FileSet, f *ast.File) ([]directive, []Finding) {
 	var dirs []directive
 	var bad []Finding
@@ -162,19 +161,34 @@ func parseDirectives(fset *token.FileSet, f *ast.File) ([]directive, []Finding) 
 			}
 			name, reason, _ := strings.Cut(rest, " ")
 			pos := fset.Position(c.Pos())
-			if strings.TrimSpace(reason) == "" {
-				bad = append(bad, Finding{
-					Analyzer: "noclint",
-					Severity: SeverityError,
-					Pos:      pos,
-					Message:  fmt.Sprintf("//noclint:%s directive needs a justification after the analyzer name", name),
-				})
+			msg := ""
+			switch {
+			case !knownAnalyzer(name):
+				msg = fmt.Sprintf("//noclint:%s names no analyzer (see noclint -list)", name)
+			case strings.TrimSpace(reason) == "":
+				msg = fmt.Sprintf("//noclint:%s directive needs a justification after the analyzer name", name)
+			default:
+				dirs = append(dirs, directive{analyzer: name, reason: reason, line: pos.Line, pos: pos})
 				continue
 			}
-			dirs = append(dirs, directive{analyzer: name, reason: reason, line: pos.Line, pos: pos})
+			bad = append(bad, Finding{Analyzer: "noclint", Pos: pos, Message: msg})
 		}
 	}
 	return dirs, bad
+}
+
+// knownAnalyzer reports whether a directive's name is "*" or one of the full
+// suite's analyzers, regardless of which subset the run selected.
+func knownAnalyzer(name string) bool {
+	if name == "*" {
+		return true
+	}
+	for _, a := range Analyzers() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // suppressed reports whether a finding at pos is covered by a directive on
@@ -208,15 +222,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg Config, modulePath string) 
 		}
 		for _, a := range analyzers {
 			ctx := &Context{Pkg: pkg, Cfg: cfg, ModulePath: modulePath}
-			sev := a.Severity
-			if sev == "" {
-				sev = SeverityError
-			}
 			for _, f := range a.Run(ctx) {
 				if cfg.Allowed(a.Name, f.Pos.Filename) || suppressed(dirs, a.Name, f.Pos) {
 					continue
 				}
-				f.Severity = sev
 				f.Pos.Filename = cfg.rel(f.Pos.Filename)
 				out = append(out, f)
 			}

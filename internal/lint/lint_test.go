@@ -100,9 +100,9 @@ func TestDeterminismFixture(t *testing.T) {
 	pkg := loadFixture(t, l, "determfix", "gpgpunoc/testdata/determfix")
 	extra := checkFixture(t, pkg, Determinism, l.ModulePath())
 
-	// The reasonless //noclint:determinism directive in BadDirective must be
-	// reported by the framework itself; it cannot carry a want comment because
-	// the directive line is the finding.
+	// The reasonless directive in BadDirective and the misspelled one in
+	// TypoDirective must be reported by the framework itself; they cannot
+	// carry want comments because the directive line is the finding.
 	var directiveFindings []Finding
 	for _, f := range extra {
 		if f.Analyzer == "noclint" {
@@ -111,11 +111,13 @@ func TestDeterminismFixture(t *testing.T) {
 			t.Errorf("unexpected non-framework finding: %s", f)
 		}
 	}
-	if len(directiveFindings) != 1 {
-		t.Fatalf("got %d framework findings, want 1: %v", len(directiveFindings), directiveFindings)
+	if len(directiveFindings) != 2 {
+		t.Fatalf("got %d framework findings, want 2: %v", len(directiveFindings), directiveFindings)
 	}
-	if f := directiveFindings[0]; !strings.Contains(f.Message, "needs a justification") {
-		t.Errorf("framework finding message = %q, want justification diagnostic", f.Message)
+	for i, want := range []string{"needs a justification", "//noclint:determinsm names no analyzer"} {
+		if f := directiveFindings[i]; !strings.Contains(f.Message, want) {
+			t.Errorf("framework finding %d message = %q, want %q", i, f.Message, want)
+		}
 	}
 }
 

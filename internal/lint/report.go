@@ -8,20 +8,10 @@ import (
 	"strings"
 )
 
-// Severity levels. Every analyzer declares one; the distinction is carried
-// into the machine-readable outputs so downstream tooling can triage, but
-// any finding of any severity fails the lint run — a warning is a defect
-// with known false-positive modes, not an ignorable note.
-const (
-	SeverityError   = "error"
-	SeverityWarning = "warning"
-)
-
 // jsonFinding is the machine-readable encoding of one finding, stable for
 // CI consumers (`cmd/noclint -format json`).
 type jsonFinding struct {
 	Analyzer string `json:"analyzer"`
-	Severity string `json:"severity"`
 	File     string `json:"file"`
 	Line     int    `json:"line"`
 	Column   int    `json:"column"`
@@ -45,7 +35,6 @@ func WriteJSON(w io.Writer, findings []Finding) error {
 	for _, f := range findings {
 		rep.Findings = append(rep.Findings, jsonFinding{
 			Analyzer: f.Analyzer,
-			Severity: f.Severity,
 			File:     f.Pos.Filename,
 			Line:     f.Pos.Line,
 			Column:   f.Pos.Column,
@@ -64,12 +53,8 @@ func WriteJSON(w io.Writer, findings []Finding) error {
 func WriteGitHub(w io.Writer, findings []Finding) {
 	esc := strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A")
 	for _, f := range findings {
-		level := "error"
-		if f.Severity == SeverityWarning {
-			level = "warning"
-		}
-		fmt.Fprintf(w, "::%s file=%s,line=%d,col=%d,title=noclint/%s::%s\n",
-			level, f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, esc.Replace(f.Message))
+		fmt.Fprintf(w, "::error file=%s,line=%d,col=%d,title=noclint/%s::%s\n",
+			f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, esc.Replace(f.Message))
 	}
 }
 
@@ -83,7 +68,7 @@ func CountByAnalyzer(findings []Finding) map[string]int {
 }
 
 // Summary renders the one-line findings summary CI logs lead with, e.g.
-// "3 finding(s): hotpath=2 laneowner=1". Analyzers appear in name order so
+// "3 finding(s): laneowner=2 publish=1". Analyzers appear in name order so
 // the line is stable.
 func Summary(findings []Finding) string {
 	counts := CountByAnalyzer(findings)

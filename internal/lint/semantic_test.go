@@ -26,28 +26,6 @@ func TestLaneownerSkipsOtherPackages(t *testing.T) {
 	}
 }
 
-func TestHotpathFixture(t *testing.T) {
-	l := newTestLoader(t)
-	pkg := loadFixture(t, l, "hotpathfix", "gpgpunoc/testdata/hotpathfix")
-	if extra := checkFixture(t, pkg, Hotpath, l.ModulePath()); len(extra) != 0 {
-		t.Errorf("unexpected extra findings: %v", extra)
-	}
-}
-
-func TestHotpathSeverity(t *testing.T) {
-	l := newTestLoader(t)
-	pkg := loadFixture(t, l, "hotpathfix", "gpgpunoc/testdata/hotpathfix2")
-	findings := Run([]*Package{pkg}, []*Analyzer{Hotpath}, Config{}, l.ModulePath())
-	if len(findings) == 0 {
-		t.Fatal("hotpath fixture produced no findings")
-	}
-	for _, f := range findings {
-		if f.Severity != SeverityWarning {
-			t.Errorf("hotpath finding severity = %q, want %q: %s", f.Severity, SeverityWarning, f)
-		}
-	}
-}
-
 func TestPublishFixture(t *testing.T) {
 	l := newTestLoader(t)
 	// Preload the mini obs server under the real import path: the fixture's

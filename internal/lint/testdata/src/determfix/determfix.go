@@ -66,6 +66,17 @@ func BadDirective(m map[string]bool) int {
 	return n
 }
 
+// TypoDirective names no analyzer: the framework reports the directive and
+// the finding it meant to cover stands.
+func TypoDirective(m map[string]bool) int {
+	n := 0
+	//noclint:determinsm order-insensitive count
+	for range m { // want "map iteration order is nondeterministic"
+		n++
+	}
+	return n
+}
+
 // TimeTypesOK: referring to time types and constants is fine — only the
 // wall-clock reads are banned.
 func TimeTypesOK(d time.Duration) string { return fmt.Sprint(d) }

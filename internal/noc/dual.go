@@ -113,21 +113,8 @@ func (d *Dual) Stats() *stats.Net {
 	d.merged.Reset()
 	d.merged.Enabled = d.request.stats.Enabled
 	d.merged.Cycles = d.request.stats.Cycles
-	for _, src := range []*stats.Net{d.request.Stats(), d.reply.Stats()} {
-		for t := 0; t < packet.NumTypes; t++ {
-			d.merged.InjectedPackets[t] += src.InjectedPackets[t]
-			d.merged.InjectedFlits[t] += src.InjectedFlits[t]
-			d.merged.EjectedPackets[t] += src.EjectedPackets[t]
-			d.merged.EjectedFlits[t] += src.EjectedFlits[t]
-		}
-		for c := 0; c < packet.NumClasses; c++ {
-			for i, v := range src.LinkFlits[c] {
-				d.merged.LinkFlits[c][i] += v
-			}
-			d.merged.TotalLatency[c].Merge(&src.TotalLatency[c])
-			d.merged.NetLatency[c].Merge(&src.NetLatency[c])
-		}
-	}
+	d.merged.Merge(d.request.Stats())
+	d.merged.Merge(d.reply.Stats())
 	return d.merged
 }
 

@@ -581,8 +581,6 @@ func (n *Network) sinkAccept(node mesh.NodeID, f packet.Flit) bool {
 // (op.pending, op.dirty) are written only by the lane owning the downstream
 // router — a boundary port's owning lane concurrently touches only disjoint
 // fields (credits, reg, owner).
-//
-//noclint:hotpath root: credit tally, once per flit moved through the switch
 func (n *Network) queueCredit(ln *lane, rt *router, inPort mesh.Direction, vcIdx int) {
 	op := rt.upstream[inPort]
 	if op == nil {
@@ -595,7 +593,7 @@ func (n *Network) queueCredit(ln *lane, rt *router, inPort mesh.Direction, vcIdx
 		if up := int(rt.out[inPort].downNode); up >= ln.lo && up < ln.hi { // op's router: rt's neighbour through inPort
 			list = &ln.creditLocal
 		}
-		*list = append(*list, op) //noclint:hotpath amortized: both lists are sized for every port they can hold at construction and reset to [:0] by applyCredits
+		*list = append(*list, op)
 	}
 }
 
@@ -656,7 +654,7 @@ func (n *Network) injectNode(ln *lane, id int) {
 			p.InjectedAt = n.cycle
 			ln.stats.CountInjection(p)
 			if n.spans != nil && p.Sampled {
-				//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
+				//noclint:laneowner serial-only: the lanes stay on the stepping goroutine whenever a span collector is attached
 				n.spans.Injected(p, best, n.cycle)
 			}
 		}
@@ -712,7 +710,7 @@ func (n *Network) linkPhase(ln *lane, rt *router) {
 		if dn := int(op.downNode); dn >= ln.lo && dn < ln.hi {
 			n.deliver(ln, ln, op)
 		} else {
-			ln.outbox = append(ln.outbox, op) //noclint:hotpath amortized: sized for every boundary port at construction and reset to [:0] by the serial tail
+			ln.outbox = append(ln.outbox, op)
 		}
 	}
 }

@@ -257,8 +257,6 @@ func (n *Network) retile(cut []int) {
 }
 
 // injectPhase runs injectNode for the lane's scheduled queues, ascending.
-//
-//noclint:hotpath root: per-cycle injection phase of the cycle kernel
 func (n *Network) injectPhase(ln *lane) {
 	ln.moved = false
 	for wi, w := range ln.queues {
@@ -275,8 +273,6 @@ func (n *Network) injectPhase(ln *lane) {
 // keeps its bit: an observed run charges its stalls every cycle, so it must
 // stay visited, only cheaply (idleVisit); out of the mask, every traced run
 // would pay for full visits instead.
-//
-//noclint:hotpath root: per-cycle router step (RC/VA/SA/ST)
 func (n *Network) routerPhase(ln *lane) {
 	for wi, w := range ln.routers {
 		for base := wi << 6; w != 0; w &= w - 1 {
@@ -307,8 +303,6 @@ func (n *Network) idleVisit(ln *lane, rt *router) {
 
 // linkPhaseLane delivers completed link traversals for the lane's routers
 // with an occupied link register, ascending.
-//
-//noclint:hotpath root: per-cycle link traversal phase
 func (n *Network) linkPhaseLane(ln *lane) {
 	for wi, w := range ln.links {
 		for base := wi << 6; w != 0; w &= w - 1 {
@@ -333,28 +327,12 @@ func (n *Network) laneCycle(ln *lane) {
 }
 
 // foldStats drains every lane's stats shard into the shared collector in
-// lane order. All sampler updates are integer sums, mins, maxes, and bucket
-// counts, so the fold reproduces exactly what serial accumulation would
+// lane order; Merge makes the fold exactly what serial accumulation would
 // have produced.
 func (n *Network) foldStats() {
 	for li := range n.lanes {
-		src := n.lanes[li].stats
-		for t := 0; t < packet.NumTypes; t++ {
-			n.stats.InjectedPackets[t] += src.InjectedPackets[t]
-			n.stats.InjectedFlits[t] += src.InjectedFlits[t]
-			n.stats.EjectedPackets[t] += src.EjectedPackets[t]
-			n.stats.EjectedFlits[t] += src.EjectedFlits[t]
-			src.InjectedPackets[t] = 0
-			src.InjectedFlits[t] = 0
-			src.EjectedPackets[t] = 0
-			src.EjectedFlits[t] = 0
-		}
-		for c := 0; c < packet.NumClasses; c++ {
-			n.stats.TotalLatency[c].Merge(&src.TotalLatency[c])
-			n.stats.NetLatency[c].Merge(&src.NetLatency[c])
-			src.TotalLatency[c] = stats.Sampler{}
-			src.NetLatency[c] = stats.Sampler{}
-		}
+		n.stats.Merge(n.lanes[li].stats)
+		n.lanes[li].stats.Reset()
 	}
 }
 
@@ -475,8 +453,6 @@ func (p *workerPool) release() {
 // sleepers increment is published before the locked gen re-check, so a
 // concurrent release either sees the sleeper or the re-check sees the new
 // gen.
-//
-//noclint:hotpath root: per-generation barrier wait on the worker side
 func (p *workerPool) await(g uint64) {
 	for r := 0; ; r++ {
 		for i := 0; i < spinLoads; i++ {
@@ -512,8 +488,6 @@ func (p *workerPool) arrive() {
 // parking on gcond — then resets the count for the next one. The reset is
 // safe without further synchronization: workers do not touch arrived again
 // until after the next release.
-//
-//noclint:hotpath root: per-generation barrier wait on the coordinator side
 func (p *workerPool) gather() {
 	p.awaitArrivals()
 	p.arrived.Store(0)

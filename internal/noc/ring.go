@@ -35,7 +35,6 @@ func (r *ring) len() int  { return r.n }
 func (r *ring) cap() int  { return len(r.buf) }
 func (r *ring) free() int { return len(r.buf) - r.n }
 
-//noclint:hotpath root: VC ring push, once per flit buffered
 func (r *ring) push(f packet.Flit, cycle int64) {
 	if r.n == len(r.buf) {
 		panic("noc: VC buffer overflow; credit accounting is broken")
@@ -50,8 +49,6 @@ func (r *ring) push(f packet.Flit, cycle int64) {
 
 // front returns the oldest buffered flit without copying it; the pointer is
 // valid until the next push or pop.
-//
-//noclint:hotpath root: VC ring peek, at RC, the VA grant and ejection
 func (r *ring) front() *bufFlit {
 	if r.n == 0 {
 		panic("noc: front of empty VC buffer")
@@ -62,8 +59,6 @@ func (r *ring) front() *bufFlit {
 // frontArrived returns the arrival cycle of the oldest buffered flit, from
 // which the router stamps the VC's pipeline gate when a pop exposes a new
 // front.
-//
-//noclint:hotpath root: VC ring peek, once per flit moved through the switch
 func (r *ring) frontArrived() int64 {
 	if r.n == 0 {
 		panic("noc: front of empty VC buffer")
@@ -71,7 +66,6 @@ func (r *ring) frontArrived() int64 {
 	return r.buf[r.head].arrived
 }
 
-//noclint:hotpath root: VC ring pop, once per flit moved through the switch
 func (r *ring) pop() bufFlit {
 	if r.n == 0 {
 		panic("noc: front of empty VC buffer")

@@ -303,7 +303,7 @@ func (n *Network) vcAllocate(rt *router) {
 				rt.credOK |= bit
 			}
 			if n.spans != nil && front.Pkt.Sampled {
-				//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
+				//noclint:laneowner serial-only: the lanes stay on the stepping goroutine whenever a span collector is attached
 				n.spans.VCGrant(front.Pkt, int(rt.id), int(op.downNode), ovc, n.cycle)
 			}
 			rt.vaPtr[d] = idx + 1
@@ -433,7 +433,7 @@ func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
 		}
 		if n.spans != nil {
 			if pkt := ivc.buf.front().flit.Pkt; pkt.Sampled {
-				//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
+				//noclint:laneowner serial-only: the lanes stay on the stepping goroutine whenever a span collector is attached
 				n.spans.Stall(pkt, int(rt.id), cause, n.cycle)
 			}
 		}
@@ -498,10 +498,10 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 				// Deferred to the end-of-cycle flush: the latency histograms
 				// are shared across lanes, so observations are replayed in
 				// lane order at the cycle boundary.
-				ln.ejected = append(ln.ejected, f.Pkt) //noclint:hotpath amortized: ejected keeps its backing array across the serial tail's [:0] reset
+				ln.ejected = append(ln.ejected, f.Pkt)
 			}
 			if n.spans != nil && f.Pkt.Sampled {
-				//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
+				//noclint:laneowner serial-only: the lanes stay on the stepping goroutine whenever a span collector is attached
 				n.spans.Ejected(f.Pkt, n.cycle)
 			}
 		}
@@ -526,7 +526,7 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 			n.tel.LinkFlits[f.Pkt.Class()][n.m.LinkIndex(mesh.Link{From: rt.id, Dir: d})].Inc()
 		}
 		if n.spans != nil && f.Head && f.Pkt.Sampled {
-			//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
+			//noclint:laneowner serial-only: the lanes stay on the stepping goroutine whenever a span collector is attached
 			n.spans.Hop(f.Pkt, int(rt.id), int(op.downNode), ivc.outVC, n.cycle)
 		}
 	}

@@ -123,12 +123,33 @@ func NewNet(m mesh.Mesh) *Net {
 	return n
 }
 
-// Reset zeroes all counters (used at the warmup/measurement boundary).
+// Reset zeroes all counters in place, keeping Enabled, Mesh and the link
+// arrays' storage.
 func (n *Net) Reset() {
-	en, m := n.Enabled, n.Mesh
-	*n = Net{Enabled: en, Mesh: m}
+	en, m, links := n.Enabled, n.Mesh, n.LinkFlits
+	*n = Net{Enabled: en, Mesh: m, LinkFlits: links}
 	for c := range n.LinkFlits {
-		n.LinkFlits[c] = make([]int64, m.NumLinkSlots())
+		clear(n.LinkFlits[c])
+	}
+}
+
+// Merge adds src's counters into n: packet and flit counts, per-link flits
+// and both latency distributions. Enabled, Mesh and Cycles stay n's. Every
+// update is an integer sum, min, max or bucket count, so merging shards in
+// a fixed order reproduces unsharded accumulation exactly.
+func (n *Net) Merge(src *Net) {
+	for t := range n.InjectedPackets {
+		n.InjectedPackets[t] += src.InjectedPackets[t]
+		n.InjectedFlits[t] += src.InjectedFlits[t]
+		n.EjectedPackets[t] += src.EjectedPackets[t]
+		n.EjectedFlits[t] += src.EjectedFlits[t]
+	}
+	for c := range n.LinkFlits {
+		for i, v := range src.LinkFlits[c] {
+			n.LinkFlits[c][i] += v
+		}
+		n.TotalLatency[c].Merge(&src.TotalLatency[c])
+		n.NetLatency[c].Merge(&src.NetLatency[c])
 	}
 }
 
@@ -237,6 +258,23 @@ type GPU struct {
 	L2Misses        int64
 	InstFetchMisses int64 // L1I misses that went to the network
 	StallCycles     int64 // SM cycles with no warp ready to issue
+}
+
+// Add adds o's counters into g; Enabled and Cycles stay g's.
+func (g *GPU) Add(o *GPU) { g.addScaled(o, 1) }
+
+// Sub subtracts o's counters from g; Enabled and Cycles stay g's.
+func (g *GPU) Sub(o *GPU) { g.addScaled(o, -1) }
+
+func (g *GPU) addScaled(o *GPU, k int64) {
+	g.Instructions += k * o.Instructions
+	g.MemRequests += k * o.MemRequests
+	g.L1Hits += k * o.L1Hits
+	g.L1Misses += k * o.L1Misses
+	g.L2Hits += k * o.L2Hits
+	g.L2Misses += k * o.L2Misses
+	g.InstFetchMisses += k * o.InstFetchMisses
+	g.StallCycles += k * o.StallCycles
 }
 
 // IPC returns warp-instructions per cycle, the paper's performance metric.

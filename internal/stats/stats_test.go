@@ -185,6 +185,58 @@ func TestNetReset(t *testing.T) {
 	}
 }
 
+// TestNetMerge: merging two shards equals counting everything in one.
+func TestNetMerge(t *testing.T) {
+	a, b, all := mkNet(), mkNet(), mkNet()
+	east := mesh.Link{From: 0, Dir: mesh.East}
+	for i, p := range []*packet.Packet{
+		{Type: packet.ReadReply, Flits: 5, CreatedAt: 0, InjectedAt: 3, EjectedAt: 40},
+		{Type: packet.ReadRequest, Flits: 1, CreatedAt: 2, InjectedAt: 2, EjectedAt: 9},
+		{Type: packet.ReadReply, Flits: 5, CreatedAt: 1, InjectedAt: 8, EjectedAt: 90},
+	} {
+		shard := a
+		if i%2 == 1 {
+			shard = b
+		}
+		for _, n := range []*Net{shard, all} {
+			n.CountInjection(p)
+			n.CountEjection(p)
+			n.CountLink(east, p.Class())
+		}
+	}
+	a.Merge(b)
+	if a.EjectedFlits != all.EjectedFlits || a.InjectedPackets != all.InjectedPackets ||
+		a.TotalLatency != all.TotalLatency || a.NetLatency != all.NetLatency {
+		t.Errorf("merge of shards != unsharded counts:\n%+v\n%+v", a, all)
+	}
+	for c := range all.LinkFlits {
+		for i, v := range all.LinkFlits[c] {
+			if a.LinkFlits[c][i] != v {
+				t.Errorf("link %d class %d: merged %d, want %d", i, c, a.LinkFlits[c][i], v)
+			}
+		}
+	}
+	links := &a.LinkFlits[packet.Reply][0]
+	a.Reset()
+	if &a.LinkFlits[packet.Reply][0] != links {
+		t.Error("Reset reallocated the link arrays")
+	}
+}
+
+func TestGPUAddSub(t *testing.T) {
+	a := GPU{Cycles: 7, Instructions: 10, MemRequests: 2, L1Hits: 3, L1Misses: 4, L2Hits: 5, L2Misses: 6, InstFetchMisses: 7, StallCycles: 8}
+	b := GPU{Cycles: 9, Instructions: 1, MemRequests: 1, L1Hits: 1, L1Misses: 1, L2Hits: 1, L2Misses: 1, InstFetchMisses: 1, StallCycles: 1}
+	g := a
+	g.Add(&b)
+	if g.Instructions != 11 || g.StallCycles != 9 || g.Cycles != 7 {
+		t.Errorf("Add: %+v", g)
+	}
+	g.Sub(&b)
+	if g != a {
+		t.Errorf("Add then Sub = %+v, want %+v", g, a)
+	}
+}
+
 func TestGPUMetrics(t *testing.T) {
 	g := GPU{Cycles: 100, Instructions: 250, L1Hits: 60, L1Misses: 40, L2Hits: 30, L2Misses: 10}
 	if ipc := g.IPC(); math.Abs(ipc-2.5) > 1e-12 {

@@ -7,9 +7,10 @@ import (
 	"gpgpunoc/internal/packet"
 )
 
-// The probe hot path's zero-allocation contract — statically proven by the
-// hotpath analyzer from the //noclint:hotpath roots on Counter.Inc, Gauge.Set
-// and Histogram.Observe — is pinned dynamically here.
+// The probe hot path's zero-allocation contract — Counter.Inc/Add,
+// Gauge.Set/Add, Histogram.Observe and NetProbes.PacketEjected — is checked
+// here on the real code; the noc kernel's steady-state pin covers the same
+// probes as the network drives them.
 
 func TestProbeUpdatesDoNotAllocate(t *testing.T) {
 	reg := NewRegistry()

@@ -197,8 +197,6 @@ func (np *NetProbes) InjQueue(id mesh.NodeID, fn func() int64) {
 // PacketEjected records per-packet telemetry at tail ejection. For replies
 // carrying request-phase timestamps (stamped by the MC) it accumulates the
 // four-segment latency decomposition into the class histograms.
-//
-//noclint:hotpath root: per-packet telemetry at tail ejection
 func (np *NetProbes) PacketEjected(p *packet.Packet, cycle int64) {
 	if p.Class() != packet.Reply || !p.ReqTimed {
 		return

@@ -44,13 +44,9 @@ func (k Kind) String() string {
 type Counter struct{ v int64 }
 
 // Inc adds one.
-//
-//noclint:hotpath root: probe increment, once per instrumented event
 func (c *Counter) Inc() { c.v++ }
 
 // Add adds n.
-//
-//noclint:hotpath root: probe increment, once per instrumented batch
 func (c *Counter) Add(n int64) { c.v += n }
 
 // Value returns the current count.
@@ -60,8 +56,6 @@ func (c *Counter) Value() int64 { return c.v }
 type Gauge struct{ v int64 }
 
 // Set replaces the level.
-//
-//noclint:hotpath root: probe level update from instrumented components
 func (g *Gauge) Set(v int64) { g.v = v }
 
 // Inc adds one.
@@ -71,8 +65,6 @@ func (g *Gauge) Inc() { g.v++ }
 func (g *Gauge) Dec() { g.v-- }
 
 // Add adds n (may be negative).
-//
-//noclint:hotpath root: probe level update from instrumented components
 func (g *Gauge) Add(n int64) { g.v += n }
 
 // Value returns the current level.
@@ -104,8 +96,6 @@ func newHistogram(bounds []int64) *Histogram {
 }
 
 // Observe records one value.
-//
-//noclint:hotpath root: histogram update, once per latency sample
 func (h *Histogram) Observe(v int64) {
 	if h.count == 0 || v < h.min {
 		h.min = v
