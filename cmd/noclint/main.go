@@ -3,14 +3,15 @@
 // guards the properties the reproduction depends on: bit-exact determinism
 // (no wall clocks, no math/rand, no map iteration in simulation packages),
 // seed provenance (every rng.Stream comes from rng.New/Split and stays
-// goroutine-local), panic hygiene (package-prefixed messages or Must*
-// constructors only), and the semantic safety contracts — lane ownership in
-// the parallel kernel (laneowner) and frozen published buffers (publish).
+// goroutine-local) and panic hygiene (package-prefixed messages or Must*
+// constructors only). Lane ownership in the parallel kernel is checked by
+// the -race lane suites of internal/noc, not here.
 //
 // Usage:
 //
 //	noclint                               # analyze ./internal/... ./cmd/...
 //	noclint ./internal/noc ./cmd/sweep    # analyze specific packages
+//	noclint -C .. ./internal/obs          # module root given relative to the working directory
 //	noclint -analyzers determinism        # run a subset
 //	noclint -format json                  # machine-readable report
 //	noclint -format github                # GitHub Actions annotations
@@ -25,94 +26,113 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"gpgpunoc/internal/lint"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters, so tests can pin
+// what it prints. It returns the process exit code: 2 for flags it cannot
+// parse, 1 for a refused option, a load error, any finding or a blown
+// -max-elapsed budget.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("noclint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		names      = flag.String("analyzers", "", "comma-separated analyzer subset (default all)")
-		format     = flag.String("format", "text", "output format: text, json, or github")
-		list       = flag.Bool("list", false, "describe the analyzers and exit")
-		root       = flag.String("C", ".", "module root directory")
-		maxElapsed = flag.Duration("max-elapsed", 0, "fail if loading and analysis take longer (0 disables)")
+		names      = fs.String("analyzers", "", "comma-separated analyzer subset (default all)")
+		format     = fs.String("format", "text", "output format: text, json, or github")
+		list       = fs.Bool("list", false, "describe the analyzers and exit")
+		rootDir    = fs.String("C", ".", "module root directory")
+		maxElapsed = fs.Duration("max-elapsed", 0, "fail if loading and analysis take longer (0 disables)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	if *list {
 		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 	if *format != "text" && *format != "json" && *format != "github" {
-		fatal(fmt.Errorf("noclint: unknown format %q (want text, json, or github)", *format))
+		return fail(fmt.Errorf("noclint: unknown format %q (want text, json, or github)", *format))
 	}
 
 	analyzers, err := selectAnalyzers(*names)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./internal/...", "./cmd/..."}
 	}
 
-	start := time.Now()
-	loader, err := lint.NewLoader(*root)
+	// The loader names files by absolute path, so the allowlist's root must
+	// be absolute too, or no module-relative fragment ever matches.
+	root, err := filepath.Abs(*rootDir)
 	if err != nil {
-		fatal(err)
+		return fail(err)
+	}
+	start := time.Now()
+	loader, err := lint.NewLoader(root)
+	if err != nil {
+		return fail(err)
 	}
 	paths, err := loader.Expand(patterns...)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var pkgs []*lint.Package
 	for _, p := range paths {
 		pkg, err := loader.Load(p)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		pkgs = append(pkgs, pkg)
 	}
 
-	cfg := lint.DefaultConfig(mustAbs(*root))
-	findings := lint.Run(pkgs, analyzers, cfg, loader.ModulePath())
+	findings := lint.Run(pkgs, analyzers, lint.DefaultConfig(root), loader.ModulePath())
 	elapsed := time.Since(start)
 
 	switch *format {
 	case "json":
-		if err := lint.WriteJSON(os.Stdout, findings); err != nil {
-			fatal(err)
+		if err := lint.WriteJSON(stdout, findings); err != nil {
+			return fail(err)
 		}
 	case "github":
-		lint.WriteGitHub(os.Stdout, findings)
+		lint.WriteGitHub(stdout, findings)
 	default:
 		for _, f := range findings {
-			fmt.Println(f)
+			fmt.Fprintln(stdout, f)
 		}
 	}
 
-	failed := false
+	code := 0
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "noclint: %s in %d package(s)\n", lint.Summary(findings), len(pkgs))
-		failed = true
+		fmt.Fprintf(stderr, "noclint: %s in %d package(s)\n", lint.Summary(findings), len(pkgs))
+		code = 1
 	}
 	// The timing guard keeps the lint gate honest: the suite typechecks the
 	// module from source on every run, and a silent slowdown there would rot
 	// the edit-check loop long before anyone profiled it.
 	if *maxElapsed > 0 && elapsed > *maxElapsed {
-		fmt.Fprintf(os.Stderr, "noclint: analysis took %s, over the -max-elapsed budget of %s\n",
+		fmt.Fprintf(stderr, "noclint: analysis took %s, over the -max-elapsed budget of %s\n",
 			elapsed.Round(time.Millisecond), *maxElapsed)
-		failed = true
+		code = 1
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return code
 }
 
 func selectAnalyzers(names string) ([]*lint.Analyzer, error) {
@@ -136,24 +156,4 @@ func selectAnalyzers(names string) ([]*lint.Analyzer, error) {
 		}
 	}
 	return out, nil
-}
-
-func mustAbs(dir string) string {
-	abs, err := absPath(dir)
-	if err != nil {
-		fatal(err)
-	}
-	return abs
-}
-
-func absPath(dir string) (string, error) {
-	if dir == "." {
-		return os.Getwd()
-	}
-	return dir, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -4,7 +4,7 @@
 // fingerprints, the test suite and every figure depend on it) and disciplined
 // failure behavior in the simulation hot paths.
 //
-// Five analyzers run over the module's production code:
+// Three analyzers run over the module's production code:
 //
 //   - determinism: forbids wall-clock reads (time.Now, time.Since, ...),
 //     math/rand, and map iteration inside simulation packages, all of which
@@ -15,10 +15,9 @@
 //   - paniclint: no bare panic in internal packages — a panic must carry a
 //     package-prefixed message (the "noc: ..." convention) or live in a
 //     Must* constructor.
-//   - laneowner: code reachable inside a parallel worker phase writes only
-//     lane-owned network state.
-//   - publish: a buffer published to the obs exposition server is never
-//     written again.
+//
+// Lane ownership in the parallel kernel is not checked here: the -race lane
+// suites of internal/noc check it on the running kernel.
 //
 // Findings at wall-clock-legitimate sites are suppressed by an explicit
 // per-analyzer path allowlist (DefaultConfig) or by a justified source
@@ -54,10 +53,9 @@ type Analyzer struct {
 	Run  func(*Context) []Finding
 }
 
-// Analyzers returns the full suite in deterministic order: the three
-// syntactic analyzers, then the two call-graph based ones.
+// Analyzers returns the full suite in deterministic order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, Seedflow, Paniclint, Laneowner, Publish}
+	return []*Analyzer{Determinism, Seedflow, Paniclint}
 }
 
 // Context is what an analyzer sees: the package under analysis plus the

@@ -400,14 +400,11 @@ func (n *Network) laneAt(id int) *lane { return &n.lanes[n.laneOf[id]] }
 // (tests, the synthetic harness) it is plain serial code. A refusal marks
 // the queue, so the drain that next frees space in it calls the node's
 // inject wake (see SetInjectWake).
-//
-//noclint:laneowner root: reached from the lane workers through the endpoint stage, which the per-package call graph cannot follow
 func (n *Network) Inject(p *packet.Packet) bool {
 	q := &n.inj[p.Src]
 	ln := &n.lanes[n.laneOf[p.Src]]
 	if q.flits+p.Flits > q.cap {
 		q.refused = true
-		//noclint:laneowner the stage hands a lane only its own nodes, so the lane of p.Src is the caller's own shard
 		ln.refusedInjects++
 		return false
 	}
@@ -417,10 +414,8 @@ func (n *Network) Inject(p *packet.Packet) bool {
 	}
 	q.Push(p)
 	q.flits += p.Flits
-	//noclint:laneowner the stage hands a lane only its own nodes, so the lane of p.Src is the caller's own shard
 	ln.injectedFlits += p.Flits
 	if n.spans != nil {
-		//noclint:laneowner serial-only: the lanes stay on the stepping goroutine whenever a span collector is attached
 		n.spans.Offer(p)
 	}
 	return true
@@ -569,7 +564,6 @@ func (n *Network) sinkAccept(node mesh.NodeID, f packet.Flit) bool {
 	if s == nil {
 		panic(fmt.Sprintf("noc: ejection at node %d with no sink", node))
 	}
-	//noclint:laneowner sinks are per-node state: a node's sink runs only on the lane owning that node
 	return s(f)
 }
 
@@ -654,7 +648,6 @@ func (n *Network) injectNode(ln *lane, id int) {
 			p.InjectedAt = n.cycle
 			ln.stats.CountInjection(p)
 			if n.spans != nil && p.Sampled {
-				//noclint:laneowner serial-only: the lanes stay on the stepping goroutine whenever a span collector is attached
 				n.spans.Injected(p, best, n.cycle)
 			}
 		}
@@ -667,7 +660,7 @@ func (n *Network) injectNode(ln *lane, id int) {
 			budget--
 			ln.moved = true
 			if n.tel != nil {
-				//noclint:laneowner single-writer counter: node id injects only on its owning lane
+				// Single writer: node id injects only on its owning lane.
 				n.tel.InjFlits[id].Inc()
 			}
 		}
@@ -684,7 +677,6 @@ func (n *Network) injectNode(ln *lane, id int) {
 	if budget < n.injRate && q.refused {
 		q.refused = false
 		if wake := n.injWake[id]; wake != nil {
-			//noclint:laneowner inject wakes are per-node state: a node's wake runs only on the lane owning that node and writes only that node's endpoint
 			wake()
 		}
 	}

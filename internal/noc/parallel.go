@@ -317,7 +317,6 @@ func (n *Network) linkPhaseLane(ln *lane) {
 // separates its stages.
 func (n *Network) laneCycle(ln *lane) {
 	if n.stage != nil {
-		//noclint:laneowner SetStage's contract confines the stage to the endpoints and injection queues of nodes in [lo, hi), which this lane owns
 		n.stage(ln.lo, ln.hi)
 	}
 	n.injectPhase(ln)

@@ -9,6 +9,7 @@ import (
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/rng"
 	"gpgpunoc/internal/routing"
+	"gpgpunoc/internal/telemetry"
 	"gpgpunoc/internal/vc"
 )
 
@@ -133,18 +134,27 @@ func TestParallelKernelEquivalence(t *testing.T) {
 // TestParallelKernelUnderLoadRace saturates the parallel kernel so the race
 // detector (make race / CI) can observe the phases overlapping for real:
 // heavy traffic, sink refusals, invariant checks at boundaries, and a full
-// drain. Without -race it doubles as a stress test.
+// drain. Without -race it doubles as a stress test. It runs twice, the
+// second time with telemetry attached: the probes every lane feeds (the
+// stall counters, the latency histograms) are written only by the serial
+// tail, and only a pooled run with probes attached lets the race detector
+// see a lane write one directly.
 func TestParallelKernelUnderLoadRace(t *testing.T) {
-	n := newWorkerNet(t, config.RoutingXY, config.VCSplit, 4)
-	driveLoad(t, n, 1500, 42, true)
-	if !n.Drain(10000) {
-		t.Fatalf("failed to drain; %d flits in flight", n.FlitsInFlight())
-	}
-	if err := n.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if r, l, q := n.scheduled(); r != 0 || l != 0 || q != 0 {
-		t.Fatalf("drained network still schedules work: %d routers, %d links, %d queues", r, l, q)
+	for _, withTelemetry := range []bool{false, true} {
+		n := newWorkerNet(t, config.RoutingXY, config.VCSplit, 4)
+		if withTelemetry {
+			n.AttachTelemetry(telemetry.NewRegistry())
+		}
+		driveLoad(t, n, 1500, 42, true)
+		if !n.Drain(10000) {
+			t.Fatalf("telemetry=%v: failed to drain; %d flits in flight", withTelemetry, n.FlitsInFlight())
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatalf("telemetry=%v: %v", withTelemetry, err)
+		}
+		if r, l, q := n.scheduled(); r != 0 || l != 0 || q != 0 {
+			t.Fatalf("telemetry=%v: drained network still schedules work: %d routers, %d links, %d queues", withTelemetry, r, l, q)
+		}
 	}
 }
 

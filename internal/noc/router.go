@@ -240,7 +240,8 @@ func (n *Network) routeCompute(rt *router) {
 		if tab := n.routeTab[cls]; tab != nil {
 			ivc.route = mesh.Direction(tab[int(rt.id)*n.numNodes+int(f.Pkt.Dst)])
 		} else {
-			//noclint:laneowner read-only: routing algorithms are pure functions of (coord, dest, class)
+			// Every lane shares n.alg: routing algorithms are pure functions
+			// of (coord, dest, class).
 			ivc.route = n.alg.NextHop(rt.coord, n.m.Coord(mesh.NodeID(f.Pkt.Dst)), cls)
 		}
 		ivc.cls = cls
@@ -303,7 +304,6 @@ func (n *Network) vcAllocate(rt *router) {
 				rt.credOK |= bit
 			}
 			if n.spans != nil && front.Pkt.Sampled {
-				//noclint:laneowner serial-only: the lanes stay on the stepping goroutine whenever a span collector is attached
 				n.spans.VCGrant(front.Pkt, int(rt.id), int(op.downNode), ovc, n.cycle)
 			}
 			rt.vaPtr[d] = idx + 1
@@ -433,7 +433,6 @@ func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
 		}
 		if n.spans != nil {
 			if pkt := ivc.buf.front().flit.Pkt; pkt.Sampled {
-				//noclint:laneowner serial-only: the lanes stay on the stepping goroutine whenever a span collector is attached
 				n.spans.Stall(pkt, int(rt.id), cause, n.cycle)
 			}
 		}
@@ -445,10 +444,10 @@ func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
 // in that case.
 //
 // Shared-state discipline for the parallel kernel: everything written here
-// is either owned by the lane stepping rt (the router itself, ln's stats
-// shard and tallies), a single-writer slot keyed by rt (link-flit counters,
-// the upstream port's pending tally — each written only by the one lane that
-// owns the downstream router), or serial-only (spans).
+// is either owned by the lane stepping rt (the router itself, its ejected-flit
+// counter, ln's stats shard and tallies), a single-writer slot keyed by rt
+// (link-flit counters, the upstream port's pending tally — each written only
+// by the one lane that owns the downstream router), or serial-only (spans).
 func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) bool {
 	ivc := &rt.in[p][v]
 	if d == mesh.Local {
@@ -489,7 +488,6 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 	if d == mesh.Local {
 		ln.ejectedFlits++
 		if n.tel != nil {
-			//noclint:laneowner single-writer counter: router rt ejects only on its owning lane
 			n.tel.EjFlits[rt.id].Inc()
 		}
 		if f.Tail {
@@ -501,7 +499,6 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 				ln.ejected = append(ln.ejected, f.Pkt)
 			}
 			if n.spans != nil && f.Pkt.Sampled {
-				//noclint:laneowner serial-only: the lanes stay on the stepping goroutine whenever a span collector is attached
 				n.spans.Ejected(f.Pkt, n.cycle)
 			}
 		}
@@ -519,14 +516,11 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 		if rt.regCount == 1 {
 			ln.links.set(int(rt.id))
 		}
-		//noclint:laneowner single-writer counter: the link (rt, d) is traversed only by rt's owning lane
 		n.stats.CountLink(mesh.Link{From: rt.id, Dir: d}, f.Pkt.Class())
 		if n.tel != nil {
-			//noclint:laneowner single-writer counter: the link (rt, d) is traversed only by rt's owning lane
 			n.tel.LinkFlits[f.Pkt.Class()][n.m.LinkIndex(mesh.Link{From: rt.id, Dir: d})].Inc()
 		}
 		if n.spans != nil && f.Head && f.Pkt.Sampled {
-			//noclint:laneowner serial-only: the lanes stay on the stepping goroutine whenever a span collector is attached
 			n.spans.Hop(f.Pkt, int(rt.id), int(op.downNode), ivc.outVC, n.cycle)
 		}
 	}

@@ -5,7 +5,12 @@
 // is reused by other services (the fabric coordinator's /progress and
 // /workers endpoints).
 // The published slice is retained and served concurrently, so callers must
-// treat it as frozen after Set; the publish analyzer enforces this.
+// treat it as frozen after Set. Every caller meets this by publishing a
+// buffer rendered for that call alone: Server.SetMetrics receives
+// telemetry.Registry.RenderPrometheus output (obs.Progress, the sweep
+// tracker, fabric workers), the coordinator's Set receives
+// renderMetricsLocked output, and SetJSON — under Server.SetStateJSON and
+// SetProgressJSON too — marshals into a fresh slice.
 
 package obs
 
