@@ -50,25 +50,25 @@ smoke:
 # expires and its jobs are re-queued — and a canonical-form diff of the two
 # JSONL outputs (the exec footprint legitimately differs per mode; the
 # simulated results must not). The kill-one leg is also the fleet
-# observability probe: /metrics must show the lease expiry, the timeline
-# endpoint must answer, and the coordinator must leave a flight-recorder
-# dump. Finally the coordinator is killed and restarted on the same store
-# directory: resubmitting the identical spec must be answered entirely from
-# the content-addressed store (0 pending, store-hit series non-zero).
+# observability probe: /metrics must show the lease expiry, and the
+# sweep's timeline, saved to flight/timeline.json beside the workers'
+# simulation dumps, must hold the expired lease. Finally the coordinator is
+# killed and restarted on the same store directory: resubmitting the
+# identical spec must be answered entirely from the content-addressed store
+# (0 pending, store-hit series non-zero).
 fabric-smoke:
-	@mkdir -p $(FABRIC_TMP)
+	@mkdir -p $(FABRIC_TMP)/flight
 	$(GO) build -o $(FABRIC_TMP)/sweep ./cmd/sweep
 	$(FABRIC_TMP)/sweep -spec examples/sweepspec_smoke.json -out $(FABRIC_TMP)/single.jsonl -ordered
 	@set -e; \
 	$(FABRIC_TMP)/sweep -serve $(FABRIC_ADDR) -store $(FABRIC_TMP)/store \
-		-flight-dir $(FABRIC_TMP)/flight \
 		-lease-jobs 1 -lease-ttl 3s -heartbeat 500ms & coord=$$!; \
 	w1=; w2=; trap 'kill $$coord $$w1 $$w2 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 100); do \
 		curl -fsS http://$(FABRIC_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.1; \
 	done; \
-	$(FABRIC_TMP)/sweep -connect http://$(FABRIC_ADDR) & w1=$$!; \
-	$(FABRIC_TMP)/sweep -connect http://$(FABRIC_ADDR) & w2=$$!; \
+	$(FABRIC_TMP)/sweep -connect http://$(FABRIC_ADDR) -flight-dir $(FABRIC_TMP)/flight & w1=$$!; \
+	$(FABRIC_TMP)/sweep -connect http://$(FABRIC_ADDR) -flight-dir $(FABRIC_TMP)/flight & w2=$$!; \
 	id=$$(curl -fsS -X POST --data-binary @examples/sweepspec_smoke.json \
 		http://$(FABRIC_ADDR)/submit | sed 's/.*"sweep_id":"\([^"]*\)".*/\1/'); \
 	echo "sweep $$id submitted"; \
@@ -92,14 +92,12 @@ fabric-smoke:
 	curl -fsS http://$(FABRIC_ADDR)/metrics | grep -Eq '^fleet_leases_expired_total [1-9]' \
 		|| { echo "fabric-smoke: /metrics shows no lease expiry after kill"; exit 1; }; \
 	echo "lease expiry visible in /metrics"; \
-	curl -fsS http://$(FABRIC_ADDR)/sweeps/$$id/timeline | grep -q '"spans"' \
-		|| { echo "fabric-smoke: timeline endpoint returned no spans"; exit 1; }; \
-	test -s $(FABRIC_TMP)/flight/coordinator-lease-expiry.flight.jsonl \
-		|| { echo "fabric-smoke: no coordinator flight dump after lease expiry"; exit 1; }; \
-	echo "timeline served; flight dump present"; \
+	curl -fsS http://$(FABRIC_ADDR)/sweeps/$$id/timeline > $(FABRIC_TMP)/flight/timeline.json; \
+	grep -q '"kind":"expired"' $(FABRIC_TMP)/flight/timeline.json \
+		|| { echo "fabric-smoke: timeline shows no expired lease after kill"; exit 1; }; \
+	echo "expired lease on the timeline"; \
 	kill $$coord 2>/dev/null || true; wait $$coord 2>/dev/null || true; \
 	$(FABRIC_TMP)/sweep -serve $(FABRIC_ADDR) -store $(FABRIC_TMP)/store \
-		-flight-dir $(FABRIC_TMP)/flight \
 		-lease-jobs 1 -lease-ttl 3s -heartbeat 500ms & coord=$$!; \
 	for i in $$(seq 1 100); do \
 		curl -fsS http://$(FABRIC_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.1; \

@@ -27,6 +27,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -43,50 +44,64 @@ import (
 	"gpgpunoc/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters, so tests can pin
+// what it prints. It returns the process exit code: 2 for flags it cannot
+// parse, 1 for a refused option or a setup or engine error. Failed jobs are
+// data, not errors: they do not change the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		specFile = flag.String("spec", "", "JSON sweep spec file (grid flags are ignored when set)")
-		out      = flag.String("out", "sweep.jsonl", "JSONL results file (appended)")
-		jobsN    = flag.Int("jobs", 0, "concurrent jobs (default GOMAXPROCS); -workers is the per-job cycle-kernel domain count")
-		timeout  = flag.Duration("timeout", 0, "per-job timeout, e.g. 30s (default none)")
-		resume   = flag.Bool("resume", true, "skip jobs whose fingerprint is already in -out")
-		ordered  = flag.Bool("ordered", false, "write records in grid (expansion) order instead of completion order, so result files of the same spec diff cleanly")
-		dryRun   = flag.Bool("dry-run", false, "print the expanded job list and exit")
-		quiet    = flag.Bool("quiet", false, "suppress per-job progress lines")
-		panicAt  = flag.Int("panic-at", -1, "inject a panic into the Nth job (failure-isolation testing)")
-		sanitize = flag.Int("sanitize", 0, "validate interconnect invariants every N cycles (0 = off)")
+		specFile = fs.String("spec", "", "JSON sweep spec file (grid flags are ignored when set)")
+		out      = fs.String("out", "sweep.jsonl", "JSONL results file (appended)")
+		jobsN    = fs.Int("jobs", 0, "concurrent jobs (default GOMAXPROCS); -workers is the per-job cycle-kernel domain count")
+		timeout  = fs.Duration("timeout", 0, "per-job timeout, e.g. 30s (default none)")
+		resume   = fs.Bool("resume", true, "skip jobs whose fingerprint is already in -out")
+		ordered  = fs.Bool("ordered", false, "write records in grid (expansion) order instead of completion order, so result files of the same spec diff cleanly")
+		dryRun   = fs.Bool("dry-run", false, "print the expanded job list and exit")
+		quiet    = fs.Bool("quiet", false, "suppress per-job progress lines")
+		panicAt  = fs.Int("panic-at", -1, "inject a panic into the Nth job (failure-isolation testing)")
+		sanitize = fs.Int("sanitize", 0, "validate interconnect invariants every N cycles (0 = off)")
 
-		telEpoch = flag.Int64("telemetry-epoch", 0, "sample cycle-domain telemetry every N cycles (0 = off)")
-		telDir   = flag.String("telemetry-dir", "", "directory for per-job telemetry artifacts (default: <out>.telemetry)")
+		telEpoch = fs.Int64("telemetry-epoch", 0, "sample cycle-domain telemetry every N cycles (0 = off)")
+		telDir   = fs.String("telemetry-dir", "", "directory for per-job telemetry artifacts (default: <out>.telemetry)")
 
-		obsAddr = flag.String("obs-addr", "", "serve live sweep /metrics, /state, /progress on this address (empty = off)")
+		obsAddr = fs.String("obs-addr", "", "serve live sweep /metrics, /state, /progress on this address (empty = off)")
 
-		flightN   = flag.Int("flight-recorder", 4096, "flight-recorder ring size in events (0 = off); dumps recent cycle-domain events as JSONL on panic, invariant failure, or watchdog trip")
-		flightDir = flag.String("flight-dir", "", "directory for flight-recorder post-mortem dumps (default: <out>.flight)")
+		flightN   = fs.Int("flight-recorder", 4096, "flight-recorder ring size in events (0 = off); dumps recent cycle-domain events as JSONL on panic, invariant failure, or watchdog trip")
+		flightDir = fs.String("flight-dir", "", "directory for flight-recorder post-mortem dumps (default: <out>.flight)")
 
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 
-		benchmarks = flag.String("benchmarks", "", "comma-separated benchmarks ("+strings.Join(workload.Names(), ",")+"); default all")
-		placements = flag.String("placements", "", "comma-separated placement grid (default: base placement)")
-		routings   = flag.String("routings", "", "comma-separated routing grid (default: base routing)")
-		vcpolicies = flag.String("vcpolicies", "", "comma-separated VC policy grid (default: base policy)")
-		vcsList    = flag.String("vcs-grid", "", "comma-separated VCs-per-port grid (default: base)")
-		depthList  = flag.String("depth-grid", "", "comma-separated VC depth grid (default: base)")
-		seeds      = flag.String("seeds", "", "comma-separated seed grid (default: base seed)")
-		skipBad    = flag.Bool("skip-invalid", true, "drop grid points failing validation instead of erroring")
+		benchmarks = fs.String("benchmarks", "", "comma-separated benchmarks ("+strings.Join(workload.Names(), ",")+"); default all")
+		placements = fs.String("placements", "", "comma-separated placement grid (default: base placement)")
+		routings   = fs.String("routings", "", "comma-separated routing grid (default: base routing)")
+		vcpolicies = fs.String("vcpolicies", "", "comma-separated VC policy grid (default: base policy)")
+		vcsList    = fs.String("vcs-grid", "", "comma-separated VCs-per-port grid (default: base)")
+		depthList  = fs.String("depth-grid", "", "comma-separated VC depth grid (default: base)")
+		seeds      = fs.String("seeds", "", "comma-separated seed grid (default: base seed)")
+		skipBad    = fs.Bool("skip-invalid", true, "drop grid points failing validation instead of erroring")
 	)
-	fab := config.BindFabricFlags(flag.CommandLine)
+	fab := config.BindFabricFlags(fs)
 	// The base configuration under the grid comes from the shared
 	// flag→config API, so `-config file.json` or `-vcs 4` shapes every job.
-	cf := config.BindFlags(flag.CommandLine)
-	flag.Parse()
+	cf := config.BindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	if err := config.ValidateTelemetryEpoch(*telEpoch); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if err := fab.Validate(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -117,23 +132,23 @@ func main() {
 
 	switch fab.Mode() {
 	case "serve":
-		if err := runServe(ctx, fab, *specFile, *out, *flightN, fdir); err != nil {
-			fatal(err)
+		if err := runServe(ctx, fab, *specFile, *out, stdout, stderr); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	case "connect":
 		if *telEpoch > 0 {
 			// The flight recorder stays on — dumps are per-process and land
 			// on the worker's own disk where its crash is diagnosed.
-			fmt.Fprintln(os.Stderr, "sweep: -telemetry-epoch is ignored in worker mode (artifacts would be stranded on the worker)")
+			fmt.Fprintln(stderr, "sweep: -telemetry-epoch is ignored in worker mode (artifacts would be stranded on the worker)")
 			winst := inst
 			winst.TelemetryEpoch = 0
 			runner = sweep.SimulateWith(winst)
 		}
-		if err := runWorker(ctx, fab, runner, *jobsN, *timeout); err != nil && ctx.Err() == nil {
-			fatal(err)
+		if err := runWorker(ctx, fab, runner, *jobsN, *timeout, stderr); err != nil && ctx.Err() == nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	spec, err := buildSpec(*specFile, cf, gridFlags{
@@ -142,38 +157,38 @@ func main() {
 		skipInvalid: *skipBad,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	jobs, skipped, err := spec.Expand()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	for _, s := range skipped {
-		fmt.Fprintf(os.Stderr, "skip-invalid %s: %s\n", s.Key, s.Reason)
+		fmt.Fprintf(stderr, "skip-invalid %s: %s\n", s.Key, s.Reason)
 	}
 
 	if *dryRun {
 		for _, j := range jobs {
-			fmt.Printf("%s %s\n", j.Fingerprint(), j.Key)
+			fmt.Fprintf(stdout, "%s %s\n", j.Fingerprint(), j.Key)
 		}
-		fmt.Printf("%d jobs (%d invalid grid points dropped)\n", len(jobs), len(skipped))
-		return
+		fmt.Fprintf(stdout, "%d jobs (%d invalid grid points dropped)\n", len(jobs), len(skipped))
+		return 0
 	}
 
 	done := map[string]bool{}
 	if *resume {
 		var warning string
 		if done, warning, err = sweep.CompletedFingerprints(*out); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if warning != "" {
-			fmt.Fprintf(os.Stderr, "sweep: resume from %s: %s\n", *out, warning)
+			fmt.Fprintf(stderr, "sweep: resume from %s: %s\n", *out, warning)
 		}
 	}
 	jsonl, err := sweep.OpenJSONL(*out)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var sink sweep.Sink = jsonl
 	var orderedSink *sweep.Ordered
@@ -185,14 +200,15 @@ func main() {
 	opts := sweep.Options{Workers: *jobsN, Timeout: *timeout, Done: done, TelemetryDir: telemetryDir}
 	var printer *sweep.Printer
 	if !*quiet {
-		printer = sweep.NewPrinter(os.Stderr, len(jobs))
+		printer = sweep.NewPrinter(stderr, len(jobs))
 		opts.Progress = printer.Handle
 	}
 	if *obsAddr != "" {
 		srv, err := obs.NewServer(*obsAddr)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
+		defer srv.Close()
 		nw := *jobsN
 		if nw <= 0 {
 			nw = runtime.GOMAXPROCS(0)
@@ -205,7 +221,7 @@ func main() {
 		} else {
 			opts.Progress = tracker.Handle
 		}
-		fmt.Fprintf(os.Stderr, "observability: http://%s/{metrics,state,progress,healthz}\n", srv.Addr())
+		fmt.Fprintf(stderr, "observability: http://%s/{metrics,state,progress,healthz}\n", srv.Addr())
 	}
 	opts.Run = runner
 	if *panicAt >= 0 {
@@ -220,7 +236,7 @@ func main() {
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	start := time.Now()
@@ -237,23 +253,24 @@ func main() {
 	if printer != nil {
 		printer.Finish(summary)
 	} else {
-		fmt.Fprintf(os.Stderr, "sweep finished in %.1fs: %s\n", time.Since(start).Seconds(), summary)
+		fmt.Fprintf(stderr, "sweep finished in %.1fs: %s\n", time.Since(start).Seconds(), summary)
 	}
-	fmt.Printf("results: %s (%d records this run)\n", *out, summary.OK+summary.Failed)
+	fmt.Fprintf(stdout, "results: %s (%d records this run)\n", *out, summary.OK+summary.Failed)
 	// Flush profiles before any exit: a failed sweep is exactly when the
 	// profile is most wanted.
 	if perr := stopProf(); perr != nil && runErr == nil {
 		runErr = perr
 	}
 	if runErr != nil {
-		fatal(runErr)
+		return fail(runErr)
 	}
+	return 0
 }
 
 // runServe runs the fabric coordinator: open the content-addressed store,
 // serve the submit/lease/results API, optionally submit an initial spec,
 // and hold until interrupted.
-func runServe(ctx context.Context, fab *config.Fabric, specFile, out string, flightN int, flightDir string) error {
+func runServe(ctx context.Context, fab *config.Fabric, specFile, out string, stdout, stderr io.Writer) error {
 	storeDir := fab.StoreDir
 	if storeDir == "" {
 		storeDir = out + ".store"
@@ -262,28 +279,20 @@ func runServe(ctx context.Context, fab *config.Fabric, specFile, out string, fli
 	if err != nil {
 		return err
 	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	if flightN <= 0 {
-		flightN = -1 // CLI off means off, not the coordinator default
-	}
 	co := fabric.NewCoordinator(store, fabric.Options{
-		LeaseTTL:     fab.LeaseTTL,
-		LeaseJobs:    fab.LeaseJobs,
-		MaxAttempts:  fab.MaxAttempts,
-		Heartbeat:    fab.Heartbeat,
-		FlightEvents: flightN,
-		FlightDir:    flightDir,
-		Logf:         logf,
+		LeaseTTL:    fab.LeaseTTL,
+		LeaseJobs:   fab.LeaseJobs,
+		MaxAttempts: fab.MaxAttempts,
+		Heartbeat:   fab.Heartbeat,
+		Logf:        logTo(stderr),
 	})
 	srv, err := fabric.NewServer(fab.Serve, co)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "coordinator: http://%s/{submit,sweeps,results,workers,metrics,progress,healthz}\n", srv.Addr())
-	fmt.Fprintf(os.Stderr, "store: %s (%d cached results)\n", storeDir, store.Len())
+	fmt.Fprintf(stderr, "coordinator: http://%s/{submit,sweeps,results,workers,metrics,progress,healthz}\n", srv.Addr())
+	fmt.Fprintf(stderr, "store: %s (%d cached results)\n", storeDir, store.Len())
 
 	if specFile != "" {
 		spec, err := sweep.ReadSpec(specFile)
@@ -294,19 +303,19 @@ func runServe(ctx context.Context, fab *config.Fabric, specFile, out string, fli
 		if err != nil {
 			return err
 		}
-		fmt.Printf("sweep %s: %d jobs (%d cached, %d pending, %d skipped)\n",
+		fmt.Fprintf(stdout, "sweep %s: %d jobs (%d cached, %d pending, %d skipped)\n",
 			resp.SweepID, resp.Total, resp.Cached, resp.Pending, resp.Skipped)
-		fmt.Printf("results: http://%s/sweeps/%s/results\n", srv.Addr(), resp.SweepID)
+		fmt.Fprintf(stdout, "results: http://%s/sweeps/%s/results\n", srv.Addr(), resp.SweepID)
 	}
 
 	<-ctx.Done()
-	fmt.Fprintln(os.Stderr, "coordinator: shutting down")
+	fmt.Fprintln(stderr, "coordinator: shutting down")
 	return nil
 }
 
 // runWorker runs the fabric worker loop against a coordinator until
 // interrupted.
-func runWorker(ctx context.Context, fab *config.Fabric, runner sweep.RunFunc, jobs int, timeout time.Duration) error {
+func runWorker(ctx context.Context, fab *config.Fabric, runner sweep.RunFunc, jobs int, timeout time.Duration, stderr io.Writer) error {
 	name, _ := os.Hostname()
 	name = fmt.Sprintf("%s/%d", name, os.Getpid())
 	w := fabric.NewWorker(fab.Connect, fabric.WorkerOptions{
@@ -314,13 +323,15 @@ func runWorker(ctx context.Context, fab *config.Fabric, runner sweep.RunFunc, jo
 		Run:     runner,
 		Jobs:    jobs,
 		Timeout: timeout,
-		ObsAddr: fab.WorkerObs,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
+		Logf:    logTo(stderr),
 	})
-	fmt.Fprintf(os.Stderr, "worker %s: connecting to %s\n", name, fab.Connect)
+	fmt.Fprintf(stderr, "worker %s: connecting to %s\n", name, fab.Connect)
 	return w.Run(ctx)
+}
+
+// logTo adapts w to the fabric's line logger.
+func logTo(w io.Writer) func(format string, args ...any) {
+	return func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
 }
 
 type gridFlags struct {
@@ -389,9 +400,4 @@ func splitInts(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -1,0 +1,64 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current build")
+
+// TestGoldenDryRun pins the job list -dry-run prints for the smoke spec:
+// every fingerprint (the store and resume key) and key in expansion order,
+// then the count. Nothing runs and nothing is written.
+func TestGoldenDryRun(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "never.jsonl")
+	args := []string{"-spec", filepath.Join("..", "..", "examples", "sweepspec_smoke.json"), "-dry-run", "-out", out}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("sweep %v exited %d: %s", args, code, stderr.String())
+	}
+	path := filepath.Join("testdata", "dryrun_smoke.golden")
+	if *update {
+		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("output differs from %s:\n--- got\n%s--- want\n%s", path, stdout.Bytes(), want)
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("-dry-run wrote to stderr: %s", stderr.String())
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("-dry-run touched -out %s: %v", out, err)
+	}
+}
+
+// TestUsageErrors: a command line that cannot mean anything is refused
+// before any store, server or job starts, naming what is wrong.
+func TestUsageErrors(t *testing.T) {
+	for name, tc := range map[string]struct {
+		args []string
+		code int
+		want string
+	}{
+		"unknown flag":      {[]string{"-worker-obs-addr", ":9"}, 2, "flag provided but not defined: -worker-obs-addr"},
+		"both fabric roles": {[]string{"-serve", "a", "-connect", "http://b"}, 1, "mutually exclusive"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%s: sweep %v exited %d with stderr %q; want %d and %q", name, tc.args, code, stderr.String(), tc.code, tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: wrote to stdout: %s", name, stdout.String())
+		}
+	}
+}

@@ -37,11 +37,6 @@ type Fabric struct {
 	// retries after worker loss or failure) before it is quarantined as a
 	// poison job.
 	MaxAttempts int
-
-	// WorkerObs is the worker's own observability listen address — its
-	// /healthz and /metrics, independent of the coordinator's aggregate
-	// view ("" = none). Worker mode only.
-	WorkerObs string
 }
 
 // Mode names the role the fabric flags select: "single" (default, no
@@ -82,12 +77,6 @@ func (f Fabric) Validate() error {
 	if f.MaxAttempts < 1 {
 		return fmt.Errorf("config: -max-attempts %d, need >= 1", f.MaxAttempts)
 	}
-	if f.WorkerObs != "" && f.Connect == "" {
-		return fmt.Errorf("config: -worker-obs-addr only applies to worker mode (set -connect)")
-	}
-	if f.WorkerObs != "" && !strings.Contains(f.WorkerObs, ":") {
-		return fmt.Errorf("config: -worker-obs-addr %q is not a listen address (want e.g. 127.0.0.1:9179 or :9179)", f.WorkerObs)
-	}
 	return nil
 }
 
@@ -102,6 +91,5 @@ func BindFabricFlags(fs *flag.FlagSet) *Fabric {
 	fs.DurationVar(&f.LeaseTTL, "lease-ttl", 30*time.Second, "lease lifetime without a heartbeat before jobs are re-queued")
 	fs.DurationVar(&f.Heartbeat, "heartbeat", 5*time.Second, "worker lease-renewal period (must be < -lease-ttl)")
 	fs.IntVar(&f.MaxAttempts, "max-attempts", 3, "attempts per job before poison quarantine")
-	fs.StringVar(&f.WorkerObs, "worker-obs-addr", "", "worker's own /healthz and /metrics listen address (worker mode only; empty = none)")
 	return f
 }

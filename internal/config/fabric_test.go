@@ -27,9 +27,6 @@ func TestFabricValidate(t *testing.T) {
 		{"zero heartbeat", func(f *Fabric) { f.Heartbeat = 0 }, "-heartbeat"},
 		{"heartbeat >= ttl", func(f *Fabric) { f.Heartbeat = f.LeaseTTL }, "shorter than"},
 		{"zero attempts", func(f *Fabric) { f.MaxAttempts = 0 }, "-max-attempts"},
-		{"worker obs on worker", func(f *Fabric) { f.Connect = "http://x"; f.WorkerObs = "127.0.0.1:9179" }, ""},
-		{"worker obs without connect", func(f *Fabric) { f.WorkerObs = "127.0.0.1:9179" }, "-worker-obs-addr"},
-		{"worker obs not an address", func(f *Fabric) { f.Connect = "http://x"; f.WorkerObs = "nonsense" }, "not a listen address"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -17,10 +17,11 @@
 //	                                ▼
 //	                          done (quarantined poison job)
 //
-// Leases expire lazily: every API entry point first sweeps the lease table
-// for deadlines the heartbeats failed to extend. There is no background
-// reaper goroutine — a coordinator nobody talks to has nothing to do — and
-// lazy expiry keeps the whole state machine synchronous and testable.
+// Leases expire lazily: every API entry point — a /metrics or /progress
+// scrape included — first sweeps the lease table for deadlines the
+// heartbeats failed to extend. There is no background reaper goroutine — a
+// coordinator nobody talks to has nothing to do — and lazy expiry keeps the
+// whole state machine synchronous and testable.
 
 package fabric
 
@@ -35,7 +36,6 @@ import (
 	"time"
 
 	"gpgpunoc/internal/fleetobs"
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/sweep"
 )
 
@@ -52,13 +52,6 @@ type Options struct {
 	Heartbeat time.Duration
 	// IdleWaitMS is the poll-again hint returned with an empty lease.
 	IdleWaitMS int64
-	// FlightEvents sizes the coordinator's flight recorder (recent
-	// register/lease/heartbeat/complete/expiry events; defaulted when 0,
-	// < 0 disables it).
-	FlightEvents int
-	// FlightDir, when non-empty, is where the recorder's post-mortem JSONL
-	// dumps land (a lease expiry is the fabric-side dump trigger).
-	FlightDir string
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -81,9 +74,6 @@ func (o *Options) fill() {
 	}
 	if o.IdleWaitMS <= 0 {
 		o.IdleWaitMS = 500
-	}
-	if o.FlightEvents == 0 {
-		o.FlightEvents = 4096
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -153,12 +143,8 @@ type Coordinator struct {
 	nextLease   int
 	storeHits   int
 
-	met    *fleetMetrics                    // /metrics probe set (fleet.go)
-	tline  map[string]*fleetobs.JobTimeline // per-fingerprint span timelines
-	flight *fleetobs.Recorder               // fabric-side flight recorder (nil when disabled)
-
-	progress obs.Snapshot // /progress payload, republished on every change
-	metrics  obs.Snapshot // /metrics exposition, republished on every change
+	met   *fleetMetrics                    // /metrics probe set (fleet.go)
+	tline map[string]*fleetobs.JobTimeline // per-fingerprint span timelines
 }
 
 // NewCoordinator returns a coordinator backed by the given store.
@@ -172,15 +158,9 @@ func NewCoordinator(store *Store, opts Options) *Coordinator {
 		sweeps:  map[string]*sweepRun{},
 		workers: map[string]*workerState{},
 		leases:  map[string]*lease{},
-		met:     newFleetMetrics(),
 		tline:   map[string]*fleetobs.JobTimeline{},
 	}
-	if opts.FlightEvents > 0 {
-		c.flight = fleetobs.NewRecorder(opts.FlightEvents)
-	}
-	c.mu.Lock()
-	c.publishLocked()
-	c.mu.Unlock()
+	c.met = newFleetMetrics(c)
 	return c
 }
 
@@ -276,7 +256,6 @@ func (c *Coordinator) Submit(spec sweep.Spec) (SubmitResponse, error) {
 	resp = c.submitResponseLocked(sw)
 	c.opts.Logf("fabric: sweep %s submitted: %d jobs, %d cached, %d pending, %d skipped",
 		id, resp.Total, resp.Cached, resp.Pending, resp.Skipped)
-	c.publishLocked()
 	return resp, nil
 }
 
@@ -315,9 +294,7 @@ func (c *Coordinator) Register(req RegisterRequest) (RegisterResponse, error) {
 	c.workerOrder = append(c.workerOrder, id)
 	c.met.workers.Inc()
 	c.registerWorkerProbes(w)
-	c.flight.Record(-1, fleetobs.KindRegister, c.nowMS(), workerNum(id), 0)
 	c.opts.Logf("fabric: worker %s (%s) registered", id, name)
-	c.publishLocked()
 	return RegisterResponse{
 		WorkerID:    id,
 		LeaseTTLMS:  c.opts.LeaseTTL.Milliseconds(),
@@ -385,9 +362,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	w.leases++
 	w.grants++
 	c.met.leasesGranted.Inc()
-	c.flight.Record(-1, fleetobs.KindLease, grantMS, workerNum(w.id), int64(len(jobs)))
 	c.opts.Logf("fabric: lease %s -> %s: %d jobs", l.id, w.id, len(jobs))
-	c.publishLocked()
 	return LeaseResponse{LeaseID: l.id, Jobs: jobs}, nil
 }
 
@@ -407,7 +382,6 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 	}
 	l.expires = now.Add(c.opts.LeaseTTL)
 	c.met.heartbeats.Inc()
-	c.flight.Record(-1, fleetobs.KindHeartbeat, c.nowMS(), workerNum(req.WorkerID), 0)
 	// Stamp the renewal on each job's open lease span so timelines show a
 	// live worker versus one that went silent.
 	for _, fp := range l.fps {
@@ -498,12 +472,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		c.tlAppendLocked(tj.fp, tj, fleetobs.TSpan{Kind: fleetobs.SpanQueued, StartMS: nowMS, EndMS: -1})
 	}
 	c.attachWorkerSpansLocked(req.WorkerID, req.Spans)
-	if resp.Accepted > 0 {
-		c.flight.Record(-1, fleetobs.KindComplete, nowMS, workerNum(req.WorkerID), int64(resp.Accepted))
-	}
-	if resp.Requeued > 0 {
-		c.flight.Record(-1, fleetobs.KindRequeue, nowMS, workerNum(req.WorkerID), int64(resp.Requeued))
-	}
 
 	if l, ok := c.leases[req.LeaseID]; ok && l.worker == req.WorkerID {
 		delete(c.leases, req.LeaseID)
@@ -515,7 +483,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		// than waiting out the TTL.
 		c.releaseLeaseJobsLocked(l, "returned unfinished by "+req.WorkerID, false)
 	}
-	c.publishLocked()
 	return resp, nil
 }
 
@@ -537,7 +504,6 @@ func (c *Coordinator) quarantineLocked(tj *trackedJob, msg string) {
 		Kind: fleetobs.SpanFailed, StartMS: now, EndMS: now,
 		Worker: tj.lastWorker, Attempt: tj.attempts, Detail: msg,
 	})
-	c.flight.Record(-1, fleetobs.KindQuarantine, now, workerNum(tj.lastWorker), int64(tj.attempts))
 	c.opts.Logf("fabric: job %s quarantined: %s", tj.fp, msg)
 }
 
@@ -561,16 +527,9 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			w.leases--
 		}
 		c.met.leasesExpired.Inc()
-		c.flight.Record(-1, fleetobs.KindLeaseExpired, c.nowMS(), workerNum(l.worker), int64(len(l.fps)))
 		c.opts.Logf("fabric: lease %s (%s) expired: re-queueing", id, l.worker)
 		c.releaseLeaseJobsLocked(l, "worker "+l.worker+" lost (lease expired)", true)
 	}
-	if len(expired) > 0 {
-		// A lease expiry means a worker went silent — the fabric-side
-		// post-mortem trigger. Dump the recent-event ring for diagnosis.
-		c.dumpCoordFlight("lease expiry")
-	}
-	c.publishLocked()
 }
 
 // releaseLeaseJobsLocked returns a dead lease's unfinished jobs to the
@@ -696,10 +655,16 @@ func (c *Coordinator) Workers() []WorkerInfo {
 	return out
 }
 
-// publishLocked re-renders the /progress snapshot from coordinator state,
-// following the obs publisher idiom: render to fresh bytes, publish, never
-// touch the buffer again.
-func (c *Coordinator) publishLocked() {
+// Progress reports the fleet-wide job counts as of the call: the /progress
+// payload.
+func (c *Coordinator) Progress() Progress {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.expireLocked(time.Now())
+	return c.progressLocked()
+}
+
+func (c *Coordinator) progressLocked() Progress {
 	p := Progress{
 		Sweeps:         len(c.sweepOrder),
 		Jobs:           len(c.jobs),
@@ -720,10 +685,5 @@ func (c *Coordinator) publishLocked() {
 			p.Pending++
 		}
 	}
-	if err := c.progress.SetJSON(p); err != nil {
-		panic(fmt.Sprintf("fabric: publish progress: %v", err)) // Progress always marshals
-	}
-	c.met.queueDepth.Set(int64(len(c.queue)))
-	c.met.running.Set(int64(p.Leased))
-	c.metrics.Set(c.renderMetricsLocked())
+	return p
 }

@@ -1,9 +1,9 @@
-// Fleet observability for the coordinator: the telemetry registry behind
-// /metrics, the per-job span timelines behind /sweeps/{id}/timeline, and
-// the coordinator-side flight recorder. Everything here runs under the
-// coordinator's single mutex — the probes and timelines are plain fields,
-// the rendered exposition is published through an obs.Snapshot, and the
-// flight recorder's single-writer contract is the mutex itself.
+// Fleet observability for the coordinator: the two records every transition
+// writes — the telemetry registry behind /metrics and the per-job span
+// timelines behind /sweeps/{id}/timeline — and the views rendered from them
+// when they are requested. Everything here runs under the coordinator's
+// single mutex: the probes and timelines are plain fields, and a scrape
+// renders them under the same lock as any other API entry.
 //
 // This file (like coordinator.go) is service code on the wall-clock side of
 // the determinism boundary: it may read time because nothing here feeds
@@ -13,8 +13,6 @@ package fabric
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"gpgpunoc/internal/fleetobs"
@@ -22,7 +20,8 @@ import (
 )
 
 // fleetMetrics is the coordinator's probe set. Counters are bumped at the
-// state transitions they name; gauges are recomputed in publishLocked.
+// state transitions they name; gauges read coordinator state when Metrics
+// renders.
 type fleetMetrics struct {
 	reg *telemetry.Registry
 
@@ -39,19 +38,21 @@ type fleetMetrics struct {
 	jobsDone      *telemetry.Counter
 	jobsFailed    *telemetry.Counter
 	workers       *telemetry.Counter
-
-	queueDepth *telemetry.Gauge
-	running    *telemetry.Gauge
 }
 
-func newFleetMetrics() *fleetMetrics {
+// newFleetMetrics registers c's probe set. Its two gauges, like the
+// per-worker ones, are GaugeFuncs over coordinator state, read only while
+// Metrics holds c.mu.
+func newFleetMetrics(c *Coordinator) *fleetMetrics {
 	reg := telemetry.NewRegistry()
 	counter := func(field, help string) *telemetry.Counter {
 		return reg.Counter("fleet."+field, telemetry.Desc{Family: "fleet_" + field + "_total", Help: help})
 	}
-	gauge := func(field, help string) *telemetry.Gauge {
-		return reg.Gauge("fleet."+field, telemetry.Desc{Family: "fleet_" + field, Help: help})
+	gauge := func(field, help string, fn func() int64) {
+		reg.GaugeFunc("fleet."+field, telemetry.Desc{Family: "fleet_" + field, Help: help}, fn)
 	}
+	gauge("queue_depth", "Jobs currently waiting for a lease.", func() int64 { return int64(len(c.queue)) })
+	gauge("running", "Jobs currently leased out.", func() int64 { return int64(c.progressLocked().Leased) })
 	return &fleetMetrics{
 		reg:           reg,
 		submits:       counter("submits", "Sweep submissions accepted by the coordinator."),
@@ -67,15 +68,13 @@ func newFleetMetrics() *fleetMetrics {
 		jobsDone:      counter("jobs_done", "OK records accepted from any worker."),
 		jobsFailed:    counter("jobs_failed", "Failed job attempts reported by any worker."),
 		workers:       counter("workers", "Workers ever registered with the coordinator."),
-		queueDepth:    gauge("queue_depth", "Jobs currently waiting for a lease."),
-		running:       gauge("running", "Jobs currently leased out."),
 	}
 }
 
 // registerWorkerProbes adds the per-worker gauge set for w. GaugeFuncs are
-// read only when publishLocked renders the exposition — under c.mu, the
-// same lock every workerState mutation holds — so the closures are
-// race-free by construction.
+// read only when Metrics renders the exposition — under c.mu, the same lock
+// every workerState mutation holds — so the closures are race-free by
+// construction.
 func (c *Coordinator) registerWorkerProbes(w *workerState) {
 	gauge := func(field, help string, fn func() int64) {
 		c.met.reg.GaugeFunc("fleet.worker."+w.id+"."+field, telemetry.Desc{
@@ -94,18 +93,8 @@ func (c *Coordinator) registerWorkerProbes(w *workerState) {
 }
 
 // nowMS returns milliseconds since the coordinator started — the time base
-// of every timeline span and fabric-side flight event.
+// of every timeline span.
 func (c *Coordinator) nowMS() int64 { return time.Since(c.start).Milliseconds() }
-
-// workerNum extracts the ordinal from a coordinator-assigned worker ID
-// ("w12" -> 12; 0 for anything else) for flight-event payloads.
-func workerNum(id string) int64 {
-	n, err := strconv.ParseInt(strings.TrimPrefix(id, "w"), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
-}
 
 // timelineLocked returns (creating if needed) the span timeline for fp.
 func (c *Coordinator) timelineLocked(fp string, tj *trackedJob) *fleetobs.JobTimeline {
@@ -170,22 +159,6 @@ func (c *Coordinator) Timeline(id string) (*fleetobs.Timeline, error) {
 	return tl, nil
 }
 
-// dumpCoordFlight writes the coordinator's flight-recorder snapshot (lease
-// expiry is the fabric-side post-mortem trigger). Best-effort: a dump
-// failure is logged, never propagated.
-func (c *Coordinator) dumpCoordFlight(reason string) {
-	if c.flight == nil || c.opts.FlightDir == "" {
-		return
-	}
-	name := "coordinator-" + strings.ReplaceAll(reason, " ", "-")
-	path, err := c.flight.Dump(c.opts.FlightDir, name, "coordinator", reason)
-	if err != nil {
-		c.opts.Logf("fabric: flight dump: %v", err)
-		return
-	}
-	c.opts.Logf("fabric: flight dump written: %s", path)
-}
-
 // attachWorkerSpansLocked merges the worker-side sub-spans shipped in a
 // complete payload into the job timelines. Worker offsets are relative to
 // the batch start; the coordinator anchors them at the job's last lease
@@ -213,10 +186,13 @@ func (c *Coordinator) attachWorkerSpansLocked(workerID string, spans []WireSpan)
 	}
 }
 
-// renderMetricsLocked renders the Prometheus exposition, appending the one
-// derived sample the registry's int64 probes cannot express: jobs/sec over
-// the coordinator's lifetime.
-func (c *Coordinator) renderMetricsLocked() []byte {
+// Metrics renders the Prometheus exposition as of the call — the /metrics
+// body — appending the one derived sample the registry's int64 probes
+// cannot express: jobs/sec over the coordinator's lifetime.
+func (c *Coordinator) Metrics() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.expireLocked(time.Now())
 	b := c.met.reg.RenderPrometheus()
 	secs := time.Since(c.start).Seconds()
 	rate := 0.0

@@ -1,16 +1,15 @@
-// Fleet-observability tests: metric/timeline publication under concurrent
-// scraping (run with -race in CI), the lease-expiry flight dump, and
+// Fleet-observability tests: metric/timeline rendering under concurrent
+// scraping (run with -race in CI), views rendered at the scrape, and
 // worker/attempt attribution on result records.
 
 package fabric
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -169,50 +168,44 @@ func TestFleetMetricsTimelineRace(t *testing.T) {
 	}
 }
 
-// TestFlightDumpOnLeaseExpiry asserts the fabric-side post-mortem: a lease
-// that dies silently must leave a readable flight-recorder dump naming the
-// expiry.
-func TestFlightDumpOnLeaseExpiry(t *testing.T) {
-	dir := t.TempDir()
-	co, _ := newTestFabric(t, Options{
-		LeaseTTL:  30 * time.Millisecond,
-		LeaseJobs: 1,
-		FlightDir: dir,
-	})
+// TestFleetViewsRenderOnScrape: /metrics and /progress are rendered when
+// they are scraped, not when the coordinator last changed state, so every
+// renewal counts at once and the wall-clock values age between scrapes.
+func TestFleetViewsRenderOnScrape(t *testing.T) {
+	co, srv := newTestFabric(t, Options{LeaseTTL: time.Minute, LeaseJobs: 1})
+	base := "http://" + srv.Addr()
 	if _, err := co.Submit(specSeeds(1)); err != nil {
 		t.Fatal(err)
 	}
-	reg, err := co.Register(RegisterRequest{Name: "doomed"})
+	reg, err := co.Register(RegisterRequest{Name: "beater"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Lease(LeaseRequest{WorkerID: reg.WorkerID}); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(60 * time.Millisecond)
-	co.Workers() // any API entry point sweeps expired leases
-
-	path := filepath.Join(dir, "coordinator-lease-expiry.flight.jsonl")
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("expected flight dump at %s: %v", path, err)
-	}
-	defer f.Close()
-	hdr, events, err := fleetobs.ReadDump(f)
+	l, err := co.Lease(LeaseRequest{WorkerID: reg.WorkerID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Source != "coordinator" || hdr.Reason != "lease expiry" {
-		t.Fatalf("dump header = %+v", hdr)
-	}
-	var sawExpired bool
-	for _, e := range events {
-		if e.Kind == fleetobs.KindLeaseExpired {
-			sawExpired = true
+	for i := 0; i < 2; i++ {
+		hb, err := co.Heartbeat(HeartbeatRequest{WorkerID: reg.WorkerID, LeaseID: l.LeaseID})
+		if err != nil || !hb.OK {
+			t.Fatalf("heartbeat %d: ok=%v err=%v", i+1, hb.OK, err)
 		}
 	}
-	if !sawExpired {
-		t.Fatalf("no lease-expired event in dump: %+v", events)
+	if v := metricValue(scrape(base+"/metrics"), "fleet_heartbeats_total"); v != 2 {
+		t.Errorf("fleet_heartbeats_total = %g after two heartbeats, want 2", v)
+	}
+
+	time.Sleep(50 * time.Millisecond)
+	if v := metricValue(scrape(base+"/metrics"), "fleet_worker_heartbeat_age_ms"); v < 50 {
+		t.Errorf("fleet_worker_heartbeat_age_ms = %g 50ms after the last heartbeat, want >= 50", v)
+	}
+	body := scrape(base + "/progress")
+	var p Progress
+	if err := json.Unmarshal([]byte(body), &p); err != nil {
+		t.Fatalf("/progress: %v: %q", err, body)
+	}
+	if p.ElapsedSeconds < 0.05 || p.Leased != 1 || p.Pending != 1 {
+		t.Errorf("/progress 50ms after leasing one job of two: %+v", p)
 	}
 }
 

@@ -1,6 +1,6 @@
-// Golden pins for the fleet's exposition surfaces: the coordinator's and a
-// worker's /metrics bodies and the Chrome-trace form of a sweep timeline,
-// from one in-process coordinator + worker pass. Wall-clock values are
+// Golden pins for the fleet's exposition surfaces: the coordinator's
+// /metrics body and the Chrome-trace form of a sweep timeline, from one
+// in-process coordinator + worker pass. Wall-clock values are
 // zeroed before comparison; everything else — families, TYPE lines, label
 // sets, counts, event shapes and order — is pinned byte for byte.
 //
@@ -54,9 +54,9 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // fleetPass runs one sweep of four jobs through an in-process coordinator
-// and a single worker, and returns the coordinator's /metrics, the worker's
-// /metrics, and the sweep's Chrome-trace timeline as served over HTTP.
-func fleetPass(t *testing.T) (coord, worker, trace string) {
+// and a single worker, and returns the coordinator's /metrics and the
+// sweep's Chrome-trace timeline as served over HTTP.
+func fleetPass(t *testing.T) (coord, trace string) {
 	t.Helper()
 	// One lease holds all four jobs and outlives the pass without renewal,
 	// so every counter has exactly one possible final value.
@@ -71,72 +71,44 @@ func fleetPass(t *testing.T) (coord, worker, trace string) {
 	// flip between complete and instant events with scheduling noise.
 	time.Sleep(20 * time.Millisecond)
 
-	obsAddr := make(chan string, 1)
 	w := NewWorker(base, WorkerOptions{
-		Name: "golden", Jobs: 1, Poll: 10 * time.Millisecond, ObsAddr: "127.0.0.1:0",
+		Name: "golden", Jobs: 1, Poll: 10 * time.Millisecond,
 		Run: func(_ context.Context, j sweep.Job) (gpu.Result, error) {
 			time.Sleep(20 * time.Millisecond)
 			return gpu.Result{Benchmark: j.Benchmark, IPC: 1}, nil
-		},
-		Logf: func(format string, args ...any) {
-			if strings.HasPrefix(format, "fabric: worker obs on http://%s") {
-				obsAddr <- args[0].(string)
-			}
 		},
 	})
 	stop := startWorker(context.Background(), w)
 	defer stop()
 	waitFinished(t, co, sub.SweepID, 30*time.Second)
-
-	// The worker publishes its last exposition after the coordinator has
-	// accepted the batch; wait for that one.
-	var workerURL string
-	select {
-	case addr := <-obsAddr:
-		workerURL = "http://" + addr + "/metrics"
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker never logged its obs address")
-	}
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		worker = scrape(workerURL)
-		if strings.Contains(worker, "\nfleet_batches_total 1\n") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never published its completed batch:\n%s", worker)
-		}
-	}
-	return scrape(base + "/metrics"), worker, scrape(base + "/sweeps/" + sub.SweepID + "/timeline?format=chrome")
+	return scrape(base + "/metrics"), scrape(base + "/sweeps/" + sub.SweepID + "/timeline?format=chrome")
 }
 
 func TestGoldenFleetExposition(t *testing.T) {
-	coord, worker, trace := fleetPass(t)
-	checkGolden(t, "worker.metrics.prom", []byte(worker))
+	coord, trace := fleetPass(t)
 	checkGolden(t, "coordinator.metrics.prom", wallMetric.ReplaceAll([]byte(coord), []byte("$1 0")))
 	checkGolden(t, "timeline.chrome.json", wallTrace.ReplaceAll([]byte(trace), []byte(`"$1":0`)))
 }
 
-// TestFleetHelpText checks that every family of the real coordinator and
-// worker registries describes itself: none may fall back to a generic
-// "probe" description, and a family without a worker label is fleet-wide, so
-// its help must not speak of "this worker".
+// TestFleetHelpText checks that every family of the real coordinator
+// registry describes itself: none may fall back to a generic "probe"
+// description, and a family without a worker label is fleet-wide, so its
+// help must not speak of "this worker".
 func TestFleetHelpText(t *testing.T) {
-	coord, worker, _ := fleetPass(t)
+	coord, _ := fleetPass(t)
 	generic := regexp.MustCompile(`(?i)^# HELP \S+ (fleet probe|probes? )`)
-	for name, body := range map[string]string{"coordinator": coord, "worker": worker} {
-		lines := strings.Split(body, "\n")
-		for i, line := range lines {
-			if !strings.HasPrefix(line, "# HELP ") {
-				continue
-			}
-			if generic.MatchString(line) {
-				t.Errorf("%s: generic fallback help: %s", name, line)
-			}
-			// HELP, TYPE, then the family's first sample.
-			perWorker := i+2 < len(lines) && strings.Contains(lines[i+2], `{worker="`)
-			if name == "coordinator" && !perWorker && strings.Contains(line, "this worker") {
-				t.Errorf("coordinator: fleet-wide family described per worker: %s", line)
-			}
+	lines := strings.Split(coord, "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "# HELP ") {
+			continue
+		}
+		if generic.MatchString(line) {
+			t.Errorf("generic fallback help: %s", line)
+		}
+		// HELP, TYPE, then the family's first sample.
+		perWorker := i+2 < len(lines) && strings.Contains(lines[i+2], `{worker="`)
+		if !perWorker && strings.Contains(line, "this worker") {
+			t.Errorf("fleet-wide family described per worker: %s", line)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // The coordinator's HTTP surface, following internal/obs.Server's shape:
 // a background Serve goroutine behind a constructor that binds first (so
-// ":0" resolves and failures are synchronous), /healthz and /progress on
-// the shared obs helpers, and JSON everywhere else.
+// ":0" resolves and failures are synchronous), /healthz on the shared obs
+// helper, and JSON everywhere but /metrics. Every read is rendered from
+// coordinator state when it is requested.
 //
 // Client API:
 //
@@ -12,7 +13,9 @@
 //	     (?format=chrome for a Perfetto/chrome://tracing trace)
 //	GET  /results/{fingerprint}                     -> Record JSON (content-addressed)
 //	GET  /workers                                   -> []WorkerInfo
-//	GET  /progress, /healthz, /metrics              -> obs-style exposition
+//	GET  /progress                                  -> Progress JSON
+//	GET  /metrics                                   -> Prometheus text
+//	GET  /healthz                                   -> "ok"
 //
 // Worker API (all POST, JSON request/response):
 //
@@ -50,8 +53,10 @@ func NewServer(addr string, co *Coordinator) (*Server, error) {
 	s := &Server{co: co, ln: ln}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", obs.Healthz)
-	mux.HandleFunc("/progress", co.progress.Handler("application/json"))
-	mux.HandleFunc("/metrics", co.metrics.Handler("text/plain; version=0.0.4; charset=utf-8"))
+	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, co.Progress()) })
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		obs.WriteSnapshot(w, "text/plain; version=0.0.4; charset=utf-8", co.Metrics())
+	})
 	mux.HandleFunc("/workers", s.handleWorkers)
 	mux.HandleFunc("/submit", s.handleSubmit)
 	mux.HandleFunc("/sweeps/", s.handleSweeps)

@@ -18,9 +18,7 @@ import (
 	"sync"
 	"time"
 
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/sweep"
-	"gpgpunoc/internal/telemetry"
 )
 
 // WorkerOptions tune a worker.
@@ -38,15 +36,13 @@ type WorkerOptions struct {
 	Poll time.Duration
 	// Client overrides the HTTP client (nil = 30s-timeout default).
 	Client *http.Client
-	// ObsAddr, when non-empty, serves the worker's own /healthz and
-	// /metrics on that address — per-process liveness and throughput for
-	// fleet monitoring, independent of the coordinator's aggregate view.
-	ObsAddr string
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 }
 
 // Worker runs jobs for a coordinator. Construct with NewWorker, then Run.
+// Its activity is observed on the coordinator's /metrics, which carries
+// each worker's leases, jobs and heartbeat age.
 type Worker struct {
 	base string
 	opts WorkerOptions
@@ -54,48 +50,6 @@ type Worker struct {
 	id          string
 	heartbeat   time.Duration
 	batchesDone int
-
-	// Worker-side observability. The probes are touched only from the Run
-	// goroutine (the engine's concurrency is invisible here: metrics update
-	// between batches from mem.Records()); the obs server just serves the
-	// latest rendered bytes.
-	wmet  *workerMetrics
-	obsrv *obs.Server
-}
-
-// workerMetrics is the worker's own probe set, exposed on ObsAddr.
-type workerMetrics struct {
-	reg        *telemetry.Registry
-	leases     *telemetry.Counter
-	batches    *telemetry.Counter
-	jobsOK     *telemetry.Counter
-	jobsFailed *telemetry.Counter
-	busy       *telemetry.Gauge
-}
-
-func newWorkerMetrics() *workerMetrics {
-	reg := telemetry.NewRegistry()
-	counter := func(field, help string) *telemetry.Counter {
-		return reg.Counter("fleet."+field, telemetry.Desc{Family: "fleet_" + field + "_total", Help: help})
-	}
-	return &workerMetrics{
-		reg:        reg,
-		leases:     counter("leases", "Leases this worker has taken."),
-		batches:    counter("batches", "Lease batches this worker has completed."),
-		jobsOK:     counter("jobs_ok", "Jobs this worker ran successfully."),
-		jobsFailed: counter("jobs_failed", "Jobs this worker ran that failed."),
-		busy: reg.Gauge("fleet.busy", telemetry.Desc{Family: "fleet_busy",
-			Help: "1 while the worker is running a lease batch, else 0."}),
-	}
-}
-
-// publishObs renders and publishes the worker's /metrics exposition (no-op
-// without an obs server).
-func (w *Worker) publishObs() {
-	if w.obsrv == nil {
-		return
-	}
-	w.obsrv.SetMetrics(w.wmet.reg.RenderPrometheus())
 }
 
 // NewWorker returns a worker for the coordinator at baseURL
@@ -113,23 +67,13 @@ func NewWorker(baseURL string, opts WorkerOptions) *Worker {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	return &Worker{base: strings.TrimRight(baseURL, "/"), opts: opts, wmet: newWorkerMetrics()}
+	return &Worker{base: strings.TrimRight(baseURL, "/"), opts: opts}
 }
 
 // Run registers and serves leases until ctx is cancelled. Transient
 // coordinator errors (it may not be up yet, or restarting) are retried
 // with a fixed backoff; only ctx cancellation ends the loop.
 func (w *Worker) Run(ctx context.Context) error {
-	if w.opts.ObsAddr != "" {
-		srv, err := obs.NewServer(w.opts.ObsAddr)
-		if err != nil {
-			return err
-		}
-		w.obsrv = srv
-		defer srv.Close()
-		w.publishObs()
-		w.opts.Logf("fabric: worker obs on http://%s (/healthz /metrics)", srv.Addr())
-	}
 	for {
 		if err := w.register(ctx); err != nil {
 			if ctx.Err() != nil {
@@ -214,10 +158,6 @@ func (w *Worker) runLease(ctx context.Context, lease LeaseResponse) {
 	defer hbCancel()
 	go w.heartbeatLoop(hbCtx, lease.LeaseID, hbCancel)
 
-	w.wmet.leases.Inc()
-	w.wmet.busy.Set(1)
-	w.publishObs()
-
 	var mem sweep.Memory
 	sc := newSpanCollector()
 	start := time.Now()
@@ -235,15 +175,6 @@ func (w *Worker) runLease(ctx context.Context, lease LeaseResponse) {
 	hbCancel()
 
 	recs := append(mem.Records(), badRecs...)
-	for _, rec := range recs {
-		if rec.Status == sweep.StatusOK {
-			w.wmet.jobsOK.Inc()
-		} else {
-			w.wmet.jobsFailed.Inc()
-		}
-	}
-	w.wmet.busy.Set(0)
-	w.publishObs()
 	w.opts.Logf("fabric: lease %s: %d/%d records in %.1fs",
 		lease.LeaseID, len(recs), len(lease.Jobs), time.Since(start).Seconds())
 
@@ -264,8 +195,6 @@ func (w *Worker) runLease(ctx context.Context, lease LeaseResponse) {
 			continue
 		}
 		w.batchesDone++
-		w.wmet.batches.Inc()
-		w.publishObs()
 		return
 	}
 }

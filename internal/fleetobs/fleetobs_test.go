@@ -68,7 +68,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	r.Record(613, KindInvariantFail, 0, 0, 0)
 
 	dir := t.TempDir()
-	path, err := r.Dump(dir, "kmn-s1-invariant", "gpu", "invariant failure")
+	path, err := r.Dump(dir, "kmn-s1-invariant", "invariant failure")
 	if err != nil {
 		t.Fatalf("Dump: %v", err)
 	}
@@ -104,10 +104,10 @@ func TestDumpRoundTrip(t *testing.T) {
 func TestDumpDroppedCount(t *testing.T) {
 	small := &Recorder{ring: make([]Event, 4), mask: 3}
 	for i := int64(0); i < 10; i++ {
-		small.Record(i, KindHeartbeat, 0, 0, 0)
+		small.Record(i, KindCheckpoint, 0, 0, 0)
 	}
 	var buf bytes.Buffer
-	if err := small.WriteJSONL(&buf, "coordinator", "lease expiry"); err != nil {
+	if err := small.WriteJSONL(&buf, "watchdog"); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
 	hdr, events, err := ReadDump(&buf)
@@ -123,7 +123,7 @@ func TestDumpDroppedCount(t *testing.T) {
 }
 
 func TestKindStringsRoundTrip(t *testing.T) {
-	for k := KindPhase; k <= KindQuarantine; k++ {
+	for k := KindPhase; k <= KindRetile; k++ {
 		got, ok := kindByName(k.String())
 		if !ok || got != k {
 			t.Fatalf("kind %d (%s) does not round-trip", k, k)

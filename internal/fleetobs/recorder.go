@@ -1,16 +1,13 @@
-// Package fleetobs is the fleet-level observability substrate shared by the
-// simulator and the sweep fabric: a bounded, allocation-free flight recorder
-// of recent events (cycle-domain on the simulator side, lease/heartbeat
-// wall-time events on the coordinator side), a per-job span timeline model
-// for the /sweeps/{id}/timeline endpoint, and a Prometheus text renderer for
-// the fleet probe naming scheme.
+// Package fleetobs holds two observability models: the simulator's
+// bounded, allocation-free flight recorder of recent cycle-domain events,
+// and the per-job span timeline the sweep fabric serves at
+// /sweeps/{id}/timeline.
 //
 // The recorder follows the repository's nil-gated observability idiom
 // (telemetry probes, noc.Network.SetTracer): an unattached recorder costs
 // one predictable nil check per site, and recording into an attached one is
 // a plain struct store into a preallocated ring — no allocation, no locks.
-// The ring is single-writer: the simulation stepping goroutine on the sim
-// side, the coordinator under its own mutex on the fabric side.
+// The ring is single-writer: the simulation stepping goroutine.
 package fleetobs
 
 import (
@@ -27,9 +24,7 @@ import (
 type Kind uint8
 
 // Event kinds. The A/B/C payload meaning is per-kind (documented here and
-// in DESIGN.md §15); Cycle is the simulated cycle for sim-domain events and
-// -1 for fabric-side events, whose A field carries milliseconds since the
-// coordinator started instead.
+// in DESIGN.md §15).
 const (
 	// KindPhase: run-phase entry. A: 0 = warmup, 1 = measurement.
 	KindPhase Kind = iota
@@ -50,29 +45,11 @@ const (
 	// KindRetile: the parallel kernel re-cut its lanes and this lane's rows
 	// changed. A: lane, B: its first row, C: its row count.
 	KindRetile
-	// KindRegister: fabric: a worker registered. A: wall ms, B: worker number.
-	KindRegister
-	// KindLease: fabric: a lease was granted. A: wall ms, B: worker number,
-	// C: jobs in the lease.
-	KindLease
-	// KindHeartbeat: fabric: a lease renewal. A: wall ms, B: worker number.
-	KindHeartbeat
-	// KindLeaseExpired: fabric: a lease died unrenewed. A: wall ms,
-	// B: worker number, C: jobs forfeited.
-	KindLeaseExpired
-	// KindComplete: fabric: a worker posted records. A: wall ms, B: worker
-	// number, C: records accepted.
-	KindComplete
-	// KindRequeue: fabric: a failed job went back in the queue. A: wall ms.
-	KindRequeue
-	// KindQuarantine: fabric: a poison job was quarantined. A: wall ms.
-	KindQuarantine
 )
 
 var kindNames = [...]string{
 	"phase", "checkpoint", "invariant_ok", "invariant_fail", "watchdog",
-	"panic", "pool", "retile", "register", "lease", "heartbeat", "lease_expired",
-	"complete", "requeue", "quarantine",
+	"panic", "pool", "retile",
 }
 
 // String names the kind.
@@ -95,8 +72,7 @@ func kindByName(s string) (Kind, bool) {
 
 // Event is one recorded flight-recorder entry. Seq is the global event
 // number (monotonic, so a wrapped ring still orders and counts drops);
-// Cycle is the simulated cycle (-1 for fabric-side events); A/B/C carry the
-// per-kind payload.
+// Cycle is the simulated cycle; A/B/C carry the per-kind payload.
 type Event struct {
 	Seq   uint64
 	Cycle int64
@@ -174,7 +150,7 @@ func (r *Recorder) Events() []Event {
 // DumpHeader is the first line of a flight-recorder JSONL dump.
 type DumpHeader struct {
 	Flight   string `json:"flight"` // format version, "v1"
-	Source   string `json:"source"` // "gpu" or "coordinator"
+	Source   string `json:"source"` // always "gpu": the simulator writes every dump
 	Reason   string `json:"reason"` // what triggered the dump
 	Recorded uint64 `json:"recorded"`
 	Dropped  uint64 `json:"dropped"`
@@ -192,12 +168,12 @@ type dumpEvent struct {
 
 // WriteJSONL writes the post-mortem dump: one header line, then the
 // retained events oldest-first, one JSON object per line.
-func (r *Recorder) WriteJSONL(w io.Writer, source, reason string) error {
+func (r *Recorder) WriteJSONL(w io.Writer, reason string) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	hdr := DumpHeader{
 		Flight:   "v1",
-		Source:   source,
+		Source:   "gpu",
 		Reason:   reason,
 		Recorded: r.Recorded(),
 		Dropped:  r.Recorded() - uint64(r.Len()),
@@ -218,7 +194,7 @@ func (r *Recorder) WriteJSONL(w io.Writer, source, reason string) error {
 // Dump writes the JSONL snapshot to <dir>/<name>.flight.jsonl (creating
 // dir), returning the path. The name is caller-chosen and deterministic, so
 // a retried job overwrites its previous dump instead of accumulating.
-func (r *Recorder) Dump(dir, name, source, reason string) (string, error) {
+func (r *Recorder) Dump(dir, name, reason string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("fleetobs: dump dir: %w", err)
 	}
@@ -227,7 +203,7 @@ func (r *Recorder) Dump(dir, name, source, reason string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("fleetobs: dump: %w", err)
 	}
-	if err := r.WriteJSONL(f, source, reason); err != nil {
+	if err := r.WriteJSONL(f, reason); err != nil {
 		f.Close()
 		return "", fmt.Errorf("fleetobs: dump %s: %w", path, err)
 	}

@@ -569,7 +569,7 @@ func (s *Simulator) dumpFlight(reason string) string {
 		return ""
 	}
 	name := fmt.Sprintf("%s-s%d-%s", s.Prof.Name, s.Cfg.Seed, reason)
-	path, err := s.Flight.Dump(s.FlightDir, name, "gpu", reason)
+	path, err := s.Flight.Dump(s.FlightDir, name, reason)
 	if err != nil {
 		return ""
 	}

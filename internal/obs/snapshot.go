@@ -1,16 +1,16 @@
-// Shared publish/serve helpers for exposition servers. The pattern — a
-// producer renders a snapshot to bytes and publishes it; HTTP handlers only
-// read the latest published bytes under a read lock, answering 503 before
-// the first publication — is what Server's three endpoints are made of and
-// is reused by other services (the fabric coordinator's /progress and
-// /workers endpoints).
+// Publish/serve helpers for Server. The pattern — a producer renders a
+// snapshot to bytes and publishes it; HTTP handlers only read the latest
+// published bytes under a read lock, answering 503 before the first
+// publication — is what Server's three endpoints are made of. It suits a
+// producer that owns its state on one goroutine, like the simulation loop;
+// the fabric coordinator, whose state sits under a mutex, renders at the
+// request instead and shares only WriteSnapshot and Healthz.
 // The published slice is retained and served concurrently, so callers must
 // treat it as frozen after Set. Every caller meets this by publishing a
 // buffer rendered for that call alone: Server.SetMetrics receives
 // telemetry.Registry.RenderPrometheus output (obs.Progress, the sweep
-// tracker, fabric workers), the coordinator's Set receives
-// renderMetricsLocked output, and SetJSON — under Server.SetStateJSON and
-// SetProgressJSON too — marshals into a fresh slice.
+// tracker), and SetJSON — under Server.SetStateJSON and SetProgressJSON —
+// marshals into a fresh slice.
 
 package obs
 
