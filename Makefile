@@ -149,7 +149,7 @@ obs-smoke:
 	@set -e; \
 	$(GO) build -o $(OBS_SMOKE_BIN) ./cmd/nocsim; \
 	$(OBS_SMOKE_BIN) -bench KMN -cycles 2000000 -telemetry-epoch 1000 \
-		-obs-addr $(OBS_SMOKE_ADDR) -obs-publish 500 >/dev/null & sim=$$!; \
+		-obs-addr $(OBS_SMOKE_ADDR) >/dev/null & sim=$$!; \
 	trap 'kill $$sim 2>/dev/null || true; wait $$sim 2>/dev/null || true; rm -f $(OBS_SMOKE_BIN)' EXIT; \
 	for i in $$(seq 1 100); do \
 		curl -fsS http://$(OBS_SMOKE_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.2; \

@@ -49,6 +49,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	overrides, err := cf.Overrides()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 
 	if *list {
 		for _, r := range experiments.Runners() {
@@ -72,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := experiments.Opts{
 		Benchmarks: benchmarks,
 		Parallel:   *parallel,
-		Overrides:  cf.Overrides(),
+		Overrides:  overrides,
 	}
 
 	var ids []string

@@ -58,6 +58,7 @@ func TestGoldenUsageErrors(t *testing.T) {
 		"trailing comma":  {[]string{"-run", "fig2", "-benchmarks", "KMN,"}, 2, "-benchmarks \"KMN,\": empty benchmark name"},
 		"only spaces":     {[]string{"-run", "fig2", "-benchmarks", " "}, 2, "-benchmarks"},
 		"unknown flag":    {[]string{"-bench", "KMN"}, 2, "flag provided but not defined"},
+		"config file":     {[]string{"-config", "/nonexistent.json", "-run", "fig2"}, 2, "-config /nonexistent.json: this command layers flags over its own base configurations"},
 		"unknown format":  {[]string{"-format", "xml"}, 1, "unknown -format"},
 		"unknown figure":  {[]string{"-run", "fig99"}, 1, "unknown experiment \"fig99\""},
 		"unknown program": {[]string{"-run", "fig2", "-benchmarks", "KMN,NOPE", "-cycles", "100"}, 1, "NOPE"},

@@ -28,67 +28,75 @@ import (
 	"gpgpunoc/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters, so tests can pin
+// what it prints. It returns the process exit code: 2 for flags it cannot
+// parse or a run that protocol-deadlocked, 1 for a refused option, a setup
+// or export error, or a run that ended in an error.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench    = flag.String("bench", "KMN", "benchmark name ("+strings.Join(workload.Names(), ",")+")")
-		heatmap  = flag.Bool("heatmap", false, "print per-direction link utilization heatmaps")
-		linkCSV  = flag.String("linkcsv", "", "write per-link flit counts as CSV to this file")
-		sanitize = flag.Int("sanitize", 0, "validate interconnect invariants every N cycles (0 = off)")
+		bench    = fs.String("bench", "KMN", "benchmark name ("+strings.Join(workload.Names(), ",")+")")
+		heatmap  = fs.Bool("heatmap", false, "print per-direction link utilization heatmaps")
+		linkCSV  = fs.String("linkcsv", "", "write per-link flit counts as CSV to this file")
+		sanitize = fs.Int("sanitize", 0, "validate interconnect invariants every N cycles (0 = off)")
 
-		telEpoch = flag.Int64("telemetry-epoch", 0, "sample cycle-domain telemetry every N cycles (0 = off)")
-		telOut   = flag.String("telemetry-out", "telemetry", "directory for telemetry artifacts (series.jsonl, heatmap.csv, trace.json)")
+		telEpoch = fs.Int64("telemetry-epoch", 0, "sample cycle-domain telemetry every N cycles (0 = off)")
+		telOut   = fs.String("telemetry-out", "telemetry", "directory for telemetry artifacts (series.jsonl, heatmap.csv, trace.json)")
 
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	// All simulation-configuration flags (-config, -placement, -routing,
 	// -vcpolicy, -vcs, -depth, -cycles, -seed, -allow-unsafe, ...) come
 	// from the shared config.BindFlags API; the live-observability flags
-	// (-obs-addr, -obs-publish, -obs-sample-rate, -spans, -span-trace)
-	// from config.BindObsFlags.
-	cf := config.BindFlags(flag.CommandLine)
-	of := config.BindObsFlags(flag.CommandLine)
-	flag.Parse()
+	// (-obs-addr, -obs-sample-rate, -spans, -span-trace) from
+	// config.BindObsFlags.
+	cf := config.BindFlags(fs)
+	of := config.BindObsFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	cfg, err := cf.Config()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if err := config.ValidateTelemetryEpoch(*telEpoch); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if err := of.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	// Profiles must land on every exit path, including the error exits
-	// below, so route all of them through one exit helper.
-	exit := func(code int) {
+	// below.
+	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			if code == 0 {
 				code = 1
 			}
 		}
-		os.Exit(code)
-	}
+	}()
 
 	for _, w := range cfg.Warnings() {
-		fmt.Fprintln(os.Stderr, w)
+		fmt.Fprintln(stderr, w)
 	}
 
 	prof, err := workload.Get(*bench)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
+		return fail(err)
 	}
 	inst := gpu.Instrumentation{
 		SanitizeEvery:  *sanitize,
@@ -100,113 +108,90 @@ func main() {
 	if of.Addr != "" {
 		srv, err = obs.NewServer(of.Addr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+			return fail(err)
 		}
 		// No Close: the server lives until process exit so late scrapes
-		// still see the final snapshot.
+		// still see the end-of-run render.
 		inst.Obs = srv
-		inst.PublishEvery = of.PublishEvery
 	}
 	sim, err := gpu.NewInstrumented(cfg, prof, inst)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
+		return fail(err)
 	}
+	defer sim.Close()
 	if srv != nil {
-		fmt.Printf("observability: http://%s/{metrics,state,progress,healthz}\n", srv.Addr())
+		fmt.Fprintf(stdout, "observability: http://%s/{metrics,state,progress,healthz}\n", srv.Addr())
 	}
 	res, runErr := sim.RunContext(context.Background())
 	if runErr != nil {
 		// Sanitizer violations (and cancellations) still report the partial
 		// result; the non-zero exit is what CI keys on.
-		fmt.Fprintln(os.Stderr, runErr)
+		fmt.Fprintln(stderr, runErr)
 	}
 	if lanes := sim.Net.StateSnapshot().Lanes; len(lanes) > 1 {
 		// The partition the parallel kernel ended on: which rows each lane
 		// stepped and its share of the last window's counted work.
-		fmt.Fprint(os.Stderr, "lanes:")
+		fmt.Fprint(stderr, "lanes:")
 		for _, l := range lanes {
-			fmt.Fprintf(os.Stderr, " %d=rows %d-%d (%.0f%%)", l.Lane, l.FirstRow, l.FirstRow+l.Rows-1, 100*l.WorkShare)
+			fmt.Fprintf(stderr, " %d=rows %d-%d (%.0f%%)", l.Lane, l.FirstRow, l.FirstRow+l.Rows-1, 100*l.WorkShare)
 		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintln(stderr)
 	}
 	if res.Spans != nil {
 		if err := writeSpans(res.Spans, of.SpansOut, of.TraceOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+			return fail(err)
 		}
-		fmt.Printf("spans: %d packets traced at rate %g", res.Spans.NumTraces(), res.Spans.Rate())
+		fmt.Fprintf(stdout, "spans: %d packets traced at rate %g", res.Spans.NumTraces(), res.Spans.Rate())
 		if of.SpansOut != "" {
-			fmt.Printf("  log %s", of.SpansOut)
+			fmt.Fprintf(stdout, "  log %s", of.SpansOut)
 		}
 		if of.TraceOut != "" {
-			fmt.Printf("  trace %s", of.TraceOut)
+			fmt.Fprintf(stdout, "  trace %s", of.TraceOut)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if res.Tel != nil {
 		m := mesh.New(cfg.NoC.Width, cfg.NoC.Height)
 		if err := writeTelemetry(res, m, *telOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+			return fail(err)
 		}
 		sum := res.Tel.Summarize()
-		fmt.Printf("telemetry: %s/{series.jsonl,heatmap.csv,trace.json}  reply:request link flits %.2f (%d:%d)\n\n",
+		fmt.Fprintf(stdout, "telemetry: %s/{series.jsonl,heatmap.csv,trace.json}  reply:request link flits %.2f (%d:%d)\n\n",
 			*telOut, sum.ReplyRequestRatio(), sum.LinkFlits[packet.Reply], sum.LinkFlits[packet.Request])
 	}
-	fmt.Println(experiments.Summary(res))
+	fmt.Fprintln(stdout, experiments.Summary(res))
 	if *heatmap {
-		fmt.Println()
-		res.Net.Heatmap(os.Stdout)
+		fmt.Fprintln(stdout)
+		res.Net.Heatmap(stdout)
 	}
 	if *linkCSV != "" {
-		f, err := os.Create(*linkCSV)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-		if err := res.Net.WriteLinkCSV(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+		if err := writeFile(*linkCSV, res.Net.WriteLinkCSV); err != nil {
+			return fail(err)
 		}
 	}
 	if res.Deadlocked {
-		fmt.Println("\nthe configuration protocol-deadlocked; run with a safe VC policy (split/asymmetric/partial)")
-		exit(2)
+		fmt.Fprintln(stdout, "\nthe configuration protocol-deadlocked; run with a safe VC policy (split/asymmetric/partial)")
+		return 2
 	}
 	if runErr != nil {
-		exit(1)
+		return 1
 	}
-	exit(0)
+	return 0
 }
 
 // writeSpans exports the sampled-packet spans: the JSONL log (one line per
 // traced packet, ReadSpans round-trippable) and/or the Chrome trace-event
 // file (loadable in Perfetto, one track per packet).
 func writeSpans(sp *obs.Spans, jsonlPath, tracePath string) error {
-	write := func(path string, fn func(w io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
+	if jsonlPath != "" {
+		if err := writeFile(jsonlPath, sp.WriteJSONL); err != nil {
 			return err
 		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
 	}
-	if err := write(jsonlPath, sp.WriteJSONL); err != nil {
-		return err
+	if tracePath == "" {
+		return nil
 	}
-	return write(tracePath, sp.WriteChromeTrace)
+	return writeFile(tracePath, sp.WriteChromeTrace)
 }
 
 // writeTelemetry exports the instrumented run's three artifacts into dir:
@@ -218,15 +203,7 @@ func writeTelemetry(res gpu.Result, m mesh.Mesh, dir string) error {
 		return err
 	}
 	write := func(name string, fn func(w io.Writer) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return writeFile(filepath.Join(dir, name), fn)
 	}
 	if err := write("series.jsonl", res.Tel.WriteJSONL); err != nil {
 		return err
@@ -239,4 +216,17 @@ func writeTelemetry(res gpu.Result, m mesh.Mesh, dir string) error {
 	return write("trace.json", func(w io.Writer) error {
 		return res.Tel.WriteChromeTrace(w, telemetry.DefaultTraceFilter)
 	})
+}
+
+// writeFile creates path and writes it with fn.
+func writeFile(path string, fn func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

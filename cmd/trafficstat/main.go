@@ -40,13 +40,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	overrides, err := cf.Overrides()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 
 	benchmarks, err := experiments.ParseBenchmarks(*benchmark)
 	if err != nil {
 		fmt.Fprintf(stderr, "-benchmarks %q: %v\n", *benchmark, err)
 		return 2
 	}
-	opts := experiments.Opts{Benchmarks: benchmarks, Parallel: *parallel, Overrides: cf.Overrides()}
+	opts := experiments.Opts{Benchmarks: benchmarks, Parallel: *parallel, Overrides: overrides}
 	if *probes {
 		t, err := experiments.ProbeFig2(opts, *telEpoch)
 		if err != nil {

@@ -33,3 +33,17 @@ func TestBenchmarkList(t *testing.T) {
 		t.Errorf("-benchmarks \"KMN,\" wrote to stdout: %s", got.String())
 	}
 }
+
+// TestConfigFileRefused: trafficstat layers its flags over the baseline and
+// reads no configuration file, so -config is refused by name before
+// anything runs instead of being silently ignored.
+func TestConfigFileRefused(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-config", "/nonexistent.json", "-benchmarks", "KMN"}, &stdout, &stderr)
+	if code != 2 || !strings.Contains(stderr.String(), "-config /nonexistent.json") || !strings.Contains(stderr.String(), "set the individual flags") {
+		t.Errorf("-config exited %d with stderr %q; want 2, the flag named and the individual flags pointed to", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("-config wrote to stdout: %s", stdout.String())
+	}
+}

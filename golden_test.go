@@ -108,8 +108,7 @@ func goldenRun(t *testing.T, dir string, cfg config.Config) {
 	}
 	defer srv.Close()
 	sim := newSim(t, cfg, "KMN", gpu.Instrumentation{
-		TelemetryEpoch: 100, Spans: true, SpanRate: 1,
-		Obs: srv, PublishEvery: 250,
+		TelemetryEpoch: 100, Spans: true, SpanRate: 1, Obs: srv,
 	})
 	res := runSim(t, sim)
 	if res.Deadlocked {
@@ -134,8 +133,8 @@ func goldenRun(t *testing.T, dir string, cfg config.Config) {
 	render("spans.jsonl", res.Spans.WriteJSONL)
 	render("spans.trace.json", res.Spans.WriteChromeTrace)
 
-	// The run's final publication is the /metrics body a scraper sees once
-	// the run is done.
+	// The end-of-run render is the /metrics body a scraper sees once the
+	// run is done.
 	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -73,7 +73,8 @@ func (o Overrides) Apply(base Config) Config {
 
 // Flags is the one flag→configuration mapping shared by every CLI. Bind it
 // with BindFlags, parse, then call Config (full configuration) or
-// Overrides (only the flags the user actually set).
+// Overrides (only the flags the user actually set, for a CLI with base
+// configurations of its own).
 type Flags struct {
 	fs *flag.FlagSet
 
@@ -120,8 +121,18 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 func Bind() *Flags { return BindFlags(flag.CommandLine) }
 
 // Overrides returns only the fields whose flags were explicitly set on the
-// command line. The FlagSet must have been parsed.
-func (f *Flags) Overrides() Overrides {
+// command line. It refuses -config: a file is a whole base configuration,
+// which Overrides cannot carry, and dropping it would silently simulate the
+// defaults. The FlagSet must have been parsed.
+func (f *Flags) Overrides() (Overrides, error) {
+	if f.file != "" {
+		return Overrides{}, fmt.Errorf("-config %s: this command layers flags over its own base configurations and reads no configuration file; set the individual flags (-placement, -routing, -vcpolicy, -vcs, -cycles, ...) instead", f.file)
+	}
+	return f.set(), nil
+}
+
+// set returns the fields whose flags were explicitly set.
+func (f *Flags) set() Overrides {
 	var o Overrides
 	f.fs.Visit(func(fl *flag.Flag) {
 		switch fl.Name {
@@ -173,7 +184,7 @@ func (f *Flags) Config() (Config, error) {
 			return Config{}, fmt.Errorf("%s: %w", f.file, err)
 		}
 	}
-	cfg := f.Overrides().Apply(base)
+	cfg := f.set().Apply(base)
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
 	}

@@ -36,14 +36,17 @@ func TestFlagsDefaultIsBaseline(t *testing.T) {
 	if cfg != config.Default() {
 		t.Errorf("no flags must yield Default():\n got %+v\nwant %+v", cfg, config.Default())
 	}
-	if o := f.Overrides(); o != (config.Overrides{}) {
-		t.Errorf("no flags set but Overrides non-empty: %+v", o)
+	if o, err := f.Overrides(); err != nil || o != (config.Overrides{}) {
+		t.Errorf("no flags set but Overrides = %+v, %v", o, err)
 	}
 }
 
 func TestFlagsOverridesOnlyExplicit(t *testing.T) {
 	f := bind(t, "-routing", "yx", "-seed", "7")
-	o := f.Overrides()
+	o, err := f.Overrides()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if o.Routing == nil || *o.Routing != config.RoutingYX {
 		t.Errorf("explicit -routing missing from overrides: %+v", o)
 	}
@@ -67,7 +70,7 @@ func TestFlagsOverridesOnlyExplicit(t *testing.T) {
 
 func TestFlagsPerfKnobs(t *testing.T) {
 	f := bind(t, "-workers", "4")
-	if o := f.Overrides(); o.Workers == nil || *o.Workers != 4 {
+	if o, err := f.Overrides(); err != nil || o.Workers == nil || *o.Workers != 4 {
 		t.Errorf("explicit -workers missing from overrides: %+v", o)
 	}
 	cfg, err := f.Config()

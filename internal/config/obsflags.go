@@ -7,16 +7,13 @@ import (
 )
 
 // Obs is the live-observability configuration shared by the CLIs: the HTTP
-// exposition server, the snapshot publication period, and per-packet span
-// tracing. It is command-line-only state (not part of Config and not
-// serialized): it instruments a run without changing what is simulated.
+// exposition server and per-packet span tracing. It is command-line-only
+// state (not part of Config and not serialized): it instruments a run
+// without changing what is simulated.
 type Obs struct {
 	// Addr is the HTTP listen address for /metrics, /state, /progress and
 	// /healthz ("" disables the server).
 	Addr string
-
-	// PublishEvery is the snapshot publication period in cycles.
-	PublishEvery int64
 
 	// SampleRate is the span-tracing sample rate in (0, 1]: the expected
 	// fraction of request packets traced end-to-end.
@@ -33,14 +30,10 @@ type Obs struct {
 func (o Obs) SpansEnabled() bool { return o.SpansOut != "" || o.TraceOut != "" }
 
 // Validate rejects unusable observability settings up front — a sample
-// rate outside (0, 1] or a non-positive publication period would otherwise
-// silently trace nothing or never publish.
+// rate outside (0, 1] would otherwise silently trace nothing.
 func (o Obs) Validate() error {
 	if o.SampleRate <= 0 || o.SampleRate > 1 || math.IsNaN(o.SampleRate) {
 		return fmt.Errorf("config: obs sample rate %v outside (0, 1]", o.SampleRate)
-	}
-	if o.PublishEvery <= 0 {
-		return fmt.Errorf("config: obs publish period %d cycles, need >= 1", o.PublishEvery)
 	}
 	return nil
 }
@@ -60,7 +53,6 @@ func ValidateTelemetryEpoch(epoch int64) error {
 func BindObsFlags(fs *flag.FlagSet) *Obs {
 	o := &Obs{}
 	fs.StringVar(&o.Addr, "obs-addr", "", "serve live /metrics, /state, /progress on this address (e.g. 127.0.0.1:9177; empty = off)")
-	fs.Int64Var(&o.PublishEvery, "obs-publish", 1000, "publish observability snapshots every N cycles")
 	fs.Float64Var(&o.SampleRate, "obs-sample-rate", 0.01, "span-tracing sample rate in (0, 1]")
 	fs.StringVar(&o.SpansOut, "spans", "", "write the span JSONL log of sampled packets to this file")
 	fs.StringVar(&o.TraceOut, "span-trace", "", "write sampled-packet spans as Chrome trace-event JSON to this file")

@@ -9,7 +9,7 @@ import (
 
 func TestObsValidateSampleRate(t *testing.T) {
 	for _, rate := range []float64{0, -0.5, 1.5, math.NaN()} {
-		o := Obs{SampleRate: rate, PublishEvery: 1000}
+		o := Obs{SampleRate: rate}
 		if err := o.Validate(); err == nil {
 			t.Errorf("rate %v accepted", rate)
 		} else if !strings.Contains(err.Error(), "config:") {
@@ -17,16 +17,8 @@ func TestObsValidateSampleRate(t *testing.T) {
 		}
 	}
 	for _, rate := range []float64{0.001, 0.5, 1} {
-		if err := (Obs{SampleRate: rate, PublishEvery: 1000}).Validate(); err != nil {
+		if err := (Obs{SampleRate: rate}).Validate(); err != nil {
 			t.Errorf("rate %v rejected: %v", rate, err)
-		}
-	}
-}
-
-func TestObsValidatePublishEvery(t *testing.T) {
-	for _, every := range []int64{0, -100} {
-		if err := (Obs{SampleRate: 0.5, PublishEvery: every}).Validate(); err == nil {
-			t.Errorf("publish period %d accepted", every)
 		}
 	}
 }

@@ -1,8 +1,8 @@
-// The coordinator's HTTP surface, following internal/obs.Server's shape:
-// a background Serve goroutine behind a constructor that binds first (so
-// ":0" resolves and failures are synchronous), /healthz on the shared obs
-// helper, and JSON everywhere but /metrics. Every read is rendered from
-// coordinator state when it is requested.
+// The coordinator's HTTP surface, on its own mux but in internal/obs.Server's
+// shape: a background Serve goroutine behind a constructor that binds first
+// (so ":0" resolves and failures are synchronous), /healthz on the shared obs
+// handler, and JSON everywhere but /metrics. Like the obs views, every read
+// is rendered from coordinator state when it is requested.
 //
 // Client API:
 //
@@ -55,7 +55,8 @@ func NewServer(addr string, co *Coordinator) (*Server, error) {
 	mux.HandleFunc("/healthz", obs.Healthz)
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, co.Progress()) })
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		obs.WriteSnapshot(w, "text/plain; version=0.0.4; charset=utf-8", co.Metrics())
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_, _ = w.Write(co.Metrics())
 	})
 	mux.HandleFunc("/workers", s.handleWorkers)
 	mux.HandleFunc("/submit", s.handleSubmit)

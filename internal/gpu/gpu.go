@@ -50,11 +50,11 @@ type Simulator struct {
 	// selects. Nil-gated like Tel.
 	Spans *obs.Spans
 
-	// Pub, when non-nil (see Instrumentation.Obs), publishes /metrics,
-	// /state and /progress snapshots to an obs.Server at cycle boundaries.
-	// Driven from Step on the simulation goroutine, so every published
-	// snapshot sees a quiescent kernel.
-	Pub *obs.Publisher
+	// views, when non-nil (see Instrumentation.Obs), are the live /metrics,
+	// /state and /progress views: Step answers a waiting scrape at the end of
+	// the cycle, on the stepping goroutine, so every render sees a quiescent
+	// kernel; result makes the end-of-run render.
+	views *obs.RunViews
 
 	// Flight, when non-nil (see AttachFlight), is the always-on flight
 	// recorder: a bounded ring of recent cycle-domain events (phase
@@ -163,7 +163,7 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 // NewInstrumented is New plus observability applied at construction, before
 // the first cycle: the invariant sanitizer when inst.SanitizeEvery > 0,
 // telemetry when inst.TelemetryEpoch > 0, span tracing when inst.Spans, live
-// HTTP exposition when inst.Obs is set, the flight recorder when
+// HTTP views when inst.Obs is set, the flight recorder when
 // inst.FlightRecorder > 0. Instrumentation is a construction-time decision;
 // the one post-construction hook is AttachFlight.
 func NewInstrumented(cfg config.Config, prof workload.Profile, inst Instrumentation) (*Simulator, error) {
@@ -182,11 +182,7 @@ func NewInstrumented(cfg config.Config, prof workload.Profile, inst Instrumentat
 		}
 	}
 	if inst.Obs != nil {
-		every := inst.PublishEvery
-		if every <= 0 {
-			every = defaultPublishEvery
-		}
-		s.attachObs(inst.Obs, every)
+		s.attachObs(inst.Obs)
 	}
 	if inst.FlightRecorder > 0 {
 		s.AttachFlight(inst.FlightRecorder, inst.FlightDir)
@@ -211,10 +207,6 @@ func (s *Simulator) AttachFlight(size int, dir string) *fleetobs.Recorder {
 	return r
 }
 
-// defaultPublishEvery is the snapshot period NewInstrumented uses when an
-// obs server is requested without an explicit cadence.
-const defaultPublishEvery = 1024
-
 // Instrumentation selects the observability to build into a simulator at
 // construction. The zero value instruments nothing.
 type Instrumentation struct {
@@ -235,10 +227,9 @@ type Instrumentation struct {
 	Spans    bool
 	SpanRate float64
 
-	// Obs, when non-nil, publishes /metrics, /state and /progress snapshots
-	// to the server every PublishEvery cycles (defaulted when <= 0).
-	Obs          *obs.Server
-	PublishEvery int64
+	// Obs, when non-nil, serves this run's /metrics, /state and /progress,
+	// each rendered when scraped.
+	Obs *obs.Server
 
 	// FlightRecorder > 0 attaches the flight recorder retaining that many
 	// recent events; FlightDir is where post-mortem dumps land ("" keeps
@@ -326,19 +317,14 @@ func (s *Simulator) attachSpans(rate float64) (*obs.Spans, error) {
 	return sp, nil
 }
 
-// attachObs starts live HTTP exposition on srv: every `every` cycles the
-// run loop re-renders /metrics (Prometheus text from the probe registry),
-// /state (the mesh-state snapshot), and /progress. If telemetry is attached
-// (attach it first when using both), its registry backs /metrics; otherwise
-// attachObs instruments a private registry read only at publication
-// boundaries. The first snapshot publishes immediately, so the endpoints
-// serve data before the first simulated cycle.
-func (s *Simulator) attachObs(srv *obs.Server, every int64) *obs.Publisher {
-	if s.Pub != nil {
-		panic("gpu: obs publisher attached twice")
-	}
-	if every <= 0 {
-		panic("gpu: obs publication period must be positive")
+// attachObs installs the run's live views on srv: /metrics (Prometheus text
+// from the probe registry), /state (the mesh-state snapshot) and /progress,
+// each rendered by the stepping goroutine when scraped. If telemetry is
+// attached (attach it first when using both), its registry backs /metrics;
+// otherwise attachObs instruments a private registry read only by renders.
+func (s *Simulator) attachObs(srv *obs.Server) {
+	if s.views != nil {
+		panic("gpu: obs views attached twice")
 	}
 	var reg *telemetry.Registry
 	if s.Tel != nil {
@@ -347,18 +333,9 @@ func (s *Simulator) attachObs(srv *obs.Server, every int64) *obs.Publisher {
 		reg = telemetry.NewRegistry()
 		s.instrument(reg)
 	}
-	p := &obs.Publisher{
-		Srv:       srv,
-		Reg:       reg,
-		State:     s.Net.StateSnapshot,
-		Every:     every,
-		Benchmark: s.Prof.Name,
-		Warmup:    int64(s.Cfg.WarmupCycles),
-		Total:     int64(s.Cfg.WarmupCycles) + int64(s.Cfg.MeasureCycles),
-	}
-	p.Publish(0, false)
-	s.Pub = p
-	return p
+	s.views = obs.NewRunViews(reg, s.Net.StateSnapshot, s.Prof.Name,
+		int64(s.Cfg.WarmupCycles), int64(s.Cfg.WarmupCycles)+int64(s.Cfg.MeasureCycles))
+	srv.Install(s.views.Render)
 }
 
 // tickLane ticks the endpoints on nodes [lo, hi), the interconnect's endpoint
@@ -397,8 +374,8 @@ func (s *Simulator) Step() {
 	if s.Tel != nil {
 		s.Tel.MaybeSample(s.cycle)
 	}
-	if s.Pub != nil {
-		s.Pub.MaybePublish(s.cycle)
+	if s.views != nil {
+		s.views.Answer(s.cycle)
 	}
 }
 
@@ -586,9 +563,9 @@ func (s *Simulator) result(deadlocked bool, cycles int64) Result {
 		// epochs (cancellation, deadlock, odd run lengths) are captured.
 		s.Tel.Flush(s.cycle)
 	}
-	if s.Pub != nil {
-		// Final snapshot so late scrapes see the completed run.
-		s.Pub.Publish(s.cycle, true)
+	if s.views != nil {
+		// The end-of-run render every later scrape gets.
+		s.views.Finish(s.cycle)
 	}
 	return Result{
 		Benchmark:  s.Prof.Name,

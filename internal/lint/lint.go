@@ -86,7 +86,7 @@ type Config struct {
 // DefaultConfig is the repository's canonical lint configuration: command
 // line tools may read the wall clock and print in user-facing order, the
 // sweep progress printer, the engine's job timing, and the observability
-// progress publisher measure real elapsed time (they never feed
+// run views measure real elapsed time (they never feed
 // simulation state), and the lint package itself is tooling, not
 // simulation. The fabric scheduler (coordinator lease deadlines, worker
 // heartbeats, the HTTP server goroutine) is orchestration around the

@@ -8,17 +8,20 @@ import (
 	"gpgpunoc/internal/telemetry"
 )
 
-// published returns the /metrics body a Publisher over reg puts on its
-// server: the exposition exactly as a scraper of a live run receives it.
-func published(t *testing.T, reg *telemetry.Registry) string {
+// scraped returns the /metrics body of a run's views over reg: the
+// exposition exactly as a scraper of a finished run receives it.
+func scraped(t *testing.T, reg *telemetry.Registry) string {
 	t.Helper()
 	srv, err := NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	(&Publisher{Srv: srv, Reg: reg, Every: 1}).Publish(0, false)
-	return string(srv.metrics.Bytes())
+	rv := NewRunViews(reg, func() MeshState { return MeshState{} }, "", 0, 0)
+	srv.Install(rv.Render)
+	rv.Finish(0)
+	_, body, _ := get(t, "http://"+srv.Addr()+"/metrics")
+	return body
 }
 
 func TestRenderPrometheusStructuredFamilies(t *testing.T) {
@@ -34,7 +37,7 @@ func TestRenderPrometheusStructuredFamilies(t *testing.T) {
 	np.LatencyHistogram("read", telemetry.SegReqNet).Observe(20)
 	reg.Counter("some.unknown.probe", telemetry.Desc{}).Add(1)
 
-	out := published(t, reg)
+	out := scraped(t, reg)
 	for _, want := range []string{
 		// Mesh coordinates: node 1 is row 0 col 1, node 9 is row 1 col 1.
 		`noc_link_flits_total{from="0",from_row="0",from_col="0",to="1",to_row="0",to_col="1",class="request"} 42`,
@@ -56,7 +59,7 @@ func TestRenderPrometheusStructuredFamilies(t *testing.T) {
 		}
 	}
 	// Deterministic: two renders are byte-identical.
-	if out != published(t, reg) {
+	if out != scraped(t, reg) {
 		t.Fatal("exposition is not deterministic")
 	}
 }
@@ -66,7 +69,7 @@ func TestRenderPrometheusSubnetLabels(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	telemetry.NewNetProbes(reg, m, "req.").StallVCAlloc.Add(2)
 	telemetry.NewNetProbes(reg, m, "rep.").StallVCAlloc.Add(3)
-	out := published(t, reg)
+	out := scraped(t, reg)
 	for _, want := range []string{
 		`noc_stall_cycles_total{subnet="req",cause="vcalloc"} 2`,
 		`noc_stall_cycles_total{subnet="rep",cause="vcalloc"} 3`,
@@ -83,7 +86,7 @@ func TestRenderPrometheusCumulativeBuckets(t *testing.T) {
 	for _, v := range []int64{4, 4, 12, 100} {
 		h.Observe(v)
 	}
-	out := published(t, reg)
+	out := scraped(t, reg)
 	for _, want := range []string{
 		`h_cycles_bucket{le="8"} 2`, `h_cycles_bucket{le="16"} 3`, `h_cycles_bucket{le="32"} 3`,
 		`h_cycles_bucket{le="+Inf"} 4`, "h_cycles_sum 120", "h_cycles_count 4",
@@ -97,7 +100,7 @@ func TestRenderPrometheusCumulativeBuckets(t *testing.T) {
 func TestLabelEscaping(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Gauge("g", telemetry.Desc{Family: "g", Labels: []string{"name", `a"b\c` + "\n", "empty", ""}})
-	if out, want := published(t, reg), `g{name="a\"b\\c\n"} 0`+"\n"; !strings.HasSuffix(out, want) {
+	if out, want := scraped(t, reg), `g{name="a\"b\\c\n"} 0`+"\n"; !strings.HasSuffix(out, want) {
 		t.Fatalf("exposition %q does not end in %q", out, want)
 	}
 }

@@ -1,10 +1,15 @@
 package obs
 
 import (
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
+
+	"gpgpunoc/internal/telemetry"
 )
 
 func get(t *testing.T, url string) (int, string, string) {
@@ -21,6 +26,17 @@ func get(t *testing.T, url string) (int, string, string) {
 	return resp.StatusCode, string(body), resp.Header.Get("Content-Type")
 }
 
+// fixedViews renders the same three bodies for every scrape.
+func fixedViews(_ context.Context, v View) ([]byte, error) {
+	switch v {
+	case ViewMetrics:
+		return []byte("noc_core_instructions 42\n"), nil
+	case ViewState:
+		return []byte(`{"cycle":7}`), nil
+	}
+	return []byte(`{"phase":"measure"}`), nil
+}
+
 func TestServerEndpoints(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0")
 	if err != nil {
@@ -32,21 +48,15 @@ func TestServerEndpoints(t *testing.T) {
 	if code, body, _ := get(t, base+"/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
-	// Before the first publication every snapshot endpoint is 503, not an
-	// empty 200 a scraper would mistake for data.
+	// Before views are installed every view endpoint is 503, not an empty
+	// 200 a scraper would mistake for data.
 	for _, ep := range []string{"/metrics", "/state", "/progress"} {
 		if code, _, _ := get(t, base+ep); code != http.StatusServiceUnavailable {
-			t.Fatalf("%s before publish = %d, want 503", ep, code)
+			t.Fatalf("%s before Install = %d, want 503", ep, code)
 		}
 	}
 
-	srv.SetMetrics([]byte("noc_core_instructions 42\n"))
-	if err := srv.SetStateJSON(MeshState{Cycle: 7, Width: 8, Height: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.SetProgressJSON(RunProgress{Phase: "measure", Cycle: 7}); err != nil {
-		t.Fatal(err)
-	}
+	srv.Install(fixedViews)
 
 	code, body, ct := get(t, base+"/metrics")
 	if code != http.StatusOK || !strings.Contains(body, "noc_core_instructions 42") {
@@ -65,10 +75,63 @@ func TestServerEndpoints(t *testing.T) {
 	if code, body, _ = get(t, base+"/progress"); code != http.StatusOK || !strings.Contains(body, `"phase":"measure"`) {
 		t.Fatalf("/progress = %d %q", code, body)
 	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Install did not panic")
+		}
+	}()
+	srv.Install(fixedViews)
 }
 
 func TestServerBadAddr(t *testing.T) {
 	if _, err := NewServer("256.0.0.1:bad"); err == nil {
 		t.Fatal("nonsense address accepted")
+	}
+}
+
+// TestRunViewsHandOff pins the three states of a run's views: before any
+// cycle boundary a scrape waits and gives up with its context; while the
+// run steps, Answer renders it at the boundary's cycle; after Finish every
+// scrape gets the end-of-run render at once.
+func TestRunViewsHandOff(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cycles := reg.Counter("c", telemetry.Desc{Family: "c_total"})
+	state := func() MeshState { return MeshState{Cycle: cycles.Value()} }
+	rv := NewRunViews(reg, state, "KMN", 1e9, 2e9) // warmup outlasts the test
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := rv.Render(ctx, ViewState); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("scrape of a run that never steps = %v, want the deadline", err)
+	}
+
+	got := make(chan string)
+	go func() {
+		b, err := rv.Render(context.Background(), ViewProgress)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- string(b)
+	}()
+	var body string
+	for cycle := int64(1); body == ""; cycle++ {
+		cycles.Add(1)
+		rv.Answer(cycle)
+		select {
+		case body = <-got:
+		default:
+		}
+	}
+	if !strings.Contains(body, `"phase":"warmup"`) || !strings.Contains(body, `"benchmark":"KMN"`) {
+		t.Errorf("mid-run /progress = %s", body)
+	}
+
+	rv.Finish(cycles.Value())
+	for v, want := range map[View]string{ViewMetrics: "c_total ", ViewState: `"cycle":`, ViewProgress: `"phase":"done"`} {
+		b, err := rv.Render(ctx, v) // ctx has expired: a finished run does not wait
+		if err != nil || !strings.Contains(string(b), want) {
+			t.Errorf("view %d after Finish = %q, %v; want %q", v, b, err, want)
+		}
 	}
 }

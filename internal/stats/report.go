@@ -85,35 +85,3 @@ func (n *Net) Heatmap(w io.Writer) {
 		}
 	}
 }
-
-// HottestLinks returns the k busiest directed links with their utilization,
-// busiest first.
-func (n *Net) HottestLinks(k int) []struct {
-	Link mesh.Link
-	Util float64
-} {
-	type lu struct {
-		l mesh.Link
-		u float64
-	}
-	var all []lu
-	for _, l := range n.Mesh.Links() {
-		all = append(all, lu{l, n.LinkUtilization(l)})
-	}
-	for i := 1; i < len(all); i++ { // insertion sort: n is small and fixed
-		for j := i; j > 0 && all[j].u > all[j-1].u; j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]struct {
-		Link mesh.Link
-		Util float64
-	}, k)
-	for i := 0; i < k; i++ {
-		out[i].Link, out[i].Util = all[i].l, all[i].u
-	}
-	return out
-}

@@ -315,23 +315,3 @@ func TestHeatmapRenders(t *testing.T) {
 		t.Error("saturated link not rendered as '@'")
 	}
 }
-
-func TestHottestLinks(t *testing.T) {
-	n := mkNet()
-	n.Cycles = 10
-	a := mesh.Link{From: 0, Dir: mesh.East}
-	c := mesh.Link{From: 5, Dir: mesh.South}
-	for i := 0; i < 8; i++ {
-		n.CountLink(a, packet.Reply)
-	}
-	for i := 0; i < 3; i++ {
-		n.CountLink(c, packet.Request)
-	}
-	top := n.HottestLinks(2)
-	if len(top) != 2 || top[0].Link != a || top[1].Link != c {
-		t.Errorf("hottest = %+v", top)
-	}
-	if top[0].Util != 0.8 {
-		t.Errorf("top utilization = %v", top[0].Util)
-	}
-}

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -103,11 +105,12 @@ type trackerJob struct {
 // Tracker is a Progress callback that aggregates all workers of a sweep
 // behind one obs.Server: job counts live in a telemetry registry rendered
 // as /metrics, the job table is /state, and throughput and ETA are
-// /progress. Like Printer it locks, because the engine fires events from
-// any worker goroutine; chain the two with one closure in Options.Progress.
+// /progress. Handle only counts; each view is rendered from the counts when
+// it is scraped. Like Printer it locks, because the engine fires events
+// from any worker goroutine; chain the two with one closure in
+// Options.Progress.
 type Tracker struct {
 	mu      sync.Mutex
-	srv     *obs.Server
 	workers int
 	start   time.Time
 
@@ -121,8 +124,7 @@ type Tracker struct {
 }
 
 // NewTracker returns a tracker over total jobs running on the given worker
-// count, publishing to srv. It publishes an initial empty snapshot so the
-// endpoints are live before the first job finishes.
+// count and installs its views on srv; they answer from the first scrape.
 func NewTracker(srv *obs.Server, total, workers int) *Tracker {
 	if workers < 1 {
 		workers = 1
@@ -132,7 +134,7 @@ func NewTracker(srv *obs.Server, total, workers int) *Tracker {
 		return reg.Gauge("sweep.jobs."+s, telemetry.Desc{Family: "sweep_jobs",
 			Help: "Jobs by terminal status.", Labels: []string{"status", s}})
 	}
-	t := &Tracker{srv: srv, workers: workers, start: time.Now(), reg: reg, index: map[string]int{},
+	t := &Tracker{workers: workers, start: time.Now(), reg: reg, index: map[string]int{},
 		total: reg.Gauge("sweep.jobs_total", telemetry.Desc{Family: "sweep_jobs_total",
 			Help: "Jobs in the sweep grid."}),
 		done: status("done"), running: status("running"), failed: status("failed"), skipped: status("skipped"),
@@ -140,9 +142,7 @@ func NewTracker(srv *obs.Server, total, workers int) *Tracker {
 			Help: "Simulated cycles completed across all jobs."}),
 	}
 	t.total.Set(int64(total))
-	t.mu.Lock()
-	t.publishLocked()
-	t.mu.Unlock()
+	srv.Install(t.render)
 	return t
 }
 
@@ -165,6 +165,7 @@ func (t *Tracker) Handle(ev Event) {
 	case EventFail:
 		t.running.Dec()
 		t.failed.Inc()
+		t.jobSeconds += ev.Elapsed.Seconds()
 		row.Status = "fail"
 		if ev.Err != nil {
 			row.Error = ev.Err.Error()
@@ -179,11 +180,23 @@ func (t *Tracker) Handle(ev Event) {
 		t.index[row.Key] = len(t.jobs)
 		t.jobs = append(t.jobs, row)
 	}
-	t.publishLocked()
 }
 
-// publishLocked re-renders all three endpoints from the tracker state.
-func (t *Tracker) publishLocked() {
+// render renders one view from the tracker's state, under its lock.
+func (t *Tracker) render(_ context.Context, v obs.View) ([]byte, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch v {
+	case obs.ViewMetrics:
+		return t.reg.RenderPrometheus(), nil
+	case obs.ViewState:
+		// /state for a sweep is the job table, stable by key.
+		jobs := append([]trackerJob(nil), t.jobs...)
+		sort.Slice(jobs, func(i, j int) bool { return jobs[i].Key < jobs[j].Key })
+		return json.Marshal(struct {
+			Jobs []trackerJob `json:"jobs"`
+		}{Jobs: jobs})
+	}
 	elapsed := time.Since(t.start).Seconds()
 	prog := trackerProgress{
 		TotalJobs: t.total.Value(), Done: t.done.Value(), Running: t.running.Value(),
@@ -198,18 +211,5 @@ func (t *Tracker) publishLocked() {
 		meanJob := t.jobSeconds / float64(finished)
 		prog.ETASeconds = float64(remaining) * meanJob / float64(t.workers)
 	}
-	if err := t.srv.SetProgressJSON(prog); err != nil {
-		panic(fmt.Sprintf("sweep: publish progress: %v", err)) // the payload types always marshal
-	}
-
-	// /state for a sweep is the job table, stable by key.
-	jobs := append([]trackerJob(nil), t.jobs...)
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Key < jobs[j].Key })
-	if err := t.srv.SetStateJSON(struct {
-		Jobs []trackerJob `json:"jobs"`
-	}{Jobs: jobs}); err != nil {
-		panic(fmt.Sprintf("sweep: publish state: %v", err))
-	}
-
-	t.srv.SetMetrics(t.reg.RenderPrometheus())
+	return json.Marshal(prog)
 }

@@ -11,16 +11,15 @@ import (
 	"gpgpunoc/internal/obs"
 )
 
-// TestTrackerPublishesEngineEvents feeds the tracker the events of a small
-// sweep — one job done, one failed, one skipped, one still running — and
-// pins the three endpoints a scraper sees.
-func TestTrackerPublishesEngineEvents(t *testing.T) {
+// trackerServer starts an obs server and returns a GET helper for it.
+func trackerServer(t *testing.T) (*obs.Server, func(ep string) string) {
+	t.Helper()
 	srv, err := obs.NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	get := func(ep string) string {
+	t.Cleanup(func() { srv.Close() })
+	return srv, func(ep string) string {
 		t.Helper()
 		resp, err := http.Get("http://" + srv.Addr() + ep)
 		if err != nil {
@@ -33,11 +32,17 @@ func TestTrackerPublishesEngineEvents(t *testing.T) {
 		}
 		return string(b)
 	}
+}
 
+// TestTrackerPublishesEngineEvents feeds the tracker the events of a small
+// sweep — one job done, one failed, one skipped, one still running — and
+// pins the three endpoints a scraper sees.
+func TestTrackerPublishesEngineEvents(t *testing.T) {
+	srv, get := trackerServer(t)
 	tr := NewTracker(srv, 5, 2)
 	// Live before the first event.
 	if body := get("/metrics"); body == "" {
-		t.Fatal("no initial /metrics publication")
+		t.Fatal("empty /metrics before the first event")
 	}
 	job := func(key string) Job { return Job{Key: key} }
 	for _, ev := range []Event{
@@ -76,10 +81,11 @@ sweep_sim_cycles_total 800
 		prog.Skipped != 1 || prog.SimCycles != 800 {
 		t.Errorf("/progress counts = %+v", prog)
 	}
-	// Two jobs left, two finished in 2s of job time (only successes are
-	// timed), two workers: one more second.
-	if prog.ETASeconds != 1 {
-		t.Errorf("/progress eta = %v, want 1", prog.ETASeconds)
+	// Two jobs left; the two finished ones took 2 s (ok) + 1 s (failed) of
+	// job time, a failure's time counting like a success's; two workers:
+	// 2 × 1.5 s / 2 = 1.5 s.
+	if prog.ETASeconds != 1.5 {
+		t.Errorf("/progress eta = %v, want 1.5", prog.ETASeconds)
 	}
 
 	const wantState = `{"jobs":[{"key":"a","status":"fail","error":"boom"},` +
@@ -87,5 +93,27 @@ sweep_sim_cycles_total 800
 		`{"key":"c","status":"running"},{"key":"d","status":"skip"}]}`
 	if got := get("/state"); got != wantState {
 		t.Errorf("/state = %s\nwant    %s", got, wantState)
+	}
+}
+
+// TestTrackerRendersOnScrape: /progress is rendered when scraped, not when
+// an engine event arrives, so the elapsed time of a sweep between events
+// keeps moving.
+func TestTrackerRendersOnScrape(t *testing.T) {
+	srv, get := trackerServer(t)
+	tr := NewTracker(srv, 2, 1)
+	tr.Handle(Event{Type: EventStart, Job: Job{Key: "a"}})
+	elapsed := func() float64 {
+		t.Helper()
+		var prog trackerProgress
+		if err := json.Unmarshal([]byte(get("/progress")), &prog); err != nil {
+			t.Fatal(err)
+		}
+		return prog.ElapsedSeconds
+	}
+	first := elapsed()
+	time.Sleep(50 * time.Millisecond)
+	if second := elapsed(); second-first < 0.05 {
+		t.Errorf("elapsed_seconds %v then %v across a 50 ms gap with no event; want it to advance", first, second)
 	}
 }

@@ -3,18 +3,20 @@
 // result bit-identical to a run without spans; at rate 1 the per-packet
 // span decomposition must agree exactly with the telemetry latency
 // histograms, which compute the same four segments from packet timestamps
-// through a completely different path; and the HTTP endpoints must serve
-// consistent snapshots while the simulation is running (exercised under
-// `go test -race`).
+// through a completely different path; and the HTTP endpoints must render
+// consistent views while the simulation is running without changing it
+// (exercised under `go test -race`).
 package gpgpunoc_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -138,18 +140,20 @@ func TestSpanSegmentsMatchTelemetry(t *testing.T) {
 }
 
 // TestObsEndpointsMidRun polls /metrics, /state and /progress from a
-// separate goroutine while the simulation runs. Under -race this proves the
-// publish/serve split is sound, and every /state snapshot must pass the
-// flit-conservation check — a torn read of the kernel would fail it.
+// separate goroutine while the simulation runs. The stepping goroutine
+// answers each scrape at a cycle boundary: under -race this proves the
+// hand-off is sound, every /state snapshot must pass the flit-conservation
+// check — a torn read of the kernel would fail it — and the scraped run must
+// end exactly where an unscraped run of the same configuration does.
 func TestObsEndpointsMidRun(t *testing.T) {
 	cfg := obsCfg()
-	cfg.MeasureCycles = 20000 // long enough that polls land mid-run
+	cfg.MeasureCycles = 20000 // long enough for many polls
 	srv, err := obs.NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	sim := newSim(t, cfg, "KMN", gpu.Instrumentation{Obs: srv, PublishEvery: 200})
+	sim := newSim(t, cfg, "KMN", gpu.Instrumentation{Obs: srv})
 	base := "http://" + srv.Addr()
 
 	done := make(chan gpu.Result, 1)
@@ -181,18 +185,21 @@ func TestObsEndpointsMidRun(t *testing.T) {
 				t.Fatal("simulation finished before a single poll")
 			}
 			if !sawMidRun {
-				t.Log("warning: no poll observed a mid-run snapshot; machine too fast for this run length")
+				t.Fatal("no /state scrape was answered mid-run")
 			}
 			if res.Deadlocked {
 				t.Fatal("run deadlocked")
 			}
-			// After the final publish the endpoints still serve the
-			// completed run.
+			// After the run the endpoints serve its end-of-run render.
 			if code, body := fetch("/progress"); code != http.StatusOK || !strings.Contains(string(body), `"phase":"done"`) {
 				t.Fatalf("final /progress = %d %s", code, body)
 			}
 			if stateChecks == 0 {
 				t.Fatal("no /state snapshot was conservation-checked")
+			}
+			plain := runSim(t, newSim(t, cfg, "KMN", gpu.Instrumentation{}))
+			if plain.IPC != res.IPC || !reflect.DeepEqual(plain.Net, res.Net) {
+				t.Errorf("scraping changed the run: IPC %v, unscraped %v (or stats.Net differs)", res.IPC, plain.IPC)
 			}
 			return
 		default:
@@ -220,6 +227,36 @@ func TestObsEndpointsMidRun(t *testing.T) {
 			t.Fatalf("/progress = %d %q...", code, truncate(body, 80))
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestObsScrapeNeverStepped: a scrape of a simulator that is built but never
+// stepped waits for a cycle boundary that does not come, and ends when its
+// client stops waiting instead of hanging.
+func TestObsScrapeNeverStepped(t *testing.T) {
+	srv, err := obs.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	newSim(t, obsCfg(), "KMN", gpu.Instrumentation{Obs: srv})
+	client := &http.Client{Timeout: 100 * time.Millisecond}
+	start := time.Now()
+	resp, err := client.Get("http://" + srv.Addr() + "/state")
+	if err == nil {
+		resp.Body.Close()
+		t.Fatalf("scrape of a never-stepped simulator answered %d", resp.StatusCode)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("scrape returned after %v, not at the client's 100 ms timeout", waited)
+	}
+	// The handler gives up too: no goroutine stays parked in the hand-off.
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(2 * time.Second); bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*RunViews).Render")); {
+		if time.Now().After(deadline) {
+			t.Fatal("the scrape's handler still waits for a cycle boundary after its client left")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
