@@ -62,7 +62,7 @@ fabric-smoke:
 	$(FABRIC_TMP)/sweep -spec examples/sweepspec_smoke.json -out $(FABRIC_TMP)/single.jsonl -ordered
 	@set -e; \
 	$(FABRIC_TMP)/sweep -serve $(FABRIC_ADDR) -store $(FABRIC_TMP)/store \
-		-lease-jobs 1 -lease-ttl 3s -heartbeat 500ms & coord=$$!; \
+		-lease-jobs 1 -lease-ttl 3s & coord=$$!; \
 	w1=; w2=; trap 'kill $$coord $$w1 $$w2 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 100); do \
 		curl -fsS http://$(FABRIC_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.1; \
@@ -98,7 +98,7 @@ fabric-smoke:
 	echo "expired lease on the timeline"; \
 	kill $$coord 2>/dev/null || true; wait $$coord 2>/dev/null || true; \
 	$(FABRIC_TMP)/sweep -serve $(FABRIC_ADDR) -store $(FABRIC_TMP)/store \
-		-lease-jobs 1 -lease-ttl 3s -heartbeat 500ms & coord=$$!; \
+		-lease-jobs 1 -lease-ttl 3s & coord=$$!; \
 	for i in $$(seq 1 100); do \
 		curl -fsS http://$(FABRIC_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.1; \
 	done; \

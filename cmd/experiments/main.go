@@ -7,6 +7,8 @@
 //	experiments -run fig9 -cycles 40000 -parallel 8
 //	experiments -run fig7 -format json
 //	experiments -run fig2,fig3 -format csv > traffic.csv
+//	experiments -run probefig2 -benchmarks KMN,RAY
+//	experiments -run table1,hops
 //	experiments -list
 //
 // Runs that figures share — the Table 2 baseline under Figs. 2, 3, 7, 8, 9
@@ -103,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		// Silent for the experiments that simulate nothing through the
-		// figure runners' shared table (table1, fig4, sweep).
+		// figure runners' shared table (probefig2, fig4, table1, hops, sweep).
 		sim1, reused1 := experiments.MemoCounts()
 		if n := sim1 - sim0 + reused1 - reused0; n > 0 {
 			fmt.Fprintf(stderr, "%s: %d results, %d reused\n", r.ID, n, reused1-reused0)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,18 +12,18 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current build")
 
-// TestGoldenFig2Fig3 pins the JSON the CLI prints for the two traffic
-// figures at reduced scale, and that Fig. 3 — the same runs as Fig. 2, read
-// differently — simulates nothing and says so on stderr.
-func TestGoldenFig2Fig3(t *testing.T) {
-	args := []string{"-run", "fig2,fig3", "-benchmarks", "KMN,RAY", "-warmup", "200", "-cycles", "800", "-format", "json"}
-	var stdout, stderr bytes.Buffer
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("experiments %v exited %d: %s", args, code, stderr.String())
+// golden runs the command, requires exit 0 and compares stdout with
+// testdata/name, rewriting that file first under -update. It returns stdout
+// and stderr.
+func golden(t *testing.T, name string, args ...string) (stdout, stderr []byte) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("experiments %v exited %d: %s", args, code, errOut.String())
 	}
-	path := filepath.Join("testdata", "fig2_fig3.golden")
+	path := filepath.Join("testdata", name)
 	if *update {
-		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -30,20 +31,64 @@ func TestGoldenFig2Fig3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Errorf("output differs from %s:\n--- got\n%s--- want\n%s", path, stdout.Bytes(), want)
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("output differs from %s:\n--- got\n%s--- want\n%s", path, out.Bytes(), want)
 	}
+	return out.Bytes(), errOut.Bytes()
+}
+
+// TestGoldenFig2Fig3 pins the JSON the CLI prints for the two traffic
+// figures at reduced scale, and that Fig. 3 — the same runs as Fig. 2, read
+// differently — simulates nothing and says so on stderr.
+func TestGoldenFig2Fig3(t *testing.T) {
+	args := []string{"-run", "fig2,fig3", "-benchmarks", "KMN,RAY", "-warmup", "200", "-cycles", "800", "-format", "json"}
+	want, stderr := golden(t, "fig2_fig3.golden", args...)
 	// Fig. 2's own line depends on what ran earlier in the process (go test
 	// -count=2 reuses the first pass); Fig. 3's does not.
-	if got := stderr.String(); !strings.HasPrefix(got, "fig2: 2 results, ") || !strings.HasSuffix(got, "\nfig3: 2 results, 2 reused\n") {
+	if got := string(stderr); !strings.HasPrefix(got, "fig2: 2 results, ") || !strings.HasSuffix(got, "\nfig3: 2 results, 2 reused\n") {
 		t.Errorf("stderr = %q; want one line per figure, fig3 reusing both of its results", got)
 	}
 
 	// Benchmark names are trimmed like experiment ids.
 	args[3] = " KMN, RAY "
-	stdout.Reset()
-	if code := run(args, &stdout, &stderr); code != 0 || !bytes.Equal(stdout.Bytes(), want) {
+	var stdout bytes.Buffer
+	if code := run(args, &stdout, io.Discard); code != 0 || !bytes.Equal(stdout.Bytes(), want) {
 		t.Errorf("-benchmarks %q exited %d with output\n%s--- want that of KMN,RAY\n%s", args[3], code, stdout.Bytes(), want)
+	}
+}
+
+// TestGoldenProbeFig2 pins the text table of Figure 2 re-derived from the
+// telemetry link probes at reduced scale. Its runs go around the result
+// memo, so it reports no "results, reused" line.
+func TestGoldenProbeFig2(t *testing.T) {
+	_, stderr := golden(t, "probefig2.golden", "-run", "probefig2", "-benchmarks", "KMN,RAY", "-warmup", "200", "-cycles", "800")
+	if len(stderr) != 0 {
+		t.Errorf("stderr = %q; want none", stderr)
+	}
+}
+
+// TestGoldenHops pins Table 1's exact average hops across mesh sizes, N x N
+// meshes with N MCs for N = 4, 8, 12, 16.
+func TestGoldenHops(t *testing.T) {
+	golden(t, "hops.golden", "-run", "hops")
+}
+
+// TestList: -list names the traffic and hop-count runners, one id per line.
+func TestList(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("experiments -list exited %d: %s", code, stderr.String())
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			listed[f[0]] = true
+		}
+	}
+	for _, id := range []string{"fig2", "fig3", "probefig2", "table1", "hops"} {
+		if !listed[id] {
+			t.Errorf("-list does not name %s:\n%s", id, stdout.String())
+		}
 	}
 }
 

@@ -283,7 +283,6 @@ func runServe(ctx context.Context, fab *config.Fabric, specFile, out string, std
 		LeaseTTL:    fab.LeaseTTL,
 		LeaseJobs:   fab.LeaseJobs,
 		MaxAttempts: fab.MaxAttempts,
-		Heartbeat:   fab.Heartbeat,
 		Logf:        logTo(stderr),
 	})
 	srv, err := fabric.NewServer(fab.Serve, co)

@@ -51,6 +51,7 @@ func TestUsageErrors(t *testing.T) {
 		want string
 	}{
 		"unknown flag":      {[]string{"-worker-obs-addr", ":9"}, 2, "flag provided but not defined: -worker-obs-addr"},
+		"heartbeat flag":    {[]string{"-heartbeat", "1s"}, 2, "flag provided but not defined: -heartbeat"},
 		"both fabric roles": {[]string{"-serve", "a", "-connect", "http://b"}, 1, "mutually exclusive"},
 	} {
 		var stdout, stderr bytes.Buffer

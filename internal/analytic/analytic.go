@@ -149,10 +149,3 @@ func (ll *LinkLoad) MaxLoad(t TrafficMix) (mesh.Link, float64) {
 	}
 	return best, bestLoad
 }
-
-// AverageHopsEq3 evaluates Equation 3 exactly for any placement; it is a
-// thin re-export so experiment code has one analytic entry point.
-func AverageHopsEq3(pl *placement.Placement) float64 {
-	avg, _, _ := pl.AverageHops()
-	return avg
-}

@@ -211,7 +211,7 @@ func TestLinkLoadTotalsConserved(t *testing.T) {
 
 func TestAverageHopsEq3(t *testing.T) {
 	pl := placement.MustNew(config.PlacementBottom, m8, 8)
-	if got := AverageHopsEq3(pl); math.Abs(got-6.625) > 1e-12 {
+	if got, _, _ := pl.AverageHops(); math.Abs(got-6.625) > 1e-12 {
 		t.Errorf("bottom average hops = %v, want 6.625", got)
 	}
 }

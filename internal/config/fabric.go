@@ -27,11 +27,8 @@ type Fabric struct {
 	LeaseJobs int
 
 	// LeaseTTL is how long a lease lives without a heartbeat before its
-	// jobs are re-queued for another worker.
+	// jobs are re-queued for another worker. Workers renew every LeaseTTL/3.
 	LeaseTTL time.Duration
-
-	// Heartbeat is the worker's lease-renewal period.
-	Heartbeat time.Duration
 
 	// MaxAttempts caps how often a job is handed out (initial attempt plus
 	// retries after worker loss or failure) before it is quarantined as a
@@ -68,12 +65,6 @@ func (f Fabric) Validate() error {
 	if f.LeaseTTL <= 0 {
 		return fmt.Errorf("config: -lease-ttl %v, need > 0", f.LeaseTTL)
 	}
-	if f.Heartbeat <= 0 {
-		return fmt.Errorf("config: -heartbeat %v, need > 0", f.Heartbeat)
-	}
-	if f.Heartbeat >= f.LeaseTTL {
-		return fmt.Errorf("config: -heartbeat %v must be shorter than -lease-ttl %v, or every lease expires between renewals", f.Heartbeat, f.LeaseTTL)
-	}
 	if f.MaxAttempts < 1 {
 		return fmt.Errorf("config: -max-attempts %d, need >= 1", f.MaxAttempts)
 	}
@@ -88,8 +79,7 @@ func BindFabricFlags(fs *flag.FlagSet) *Fabric {
 	fs.StringVar(&f.Connect, "connect", "", "run as sweep worker against this coordinator URL (e.g. http://127.0.0.1:9178)")
 	fs.StringVar(&f.StoreDir, "store", "", "coordinator content-addressed result store directory (default: <out>.store)")
 	fs.IntVar(&f.LeaseJobs, "lease-jobs", 4, "max jobs per worker lease batch")
-	fs.DurationVar(&f.LeaseTTL, "lease-ttl", 30*time.Second, "lease lifetime without a heartbeat before jobs are re-queued")
-	fs.DurationVar(&f.Heartbeat, "heartbeat", 5*time.Second, "worker lease-renewal period (must be < -lease-ttl)")
+	fs.DurationVar(&f.LeaseTTL, "lease-ttl", 30*time.Second, "lease lifetime without a heartbeat before jobs are re-queued (workers renew every third of it)")
 	fs.IntVar(&f.MaxAttempts, "max-attempts", 3, "attempts per job before poison quarantine")
 	return f
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func validFabric() Fabric {
-	return Fabric{LeaseJobs: 4, LeaseTTL: 30 * time.Second, Heartbeat: 5 * time.Second, MaxAttempts: 3}
+	return Fabric{LeaseJobs: 4, LeaseTTL: 30 * time.Second, MaxAttempts: 3}
 }
 
 func TestFabricValidate(t *testing.T) {
@@ -24,8 +24,6 @@ func TestFabricValidate(t *testing.T) {
 		{"connect not a URL", func(f *Fabric) { f.Connect = "127.0.0.1:9178" }, "not a URL"},
 		{"zero lease batch", func(f *Fabric) { f.LeaseJobs = 0 }, "-lease-jobs"},
 		{"zero ttl", func(f *Fabric) { f.LeaseTTL = 0 }, "-lease-ttl"},
-		{"zero heartbeat", func(f *Fabric) { f.Heartbeat = 0 }, "-heartbeat"},
-		{"heartbeat >= ttl", func(f *Fabric) { f.Heartbeat = f.LeaseTTL }, "shorter than"},
 		{"zero attempts", func(f *Fabric) { f.MaxAttempts = 0 }, "-max-attempts"},
 	}
 	for _, tc := range cases {
@@ -61,14 +59,13 @@ func TestFabricMode(t *testing.T) {
 func TestBindFabricFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	f := BindFabricFlags(fs)
-	if err := fs.Parse([]string{"-serve", "127.0.0.1:0", "-lease-jobs", "2", "-lease-ttl", "2s", "-heartbeat", "500ms", "-max-attempts", "5"}); err != nil {
+	if err := fs.Parse([]string{"-serve", "127.0.0.1:0", "-lease-jobs", "2", "-lease-ttl", "2s", "-max-attempts", "5"}); err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	if err := f.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if f.Serve != "127.0.0.1:0" || f.LeaseJobs != 2 || f.LeaseTTL != 2*time.Second ||
-		f.Heartbeat != 500*time.Millisecond || f.MaxAttempts != 5 {
+	if f.Serve != "127.0.0.1:0" || f.LeaseJobs != 2 || f.LeaseTTL != 2*time.Second || f.MaxAttempts != 5 {
 		t.Errorf("parsed fabric = %+v", f)
 	}
 	// Defaults must validate: a bare -serve invocation works out of the box.

@@ -117,9 +117,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Bind is BindFlags on the process-wide flag.CommandLine set.
-func Bind() *Flags { return BindFlags(flag.CommandLine) }
-
 // Overrides returns only the fields whose flags were explicitly set on the
 // command line. It refuses -config: a file is a whole base configuration,
 // which Overrides cannot carry, and dropping it would silently simulate the

@@ -123,7 +123,7 @@ func TestFig4AnalyticAgreement(t *testing.T) {
 }
 
 func TestTable1Ordering(t *testing.T) {
-	tab, err := Table1()
+	tab, err := Table1(Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestNetworkDivisionClose(t *testing.T) {
 }
 
 func TestRunnersComplete(t *testing.T) {
-	if len(Runners()) != 11 {
+	if len(Runners()) != 13 {
 		t.Errorf("runner count = %d", len(Runners()))
 	}
 	if _, err := ByID("fig7"); err != nil {

@@ -163,29 +163,30 @@ func Fig4(o Opts) (*Table, error) {
 	return t, nil
 }
 
+// table1Placements are Table 1's rows, in the paper's order of decreasing
+// average hops.
+var table1Placements = []config.Placement{
+	config.PlacementBottom, config.PlacementEdge, config.PlacementTopBottom, config.PlacementDiamond,
+}
+
 // Table1 reproduces Table 1: aggregated vertical/horizontal hops per MC
 // placement — the paper's closed forms next to exact enumeration (Eq. 3) —
 // on the paper's 8x8 mesh with 8 MCs.
-func Table1() (*Table, error) { return Table1For(8, 8, 8) }
-
-// Table1For is Table1 on an arbitrary mesh and MC count; the closed-form
-// columns use the paper's NxN formulas with N = numMCs.
-func Table1For(width, height, numMCs int) (*Table, error) {
-	m := mesh.New(width, height)
+func Table1(Opts) (*Table, error) {
+	const n = 8
+	m := mesh.New(n, n)
 	t := &Table{
 		ID:      "Table1",
-		Title:   fmt.Sprintf("Average hops per MC placement (%dx%d mesh, %d MCs)", width, height, numMCs),
+		Title:   fmt.Sprintf("Average hops per MC placement (%dx%d mesh, %d MCs)", n, n, n),
 		Columns: []string{"Placement", "Hvert (form)", "Hhori (form)", "Hvert (exact)", "Hhori (exact)", "Avg hops (Eq.3)"},
 	}
-	for _, sch := range []config.Placement{
-		config.PlacementBottom, config.PlacementEdge, config.PlacementTopBottom, config.PlacementDiamond,
-	} {
-		pl, err := placement.New(sch, m, numMCs)
+	for _, sch := range table1Placements {
+		pl, err := placement.New(sch, m, n)
 		if err != nil {
 			return nil, err
 		}
 		avg, vert, hori := pl.AverageHops()
-		fv, fh, exact := placement.Table1(sch, numMCs)
+		fv, fh, exact := placement.Table1(sch, n)
 		mark := ""
 		if !exact {
 			mark = "~"
@@ -197,6 +198,34 @@ func Table1For(width, height, numMCs int) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"paper ordering by decreasing average hops: bottom, edge, top-bottom, diamond",
 		"~ marks the closed forms the paper itself flags as approximate")
+	return t, nil
+}
+
+// Hops extends Table 1 across mesh sizes: the exact Equation 3 average hops
+// of each placement on an NxN mesh with N MCs. The sizes are multiples of 4
+// because edge placement needs a multiple of 4 MCs.
+func Hops(Opts) (*Table, error) {
+	t := &Table{
+		ID:      "Hops",
+		Title:   "Average hops (exact Eq.3) across mesh sizes (NxN mesh, N MCs)",
+		Columns: []string{"N"},
+	}
+	for _, sch := range table1Placements {
+		t.Columns = append(t.Columns, string(sch))
+	}
+	for _, n := range []int{4, 8, 12, 16} {
+		m := mesh.New(n, n)
+		row := []string{fmt.Sprintf("%d", n)}
+		for _, sch := range table1Placements {
+			pl, err := placement.New(sch, m, n)
+			if err != nil {
+				return nil, err
+			}
+			avg, _, _ := pl.AverageHops()
+			row = append(row, f3(avg))
+		}
+		t.Rows = append(t.Rows, row)
+	}
 	return t, nil
 }
 
@@ -345,8 +374,10 @@ func Runners() []Runner {
 	return []Runner{
 		{"fig2", "traffic volumes between cores and MCs", Fig2},
 		{"fig3", "packet type distribution", Fig3},
+		{"probefig2", "Figure 2 re-derived from the telemetry link probes", ProbeFig2},
 		{"fig4", "analytic vs simulated link loads (Eq.2)", Fig4},
-		{"table1", "average hops per MC placement", func(Opts) (*Table, error) { return Table1() }},
+		{"table1", "average hops per MC placement", Table1},
+		{"hops", "Table 1's exact average hops across mesh sizes", Hops},
 		{"fig7", "routing algorithm speedups", Fig7},
 		{"fig8", "VC monopolizing speedups", Fig8},
 		{"fig9", "MC placement x routing speedups", Fig9},

@@ -17,16 +17,16 @@ import (
 // cross-check (the probe counters must tell the same ~2x reply:request
 // story as the stats pipeline) and the observability demo — everything in
 // the table comes from telemetry.Summarize, not from stats.Net.
-func ProbeFig2(o Opts, epoch int64) (*Table, error) {
-	if epoch <= 0 {
-		epoch = 1000
-	}
+//
+// Its runs go around the result memo: they carry their run's telemetry,
+// which no other runner wants and a stored plain result cannot supply.
+func ProbeFig2(o Opts) (*Table, error) {
 	base := o.apply(config.Default())
 	var jobs []job
 	for _, b := range o.benchmarks() {
 		jobs = append(jobs, job{key: b, bench: b, cfg: base})
 	}
-	results, err := runAllInstrumented(jobs, o.Parallel, epoch)
+	results, err := simulate(jobs, o.Parallel, sweep.SimulateWith(gpu.Instrumentation{TelemetryEpoch: probeEpoch}))
 	if err != nil {
 		return nil, err
 	}
@@ -73,10 +73,7 @@ func readSegmentMean(sum telemetry.Summary, seg telemetry.Segment) float64 {
 	return 0
 }
 
-// runAllInstrumented is runAll with the telemetry subsystem attached to
-// every job, sampling every epoch cycles. It goes around the result memo:
-// its results carry their run's telemetry, which no other caller wants and
-// a stored plain result cannot supply.
-func runAllInstrumented(jobs []job, workers int, epoch int64) (map[string]gpu.Result, error) {
-	return simulate(jobs, workers, sweep.SimulateWith(gpu.Instrumentation{TelemetryEpoch: epoch}))
-}
+// probeEpoch is the telemetry sampling epoch of ProbeFig2's runs, in cycles.
+// The table cannot depend on it: Summarize reads the registry's final
+// counter and histogram values, not the epoch samples.
+const probeEpoch = 1000

@@ -47,9 +47,6 @@ type Options struct {
 	LeaseJobs int
 	// MaxAttempts caps hand-outs per job before poison quarantine.
 	MaxAttempts int
-	// Heartbeat is the renewal period advertised to workers
-	// (0 = LeaseTTL/3; must be shorter than LeaseTTL).
-	Heartbeat time.Duration
 	// IdleWaitMS is the poll-again hint returned with an empty lease.
 	IdleWaitMS int64
 	// Logf receives operational log lines (nil = silent).
@@ -65,12 +62,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxAttempts < 1 {
 		o.MaxAttempts = 3
-	}
-	if o.Heartbeat <= 0 || o.Heartbeat >= o.LeaseTTL {
-		o.Heartbeat = o.LeaseTTL / 3
-	}
-	if o.Heartbeat < time.Millisecond {
-		o.Heartbeat = time.Millisecond
 	}
 	if o.IdleWaitMS <= 0 {
 		o.IdleWaitMS = 500
@@ -298,7 +289,7 @@ func (c *Coordinator) Register(req RegisterRequest) (RegisterResponse, error) {
 	return RegisterResponse{
 		WorkerID:    id,
 		LeaseTTLMS:  c.opts.LeaseTTL.Milliseconds(),
-		HeartbeatMS: c.opts.Heartbeat.Milliseconds(),
+		HeartbeatMS: max(c.opts.LeaseTTL/3, time.Millisecond).Milliseconds(), // three renewals per lease
 	}, nil
 }
 

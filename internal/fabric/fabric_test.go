@@ -340,7 +340,6 @@ func TestWorkerLostMidLease(t *testing.T) {
 	co, srv := newTestFabric(t, Options{
 		LeaseJobs:   2,
 		LeaseTTL:    100 * time.Millisecond,
-		Heartbeat:   25 * time.Millisecond,
 		MaxAttempts: 5,
 	})
 	sub, err := co.Submit(specSeeds(1, 2))
@@ -453,7 +452,6 @@ func TestConcurrentWorkers(t *testing.T) {
 	co, srv := newTestFabric(t, Options{
 		LeaseJobs:   2,
 		LeaseTTL:    500 * time.Millisecond,
-		Heartbeat:   50 * time.Millisecond,
 		MaxAttempts: 10,
 	})
 	base := "http://" + srv.Addr()

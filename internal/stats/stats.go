@@ -247,8 +247,6 @@ func (n *Net) Throughput() float64 {
 
 // GPU aggregates processor-side measurements.
 type GPU struct {
-	Enabled bool
-
 	Cycles          int64
 	Instructions    int64 // warp-instructions issued
 	MemRequests     int64 // memory transactions sent to the network
@@ -260,10 +258,10 @@ type GPU struct {
 	StallCycles     int64 // SM cycles with no warp ready to issue
 }
 
-// Add adds o's counters into g; Enabled and Cycles stay g's.
+// Add adds o's counters into g; Cycles stays g's.
 func (g *GPU) Add(o *GPU) { g.addScaled(o, 1) }
 
-// Sub subtracts o's counters from g; Enabled and Cycles stay g's.
+// Sub subtracts o's counters from g; Cycles stays g's.
 func (g *GPU) Sub(o *GPU) { g.addScaled(o, -1) }
 
 func (g *GPU) addScaled(o *GPU, k int64) {
