@@ -123,7 +123,7 @@ func BenchmarkAblationInjectionRateCurve(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/rate=%.2f", rt, rate), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					p := synthetic.DefaultParams()
-					p.NoC.Routing = rt
+					p.Config.NoC.Routing = rt
 					p.InjectionRate = rate
 					h, err := synthetic.New(p)
 					if err != nil {

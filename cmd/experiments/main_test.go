@@ -73,6 +73,31 @@ func TestGoldenHops(t *testing.T) {
 	golden(t, "hops.golden", "-run", "hops")
 }
 
+// TestSyntheticRunnersTakeConfigFlags: the synthetic sweep layers -seed,
+// -cycles and -warmup over its base like every other runner, so changing
+// one of them changes the table.
+func TestSyntheticRunnersTakeConfigFlags(t *testing.T) {
+	tables := map[string]string{}
+	for _, args := range [][]string{
+		{"-run", "sweep", "-cycles", "600"},
+		{"-run", "sweep", "-cycles", "600", "-seed", "2"},
+		{"-run", "sweep", "-cycles", "600", "-warmup", "300"},
+		{"-run", "sweep", "-cycles", "700"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("experiments %v exited %d: %s", args, code, stderr.String())
+		}
+		key := strings.Join(args, " ")
+		for other, out := range tables {
+			if out == stdout.String() {
+				t.Errorf("experiments %s prints what experiments %s prints", key, other)
+			}
+		}
+		tables[key] = stdout.String()
+	}
+}
+
 // TestList: -list names the traffic and hop-count runners, one id per line.
 func TestList(t *testing.T) {
 	var stdout, stderr bytes.Buffer

@@ -1,7 +1,8 @@
 // Package analytic implements the closed-form traffic models of Section 3.1:
 // Equation 1 (request/reply volume ratio), Equation 2 (per-direction link
-// coefficients for XY routing with bottom MCs), and exact link-load maps
-// computed by route enumeration (the quantities Figures 4 and 6 illustrate).
+// coefficients for XY routing with bottom MCs), and exact link loads read
+// from core.Analyze's route counts (the quantities Figures 4 and 6
+// illustrate).
 //
 // The test suite cross-validates these formulas against both the route
 // enumerator and the cycle-level simulator, closing the loop between the
@@ -9,10 +10,9 @@
 package analytic
 
 import (
+	"gpgpunoc/internal/core"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/packet"
-	"gpgpunoc/internal/placement"
-	"gpgpunoc/internal/routing"
 )
 
 // TrafficMix describes the steady-state request mix of a workload, in the
@@ -91,59 +91,24 @@ func Equation2Coefficient(n, i, j int, d mesh.Direction) int {
 	}
 }
 
-// LinkLoad is the expected flit load per directed link: the number of
-// (core, MC) routes crossing the link, weighted by the per-route flit volume.
-type LinkLoad struct {
-	Mesh mesh.Mesh
-	// Routes counts routes per link per class (unweighted route counts, the
-	// coefficients drawn in Figures 4 and 6).
-	Routes [packet.NumClasses][]int
-}
-
-// ComputeLinkLoad enumerates every (core, MC) route of both classes under
-// the placement and routing algorithm and accumulates per-link route counts.
-func ComputeLinkLoad(m mesh.Mesh, pl *placement.Placement, alg routing.Algorithm) *LinkLoad {
-	ll := &LinkLoad{Mesh: m}
-	for c := range ll.Routes {
-		ll.Routes[c] = make([]int, m.NumLinkSlots())
-	}
-	for _, coreID := range pl.Cores() {
-		for i := range pl.MCs {
-			mcID := pl.MCNode(i)
-			for _, l := range routing.Path(m, alg, coreID, mcID, packet.Request) {
-				ll.Routes[packet.Request][m.LinkIndex(l)]++
-			}
-			for _, l := range routing.Path(m, alg, mcID, coreID, packet.Reply) {
-				ll.Routes[packet.Reply][m.LinkIndex(l)]++
-			}
-		}
-	}
-	return ll
-}
-
-// RouteCount returns the number of routes of class cls crossing link l.
-func (ll *LinkLoad) RouteCount(l mesh.Link, cls packet.Class) int {
-	return ll.Routes[cls][ll.Mesh.LinkIndex(l)]
-}
-
 // FlitLoad returns the expected flit volume on link l per injection round
 // (each core sending one request to each MC and receiving one reply), under
-// mix t: route count x mean packet length of the class.
-func (ll *LinkLoad) FlitLoad(l mesh.Link, t TrafficMix) float64 {
+// mix t: u's route count x mean packet length of the class.
+func FlitLoad(u *core.LinkUsage, l mesh.Link, t TrafficMix) float64 {
 	w := 1 - t.ReadFrac
 	reqLen := t.ReadFrac*t.ShortLen + w*t.LongLen
 	repLen := t.ReadFrac*t.LongLen + w*t.ShortLen
-	return float64(ll.RouteCount(l, packet.Request))*reqLen +
-		float64(ll.RouteCount(l, packet.Reply))*repLen
+	return float64(u.RouteCount(l, packet.Request))*reqLen +
+		float64(u.RouteCount(l, packet.Reply))*repLen
 }
 
 // MaxLoad returns the hottest link and its flit load — the analytic
 // bandwidth bottleneck the proposed schemes attack.
-func (ll *LinkLoad) MaxLoad(t TrafficMix) (mesh.Link, float64) {
+func MaxLoad(u *core.LinkUsage, t TrafficMix) (mesh.Link, float64) {
 	var best mesh.Link
 	bestLoad := -1.0
-	for _, l := range ll.Mesh.Links() {
-		if load := ll.FlitLoad(l, t); load > bestLoad {
+	for _, l := range u.Mesh.Links() {
+		if load := FlitLoad(u, l, t); load > bestLoad {
 			best, bestLoad = l, load
 		}
 	}

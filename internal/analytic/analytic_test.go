@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gpgpunoc/internal/config"
+	"gpgpunoc/internal/core"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/placement"
@@ -104,7 +105,7 @@ func TestEquation2MatchesEnumeration(t *testing.T) {
 // links, the congestion the proposed schemes eliminate.
 func TestBottomXYReplyLoadConcentratesOnBottomRow(t *testing.T) {
 	pl := placement.MustNew(config.PlacementBottom, m8, 8)
-	ll := ComputeLinkLoad(m8, pl, routing.MustNew(config.RoutingXY))
+	ll := core.Analyze(m8, pl, routing.MustNew(config.RoutingXY))
 	var bottomMax, coreMax int
 	for _, l := range m8.Links() {
 		if l.Dir.Orientation() != mesh.Horizontal {
@@ -131,7 +132,7 @@ func TestBottomXYReplyLoadConcentratesOnBottomRow(t *testing.T) {
 // entirely eliminates traffic on the links between MCs.
 func TestXYYXRemovesBottomRowLoad(t *testing.T) {
 	pl := placement.MustNew(config.PlacementBottom, m8, 8)
-	ll := ComputeLinkLoad(m8, pl, routing.MustNew(config.RoutingXYYX))
+	ll := core.Analyze(m8, pl, routing.MustNew(config.RoutingXYYX))
 	for _, l := range m8.Links() {
 		if m8.Coord(l.From).Row == 7 && l.Dir.Orientation() == mesh.Horizontal {
 			req := ll.RouteCount(l, packet.Request)
@@ -153,15 +154,15 @@ func TestMaxLoadOrdering(t *testing.T) {
 	pl := placement.MustNew(config.PlacementBottom, m8, 8)
 	mix := DefaultMix()
 	maxLoad := func(rt config.Routing) float64 {
-		_, l := ComputeLinkLoad(m8, pl, routing.MustNew(rt)).MaxLoad(mix)
+		_, l := MaxLoad(core.Analyze(m8, pl, routing.MustNew(rt)), mix)
 		return l
 	}
 	bottomRowLoad := func(rt config.Routing) float64 {
-		ll := ComputeLinkLoad(m8, pl, routing.MustNew(rt))
+		ll := core.Analyze(m8, pl, routing.MustNew(rt))
 		sum := 0.0
 		for _, l := range m8.Links() {
 			if m8.Coord(l.From).Row == 7 && l.Dir.Orientation() == mesh.Horizontal {
-				sum += ll.FlitLoad(l, mix)
+				sum += FlitLoad(ll, l, mix)
 			}
 		}
 		return sum
@@ -183,8 +184,8 @@ func TestMaxLoadOrdering(t *testing.T) {
 func TestDiamondLowersMaxLoad(t *testing.T) {
 	mix := DefaultMix()
 	alg := routing.MustNew(config.RoutingXY)
-	_, bottom := ComputeLinkLoad(m8, placement.MustNew(config.PlacementBottom, m8, 8), alg).MaxLoad(mix)
-	_, diamond := ComputeLinkLoad(m8, placement.MustNew(config.PlacementDiamond, m8, 8), alg).MaxLoad(mix)
+	_, bottom := MaxLoad(core.Analyze(m8, placement.MustNew(config.PlacementBottom, m8, 8), alg), mix)
+	_, diamond := MaxLoad(core.Analyze(m8, placement.MustNew(config.PlacementDiamond, m8, 8), alg), mix)
 	if diamond >= bottom {
 		t.Errorf("diamond max load %v should be below bottom %v", diamond, bottom)
 	}
@@ -194,7 +195,7 @@ func TestLinkLoadTotalsConserved(t *testing.T) {
 	// Total link crossings must equal the sum of route lengths.
 	pl := placement.MustNew(config.PlacementBottom, m8, 8)
 	alg := routing.MustNew(config.RoutingXY)
-	ll := ComputeLinkLoad(m8, pl, alg)
+	ll := core.Analyze(m8, pl, alg)
 	var total, wantTotal int
 	for _, l := range m8.Links() {
 		total += ll.RouteCount(l, packet.Request) + ll.RouteCount(l, packet.Reply)

@@ -6,8 +6,6 @@ import (
 
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/packet"
-	"gpgpunoc/internal/placement"
-	"gpgpunoc/internal/routing"
 	"gpgpunoc/internal/vc"
 )
 
@@ -72,7 +70,7 @@ func edgeClassString(bits uint8) string {
 }
 
 // CDG is the channel dependency graph induced by a mesh, placement, routing
-// algorithm and VC assignment. Build one with BuildCDG.
+// algorithm and VC assignment. Build one with LinkUsage.CDG.
 type CDG struct {
 	Mesh mesh.Mesh
 	VCs  int
@@ -98,15 +96,17 @@ func (g *CDG) EdgeClass(from, to Channel) uint8 {
 	return g.adj[g.index(from)*g.n+g.index(to)]
 }
 
-// BuildCDG constructs the channel dependency graph for the given topology,
-// placement, routing algorithm and VC assignment with vcs VCs per port. It
-// enumerates exactly the routes the simulator will use — every (core, MC)
-// request route and (MC, core) reply route — and expands each hop over the
-// VC ranges the assigner grants that class on each link.
-func BuildCDG(m mesh.Mesh, pl *placement.Placement, alg routing.Algorithm, asg vc.Assigner, vcs int) *CDG {
+// CDG builds the channel dependency graph the analyzed placement and routing
+// induce under the VC assignment asg with vcs VCs per port — the
+// graph-theoretic counterpart of CheckPolicy's link-overlap test. It walks
+// the routes Analyze counted — every (core, MC) request route and (MC, core)
+// reply route — and expands each hop over the VC ranges the assigner grants
+// that class on each link.
+func (u *LinkUsage) CDG(asg vc.Assigner, vcs int) *CDG {
 	if vcs < 1 {
 		panic(fmt.Sprintf("core: CDG needs >= 1 VC per port, have %d", vcs))
 	}
+	m := u.Mesh
 	n := m.NumLinkSlots() * vcs
 	g := &CDG{Mesh: m, VCs: vcs, n: n, adj: make([]uint8, n*n)}
 
@@ -133,30 +133,27 @@ func BuildCDG(m mesh.Mesh, pl *placement.Placement, alg routing.Algorithm, asg v
 		}
 	}
 
-	cores := pl.Cores()
-	for i := range pl.MCs {
-		mcID := pl.MCNode(i)
-		// Terminal request links into this MC and initial reply links out of
-		// it, over all cores; the conversion edges are their cross product.
-		var reqTerm, repInit []mesh.Link
-		for _, coreID := range cores {
-			req := routing.Path(m, alg, coreID, mcID, packet.Request)
-			for h := 0; h+1 < len(req); h++ {
-				addEdges(req[h], req[h+1], packet.Request, packet.Request, EdgeRequest)
-			}
-			if len(req) > 0 {
-				reqTerm = append(reqTerm, req[len(req)-1])
-			}
-			rep := routing.Path(m, alg, mcID, coreID, packet.Reply)
-			for h := 0; h+1 < len(rep); h++ {
-				addEdges(rep[h], rep[h+1], packet.Reply, packet.Reply, EdgeReply)
-			}
-			if len(rep) > 0 {
-				repInit = append(repInit, rep[0])
-			}
+	// Terminal request links into each MC and initial reply links out of
+	// it, over all cores; the conversion edges are their cross product.
+	reqTerm := make([][]mesh.Link, len(u.Placement.MCs))
+	repInit := make([][]mesh.Link, len(u.Placement.MCs))
+	eachRoute(m, u.Placement, u.Algorithm, func(mc int, req, rep []mesh.Link) {
+		for h := 0; h+1 < len(req); h++ {
+			addEdges(req[h], req[h+1], packet.Request, packet.Request, EdgeRequest)
 		}
-		for _, t := range reqTerm {
-			for _, s := range repInit {
+		if len(req) > 0 {
+			reqTerm[mc] = append(reqTerm[mc], req[len(req)-1])
+		}
+		for h := 0; h+1 < len(rep); h++ {
+			addEdges(rep[h], rep[h+1], packet.Reply, packet.Reply, EdgeReply)
+		}
+		if len(rep) > 0 {
+			repInit[mc] = append(repInit[mc], rep[0])
+		}
+	})
+	for mc := range reqTerm {
+		for _, t := range reqTerm[mc] {
+			for _, s := range repInit[mc] {
 				addEdges(t, s, packet.Request, packet.Reply, EdgeConversion)
 			}
 		}
@@ -272,11 +269,4 @@ func (g *CDG) ProveDeadlockFree() error {
 		return fmt.Errorf("core: channel dependency cycle (%d channels): %s", len(cyc), g.CycleString(cyc))
 	}
 	return nil
-}
-
-// CDG builds the channel dependency graph for the analyzed placement and
-// routing under the given VC assignment — the graph-theoretic counterpart of
-// CheckPolicy's link-overlap test.
-func (u *LinkUsage) CDG(asg vc.Assigner, vcs int) *CDG {
-	return BuildCDG(u.Mesh, u.Placement, u.Algorithm, asg, vcs)
 }

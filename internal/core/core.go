@@ -8,12 +8,13 @@
 // share a directed link, so the request/reply VC split that conventionally
 // guards against protocol deadlock is unnecessary and every VC can be
 // monopolized by whichever class uses the link. This package mechanizes that
-// argument: Analyze enumerates every route of both classes and records which
-// classes use each directed link; Verdict then says whether full, partial or
-// no monopolization is protocol-deadlock safe, and CheckPolicy validates any
-// concrete VC policy against the analysis. Structure (structure.go) holds
-// the analysis and its verdict once per design point; config.Validate and
-// gpu.New both go through it.
+// argument: Analyze enumerates every route of both classes and counts the
+// routes of each class on each directed link; Verdict then says whether
+// full, partial or no monopolization is protocol-deadlock safe, and
+// CheckPolicy validates any concrete VC policy against the analysis.
+// Structure (structure.go) holds
+// the analysis and its verdict once per design point; config.Validate,
+// gpu.New and the synthetic harness all go through it.
 package core
 
 import (
@@ -27,59 +28,65 @@ import (
 	"gpgpunoc/internal/vc"
 )
 
-// classBit marks link usage by a traffic class.
-const (
-	usedByRequest uint8 = 1 << iota
-	usedByReply
-)
-
-// LinkUsage records, for every directed link of the mesh, which traffic
-// classes traverse it under a given placement and routing algorithm.
+// LinkUsage records, for every directed link of the mesh, how many routes of
+// each traffic class cross it under a given placement and routing algorithm:
+// the coefficients Figures 4 and 6 draw. Which classes use a link, the
+// safety verdict and internal/analytic's link loads are all read from these
+// counts.
 type LinkUsage struct {
 	Mesh      mesh.Mesh
 	Placement *placement.Placement
 	Algorithm routing.Algorithm
 
-	usage []uint8 // indexed by mesh.LinkIndex
+	routes [packet.NumClasses][]int // indexed by mesh.LinkIndex
 }
 
-// Analyze enumerates the request route core->MC and the reply route MC->core
-// for every (core, MC) pair and marks each directed link with the classes
-// that use it. The result is exact: dimension-order routing is deterministic,
-// so these are precisely the links the simulator will exercise.
-func Analyze(m mesh.Mesh, pl *placement.Placement, alg routing.Algorithm) *LinkUsage {
-	u := &LinkUsage{
-		Mesh:      m,
-		Placement: pl,
-		Algorithm: alg,
-		usage:     make([]uint8, m.NumLinkSlots()),
-	}
-	for _, coreID := range pl.Cores() {
-		for i := range pl.MCs {
-			mcID := pl.MCNode(i)
-			for _, l := range routing.Path(m, alg, coreID, mcID, packet.Request) {
-				u.usage[m.LinkIndex(l)] |= usedByRequest
-			}
-			for _, l := range routing.Path(m, alg, mcID, coreID, packet.Reply) {
-				u.usage[m.LinkIndex(l)] |= usedByReply
-			}
+// eachRoute is the one enumeration of a design point's routes: for every MC
+// in order, and every core under it, fn gets the MC's index, the request
+// route core->MC and the reply route MC->core. Dimension-order routing is
+// deterministic, so these are precisely the links the simulator will
+// exercise. Analyze counts them; CDG chains them.
+func eachRoute(m mesh.Mesh, pl *placement.Placement, alg routing.Algorithm, fn func(mc int, req, rep []mesh.Link)) {
+	cores := pl.Cores()
+	for i := range pl.MCs {
+		mcID := pl.MCNode(i)
+		for _, coreID := range cores {
+			fn(i, routing.Path(m, alg, coreID, mcID, packet.Request), routing.Path(m, alg, mcID, coreID, packet.Reply))
 		}
 	}
+}
+
+// Analyze counts, per directed link and class, the routes of every
+// (core, MC) pair that cross it. The result is exact.
+func Analyze(m mesh.Mesh, pl *placement.Placement, alg routing.Algorithm) *LinkUsage {
+	u := &LinkUsage{Mesh: m, Placement: pl, Algorithm: alg}
+	for c := range u.routes {
+		u.routes[c] = make([]int, m.NumLinkSlots())
+	}
+	eachRoute(m, pl, alg, func(_ int, req, rep []mesh.Link) {
+		for _, l := range req {
+			u.routes[packet.Request][m.LinkIndex(l)]++
+		}
+		for _, l := range rep {
+			u.routes[packet.Reply][m.LinkIndex(l)]++
+		}
+	})
 	return u
+}
+
+// RouteCount returns the number of routes of class cls crossing link l.
+func (u *LinkUsage) RouteCount(l mesh.Link, cls packet.Class) int {
+	return u.routes[cls][u.Mesh.LinkIndex(l)]
 }
 
 // UsedBy reports whether class cls traverses link l.
 func (u *LinkUsage) UsedBy(l mesh.Link, cls packet.Class) bool {
-	bit := usedByRequest
-	if cls == packet.Reply {
-		bit = usedByReply
-	}
-	return u.usage[u.Mesh.LinkIndex(l)]&bit != 0
+	return u.RouteCount(l, cls) > 0
 }
 
 // Mixed reports whether both classes traverse link l.
 func (u *LinkUsage) Mixed(l mesh.Link) bool {
-	return u.usage[u.Mesh.LinkIndex(l)] == usedByRequest|usedByReply
+	return u.UsedBy(l, packet.Request) && u.UsedBy(l, packet.Reply)
 }
 
 // MixedLinks returns every directed link both classes use.

@@ -12,6 +12,7 @@ import (
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/placement"
 	"gpgpunoc/internal/routing"
+	"gpgpunoc/internal/synthetic"
 	"gpgpunoc/internal/workload"
 )
 
@@ -301,5 +302,35 @@ func TestStructureUnsafeVerdictMemoized(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("Validate with AllowUnsafe: %v", err)
+	}
+}
+
+// TestStructureSharedBySyntheticHarness: the synthetic harness builds through
+// the same table as gpu.New and config.Validate, so a harness and a simulator
+// of one design point share one structure and one proof between them.
+func TestStructureSharedBySyntheticHarness(t *testing.T) {
+	core.ResetStructures()
+	before := core.ProofsRun()
+	cfg := variant(config.PlacementBottom, config.RoutingYX, config.VCMonopolized)
+	p := synthetic.DefaultParams()
+	p.Config = cfg
+	h, err := synthetic.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := gpu.New(cfg, workload.MustGet("KMN"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	st, err := core.StructureFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Structure != st || sim.Place != st.Placement {
+		t.Error("the harness and gpu.New of one design point hold different structures")
+	}
+	if got := core.ProofsRun() - before; got != 1 {
+		t.Errorf("%d proofs of one structure built by the harness and gpu.New", got)
 	}
 }

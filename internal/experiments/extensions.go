@@ -42,10 +42,12 @@ func Sweep(o Opts) (*Table, error) {
 	for _, v := range variants {
 		t.Columns = append(t.Columns, v.label)
 	}
-	meas := 8000
-	if o.MeasureCycles > 0 {
-		meas = o.MeasureCycles
-	}
+	base := config.Default()
+	base.WarmupCycles, base.MeasureCycles = 1500, 8000
+	base = o.apply(base)
+	// Every cell is a bottom-placement design point; the variant's routing
+	// and VC policy win over any override, like the figure runners' schemes.
+	base.Placement = config.PlacementBottom
 
 	key := func(rate float64, label string) string {
 		return fmt.Sprintf("%.2f/%s", rate, label)
@@ -55,28 +57,24 @@ func Sweep(o Opts) (*Table, error) {
 	for _, rate := range rates {
 		for _, v := range variants {
 			p := synthetic.DefaultParams()
-			// Layer explicit overrides first; the variant's scheme-controlled
-			// dimensions win, like the figure runners.
-			p.NoC = o.Overrides.Apply(config.Config{NoC: p.NoC}).NoC
-			p.NoC.Routing = v.rt
-			p.NoC.VCPolicy = v.pol
+			p.Config = base
+			p.Config.NoC.Routing = v.rt
+			p.Config.NoC.VCPolicy = v.pol
 			p.InjectionRate = rate
-			if o.Seed != 0 {
-				p.Seed = o.Seed
-			}
 			k := key(rate, v.label)
 			params[k] = p
-			jobs = append(jobs, sweep.Job{Key: k, Benchmark: "synthetic", Cfg: config.Config{NoC: p.NoC}})
+			jobs = append(jobs, sweep.Job{Key: k, Benchmark: "synthetic", Cfg: p.Config})
 		}
 	}
 	// The params map is read-only once the pool starts; workers only look
-	// their own cell up by key.
+	// their own cell up by key. The cells of one variant share its
+	// core.Structure, built and proved once.
 	run := func(_ context.Context, j sweep.Job) (gpu.Result, error) {
 		h, err := synthetic.New(params[j.Key])
 		if err != nil {
 			return gpu.Result{}, err
 		}
-		st, dead := h.Run(1500, meas)
+		st, dead := h.Run(j.Cfg.WarmupCycles, j.Cfg.MeasureCycles)
 		return gpu.Result{Benchmark: j.Benchmark, Cycles: st.Cycles, Deadlocked: dead, Net: st}, nil
 	}
 	outs, err := sweep.Run(context.Background(), jobs, nil, sweep.Options{Workers: o.Parallel, Run: run})

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"sort"
 
-	"gpgpunoc/internal/analytic"
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/core"
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/placement"
-	"gpgpunoc/internal/routing"
 	"gpgpunoc/internal/synthetic"
 )
 
@@ -92,31 +90,26 @@ func Fig3(o Opts) (*Table, error) {
 // route-count coefficients versus flit counts measured by the cycle-level
 // simulator under uniform synthetic traffic with bottom MCs and XY routing.
 func Fig4(o Opts) (*Table, error) {
+	base := config.Default()
+	base.WarmupCycles, base.MeasureCycles = 2000, 30000
 	p := synthetic.DefaultParams()
+	// Eq. 2's design point wins over any override, as a figure's schemes do.
+	p.Config = core.Baseline.Apply(o.apply(base))
 	p.InjectionRate = 0.02
-	if o.Seed != 0 {
-		p.Seed = o.Seed
-	}
 	h, err := synthetic.New(p)
 	if err != nil {
 		return nil, err
 	}
-	warm, meas := 2000, 30000
-	if o.MeasureCycles > 0 {
-		meas = o.MeasureCycles
-	}
-	st, dead := h.Run(warm, meas)
+	st, dead := h.Run(p.Config.WarmupCycles, p.Config.MeasureCycles)
 	if dead {
 		return nil, fmt.Errorf("fig4: unexpected deadlock")
 	}
-	m := mesh.New(p.NoC.Width, p.NoC.Height)
-	pl := placement.MustNew(p.Placement, m, p.NumMCs)
-	ll := analytic.ComputeLinkLoad(m, pl, routing.MustNew(p.NoC.Routing))
+	m, u := h.Structure.Mesh, h.Structure.Usage
 
 	var anaTotal, measTotal [packet.NumClasses]float64
 	for _, l := range m.Links() {
 		for c := packet.Class(0); c < packet.NumClasses; c++ {
-			anaTotal[c] += float64(ll.RouteCount(l, c))
+			anaTotal[c] += float64(u.RouteCount(l, c))
 			measTotal[c] += float64(st.LinkFlits[c][m.LinkIndex(l)])
 		}
 	}
@@ -138,7 +131,7 @@ func Fig4(o Opts) (*Table, error) {
 	var entries []entry
 	for _, l := range m.Links() {
 		for c := packet.Class(0); c < packet.NumClasses; c++ {
-			ana := float64(ll.RouteCount(l, c)) / anaTotal[c]
+			ana := float64(u.RouteCount(l, c)) / anaTotal[c]
 			ms := 0.0
 			if measTotal[c] > 0 {
 				ms = float64(st.LinkFlits[c][m.LinkIndex(l)]) / measTotal[c]

@@ -56,10 +56,12 @@ type Simulator struct {
 	// kernel; result makes the end-of-run render.
 	views *obs.RunViews
 
-	// Flight, when non-nil (see AttachFlight), is the always-on flight
-	// recorder: a bounded ring of recent cycle-domain events (phase
-	// entries, checkpoints, invariant checks, kernel pool events) dumped as
-	// JSONL post-mortem on panic, invariant failure, or watchdog trip.
+	// Flight, when non-nil (see AttachFlight), is the flight recorder,
+	// attached only on request (cmd/sweep's default does): a bounded ring
+	// of recent cycle-domain events (phase entries, 512-cycle checkpoints,
+	// invariant checks, watchdog, panic, kernel pool and retile events)
+	// dumped as JSONL post-mortem on panic, invariant failure, or watchdog
+	// trip.
 	// Recording never reads wall clock or scheduler state and never feeds
 	// back into simulation, so results stay bit-identical with it attached.
 	Flight *fleetobs.Recorder
@@ -115,16 +117,7 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 	}
 	pl := st.Placement
 
-	var net noc.Interconnect
-	if cfg.NoC.PhysicalSubnets {
-		var subOpts []noc.Option
-		if cfg.NoC.SubnetHalfWidth {
-			subOpts = append(subOpts, noc.WithLinkPeriod(2))
-		}
-		net = noc.NewDual(cfg.NoC, st.Algorithm, subOpts...)
-	} else {
-		net = noc.New(cfg.NoC, st.Algorithm, st.Assigner)
-	}
+	net := noc.NewInterconnect(cfg.NoC, st.Algorithm, st.Assigner)
 
 	s := &Simulator{Cfg: cfg, Prof: prof, Net: net, Place: pl}
 

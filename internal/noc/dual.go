@@ -26,6 +26,21 @@ type Dual struct {
 	merged  *stats.Net
 }
 
+// NewInterconnect builds the interconnect cfg describes: one network whose
+// VCs asg assigns, or, with PhysicalSubnets, a Dual of class-dedicated
+// subnets (half-width ones with SubnetHalfWidth). It is where a design point
+// becomes a network: gpu.New and the synthetic harness both build through
+// it.
+func NewInterconnect(cfg config.NoC, alg routing.Algorithm, asg vc.Assigner, opts ...Option) Interconnect {
+	if !cfg.PhysicalSubnets {
+		return New(cfg, alg, asg, opts...)
+	}
+	if cfg.SubnetHalfWidth {
+		opts = append(opts, WithLinkPeriod(2))
+	}
+	return NewDual(cfg, alg, opts...)
+}
+
 // NewDual builds two class-dedicated subnets from cfg: each subnet gets
 // VCsPerPort/2 VCs and needs no class partitioning internally (a single
 // class cannot protocol-deadlock against itself under dimension-order

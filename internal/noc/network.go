@@ -249,8 +249,7 @@ func WithInjectionQueue(flits int) Option {
 // deliberately unsafe configurations are allowed (and will deadlock).
 func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option) *Network {
 	if cfg.VCsPerPort > maxVCs {
-		// config.Validate rejects this; the synthetic harness and tests
-		// reach New without it.
+		// config.Validate rejects this; a direct caller of New may skip it.
 		panic(fmt.Sprintf("noc: 5·V input VCs exceed the 64-bit request masks (VCsPerPort %d > %d)", cfg.VCsPerPort, maxVCs))
 	}
 	m := mesh.New(cfg.Width, cfg.Height)

@@ -9,29 +9,31 @@
 //   - producing classic latency-throughput curves per routing algorithm and
 //     VC policy;
 //   - demonstrating real protocol deadlock: with the unsafe shared-VC
-//     policy on a class-mixing configuration, the harness wedges, and the
-//     watchdog reports it.
+//     policy on a class-mixing configuration (built under AllowUnsafe, like
+//     any unsafe design), the harness wedges, and the watchdog reports it.
 package synthetic
 
 import (
-	"fmt"
-
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/core"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/noc"
 	"gpgpunoc/internal/packet"
-	"gpgpunoc/internal/placement"
 	"gpgpunoc/internal/rng"
-	"gpgpunoc/internal/routing"
 	"gpgpunoc/internal/stats"
 )
 
-// Params configures a synthetic run.
+// Params configures a synthetic run: a design point and the traffic that
+// runs on it.
 type Params struct {
-	NoC       config.NoC
-	Placement config.Placement
-	NumMCs    int
+	// Config is the design point — mesh, placement, MC count, routing, VC
+	// policy and count, subnets — and the seed. It goes through
+	// config.Validate like every other entry point's, so an unsafe design
+	// is refused unless Config.AllowUnsafe is set (it then wedges, and the
+	// watchdog fires). Every tile that is not an MC injects, so New sets
+	// Core.NumSMs to that remainder. The harness reads no cache, DRAM or
+	// SM field, and takes its cycle counts as Run's arguments.
+	Config config.Config
 
 	// InjectionRate is the probability a core generates a request each
 	// cycle (open loop).
@@ -50,26 +52,17 @@ type Params struct {
 	// PipelineDelay overrides the router's stage-one residency when > 0
 	// (default 2, the two-stage router; 1 models a single-cycle router).
 	PipelineDelay int
-	Seed          uint64
-
-	// Validate rejects protocol-deadlock-unsafe configurations. Leave
-	// false to experiment with unsafe ones (they wedge; the watchdog
-	// fires).
-	Validate bool
 }
 
 // DefaultParams returns a moderate-load configuration on the Table 2 system.
 func DefaultParams() Params {
 	return Params{
-		NoC:           config.Default().NoC,
-		Placement:     config.PlacementBottom,
-		NumMCs:        8,
+		Config:        config.Default(),
 		InjectionRate: 0.05,
 		ReadFrac:      0.75,
 		MCLatency:     20,
 		MCQueue:       16,
 		CoreBacklog:   8,
-		Seed:          1,
 	}
 }
 
@@ -97,7 +90,9 @@ type coreState struct {
 type Harness struct {
 	Params Params
 	Net    noc.Interconnect
-	Place  *placement.Placement
+	// Structure is the design point's shared core.Structure: mesh,
+	// placement, routing, link usage and VC assigner.
+	Structure *core.Structure
 
 	cores []coreState
 	mcs   []mcState
@@ -108,47 +103,31 @@ type Harness struct {
 	RequestsDropped  int64
 }
 
-// New builds the harness. With p.Validate set, configurations whose VC
-// policy is protocol-deadlock unsafe for the placement and routing are
-// rejected.
+// New builds the harness the way gpu.New builds a simulator: p.Config is
+// validated — structure and, unless AllowUnsafe is set, protocol-deadlock
+// safety — and the placement, routing and VC assigner come from the design
+// point's shared core.Structure.
 func New(p Params) (*Harness, error) {
+	cfg := &p.Config
 	// The harness's sinks share plain counters across nodes, so it always
 	// steps the serial kernel (results do not depend on the worker count).
-	p.NoC.Workers = 1
-	m := mesh.New(p.NoC.Width, p.NoC.Height)
-	pl, err := placement.New(p.Placement, m, p.NumMCs)
-	if err != nil {
+	cfg.NoC.Workers = 1
+	cfg.Core.NumSMs = cfg.NoC.Width*cfg.NoC.Height - cfg.Mem.NumMCs
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	alg, err := routing.New(p.NoC.Routing)
+	st, err := core.StructureFor(*cfg)
 	if err != nil {
 		return nil, err
-	}
-	usage := core.Analyze(m, pl, alg)
-	asg, err := core.BuildAssigner(usage, p.NoC)
-	if err != nil {
-		return nil, err
-	}
-	if p.Validate {
-		if err := usage.CheckPolicy(asg); err != nil {
-			return nil, fmt.Errorf("synthetic: %w", err)
-		}
 	}
 	var opts []noc.Option
 	if p.PipelineDelay > 0 {
 		opts = append(opts, noc.WithPipelineDelay(p.PipelineDelay))
 	}
-	var net noc.Interconnect
-	if p.NoC.PhysicalSubnets {
-		if p.NoC.SubnetHalfWidth {
-			opts = append(opts, noc.WithLinkPeriod(2))
-		}
-		net = noc.NewDual(p.NoC, alg, opts...)
-	} else {
-		net = noc.New(p.NoC, alg, asg, opts...)
-	}
-	h := &Harness{Params: p, Net: net, Place: pl, rng: rng.New(p.Seed)}
+	net := noc.NewInterconnect(cfg.NoC, st.Algorithm, st.Assigner, opts...)
+	h := &Harness{Params: p, Net: net, Structure: st, rng: rng.New(cfg.Seed)}
 
+	pl := st.Placement
 	for _, id := range pl.Cores() {
 		h.cores = append(h.cores, coreState{node: id})
 	}

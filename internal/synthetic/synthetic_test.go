@@ -1,14 +1,17 @@
 package synthetic
 
 import (
+	"fmt"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 
-	"gpgpunoc/internal/analytic"
 	"gpgpunoc/internal/config"
-	"gpgpunoc/internal/mesh"
+	"gpgpunoc/internal/core"
+	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/packet"
-	"gpgpunoc/internal/routing"
+	"gpgpunoc/internal/workload"
 )
 
 func TestBasicEchoFlow(t *testing.T) {
@@ -60,14 +63,13 @@ func TestLinkCoefficientsMatchSimulation(t *testing.T) {
 	if dead {
 		t.Fatal("unexpected deadlock")
 	}
-	m := mesh.New(p.NoC.Width, p.NoC.Height)
-	ll := analytic.ComputeLinkLoad(m, h.Place, routing.MustNew(p.NoC.Routing))
+	m, u := h.Structure.Mesh, h.Structure.Usage
 
 	// Compare measured vs analytic as normalized distributions over links.
 	var measuredTotal, analyticTotal float64
 	for _, l := range m.Links() {
 		measuredTotal += float64(st.LinkFlits[packet.Request][m.LinkIndex(l)])
-		analyticTotal += float64(ll.RouteCount(l, packet.Request))
+		analyticTotal += float64(u.RouteCount(l, packet.Request))
 	}
 	if measuredTotal == 0 {
 		t.Fatal("no request traffic measured")
@@ -75,7 +77,7 @@ func TestLinkCoefficientsMatchSimulation(t *testing.T) {
 	var worst float64
 	for _, l := range m.Links() {
 		meas := float64(st.LinkFlits[packet.Request][m.LinkIndex(l)]) / measuredTotal
-		ana := float64(ll.RouteCount(l, packet.Request)) / analyticTotal
+		ana := float64(u.RouteCount(l, packet.Request)) / analyticTotal
 		if ana == 0 {
 			if meas > 0 {
 				t.Errorf("link %v carries traffic but analytic says zero", l)
@@ -103,10 +105,12 @@ func TestProtocolDeadlockDemonstration(t *testing.T) {
 	base.MCQueue = 4
 	base.MCLatency = 60
 
-	// Unsafe: diamond placement mixes classes everywhere; shared VCs.
+	// Unsafe: diamond placement mixes classes everywhere; shared VCs. Only
+	// AllowUnsafe gets it built.
 	unsafe := base
-	unsafe.Placement = config.PlacementDiamond
-	unsafe.NoC.VCPolicy = config.VCShared
+	unsafe.Config.Placement = config.PlacementDiamond
+	unsafe.Config.NoC.VCPolicy = config.VCShared
+	unsafe.Config.AllowUnsafe = true
 	_, dead := MustNew(unsafe).Run(40000, 1)
 	if !dead {
 		t.Error("shared VCs on a mixing configuration should protocol-deadlock under saturation")
@@ -114,8 +118,8 @@ func TestProtocolDeadlockDemonstration(t *testing.T) {
 
 	// Safe control 1: same placement and load, split VCs.
 	safe := base
-	safe.Placement = config.PlacementDiamond
-	safe.NoC.VCPolicy = config.VCSplit
+	safe.Config.Placement = config.PlacementDiamond
+	safe.Config.NoC.VCPolicy = config.VCSplit
 	_, dead = MustNew(safe).Run(40000, 1)
 	if dead {
 		t.Error("split VCs must not deadlock")
@@ -124,27 +128,91 @@ func TestProtocolDeadlockDemonstration(t *testing.T) {
 	// Safe control 2: shared VCs where classes never share links
 	// (bottom+XY) — this IS the paper's VC monopolizing.
 	mono := base
-	mono.Placement = config.PlacementBottom
-	mono.NoC.VCPolicy = config.VCMonopolized
+	mono.Config.Placement = config.PlacementBottom
+	mono.Config.NoC.VCPolicy = config.VCMonopolized
 	_, dead = MustNew(mono).Run(40000, 1)
 	if dead {
 		t.Error("monopolized VCs on bottom+XY must not deadlock")
 	}
 }
 
-// TestValidateRejectsUnsafe: the constructor refuses unsafe configurations
-// when asked to validate.
+// TestValidateRejectsUnsafe: the constructor refuses an unsafe design point
+// through config.Validate, as gpu.New does, unless AllowUnsafe is set.
 func TestValidateRejectsUnsafe(t *testing.T) {
 	p := DefaultParams()
-	p.Placement = config.PlacementDiamond
-	p.NoC.VCPolicy = config.VCMonopolized
-	p.Validate = true
-	if _, err := New(p); err == nil {
-		t.Error("validation should reject diamond+XY+monopolized")
+	p.Config.Placement = config.PlacementDiamond
+	p.Config.NoC.VCPolicy = config.VCMonopolized
+	_, err := New(p)
+	if want := p.Config.Validate(); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("diamond+XY+monopolized: New says %v, want config.Validate's %v", err, want)
 	}
-	p.NoC.VCPolicy = config.VCSplit
+	p.Config.AllowUnsafe = true
+	if _, err := New(p); err != nil {
+		t.Errorf("AllowUnsafe should build diamond+XY+monopolized: %v", err)
+	}
+	p.Config.AllowUnsafe = false
+	p.Config.NoC.VCPolicy = config.VCSplit
 	if _, err := New(p); err != nil {
 		t.Errorf("validation should accept diamond+XY+split: %v", err)
+	}
+}
+
+// TestNewRejectsTooManyVCs: a VC count the router cannot hold is refused
+// with config.Validate's error, not a panic inside noc.New.
+func TestNewRejectsTooManyVCs(t *testing.T) {
+	p := DefaultParams()
+	p.Config.NoC.VCsPerPort = 13
+	if _, err := New(p); err == nil || !strings.HasPrefix(err.Error(), "config: 13 VCs per port exceed") {
+		t.Errorf("VCsPerPort 13: %v, want config.Validate's error", err)
+	}
+}
+
+// TestSharedStructureWithGPU: a harness and a simulator of one design point
+// share its core.Structure, and two harnesses of it stepped on two
+// goroutines at once each leave what a solo run leaves — the race detector
+// must see no write to what they share.
+func TestSharedStructureWithGPU(t *testing.T) {
+	p := DefaultParams()
+	p.InjectionRate = 0.15
+	h := MustNew(p)
+	st, err := core.StructureFor(p.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := gpu.New(config.Default(), workload.MustGet("KMN"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	if h.Structure != st || sim.Place != st.Placement {
+		t.Fatal("the harness and gpu.New of one design point do not share its core.Structure")
+	}
+
+	seeds := []uint64{1, 7}
+	run := func(seed uint64) string {
+		q := p
+		q.Config.Seed = seed
+		s, dead := MustNew(q).Run(500, 2000)
+		return fmt.Sprintf("%v %+v", dead, *s)
+	}
+	var solo []string
+	for _, seed := range seeds {
+		solo = append(solo, run(seed))
+	}
+	got := make([]string, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(seed)
+		}()
+	}
+	wg.Wait()
+	for i := range seeds {
+		if got[i] != solo[i] {
+			t.Errorf("seed %d beside another harness of its structure differs from its solo run", seeds[i])
+		}
 	}
 }
 
@@ -155,8 +223,8 @@ func TestThroughputImprovesWithMonopolizing(t *testing.T) {
 	run := func(pol config.VCPolicy, rt config.Routing) float64 {
 		p := DefaultParams()
 		p.InjectionRate = 0.5
-		p.NoC.VCPolicy = pol
-		p.NoC.Routing = rt
+		p.Config.NoC.VCPolicy = pol
+		p.Config.NoC.Routing = rt
 		h := MustNew(p)
 		st, dead := h.Run(2000, 8000)
 		if dead {
@@ -178,9 +246,9 @@ func TestRoutingThroughputOrdering(t *testing.T) {
 	run := func(rt config.Routing) float64 {
 		p := DefaultParams()
 		p.InjectionRate = 0.5
-		p.NoC.Routing = rt
+		p.Config.NoC.Routing = rt
 		if rt == config.RoutingXYYX {
-			p.NoC.VCPolicy = config.VCSplit
+			p.Config.NoC.VCPolicy = config.VCSplit
 		}
 		h := MustNew(p)
 		st, dead := h.Run(2000, 8000)
@@ -205,7 +273,7 @@ func TestDualNetworkComparable(t *testing.T) {
 	run := func(dual bool) float64 {
 		p := DefaultParams()
 		p.InjectionRate = 0.15
-		p.NoC.PhysicalSubnets = dual
+		p.Config.NoC.PhysicalSubnets = dual
 		h := MustNew(p)
 		st, dead := h.Run(2000, 8000)
 		if dead {
@@ -230,8 +298,8 @@ func TestDualHalfWidthCostsBandwidth(t *testing.T) {
 	run := func(dual, half bool) float64 {
 		p := DefaultParams()
 		p.InjectionRate = 0.15
-		p.NoC.PhysicalSubnets = dual
-		p.NoC.SubnetHalfWidth = half
+		p.Config.NoC.PhysicalSubnets = dual
+		p.Config.NoC.SubnetHalfWidth = half
 		h := MustNew(p)
 		st, dead := h.Run(2000, 8000)
 		if dead {
