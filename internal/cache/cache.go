@@ -181,6 +181,7 @@ func (c *Cache) MissRate() float64 {
 // memory-level parallelism exactly as the hardware structure does.
 type MSHR struct {
 	entries  map[uint64][]int // line address -> waiting warp IDs
+	spare    [][]int          // waiter lists Fill emptied, for Allocate to reuse
 	capacity int
 	// MaxMerged bounds waiters per entry (secondary-miss capacity).
 	MaxMerged int
@@ -227,19 +228,26 @@ func (m *MSHR) Allocate(lineAddr uint64, warp int) Outcome {
 	if len(m.entries) >= m.capacity {
 		return Stall
 	}
-	m.entries[lineAddr] = []int{warp}
+	var waiters []int
+	if n := len(m.spare); n > 0 {
+		waiters, m.spare = m.spare[n-1], m.spare[:n-1]
+	} else {
+		waiters = make([]int, 0, m.MaxMerged)
+	}
+	m.entries[lineAddr] = append(waiters, warp)
 	return Primary
 }
 
 // Fill completes the outstanding miss on lineAddr, returning the warps to
-// wake. It panics if no entry exists: a fill without a miss is a protocol
-// bug upstream.
+// wake, valid until the next Allocate reuses the slice. It panics if no
+// entry exists: a fill without a miss is a protocol bug upstream.
 func (m *MSHR) Fill(lineAddr uint64) []int {
 	waiters, ok := m.entries[lineAddr]
 	if !ok {
 		panic(fmt.Sprintf("cache: MSHR fill for line %#x with no entry", lineAddr))
 	}
 	delete(m.entries, lineAddr)
+	m.spare = append(m.spare, waiters[:0])
 	return waiters
 }
 

@@ -270,6 +270,27 @@ func (c Config) Validate() error {
 	if c.Mem.LineBytes <= 0 || c.Mem.LineBytes&(c.Mem.LineBytes-1) != 0 {
 		return fmt.Errorf("config: line size %d must be a positive power of two", c.Mem.LineBytes)
 	}
+	m := c.Mem
+	for _, cc := range []struct {
+		name        string
+		bytes, ways int
+	}{{"L1 data", m.L1DataBytes, m.L1Ways}, {"L1 instruction", m.L1InstBytes, m.L1InstWays}, {"L2", m.L2BytesPerMC, m.L2Ways}} {
+		if cc.bytes <= 0 || cc.ways <= 0 || cc.bytes%(cc.ways*m.LineBytes) != 0 {
+			return fmt.Errorf("config: %s cache %dB/%d-way with %dB lines is not a whole number of sets",
+				cc.name, cc.bytes, cc.ways, m.LineBytes)
+		}
+	}
+	switch {
+	case m.L1MSHRs < 1:
+		return errors.New("config: need at least 1 L1 MSHR")
+	case m.MCRequestQueue < 1:
+		return errors.New("config: need an MC request queue of at least 1")
+	case m.DRAMBanksPerMC < 1 || m.RowBufferBytes < 1 || m.MinDRAMCycles < 1:
+		return fmt.Errorf("config: DRAM needs positive banks (%d), row buffer bytes (%d) and latency (%d)",
+			m.DRAMBanksPerMC, m.RowBufferBytes, m.MinDRAMCycles)
+	case c.Core.WarpsPerSM < 1:
+		return errors.New("config: need at least 1 warp per SM")
+	}
 	if c.MeasureCycles <= 0 {
 		return errors.New("config: MeasureCycles must be positive")
 	}

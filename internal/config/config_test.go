@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestDefaultIsValid(t *testing.T) {
 	if err := Default().Validate(); err != nil {
@@ -66,6 +69,35 @@ func TestValidateRejections(t *testing.T) {
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an invalid config", name)
+		}
+	}
+}
+
+// TestValidateEndpointGeometry: memory and core geometry that gpu.New or a
+// run cannot use is refused here, by name, instead of panicking inside
+// cache.New or dram.New, indexing an empty warp table, or wedging.
+func TestValidateEndpointGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"L1 data not whole sets", func(c *Config) { c.Mem.L1DataBytes = 1000 }, "L1 data cache 1000B/4-way"},
+		{"L1 instruction not whole sets", func(c *Config) { c.Mem.L1InstBytes = 100 }, "L1 instruction cache 100B/4-way"},
+		{"zero L1 ways", func(c *Config) { c.Mem.L1Ways = 0 }, "L1 data cache"},
+		{"zero L2 ways", func(c *Config) { c.Mem.L2Ways = 0 }, "L2 cache 65536B/0-way"},
+		{"zero DRAM banks", func(c *Config) { c.Mem.DRAMBanksPerMC = 0 }, "DRAM needs positive banks (0)"},
+		{"zero row buffer", func(c *Config) { c.Mem.RowBufferBytes = 0 }, "row buffer bytes (0)"},
+		{"zero DRAM latency", func(c *Config) { c.Mem.MinDRAMCycles = 0 }, "latency (0)"},
+		{"zero warps", func(c *Config) { c.Core.WarpsPerSM = 0 }, "warp per SM"},
+		{"zero MC request queue", func(c *Config) { c.Mem.MCRequestQueue = 0 }, "MC request queue"},
+		{"zero MSHRs", func(c *Config) { c.Mem.L1MSHRs = 0 }, "L1 MSHR"},
+	} {
+		c := Default()
+		tc.mutate(&c)
+		err := c.Validate()
+		if err == nil || !strings.HasPrefix(err.Error(), "config: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want a config: error naming %q", tc.name, err, tc.want)
 		}
 	}
 }

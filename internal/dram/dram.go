@@ -251,10 +251,10 @@ func (d *DRAM) NextEvent(now int64) int64 {
 }
 
 // Completed drains and returns the ids finished since the last call, in
-// completion order.
+// completion order, in a slice the next Tick reuses.
 func (d *DRAM) Completed() []uint64 {
 	out := d.done
-	d.done = nil
+	d.done = d.done[:0]
 	return out
 }
 

@@ -31,10 +31,18 @@ func forcePool(t *testing.T) {
 	}
 }
 
+// ejectedPkt is what the recorder keeps of an ejected packet. It copies the
+// fields: the endpoint that ejects a packet reuses its storage.
+type ejectedPkt struct {
+	ID    uint64
+	Class packet.Class
+	SM    int // Access.SM: the issuing SM
+}
+
 // ejected records, per destination node, the packets whose tail flit the
 // node's sink accepted. Each node's sink runs only on the lane owning the
 // node, so the per-node slices have a single writer each.
-type ejected [][]*packet.Packet
+type ejected [][]ejectedPkt
 
 // tapSinks re-installs every endpoint's sink behind a recorder.
 func tapSinks(sim *gpu.Simulator) ejected {
@@ -43,7 +51,7 @@ func tapSinks(sim *gpu.Simulator) ejected {
 		sim.Net.SetSink(mesh.NodeID(node), func(f packet.Flit) bool {
 			ok := sink(f)
 			if ok && f.Tail {
-				rec[node] = append(rec[node], f.Pkt)
+				rec[node] = append(rec[node], ejectedPkt{f.Pkt.ID, f.Pkt.Class(), f.Pkt.Access.SM})
 			}
 			return ok
 		})
@@ -110,11 +118,11 @@ func TestWholeStepPacketIDs(t *testing.T) {
 						}
 						seen[p.ID] = true
 						reply := p.ID>>63 == 1
-						if reply != (p.Class() == packet.Reply) {
-							t.Fatalf("workers=%d: %v has bit 63 = %v", workers, p, reply)
+						if reply != (p.Class == packet.Reply) {
+							t.Fatalf("workers=%d: %+v has bit 63 = %v", workers, p, reply)
 						}
-						if sm := int(p.ID&^(1<<63)>>40) - 1; sm != p.Access.SM {
-							t.Fatalf("workers=%d: %v carries SM %d's ID stream, issued by SM %d", workers, p, sm, p.Access.SM)
+						if sm := int(p.ID&^(1<<63)>>40) - 1; sm != p.SM {
+							t.Fatalf("workers=%d: %+v carries SM %d's ID stream, issued by SM %d", workers, p, sm, p.SM)
 						}
 						if !reply {
 							requests++

@@ -45,6 +45,7 @@ type MC struct {
 	dramWait  map[uint64]*packet.Packet // DRAM access id -> request awaiting fill
 	retryDRAM packet.FIFO               // L2 misses waiting for DRAM queue space
 	outbox    packet.FIFO
+	free      packet.FreeList // the requests this MC answered: storage for its replies
 
 	nextDRAMID uint64
 	svcTokens  int // clock-domain throttle
@@ -226,9 +227,11 @@ func (m *MC) tryDRAM(req *packet.Packet, now int64) bool {
 // the transaction recoverable from either packet.
 const replyIDBit = uint64(1) << 63
 
+// makeReply builds req's reply, then releases req's storage for a later
+// one: never this one, which the network may still read (see noc.Sink).
 func (m *MC) makeReply(req *packet.Packet, now int64) *packet.Packet {
 	rt := req.Type.Reply()
-	rep := &packet.Packet{
+	rep := m.free.Get(packet.Packet{
 		ID:        req.ID | replyIDBit,
 		Type:      rt,
 		Src:       int(m.Node),
@@ -242,10 +245,11 @@ func (m *MC) makeReply(req *packet.Packet, now int64) *packet.Packet {
 		ReqInjectedAt: req.InjectedAt,
 		ReqEjectedAt:  req.EjectedAt,
 		ReqTimed:      true,
-	}
+	})
 	if m.spans != nil && req.Sampled {
 		m.spans.LinkReply(req, rep, now)
 	}
+	m.free.Put(req)
 	return rep
 }
 

@@ -165,3 +165,63 @@ func TestBlockedOutboxSleeps(t *testing.T) {
 		t.Error("a spurious WakeInject woke an MC that was not refused")
 	}
 }
+
+// sendNet accepts every Inject and keeps the packets in order.
+type sendNet struct {
+	noc.Interconnect
+	sent []*packet.Packet
+}
+
+func (n *sendNet) Inject(p *packet.Packet) bool {
+	n.sent = append(n.sent, p)
+	return true
+}
+
+// TestReplyReusesRequestStorage: an MC builds each reply in the storage of a
+// request it answered before — never in the request's own, which the
+// network may still read in the cycle the sink serves it — and overwrites
+// every field, so nothing of that request (its span bit, its timestamps)
+// leaks into the reply. Its first reply is the only one in fresh storage.
+func TestReplyReusesRequestStorage(t *testing.T) {
+	net := &sendNet{}
+	var gs stats.GPU
+	m := New(0, 60, config.Default().Mem, net, &gs)
+	now := int64(0)
+	sink := m.Sink(func() int64 { return now })
+	var reqs []*packet.Packet
+	for i := 0; i < 6; i++ {
+		typ := packet.ReadRequest
+		if i%2 == 1 {
+			typ = packet.WriteRequest
+		}
+		req := &packet.Packet{ID: uint64(i + 1), Type: typ, Src: 3 + i, Dst: 60, Flits: packet.Length(typ),
+			Access: packet.MemAccess{Addr: uint64(i%3) * 128}, CreatedAt: now, InjectedAt: now + 1, EjectedAt: now + 2,
+			Sampled: true}
+		for _, f := range packet.Flitize(req) {
+			if !sink(f) {
+				t.Fatalf("request %d refused", i)
+			}
+		}
+		reqs = append(reqs, req)
+		for len(net.sent) == i {
+			m.Tick(now)
+			now++
+			if now > 10_000 {
+				t.Fatalf("no reply to request %d", i)
+			}
+		}
+		rep := net.sent[i]
+		want := packet.Packet{ID: req.ID | replyIDBit, Type: typ.Reply(), Src: 60, Dst: req.Src,
+			Flits: packet.Length(typ.Reply()), Access: req.Access, CreatedAt: rep.CreatedAt,
+			ReqCreatedAt: req.CreatedAt, ReqInjectedAt: req.InjectedAt, ReqEjectedAt: req.EjectedAt, ReqTimed: true}
+		if i > 0 && rep != reqs[i-1] {
+			t.Errorf("reply %d is not built in request %d's storage", i, i-1)
+		}
+		if rep == req {
+			t.Fatalf("reply %d is built in its own request's storage", i)
+		}
+		if *rep != want {
+			t.Fatalf("reply %d = %+v, want %+v", i, *rep, want)
+		}
+	}
+}

@@ -46,6 +46,14 @@ import (
 // Sink receives one flit ejected at a node. Returning false refuses the flit
 // this cycle (it stays in the router and retries); the refusal propagates
 // backpressure into the network.
+//
+// A packet's storage belongs to the endpoint whose sink accepts its tail,
+// which may reuse it (packet.FreeList). The kernel reads the tail's packet
+// after the sink returns until the cycle ends (traverse's ejection count and
+// span event, the serial tail's telemetry), so no new packet may be drawn
+// from it before then: an SM draws only in Tick, and an MC, which ejects one
+// tail a cycle at most, draws a reply before it releases the request. Nothing
+// may hold a *packet.Packet past the cycle its tail was ejected.
 type Sink func(f packet.Flit) bool
 
 // Interconnect is the interface endpoints drive. Network implements it for a

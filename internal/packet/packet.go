@@ -109,6 +109,11 @@ type MemAccess struct {
 // a sequence of flits, and reassembled implicitly at ejection (wormhole
 // switching delivers flits in order on a single path, so the tail's arrival
 // completes the packet).
+//
+// A packet's storage belongs to the endpoint that ejects it: the sink that
+// accepts the tail may reuse it (FreeList) for a packet it creates later.
+// So nothing may hold a *Packet past the cycle its tail was ejected; a
+// record that outlives the cycle copies the fields it needs.
 type Packet struct {
 	ID       uint64
 	Type     Type
@@ -148,6 +153,28 @@ func (p *Packet) Class() Class { return p.Type.Class() }
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt#%d %s %d->%d (%df)", p.ID, p.Type, p.Src, p.Dst, p.Flits)
 }
+
+// FreeList holds the storage of the packets an endpoint ejected (see
+// Packet). Only the endpoint's sink and tick, on the lane owning its node,
+// touch it, so it needs no lock; unlike a sync.Pool it survives a GC, so a
+// run's allocations do not depend on the collector. The zero value is empty.
+type FreeList struct{ free []*Packet }
+
+// Get returns storage holding v: the last packet released, every field
+// overwritten, or a new one while the list is empty.
+func (l *FreeList) Get(v Packet) *Packet {
+	var p *Packet
+	if n := len(l.free); n > 0 {
+		p, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		p = new(Packet)
+	}
+	*p = v
+	return p
+}
+
+// Put releases p's storage to the next Get. p must have ended its life here.
+func (l *FreeList) Put(p *Packet) { l.free = append(l.free, p) }
 
 // Flit is the unit of flow control. Flits of one packet travel the same path
 // (wormhole switching); only head flits carry routing state.

@@ -29,9 +29,10 @@ import (
 // warp is one warp context.
 type warp struct {
 	readyAt     int64
-	outstanding int  // loads in flight
-	stalled     bool // retrying a structurally-stalled instruction
-	fetchWait   bool // blocked on an instruction-cache fill
+	outstanding int    // loads in flight
+	stalled     bool   // retrying a structurally-stalled instruction
+	fetchWait   bool   // blocked on the instruction-cache fill of fetchLine
+	fetchLine   uint64 // valid while fetchWait
 	pending     workload.Instr
 	gen         *workload.Generator
 
@@ -72,12 +73,12 @@ type SM struct {
 	mshr  *cache.MSHR
 	warps []warp
 
-	// Instruction fetch: the 2KB L1I plus outstanding fill tracking.
-	// Disabled (nil icache) when the profile has no kernel image.
-	icache       *cache.Cache
-	pendingFetch map[uint64][]int // inst line -> waiting warps
+	// Instruction fetch: the 2KB L1I, nil when the profile has no kernel
+	// image. A fill is in flight for each line a warp waits on (fetchLine).
+	icache *cache.Cache
 
 	outbox    packet.FIFO
+	free      packet.FreeList // the replies this SM ejected: storage for its requests
 	outboxCap int
 	greedy    int // GTO: last warp issued from
 
@@ -123,7 +124,6 @@ func New(idx int, node mesh.NodeID, core config.Core, memCfg config.Mem,
 	}
 	if prof.KernelBytes > 0 {
 		sm.icache = cache.New(memCfg.L1InstBytes, memCfg.L1InstWays, memCfg.LineBytes)
-		sm.pendingFetch = make(map[uint64][]int)
 	}
 	gens := workload.NewGenerators(&sm.prof, seed, idx, core.WarpsPerSM)
 	for w := range sm.warps {
@@ -162,7 +162,7 @@ func (s *SM) lineAddr(addr uint64) uint64 {
 func (s *SM) newPacket(t packet.Type, addr uint64, warpID int, now int64) *packet.Packet {
 	*s.nextID++
 	home := s.place.HomeMC(addr, s.mem.LineBytes)
-	return &packet.Packet{
+	return s.free.Get(packet.Packet{
 		ID:    *s.nextID,
 		Type:  t,
 		Src:   int(s.Node),
@@ -174,25 +174,30 @@ func (s *SM) newPacket(t packet.Type, addr uint64, warpID int, now int64) *packe
 			Warp: warpID,
 		},
 		CreatedAt: now,
-	}
+	})
 }
 
 // Sink returns the NoC ejection callback: data read replies fill the MSHR
 // and wake waiting warps, instruction replies fill the L1I and release
-// fetch-blocked warps, write replies are acknowledgements.
+// fetch-blocked warps, write replies are acknowledgements. Every reply's
+// storage goes to this SM's requests; only Tick draws them (see noc.Sink).
 func (s *SM) Sink() noc.Sink {
 	return func(f packet.Flit) bool {
-		if !f.Tail || f.Pkt.Type != packet.ReadReply {
+		if !f.Tail {
+			return true
+		}
+		s.free.Put(f.Pkt) // still readable: nothing draws it before Tick
+		if f.Pkt.Type != packet.ReadReply {
 			return true
 		}
 		s.idleUntil = 0 // a fill can make a warp eligible or free an MSHR entry
 		line := s.lineAddr(f.Pkt.Access.Addr)
 		if f.Pkt.Access.IsInst {
 			s.icache.Access(line, false) // install; clean, never written back
-			for _, w := range s.pendingFetch[line] {
-				s.warps[w].fetchWait = false
+			for i := range s.warps {
+				w := &s.warps[i]
+				w.fetchWait = w.fetchWait && w.fetchLine != line
 			}
-			delete(s.pendingFetch, line)
 			return true
 		}
 		for _, w := range s.mshr.Fill(line) {
@@ -214,22 +219,28 @@ func (s *SM) fetch(w *warp, wi int, now int64) bool {
 	if s.icache.Touch(line) {
 		return true
 	}
-	if _, outstanding := s.pendingFetch[line]; outstanding {
-		s.pendingFetch[line] = append(s.pendingFetch[line], wi)
-		w.fetchWait = true
-		return false
+	if !s.fetching(line) {
+		if s.outbox.Len() >= s.outboxCap {
+			return false // fetch retries next cycle; warp stays eligible
+		}
+		if s.gpu != nil {
+			s.gpu.InstFetchMisses++
+		}
+		p := s.newPacket(packet.ReadRequest, line, wi, now)
+		p.Access.IsInst = true
+		s.outbox.Push(p)
 	}
-	if s.outbox.Len() >= s.outboxCap {
-		return false // fetch retries next cycle; warp stays eligible
+	w.fetchLine, w.fetchWait = line, true
+	return false
+}
+
+// fetching reports whether a fill for instruction line is in flight.
+func (s *SM) fetching(line uint64) bool {
+	for i := range s.warps {
+		if w := &s.warps[i]; w.fetchWait && w.fetchLine == line {
+			return true
+		}
 	}
-	if s.gpu != nil {
-		s.gpu.InstFetchMisses++
-	}
-	p := s.newPacket(packet.ReadRequest, line, wi, now)
-	p.Access.IsInst = true
-	s.outbox.Push(p)
-	s.pendingFetch[line] = []int{wi}
-	w.fetchWait = true
 	return false
 }
 

@@ -318,3 +318,73 @@ func TestSharedMemoryLatencyHiding(t *testing.T) {
 		t.Errorf("2 warps (%.3f) should pay visibly for conflicts vs 48 (%.3f)", few, many)
 	}
 }
+
+// sendNet accepts every Inject and keeps the packets in order.
+type sendNet struct {
+	noc.Interconnect
+	sent []*packet.Packet
+}
+
+func (n *sendNet) Inject(p *packet.Packet) bool {
+	n.sent = append(n.sent, p)
+	return true
+}
+
+// TestRepliesBecomeRequests: the tail of every reply — instruction fill,
+// data fill, write ack — releases its storage to the SM, whose next request
+// is built in it with every field overwritten. The test answers each request
+// after the tick that sent it, so a tick holds at most four unanswered: the
+// two the previous tick built (a write-back and its load) and two it builds
+// itself. The SM should draw no more than four fresh packets; a reply kind
+// whose storage was dropped would show as one per reply of that kind.
+func TestRepliesBecomeRequests(t *testing.T) {
+	cfg := config.Default()
+	pl := placement.MustNew(cfg.Placement, mesh.New(cfg.NoC.Width, cfg.NoC.Height), cfg.Mem.NumMCs)
+	net := &sendNet{}
+	var gs stats.GPU
+	var nextID uint64
+	sm := New(3, pl.Cores()[3], cfg.Core, cfg.Mem, workload.MustGet("RAY"), 1, net, pl, &gs, &nextID)
+	sink := sm.Sink()
+
+	released := map[*packet.Packet]bool{} // replies the sink took and no request has reused yet
+	answered := map[string]int{}
+	fresh := 0
+	for now, i := int64(0), 0; now < 20_000; now++ {
+		sm.Tick(now)
+		for ; i < len(net.sent); i++ {
+			req := net.sent[i]
+			if released[req] {
+				delete(released, req)
+			} else {
+				fresh++
+			}
+			if req.Sampled || req.ReqTimed || req.Class() != packet.Request {
+				t.Fatalf("request %v keeps fields of the reply whose storage it reuses: %+v", req, *req)
+			}
+			rt := req.Type.Reply()
+			rep := &packet.Packet{ID: req.ID | 1<<63, Type: rt, Src: req.Dst, Dst: req.Src,
+				Flits: packet.Length(rt), Access: req.Access, ReqTimed: true, Sampled: true}
+			for seq := 0; seq < rep.Flits; seq++ {
+				sink(packet.Flit{Pkt: rep, Seq: seq, Head: seq == 0, Tail: seq == rep.Flits-1})
+			}
+			released[rep] = true
+			switch {
+			case req.Access.IsInst:
+				answered["instruction fill"]++
+			case rt == packet.ReadReply:
+				answered["data fill"]++
+			default:
+				answered["write ack"]++
+			}
+		}
+	}
+	for _, kind := range []string{"instruction fill", "data fill", "write ack"} {
+		if answered[kind] == 0 {
+			t.Fatalf("no %s in 20,000 cycles: %v", kind, answered)
+		}
+	}
+	t.Logf("%d requests, %d in fresh storage; replies answered: %v", len(net.sent), fresh, answered)
+	if fresh > 4 {
+		t.Errorf("%d of %d requests were built in fresh storage, want at most 4", fresh, len(net.sent))
+	}
+}

@@ -146,7 +146,13 @@ func (r *tickRig) step() {
 		v = append(v, w.readyAt, int64(w.outstanding), b2i(w.stalled), b2i(w.fetchWait),
 			int64(w.pc), int64(w.loopBase), int64(w.instrs))
 	}
-	v = append(v, int64(s.greedy), int64(s.outbox.Len()), int64(len(s.pendingFetch)))
+	fetching := map[uint64]bool{} // lines with an instruction fetch in flight
+	for i := range s.warps {
+		if w := &s.warps[i]; w.fetchWait {
+			fetching[w.fetchLine] = true
+		}
+	}
+	v = append(v, int64(s.greedy), int64(s.outbox.Len()), int64(len(fetching)))
 	if s.outbox.Len() > 0 {
 		v = append(v, int64(s.outbox.Front().ID), int64(s.outbox.Front().Type))
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -711,10 +712,17 @@ func TestSpecFileExamples(t *testing.T) {
 }
 
 // TestExecAllocBytesIsTotalAlloc: the exec footprint's allocation counter
-// (runtime/metrics, no stop-the-world) measures what MemStats.TotalAlloc
-// measures. One job at Workers=1, long enough that the spans the
-// stop-the-world read flushes and the other does not (about 20 KB) and the
-// engine's own bookkeeping around the job are well under 1% of it.
+// (runtime/metrics, no stop-the-world) counts what MemStats.TotalAlloc
+// counts, less what the allocator's per-P span caches hold unflushed. The
+// runtime counts a small object when its span leaves a P's cache;
+// ReadMemStats flushes every cache first and runtime/metrics does not, so a
+// read trails by up to one partly used span per size class in use per P.
+// That lag is not a share of the job: on one NQU job of 40,500 cycles it
+// was 70-270 KB against the 1.5 MB the job allocates. So the test measures
+// it, as what a flush adds to the counter right after the job, and requires
+// Exec.AllocBytes plus that lag to come within 1% of the TotalAlloc delta,
+// the rest being the engine's own bookkeeping around the job. An
+// under-count with any other cause fails it.
 func TestExecAllocBytesIsTotalAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulation")
@@ -722,16 +730,22 @@ func TestExecAllocBytesIsTotalAlloc(t *testing.T) {
 	cfg := config.Default()
 	cfg.WarmupCycles, cfg.MeasureCycles = 500, 40000
 	jobs := []Job{{Key: "NQU", Benchmark: "NQU", Cfg: cfg}}
+	counter := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	outs, err := Run(context.Background(), jobs, nil, Options{Workers: 1})
+	metrics.Read(counter)
+	unflushed := counter[0].Value.Uint64()
 	runtime.ReadMemStats(&after)
+	metrics.Read(counter)
+	lag := float64(counter[0].Value.Uint64() - unflushed)
 	if err != nil || len(outs) != 1 || outs[0].Err != nil {
 		t.Fatalf("run: %v, %+v", err, outs)
 	}
 	got, want := float64(outs[0].Record.Exec.AllocBytes), float64(after.TotalAlloc-before.TotalAlloc)
-	t.Logf("Exec.AllocBytes %.0f, MemStats.TotalAlloc delta %.0f", got, want)
-	if want == 0 || got < 0.99*want || got > 1.01*want {
-		t.Errorf("Exec.AllocBytes = %.0f, MemStats.TotalAlloc moved by %.0f; want within 1%%", got, want)
+	t.Logf("Exec.AllocBytes %.0f, span-cache lag %.0f, MemStats.TotalAlloc delta %.0f", got, lag, want)
+	if want == 0 || got+lag > want || got+lag < 0.99*want {
+		t.Errorf("Exec.AllocBytes %.0f + span-cache lag %.0f = %.0f, MemStats.TotalAlloc moved by %.0f; want within 1%% below it",
+			got, lag, got+lag, want)
 	}
 }
