@@ -50,6 +50,17 @@ func New(totalBytes, ways, lineBytes int) *Cache {
 	}
 }
 
+// Reset empties the cache — every line invalid, LRU stamps and counters
+// zero — keeping its storage. A cache never accessed since New or the last
+// Reset (stamp 0: every access stamps) is empty already.
+func (c *Cache) Reset() {
+	if c.stamp == 0 {
+		return
+	}
+	clear(c.lines)
+	c.stamp, c.Hits, c.Misses = 0, 0, 0
+}
+
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 
@@ -194,6 +205,18 @@ func NewMSHR(capacity int) *MSHR {
 		capacity:  capacity,
 		MaxMerged: 8,
 	}
+}
+
+// Reset drops every outstanding miss, keeping the waiter lists for Allocate
+// to reuse.
+func (m *MSHR) Reset() {
+	if len(m.entries) == 0 {
+		return
+	}
+	for _, waiters := range m.entries { //noclint:determinism the lists are emptied, so their order in spare is never observed
+		m.spare = append(m.spare, waiters[:0])
+	}
+	clear(m.entries)
 }
 
 // Outcome of an MSHR allocation attempt.

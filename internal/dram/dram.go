@@ -99,6 +99,14 @@ func New(p Params) *DRAM {
 	return &DRAM{p: p, banks: make([]bank, p.Banks)}
 }
 
+// Reset empties the channel — queue, in-flight accesses, completions, open
+// rows — and zeroes its counters, keeping its storage and issue hook.
+func (d *DRAM) Reset() {
+	d.queue, d.inflight, d.done = d.queue[:0], d.inflight[:0], d.done[:0]
+	clear(d.banks)
+	d.RowHits, d.RowMisses, d.Served = 0, 0, 0
+}
+
 // locate maps an address to (bank, row) with row-interleaved banks.
 func (d *DRAM) locate(addr uint64) (int, uint64) {
 	rowAddr := addr / uint64(d.p.RowBytes)

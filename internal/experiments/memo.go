@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"sync"
 
 	"gpgpunoc/internal/config"
@@ -49,7 +50,8 @@ func MemoCounts() (simulated, reused int64) {
 // runAll returns every job's result keyed by job key, simulating only what
 // no finished run of this process already answers: a job whose (benchmark,
 // configuration) is in the memo takes the stored result, jobs of one batch
-// that share a key are simulated once, and the rest go to the sweep engine.
+// that share a key are simulated once, and the rest go to the sweep engine
+// grouped by configuration (byConfig).
 // Each run that completes is stored — a protocol-deadlocked run is a
 // deterministic result and counts; a failed one is not stored and fails
 // again. Results are shared between callers and must be treated as
@@ -81,7 +83,7 @@ func runAll(jobs []job, workers int) (map[string]gpu.Result, error) {
 		return results, nil
 	}
 
-	ran, err := simulate(misses, workers, nil)
+	ran, err := simulate(byConfig(misses), workers, nil)
 
 	memo.Lock()
 	defer memo.Unlock()
@@ -107,4 +109,24 @@ func runAll(jobs []job, workers int) (map[string]gpu.Result, error) {
 		memo.order = append(memo.order, k)
 	}
 	return results, err
+}
+
+// byConfig returns jobs reordered so that jobs of one configuration are
+// adjacent, configurations in order of first appearance and jobs within one
+// in their given order. A figure lists its jobs benchmark by benchmark, so
+// consecutive jobs have different shapes; grouped, each one but a
+// configuration's first few finds the simulator its predecessor left on
+// gpu.Run's idle list, however the workers' runs interleave, and a figure
+// allocates the same from one run to the next. Results are keyed by job,
+// so the order changes nothing else.
+func byConfig(jobs []job) []job {
+	rank := map[config.Config]int{}
+	for _, j := range jobs {
+		if _, ok := rank[j.cfg]; !ok {
+			rank[j.cfg] = len(rank)
+		}
+	}
+	out := slices.Clone(jobs)
+	slices.SortStableFunc(out, func(a, b job) int { return rank[a.cfg] - rank[b.cfg] })
+	return out
 }

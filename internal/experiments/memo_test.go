@@ -283,3 +283,26 @@ func TestMemoConcurrentFigures(t *testing.T) {
 		t.Errorf("%d simulated + %d reused; the six figures ask for %d results", sim, re, 2*(1+1+3+4+3+4))
 	}
 }
+
+// TestByConfigGroupsJobs: a batch listed benchmark by benchmark goes to the
+// engine configuration by configuration, configurations in order of first
+// appearance and benchmarks in their given order within each.
+func TestByConfigGroupsJobs(t *testing.T) {
+	a, b := config.Default(), config.Default()
+	b.NoC.Routing = config.RoutingYX
+	var jobs []job
+	for _, bench := range []string{"KMN", "RAY", "NQU"} {
+		jobs = append(jobs, job{key: bench + "/a", bench: bench, cfg: a}, job{key: bench + "/b", bench: bench, cfg: b})
+	}
+	var got []string
+	for _, j := range byConfig(jobs) {
+		got = append(got, j.key)
+	}
+	want := []string{"KMN/a", "RAY/a", "NQU/a", "KMN/b", "RAY/b", "NQU/b"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("byConfig order %v, want %v", got, want)
+	}
+	if jobs[1].key != "KMN/b" {
+		t.Fatalf("byConfig reordered its argument: %v", jobs)
+	}
+}

@@ -7,6 +7,9 @@ package gpu
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/core"
@@ -99,11 +102,17 @@ type ticker interface {
 // (mc.replyIDBit). One scheme for every worker count.
 func smIDBase(i int) uint64 { return uint64(i+1) << 40 }
 
-// New builds a simulator for cfg running the named workload profile.
-// Validation — structural and protocol-deadlock safety — is centralized in
-// cfg.Validate; set cfg.AllowUnsafe to simulate a deliberately unsafe
-// design and watch it wedge. Placement, routing algorithm and VC assigner
-// come from the design point's shared, read-only core.Structure.
+// smSeed is SM i's workload seed under the run seed.
+func smSeed(seed uint64, i int) uint64 { return seed + uint64(i)*0x9e3779b9 }
+
+// New builds a simulator for cfg running the named workload profile: it
+// allocates the system cfg's shape describes — network, SMs and MCs each
+// end their construction with their own Reset — then reset sets the
+// simulator's own run state. Validation — structural and protocol-deadlock
+// safety — is centralized in cfg.Validate; set cfg.AllowUnsafe to simulate
+// a deliberately unsafe design and watch it wedge. Placement, routing
+// algorithm and VC assigner come from the design point's shared, read-only
+// core.Structure.
 func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -130,9 +139,8 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 	s.shards = make([]stats.GPU, cfg.Core.NumSMs+len(pl.MCs))
 	s.ids = make([]uint64, cfg.Core.NumSMs)
 	for i := 0; i < cfg.Core.NumSMs; i++ {
-		s.ids[i] = smIDBase(i)
 		sm := smcore.New(i, cores[i], cfg.Core, cfg.Mem, prof,
-			cfg.Seed+uint64(i)*0x9e3779b9, net, pl, &s.shards[i], &s.ids[i])
+			smSeed(cfg.Seed, i), net, pl, &s.shards[i], &s.ids[i])
 		s.SMs = append(s.SMs, sm)
 		s.endpoints[sm.Node] = sm
 		net.SetSink(sm.Node, sm.Sink())
@@ -150,8 +158,65 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 		net.SetSink(ctrl.Node, ctrl.Sink(func() int64 { return s.cycle }))
 		net.SetInjectWake(ctrl.Node, ctrl.WakeInject)
 	}
+	s.reset(cfg, prof)
 	return s, nil
 }
+
+// shape projects cfg onto what a simulator's storage is built for: every
+// field but the ones Reset rewinds (Seed, WarmupCycles, MeasureCycles).
+func shape(cfg config.Config) config.Config {
+	cfg.Seed, cfg.WarmupCycles, cfg.MeasureCycles = 0, 0, 0
+	return cfg
+}
+
+// Reset rewinds the simulator to what New(cfg, prof) builds, keeping its
+// storage: caches, queues, buffers and the endpoints' packet free lists.
+// cfg must have the simulator's shape — differ from s.Cfg at most in Seed,
+// WarmupCycles and MeasureCycles — and the simulator must carry no
+// telemetry, spans, live views or flight recorder, which are not rewound
+// (SanitizeEvery is kept). Results of earlier runs stay valid: the network
+// hands its statistics collector to the result and starts the next run
+// with a new one. Call at a cycle boundary.
+func (s *Simulator) Reset(cfg config.Config, prof workload.Profile) error {
+	switch {
+	case shape(cfg) != shape(s.Cfg):
+		return fmt.Errorf("gpu: Reset to a different shape than the simulator was built for")
+	case s.Tel != nil || s.Spans != nil || s.views != nil || s.Flight != nil:
+		return fmt.Errorf("gpu: Reset of an instrumented simulator")
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if err := prof.Validate(); err != nil {
+		return err
+	}
+	s.Net.Reset(s.reclaim)
+	for _, m := range s.MCs {
+		m.Reset(s.reclaim)
+	}
+	for i, sm := range s.SMs {
+		sm.Reset(prof, smSeed(cfg.Seed, i))
+	}
+	s.reset(cfg, prof)
+	return nil
+}
+
+// reset sets the simulator's own run state — counters zeroed, every SM's
+// packet IDs rewound, cycle 0 — over a network and endpoints at theirs:
+// their constructors end with their Reset, and Reset rewinds them first.
+func (s *Simulator) reset(cfg config.Config, prof workload.Profile) {
+	s.Cfg, s.Prof = cfg, prof
+	clear(s.shards)
+	for i := range s.ids {
+		s.ids[i] = smIDBase(i)
+	}
+	s.cycle = 0
+}
+
+// reclaim gives a packet Reset took out of flight to the SM whose
+// transaction it carries: an unfinished transaction holds one packet of
+// that SM's storage (an MC swaps the request's for the reply's).
+func (s *Simulator) reclaim(p *packet.Packet) { s.SMs[p.Access.SM].Reclaim(p) }
 
 // NewInstrumented is New plus observability applied at construction, before
 // the first cycle: the invariant sanitizer when inst.SanitizeEvery > 0,
@@ -573,20 +638,86 @@ func (s *Simulator) result(deadlocked bool, cycles int64) Result {
 	}
 }
 
-// Run is the one-call runner: build a simulator for cfg and the named
+// Run is the one-call runner: get a simulator for cfg and the named
 // benchmark with the requested instrumentation, simulate warmup then
 // measurement under ctx's cancellation, release the kernel's worker pool,
 // and return the result. On cancellation the partial result is returned
 // together with ctx's error.
+//
+// An uninstrumented run recycles: it takes an idle simulator of cfg's shape
+// when there is one and Resets it, and a simulator whose run completed —
+// no error, no deadlock, no panic — goes back on the idle list, closed.
+// The list holds at most GOMAXPROCS simulators, the oldest dropped first,
+// and a run that finds none of its shape drops the oldest too.
+// An instrumented simulator is always built fresh and never kept: its
+// telemetry, spans and flight recorder escape into the result.
 func Run(ctx context.Context, cfg config.Config, benchmark string, inst Instrumentation) (Result, error) {
 	prof, err := workload.Get(benchmark)
 	if err != nil {
 		return Result{}, err
 	}
-	sim, err := NewInstrumented(cfg, prof, inst)
+	if inst != (Instrumentation{}) {
+		sim, err := NewInstrumented(cfg, prof, inst)
+		if err != nil {
+			return Result{}, err
+		}
+		return runClosed(ctx, sim)
+	}
+	sim := unpark(cfg)
+	if sim == nil {
+		sim, err = New(cfg, prof)
+	} else {
+		err = sim.Reset(cfg, prof)
+	}
 	if err != nil {
 		return Result{}, err
 	}
+	res, err := runClosed(ctx, sim)
+	if err == nil && !res.Deadlocked {
+		park(sim)
+	}
+	return res, err
+}
+
+// runClosed runs sim and closes it, whether RunContext returns or panics.
+func runClosed(ctx context.Context, sim *Simulator) (Result, error) {
 	defer sim.Close()
 	return sim.RunContext(ctx)
+}
+
+// idle holds the closed simulators Run may reuse, most recently parked last.
+var idle struct {
+	sync.Mutex
+	sims []*Simulator
+}
+
+// unpark removes and returns the most recently parked simulator of cfg's
+// shape. When there is none it returns nil and drops the oldest idle
+// simulator: the caller builds one, and a simulator of a shape no run has
+// asked for since would only raise the heap.
+func unpark(cfg config.Config) *Simulator {
+	want := shape(cfg)
+	idle.Lock()
+	defer idle.Unlock()
+	for i := len(idle.sims) - 1; i >= 0; i-- {
+		if s := idle.sims[i]; shape(s.Cfg) == want {
+			idle.sims = slices.Delete(idle.sims, i, i+1)
+			return s
+		}
+	}
+	if len(idle.sims) > 0 {
+		idle.sims = slices.Delete(idle.sims, 0, 1)
+	}
+	return nil
+}
+
+// park puts s on the idle list, dropping the oldest simulator when the list
+// already holds GOMAXPROCS.
+func park(s *Simulator) {
+	idle.Lock()
+	defer idle.Unlock()
+	if drop := len(idle.sims) + 1 - runtime.GOMAXPROCS(0); drop > 0 {
+		idle.sims = slices.Delete(idle.sims, 0, drop)
+	}
+	idle.sims = append(idle.sims, s)
 }

@@ -72,14 +72,15 @@ type MC struct {
 	ReadsServed, WritesServed int64
 }
 
-// New builds an MC at node for slice index idx.
+// New builds an MC at node for slice index idx: it allocates the
+// controller's storage, then Reset sets its run state.
 func New(idx int, node mesh.NodeID, cfg config.Mem, net noc.Interconnect, gpu *stats.GPU) *MC {
 	dp := dram.DefaultParams()
 	dp.Banks = cfg.DRAMBanksPerMC
 	dp.RowBytes = cfg.RowBufferBytes
 	dp.MinLatency = cfg.MinDRAMCycles
 	dp.FRFCFS = cfg.UseFRFCFS
-	return &MC{
+	m := &MC{
 		Node:     node,
 		Index:    idx,
 		cfg:      cfg,
@@ -89,6 +90,36 @@ func New(idx int, node mesh.NodeID, cfg config.Mem, net noc.Interconnect, gpu *s
 		dramWait: make(map[uint64]*packet.Packet),
 		gpu:      gpu,
 	}
+	m.Reset(nil) // holds no packet, so release is never called
+	return m
+}
+
+// Reset rewinds the controller to what New builds — empty queues, L2 slice
+// and DRAM channel, zero counters, awake — keeping its storage. Every packet
+// it holds, requests and the replies made for them, goes to release: the
+// storage of an unfinished transaction belongs to the SM that began it. The
+// caller zeroes the counter shard New was given.
+func (m *MC) Reset(release func(*packet.Packet)) {
+	m.l2.Reset()
+	m.dram.Reset()
+	for _, pr := range m.inL2 {
+		release(pr.reply)
+	}
+	clear(m.inL2)
+	m.inL2 = m.inL2[:0]
+	for _, req := range m.dramWait { //noclint:determinism which packet's storage a later Get reuses is never observed
+		release(req)
+	}
+	clear(m.dramWait)
+	for _, q := range []*packet.FIFO{&m.retryDRAM, &m.outbox} {
+		for q.Len() > 0 {
+			release(q.Front())
+			q.Pop()
+		}
+	}
+	m.queue, m.nextDRAMID, m.svcTokens = 0, 0, 0
+	m.idleUntil, m.sleptTicks, m.injBlocked = 0, 0, false
+	m.ReadsServed, m.WritesServed = 0, 0
 }
 
 // AttachTelemetry registers this controller's probes on reg (nil is a

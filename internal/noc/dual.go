@@ -139,6 +139,14 @@ func (d *Dual) EnableStats(on bool) {
 	d.reply.EnableStats(on)
 }
 
+// Reset resets both subnets and, like Network.Reset, leaves the merged
+// collector Stats handed out to its holder.
+func (d *Dual) Reset(release func(*packet.Packet)) {
+	d.request.Reset(release)
+	d.reply.Reset(release)
+	d.merged = stats.NewNet(d.request.m)
+}
+
 // Close stops the lane workers the subnets share.
 func (d *Dual) Close() { d.request.Close() }
 

@@ -125,6 +125,10 @@ type Interconnect interface {
 	// injection queues hold work, and the live lane cut. Invoke it only at a cycle
 	// boundary (between Step calls) so the kernel is never read mid-phase.
 	StateSnapshot() obs.MeshState
+	// Reset returns the interconnect to the state a run starts from (see
+	// Network.Reset), keeping its storage and what is installed on it, and
+	// hands every packet in flight to release (nil drops them).
+	Reset(release func(*packet.Packet))
 	// Close stops the kernel's lane workers, if any are running. The
 	// interconnect stays usable (the next parallel phase respawns them);
 	// call at a cycle boundary, typically deferred after construction.
@@ -277,7 +281,6 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 		sinks:      make([]Sink, nn),
 		injWake:    make([]func(), nn),
 		injRng:     make([][packet.NumClasses]vc.Range, nn),
-		stats:      stats.NewNet(m),
 	}
 	n.buildLanes(cfg.Workers, cfg.Width, cfg.Height)
 	arena := newRouterArena(nn, n.vcs, n.depth)
@@ -324,7 +327,6 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 	}
 	for i := range n.inj {
 		n.inj[i].cap = 16
-		n.inj[i].vc = -1
 	}
 	for _, o := range opts {
 		o(n)
@@ -337,7 +339,64 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 			panic(fmt.Sprintf("noc: injection queue of %d flits at node %d cannot hold a %d-flit packet", c, i, packet.LongFlits))
 		}
 	}
+	n.Reset(nil)
 	return n
+}
+
+// releaseInFlight hands every packet in flight to release: those whose tail
+// flit is still queued for injection, and those whose tail sits in an input
+// buffer or a link register — one tail each, so one call each.
+func (n *Network) releaseInFlight(release func(*packet.Packet)) {
+	for i := range n.inj {
+		q := &n.inj[i]
+		for j := 0; j < q.Len(); j++ {
+			release(q.At(j))
+		}
+	}
+	for i := range n.routers {
+		rt := &n.routers[i]
+		for v := range rt.vcs {
+			b := &rt.vcs[v].buf
+			for j := 0; j < b.n; j++ {
+				if f := b.at(j); f.Tail {
+					release(f.Pkt)
+				}
+			}
+		}
+		for d := range rt.out {
+			if op := &rt.out[d]; op.regValid && op.reg.Tail {
+				release(op.reg.Pkt)
+			}
+		}
+	}
+}
+
+// Reset returns the network to the state a run starts from — every buffer,
+// link register and injection queue empty, every output VC free with full
+// credits, arbitration pointers and counters zero, the lanes cut into equal
+// stripes, cycle 0 — keeping its storage and everything installed on it
+// (sinks, wakes, stage, probes). New ends with it, so it is the one place a
+// run's network state is set. Every packet in flight goes to release, once,
+// when it is non-nil. The one thing Reset allocates is a new statistics
+// collector, off: the old one is what Stats handed out, and belongs to
+// whoever holds it. Call at a cycle boundary.
+func (n *Network) Reset(release func(*packet.Packet)) {
+	if release != nil {
+		n.releaseInFlight(release)
+	}
+	for i := range n.routers {
+		n.routers[i].reset(n.depth)
+	}
+	for i := range n.inj {
+		q := &n.inj[i]
+		for !q.empty() {
+			q.Pop()
+		}
+		q.sent, q.flits, q.vc, q.refused = 0, 0, -1, false
+	}
+	n.resetLanes()
+	n.stats = stats.NewNet(n.m)
+	n.cycle, n.moved, n.lastMove, n.inFlight = 0, false, 0, 0
 }
 
 // Mesh returns the topology.

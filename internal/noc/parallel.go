@@ -188,8 +188,30 @@ func (n *Network) buildLanes(workers, width, height int) {
 		ln.creditLocal = make([]*outPort, 0, mesh.NumLinkDirs*n.numNodes)
 		ln.creditDirty = make([]*outPort, 0, 2*width)
 		ln.outbox = make([]*outPort, 0, 2*width)
-		n.cut[i+1] = (i + 1) * height / d
 	}
+}
+
+// resetLanes empties every lane — run masks, lists, shard, tallies — and
+// cuts the mesh into equal row stripes again, the cut a run starts from.
+func (n *Network) resetLanes() {
+	for i := range n.lanes {
+		ln := &n.lanes[i]
+		clear(ln.routers)
+		clear(ln.links)
+		clear(ln.queues)
+		ln.creditLocal, ln.creditDirty, ln.outbox = ln.creditLocal[:0], ln.creditDirty[:0], ln.outbox[:0]
+		clear(ln.ejected)
+		ln.ejected = ln.ejected[:0]
+		ln.stats.Reset()
+		ln.stats.Enabled = false
+		ln.stallVCAlloc, ln.stallCredit, ln.stallRoute = 0, 0, 0
+		ln.moved, ln.injectedFlits, ln.ejectedFlits = false, 0, 0
+		ln.idleSkips, ln.injectVisits, ln.refusedInjects = 0, 0, 0
+		n.cut[i+1] = (i + 1) * len(n.rowWork) / len(n.lanes)
+	}
+	clear(n.rowWork)
+	clear(n.rowSeen)
+	clear(n.laneWork)
 	n.retile(n.cut)
 }
 

@@ -66,6 +66,15 @@ func (r *ring) frontArrived() int64 {
 	return r.buf[r.head].arrived
 }
 
+// at returns the j-th oldest buffered flit, 0 <= j < len.
+func (r *ring) at(j int) packet.Flit {
+	i := r.head + j
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return r.buf[i].flit
+}
+
 func (r *ring) pop() bufFlit {
 	if r.n == 0 {
 		panic("noc: front of empty VC buffer")

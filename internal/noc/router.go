@@ -175,7 +175,7 @@ func (rt *router) init(id mesh.NodeID, m mesh.Mesh, vcs, depth int, ar *routerAr
 	rt.coord = m.Coord(id)
 	rt.vcs = ar.takeVCs(mesh.NumPorts * vcs)
 	for i := range rt.vcs {
-		rt.vcs[i] = inputVC{buf: newRingFrom(ar.takeFlits(depth)), outVC: -1}
+		rt.vcs[i] = inputVC{buf: newRingFrom(ar.takeFlits(depth))}
 	}
 	for p := 0; p < mesh.NumPorts; p++ {
 		rt.in[p] = rt.vcs[p*vcs : (p+1)*vcs : (p+1)*vcs]
@@ -194,14 +194,31 @@ func (rt *router) init(id mesh.NodeID, m mesh.Mesh, vcs, depth int, ar *routerAr
 		op.credits = ar.takeInts(vcs)
 		op.pending = ar.takeInts(vcs)
 		op.owner = ar.takeInts(vcs)
-		for v := range op.credits {
-			op.credits[v] = depth
-			op.owner[v] = noOwner
-		}
 	}
 	// The local output port ejects to the attached node; it has no VCs or
 	// credits — the node's sink callback provides backpressure.
 	rt.out[mesh.Local] = outPort{rt: rt, exists: true, downNode: id, downPort: mesh.Local, orient: mesh.LocalPort}
+}
+
+// reset empties the router — buffers, routes, link registers, request
+// masks, arbitration pointers — and gives every output VC back its depth
+// of credits and no owner: the state Network.Reset starts a run from.
+func (rt *router) reset(depth int) {
+	for i := range rt.vcs {
+		rt.vcs[i] = inputVC{buf: newRingFrom(rt.vcs[i].buf.buf), outVC: -1}
+	}
+	for d := range rt.out {
+		op := &rt.out[d]
+		for v := range op.credits {
+			op.credits[v], op.pending[v], op.owner[v] = depth, 0, noOwner
+		}
+		op.dirty = false
+		op.reg, op.regVC, op.regValid, op.regReadyAt = packet.Flit{}, 0, false, 0
+	}
+	rt.bufFlits, rt.regCount = 0, 0
+	rt.reqMasks = reqMasks{}
+	rt.idle, rt.visits = false, 0
+	rt.vaPtr, rt.saVCPtr, rt.saPtr = [mesh.NumPorts]int{}, [mesh.NumPorts]int{}, [mesh.NumPorts]int{}
 }
 
 // enqueue buffers f at input VC i of rt, which ln owns: the one push path,

@@ -211,6 +211,9 @@ func (q *FIFO) Len() int { return len(q.pkts) - q.head }
 // Cap returns the capacity of the backing array (the reuse tests watch it).
 func (q *FIFO) Cap() int { return cap(q.pkts) }
 
+// At returns the i-th oldest packet, 0 <= i < Len.
+func (q *FIFO) At(i int) *Packet { return q.pkts[q.head+i] }
+
 // Front returns the oldest packet; the queue must not be empty.
 func (q *FIFO) Front() *Packet { return q.pkts[q.head] }
 

@@ -21,6 +21,9 @@ func New(seed uint64) *Stream {
 	return &Stream{state: seed}
 }
 
+// Reseed rewinds s, in place, to the stream New(seed) returns.
+func (s *Stream) Reseed(seed uint64) { s.state = seed }
+
 // NewSlab returns n streams in one allocation, the i-th seeded with seed(i),
 // for a caller that builds many at once and hands each out by pointer.
 func NewSlab(n int, seed func(i int) uint64) []Stream {

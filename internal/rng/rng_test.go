@@ -161,3 +161,15 @@ func TestNewSlabMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+func TestReseedMatchesNew(t *testing.T) {
+	s := New(1)
+	s.Uint64()
+	s.Reseed(42)
+	want := New(42)
+	for d := 0; d < 100; d++ {
+		if got := s.Uint64(); got != want.Uint64() {
+			t.Fatalf("reseeded stream diverged from New(42) at draw %d", d)
+		}
+	}
+}

@@ -34,7 +34,6 @@ type warp struct {
 	fetchWait   bool   // blocked on the instruction-cache fill of fetchLine
 	fetchLine   uint64 // valid while fetchWait
 	pending     workload.Instr
-	gen         *workload.Generator
 
 	// Instruction-fetch state. Control flow is modelled as a hot loop
 	// (loopBase..loopBase+loopBytes) executed for a phase, then a move to
@@ -72,6 +71,7 @@ type SM struct {
 	l1    *cache.Cache
 	mshr  *cache.MSHR
 	warps []warp
+	gens  []workload.Generator // warp w's instruction stream
 
 	// Instruction fetch: the 2KB L1I, nil when the profile has no kernel
 	// image. A fill is in flight for each line a warp waits on (fetchLine).
@@ -102,7 +102,8 @@ type SM struct {
 	injBlocked bool
 }
 
-// New builds an SM running prof at the given mesh node.
+// New builds an SM running prof at the given mesh node: it allocates the
+// SM's storage, then Reset(prof, seed) sets every piece of run state.
 func New(idx int, node mesh.NodeID, core config.Core, memCfg config.Mem,
 	prof workload.Profile, seed uint64, net noc.Interconnect,
 	pl *placement.Placement, gpu *stats.GPU, nextID *uint64) *SM {
@@ -122,21 +123,49 @@ func New(idx int, node mesh.NodeID, core config.Core, memCfg config.Mem,
 		gpu:       gpu,
 		nextID:    nextID,
 	}
-	if prof.KernelBytes > 0 {
-		sm.icache = cache.New(memCfg.L1InstBytes, memCfg.L1InstWays, memCfg.LineBytes)
+	sm.gens = workload.NewGenerators(&sm.prof, seed, idx, core.WarpsPerSM)
+	sm.Reset(prof, seed)
+	return sm
+}
+
+// Reset rewinds the SM to what New builds for prof and seed — empty caches,
+// MSHR file and outbox, every warp at the head of its instruction stream, no
+// sleep — keeping its storage: the packets its outbox held go to its free
+// list. A profile with a kernel image gets an I-cache, one without loses it.
+// The caller zeroes the counter shard and the packet-ID counter New was
+// given.
+func (s *SM) Reset(prof workload.Profile, seed uint64) {
+	s.prof = prof
+	s.l1.Reset()
+	s.mshr.Reset()
+	switch {
+	case prof.KernelBytes == 0:
+		s.icache = nil
+	case s.icache == nil:
+		s.icache = cache.New(s.mem.L1InstBytes, s.mem.L1InstWays, s.mem.LineBytes)
+	default:
+		s.icache.Reset()
 	}
-	gens := workload.NewGenerators(&sm.prof, seed, idx, core.WarpsPerSM)
-	for w := range sm.warps {
-		sm.warps[w].gen = &gens[w]
+	for s.outbox.Len() > 0 {
+		s.free.Put(s.outbox.Front())
+		s.outbox.Pop()
+	}
+	workload.ResetGenerators(s.gens, seed, s.Index)
+	clear(s.warps)
+	if prof.KernelBytes > 0 {
 		// Stagger loop phases slightly so warps do not fetch in lockstep;
 		// warps of one SM still share the same hot region, as CTAs of one
 		// kernel do.
-		if prof.KernelBytes > 0 {
-			sm.warps[w].instrs = uint64(w) * 7
+		for w := range s.warps {
+			s.warps[w].instrs = uint64(w) * 7
 		}
 	}
-	return sm
+	s.greedy, s.idleUntil, s.sleptTicks, s.injBlocked = 0, 0, 0, false
 }
+
+// Reclaim gives the SM the storage of a packet of one of its unfinished
+// transactions, which a Reset took out of the network or an MC.
+func (s *SM) Reclaim(p *packet.Packet) { s.free.Put(p) }
 
 // loopBytes returns the hot-loop size: kernels smaller than half the L1I
 // are one loop; larger kernels loop over L1I-half-sized regions and pay
@@ -363,7 +392,7 @@ func (s *SM) Tick(now int64) {
 
 	instr := w.pending
 	if !w.stalled {
-		instr = w.gen.Next()
+		instr = s.gens[wi].Next()
 	}
 	if !s.execute(w, wi, instr, now) {
 		// Structural stall: remember the instruction and retry. The warp

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/workload"
@@ -175,7 +176,8 @@ func (s Spec) Expand() ([]Job, []Skip, error) {
 		seeds = []uint64{base.Seed}
 	}
 
-	var jobs []Job
+	// Presized to the whole grid: filters and skips only leave it unused.
+	jobs := make([]Job, 0, len(benches)*len(placements)*len(routings)*len(policies)*len(vcs)*len(depths)*len(seeds))
 	var skipped []Skip
 	for _, b := range benches {
 		for _, pl := range placements {
@@ -191,10 +193,10 @@ func (s Spec) Expand() ([]Job, []Skip, error) {
 								cfg.NoC.VCsPerPort = v
 								cfg.NoC.VCDepth = d
 								cfg.Seed = seed
-								key := jobKey(b, cfg)
 								if !s.included(b, cfg) {
 									continue
 								}
+								key := jobKey(b, cfg)
 								if err := cfg.Validate(); err != nil {
 									if s.SkipInvalid {
 										skipped = append(skipped, Skip{Key: key, Reason: err.Error()})
@@ -237,8 +239,19 @@ func (s Spec) included(bench string, cfg config.Config) bool {
 	return true
 }
 
+// jobKey names a grid point: bench/placement/routing/policy/v<VCs>d<depth>/s<seed>.
 func jobKey(bench string, cfg config.Config) string {
-	return fmt.Sprintf("%s/%s/%s/%s/v%dd%d/s%d",
-		bench, cfg.Placement, cfg.NoC.Routing, cfg.NoC.VCPolicy,
-		cfg.NoC.VCsPerPort, cfg.NoC.VCDepth, cfg.Seed)
+	b := make([]byte, 0, 64)
+	b = append(b, bench...)
+	for _, part := range [...]string{string(cfg.Placement), string(cfg.NoC.Routing), string(cfg.NoC.VCPolicy)} {
+		b = append(b, '/')
+		b = append(b, part...)
+	}
+	b = append(b, "/v"...)
+	b = strconv.AppendInt(b, int64(cfg.NoC.VCsPerPort), 10)
+	b = append(b, 'd')
+	b = strconv.AppendInt(b, int64(cfg.NoC.VCDepth), 10)
+	b = append(b, "/s"...)
+	b = strconv.AppendUint(b, cfg.Seed, 10)
+	return string(b)
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -66,6 +67,68 @@ func TestExpandGrid(t *testing.T) {
 	for i := range jobs {
 		if jobs[i].Key != again[i].Key {
 			t.Fatalf("expansion order unstable at %d: %s vs %s", i, jobs[i].Key, again[i].Key)
+		}
+	}
+}
+
+// TestExpandKeys pins every job key of a grid with multi-digit VC counts,
+// depths and seeds to the format keys have always had, byte for byte: a key
+// names a job in records, skips and logs.
+func TestExpandKeys(t *testing.T) {
+	spec := Spec{
+		Benchmarks:  []string{"KMN", "SRAD"},
+		Placements:  []config.Placement{config.PlacementBottom, config.PlacementTopBottom},
+		Routings:    []config.Routing{config.RoutingXY, config.RoutingXYYX},
+		VCPolicies:  []config.VCPolicy{config.VCSplit, config.VCPartialMonopolized},
+		VCsPerPort:  []int{2, 10, 12},
+		VCDepths:    []int{4, 16},
+		Seeds:       []uint64{0, 7, 1234577, 18446744073709551615},
+		SkipInvalid: true,
+	}
+	jobs, skips, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, j := range jobs {
+		keys = append(keys, j.Key)
+		want := fmt.Sprintf("%s/%s/%s/%s/v%dd%d/s%d", j.Benchmark, j.Cfg.Placement, j.Cfg.NoC.Routing,
+			j.Cfg.NoC.VCPolicy, j.Cfg.NoC.VCsPerPort, j.Cfg.NoC.VCDepth, j.Cfg.Seed)
+		if j.Key != want {
+			t.Errorf("job key %q, want %q", j.Key, want)
+		}
+	}
+	for _, sk := range skips {
+		keys = append(keys, sk.Key)
+	}
+	if got, grid := len(keys), 2*2*2*2*3*2*4; got != grid {
+		t.Fatalf("%d jobs and skips, want the whole grid of %d", got, grid)
+	}
+	for _, k := range []string{"SRAD/top-bottom/xy-yx/partial/v12d16/s18446744073709551615", "KMN/bottom/xy/split/v10d4/s0"} {
+		if !slices.Contains(keys, k) {
+			t.Errorf("no job or skip has key %q", k)
+		}
+	}
+}
+
+// BenchmarkExpand expands a 432-job grid, the size of the repository
+// benchmark's sweep.
+func BenchmarkExpand(b *testing.B) {
+	spec := Spec{
+		Benchmarks:    []string{"KMN", "BFS", "RAY"},
+		Placements:    []config.Placement{config.PlacementBottom},
+		Routings:      []config.Routing{config.RoutingXY, config.RoutingYX},
+		VCPolicies:    []config.VCPolicy{config.VCSplit, config.VCMonopolized},
+		WarmupCycles:  500,
+		MeasureCycles: 1500,
+	}
+	for s := uint64(1); s <= 36; s++ {
+		spec.Seeds = append(spec.Seeds, s)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if jobs, _, err := spec.Expand(); err != nil || len(jobs) != 432 {
+			b.Fatal(len(jobs), err)
 		}
 	}
 }
@@ -722,13 +785,17 @@ func TestSpecFileExamples(t *testing.T) {
 // it, as what a flush adds to the counter right after the job, and requires
 // Exec.AllocBytes plus that lag to come within 1% of the TotalAlloc delta,
 // the rest being the engine's own bookkeeping around the job. An
-// under-count with any other cause fails it.
+// under-count with any other cause fails it. The 1% is of a job that builds
+// its simulator, so the job has a shape no other test in the package runs:
+// gpu.Run would otherwise Reset a parked simulator, and a recycled job
+// allocates less than the bookkeeping's 1%.
 func TestExecAllocBytesIsTotalAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulation")
 	}
 	cfg := config.Default()
 	cfg.WarmupCycles, cfg.MeasureCycles = 500, 40000
+	cfg.NoC.VCDepth = 5
 	jobs := []Job{{Key: "NQU", Benchmark: "NQU", Cfg: cfg}}
 	counter := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	var before, after runtime.MemStats

@@ -238,15 +238,31 @@ func NewGenerators(prof *Profile, seed uint64, smID, warpsPerSM int) []Generator
 	return gs
 }
 
+// ResetGenerators rewinds gs, built by NewGenerators, in place to what
+// NewGenerators(prof, seed, smID, len(gs)) returns for the profile they
+// read now: an SM starts its next run without allocating.
+func ResetGenerators(gs []Generator, seed uint64, smID int) {
+	for w := range gs {
+		g := &gs[w]
+		g.rng.Reseed(warpSeed(seed, smID, w))
+		g.cursor = startCursor(g.prof, smID, w, len(gs))
+	}
+}
+
 func warpSeed(seed uint64, smID, warpID int) uint64 {
 	return seed ^ uint64(smID)<<32 ^ uint64(warpID)<<16 ^ 0x9e37
 }
 
 func newGenerator(prof *Profile, r *rng.Stream, smID, warpID, warpsPerSM int) Generator {
-	// Each warp starts its stream at a distinct offset so warps cover the
-	// footprint; interleaving across SMs spreads home-MC traffic uniformly.
+	return Generator{prof: prof, rng: r, stride: accessBytes, cursor: startCursor(prof, smID, warpID, warpsPerSM)}
+}
+
+// startCursor is where a warp's stream starts: each warp at a distinct
+// offset so warps cover the footprint; interleaving across SMs spreads
+// home-MC traffic uniformly.
+func startCursor(prof *Profile, smID, warpID, warpsPerSM int) uint64 {
 	lane := uint64(smID*warpsPerSM + warpID)
-	return Generator{prof: prof, rng: r, stride: accessBytes, cursor: (lane * 8192) % prof.FootprintBytes}
+	return (lane * 8192) % prof.FootprintBytes
 }
 
 // Next returns the warp's next instruction.
