@@ -40,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var (
 		bench    = fs.String("bench", "KMN", "benchmark name ("+strings.Join(workload.Names(), ",")+")")
 		heatmap  = fs.Bool("heatmap", false, "print per-direction link utilization heatmaps")
-		linkCSV  = fs.String("linkcsv", "", "write per-link flit counts as CSV to this file")
 		sanitize = fs.Int("sanitize", 0, "validate interconnect invariants every N cycles (0 = off)")
 
 		telEpoch = fs.Int64("telemetry-epoch", 0, "sample cycle-domain telemetry every N cycles (0 = off)")
@@ -163,11 +162,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *heatmap {
 		fmt.Fprintln(stdout)
 		res.Net.Heatmap(stdout)
-	}
-	if *linkCSV != "" {
-		if err := writeFile(*linkCSV, res.Net.WriteLinkCSV); err != nil {
-			return fail(err)
-		}
 	}
 	if res.Deadlocked {
 		fmt.Fprintln(stdout, "\nthe configuration protocol-deadlocked; run with a safe VC policy (split/asymmetric/partial)")

@@ -10,13 +10,14 @@ import (
 	"gpgpunoc/internal/telemetry"
 )
 
-// ProbeFig2 re-derives Figure 2's traffic asymmetry purely from the
-// telemetry subsystem's link probes: per-benchmark request and reply flit
-// totals summed over every fabric link, their ratio, and the dominant
-// latency segment of the read transaction. It is both a Figure-2
-// cross-check (the probe counters must tell the same ~2x reply:request
-// story as the stats pipeline) and the observability demo — everything in
-// the table comes from telemetry.Summarize, not from stats.Net.
+// ProbeFig2 re-derives Figure 2's traffic asymmetry through the telemetry
+// subsystem: per-benchmark request and reply flit totals summed over every
+// fabric link, their ratio, and the dominant latency segment of the read
+// transaction. The link probes read the kernel's own per-flit counts (the
+// network's spine) over the whole run, warm-up included; stats.Net reports
+// the same counts over the measurement window. So the table is not a
+// second count but the observability demo: everything in it comes through
+// probe registration and telemetry.Summarize, not from stats.Net.
 //
 // Its runs go around the result memo: they carry their run's telemetry,
 // which no other runner wants and a stored plain result cannot supply.
@@ -56,7 +57,7 @@ func ProbeFig2(o Opts) (*Table, error) {
 	}
 	t.Rows = append(t.Rows, []string{"Geomean", "", "", f2(geomean(ratios)), "", "", "", ""})
 	t.Notes = append(t.Notes,
-		"counts come from telemetry link probes, independent of the stats pipeline",
+		"counts are the kernel's link flits read through telemetry probes, warm-up included",
 		"latency columns are mean cycles per read-transaction segment",
 		"paper: reply volume ~2x request on average; RAY inverts due to write demand")
 	return t, nil

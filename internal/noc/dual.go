@@ -133,7 +133,7 @@ func (d *Dual) Stats() *stats.Net {
 	return d.merged
 }
 
-// EnableStats toggles collection on both subnets.
+// EnableStats opens or closes both subnets' measurement windows.
 func (d *Dual) EnableStats(on bool) {
 	d.request.EnableStats(on)
 	d.reply.EnableStats(on)

@@ -95,7 +95,7 @@ type Interconnect interface {
 	Cycle() int64
 	// Stats returns the collector (merged across subnets for Dual).
 	Stats() *stats.Net
-	// EnableStats toggles measurement collection (off during warmup).
+	// EnableStats opens or closes the measurement window (off during warmup).
 	EnableStats(on bool)
 	// FlitsInFlight returns flits buffered anywhere in the fabric,
 	// including injection queues. Exact at every cycle boundary, a direct
@@ -109,8 +109,8 @@ type Interconnect interface {
 	CheckInvariants() error
 	// AttachTelemetry registers the fabric's cycle-domain probes (per-link
 	// flit counters by class, VC occupancy gauges, stall attribution) on
-	// reg. A nil registry leaves the fabric un-instrumented: every probe
-	// site then costs one predictable nil check.
+	// reg. A nil registry leaves the fabric un-instrumented; it counts its
+	// flits either way.
 	AttachTelemetry(reg *telemetry.Registry)
 	// SetSpans installs the per-packet span collector (nil disables span
 	// tracing; disabled tracing costs one predictable nil check per probe
@@ -212,6 +212,15 @@ type Network struct {
 	// injRng caches the injection VC range per (node, class).
 	injRng [][packet.NumClasses]vc.Range
 
+	// spine is the kernel's one, always-on count of each per-flit event; a
+	// slot's one writer is the lane owning the router that counts it. Probes
+	// read it through. linkBase (spine.Link as the open measurement window
+	// began) and linkAcc (the closed windows' sum) make Stats' window. counts
+	// backs all three, so Reset zeroes them with one clear.
+	spine             telemetry.Spine
+	linkBase, linkAcc [packet.NumClasses][]int64
+	counts            []int64
+
 	stats    *stats.Net
 	tel      *telemetry.NetProbes
 	spans    *obs.Spans
@@ -283,6 +292,14 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 		injRng:     make([][packet.NumClasses]vc.Range, nn),
 	}
 	n.buildLanes(cfg.Workers, cfg.Width, cfg.Height)
+	ls := m.NumLinkSlots()
+	n.counts = make([]int64, 3*packet.NumClasses*ls+2*nn)
+	rest := n.counts
+	take := func(k int) []int64 { s := rest[:k:k]; rest = rest[k:]; return s }
+	for c := range n.linkBase {
+		n.spine.Link[c], n.linkBase[c], n.linkAcc[c] = take(ls), take(ls), take(ls)
+	}
+	n.spine.Inj, n.spine.Ej = take(nn), take(nn)
 	arena := newRouterArena(nn, n.vcs, n.depth)
 	for id := range n.routers {
 		rt := &n.routers[id]
@@ -395,6 +412,7 @@ func (n *Network) Reset(release func(*packet.Packet)) {
 		q.sent, q.flits, q.vc, q.refused = 0, 0, -1, false
 	}
 	n.resetLanes()
+	clear(n.counts)
 	n.stats = stats.NewNet(n.m)
 	n.cycle, n.moved, n.lastMove, n.inFlight = 0, false, 0, 0
 }
@@ -403,15 +421,37 @@ func (n *Network) Reset(release func(*packet.Packet)) {
 func (n *Network) Mesh() mesh.Mesh { return n.m }
 
 // Stats returns the statistics collector, after folding every lane's shard
-// into it in lane order. Call only at a cycle boundary.
+// into it in lane order and writing it the window's link flits. Call only
+// at a cycle boundary.
 func (n *Network) Stats() *stats.Net {
 	n.foldStats()
+	for c, w := range n.stats.LinkFlits {
+		copy(w, n.linkAcc[c])
+		if n.stats.Enabled {
+			for i, v := range n.spine.Link[c] {
+				w[i] += v - n.linkBase[c][i]
+			}
+		}
+	}
 	return n.stats
 }
 
-// EnableStats toggles measurement collection, on the folded collector and
-// every lane shard alike.
+// EnableStats opens or closes the measurement window (a repeat is a no-op):
+// opening copies spine.Link to linkBase, closing adds the window to linkAcc.
+// The per-packet accounting of every stats shard follows Enabled.
 func (n *Network) EnableStats(on bool) {
+	if on == n.stats.Enabled {
+		return
+	}
+	for c, link := range n.spine.Link {
+		if on {
+			copy(n.linkBase[c], link)
+			continue
+		}
+		for i, v := range link {
+			n.linkAcc[c][i] += v - n.linkBase[c][i]
+		}
+	}
 	n.stats.Enabled = on
 	for i := range n.lanes {
 		n.lanes[i].stats.Enabled = on
@@ -587,9 +627,9 @@ func (n *Network) subnetState(name string) obs.SubnetState {
 }
 
 // AttachTelemetry registers this network's probe set on reg (nil is a
-// no-op). Counting sites are gated on one nil check; instantaneous levels
-// (VC occupancy, injection-queue backlog) are GaugeFuncs read only when the
-// epoch sampler fires, so they cost nothing per cycle.
+// no-op). Counters read the spine and stall tallies through; instantaneous
+// levels (VC occupancy, injection-queue backlog) are GaugeFuncs read only
+// when the epoch sampler fires, so they cost nothing per cycle.
 func (n *Network) AttachTelemetry(reg *telemetry.Registry) {
 	n.attachTelemetry(reg, "")
 }
@@ -600,7 +640,14 @@ func (n *Network) attachTelemetry(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	n.tel = telemetry.NewNetProbes(reg, n.m, prefix)
+	sp := n.spine
+	for i := range n.lanes {
+		st := &n.lanes[i].stalls
+		sp.StallCredit = append(sp.StallCredit, &st[obs.StallCredit])
+		sp.StallRoute = append(sp.StallRoute, &st[obs.StallRoute])
+		sp.StallVCAlloc = append(sp.StallVCAlloc, &st[obs.StallVCAlloc])
+	}
+	n.tel = telemetry.NewNetProbes(reg, n.m, prefix, sp)
 	// Buffer-fill gauges live here because VC buffers are router-private:
 	// one GaugeFunc per (link, VC) reading the downstream input buffer, and
 	// one per node reading the injection-queue backlog.
@@ -725,10 +772,7 @@ func (n *Network) injectNode(ln *lane, id int) {
 			q.flits--
 			budget--
 			ln.moved = true
-			if n.tel != nil {
-				// Single writer: node id injects only on its owning lane.
-				n.tel.InjFlits[id].Inc()
-			}
+			n.spine.Inj[id]++
 		}
 		if q.sent < p.Flits {
 			break // out of budget or VC space mid-packet
@@ -789,10 +833,9 @@ func (n *Network) deliver(from, to *lane, op *outPort) {
 // (and their workers parked at the barrier), it merges cross-domain effects
 // in lane order — the fixed merge order that makes results independent of
 // worker count — then advances the cycle. Per lane: outbox deliveries
-// (buffer pushes), boundary-port credit tallies, telemetry flush (stall
-// counters, deferred per-packet latency observations), movement/in-flight
-// folds. The run masks need no pass of their own: the deliveries keep them
-// exact.
+// (buffer pushes), boundary-port credit tallies, deferred per-packet latency
+// observations, movement/in-flight folds. The run masks need no pass of
+// their own: the deliveries keep them exact.
 func (n *Network) finishCycle() {
 	for li := range n.lanes {
 		ln := &n.lanes[li]
@@ -807,18 +850,6 @@ func (n *Network) finishCycle() {
 	if n.tel != nil {
 		for li := range n.lanes {
 			ln := &n.lanes[li]
-			if ln.stallVCAlloc != 0 {
-				n.tel.StallVCAlloc.Add(ln.stallVCAlloc)
-				ln.stallVCAlloc = 0
-			}
-			if ln.stallCredit != 0 {
-				n.tel.StallCredit.Add(ln.stallCredit)
-				ln.stallCredit = 0
-			}
-			if ln.stallRoute != 0 {
-				n.tel.StallRoute.Add(ln.stallRoute)
-				ln.stallRoute = 0
-			}
 			for _, p := range ln.ejected {
 				n.tel.PacketEjected(p, n.cycle)
 			}

@@ -14,8 +14,8 @@ package noc
 //	inject, then RC/VA/SA/ST for the lane's routers. Cross-lane writes are
 //	  confined to single-writer slots — a boundary port's credit tally
 //	  (op.pending/dirty, written only by the downstream router's lane) and
-//	  per-link counters (only the upstream router's lane). Ejection sinks and
-//	  inject wakes run here, on the lane owning the node.
+//	  the spine's per-link counters (only the upstream router's lane).
+//	  Ejection sinks and inject wakes run here, on the lane owning the node.
 //	link traversal. Each router's input buffers receive pushes only from its
 //	  owning lane; a delivery crossing a lane boundary waits in the outbox.
 //	in-lane credits: a credit owed to a router the lane itself owns was
@@ -24,7 +24,7 @@ package noc
 //
 // No lane reads what another lane writes before the tail, so the stages need
 // no barrier between them. The serial tail (finishCycle) merges the rest in
-// lane order: outbox deliveries, boundary-port credits, telemetry, folds.
+// lane order: outbox deliveries, boundary-port credits, latency replay, folds.
 //
 // Which nodes a stage visits is one of three bit sets per lane, the run
 // masks, bit = node ID (a lane's masks span the mesh, so a cut moves bits and
@@ -83,6 +83,7 @@ import (
 
 	"gpgpunoc/internal/fleetobs"
 	"gpgpunoc/internal/mesh"
+	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/stats"
 )
@@ -124,17 +125,15 @@ type lane struct {
 
 	// stats is the lane's private shard of order-sensitive accumulators
 	// (injection/ejection counts, latency samplers); Network.Stats folds
-	// shards in lane order. Single-writer link-flit counters stay on the
-	// shared collector.
+	// shards in lane order. Link flits are counted on the spine instead.
 	stats *stats.Net
 
-	// Stall-attribution tallies and deferred per-packet latency
-	// observations, flushed into the shared telemetry probes by the
-	// serial tail.
-	stallVCAlloc int64
-	stallCredit  int64
-	stallRoute   int64
-	ejected      []*packet.Packet
+	// stalls tallies stall attributions by obs.StallCause since Reset; the
+	// net.stall.* probes read the sum over lanes, which no cut can change.
+	// ejected defers per-packet latency observations to the serial tail,
+	// which replays them into the shared histograms in lane order.
+	stalls  [obs.NumStallCauses]int64
+	ejected []*packet.Packet
 
 	moved bool // any flit moved in this lane this cycle
 
@@ -181,7 +180,7 @@ func (n *Network) buildLanes(workers, width, height int) {
 	words := (n.numNodes + 63) / 64
 	for i := range n.lanes {
 		ln := &n.lanes[i]
-		ln.stats = stats.NewNet(n.m)
+		ln.stats = &stats.Net{Mesh: n.m}
 		masks := make(nodeMask, (3*words+7)&^7) // whole cache lines of its own: lanes write their masks concurrently
 		ln.routers, ln.links, ln.queues = masks[:words], masks[words:2*words], masks[2*words:3*words]
 		// A cut can grow this lane: size its lists for every port they can hold.
@@ -204,7 +203,7 @@ func (n *Network) resetLanes() {
 		ln.ejected = ln.ejected[:0]
 		ln.stats.Reset()
 		ln.stats.Enabled = false
-		ln.stallVCAlloc, ln.stallCredit, ln.stallRoute = 0, 0, 0
+		ln.stalls = [obs.NumStallCauses]int64{}
 		ln.moved, ln.injectedFlits, ln.ejectedFlits = false, 0, 0
 		ln.idleSkips, ln.injectVisits, ln.refusedInjects = 0, 0, 0
 		n.cut[i+1] = (i + 1) * len(n.rowWork) / len(n.lanes)

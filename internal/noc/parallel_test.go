@@ -45,7 +45,8 @@ func newWorkerNet(t testing.TB, rt config.Routing, pol config.VCPolicy, workers 
 // driveLoad injects a deterministic bursty workload for cycles, stepping the
 // network each cycle. Sinks periodically refuse flits (as a backpressured MC
 // would), as a pure function of node and cycle so every kernel sees the
-// identical refusal schedule.
+// identical refusal schedule. The replies carry request timestamps, so an
+// attached probe set observes each one into its latency histograms.
 func driveLoad(t testing.TB, n *Network, cycles int, seed uint64, check bool) {
 	t.Helper()
 	nn := n.Mesh().NumNodes()
@@ -63,7 +64,7 @@ func driveLoad(t testing.TB, n *Network, cycles int, seed uint64, check bool) {
 			n.Inject(&packet.Packet{
 				ID: id, Type: packet.ReadReply,
 				Src: r.Intn(nn), Dst: r.Intn(nn),
-				Flits: packet.LongFlits, CreatedAt: n.Cycle(),
+				Flits: packet.LongFlits, CreatedAt: n.Cycle(), ReqTimed: true,
 			})
 		}
 		n.Step()
@@ -135,10 +136,9 @@ func TestParallelKernelEquivalence(t *testing.T) {
 // detector (make race / CI) can observe the phases overlapping for real:
 // heavy traffic, sink refusals, invariant checks at boundaries, and a full
 // drain. Without -race it doubles as a stress test. It runs twice, the
-// second time with telemetry attached: the probes every lane feeds (the
-// stall counters, the latency histograms) are written only by the serial
-// tail, and only a pooled run with probes attached lets the race detector
-// see a lane write one directly.
+// second time with telemetry attached: the latency histograms every lane's
+// ejections feed are written only by the serial tail, and only a pooled run
+// with probes attached lets the race detector see a lane write one directly.
 func TestParallelKernelUnderLoadRace(t *testing.T) {
 	for _, withTelemetry := range []bool{false, true} {
 		n := newWorkerNet(t, config.RoutingXY, config.VCSplit, 4)

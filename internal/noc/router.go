@@ -416,12 +416,10 @@ func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
 // with no downstream credits (credit), or a ready flit that lost the switch
 // or found the link register occupied (route). Flits still inside the
 // pipeline delay and ejection-blocked flits are not charged. The same
-// attribution feeds the aggregate telemetry counters and, for sampled
-// packets, the per-packet span events; observability-only — runs after SA
-// so "moved this cycle" is known exactly. Counter increments land in the
-// lane's private tally and are flushed into the shared telemetry counters at
-// the end of the cycle, in lane order, so the parallel kernel never has two
-// writers on one counter.
+// attribution feeds the lane's stall tallies, which the net.stall.* probes
+// sum over lanes when read, and, for sampled packets, the per-packet span
+// events; observability-only — runs after SA so "moved this cycle" is known
+// exactly. Each tally has one writer, its lane.
 func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
 	for m := rt.occ & rt.rcDone &^ rt.want[mesh.Local] &^ moved; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
@@ -438,16 +436,7 @@ func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
 		default:
 			cause = obs.StallCredit
 		}
-		if n.tel != nil {
-			switch cause {
-			case obs.StallVCAlloc:
-				ln.stallVCAlloc++
-			case obs.StallCredit:
-				ln.stallCredit++
-			default:
-				ln.stallRoute++
-			}
-		}
+		ln.stalls[cause]++
 		if n.spans != nil {
 			if pkt := ivc.buf.front().flit.Pkt; pkt.Sampled {
 				n.spans.Stall(pkt, int(rt.id), cause, n.cycle)
@@ -461,10 +450,11 @@ func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
 // in that case.
 //
 // Shared-state discipline for the parallel kernel: everything written here
-// is either owned by the lane stepping rt (the router itself, its ejected-flit
-// counter, ln's stats shard and tallies), a single-writer slot keyed by rt
-// (link-flit counters, the upstream port's pending tally — each written only
-// by the one lane that owns the downstream router), or serial-only (spans).
+// is either owned by the lane stepping rt (the router itself, its spine
+// slots — its node's ejected flits, its output links' flits — ln's stats
+// shard and tallies), a single-writer slot keyed by rt (the upstream port's
+// pending tally, written only by the one lane that owns the downstream
+// router), or serial-only (spans).
 func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) bool {
 	ivc := &rt.in[p][v]
 	if d == mesh.Local {
@@ -504,9 +494,7 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 
 	if d == mesh.Local {
 		ln.ejectedFlits++
-		if n.tel != nil {
-			n.tel.EjFlits[rt.id].Inc()
-		}
+		n.spine.Ej[rt.id]++
 		if f.Tail {
 			ln.stats.CountEjection(f.Pkt)
 			if n.tel != nil {
@@ -533,10 +521,7 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 		if rt.regCount == 1 {
 			ln.links.set(int(rt.id))
 		}
-		n.stats.CountLink(mesh.Link{From: rt.id, Dir: d}, f.Pkt.Class())
-		if n.tel != nil {
-			n.tel.LinkFlits[f.Pkt.Class()][n.m.LinkIndex(mesh.Link{From: rt.id, Dir: d})].Inc()
-		}
+		n.spine.Link[f.Pkt.Class()][n.m.LinkIndex(mesh.Link{From: rt.id, Dir: d})]++
 		if n.spans != nil && f.Head && f.Pkt.Sampled {
 			n.spans.Hop(f.Pkt, int(rt.id), int(op.downNode), ivc.outVC, n.cycle)
 		}

@@ -11,10 +11,11 @@ import (
 	"gpgpunoc/internal/telemetry"
 )
 
-// TestTelemetryMatchesStats cross-checks the telemetry probe counters
-// against the independently maintained stats pipeline on a randomized
-// traffic load: per-class link flit totals, injected/ejected flit totals,
-// and per-link counts must agree exactly.
+// TestTelemetryMatchesStats checks that the probes and Stats read the same
+// spine on a randomized traffic load with the window open from cycle 0:
+// per-class link flit totals and per-link counts must agree exactly, and the
+// node probes' injected/ejected flit totals must match the per-packet
+// accounting, which Stats keeps apart from the spine.
 func TestTelemetryMatchesStats(t *testing.T) {
 	n := newTestNet(t, config.RoutingXY, config.VCSplit)
 	reg := telemetry.NewRegistry()

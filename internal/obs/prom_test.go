@@ -27,13 +27,15 @@ func scraped(t *testing.T, reg *telemetry.Registry) string {
 func TestRenderPrometheusStructuredFamilies(t *testing.T) {
 	m := mesh.New(8, 8)
 	reg := telemetry.NewRegistry()
-	np := telemetry.NewNetProbes(reg, m, "")
+	sp := newSpine(m)
+	credit := int64(5)
+	sp.StallCredit = []*int64{&credit}
+	np := telemetry.NewNetProbes(reg, m, "", sp)
 	link := mesh.Link{From: 0, Dir: mesh.East}
-	np.LinkFlits[0][m.LinkIndex(link)].Add(42)
+	sp.Link[0][m.LinkIndex(link)] = 42
 	np.VCOccupancy(link, 0, func() int64 { return 3 })
-	np.InjFlits[9].Add(7)
+	sp.Inj[9] = 7
 	np.InjQueue(9, func() int64 { return 2 })
-	np.StallCredit.Add(5)
 	np.LatencyHistogram("read", telemetry.SegReqNet).Observe(20)
 	reg.Counter("some.unknown.probe", telemetry.Desc{}).Add(1)
 
@@ -67,8 +69,11 @@ func TestRenderPrometheusStructuredFamilies(t *testing.T) {
 func TestRenderPrometheusSubnetLabels(t *testing.T) {
 	m := mesh.New(2, 2)
 	reg := telemetry.NewRegistry()
-	telemetry.NewNetProbes(reg, m, "req.").StallVCAlloc.Add(2)
-	telemetry.NewNetProbes(reg, m, "rep.").StallVCAlloc.Add(3)
+	req, rep := newSpine(m), newSpine(m)
+	reqStalls, repStalls := int64(2), int64(3)
+	req.StallVCAlloc, rep.StallVCAlloc = []*int64{&reqStalls}, []*int64{&repStalls}
+	telemetry.NewNetProbes(reg, m, "req.", req)
+	telemetry.NewNetProbes(reg, m, "rep.", rep)
 	out := scraped(t, reg)
 	for _, want := range []string{
 		`noc_stall_cycles_total{subnet="req",cause="vcalloc"} 2`,
@@ -103,4 +108,14 @@ func TestLabelEscaping(t *testing.T) {
 	if out, want := scraped(t, reg), `g{name="a\"b\\c\n"} 0`+"\n"; !strings.HasSuffix(out, want) {
 		t.Fatalf("exposition %q does not end in %q", out, want)
 	}
+}
+
+// newSpine returns zeroed spine slots for m, with no stall tallies: what a
+// network would own and count into.
+func newSpine(m mesh.Mesh) telemetry.Spine {
+	sp := telemetry.Spine{Inj: make([]int64, m.NumNodes()), Ej: make([]int64, m.NumNodes())}
+	for c := range sp.Link {
+		sp.Link[c] = make([]int64, m.NumLinkSlots())
+	}
+	return sp
 }

@@ -6,35 +6,11 @@ import (
 	"strings"
 
 	"gpgpunoc/internal/mesh"
-	"gpgpunoc/internal/packet"
 )
 
-// Link-level reporting: CSV export for offline analysis and ASCII heatmaps
-// for at-a-glance inspection of where a scheme concentrates traffic (the
-// Figure 4/6 pictures, measured instead of derived).
-
-// WriteLinkCSV writes one row per directed link and class:
-// from_row,from_col,dir,class,flits,utilization.
-func (n *Net) WriteLinkCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "from_row,from_col,dir,class,flits,utilization"); err != nil {
-		return err
-	}
-	for _, l := range n.Mesh.Links() {
-		c := n.Mesh.Coord(l.From)
-		for cls := packet.Class(0); cls < packet.NumClasses; cls++ {
-			flits := n.LinkFlits[cls][n.Mesh.LinkIndex(l)]
-			util := 0.0
-			if n.Cycles > 0 {
-				util = float64(flits) / float64(n.Cycles)
-			}
-			if _, err := fmt.Fprintf(w, "%d,%d,%s,%s,%d,%.4f\n",
-				c.Row, c.Col, l.Dir, cls, flits, util); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// Link-level reporting: ASCII heatmaps for at-a-glance inspection of where
+// a scheme concentrates traffic (the Figure 4/6 pictures, measured instead
+// of derived).
 
 // UtilizationGrid returns per-tile utilization of the outgoing link in
 // direction d (both classes summed), indexed [row][col]. Tiles whose link

@@ -2,9 +2,11 @@
 // class, packet latency distributions, packet/flit counts by type, and the
 // IPC-style performance counters the experiments report.
 //
-// Collection is gated by an Enabled flag so warmup cycles do not pollute
-// measurements; counters are plain integers (single simulation goroutine per
-// network), keeping the hot path allocation- and lock-free.
+// Per-packet accounting is gated by an Enabled flag so warmup cycles do not
+// pollute measurements. Per-link flits are not counted here: the network
+// counts every flit once, always, and writes its measurement window into
+// LinkFlits when asked for its statistics. Counters are plain integers,
+// keeping the hot path allocation- and lock-free.
 package stats
 
 import (
@@ -104,8 +106,9 @@ type Net struct {
 	EjectedPackets  [packet.NumTypes]int64
 	EjectedFlits    [packet.NumTypes]int64
 
-	// LinkFlits counts flit-traversals per directed link per class,
-	// indexed by mesh.LinkIndex.
+	// LinkFlits counts flit-traversals per directed link per class over
+	// the measurement window, indexed by mesh.LinkIndex. The network
+	// writes it (noc.Network.Stats).
 	LinkFlits [packet.NumClasses][]int64
 
 	// Latency from packet creation (source queue) to tail ejection, and
@@ -151,14 +154,6 @@ func (n *Net) Merge(src *Net) {
 		n.TotalLatency[c].Merge(&src.TotalLatency[c])
 		n.NetLatency[c].Merge(&src.NetLatency[c])
 	}
-}
-
-// CountLink records a flit of class cls crossing link l.
-func (n *Net) CountLink(l mesh.Link, cls packet.Class) {
-	if !n.Enabled {
-		return
-	}
-	n.LinkFlits[cls][n.Mesh.LinkIndex(l)]++
 }
 
 // CountInjection records a packet entering the network.

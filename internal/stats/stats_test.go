@@ -112,12 +112,8 @@ func TestNetDisabledCollectsNothing(t *testing.T) {
 	p := &packet.Packet{Type: packet.ReadRequest, Flits: 1}
 	n.CountInjection(p)
 	n.CountEjection(p)
-	n.CountLink(mesh.Link{From: 0, Dir: mesh.East}, packet.Request)
 	if n.InjectedPackets[packet.ReadRequest] != 0 || n.EjectedPackets[packet.ReadRequest] != 0 {
 		t.Error("disabled collector recorded packets")
-	}
-	if _, c := n.HottestLink(); c != 0 {
-		t.Error("disabled collector recorded link flits")
 	}
 }
 
@@ -157,9 +153,9 @@ func TestHottestLinkAndUtilization(t *testing.T) {
 	n.Cycles = 10
 	hot := mesh.Link{From: 5, Dir: mesh.East}
 	for i := 0; i < 7; i++ {
-		n.CountLink(hot, packet.Reply)
+		countLink(n, hot, packet.Reply)
 	}
-	n.CountLink(mesh.Link{From: 1, Dir: mesh.South}, packet.Request)
+	countLink(n, mesh.Link{From: 1, Dir: mesh.South}, packet.Request)
 	l, c := n.HottestLink()
 	if l != hot || c != 7 {
 		t.Errorf("hottest = %v (%d), want %v (7)", l, c, hot)
@@ -172,7 +168,7 @@ func TestHottestLinkAndUtilization(t *testing.T) {
 func TestNetReset(t *testing.T) {
 	n := mkNet()
 	n.CountEjection(&packet.Packet{Type: packet.ReadReply, Flits: 5})
-	n.CountLink(mesh.Link{From: 0, Dir: mesh.East}, packet.Reply)
+	countLink(n, mesh.Link{From: 0, Dir: mesh.East}, packet.Reply)
 	n.Reset()
 	if !n.Enabled {
 		t.Error("Reset must preserve Enabled")
@@ -201,7 +197,7 @@ func TestNetMerge(t *testing.T) {
 		for _, n := range []*Net{shard, all} {
 			n.CountInjection(p)
 			n.CountEjection(p)
-			n.CountLink(east, p.Class())
+			countLink(n, east, p.Class())
 		}
 	}
 	a.Merge(b)
@@ -264,32 +260,11 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
-func TestWriteLinkCSV(t *testing.T) {
-	n := mkNet()
-	n.Cycles = 10
-	n.CountLink(mesh.Link{From: 0, Dir: mesh.East}, packet.Request)
-	var b strings.Builder
-	if err := n.WriteLinkCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.HasPrefix(out, "from_row,from_col,dir,class,flits,utilization\n") {
-		t.Error("missing CSV header")
-	}
-	if !strings.Contains(out, "0,0,E,request,1,0.1000") {
-		t.Errorf("missing counted link row in:\n%s", out)
-	}
-	// 4x4 mesh: 48 directed links x 2 classes + header.
-	if lines := strings.Count(out, "\n"); lines != 48*2+1 {
-		t.Errorf("CSV line count = %d", lines)
-	}
-}
-
 func TestUtilizationGrid(t *testing.T) {
 	n := mkNet()
 	n.Cycles = 4
-	n.CountLink(mesh.Link{From: 0, Dir: mesh.East}, packet.Reply)
-	n.CountLink(mesh.Link{From: 0, Dir: mesh.East}, packet.Reply)
+	countLink(n, mesh.Link{From: 0, Dir: mesh.East}, packet.Reply)
+	countLink(n, mesh.Link{From: 0, Dir: mesh.East}, packet.Reply)
 	g := n.UtilizationGrid(mesh.East)
 	if g[0][0] != 0.5 {
 		t.Errorf("grid[0][0] = %v, want 0.5", g[0][0])
@@ -302,7 +277,7 @@ func TestUtilizationGrid(t *testing.T) {
 func TestHeatmapRenders(t *testing.T) {
 	n := mkNet()
 	n.Cycles = 1
-	n.CountLink(mesh.Link{From: 5, Dir: mesh.South}, packet.Request)
+	countLink(n, mesh.Link{From: 5, Dir: mesh.South}, packet.Request)
 	var b strings.Builder
 	n.Heatmap(&b)
 	out := b.String()
@@ -314,4 +289,10 @@ func TestHeatmapRenders(t *testing.T) {
 	if !strings.Contains(out, "@") {
 		t.Error("saturated link not rendered as '@'")
 	}
+}
+
+// countLink adds one flit of class cls crossing l to n's link counts, which
+// the network writes in a run.
+func countLink(n *Net, l mesh.Link, cls packet.Class) {
+	n.LinkFlits[cls][n.Mesh.LinkIndex(l)]++
 }

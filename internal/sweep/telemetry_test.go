@@ -18,8 +18,9 @@ import (
 func telRun(ctx context.Context, j Job) (gpu.Result, error) {
 	m := mesh.New(2, 2)
 	tel := telemetry.New(10)
-	np := telemetry.NewNetProbes(tel.Reg, m, "")
-	np.LinkFlits[packet.Request][m.LinkIndex(mesh.Link{From: 0, Dir: mesh.East})].Add(3)
+	sp := newSpine(m)
+	telemetry.NewNetProbes(tel.Reg, m, "", sp)
+	sp.Link[packet.Request][m.LinkIndex(mesh.Link{From: 0, Dir: mesh.East})] = 3
 	tel.Flush(20)
 	return gpu.Result{Benchmark: j.Benchmark, IPC: 1, Net: stats.NewNet(m), Tel: tel}, nil
 }
@@ -118,4 +119,14 @@ func TestRunTelemetryWriteErrorAbortsSweep(t *testing.T) {
 	}); err == nil {
 		t.Fatal("artifact write failure did not abort the sweep")
 	}
+}
+
+// newSpine returns zeroed spine slots for m, with no stall tallies: what a
+// network would own and count into.
+func newSpine(m mesh.Mesh) telemetry.Spine {
+	sp := telemetry.Spine{Inj: make([]int64, m.NumNodes()), Ej: make([]int64, m.NumNodes())}
+	for c := range sp.Link {
+		sp.Link[c] = make([]int64, m.NumLinkSlots())
+	}
+	return sp
 }

@@ -257,8 +257,8 @@ func (h *Harness) Run(warmup, measure int) (st *stats.Net, deadlocked bool) {
 			return h.Net.Stats(), true
 		}
 	}
-	// Collection is gated on Enabled, so nothing accumulated during warmup;
-	// enabling here starts measurement cleanly.
+	// The measurement window opens here: nothing counted during warmup is
+	// in it.
 	h.Net.EnableStats(true)
 	for i := 0; i < measure; i++ {
 		h.Step()

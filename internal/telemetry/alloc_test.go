@@ -32,7 +32,8 @@ func TestProbeUpdatesDoNotAllocate(t *testing.T) {
 
 func TestPacketEjectedDoesNotAllocate(t *testing.T) {
 	reg := NewRegistry()
-	np := NewNetProbes(reg, mesh.New(4, 4), "")
+	m := mesh.New(4, 4)
+	np := NewNetProbes(reg, m, "", newSpine(m))
 	p := &packet.Packet{
 		Type:          packet.ReadReply,
 		ReqTimed:      true,

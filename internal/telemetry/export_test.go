@@ -75,12 +75,13 @@ func TestReadJSONLErrors(t *testing.T) {
 func TestHeatmapCSVRoundTrip(t *testing.T) {
 	m := mesh.New(2, 2)
 	tel := New(10)
-	np := NewNetProbes(tel.Reg, m, "")
+	sp := newSpine(m)
+	NewNetProbes(tel.Reg, m, "", sp)
 
 	// Traffic on the N0->N1 link: 6 request flits, 14 reply flits.
 	east := mesh.Link{From: 0, Dir: mesh.East}
-	np.LinkFlits[packet.Request][m.LinkIndex(east)].Add(6)
-	np.LinkFlits[packet.Reply][m.LinkIndex(east)].Add(14)
+	sp.Link[packet.Request][m.LinkIndex(east)] = 6
+	sp.Link[packet.Reply][m.LinkIndex(east)] = 14
 	tel.Flush(100)
 
 	var buf bytes.Buffer

@@ -76,20 +76,20 @@ var txNames = [numTx]string{"read", "write"}
 // zero-load traversal to a deeply congested reply path.
 func DefaultLatencyBounds() []int64 { return ExpBounds(8, 2, 12) }
 
-// NetProbes is the probe bundle for one physical network: slice-indexed
-// pointers so every hot-path update is a direct int64 increment with no map
-// or string work. Construction registers every counting probe; the fabric
-// adds the gauges over its private state through VCOccupancy and InjQueue.
-type NetProbes struct {
-	// LinkFlits counts flit traversals per class, indexed by
-	// mesh.LinkIndex; slots without a physical link are nil.
-	LinkFlits [packet.NumClasses][]*Counter
-	// InjFlits / EjFlits count flits entering/leaving the fabric per node.
-	InjFlits, EjFlits []*Counter
-	// Stall attribution counters: an input VC holding a flit that cannot
-	// move is charged to exactly one cause each cycle.
-	StallCredit, StallRoute, StallVCAlloc *Counter
+// Spine is the counts a network keeps of its per-flit events, always and
+// once, which NetProbes reads through: flits per link (by mesh.LinkIndex)
+// and class, flits in and out per node, and per stall cause the tallies
+// (one per lane) whose sum is the cause's count.
+type Spine struct {
+	Link                                  [packet.NumClasses][]int64
+	Inj, Ej                               []int64
+	StallCredit, StallRoute, StallVCAlloc []*int64
+}
 
+// NetProbes is the probe bundle for one physical network: counters over its
+// Spine, latency histograms PacketEjected writes, and the gauges the fabric
+// adds over its private state through VCOccupancy and InjQueue.
+type NetProbes struct {
 	lat [numTx][NumSegments]*Histogram
 
 	reg    *Registry
@@ -128,39 +128,36 @@ func LinkName(m mesh.Mesh, l mesh.Link) string {
 
 // NewNetProbes registers the network probe set on reg, with every name
 // prefixed by prefix, and returns the bundle.
-func NewNetProbes(reg *Registry, m mesh.Mesh, prefix string) *NetProbes {
+func NewNetProbes(reg *Registry, m mesh.Mesh, prefix string, sp Spine) *NetProbes {
 	np := &NetProbes{reg: reg, m: m, prefix: prefix}
-	for c := range np.LinkFlits {
-		np.LinkFlits[c] = make([]*Counter, m.NumLinkSlots())
-	}
 	for _, l := range m.Links() {
 		stem := prefix + LinkName(m, l)
 		idx := m.LinkIndex(l)
 		for c := packet.Class(0); c < packet.NumClasses; c++ {
-			np.LinkFlits[c][idx] = reg.Counter(fmt.Sprintf("%s.%s.flits", stem, c), Desc{
+			reg.CounterOf(fmt.Sprintf("%s.%s.flits", stem, c), Desc{
 				Family: famLinkFlits,
 				Help:   "Flits that crossed a directed inter-router link, by traffic class.",
 				Labels: np.linkLabels(l, "class", c.String()),
-			})
+			}, &sp.Link[c][idx])
 		}
 	}
-	np.InjFlits = make([]*Counter, m.NumNodes())
-	np.EjFlits = make([]*Counter, m.NumNodes())
 	for id := 0; id < m.NumNodes(); id++ {
 		labels := np.nodeLabels([]string{"subnet", np.subnet()}, "node", mesh.NodeID(id))
-		np.InjFlits[id] = reg.Counter(fmt.Sprintf("%snode.%d.injected.flits", prefix, id),
-			Desc{Family: famInjected, Help: "Flits that entered the fabric at a node.", Labels: labels})
-		np.EjFlits[id] = reg.Counter(fmt.Sprintf("%snode.%d.ejected.flits", prefix, id),
-			Desc{Family: famEjected, Help: "Flits that left the fabric at a node.", Labels: labels})
+		reg.CounterOf(fmt.Sprintf("%snode.%d.injected.flits", prefix, id),
+			Desc{Family: famInjected, Help: "Flits that entered the fabric at a node.", Labels: labels}, &sp.Inj[id])
+		reg.CounterOf(fmt.Sprintf("%snode.%d.ejected.flits", prefix, id),
+			Desc{Family: famEjected, Help: "Flits that left the fabric at a node.", Labels: labels}, &sp.Ej[id])
 	}
-	stall := func(cause string) *Counter {
-		return reg.Counter(prefix+"net.stall."+cause, Desc{
+	stall := func(cause string, slots []*int64) {
+		reg.CounterOf(prefix+"net.stall."+cause, Desc{
 			Family: famStall,
 			Help:   "Switch-allocation stall attributions, by cause.",
 			Labels: []string{"subnet", np.subnet(), "cause", cause},
-		})
+		}, slots...)
 	}
-	np.StallCredit, np.StallRoute, np.StallVCAlloc = stall("credit"), stall("route"), stall("vcalloc")
+	stall("credit", sp.StallCredit)
+	stall("route", sp.StallRoute)
+	stall("vcalloc", sp.StallVCAlloc)
 	bounds := DefaultLatencyBounds()
 	for tx := 0; tx < numTx; tx++ {
 		for seg := Segment(0); seg < NumSegments; seg++ {

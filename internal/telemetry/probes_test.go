@@ -22,7 +22,8 @@ func TestLinkName(t *testing.T) {
 
 func TestPacketEjectedDecomposition(t *testing.T) {
 	reg := NewRegistry()
-	np := NewNetProbes(reg, mesh.New(2, 2), "")
+	m := mesh.New(2, 2)
+	np := NewNetProbes(reg, m, "", newSpine(m))
 
 	// A read whose request was created at 10, injected at 15, ejected at 40;
 	// the reply was injected at 300 and ejects now at 320.
@@ -69,7 +70,7 @@ func TestPacketEjectedDecomposition(t *testing.T) {
 func TestNetProbesNaming(t *testing.T) {
 	reg := NewRegistry()
 	m := mesh.New(2, 2)
-	NewNetProbes(reg, m, "req.")
+	NewNetProbes(reg, m, "req.", newSpine(m))
 	for _, name := range []string{
 		"req.link.N0->N1.request.flits",
 		"req.link.N0->N1.reply.flits",
@@ -87,5 +88,15 @@ func TestNetProbesNaming(t *testing.T) {
 		t.Error("latency histogram not registered under the prefix")
 	}
 	// A second subnet's probe set must coexist on the same registry.
-	NewNetProbes(reg, m, "rep.")
+	NewNetProbes(reg, m, "rep.", newSpine(m))
+}
+
+// newSpine returns zeroed spine slots for m, with no stall tallies: what a
+// network would own and count into.
+func newSpine(m mesh.Mesh) Spine {
+	sp := Spine{Inj: make([]int64, m.NumNodes()), Ej: make([]int64, m.NumNodes())}
+	for c := range sp.Link {
+		sp.Link[c] = make([]int64, m.NumLinkSlots())
+	}
+	return sp
 }

@@ -6,11 +6,11 @@
 //
 // The subsystem is opt-in and built for a zero-allocation hot path: probe
 // sites hold pointers obtained once at registration, incrementing a probe is
-// a plain int64 field update, and an un-instrumented component pays exactly
-// one nil check per site (the same pattern as noc.Network.SetSpans).
-// Instantaneous levels — VC occupancy, queue depths — are registered as
-// GaugeFuncs read only when the sampler fires, so they cost nothing between
-// epochs.
+// a plain int64 field update, and a count the component keeps anyway is
+// registered as a read-through counter over its slot (CounterOf), so
+// attaching probes adds nothing to the hot path. Instantaneous levels — VC
+// occupancy, queue depths — are GaugeFuncs read only when the sampler
+// fires, so they cost nothing between epochs.
 package telemetry
 
 import (
@@ -208,9 +208,8 @@ type probeEntry struct {
 	name    string
 	kind    Kind
 	desc    Desc
-	labels  string // desc.Labels rendered once, at registration
-	counter *Counter
-	gauge   *Gauge
+	labels  string   // desc.Labels rendered once, at registration
+	slots   []*int64 // counter, gauge: the value is the slots' sum
 	gaugeFn func() int64
 	hist    *Histogram
 }
@@ -218,14 +217,14 @@ type probeEntry struct {
 // scalarValue reads the probe's current scalar value (histograms excluded
 // from snapshots; their full shape is exported separately).
 func (p *probeEntry) scalarValue() int64 {
-	switch p.kind {
-	case KindCounter:
-		return p.counter.v
-	case KindGauge:
-		return p.gauge.v
-	default:
+	if p.gaugeFn != nil {
 		return p.gaugeFn()
 	}
+	var v int64
+	for _, s := range p.slots {
+		v += *s
+	}
+	return v
 }
 
 // Registry is the set of named probes for one simulation. Registration is
@@ -264,14 +263,20 @@ func (r *Registry) register(e probeEntry) {
 // Counter registers and returns a counter probe.
 func (r *Registry) Counter(name string, d Desc) *Counter {
 	c := &Counter{}
-	r.register(probeEntry{name: name, kind: KindCounter, desc: d, counter: c})
+	r.CounterOf(name, d, &c.v)
 	return c
+}
+
+// CounterOf registers a read-through counter whose value is the sum of
+// slots, counts the instrumented component keeps and increments itself.
+func (r *Registry) CounterOf(name string, d Desc, slots ...*int64) {
+	r.register(probeEntry{name: name, kind: KindCounter, desc: d, slots: slots})
 }
 
 // Gauge registers and returns a gauge probe.
 func (r *Registry) Gauge(name string, d Desc) *Gauge {
 	g := &Gauge{}
-	r.register(probeEntry{name: name, kind: KindGauge, desc: d, gauge: g})
+	r.register(probeEntry{name: name, kind: KindGauge, desc: d, slots: []*int64{&g.v}})
 	return g
 }
 

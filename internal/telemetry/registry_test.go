@@ -26,6 +26,25 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
+// TestCounterOfReadsThrough: a read-through counter is the sum of the
+// slots it was registered over, read when asked, and exported as a counter.
+func TestCounterOfReadsThrough(t *testing.T) {
+	r := NewRegistry()
+	slots := []int64{2, 3}
+	r.CounterOf("one", Desc{}, &slots[0])
+	r.CounterOf("sum", Desc{}, &slots[0], &slots[1])
+	r.CounterOf("none", Desc{})
+	slots[0] += 10
+	for name, want := range map[string]int64{"one": 12, "sum": 15, "none": 0} {
+		if v, ok := r.Value(name); !ok || v != want {
+			t.Errorf("Value(%s) = %d,%v, want %d", name, v, ok, want)
+		}
+	}
+	if kinds := r.ScalarKinds(); !reflect.DeepEqual(kinds, []Kind{KindCounter, KindCounter, KindCounter}) {
+		t.Errorf("kinds = %v", kinds)
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	h := newHistogram([]int64{8, 16, 32})
 	for _, v := range []int64{1, 8, 9, 16, 33, 1000} {
