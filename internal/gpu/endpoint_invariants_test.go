@@ -8,6 +8,8 @@ import (
 
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/noc"
+	"gpgpunoc/internal/packet"
+	"gpgpunoc/internal/smcore"
 	"gpgpunoc/internal/workload"
 )
 
@@ -27,12 +29,33 @@ func (c *corruptingNet) Step() {
 	}
 }
 
+// lateReplyNet delivers one ReadReply to an SM behind the kernel's back: the
+// SM's sink wrapper (see TestEndpointInvariants) takes the tail from the
+// network and keeps it, and Step hands it to the SM's own sink at a cycle
+// boundary while the SM is out of the tick walk — without the wake the
+// kernel performs when a sink accepts a tail.
+type lateReplyNet struct {
+	noc.Interconnect
+	sm   *smcore.SM
+	held *packet.Packet
+	done bool
+}
+
+func (l *lateReplyNet) Step() {
+	l.Interconnect.Step()
+	if l.held != nil && !l.done && !l.Interconnect.Ticking(l.sm.Node) {
+		l.sm.Sink()(packet.Flit{Pkt: l.held, Seq: l.held.Flits - 1, Tail: true})
+		l.done = true
+	}
+}
+
 // TestEndpointInvariants: the sanitizer covers the endpoints' sleep state.
 // Checked after every cycle, saturated, write-heavy and mostly-idle systems
 // on one and two subnets, at one and four workers, never trip it; an MC
 // that is asleep while its DRAM channel has work fails the run with an
 // error naming the controller and the cause, and so does an endpoint still
-// waiting for injection space after its queue drained.
+// waiting for injection space after its queue drained, and an SM woken by a
+// reply while out of the kernel's tick walk.
 func TestEndpointInvariants(t *testing.T) {
 	forcePool(t)
 	for _, prof := range []workload.Profile{workload.MustGet("KMN"), workload.MustGet("RAY"), trickleProfile()} {
@@ -70,6 +93,32 @@ func TestEndpointInvariants(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("error %q lacks %q", err, want)
 			}
+		}
+	})
+
+	t.Run("lost tick wake", func(t *testing.T) {
+		sim, err := gpu.NewInstrumented(equivCfg(), workload.MustGet("KMN"), gpu.Instrumentation{SanitizeEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Close()
+		late := &lateReplyNet{Interconnect: sim.Net, sm: sim.SMs[50]}
+		own := late.sm.Sink()
+		sim.Net.SetSink(late.sm.Node, func(f packet.Flit) bool {
+			if f.Tail && f.Pkt.Type == packet.ReadReply && !f.Pkt.Access.IsInst && late.held == nil {
+				late.held = f.Pkt
+				return true
+			}
+			return own(f)
+		})
+		sim.Net = late
+		_, err = sim.RunContext(context.Background())
+		if err == nil {
+			t.Fatal("an SM woken by a reply outside the tick walk passed the sanitizer")
+		}
+		want := "SM 50 is out of the tick walk but not dormant"
+		if !strings.Contains(err.Error(), "sanitizer at cycle") || !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q lacks %q", err, want)
 		}
 	})
 

@@ -82,17 +82,17 @@ type Simulator struct {
 
 	// Endpoints tick and eject on whichever kernel goroutine owns their
 	// node, so no counter here has more than one writer: shards holds one
-	// stats.GPU per endpoint (SMs, then MCs; gpuTotals folds them at cycle
+	// stats.GPU per endpoint (SMs, then MCs; Totals folds them at cycle
 	// boundaries) and ids one packet-ID counter per SM.
 	shards []stats.GPU
 	ids    []uint64
 	cycle  int64
 }
 
-// ticker is what tickLane and awakeTicks need of an endpoint; *smcore.SM and
+// ticker is what tick and awakeTicks need of an endpoint; *smcore.SM and
 // *mc.MC both are one.
 type ticker interface {
-	Tick(now int64)
+	Tick(now int64) bool
 	SleptTicks() int64
 }
 
@@ -135,7 +135,7 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 		return nil, fmt.Errorf("gpu: placement leaves %d core tiles for %d SMs", len(cores), cfg.Core.NumSMs)
 	}
 	s.endpoints = make([]ticker, st.Mesh.NumNodes())
-	net.SetStage(s.tickLane)
+	net.SetStage(s.tick)
 	s.shards = make([]stats.GPU, cfg.Core.NumSMs+len(pl.MCs))
 	s.ids = make([]uint64, cfg.Core.NumSMs)
 	for i := 0; i < cfg.Core.NumSMs; i++ {
@@ -301,11 +301,19 @@ type Instrumentation struct {
 // (stepping respawns them); call at a cycle boundary. Idempotent.
 func (s *Simulator) Close() { s.Net.Close() }
 
-// gpuTotals folds the per-endpoint shards. Every field is an int64 sum, so
-// the result is identical to what unsharded accumulation would have
-// produced. Call only at a cycle boundary (ticks and sinks write shards
-// mid-cycle).
-func (s *Simulator) gpuTotals() stats.GPU {
+// settle charges every SM the ticks skipped up to this cycle boundary.
+func (s *Simulator) settle() {
+	for _, sm := range s.SMs {
+		sm.Settle(s.cycle)
+	}
+}
+
+// Totals returns the core-side counters since the last Reset: the settled
+// per-endpoint shards, folded. Every field is an int64 sum, so the result is
+// identical to what unsharded accumulation would have produced. Call only at
+// a cycle boundary (ticks and sinks write shards mid-cycle).
+func (s *Simulator) Totals() stats.GPU {
+	s.settle()
 	var g stats.GPU
 	for i := range s.shards {
 		g.Add(&s.shards[i])
@@ -345,11 +353,11 @@ func (s *Simulator) instrument(reg *telemetry.Registry) {
 			Help:   "Aggregate processor-side counters.",
 		}, fn)
 	}
-	gauge("instructions", func() int64 { return s.gpuTotals().Instructions })
-	gauge("mem_requests", func() int64 { return s.gpuTotals().MemRequests })
-	gauge("stall_cycles", func() int64 { return s.gpuTotals().StallCycles })
-	gauge("l1_misses", func() int64 { return s.gpuTotals().L1Misses })
-	gauge("l2_misses", func() int64 { return s.gpuTotals().L2Misses })
+	gauge("instructions", func() int64 { return s.Totals().Instructions })
+	gauge("mem_requests", func() int64 { return s.Totals().MemRequests })
+	gauge("stall_cycles", func() int64 { return s.Totals().StallCycles })
+	gauge("l1_misses", func() int64 { return s.Totals().L1Misses })
+	gauge("l2_misses", func() int64 { return s.Totals().L2Misses })
 }
 
 // attachSpans installs per-packet span tracing: a deterministic sampler
@@ -396,20 +404,18 @@ func (s *Simulator) attachObs(srv *obs.Server) {
 	srv.Install(s.views.Render)
 }
 
-// tickLane ticks the endpoints on nodes [lo, hi), the interconnect's endpoint
-// stage: it runs once per kernel lane, on the goroutine that owns those nodes
-// and runs their ejection sinks. A tick touches only its own endpoint, its
-// own counter shard and — through Inject — its own node's injection queue.
-func (s *Simulator) tickLane(lo, hi int) {
-	for _, e := range s.endpoints[lo:hi] {
-		if e != nil {
-			e.Tick(s.cycle)
-		}
-	}
+// tick ticks the endpoint on node, the interconnect's endpoint stage, on the
+// goroutine that owns the node and runs its ejection sink; false (a dormant
+// SM, an empty tile) leaves the walk. A tick touches only its own endpoint,
+// its own counter shard and — through Inject — its own node's queue.
+func (s *Simulator) tick(node int) bool {
+	e := s.endpoints[node]
+	return e != nil && e.Tick(s.cycle)
 }
 
 // awakeTicks counts the ticks that ran their body on nodes [lo, hi) since
 // construction — the endpoint term of the work the kernel's lanes are cut by.
+// Call after settle.
 func (s *Simulator) awakeTicks(lo, hi int) (n int64) {
 	for _, e := range s.endpoints[lo:hi] {
 		if e != nil {
@@ -427,6 +433,7 @@ func (s *Simulator) Step() {
 	if c := s.cycle; c >= 256 && c&(c-1) == 0 {
 		// Re-cut the kernel's lanes at every power of two, not once: the
 		// first cycles are a transient (DESIGN.md §11 has the MC row's shares).
+		s.settle()
 		s.Net.Rebalance(s.awakeTicks)
 	}
 	if s.Tel != nil {
@@ -490,7 +497,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		return res, err
 	}
 
-	before := s.gpuTotals()
+	before := s.Totals()
 	s.Net.EnableStats(true)
 	s.Flight.Record(s.cycle, fleetobs.KindPhase, 1, 0, 0)
 	if res, stop, err := s.runPhase(ctx, s.Cfg.MeasureCycles); stop {
@@ -498,7 +505,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	}
 
 	res := s.result(false, int64(s.Cfg.MeasureCycles))
-	res.GPU = s.gpuTotals()
+	res.GPU = s.Totals()
 	res.GPU.Sub(&before)
 	res.GPU.Cycles = int64(s.Cfg.MeasureCycles)
 	res.IPC = res.GPU.IPC()
@@ -532,9 +539,10 @@ func (s *Simulator) runPhase(ctx context.Context, cycles int) (Result, bool, err
 }
 
 // checkInvariants validates the interconnect, then every endpoint's sleep
-// state (a sleeping SM or MC must still have its reason to sleep) and, across
-// the two layers, every endpoint waiting for injection space: the queue that
-// refused its packet must still lack the room, or the drain's wake was lost.
+// state (a sleeping SM or MC must still have its reason to sleep, and one out
+// of the tick walk must be a dormant SM) and, across the two layers, every
+// endpoint waiting for injection space: the queue that refused its packet
+// must still lack the room, or the drain's wake was lost.
 func (s *Simulator) checkInvariants() error {
 	if err := s.Net.CheckInvariants(); err != nil {
 		return err
@@ -546,6 +554,9 @@ func (s *Simulator) checkInvariants() error {
 		if err := s.checkRefused("SM", sm.Index, sm.Node, sm.Refused()); err != nil {
 			return err
 		}
+		if !sm.Dormant() && !s.Net.Ticking(sm.Node) {
+			return fmt.Errorf("gpu: SM %d is out of the tick walk but not dormant: its wake was lost", sm.Index)
+		}
 	}
 	for _, m := range s.MCs {
 		if err := m.CheckInvariants(s.cycle); err != nil {
@@ -553,6 +564,9 @@ func (s *Simulator) checkInvariants() error {
 		}
 		if err := s.checkRefused("MC", m.Index, m.Node, m.Refused()); err != nil {
 			return err
+		}
+		if !s.Net.Ticking(m.Node) {
+			return fmt.Errorf("gpu: MC %d is out of the tick walk", m.Index)
 		}
 	}
 	return nil
@@ -614,7 +628,7 @@ func (s *Simulator) dumpFlight(reason string) string {
 func (s *Simulator) result(deadlocked bool, cycles int64) Result {
 	st := s.Net.Stats()
 	st.Cycles = cycles
-	g := s.gpuTotals()
+	g := s.Totals()
 	g.Cycles = cycles
 	if s.Tel != nil {
 		// Close the time-series with the run's final state so partial

@@ -357,12 +357,12 @@ func (m *MC) CheckInvariants(now int64) error {
 		m.Index, m.idleUntil, now, cause, e)
 }
 
-// SleptTicks returns how many Tick calls took the sleeping early-out, the
-// twin of smcore.SM.SleptTicks.
+// SleptTicks returns how many Tick calls took the sleeping early-out.
 func (m *MC) SleptTicks() int64 { return m.sleptTicks }
 
-// Tick advances the MC one NoC cycle.
-func (m *MC) Tick(now int64) {
+// Tick advances the MC one NoC cycle. It always returns true: an MC's sleep
+// nearly always ends at a DRAM or L2 horizon, which no wake announces.
+func (m *MC) Tick(now int64) bool {
 	// Service-bandwidth throttle: the MC issues at most one reply every
 	// MCServicePeriod NoC cycles, modelling the 924MHz L2/GDDR datapath
 	// whose sustained bandwidth is on the order of one 32B flit per
@@ -380,7 +380,7 @@ func (m *MC) Tick(now int64) {
 	}
 	if now < m.idleUntil {
 		m.sleptTicks++
-		return
+		return true
 	}
 
 	m.dram.Tick(now)
@@ -434,4 +434,5 @@ func (m *MC) Tick(now int64) {
 	// L2 or DRAM completion — every tick before it would find the same
 	// empty (or refused) queues.
 	m.idleUntil = m.nextEvent(now + 1)
+	return true
 }

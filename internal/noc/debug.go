@@ -18,7 +18,7 @@ import (
 func (n *Network) DumpBlocked(w io.Writer) {
 	for i := range n.routers {
 		rt := &n.routers[i]
-		if rt.idle && rt.bufFlits > 0 {
+		if n.laneAt(i).idle.has(i) && rt.bufFlits > 0 {
 			fmt.Fprintf(w, "router %v idle: %d flits buffered, skipped until a credit returns or a flit arrives in an empty VC\n",
 				rt.coord, rt.bufFlits)
 		}

@@ -62,8 +62,12 @@ func NewDual(cfg config.NoC, alg routing.Algorithm, opts ...Option) *Dual {
 		merged:  stats.NewNet(mesh.New(cfg.Width, cfg.Height)),
 	}
 	// Same mesh, same Workers and one cut (Rebalance): the subnets step one
-	// after the other, so one set of lane workers serves both.
+	// after the other, so one set of lane workers serves both, and one ticks
+	// mask per lane, the request subnet's, whose Step runs the stage.
 	d.reply.pool = d.request.pool
+	for i := range d.reply.lanes {
+		d.reply.lanes[i].ticks = d.request.lanes[i].ticks
+	}
 	return d
 }
 
@@ -103,7 +107,10 @@ func (d *Dual) SetInjectWake(node mesh.NodeID, wake func()) {
 
 // SetStage installs the stage on the request subnet, whose Step runs it over
 // the lanes the two subnets share.
-func (d *Dual) SetStage(fn func(lo, hi int)) { d.request.SetStage(fn) }
+func (d *Dual) SetStage(fn func(node int) bool) { d.request.SetStage(fn) }
+
+// Ticking reads the request subnet's ticks mask, which both subnets wake.
+func (d *Dual) Ticking(node mesh.NodeID) bool { return d.request.Ticking(node) }
 
 // Rebalance cuts both subnets at the same rows from their summed counts: a
 // tick staged on a request-subnet lane writes the reply subnet's queue, mask

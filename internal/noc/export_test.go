@@ -38,9 +38,10 @@ func (n *Network) scheduled() (routers, links, queues int) {
 // GateCounts is what the back-pressure gates did since construction, summed
 // over lanes (and over both subnets of a Dual).
 type GateCounts struct {
-	RouterVisits, IdleSkips int64 // router-phase visits: full RC/VA/SA, idle early-out
+	RouterVisits, IdleSkips int64 // router phase: full RC/VA/SA visits, idle routers walked past
 	InjectVisits            int64 // inject-phase visits: injectNode on a scheduled queue
 	RefusedInjects          int64
+	StageCalls              int64 // tick-phase calls of the endpoint stage
 }
 
 // Gates reads the per-lane visit counters. Call at a cycle boundary.
@@ -55,6 +56,7 @@ func Gates(ic Interconnect) GateCounts {
 			g.IdleSkips += ln.idleSkips
 			g.InjectVisits += ln.injectVisits
 			g.RefusedInjects += ln.refusedInjects
+			g.StageCalls += ln.stageCalls
 		}
 	}
 	for _, n := range subnets(ic) {

@@ -304,11 +304,11 @@ func TestIdleInvariants(t *testing.T) {
 					rt := &n.routers[i]
 					for idx := range rt.vcs {
 						ivc := &rt.vcs[idx]
-						if !rt.idle || ivc.buf.len() == 0 || !ivc.routed || ivc.route == mesh.Local || ivc.outVC == -1 {
+						if !n.laneAt(i).idle.has(i) || ivc.buf.len() == 0 || !ivc.routed || ivc.route == mesh.Local || ivc.outVC == -1 {
 							continue
 						}
 						// What finishCycle's credit application does, minus
-						// `op.rt.idle = false`.
+						// clearing the router's idle bit.
 						op := &rt.out[ivc.route]
 						op.credits[ivc.outVC]++
 						rt.credOK |= 1 << idx
@@ -327,13 +327,13 @@ func TestIdleInvariants(t *testing.T) {
 					rt := &n.routers[i]
 					// A local VC: no upstream port keeps credits for it.
 					for idx := int(mesh.Local) * n.vcs; idx < len(rt.vcs); idx++ {
-						if !rt.idle || rt.bufFlits == 0 || rt.vcs[idx].buf.len() != 0 {
+						if !n.laneAt(i).idle.has(i) || rt.bufFlits == 0 || rt.vcs[idx].buf.len() != 0 {
 							continue
 						}
-						// enqueue, minus its `rt.idle = false`.
+						// enqueue, minus clearing the router's idle bit.
 						p := mkPacket(1<<50, packet.ReadRequest, 0, rt.id, n.cycle)
 						n.enqueue(n.laneAt(i), rt, idx, packet.Flit{Pkt: p, Head: true, Tail: true})
-						rt.idle = true
+						n.laneAt(i).idle.set(i)
 						return fmt.Sprintf("router %v is idle", rt.coord)
 					}
 				}

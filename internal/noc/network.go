@@ -78,12 +78,15 @@ type Interconnect interface {
 	// wake runs; a caller that registers nothing may keep polling.
 	SetInjectWake(node mesh.NodeID, wake func())
 	// SetStage installs the endpoint stage, the same idiom as SetSink: every
-	// Step first runs fn over disjoint node ranges [lo, hi) that together
-	// cover the mesh, once per kernel lane, on the goroutine that then steps
-	// that lane's routers. Within one call fn may touch only the endpoints on
-	// nodes in its range, and of the interconnect only Inject and InjectSpace
-	// for those nodes. nil removes the stage.
-	SetStage(fn func(lo, hi int))
+	// Step first calls fn(node) for the nodes whose endpoint needs the tick,
+	// ascending within each kernel lane, on the goroutine that then steps that
+	// lane's routers. False drops the node until a sink accepts a tail flit
+	// there or its inject wake runs (Reset puts every node back). A call may
+	// touch only the node's endpoint, and of the interconnect only Inject and
+	// InjectSpace for that node. nil removes the stage.
+	SetStage(fn func(node int) bool)
+	// Ticking reports, at a cycle boundary, whether node's stage call is due.
+	Ticking(node mesh.NodeID) bool
 	// Step advances the network one cycle.
 	Step()
 	// Rebalance lets the kernel re-cut its lanes by the work counted since
@@ -202,7 +205,7 @@ type Network struct {
 	// one. Its goroutines are spawned lazily by the first pooled Step and
 	// stopped by Close. stage is the endpoint stage SetStage installed.
 	pool  *workerPool
-	stage func(lo, hi int)
+	stage func(node int) bool
 
 	// routeTab caches the routing algorithm per (class, current, dest):
 	// NextHop is a pure function of those three, so RC becomes one array
@@ -540,7 +543,10 @@ func (n *Network) SetSink(node mesh.NodeID, s Sink) { n.sinks[node] = s }
 func (n *Network) SetInjectWake(node mesh.NodeID, wake func()) { n.injWake[node] = wake }
 
 // SetStage installs the endpoint stage every lane's cycle starts with.
-func (n *Network) SetStage(fn func(lo, hi int)) { n.stage = fn }
+func (n *Network) SetStage(fn func(node int) bool) { n.stage = fn }
+
+// Ticking reports whether node's ticks bit is set.
+func (n *Network) Ticking(node mesh.NodeID) bool { return n.laneAt(int(node)).ticks.has(int(node)) }
 
 // SetSpans installs the per-packet span collector (nil disables span
 // tracing). Probe sites gate on the collector pointer and the packet's
@@ -717,7 +723,7 @@ func (n *Network) applyCredits(list *[]*outPort) {
 				// The VC's holder can send again, so its router has a
 				// switch candidate: wake it.
 				op.rt.credOK |= 1 << op.owner[v]
-				op.rt.idle = false
+				n.laneAt(int(op.rt.id)).idle.clear(int(op.rt.id))
 			}
 			op.credits[v] += pend
 			op.pending[v] = 0
@@ -786,6 +792,7 @@ func (n *Network) injectNode(ln *lane, id int) {
 	}
 	if budget < n.injRate && q.refused {
 		q.refused = false
+		ln.ticks.set(id)
 		if wake := n.injWake[id]; wake != nil {
 			wake()
 		}
@@ -909,7 +916,9 @@ func (n *Network) Step() {
 // bit-identical.
 func (n *Network) stepReference() {
 	if n.stage != nil {
-		n.stage(0, n.numNodes)
+		for id := 0; id < n.numNodes; id++ {
+			n.stage(id)
+		}
 	}
 	for li := range n.lanes {
 		ln := &n.lanes[li]
@@ -953,8 +962,8 @@ func (n *Network) Drain(maxCycles int) bool {
 // VC) against the per-port pending tally, flit conservation, every router's
 // occupancy counters, request masks and pipeline-gate stamps, the partition,
 // the run masks (a routers or links bit says its recounted counter is
-// non-zero, a queues bit that the queue holds a packet), and every sleeper's
-// reason to sleep:
+// non-zero, a queues bit that the queue holds a packet; the ticks mask is the
+// gpu sanitizer's to check), and every sleeper's reason to sleep:
 // an idle router must have nothing a visit could act on (runnable), a
 // non-empty unscheduled queue no local VC space it could use (injectable).
 // A scheduled queue may turn out blocked: spurious wakes are legal.
@@ -998,7 +1007,7 @@ func (n *Network) CheckInvariants() error {
 			name, got, exp := rt.reqMasks.firstDiff(&want)
 			return fmt.Errorf("noc: request mask %s at %v: %#x, per-VC state says %#x", name, rt.coord, got, exp)
 		}
-		if rt.idle {
+		if n.laneAt(i).idle.has(i) {
 			if cause := n.runnable(rt); cause != "" {
 				return fmt.Errorf("noc: router %v is idle, but %s", rt.coord, cause)
 			}
@@ -1037,7 +1046,7 @@ func (n *Network) CheckInvariants() error {
 			if (i >= o.lo && i < o.hi) != own {
 				return fmt.Errorf("noc: laneOf puts node %d on lane %d, but lane %d covers [%d,%d)", i, n.laneOf[i], li, o.lo, o.hi)
 			}
-			if !own && (o.routers.has(i) || o.links.has(i) || o.queues.has(i)) {
+			if !own && (o.routers.has(i) || o.links.has(i) || o.queues.has(i) || o.idle.has(i) || o.ticks.has(i)) {
 				return fmt.Errorf("noc: lane %d holds a run-mask bit of node %d, which lane %d owns", li, i, n.laneOf[i])
 			}
 		}

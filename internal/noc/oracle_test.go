@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gpgpunoc/internal/config"
@@ -145,20 +146,89 @@ func TestReferenceOracleAsymmetric(t *testing.T) {
 	checkOracleLanes(t, cfg, workload.MustGet("BFS"))
 }
 
+// trickle is a mostly-idle profile whose idle spans border real memory
+// traffic.
+var trickle = workload.Profile{Name: "TRICKLE", Suite: "synthetic", MemFraction: 0.03, Locality: 0.6, FootprintBytes: 1 << 20,
+	RunAhead: 2, LongOpFraction: 1, LongOpLatency: 900}
+
 // TestReferenceOracleIdle covers the mostly-empty fabric: a pure-compute
-// profile that never touches it, and a trickle profile whose idle spans
-// border real memory traffic, so the kernel is repeatedly entered from and
-// left in the empty state.
+// profile that never touches it, and a trickle profile, so the kernel is
+// repeatedly entered from and left in the empty state.
 func TestReferenceOracleIdle(t *testing.T) {
 	for _, prof := range []workload.Profile{
 		{Name: "IDLE", Suite: "synthetic", Locality: 0.5, FootprintBytes: 256 << 10,
 			RunAhead: 4, LongOpFraction: 1, LongOpLatency: 600},
-		{Name: "TRICKLE", Suite: "synthetic", MemFraction: 0.03, Locality: 0.6, FootprintBytes: 1 << 20,
-			RunAhead: 2, LongOpFraction: 1, LongOpLatency: 900},
+		trickle,
 	} {
 		t.Run(prof.Name, func(t *testing.T) {
 			t.Parallel()
 			checkOracleLanes(t, equivCfg(), prof)
 		})
+	}
+}
+
+// TestReferenceOracleSettled: a dormant SM leaves the kernel's tick walk and
+// the ticks it was skipped are charged in one add, which must be exact at
+// every cycle boundary. The shipped kernel and the reference stepper, which
+// calls the stage for every node every cycle, step side by side; after each
+// cycle the settled core-side totals, StallCycles included, and the SMs'
+// summed SleptTicks must agree — on one network and a Dual (whose reply
+// subnet wakes the request subnet's walk), at one lane and four, saturated
+// (dormant SMs everywhere) and mostly idle (timed sleepers, which stay in the
+// walk, beside real memory traffic).
+func TestReferenceOracleSettled(t *testing.T) {
+	if runtime.GOMAXPROCS(0) == 1 { // give the pool its goroutines (see forcePool)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	cycles := 1500
+	if testing.Short() {
+		cycles = 600
+	}
+	slept := func(sim *gpu.Simulator) (n int64) {
+		for _, sm := range sim.SMs {
+			n += sm.SleptTicks()
+		}
+		return n
+	}
+	for _, prof := range []workload.Profile{workload.MustGet("KMN"), trickle} {
+		for _, dual := range []bool{false, true} {
+			for _, w := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/dual=%t/workers=%d", prof.Name, dual, w), func(t *testing.T) {
+					cfg := equivCfg()
+					cfg.NoC.Workers = w
+					if dual {
+						cfg.NoC.PhysicalSubnets, cfg.NoC.VCsPerPort = true, 4
+					}
+					var sims [2]*gpu.Simulator
+					for i := range sims {
+						sim, err := gpu.New(cfg, prof)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer sim.Close()
+						sims[i] = sim
+					}
+					opt, ref := sims[0], sims[1]
+					noc.UseReferenceStepper(ref.Net)
+					for c := 0; c < cycles; c++ {
+						opt.Step()
+						ref.Step()
+						if got, want := opt.Totals(), ref.Totals(); got != want {
+							t.Fatalf("cycle %d: settled totals diverged:\n   kernel %+v\nreference %+v", c, got, want)
+						}
+						if got, want := slept(opt), slept(ref); got != want {
+							t.Fatalf("cycle %d: the SMs slept %d ticks, %d ticked every cycle", c, got, want)
+						}
+					}
+					nodes := int64(cfg.NoC.Width * cfg.NoC.Height)
+					calls := noc.Gates(opt.Net).StageCalls
+					t.Logf("%d of %d ticks called", calls, int64(cycles)*nodes)
+					// TRICKLE's SMs sleep until a readyAt, so they stay in the walk.
+					if prof.Name == "KMN" && calls >= int64(cycles)*nodes {
+						t.Errorf("the kernel called the stage for every node every cycle: no tick was skipped")
+					}
+				})
+			}
+		}
 	}
 }

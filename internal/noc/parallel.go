@@ -8,7 +8,7 @@ package noc
 // whole, its stages back to back (laneCycle) — on the pool as one barrier
 // generation, otherwise lane by lane on the stepping goroutine:
 //
-//	tick: the endpoint stage SetStage installed, on the lane's node range
+//	tick: the endpoint stage SetStage installed, on the lane's ticks nodes
 //	  (gpu: the SMs and MCs there). A tick touches its own endpoint and,
 //	  through Inject, its node's queue and its lane's tally and queues mask.
 //	inject, then RC/VA/SA/ST for the lane's routers. Cross-lane writes are
@@ -26,11 +26,10 @@ package noc
 // no barrier between them. The serial tail (finishCycle) merges the rest in
 // lane order: outbox deliveries, boundary-port credits, latency replay, folds.
 //
-// Which nodes a stage visits is one of three bit sets per lane, the run
+// Which nodes a stage visits is read off five bit sets per lane, the run
 // masks, bit = node ID (a lane's masks span the mesh, so a cut moves bits and
-// never resizes), each kept exact at the only sites that change what it
-// says, so a stage is one ascending walk over set bits — the reference full
-// scan minus its no-op visits:
+// never resizes), each kept at the only sites that change what it says, so
+// a stage is one ascending walk — the reference full scan minus no-ops:
 //
 //	routers  bufFlits > 0. Set by enqueue on 0 → 1, cleared by traverse on
 //	         → 0; walked by routerPhase.
@@ -41,6 +40,12 @@ package noc
 //	         Local VC of a node with queued packets, cleared by an injectNode
 //	         visit that moved nothing or emptied the queue; walked by
 //	         injectPhase.
+//	idle     no switch candidate (router.go). Set by SA, cleared by enqueue
+//	         into an empty VC and the credit wake; masks routers unless the
+//	         run is observed.
+//	ticks    the endpoint needs the next tick. Set by Reset, a sink taking a
+//	         tail and the inject wake, cleared by a stage call returning
+//	         false; walked by tickPhase. A Dual's subnets share one (NewDual).
 //
 // A walk reads each mask word once, and that is as good as a live read: a
 // visit changes only its own bit of the mask being walked. Single writer: a
@@ -110,7 +115,7 @@ func (m nodeMask) moveTo(dst nodeMask, i int) {
 type lane struct {
 	lo, hi int // owned node-ID range [lo, hi)
 
-	routers, links, queues nodeMask // the run masks; see the header
+	routers, links, queues, idle, ticks nodeMask // the run masks; see the header
 
 	// Output ports owed credits by this lane's routers this cycle
 	// (outPort.pending): creditLocal those of routers the lane owns, which
@@ -144,10 +149,10 @@ type lane struct {
 	ejectedFlits  int
 
 	// Visit counters, read by tests through export_test.go so the
-	// back-pressure gates cannot rot silently: idle early-outs, injectNode
-	// visits, Injects refused at this lane's nodes (full router visits are
-	// counted per router: router.visits).
-	idleSkips, injectVisits, refusedInjects int64
+	// back-pressure gates cannot rot silently: idle routers walked past,
+	// injectNode visits, Injects refused at this lane's nodes, stage calls
+	// (full router visits are counted per router: router.visits).
+	idleSkips, injectVisits, refusedInjects, stageCalls int64
 }
 
 // effectiveDomains resolves the Workers configuration to a lane count: 0
@@ -181,8 +186,9 @@ func (n *Network) buildLanes(workers, width, height int) {
 	for i := range n.lanes {
 		ln := &n.lanes[i]
 		ln.stats = &stats.Net{Mesh: n.m}
-		masks := make(nodeMask, (3*words+7)&^7) // whole cache lines of its own: lanes write their masks concurrently
+		masks := make(nodeMask, (5*words+7)&^7) // whole cache lines of its own: lanes write their masks concurrently
 		ln.routers, ln.links, ln.queues = masks[:words], masks[words:2*words], masks[2*words:3*words]
+		ln.idle, ln.ticks = masks[3*words:4*words], masks[4*words:5*words]
 		// A cut can grow this lane: size its lists for every port they can hold.
 		ln.creditLocal = make([]*outPort, 0, mesh.NumLinkDirs*n.numNodes)
 		ln.creditDirty = make([]*outPort, 0, 2*width)
@@ -190,14 +196,15 @@ func (n *Network) buildLanes(workers, width, height int) {
 	}
 }
 
-// resetLanes empties every lane — run masks, lists, shard, tallies — and
-// cuts the mesh into equal row stripes again, the cut a run starts from.
+// resetLanes empties every lane — run masks (ticks: fills), lists, shard,
+// tallies — and cuts the mesh into equal row stripes, the cut a run starts from.
 func (n *Network) resetLanes() {
 	for i := range n.lanes {
 		ln := &n.lanes[i]
 		clear(ln.routers)
 		clear(ln.links)
 		clear(ln.queues)
+		clear(ln.idle)
 		ln.creditLocal, ln.creditDirty, ln.outbox = ln.creditLocal[:0], ln.creditDirty[:0], ln.outbox[:0]
 		clear(ln.ejected)
 		ln.ejected = ln.ejected[:0]
@@ -205,8 +212,11 @@ func (n *Network) resetLanes() {
 		ln.stats.Enabled = false
 		ln.stalls = [obs.NumStallCauses]int64{}
 		ln.moved, ln.injectedFlits, ln.ejectedFlits = false, 0, 0
-		ln.idleSkips, ln.injectVisits, ln.refusedInjects = 0, 0, 0
+		ln.idleSkips, ln.injectVisits, ln.refusedInjects, ln.stageCalls = 0, 0, 0, 0
 		n.cut[i+1] = (i + 1) * len(n.rowWork) / len(n.lanes)
+	}
+	for id, li := range n.laneOf {
+		n.lanes[li].ticks.set(id)
 	}
 	clear(n.rowWork)
 	clear(n.rowSeen)
@@ -271,7 +281,23 @@ func (n *Network) retile(cut []int) {
 				old.routers.moveTo(ln.routers, id)
 				old.links.moveTo(ln.links, id)
 				old.queues.moveTo(ln.queues, id)
+				old.idle.moveTo(ln.idle, id)
+				old.ticks.moveTo(ln.ticks, id)
 				n.laneOf[id] = int32(li)
+			}
+		}
+	}
+}
+
+// tickPhase calls the stage for the lane's ticks nodes, ascending, and drops
+// a node whose call returns false until its next wake.
+func (n *Network) tickPhase(ln *lane) {
+	stage, ticks := n.stage, ln.ticks
+	for wi, w := range ticks {
+		ln.stageCalls += int64(bits.OnesCount64(w))
+		for base := wi << 6; w != 0; w &= w - 1 {
+			if id := base + bits.TrailingZeros64(w); !stage(id) {
+				ticks.clear(id)
 			}
 		}
 	}
@@ -290,16 +316,23 @@ func (n *Network) injectPhase(ln *lane) {
 
 // routerPhase runs RC/VA/SA/ST for the lane's routers holding flits,
 // ascending; it follows injection, so a router this cycle's injected flits
-// filled is visited, exactly as the reference scan would. An idle router
-// keeps its bit: an observed run charges its stalls every cycle, so it must
-// stay visited, only cheaply (idleVisit); out of the mask, every traced run
-// would pay for full visits instead.
+// filled is visited, exactly as the reference scan would. Idle routers are
+// masked out a word at a time unless the run is observed: stall attribution
+// is charged per cycle per stalled VC, so there an idle router still runs
+// countStalls, exactly as its skipped visit would have, with no VC moved.
 func (n *Network) routerPhase(ln *lane) {
+	observed := n.tel != nil || n.spans != nil
 	for wi, w := range ln.routers {
+		idle := w & ln.idle[wi]
+		ln.idleSkips += int64(bits.OnesCount64(idle))
+		if !observed {
+			w &^= idle
+		}
 		for base := wi << 6; w != 0; w &= w - 1 {
-			rt := &n.routers[base+bits.TrailingZeros64(w)]
-			if rt.idle {
-				n.idleVisit(ln, rt)
+			i := bits.TrailingZeros64(w)
+			rt := &n.routers[base+i]
+			if idle>>i&1 != 0 {
+				n.countStalls(ln, rt, 0)
 				continue
 			}
 			rt.visits++
@@ -307,18 +340,6 @@ func (n *Network) routerPhase(ln *lane) {
 			n.vcAllocate(rt)
 			n.switchAllocateAndTraverse(ln, rt)
 		}
-	}
-}
-
-// idleVisit is all the router phase does for an idle router (see
-// router.idle); small enough to inline, so the early-out stays a load and a
-// branch in the loop. An observed run keeps its numbers: stall attribution
-// is charged per cycle per stalled VC, so it still runs — exactly as the
-// skipped visit would have run it, with no VC having moved.
-func (n *Network) idleVisit(ln *lane, rt *router) {
-	ln.idleSkips++
-	if n.tel != nil || n.spans != nil {
-		n.countStalls(ln, rt, 0)
 	}
 }
 
@@ -338,7 +359,7 @@ func (n *Network) linkPhaseLane(ln *lane) {
 // separates its stages.
 func (n *Network) laneCycle(ln *lane) {
 	if n.stage != nil {
-		n.stage(ln.lo, ln.hi)
+		n.tickPhase(ln)
 	}
 	n.injectPhase(ln)
 	n.routerPhase(ln)

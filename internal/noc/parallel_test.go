@@ -295,17 +295,16 @@ func TestLaneCallbackConcurrentInject(t *testing.T) {
 		cs := attachCollectors(n)
 		calls := make([]int, nn)  // per-node: single writer, the node's lane
 		queued := make([]int, nn) // flits Inject accepted at the node, likewise
-		inject := func(lo, hi int) {
-			for src := lo; src < hi; src++ {
-				calls[src]++
-				dst := (src*7 + int(n.Cycle())) % nn
-				if n.Inject(&packet.Packet{
-					ID: uint64(src+1)<<32 | uint64(n.Cycle()), Type: packet.ReadReply,
-					Src: src, Dst: dst, Flits: packet.LongFlits, CreatedAt: n.Cycle(),
-				}) {
-					queued[src] += packet.LongFlits
-				}
+		inject := func(src int) bool {
+			calls[src]++
+			dst := (src*7 + int(n.Cycle())) % nn
+			if n.Inject(&packet.Packet{
+				ID: uint64(src+1)<<32 | uint64(n.Cycle()), Type: packet.ReadReply,
+				Src: src, Dst: dst, Flits: packet.LongFlits, CreatedAt: n.Cycle(),
+			}) {
+				queued[src] += packet.LongFlits
 			}
+			return true
 		}
 		n.SetStage(inject)
 		for c := 0; c < cycles; c++ {
@@ -350,8 +349,8 @@ func TestLaneCallbackConcurrentInject(t *testing.T) {
 // a Dual's two (the stage rides on the request subnet's).
 func TestGenerationPerCycle(t *testing.T) {
 	const cycles = 50
-	calls := make([]int, 64) // stage calls by first node: one writer each, the node's lane
-	tick := func(lo, hi int) { calls[lo]++ }
+	calls := make([]int, 64) // stage calls by node: one writer each, the node's lane
+	tick := func(node int) bool { calls[node]++; return true }
 	count := func() (n int) {
 		for i, k := range calls {
 			n, calls[i] = n+k, 0
@@ -370,8 +369,8 @@ func TestGenerationPerCycle(t *testing.T) {
 			t.Fatalf("network: %d barrier generations after %d cycles", got, c)
 		}
 	}
-	if got := count(); got != cycles*len(n.lanes) {
-		t.Errorf("network: the stage ran %d times over %d cycles of %d lanes", got, cycles, len(n.lanes))
+	if got := count(); got != cycles*len(calls) {
+		t.Errorf("network: the stage ran %d times over %d cycles of %d nodes", got, cycles, len(calls))
 	}
 
 	cfg := config.Default().NoC
@@ -391,7 +390,7 @@ func TestGenerationPerCycle(t *testing.T) {
 			t.Fatalf("dual: %d barrier generations after %d cycles", got, c)
 		}
 	}
-	if got := count(); got != cycles*len(d.request.lanes) {
-		t.Errorf("dual: the stage ran %d times over %d cycles of %d lanes", got, cycles, len(d.request.lanes))
+	if got := count(); got != cycles*len(calls) {
+		t.Errorf("dual: the stage ran %d times over %d cycles of %d nodes", got, cycles, len(calls))
 	}
 }

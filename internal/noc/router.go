@@ -61,9 +61,10 @@ type outPort struct {
 // bit that says it is non-zero), are redundant: CheckInvariants recounts all
 // of them from the per-VC state.
 //
-// A router whose visit ends with no switch candidate goes idle: the router
-// phase skips it until a flit arrives in an empty VC or a credit returns to
-// a VC it holds (see idle).
+// A router whose visit ends with no switch candidate goes idle (its lane's
+// idle bit): RC and VA are at their fixpoint and nothing moved, so until a
+// flit arrives in an empty VC or a credit returns to a VC it holds a visit
+// would repeat itself, and the router phase skips it.
 type router struct {
 	id    mesh.NodeID
 	coord mesh.Coord
@@ -78,14 +79,6 @@ type router struct {
 
 	reqMasks
 
-	// idle: the last visit reached SA with occ & credOK == 0. RC and VA had
-	// just run, so every occupied VC is routed and no free output VC admits
-	// a waiter; nothing moved, so no output VC freed. Until a flit becomes
-	// the front of an empty VC (enqueue) or a credit returns to a VC held
-	// here (applyCredits) a visit would repeat itself, and the router phase
-	// skips it. A push behind an existing front changes nothing the
-	// allocators read. The router keeps its routers bit (see routerPhase).
-	idle   bool
 	visits int64 // full visits since construction: the router term of the work lanes are cut by
 
 	// Round-robin pointers for fair, deterministic arbitration.
@@ -217,7 +210,7 @@ func (rt *router) reset(depth int) {
 	}
 	rt.bufFlits, rt.regCount = 0, 0
 	rt.reqMasks = reqMasks{}
-	rt.idle, rt.visits = false, 0
+	rt.visits = 0
 	rt.vaPtr, rt.saVCPtr, rt.saPtr = [mesh.NumPorts]int{}, [mesh.NumPorts]int{}, [mesh.NumPorts]int{}
 }
 
@@ -232,7 +225,7 @@ func (n *Network) enqueue(ln *lane, rt *router, i int, f packet.Flit) {
 	if ivc.buf.n == 1 {
 		rt.occ |= 1 << i
 		ivc.readyAt = n.cycle + n.pipeDelay
-		rt.idle = false
+		ln.idle.clear(int(rt.id))
 	}
 	rt.bufFlits++
 	if rt.bufFlits == 1 {
@@ -347,12 +340,13 @@ func (n *Network) vcAllocate(rt *router) {
 // belongs to the sink at traversal time. A traversal changes the masks only
 // at the VC that moved, whose whole port is then out of the running, so one
 // snapshot of occ & credOK serves every output. An empty snapshot puts the
-// router to sleep (see router.idle).
+// router to sleep (its idle bit; see router).
 func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
 	var moved uint64 // the VCs that sent a flit this cycle
 	ready := rt.occ & rt.credOK
-	rt.idle = ready == 0
-	if ready != 0 {
+	if ready == 0 {
+		ln.idle.set(int(rt.id)) // a router with a candidate is never idle
+	} else {
 		V := n.vcs
 		vmask := uint64(1)<<V - 1
 		for d := mesh.Direction(0); d < mesh.NumPorts; d++ {
@@ -496,6 +490,7 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 		ln.ejectedFlits++
 		n.spine.Ej[rt.id]++
 		if f.Tail {
+			ln.ticks.set(int(rt.id)) // the sink took a whole packet: its endpoint may wake
 			ln.stats.CountEjection(f.Pkt)
 			if n.tel != nil {
 				// Deferred to the end-of-cycle flush: the latency histograms

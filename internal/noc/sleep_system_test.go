@@ -14,9 +14,10 @@ import (
 // silently (the network half of smcore's TestSaturatedSystemSleeps): on the
 // Table 2 system running KMN almost every router holds flits that cannot
 // move, almost every injection queue is full and almost every outbox is
-// refused, so most router visits must take the idle early-out, injectNode
-// must run for a handful of the ~64 non-empty queues a cycle, and the
-// endpoints must have all but stopped calling Inject in vain.
+// refused, so most routers walked must be idle, injectNode must run for a
+// handful of the ~64 non-empty queues a cycle, the endpoints must have all
+// but stopped calling Inject in vain, and the stage must be called for the
+// 8 MCs and a handful of the 56 SMs a cycle: the rest are dormant.
 func TestSaturatedNetworkSleeps(t *testing.T) {
 	cfg := config.Default()
 	cfg.WarmupCycles, cfg.MeasureCycles = 1000, 5000
@@ -33,10 +34,14 @@ func TestSaturatedNetworkSleeps(t *testing.T) {
 	idle := float64(g.IdleSkips) / float64(g.IdleSkips+g.RouterVisits)
 	inject := float64(g.InjectVisits) / cycles
 	refused := float64(g.RefusedInjects) / cycles
-	t.Logf("%.1f%% of %d router visits took the idle early-out; %.2f injectNode visits per cycle; %.2f refused Injects per cycle",
-		100*idle, g.IdleSkips+g.RouterVisits, inject, refused)
+	stage := float64(g.StageCalls) / cycles
+	t.Logf("%.1f%% of %d routers walked were idle; %.2f injectNode visits per cycle; %.2f refused Injects per cycle; %.2f stage calls per cycle",
+		100*idle, g.IdleSkips+g.RouterVisits, inject, refused, stage)
 	if idle < 0.65 {
-		t.Errorf("%.1f%% of router visits took the idle early-out, want at least 65%%", 100*idle)
+		t.Errorf("%.1f%% of routers walked were idle, want at least 65%%", 100*idle)
+	}
+	if stage > 16 {
+		t.Errorf("%.2f stage calls per cycle, want at most 16", stage)
 	}
 	if inject > 6 {
 		t.Errorf("%.2f injectNode visits per cycle, want at most 6", inject)

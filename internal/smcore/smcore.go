@@ -94,6 +94,7 @@ type SM struct {
 	// by zeroing it. Both writers run on the lane that owns this SM's node.
 	idleUntil  int64
 	sleptTicks int64 // ticks that took the early-out
+	lastTick   int64 // the last cycle Tick ran or Settle charged
 
 	// injBlocked: the interconnect refused the outbox front. The front does
 	// not change while it waits and queue space grows only when the network
@@ -160,7 +161,7 @@ func (s *SM) Reset(prof workload.Profile, seed uint64) {
 			s.warps[w].instrs = uint64(w) * 7
 		}
 	}
-	s.greedy, s.idleUntil, s.sleptTicks, s.injBlocked = 0, 0, 0, false
+	s.greedy, s.idleUntil, s.sleptTicks, s.lastTick, s.injBlocked = 0, 0, 0, -1, false
 }
 
 // Reclaim gives the SM the storage of a packet of one of its unfinished
@@ -314,9 +315,30 @@ func (s *SM) stall() {
 // the same L1, MSHR file and outbox). Eligible warps stay eligible and
 // blocked ones stay blocked until a fill or an outbox pop — both wake the
 // SM — or until a readyAt comes due, which is the horizon recorded here.
-func (s *SM) sleep(now int64) {
+// It returns what Tick does.
+func (s *SM) sleep(now int64) bool {
 	s.idleUntil = s.timeHorizon(now)
 	s.stall()
+	return !s.Dormant()
+}
+
+// Dormant reports whether only an event can end the SM's sleep — a ReadReply
+// tail at Sink, or WakeInject: no warp waits on time alone, and the outbox
+// is empty or its front refused. Until then every Tick takes the early-out.
+func (s *SM) Dormant() bool {
+	return s.idleUntil == math.MaxInt64 && (s.injBlocked || s.outbox.Len() == 0)
+}
+
+// Settle charges the early-outs of the ticks skipped since the last Tick, up
+// to the cycle boundary before now, in one add; readers of the counters call it.
+func (s *SM) Settle(now int64) {
+	if gap := now - s.lastTick - 1; gap > 0 {
+		s.sleptTicks += gap
+		if s.gpu != nil {
+			s.gpu.StallCycles += gap
+		}
+		s.lastTick = now - 1
+	}
 }
 
 // pick is GTO scheduling: keep issuing from the greedy warp; on stall,
@@ -350,13 +372,15 @@ func (s *SM) Refused() *packet.Packet {
 	return s.outbox.Front()
 }
 
-// SleptTicks returns how many Tick calls took the sleeping early-out: ticks
-// minus it is the SM's share of the host's work, which the kernel's lanes
-// are cut by (noc.Interconnect.Rebalance).
+// SleptTicks returns how many ticks took the sleeping early-out, as of the
+// last Settle or Tick.
 func (s *SM) SleptTicks() int64 { return s.sleptTicks }
 
-// Tick advances the SM one cycle, issuing at most one warp-instruction.
-func (s *SM) Tick(now int64) {
+// Tick advances the SM one cycle, issuing at most one warp-instruction. False
+// means Dormant: the caller may skip ticks until Sink or WakeInject runs.
+func (s *SM) Tick(now int64) bool {
+	s.Settle(now)
+	s.lastTick = now
 	// Drain the write/request outbox into the network first; a full outbox
 	// stalls the memory stage below. A refusal blocks the drain until the
 	// inject wake, so what is left of a sleeping SM's tick is two compares.
@@ -371,13 +395,12 @@ func (s *SM) Tick(now int64) {
 	if now < s.idleUntil {
 		s.sleptTicks++
 		s.stall()
-		return
+		return !s.Dormant()
 	}
 
 	wi := s.pick(now)
 	if wi < 0 {
-		s.sleep(now)
-		return
+		return s.sleep(now)
 	}
 	w := &s.warps[wi]
 
@@ -387,7 +410,7 @@ func (s *SM) Tick(now int64) {
 	// may choose another warp: no sleep.
 	if !w.stalled && !s.fetch(w, wi, now) {
 		s.stall()
-		return
+		return true
 	}
 
 	instr := w.pending
@@ -400,8 +423,7 @@ func (s *SM) Tick(now int64) {
 		// replays a stalled memory op.
 		w.pending = instr
 		w.stalled = true
-		s.sleep(now)
-		return
+		return s.sleep(now)
 	}
 	w.stalled = false
 	s.greedy = wi
@@ -416,6 +438,7 @@ func (s *SM) Tick(now int64) {
 	if s.gpu != nil {
 		s.gpu.Instructions++
 	}
+	return true
 }
 
 // missBlocked reports whether a load that missed the L1 on line cannot
