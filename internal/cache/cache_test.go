@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"gpgpunoc/internal/rng"
 )
 
 func TestGeometry(t *testing.T) {
@@ -23,6 +26,15 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 		}
 	}()
 	New(1000, 3, 128)
+}
+
+func TestNewPanicsOnSetsNotPowerOfTwo(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for 24 sets")
+		}
+	}()
+	New(12<<10, 4, 128)
 }
 
 func TestHitAfterMiss(t *testing.T) {
@@ -244,4 +256,132 @@ func TestMSHRFillPanicsWithoutEntry(t *testing.T) {
 		}
 	}()
 	NewMSHR(2).Fill(0xdead)
+}
+
+// refLRU is the reference model for TestCacheMatchesReferenceLRU: each set
+// a list of resident line addresses, most recently used first, and a map
+// of which resident lines are dirty.
+type refLRU struct {
+	sets, ways, lineBytes uint64
+	lists                 [][]uint64
+	dirty                 map[uint64]bool
+	hits, misses          int64
+}
+
+func newRefLRU(sets, ways, lineBytes int) *refLRU {
+	return &refLRU{sets: uint64(sets), ways: uint64(ways), lineBytes: uint64(lineBytes),
+		lists: make([][]uint64, sets), dirty: map[uint64]bool{}}
+}
+
+// take removes addr's line from its set's list, reporting whether it was
+// resident.
+func (r *refLRU) take(addr uint64) (set, la uint64, ok bool) {
+	la = addr / r.lineBytes
+	set = la % r.sets
+	for i, l := range r.lists[set] {
+		if l == la {
+			r.lists[set] = append(r.lists[set][:i], r.lists[set][i+1:]...)
+			return set, la, true
+		}
+	}
+	return set, la, false
+}
+
+func (r *refLRU) touch(addr uint64) bool {
+	set, la, ok := r.take(addr)
+	if ok {
+		r.lists[set] = append([]uint64{la}, r.lists[set]...)
+		r.hits++
+	}
+	return ok
+}
+
+func (r *refLRU) access(addr uint64, isWrite bool) (res Result) {
+	set, la, ok := r.take(addr)
+	if res.Hit = ok; ok {
+		r.hits++
+	} else if r.misses++; uint64(len(r.lists[set])) == r.ways {
+		v := r.lists[set][r.ways-1]
+		r.lists[set] = r.lists[set][:r.ways-1]
+		if r.dirty[v] {
+			res = Result{Eviction: true, VictimAddr: v * r.lineBytes}
+		}
+		delete(r.dirty, v)
+	}
+	r.dirty[la] = r.dirty[la] || isWrite
+	r.lists[set] = append([]uint64{la}, r.lists[set]...)
+	return res
+}
+
+func (r *refLRU) invalidate(addr uint64) (present, dirty bool) {
+	_, la, ok := r.take(addr)
+	dirty = r.dirty[la]
+	delete(r.dirty, la)
+	return ok, dirty
+}
+
+// TestCacheMatchesReferenceLRU: the shift-and-mask index and the
+// most-recent-line Touch are exact. Over the Table 2 geometries, a single
+// set and a direct-mapped cache, a random mix of Touch, read and write
+// Access, Invalidate and Reset calls on streams that repeat lines, walk
+// them in order and jump at random agrees, call by call, with a list-based
+// LRU model: every hit, eviction, victim address, Probe, Hits and Misses.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	for _, g := range []struct {
+		name                   string
+		bytes, ways, lineBytes int
+	}{
+		{"L1D", 16 << 10, 4, 128},
+		{"L1I", 2 << 10, 4, 128},
+		{"L2", 64 << 10, 8, 128},
+		{"one set", 4 * 128, 4, 128},
+		{"one way", 4 << 10, 1, 128},
+	} {
+		c, ref := New(g.bytes, g.ways, g.lineBytes), newRefLRU(g.bytes/(g.ways*g.lineBytes), g.ways, g.lineBytes)
+		r := rng.New(uint64(g.bytes + g.ways))
+		span := uint64(4 * g.bytes) // addresses over four capacities: evictions
+		var addr uint64
+		recent := make([]uint64, 8)
+		for i := 0; i < 120_000; i++ {
+			switch k := r.Intn(10); {
+			case k < 4: // repeat a recent address
+				addr = recent[r.Intn(len(recent))]
+			case k < 7: // walk in order, a quarter line at a time
+				addr = (addr + uint64(g.lineBytes)/4) % span
+			default: // jump
+				addr = r.Uint64n(span)
+			}
+			recent[r.Intn(len(recent))] = addr
+			var op string
+			switch k := r.Intn(10_000); {
+			case k < 4_000:
+				op = "Touch"
+				if got, want := c.Touch(addr), ref.touch(addr); got != want {
+					t.Fatalf("%s call %d: Touch(%#x) = %v, model %v", g.name, i, addr, got, want)
+				}
+			case k < 9_000:
+				op = "Access"
+				w := k >= 6_500 // a write
+				if got, want := c.Access(addr, w), ref.access(addr, w); got != want {
+					t.Fatalf("%s call %d: Access(%#x, %v) = %+v, model %+v", g.name, i, addr, w, got, want)
+				}
+			case k < 9_998:
+				op = "Invalidate"
+				gp, gd := c.Invalidate(addr)
+				wp, wd := ref.invalidate(addr)
+				if gp != wp || gd != wd {
+					t.Fatalf("%s call %d: Invalidate(%#x) = %v, %v, model %v, %v", g.name, i, addr, gp, gd, wp, wd)
+				}
+			default:
+				op = "Reset"
+				c.Reset()
+				ref = newRefLRU(c.Sets(), c.Ways(), c.LineBytes())
+			}
+			resident := slices.Contains(ref.lists[addr/uint64(g.lineBytes)%uint64(c.Sets())], addr/uint64(g.lineBytes))
+			if c.Hits != ref.hits || c.Misses != ref.misses || c.Probe(addr) != resident {
+				t.Fatalf("%s call %d (%s %#x): hits/misses %d/%d, resident %v; model %d/%d, %v",
+					g.name, i, op, addr, c.Hits, c.Misses, c.Probe(addr), ref.hits, ref.misses, resident)
+			}
+		}
+	}
 }

@@ -279,6 +279,10 @@ func (c Config) Validate() error {
 			return fmt.Errorf("config: %s cache %dB/%d-way with %dB lines is not a whole number of sets",
 				cc.name, cc.bytes, cc.ways, m.LineBytes)
 		}
+		if sets := cc.bytes / (cc.ways * m.LineBytes); sets&(sets-1) != 0 {
+			return fmt.Errorf("config: %s cache %dB/%d-way with %dB lines has %d sets, not a power of two (sets are indexed by address bits)",
+				cc.name, cc.bytes, cc.ways, m.LineBytes, sets)
+		}
 	}
 	switch {
 	case m.L1MSHRs < 1:

@@ -86,6 +86,9 @@ func TestValidateEndpointGeometry(t *testing.T) {
 		{"L1 instruction not whole sets", func(c *Config) { c.Mem.L1InstBytes = 100 }, "L1 instruction cache 100B/4-way"},
 		{"zero L1 ways", func(c *Config) { c.Mem.L1Ways = 0 }, "L1 data cache"},
 		{"zero L2 ways", func(c *Config) { c.Mem.L2Ways = 0 }, "L2 cache 65536B/0-way"},
+		{"L1 data sets not a power of two", func(c *Config) { c.Mem.L1DataBytes = 12 << 10 }, "L1 data cache 12288B/4-way with 128B lines has 24 sets, not a power of two"},
+		{"L1 instruction sets not a power of two", func(c *Config) { c.Mem.L1InstBytes = 1536 }, "L1 instruction cache 1536B/4-way with 128B lines has 3 sets"},
+		{"L2 sets not a power of two", func(c *Config) { c.Mem.L2Ways = 16; c.Mem.L2BytesPerMC = 48 << 10 }, "L2 cache 49152B/16-way with 128B lines has 24 sets"},
 		{"zero DRAM banks", func(c *Config) { c.Mem.DRAMBanksPerMC = 0 }, "DRAM needs positive banks (0)"},
 		{"zero row buffer", func(c *Config) { c.Mem.RowBufferBytes = 0 }, "row buffer bytes (0)"},
 		{"zero DRAM latency", func(c *Config) { c.Mem.MinDRAMCycles = 0 }, "latency (0)"},

@@ -173,3 +173,37 @@ func TestReseedMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+// TestChanceMatchesFloat64: Hit(Chance(p)) draws exactly what
+// Float64() < p does, on twin streams, at the edges of the threshold
+// arithmetic and at 1,000 random p.
+func TestChanceMatchesFloat64(t *testing.T) {
+	ps := []float64{0, 0x1p-53, 0.3, 0.5, 1 - 0x1p-53, 1, 1.5, -0.1, math.NaN()}
+	src := New(23)
+	for i := 0; i < 1000; i++ {
+		// Half uniform on [0, 1), half log-uniform down to 2^-60.
+		p := src.Float64()
+		if i%2 == 1 {
+			p = math.Ldexp(1+p, -1-src.Intn(60))
+		}
+		ps = append(ps, p)
+	}
+	for i, p := range ps {
+		a, b := New(uint64(i)), New(uint64(i))
+		th := Chance(p)
+		for d := 0; d < 10_000; d++ {
+			if got, want := a.Hit(th), b.Float64() < p; got != want {
+				t.Fatalf("p=%v draw %d: Hit(Chance(p)) = %v, Float64() < p is %v", p, d, got, want)
+			}
+		}
+	}
+	// The threshold steps exactly at the multiples of 2^-53 (below 1/2,
+	// where the float spacing is finer than 2^-53).
+	for _, k := range []uint64{1, 3, 1 << 20, 1<<52 - 1} {
+		p := float64(k) * 0x1p-53
+		if Chance(p) != k || Chance(math.Nextafter(p, 1)) != k+1 || Chance(math.Nextafter(p, 0)) != k {
+			t.Errorf("Chance around %d·2^-53 = %d, %d, %d; want %d, %d, %d", k,
+				Chance(math.Nextafter(p, 0)), Chance(p), Chance(math.Nextafter(p, 1)), k, k, k+1)
+		}
+	}
+}

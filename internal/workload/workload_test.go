@@ -3,6 +3,8 @@ package workload
 import (
 	"math"
 	"testing"
+
+	"gpgpunoc/internal/rng"
 )
 
 func TestTwentyFiveBenchmarks(t *testing.T) {
@@ -188,7 +190,10 @@ func TestValidateRejections(t *testing.T) {
 		func(p *Profile) { p.StoreFraction = -0.1 },
 		func(p *Profile) { p.Locality = 2 },
 		func(p *Profile) { p.FootprintBytes = 0 },
+		func(p *Profile) { p.FootprintBytes = accessBytes - 1 },
 		func(p *Profile) { p.RunAhead = 0 },
+		func(p *Profile) { p.LongOpFraction = -0.1 },
+		func(p *Profile) { p.LongOpFraction = 1.5 },
 	}
 	for i, mutate := range bad {
 		p := base
@@ -196,6 +201,13 @@ func TestValidateRejections(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+	// One access is the smallest footprint: the cursor's single-subtract
+	// wrap needs the stride to fit in it.
+	p := base
+	p.FootprintBytes = accessBytes
+	if err := p.Validate(); err != nil {
+		t.Errorf("a one-access footprint refused: %v", err)
 	}
 }
 
@@ -256,6 +268,75 @@ func TestNewGeneratorsMatchesNewGenerator(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			if a, b := slab[w].Next(), one.Next(); a != b {
 				t.Fatalf("warp %d instruction %d: slab %+v, single %+v", w, i, a, b)
+			}
+		}
+	}
+}
+
+// floatGen is the generator as it drew before integer thresholds: every
+// Bernoulli draw a Float64() < p, the sequential cursor wrapped by a
+// modulo. TestGeneratorMatchesFloatDraws holds Next to it.
+type floatGen struct {
+	prof   *Profile
+	rng    *rng.Stream
+	cursor uint64
+}
+
+func (g *floatGen) next() Instr {
+	p := g.prof
+	if !(g.rng.Float64() < p.MemFraction) {
+		if p.SharedFraction > 0 && g.rng.Float64() < p.SharedFraction {
+			lat := 1
+			if p.BankConflictMean > 0 {
+				n := 1
+				for !(g.rng.Float64() < 1/(1+p.BankConflictMean)) && n < 32 {
+					n++
+				}
+				lat += n - 1
+			}
+			return Instr{Kind: Shared, Latency: lat}
+		}
+		lat := 1
+		if p.LongOpFraction > 0 && g.rng.Float64() < p.LongOpFraction {
+			lat = p.LongOpLatency
+		}
+		return Instr{Kind: Compute, Latency: lat}
+	}
+	if g.rng.Float64() < p.Locality {
+		g.cursor = (g.cursor + accessBytes) % p.FootprintBytes
+	} else {
+		g.cursor = g.rng.Uint64n(p.FootprintBytes) &^ (accessBytes - 1)
+	}
+	kind := Load
+	if g.rng.Float64() < p.StoreFraction {
+		kind = Store
+	}
+	return Instr{Kind: kind, Addr: g.cursor}
+}
+
+// TestGeneratorMatchesFloatDraws: the integer-threshold Next draws the
+// same instruction streams as the float draws it replaced, for every
+// benchmark and the two mostly-asleep test profiles, 48 warps each. One
+// slab of generators is reset from profile to profile, as an SM's is, so
+// the thresholds are re-read on ResetGenerators.
+func TestGeneratorMatchesFloatDraws(t *testing.T) {
+	profs := append(All(),
+		Profile{Name: "TRICKLE", Suite: "synthetic", MemFraction: 0.03, Locality: 0.6,
+			FootprintBytes: 1 << 20, RunAhead: 2, LongOpFraction: 1, LongOpLatency: 900},
+		Profile{Name: "IDLE", Suite: "synthetic", Locality: 0.5, FootprintBytes: 256 << 10,
+			RunAhead: 4, LongOpFraction: 1, LongOpLatency: 600})
+	const seed, sm, warps, n = 5, 3, 48, 10_000
+	prof := profs[len(profs)-1]
+	gs := NewGenerators(&prof, seed, sm, warps)
+	for _, p := range profs {
+		prof = p
+		ResetGenerators(gs, seed, sm)
+		for w := range gs {
+			ref := floatGen{prof: &p, rng: rng.New(warpSeed(seed, sm, w)), cursor: startCursor(&p, sm, w, warps)}
+			for i := 0; i < n; i++ {
+				if got, want := gs[w].Next(), ref.next(); got != want {
+					t.Fatalf("%s warp %d instruction %d: Next %+v, float draws %+v", p.Name, w, i, got, want)
+				}
 			}
 		}
 	}
