@@ -388,3 +388,21 @@ func TestRepliesBecomeRequests(t *testing.T) {
 		t.Errorf("%d of %d requests were built in fresh storage, want at most 4", fresh, len(net.sent))
 	}
 }
+
+// TestEmptyHotLoopPanics: an L1I under two bytes leaves a kernel a zero-byte
+// hot loop, which the pc wrap cannot advance through; Reset refuses it.
+func TestEmptyHotLoopPanics(t *testing.T) {
+	cfg := config.Default()
+	cfg.Mem.L1InstBytes, cfg.Mem.L1InstWays, cfg.Mem.LineBytes = 1, 1, 1
+	nocCfg := cfg.NoC
+	var gs stats.GPU
+	var nextID uint64
+	net := noc.New(nocCfg, routing.MustNew(nocCfg.Routing), vc.MustNewPolicy(nocCfg))
+	pl := placement.MustNew(cfg.Placement, mesh.New(nocCfg.Width, nocCfg.Height), cfg.Mem.NumMCs)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New with a 1-byte L1I and a kernel image did not panic")
+		}
+	}()
+	New(0, pl.Cores()[0], cfg.Core, cfg.Mem, workload.MustGet("CP"), 42, net, pl, &gs, &nextID)
+}
