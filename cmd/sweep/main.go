@@ -62,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ordered  = fs.Bool("ordered", false, "write records in grid (expansion) order instead of completion order, so result files of the same spec diff cleanly")
 		dryRun   = fs.Bool("dry-run", false, "print the expanded job list and exit")
 		quiet    = fs.Bool("quiet", false, "suppress per-job progress lines")
-		panicAt  = fs.Int("panic-at", -1, "inject a panic into the Nth job (failure-isolation testing)")
 		sanitize = fs.Int("sanitize", 0, "validate interconnect invariants every N cycles (0 = off)")
 
 		telEpoch = fs.Int64("telemetry-epoch", 0, "sample cycle-domain telemetry every N cycles (0 = off)")
@@ -224,15 +223,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "observability: http://%s/{metrics,state,progress,healthz}\n", srv.Addr())
 	}
 	opts.Run = runner
-	if *panicAt >= 0 {
-		target := jobs[min(*panicAt, len(jobs)-1)].Key
-		opts.Run = func(ctx context.Context, j sweep.Job) (gpu.Result, error) {
-			if j.Key == target {
-				panic(fmt.Sprintf("injected panic in job %s (-panic-at %d)", j.Key, *panicAt))
-			}
-			return runner(ctx, j)
-		}
-	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {

@@ -167,8 +167,7 @@ func TestFigureTableEquivalence(t *testing.T) {
 		t.Skip("regenerates a figure grid twice")
 	}
 	forcePool(t)
-	four := 4
-	lanes := config.Overrides{Workers: &four}
+	lanes := func(c config.Config) config.Config { c.NoC.Workers = 4; return c }
 	// A seed no earlier pass of this test used (go test -count=N), so every
 	// pass simulates and the counter assertion below means what it says.
 	figureTablePasses++

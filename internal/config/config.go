@@ -106,8 +106,7 @@ type Mem struct {
 	MinDRAMCycles  int // minimum DRAM access latency (Table 2: 220)
 	DRAMBanksPerMC int
 	RowBufferBytes int
-	MCRequestQueue int  // finite ejection-side request queue per MC
-	MCReplyQueue   int  // finite injection-side reply queue per MC
+	MCRequestQueue int  // admission window per MC: a request holds its slot until its reply injects
 	UseFRFCFS      bool // FR-FCFS DRAM scheduling (paper baseline: in-order)
 	// MCServicePeriod is the NoC cycles between reply issues at an MC,
 	// bounding L2/GDDR service bandwidth (~1 flit/cycle at the default).
@@ -116,10 +115,8 @@ type Mem struct {
 
 // Core is the SM configuration.
 type Core struct {
-	NumSMs        int
-	SIMTWidth     int
-	WarpsPerSM    int
-	MaxPendingPer int // per-SM outstanding memory requests (MSHR bound)
+	NumSMs     int
+	WarpsPerSM int
 }
 
 // Config is the full simulated-system configuration.
@@ -173,17 +170,14 @@ func Default() Config {
 			DRAMBanksPerMC: 8,
 			RowBufferBytes: 2 << 10,
 			MCRequestQueue: 32,
-			MCReplyQueue:   32,
 			// One reply per 4 NoC cycles ~ 1.1 flits/cycle sustained per
 			// MC (mixed 5-flit read replies and 1-flit write acks): the
 			// 924 MHz L2/GDDR datapath feeding a 1400 MHz 32B channel.
 			MCServicePeriod: 5,
 		},
 		Core: Core{
-			NumSMs:        56,
-			SIMTWidth:     8,
-			WarpsPerSM:    48,
-			MaxPendingPer: 32,
+			NumSMs:     56,
+			WarpsPerSM: 48,
 		},
 		Placement:     PlacementBottom,
 		Seed:          1,

@@ -17,9 +17,6 @@ func TestDefaultMatchesTable2(t *testing.T) {
 	if c.Core.NumSMs != 56 {
 		t.Errorf("NumSMs = %d, want 56", c.Core.NumSMs)
 	}
-	if c.Core.SIMTWidth != 8 {
-		t.Errorf("SIMTWidth = %d, want 8", c.Core.SIMTWidth)
-	}
 	if c.Mem.NumMCs != 8 {
 		t.Errorf("NumMCs = %d, want 8", c.Mem.NumMCs)
 	}

@@ -4,167 +4,90 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 )
 
-// Overrides captures the subset of configuration fields a caller explicitly
-// set, so they can be layered over any base configuration — a JSON file, a
-// per-experiment base, or Default(). A nil pointer means "leave the base
-// value alone"; this is what lets `-config file.json -routing yx` override
-// only the routing while keeping everything else from the file.
-type Overrides struct {
-	Placement            *Placement
-	Routing              *Routing
-	VCPolicy             *VCPolicy
-	VCsPerPort           *int
-	VCDepth              *int
-	AsymmetricRequestVCs *int
-	PhysicalSubnets      *bool
-	SubnetHalfWidth      *bool
-	Workers              *int
-	WarmupCycles         *int
-	MeasureCycles        *int
-	Seed                 *uint64
-	AllowUnsafe          *bool
+// flagRow declares one configuration flag: its name, its usage text and the
+// Config field it sets. The table below is the only place a flag is named.
+type flagRow struct {
+	name, usage string
+	field       func(*Config) any // a pointer to the field in the given Config
 }
 
-// Apply overlays the set fields onto base and returns the result.
-func (o Overrides) Apply(base Config) Config {
-	if o.Placement != nil {
-		base.Placement = *o.Placement
-	}
-	if o.Routing != nil {
-		base.NoC.Routing = *o.Routing
-	}
-	if o.VCPolicy != nil {
-		base.NoC.VCPolicy = *o.VCPolicy
-	}
-	if o.VCsPerPort != nil {
-		base.NoC.VCsPerPort = *o.VCsPerPort
-	}
-	if o.VCDepth != nil {
-		base.NoC.VCDepth = *o.VCDepth
-	}
-	if o.AsymmetricRequestVCs != nil {
-		base.NoC.AsymmetricRequestVCs = *o.AsymmetricRequestVCs
-	}
-	if o.PhysicalSubnets != nil {
-		base.NoC.PhysicalSubnets = *o.PhysicalSubnets
-	}
-	if o.SubnetHalfWidth != nil {
-		base.NoC.SubnetHalfWidth = *o.SubnetHalfWidth
-	}
-	if o.Workers != nil {
-		base.NoC.Workers = *o.Workers
-	}
-	if o.WarmupCycles != nil {
-		base.WarmupCycles = *o.WarmupCycles
-	}
-	if o.MeasureCycles != nil {
-		base.MeasureCycles = *o.MeasureCycles
-	}
-	if o.Seed != nil {
-		base.Seed = *o.Seed
-	}
-	if o.AllowUnsafe != nil {
-		base.AllowUnsafe = *o.AllowUnsafe
-	}
-	return base
+var flagTable = []flagRow{
+	{"placement", "MC placement: bottom, top, edge, top-bottom, diamond", func(c *Config) any { return &c.Placement }},
+	{"routing", "routing algorithm: xy, yx, xy-yx", func(c *Config) any { return &c.NoC.Routing }},
+	{"vcpolicy", "VC policy: split, asymmetric, monopolized, partial, shared", func(c *Config) any { return &c.NoC.VCPolicy }},
+	{"vcs", "virtual channels per port, 1-12", func(c *Config) any { return &c.NoC.VCsPerPort }},
+	{"depth", "VC buffer depth in flits", func(c *Config) any { return &c.NoC.VCDepth }},
+	{"reqvcs", "request VCs under the asymmetric policy", func(c *Config) any { return &c.NoC.AsymmetricRequestVCs }},
+	{"cycles", "measurement cycles", func(c *Config) any { return &c.MeasureCycles }},
+	{"warmup", "warmup cycles", func(c *Config) any { return &c.WarmupCycles }},
+	{"seed", "random seed", func(c *Config) any { return &c.Seed }},
+	{"dual", "use two physical subnetworks instead of VC separation", func(c *Config) any { return &c.NoC.PhysicalSubnets }},
+	{"halfwidth", "with -dual, give each subnet half-width channels (equal wire budget)", func(c *Config) any { return &c.NoC.SubnetHalfWidth }},
+	{"workers", "parallel cycle-kernel domains (0 = GOMAXPROCS, 1 = serial; results are bit-identical)", func(c *Config) any { return &c.NoC.Workers }},
+	{"allow-unsafe", "accept configurations the protocol-deadlock analysis rejects", func(c *Config) any { return &c.AllowUnsafe }},
 }
 
 // Flags is the one flag→configuration mapping shared by every CLI. Bind it
-// with BindFlags, parse, then call Config (full configuration) or
-// Overrides (only the flags the user actually set, for a CLI with base
-// configurations of its own).
+// with BindFlags, parse, then call Config (full configuration) or Overrides
+// (only the flags the user actually set, for a CLI with base configurations
+// of its own).
 type Flags struct {
-	fs *flag.FlagSet
-
-	file      string
-	placement string
-	routing   string
-	vcpolicy  string
-	vcs       int
-	depth     int
-	reqvcs    int
-	cycles    int
-	warmup    int
-	seed      uint64
-	dual      bool
-	halfwidth bool
-	workers   int
-	unsafe    bool
+	fs   *flag.FlagSet
+	file string
+	vals Config // Default() with the parsed flags written into it
 }
 
-// BindFlags registers the simulation-configuration flags on fs and returns
-// the handle to read them back after parsing. Defaults mirror Default(), so
-// `tool` with no flags simulates the Table 2 baseline.
+// BindFlags registers -config and every row of the flag table on fs and
+// returns the handle to read them back after parsing. Defaults come from
+// Default(), so `tool` with no flags simulates the Table 2 baseline.
 func BindFlags(fs *flag.FlagSet) *Flags {
-	d := Default()
-	f := &Flags{fs: fs}
+	f := &Flags{fs: fs, vals: Default()}
 	fs.StringVar(&f.file, "config", "", "JSON configuration file (explicitly set flags override it)")
-	fs.StringVar(&f.placement, "placement", string(d.Placement), "MC placement: bottom, top, edge, top-bottom, diamond")
-	fs.StringVar(&f.routing, "routing", string(d.NoC.Routing), "routing algorithm: xy, yx, xy-yx")
-	fs.StringVar(&f.vcpolicy, "vcpolicy", string(d.NoC.VCPolicy), "VC policy: split, asymmetric, monopolized, partial, shared")
-	fs.IntVar(&f.vcs, "vcs", d.NoC.VCsPerPort, "virtual channels per port, 1-12")
-	fs.IntVar(&f.depth, "depth", d.NoC.VCDepth, "VC buffer depth in flits")
-	fs.IntVar(&f.reqvcs, "reqvcs", d.NoC.AsymmetricRequestVCs, "request VCs under the asymmetric policy")
-	fs.IntVar(&f.cycles, "cycles", d.MeasureCycles, "measurement cycles")
-	fs.IntVar(&f.warmup, "warmup", d.WarmupCycles, "warmup cycles")
-	fs.Uint64Var(&f.seed, "seed", d.Seed, "random seed")
-	fs.BoolVar(&f.dual, "dual", false, "use two physical subnetworks instead of VC separation")
-	fs.BoolVar(&f.halfwidth, "halfwidth", false, "with -dual, give each subnet half-width channels (equal wire budget)")
-	fs.IntVar(&f.workers, "workers", d.NoC.Workers, "parallel cycle-kernel domains (0 = GOMAXPROCS, 1 = serial; results are bit-identical)")
-	fs.BoolVar(&f.unsafe, "allow-unsafe", false, "accept configurations the protocol-deadlock analysis rejects")
+	for _, r := range flagTable {
+		switch p := r.field(&f.vals).(type) {
+		case *int:
+			fs.IntVar(p, r.name, *p, r.usage)
+		case *uint64:
+			fs.Uint64Var(p, r.name, *p, r.usage)
+		case *bool:
+			fs.BoolVar(p, r.name, *p, r.usage)
+		case *Placement:
+			fs.StringVar((*string)(p), r.name, string(*p), r.usage)
+		case *Routing:
+			fs.StringVar((*string)(p), r.name, string(*p), r.usage)
+		case *VCPolicy:
+			fs.StringVar((*string)(p), r.name, string(*p), r.usage)
+		default:
+			panic(fmt.Sprintf("config: flag -%s sets a %T", r.name, p))
+		}
+	}
 	return f
 }
 
-// Overrides returns only the fields whose flags were explicitly set on the
-// command line. It refuses -config: a file is a whole base configuration,
-// which Overrides cannot carry, and dropping it would silently simulate the
-// defaults. The FlagSet must have been parsed.
-func (f *Flags) Overrides() (Overrides, error) {
-	if f.file != "" {
-		return Overrides{}, fmt.Errorf("-config %s: this command layers flags over its own base configurations and reads no configuration file; set the individual flags (-placement, -routing, -vcpolicy, -vcs, -cycles, ...) instead", f.file)
-	}
-	return f.set(), nil
-}
-
-// set returns the fields whose flags were explicitly set.
-func (f *Flags) set() Overrides {
-	var o Overrides
+// apply copies the fields whose flags were explicitly set onto base.
+func (f *Flags) apply(base Config) Config {
 	f.fs.Visit(func(fl *flag.Flag) {
-		switch fl.Name {
-		case "placement":
-			v := Placement(f.placement)
-			o.Placement = &v
-		case "routing":
-			v := Routing(f.routing)
-			o.Routing = &v
-		case "vcpolicy":
-			v := VCPolicy(f.vcpolicy)
-			o.VCPolicy = &v
-		case "vcs":
-			o.VCsPerPort = &f.vcs
-		case "depth":
-			o.VCDepth = &f.depth
-		case "reqvcs":
-			o.AsymmetricRequestVCs = &f.reqvcs
-		case "cycles":
-			o.MeasureCycles = &f.cycles
-		case "warmup":
-			o.WarmupCycles = &f.warmup
-		case "seed":
-			o.Seed = &f.seed
-		case "dual":
-			o.PhysicalSubnets = &f.dual
-		case "halfwidth":
-			o.SubnetHalfWidth = &f.halfwidth
-		case "workers":
-			o.Workers = &f.workers
-		case "allow-unsafe":
-			o.AllowUnsafe = &f.unsafe
+		for _, r := range flagTable {
+			if r.name == fl.Name {
+				reflect.ValueOf(r.field(&base)).Elem().Set(reflect.ValueOf(r.field(&f.vals)).Elem())
+			}
 		}
 	})
-	return o
+	return base
+}
+
+// Overrides returns the step that copies only the explicitly set flags onto
+// a base configuration. It refuses -config: a file is a whole base
+// configuration, which the step cannot carry, and dropping it would silently
+// simulate the defaults. The FlagSet must have been parsed.
+func (f *Flags) Overrides() (func(Config) Config, error) {
+	if f.file != "" {
+		return nil, fmt.Errorf("-config %s: this command layers flags over its own base configurations and reads no configuration file; set the individual flags (-placement, -routing, -vcpolicy, -vcs, -cycles, ...) instead", f.file)
+	}
+	return f.apply, nil
 }
 
 // Config assembles the final configuration: the -config file (or Default()
@@ -181,7 +104,7 @@ func (f *Flags) Config() (Config, error) {
 			return Config{}, fmt.Errorf("%s: %w", f.file, err)
 		}
 	}
-	cfg := f.set().Apply(base)
+	cfg := f.apply(base)
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
 	}

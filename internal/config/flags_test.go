@@ -36,31 +36,29 @@ func TestFlagsDefaultIsBaseline(t *testing.T) {
 	if cfg != config.Default() {
 		t.Errorf("no flags must yield Default():\n got %+v\nwant %+v", cfg, config.Default())
 	}
-	if o, err := f.Overrides(); err != nil || o != (config.Overrides{}) {
-		t.Errorf("no flags set but Overrides = %+v, %v", o, err)
-	}
 }
 
 func TestFlagsOverridesOnlyExplicit(t *testing.T) {
 	f := bind(t, "-routing", "yx", "-seed", "7")
-	o, err := f.Overrides()
+	ov, err := f.Overrides()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Routing == nil || *o.Routing != config.RoutingYX {
-		t.Errorf("explicit -routing missing from overrides: %+v", o)
-	}
-	if o.Seed == nil || *o.Seed != 7 {
-		t.Errorf("explicit -seed missing from overrides: %+v", o)
-	}
-	if o.Placement != nil || o.VCsPerPort != nil || o.MeasureCycles != nil {
-		t.Errorf("unset flags leaked into overrides: %+v", o)
+	// The base's vcs and cycles differ from the flags' defaults and survive.
+	base := config.Default()
+	base.NoC.VCsPerPort = 4
+	base.MeasureCycles = 500
+	want := base
+	want.NoC.Routing = config.RoutingYX
+	want.Seed = 7
+	if got := ov(base); got != want {
+		t.Errorf("overrides mismatch:\n got %+v\nwant %+v", got, want)
 	}
 	cfg, err := f.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := config.Default()
+	want = config.Default()
 	want.NoC.Routing = config.RoutingYX
 	want.Seed = 7
 	if cfg != want {
@@ -68,17 +66,77 @@ func TestFlagsOverridesOnlyExplicit(t *testing.T) {
 	}
 }
 
-func TestFlagsPerfKnobs(t *testing.T) {
-	f := bind(t, "-workers", "4")
-	if o, err := f.Overrides(); err != nil || o.Workers == nil || *o.Workers != 4 {
-		t.Errorf("explicit -workers missing from overrides: %+v", o)
+// TestFlagsSetEveryField sets all thirteen configuration flags at once:
+// each must land in its own field, both in Config() over Default() and in
+// the overrides over a base that differs from Default() in every one of
+// those fields and in others.
+func TestFlagsSetEveryField(t *testing.T) {
+	f := bind(t, "-placement", "top", "-routing", "yx", "-vcpolicy", "asymmetric",
+		"-vcs", "4", "-depth", "6", "-reqvcs", "2", "-cycles", "1234", "-warmup", "56",
+		"-seed", "9", "-dual", "-halfwidth", "-workers", "3", "-allow-unsafe")
+	set := func(c config.Config) config.Config {
+		c.Placement = config.PlacementTop
+		c.NoC.Routing = config.RoutingYX
+		c.NoC.VCPolicy = config.VCAsymmetric
+		c.NoC.VCsPerPort = 4
+		c.NoC.VCDepth = 6
+		c.NoC.AsymmetricRequestVCs = 2
+		c.MeasureCycles = 1234
+		c.WarmupCycles = 56
+		c.Seed = 9
+		c.NoC.PhysicalSubnets = true
+		c.NoC.SubnetHalfWidth = true
+		c.NoC.Workers = 3
+		c.AllowUnsafe = true
+		return c
 	}
 	cfg, err := f.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := set(config.Default()); cfg != want {
+		t.Errorf("Config() mismatch:\n got %+v\nwant %+v", cfg, want)
+	}
+
+	base := config.Default()
+	base.Placement = config.PlacementEdge
+	base.NoC.Routing = config.RoutingXYYX
+	base.NoC.VCPolicy = config.VCMonopolized
+	base.NoC.VCsPerPort = 8
+	base.NoC.VCDepth = 2
+	base.NoC.AsymmetricRequestVCs = 3
+	base.MeasureCycles = 77
+	base.WarmupCycles = 11
+	base.Seed = 42
+	base.NoC.Workers = 2
+	base.NoC.Width, base.Mem.L2Ways, base.Core.WarpsPerSM = 10, 16, 24
+	ov, err := f.Overrides()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ov(base), set(base); got != want {
+		t.Errorf("overrides mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+func TestFlagsOverridesRefuseConfigFile(t *testing.T) {
+	f := bind(t, "-config", "cfg.json", "-routing", "yx")
+	if ov, err := f.Overrides(); err == nil || ov != nil || !strings.Contains(err.Error(), "-config cfg.json") {
+		t.Errorf("Overrides with -config = %v, want a refusal naming the file", err)
+	}
+}
+
+func TestFlagsPerfKnobs(t *testing.T) {
+	f := bind(t, "-workers", "4")
 	want := config.Default()
 	want.NoC.Workers = 4
+	if ov, err := f.Overrides(); err != nil || ov(config.Default()) != want {
+		t.Errorf("explicit -workers missing from overrides (err %v)", err)
+	}
+	cfg, err := f.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cfg != want {
 		t.Errorf("Config() mismatch:\n got %+v\nwant %+v", cfg, want)
 	}
@@ -168,7 +226,11 @@ func TestFlagsConfigValidates(t *testing.T) {
 func TestOverridesApplyEmptyIsIdentity(t *testing.T) {
 	cfg := config.Default()
 	cfg.NoC.VCDepth = 9
-	if got := (config.Overrides{}).Apply(cfg); got != cfg {
+	ov, err := bind(t).Overrides()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ov(cfg); got != cfg {
 		t.Errorf("empty overrides changed the config:\n got %+v\nwant %+v", got, cfg)
 	}
 }

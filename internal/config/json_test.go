@@ -60,13 +60,17 @@ func TestParseRejectsUnknownField(t *testing.T) {
 }
 
 // TestDecodeRejectsRetiredKeys: files saved by WriteFile before the stepping
-// knobs were removed carry all three keys; loading one must fail naming the
-// key rather than silently dropping a setting the user once made.
+// knobs or the three settings the model never read were removed carry those
+// keys; loading one must fail naming the key rather than silently dropping a
+// setting the user once made.
 func TestDecodeRejectsRetiredKeys(t *testing.T) {
 	for key, doc := range map[string]string{
 		"ReferenceStepper": `{"NoC": {"ReferenceStepper": false}}`,
 		"RebalanceEpoch":   `{"NoC": {"RebalanceEpoch": 0}}`,
 		"FastForward":      `{"FastForward": false}`,
+		"MCReplyQueue":     `{"Mem": {"MCReplyQueue": 32}}`,
+		"SIMTWidth":        `{"Core": {"SIMTWidth": 8}}`,
+		"MaxPendingPer":    `{"Core": {"MaxPendingPer": 32}}`,
 	} {
 		_, err := Decode([]byte(doc))
 		if err == nil || !strings.Contains(err.Error(), key) {

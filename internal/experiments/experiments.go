@@ -36,11 +36,11 @@ type Opts struct {
 	Parallel int
 	// Seed overrides the default seed when non-zero.
 	Seed uint64
-	// Overrides layers explicitly-set configuration fields (typically
-	// from config.BindFlags) over each experiment's base configuration.
-	// Scheme-controlled dimensions (placement, routing, VC policy) are
-	// still applied by the experiment after these.
-	Overrides config.Overrides
+	// Overrides, when set, layers explicitly-set configuration fields
+	// (typically config.Flags.Overrides) over each experiment's base
+	// configuration. Scheme-controlled dimensions (placement, routing, VC
+	// policy) are still applied by the experiment after it.
+	Overrides func(config.Config) config.Config
 }
 
 // ParseBenchmarks splits a comma-separated benchmark list, as the CLIs'
@@ -78,7 +78,10 @@ func (o Opts) apply(cfg config.Config) config.Config {
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
-	return o.Overrides.Apply(cfg)
+	if o.Overrides != nil {
+		cfg = o.Overrides(cfg)
+	}
+	return cfg
 }
 
 // Table is a printable experiment result.

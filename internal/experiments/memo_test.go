@@ -88,10 +88,9 @@ func TestMemoFig8AfterFig7(t *testing.T) {
 // not the fingerprint that folds Workers away — and agrees with it.
 func TestMemoWorkersIsPartOfKey(t *testing.T) {
 	ResetMemo()
-	one, four := 1, 4
 	serial, lanes := memoOpts(), memoOpts()
-	serial.Overrides.Workers = &one
-	lanes.Overrides.Workers = &four
+	serial.Overrides = func(c config.Config) config.Config { c.NoC.Workers = 1; return c }
+	lanes.Overrides = func(c config.Config) config.Config { c.NoC.Workers = 4; return c }
 	n := int64(len(serial.Benchmarks))
 	serialTab := mustTable(t, Fig7, serial)
 	var lanesTab *Table
@@ -188,8 +187,8 @@ func TestMemoEveryConfigLeafIsPartOfKey(t *testing.T) {
 		v.Set(old)
 	}
 	visit("Config", reflect.ValueOf(&cfg).Elem())
-	if leaves < 37 {
-		t.Errorf("walked %d leaves of config.Config; it had 37 when this was written", leaves)
+	if leaves < 34 {
+		t.Errorf("walked %d leaves of config.Config; it has 34", leaves)
 	}
 }
 
@@ -200,7 +199,6 @@ func TestMemoOptsReachTheKey(t *testing.T) {
 	base := memoOpts()
 	base.Benchmarks = base.Benchmarks[:1]
 	mustTable(t, Fig2, base)
-	depth := 8
 	for _, c := range []struct {
 		name   string
 		change func(*Opts)
@@ -208,7 +206,9 @@ func TestMemoOptsReachTheKey(t *testing.T) {
 		{"Seed", func(o *Opts) { o.Seed = 7 }},
 		{"WarmupCycles", func(o *Opts) { o.WarmupCycles++ }},
 		{"MeasureCycles", func(o *Opts) { o.MeasureCycles++ }},
-		{"Overrides.VCDepth", func(o *Opts) { o.Overrides.VCDepth = &depth }},
+		{"Overrides VCDepth", func(o *Opts) {
+			o.Overrides = func(c config.Config) config.Config { c.NoC.VCDepth = 8; return c }
+		}},
 	} {
 		o := base
 		c.change(&o)

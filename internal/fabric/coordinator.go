@@ -39,6 +39,9 @@ import (
 	"gpgpunoc/internal/sweep"
 )
 
+// idleWaitMS is the poll-again hint returned with an empty lease.
+const idleWaitMS = 500
+
 // Options tune a coordinator.
 type Options struct {
 	// LeaseTTL is how long a lease lives without renewal.
@@ -47,8 +50,6 @@ type Options struct {
 	LeaseJobs int
 	// MaxAttempts caps hand-outs per job before poison quarantine.
 	MaxAttempts int
-	// IdleWaitMS is the poll-again hint returned with an empty lease.
-	IdleWaitMS int64
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -62,9 +63,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxAttempts < 1 {
 		o.MaxAttempts = 3
-	}
-	if o.IdleWaitMS <= 0 {
-		o.IdleWaitMS = 500
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -325,7 +323,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		jobs = append(jobs, ToWire(tj.job))
 	}
 	if len(jobs) == 0 {
-		return LeaseResponse{WaitMS: c.opts.IdleWaitMS}, nil
+		return LeaseResponse{WaitMS: idleWaitMS}, nil
 	}
 	c.nextLease++
 	l := &lease{

@@ -7,6 +7,7 @@ import (
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/core"
 	"gpgpunoc/internal/packet"
+	"gpgpunoc/internal/stats"
 	"gpgpunoc/internal/workload"
 )
 
@@ -116,15 +117,27 @@ func TestRequestsBalanceReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Net
-	reqs := st.EjectedPackets[packet.ReadRequest] + st.EjectedPackets[packet.WriteRequest]
-	reps := st.EjectedPackets[packet.ReadReply] + st.EjectedPackets[packet.WriteReply]
+	reqs, reps := ejectedPackets(res.Net)
 	if reqs == 0 {
 		t.Fatal("no requests delivered")
 	}
 	if r := float64(reps) / float64(reqs); r < 0.7 || r > 1.3 {
 		t.Errorf("reply/request packet ratio = %.2f, want ~1", r)
 	}
+}
+
+// ejectedPackets counts the request and reply packets st ejected: each
+// packet type has a fixed flit count.
+func ejectedPackets(st *stats.Net) (reqs, reps int64) {
+	for typ, flits := range st.EjectedFlits {
+		n := flits / int64(packet.Length(packet.Type(typ)))
+		if packet.Type(typ).Class() == packet.Request {
+			reqs += n
+		} else {
+			reps += n
+		}
+	}
+	return reqs, reps
 }
 
 func TestUnsafeConfigRejected(t *testing.T) {
@@ -237,18 +250,36 @@ func TestInvalidInputsRejected(t *testing.T) {
 // TestInstructionFetchEndToEnd: kernels larger than the L1I generate
 // instruction read traffic that round-trips through the MCs' L2 slices.
 func TestInstructionFetchEndToEnd(t *testing.T) {
-	res, err := Run(context.Background(), quickCfg(), "RAY", Instrumentation{}) // 8KB kernel vs 2KB L1I
+	sim, err := New(quickCfg(), workload.MustGet("RAY")) // 8KB kernel vs 2KB L1I
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.GPU.InstFetchMisses == 0 {
+	var fetches, data int64 // instruction and data requests delivered to the MCs
+	for _, m := range sim.MCs {
+		sink := m.Sink(sim.Net.Cycle)
+		sim.Net.SetSink(m.Node, func(f packet.Flit) bool {
+			ok := sink(f)
+			if ok && f.Tail && f.Pkt.Class() == packet.Request {
+				if f.Pkt.Access.IsInst {
+					fetches++
+				} else {
+					data++
+				}
+			}
+			return ok
+		})
+	}
+	res, err := sim.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fetches == 0 {
 		t.Error("no instruction fetch misses for a kernel 4x the L1I")
 	}
 	// Instruction lines are shared by all 56 SMs, so the slices keep them
 	// hot and fetches must not dominate traffic.
-	if res.GPU.InstFetchMisses > res.GPU.MemRequests/2 {
-		t.Errorf("fetch misses (%d) dominate memory requests (%d); the hot-loop model is broken",
-			res.GPU.InstFetchMisses, res.GPU.MemRequests)
+	if fetches > data/2 {
+		t.Errorf("fetch misses (%d) dominate data requests (%d); the hot-loop model is broken", fetches, data)
 	}
 	if res.IPC <= 0 {
 		t.Fatal("no progress with fetch modelling")

@@ -93,15 +93,12 @@ func sanitized(res gpu.Result) (cycles []int64) {
 }
 
 // digest hashes everything a run leaves observable: IPC, core and network
-// statistics (the floating-point latency accumulators pin ejection order),
-// the telemetry JSONL bytes and the cycle of every passed invariant check.
-// The core statistics are hashed in the text the digest files were written
-// with, when stats.GPU still led with an always-false Enabled field.
+// statistics (the latency accumulators pin ejection order), the telemetry
+// JSONL bytes and the cycle of every passed invariant check.
 func digest(t *testing.T, res gpu.Result) string {
 	t.Helper()
 	h := digests.New()
-	gpuText := "{Enabled:false " + strings.TrimPrefix(fmt.Sprintf("%+v", res.GPU), "{")
-	fmt.Fprintf(h, "%d %s %v\n", math.Float64bits(res.IPC), gpuText, *res.Net)
+	fmt.Fprintf(h, "%d %+v %v\n", math.Float64bits(res.IPC), res.GPU, *res.Net)
 	if err := res.Tel.WriteJSONL(h); err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/rng"
 	"gpgpunoc/internal/routing"
+	"gpgpunoc/internal/stats"
 	"gpgpunoc/internal/vc"
 )
 
@@ -141,6 +142,10 @@ func arbDigest(t *testing.T, key string, ic Interconnect) string {
 	// One record list per node: a node's sink runs only on the lane owning
 	// the node, so each list has a single writer; the fold below is serial.
 	ejected := make([][]int64, nodes)
+	// Every packet driven, and which IDs delivered their tail: a packet
+	// ejects at one node, so each flag has a single writer.
+	pkts := make([]*packet.Packet, 0, loadCycles*5)
+	delivered := make([]bool, loadCycles*5+1)
 	for i := 0; i < nodes; i++ {
 		node := i
 		ic.SetSink(mesh.NodeID(i), func(f packet.Flit) bool {
@@ -148,6 +153,9 @@ func arbDigest(t *testing.T, key string, ic Interconnect) string {
 				return false
 			}
 			ejected[node] = append(ejected[node], int64(f.Pkt.ID), int64(f.Seq))
+			if f.Tail {
+				delivered[f.Pkt.ID] = true
+			}
 			return true
 		})
 	}
@@ -169,7 +177,9 @@ func arbDigest(t *testing.T, key string, ic Interconnect) string {
 						src = hot
 					}
 				}
-				ic.Inject(&packet.Packet{ID: id, Type: typ, Src: src, Dst: dst, Flits: packet.Length(typ), CreatedAt: cycle})
+				p := &packet.Packet{ID: id, Type: typ, Src: src, Dst: dst, Flits: packet.Length(typ), CreatedAt: cycle, InjectedAt: -1}
+				pkts = append(pkts, p)
+				ic.Inject(p)
 			}
 		}
 		ic.Step()
@@ -184,7 +194,7 @@ func arbDigest(t *testing.T, key string, ic Interconnect) string {
 		}
 		h.Ints(int64(ic.FlitsInFlight()))
 	}
-	fmt.Fprintf(h, "%v", *ic.Stats())
+	fmt.Fprintf(h, "%v", legacyStats(ic.Stats(), pkts, delivered))
 	switch n := ic.(type) {
 	case *Network:
 		n.hashArbState(h)
@@ -193,6 +203,39 @@ func arbDigest(t *testing.T, key string, ic Interconnect) string {
 		n.reply.hashArbState(h)
 	}
 	return h.String()
+}
+
+// legacyNet is stats.Net as it was when the digests were written: it also
+// counted injected packets and flits and ejected packets by type, and each
+// class's creation-to-ejection latency. Formatted with %v it reads as that
+// struct did.
+type legacyNet struct {
+	Enabled                                                      bool
+	Mesh                                                         mesh.Mesh
+	Cycles                                                       int64
+	InjectedPackets, InjectedFlits, EjectedPackets, EjectedFlits [packet.NumTypes]int64
+	LinkFlits                                                    [packet.NumClasses][]int64
+	TotalLatency, NetLatency                                     [packet.NumClasses]stats.Sampler
+}
+
+// legacyStats recounts the retired counters from the packets the digest
+// drove (statistics are on from its first cycle): a packet was injected
+// once the network stamped InjectedAt over the -1 it was created with, and
+// ejected once its tail was delivered.
+func legacyStats(st *stats.Net, pkts []*packet.Packet, delivered []bool) legacyNet {
+	l := legacyNet{Enabled: st.Enabled, Mesh: st.Mesh, Cycles: st.Cycles, EjectedFlits: st.EjectedFlits,
+		LinkFlits: st.LinkFlits, NetLatency: st.NetLatency}
+	for _, p := range pkts {
+		if p.InjectedAt >= 0 {
+			l.InjectedPackets[p.Type]++
+			l.InjectedFlits[p.Type] += int64(p.Flits)
+		}
+		if delivered[p.ID] {
+			l.EjectedPackets[p.Type]++
+			l.TotalLatency[p.Class()].Add(p.EjectedAt - p.CreatedAt)
+		}
+	}
+	return l
 }
 
 // hashArbState folds every router's allocator state into h: round-robin

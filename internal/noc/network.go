@@ -765,7 +765,6 @@ func (n *Network) injectNode(ln *lane, id int) {
 			}
 			q.vc = best
 			p.InjectedAt = n.cycle
-			ln.stats.CountInjection(p)
 			if n.spans != nil && p.Sampled {
 				n.spans.Injected(p, best, n.cycle)
 			}

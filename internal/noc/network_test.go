@@ -379,7 +379,7 @@ func TestDualNetworkSeparation(t *testing.T) {
 		t.Error("request flits on the reply subnet")
 	}
 	m := d.Stats()
-	if m.EjectedPackets[packet.ReadRequest] != 1 || m.EjectedPackets[packet.ReadReply] != 1 {
+	if m.EjectedFlits[packet.ReadRequest] != packet.ShortFlits || m.EjectedFlits[packet.ReadReply] != packet.LongFlits {
 		t.Error("merged stats missing deliveries")
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/gpu"
+	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/noc"
 	"gpgpunoc/internal/rng"
 	"gpgpunoc/internal/workload"
@@ -22,11 +23,16 @@ func mesh16(cfg config.Config) config.Config {
 }
 
 // cycleDigest hashes what one cycle boundary leaves observable: the fabric's
-// in-flight count and folded statistics, and every endpoint's progress.
+// in-flight count, every node's free injection-queue space and the folded
+// statistics, and every endpoint's progress.
 func cycleDigest(sim *gpu.Simulator) uint64 {
 	h := fnv.New64a()
 	st := sim.Net.Stats()
-	fmt.Fprint(h, sim.Net.FlitsInFlight(), st.InjectedFlits, st.EjectedFlits, st.TotalLatency, st.NetLatency)
+	space := make([]int, st.Mesh.NumNodes())
+	for node := range space {
+		space[node] = sim.Net.InjectSpace(mesh.NodeID(node))
+	}
+	fmt.Fprint(h, sim.Net.FlitsInFlight(), st.EjectedFlits, st.NetLatency, space)
 	for _, sm := range sim.SMs {
 		fmt.Fprint(h, sm.SleptTicks(), sm.MSHR().Occupancy())
 	}

@@ -24,7 +24,7 @@ func TestTelemetryMatchesStats(t *testing.T) {
 
 	r := rng.New(42)
 	var id uint64
-	injected := 0
+	injected, injFlits := 0, int64(0)
 	for cycle := 0; cycle < 4000; cycle++ {
 		if cycle < 2000 && r.Float64() < 0.3 {
 			id++
@@ -34,8 +34,9 @@ func TestTelemetryMatchesStats(t *testing.T) {
 			}
 			src := mesh.NodeID(r.Intn(64))
 			dst := mesh.NodeID(r.Intn(64))
-			if n.Inject(mkPacket(id, typ, src, dst, int64(cycle))) {
+			if p := mkPacket(id, typ, src, dst, int64(cycle)); n.Inject(p) {
 				injected++
+				injFlits += int64(p.Flits)
 			}
 		}
 		n.Step()
@@ -83,13 +84,12 @@ func TestTelemetryMatchesStats(t *testing.T) {
 			ej += values[i]
 		}
 	}
-	var statInj, statEj int64
+	var statEj int64
 	for typ := 0; typ < packet.NumTypes; typ++ {
-		statInj += st.InjectedFlits[typ]
 		statEj += st.EjectedFlits[typ]
 	}
-	if inj != statInj || ej != statEj {
-		t.Errorf("inj/ej probes = %d/%d, stats = %d/%d", inj, ej, statInj, statEj)
+	if inj != injFlits || ej != statEj {
+		t.Errorf("inj/ej probes = %d/%d, injected flits %d, ejected stats %d", inj, ej, injFlits, statEj)
 	}
 	if inj != ej {
 		t.Errorf("drained network but injected %d != ejected %d", inj, ej)

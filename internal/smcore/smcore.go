@@ -248,9 +248,6 @@ func (s *SM) fetch(w *warp, wi int, now int64) bool {
 		if s.outbox.Len() >= s.outboxCap {
 			return false // fetch retries next cycle; warp stays eligible
 		}
-		if s.gpu != nil {
-			s.gpu.InstFetchMisses++
-		}
 		p := s.newPacket(packet.ReadRequest, line, wi, now)
 		p.Access.IsInst = true
 		s.outbox.Push(p)

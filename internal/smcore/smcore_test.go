@@ -212,13 +212,20 @@ func TestL1FiltersTraffic(t *testing.T) {
 }
 
 // TestInstructionFetchPath: the 2KB L1I filters fetches; a kernel larger
-// than the I-cache produces steady-state fetch misses that travel the NoC,
+// than the I-cache produces steady-state fetch misses that travel the NoC
+// (counted as instruction requests arriving at the MCs),
 // while a small kernel settles to all-hits after the first pass.
 func TestInstructionFetchPath(t *testing.T) {
 	fetchMisses := func(name string, cycles int) (int64, int64) {
 		r := newRig(t, workload.MustGet(name))
 		r.step(cycles)
-		return r.gs.InstFetchMisses, r.gs.Instructions
+		var fetches int64
+		for _, p := range r.requests {
+			if p.Access.IsInst {
+				fetches++
+			}
+		}
+		return fetches, r.gs.Instructions
 	}
 	bigMiss, bigInstr := fetchMisses("RAY", 8000) // 8KB kernel vs 2KB I$
 	smallMiss, _ := fetchMisses("RED", 8000)      // 1KB kernel fits

@@ -53,6 +53,11 @@ type tickRig struct {
 	gs     stats.GPU
 	nextID uint64
 	state  []int64 // the last step's state vector (see step)
+
+	// fetchesSent counts the instruction fetches the SM has injected. With
+	// the fetches still in its outbox it is the count the SM once kept
+	// itself (stats.GPU's InstFetchMisses), which the digests include.
+	fetchesSent int64
 }
 
 // trickle keeps every warp in a 90-cycle op between occasional loads: about
@@ -137,6 +142,7 @@ func (r *tickRig) step() {
 	for _, req := range n.sent {
 		at := n.cycle + n.delay + int64(digests.Mix(req.ID)%8)
 		n.due[at] = append(n.due[at], req)
+		r.fetchesSent += b2i(req.Access.IsInst)
 	}
 
 	s := r.sm
@@ -156,8 +162,14 @@ func (r *tickRig) step() {
 	if s.outbox.Len() > 0 {
 		v = append(v, int64(s.outbox.Front().ID), int64(s.outbox.Front().Type))
 	}
+	fetches := r.fetchesSent
+	for i := 0; i < s.outbox.Len(); i++ {
+		if s.outbox.At(i).Access.IsInst {
+			fetches++
+		}
+	}
 	g := &r.gs
-	v = append(v, g.Instructions, g.MemRequests, g.L1Hits, g.L1Misses, g.InstFetchMisses, g.StallCycles,
+	v = append(v, g.Instructions, g.MemRequests, g.L1Hits, g.L1Misses, fetches, g.StallCycles,
 		s.l1.Hits, s.l1.Misses, int64(s.mshr.Occupancy()), int64(r.nextID))
 	if s.icache != nil {
 		v = append(v, s.icache.Hits, s.icache.Misses)

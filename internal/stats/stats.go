@@ -1,5 +1,5 @@
 // Package stats collects simulation measurements: per-link flit traffic by
-// class, packet latency distributions, packet/flit counts by type, and the
+// class, network latency distributions, ejected flits by type, and the
 // IPC-style performance counters the experiments report.
 //
 // Per-packet accounting is gated by an Enabled flag so warmup cycles do not
@@ -99,22 +99,18 @@ type Net struct {
 	Mesh   mesh.Mesh
 	Cycles int64
 
-	// Injection/ejection accounting by packet type (flits and packets are
-	// counted at ejection, the point where a packet has fully traversed).
-	InjectedPackets [packet.NumTypes]int64
-	InjectedFlits   [packet.NumTypes]int64
-	EjectedPackets  [packet.NumTypes]int64
-	EjectedFlits    [packet.NumTypes]int64
+	// EjectedFlits counts flits by packet type at ejection, the point where
+	// a packet has fully traversed.
+	EjectedFlits [packet.NumTypes]int64
 
 	// LinkFlits counts flit-traversals per directed link per class over
 	// the measurement window, indexed by mesh.LinkIndex. The network
 	// writes it (noc.Network.Stats).
 	LinkFlits [packet.NumClasses][]int64
 
-	// Latency from packet creation (source queue) to tail ejection, and
-	// from head injection to tail ejection (pure network latency).
-	TotalLatency [packet.NumClasses]Sampler
-	NetLatency   [packet.NumClasses]Sampler
+	// NetLatency is the latency from head injection to tail ejection (pure
+	// network latency).
+	NetLatency [packet.NumClasses]Sampler
 }
 
 // NewNet returns a stats collector for the given mesh.
@@ -136,45 +132,29 @@ func (n *Net) Reset() {
 	}
 }
 
-// Merge adds src's counters into n: packet and flit counts, per-link flits
-// and both latency distributions. Enabled, Mesh and Cycles stay n's. Every
-// update is an integer sum, min, max or bucket count, so merging shards in
-// a fixed order reproduces unsharded accumulation exactly.
+// Merge adds src's counters into n: ejected flits, per-link flits and the
+// latency distributions. Enabled, Mesh and Cycles stay n's. Every update is
+// an integer sum, min, max or bucket count, so merging shards in a fixed
+// order reproduces unsharded accumulation exactly.
 func (n *Net) Merge(src *Net) {
-	for t := range n.InjectedPackets {
-		n.InjectedPackets[t] += src.InjectedPackets[t]
-		n.InjectedFlits[t] += src.InjectedFlits[t]
-		n.EjectedPackets[t] += src.EjectedPackets[t]
+	for t := range n.EjectedFlits {
 		n.EjectedFlits[t] += src.EjectedFlits[t]
 	}
 	for c := range n.LinkFlits {
 		for i, v := range src.LinkFlits[c] {
 			n.LinkFlits[c][i] += v
 		}
-		n.TotalLatency[c].Merge(&src.TotalLatency[c])
 		n.NetLatency[c].Merge(&src.NetLatency[c])
 	}
 }
 
-// CountInjection records a packet entering the network.
-func (n *Net) CountInjection(p *packet.Packet) {
-	if !n.Enabled {
-		return
-	}
-	n.InjectedPackets[p.Type]++
-	n.InjectedFlits[p.Type] += int64(p.Flits)
-}
-
-// CountEjection records a fully delivered packet and its latencies.
+// CountEjection records a fully delivered packet and its network latency.
 func (n *Net) CountEjection(p *packet.Packet) {
 	if !n.Enabled {
 		return
 	}
-	n.EjectedPackets[p.Type]++
 	n.EjectedFlits[p.Type] += int64(p.Flits)
-	cls := p.Class()
-	n.TotalLatency[cls].Add(p.EjectedAt - p.CreatedAt)
-	n.NetLatency[cls].Add(p.EjectedAt - p.InjectedAt)
+	n.NetLatency[p.Class()].Add(p.EjectedAt - p.InjectedAt)
 }
 
 // ClassFlits returns total ejected flits of a class.
@@ -242,15 +222,14 @@ func (n *Net) Throughput() float64 {
 
 // GPU aggregates processor-side measurements.
 type GPU struct {
-	Cycles          int64
-	Instructions    int64 // warp-instructions issued
-	MemRequests     int64 // memory transactions sent to the network
-	L1Hits          int64
-	L1Misses        int64
-	L2Hits          int64
-	L2Misses        int64
-	InstFetchMisses int64 // L1I misses that went to the network
-	StallCycles     int64 // SM cycles with no warp ready to issue
+	Cycles       int64
+	Instructions int64 // warp-instructions issued
+	MemRequests  int64 // memory transactions sent to the network
+	L1Hits       int64
+	L1Misses     int64
+	L2Hits       int64
+	L2Misses     int64
+	StallCycles  int64 // SM cycles with no warp ready to issue
 }
 
 // Add adds o's counters into g; Cycles stays g's.
@@ -266,7 +245,6 @@ func (g *GPU) addScaled(o *GPU, k int64) {
 	g.L1Misses += k * o.L1Misses
 	g.L2Hits += k * o.L2Hits
 	g.L2Misses += k * o.L2Misses
-	g.InstFetchMisses += k * o.InstFetchMisses
 	g.StallCycles += k * o.StallCycles
 }
 

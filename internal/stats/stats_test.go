@@ -93,16 +93,15 @@ func mkNet() *Net {
 func TestNetCounting(t *testing.T) {
 	n := mkNet()
 	p := &packet.Packet{Type: packet.ReadReply, Flits: 5, CreatedAt: 0, InjectedAt: 10, EjectedAt: 50}
-	n.CountInjection(p)
 	n.CountEjection(p)
-	if n.InjectedPackets[packet.ReadReply] != 1 || n.EjectedFlits[packet.ReadReply] != 5 {
-		t.Error("injection/ejection counts wrong")
+	if n.EjectedFlits != [packet.NumTypes]int64{packet.ReadReply: 5} {
+		t.Errorf("ejected flits %v", n.EjectedFlits)
 	}
 	if n.NetLatency[packet.Reply].Count != 1 || n.NetLatency[packet.Reply].Sum != 40 {
 		t.Errorf("net latency sampler: %+v", n.NetLatency[packet.Reply])
 	}
-	if n.TotalLatency[packet.Reply].Sum != 50 {
-		t.Errorf("total latency sum = %d", n.TotalLatency[packet.Reply].Sum)
+	if n.NetLatency[packet.Request].Count != 0 {
+		t.Errorf("a reply counted as a request: %+v", n.NetLatency[packet.Request])
 	}
 }
 
@@ -110,9 +109,8 @@ func TestNetDisabledCollectsNothing(t *testing.T) {
 	n := mkNet()
 	n.Enabled = false
 	p := &packet.Packet{Type: packet.ReadRequest, Flits: 1}
-	n.CountInjection(p)
 	n.CountEjection(p)
-	if n.InjectedPackets[packet.ReadRequest] != 0 || n.EjectedPackets[packet.ReadRequest] != 0 {
+	if n.EjectedFlits[packet.ReadRequest] != 0 || n.NetLatency[packet.Request].Count != 0 {
 		t.Error("disabled collector recorded packets")
 	}
 }
@@ -173,7 +171,7 @@ func TestNetReset(t *testing.T) {
 	if !n.Enabled {
 		t.Error("Reset must preserve Enabled")
 	}
-	if n.EjectedPackets[packet.ReadReply] != 0 {
+	if n.EjectedFlits[packet.ReadReply] != 0 || n.NetLatency[packet.Reply].Count != 0 {
 		t.Error("Reset left packet counts")
 	}
 	if _, c := n.HottestLink(); c != 0 {
@@ -195,14 +193,12 @@ func TestNetMerge(t *testing.T) {
 			shard = b
 		}
 		for _, n := range []*Net{shard, all} {
-			n.CountInjection(p)
 			n.CountEjection(p)
 			countLink(n, east, p.Class())
 		}
 	}
 	a.Merge(b)
-	if a.EjectedFlits != all.EjectedFlits || a.InjectedPackets != all.InjectedPackets ||
-		a.TotalLatency != all.TotalLatency || a.NetLatency != all.NetLatency {
+	if a.EjectedFlits != all.EjectedFlits || a.NetLatency != all.NetLatency {
 		t.Errorf("merge of shards != unsharded counts:\n%+v\n%+v", a, all)
 	}
 	for c := range all.LinkFlits {
@@ -220,8 +216,8 @@ func TestNetMerge(t *testing.T) {
 }
 
 func TestGPUAddSub(t *testing.T) {
-	a := GPU{Cycles: 7, Instructions: 10, MemRequests: 2, L1Hits: 3, L1Misses: 4, L2Hits: 5, L2Misses: 6, InstFetchMisses: 7, StallCycles: 8}
-	b := GPU{Cycles: 9, Instructions: 1, MemRequests: 1, L1Hits: 1, L1Misses: 1, L2Hits: 1, L2Misses: 1, InstFetchMisses: 1, StallCycles: 1}
+	a := GPU{Cycles: 7, Instructions: 10, MemRequests: 2, L1Hits: 3, L1Misses: 4, L2Hits: 5, L2Misses: 6, StallCycles: 8}
+	b := GPU{Cycles: 9, Instructions: 1, MemRequests: 1, L1Hits: 1, L1Misses: 1, L2Hits: 1, L2Misses: 1, StallCycles: 1}
 	g := a
 	g.Add(&b)
 	if g.Instructions != 11 || g.StallCycles != 9 || g.Cycles != 7 {

@@ -26,8 +26,15 @@ func TestBasicEchoFlow(t *testing.T) {
 	}
 	// Every ejected request eventually yields one reply; over a long run
 	// the reply/request packet counts should be close.
-	reqs := st.EjectedPackets[packet.ReadRequest] + st.EjectedPackets[packet.WriteRequest]
-	reps := st.EjectedPackets[packet.ReadReply] + st.EjectedPackets[packet.WriteReply]
+	var reqs, reps int64
+	for typ, flits := range st.EjectedFlits { // each type has a fixed flit count
+		n := flits / int64(packet.Length(packet.Type(typ)))
+		if packet.Type(typ).Class() == packet.Request {
+			reqs += n
+		} else {
+			reps += n
+		}
+	}
 	if reqs == 0 || reps == 0 {
 		t.Fatalf("requests=%d replies=%d", reqs, reps)
 	}
