@@ -5,10 +5,8 @@ TELEMETRY_DEMO_OUT ?= telemetry-demo
 PROFILE_OUT ?= profiles
 FABRIC_ADDR ?= 127.0.0.1:9178
 FABRIC_TMP := $(shell mktemp -u /tmp/fabric-smoke.XXXXXX)
-OBS_SMOKE_ADDR ?= 127.0.0.1:9177
-OBS_SMOKE_BIN := $(shell mktemp -u /tmp/obs-smoke.XXXXXX)
 
-.PHONY: check lint vet build test race smoke fabric-smoke bench-smoke bench-quick bench telemetry-demo profile obs-smoke clean
+.PHONY: check lint vet build test race smoke fabric-smoke bench-smoke bench-quick bench telemetry-demo profile clean
 
 # check is the full pre-merge gate: static analysis, build, race-enabled
 # tests, an end-to-end smoke sweep through cmd/sweep, a one-iteration
@@ -138,27 +136,6 @@ telemetry-demo:
 	$(GO) run ./cmd/nocsim -bench KMN -placement diamond \
 		-telemetry-epoch 1000 -telemetry-out $(TELEMETRY_DEMO_OUT)/diamond
 	@echo "artifacts in $(TELEMETRY_DEMO_OUT)/{bottom,diamond}/{series.jsonl,heatmap.csv,trace.json}"
-
-# obs-smoke is the end-to-end proof that the live observability wiring
-# survives outside the test harness (CI calls it; it is also the demo — see
-# README "Live observability"): a real run with the HTTP server up, every
-# endpoint scraped once mid-flight. A non-200 answer or an empty body fails
-# the target, and the simulation is reaped on every path (it is built first
-# because killing `go run` would orphan the simulator it spawned).
-obs-smoke:
-	@set -e; \
-	$(GO) build -o $(OBS_SMOKE_BIN) ./cmd/nocsim; \
-	$(OBS_SMOKE_BIN) -bench KMN -cycles 2000000 -telemetry-epoch 1000 \
-		-obs-addr $(OBS_SMOKE_ADDR) >/dev/null & sim=$$!; \
-	trap 'kill $$sim 2>/dev/null || true; wait $$sim 2>/dev/null || true; rm -f $(OBS_SMOKE_BIN)' EXIT; \
-	for i in $$(seq 1 100); do \
-		curl -fsS http://$(OBS_SMOKE_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.2; \
-	done; \
-	for ep in healthz metrics state progress; do \
-		body=$$(curl -fsS http://$(OBS_SMOKE_ADDR)/$$ep) || { echo "obs-smoke: GET /$$ep failed"; exit 1; }; \
-		[ -n "$$body" ] || { echo "obs-smoke: /$$ep returned an empty body"; exit 1; }; \
-		echo "--- /$$ep ($${#body} bytes) ---"; printf '%s\n' "$$body" | head -c 400; echo; \
-	done
 
 # profile captures CPU and allocation profiles of a representative run:
 # one full-GPU simulation on the heaviest benchmark. Inspect with

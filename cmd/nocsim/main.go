@@ -50,9 +50,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	)
 	// All simulation-configuration flags (-config, -placement, -routing,
 	// -vcpolicy, -vcs, -depth, -cycles, -seed, -allow-unsafe, ...) come
-	// from the shared config.BindFlags API; the live-observability flags
-	// (-obs-addr, -obs-sample-rate, -spans, -span-trace) from
-	// config.BindObsFlags.
+	// from the shared config.BindFlags API; the span-tracing flags
+	// (-obs-sample-rate, -spans, -span-trace) from config.BindObsFlags.
 	cf := config.BindFlags(fs)
 	of := config.BindObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -103,24 +102,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		Spans:          of.SpansEnabled(),
 		SpanRate:       of.SampleRate,
 	}
-	var srv *obs.Server
-	if of.Addr != "" {
-		srv, err = obs.NewServer(of.Addr)
-		if err != nil {
-			return fail(err)
-		}
-		// No Close: the server lives until process exit so late scrapes
-		// still see the end-of-run render.
-		inst.Obs = srv
-	}
 	sim, err := gpu.NewInstrumented(cfg, prof, inst)
 	if err != nil {
 		return fail(err)
 	}
 	defer sim.Close()
-	if srv != nil {
-		fmt.Fprintf(stdout, "observability: http://%s/{metrics,state,progress,healthz}\n", srv.Addr())
-	}
 	res, runErr := sim.RunContext(context.Background())
 	if runErr != nil {
 		// Sanitizer violations (and cancellations) still report the partial

@@ -47,6 +47,7 @@ func TestUsageErrors(t *testing.T) {
 		want string
 	}{
 		"retired publish period": {[]string{"-obs-publish", "500"}, 2, "flag provided but not defined: -obs-publish"},
+		"retired live views":     {[]string{"-obs-addr", "127.0.0.1:0"}, 2, "flag provided but not defined: -obs-addr"},
 		"sample rate above 1":    {[]string{"-obs-sample-rate", "2"}, 1, "obs sample rate 2 outside (0, 1]"},
 	} {
 		var stdout, stderr bytes.Buffer

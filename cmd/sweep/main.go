@@ -30,7 +30,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -38,7 +37,6 @@ import (
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/fabric"
 	"gpgpunoc/internal/gpu"
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/profiling"
 	"gpgpunoc/internal/sweep"
 	"gpgpunoc/internal/workload"
@@ -66,8 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		telEpoch = fs.Int64("telemetry-epoch", 0, "sample cycle-domain telemetry every N cycles (0 = off)")
 		telDir   = fs.String("telemetry-dir", "", "directory for per-job telemetry artifacts (default: <out>.telemetry)")
-
-		obsAddr = fs.String("obs-addr", "", "serve live sweep /metrics, /state, /progress on this address (empty = off)")
 
 		flightN   = fs.Int("flight-recorder", 4096, "flight-recorder ring size in events (0 = off); dumps recent cycle-domain events as JSONL on panic, invariant failure, or watchdog trip")
 		flightDir = fs.String("flight-dir", "", "directory for flight-recorder post-mortem dumps (default: <out>.flight)")
@@ -102,32 +98,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fab.Validate(); err != nil {
 		return fail(err)
 	}
+	switch {
+	case *telEpoch > 0 && fab.Mode() == "connect":
+		return fail(fmt.Errorf("sweep: -telemetry-epoch is refused in worker mode: its artifacts would be stranded on the worker"))
+	case *telDir != "" && *telEpoch == 0:
+		return fail(fmt.Errorf("sweep: -telemetry-dir needs -telemetry-epoch"))
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	// The instruments compose into one value: sanitizer, telemetry, and the
-	// flight recorder all thread through gpu.Instrumentation; fault
-	// injection (single mode) then wraps the runner rather than replacing
-	// it, so every job except the targeted one still simulates for real.
+	// flight recorder all thread through gpu.Instrumentation, and every mode
+	// that simulates runs jobs through the same runner. A worker keeps the
+	// flight recorder: dumps are per-process and land on the worker's own
+	// disk, where its crash is diagnosed.
 	fdir := *flightDir
 	if fdir == "" {
 		fdir = *out + ".flight"
 	}
-	inst := gpu.Instrumentation{
+	runner := sweep.SimulateWith(gpu.Instrumentation{
 		SanitizeEvery:  *sanitize,
+		TelemetryEpoch: *telEpoch,
 		FlightRecorder: *flightN,
 		FlightDir:      fdir,
+	})
+	telemetryDir := *telDir
+	if *telEpoch > 0 && telemetryDir == "" {
+		telemetryDir = *out + ".telemetry"
 	}
-	telemetryDir := ""
-	if *telEpoch > 0 {
-		inst.TelemetryEpoch = *telEpoch
-		telemetryDir = *telDir
-		if telemetryDir == "" {
-			telemetryDir = *out + ".telemetry"
-		}
-	}
-	runner := sweep.SimulateWith(inst)
 
 	switch fab.Mode() {
 	case "serve":
@@ -136,14 +135,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	case "connect":
-		if *telEpoch > 0 {
-			// The flight recorder stays on — dumps are per-process and land
-			// on the worker's own disk where its crash is diagnosed.
-			fmt.Fprintln(stderr, "sweep: -telemetry-epoch is ignored in worker mode (artifacts would be stranded on the worker)")
-			winst := inst
-			winst.TelemetryEpoch = 0
-			runner = sweep.SimulateWith(winst)
-		}
 		if err := runWorker(ctx, fab, runner, *jobsN, *timeout, stderr); err != nil && ctx.Err() == nil {
 			return fail(err)
 		}
@@ -201,26 +192,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !*quiet {
 		printer = sweep.NewPrinter(stderr, len(jobs))
 		opts.Progress = printer.Handle
-	}
-	if *obsAddr != "" {
-		srv, err := obs.NewServer(*obsAddr)
-		if err != nil {
-			return fail(err)
-		}
-		defer srv.Close()
-		nw := *jobsN
-		if nw <= 0 {
-			nw = runtime.GOMAXPROCS(0)
-		}
-		tracker := sweep.NewTracker(srv, len(jobs), nw)
-		// Chain the tracker behind the printer: one engine callback feeds
-		// both the terminal progress lines and the HTTP exposition.
-		if prev := opts.Progress; prev != nil {
-			opts.Progress = func(ev sweep.Event) { prev(ev); tracker.Handle(ev) }
-		} else {
-			opts.Progress = tracker.Handle
-		}
-		fmt.Fprintf(stderr, "observability: http://%s/{metrics,state,progress,healthz}\n", srv.Addr())
 	}
 	opts.Run = runner
 

@@ -11,12 +11,15 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current build")
 
+// smokeSpec is the four-job example spec.
+var smokeSpec = filepath.Join("..", "..", "examples", "sweepspec_smoke.json")
+
 // TestGoldenDryRun pins the job list -dry-run prints for the smoke spec:
 // every fingerprint (the store and resume key) and key in expansion order,
 // then the count. Nothing runs and nothing is written.
 func TestGoldenDryRun(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "never.jsonl")
-	args := []string{"-spec", filepath.Join("..", "..", "examples", "sweepspec_smoke.json"), "-dry-run", "-out", out}
+	args := []string{"-spec", smokeSpec, "-dry-run", "-out", out}
 	var stdout, stderr bytes.Buffer
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("sweep %v exited %d: %s", args, code, stderr.String())
@@ -50,9 +53,13 @@ func TestUsageErrors(t *testing.T) {
 		code int
 		want string
 	}{
-		"unknown flag":      {[]string{"-worker-obs-addr", ":9"}, 2, "flag provided but not defined: -worker-obs-addr"},
-		"heartbeat flag":    {[]string{"-heartbeat", "1s"}, 2, "flag provided but not defined: -heartbeat"},
-		"both fabric roles": {[]string{"-serve", "a", "-connect", "http://b"}, 1, "mutually exclusive"},
+		"unknown flag":       {[]string{"-worker-obs-addr", ":9"}, 2, "flag provided but not defined: -worker-obs-addr"},
+		"heartbeat flag":     {[]string{"-heartbeat", "1s"}, 2, "flag provided but not defined: -heartbeat"},
+		"both fabric roles":  {[]string{"-serve", "a", "-connect", "http://b"}, 1, "mutually exclusive"},
+		"retired live views": {[]string{"-obs-addr", "127.0.0.1:0"}, 2, "flag provided but not defined: -obs-addr"},
+		"worker telemetry":   {[]string{"-connect", "http://127.0.0.1:1", "-telemetry-epoch", "100"}, 1, "-telemetry-epoch"},
+		// A dry run would exit 0 at once, so an ignored -telemetry-dir shows.
+		"telemetry dir without epoch": {[]string{"-spec", smokeSpec, "-dry-run", "-telemetry-dir", "x"}, 1, "-telemetry-dir"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.want) {

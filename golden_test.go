@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,7 +20,6 @@ import (
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/mesh"
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/telemetry"
 )
 
@@ -102,13 +100,8 @@ func TestGoldenRunArtifacts(t *testing.T) {
 // against its golden under dir.
 func goldenRun(t *testing.T, dir string, cfg config.Config) {
 	t.Helper()
-	srv, err := obs.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 	sim := newSim(t, cfg, "KMN", gpu.Instrumentation{
-		TelemetryEpoch: 100, Spans: true, SpanRate: 1, Obs: srv,
+		TelemetryEpoch: 100, Spans: true, SpanRate: 1,
 	})
 	res := runSim(t, sim)
 	if res.Deadlocked {
@@ -133,19 +126,6 @@ func goldenRun(t *testing.T, dir string, cfg config.Config) {
 	render("spans.jsonl", res.Spans.WriteJSONL)
 	render("spans.trace.json", res.Spans.WriteChromeTrace)
 
-	// The end-of-run render is the /metrics body a scraper sees once the
-	// run is done.
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics = %d %s", resp.StatusCode, body)
-	}
-	checkGolden(t, filepath.Join(dir, "metrics.prom"), body)
+	// The Prometheus exposition of the run's registry at its end.
+	checkGolden(t, filepath.Join(dir, "metrics.prom"), res.Tel.Reg.RenderPrometheus())
 }

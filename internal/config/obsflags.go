@@ -6,15 +6,11 @@ import (
 	"math"
 )
 
-// Obs is the live-observability configuration shared by the CLIs: the HTTP
-// exposition server and per-packet span tracing. It is command-line-only
-// state (not part of Config and not serialized): it instruments a run
-// without changing what is simulated.
+// Obs is cmd/nocsim's per-packet span-tracing configuration: which packets
+// to trace and where the span artifacts go. It is command-line-only state
+// (not part of Config and not serialized): it instruments a run without
+// changing what is simulated.
 type Obs struct {
-	// Addr is the HTTP listen address for /metrics, /state, /progress and
-	// /healthz ("" disables the server).
-	Addr string
-
 	// SampleRate is the span-tracing sample rate in (0, 1]: the expected
 	// fraction of request packets traced end-to-end.
 	SampleRate float64
@@ -48,11 +44,10 @@ func ValidateTelemetryEpoch(epoch int64) error {
 	return nil
 }
 
-// BindObsFlags registers the observability flags on fs and returns the
+// BindObsFlags registers the span-tracing flags on fs and returns the
 // struct they fill in. Parse, then call Validate before use.
 func BindObsFlags(fs *flag.FlagSet) *Obs {
 	o := &Obs{}
-	fs.StringVar(&o.Addr, "obs-addr", "", "serve live /metrics, /state, /progress on this address (e.g. 127.0.0.1:9177; empty = off)")
 	fs.Float64Var(&o.SampleRate, "obs-sample-rate", 0.01, "span-tracing sample rate in (0, 1]")
 	fs.StringVar(&o.SpansOut, "spans", "", "write the span JSONL log of sampled packets to this file")
 	fs.StringVar(&o.TraceOut, "span-trace", "", "write sampled-packet spans as Chrome trace-event JSON to this file")

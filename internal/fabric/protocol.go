@@ -158,8 +158,8 @@ type WorkerInfo struct {
 	LastSeenSecs float64 `json:"last_seen_secs"` // since last request
 }
 
-// Progress is the coordinator's /progress payload, mirroring the obs
-// SweepProgress shape for one-service-many-sweeps.
+// Progress is the coordinator's /progress payload: job counts across every
+// sweep it serves.
 type Progress struct {
 	Sweeps         int     `json:"sweeps"`
 	Jobs           int     `json:"jobs"`

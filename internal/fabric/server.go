@@ -1,8 +1,7 @@
-// The coordinator's HTTP surface, on its own mux but in internal/obs.Server's
-// shape: a background Serve goroutine behind a constructor that binds first
-// (so ":0" resolves and failures are synchronous), /healthz on the shared obs
-// handler, and JSON everywhere but /metrics. Like the obs views, every read
-// is rendered from coordinator state when it is requested.
+// The coordinator's HTTP surface: a background Serve goroutine behind a
+// constructor that binds first (so ":0" resolves and failures are
+// synchronous), and JSON everywhere but /metrics and /healthz. Every read is
+// rendered from coordinator state when it is requested.
 //
 // Client API:
 //
@@ -32,7 +31,6 @@ import (
 	"time"
 
 	"gpgpunoc/internal/fleetobs"
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/sweep"
 )
 
@@ -52,7 +50,7 @@ func NewServer(addr string, co *Coordinator) (*Server, error) {
 	}
 	s := &Server{co: co, ln: ln}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", obs.Healthz)
+	mux.HandleFunc("/healthz", healthz)
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, co.Progress()) })
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -182,6 +180,12 @@ func (s *Server) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, struct {
 		Workers []WorkerInfo `json:"workers"`
 	}{Workers: s.co.Workers()})
+}
+
+// healthz is the liveness handler: a constant 200 "ok".
+func healthz(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

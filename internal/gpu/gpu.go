@@ -53,12 +53,6 @@ type Simulator struct {
 	// selects. Nil-gated like Tel.
 	Spans *obs.Spans
 
-	// views, when non-nil (see Instrumentation.Obs), are the live /metrics,
-	// /state and /progress views: Step answers a waiting scrape at the end of
-	// the cycle, on the stepping goroutine, so every render sees a quiescent
-	// kernel; result makes the end-of-run render.
-	views *obs.RunViews
-
 	// Flight, when non-nil (see AttachFlight), is the flight recorder,
 	// attached only on request (cmd/sweep's default does): a bounded ring
 	// of recent cycle-domain events (phase entries, 512-cycle checkpoints,
@@ -173,7 +167,7 @@ func shape(cfg config.Config) config.Config {
 // storage: caches, queues, buffers and the endpoints' packet free lists.
 // cfg must have the simulator's shape — differ from s.Cfg at most in Seed,
 // WarmupCycles and MeasureCycles — and the simulator must carry no
-// telemetry, spans, live views or flight recorder, which are not rewound
+// telemetry, spans or flight recorder, which are not rewound
 // (SanitizeEvery is kept). Results of earlier runs stay valid: the network
 // hands its statistics collector to the result and starts the next run
 // with a new one. Call at a cycle boundary.
@@ -181,7 +175,7 @@ func (s *Simulator) Reset(cfg config.Config, prof workload.Profile) error {
 	switch {
 	case shape(cfg) != shape(s.Cfg):
 		return fmt.Errorf("gpu: Reset to a different shape than the simulator was built for")
-	case s.Tel != nil || s.Spans != nil || s.views != nil || s.Flight != nil:
+	case s.Tel != nil || s.Spans != nil || s.Flight != nil:
 		return fmt.Errorf("gpu: Reset of an instrumented simulator")
 	}
 	if err := cfg.Validate(); err != nil {
@@ -220,10 +214,9 @@ func (s *Simulator) reclaim(p *packet.Packet) { s.SMs[p.Access.SM].Reclaim(p) }
 
 // NewInstrumented is New plus observability applied at construction, before
 // the first cycle: the invariant sanitizer when inst.SanitizeEvery > 0,
-// telemetry when inst.TelemetryEpoch > 0, span tracing when inst.Spans, live
-// HTTP views when inst.Obs is set, the flight recorder when
-// inst.FlightRecorder > 0. Instrumentation is a construction-time decision;
-// the one post-construction hook is AttachFlight.
+// telemetry when inst.TelemetryEpoch > 0, span tracing when inst.Spans, the
+// flight recorder when inst.FlightRecorder > 0. Instrumentation is a
+// construction-time decision; the one post-construction hook is AttachFlight.
 func NewInstrumented(cfg config.Config, prof workload.Profile, inst Instrumentation) (*Simulator, error) {
 	s, err := New(cfg, prof)
 	if err != nil {
@@ -238,9 +231,6 @@ func NewInstrumented(cfg config.Config, prof workload.Profile, inst Instrumentat
 			s.Close()
 			return nil, err
 		}
-	}
-	if inst.Obs != nil {
-		s.attachObs(inst.Obs)
 	}
 	if inst.FlightRecorder > 0 {
 		s.AttachFlight(inst.FlightRecorder, inst.FlightDir)
@@ -285,10 +275,6 @@ type Instrumentation struct {
 	Spans    bool
 	SpanRate float64
 
-	// Obs, when non-nil, serves this run's /metrics, /state and /progress,
-	// each rendered when scraped.
-	Obs *obs.Server
-
 	// FlightRecorder > 0 attaches the flight recorder retaining that many
 	// recent events; FlightDir is where post-mortem dumps land ("" keeps
 	// the ring in memory only).
@@ -326,23 +312,15 @@ func (s *Simulator) Totals() stats.GPU {
 // (per-link flit counters by class, VC occupancy, stall attribution,
 // latency decomposition), per-MC and DRAM state, and aggregate core-side
 // counters. Call once, before the first cycle; it returns the telemetry
-// instance whose exporters produce the run's artifacts.
+// instance whose exporters produce the run's artifacts. The core-side
+// gauges read the folded totals: probes fire at cycle boundaries, where the
+// shards are quiescent.
 func (s *Simulator) attachTelemetry(epochLen int64) *telemetry.Telemetry {
 	if s.Tel != nil {
 		panic("gpu: telemetry attached twice")
 	}
 	t := telemetry.New(epochLen)
-	s.instrument(t.Reg)
-	s.Tel = t
-	return t
-}
-
-// instrument registers the full probe set — fabric, per-MC, core-side — on
-// reg. Shared by attachTelemetry (epoch-sampled registry) and attachObs
-// (live-exposition registry when telemetry is not attached). Gauges read the
-// folded totals: probes fire at cycle boundaries, where the shards are
-// quiescent.
-func (s *Simulator) instrument(reg *telemetry.Registry) {
+	reg := t.Reg
 	s.Net.AttachTelemetry(reg)
 	for _, m := range s.MCs {
 		m.AttachTelemetry(reg)
@@ -358,6 +336,8 @@ func (s *Simulator) instrument(reg *telemetry.Registry) {
 	gauge("stall_cycles", func() int64 { return s.Totals().StallCycles })
 	gauge("l1_misses", func() int64 { return s.Totals().L1Misses })
 	gauge("l2_misses", func() int64 { return s.Totals().L2Misses })
+	s.Tel = t
+	return t
 }
 
 // attachSpans installs per-packet span tracing: a deterministic sampler
@@ -381,27 +361,6 @@ func (s *Simulator) attachSpans(rate float64) (*obs.Spans, error) {
 	}
 	s.Spans = sp
 	return sp, nil
-}
-
-// attachObs installs the run's live views on srv: /metrics (Prometheus text
-// from the probe registry), /state (the mesh-state snapshot) and /progress,
-// each rendered by the stepping goroutine when scraped. If telemetry is
-// attached (attach it first when using both), its registry backs /metrics;
-// otherwise attachObs instruments a private registry read only by renders.
-func (s *Simulator) attachObs(srv *obs.Server) {
-	if s.views != nil {
-		panic("gpu: obs views attached twice")
-	}
-	var reg *telemetry.Registry
-	if s.Tel != nil {
-		reg = s.Tel.Reg
-	} else {
-		reg = telemetry.NewRegistry()
-		s.instrument(reg)
-	}
-	s.views = obs.NewRunViews(reg, s.Net.StateSnapshot, s.Prof.Name,
-		int64(s.Cfg.WarmupCycles), int64(s.Cfg.WarmupCycles)+int64(s.Cfg.MeasureCycles))
-	srv.Install(s.views.Render)
 }
 
 // tick ticks the endpoint on node, the interconnect's endpoint stage, on the
@@ -438,9 +397,6 @@ func (s *Simulator) Step() {
 	}
 	if s.Tel != nil {
 		s.Tel.MaybeSample(s.cycle)
-	}
-	if s.views != nil {
-		s.views.Answer(s.cycle)
 	}
 }
 
@@ -634,10 +590,6 @@ func (s *Simulator) result(deadlocked bool, cycles int64) Result {
 		// Close the time-series with the run's final state so partial
 		// epochs (cancellation, deadlock, odd run lengths) are captured.
 		s.Tel.Flush(s.cycle)
-	}
-	if s.views != nil {
-		// The end-of-run render every later scrape gets.
-		s.views.Finish(s.cycle)
 	}
 	return Result{
 		Benchmark:  s.Prof.Name,

@@ -85,9 +85,8 @@ type Config struct {
 
 // DefaultConfig is the repository's canonical lint configuration: command
 // line tools may read the wall clock and print in user-facing order, the
-// sweep progress printer, the engine's job timing, and the observability
-// run views measure real elapsed time (they never feed
-// simulation state), and the lint package itself is tooling, not
+// sweep progress printer and the engine's job timing measure real elapsed
+// time (they never feed simulation state), and the lint package itself is tooling, not
 // simulation. The fabric scheduler (coordinator lease deadlines, worker
 // heartbeats, the HTTP server goroutine) is orchestration around the
 // engine: wall-clock time decides WHEN a job runs, never WHAT it
@@ -104,8 +103,6 @@ func DefaultConfig(moduleRoot string) Config {
 				"internal/fabric/fleet.go",
 				"internal/fabric/server.go",
 				"internal/fabric/worker.go",
-				"internal/obs/progress.go",
-				"internal/obs/server.go",
 				"internal/sweep/engine.go",
 				"internal/sweep/progress.go",
 			},

@@ -558,7 +558,7 @@ func (n *Network) SetSpans(sp *obs.Spans) { n.spans = sp }
 // itself a no-op receiver, so record sites need no gate).
 func (n *Network) SetRecorder(r *fleetobs.Recorder) { n.frec = r }
 
-// StateSnapshot captures the fabric's occupancy for the /state endpoint.
+// StateSnapshot captures the fabric's occupancy and the live lane cut.
 // Call only at a cycle boundary.
 func (n *Network) StateSnapshot() obs.MeshState {
 	st := n.subnetState("")

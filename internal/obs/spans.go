@@ -1,15 +1,13 @@
-// Package obs is the live observability service layered on top of
-// internal/telemetry: deterministic sampled per-packet span tracing, an
-// opt-in HTTP exposition server (/metrics, /state, /progress, /healthz)
-// whose views render when scraped, and the mesh-state types /state renders
-// at cycle boundaries.
+// Package obs is the per-packet layer on top of internal/telemetry:
+// deterministic sampled span tracing with its JSONL and Chrome-trace
+// exports, and the mesh-state types (MeshState) the interconnect's
+// StateSnapshot fills at a cycle boundary. Every output is an artifact read
+// after the run; nothing here serves a live view.
 //
-// Like telemetry, the whole package is opt-in and nil-gated: a simulation
-// without spans attached pays exactly one nil check per probe site, and a
-// simulation without a server attached pays one nil check per cycle (with
-// one, an unscraped cycle adds a non-blocking channel receive). The
-// package sits below the simulator layers — it imports only mesh, packet,
-// and telemetry — so noc, mc, dram, and gpu can all depend on it without
+// Like telemetry, span tracing is opt-in and nil-gated: a simulation
+// without spans attached pays exactly one nil check per probe site. The
+// package sits below the simulator layers — it imports only packet and
+// telemetry — so noc, mc, dram, and gpu can all depend on it without
 // cycles.
 package obs
 

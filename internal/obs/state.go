@@ -1,5 +1,5 @@
-// Mesh-state snapshot types for the /state endpoint. The simulator fills
-// these at a cycle boundary (between Step calls), so a snapshot is always
+// Mesh-state snapshot types, filled by the interconnect's StateSnapshot. The
+// simulator fills these at a cycle boundary (between Step calls), so a snapshot is always
 // a consistent view — the cycle kernel is never read mid-phase. The types
 // live here so noc can construct them without obs importing noc.
 
@@ -72,7 +72,7 @@ type LaneState struct {
 	WorkShare float64 `json:"work_share"`
 }
 
-// MeshState is the full /state payload: the kernel's lanes (the subnets of
+// MeshState is one whole-mesh snapshot: the kernel's lanes (the subnets of
 // a noc.Dual share one partition) and one or more subnet snapshots (one for
 // a single physical network, two for noc.Dual).
 type MeshState struct {

@@ -77,7 +77,6 @@ type Event struct {
 	Err     error
 	Elapsed time.Duration
 	IPC     float64
-	Cycles  int64 // simulated measurement cycles (done events)
 }
 
 // Outcome is the in-process view of one job's result: the serializable
@@ -234,7 +233,6 @@ func Run(ctx context.Context, jobs []Job, sink Sink, opts Options) ([]Outcome, e
 					o.Res = &r
 					ev.Type = EventDone
 					ev.IPC = r.IPC
-					ev.Cycles = r.Cycles
 					if opts.TelemetryDir != "" && r.Tel != nil {
 						if werr := writeJobTelemetry(opts.TelemetryDir, rec.Fingerprint, &r); werr != nil {
 							cancel(fmt.Errorf("sweep: telemetry artifact: %w", werr))
