@@ -239,8 +239,11 @@ func legacyStats(st *stats.Net, pkts []*packet.Packet, delivered []bool) legacyN
 }
 
 // hashArbState folds every router's allocator state into h: round-robin
-// pointers, output-VC ownership and credits, and each input VC's routing
-// state and occupancy.
+// pointers, output-VC ownership and credits, and each input VC's occupancy,
+// output VC and — when the VC is empty — routing state. An empty VC still
+// routed is mid-packet: its head left and its body has yet to arrive. An
+// occupied VC's front is routed by the time a visit reads it, whenever the
+// kernel routes it, so its routing flag says when RC ran, not what it chose.
 func (n *Network) hashArbState(h *digests.Hash) {
 	for i := range n.routers {
 		rt := &n.routers[i]
@@ -249,7 +252,7 @@ func (n *Network) hashArbState(h *digests.Hash) {
 			for v := range rt.in[p] {
 				ivc := &rt.in[p][v]
 				routed := int64(0)
-				if ivc.routed {
+				if ivc.routed && ivc.buf.len() == 0 {
 					routed = 1 + int64(ivc.route)
 				}
 				h.Ints(int64(ivc.buf.len()), routed, int64(ivc.outVC))
