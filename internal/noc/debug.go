@@ -32,8 +32,6 @@ func (n *Network) DumpBlocked(w io.Writer) {
 				f := bf.flit
 				reason := "ready"
 				switch {
-				case !ivc.routed:
-					reason = "awaiting RC (not head?)"
 				case ivc.route == mesh.Local:
 					reason = "awaiting ejection"
 				case ivc.outVC == -1:

@@ -42,6 +42,11 @@ type GateCounts struct {
 	InjectVisits            int64 // inject-phase visits: injectNode on a scheduled queue
 	RefusedInjects          int64
 	StageCalls              int64 // tick-phase calls of the endpoint stage
+	// Link traversals moved straight into a router the lane had walked, and
+	// through a link register; credits landed at once in such a router, and
+	// deferred to a credit list.
+	MovesInPlace, MovesViaReg       int64
+	CreditsInPlace, CreditsDeferred int64
 }
 
 // Gates reads the per-lane visit counters. Call at a cycle boundary.
@@ -57,6 +62,10 @@ func Gates(ic Interconnect) GateCounts {
 			g.InjectVisits += ln.injectVisits
 			g.RefusedInjects += ln.refusedInjects
 			g.StageCalls += ln.stageCalls
+			g.MovesInPlace += ln.movesInPlace
+			g.MovesViaReg += ln.movesViaReg
+			g.CreditsInPlace += ln.creditsInPlace
+			g.CreditsDeferred += ln.creditsDeferred
 		}
 	}
 	for _, n := range subnets(ic) {

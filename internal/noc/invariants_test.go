@@ -155,9 +155,12 @@ func maskInvariants(t *testing.T, workers int) {
 	populated := map[string]bool{}
 	for i := range n.routers {
 		rt := &n.routers[i]
-		masks := map[string]*uint64{"occ": &rt.occ, "rcDone": &rt.rcDone, "credOK": &rt.credOK}
+		masks := map[string]*uint64{"occ": &rt.occ, "credOK": &rt.credOK}
 		for d := range rt.want {
 			masks["want["+mesh.Direction(d).String()+"]"] = &rt.want[d]
+		}
+		for d := range rt.freeVC {
+			masks["freeVC["+mesh.Direction(d).String()+"]"] = &rt.freeVC[d]
 		}
 		for d := range rt.vaWait {
 			for c := range rt.vaWait[d] {
@@ -226,10 +229,10 @@ func maskInvariants(t *testing.T, workers int) {
 	for i := range half.routers {
 		flipRunBit(t, half, i, "links", populated)
 	}
-	// 3 scalar masks, 5 want, 4x2 vaWait, the stamps, 2 run masks and the 2
-	// queues corruptions: the load must have exercised every one somewhere,
-	// or the flips above only ever turned bits on.
-	if len(populated) != 3+mesh.NumPorts+mesh.NumLinkDirs*packet.NumClasses+1+2+2 {
+	// 2 scalar masks, 5 want, 4x2 vaWait, 4 freeVC, the stamps, 2 run masks
+	// and the 2 queues corruptions: the load must have exercised every one
+	// somewhere, or the flips above only ever turned bits on.
+	if len(populated) != 2+mesh.NumPorts+mesh.NumLinkDirs*packet.NumClasses+mesh.NumLinkDirs+1+2+2 {
 		t.Errorf("load left some masks empty on every router; populated: %v", populated)
 	}
 	if err := n.CheckInvariants(); err != nil {

@@ -22,6 +22,12 @@
 // share every phase helper and visit routers in ascending ID order, which
 // pins the floating-point statistics accumulation order.
 //
+// Each flit is handled where it lands: a head is routed when it becomes the
+// front of its VC, and a traversal (or a credit) into a router the lane has
+// already walked this cycle lands there at once; any other waits in a link
+// register (a credit list) for the link phase or the serial tail. Either way
+// the receiver first sees it next cycle: the one-cycle link and credit loop.
+//
 // The kernel can additionally step the mesh as several spatial domains in
 // parallel (config: NoC.Workers; see parallel.go): contiguous row stripes,
 // cut by counted work, each run a whole cycle per barrier, and all
@@ -31,6 +37,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/fleetobs"
@@ -214,6 +221,7 @@ type Network struct {
 	routeTab [packet.NumClasses][]uint8
 	// injRng caches the injection VC range per (node, class).
 	injRng [][packet.NumClasses]vc.Range
+	portOf [64]uint8 // input VC p·V+v's port p, for SA's port mask
 
 	// spine is the kernel's one, always-on count of each per-flit event; a
 	// slot's one writer is the lane owning the router that counts it. Probes
@@ -295,6 +303,9 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 		injRng:     make([][packet.NumClasses]vc.Range, nn),
 	}
 	n.buildLanes(cfg.Workers, cfg.Width, cfg.Height)
+	for i := range n.portOf {
+		n.portOf[i] = uint8(i / n.vcs)
+	}
 	ls := m.NumLinkSlots()
 	n.counts = make([]int64, 3*packet.NumClasses*ls+2*nn)
 	rest := n.counts
@@ -312,9 +323,10 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 			if !op.exists {
 				continue
 			}
-			l := mesh.Link{From: rt.id, Dir: d}
-			op.rng[packet.Request] = pol.RangeFor(l, op.orient, packet.Request)
-			op.rng[packet.Reply] = pol.RangeFor(l, op.orient, packet.Reply)
+			for cls := range op.elig {
+				r := pol.RangeFor(mesh.Link{From: rt.id, Dir: d}, op.orient, packet.Class(cls))
+				op.elig[cls] = 1<<r.Hi - 1<<r.Lo
+			}
 		}
 		for cls := packet.Class(0); cls < packet.NumClasses; cls++ {
 			n.injRng[id][cls] = pol.RangeFor(mesh.Link{From: mesh.NodeID(id), Dir: mesh.Local}, mesh.LocalPort, cls)
@@ -384,7 +396,7 @@ func (n *Network) releaseInFlight(release func(*packet.Packet)) {
 			}
 		}
 		for d := range rt.out {
-			if op := &rt.out[d]; op.regValid && op.reg.Tail {
+			if op := &rt.out[d]; rt.regBusy>>d&1 != 0 && op.reg.Tail {
 				release(op.reg.Pkt)
 			}
 		}
@@ -592,7 +604,7 @@ func (n *Network) subnetState(name string) obs.SubnetState {
 	}
 	for i := range n.routers {
 		rt := &n.routers[i]
-		if rt.bufFlits > 0 || rt.regCount > 0 {
+		if rt.bufFlits > 0 || rt.regBusy != 0 {
 			st.ActiveRouters++
 		}
 		if !n.inj[i].empty() {
@@ -608,7 +620,7 @@ func (n *Network) subnetState(name string) obs.SubnetState {
 				To:      int(op.downNode),
 				Dir:     d.String(),
 				VCs:     make([]int, n.vcs),
-				RegBusy: op.regValid,
+				RegBusy: rt.regBusy>>d&1 != 0,
 			}
 			down := &n.routers[op.downNode]
 			for v := 0; v < n.vcs; v++ {
@@ -686,28 +698,48 @@ func (n *Network) sinkAccept(node mesh.NodeID, f packet.Flit) bool {
 	return s(f)
 }
 
-// queueCredit defers a credit increment to the end of the cycle, modelling
-// a one-cycle credit loop uniformly regardless of router iteration order.
-// The credit lands in the upstream output port's pending tally, and the port
-// on ln's own list when ln also owns the port's router, on the boundary list
-// otherwise. Race-freedom: each output port feeds exactly one input port, so
-// (op.pending, op.dirty) are written only by the lane owning the downstream
-// router — a boundary port's owning lane concurrently touches only disjoint
-// fields (credits, reg, owner).
+// queueCredit returns a credit for input VC vcIdx of rt's port inPort to the
+// upstream output port, which sees it next cycle: the one-cycle credit loop.
+// A router ln has already walked (a lower ID in ln) takes it at once; any
+// other gets it in the port's pending tally, the port on ln's own list when
+// ln owns its router, on the boundary list otherwise. Race-freedom: each
+// output port feeds one input port, so (op.pending, op.dirty) are written
+// only by the lane owning the downstream router — a boundary port's owning
+// lane concurrently touches only disjoint fields (credits, reg, owner) — and
+// an in-place credit writes the upstream router's credits, credOK and idle
+// bit only when ln owns that router too.
 func (n *Network) queueCredit(ln *lane, rt *router, inPort mesh.Direction, vcIdx int) {
 	op := rt.upstream[inPort]
 	if op == nil {
 		panic("noc: credit return for a port with no upstream link")
 	}
+	up := int(rt.out[inPort].downNode) // op's router: rt's neighbour through inPort
+	if up < int(rt.id) && up >= ln.lo {
+		n.landCredits(ln, op, vcIdx, 1)
+		ln.creditsInPlace++
+		return
+	}
+	ln.creditsDeferred++
 	op.pending[vcIdx]++
 	if !op.dirty {
 		op.dirty = true
 		list := &ln.creditDirty
-		if up := int(rt.out[inPort].downNode); up >= ln.lo && up < ln.hi { // op's router: rt's neighbour through inPort
+		if up >= ln.lo && up < ln.hi {
 			list = &ln.creditLocal
 		}
 		*list = append(*list, op)
 	}
+}
+
+// landCredits gives output VC v of op k credits; ln owns op's router.
+func (n *Network) landCredits(ln *lane, op *outPort, v, k int) {
+	if op.credits[v] == 0 && op.owner[v] != noOwner {
+		// The VC's holder can send again, so its router has a switch
+		// candidate: wake it.
+		op.rt.credOK |= 1 << op.owner[v]
+		ln.idle.clear(int(op.rt.id))
+	}
+	op.credits[v] += k
 }
 
 // applyCredits lands the listed ports' pending credits and empties the list.
@@ -716,17 +748,10 @@ func (n *Network) queueCredit(ln *lane, rt *router, inPort mesh.Direction, vcIdx
 func (n *Network) applyCredits(list *[]*outPort) {
 	for _, op := range *list {
 		for v, pend := range op.pending {
-			if pend == 0 {
-				continue
+			if pend != 0 {
+				n.landCredits(n.laneAt(int(op.rt.id)), op, v, pend)
+				op.pending[v] = 0
 			}
-			if op.credits[v] == 0 && op.owner[v] != noOwner {
-				// The VC's holder can send again, so its router has a
-				// switch candidate: wake it.
-				op.rt.credOK |= 1 << op.owner[v]
-				n.laneAt(int(op.rt.id)).idle.clear(int(op.rt.id))
-			}
-			op.credits[v] += pend
-			op.pending[v] = 0
 		}
 		op.dirty = false
 	}
@@ -798,10 +823,10 @@ func (n *Network) injectNode(ln *lane, id int) {
 	}
 }
 
-// linkPhase delivers this router's completed link traversals: flits whose
-// link occupancy has elapsed arrive at downstream buffers. A half-width link
-// (period 2) holds each flit an extra cycle, blocking the next switch
-// traversal through that port.
+// linkPhase delivers this router's completed link traversals, walking its
+// busy link registers: flits whose link occupancy has elapsed arrive at
+// downstream buffers. A half-width link (period 2) holds each flit an extra
+// cycle, blocking the next switch traversal through that port.
 //
 // Deliveries into routers the lane owns commit immediately; deliveries that
 // cross a domain boundary are deferred to the lane's outbox and applied by
@@ -810,9 +835,9 @@ func (n *Network) injectNode(ln *lane, id int) {
 // crosses a link per cycle, deferred pushes land in disjoint rings with the
 // same arrival stamp, and a mask bit set twice is set once.
 func (n *Network) linkPhase(ln *lane, rt *router) {
-	for d := mesh.North; d < mesh.Local; d++ {
-		op := &rt.out[d]
-		if !op.exists || !op.regValid || op.regReadyAt > n.cycle {
+	for busy := rt.regBusy; busy != 0; busy &= busy - 1 {
+		op := &rt.out[bits.TrailingZeros8(busy)]
+		if op.regReadyAt > n.cycle {
 			continue
 		}
 		if dn := int(op.downNode); dn >= ln.lo && dn < ln.hi {
@@ -828,9 +853,8 @@ func (n *Network) linkPhase(ln *lane, rt *router) {
 // and to the downstream one; in the link phase they are the same lane.
 func (n *Network) deliver(from, to *lane, op *outPort) {
 	n.enqueue(to, &n.routers[op.downNode], int(op.downPort)*n.vcs+op.regVC, op.reg)
-	op.regValid = false
-	op.rt.regCount--
-	if op.rt.regCount == 0 {
+	op.rt.regBusy &^= 1 << op.downPort.Opposite()
+	if op.rt.regBusy == 0 {
 		from.links.clear(int(op.rt.id))
 	}
 }
@@ -880,15 +904,17 @@ func (n *Network) finishCycle() {
 }
 
 // Step advances the network by one cycle: every lane runs laneCycle — the
-// endpoint stage, injection, router pipelines (RC/VA/SA/ST), link traversal,
-// its own credits — and the serial tail then merges what crossed lanes
-// (deliveries, boundary credits). Within each lane a phase visits only the
-// nodes its run mask names, in ascending id order — exactly the order the
-// reference full scan produces, so endpoint callbacks and statistics
-// accumulate identically. The lanes run on the pool, one barrier generation
-// per cycle, unless it has no goroutines (one lane, one P) or a span
-// collector is attached — not thread-safe, order-sensitive; then the
-// stepping goroutine runs them in lane order.
+// endpoint stage, injection, router pipelines (VA/SA/ST; RC runs where a
+// head reaches the front of its VC), link traversal, its own credits — and
+// the serial tail then merges what crossed lanes (deliveries, boundary
+// credits); the package comment says where each flit and credit lands.
+// Within each lane a phase visits only the nodes its run mask names, in
+// ascending id order — exactly the order the reference full scan produces,
+// so endpoint callbacks and statistics accumulate identically. The lanes
+// run on the pool, one barrier generation per cycle, unless it has no
+// goroutines (one lane, one P) or a span collector is attached — not
+// thread-safe, order-sensitive; then the stepping goroutine runs them in
+// lane order.
 func (n *Network) Step() {
 	switch {
 	case n.reference:
@@ -930,7 +956,6 @@ func (n *Network) stepReference() {
 		ln := &n.lanes[li]
 		for i := ln.lo; i < ln.hi; i++ {
 			rt := &n.routers[i]
-			n.routeCompute(rt)
 			n.vcAllocate(rt)
 			n.switchAllocateAndTraverse(ln, rt)
 		}
@@ -957,21 +982,23 @@ func (n *Network) Drain(maxCycles int) bool {
 
 // CheckInvariants validates internal consistency; tests call it after
 // stepping and the gpu sanitizer samples it during runs. It recounts, from
-// buffer and per-VC routing state alone: credit accounting per (output port,
-// VC) against the per-port pending tally, flit conservation, every router's
-// occupancy counters, request masks and pipeline-gate stamps, the partition,
-// the run masks (a routers or links bit says its recounted counter is
-// non-zero, a queues bit that the queue holds a packet; the ticks mask is the
-// gpu sanitizer's to check), and every sleeper's reason to sleep:
-// an idle router must have nothing a visit could act on (runnable), a
-// non-empty unscheduled queue no local VC space it could use (injectable).
+// buffer, per-VC routing and VC ownership state alone: credit accounting
+// per (output port, VC) against the per-port pending tally, flit
+// conservation, that every occupied VC's front is routed, every router's
+// flit counter, request masks and pipeline-gate stamps, the partition, the
+// run masks (a routers bit says the recounted flits are non-zero, a links
+// bit that a register is busy, a queues bit that the queue holds a packet;
+// the ticks mask is the gpu sanitizer's to check), and every sleeper's
+// reason to sleep: an idle router must have nothing a visit could act on
+// (runnable), a non-empty unscheduled queue no local VC space it could use
+// (injectable).
 // A scheduled queue may turn out blocked: spurious wakes are legal.
 func (n *Network) CheckInvariants() error {
 	count := 0
 	for i := range n.routers {
 		rt := &n.routers[i]
-		bufFlits, regCount := 0, 0
-		var want reqMasks // what the per-VC state says the masks should read
+		bufFlits := 0
+		var want reqMasks // what the per-VC and ownership state says the masks should read
 		for idx := range rt.vcs {
 			ivc := &rt.vcs[idx]
 			bit := uint64(1) << idx
@@ -983,11 +1010,13 @@ func (n *Network) CheckInvariants() error {
 					return fmt.Errorf("noc: pipeline gate at %v input VC %d: readyAt %d, front flit is ready at %d",
 						rt.coord, idx, ivc.readyAt, ready)
 				}
+				if !ivc.routed {
+					return fmt.Errorf("noc: input VC %d at %v holds an unrouted front: RC at the front was skipped", idx, rt.coord)
+				}
 			}
 			if !ivc.routed {
 				continue
 			}
-			want.rcDone |= bit
 			want.want[ivc.route] |= bit
 			switch {
 			case ivc.route == mesh.Local:
@@ -1002,9 +1031,17 @@ func (n *Network) CheckInvariants() error {
 				want.credOK |= bit
 			}
 		}
+		for d := range want.freeVC {
+			for v, o := range rt.out[d].owner {
+				if o == noOwner {
+					want.freeVC[d] |= 1 << v
+				}
+			}
+		}
 		if rt.reqMasks != want {
 			name, got, exp := rt.reqMasks.firstDiff(&want)
-			return fmt.Errorf("noc: request mask %s at %v: %#x, per-VC state says %#x", name, rt.coord, got, exp)
+			return fmt.Errorf("noc: request mask %s at %v: %#x, per-VC state says %#x (bit %d)",
+				name, rt.coord, got, exp, bits.TrailingZeros64(got^exp))
 		}
 		if n.laneAt(i).idle.has(i) {
 			if cause := n.runnable(rt); cause != "" {
@@ -1016,16 +1053,16 @@ func (n *Network) CheckInvariants() error {
 			if !op.exists {
 				continue
 			}
-			if op.regValid {
+			busy := rt.regBusy>>d&1 != 0
+			if busy {
 				count++
-				regCount++
 			}
 			down := &n.routers[op.downNode]
 			for vcIdx, cr := range op.credits {
 				occ := down.in[op.downPort][vcIdx].buf.len()
 				pending := op.pending[vcIdx]
 				inReg := 0
-				if op.regValid && op.regVC == vcIdx {
+				if busy && op.regVC == vcIdx {
 					inReg = 1
 				}
 				if cr+occ+pending+inReg != n.depth {
@@ -1034,9 +1071,8 @@ func (n *Network) CheckInvariants() error {
 				}
 			}
 		}
-		if bufFlits != rt.bufFlits || regCount != rt.regCount {
-			return fmt.Errorf("noc: occupancy counters at %v: bufFlits %d (counted %d), regCount %d (counted %d)",
-				rt.coord, rt.bufFlits, bufFlits, rt.regCount, regCount)
+		if bufFlits != rt.bufFlits {
+			return fmt.Errorf("noc: occupancy counter at %v: bufFlits %d (counted %d)", rt.coord, rt.bufFlits, bufFlits)
 		}
 		for li := range n.lanes {
 			// The partition: laneOf names the one lane whose range holds the
@@ -1053,8 +1089,8 @@ func (n *Network) CheckInvariants() error {
 		if ln.routers.has(i) != (bufFlits > 0) {
 			return fmt.Errorf("noc: run mask routers at %v reads %t, recounted bufFlits %d", rt.coord, ln.routers.has(i), bufFlits)
 		}
-		if ln.links.has(i) != (regCount > 0) {
-			return fmt.Errorf("noc: run mask links at %v reads %t, recounted regCount %d", rt.coord, ln.links.has(i), regCount)
+		if ln.links.has(i) != (rt.regBusy != 0) {
+			return fmt.Errorf("noc: run mask links at %v reads %t, regBusy %#x", rt.coord, ln.links.has(i), rt.regBusy)
 		}
 	}
 	for i := range n.inj {
@@ -1077,25 +1113,25 @@ func (n *Network) CheckInvariants() error {
 
 // runnable re-derives, from the per-VC state and the output ports' owner and
 // credit tables alone (not from the masks), whether a visit to rt could do
-// anything: it names the first thing RC, VA or SA would act on — whose wake
-// an idle router must therefore have missed — or returns "". Side-effect
-// free.
+// anything: it names the first thing VA or SA would act on — whose wake an
+// idle router must therefore have missed — or returns "". A front is routed
+// where it lands, so a routed front VA or SA could act on at an idle router
+// arrived in an empty VC without its wake. Side-effect free.
 func (n *Network) runnable(rt *router) string {
+	const lostPush = "the wake of a push into an empty VC was lost"
 	for i := range rt.vcs {
 		ivc := &rt.vcs[i]
 		if ivc.buf.len() == 0 {
 			continue
 		}
 		switch {
-		case !ivc.routed:
-			return fmt.Sprintf("input VC %d holds an unrouted head: the wake of a push into an empty VC was lost", i)
 		case ivc.route == mesh.Local:
-			return fmt.Sprintf("input VC %d is routed to the ejection port", i)
+			return fmt.Sprintf("input VC %d is routed to the ejection port: %s", i, lostPush)
 		case ivc.outVC == -1:
 			op := &rt.out[ivc.route]
-			for ovc := op.rng[ivc.cls].Lo; ovc < op.rng[ivc.cls].Hi; ovc++ {
-				if op.owner[ovc] == noOwner {
-					return fmt.Sprintf("input VC %d waits for an output VC on %s and VC %d is free", i, ivc.route, ovc)
+			for ovc, o := range op.owner {
+				if o == noOwner && op.elig[ivc.cls]>>ovc&1 != 0 {
+					return fmt.Sprintf("input VC %d waits for an output VC on %s and VC %d is free: %s", i, ivc.route, ovc, lostPush)
 				}
 			}
 		case rt.out[ivc.route].credits[ivc.outVC] > 0:

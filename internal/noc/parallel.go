@@ -11,14 +11,18 @@ package noc
 //	tick: the endpoint stage SetStage installed, on the lane's ticks nodes
 //	  (gpu: the SMs and MCs there). A tick touches its own endpoint and,
 //	  through Inject, its node's queue and its lane's tally and queues mask.
-//	inject, then RC/VA/SA/ST for the lane's routers. Cross-lane writes are
-//	  confined to single-writer slots — a boundary port's credit tally
-//	  (op.pending/dirty, written only by the downstream router's lane) and
-//	  the spine's per-link counters (only the upstream router's lane).
+//	inject, then VA/SA/ST for the lane's routers, ascending. A traversal into
+//	  a router the walk has passed (a lower ID in the lane, one-cycle link)
+//	  and a credit owed to one land there at once: that router sees them
+//	  next cycle, as if the link or credit stage had delivered them. Cross-lane
+//	  writes are confined to single-writer slots — a boundary port's credit
+//	  tally (op.pending/dirty, written only by the downstream router's lane)
+//	  and the spine's per-link counters (only the upstream router's lane).
 //	  Ejection sinks and inject wakes run here, on the lane owning the node.
-//	link traversal. Each router's input buffers receive pushes only from its
-//	  owning lane; a delivery crossing a lane boundary waits in the outbox.
-//	in-lane credits: a credit owed to a router the lane itself owns was
+//	link traversal, from the link registers the rest fill. Each router's
+//	  input buffers receive pushes only from its owning lane; a delivery
+//	  crossing a lane boundary waits in the outbox.
+//	in-lane credits: a credit owed to a higher-ID router the lane owns was
 //	  filed on the lane's own list (queueCredit) and lands here — the lane's
 //	  router phase is over, so the one-cycle credit loop holds.
 //
@@ -33,22 +37,25 @@ package noc
 //
 //	routers  bufFlits > 0. Set by enqueue on 0 → 1, cleared by traverse on
 //	         → 0; walked by routerPhase.
-//	links    regCount > 0. Set by traverse on 0 → 1, cleared by deliver on
-//	         → 0; walked by linkPhaseLane.
+//	links    regBusy ≠ 0. Set by traverse filling a register of a router
+//	         with none busy, cleared by deliver emptying the last; walked by
+//	         linkPhaseLane.
 //	queues   the injection queue is non-empty and not known to be blocked.
 //	         Set by Inject into an empty queue and by traverse popping a
 //	         Local VC of a node with queued packets, cleared by an injectNode
 //	         visit that moved nothing or emptied the queue; walked by
 //	         injectPhase.
 //	idle     no switch candidate (router.go). Set by SA, cleared by enqueue
-//	         into an empty VC and the credit wake; masks routers unless the
-//	         run is observed.
+//	         into an empty VC (injection, in-place move, delivery) and the
+//	         credit wake (in place or applied); masks routers unless the run
+//	         is observed.
 //	ticks    the endpoint needs the next tick. Set by Reset, a sink taking a
 //	         tail and the inject wake, cleared by a stage call returning
 //	         false; walked by tickPhase. A Dual's subnets share one (NewDual).
 //
 // A walk reads each mask word once, and that is as good as a live read: a
-// visit changes only its own bit of the mask being walked. Single writer: a
+// visit changes only its own bit of the mask being walked, or the bit of a
+// router the walk has passed (an in-place move or credit). Single writer: a
 // lane's masks are written by that lane during its cycle — Inject, injection,
 // traversal and in-lane deliveries act on nodes it owns — and by the serial
 // section otherwise: cross-lane deliveries, and a cut.
@@ -148,11 +155,13 @@ type lane struct {
 	injectedFlits int
 	ejectedFlits  int
 
-	// Visit counters, read by tests through export_test.go so the
-	// back-pressure gates cannot rot silently: idle routers walked past,
+	// Visit counters, read by tests through export_test.go so the gates and
+	// the in-place paths cannot rot silently: idle routers walked past,
 	// injectNode visits, Injects refused at this lane's nodes, stage calls
-	// (full router visits are counted per router: router.visits).
-	idleSkips, injectVisits, refusedInjects, stageCalls int64
+	// (full router visits: router.visits), traversals moved in place and via
+	// a link register, credits landed in place and deferred to a list.
+	idleSkips, injectVisits, refusedInjects, stageCalls        int64
+	movesInPlace, movesViaReg, creditsInPlace, creditsDeferred int64
 }
 
 // effectiveDomains resolves the Workers configuration to a lane count: 0
@@ -213,6 +222,7 @@ func (n *Network) resetLanes() {
 		ln.stalls = [obs.NumStallCauses]int64{}
 		ln.moved, ln.injectedFlits, ln.ejectedFlits = false, 0, 0
 		ln.idleSkips, ln.injectVisits, ln.refusedInjects, ln.stageCalls = 0, 0, 0, 0
+		ln.movesInPlace, ln.movesViaReg, ln.creditsInPlace, ln.creditsDeferred = 0, 0, 0, 0
 		n.cut[i+1] = (i + 1) * len(n.rowWork) / len(n.lanes)
 	}
 	for id, li := range n.laneOf {
@@ -314,7 +324,7 @@ func (n *Network) injectPhase(ln *lane) {
 	}
 }
 
-// routerPhase runs RC/VA/SA/ST for the lane's routers holding flits,
+// routerPhase runs VA/SA/ST for the lane's routers holding flits,
 // ascending; it follows injection, so a router this cycle's injected flits
 // filled is visited, exactly as the reference scan would. Idle routers are
 // masked out a word at a time unless the run is observed: stall attribution
@@ -336,7 +346,6 @@ func (n *Network) routerPhase(ln *lane) {
 				continue
 			}
 			rt.visits++
-			n.routeCompute(rt)
 			n.vcAllocate(rt)
 			n.switchAllocateAndTraverse(ln, rt)
 		}

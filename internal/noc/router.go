@@ -7,7 +7,6 @@ import (
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
-	"gpgpunoc/internal/vc"
 )
 
 // inputVC is one virtual channel at a router input port. The front packet's
@@ -16,7 +15,7 @@ import (
 type inputVC struct {
 	buf     ring
 	readyAt int64          // front flit's arrival + pipeline delay; meaningful while buf is non-empty
-	routed  bool           // front packet's route computed
+	routed  bool           // front packet's route computed: always, while buf is non-empty
 	route   mesh.Direction // output port of the front packet
 	cls     packet.Class   // front packet's class, cached at route compute
 	outVC   int            // allocated downstream VC, -1 if none
@@ -26,7 +25,7 @@ const noOwner = -1
 
 // outPort is a router output port: the downstream credit state per VC, the
 // VC ownership table, and the single-flit link register feeding the
-// downstream router.
+// downstream router (busy while its bit of the router's regBusy is set).
 type outPort struct {
 	rt       *router // the router this port belongs to
 	exists   bool
@@ -34,37 +33,38 @@ type outPort struct {
 	downPort mesh.Direction // input port at the downstream router
 	orient   mesh.Orientation
 
-	credits []int                       // free downstream buffer slots per VC
-	pending []int                       // credits returned this cycle, applied in the credit phase
-	dirty   bool                        // on a lane's credit list, pending not yet applied
-	owner   []int                       // per VC: owning input (port*V + vc) or noOwner
-	rng     [packet.NumClasses]vc.Range // per-class allowed VCs on this link
+	credits []int                     // free downstream buffer slots per VC
+	pending []int                     // credits returned this cycle, applied in the credit phase
+	dirty   bool                      // on a lane's credit list, pending not yet applied
+	owner   []int                     // per VC: owning input (port*V + vc) or noOwner
+	elig    [packet.NumClasses]uint64 // per class: bit v set when the policy admits VC v on this link
 
 	reg        packet.Flit // flit traversing the link
 	regVC      int
-	regValid   bool
 	regReadyAt int64 // cycle the flit completes link traversal
 }
 
 // router is one 5-port VC router. The microarchitecture follows Section 2.2:
 // two pipeline stages (RC+VA+SA, then ST) with lookahead-style single-cycle
 // route computation, separable round-robin VC and switch allocation, and
-// credit-based flow control.
+// credit-based flow control. RC runs where a head becomes the front of its
+// VC — a push into an empty VC, or a tail pop exposing the next packet — so
+// every occupied VC's front is routed by the time a visit reads it.
 //
 // The allocators never scan input VCs. Each router keeps request masks — one
 // word each, bit p·V+v for input VC (p, v) — that summarize the per-VC state
 // and are updated at the few sites that change it (buffer push and pop, RC,
-// the VA grant, credit decrement and return, tail release); RC, VA, SA and
-// the stall attribution walk set bits with math/bits, so a router whose
-// every VC is blocked costs a handful of mask tests. The masks, like the
-// occupancy counters (bufFlits, regCount: each one's lane keeps a run-mask
-// bit that says it is non-zero), are redundant: CheckInvariants recounts all
-// of them from the per-VC state.
+// the VA grant, credit decrement and return, tail release); VA, SA, the link
+// phase and the stall attribution walk set bits with math/bits, so a router
+// whose every VC is blocked costs a handful of mask tests. The masks, like
+// the occupancy summaries (bufFlits and regBusy: each one's lane keeps a
+// run-mask bit that says it is non-zero), are redundant: CheckInvariants
+// recounts all of them from the per-VC state.
 //
 // A router whose visit ends with no switch candidate goes idle (its lane's
-// idle bit): RC and VA are at their fixpoint and nothing moved, so until a
-// flit arrives in an empty VC or a credit returns to a VC it holds a visit
-// would repeat itself, and the router phase skips it.
+// idle bit): VA is at its fixpoint and nothing moved, so until a flit
+// arrives in an empty VC or a credit returns to a VC it holds a visit would
+// repeat itself, and the router phase skips it.
 type router struct {
 	id    mesh.NodeID
 	coord mesh.Coord
@@ -74,7 +74,7 @@ type router struct {
 	out [mesh.NumPorts]outPort
 
 	bufFlits int                     // flits buffered across all input VCs
-	regCount int                     // occupied output link registers
+	regBusy  uint8                   // bit d: output d's link register holds a flit
 	upstream [mesh.NumPorts]*outPort // output port feeding each input port (nil for Local)
 
 	reqMasks
@@ -87,14 +87,15 @@ type router struct {
 	saPtr   [mesh.NumPorts]int // per output port, over input ports
 }
 
-// reqMasks are a router's request masks. Bit i of each mask stands for input
-// VC i = p·V+v, and is set when that VC ...
+// reqMasks are a router's request masks. Bit i of each mask but freeVC
+// stands for input VC i = p·V+v, and is set when that VC ...; bit v of
+// freeVC stands for output VC v, and is set when it ...
 type reqMasks struct {
 	occ    uint64                                      // holds at least one flit
-	rcDone uint64                                      // has its front packet routed (inputVC.routed)
 	credOK uint64                                      // is routed to Local, or holds an output VC with a downstream credit
 	want   [mesh.NumPorts]uint64                       // is routed to output d
 	vaWait [mesh.NumLinkDirs][packet.NumClasses]uint64 // is routed to link output d, class c, and holds no output VC yet
+	freeVC [mesh.NumLinkDirs]uint64                    // on link output d has no owner
 }
 
 // maxVCs is the largest VC count whose 5·V input VCs fit one mask word.
@@ -106,8 +107,6 @@ func (m *reqMasks) firstDiff(o *reqMasks) (name string, a, b uint64) {
 	switch {
 	case m.occ != o.occ:
 		return "occ", m.occ, o.occ
-	case m.rcDone != o.rcDone:
-		return "rcDone", m.rcDone, o.rcDone
 	case m.credOK != o.credOK:
 		return "credOK", m.credOK, o.credOK
 	}
@@ -121,6 +120,11 @@ func (m *reqMasks) firstDiff(o *reqMasks) (name string, a, b uint64) {
 			if m.vaWait[d][c] != o.vaWait[d][c] {
 				return fmt.Sprintf("vaWait[%s][%s]", mesh.Direction(d), packet.Class(c)), m.vaWait[d][c], o.vaWait[d][c]
 			}
+		}
+	}
+	for d := range m.freeVC {
+		if m.freeVC[d] != o.freeVC[d] {
+			return fmt.Sprintf("freeVC[%s]", mesh.Direction(d)), m.freeVC[d], o.freeVC[d]
 		}
 	}
 	return "", 0, 0
@@ -200,25 +204,26 @@ func (rt *router) reset(depth int) {
 	for i := range rt.vcs {
 		rt.vcs[i] = inputVC{buf: newRingFrom(rt.vcs[i].buf.buf), outVC: -1}
 	}
+	rt.reqMasks = reqMasks{}
 	for d := range rt.out {
 		op := &rt.out[d]
 		for v := range op.credits {
 			op.credits[v], op.pending[v], op.owner[v] = depth, 0, noOwner
+			rt.freeVC[d] |= 1 << v
 		}
 		op.dirty = false
-		op.reg, op.regVC, op.regValid, op.regReadyAt = packet.Flit{}, 0, false, 0
+		op.reg, op.regVC, op.regReadyAt = packet.Flit{}, 0, 0
 	}
-	rt.bufFlits, rt.regCount = 0, 0
-	rt.reqMasks = reqMasks{}
+	rt.bufFlits, rt.regBusy = 0, 0
 	rt.visits = 0
 	rt.vaPtr, rt.saVCPtr, rt.saPtr = [mesh.NumPorts]int{}, [mesh.NumPorts]int{}, [mesh.NumPorts]int{}
 }
 
 // enqueue buffers f at input VC i of rt, which ln owns: the one push path,
-// shared by injection and link delivery. A flit entering an empty buffer
-// becomes the front, so it sets occ, stamps the pipeline gate and ends the
-// router's idleness (a new head needs RC); the first flit in an empty router
-// schedules it.
+// shared by injection, link delivery and the in-place move. A flit entering
+// an empty buffer becomes the front, so it sets occ, stamps the pipeline
+// gate, is routed if it is a head, and ends the router's idleness; the first
+// flit in an empty router schedules it.
 func (n *Network) enqueue(ln *lane, rt *router, i int, f packet.Flit) {
 	ivc := &rt.vcs[i]
 	ivc.buf.push(f, n.cycle)
@@ -226,6 +231,9 @@ func (n *Network) enqueue(ln *lane, rt *router, i int, f packet.Flit) {
 		rt.occ |= 1 << i
 		ivc.readyAt = n.cycle + n.pipeDelay
 		ln.idle.clear(int(rt.id))
+		if f.Head {
+			n.routeFront(rt, i, f.Pkt)
+		}
 	}
 	rt.bufFlits++
 	if rt.bufFlits == 1 {
@@ -233,43 +241,32 @@ func (n *Network) enqueue(ln *lane, rt *router, i int, f packet.Flit) {
 	}
 }
 
-// routeCompute runs RC for every input VC whose front flit is an unrouted
-// head: the occupied VCs with no route yet.
-func (n *Network) routeCompute(rt *router) {
-	for m := rt.occ &^ rt.rcDone; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		ivc := &rt.vcs[i]
-		f := &ivc.buf.front().flit
-		if !f.Head {
-			// A body flit at the front of an unrouted VC means the
-			// head already left and released state — impossible under
-			// wormhole discipline.
-			panic("noc: body flit at front of unrouted VC")
-		}
-		cls := f.Pkt.Class()
-		if tab := n.routeTab[cls]; tab != nil {
-			ivc.route = mesh.Direction(tab[int(rt.id)*n.numNodes+int(f.Pkt.Dst)])
-		} else {
-			// Every lane shares n.alg: routing algorithms are pure functions
-			// of (coord, dest, class).
-			ivc.route = n.alg.NextHop(rt.coord, n.m.Coord(mesh.NodeID(f.Pkt.Dst)), cls)
-		}
-		ivc.cls = cls
-		ivc.routed = true
-		bit := uint64(1) << i
-		rt.rcDone |= bit
-		rt.want[ivc.route] |= bit
-		if ivc.route == mesh.Local {
-			rt.credOK |= bit // ejection needs no output VC; the sink has the final say
-		} else {
-			rt.vaWait[ivc.route][cls] |= bit
-		}
+// routeFront runs RC for p, the packet whose head just became the front of
+// input VC i.
+func (n *Network) routeFront(rt *router, i int, p *packet.Packet) {
+	ivc := &rt.vcs[i]
+	cls := p.Class()
+	if tab := n.routeTab[cls]; tab != nil {
+		ivc.route = mesh.Direction(tab[int(rt.id)*n.numNodes+int(p.Dst)])
+	} else {
+		// Every lane shares n.alg: routing algorithms are pure functions
+		// of (coord, dest, class).
+		ivc.route = n.alg.NextHop(rt.coord, n.m.Coord(mesh.NodeID(p.Dst)), cls)
+	}
+	ivc.cls = cls
+	ivc.routed = true
+	bit := uint64(1) << i
+	rt.want[ivc.route] |= bit
+	if ivc.route == mesh.Local {
+		rt.credOK |= bit // ejection needs no output VC; the sink has the final say
+	} else {
+		rt.vaWait[ivc.route][cls] |= bit
 	}
 }
 
-// vcAllocate runs separable VC allocation: each free output VC is granted to
-// at most one requesting input VC whose policy range admits it, in
-// round-robin order over inputs — the first requester at or after the
+// vcAllocate runs separable VC allocation: each free output VC, ascending,
+// is granted to at most one requesting input VC whose class the VC admits,
+// in round-robin order over inputs — the first requester at or after the
 // output's pointer, wrapping. A requester granted this cycle has left
 // vaWait, so it cannot win a second VC.
 func (n *Network) vcAllocate(rt *router) {
@@ -279,18 +276,13 @@ func (n *Network) vcAllocate(rt *router) {
 			continue
 		}
 		op := &rt.out[d]
-		if !op.exists {
-			continue
-		}
-		for ovc, owner := range op.owner {
-			if owner != noOwner {
-				continue
-			}
+		for free := rt.freeVC[d]; free != 0; free &= free - 1 {
+			ovc := bits.TrailingZeros64(free)
 			var elig uint64
-			if op.rng[packet.Request].Contains(ovc) {
+			if op.elig[packet.Request]>>ovc&1 != 0 {
 				elig = wait[packet.Request]
 			}
-			if op.rng[packet.Reply].Contains(ovc) {
+			if op.elig[packet.Reply]>>ovc&1 != 0 {
 				elig |= wait[packet.Reply]
 			}
 			if elig == 0 {
@@ -307,6 +299,7 @@ func (n *Network) vcAllocate(rt *router) {
 				panic("noc: VC allocation request from a VC with no head at its front")
 			}
 			op.owner[ovc] = idx
+			rt.freeVC[d] &^= 1 << ovc
 			ivc.outVC = ovc
 			bit := uint64(1) << idx
 			wait[ivc.cls] &^= bit
@@ -358,19 +351,25 @@ func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
 				if n.sinks[rt.id] == nil {
 					continue
 				}
-			} else if rt.out[d].regValid {
+			} else if rt.regBusy>>d&1 != 0 {
 				continue
 			}
+			// The input ports holding a candidate, rotated so bit 0 is the
+			// port under the output's pointer.
+			var ports uint
+			for m := cand; m != 0; {
+				p := int(n.portOf[bits.TrailingZeros64(m)])
+				ports |= 1 << p
+				m &^= vmask << (p * V)
+			}
+			pptr := rt.saPtr[d]
 		grant:
-			for k := 0; k < mesh.NumPorts; k++ {
-				p := rt.saPtr[d] + k
+			for rp := (ports>>pptr | ports<<(mesh.NumPorts-pptr)) & (1<<mesh.NumPorts - 1); rp != 0; rp &= rp - 1 {
+				p := pptr + bits.TrailingZeros(rp)
 				if p >= mesh.NumPorts {
 					p -= mesh.NumPorts
 				}
 				slice := cand >> (p * V) & vmask
-				if slice == 0 {
-					continue
-				}
 				// Rotate the port's slice so bit 0 is the VC under the
 				// pointer; set bits then come up in round-robin order.
 				ptr := rt.saVCPtr[p]
@@ -415,7 +414,7 @@ func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
 // events; observability-only — runs after SA so "moved this cycle" is known
 // exactly. Each tally has one writer, its lane.
 func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
-	for m := rt.occ & rt.rcDone &^ rt.want[mesh.Local] &^ moved; m != 0; m &= m - 1 {
+	for m := rt.occ &^ rt.want[mesh.Local] &^ moved; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		ivc := &rt.vcs[i]
 		if n.cycle < ivc.readyAt {
@@ -443,12 +442,20 @@ func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
 // returns false when a sink refuses the flit (ejection only); nothing moves
 // in that case.
 //
+// Where the flit goes: to the sink (Local); straight into the downstream
+// buffer when that router is one ln has already walked this cycle — a lower
+// ID in ln, on a one-cycle link — which first looks at it next cycle,
+// exactly as if the link phase had delivered it; otherwise into the output's
+// link register, which the link phase (or, across a lane boundary, the
+// serial tail) delivers.
+//
 // Shared-state discipline for the parallel kernel: everything written here
 // is either owned by the lane stepping rt (the router itself, its spine
 // slots — its node's ejected flits, its output links' flits — ln's stats
-// shard and tallies), a single-writer slot keyed by rt (the upstream port's
-// pending tally, written only by the one lane that owns the downstream
-// router), or serial-only (spans).
+// shard and tallies, and the routers ln owns that a move or a credit lands
+// in), a single-writer slot keyed by rt (the upstream port's pending tally,
+// written only by the one lane that owns the downstream router), or
+// serial-only (spans).
 func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) bool {
 	ivc := &rt.in[p][v]
 	if d == mesh.Local {
@@ -470,7 +477,8 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 	if rt.bufFlits == 0 {
 		ln.routers.clear(int(rt.id))
 	}
-	bit := uint64(1) << (p*n.vcs + v)
+	i := p*n.vcs + v
+	bit := uint64(1) << i
 	if ivc.buf.n == 0 {
 		rt.occ &^= bit
 	} else {
@@ -508,30 +516,39 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 		if op.credits[ivc.outVC] == 0 {
 			rt.credOK &^= bit
 		}
-		op.reg = f
-		op.regVC = ivc.outVC
-		op.regValid = true
-		op.regReadyAt = n.cycle + n.linkPeriod - 1
-		rt.regCount++
-		if rt.regCount == 1 {
-			ln.links.set(int(rt.id))
-		}
 		n.spine.Link[f.Pkt.Class()][n.m.LinkIndex(mesh.Link{From: rt.id, Dir: d})]++
 		if n.spans != nil && f.Head && f.Pkt.Sampled {
 			n.spans.Hop(f.Pkt, int(rt.id), int(op.downNode), ivc.outVC, n.cycle)
 		}
+		if dn := int(op.downNode); dn < int(rt.id) && dn >= ln.lo && n.linkPeriod == 1 {
+			n.enqueue(ln, &n.routers[dn], int(op.downPort)*n.vcs+ivc.outVC, f)
+			ln.movesInPlace++
+		} else {
+			op.reg = f
+			op.regVC = ivc.outVC
+			op.regReadyAt = n.cycle + n.linkPeriod - 1
+			if rt.regBusy == 0 {
+				ln.links.set(int(rt.id))
+			}
+			rt.regBusy |= 1 << d
+			ln.movesViaReg++
+		}
 	}
 
 	if f.Tail {
-		// Release the output VC and the per-packet routing state.
-		rt.rcDone &^= bit
+		// Release the output VC and the per-packet routing state, and route
+		// the next packet's head if the pop exposed one.
 		rt.want[d] &^= bit
 		rt.credOK &^= bit
 		if d != mesh.Local {
 			rt.out[d].owner[ivc.outVC] = noOwner
+			rt.freeVC[d] |= 1 << ivc.outVC
 		}
 		ivc.routed = false
 		ivc.outVC = -1
+		if ivc.buf.n != 0 {
+			n.routeFront(rt, i, ivc.buf.front().flit.Pkt)
+		}
 	}
 	ln.moved = true
 	return true
