@@ -32,8 +32,12 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs one package's tests at a time (-p 1): internal/gpu and
+# internal/noc each take minutes under the race detector, and run beside
+# the other packages on a small machine they pass the 10-minute default
+# test timeout.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -p 1 ./...
 
 # smoke runs the 4-job example spec through the real CLI and engine,
 # then re-runs it against the same output to prove resume skips all 4.

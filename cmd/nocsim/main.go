@@ -113,15 +113,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// result; the non-zero exit is what CI keys on.
 		fmt.Fprintln(stderr, runErr)
 	}
-	if lanes := sim.Net.StateSnapshot().Lanes; len(lanes) > 1 {
-		// The partition the parallel kernel ended on: which rows each lane
-		// stepped and its share of the last window's counted work.
-		fmt.Fprint(stderr, "lanes:")
-		for _, l := range lanes {
-			fmt.Fprintf(stderr, " %d=rows %d-%d (%.0f%%)", l.Lane, l.FirstRow, l.FirstRow+l.Rows-1, 100*l.WorkShare)
-		}
-		fmt.Fprintln(stderr)
-	}
 	if res.Spans != nil {
 		if err := writeSpans(res.Spans, of.SpansOut, of.TraceOut); err != nil {
 			return fail(err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -122,8 +123,25 @@ func TestDumpDroppedCount(t *testing.T) {
 	}
 }
 
+// TestReadDumpRefusesRetiredKinds: a dump holding a kind the recorder does
+// not define, such as the "pool" and "retile" kernel events older dumps
+// carry, is refused by the kind's name and line rather than read with those
+// events silently gone.
+func TestReadDumpRefusesRetiredKinds(t *testing.T) {
+	for _, kind := range []string{"pool", "retile"} {
+		dump := `{"flight":"v1","source":"gpu","reason":"watchdog","recorded":2,"dropped":0}
+{"seq":0,"cycle":512,"kind":"checkpoint","a":9,"b":0,"c":0}
+{"seq":1,"cycle":1024,"kind":"` + kind + `","a":1,"b":0,"c":4}
+`
+		_, _, err := ReadDump(strings.NewReader(dump))
+		if err == nil || !strings.Contains(err.Error(), `"`+kind+`"`) || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("a dump holding a %q event: error %v, want one naming the kind and its line", kind, err)
+		}
+	}
+}
+
 func TestKindStringsRoundTrip(t *testing.T) {
-	for k := KindPhase; k <= KindRetile; k++ {
+	for k := KindPhase; k <= KindPanic; k++ {
 		got, ok := kindByName(k.String())
 		if !ok || got != k {
 			t.Fatalf("kind %d (%s) does not round-trip", k, k)

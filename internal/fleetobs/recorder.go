@@ -4,10 +4,11 @@
 // /sweeps/{id}/timeline.
 //
 // The recorder follows the repository's nil-gated observability idiom
-// (telemetry probes, noc.Network.SetTracer): an unattached recorder costs
+// (telemetry probes, noc.Network.SetSpans): an unattached recorder costs
 // one predictable nil check per site, and recording into an attached one is
 // a plain struct store into a preallocated ring — no allocation, no locks.
-// The ring is single-writer: the simulation stepping goroutine.
+// The ring is single-writer: gpu.Simulator's run loop, on the stepping
+// goroutine.
 package fleetobs
 
 import (
@@ -39,17 +40,11 @@ const (
 	KindWatchdog
 	// KindPanic: a panic unwound through the run loop.
 	KindPanic
-	// KindPool: the parallel kernel's worker pool changed. A: worker lanes
-	// running (0 = pool parked).
-	KindPool
-	// KindRetile: the parallel kernel re-cut its lanes and this lane's rows
-	// changed. A: lane, B: its first row, C: its row count.
-	KindRetile
 )
 
 var kindNames = [...]string{
 	"phase", "checkpoint", "invariant_ok", "invariant_fail", "watchdog",
-	"panic", "pool", "retile",
+	"panic",
 }
 
 // String names the kind.

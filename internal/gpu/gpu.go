@@ -56,9 +56,8 @@ type Simulator struct {
 	// Flight, when non-nil (see AttachFlight), is the flight recorder,
 	// attached only on request (cmd/sweep's default does): a bounded ring
 	// of recent cycle-domain events (phase entries, 512-cycle checkpoints,
-	// invariant checks, watchdog, panic, kernel pool and retile events)
-	// dumped as JSONL post-mortem on panic, invariant failure, or watchdog
-	// trip.
+	// invariant checks, watchdog, panic) dumped as JSONL post-mortem on
+	// panic, invariant failure, or watchdog trip.
 	// Recording never reads wall clock or scheduler state and never feeds
 	// back into simulation, so results stay bit-identical with it attached.
 	Flight *fleetobs.Recorder
@@ -251,7 +250,6 @@ func (s *Simulator) AttachFlight(size int, dir string) *fleetobs.Recorder {
 	r := fleetobs.NewRecorder(size)
 	s.Flight = r
 	s.FlightDir = dir
-	s.Net.SetRecorder(r)
 	return r
 }
 

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"gpgpunoc/internal/config"
-	"gpgpunoc/internal/fleetobs"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
@@ -176,29 +175,6 @@ func (d *Dual) AttachTelemetry(reg *telemetry.Registry) {
 func (d *Dual) SetSpans(sp *obs.Spans) {
 	d.request.SetSpans(sp)
 	d.reply.SetSpans(sp)
-}
-
-// SetRecorder installs one flight recorder on both subnets. Step runs the
-// subnets serially, so the single-writer contract holds.
-func (d *Dual) SetRecorder(r *fleetobs.Recorder) {
-	d.request.SetRecorder(r)
-	d.reply.SetRecorder(r)
-}
-
-// StateSnapshot captures both subnets under the "req"/"rep" names. Call
-// only at a cycle boundary (after both subnets stepped).
-func (d *Dual) StateSnapshot() obs.MeshState {
-	return obs.MeshState{
-		Cycle:    d.request.cycle,
-		Width:    d.request.m.Width,
-		Height:   d.request.m.Height,
-		InFlight: d.FlitsInFlight(),
-		Lanes:    d.request.laneStates(),
-		Subnets: []obs.SubnetState{
-			d.request.subnetState("req"),
-			d.reply.subnetState("rep"),
-		},
-	}
 }
 
 // CheckInvariants validates both subnets, naming the one that failed, and

@@ -1,6 +1,9 @@
 package noc
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // UseReferenceStepper switches a freshly built interconnect — a *Network or
 // a *Dual, before its first Step — to stepReference, the naive full-scan
@@ -99,3 +102,6 @@ func SetCut(ic Interconnect, cut []int) {
 
 // RowWork returns the per-row work of the last Rebalance window.
 func RowWork(ic Interconnect) []int64 { return subnets(ic)[0].rowWork }
+
+// Cut returns ic's lane cut: lane i owns rows [cut[i], cut[i+1]).
+func Cut(ic Interconnect) []int { return slices.Clone(subnets(ic)[0].cut) }

@@ -40,7 +40,6 @@ import (
 	"math/bits"
 
 	"gpgpunoc/internal/config"
-	"gpgpunoc/internal/fleetobs"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
@@ -126,15 +125,6 @@ type Interconnect interface {
 	// tracing; disabled tracing costs one predictable nil check per probe
 	// site).
 	SetSpans(sp *obs.Spans)
-	// SetRecorder installs the flight recorder capturing kernel-structure
-	// events (pool spawn/park, lane cuts). The recorder itself is
-	// nil-receiver safe, so record sites pay one predictable nil check;
-	// recording never influences simulation results.
-	SetRecorder(r *fleetobs.Recorder)
-	// StateSnapshot captures per-link/per-VC occupancy, how many routers and
-	// injection queues hold work, and the live lane cut. Invoke it only at a cycle
-	// boundary (between Step calls) so the kernel is never read mid-phase.
-	StateSnapshot() obs.MeshState
 	// Reset returns the interconnect to the state a run starts from (see
 	// Network.Reset), keeping its storage and what is installed on it, and
 	// hands every packet in flight to release (nil drops them).
@@ -152,7 +142,6 @@ type injQueue struct {
 	packet.FIFO     // packets not yet fully injected
 	sent        int // flits of the front packet already pushed into the router
 	flits       int // total flits queued (for capacity accounting)
-	cap         int
 	vc          int // local input VC receiving the current packet
 
 	// refused: Inject turned a packet away since the queue last drained a
@@ -161,6 +150,13 @@ type injQueue struct {
 }
 
 func (q *injQueue) empty() bool { return q.Len() == 0 }
+
+// injQueueFlits is every node's injection-queue capacity in flits. Inject
+// admits whole packets, so it must hold at least one packet.LongFlits packet,
+// or the node would refuse every long packet forever.
+const injQueueFlits = 16
+
+const _ uint = injQueueFlits - packet.LongFlits // compile-time: a long packet fits
 
 // routeTabMaxNodes bounds the dense route-table precompute (NumClasses ×
 // N² bytes); beyond it RC falls back to the algorithm call.
@@ -200,13 +196,11 @@ type Network struct {
 	// (see parallel.go). A single lane covering the whole mesh is the serial
 	// kernel. laneOf maps each node ID to its owning lane; lane i owns rows
 	// [cut[i], cut[i+1]). Rebalance keeps, per row, the last window's work
-	// and the cumulative count behind it, and each lane's share of that
-	// window under the cut.
+	// and the cumulative count behind it.
 	lanes            []lane
 	laneOf           []int32
 	cut              []int
 	rowWork, rowSeen []int64
-	laneWork         []float64
 
 	// pool is the lane executor (parallel.go); a Dual's two subnets share
 	// one. Its goroutines are spawned lazily by the first pooled Step and
@@ -235,7 +229,6 @@ type Network struct {
 	stats    *stats.Net
 	tel      *telemetry.NetProbes
 	spans    *obs.Spans
-	frec     *fleetobs.Recorder
 	cycle    int64
 	moved    bool
 	lastMove int64
@@ -261,16 +254,6 @@ func WithLinkPeriod(p int) Option {
 			p = 1
 		}
 		n.linkPeriod = int64(p)
-	}
-}
-
-// WithInjectionQueue overrides the per-node injection queue capacity in
-// flits (default 16).
-func WithInjectionQueue(flits int) Option {
-	return func(n *Network) {
-		for i := range n.inj {
-			n.inj[i].cap = flits
-		}
 	}
 }
 
@@ -357,19 +340,8 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 			n.routeTab[cls] = tab
 		}
 	}
-	for i := range n.inj {
-		n.inj[i].cap = 16
-	}
 	for _, o := range opts {
 		o(n)
-	}
-	for i := range n.inj {
-		if c := n.inj[i].cap; c < packet.LongFlits {
-			// Inject admits whole packets, so such a queue would refuse every
-			// long packet forever — silently: the endpoint waits for a drain
-			// that cannot come and the watchdog sees no flit in flight.
-			panic(fmt.Sprintf("noc: injection queue of %d flits at node %d cannot hold a %d-flit packet", c, i, packet.LongFlits))
-		}
 	}
 	n.Reset(nil)
 	return n
@@ -476,11 +448,7 @@ func (n *Network) EnableStats(on bool) {
 // Close stops the lane workers, if any were spawned. The network remains
 // usable — a later parallel phase respawns them — so Close is safe to defer
 // as soon as the network is built. Call only at a cycle boundary.
-func (n *Network) Close() {
-	if n.pool.stop() {
-		n.frec.Record(n.cycle, fleetobs.KindPool, 0, 0, 0)
-	}
-}
+func (n *Network) Close() { n.pool.stop() }
 
 // Cycle returns the current cycle count.
 func (n *Network) Cycle() int64 { return n.cycle }
@@ -524,7 +492,7 @@ func (n *Network) laneAt(id int) *lane { return &n.lanes[n.laneOf[id]] }
 func (n *Network) Inject(p *packet.Packet) bool {
 	q := &n.inj[p.Src]
 	ln := &n.lanes[n.laneOf[p.Src]]
-	if q.flits+p.Flits > q.cap {
+	if q.flits+p.Flits > injQueueFlits {
 		q.refused = true
 		ln.refusedInjects++
 		return false
@@ -545,7 +513,7 @@ func (n *Network) Inject(p *packet.Packet) bool {
 // InjectSpace returns free flit slots in the node's injection queue.
 func (n *Network) InjectSpace(node mesh.NodeID) int {
 	q := &n.inj[node]
-	return q.cap - q.flits
+	return injQueueFlits - q.flits
 }
 
 // SetSink installs the ejection callback for node.
@@ -564,85 +532,6 @@ func (n *Network) Ticking(node mesh.NodeID) bool { return n.laneAt(int(node)).ti
 // tracing). Probe sites gate on the collector pointer and the packet's
 // Sampled bit, so tracing off costs one branch per site.
 func (n *Network) SetSpans(sp *obs.Spans) { n.spans = sp }
-
-// SetRecorder installs the flight recorder for kernel-structure events
-// (nil, the default, disables recording — and a nil *fleetobs.Recorder is
-// itself a no-op receiver, so record sites need no gate).
-func (n *Network) SetRecorder(r *fleetobs.Recorder) { n.frec = r }
-
-// StateSnapshot captures the fabric's occupancy and the live lane cut.
-// Call only at a cycle boundary.
-func (n *Network) StateSnapshot() obs.MeshState {
-	st := n.subnetState("")
-	return obs.MeshState{
-		Cycle:    n.cycle,
-		Width:    n.m.Width,
-		Height:   n.m.Height,
-		InFlight: st.InFlight,
-		Lanes:    n.laneStates(),
-		Subnets:  []obs.SubnetState{st},
-	}
-}
-
-// laneStates reports the live cut: each lane's rows and work share (obs.LaneState).
-func (n *Network) laneStates() []obs.LaneState {
-	out := make([]obs.LaneState, len(n.lanes))
-	for i := range out {
-		out[i] = obs.LaneState{Lane: i, FirstRow: n.cut[i], Rows: n.cut[i+1] - n.cut[i], WorkShare: n.laneWork[i]}
-	}
-	return out
-}
-
-// subnetState snapshots one physical network under a subnet name.
-func (n *Network) subnetState(name string) obs.SubnetState {
-	st := obs.SubnetState{
-		Subnet:   name,
-		Cycle:    n.cycle,
-		InFlight: n.FlitsInFlight(),
-		Links:    make([]obs.LinkState, 0, len(n.routers)*mesh.NumLinkDirs),
-		Nodes:    make([]obs.NodeState, 0, len(n.routers)),
-	}
-	for i := range n.routers {
-		rt := &n.routers[i]
-		if rt.bufFlits > 0 || rt.regBusy != 0 {
-			st.ActiveRouters++
-		}
-		if !n.inj[i].empty() {
-			st.ActiveInjectors++
-		}
-		for d := mesh.North; d < mesh.Local; d++ {
-			op := &rt.out[d]
-			if !op.exists {
-				continue
-			}
-			ls := obs.LinkState{
-				From:    i,
-				To:      int(op.downNode),
-				Dir:     d.String(),
-				VCs:     make([]int, n.vcs),
-				RegBusy: rt.regBusy>>d&1 != 0,
-			}
-			down := &n.routers[op.downNode]
-			for v := 0; v < n.vcs; v++ {
-				ls.VCs[v] = down.in[op.downPort][v].buf.len()
-			}
-			st.Links = append(st.Links, ls)
-		}
-		c := n.m.Coord(rt.id)
-		ns := obs.NodeState{
-			Node:     i,
-			Row:      c.Row,
-			Col:      c.Col,
-			InjQ:     n.inj[i].flits,
-			LocalVCs: make([]int, n.vcs),
-		}
-		for v := 0; v < n.vcs; v++ {
-			ns.LocalVCs[v] = rt.in[mesh.Local][v].buf.len()
-		}
-		st.Nodes = append(st.Nodes, ns)
-	}
-	return st
-}
 
 // AttachTelemetry registers this network's probe set on reg (nil is a
 // no-op). Counters read the spine and stall tallies through; instantaneous
@@ -920,9 +809,7 @@ func (n *Network) Step() {
 	case n.reference:
 		n.stepReference()
 	case n.pool.workers > 0 && n.spans == nil:
-		if n.pool.spawn() {
-			n.frec.Record(n.cycle, fleetobs.KindPool, int64(n.pool.workers), 0, 0)
-		}
+		n.pool.spawn()
 		n.pool.run(n)
 	default:
 		for li := range n.lanes {

@@ -93,7 +93,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gpgpunoc/internal/fleetobs"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
@@ -190,7 +189,7 @@ func (n *Network) buildLanes(workers, width, height int) {
 	n.pool = newWorkerPool(d)
 	n.laneOf = make([]int32, n.numNodes)
 	n.rowWork, n.rowSeen = make([]int64, height), make([]int64, height)
-	n.cut, n.laneWork = make([]int, d+1), make([]float64, d)
+	n.cut = make([]int, d+1)
 	words := (n.numNodes + 63) / 64
 	for i := range n.lanes {
 		ln := &n.lanes[i]
@@ -230,7 +229,6 @@ func (n *Network) resetLanes() {
 	}
 	clear(n.rowWork)
 	clear(n.rowSeen)
-	clear(n.laneWork)
 	n.retile(n.cut)
 }
 
@@ -262,15 +260,11 @@ func (n *Network) rebalance(endpointWork func(lo, hi int) int64, peer *Network) 
 	}
 	r, acc := 0, int64(0)
 	for li := range n.lanes {
-		first, before := r, acc
 		target, end := total*int64(li+1)/int64(lanes), rows-(lanes-1-li)
 		for acc, r = acc+n.rowWork[r], r+1; r < end && acc+n.rowWork[r]-target <= target-acc; r++ {
 			acc += n.rowWork[r]
 		}
-		n.laneWork[li], n.cut[li+1] = float64(acc-before)/float64(total), r
-		if ln := &n.lanes[li]; first*w != ln.lo || r*w != ln.hi {
-			n.frec.Record(n.cycle, fleetobs.KindRetile, int64(li), int64(first), int64(r-first))
-		}
+		n.cut[li+1] = r
 	}
 	n.retile(n.cut)
 	if peer != nil {
@@ -451,11 +445,10 @@ func newWorkerPool(lanes int) *workerPool {
 	return p
 }
 
-// spawn starts the worker goroutines if they are not running and reports
-// whether it did.
-func (p *workerPool) spawn() bool {
+// spawn starts the worker goroutines if they are not running.
+func (p *workerPool) spawn() {
 	if p.running {
-		return false
+		return
 	}
 	p.running = true
 	p.stopping.Store(false)
@@ -467,7 +460,6 @@ func (p *workerPool) spawn() bool {
 		// cross-lane effect is merged in fixed lane order by finishCycle.
 		go p.worker(i, next) //noclint:determinism lanes are race-free by ownership; all cross-lane effects merge in fixed lane order in finishCycle
 	}
-	return true
 }
 
 // run executes one cycle of network n on every lane.
@@ -579,16 +571,14 @@ func (p *workerPool) worker(g int, next uint64) {
 	}
 }
 
-// stop terminates the worker goroutines and reports whether any were
-// running. Must be called at a cycle boundary, when every worker is waiting
-// for the next generation.
-func (p *workerPool) stop() bool {
+// stop terminates the worker goroutines, if any are running. Must be called
+// at a cycle boundary, when every worker is waiting for the next generation.
+func (p *workerPool) stop() {
 	if !p.running {
-		return false
+		return
 	}
 	p.stopping.Store(true)
 	p.release()
 	p.wg.Wait()
 	p.running = false
-	return true
 }

@@ -1,8 +1,6 @@
 package noc
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -77,31 +75,6 @@ func TestDeliveryConservationProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
-}
-
-// TestInjectionQueueOption: the WithInjectionQueue option resizes the
-// per-node queues.
-func TestInjectionQueueOption(t *testing.T) {
-	cfg := config.Default().NoC
-	n := New(cfg, routing.MustNew(cfg.Routing), vc.MustNewPolicy(cfg), WithInjectionQueue(5))
-	if got := n.InjectSpace(0); got != 5 {
-		t.Fatalf("InjectSpace = %d, want 5", got)
-	}
-	if !n.Inject(mkPacket(1, packet.ReadReply, 0, 1, 0)) {
-		t.Fatal("5-flit packet should fit a 5-flit queue")
-	}
-	if n.Inject(mkPacket(2, packet.ReadRequest, 0, 1, 0)) {
-		t.Fatal("queue should be full")
-	}
-
-	// A queue shorter than a long packet would refuse it forever; New says
-	// so instead.
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "cannot hold a 5-flit packet") {
-			t.Errorf("New with a 4-flit injection queue: recovered %v, want the capacity panic", r)
-		}
-	}()
-	New(cfg, routing.MustNew(cfg.Routing), vc.MustNewPolicy(cfg), WithInjectionQueue(packet.LongFlits-1))
 }
 
 // TestPipelineDelayLatency: per-hop latency scales with the configured

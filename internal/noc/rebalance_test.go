@@ -174,18 +174,23 @@ func laneShares(t *testing.T, cfg config.Config, bench string) (cut, equal float
 	for c := 0; c < 2048; c++ {
 		sim.Step()
 	}
-	for _, l := range sim.Net.StateSnapshot().Lanes {
-		cut = max(cut, l.WorkShare)
-	}
-	var upper, total int64
-	for r, w := range noc.RowWork(sim.Net) {
+	rows, bounds := noc.RowWork(sim.Net), noc.Cut(sim.Net)
+	var total int64
+	for _, w := range rows {
 		total += w
-		if r < cfg.NoC.Height/2 {
-			upper += w
-		}
 	}
-	equal = float64(max(upper, total-upper)) / float64(total)
-	return cut, equal
+	share := func(lo, hi int) float64 {
+		var sum int64
+		for _, w := range rows[lo:hi] {
+			sum += w
+		}
+		return float64(sum) / float64(total)
+	}
+	for i := range bounds[1:] {
+		cut = max(cut, share(bounds[i], bounds[i+1]))
+	}
+	half := cfg.NoC.Height / 2
+	return cut, max(share(0, half), share(half, cfg.NoC.Height))
 }
 
 // TestRebalanceBalancesCountedWork pins the cut's quality in counts alone, no
@@ -210,5 +215,46 @@ func TestRebalanceBalancesCountedWork(t *testing.T) {
 	t.Logf("top-bottom: heaviest lane holds %.2f of the counted work, equal stripes %.2f", cut, equal)
 	if cut > equal {
 		t.Errorf("top-bottom: the cut leaves the heaviest lane %.2f of the counted work, equal stripes left %.2f", cut, equal)
+	}
+}
+
+// TestResetRestoresEqualStripes: Reset puts the lanes back on the equal
+// stripes New cuts, whatever cut the previous run ended on, on one network
+// and on both subnets of a Dual.
+func TestResetRestoresEqualStripes(t *testing.T) {
+	for _, dual := range []bool{false, true} {
+		t.Run(fmt.Sprintf("dual=%t", dual), func(t *testing.T) {
+			cfg := config.Default()
+			cfg.NoC.Workers = 4
+			if dual {
+				cfg.NoC.PhysicalSubnets, cfg.NoC.VCsPerPort = true, 4
+			}
+			sim, err := gpu.New(cfg, workload.MustGet("KMN"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Close()
+			equal := noc.Cut(sim.Net)
+			for i := range equal {
+				if want := i * cfg.NoC.Height / 4; equal[i] != want {
+					t.Fatalf("New cut the lanes at %v, want equal stripes", equal)
+				}
+			}
+			for c := 0; c < 1100; c++ { // past the cuts at 256, 512 and 1024
+				sim.Step()
+			}
+			if moved := noc.Cut(sim.Net); slices.Equal(moved, equal) {
+				t.Fatalf("three cuts of a bottom-heavy run left the equal stripes %v: the test tests nothing", moved)
+			}
+			if err := sim.Reset(cfg, workload.MustGet("KMN")); err != nil {
+				t.Fatal(err)
+			}
+			if got := noc.Cut(sim.Net); !slices.Equal(got, equal) {
+				t.Errorf("Reset left the lanes cut at %v, New cuts %v", got, equal)
+			}
+			if err := sim.Net.CheckInvariants(); err != nil {
+				t.Errorf("after Reset: %v", err)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 // Package obs is the per-packet layer on top of internal/telemetry:
 // deterministic sampled span tracing with its JSONL and Chrome-trace
-// exports, and the mesh-state types (MeshState) the interconnect's
-// StateSnapshot fills at a cycle boundary. Every output is an artifact read
+// exports, and the stall-cause taxonomy. Every output is an artifact read
 // after the run; nothing here serves a live view.
 //
 // Like telemetry, span tracing is opt-in and nil-gated: a simulation

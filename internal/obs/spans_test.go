@@ -277,26 +277,3 @@ func TestChromeTraceIsValidAndNested(t *testing.T) {
 		}
 	}
 }
-
-func TestCheckConservation(t *testing.T) {
-	good := MeshState{InFlight: 3, Subnets: []SubnetState{{
-		Subnet:   "",
-		InFlight: 3,
-		Links:    []LinkState{{VCs: []int{1, 0}, RegBusy: true}},
-		Nodes:    []NodeState{{InjQ: 1, LocalVCs: []int{0}}},
-	}}}
-	if err := good.CheckConservation(); err != nil {
-		t.Fatalf("consistent snapshot rejected: %v", err)
-	}
-	bad := good
-	bad.Subnets = []SubnetState{good.Subnets[0]}
-	bad.Subnets[0].InFlight = 4
-	if err := bad.CheckConservation(); err == nil {
-		t.Fatal("subnet miscount accepted")
-	}
-	sumBad := good
-	sumBad.InFlight = 5
-	if err := sumBad.CheckConservation(); err == nil {
-		t.Fatal("mesh total miscount accepted")
-	}
-}
