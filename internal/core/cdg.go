@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gpgpunoc/internal/mesh"
@@ -75,25 +76,35 @@ type CDG struct {
 	Mesh mesh.Mesh
 	VCs  int
 
-	n   int     // channel slots: Mesh.NumLinkSlots() * VCs
-	adj []uint8 // n x n dense edge-class matrix, row = source channel
+	// The graph is sparse — a channel waits on at most a few VCs of the
+	// three or four links leaving its downstream router — so it is kept as
+	// compressed rows: channel u's out-edges go to nbrs[start[u]:start[u+1]],
+	// in ascending channel index, with their edge-class bits in cls.
+	n     int // channel slots: Mesh.NumLinkSlots() * VCs
+	start []int32
+	nbrs  []int32
+	cls   []uint8
 }
 
-// index maps a channel to its dense node index.
+// index maps a channel to its node index.
 func (g *CDG) index(c Channel) int { return g.Mesh.LinkIndex(c.Link)*g.VCs + c.VC }
 
 // channel is the inverse of index.
-func (g *CDG) channel(i int) Channel {
-	li, v := i/g.VCs, i%g.VCs
-	return Channel{
-		Link: mesh.Link{From: mesh.NodeID(li / mesh.NumPorts), Dir: mesh.Direction(li % mesh.NumPorts)},
-		VC:   v,
-	}
+func (g *CDG) channel(i int) Channel { return Channel{Link: linkAt(i / g.VCs), VC: i % g.VCs} }
+
+// linkAt is the inverse of mesh.LinkIndex.
+func linkAt(li int) mesh.Link {
+	return mesh.Link{From: mesh.NodeID(li / mesh.NumPorts), Dir: mesh.Direction(li % mesh.NumPorts)}
 }
 
 // EdgeClass returns the edge-class bits on the edge from -> to, 0 if absent.
 func (g *CDG) EdgeClass(from, to Channel) uint8 {
-	return g.adj[g.index(from)*g.n+g.index(to)]
+	u := g.index(from)
+	lo, hi := g.start[u], g.start[u+1]
+	if i, ok := slices.BinarySearch(g.nbrs[lo:hi], int32(g.index(to))); ok {
+		return g.cls[int(lo)+i]
+	}
+	return 0
 }
 
 // CDG builds the channel dependency graph the analyzed placement and routing
@@ -102,60 +113,97 @@ func (g *CDG) EdgeClass(from, to Channel) uint8 {
 // the routes Analyze counted — every (core, MC) request route and (MC, core)
 // reply route — and expands each hop over the VC ranges the assigner grants
 // that class on each link.
+//
+// Every edge joins a link to one leaving that link's downstream router, so
+// the walk first records, per (link, next direction), which edge classes
+// join them: a route's consecutive links give EdgeRequest or EdgeReply, and
+// each MC's distinct terminal request links, crossed with its distinct
+// initial reply links, give EdgeConversion. Expanding those link pairs over
+// VCs row by row then yields each channel's out-edges already in ascending
+// order.
 func (u *LinkUsage) CDG(asg vc.Assigner, vcs int) *CDG {
 	if vcs < 1 {
 		panic(fmt.Sprintf("core: CDG needs >= 1 VC per port, have %d", vcs))
 	}
 	m := u.Mesh
-	n := m.NumLinkSlots() * vcs
-	g := &CDG{Mesh: m, VCs: vcs, n: n, adj: make([]uint8, n*n)}
+	ls := m.NumLinkSlots()
+	n := ls * vcs
+	g := &CDG{Mesh: m, VCs: vcs, n: n, start: make([]int32, n+1)}
 
-	clamp := func(r vc.Range) vc.Range {
-		if r.Lo < 0 {
-			r.Lo = 0
-		}
-		if r.Hi > vcs {
-			r.Hi = vcs
-		}
-		return r
+	// turn[LinkIndex(l)*NumPorts+d] is the edge classes from link l to the
+	// link leaving l's downstream router in direction d.
+	turn := make([]uint8, ls*mesh.NumPorts)
+	mark := func(from, to mesh.Link, bit uint8) {
+		turn[m.LinkIndex(from)*mesh.NumPorts+int(to.Dir)] |= bit
 	}
-	rangeOn := func(l mesh.Link, cls packet.Class) vc.Range {
-		return clamp(asg.RangeFor(l, l.Dir.Orientation(), cls))
-	}
-	addEdges := func(from, to mesh.Link, fromCls, toCls packet.Class, bit uint8) {
-		fr, tr := rangeOn(from, fromCls), rangeOn(to, toCls)
-		fi, ti := m.LinkIndex(from)*vcs, m.LinkIndex(to)*vcs
-		for v1 := fr.Lo; v1 < fr.Hi; v1++ {
-			row := (fi + v1) * n
-			for v2 := tr.Lo; v2 < tr.Hi; v2++ {
-				g.adj[row+ti+v2] |= bit
-			}
+	appendNew := func(set []mesh.Link, l mesh.Link) []mesh.Link {
+		if slices.Contains(set, l) {
+			return set
 		}
+		return append(set, l)
 	}
-
 	// Terminal request links into each MC and initial reply links out of
-	// it, over all cores; the conversion edges are their cross product.
+	// it, over all cores, each kept once: at most one per side of the MC's
+	// router.
 	reqTerm := make([][]mesh.Link, len(u.Placement.MCs))
 	repInit := make([][]mesh.Link, len(u.Placement.MCs))
 	eachRoute(m, u.Placement, u.Algorithm, func(mc int, req, rep []mesh.Link) {
 		for h := 0; h+1 < len(req); h++ {
-			addEdges(req[h], req[h+1], packet.Request, packet.Request, EdgeRequest)
+			mark(req[h], req[h+1], EdgeRequest)
 		}
 		if len(req) > 0 {
-			reqTerm[mc] = append(reqTerm[mc], req[len(req)-1])
+			reqTerm[mc] = appendNew(reqTerm[mc], req[len(req)-1])
 		}
 		for h := 0; h+1 < len(rep); h++ {
-			addEdges(rep[h], rep[h+1], packet.Reply, packet.Reply, EdgeReply)
+			mark(rep[h], rep[h+1], EdgeReply)
 		}
 		if len(rep) > 0 {
-			repInit[mc] = append(repInit[mc], rep[0])
+			repInit[mc] = appendNew(repInit[mc], rep[0])
 		}
 	})
 	for mc := range reqTerm {
 		for _, t := range reqTerm[mc] {
 			for _, s := range repInit[mc] {
-				addEdges(t, s, packet.Request, packet.Reply, EdgeConversion)
+				mark(t, s, EdgeConversion)
 			}
+		}
+	}
+
+	rangeOn := func(l mesh.Link, cls packet.Class) vc.Range {
+		r := asg.RangeFor(l, l.Dir.Orientation(), cls)
+		r.Lo, r.Hi = max(r.Lo, 0), min(r.Hi, vcs)
+		return r
+	}
+	for li := 0; li < ls; li++ {
+		l1 := linkAt(li)
+		down, _ := m.Neighbor(m.Coord(l1.From), l1.Dir) // read only where a turn is marked
+		from := [packet.NumClasses]vc.Range{rangeOn(l1, packet.Request), rangeOn(l1, packet.Reply)}
+		for v1 := 0; v1 < vcs; v1++ {
+			for d, bits := range turn[li*mesh.NumPorts : (li+1)*mesh.NumPorts] {
+				if bits == 0 {
+					continue
+				}
+				l2 := mesh.Link{From: m.ID(down), Dir: mesh.Direction(d)}
+				to := [packet.NumClasses]vc.Range{rangeOn(l2, packet.Request), rangeOn(l2, packet.Reply)}
+				base := int32(m.LinkIndex(l2) * vcs)
+				for v2 := 0; v2 < vcs; v2++ {
+					var c uint8
+					if bits&EdgeRequest != 0 && from[packet.Request].Contains(v1) && to[packet.Request].Contains(v2) {
+						c |= EdgeRequest
+					}
+					if bits&EdgeReply != 0 && from[packet.Reply].Contains(v1) && to[packet.Reply].Contains(v2) {
+						c |= EdgeReply
+					}
+					if bits&EdgeConversion != 0 && from[packet.Request].Contains(v1) && to[packet.Reply].Contains(v2) {
+						c |= EdgeConversion
+					}
+					if c != 0 {
+						g.nbrs = append(g.nbrs, base+int32(v2))
+						g.cls = append(g.cls, c)
+					}
+				}
+			}
+			g.start[li*vcs+v1+1] = int32(len(g.nbrs))
 		}
 	}
 	return g
@@ -164,32 +212,10 @@ func (u *LinkUsage) CDG(asg vc.Assigner, vcs int) *CDG {
 // FindCycle returns one dependency cycle as the ordered channel sequence
 // c0 -> c1 -> ... -> ck -> c0 (the closing edge back to the first element is
 // implied), or nil when the graph is acyclic. Detection is an iterative
-// three-color DFS started from every node in index order, so the reported
-// cycle is a deterministic function of the configuration.
+// three-color DFS started from every node in index order, taking each
+// node's out-edges in ascending order, so the reported cycle is a
+// deterministic function of the configuration.
 func (g *CDG) FindCycle() []Channel {
-	// Compress the dense matrix into CSR adjacency so the DFS touches only
-	// real edges.
-	offsets := make([]int32, g.n+1)
-	nnz := 0
-	for u := 0; u < g.n; u++ {
-		row := u * g.n
-		for v := 0; v < g.n; v++ {
-			if g.adj[row+v] != 0 {
-				nnz++
-			}
-		}
-		offsets[u+1] = int32(nnz)
-	}
-	nbrs := make([]int32, 0, nnz)
-	for u := 0; u < g.n; u++ {
-		row := u * g.n
-		for v := 0; v < g.n; v++ {
-			if g.adj[row+v] != 0 {
-				nbrs = append(nbrs, int32(v))
-			}
-		}
-	}
-
 	const (
 		white = 0 // unvisited
 		gray  = 1 // on the DFS stack
@@ -204,26 +230,27 @@ func (g *CDG) FindCycle() []Channel {
 		node int
 		next int32 // cursor into nbrs
 	}
+	var stack []frame
 	for s := 0; s < g.n; s++ {
 		if color[s] != white {
 			continue
 		}
 		color[s] = gray
-		stack := []frame{{node: s, next: offsets[s]}}
+		stack = append(stack[:0], frame{node: s, next: g.start[s]})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.next == offsets[f.node+1] {
+			if f.next == g.start[f.node+1] {
 				color[f.node] = black
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			v := int(nbrs[f.next])
+			v := int(g.nbrs[f.next])
 			f.next++
 			switch color[v] {
 			case white:
 				color[v] = gray
 				parent[v] = int32(f.node)
-				stack = append(stack, frame{node: v, next: offsets[v]})
+				stack = append(stack, frame{node: v, next: g.start[v]})
 			case gray:
 				// Back edge f.node -> v: the gray chain v .. f.node closes a
 				// cycle. Walk parents back from f.node to v, then reverse.
@@ -234,9 +261,7 @@ func (g *CDG) FindCycle() []Channel {
 						break
 					}
 				}
-				for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-					cyc[i], cyc[j] = cyc[j], cyc[i]
-				}
+				slices.Reverse(cyc)
 				return cyc
 			}
 		}

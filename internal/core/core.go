@@ -45,13 +45,17 @@ type LinkUsage struct {
 // in order, and every core under it, fn gets the MC's index, the request
 // route core->MC and the reply route MC->core. Dimension-order routing is
 // deterministic, so these are precisely the links the simulator will
-// exercise. Analyze counts them; CDG chains them.
+// exercise. Analyze counts them; CDG chains them. The two slices are one
+// pair of buffers refilled for every route, so fn must not keep them.
 func eachRoute(m mesh.Mesh, pl *placement.Placement, alg routing.Algorithm, fn func(mc int, req, rep []mesh.Link)) {
 	cores := pl.Cores()
+	var req, rep []mesh.Link
 	for i := range pl.MCs {
 		mcID := pl.MCNode(i)
 		for _, coreID := range cores {
-			fn(i, routing.Path(m, alg, coreID, mcID, packet.Request), routing.Path(m, alg, mcID, coreID, packet.Reply))
+			req = routing.AppendPath(req[:0], m, alg, coreID, mcID, packet.Request)
+			rep = routing.AppendPath(rep[:0], m, alg, mcID, coreID, packet.Reply)
+			fn(i, req, rep)
 		}
 	}
 }

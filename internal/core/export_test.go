@@ -14,3 +14,6 @@ func ResetStructures() {
 	t.byKey = map[StructureKey]*Structure{}
 	t.order = nil
 }
+
+// CDGEdges is the number of edges in g.
+func CDGEdges(g *CDG) int { return len(g.nbrs) }

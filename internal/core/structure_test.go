@@ -334,3 +334,50 @@ func TestStructureSharedBySyntheticHarness(t *testing.T) {
 		t.Errorf("%d proofs of one structure built by the harness and gpu.New", got)
 	}
 }
+
+// scaleUp is the 16x16 scale-up: 240 SMs and 16 MCs on the bottom row.
+func scaleUp(r config.Routing, p config.VCPolicy) config.Config {
+	cfg := variant(config.PlacementBottom, r, p)
+	cfg.NoC.Width, cfg.NoC.Height = 16, 16
+	cfg.Core.NumSMs, cfg.Mem.NumMCs = 240, 16
+	return cfg
+}
+
+// coldProof builds and proves cfg's structure from an empty table.
+func coldProof(tb testing.TB, cfg config.Config) {
+	core.ResetStructures()
+	s, err := core.StructureFor(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Prove(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestStructureColdProofAllocs pins a cold 16x16 structure, analysis and
+// both proofs, at about 140 allocations (77,000 when every route was a
+// slice of its own and the graph a dense matrix): room for per-MC and
+// per-graph arrays, not for anything per route (7,680 of them).
+func TestStructureColdProofAllocs(t *testing.T) {
+	cfg := scaleUp(config.RoutingXY, config.VCSplit)
+	if a := testing.AllocsPerRun(3, func() { coldProof(t, cfg) }); a > 200 {
+		t.Errorf("a cold 16x16 StructureFor+Prove allocates %.0f times, want <= 200", a)
+	}
+}
+
+// BenchmarkStructureColdProof times StructureFor+Prove on an empty table:
+// the Table 2 system and the 16x16 scale-up.
+func BenchmarkStructureColdProof(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  config.Config
+	}{{"mesh8", config.Default()}, {"mesh16", scaleUp(config.RoutingXY, config.VCSplit)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				coldProof(b, bc.cfg)
+			}
+		})
+	}
+}

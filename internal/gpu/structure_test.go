@@ -56,20 +56,57 @@ func TestSharedStructureConcurrentRuns(t *testing.T) {
 	}
 }
 
+// scaleUp is the 16x16 scale-up: 240 SMs and 16 MCs.
+func scaleUp() config.Config {
+	cfg := config.Default()
+	cfg.NoC.Width, cfg.NoC.Height = 16, 16
+	cfg.Core.NumSMs, cfg.Mem.NumMCs = 240, 16
+	return cfg
+}
+
 // TestSharedStructureNewAllocs pins construction on a structure hit. What is
-// left is per-SM and per-router state; 1,200 is room for that (about 1,000
-// today), not for anything per warp (2,688 of them) or per route (3,584).
+// left is per-SM and per-router state: about 1,000 allocations on the Table
+// 2 system and 4,000 on the 16x16 scale-up, with room for that, not for
+// anything per warp (2,688 and 11,520 of them) or per route (3,584 and
+// 7,680).
 func TestSharedStructureNewAllocs(t *testing.T) {
-	cfg, kmn := config.Default(), workload.MustGet("KMN")
-	build := func() {
-		sim, err := gpu.New(cfg, kmn)
-		if err != nil {
-			t.Fatal(err)
+	kmn := workload.MustGet("KMN")
+	for _, tc := range []struct {
+		name  string
+		cfg   config.Config
+		limit float64
+	}{{"mesh8", config.Default(), 1200}, {"mesh16", scaleUp(), 4500}} {
+		build := func() {
+			sim, err := gpu.New(tc.cfg, kmn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.Close()
 		}
-		sim.Close()
+		build() // first sight of the structure: analysis and proof
+		if a := testing.AllocsPerRun(5, build); a > tc.limit {
+			t.Errorf("%s: gpu.New allocates %.0f times on a structure hit, want <= %.0f", tc.name, a, tc.limit)
+		}
 	}
-	build() // first sight of the structure: analysis and proof
-	if a := testing.AllocsPerRun(5, build); a > 1200 {
-		t.Errorf("gpu.New allocates %.0f times on a structure hit, want <= 1200", a)
+}
+
+// BenchmarkNewStructureHit times gpu.New on a structure hit: the Table 2
+// system and the 16x16 scale-up.
+func BenchmarkNewStructureHit(b *testing.B) {
+	kmn := workload.MustGet("KMN")
+	for _, bc := range []struct {
+		name string
+		cfg  config.Config
+	}{{"mesh8", config.Default()}, {"mesh16", scaleUp()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sim, err := gpu.New(bc.cfg, kmn)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sim.Close()
+			}
+		})
 	}
 }

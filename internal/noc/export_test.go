@@ -105,3 +105,12 @@ func RowWork(ic Interconnect) []int64 { return subnets(ic)[0].rowWork }
 
 // Cut returns ic's lane cut: lane i owns rows [cut[i], cut[i+1]).
 func Cut(ic Interconnect) []int { return slices.Clone(subnets(ic)[0].cut) }
+
+// RouteTables returns each physical network's next-hop table.
+func RouteTables(ic Interconnect) []routeTable {
+	var out []routeTable
+	for _, n := range subnets(ic) {
+		out = append(out, n.routeTab)
+	}
+	return out
+}

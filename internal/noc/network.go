@@ -158,10 +158,6 @@ const injQueueFlits = 16
 
 const _ uint = injQueueFlits - packet.LongFlits // compile-time: a long packet fits
 
-// routeTabMaxNodes bounds the dense route-table precompute (NumClasses ×
-// N² bytes); beyond it RC falls back to the algorithm call.
-const routeTabMaxNodes = 1024
-
 // Network is a single physical mesh NoC.
 type Network struct {
 	m        mesh.Mesh
@@ -210,9 +206,10 @@ type Network struct {
 
 	// routeTab caches the routing algorithm per (class, current, dest):
 	// NextHop is a pure function of those three, so RC becomes one array
-	// load instead of an interface call. nil when the mesh exceeds
-	// routeTabMaxNodes.
-	routeTab [packet.NumClasses][]uint8
+	// load instead of an interface call. Shared read-only with every
+	// Network of this mesh size and routing (routetab.go); nil when the
+	// mesh exceeds routeTabMaxNodes.
+	routeTab routeTable
 	// injRng caches the injection VC range per (node, class).
 	injRng [][packet.NumClasses]vc.Range
 	portOf [64]uint8 // input VC p·V+v's port p, for SA's port mask
@@ -328,18 +325,7 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 			}
 		}
 	}
-	if nn <= routeTabMaxNodes {
-		for cls := packet.Class(0); cls < packet.NumClasses; cls++ {
-			tab := make([]uint8, nn*nn)
-			for cur := 0; cur < nn; cur++ {
-				cc := m.Coord(mesh.NodeID(cur))
-				for dst := 0; dst < nn; dst++ {
-					tab[cur*nn+dst] = uint8(alg.NextHop(cc, m.Coord(mesh.NodeID(dst)), cls))
-				}
-			}
-			n.routeTab[cls] = tab
-		}
-	}
+	n.routeTab = nextHopTable(m, alg)
 	for _, o := range opts {
 		o(n)
 	}
