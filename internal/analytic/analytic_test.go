@@ -59,7 +59,7 @@ func TestEquation2MatchesEnumeration(t *testing.T) {
 	for src := mesh.NodeID(0); int(src) < m8.NumNodes(); src++ {
 		for mcCol := 0; mcCol < n; mcCol++ {
 			dst := m8.ID(mesh.Coord{Row: n - 1, Col: mcCol})
-			for _, l := range routing.Path(m8, alg, src, dst, packet.Request) {
+			for _, l := range routing.AppendPath(nil, m8, alg, src, dst, packet.Request) {
 				counts[m8.LinkIndex(l)]++
 			}
 		}

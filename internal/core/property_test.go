@@ -66,12 +66,12 @@ func TestAnalysisMatchesRouteEnumeration(t *testing.T) {
 	for _, coreID := range p.Cores()[:10] {
 		for i := range p.MCs {
 			mcID := p.MCNode(i)
-			for _, l := range routing.Path(m8, alg, coreID, mcID, packet.Request) {
+			for _, l := range routing.AppendPath(nil, m8, alg, coreID, mcID, packet.Request) {
 				if !u.UsedBy(l, packet.Request) {
 					t.Fatalf("analysis misses request link %v", l)
 				}
 			}
-			for _, l := range routing.Path(m8, alg, mcID, coreID, packet.Reply) {
+			for _, l := range routing.AppendPath(nil, m8, alg, mcID, coreID, packet.Reply) {
 				if !u.UsedBy(l, packet.Reply) {
 					t.Fatalf("analysis misses reply link %v", l)
 				}

@@ -477,7 +477,7 @@ func TestLinkStatsMatchRoute(t *testing.T) {
 	n.Inject(p)
 	n.Drain(1000)
 	// XY from (0,0) to (7,7): east along row 0, then south down column 7.
-	for _, l := range routing.Path(n.Mesh(), n.alg, 0, 63, packet.Request) {
+	for _, l := range routing.AppendPath(nil, n.Mesh(), n.alg, 0, 63, packet.Request) {
 		idx := n.Mesh().LinkIndex(l)
 		if n.Stats().LinkFlits[packet.Request][idx] != 1 {
 			t.Errorf("link %v traversals = %d, want 1", l, n.Stats().LinkFlits[packet.Request][idx])

@@ -136,7 +136,7 @@ func checkPaths(t *testing.T, alg config.Routing, dual bool) {
 		src, dst mesh.NodeID
 		cls      packet.Class
 	}{{7, 3, 60, packet.Request}, {1007, 60, 3, packet.Reply}} {
-		want := routing.Path(m, routing.MustNew(alg), tc.src, tc.dst, tc.cls)
+		want := routing.AppendPath(nil, m, routing.MustNew(alg), tc.src, tc.dst, tc.cls)
 		got := traceOf(t, sp, tc.id).Hops()
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d hops, routing says %d", tc.cls, len(got), len(want))

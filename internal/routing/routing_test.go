@@ -29,7 +29,7 @@ func TestNewKnownAlgorithms(t *testing.T) {
 func TestXYOrder(t *testing.T) {
 	a := MustNew(config.RoutingXY)
 	// From (0,0) to (7,7): X must be exhausted before Y moves.
-	path := Path(m8, a, m8.ID(mesh.Coord{Row: 0, Col: 0}), m8.ID(mesh.Coord{Row: 7, Col: 7}), packet.Request)
+	path := AppendPath(nil, m8, a, m8.ID(mesh.Coord{Row: 0, Col: 0}), m8.ID(mesh.Coord{Row: 7, Col: 7}), packet.Request)
 	if len(path) != 14 {
 		t.Fatalf("path length = %d, want 14", len(path))
 	}
@@ -47,7 +47,7 @@ func TestXYOrder(t *testing.T) {
 
 func TestYXOrder(t *testing.T) {
 	a := MustNew(config.RoutingYX)
-	path := Path(m8, a, m8.ID(mesh.Coord{Row: 0, Col: 0}), m8.ID(mesh.Coord{Row: 7, Col: 7}), packet.Request)
+	path := AppendPath(nil, m8, a, m8.ID(mesh.Coord{Row: 0, Col: 0}), m8.ID(mesh.Coord{Row: 7, Col: 7}), packet.Request)
 	if len(path) != 14 {
 		t.Fatalf("path length = %d, want 14", len(path))
 	}
@@ -66,8 +66,8 @@ func TestYXOrder(t *testing.T) {
 func TestXYYXIsClassDependent(t *testing.T) {
 	a := MustNew(config.RoutingXYYX)
 	src, dst := m8.ID(mesh.Coord{Row: 2, Col: 1}), m8.ID(mesh.Coord{Row: 5, Col: 6})
-	req := Path(m8, a, src, dst, packet.Request)
-	rep := Path(m8, a, src, dst, packet.Reply)
+	req := AppendPath(nil, m8, a, src, dst, packet.Request)
+	rep := AppendPath(nil, m8, a, src, dst, packet.Reply)
 	if req[0].Dir != mesh.East {
 		t.Errorf("request first hop = %s, want E (XY)", req[0].Dir)
 	}
@@ -95,7 +95,7 @@ func TestPathsAreMinimal(t *testing.T) {
 		for src := mesh.NodeID(0); int(src) < m8.NumNodes(); src++ {
 			for dst := mesh.NodeID(0); int(dst) < m8.NumNodes(); dst++ {
 				for _, cls := range []packet.Class{packet.Request, packet.Reply} {
-					path := Path(m8, a, src, dst, cls)
+					path := AppendPath(nil, m8, a, src, dst, cls)
 					if len(path) != Hops(m8, src, dst) {
 						t.Fatalf("%s %d->%d (%s): %d hops, want %d",
 							name, src, dst, cls, len(path), Hops(m8, src, dst))
@@ -115,7 +115,7 @@ func TestPathsAreConnected(t *testing.T) {
 		for _, name := range config.Routings() {
 			a := MustNew(name)
 			cur := src
-			for _, l := range Path(m8, a, src, dst, packet.Reply) {
+			for _, l := range AppendPath(nil, m8, a, src, dst, packet.Reply) {
 				if l.From != cur {
 					return false
 				}
@@ -143,7 +143,7 @@ func TestDimensionOrderTurnDiscipline(t *testing.T) {
 		a := MustNew(name)
 		for src := mesh.NodeID(0); int(src) < m8.NumNodes(); src++ {
 			for dst := mesh.NodeID(0); int(dst) < m8.NumNodes(); dst++ {
-				path := Path(m8, a, src, dst, cls)
+				path := AppendPath(nil, m8, a, src, dst, cls)
 				for i := 1; i < len(path); i++ {
 					if path[i-1].Dir.Orientation() == from && path[i].Dir.Orientation() == to {
 						t.Fatalf("%s/%s: forbidden %s->%s turn on %d->%d",
@@ -161,7 +161,7 @@ func TestDimensionOrderTurnDiscipline(t *testing.T) {
 
 func TestPathEmptyForSelf(t *testing.T) {
 	a := MustNew(config.RoutingXY)
-	if p := Path(m8, a, 5, 5, packet.Request); len(p) != 0 {
+	if p := AppendPath(nil, m8, a, 5, 5, packet.Request); len(p) != 0 {
 		t.Errorf("self path has %d links, want 0", len(p))
 	}
 }
