@@ -15,10 +15,9 @@ FABRIC_TMP := $(shell mktemp -u /tmp/fabric-smoke.XXXXXX)
 check: lint build race smoke bench-smoke bench-quick
 
 # lint is all static analysis: go vet plus the repository's own analyzers
-# (determinism, seedflow, paniclint — see internal/lint; lane ownership is
-# checked by the race suites under `race`). The -max-elapsed budget keeps
-# the from-source typecheck fast enough to live in the edit-check loop;
-# raise NOCLINT_BUDGET if a slow machine trips it.
+# (determinism, seedflow, paniclint — see internal/lint). The -max-elapsed
+# budget keeps the from-source typecheck fast enough to live in the
+# edit-check loop; raise NOCLINT_BUDGET if a slow machine trips it.
 NOCLINT_BUDGET ?= 120s
 lint: vet
 	$(GO) run ./cmd/noclint -max-elapsed $(NOCLINT_BUDGET)

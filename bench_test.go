@@ -181,29 +181,20 @@ func BenchmarkGPUCycle(b *testing.B) {
 }
 
 // BenchmarkGPUCycleLarge measures full-system cycles per second on a 16×16
-// mesh (240 SMs + 16 MCs — 4× the paper's system), where the parallel
-// cycle kernel has enough rows per domain to amortize the barriers. The
-// workers=N/workers=1 ratio is the kernel's measured speedup; results are
-// bit-identical across worker counts (equivalence_test.go).
+// mesh (240 SMs + 16 MCs — 4× the paper's system).
 func BenchmarkGPUCycleLarge(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := config.Default()
-			cfg.NoC.Width, cfg.NoC.Height = 16, 16
-			cfg.NoC.Workers = workers
-			cfg.Mem.NumMCs = 16
-			cfg.Core.NumSMs = 240
-			sim, err := gpu.New(cfg, workload.MustGet("KMN"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sim.Close()
-			sim.AttachFlight(4096, "")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sim.Step()
-			}
-		})
+	cfg := config.Default()
+	cfg.NoC.Width, cfg.NoC.Height = 16, 16
+	cfg.Mem.NumMCs = 16
+	cfg.Core.NumSMs = 240
+	sim, err := gpu.New(cfg, workload.MustGet("KMN"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim.AttachFlight(4096, "")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.Step()
 	}
 }
 

@@ -4,8 +4,7 @@
 // (no wall clocks, no math/rand, no map iteration in simulation packages),
 // seed provenance (every rng.Stream comes from rng.New/Split and stays
 // goroutine-local) and panic hygiene (package-prefixed messages or Must*
-// constructors only). Lane ownership in the parallel kernel is checked by
-// the -race lane suites of internal/noc, not here.
+// constructors only).
 //
 // Usage:
 //

@@ -88,10 +88,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}()
 
-	for _, w := range cfg.Warnings() {
-		fmt.Fprintln(stderr, w)
-	}
-
 	prof, err := workload.Get(*bench)
 	if err != nil {
 		return fail(err)
@@ -106,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return fail(err)
 	}
-	defer sim.Close()
 	res, runErr := sim.RunContext(context.Background())
 	if runErr != nil {
 		// Sanitizer violations (and cancellations) still report the partial

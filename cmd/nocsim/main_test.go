@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,28 +12,25 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current build")
 
 // TestGoldenKMN pins the report of a short Table 2 run of KMN, byte for
-// byte, at one lane and at four: the parallel kernel changes nothing a user
-// reads.
+// byte.
 func TestGoldenKMN(t *testing.T) {
 	path := filepath.Join("testdata", "kmn.golden")
-	for _, workers := range []int{1, 4} {
-		args := []string{"-bench", "KMN", "-warmup", "100", "-cycles", "400", "-workers", fmt.Sprint(workers)}
-		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("nocsim %v exited %d: %s", args, code, stderr.String())
-		}
-		if *update && workers == 1 {
-			if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
+	args := []string{"-bench", "KMN", "-warmup", "100", "-cycles", "400"}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("nocsim %v exited %d: %s", args, code, stderr.String())
+	}
+	if *update {
+		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(stdout.Bytes(), want) {
-			t.Errorf("-workers %d: output differs from %s:\n--- got\n%s--- want\n%s", workers, path, stdout.Bytes(), want)
-		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("output differs from %s:\n--- got\n%s--- want\n%s", path, stdout.Bytes(), want)
 	}
 }
 
@@ -48,6 +44,7 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		"retired publish period": {[]string{"-obs-publish", "500"}, 2, "flag provided but not defined: -obs-publish"},
 		"retired live views":     {[]string{"-obs-addr", "127.0.0.1:0"}, 2, "flag provided but not defined: -obs-addr"},
+		"retired lane kernel":    {[]string{"-workers", "2"}, 2, "flag provided but not defined: -workers"},
 		"sample rate above 1":    {[]string{"-obs-sample-rate", "2"}, 1, "obs sample rate 2 outside (0, 1]"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		specFile = fs.String("spec", "", "JSON sweep spec file (grid flags are ignored when set)")
 		out      = fs.String("out", "sweep.jsonl", "JSONL results file (appended)")
-		jobsN    = fs.Int("jobs", 0, "concurrent jobs (default GOMAXPROCS); -workers is the per-job cycle-kernel domain count")
+		jobsN    = fs.Int("jobs", 0, "concurrent jobs (default GOMAXPROCS)")
 		timeout  = fs.Duration("timeout", 0, "per-job timeout, e.g. 30s (default none)")
 		resume   = fs.Bool("resume", true, "skip jobs whose fingerprint is already in -out")
 		ordered  = fs.Bool("ordered", false, "write records in grid (expansion) order instead of completion order, so result files of the same spec diff cleanly")

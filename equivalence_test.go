@@ -1,19 +1,22 @@
-// Kernel-equivalence suite over the public surface: the shipped cycle
-// kernel must produce bit-identical results — not statistically close — at
-// every worker count, and the run loop must be indistinguishable from
-// driving Simulator.Step by hand, one call per cycle. Anything less means a
-// cross-domain merge ran out of order or the loop's bookkeeping (statistics
-// off during warm-up, the closing telemetry flush) touched something
-// observable, and every derived result (figure tables, latency
-// distributions, telemetry) silently drifts.
+// Kernel-equivalence suite over the public surface: a run must be
+// reproduced bit for bit — not statistically close — by a second run of the
+// same configuration, also when that configuration still carries the
+// retired NoC.Workers field (once the lane-parallel kernel's domain count,
+// now read by nothing that simulates), and the run loop must be
+// indistinguishable from driving Simulator.Step by hand, one call per
+// cycle. Anything less means hidden state or nondeterminism leaked into a
+// result, or the loop's bookkeeping (statistics off during warm-up, the
+// closing telemetry flush) touched something observable, and every derived
+// result (figure tables, latency distributions, telemetry) silently drifts.
 //
 // Coverage: the eight Figure 9 schemes (every placement, routing, and VC
-// policy family) × three seeds × workers ∈ {1, 2, 4, 8}, plus the dual
-// physical subnets with full- and half-width channels, each compared on
-// IPC, cycle count, the complete stats.Net (including floating-point
-// Welford latency accumulators, which pin the ejection order), and the
-// full telemetry JSONL export. Runs are sanitized, so CheckInvariants —
-// including the run-mask recount — is exercised throughout.
+// policy family) × three seeds, plus the dual physical subnets with full-
+// and half-width channels, each compared on IPC, cycle count, the complete
+// stats.Net (including floating-point Welford latency accumulators, which
+// pin the ejection order), and the full telemetry JSONL export. Runs are
+// sanitized, so CheckInvariants — including the run-mask recount — is
+// exercised throughout. (Test names are kept from when the suite held the
+// lane-parallel kernel to the serial one.)
 //
 // The oracle that is not part of the shipped surface, the full-scan
 // reference stepper, is compared where it is visible: in
@@ -25,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"gpgpunoc/internal/config"
@@ -33,21 +35,6 @@ import (
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/workload"
 )
-
-// forcePool keeps the multi-worker comparisons honest on a one-core
-// machine: a simulator built on a single-P runtime gets no lane workers and
-// runs its lanes on the stepping goroutine (bit-identical, see noc's
-// workerPool), which would quietly remove the concurrent kernel — and
-// everything the race detector learns from it — from this suite. Bumping
-// GOMAXPROCS before construction restores the real concurrent kernel;
-// results cannot depend on it.
-func forcePool(t testing.TB) {
-	if runtime.GOMAXPROCS(0) > 1 {
-		return
-	}
-	old := runtime.GOMAXPROCS(2)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-}
 
 // equivCfg is a reduced-scale configuration: long enough that traffic
 // saturates the MC rows and backpressure (the schedule's hard case)
@@ -63,20 +50,23 @@ func equivCfg() config.Config {
 // cycles and the invariant sanitizer every 256.
 var instrumented = gpu.Instrumentation{SanitizeEvery: 256, TelemetryEpoch: 400}
 
-// runOne runs the named benchmark instrumented with the given kernel worker
-// count.
-func runOne(t *testing.T, cfg config.Config, bench string, workers int) gpu.Result {
+// runOne runs the named benchmark instrumented.
+func runOne(t *testing.T, cfg config.Config, bench string) gpu.Result {
 	t.Helper()
-	return runProfile(t, cfg, workload.MustGet(bench), workers)
+	return runProfile(t, cfg, workload.MustGet(bench))
 }
 
-// checkWorkers runs the benchmark at each worker count and requires every
-// run bit-identical to the single-threaded baseline.
-func checkWorkers(t *testing.T, cfg config.Config, bench string, base gpu.Result, workers ...int) {
+// retiredWorkers returns cfg carrying the retired NoC.Workers value 4.
+func retiredWorkers(cfg config.Config) config.Config {
+	cfg.NoC.Workers = 4
+	return cfg
+}
+
+// checkRerun runs the benchmark again, from cfg carrying the retired
+// Workers value, and requires the run bit-identical to base.
+func checkRerun(t *testing.T, cfg config.Config, bench string, base gpu.Result) {
 	t.Helper()
-	for _, w := range workers {
-		compareResults(t, runOne(t, cfg, bench, w), base)
-	}
+	compareResults(t, runOne(t, retiredWorkers(cfg), bench), base)
 }
 
 // compareResults asserts bit-identical observable state between two runs.
@@ -110,8 +100,7 @@ func telemetryJSONL(t *testing.T, res gpu.Result) []byte {
 }
 
 // TestStepperEquivalenceFig9Schemes covers the full Figure 9 design space,
-// three seeds each: the parallel kernel at workers ∈ {2, 4, 8} against the
-// single-threaded run.
+// three seeds each: each run reproduced by a second one (checkRerun).
 func TestStepperEquivalenceFig9Schemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed design-space sweep")
@@ -122,7 +111,7 @@ func TestStepperEquivalenceFig9Schemes(t *testing.T) {
 				t.Parallel()
 				cfg := s.Apply(equivCfg())
 				cfg.Seed = seed
-				checkWorkers(t, cfg, "KMN", runOne(t, cfg, "KMN", 1), 2, 4, 8)
+				checkRerun(t, cfg, "KMN", runOne(t, cfg, "KMN"))
 			})
 		}
 	}
@@ -138,7 +127,7 @@ func TestStepperEquivalenceDual(t *testing.T) {
 			cfg.NoC.PhysicalSubnets = true
 			cfg.NoC.SubnetHalfWidth = half
 			cfg.NoC.VCsPerPort = 4 // 2 per subnet
-			checkWorkers(t, cfg, "RED", runOne(t, cfg, "RED", 1), 4)
+			checkRerun(t, cfg, "RED", runOne(t, cfg, "RED"))
 		})
 	}
 }
@@ -151,23 +140,24 @@ func TestStepperEquivalenceAsymmetric(t *testing.T) {
 	cfg.NoC.VCsPerPort = 4
 	cfg.NoC.Routing = config.RoutingXYYX
 	cfg.NoC.VCPolicy = config.VCAsymmetric
-	checkWorkers(t, cfg, "BFS", runOne(t, cfg, "BFS", 1), 4)
+	checkRerun(t, cfg, "BFS", runOne(t, cfg, "BFS"))
 }
 
 // figureTablePasses counts TestFigureTableEquivalence's invocations.
 var figureTablePasses uint64
 
 // TestFigureTableEquivalence regenerates a figure table with jobs run
-// concurrently on the serial kernel and one at a time on the four-lane
-// kernel and requires the rendered tables to be byte-identical — the
-// property that makes the regenerated EXPERIMENTS.md trustworthy regardless
-// of job parallelism or worker count.
+// concurrently and then one at a time from configurations carrying the
+// retired Workers=4, and requires the rendered tables to be byte-identical
+// — the property that makes the regenerated EXPERIMENTS.md trustworthy
+// regardless of job parallelism or stored configurations. The figure
+// runners' result memo folds Workers away, so the second Fig7 is answered
+// entirely from the first one's runs; the synthetic-harness Sweep, which
+// the memo does not serve, simulates both times.
 func TestFigureTableEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates a figure grid twice")
 	}
-	forcePool(t)
-	lanes := func(c config.Config) config.Config { c.NoC.Workers = 4; return c }
 	// A seed no earlier pass of this test used (go test -count=N), so every
 	// pass simulates and the counter assertion below means what it says.
 	figureTablePasses++
@@ -179,7 +169,7 @@ func TestFigureTableEquivalence(t *testing.T) {
 	}
 	par := base
 	par.Parallel = 1
-	par.Overrides = lanes
+	par.Overrides = retiredWorkers
 
 	sim0, reused0 := experiments.MemoCounts()
 	baseTab, err := experiments.Fig7(base)
@@ -192,16 +182,12 @@ func TestFigureTableEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim2, reused2 := experiments.MemoCounts()
-	// The figure runners reuse finished runs keyed by the exact
-	// configuration. Keyed by anything that folds Workers away, the second
-	// pass would be handed the first one's results and this test would
-	// compare a table with itself.
-	if want := int64(3 * len(base.Benchmarks)); sim1-sim0 != want || sim2-sim1 != want || reused2 != reused0 {
-		t.Fatalf("Fig7 simulated %d then %d runs and reused %d; want %d, %d, 0: both kernels must run",
+	if want := int64(3 * len(base.Benchmarks)); sim1-sim0 != want || sim2-sim1 != 0 || reused2-reused0 != want {
+		t.Fatalf("Fig7 simulated %d then %d runs and reused %d; want %d, 0, %d: Workers must not split the memo",
 			sim1-sim0, sim2-sim1, reused2-reused0, want, want)
 	}
 	if baseTab.String() != parTab.String() {
-		t.Errorf("Fig7 table diverged between kernels:\nserial:\n%s\nworkers=4:\n%s", baseTab, parTab)
+		t.Errorf("Fig7 table diverged:\nconcurrent:\n%s\none at a time, workers=4:\n%s", baseTab, parTab)
 	}
 
 	// The synthetic-harness sweep exercises the custom RunFunc path.
@@ -209,12 +195,12 @@ func TestFigureTableEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parSweep, err := experiments.Sweep(experiments.Opts{MeasureCycles: 1500, Parallel: 1, Overrides: lanes})
+	parSweep, err := experiments.Sweep(experiments.Opts{MeasureCycles: 1500, Parallel: 1, Overrides: retiredWorkers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if baseSweep.String() != parSweep.String() {
-		t.Errorf("Sweep table diverged between kernels:\nserial:\n%s\nworkers=4:\n%s", baseSweep, parSweep)
+		t.Errorf("Sweep table diverged:\nconcurrent:\n%s\none at a time, workers=4:\n%s", baseSweep, parSweep)
 	}
 }
 
@@ -241,28 +227,22 @@ func trickleProfile() workload.Profile {
 	}
 }
 
-// runProfile runs a profile (registered or not) instrumented at the given
-// worker count.
-func runProfile(t *testing.T, cfg config.Config, prof workload.Profile, workers int) gpu.Result {
+// runProfile runs a profile (registered or not) instrumented.
+func runProfile(t *testing.T, cfg config.Config, prof workload.Profile) gpu.Result {
 	t.Helper()
-	return runWith(t, cfg, prof, workers, instrumented)
+	return runWith(t, cfg, prof, instrumented)
 }
 
 // runWith is runProfile with the instrumentation spelled out.
-func runWith(t *testing.T, cfg config.Config, prof workload.Profile, workers int, inst gpu.Instrumentation) gpu.Result {
+func runWith(t *testing.T, cfg config.Config, prof workload.Profile, inst gpu.Instrumentation) gpu.Result {
 	t.Helper()
-	if workers > 1 {
-		forcePool(t)
-	}
-	cfg.NoC.Workers = workers
 	sim, err := gpu.NewInstrumented(cfg, prof, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	res, err := sim.RunContext(context.Background())
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	return res
 }
@@ -278,7 +258,6 @@ func checkStepByStep(t *testing.T, cfg config.Config, prof workload.Profile, run
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	sim.Net.EnableStats(false)
 	for i := 0; i < cfg.WarmupCycles; i++ {
 		sim.Step()
@@ -318,7 +297,7 @@ func TestStepperEquivalenceFastForward(t *testing.T) {
 				t.Parallel()
 				cfg := s.Apply(equivCfg())
 				cfg.Seed = seed
-				checkStepByStep(t, cfg, kmn, runProfile(t, cfg, kmn, 1))
+				checkStepByStep(t, cfg, kmn, runProfile(t, cfg, kmn))
 			})
 		}
 	}
@@ -327,36 +306,30 @@ func TestStepperEquivalenceFastForward(t *testing.T) {
 		cfg := equivCfg()
 		cfg.NoC.PhysicalSubnets = true
 		cfg.NoC.VCsPerPort = 4 // 2 per subnet
-		checkStepByStep(t, cfg, kmn, runProfile(t, cfg, kmn, 1))
+		checkStepByStep(t, cfg, kmn, runProfile(t, cfg, kmn))
 	})
 }
 
 // TestStepperEquivalenceFastForwardIdle covers the most-asleep systems —
 // the two profiles the jump used to fire on: a pure-compute profile (fabric
 // always empty) and a trickle profile whose idle spans border real memory
-// traffic. Both must match the hand-stepped run bit-for-bit, and the
-// four-lane kernel must match the serial one.
+// traffic. Both must match the hand-stepped run bit-for-bit.
 func TestStepperEquivalenceFastForwardIdle(t *testing.T) {
 	cfg := equivCfg()
 	for _, prof := range []workload.Profile{idleProfile(), trickleProfile()} {
 		t.Run(prof.Name, func(t *testing.T) {
 			t.Parallel()
-			serial := runProfile(t, cfg, prof, 1)
-			checkStepByStep(t, cfg, prof, serial)
-			compareResults(t, runProfile(t, cfg, prof, 4), serial)
+			checkStepByStep(t, cfg, prof, runProfile(t, cfg, prof))
 		})
 	}
 }
 
-// TestStepperEquivalenceSoak runs the workers=4 kernel over a longer run —
-// under -race in CI, this is the soak that lets the detector watch barrier
-// generations, endpoint ticks on the lanes and endpoint sleeps and wakes
-// interleave for real — and requires bit-identity with the serial run. The
-// dense variants put the two cycle-boundary readers of lane-written state
-// right behind the workers: the telemetry sampler folds the per-endpoint
-// counter shards every 16 cycles, and the sanitizer recounts the fabric
-// against the sharded in-flight tally every 7, on the single network and on
-// the dual subnets that share one pool.
+// TestStepperEquivalenceSoak reproduces longer runs with dense cycle-boundary
+// readers: the telemetry sampler folds the per-endpoint counter shards every
+// 16 cycles, and the sanitizer recounts the fabric against the in-flight
+// tally every 7 — on the single network and on the dual subnets — and
+// requires each run bit-identical to its rerun (carrying the retired
+// Workers=4) and to the same run under the suite's sparse instrumentation.
 func TestStepperEquivalenceSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
@@ -365,15 +338,17 @@ func TestStepperEquivalenceSoak(t *testing.T) {
 	cfg.WarmupCycles = 800
 	cfg.MeasureCycles = 4000
 
-	checkWorkers(t, cfg, "KMN", runOne(t, cfg, "KMN", 1), 4)
-
-	prof := idleProfile()
-	compareResults(t, runProfile(t, cfg, prof, 4), runProfile(t, cfg, prof, 1))
-
 	dense := gpu.Instrumentation{SanitizeEvery: 7, TelemetryEpoch: 16}
 	kmn := workload.MustGet("KMN")
-	compareResults(t, runWith(t, cfg, kmn, 4, dense), runWith(t, cfg, kmn, 1, dense))
-	cfg.NoC.PhysicalSubnets = true
-	cfg.NoC.VCsPerPort = 4
-	compareResults(t, runWith(t, cfg, kmn, 4, dense), runWith(t, cfg, kmn, 1, dense))
+	for _, dual := range []bool{false, true} {
+		if dual {
+			cfg.NoC.PhysicalSubnets = true
+			cfg.NoC.VCsPerPort = 4
+		}
+		run := runWith(t, cfg, kmn, dense)
+		compareResults(t, runWith(t, retiredWorkers(cfg), kmn, dense), run)
+		if sparse := runProfile(t, cfg, kmn); sparse.IPC != run.IPC || !reflect.DeepEqual(sparse.Net, run.Net) {
+			t.Errorf("dual=%v: the sanitizer or sampler cadence changed the run", dual)
+		}
+	}
 }

@@ -34,7 +34,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sim.Close()
 	res, err := sim.RunContext(context.Background())
 	if err != nil {
 		log.Fatal(err)

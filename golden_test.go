@@ -72,10 +72,9 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
-// TestGoldenRunArtifacts runs each system on one lane and on four (the 4x4
-// mesh's four rows) and holds both to the same files: spans keep the lanes
-// on the stepping goroutine, which runs them lane by lane, so the span
-// stream at four lanes is the event order of a multi-lane cycle.
+// TestGoldenRunArtifacts runs each system from configurations carrying the
+// retired Workers values 1 and 4 (once the lane-parallel kernel's domain
+// count) and holds both to the same files.
 func TestGoldenRunArtifacts(t *testing.T) {
 	for _, tc := range []struct {
 		dir  string
@@ -85,7 +84,7 @@ func TestGoldenRunArtifacts(t *testing.T) {
 			for _, w := range []int{1, 4} {
 				t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 					if *update && w != 1 {
-						t.Skip("the goldens are written from the one-lane run")
+						t.Skip("the goldens are written from the workers=1 run")
 					}
 					cfg := goldenCfg(tc.dual)
 					cfg.NoC.Workers = w

@@ -6,7 +6,6 @@ package config
 import (
 	"errors"
 	"fmt"
-	"runtime"
 )
 
 // Placement names a memory-controller placement scheme (Figure 5).
@@ -80,14 +79,12 @@ type NoC struct {
 	// flit per two cycles), holding the total wire budget equal to the
 	// single network instead of doubling it.
 	SubnetHalfWidth bool
-	// Workers is the number of spatial domains the cycle kernel steps in
-	// parallel: 0 means GOMAXPROCS, 1 is the serial kernel. Results are
-	// bit-identical for every value (per-domain state is merged in a fixed
-	// order at each cycle boundary); the kernel clamps the count to the
-	// mesh height, since domains are contiguous row stripes, and re-cuts
-	// the stripes by counted work as the run goes. What it buys is bounded
-	// by the busiest stripe and the serial tail, not by the core count: on
-	// a small mesh, or for many short runs, 1 is the faster choice.
+	// Workers is retired and read by nothing that simulates: the kernel
+	// steps the whole mesh on the calling goroutine. The field stays so that
+	// stored configurations, sweep specs and fabric payloads that carry it
+	// still decode; sweep fingerprints and the figure runners' result memo
+	// fold it to its default, so such an input shares every result with the
+	// same input without it.
 	Workers int
 }
 
@@ -222,8 +219,6 @@ func (c Config) Validate() error {
 		return errors.New("config: need VC depth >= 1")
 	case n.InjectionFlitsPerCycle < 1:
 		return errors.New("config: need injection bandwidth >= 1 flit/cycle")
-	case n.Workers < 0:
-		return errors.New("config: workers must be >= 0 (0 = GOMAXPROCS, 1 = serial kernel)")
 	}
 	switch n.Routing {
 	case RoutingXY, RoutingYX, RoutingXYYX:
@@ -304,27 +299,4 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Warnings returns non-fatal configuration advisories: settings that are
-// valid but probably not what the user meant. CLIs print them to stderr.
-func (c Config) Warnings() []string {
-	var out []string
-	if routers := c.NoC.Width * c.NoC.Height; c.NoC.Workers > routers {
-		out = append(out, fmt.Sprintf(
-			"config: %d workers exceed the mesh's %d routers; the kernel clamps domains to %d row stripes",
-			c.NoC.Workers, routers, c.NoC.Height))
-	} else if c.NoC.Workers > c.NoC.Height {
-		out = append(out, fmt.Sprintf(
-			"config: %d workers exceed the mesh's %d rows; domains are row stripes, so the kernel clamps to %d",
-			c.NoC.Workers, c.NoC.Height, c.NoC.Height))
-	}
-	// The kernel never runs more goroutines than Ps (0 workers asks for one
-	// lane per P and cannot exceed them).
-	if lanes, procs := min(c.NoC.Workers, c.NoC.Height), runtime.GOMAXPROCS(0); lanes > procs {
-		out = append(out, fmt.Sprintf(
-			"config: %d lanes exceed GOMAXPROCS=%d; lanes are stepped by %d goroutines, each taking a contiguous block of lanes",
-			lanes, procs, procs))
-	}
-	return out
 }

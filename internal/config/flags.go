@@ -26,7 +26,6 @@ var flagTable = []flagRow{
 	{"seed", "random seed", func(c *Config) any { return &c.Seed }},
 	{"dual", "use two physical subnetworks instead of VC separation", func(c *Config) any { return &c.NoC.PhysicalSubnets }},
 	{"halfwidth", "with -dual, give each subnet half-width channels (equal wire budget)", func(c *Config) any { return &c.NoC.SubnetHalfWidth }},
-	{"workers", "parallel cycle-kernel domains (0 = GOMAXPROCS, 1 = serial; results are bit-identical)", func(c *Config) any { return &c.NoC.Workers }},
 	{"allow-unsafe", "accept configurations the protocol-deadlock analysis rejects", func(c *Config) any { return &c.AllowUnsafe }},
 }
 

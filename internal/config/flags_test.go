@@ -7,9 +7,9 @@ package config_test
 import (
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -66,14 +66,14 @@ func TestFlagsOverridesOnlyExplicit(t *testing.T) {
 	}
 }
 
-// TestFlagsSetEveryField sets all thirteen configuration flags at once:
+// TestFlagsSetEveryField sets all twelve configuration flags at once:
 // each must land in its own field, both in Config() over Default() and in
 // the overrides over a base that differs from Default() in every one of
 // those fields and in others.
 func TestFlagsSetEveryField(t *testing.T) {
 	f := bind(t, "-placement", "top", "-routing", "yx", "-vcpolicy", "asymmetric",
 		"-vcs", "4", "-depth", "6", "-reqvcs", "2", "-cycles", "1234", "-warmup", "56",
-		"-seed", "9", "-dual", "-halfwidth", "-workers", "3", "-allow-unsafe")
+		"-seed", "9", "-dual", "-halfwidth", "-allow-unsafe")
 	set := func(c config.Config) config.Config {
 		c.Placement = config.PlacementTop
 		c.NoC.Routing = config.RoutingYX
@@ -86,7 +86,6 @@ func TestFlagsSetEveryField(t *testing.T) {
 		c.Seed = 9
 		c.NoC.PhysicalSubnets = true
 		c.NoC.SubnetHalfWidth = true
-		c.NoC.Workers = 3
 		c.AllowUnsafe = true
 		return c
 	}
@@ -108,7 +107,6 @@ func TestFlagsSetEveryField(t *testing.T) {
 	base.MeasureCycles = 77
 	base.WarmupCycles = 11
 	base.Seed = 42
-	base.NoC.Workers = 2
 	base.NoC.Width, base.Mem.L2Ways, base.Core.WarpsPerSM = 10, 16, 24
 	ov, err := f.Overrides()
 	if err != nil {
@@ -126,58 +124,15 @@ func TestFlagsOverridesRefuseConfigFile(t *testing.T) {
 	}
 }
 
+// TestFlagsPerfKnobs: the shared flags carry no host-side performance knob.
+// -workers, which chose the retired lane-parallel kernel's domain count, is
+// an unknown flag.
 func TestFlagsPerfKnobs(t *testing.T) {
-	f := bind(t, "-workers", "4")
-	want := config.Default()
-	want.NoC.Workers = 4
-	if ov, err := f.Overrides(); err != nil || ov(config.Default()) != want {
-		t.Errorf("explicit -workers missing from overrides (err %v)", err)
-	}
-	cfg, err := f.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg != want {
-		t.Errorf("Config() mismatch:\n got %+v\nwant %+v", cfg, want)
-	}
-	if _, err := bind(t, "-workers", "-3").Config(); err == nil {
-		t.Error("negative -workers accepted")
-	}
-}
-
-func TestWarnings(t *testing.T) {
-	// The lanes-vs-Ps advisory depends on the runtime; give the geometry
-	// cases Ps to spare, then pin it on its own below.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
-	if w := config.Default().Warnings(); len(w) != 0 {
-		t.Errorf("baseline configuration warns: %v", w)
-	}
-	// More workers than rows: lanes are row stripes, so some would be empty.
-	cfg := config.Default()
-	cfg.NoC.Workers = cfg.NoC.Height + 1
-	if w := cfg.Warnings(); len(w) != 1 {
-		t.Errorf("workers > rows produced %d warnings, want 1: %v", len(w), w)
-	}
-	// More workers than routers subsumes the rows advisory; exactly one
-	// warning should name the router clamp.
-	cfg.NoC.Workers = cfg.NoC.Width*cfg.NoC.Height + 1
-	if w := cfg.Warnings(); len(w) != 1 {
-		t.Errorf("workers > routers produced %d warnings, want 1: %v", len(w), w)
-	}
-	// Workers equal to the row count is fine.
-	cfg.NoC.Workers = cfg.NoC.Height
-	if w := cfg.Warnings(); len(w) != 0 {
-		t.Errorf("workers == rows warned: %v", w)
-	}
-	// More lanes than Ps: the kernel runs one goroutine per P, not per lane.
-	runtime.GOMAXPROCS(2)
-	cfg.NoC.Workers = 4
-	if w := cfg.Warnings(); len(w) != 1 || !strings.Contains(w[0], "lanes are stepped by 2 goroutines") {
-		t.Errorf("4 lanes on 2 Ps: warnings %v, want the goroutine-count advisory", w)
-	}
-	cfg.NoC.Workers = 2
-	if w := cfg.Warnings(); len(w) != 0 {
-		t.Errorf("2 lanes on 2 Ps warned: %v", w)
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	config.BindFlags(fs)
+	if err := fs.Parse([]string{"-workers", "2"}); err == nil || !strings.Contains(err.Error(), "-workers") {
+		t.Errorf("-workers 2 parsed with error %v, want an unknown-flag error", err)
 	}
 }
 

@@ -189,12 +189,9 @@ func TestStructureProvedOncePerKey(t *testing.T) {
 				t.Errorf("goroutine %d: Validate: %v", g, err)
 				return
 			}
-			sim, err := gpu.New(cfg, workload.MustGet(benches[g%len(benches)]))
-			if err != nil {
+			if _, err := gpu.New(cfg, workload.MustGet(benches[g%len(benches)])); err != nil {
 				t.Errorf("goroutine %d: gpu.New: %v", g, err)
-				return
 			}
-			sim.Close()
 		}()
 	}
 	wg.Wait()
@@ -296,7 +293,6 @@ func TestStructureUnsafeVerdictMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AllowUnsafe rejected: %v", err)
 	}
-	defer sim.Close()
 	if _, err := sim.RunContext(context.Background()); err != nil {
 		t.Errorf("unsafe structure under AllowUnsafe: %v", err)
 	}
@@ -322,7 +318,6 @@ func TestStructureSharedBySyntheticHarness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	st, err := core.StructureFor(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,14 +9,20 @@ import (
 )
 
 // memoKey identifies one simulation exactly: the benchmark and the whole
-// configuration, compared field by field. It is deliberately not
-// sweep.Job.Fingerprint, which folds NoC.Workers to its default so that a
-// record means the same at any worker count: keyed by that, a figure
-// regenerated at Workers=4 to check it against the serial kernel would be
-// answered from the serial run and compared with itself.
+// configuration, compared field by field, except the retired NoC.Workers,
+// which nothing that simulates reads. It is folded to its default the way
+// sweep.Job.Fingerprint folds it, so a configuration that still carries it
+// shares every result with the same configuration without it.
 type memoKey struct {
 	bench string
 	cfg   config.Config
+}
+
+// keyOf returns j's memo key.
+func keyOf(j job) memoKey {
+	cfg := j.cfg
+	cfg.NoC.Workers = config.Default().NoC.Workers
+	return memoKey{j.bench, cfg}
 }
 
 // memoCap bounds the table. `experiments -run all` over all 25 benchmarks
@@ -64,7 +70,7 @@ func runAll(jobs []job, workers int) (map[string]gpu.Result, error) {
 
 	memo.Lock()
 	for _, j := range jobs {
-		k := memoKey{j.bench, j.cfg}
+		k := keyOf(j)
 		if res, ok := memo.byKey[k]; ok {
 			results[j.key] = res
 			memo.reused++
@@ -92,7 +98,7 @@ func runAll(jobs []job, workers int) (map[string]gpu.Result, error) {
 		if !ok {
 			continue
 		}
-		k := memoKey{j.bench, j.cfg}
+		k := keyOf(j)
 		for _, key := range sharers[k] {
 			results[key] = res
 		}

@@ -83,25 +83,6 @@ func TestMemoFig8AfterFig7(t *testing.T) {
 	}
 }
 
-// TestMemoWorkersIsPartOfKey: the same figure on the four-lane kernel after
-// the serial one is simulated again — the key is the exact configuration,
-// not the fingerprint that folds Workers away — and agrees with it.
-func TestMemoWorkersIsPartOfKey(t *testing.T) {
-	ResetMemo()
-	serial, lanes := memoOpts(), memoOpts()
-	serial.Overrides = func(c config.Config) config.Config { c.NoC.Workers = 1; return c }
-	lanes.Overrides = func(c config.Config) config.Config { c.NoC.Workers = 4; return c }
-	n := int64(len(serial.Benchmarks))
-	serialTab := mustTable(t, Fig7, serial)
-	var lanesTab *Table
-	if sim, re := counts(func() { lanesTab = mustTable(t, Fig7, lanes) }); sim != 3*n || re != 0 {
-		t.Errorf("Fig7 at Workers=4 after Workers=1: %d simulated, %d reused; want %d, 0", sim, re, 3*n)
-	}
-	if serialTab.String() != lanesTab.String() {
-		t.Errorf("Fig7 diverged between kernels:\nserial:\n%s\nworkers=4:\n%s", serialTab, lanesTab)
-	}
-}
-
 // TestMemoStoresOutcomesNotErrors: a job that fails is not stored and fails
 // again; a run the watchdog declares deadlocked is a deterministic result,
 // stored and returned as deadlocked on the hit.
@@ -143,7 +124,9 @@ func TestMemoStoresOutcomesNotErrors(t *testing.T) {
 
 // TestMemoEveryConfigLeafIsPartOfKey changes each leaf of config.Config in
 // turn — found by reflection, so a field added later is covered the day it
-// is added — and requires a miss: nothing may be folded out of the key.
+// is added — and requires a miss: nothing but the retired NoC.Workers may be
+// folded out of the key, and that one must hit, so a configuration still
+// carrying it shares the run.
 // Many of the changed configurations are invalid; a job that fails was still
 // dispatched rather than answered, which is all this asks.
 func TestMemoEveryConfigLeafIsPartOfKey(t *testing.T) {
@@ -181,7 +164,13 @@ func TestMemoEveryConfigLeafIsPartOfKey(t *testing.T) {
 		}
 		changed := base
 		changed.cfg = cfg
-		if sim, re := counts(func() { runAll([]job{changed}, 1) }); sim != 1 || re != 0 {
+		sim, re := counts(func() { runAll([]job{changed}, 1) })
+		switch {
+		case path == "Config.NoC.Workers":
+			if sim != 0 || re != 1 {
+				t.Errorf("%s changed: %d simulated, %d reused; want 0, 1 — the retired field splits the memo", path, sim, re)
+			}
+		case sim != 1 || re != 0:
 			t.Errorf("%s changed: %d simulated, %d reused; want 1, 0 — the field is not part of the key", path, sim, re)
 		}
 		v.Set(old)

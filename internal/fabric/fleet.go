@@ -163,7 +163,7 @@ func (c *Coordinator) Timeline(id string) (*fleetobs.Timeline, error) {
 // complete payload into the job timelines. Worker offsets are relative to
 // the batch start; the coordinator anchors them at the job's last lease
 // grant — an approximation (network latency and queueing inside the batch
-// shift the anchor), documented as such in DESIGN.md §15.
+// shift the anchor), documented as such in DESIGN.md §12.
 func (c *Coordinator) attachWorkerSpansLocked(workerID string, spans []WireSpan) {
 	for _, ws := range spans {
 		tj, ok := c.jobs[ws.Fingerprint]

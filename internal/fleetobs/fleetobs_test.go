@@ -62,6 +62,29 @@ func TestRecordZeroAlloc(t *testing.T) {
 	}
 }
 
+// readDump decodes a dump's JSONL lines as written: the header, then one
+// event per line. Every line must be one JSON object of the line's shape,
+// with no field the writer does not produce.
+func readDump(t *testing.T, data []byte) (DumpHeader, []dumpEvent) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	decode := func(line string, v any) {
+		t.Helper()
+		dec := json.NewDecoder(strings.NewReader(line))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(v); err != nil {
+			t.Fatalf("dump line %q: %v", line, err)
+		}
+	}
+	var hdr DumpHeader
+	decode(lines[0], &hdr)
+	events := make([]dumpEvent, len(lines)-1)
+	for i, line := range lines[1:] {
+		decode(line, &events[i])
+	}
+	return hdr, events
+}
+
 func TestDumpRoundTrip(t *testing.T) {
 	r := NewRecorder(64)
 	r.Record(100, KindPhase, 1, 0, 0)
@@ -76,29 +99,26 @@ func TestDumpRoundTrip(t *testing.T) {
 	if want := filepath.Join(dir, "kmn-s1-invariant.flight.jsonl"); path != want {
 		t.Fatalf("dump path %q, want %q", path, want)
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("open dump: %v", err)
+		t.Fatalf("read dump: %v", err)
 	}
-	defer f.Close()
-	hdr, events, err := ReadDump(f)
-	if err != nil {
-		t.Fatalf("ReadDump: %v", err)
-	}
-	if hdr.Source != "gpu" || hdr.Reason != "invariant failure" {
+	hdr, events := readDump(t, data)
+	if hdr != (DumpHeader{Flight: "v1", Source: "gpu", Reason: "invariant failure", Recorded: 3}) {
 		t.Fatalf("header %+v", hdr)
 	}
-	if hdr.Recorded != 3 || hdr.Dropped != 0 {
-		t.Fatalf("header counts %+v", hdr)
+	want := []dumpEvent{
+		{Seq: 0, Cycle: 100, Kind: "phase", A: 1},
+		{Seq: 1, Cycle: 612, Kind: "checkpoint", A: 7, B: 512},
+		{Seq: 2, Cycle: 613, Kind: "invariant_fail"},
 	}
-	if len(events) != 3 {
-		t.Fatalf("got %d events, want 3", len(events))
+	if len(events) != len(want) {
+		t.Fatalf("got %d events, want %d", len(events), len(want))
 	}
-	if events[2].Kind != KindInvariantFail || events[2].Cycle != 613 {
-		t.Fatalf("last event %+v", events[2])
-	}
-	if events[1].A != 7 || events[1].B != 512 {
-		t.Fatalf("checkpoint payload %+v", events[1])
+	for i := range want {
+		if events[i] != want[i] {
+			t.Errorf("event %d: %+v, want %+v", i, events[i], want[i])
+		}
 	}
 }
 
@@ -111,10 +131,7 @@ func TestDumpDroppedCount(t *testing.T) {
 	if err := small.WriteJSONL(&buf, "watchdog"); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
-	hdr, events, err := ReadDump(&buf)
-	if err != nil {
-		t.Fatalf("ReadDump: %v", err)
-	}
+	hdr, events := readDump(t, buf.Bytes())
 	if hdr.Recorded != 10 || hdr.Dropped != 6 {
 		t.Fatalf("header %+v, want recorded 10 dropped 6", hdr)
 	}
@@ -123,29 +140,16 @@ func TestDumpDroppedCount(t *testing.T) {
 	}
 }
 
-// TestReadDumpRefusesRetiredKinds: a dump holding a kind the recorder does
-// not define, such as the "pool" and "retile" kernel events older dumps
-// carry, is refused by the kind's name and line rather than read with those
-// events silently gone.
-func TestReadDumpRefusesRetiredKinds(t *testing.T) {
-	for _, kind := range []string{"pool", "retile"} {
-		dump := `{"flight":"v1","source":"gpu","reason":"watchdog","recorded":2,"dropped":0}
-{"seq":0,"cycle":512,"kind":"checkpoint","a":9,"b":0,"c":0}
-{"seq":1,"cycle":1024,"kind":"` + kind + `","a":1,"b":0,"c":4}
-`
-		_, _, err := ReadDump(strings.NewReader(dump))
-		if err == nil || !strings.Contains(err.Error(), `"`+kind+`"`) || !strings.Contains(err.Error(), "line 3") {
-			t.Errorf("a dump holding a %q event: error %v, want one naming the kind and its line", kind, err)
-		}
-	}
-}
-
+// TestKindStringsRoundTrip: every kind has a name of its own, so a dump's
+// kind column maps back to one kind; an out-of-range kind prints its number.
 func TestKindStringsRoundTrip(t *testing.T) {
+	seen := map[string]Kind{}
 	for k := KindPhase; k <= KindPanic; k++ {
-		got, ok := kindByName(k.String())
-		if !ok || got != k {
-			t.Fatalf("kind %d (%s) does not round-trip", k, k)
+		s := k.String()
+		if prev, dup := seen[s]; dup || strings.HasPrefix(s, "kind(") {
+			t.Fatalf("kind %d is named %q, as is kind %d", k, s, prev)
 		}
+		seen[s] = k
 	}
 	if s := Kind(200).String(); s != "kind(200)" {
 		t.Fatalf("out-of-range kind string %q", s)

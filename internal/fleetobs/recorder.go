@@ -18,14 +18,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // Kind classifies one flight-recorder event.
 type Kind uint8
 
 // Event kinds. The A/B/C payload meaning is per-kind (documented here and
-// in DESIGN.md §15).
+// in DESIGN.md §12).
 const (
 	// KindPhase: run-phase entry. A: 0 = warmup, 1 = measurement.
 	KindPhase Kind = iota
@@ -53,16 +52,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// kindByName inverts String for the dump parser.
-func kindByName(s string) (Kind, bool) {
-	for i, n := range kindNames {
-		if n == s {
-			return Kind(i), true
-		}
-	}
-	return 0, false
 }
 
 // Event is one recorded flight-recorder entry. Seq is the global event
@@ -206,45 +195,4 @@ func (r *Recorder) Dump(dir, name, reason string) (string, error) {
 		return "", fmt.Errorf("fleetobs: dump %s: %w", path, err)
 	}
 	return path, nil
-}
-
-// ReadDump parses a dump produced by WriteJSONL.
-func ReadDump(r io.Reader) (DumpHeader, []Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var hdr DumpHeader
-	var events []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if line == 1 {
-			if err := json.Unmarshal([]byte(text), &hdr); err != nil {
-				return hdr, nil, fmt.Errorf("fleetobs: dump header: %w", err)
-			}
-			if hdr.Flight != "v1" {
-				return hdr, nil, fmt.Errorf("fleetobs: unknown dump format %q", hdr.Flight)
-			}
-			continue
-		}
-		var de dumpEvent
-		if err := json.Unmarshal([]byte(text), &de); err != nil {
-			return hdr, nil, fmt.Errorf("fleetobs: dump line %d: %w", line, err)
-		}
-		k, ok := kindByName(de.Kind)
-		if !ok {
-			return hdr, nil, fmt.Errorf("fleetobs: dump line %d: unknown kind %q", line, de.Kind)
-		}
-		events = append(events, Event{Seq: de.Seq, Cycle: de.Cycle, Kind: k, A: de.A, B: de.B, C: de.C})
-	}
-	if err := sc.Err(); err != nil {
-		return hdr, nil, err
-	}
-	if line == 0 {
-		return hdr, nil, fmt.Errorf("fleetobs: empty dump")
-	}
-	return hdr, events, nil
 }

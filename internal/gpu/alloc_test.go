@@ -18,12 +18,10 @@ import (
 // cycles that is a few allocations per hundred cycles and falling, which
 // AllocsPerRun's whole allocations per cycle read as 0, where one
 // allocation per packet reads 1 or more. KMN is read-heavy and RAY
-// write-heavy, each on one network and on a Dual, at one lane and four;
-// under -race, the four-lane cases are where a free list touched off its
-// endpoint's lane shows as a data race. internal/noc's
+// write-heavy, each on one network and on a Dual, from configurations
+// carrying the retired Workers values 1 and 4. internal/noc's
 // TestSteadyStateStepDoesNotAllocate pins the kernel alone.
 func TestStepSteadyStateDoesNotAllocate(t *testing.T) {
-	forcePool(t)
 	for _, bench := range []string{"KMN", "RAY"} {
 		for _, dual := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
@@ -38,7 +36,6 @@ func TestStepSteadyStateDoesNotAllocate(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer sim.Close()
 					for range 4000 {
 						sim.Step()
 					}

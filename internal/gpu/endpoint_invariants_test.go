@@ -51,13 +51,13 @@ func (l *lateReplyNet) Step() {
 
 // TestEndpointInvariants: the sanitizer covers the endpoints' sleep state.
 // Checked after every cycle, saturated, write-heavy and mostly-idle systems
-// on one and two subnets, at one and four workers, never trip it; an MC
+// on one and two subnets, at the retired Workers values 1 and 4, never trip
+// it; an MC
 // that is asleep while its DRAM channel has work fails the run with an
 // error naming the controller and the cause, and so does an endpoint still
 // waiting for injection space after its queue drained, and an SM woken by a
 // reply while out of the kernel's tick walk.
 func TestEndpointInvariants(t *testing.T) {
-	forcePool(t)
 	for _, prof := range []workload.Profile{workload.MustGet("KMN"), workload.MustGet("RAY"), trickleProfile()} {
 		for _, dual := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
@@ -69,7 +69,6 @@ func TestEndpointInvariants(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer sim.Close()
 					if _, err := sim.RunContext(context.Background()); err != nil {
 						t.Fatal(err)
 					}
@@ -83,7 +82,6 @@ func TestEndpointInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sim.Close()
 		sim.Net = &corruptingNet{Interconnect: sim.Net, sim: sim}
 		_, err = sim.RunContext(context.Background())
 		if err == nil {
@@ -101,7 +99,6 @@ func TestEndpointInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sim.Close()
 		late := &lateReplyNet{Interconnect: sim.Net, sm: sim.SMs[50]}
 		own := late.sm.Sink()
 		sim.Net.SetSink(late.sm.Node, func(f packet.Flit) bool {
@@ -131,7 +128,6 @@ func TestEndpointInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sim.Close()
 			node := sim.SMs[50].Node
 			if who == "MC 5" {
 				node = sim.MCs[5].Node

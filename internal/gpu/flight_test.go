@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,6 +45,32 @@ func (p *panicNet) Step() {
 	p.Interconnect.Step()
 }
 
+// flightDump reads a flight-recorder dump's JSONL lines: the header, then
+// each event's kind.
+func flightDump(t *testing.T, path string) (fleetobs.DumpHeader, []string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("dump not written: %v", err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	var hdr fleetobs.DumpHeader
+	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
+		t.Fatalf("dump header: %v", err)
+	}
+	kinds := make([]string, len(lines)-1)
+	for i, line := range lines[1:] {
+		var e struct {
+			Kind string `json:"kind"`
+		}
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("dump line %d: %v", i+2, err)
+		}
+		kinds[i] = e.Kind
+	}
+	return hdr, kinds
+}
+
 func TestFlightDumpOnInvariantFailure(t *testing.T) {
 	dir := t.TempDir()
 	prof := workload.MustGet("KMN")
@@ -51,7 +78,6 @@ func TestFlightDumpOnInvariantFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.AttachFlight(256, dir)
 	s.SanitizeEvery = 64
 	// Swap in the failing wrapper after AttachFlight: the recorder stays on
@@ -68,30 +94,20 @@ func TestFlightDumpOnInvariantFailure(t *testing.T) {
 	if !strings.Contains(err.Error(), "flight dump: ") {
 		t.Fatalf("error does not point at the flight dump: %v", err)
 	}
-	path := filepath.Join(dir, fmt.Sprintf("%s-s%d-invariant.flight.jsonl", prof.Name, s.Cfg.Seed))
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("dump not written: %v", err)
-	}
-	defer f.Close()
-	hdr, events, err := fleetobs.ReadDump(f)
-	if err != nil {
-		t.Fatalf("dump unreadable: %v", err)
-	}
+	hdr, events := flightDump(t, filepath.Join(dir, fmt.Sprintf("%s-s%d-invariant.flight.jsonl", prof.Name, s.Cfg.Seed)))
 	if hdr.Source != "gpu" || hdr.Reason != "invariant" {
 		t.Fatalf("dump header %+v", hdr)
 	}
 	if len(events) == 0 {
 		t.Fatal("dump carries no events")
 	}
-	last := events[len(events)-1]
-	if last.Kind != fleetobs.KindInvariantFail {
-		t.Fatalf("last event %v, want invariant_fail", last.Kind)
+	if last := events[len(events)-1]; last != fleetobs.KindInvariantFail.String() {
+		t.Fatalf("last event %v, want invariant_fail", last)
 	}
 	// The sampled checks before the failure must be on record too.
 	var oks int
 	for _, e := range events {
-		if e.Kind == fleetobs.KindInvariantOK {
+		if e == fleetobs.KindInvariantOK.String() {
 			oks++
 		}
 	}
@@ -107,7 +123,6 @@ func TestFlightDumpOnPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.AttachFlight(256, dir)
 	s.Net = &panicNet{Interconnect: s.Net, panicAt: 700}
 
@@ -120,21 +135,12 @@ func TestFlightDumpOnPanic(t *testing.T) {
 		s.RunContext(context.Background())
 	}()
 
-	path := filepath.Join(dir, fmt.Sprintf("%s-s%d-panic.flight.jsonl", prof.Name, s.Cfg.Seed))
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("panic dump not written: %v", err)
-	}
-	defer f.Close()
-	hdr, events, err := fleetobs.ReadDump(f)
-	if err != nil {
-		t.Fatalf("dump unreadable: %v", err)
-	}
+	hdr, events := flightDump(t, filepath.Join(dir, fmt.Sprintf("%s-s%d-panic.flight.jsonl", prof.Name, s.Cfg.Seed)))
 	if hdr.Reason != "panic" {
 		t.Fatalf("dump header %+v", hdr)
 	}
-	if events[len(events)-1].Kind != fleetobs.KindPanic {
-		t.Fatalf("last event %v, want panic", events[len(events)-1].Kind)
+	if last := events[len(events)-1]; last != fleetobs.KindPanic.String() {
+		t.Fatalf("last event %v, want panic", last)
 	}
 }
 

@@ -73,8 +73,7 @@ type Simulator struct {
 	// unpopulated tile).
 	endpoints []ticker
 
-	// Endpoints tick and eject on whichever kernel goroutine owns their
-	// node, so no counter here has more than one writer: shards holds one
+	// Each endpoint writes only its own counters: shards holds one
 	// stats.GPU per endpoint (SMs, then MCs; Totals folds them at cycle
 	// boundaries) and ids one packet-ID counter per SM.
 	shards []stats.GPU
@@ -82,17 +81,15 @@ type Simulator struct {
 	cycle  int64
 }
 
-// ticker is what tick and awakeTicks need of an endpoint; *smcore.SM and
-// *mc.MC both are one.
+// ticker is what tick needs of an endpoint; *smcore.SM and *mc.MC both are
+// one.
 type ticker interface {
 	Tick(now int64) bool
-	SleptTicks() int64
 }
 
 // smIDBase is where SM i's private packet-ID stream starts: streams are
-// 2^40 IDs apart, so IDs of different SMs never collide whichever goroutine
-// ticks them, and request IDs stay far below bit 63, which marks a reply
-// (mc.replyIDBit). One scheme for every worker count.
+// 2^40 IDs apart, so IDs of different SMs never collide, and request IDs
+// stay far below bit 63, which marks a reply (mc.replyIDBit).
 func smIDBase(i int) uint64 { return uint64(i+1) << 40 }
 
 // smSeed is SM i's workload seed under the run seed.
@@ -227,7 +224,6 @@ func NewInstrumented(cfg config.Config, prof workload.Profile, inst Instrumentat
 	}
 	if inst.Spans {
 		if _, err := s.attachSpans(inst.SpanRate); err != nil {
-			s.Close()
 			return nil, err
 		}
 	}
@@ -268,8 +264,7 @@ type Instrumentation struct {
 
 	// Spans attaches per-packet span tracing at SpanRate (the fraction of
 	// request packets sampled; 0 installs the collector but samples
-	// nothing). Span probes observe mid-cycle state, so with tracing on the
-	// lanes run on the stepping goroutine, in lane order, whatever Workers is.
+	// nothing).
 	Spans    bool
 	SpanRate float64
 
@@ -280,24 +275,20 @@ type Instrumentation struct {
 	FlightDir      string
 }
 
-// Close releases the simulator's resources — the interconnect's lane workers
-// when the parallel cycle kernel is active. The simulator stays usable
-// (stepping respawns them); call at a cycle boundary. Idempotent.
-func (s *Simulator) Close() { s.Net.Close() }
+// Close does nothing: a simulator holds no goroutine or other resource to
+// release. It is kept only for callers written against the retired
+// lane-parallel kernel.
+func (s *Simulator) Close() {}
 
-// settle charges every SM the ticks skipped up to this cycle boundary.
-func (s *Simulator) settle() {
-	for _, sm := range s.SMs {
-		sm.Settle(s.cycle)
-	}
-}
-
-// Totals returns the core-side counters since the last Reset: the settled
-// per-endpoint shards, folded. Every field is an int64 sum, so the result is
+// Totals returns the core-side counters since the last Reset: the
+// per-endpoint shards, folded, after charging every SM the ticks it skipped
+// up to this cycle boundary. Every field is an int64 sum, so the result is
 // identical to what unsharded accumulation would have produced. Call only at
 // a cycle boundary (ticks and sinks write shards mid-cycle).
 func (s *Simulator) Totals() stats.GPU {
-	s.settle()
+	for _, sm := range s.SMs {
+		sm.Settle(s.cycle)
+	}
 	var g stats.GPU
 	for i := range s.shards {
 		g.Add(&s.shards[i])
@@ -361,38 +352,19 @@ func (s *Simulator) attachSpans(rate float64) (*obs.Spans, error) {
 	return sp, nil
 }
 
-// tick ticks the endpoint on node, the interconnect's endpoint stage, on the
-// goroutine that owns the node and runs its ejection sink; false (a dormant
-// SM, an empty tile) leaves the walk. A tick touches only its own endpoint,
+// tick ticks the endpoint on node, the interconnect's endpoint stage; false
+// (a dormant SM, an empty tile) leaves the walk. A tick touches only its own endpoint,
 // its own counter shard and — through Inject — its own node's queue.
 func (s *Simulator) tick(node int) bool {
 	e := s.endpoints[node]
 	return e != nil && e.Tick(s.cycle)
 }
 
-// awakeTicks counts the ticks that ran their body on nodes [lo, hi) since
-// construction — the endpoint term of the work the kernel's lanes are cut by.
-// Call after settle.
-func (s *Simulator) awakeTicks(lo, hi int) (n int64) {
-	for _, e := range s.endpoints[lo:hi] {
-		if e != nil {
-			n += s.cycle - e.SleptTicks()
-		}
-	}
-	return n
-}
-
 // Step advances the whole system one NoC cycle. The endpoints tick inside
-// Net.Step, each lane's first, so a decorator over s.Net sees the whole cycle.
+// Net.Step, first, so a decorator over s.Net sees the whole cycle.
 func (s *Simulator) Step() {
 	s.Net.Step()
 	s.cycle++
-	if c := s.cycle; c >= 256 && c&(c-1) == 0 {
-		// Re-cut the kernel's lanes at every power of two, not once: the
-		// first cycles are a transient (DESIGN.md §11 has the MC row's shares).
-		s.settle()
-		s.Net.Rebalance(s.awakeTicks)
-	}
 	if s.Tel != nil {
 		s.Tel.MaybeSample(s.cycle)
 	}
@@ -604,13 +576,12 @@ func (s *Simulator) result(deadlocked bool, cycles int64) Result {
 
 // Run is the one-call runner: get a simulator for cfg and the named
 // benchmark with the requested instrumentation, simulate warmup then
-// measurement under ctx's cancellation, release the kernel's worker pool,
-// and return the result. On cancellation the partial result is returned
+// measurement under ctx's cancellation, and return the result. On cancellation the partial result is returned
 // together with ctx's error.
 //
 // An uninstrumented run recycles: it takes an idle simulator of cfg's shape
 // when there is one and Resets it, and a simulator whose run completed —
-// no error, no deadlock, no panic — goes back on the idle list, closed.
+// no error, no deadlock, no panic — goes back on the idle list.
 // The list holds at most GOMAXPROCS simulators, the oldest dropped first,
 // and a run that finds none of its shape drops the oldest too.
 // An instrumented simulator is always built fresh and never kept: its
@@ -625,7 +596,7 @@ func Run(ctx context.Context, cfg config.Config, benchmark string, inst Instrume
 		if err != nil {
 			return Result{}, err
 		}
-		return runClosed(ctx, sim)
+		return sim.RunContext(ctx)
 	}
 	sim := unpark(cfg)
 	if sim == nil {
@@ -636,20 +607,14 @@ func Run(ctx context.Context, cfg config.Config, benchmark string, inst Instrume
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := runClosed(ctx, sim)
+	res, err := sim.RunContext(ctx)
 	if err == nil && !res.Deadlocked {
 		park(sim)
 	}
 	return res, err
 }
 
-// runClosed runs sim and closes it, whether RunContext returns or panics.
-func runClosed(ctx context.Context, sim *Simulator) (Result, error) {
-	defer sim.Close()
-	return sim.RunContext(ctx)
-}
-
-// idle holds the closed simulators Run may reuse, most recently parked last.
+// idle holds the simulators Run may reuse, most recently parked last.
 var idle struct {
 	sync.Mutex
 	sims []*Simulator

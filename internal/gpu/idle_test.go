@@ -65,16 +65,12 @@ const sanitizeEvery = 256
 // sanitizer every sanitizeEvery and the flight recorder on.
 func run(t *testing.T, cfg config.Config, prof workload.Profile) gpu.Result {
 	t.Helper()
-	if cfg.NoC.Workers > 1 {
-		forcePool(t)
-	}
 	sim, err := gpu.NewInstrumented(cfg, prof, gpu.Instrumentation{
 		SanitizeEvery: sanitizeEvery, TelemetryEpoch: 400, FlightRecorder: 1 << 12,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	res, err := sim.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +104,11 @@ func digest(t *testing.T, res gpu.Result) string {
 
 var digestSeeds = []uint64{1, 7, 1234577}
 
-// TestFastForwardEquivalence covers the Figure 9 design space, three seeds
-// each, on a workload that saturates the fabric — where the jump was armed
-// on every cycle and never fired — against testdata/fig9.digests.
+// TestFastForwardEquivalence pins whole runs of the Figure 9 design space,
+// three seeds each, on a workload that saturates the fabric, to
+// testdata/fig9.digests. (The name and the digests' origin are the retired
+// run-loop fast-forward's: the file was generated while it was armed on
+// every cycle and never fired.)
 func TestFastForwardEquivalence(t *testing.T) {
 	kmn := workload.MustGet("KMN")
 	var keys, got []string
@@ -130,11 +128,11 @@ func TestFastForwardEquivalence(t *testing.T) {
 	}
 }
 
-// TestFastForwardEquivalenceIdle covers the two profiles on which the jump
-// did fire — it skipped most of IDLE, and TRICKLE's idle spans bordered
-// real memory traffic — on the single network and on the dual physical
-// subnets, three seeds each, at workers ∈ {1, 2, 4}, against
-// testdata/idle.digests.
+// TestFastForwardEquivalenceIdle pins whole runs of the two mostly-asleep
+// profiles — most of IDLE, and TRICKLE's idle spans beside real memory
+// traffic — on the single network and on the dual physical subnets, three
+// seeds each, to testdata/idle.digests. (Named for the retired run-loop
+// fast-forward, which skipped those spans when the digests were generated.)
 func TestFastForwardEquivalenceIdle(t *testing.T) {
 	var keys, got []string
 	for _, net := range []string{"single", "dual"} {
@@ -147,14 +145,7 @@ func TestFastForwardEquivalenceIdle(t *testing.T) {
 						cfg.NoC.PhysicalSubnets, cfg.NoC.VCsPerPort = true, 4 // 2 per subnet
 					}
 					key := fmt.Sprintf("%s/%s/seed=%d", net, prof.Name, seed)
-					serial := digest(t, run(t, cfg, prof))
-					keys, got = append(keys, key), append(got, serial)
-					for _, w := range []int{2, 4} {
-						cfg.NoC.Workers = w
-						if d := digest(t, run(t, cfg, prof)); d != serial {
-							t.Errorf("%s: workers=%d digest %s, workers=1 %s", key, w, d, serial)
-						}
-					}
+					keys, got = append(keys, key), append(got, digest(t, run(t, cfg, prof)))
 				}
 			})
 		}

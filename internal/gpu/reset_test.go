@@ -24,15 +24,15 @@ func resultDigest(res gpu.Result) string {
 // pair (A, B) of design points that share a shape — KMN, RAY and NQU at two
 // seeds, on one network and on two physical subnets — a simulator that ran
 // A and was then Reset to B must leave exactly what a simulator New built
-// for B leaves, at one lane and at four. A runs to completion or is
+// for B leaves, from configurations carrying the retired Workers values 1
+// and 4. A runs to completion or is
 // cancelled at its first checkpoint with the fabric full; B runs to
 // completion, or is cancelled too, whose partial result reports absolute
-// counters. Right after the Reset the fabric must be empty and consistent
-// (noc's TestResetRestoresEqualStripes checks the lane cut), and the
+// counters. Right after the Reset the fabric must be empty and consistent,
+// and the
 // sanitizer checks every 256 cycles that Reset left no stale schedule
 // behind.
 func TestResetMatchesNew(t *testing.T) {
-	forcePool(t)
 	type point struct {
 		bench string
 		seed  uint64
@@ -80,14 +80,12 @@ func TestResetMatchesNew(t *testing.T) {
 							t.Fatal(err)
 						}
 						fresh[outcome{p, ctx.Err() != nil}] = resultDigest(run(sim, ctx))
-						sim.Close()
 					}
 				}
 				sim, err := gpu.New(cfgOf(points[0]), workload.MustGet(points[0].bench))
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer sim.Close()
 				for _, a := range points {
 					for _, ctxs := range [][2]context.Context{{bg, bg}, {cancelled, bg}, {bg, cancelled}} {
 						for _, b := range points {
@@ -125,7 +123,6 @@ func TestResetRefusesOtherShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	other := cfg
 	other.NoC.Routing = config.RoutingYX
 	if err := sim.Reset(other, workload.MustGet("KMN")); err == nil {

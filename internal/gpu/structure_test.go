@@ -28,7 +28,6 @@ func TestSharedStructureConcurrentRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sim.Close()
 		sims[i] = sim
 	}
 	if sims[0].Place != sims[1].Place {
@@ -77,11 +76,9 @@ func TestSharedStructureNewAllocs(t *testing.T) {
 		limit float64
 	}{{"mesh8", config.Default(), 1200}, {"mesh16", scaleUp(), 4500}} {
 		build := func() {
-			sim, err := gpu.New(tc.cfg, kmn)
-			if err != nil {
+			if _, err := gpu.New(tc.cfg, kmn); err != nil {
 				t.Fatal(err)
 			}
-			sim.Close()
 		}
 		build() // first sight of the structure: analysis and proof
 		if a := testing.AllocsPerRun(5, build); a > tc.limit {
@@ -101,11 +98,9 @@ func BenchmarkNewStructureHit(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sim, err := gpu.New(bc.cfg, kmn)
-				if err != nil {
+				if _, err := gpu.New(bc.cfg, kmn); err != nil {
 					b.Fatal(err)
 				}
-				sim.Close()
 			}
 		})
 	}

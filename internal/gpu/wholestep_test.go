@@ -1,14 +1,12 @@
-// Whole-step lane suite: SM and MC ticks run on the kernel's lane workers,
-// so everything a tick used to share — the packet-ID counter, the core-side
-// counters, the in-flight tally — is sharded per endpoint or per lane. These
-// tests pin the three hazards that sharding has to get right, through the
-// exported surface a decorator or a benchmark sees.
+// Whole-step suite: SM and MC ticks run inside the interconnect's Step, as
+// its endpoint stage, so the packet-ID counter and the core-side counters
+// are kept per endpoint. These tests pin what that has to get right, through
+// the exported surface a decorator or a benchmark sees.
 package gpu_test
 
 import (
 	"context"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -20,17 +18,6 @@ import (
 	"gpgpunoc/internal/workload"
 )
 
-// forcePool gives the runtime a second P before construction, so a
-// simulator built with Workers > 1 really gets lane workers on a one-core
-// machine (results cannot depend on it; the race detector's view does).
-func forcePool(t *testing.T) {
-	t.Helper()
-	if runtime.GOMAXPROCS(0) == 1 {
-		old := runtime.GOMAXPROCS(2)
-		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	}
-}
-
 // ejectedPkt is what the recorder keeps of an ejected packet. It copies the
 // fields: the endpoint that ejects a packet reuses its storage.
 type ejectedPkt struct {
@@ -40,8 +27,7 @@ type ejectedPkt struct {
 }
 
 // ejected records, per destination node, the packets whose tail flit the
-// node's sink accepted. Each node's sink runs only on the lane owning the
-// node, so the per-node slices have a single writer each.
+// node's sink accepted.
 type ejected [][]ejectedPkt
 
 // tapSinks re-installs every endpoint's sink behind a recorder.
@@ -65,25 +51,10 @@ func tapSinks(sim *gpu.Simulator) ejected {
 	return rec
 }
 
-// ids flattens the record into a sorted multiset of packet IDs.
-func (e ejected) ids() []uint64 {
-	var out []uint64
-	for _, pkts := range e {
-		for _, p := range pkts {
-			out = append(out, p.ID)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// TestWholeStepPacketIDs: packet IDs come from per-SM streams, so the same
-// packets carry the same IDs whichever goroutine ticks their SM — the
-// multiset ejected at Workers=4 equals the one at Workers=1 — and the
+// TestWholeStepPacketIDs: packet IDs come from per-SM streams, and the
 // streams are disjoint: no two requests share an ID, a request's ID names
 // its SM, and bit 63 is set on replies and only on replies.
 func TestWholeStepPacketIDs(t *testing.T) {
-	forcePool(t)
 	for _, dual := range []bool{false, true} {
 		name := "single"
 		if dual {
@@ -95,46 +66,36 @@ func TestWholeStepPacketIDs(t *testing.T) {
 				cfg.NoC.PhysicalSubnets = true
 				cfg.NoC.VCsPerPort = 4
 			}
-			var runs [2][]uint64
-			for i, workers := range []int{1, 4} {
-				cfg.NoC.Workers = workers
-				sim, err := gpu.New(cfg, workload.MustGet("KMN"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec := tapSinks(sim)
-				if _, err := sim.RunContext(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				sim.Close()
-				runs[i] = rec.ids()
-
-				seen := map[uint64]bool{}
-				requests := 0
-				for _, pkts := range rec {
-					for _, p := range pkts {
-						if seen[p.ID] {
-							t.Fatalf("workers=%d: packet ID %#x ejected twice", workers, p.ID)
-						}
-						seen[p.ID] = true
-						reply := p.ID>>63 == 1
-						if reply != (p.Class == packet.Reply) {
-							t.Fatalf("workers=%d: %+v has bit 63 = %v", workers, p, reply)
-						}
-						if sm := int(p.ID&^(1<<63)>>40) - 1; sm != p.SM {
-							t.Fatalf("workers=%d: %+v carries SM %d's ID stream, issued by SM %d", workers, p, sm, p.SM)
-						}
-						if !reply {
-							requests++
-						}
+			sim, err := gpu.New(cfg, workload.MustGet("KMN"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := tapSinks(sim)
+			if _, err := sim.RunContext(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			seen := map[uint64]bool{}
+			requests := 0
+			for _, pkts := range rec {
+				for _, p := range pkts {
+					if seen[p.ID] {
+						t.Fatalf("packet ID %#x ejected twice", p.ID)
+					}
+					seen[p.ID] = true
+					reply := p.ID>>63 == 1
+					if reply != (p.Class == packet.Reply) {
+						t.Fatalf("%+v has bit 63 = %v", p, reply)
+					}
+					if sm := int(p.ID&^(1<<63)>>40) - 1; sm != p.SM {
+						t.Fatalf("%+v carries SM %d's ID stream, issued by SM %d", p, sm, p.SM)
+					}
+					if !reply {
+						requests++
 					}
 				}
-				if requests == 0 {
-					t.Fatalf("workers=%d: no request ejected", workers)
-				}
 			}
-			if !slices.Equal(runs[0], runs[1]) {
-				t.Errorf("ejected packet IDs differ between Workers=1 (%d packets) and Workers=4 (%d)", len(runs[0]), len(runs[1]))
+			if requests == 0 {
+				t.Fatal("no request ejected")
 			}
 		})
 	}
@@ -155,21 +116,17 @@ func (c *countingNet) Step() {
 
 // TestWholeStepWrappedNet: the tick dispatch goes through Simulator.Net, so
 // a decorator embedding noc.Interconnect forwards it to the real kernel and
-// a wrapped simulator at Workers=4 stays bit-identical to a bare serial one.
+// a wrapped simulator stays bit-identical to a bare one.
 func TestWholeStepWrappedNet(t *testing.T) {
-	forcePool(t)
 	cfg := equivCfg()
-	cfg.NoC.Workers = 1
 	want := run(t, cfg, workload.MustGet("KMN"))
 
-	cfg.NoC.Workers = 4
 	sim, err := gpu.NewInstrumented(cfg, workload.MustGet("KMN"), gpu.Instrumentation{
 		SanitizeEvery: 256, TelemetryEpoch: 400, FlightRecorder: 1 << 12,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	wrap := &countingNet{Interconnect: sim.Net}
 	sim.Net = wrap
 	got, err := sim.RunContext(context.Background())
@@ -180,40 +137,16 @@ func TestWholeStepWrappedNet(t *testing.T) {
 		t.Fatal("the run never stepped through the decorator")
 	}
 	if g, w := digest(t, got), digest(t, want); g != w {
-		t.Errorf("wrapped workers=4 run digest %s, bare serial run %s", g, w)
+		t.Errorf("wrapped run digest %s, bare run %s", g, w)
 	}
 }
 
-// laneWorkers counts the kernel's worker goroutines alive in this process,
-// by name, so goroutines other tests leave winding down cannot blur the
-// count.
-func laneWorkers() int {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	return strings.Count(string(buf), "noc.(*workerPool).worker(")
-}
-
-// settle waits for the worker count to reach want: a stopped worker signals
-// its exit a few instructions before it is gone from the goroutine dump.
-func settle(want int) int {
-	n := laneWorkers()
-	for i := 0; n != want && i < 1000; i++ {
-		runtime.Gosched()
-		n = laneWorkers()
-	}
-	return n
-}
-
-// TestWholeStepOnePoolPerSimulator: a simulator never runs more kernel
-// goroutines than Ps — min(lanes, GOMAXPROCS) in all, the stepping one
-// included — whether it drives one network or the two subnets of a Dual,
-// which share one pool.
+// TestWholeStepOnePoolPerSimulator: a simulator steps on the calling
+// goroutine alone — one network or the two subnets of a Dual, from a
+// configuration carrying the retired Workers=4 — so once Step returns no
+// goroutine of the process is inside package noc. (The name is kept from
+// the lane-parallel kernel, whose worker pool it counted.)
 func TestWholeStepOnePoolPerSimulator(t *testing.T) {
-	old := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(old)
-	if n := settle(0); n != 0 {
-		t.Fatalf("%d lane workers of earlier tests still running", n)
-	}
 	for _, dual := range []bool{false, true} {
 		cfg := config.Default()
 		cfg.NoC.Workers = 4
@@ -225,14 +158,12 @@ func TestWholeStepOnePoolPerSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim.Step()
-		const want = 1 // min(4 lanes, 2 Ps) − 1
-		if got := laneWorkers(); got != want {
-			t.Errorf("dual=%v: Workers=4 on 2 Ps runs %d lane workers beside the stepping goroutine, want %d", dual, got, want)
+		for c := 0; c < 100; c++ {
+			sim.Step()
 		}
-		sim.Close()
-		if got := settle(0); got != 0 {
-			t.Errorf("dual=%v: Close left %d lane workers running", dual, got)
+		buf := make([]byte, 1<<20)
+		if n := strings.Count(string(buf[:runtime.Stack(buf, true)]), "gpgpunoc/internal/noc."); n != 0 {
+			t.Errorf("dual=%v: %d stack frames in package noc after Step returned", dual, n)
 		}
 	}
 }

@@ -35,11 +35,11 @@ var bannedImports = map[string]string{
 // iteration over Go maps (whose order is deliberately randomized by the
 // runtime), and goroutine spawns (whose scheduling order the runtime does
 // not fix — concurrency in a simulation package is safe only when all
-// cross-goroutine effects are merged in a fixed order, as the parallel
-// cycle kernel's lane merge does). Sites that legitimately touch the wall
-// clock or spawn goroutines — progress reporting, CLI timing, the worker
-// pool behind a fixed-order merge — are exempted via the configuration
-// allowlist or a justified //noclint:determinism directive.
+// cross-goroutine effects are merged in a fixed order). Sites that
+// legitimately touch the wall clock or spawn goroutines — progress
+// reporting, CLI timing, a worker pool behind a fixed-order merge — are
+// exempted via the configuration allowlist or a justified
+// //noclint:determinism directive.
 const determinismName = "determinism"
 
 var Determinism = &Analyzer{

@@ -16,9 +16,6 @@
 //     package-prefixed message (the "noc: ..." convention) or live in a
 //     Must* constructor.
 //
-// Lane ownership in the parallel kernel is not checked here: the -race lane
-// suites of internal/noc check it on the running kernel.
-//
 // Findings at wall-clock-legitimate sites are suppressed by an explicit
 // per-analyzer path allowlist (DefaultConfig) or by a justified source
 // directive: `//noclint:<analyzer> <reason>` on or immediately above the

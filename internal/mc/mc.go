@@ -55,7 +55,7 @@ type MC struct {
 	// the earliest L2 or DRAM completion — and until then Tick only
 	// refreshes the service token. Servicing a request and the inject wake
 	// after a refusal wake the controller by zeroing it. All three writers
-	// run on the lane that owns this MC's node.
+	// run inside the interconnect's Step.
 	idleUntil  int64
 	sleptTicks int64 // ticks that took the early-out
 
@@ -311,7 +311,7 @@ func (m *MC) injectable() bool { return m.outbox.Len() > 0 && !m.injBlocked }
 // WakeInject is the MC's inject wake (noc.Interconnect.SetInjectWake): the
 // network freed space in this node's injection queue after refusing the
 // outbox front, so the controller wakes and the next Tick retries it. It
-// runs on the lane that owns the MC's node. Calling it spuriously is
+// runs inside the interconnect's Step. Calling it spuriously is
 // harmless — a driver that knows nothing of wakes calls it before every
 // Tick and gets the polling MC; an MC that was not refused stays asleep.
 func (m *MC) WakeInject() {

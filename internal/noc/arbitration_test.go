@@ -25,22 +25,18 @@ const arbDigestFile = "testdata/arbitration.digests"
 var arbVCs = []int{1, 2, 3, 4, 6, 8, 12}
 
 // arbCase is one point of the characterization grid: how to build the
-// interconnect at a given worker count, under a key that names every
-// dimension except the worker count (which must not change the digest).
+// interconnect, under a key that names every dimension.
 type arbCase struct {
 	key   string
-	build func(workers int) Interconnect
+	build func() Interconnect
 }
 
 // arbNoC is deliberately small and shallow: 20 routers saturate within a
-// few dozen cycles, 3-flit buffers make credit stalls routine, and four
-// rows give Workers=4 one lane per row, so every vertical hop crosses a
-// lane boundary.
-func arbNoC(v, workers int) config.NoC {
+// few dozen cycles and 3-flit buffers make credit stalls routine.
+func arbNoC(v int) config.NoC {
 	cfg := config.Default().NoC
 	cfg.Width, cfg.Height = 5, 4
 	cfg.VCsPerPort, cfg.VCDepth = v, 3
-	cfg.Workers = workers
 	return cfg
 }
 
@@ -83,13 +79,13 @@ func arbCases() []arbCase {
 					opts := []Option{WithPipelineDelay(pd), WithLinkPeriod(lp)}
 					for _, pol := range []string{"shared", "split", "monopolized", "asymmetric", "partial", "partial-links"} {
 						pol := pol
-						if _, ok := arbAssigner(pol, arbNoC(v, 1)); !ok {
+						if _, ok := arbAssigner(pol, arbNoC(v)); !ok {
 							continue
 						}
 						cases = append(cases, arbCase{
 							key: fmt.Sprintf("single/v=%d/%s/%s/pd=%d/lp=%d", v, pol, rt, pd, lp),
-							build: func(workers int) Interconnect {
-								cfg := arbNoC(v, workers)
+							build: func() Interconnect {
+								cfg := arbNoC(v)
 								asg, _ := arbAssigner(pol, cfg)
 								return New(cfg, routing.MustNew(rt), asg, opts...)
 							},
@@ -100,8 +96,8 @@ func arbCases() []arbCase {
 					}
 					cases = append(cases, arbCase{
 						key: fmt.Sprintf("dual/v=%d/%s/pd=%d/lp=%d", v, rt, pd, lp),
-						build: func(workers int) Interconnect {
-							return NewDual(arbNoC(v, workers), routing.MustNew(rt), opts...)
+						build: func() Interconnect {
+							return NewDual(arbNoC(v), routing.MustNew(rt), opts...)
 						},
 					})
 				}
@@ -127,10 +123,9 @@ func arbRefuses(node int, cycle int64, pkt uint64) bool {
 // the in-flight count, and at the end the statistics and every router's
 // arbitration state. The invariant check runs after every cycle, which makes
 // the grid double as the property test for the routers' redundant state
-// (counters, request masks, pipeline-gate stamps) at every VC count, policy
-// and worker count.
+// (counters, request masks, pipeline-gate stamps) at every VC count and
+// policy.
 func arbDigest(t *testing.T, key string, ic Interconnect) string {
-	defer ic.Close()
 	const (
 		width, nodes = 5, 20
 		loadCycles   = 120
@@ -266,19 +261,15 @@ func (n *Network) hashArbState(h *digests.Hash) {
 
 // TestArbitrationDigests pins the router's arbitration — RC, VA round-robin
 // and class-range eligibility, SA port and VC rotation, sink-refusal
-// fall-through, credit timing — across the whole configuration grid, at one
-// and four workers, against digests committed from a known-good build. The
+// fall-through, credit timing — across the whole configuration grid, against
+// digests committed from a known-good build. The
 // system-level goldens only cover V=2 split/XY; a change that keeps those
 // but reorders a grant at V=3 or under a link-aware policy fails here.
 func TestArbitrationDigests(t *testing.T) {
-	forcePool(t)
 	cases := arbCases()
 	keys, got := make([]string, len(cases)), make([]string, len(cases))
 	for i, c := range cases {
-		keys[i], got[i] = c.key, arbDigest(t, c.key, c.build(1))
-		if par := arbDigest(t, c.key+"/workers=4", c.build(4)); par != got[i] {
-			t.Errorf("%s: workers=4 digest %s, workers=1 %s", c.key, par, got[i])
-		}
+		keys[i], got[i] = c.key, arbDigest(t, c.key, c.build())
 	}
 	for _, msg := range digests.Check(arbDigestFile, *updateDigests, keys, got) {
 		t.Error(msg)

@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"slices"
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/mesh"
@@ -60,13 +59,9 @@ func NewDual(cfg config.NoC, alg routing.Algorithm, opts ...Option) *Dual {
 		reply:   New(sub, alg, pol, opts...),
 		merged:  stats.NewNet(mesh.New(cfg.Width, cfg.Height)),
 	}
-	// Same mesh, same Workers and one cut (Rebalance): the subnets step one
-	// after the other, so one set of lane workers serves both, and one ticks
-	// mask per lane, the request subnet's, whose Step runs the stage.
-	d.reply.pool = d.request.pool
-	for i := range d.reply.lanes {
-		d.reply.lanes[i].ticks = d.request.lanes[i].ticks
-	}
+	// One ticks mask, the request subnet's, whose Step runs the stage: a
+	// sink or inject wake on either subnet wakes the node's endpoint.
+	d.reply.lane.ticks = d.request.lane.ticks
 	return d
 }
 
@@ -104,21 +99,14 @@ func (d *Dual) SetInjectWake(node mesh.NodeID, wake func()) {
 	d.reply.SetInjectWake(node, wake)
 }
 
-// SetStage installs the stage on the request subnet, whose Step runs it over
-// the lanes the two subnets share.
+// SetStage installs the stage on the request subnet, whose Step runs it for
+// both.
 func (d *Dual) SetStage(fn func(node int) bool) { d.request.SetStage(fn) }
 
 // Ticking reads the request subnet's ticks mask, which both subnets wake.
 func (d *Dual) Ticking(node mesh.NodeID) bool { return d.request.Ticking(node) }
 
-// Rebalance cuts both subnets at the same rows from their summed counts: a
-// tick staged on a request-subnet lane writes the reply subnet's queue, mask
-// and tallies of the same node, which must be that lane's there too.
-func (d *Dual) Rebalance(endpointWork func(lo, hi int) int64) {
-	d.request.rebalance(endpointWork, d.reply)
-}
-
-// Step advances both subnets one cycle: two barrier generations on the pool.
+// Step advances both subnets one cycle, the request subnet first.
 func (d *Dual) Step() {
 	d.request.Step()
 	d.reply.Step()
@@ -129,7 +117,7 @@ func (d *Dual) Cycle() int64 { return d.request.Cycle() }
 
 // Stats returns a merged view of both subnets' statistics. The merge is
 // recomputed on each call (going through each subnet's Stats method, which
-// folds its per-lane shards first); experiments read it once after the run.
+// folds its lane's shard first); experiments read it once after the run.
 func (d *Dual) Stats() *stats.Net {
 	d.merged.Reset()
 	d.merged.Enabled = d.request.stats.Enabled
@@ -153,9 +141,6 @@ func (d *Dual) Reset(release func(*packet.Packet)) {
 	d.merged = stats.NewNet(d.request.m)
 }
 
-// Close stops the lane workers the subnets share.
-func (d *Dual) Close() { d.request.Close() }
-
 // FlitsInFlight sums both subnets.
 func (d *Dual) FlitsInFlight() int {
 	return d.request.FlitsInFlight() + d.reply.FlitsInFlight()
@@ -177,12 +162,8 @@ func (d *Dual) SetSpans(sp *obs.Spans) {
 	d.reply.SetSpans(sp)
 }
 
-// CheckInvariants validates both subnets, naming the one that failed, and
-// that they share one partition (see Rebalance).
+// CheckInvariants validates both subnets, naming the one that failed.
 func (d *Dual) CheckInvariants() error {
-	if !slices.Equal(d.request.cut, d.reply.cut) {
-		return fmt.Errorf("noc: the request subnet is cut at rows %v, the reply subnet at %v", d.request.cut, d.reply.cut)
-	}
 	if err := d.request.CheckInvariants(); err != nil {
 		return fmt.Errorf("noc: request subnet: %w", err)
 	}

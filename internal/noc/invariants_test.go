@@ -141,7 +141,7 @@ func loadedNet(t *testing.T, workers int, opts ...Option) *Network {
 }
 
 // TestMaskInvariants: the request masks, the pipeline-gate stamps and the
-// lanes' run masks are redundant summaries the allocators and the phase
+// run masks are redundant summaries the allocators and the phase
 // walks trust blindly, so CheckInvariants must catch any single flipped bit
 // in any mask of any router, any skewed stamp, and either corruption of a
 // queues bit that matters — set on an empty queue, cleared on a queue with
@@ -202,7 +202,7 @@ func maskInvariants(t *testing.T, workers int) {
 	for i := range n.routers {
 		flipRunBit(t, n, i, "routers", populated)
 		flipRunBit(t, n, i, "links", populated)
-		ln, bit := n.laneAt(i), i
+		ln, bit := &n.lane, i
 		switch q := &n.inj[i]; {
 		case q.empty():
 			populated["queues set"] = true
@@ -245,7 +245,7 @@ func maskInvariants(t *testing.T, workers int) {
 // found set is recorded in populated.
 func flipRunBit(t *testing.T, n *Network, i int, name string, populated map[string]bool) {
 	t.Helper()
-	ln, bit := n.laneAt(i), i
+	ln, bit := &n.lane, i
 	m := map[string]nodeMask{"routers": ln.routers, "links": ln.links}[name]
 	if m.has(bit) {
 		populated[name] = true
@@ -307,7 +307,7 @@ func TestIdleInvariants(t *testing.T) {
 					rt := &n.routers[i]
 					for idx := range rt.vcs {
 						ivc := &rt.vcs[idx]
-						if !n.laneAt(i).idle.has(i) || ivc.buf.len() == 0 || !ivc.routed || ivc.route == mesh.Local || ivc.outVC == -1 {
+						if !n.lane.idle.has(i) || ivc.buf.len() == 0 || !ivc.routed || ivc.route == mesh.Local || ivc.outVC == -1 {
 							continue
 						}
 						// What finishCycle's credit application does, minus
@@ -330,13 +330,13 @@ func TestIdleInvariants(t *testing.T) {
 					rt := &n.routers[i]
 					// A local VC: no upstream port keeps credits for it.
 					for idx := int(mesh.Local) * n.vcs; idx < len(rt.vcs); idx++ {
-						if !n.laneAt(i).idle.has(i) || rt.bufFlits == 0 || rt.vcs[idx].buf.len() != 0 {
+						if !n.lane.idle.has(i) || rt.bufFlits == 0 || rt.vcs[idx].buf.len() != 0 {
 							continue
 						}
 						// enqueue, minus clearing the router's idle bit.
 						p := mkPacket(1<<50, packet.ReadRequest, 0, rt.id, n.cycle)
-						n.enqueue(n.laneAt(i), rt, idx, packet.Flit{Pkt: p, Head: true, Tail: true})
-						n.laneAt(i).idle.set(i)
+						n.enqueue(&n.lane, rt, idx, packet.Flit{Pkt: p, Head: true, Tail: true})
+						n.lane.idle.set(i)
 						return fmt.Sprintf("router %v is idle", rt.coord)
 					}
 				}
@@ -350,7 +350,7 @@ func TestIdleInvariants(t *testing.T) {
 			mutate: func(t *testing.T, n *Network) string {
 				for id := range n.inj {
 					q := &n.inj[id]
-					if q.empty() || n.laneAt(id).queues.has(id) {
+					if q.empty() || n.lane.queues.has(id) {
 						continue
 					}
 					rt := &n.routers[id]

@@ -11,7 +11,7 @@
 // demonstrable phenomenon rather than an abstraction.
 //
 // Step does not scan the mesh: each phase of a cycle walks the set bits of
-// one run mask (parallel.go) — the routers holding buffered flits, the
+// one run mask (lane.go) — the routers holding buffered flits, the
 // routers with an occupied link register, the injection queues worth a
 // visit. The masks are exact, set and cleared where the count they summarize
 // leaves or reaches zero and recounted by CheckInvariants, so a drained
@@ -23,16 +23,13 @@
 // pins the floating-point statistics accumulation order.
 //
 // Each flit is handled where it lands: a head is routed when it becomes the
-// front of its VC, and a traversal (or a credit) into a router the lane has
-// already walked this cycle lands there at once; any other waits in a link
-// register (a credit list) for the link phase or the serial tail. Either way
-// the receiver first sees it next cycle: the one-cycle link and credit loop.
+// front of its VC, and a traversal (or a credit) into a router the walk has
+// already passed this cycle lands there at once; any other waits in a link
+// register (a credit list) for the link phase. Either way the receiver first
+// sees it next cycle: the one-cycle link and credit loop.
 //
-// The kernel can additionally step the mesh as several spatial domains in
-// parallel (config: NoC.Workers; see parallel.go): contiguous row stripes,
-// cut by counted work, each run a whole cycle per barrier, and all
-// cross-domain effects merge in a fixed lane order — so results stay
-// bit-identical for every worker count and every cut.
+// The whole fabric is one device stepped by the calling goroutine: Step
+// starts no goroutine and takes no lock.
 package noc
 
 import (
@@ -55,10 +52,10 @@ import (
 //
 // A packet's storage belongs to the endpoint whose sink accepts its tail,
 // which may reuse it (packet.FreeList). The kernel reads the tail's packet
-// after the sink returns until the cycle ends (traverse's ejection count and
-// span event, the serial tail's telemetry), so no new packet may be drawn
-// from it before then: an SM draws only in Tick, and an MC, which ejects one
-// tail a cycle at most, draws a reply before it releases the request. Nothing
+// after the sink returns until the cycle ends (traverse's ejection count,
+// span event and telemetry), so no new packet may be drawn from it before
+// then: an SM draws only in Tick, and an MC, which ejects one tail a cycle at
+// most, draws a reply before it releases the request. Nothing
 // may hold a *packet.Packet past the cycle its tail was ejected.
 type Sink func(f packet.Flit) bool
 
@@ -76,30 +73,24 @@ type Interconnect interface {
 	SetSink(node mesh.NodeID, s Sink)
 	// SetInjectWake installs the node's inject-wake callback, the same idiom
 	// as SetSink in the other direction. After refusing an Inject at a node
-	// the interconnect calls that node's wake, on the lane that owns the
-	// node, once it has freed any space in the queue that refused; it may
-	// call it spuriously (the freed space need not fit the refused packet,
-	// and a refusal the caller has since retried still counts). So a caller
+	// the interconnect calls that node's wake, inside Step, once it has
+	// freed any space in the queue that refused; it may call it spuriously
+	// (the freed space need not fit the refused packet, and a refusal the
+	// caller has since retried still counts). So a caller
 	// that registers a wake may stop retrying a refused Inject until the
 	// wake runs; a caller that registers nothing may keep polling.
 	SetInjectWake(node mesh.NodeID, wake func())
 	// SetStage installs the endpoint stage, the same idiom as SetSink: every
 	// Step first calls fn(node) for the nodes whose endpoint needs the tick,
-	// ascending within each kernel lane, on the goroutine that then steps that
-	// lane's routers. False drops the node until a sink accepts a tail flit
-	// there or its inject wake runs (Reset puts every node back). A call may
-	// touch only the node's endpoint, and of the interconnect only Inject and
+	// ascending. False drops the node until a sink accepts a tail flit there
+	// or its inject wake runs (Reset puts every node back). A call may touch
+	// only the node's endpoint, and of the interconnect only Inject and
 	// InjectSpace for that node. nil removes the stage.
 	SetStage(fn func(node int) bool)
 	// Ticking reports, at a cycle boundary, whether node's stage call is due.
 	Ticking(node mesh.NodeID) bool
 	// Step advances the network one cycle.
 	Step()
-	// Rebalance lets the kernel re-cut its lanes by the work counted since
-	// the previous call: its own router visits plus endpointWork(lo, hi), the
-	// caller's cumulative count of endpoint work on nodes [lo, hi). Counts
-	// only: the cut is reproducible, and results never depend on it.
-	Rebalance(endpointWork func(lo, hi int) int64)
 	// Cycle returns the number of completed cycles.
 	Cycle() int64
 	// Stats returns the collector (merged across subnets for Dual).
@@ -129,10 +120,6 @@ type Interconnect interface {
 	// Network.Reset), keeping its storage and what is installed on it, and
 	// hands every packet in flight to release (nil drops them).
 	Reset(release func(*packet.Packet))
-	// Close stops the kernel's lane workers, if any are running. The
-	// interconnect stays usable (the next parallel phase respawns them);
-	// call at a cycle boundary, typically deferred after construction.
-	Close()
 }
 
 // injQueue is a node's bounded injection FIFO, in flits. The packets sit in
@@ -187,21 +174,10 @@ type Network struct {
 	sinks   []Sink
 	injWake []func() // per node; nil for a node whose endpoint polls
 
-	// lanes are the kernel's spatial domains: contiguous row stripes, each
-	// owning its nodes' run masks, stats shard, and cross-domain outboxes
-	// (see parallel.go). A single lane covering the whole mesh is the serial
-	// kernel. laneOf maps each node ID to its owning lane; lane i owns rows
-	// [cut[i], cut[i+1]). Rebalance keeps, per row, the last window's work
-	// and the cumulative count behind it.
-	lanes            []lane
-	laneOf           []int32
-	cut              []int
-	rowWork, rowSeen []int64
-
-	// pool is the lane executor (parallel.go); a Dual's two subnets share
-	// one. Its goroutines are spawned lazily by the first pooled Step and
-	// stopped by Close. stage is the endpoint stage SetStage installed.
-	pool  *workerPool
+	// lane is the kernel's schedule state: the run masks, the credit list,
+	// the stats shard and tallies (lane.go). stage is the endpoint stage
+	// SetStage installed.
+	lane  lane
 	stage func(node int) bool
 
 	// routeTab caches the routing algorithm per (class, current, dest):
@@ -214,11 +190,10 @@ type Network struct {
 	injRng [][packet.NumClasses]vc.Range
 	portOf [64]uint8 // input VC p·V+v's port p, for SA's port mask
 
-	// spine is the kernel's one, always-on count of each per-flit event; a
-	// slot's one writer is the lane owning the router that counts it. Probes
-	// read it through. linkBase (spine.Link as the open measurement window
-	// began) and linkAcc (the closed windows' sum) make Stats' window. counts
-	// backs all three, so Reset zeroes them with one clear.
+	// spine is the kernel's one, always-on count of each per-flit event.
+	// Probes read it through. linkBase (spine.Link as the open measurement
+	// window began) and linkAcc (the closed windows' sum) make Stats'
+	// window. counts backs all three, so Reset zeroes them with one clear.
 	spine             telemetry.Spine
 	linkBase, linkAcc [packet.NumClasses][]int64
 	counts            []int64
@@ -229,7 +204,7 @@ type Network struct {
 	cycle    int64
 	moved    bool
 	lastMove int64
-	inFlight int // flits inside routers + injection queues as of the last serial tail; see FlitsInFlight
+	inFlight int // flits inside routers + injection queues as of the last tail; see FlitsInFlight
 }
 
 // Option tweaks network construction.
@@ -282,7 +257,7 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 		injWake:    make([]func(), nn),
 		injRng:     make([][packet.NumClasses]vc.Range, nn),
 	}
-	n.buildLanes(cfg.Workers, cfg.Width, cfg.Height)
+	n.buildLane()
 	for i := range n.portOf {
 		n.portOf[i] = uint8(i / n.vcs)
 	}
@@ -363,10 +338,9 @@ func (n *Network) releaseInFlight(release func(*packet.Packet)) {
 
 // Reset returns the network to the state a run starts from — every buffer,
 // link register and injection queue empty, every output VC free with full
-// credits, arbitration pointers and counters zero, the lanes cut into equal
-// stripes, cycle 0 — keeping its storage and everything installed on it
-// (sinks, wakes, stage, probes). New ends with it, so it is the one place a
-// run's network state is set. Every packet in flight goes to release, once,
+// credits, arbitration pointers and counters zero, cycle 0 — keeping its
+// storage and everything installed on it (sinks, wakes, stage, probes). New
+// ends with it, so it is the one place a run's network state is set. Every packet in flight goes to release, once,
 // when it is non-nil. The one thing Reset allocates is a new statistics
 // collector, off: the old one is what Stats handed out, and belongs to
 // whoever holds it. Call at a cycle boundary.
@@ -384,7 +358,7 @@ func (n *Network) Reset(release func(*packet.Packet)) {
 		}
 		q.sent, q.flits, q.vc, q.refused = 0, 0, -1, false
 	}
-	n.resetLanes()
+	n.resetLane()
 	clear(n.counts)
 	n.stats = stats.NewNet(n.m)
 	n.cycle, n.moved, n.lastMove, n.inFlight = 0, false, 0, 0
@@ -393,9 +367,9 @@ func (n *Network) Reset(release func(*packet.Packet)) {
 // Mesh returns the topology.
 func (n *Network) Mesh() mesh.Mesh { return n.m }
 
-// Stats returns the statistics collector, after folding every lane's shard
-// into it in lane order and writing it the window's link flits. Call only
-// at a cycle boundary.
+// Stats returns the statistics collector, after folding the lane's shard
+// into it and writing it the window's link flits. Call only at a cycle
+// boundary.
 func (n *Network) Stats() *stats.Net {
 	n.foldStats()
 	for c, w := range n.stats.LinkFlits {
@@ -411,7 +385,7 @@ func (n *Network) Stats() *stats.Net {
 
 // EnableStats opens or closes the measurement window (a repeat is a no-op):
 // opening copies spine.Link to linkBase, closing adds the window to linkAcc.
-// The per-packet accounting of every stats shard follows Enabled.
+// The per-packet accounting of the lane's stats shard follows Enabled.
 func (n *Network) EnableStats(on bool) {
 	if on == n.stats.Enabled {
 		return
@@ -426,30 +400,21 @@ func (n *Network) EnableStats(on bool) {
 		}
 	}
 	n.stats.Enabled = on
-	for i := range n.lanes {
-		n.lanes[i].stats.Enabled = on
-	}
+	n.lane.stats.Enabled = on
 }
 
-// Close stops the lane workers, if any were spawned. The network remains
-// usable — a later parallel phase respawns them — so Close is safe to defer
-// as soon as the network is built. Call only at a cycle boundary.
-func (n *Network) Close() { n.pool.stop() }
+// Close does nothing: the kernel holds no goroutine or other resource to
+// release. It is kept only for callers written against the retired
+// lane-parallel kernel.
+func (n *Network) Close() {}
 
 // Cycle returns the current cycle count.
 func (n *Network) Cycle() int64 { return n.cycle }
 
 // FlitsInFlight returns the number of flits buffered in the fabric: the
-// count as of the last serial tail plus what Inject has accepted since,
-// which sits in per-lane tallies so endpoints on different lanes can inject
-// concurrently.
-func (n *Network) FlitsInFlight() int {
-	total := n.inFlight
-	for i := range n.lanes {
-		total += n.lanes[i].injectedFlits
-	}
-	return total
-}
+// count as of the last tail plus what Inject has accepted since, which sits
+// in the lane's tally.
+func (n *Network) FlitsInFlight() int { return n.inFlight + n.lane.injectedFlits }
 
 // stuck reports no movement for the trailing window cycles.
 func (n *Network) stuck(window int64) bool { return n.cycle-n.lastMove >= window }
@@ -460,24 +425,17 @@ func (n *Network) Quiescent(window int64) bool {
 	return n.FlitsInFlight() > 0 && n.stuck(window)
 }
 
-// laneAt returns the lane owning node id, whose run masks hold id's bits, for
-// code outside the phases (they are handed their lane).
-func (n *Network) laneAt(id int) *lane { return &n.lanes[n.laneOf[id]] }
-
 // Inject queues p at its source node. The packet's CreatedAt should already
 // be stamped by the caller; InjectedAt is stamped when the head flit enters
 // the router.
 //
-// Endpoints call it from the endpoint stage (SetStage), so it runs on
-// whichever goroutine steps the lane owning p.Src, concurrently with other
-// lanes' cycles: everything it writes — the node's queue, the lane's
-// injected-flit tally and queues mask — belongs to that lane. Between cycles
-// (tests, the synthetic harness) it is plain serial code. A refusal marks
-// the queue, so the drain that next frees space in it calls the node's
-// inject wake (see SetInjectWake).
+// Endpoints call it from the endpoint stage (SetStage) or between cycles
+// (tests, the synthetic harness). A refusal marks the queue, so the drain
+// that next frees space in it calls the node's inject wake (see
+// SetInjectWake).
 func (n *Network) Inject(p *packet.Packet) bool {
 	q := &n.inj[p.Src]
-	ln := &n.lanes[n.laneOf[p.Src]]
+	ln := &n.lane
 	if q.flits+p.Flits > injQueueFlits {
 		q.refused = true
 		ln.refusedInjects++
@@ -508,11 +466,11 @@ func (n *Network) SetSink(node mesh.NodeID, s Sink) { n.sinks[node] = s }
 // SetInjectWake installs the inject-wake callback for node.
 func (n *Network) SetInjectWake(node mesh.NodeID, wake func()) { n.injWake[node] = wake }
 
-// SetStage installs the endpoint stage every lane's cycle starts with.
+// SetStage installs the endpoint stage every cycle starts with.
 func (n *Network) SetStage(fn func(node int) bool) { n.stage = fn }
 
 // Ticking reports whether node's ticks bit is set.
-func (n *Network) Ticking(node mesh.NodeID) bool { return n.laneAt(int(node)).ticks.has(int(node)) }
+func (n *Network) Ticking(node mesh.NodeID) bool { return n.lane.ticks.has(int(node)) }
 
 // SetSpans installs the per-packet span collector (nil disables span
 // tracing). Probe sites gate on the collector pointer and the packet's
@@ -534,12 +492,10 @@ func (n *Network) attachTelemetry(reg *telemetry.Registry, prefix string) {
 		return
 	}
 	sp := n.spine
-	for i := range n.lanes {
-		st := &n.lanes[i].stalls
-		sp.StallCredit = append(sp.StallCredit, &st[obs.StallCredit])
-		sp.StallRoute = append(sp.StallRoute, &st[obs.StallRoute])
-		sp.StallVCAlloc = append(sp.StallVCAlloc, &st[obs.StallVCAlloc])
-	}
+	st := &n.lane.stalls
+	sp.StallCredit = append(sp.StallCredit, &st[obs.StallCredit])
+	sp.StallRoute = append(sp.StallRoute, &st[obs.StallRoute])
+	sp.StallVCAlloc = append(sp.StallVCAlloc, &st[obs.StallVCAlloc])
 	n.tel = telemetry.NewNetProbes(reg, n.m, prefix, sp)
 	// Buffer-fill gauges live here because VC buffers are router-private:
 	// one GaugeFunc per (link, VC) reading the downstream input buffer, and
@@ -575,21 +531,14 @@ func (n *Network) sinkAccept(node mesh.NodeID, f packet.Flit) bool {
 
 // queueCredit returns a credit for input VC vcIdx of rt's port inPort to the
 // upstream output port, which sees it next cycle: the one-cycle credit loop.
-// A router ln has already walked (a lower ID in ln) takes it at once; any
-// other gets it in the port's pending tally, the port on ln's own list when
-// ln owns its router, on the boundary list otherwise. Race-freedom: each
-// output port feeds one input port, so (op.pending, op.dirty) are written
-// only by the lane owning the downstream router — a boundary port's owning
-// lane concurrently touches only disjoint fields (credits, reg, owner) — and
-// an in-place credit writes the upstream router's credits, credOK and idle
-// bit only when ln owns that router too.
+// A router the walk has already passed (a lower ID) takes it at once; any
+// other gets it in the port's pending tally, the port on the lane's list.
 func (n *Network) queueCredit(ln *lane, rt *router, inPort mesh.Direction, vcIdx int) {
 	op := rt.upstream[inPort]
 	if op == nil {
 		panic("noc: credit return for a port with no upstream link")
 	}
-	up := int(rt.out[inPort].downNode) // op's router: rt's neighbour through inPort
-	if up < int(rt.id) && up >= ln.lo {
+	if up := rt.out[inPort].downNode; up < rt.id { // op's router: rt's neighbour through inPort
 		n.landCredits(ln, op, vcIdx, 1)
 		ln.creditsInPlace++
 		return
@@ -598,15 +547,11 @@ func (n *Network) queueCredit(ln *lane, rt *router, inPort mesh.Direction, vcIdx
 	op.pending[vcIdx]++
 	if !op.dirty {
 		op.dirty = true
-		list := &ln.creditDirty
-		if up >= ln.lo && up < ln.hi {
-			list = &ln.creditLocal
-		}
-		*list = append(*list, op)
+		ln.credits = append(ln.credits, op)
 	}
 }
 
-// landCredits gives output VC v of op k credits; ln owns op's router.
+// landCredits gives output VC v of op k credits.
 func (n *Network) landCredits(ln *lane, op *outPort, v, k int) {
 	if op.credits[v] == 0 && op.owner[v] != noOwner {
 		// The VC's holder can send again, so its router has a switch
@@ -617,14 +562,13 @@ func (n *Network) landCredits(ln *lane, op *outPort, v, k int) {
 	op.credits[v] += k
 }
 
-// applyCredits lands the listed ports' pending credits and empties the list.
-// It writes the routers owning the ports: a lane may call it only on its own
-// list, after its router phase; the rest waits for the serial tail.
+// applyCredits lands the listed ports' pending credits and empties the list,
+// after the router phase.
 func (n *Network) applyCredits(list *[]*outPort) {
 	for _, op := range *list {
 		for v, pend := range op.pending {
 			if pend != 0 {
-				n.landCredits(n.laneAt(int(op.rt.id)), op, v, pend)
+				n.landCredits(&n.lane, op, v, pend)
 				op.pending[v] = 0
 			}
 		}
@@ -702,75 +646,31 @@ func (n *Network) injectNode(ln *lane, id int) {
 // busy link registers: flits whose link occupancy has elapsed arrive at
 // downstream buffers. A half-width link (period 2) holds each flit an extra
 // cycle, blocking the next switch traversal through that port.
-//
-// Deliveries into routers the lane owns commit immediately; deliveries that
-// cross a domain boundary are deferred to the lane's outbox and applied by
-// the serial tail in lane order, so two lanes never push into one router's
-// buffers concurrently. Deferral is invisible to results: at most one flit
-// crosses a link per cycle, deferred pushes land in disjoint rings with the
-// same arrival stamp, and a mask bit set twice is set once.
 func (n *Network) linkPhase(ln *lane, rt *router) {
 	for busy := rt.regBusy; busy != 0; busy &= busy - 1 {
-		op := &rt.out[bits.TrailingZeros8(busy)]
-		if op.regReadyAt > n.cycle {
-			continue
-		}
-		if dn := int(op.downNode); dn >= ln.lo && dn < ln.hi {
-			n.deliver(ln, ln, op)
-		} else {
-			ln.outbox = append(ln.outbox, op)
+		if op := &rt.out[bits.TrailingZeros8(busy)]; op.regReadyAt <= n.cycle {
+			n.deliver(ln, op)
 		}
 	}
 }
 
 // deliver commits one link traversal: the flit in op's register arrives at
-// the downstream input buffer and the register frees. from owns op's router
-// and to the downstream one; in the link phase they are the same lane.
-func (n *Network) deliver(from, to *lane, op *outPort) {
-	n.enqueue(to, &n.routers[op.downNode], int(op.downPort)*n.vcs+op.regVC, op.reg)
+// the downstream input buffer and the register frees.
+func (n *Network) deliver(ln *lane, op *outPort) {
+	n.enqueue(ln, &n.routers[op.downNode], int(op.downPort)*n.vcs+op.regVC, op.reg)
 	op.rt.regBusy &^= 1 << op.downPort.Opposite()
 	if op.rt.regBusy == 0 {
-		from.links.clear(int(op.rt.id))
+		ln.links.clear(int(op.rt.id))
 	}
 }
 
-// finishCycle is the serial tail of every step: with all lanes' cycles done
-// (and their workers parked at the barrier), it merges cross-domain effects
-// in lane order — the fixed merge order that makes results independent of
-// worker count — then advances the cycle. Per lane: outbox deliveries
-// (buffer pushes), boundary-port credit tallies, deferred per-packet latency
-// observations, movement/in-flight folds. The run masks need no pass of
-// their own: the deliveries keep them exact.
+// finishCycle is the tail of every step: it folds the lane's movement flag
+// and in-flight tallies, then advances the cycle.
 func (n *Network) finishCycle() {
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		for _, op := range ln.outbox {
-			n.deliver(ln, &n.lanes[n.laneOf[op.downNode]], op)
-		}
-		ln.outbox = ln.outbox[:0]
-	}
-	for li := range n.lanes {
-		n.applyCredits(&n.lanes[li].creditDirty)
-	}
-	if n.tel != nil {
-		for li := range n.lanes {
-			ln := &n.lanes[li]
-			for _, p := range ln.ejected {
-				n.tel.PacketEjected(p, n.cycle)
-			}
-			ln.ejected = ln.ejected[:0]
-		}
-	}
-
-	moved := false
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		moved = moved || ln.moved
-		n.inFlight += ln.injectedFlits - ln.ejectedFlits
-		ln.injectedFlits, ln.ejectedFlits = 0, 0
-	}
-	n.moved = moved
-
+	ln := &n.lane
+	n.moved = ln.moved
+	n.inFlight += ln.injectedFlits - ln.ejectedFlits
+	ln.injectedFlits, ln.ejectedFlits = 0, 0
 	if n.moved {
 		n.lastMove = n.cycle
 	}
@@ -778,70 +678,47 @@ func (n *Network) finishCycle() {
 	n.stats.Cycles = n.cycle
 }
 
-// Step advances the network by one cycle: every lane runs laneCycle — the
-// endpoint stage, injection, router pipelines (VA/SA/ST; RC runs where a
-// head reaches the front of its VC), link traversal, its own credits — and
-// the serial tail then merges what crossed lanes (deliveries, boundary
-// credits); the package comment says where each flit and credit lands.
-// Within each lane a phase visits only the nodes its run mask names, in
-// ascending id order — exactly the order the reference full scan produces,
-// so endpoint callbacks and statistics accumulate identically. The lanes
-// run on the pool, one barrier generation per cycle, unless it has no
-// goroutines (one lane, one P) or a span collector is attached — not
-// thread-safe, order-sensitive; then the stepping goroutine runs them in
-// lane order.
+// Step advances the network by one cycle: laneCycle — the endpoint stage,
+// injection, router pipelines (VA/SA/ST; RC runs where a head reaches the
+// front of its VC), link traversal, credits — then the tail; the package
+// comment says where each flit and credit lands. A phase visits only the
+// nodes its run mask names, in ascending id order — exactly the order the
+// reference full scan produces, so endpoint callbacks and statistics
+// accumulate identically.
 func (n *Network) Step() {
-	switch {
-	case n.reference:
+	if n.reference {
 		n.stepReference()
-	case n.pool.workers > 0 && n.spans == nil:
-		n.pool.spawn()
-		n.pool.run(n)
-	default:
-		for li := range n.lanes {
-			n.laneCycle(&n.lanes[li])
-		}
+	} else {
+		n.laneCycle(&n.lane)
 	}
 	n.finishCycle()
 }
 
 // stepReference is the naive stepper: every node and every router, every
-// cycle, whatever the run masks say, one phase at a time across the whole
-// mesh — the classic order, lanes being contiguous ascending ID ranges,
-// where Step runs each lane's cycle whole. It shares all phase helpers (and
+// cycle, whatever the run masks say. It shares all phase helpers (and
 // therefore all bookkeeping — the masks' upkeep included) with the shipped
-// kernel; only iteration and order differ. Equivalence tests hold the two
+// kernel; only iteration differs. Equivalence tests hold the two
 // bit-identical.
 func (n *Network) stepReference() {
+	ln := &n.lane
 	if n.stage != nil {
 		for id := 0; id < n.numNodes; id++ {
 			n.stage(id)
 		}
 	}
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		ln.moved = false
-		for id := ln.lo; id < ln.hi; id++ {
-			n.injectNode(ln, id)
-		}
+	ln.moved = false
+	for id := 0; id < n.numNodes; id++ {
+		n.injectNode(ln, id)
 	}
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		for i := ln.lo; i < ln.hi; i++ {
-			rt := &n.routers[i]
-			n.vcAllocate(rt)
-			n.switchAllocateAndTraverse(ln, rt)
-		}
+	for i := range n.routers {
+		rt := &n.routers[i]
+		n.vcAllocate(rt)
+		n.switchAllocateAndTraverse(ln, rt)
 	}
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		for i := ln.lo; i < ln.hi; i++ {
-			n.linkPhase(ln, &n.routers[i])
-		}
+	for i := range n.routers {
+		n.linkPhase(ln, &n.routers[i])
 	}
-	for li := range n.lanes {
-		n.applyCredits(&n.lanes[li].creditLocal)
-	}
+	n.applyCredits(&ln.credits)
 }
 
 // Drain runs the network until no flits remain in flight or maxCycles pass;
@@ -858,16 +735,17 @@ func (n *Network) Drain(maxCycles int) bool {
 // buffer, per-VC routing and VC ownership state alone: credit accounting
 // per (output port, VC) against the per-port pending tally, flit
 // conservation, that every occupied VC's front is routed, every router's
-// flit counter, request masks and pipeline-gate stamps, the partition, the
-// run masks (a routers bit says the recounted flits are non-zero, a links
-// bit that a register is busy, a queues bit that the queue holds a packet;
-// the ticks mask is the gpu sanitizer's to check), and every sleeper's
+// flit counter, request masks and pipeline-gate stamps, the run masks (a
+// routers bit says the recounted flits are non-zero, a links bit that a
+// register is busy, a queues bit that the queue holds a packet; the ticks
+// mask is the gpu sanitizer's to check), and every sleeper's
 // reason to sleep: an idle router must have nothing a visit could act on
 // (runnable), a non-empty unscheduled queue no local VC space it could use
 // (injectable).
 // A scheduled queue may turn out blocked: spurious wakes are legal.
 func (n *Network) CheckInvariants() error {
 	count := 0
+	ln := &n.lane
 	for i := range n.routers {
 		rt := &n.routers[i]
 		bufFlits := 0
@@ -916,7 +794,7 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("noc: request mask %s at %v: %#x, per-VC state says %#x (bit %d)",
 				name, rt.coord, got, exp, bits.TrailingZeros64(got^exp))
 		}
-		if n.laneAt(i).idle.has(i) {
+		if ln.idle.has(i) {
 			if cause := n.runnable(rt); cause != "" {
 				return fmt.Errorf("noc: router %v is idle, but %s", rt.coord, cause)
 			}
@@ -947,18 +825,6 @@ func (n *Network) CheckInvariants() error {
 		if bufFlits != rt.bufFlits {
 			return fmt.Errorf("noc: occupancy counter at %v: bufFlits %d (counted %d)", rt.coord, rt.bufFlits, bufFlits)
 		}
-		for li := range n.lanes {
-			// The partition: laneOf names the one lane whose range holds the
-			// node, and no other lane's run masks carry its bits.
-			o, own := &n.lanes[li], li == int(n.laneOf[i])
-			if (i >= o.lo && i < o.hi) != own {
-				return fmt.Errorf("noc: laneOf puts node %d on lane %d, but lane %d covers [%d,%d)", i, n.laneOf[i], li, o.lo, o.hi)
-			}
-			if !own && (o.routers.has(i) || o.links.has(i) || o.queues.has(i) || o.idle.has(i) || o.ticks.has(i)) {
-				return fmt.Errorf("noc: lane %d holds a run-mask bit of node %d, which lane %d owns", li, i, n.laneOf[i])
-			}
-		}
-		ln := n.laneAt(i)
 		if ln.routers.has(i) != (bufFlits > 0) {
 			return fmt.Errorf("noc: run mask routers at %v reads %t, recounted bufFlits %d", rt.coord, ln.routers.has(i), bufFlits)
 		}
@@ -969,7 +835,7 @@ func (n *Network) CheckInvariants() error {
 	for i := range n.inj {
 		q := &n.inj[i]
 		count += q.flits
-		switch scheduled := n.laneAt(i).queues.has(i); {
+		switch scheduled := ln.queues.has(i); {
 		case scheduled && q.empty():
 			return fmt.Errorf("noc: injection queue of node %d is scheduled, but it is empty", i)
 		case !scheduled && !q.empty():

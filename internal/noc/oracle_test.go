@@ -6,10 +6,9 @@
 //
 // The oracle is selectable only through this package's export_test.go, so
 // these comparisons live here, in the external test package that can drive
-// a whole gpu.Simulator. Each comparison runs at one lane and at four, so the
-// lane-by-lane kernel is held to the phase-by-phase oracle; worker-count
-// equivalence of the shipped kernel alone lives in the root package's
-// equivalence_test.go.
+// a whole gpu.Simulator. Each comparison runs from configurations carrying
+// the retired Workers values 1 and 4 (workers_test.go), which must not
+// change a bit.
 package noc_test
 
 import (
@@ -17,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"gpgpunoc/internal/config"
@@ -46,7 +44,6 @@ func run(t *testing.T, cfg config.Config, prof workload.Profile, reference bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	if reference {
 		noc.UseReferenceStepper(sim.Net)
 	}
@@ -86,11 +83,9 @@ func checkOracle(t *testing.T, cfg config.Config, prof workload.Profile) {
 	}
 }
 
-// checkOracleLanes runs checkOracle as one row per lane count: the serial
-// kernel, and four lanes — on the pool when there is a second P, lane by
-// lane on the stepping goroutine otherwise. The oracle steps phase by phase
-// across the whole mesh whatever the lane count.
-func checkOracleLanes(t *testing.T, cfg config.Config, prof workload.Profile) {
+// checkOracleWorkers runs checkOracle as one row per retired Workers value the
+// configuration carries, 1 and 4.
+func checkOracleWorkers(t *testing.T, cfg config.Config, prof workload.Profile) {
 	t.Helper()
 	for _, w := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
@@ -114,7 +109,7 @@ func TestReferenceOracleFig9Schemes(t *testing.T) {
 				t.Parallel()
 				cfg := s.Apply(equivCfg())
 				cfg.Seed = seed
-				checkOracleLanes(t, cfg, kmn)
+				checkOracleWorkers(t, cfg, kmn)
 			})
 		}
 	}
@@ -130,7 +125,7 @@ func TestReferenceOracleDual(t *testing.T) {
 			cfg.NoC.PhysicalSubnets = true
 			cfg.NoC.SubnetHalfWidth = half
 			cfg.NoC.VCsPerPort = 4 // 2 per subnet
-			checkOracleLanes(t, cfg, workload.MustGet("RED"))
+			checkOracleWorkers(t, cfg, workload.MustGet("RED"))
 		})
 	}
 }
@@ -143,7 +138,7 @@ func TestReferenceOracleAsymmetric(t *testing.T) {
 	cfg.NoC.VCsPerPort = 4
 	cfg.NoC.Routing = config.RoutingXYYX
 	cfg.NoC.VCPolicy = config.VCAsymmetric
-	checkOracleLanes(t, cfg, workload.MustGet("BFS"))
+	checkOracleWorkers(t, cfg, workload.MustGet("BFS"))
 }
 
 // trickle is a mostly-idle profile whose idle spans border real memory
@@ -162,7 +157,7 @@ func TestReferenceOracleIdle(t *testing.T) {
 	} {
 		t.Run(prof.Name, func(t *testing.T) {
 			t.Parallel()
-			checkOracleLanes(t, equivCfg(), prof)
+			checkOracleWorkers(t, equivCfg(), prof)
 		})
 	}
 }
@@ -173,13 +168,10 @@ func TestReferenceOracleIdle(t *testing.T) {
 // calls the stage for every node every cycle, step side by side; after each
 // cycle the settled core-side totals, StallCycles included, and the SMs'
 // summed SleptTicks must agree — on one network and a Dual (whose reply
-// subnet wakes the request subnet's walk), at one lane and four, saturated
+// subnet wakes the request subnet's walk), at Workers 1 and 4, saturated
 // (dormant SMs everywhere) and mostly idle (timed sleepers, which stay in the
 // walk, beside real memory traffic).
 func TestReferenceOracleSettled(t *testing.T) {
-	if runtime.GOMAXPROCS(0) == 1 { // give the pool its goroutines (see forcePool)
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
 	cycles := 1500
 	if testing.Short() {
 		cycles = 600
@@ -205,7 +197,6 @@ func TestReferenceOracleSettled(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						defer sim.Close()
 						sims[i] = sim
 					}
 					opt, ref := sims[0], sims[1]

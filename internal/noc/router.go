@@ -35,7 +35,7 @@ type outPort struct {
 
 	credits []int                     // free downstream buffer slots per VC
 	pending []int                     // credits returned this cycle, applied in the credit phase
-	dirty   bool                      // on a lane's credit list, pending not yet applied
+	dirty   bool                      // on the lane's credit list, pending not yet applied
 	owner   []int                     // per VC: owning input (port*V + vc) or noOwner
 	elig    [packet.NumClasses]uint64 // per class: bit v set when the policy admits VC v on this link
 
@@ -57,11 +57,11 @@ type outPort struct {
 // the VA grant, credit decrement and return, tail release); VA, SA, the link
 // phase and the stall attribution walk set bits with math/bits, so a router
 // whose every VC is blocked costs a handful of mask tests. The masks, like
-// the occupancy summaries (bufFlits and regBusy: each one's lane keeps a
-// run-mask bit that says it is non-zero), are redundant: CheckInvariants
+// the occupancy summaries (bufFlits and regBusy: the lane keeps a run-mask
+// bit that says each is non-zero), are redundant: CheckInvariants
 // recounts all of them from the per-VC state.
 //
-// A router whose visit ends with no switch candidate goes idle (its lane's
+// A router whose visit ends with no switch candidate goes idle (the lane's
 // idle bit): VA is at its fixpoint and nothing moved, so until a flit
 // arrives in an empty VC or a credit returns to a VC it holds a visit would
 // repeat itself, and the router phase skips it.
@@ -78,8 +78,6 @@ type router struct {
 	upstream [mesh.NumPorts]*outPort // output port feeding each input port (nil for Local)
 
 	reqMasks
-
-	visits int64 // full visits since construction: the router term of the work lanes are cut by
 
 	// Round-robin pointers for fair, deterministic arbitration.
 	vaPtr   [mesh.NumPorts]int // per output port, over input (port*V+vc)
@@ -215,7 +213,6 @@ func (rt *router) reset(depth int) {
 		op.reg, op.regVC, op.regReadyAt = packet.Flit{}, 0, 0
 	}
 	rt.bufFlits, rt.regBusy = 0, 0
-	rt.visits = 0
 	rt.vaPtr, rt.saVCPtr, rt.saPtr = [mesh.NumPorts]int{}, [mesh.NumPorts]int{}, [mesh.NumPorts]int{}
 }
 
@@ -249,8 +246,6 @@ func (n *Network) routeFront(rt *router, i int, p *packet.Packet) {
 	if tab := n.routeTab[cls]; tab != nil {
 		ivc.route = mesh.Direction(tab[int(rt.id)*n.numNodes+int(p.Dst)])
 	} else {
-		// Every lane shares n.alg: routing algorithms are pure functions
-		// of (coord, dest, class).
 		ivc.route = n.alg.NextHop(rt.coord, n.m.Coord(mesh.NodeID(p.Dst)), cls)
 	}
 	ivc.cls = cls
@@ -410,9 +405,9 @@ func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
 // or found the link register occupied (route). Flits still inside the
 // pipeline delay and ejection-blocked flits are not charged. The same
 // attribution feeds the lane's stall tallies, which the net.stall.* probes
-// sum over lanes when read, and, for sampled packets, the per-packet span
-// events; observability-only — runs after SA so "moved this cycle" is known
-// exactly. Each tally has one writer, its lane.
+// read, and, for sampled packets, the per-packet span events;
+// observability-only — runs after SA so "moved this cycle" is known
+// exactly.
 func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
 	for m := rt.occ &^ rt.want[mesh.Local] &^ moved; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
@@ -443,19 +438,10 @@ func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
 // in that case.
 //
 // Where the flit goes: to the sink (Local); straight into the downstream
-// buffer when that router is one ln has already walked this cycle — a lower
-// ID in ln, on a one-cycle link — which first looks at it next cycle,
-// exactly as if the link phase had delivered it; otherwise into the output's
-// link register, which the link phase (or, across a lane boundary, the
-// serial tail) delivers.
-//
-// Shared-state discipline for the parallel kernel: everything written here
-// is either owned by the lane stepping rt (the router itself, its spine
-// slots — its node's ejected flits, its output links' flits — ln's stats
-// shard and tallies, and the routers ln owns that a move or a credit lands
-// in), a single-writer slot keyed by rt (the upstream port's pending tally,
-// written only by the one lane that owns the downstream router), or
-// serial-only (spans).
+// buffer when the walk has already passed that router this cycle — a lower
+// ID, on a one-cycle link — which first looks at it next cycle, exactly as
+// if the link phase had delivered it; otherwise into the output's link
+// register, which the link phase delivers.
 func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) bool {
 	ivc := &rt.in[p][v]
 	if d == mesh.Local {
@@ -501,10 +487,7 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 			ln.ticks.set(int(rt.id)) // the sink took a whole packet: its endpoint may wake
 			ln.stats.CountEjection(f.Pkt)
 			if n.tel != nil {
-				// Deferred to the end-of-cycle flush: the latency histograms
-				// are shared across lanes, so observations are replayed in
-				// lane order at the cycle boundary.
-				ln.ejected = append(ln.ejected, f.Pkt)
+				n.tel.PacketEjected(f.Pkt, n.cycle)
 			}
 			if n.spans != nil && f.Pkt.Sampled {
 				n.spans.Ejected(f.Pkt, n.cycle)
@@ -520,7 +503,7 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 		if n.spans != nil && f.Head && f.Pkt.Sampled {
 			n.spans.Hop(f.Pkt, int(rt.id), int(op.downNode), ivc.outVC, n.cycle)
 		}
-		if dn := int(op.downNode); dn < int(rt.id) && dn >= ln.lo && n.linkPeriod == 1 {
+		if dn := int(op.downNode); dn < int(rt.id) && n.linkPeriod == 1 {
 			n.enqueue(ln, &n.routers[dn], int(op.downPort)*n.vcs+ivc.outVC, f)
 			ln.movesInPlace++
 		} else {

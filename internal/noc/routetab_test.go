@@ -59,20 +59,19 @@ func TestRouteTableShared(t *testing.T) {
 				}
 			}
 			checkNextHops(t, name, a.Mesh(), alg, tabs[0])
-			a.Close()
-			b.Close()
-			d.Close()
 		}
 	}
 }
 
 // TestRouteTableEviction: past routeTabCap mesh sizes the oldest table
 // leaves the set; its next network builds a new one, equal to the algorithm.
+// The meshes have 11 rows, which no other test of the package builds (the
+// property test draws sizes up to 7x7 at random), so every size is a new key.
 func TestRouteTableEviction(t *testing.T) {
 	alg := routing.MustNew(config.RoutingXYYX)
 	build := func(w int) *Network {
 		cfg := config.Default().NoC
-		cfg.Width, cfg.Height, cfg.Routing = w, 3, config.RoutingXYYX
+		cfg.Width, cfg.Height, cfg.Routing = w, 11, config.RoutingXYYX
 		return New(cfg, alg, vc.MustNewPolicy(cfg))
 	}
 	first := RouteTables(build(2))[0]
@@ -83,7 +82,7 @@ func TestRouteTableEviction(t *testing.T) {
 	if tab := RouteTables(again)[0]; sameArray(tab[packet.Request], first[packet.Request]) {
 		t.Fatalf("a table evicted %d sizes ago is still shared", routeTabCap)
 	} else {
-		checkNextHops(t, "2x3 after eviction", again.Mesh(), alg, tab)
+		checkNextHops(t, "2x11 after eviction", again.Mesh(), alg, tab)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 	"gpgpunoc/internal/vc"
 )
 
-// eachWorkers runs f as a subtest at each lane count the run-mask tests use:
-// the serial kernel, and four two-row lanes, where bit 0 of a mask is not
-// node 0.
+// eachWorkers runs f as a subtest from configurations carrying the retired
+// Workers values 1 and 4, which must not change what the kernel does (see
+// workers_test.go).
 func eachWorkers(t *testing.T, f func(t *testing.T, workers int)) {
 	for _, w := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) { f(t, w) })
@@ -125,7 +125,7 @@ func refusingSinkKeepsRouterScheduled(t *testing.T, workers int) {
 	if n.FlitsInFlight() == 0 {
 		t.Fatal("packet vanished while its sink was refusing it")
 	}
-	if !n.laneAt(58).routers.has(58) {
+	if !n.lane.routers.has(58) {
 		t.Fatal("router with an ejection-blocked packet lost its routers bit")
 	}
 	accept = true
@@ -141,8 +141,10 @@ func refusingSinkKeepsRouterScheduled(t *testing.T, workers int) {
 // identical injection schedule at the Network level and requires identical
 // statistics, per-cycle movement, and in-flight occupancy — the fastest
 // place to localize a divergence the system-level suite would only report
-// wholesale. Each variant runs on one lane and on four: on the pool, and on
-// the stepping goroutine, where a rate-0 span collector keeps them.
+// wholesale. Each variant runs three times, under subtest names kept from
+// the lane-parallel kernel: from configurations carrying the retired Workers
+// values 1 and 4, and at 4 with a rate-0 span collector attached, which runs
+// the observed router phase (idle routers attribute their stalls).
 func TestStepperEquivalenceNetworkLevel(t *testing.T) {
 	variants := []struct {
 		rt   config.Routing
@@ -179,9 +181,6 @@ func TestStepperEquivalenceNetworkLevel(t *testing.T) {
 						opt.SetSpans(sp)
 					}
 					checkStepperEquivalence(t, opt, ref)
-					if pooled := opt.pool.workers > 0 && !k.spans; opt.pool.running != pooled {
-						t.Errorf("lane workers running: %v, want %v", opt.pool.running, pooled)
-					}
 				})
 			}
 		})

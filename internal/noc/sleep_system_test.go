@@ -25,7 +25,6 @@ func TestSaturatedNetworkSleeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	if _, err := sim.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +63,6 @@ func TestFlitsLandInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sim.Close()
 		if _, err := sim.RunContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}

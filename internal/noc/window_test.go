@@ -17,8 +17,8 @@ import (
 // window cut out of the spine, the same counts the telemetry probes read
 // from cycle 0. For any on/off sequence of EnableStats, every link and
 // class must equal the sum over the open windows of probe(close) −
-// probe(open), on one network and a Dual, at one lane and four; a window
-// that never opens reports zero.
+// probe(open), on one network and a Dual, from configurations carrying the
+// retired Workers values 1 and 4; a window that never opens reports zero.
 func TestStatsWindowIsProbeDifference(t *testing.T) {
 	const cycles = 1200
 	for _, tc := range []struct {
@@ -108,13 +108,11 @@ func TestStatsWindowIsProbeDifference(t *testing.T) {
 	}
 }
 
-// newWindowNet builds the default network, or a Dual of it, at the given
-// worker count, with its probe-name prefixes.
+// newWindowNet builds the default network, or a Dual of it, from a
+// configuration carrying the retired Workers value workers, with its
+// probe-name prefixes.
 func newWindowNet(t *testing.T, dual bool, workers int) (Interconnect, []string) {
 	t.Helper()
-	if workers != 1 {
-		forcePool(t)
-	}
 	cfg := config.Default().NoC
 	cfg.Workers = workers
 	var ic Interconnect
@@ -124,7 +122,6 @@ func newWindowNet(t *testing.T, dual bool, workers int) (Interconnect, []string)
 	} else {
 		ic = New(cfg, routing.MustNew(cfg.Routing), vc.MustNewPolicy(cfg))
 	}
-	t.Cleanup(ic.Close)
 	return ic, prefixes
 }
 

@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"runtime"
 	"slices"
 	"testing"
 
@@ -14,32 +13,23 @@ import (
 	"gpgpunoc/internal/vc"
 )
 
-// forcePool makes sure networks built after this call actually use the
-// lane workers: a pool built on a single-P runtime has none and Step runs
-// the lanes on the stepping goroutine (see workerPool), which would quietly
-// turn every concurrency test in this file into a serial walk. Results are
-// identical either way — this is about what the race detector gets to see.
-func forcePool(t testing.TB) {
-	if runtime.GOMAXPROCS(0) > 1 {
-		return
-	}
-	old := runtime.GOMAXPROCS(2)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-}
+// The kernel steps the mesh as one lane whatever NoC.Workers says: the field
+// is retired and kept only so that stored configurations which carry it
+// still decode. The tests below, and the workers=N subtests elsewhere in
+// this package (named from when Workers selected a lane-parallel kernel),
+// build from configurations carrying such values and hold them to the same
+// results.
 
-// newWorkerNet builds a test network with an explicit kernel worker count.
+// newWorkerNet builds a test network from a configuration carrying the
+// retired Workers value workers.
 func newWorkerNet(t testing.TB, rt config.Routing, pol config.VCPolicy, workers int, opts ...Option) *Network {
 	t.Helper()
-	if workers != 1 {
-		forcePool(t)
-	}
 	cfg := config.Default().NoC
 	cfg.Routing = rt
 	cfg.VCPolicy = pol
 	cfg.Workers = workers
 	n := New(cfg, routing.MustNew(rt), vc.MustNewPolicy(cfg), opts...)
 	n.EnableStats(true)
-	t.Cleanup(n.Close)
 	return n
 }
 
@@ -83,10 +73,10 @@ func spineNodesEqual(a, b *Network) bool {
 	return slices.Equal(a.spine.Inj, b.spine.Inj) && slices.Equal(a.spine.Ej, b.spine.Ej)
 }
 
-// TestParallelKernelEquivalence: the parallel kernel must be bit-identical
-// to the serial kernel for every worker count, across routings and VC
-// policies, including mid-run state (in-flight, movement tracking) and
-// every statistics accumulator.
+// TestParallelKernelEquivalence: a configuration carrying a Workers value
+// once given to the lane-parallel kernel must step bit-identically to
+// Workers=1, across routings and VC policies, including mid-run state
+// (in-flight, movement tracking) and every statistics accumulator.
 func TestParallelKernelEquivalence(t *testing.T) {
 	variants := []struct {
 		rt  config.Routing
@@ -103,15 +93,12 @@ func TestParallelKernelEquivalence(t *testing.T) {
 			bs := base.Stats()
 			for _, w := range []int{2, 4, 8} {
 				n := newWorkerNet(t, v.rt, v.pol, w)
-				if len(n.lanes) != w {
-					t.Fatalf("workers=%d built %d lanes", w, len(n.lanes))
-				}
 				driveLoad(t, n, 900, 7, true)
 				if n.FlitsInFlight() != base.FlitsInFlight() {
-					t.Errorf("workers=%d: in-flight %d, serial %d", w, n.FlitsInFlight(), base.FlitsInFlight())
+					t.Errorf("workers=%d: in-flight %d, workers=1 %d", w, n.FlitsInFlight(), base.FlitsInFlight())
 				}
 				if n.lastMove != base.lastMove {
-					t.Errorf("workers=%d: lastMove %d, serial %d", w, n.lastMove, base.lastMove)
+					t.Errorf("workers=%d: lastMove %d, workers=1 %d", w, n.lastMove, base.lastMove)
 				}
 				s := n.Stats()
 				if !spineNodesEqual(n, base) || s.EjectedFlits != bs.EjectedFlits {
@@ -132,19 +119,17 @@ func TestParallelKernelEquivalence(t *testing.T) {
 				}
 			}
 			if !base.Drain(5000) {
-				t.Fatal("serial baseline failed to drain")
+				t.Fatal("workers=1 failed to drain")
 			}
 		})
 	}
 }
 
-// TestParallelKernelUnderLoadRace saturates the parallel kernel so the race
-// detector (make race / CI) can observe the phases overlapping for real:
-// heavy traffic, sink refusals, invariant checks at boundaries, and a full
-// drain. Without -race it doubles as a stress test. It runs twice, the
-// second time with telemetry attached: the latency histograms every lane's
-// ejections feed are written only by the serial tail, and only a pooled run
-// with probes attached lets the race detector see a lane write one directly.
+// TestParallelKernelUnderLoadRace saturates the kernel, from a
+// configuration carrying Workers=4: heavy traffic, sink refusals, invariant
+// checks at boundaries, and a full drain that leaves nothing scheduled. It
+// runs twice, the second time with telemetry attached, which observes every
+// ejection into the latency histograms and runs the observed router phase.
 func TestParallelKernelUnderLoadRace(t *testing.T) {
 	for _, withTelemetry := range []bool{false, true} {
 		n := newWorkerNet(t, config.RoutingXY, config.VCSplit, 4)
@@ -164,8 +149,8 @@ func TestParallelKernelUnderLoadRace(t *testing.T) {
 	}
 }
 
-// TestParallelKernelClose: Close parks and releases the pool, the network
-// keeps working afterwards (respawning the pool), and Close is idempotent.
+// TestParallelKernelClose: Close, the lane-parallel kernel's stop, is inert
+// — mid-run, repeated, the network keeps working afterwards.
 func TestParallelKernelClose(t *testing.T) {
 	n := newWorkerNet(t, config.RoutingXY, config.VCSplit, 4)
 	attachCollectors(n)
@@ -175,68 +160,25 @@ func TestParallelKernelClose(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		n.Step()
 	}
-	if !n.pool.running {
-		t.Fatal("parallel stepping did not spawn the pool")
-	}
 	n.Close()
-	if n.pool.running {
-		t.Fatal("Close left the pool running")
-	}
-	n.Close() // idempotent
+	n.Close()
 	if !n.Drain(2000) {
 		t.Fatalf("network unusable after Close; %d in flight", n.FlitsInFlight())
 	}
-	if !n.pool.running {
-		t.Fatal("stepping after Close did not respawn the pool")
-	}
-	n.Close()
 }
 
-// TestEffectiveDomains pins the Workers-to-lanes mapping: clamped to the
-// mesh height, never below one, GOMAXPROCS for zero.
-func TestEffectiveDomains(t *testing.T) {
-	cases := []struct{ workers, height, want int }{
-		{1, 8, 1},
-		{4, 8, 4},
-		{64, 8, 8}, // clamped to row count
-		{3, 8, 3},  // uneven stripes allowed
-	}
-	for _, c := range cases {
-		if got := effectiveDomains(c.workers, c.height); got != c.want {
-			t.Errorf("effectiveDomains(%d, %d) = %d, want %d", c.workers, c.height, got, c.want)
-		}
-	}
-	if got := effectiveDomains(0, 1024); got < 1 {
-		t.Errorf("effectiveDomains(0, 1024) = %d, want >= 1", got)
-	}
-	// Lane ranges must tile the mesh exactly, in ascending order.
-	cfg := config.Default().NoC
-	cfg.Workers = 3
-	n := New(cfg, routing.MustNew(cfg.Routing), vc.MustNewPolicy(cfg))
-	prev := 0
-	for i := range n.lanes {
-		ln := &n.lanes[i]
-		if ln.lo != prev || ln.hi <= ln.lo || ln.lo%cfg.Width != 0 {
-			t.Fatalf("lane %d covers [%d,%d), previous ended at %d", i, ln.lo, ln.hi, prev)
-		}
-		prev = ln.hi
-	}
-	if prev != cfg.Width*cfg.Height {
-		t.Fatalf("lanes end at %d, want %d", prev, cfg.Width*cfg.Height)
-	}
-}
-
-// TestLaneCallbackInjectVisibleBeforeStep guards the sharded in-flight
-// tally: Inject parks its flits in a per-lane count until the next serial
-// tail, and everything that reads the fabric between an Inject and a Step —
-// FlitsInFlight, Drain's loop condition, CheckInvariants — must see them, at
-// every lane count, on the single network and on both subnets of a Dual.
+// TestLaneCallbackInjectVisibleBeforeStep guards the in-flight tally: Inject
+// parks its flits in the lane's count until the next tail, and everything
+// that reads the fabric between an Inject and a Step — FlitsInFlight,
+// Drain's loop condition, CheckInvariants — must see them, on the single
+// network (whatever Workers value its configuration carries) and on both
+// subnets of a Dual.
 func TestLaneCallbackInjectVisibleBeforeStep(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		n := newWorkerNet(t, config.RoutingXY, config.VCSplit, w)
 		cs := attachCollectors(n)
 		want := 0
-		for i, src := range []mesh.NodeID{0, 9, 31, 32, 63} { // both sides of every stripe boundary
+		for i, src := range []mesh.NodeID{0, 9, 31, 32, 63} {
 			p := mkPacket(uint64(i+1), packet.ReadReply, src, 63-src, 0)
 			if !n.Inject(p) {
 				t.Fatalf("workers=%d: injection at node %d refused", w, src)
@@ -261,11 +203,9 @@ func TestLaneCallbackInjectVisibleBeforeStep(t *testing.T) {
 		}
 	}
 
-	forcePool(t)
 	cfg := config.Default().NoC
 	cfg.Workers = 4
 	d := NewDual(cfg, routing.MustNew(cfg.Routing))
-	t.Cleanup(d.Close)
 	for i := 0; i < cfg.Width*cfg.Height; i++ {
 		d.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
 	}
@@ -285,18 +225,17 @@ func TestLaneCallbackInjectVisibleBeforeStep(t *testing.T) {
 }
 
 // TestLaneCallbackConcurrentInject drives Inject the way the gpu layer does:
-// from the endpoint stage, once per lane, concurrently on the lane workers
-// (the race detector watches the per-lane tallies and queues masks), every
-// node injecting every cycle. After each Step the in-flight count must have
-// grown by what the stage queued minus what the sinks took. The result must
-// match a serial network fed the same packets from one full-range stage.
+// from the endpoint stage, every node injecting every cycle. After each Step
+// the in-flight count must have grown by what the stage queued minus what
+// the sinks took. Networks built from configurations carrying the retired
+// Workers values 2, 4 and 8 must match Workers=1 exactly.
 func TestLaneCallbackConcurrentInject(t *testing.T) {
 	const cycles = 300
 	drive := func(n *Network) {
 		nn := n.Mesh().NumNodes()
 		cs := attachCollectors(n)
-		calls := make([]int, nn)  // per-node: single writer, the node's lane
-		queued := make([]int, nn) // flits Inject accepted at the node, likewise
+		calls := make([]int, nn)  // stage calls per node
+		queued := make([]int, nn) // flits Inject accepted at the node
 		inject := func(src int) bool {
 			calls[src]++
 			dst := (src*7 + int(n.Cycle())) % nn
@@ -338,61 +277,10 @@ func TestLaneCallbackConcurrentInject(t *testing.T) {
 		s := n.Stats()
 		if !spineNodesEqual(n, base) || s.EjectedFlits != bs.EjectedFlits ||
 			s.NetLatency != bs.NetLatency || n.FlitsInFlight() != base.FlitsInFlight() {
-			t.Errorf("workers=%d: statistics diverged from the serial network", w)
+			t.Errorf("workers=%d: statistics diverged from workers=1", w)
 		}
 		if !n.Drain(20000) {
 			t.Fatalf("workers=%d failed to drain", w)
 		}
-	}
-}
-
-// TestGenerationPerCycle pins the barrier's cost: a pooled Network cycle —
-// the endpoint stage, injection, routers, links — is exactly one generation,
-// a Dual's two (the stage rides on the request subnet's).
-func TestGenerationPerCycle(t *testing.T) {
-	const cycles = 50
-	calls := make([]int, 64) // stage calls by node: one writer each, the node's lane
-	tick := func(node int) bool { calls[node]++; return true }
-	count := func() (n int) {
-		for i, k := range calls {
-			n, calls[i] = n+k, 0
-		}
-		return n
-	}
-
-	n := newWorkerNet(t, config.RoutingXY, config.VCSplit, 4)
-	attachCollectors(n)
-	n.Step() // spawns the pool
-	n.SetStage(tick)
-	for before, c := n.pool.gen.Load(), 1; c <= cycles; c++ {
-		n.Inject(mkPacket(uint64(c), packet.ReadReply, mesh.NodeID(c%64), mesh.NodeID(63-c%64), n.Cycle()))
-		n.Step()
-		if got := n.pool.gen.Load() - before; got != uint64(c) {
-			t.Fatalf("network: %d barrier generations after %d cycles", got, c)
-		}
-	}
-	if got := count(); got != cycles*len(calls) {
-		t.Errorf("network: the stage ran %d times over %d cycles of %d nodes", got, cycles, len(calls))
-	}
-
-	cfg := config.Default().NoC
-	cfg.Workers = 4
-	d := NewDual(cfg, routing.MustNew(cfg.Routing))
-	t.Cleanup(d.Close)
-	for i := 0; i < cfg.Width*cfg.Height; i++ {
-		d.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
-	}
-	d.Step()
-	d.SetStage(tick)
-	for before, c := d.request.pool.gen.Load(), 1; c <= cycles; c++ {
-		d.Inject(mkPacket(uint64(c), packet.ReadRequest, mesh.NodeID(c%64), mesh.NodeID(63-c%64), d.Cycle()))
-		d.Inject(mkPacket(uint64(c)|1<<32, packet.ReadReply, mesh.NodeID(63-c%64), mesh.NodeID(c%64), d.Cycle()))
-		d.Step()
-		if got := d.request.pool.gen.Load() - before; got != uint64(2*c) {
-			t.Fatalf("dual: %d barrier generations after %d cycles", got, c)
-		}
-	}
-	if got := count(); got != cycles*len(calls) {
-		t.Errorf("dual: the stage ran %d times over %d cycles of %d nodes", got, cycles, len(calls))
 	}
 }

@@ -31,7 +31,6 @@ func tracedFabric(t *testing.T, alg config.Routing, dual bool) (noc.Interconnect
 	} else {
 		ic = noc.New(cfg, routing.MustNew(alg), vc.MustNewPolicy(cfg))
 	}
-	t.Cleanup(ic.Close)
 	for i := 0; i < cfg.Width*cfg.Height; i++ {
 		ic.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
 	}

@@ -20,7 +20,6 @@ func TestSaturatedSystemSleeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	if _, err := sim.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}

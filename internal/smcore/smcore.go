@@ -94,7 +94,7 @@ type SM struct {
 	// packet, or a warp's readyAt comes due; it records the earliest such
 	// due cycle here, and until then Tick only runs the outbox drain (nothing,
 	// while injBlocked) and counts the stall. Sink and the drain wake the SM
-	// by zeroing it. Both writers run on the lane that owns this SM's node.
+	// by zeroing it. Both writers run inside the interconnect's Step.
 	idleUntil  int64
 	sleptTicks int64 // ticks that took the early-out
 	lastTick   int64 // the last cycle Tick ran or Settle charged
@@ -349,8 +349,8 @@ func (s *SM) pick(now int64) int {
 
 // WakeInject is the SM's inject wake (noc.Interconnect.SetInjectWake): the
 // network freed space in this node's injection queue after refusing the
-// outbox front, so the next Tick retries it. It runs on the lane that owns
-// the SM's node. Calling it spuriously is harmless — a driver that knows
+// outbox front, so the next Tick retries it. It runs inside the
+// interconnect's Step. Calling it spuriously is harmless — a driver that knows
 // nothing of wakes calls it before every Tick and gets the polling SM.
 func (s *SM) WakeInject() { s.injBlocked = false }
 

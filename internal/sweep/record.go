@@ -87,10 +87,9 @@ func (r Record) Canonical() Record {
 // fingerprint iff they would simulate the same thing, which is what makes
 // resume (skip fingerprints already on disk) sound.
 //
-// NoC.Workers is host-side parallelism: results are bit-identical at every
-// worker count, so it is hashed at its default and a store filled at one
-// count answers every other. Fingerprints of default-count jobs — every
-// store and result file written so far — are unchanged by this.
+// NoC.Workers is retired — nothing that simulates reads it — so it is
+// hashed at its default: a job that still carries it shares its fingerprint,
+// and every stored result, with the same job without it.
 func (j Job) Fingerprint() string {
 	cfg := j.Cfg
 	cfg.NoC.Workers = config.Default().NoC.Workers

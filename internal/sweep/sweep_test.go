@@ -237,8 +237,8 @@ func TestFingerprint(t *testing.T) {
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Error("distinct jobs share a fingerprint")
 	}
-	// The kernel's worker count is host-side parallelism with bit-identical
-	// results: it must not split one simulation over several store keys.
+	// The retired NoC.Workers is read by nothing that simulates: it must not
+	// split one simulation over several store keys.
 	w4 := a
 	w4.Cfg.NoC.Workers = 4
 	if w4.Fingerprint() != a.Fingerprint() {

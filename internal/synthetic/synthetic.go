@@ -109,9 +109,6 @@ type Harness struct {
 // point's shared core.Structure.
 func New(p Params) (*Harness, error) {
 	cfg := &p.Config
-	// The harness's sinks share plain counters across nodes, so it always
-	// steps the serial kernel (results do not depend on the worker count).
-	cfg.NoC.Workers = 1
 	cfg.Core.NumSMs = cfg.NoC.Width*cfg.NoC.Height - cfg.Mem.NumMCs
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -190,7 +190,6 @@ func TestSharedStructureWithGPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	if h.Structure != st || sim.Place != st.Placement {
 		t.Fatal("the harness and gpu.New of one design point do not share its core.Structure")
 	}

@@ -79,7 +79,7 @@ func DefaultLatencyBounds() []int64 { return ExpBounds(8, 2, 12) }
 // Spine is the counts a network keeps of its per-flit events, always and
 // once, which NetProbes reads through: flits per link (by mesh.LinkIndex)
 // and class, flits in and out per node, and per stall cause the tallies
-// (one per lane) whose sum is the cause's count.
+// whose sum is the cause's count.
 type Spine struct {
 	Link                                  [packet.NumClasses][]int64
 	Inj, Ej                               []int64

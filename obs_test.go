@@ -35,7 +35,6 @@ func newSim(t *testing.T, cfg config.Config, bench string, inst gpu.Instrumentat
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sim.Close)
 	return sim
 }
 
