@@ -325,8 +325,8 @@ func TestStepperEquivalenceFastForwardIdle(t *testing.T) {
 }
 
 // TestStepperEquivalenceSoak reproduces longer runs with dense cycle-boundary
-// readers: the telemetry sampler folds the per-endpoint counter shards every
-// 16 cycles, and the sanitizer recounts the fabric against the in-flight
+// readers: the telemetry sampler settles and reads the core-side counters
+// every 16 cycles, and the sanitizer recounts the fabric against the in-flight
 // tally every 7 — on the single network and on the dual subnets — and
 // requires each run bit-identical to its rerun (carrying the retired
 // Workers=4) and to the same run under the suite's sparse instrumentation.

@@ -73,12 +73,11 @@ type Simulator struct {
 	// unpopulated tile).
 	endpoints []ticker
 
-	// Each endpoint writes only its own counters: shards holds one
-	// stats.GPU per endpoint (SMs, then MCs; Totals folds them at cycle
-	// boundaries) and ids one packet-ID counter per SM.
-	shards []stats.GPU
-	ids    []uint64
-	cycle  int64
+	// counters is the core-side counter block every SM and MC adds into;
+	// ids holds one packet-ID counter per SM.
+	counters stats.GPU
+	ids      []uint64
+	cycle    int64
 }
 
 // ticker is what tick needs of an endpoint; *smcore.SM and *mc.MC both are
@@ -126,11 +125,10 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 	}
 	s.endpoints = make([]ticker, st.Mesh.NumNodes())
 	net.SetStage(s.tick)
-	s.shards = make([]stats.GPU, cfg.Core.NumSMs+len(pl.MCs))
 	s.ids = make([]uint64, cfg.Core.NumSMs)
 	for i := 0; i < cfg.Core.NumSMs; i++ {
 		sm := smcore.New(i, cores[i], cfg.Core, cfg.Mem, prof,
-			smSeed(cfg.Seed, i), net, pl, &s.shards[i], &s.ids[i])
+			smSeed(cfg.Seed, i), net, pl, &s.counters, &s.ids[i])
 		s.SMs = append(s.SMs, sm)
 		s.endpoints[sm.Node] = sm
 		net.SetSink(sm.Node, sm.Sink())
@@ -142,7 +140,7 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 		net.SetSink(cores[i], func(packet.Flit) bool { return true })
 	}
 	for i := range pl.MCs {
-		ctrl := mc.New(i, pl.MCNode(i), cfg.Mem, net, &s.shards[cfg.Core.NumSMs+i])
+		ctrl := mc.New(i, pl.MCNode(i), cfg.Mem, net, &s.counters)
 		s.MCs = append(s.MCs, ctrl)
 		s.endpoints[ctrl.Node] = ctrl
 		net.SetSink(ctrl.Node, ctrl.Sink(func() int64 { return s.cycle }))
@@ -196,7 +194,7 @@ func (s *Simulator) Reset(cfg config.Config, prof workload.Profile) error {
 // their constructors end with their Reset, and Reset rewinds them first.
 func (s *Simulator) reset(cfg config.Config, prof workload.Profile) {
 	s.Cfg, s.Prof = cfg, prof
-	clear(s.shards)
+	s.counters = stats.GPU{}
 	for i := range s.ids {
 		s.ids[i] = smIDBase(i)
 	}
@@ -280,20 +278,14 @@ type Instrumentation struct {
 // lane-parallel kernel.
 func (s *Simulator) Close() {}
 
-// Totals returns the core-side counters since the last Reset: the
-// per-endpoint shards, folded, after charging every SM the ticks it skipped
-// up to this cycle boundary. Every field is an int64 sum, so the result is
-// identical to what unsharded accumulation would have produced. Call only at
-// a cycle boundary (ticks and sinks write shards mid-cycle).
+// Totals returns the core-side counters since the last Reset, after charging
+// every SM the ticks it skipped up to this cycle boundary. Call only at a
+// cycle boundary (ticks and sinks write the counters mid-cycle).
 func (s *Simulator) Totals() stats.GPU {
 	for _, sm := range s.SMs {
 		sm.Settle(s.cycle)
 	}
-	var g stats.GPU
-	for i := range s.shards {
-		g.Add(&s.shards[i])
-	}
-	return g
+	return s.counters
 }
 
 // attachTelemetry instruments the whole system with the cycle-domain
@@ -302,8 +294,8 @@ func (s *Simulator) Totals() stats.GPU {
 // latency decomposition), per-MC and DRAM state, and aggregate core-side
 // counters. Call once, before the first cycle; it returns the telemetry
 // instance whose exporters produce the run's artifacts. The core-side
-// gauges read the folded totals: probes fire at cycle boundaries, where the
-// shards are quiescent.
+// gauges read Totals: probes fire at cycle boundaries, where the counters
+// are settled.
 func (s *Simulator) attachTelemetry(epochLen int64) *telemetry.Telemetry {
 	if s.Tel != nil {
 		panic("gpu: telemetry attached twice")
@@ -353,8 +345,8 @@ func (s *Simulator) attachSpans(rate float64) (*obs.Spans, error) {
 }
 
 // tick ticks the endpoint on node, the interconnect's endpoint stage; false
-// (a dormant SM, an empty tile) leaves the walk. A tick touches only its own endpoint,
-// its own counter shard and — through Inject — its own node's queue.
+// (a dormant SM, an empty tile) leaves the walk. A tick touches only its own
+// endpoint, the shared counters and — through Inject — its own node's queue.
 func (s *Simulator) tick(node int) bool {
 	e := s.endpoints[node]
 	return e != nil && e.Tick(s.cycle)

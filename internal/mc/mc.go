@@ -98,7 +98,7 @@ func New(idx int, node mesh.NodeID, cfg config.Mem, net noc.Interconnect, gpu *s
 // and DRAM channel, zero counters, awake — keeping its storage. Every packet
 // it holds, requests and the replies made for them, goes to release: the
 // storage of an unfinished transaction belongs to the SM that began it. The
-// caller zeroes the counter shard New was given.
+// caller zeroes the counters New was given.
 func (m *MC) Reset(release func(*packet.Packet)) {
 	m.l2.Reset()
 	m.dram.Reset()

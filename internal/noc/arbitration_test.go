@@ -134,8 +134,8 @@ func arbDigest(t *testing.T, key string, ic Interconnect) string {
 	ic.EnableStats(true)
 	h := digests.New()
 	var cycle int64
-	// One record list per node: a node's sink runs only on the lane owning
-	// the node, so each list has a single writer; the fold below is serial.
+	// One record list per node, appended by the node's sink; the fold below
+	// reads them in node order.
 	ejected := make([][]int64, nodes)
 	// Every packet driven, and which IDs delivered their tail: a packet
 	// ejects at one node, so each flag has a single writer.

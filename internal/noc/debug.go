@@ -18,7 +18,7 @@ import (
 func (n *Network) DumpBlocked(w io.Writer) {
 	for i := range n.routers {
 		rt := &n.routers[i]
-		if n.lane.idle.has(i) && rt.bufFlits > 0 {
+		if n.idle.has(i) && rt.bufFlits > 0 {
 			fmt.Fprintf(w, "router %v idle: %d flits buffered, skipped until a credit returns or a flit arrives in an empty VC\n",
 				rt.coord, rt.bufFlits)
 		}
@@ -51,7 +51,7 @@ func (n *Network) DumpBlocked(w io.Writer) {
 	for i := range n.inj {
 		if q := &n.inj[i]; q.flits > 0 {
 			state := ""
-			if !n.lane.queues.has(i) {
+			if !n.queues.has(i) {
 				state += " blocked"
 			}
 			if q.refused {

@@ -61,7 +61,7 @@ func NewDual(cfg config.NoC, alg routing.Algorithm, opts ...Option) *Dual {
 	}
 	// One ticks mask, the request subnet's, whose Step runs the stage: a
 	// sink or inject wake on either subnet wakes the node's endpoint.
-	d.reply.lane.ticks = d.request.lane.ticks
+	d.reply.ticks = d.request.ticks
 	return d
 }
 
@@ -116,8 +116,8 @@ func (d *Dual) Step() {
 func (d *Dual) Cycle() int64 { return d.request.Cycle() }
 
 // Stats returns a merged view of both subnets' statistics. The merge is
-// recomputed on each call (going through each subnet's Stats method, which
-// folds its lane's shard first); experiments read it once after the run.
+// recomputed on each call, from each subnet's Stats (which writes its
+// window's link flits first); experiments read it once after the run.
 func (d *Dual) Stats() *stats.Net {
 	d.merged.Reset()
 	d.merged.Enabled = d.request.stats.Enabled

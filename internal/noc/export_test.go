@@ -26,8 +26,7 @@ func (n *Network) scheduled() (routers, links, queues int) {
 		}
 		return c
 	}
-	ln := &n.lane
-	return count(ln.routers), count(ln.links), count(ln.queues)
+	return count(n.buffered), count(n.links), count(n.queues)
 }
 
 // GateCounts is what the back-pressure gates did since the last Reset (summed
@@ -44,20 +43,19 @@ type GateCounts struct {
 	CreditsInPlace, CreditsDeferred int64
 }
 
-// Gates reads the lane's visit counters. Call at a cycle boundary.
+// Gates reads the networks' visit counters. Call at a cycle boundary.
 func Gates(ic Interconnect) GateCounts {
 	var g GateCounts
 	for _, n := range subnets(ic) {
-		ln := &n.lane
-		g.RouterVisits += ln.routerVisits
-		g.IdleSkips += ln.idleSkips
-		g.InjectVisits += ln.injectVisits
-		g.RefusedInjects += ln.refusedInjects
-		g.StageCalls += ln.stageCalls
-		g.MovesInPlace += ln.movesInPlace
-		g.MovesViaReg += ln.movesViaReg
-		g.CreditsInPlace += ln.creditsInPlace
-		g.CreditsDeferred += ln.creditsDeferred
+		g.RouterVisits += n.routerVisits
+		g.IdleSkips += n.idleSkips
+		g.InjectVisits += n.injectVisits
+		g.RefusedInjects += n.refusedInjects
+		g.StageCalls += n.stageCalls
+		g.MovesInPlace += n.movesInPlace
+		g.MovesViaReg += n.movesViaReg
+		g.CreditsInPlace += n.creditsInPlace
+		g.CreditsDeferred += n.creditsDeferred
 	}
 	return g
 }

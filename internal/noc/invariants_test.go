@@ -200,23 +200,23 @@ func maskInvariants(t *testing.T, workers int) {
 		}
 	}
 	for i := range n.routers {
-		flipRunBit(t, n, i, "routers", populated)
+		flipRunBit(t, n, i, "buffered", populated)
 		flipRunBit(t, n, i, "links", populated)
-		ln, bit := &n.lane, i
+		bit := i
 		switch q := &n.inj[i]; {
 		case q.empty():
 			populated["queues set"] = true
-			ln.queues.set(bit)
+			n.queues.set(bit)
 			err := n.CheckInvariants()
-			ln.queues.clear(bit)
+			n.queues.clear(bit)
 			if want := fmt.Sprintf("injection queue of node %d is scheduled, but it is empty", i); err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("node %d: scheduling its empty queue reported as %v", i, err)
 			}
-		case ln.queues.has(bit) && n.injectable(i) != "":
+		case n.queues.has(bit) && n.injectable(i) != "":
 			populated["queues cleared"] = true
-			ln.queues.clear(bit)
+			n.queues.clear(bit)
 			err := n.CheckInvariants()
-			ln.queues.set(bit)
+			n.queues.set(bit)
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("injection queue of node %d is blocked", i)) ||
 				!strings.Contains(err.Error(), "the unblock of a Local pop was lost") {
 				t.Fatalf("node %d: unscheduling its injectable queue reported as %v", i, err)
@@ -245,8 +245,8 @@ func maskInvariants(t *testing.T, workers int) {
 // found set is recorded in populated.
 func flipRunBit(t *testing.T, n *Network, i int, name string, populated map[string]bool) {
 	t.Helper()
-	ln, bit := &n.lane, i
-	m := map[string]nodeMask{"routers": ln.routers, "links": ln.links}[name]
+	bit := i
+	m := map[string]nodeMask{"buffered": n.buffered, "links": n.links}[name]
 	if m.has(bit) {
 		populated[name] = true
 	}
@@ -307,7 +307,7 @@ func TestIdleInvariants(t *testing.T) {
 					rt := &n.routers[i]
 					for idx := range rt.vcs {
 						ivc := &rt.vcs[idx]
-						if !n.lane.idle.has(i) || ivc.buf.len() == 0 || !ivc.routed || ivc.route == mesh.Local || ivc.outVC == -1 {
+						if !n.idle.has(i) || ivc.buf.len() == 0 || !ivc.routed || ivc.route == mesh.Local || ivc.outVC == -1 {
 							continue
 						}
 						// What finishCycle's credit application does, minus
@@ -330,13 +330,13 @@ func TestIdleInvariants(t *testing.T) {
 					rt := &n.routers[i]
 					// A local VC: no upstream port keeps credits for it.
 					for idx := int(mesh.Local) * n.vcs; idx < len(rt.vcs); idx++ {
-						if !n.lane.idle.has(i) || rt.bufFlits == 0 || rt.vcs[idx].buf.len() != 0 {
+						if !n.idle.has(i) || rt.bufFlits == 0 || rt.vcs[idx].buf.len() != 0 {
 							continue
 						}
 						// enqueue, minus clearing the router's idle bit.
 						p := mkPacket(1<<50, packet.ReadRequest, 0, rt.id, n.cycle)
-						n.enqueue(&n.lane, rt, idx, packet.Flit{Pkt: p, Head: true, Tail: true})
-						n.lane.idle.set(i)
+						n.enqueue(rt, idx, packet.Flit{Pkt: p, Head: true, Tail: true})
+						n.idle.set(i)
 						return fmt.Sprintf("router %v is idle", rt.coord)
 					}
 				}
@@ -350,7 +350,7 @@ func TestIdleInvariants(t *testing.T) {
 			mutate: func(t *testing.T, n *Network) string {
 				for id := range n.inj {
 					q := &n.inj[id]
-					if q.empty() || n.lane.queues.has(id) {
+					if q.empty() || n.queues.has(id) {
 						continue
 					}
 					rt := &n.routers[id]

@@ -11,7 +11,7 @@
 // demonstrable phenomenon rather than an abstraction.
 //
 // Step does not scan the mesh: each phase of a cycle walks the set bits of
-// one run mask (lane.go) — the routers holding buffered flits, the
+// one run mask (schedule.go) — the routers holding buffered flits, the
 // routers with an occupied link register, the injection queues worth a
 // visit. The masks are exact, set and cleared where the count they summarize
 // leaves or reaches zero and recounted by CheckInvariants, so a drained
@@ -174,11 +174,15 @@ type Network struct {
 	sinks   []Sink
 	injWake []func() // per node; nil for a node whose endpoint polls
 
-	// lane is the kernel's schedule state: the run masks, the credit list,
-	// the stats shard and tallies (lane.go). stage is the endpoint stage
-	// SetStage installed.
-	lane  lane
-	stage func(node int) bool
+	// stage is the endpoint stage SetStage installed; the run masks are
+	// the schedule each phase walks (schedule.go).
+	stage                                func(node int) bool
+	buffered, links, queues, idle, ticks nodeMask
+
+	// credits lists the output ports owed credits this cycle
+	// (outPort.pending) by routers that lie ahead of the walk; applyCredits
+	// lands them after the router phase.
+	credits []*outPort
 
 	// routeTab caches the routing algorithm per (class, current, dest):
 	// NextHop is a pure function of those three, so RC becomes one array
@@ -198,13 +202,26 @@ type Network struct {
 	linkBase, linkAcc [packet.NumClasses][]int64
 	counts            []int64
 
+	// stalls tallies stall attributions by obs.StallCause since Reset; the
+	// net.stall.* probes read it through.
+	stalls [obs.NumStallCauses]int64
+
 	stats    *stats.Net
 	tel      *telemetry.NetProbes
 	spans    *obs.Spans
 	cycle    int64
-	moved    bool
+	moved    bool // any flit moved this cycle
 	lastMove int64
-	inFlight int // flits inside routers + injection queues as of the last tail; see FlitsInFlight
+	inFlight int // flits inside routers + injection queues
+
+	// Visit counters, read by tests through export_test.go so the gates and
+	// the in-place paths cannot rot silently: idle routers walked past,
+	// injectNode visits, Injects refused, stage calls, full router visits,
+	// traversals moved in place and via a link register, credits landed in
+	// place and deferred to the list.
+	idleSkips, injectVisits, refusedInjects, stageCalls        int64
+	routerVisits                                               int64
+	movesInPlace, movesViaReg, creditsInPlace, creditsDeferred int64
 }
 
 // Option tweaks network construction.
@@ -257,7 +274,11 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 		injWake:    make([]func(), nn),
 		injRng:     make([][packet.NumClasses]vc.Range, nn),
 	}
-	n.buildLane()
+	words := (nn + 63) / 64
+	masks := make(nodeMask, 5*words)
+	n.buffered, n.links, n.queues = masks[:words], masks[words:2*words], masks[2*words:3*words]
+	n.idle, n.ticks = masks[3*words:4*words], masks[4*words:5*words]
+	n.credits = make([]*outPort, 0, mesh.NumLinkDirs*nn)
 	for i := range n.portOf {
 		n.portOf[i] = uint8(i / n.vcs)
 	}
@@ -358,20 +379,29 @@ func (n *Network) Reset(release func(*packet.Packet)) {
 		}
 		q.sent, q.flits, q.vc, q.refused = 0, 0, -1, false
 	}
-	n.resetLane()
+	clear(n.buffered)
+	clear(n.links)
+	clear(n.queues)
+	clear(n.idle)
+	for id := 0; id < n.numNodes; id++ {
+		n.ticks.set(id)
+	}
+	n.credits = n.credits[:0]
+	n.stalls = [obs.NumStallCauses]int64{}
 	clear(n.counts)
 	n.stats = stats.NewNet(n.m)
 	n.cycle, n.moved, n.lastMove, n.inFlight = 0, false, 0, 0
+	n.idleSkips, n.injectVisits, n.refusedInjects, n.stageCalls = 0, 0, 0, 0
+	n.routerVisits = 0
+	n.movesInPlace, n.movesViaReg, n.creditsInPlace, n.creditsDeferred = 0, 0, 0, 0
 }
 
 // Mesh returns the topology.
 func (n *Network) Mesh() mesh.Mesh { return n.m }
 
-// Stats returns the statistics collector, after folding the lane's shard
-// into it and writing it the window's link flits. Call only at a cycle
-// boundary.
+// Stats returns the statistics collector, after writing it the window's
+// link flits. Call only at a cycle boundary.
 func (n *Network) Stats() *stats.Net {
-	n.foldStats()
 	for c, w := range n.stats.LinkFlits {
 		copy(w, n.linkAcc[c])
 		if n.stats.Enabled {
@@ -385,7 +415,7 @@ func (n *Network) Stats() *stats.Net {
 
 // EnableStats opens or closes the measurement window (a repeat is a no-op):
 // opening copies spine.Link to linkBase, closing adds the window to linkAcc.
-// The per-packet accounting of the lane's stats shard follows Enabled.
+// The collector's per-packet accounting follows Enabled.
 func (n *Network) EnableStats(on bool) {
 	if on == n.stats.Enabled {
 		return
@@ -400,7 +430,6 @@ func (n *Network) EnableStats(on bool) {
 		}
 	}
 	n.stats.Enabled = on
-	n.lane.stats.Enabled = on
 }
 
 // Close does nothing: the kernel holds no goroutine or other resource to
@@ -411,10 +440,9 @@ func (n *Network) Close() {}
 // Cycle returns the current cycle count.
 func (n *Network) Cycle() int64 { return n.cycle }
 
-// FlitsInFlight returns the number of flits buffered in the fabric: the
-// count as of the last tail plus what Inject has accepted since, which sits
-// in the lane's tally.
-func (n *Network) FlitsInFlight() int { return n.inFlight + n.lane.injectedFlits }
+// FlitsInFlight returns the number of flits buffered in the fabric: Inject
+// adds a packet's flits, and the ejection of each takes one away.
+func (n *Network) FlitsInFlight() int { return n.inFlight }
 
 // stuck reports no movement for the trailing window cycles.
 func (n *Network) stuck(window int64) bool { return n.cycle-n.lastMove >= window }
@@ -435,19 +463,18 @@ func (n *Network) Quiescent(window int64) bool {
 // SetInjectWake).
 func (n *Network) Inject(p *packet.Packet) bool {
 	q := &n.inj[p.Src]
-	ln := &n.lane
 	if q.flits+p.Flits > injQueueFlits {
 		q.refused = true
-		ln.refusedInjects++
+		n.refusedInjects++
 		return false
 	}
 	if q.empty() {
 		// A non-empty queue is scheduled already, or blocked and stays so.
-		ln.queues.set(p.Src)
+		n.queues.set(p.Src)
 	}
 	q.Push(p)
 	q.flits += p.Flits
-	ln.injectedFlits += p.Flits
+	n.inFlight += p.Flits
 	if n.spans != nil {
 		n.spans.Offer(p)
 	}
@@ -470,7 +497,7 @@ func (n *Network) SetInjectWake(node mesh.NodeID, wake func()) { n.injWake[node]
 func (n *Network) SetStage(fn func(node int) bool) { n.stage = fn }
 
 // Ticking reports whether node's ticks bit is set.
-func (n *Network) Ticking(node mesh.NodeID) bool { return n.lane.ticks.has(int(node)) }
+func (n *Network) Ticking(node mesh.NodeID) bool { return n.ticks.has(int(node)) }
 
 // SetSpans installs the per-packet span collector (nil disables span
 // tracing). Probe sites gate on the collector pointer and the packet's
@@ -492,10 +519,9 @@ func (n *Network) attachTelemetry(reg *telemetry.Registry, prefix string) {
 		return
 	}
 	sp := n.spine
-	st := &n.lane.stalls
-	sp.StallCredit = append(sp.StallCredit, &st[obs.StallCredit])
-	sp.StallRoute = append(sp.StallRoute, &st[obs.StallRoute])
-	sp.StallVCAlloc = append(sp.StallVCAlloc, &st[obs.StallVCAlloc])
+	sp.StallCredit = &n.stalls[obs.StallCredit]
+	sp.StallRoute = &n.stalls[obs.StallRoute]
+	sp.StallVCAlloc = &n.stalls[obs.StallVCAlloc]
 	n.tel = telemetry.NewNetProbes(reg, n.m, prefix, sp)
 	// Buffer-fill gauges live here because VC buffers are router-private:
 	// one GaugeFunc per (link, VC) reading the downstream input buffer, and
@@ -532,49 +558,49 @@ func (n *Network) sinkAccept(node mesh.NodeID, f packet.Flit) bool {
 // queueCredit returns a credit for input VC vcIdx of rt's port inPort to the
 // upstream output port, which sees it next cycle: the one-cycle credit loop.
 // A router the walk has already passed (a lower ID) takes it at once; any
-// other gets it in the port's pending tally, the port on the lane's list.
-func (n *Network) queueCredit(ln *lane, rt *router, inPort mesh.Direction, vcIdx int) {
+// other gets it in the port's pending tally, the port on the network's list.
+func (n *Network) queueCredit(rt *router, inPort mesh.Direction, vcIdx int) {
 	op := rt.upstream[inPort]
 	if op == nil {
 		panic("noc: credit return for a port with no upstream link")
 	}
 	if up := rt.out[inPort].downNode; up < rt.id { // op's router: rt's neighbour through inPort
-		n.landCredits(ln, op, vcIdx, 1)
-		ln.creditsInPlace++
+		n.landCredits(op, vcIdx, 1)
+		n.creditsInPlace++
 		return
 	}
-	ln.creditsDeferred++
+	n.creditsDeferred++
 	op.pending[vcIdx]++
 	if !op.dirty {
 		op.dirty = true
-		ln.credits = append(ln.credits, op)
+		n.credits = append(n.credits, op)
 	}
 }
 
 // landCredits gives output VC v of op k credits.
-func (n *Network) landCredits(ln *lane, op *outPort, v, k int) {
+func (n *Network) landCredits(op *outPort, v, k int) {
 	if op.credits[v] == 0 && op.owner[v] != noOwner {
 		// The VC's holder can send again, so its router has a switch
 		// candidate: wake it.
 		op.rt.credOK |= 1 << op.owner[v]
-		ln.idle.clear(int(op.rt.id))
+		n.idle.clear(int(op.rt.id))
 	}
 	op.credits[v] += k
 }
 
 // applyCredits lands the listed ports' pending credits and empties the list,
 // after the router phase.
-func (n *Network) applyCredits(list *[]*outPort) {
-	for _, op := range *list {
+func (n *Network) applyCredits() {
+	for _, op := range n.credits {
 		for v, pend := range op.pending {
 			if pend != 0 {
-				n.landCredits(&n.lane, op, v, pend)
+				n.landCredits(op, v, pend)
 				op.pending[v] = 0
 			}
 		}
 		op.dirty = false
 	}
-	*list = (*list)[:0]
+	n.credits = n.credits[:0]
 }
 
 // injectNode moves up to injRate flits from the node's injection queue into
@@ -583,7 +609,7 @@ func (n *Network) applyCredits(list *[]*outPort) {
 // only a pop from one of those VCs (traverse) can change the outcome, so the
 // queue is unscheduled until then, as is one the visit emptied. A visit that
 // frees space in a queue that has refused a packet owes the node its wake.
-func (n *Network) injectNode(ln *lane, id int) {
+func (n *Network) injectNode(id int) {
 	q := &n.inj[id]
 	if q.empty() {
 		return
@@ -616,11 +642,11 @@ func (n *Network) injectNode(ln *lane, id int) {
 		ivc := &rt.in[mesh.Local][q.vc]
 		for budget > 0 && q.sent < p.Flits && ivc.buf.free() > 0 {
 			f := packet.Flit{Pkt: p, Seq: q.sent, Head: q.sent == 0, Tail: q.sent == p.Flits-1}
-			n.enqueue(ln, rt, localBase+q.vc, f)
+			n.enqueue(rt, localBase+q.vc, f)
 			q.sent++
 			q.flits--
 			budget--
-			ln.moved = true
+			n.moved = true
 			n.spine.Inj[id]++
 		}
 		if q.sent < p.Flits {
@@ -631,46 +657,42 @@ func (n *Network) injectNode(ln *lane, id int) {
 		q.vc = -1
 	}
 	if budget == n.injRate || q.empty() {
-		ln.queues.clear(id)
+		n.queues.clear(id)
 	}
 	if budget < n.injRate && q.refused {
 		q.refused = false
-		ln.ticks.set(id)
+		n.ticks.set(id)
 		if wake := n.injWake[id]; wake != nil {
 			wake()
 		}
 	}
 }
 
-// linkPhase delivers this router's completed link traversals, walking its
-// busy link registers: flits whose link occupancy has elapsed arrive at
+// deliverReady delivers this router's completed link traversals, walking
+// its busy link registers: flits whose link occupancy has elapsed arrive at
 // downstream buffers. A half-width link (period 2) holds each flit an extra
 // cycle, blocking the next switch traversal through that port.
-func (n *Network) linkPhase(ln *lane, rt *router) {
+func (n *Network) deliverReady(rt *router) {
 	for busy := rt.regBusy; busy != 0; busy &= busy - 1 {
 		if op := &rt.out[bits.TrailingZeros8(busy)]; op.regReadyAt <= n.cycle {
-			n.deliver(ln, op)
+			n.deliver(op)
 		}
 	}
 }
 
 // deliver commits one link traversal: the flit in op's register arrives at
 // the downstream input buffer and the register frees.
-func (n *Network) deliver(ln *lane, op *outPort) {
-	n.enqueue(ln, &n.routers[op.downNode], int(op.downPort)*n.vcs+op.regVC, op.reg)
+func (n *Network) deliver(op *outPort) {
+	n.enqueue(&n.routers[op.downNode], int(op.downPort)*n.vcs+op.regVC, op.reg)
 	op.rt.regBusy &^= 1 << op.downPort.Opposite()
 	if op.rt.regBusy == 0 {
-		ln.links.clear(int(op.rt.id))
+		n.links.clear(int(op.rt.id))
 	}
 }
 
-// finishCycle is the tail of every step: it folds the lane's movement flag
-// and in-flight tallies, then advances the cycle.
+// finishCycle is the tail of every step: it stamps the last cycle a flit
+// moved, then advances the cycle.
 func (n *Network) finishCycle() {
-	ln := &n.lane
-	n.moved = ln.moved
-	n.inFlight += ln.injectedFlits - ln.ejectedFlits
-	ln.injectedFlits, ln.ejectedFlits = 0, 0
 	if n.moved {
 		n.lastMove = n.cycle
 	}
@@ -678,19 +700,25 @@ func (n *Network) finishCycle() {
 	n.stats.Cycles = n.cycle
 }
 
-// Step advances the network by one cycle: laneCycle — the endpoint stage,
-// injection, router pipelines (VA/SA/ST; RC runs where a head reaches the
-// front of its VC), link traversal, credits — then the tail; the package
-// comment says where each flit and credit lands. A phase visits only the
-// nodes its run mask names, in ascending id order — exactly the order the
-// reference full scan produces, so endpoint callbacks and statistics
-// accumulate identically.
+// Step advances the network by one cycle: the endpoint stage, injection,
+// router pipelines (VA/SA/ST; RC runs where a head reaches the front of its
+// VC), link traversal, credits — then the tail; schedule.go says where each
+// flit and credit lands. A phase visits only the nodes its run mask names,
+// in ascending id order — exactly the order the reference full scan
+// produces, so endpoint callbacks and statistics accumulate identically.
 func (n *Network) Step() {
 	if n.reference {
 		n.stepReference()
-	} else {
-		n.laneCycle(&n.lane)
+		n.finishCycle()
+		return
 	}
+	if n.stage != nil {
+		n.tickPhase()
+	}
+	n.injectPhase()
+	n.routerPhase()
+	n.linkPhase()
+	n.applyCredits()
 	n.finishCycle()
 }
 
@@ -700,25 +728,24 @@ func (n *Network) Step() {
 // kernel; only iteration differs. Equivalence tests hold the two
 // bit-identical.
 func (n *Network) stepReference() {
-	ln := &n.lane
 	if n.stage != nil {
 		for id := 0; id < n.numNodes; id++ {
 			n.stage(id)
 		}
 	}
-	ln.moved = false
+	n.moved = false
 	for id := 0; id < n.numNodes; id++ {
-		n.injectNode(ln, id)
+		n.injectNode(id)
 	}
 	for i := range n.routers {
 		rt := &n.routers[i]
 		n.vcAllocate(rt)
-		n.switchAllocateAndTraverse(ln, rt)
+		n.switchAllocateAndTraverse(rt)
 	}
 	for i := range n.routers {
-		n.linkPhase(ln, &n.routers[i])
+		n.deliverReady(&n.routers[i])
 	}
-	n.applyCredits(&ln.credits)
+	n.applyCredits()
 }
 
 // Drain runs the network until no flits remain in flight or maxCycles pass;
@@ -736,7 +763,7 @@ func (n *Network) Drain(maxCycles int) bool {
 // per (output port, VC) against the per-port pending tally, flit
 // conservation, that every occupied VC's front is routed, every router's
 // flit counter, request masks and pipeline-gate stamps, the run masks (a
-// routers bit says the recounted flits are non-zero, a links bit that a
+// buffered bit says the recounted flits are non-zero, a links bit that a
 // register is busy, a queues bit that the queue holds a packet; the ticks
 // mask is the gpu sanitizer's to check), and every sleeper's
 // reason to sleep: an idle router must have nothing a visit could act on
@@ -745,7 +772,6 @@ func (n *Network) Drain(maxCycles int) bool {
 // A scheduled queue may turn out blocked: spurious wakes are legal.
 func (n *Network) CheckInvariants() error {
 	count := 0
-	ln := &n.lane
 	for i := range n.routers {
 		rt := &n.routers[i]
 		bufFlits := 0
@@ -794,7 +820,7 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("noc: request mask %s at %v: %#x, per-VC state says %#x (bit %d)",
 				name, rt.coord, got, exp, bits.TrailingZeros64(got^exp))
 		}
-		if ln.idle.has(i) {
+		if n.idle.has(i) {
 			if cause := n.runnable(rt); cause != "" {
 				return fmt.Errorf("noc: router %v is idle, but %s", rt.coord, cause)
 			}
@@ -825,17 +851,17 @@ func (n *Network) CheckInvariants() error {
 		if bufFlits != rt.bufFlits {
 			return fmt.Errorf("noc: occupancy counter at %v: bufFlits %d (counted %d)", rt.coord, rt.bufFlits, bufFlits)
 		}
-		if ln.routers.has(i) != (bufFlits > 0) {
-			return fmt.Errorf("noc: run mask routers at %v reads %t, recounted bufFlits %d", rt.coord, ln.routers.has(i), bufFlits)
+		if n.buffered.has(i) != (bufFlits > 0) {
+			return fmt.Errorf("noc: run mask buffered at %v reads %t, recounted bufFlits %d", rt.coord, n.buffered.has(i), bufFlits)
 		}
-		if ln.links.has(i) != (rt.regBusy != 0) {
-			return fmt.Errorf("noc: run mask links at %v reads %t, regBusy %#x", rt.coord, ln.links.has(i), rt.regBusy)
+		if n.links.has(i) != (rt.regBusy != 0) {
+			return fmt.Errorf("noc: run mask links at %v reads %t, regBusy %#x", rt.coord, n.links.has(i), rt.regBusy)
 		}
 	}
 	for i := range n.inj {
 		q := &n.inj[i]
 		count += q.flits
-		switch scheduled := ln.queues.has(i); {
+		switch scheduled := n.queues.has(i); {
 		case scheduled && q.empty():
 			return fmt.Errorf("noc: injection queue of node %d is scheduled, but it is empty", i)
 		case !scheduled && !q.empty():

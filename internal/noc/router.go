@@ -35,7 +35,7 @@ type outPort struct {
 
 	credits []int                     // free downstream buffer slots per VC
 	pending []int                     // credits returned this cycle, applied in the credit phase
-	dirty   bool                      // on the lane's credit list, pending not yet applied
+	dirty   bool                      // on the network's credit list, pending not yet applied
 	owner   []int                     // per VC: owning input (port*V + vc) or noOwner
 	elig    [packet.NumClasses]uint64 // per class: bit v set when the policy admits VC v on this link
 
@@ -57,14 +57,14 @@ type outPort struct {
 // the VA grant, credit decrement and return, tail release); VA, SA, the link
 // phase and the stall attribution walk set bits with math/bits, so a router
 // whose every VC is blocked costs a handful of mask tests. The masks, like
-// the occupancy summaries (bufFlits and regBusy: the lane keeps a run-mask
-// bit that says each is non-zero), are redundant: CheckInvariants
+// the occupancy summaries (bufFlits and regBusy: the network keeps a
+// run-mask bit that says each is non-zero), are redundant: CheckInvariants
 // recounts all of them from the per-VC state.
 //
-// A router whose visit ends with no switch candidate goes idle (the lane's
-// idle bit): VA is at its fixpoint and nothing moved, so until a flit
-// arrives in an empty VC or a credit returns to a VC it holds a visit would
-// repeat itself, and the router phase skips it.
+// A router whose visit ends with no switch candidate goes idle (its bit of
+// the idle run mask): VA is at its fixpoint and nothing moved, so until a
+// flit arrives in an empty VC or a credit returns to a VC it holds a visit
+// would repeat itself, and the router phase skips it.
 type router struct {
 	id    mesh.NodeID
 	coord mesh.Coord
@@ -216,25 +216,25 @@ func (rt *router) reset(depth int) {
 	rt.vaPtr, rt.saVCPtr, rt.saPtr = [mesh.NumPorts]int{}, [mesh.NumPorts]int{}, [mesh.NumPorts]int{}
 }
 
-// enqueue buffers f at input VC i of rt, which ln owns: the one push path,
+// enqueue buffers f at input VC i of rt: the one push path,
 // shared by injection, link delivery and the in-place move. A flit entering
 // an empty buffer becomes the front, so it sets occ, stamps the pipeline
 // gate, is routed if it is a head, and ends the router's idleness; the first
 // flit in an empty router schedules it.
-func (n *Network) enqueue(ln *lane, rt *router, i int, f packet.Flit) {
+func (n *Network) enqueue(rt *router, i int, f packet.Flit) {
 	ivc := &rt.vcs[i]
 	ivc.buf.push(f, n.cycle)
 	if ivc.buf.n == 1 {
 		rt.occ |= 1 << i
 		ivc.readyAt = n.cycle + n.pipeDelay
-		ln.idle.clear(int(rt.id))
+		n.idle.clear(int(rt.id))
 		if f.Head {
 			n.routeFront(rt, i, f.Pkt)
 		}
 	}
 	rt.bufFlits++
 	if rt.bufFlits == 1 {
-		ln.routers.set(int(rt.id))
+		n.buffered.set(int(rt.id))
 	}
 }
 
@@ -329,11 +329,11 @@ func (n *Network) vcAllocate(rt *router) {
 // at the VC that moved, whose whole port is then out of the running, so one
 // snapshot of occ & credOK serves every output. An empty snapshot puts the
 // router to sleep (its idle bit; see router).
-func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
+func (n *Network) switchAllocateAndTraverse(rt *router) {
 	var moved uint64 // the VCs that sent a flit this cycle
 	ready := rt.occ & rt.credOK
 	if ready == 0 {
-		ln.idle.set(int(rt.id)) // a router with a candidate is never idle
+		n.idle.set(int(rt.id)) // a router with a candidate is never idle
 	} else {
 		V := n.vcs
 		vmask := uint64(1)<<V - 1
@@ -376,7 +376,7 @@ func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
 					if n.cycle < rt.in[p][v].readyAt {
 						continue // still in the first pipeline stage
 					}
-					if !n.traverse(ln, rt, p, v, d) {
+					if !n.traverse(rt, p, v, d) {
 						continue // sink refused this packet; try the next VC
 					}
 					ready &^= vmask << (p * V) // one flit per input port per cycle
@@ -395,7 +395,7 @@ func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
 		}
 	}
 	if n.tel != nil || n.spans != nil {
-		n.countStalls(ln, rt, moved)
+		n.countStalls(rt, moved)
 	}
 }
 
@@ -404,11 +404,11 @@ func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
 // with no downstream credits (credit), or a ready flit that lost the switch
 // or found the link register occupied (route). Flits still inside the
 // pipeline delay and ejection-blocked flits are not charged. The same
-// attribution feeds the lane's stall tallies, which the net.stall.* probes
+// attribution feeds the network's stall tallies, which the net.stall.* probes
 // read, and, for sampled packets, the per-packet span events;
 // observability-only — runs after SA so "moved this cycle" is known
 // exactly.
-func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
+func (n *Network) countStalls(rt *router, moved uint64) {
 	for m := rt.occ &^ rt.want[mesh.Local] &^ moved; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		ivc := &rt.vcs[i]
@@ -424,7 +424,7 @@ func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
 		default:
 			cause = obs.StallCredit
 		}
-		ln.stalls[cause]++
+		n.stalls[cause]++
 		if n.spans != nil {
 			if pkt := ivc.buf.front().flit.Pkt; pkt.Sampled {
 				n.spans.Stall(pkt, int(rt.id), cause, n.cycle)
@@ -442,7 +442,7 @@ func (n *Network) countStalls(ln *lane, rt *router, moved uint64) {
 // ID, on a one-cycle link — which first looks at it next cycle, exactly as
 // if the link phase had delivered it; otherwise into the output's link
 // register, which the link phase delivers.
-func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) bool {
+func (n *Network) traverse(rt *router, p, v int, d mesh.Direction) bool {
 	ivc := &rt.in[p][v]
 	if d == mesh.Local {
 		front := &ivc.buf.front().flit
@@ -461,7 +461,7 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 	f := bf.flit
 	rt.bufFlits--
 	if rt.bufFlits == 0 {
-		ln.routers.clear(int(rt.id))
+		n.buffered.clear(int(rt.id))
 	}
 	i := p*n.vcs + v
 	bit := uint64(1) << i
@@ -475,17 +475,17 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 	// has no credits — the injection queue reads the local VCs' space itself
 	// — so there the pop schedules the node's queue, blocked or not, instead.
 	if p != int(mesh.Local) {
-		n.queueCredit(ln, rt, mesh.Direction(p), v)
+		n.queueCredit(rt, mesh.Direction(p), v)
 	} else if !n.inj[rt.id].empty() {
-		ln.queues.set(int(rt.id))
+		n.queues.set(int(rt.id))
 	}
 
 	if d == mesh.Local {
-		ln.ejectedFlits++
+		n.inFlight--
 		n.spine.Ej[rt.id]++
 		if f.Tail {
-			ln.ticks.set(int(rt.id)) // the sink took a whole packet: its endpoint may wake
-			ln.stats.CountEjection(f.Pkt)
+			n.ticks.set(int(rt.id)) // the sink took a whole packet: its endpoint may wake
+			n.stats.CountEjection(f.Pkt)
 			if n.tel != nil {
 				n.tel.PacketEjected(f.Pkt, n.cycle)
 			}
@@ -504,17 +504,17 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 			n.spans.Hop(f.Pkt, int(rt.id), int(op.downNode), ivc.outVC, n.cycle)
 		}
 		if dn := int(op.downNode); dn < int(rt.id) && n.linkPeriod == 1 {
-			n.enqueue(ln, &n.routers[dn], int(op.downPort)*n.vcs+ivc.outVC, f)
-			ln.movesInPlace++
+			n.enqueue(&n.routers[dn], int(op.downPort)*n.vcs+ivc.outVC, f)
+			n.movesInPlace++
 		} else {
 			op.reg = f
 			op.regVC = ivc.outVC
 			op.regReadyAt = n.cycle + n.linkPeriod - 1
 			if rt.regBusy == 0 {
-				ln.links.set(int(rt.id))
+				n.links.set(int(rt.id))
 			}
 			rt.regBusy |= 1 << d
-			ln.movesViaReg++
+			n.movesViaReg++
 		}
 	}
 
@@ -533,6 +533,6 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 			n.routeFront(rt, i, ivc.buf.front().flit.Pkt)
 		}
 	}
-	ln.moved = true
+	n.moved = true
 	return true
 }

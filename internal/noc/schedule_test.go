@@ -125,7 +125,7 @@ func refusingSinkKeepsRouterScheduled(t *testing.T, workers int) {
 	if n.FlitsInFlight() == 0 {
 		t.Fatal("packet vanished while its sink was refusing it")
 	}
-	if !n.lane.routers.has(58) {
+	if !n.buffered.has(58) {
 		t.Fatal("router with an ejection-blocked packet lost its routers bit")
 	}
 	accept = true

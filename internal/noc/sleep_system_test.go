@@ -51,8 +51,8 @@ func TestSaturatedNetworkSleeps(t *testing.T) {
 }
 
 // TestFlitsLandInPlace keeps the in-place paths from rotting silently: on
-// the Table 2 system running KMN, a link traversal into a router its lane has
-// already walked goes straight into that router's buffer, and a credit owed
+// the Table 2 system running KMN, a link traversal into a router the walk has
+// already passed goes straight into that router's buffer, and a credit owed
 // to one lands at once, so at least half the traversals and 30% of the
 // credits must take the in-place path. A half-width Dual holds every flit in
 // its link register for a second cycle, so none may.

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"gpgpunoc/internal/config"
@@ -9,6 +10,7 @@ import (
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/rng"
 	"gpgpunoc/internal/routing"
+	"gpgpunoc/internal/stats"
 	"gpgpunoc/internal/telemetry"
 	"gpgpunoc/internal/vc"
 )
@@ -19,6 +21,12 @@ import (
 // class must equal the sum over the open windows of probe(close) −
 // probe(open), on one network and a Dual, from configurations carrying the
 // retired Workers values 1 and 4; a window that never opens reports zero.
+//
+// It also holds the rest of Stats' contract. A twin driven alike but read
+// at every cycle boundary ends with the same ejection counts, latency
+// samplers and link flits as the network read once at the end. And the
+// collector Stats returned before a Reset is its holder's: the next run
+// counts into a new one and leaves it as it was.
 func TestStatsWindowIsProbeDifference(t *testing.T) {
 	const cycles = 1200
 	for _, tc := range []struct {
@@ -33,11 +41,13 @@ func TestStatsWindowIsProbeDifference(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/dual=%t/workers=%d", tc.name, dual, workers), func(t *testing.T) {
 					ic, prefixes := newWindowNet(t, dual, workers)
+					twin, _ := newWindowNet(t, dual, workers)
 					reg := telemetry.NewRegistry()
 					ic.AttachTelemetry(reg)
 					m := mesh.New(config.Default().NoC.Width, config.Default().NoC.Height)
 					for i := 0; i < m.NumNodes(); i++ {
 						ic.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
+						twin.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
 					}
 
 					var want [packet.NumClasses][]int64
@@ -59,6 +69,7 @@ func TestStatsWindowIsProbeDifference(t *testing.T) {
 						if next < len(tc.toggles) && tc.toggles[next] == cycle {
 							on = !on
 							ic.EnableStats(on)
+							twin.EnableStats(on)
 							if on {
 								add(-1)
 							} else {
@@ -72,9 +83,13 @@ func TestStatsWindowIsProbeDifference(t *testing.T) {
 							if id%2 == 0 {
 								typ = packet.ReadReply
 							}
-							ic.Inject(mkPacket(id, typ, mesh.NodeID(r.Intn(m.NumNodes())), mesh.NodeID(r.Intn(m.NumNodes())), int64(cycle)))
+							src, dst := mesh.NodeID(r.Intn(m.NumNodes())), mesh.NodeID(r.Intn(m.NumNodes()))
+							ic.Inject(mkPacket(id, typ, src, dst, int64(cycle)))
+							twin.Inject(mkPacket(id, typ, src, dst, int64(cycle)))
 						}
 						ic.Step()
+						twin.Step()
+						twin.Stats()
 					}
 					if on {
 						add(+1)
@@ -102,6 +117,29 @@ func TestStatsWindowIsProbeDifference(t *testing.T) {
 					if (total == 0) != (len(tc.toggles) == 0) {
 						t.Errorf("Stats counted %d link flits over %d toggles", total, len(tc.toggles))
 					}
+
+					once, each := ic.Stats(), twin.Stats()
+					if once.EjectedFlits != each.EjectedFlits || once.NetLatency != each.NetLatency ||
+						!reflect.DeepEqual(once.LinkFlits, each.LinkFlits) {
+						t.Errorf("read at every boundary: ejected %v, latency %v; read once: ejected %v, latency %v",
+							each.EjectedFlits, each.NetLatency, once.EjectedFlits, once.NetLatency)
+					}
+
+					held := ic.Stats()
+					kept := copyNet(held)
+					ic.Reset(nil)
+					ic.EnableStats(true)
+					for cycle := 0; cycle < 300; cycle++ {
+						id++
+						ic.Inject(mkPacket(id, packet.ReadReply, mesh.NodeID(r.Intn(m.NumNodes())), mesh.NodeID(r.Intn(m.NumNodes())), int64(cycle)))
+						ic.Step()
+					}
+					if next := ic.Stats(); next == held || next.Throughput() == 0 {
+						t.Fatalf("the run after Reset counted into the held collector (%t) or ejected nothing", next == held)
+					}
+					if !reflect.DeepEqual(*held, kept) {
+						t.Errorf("the run after Reset wrote the collector Stats returned before it:\nbefore %+v\nafter  %+v", kept, *held)
+					}
 				})
 			}
 		}
@@ -123,6 +161,15 @@ func newWindowNet(t *testing.T, dual bool, workers int) (Interconnect, []string)
 		ic = New(cfg, routing.MustNew(cfg.Routing), vc.MustNewPolicy(cfg))
 	}
 	return ic, prefixes
+}
+
+// copyNet returns a deep copy of s.
+func copyNet(s *stats.Net) stats.Net {
+	c := *s
+	for i, w := range s.LinkFlits {
+		c.LinkFlits[i] = append([]int64(nil), w...)
+	}
+	return c
 }
 
 // linkProbes reads every link's flit probes by class and mesh.LinkIndex,

@@ -13,7 +13,7 @@ import (
 	"gpgpunoc/internal/vc"
 )
 
-// The kernel steps the mesh as one lane whatever NoC.Workers says: the field
+// The kernel steps the mesh as one device whatever NoC.Workers says: the field
 // is retired and kept only so that stored configurations which carry it
 // still decode. The tests below, and the workers=N subtests elsewhere in
 // this package (named from when Workers selected a lane-parallel kernel),
@@ -167,12 +167,11 @@ func TestParallelKernelClose(t *testing.T) {
 	}
 }
 
-// TestLaneCallbackInjectVisibleBeforeStep guards the in-flight tally: Inject
-// parks its flits in the lane's count until the next tail, and everything
-// that reads the fabric between an Inject and a Step — FlitsInFlight,
-// Drain's loop condition, CheckInvariants — must see them, on the single
-// network (whatever Workers value its configuration carries) and on both
-// subnets of a Dual.
+// TestLaneCallbackInjectVisibleBeforeStep guards the in-flight count: Inject
+// adds its flits at once, and everything that reads the fabric between an
+// Inject and a Step — FlitsInFlight, Drain's loop condition,
+// CheckInvariants — must see them, on the single network (whatever Workers
+// value its configuration carries) and on both subnets of a Dual.
 func TestLaneCallbackInjectVisibleBeforeStep(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		n := newWorkerNet(t, config.RoutingXY, config.VCSplit, w)

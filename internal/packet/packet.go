@@ -155,8 +155,8 @@ func (p *Packet) String() string {
 }
 
 // FreeList holds the storage of the packets an endpoint ejected (see
-// Packet). Only the endpoint's sink and tick, on the lane owning its node,
-// touch it, so it needs no lock; unlike a sync.Pool it survives a GC, so a
+// Packet). Only the endpoint's sink and tick, both run by the goroutine
+// stepping the network, touch it, so it needs no lock; unlike a sync.Pool it survives a GC, so a
 // run's allocations do not depend on the collector. The zero value is empty.
 type FreeList struct{ free []*Packet }
 

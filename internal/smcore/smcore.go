@@ -136,8 +136,7 @@ func New(idx int, node mesh.NodeID, core config.Core, memCfg config.Mem,
 // MSHR file and outbox, every warp at the head of its instruction stream, no
 // sleep — keeping its storage: the packets its outbox held go to its free
 // list. A profile with a kernel image gets an I-cache, one without loses it.
-// The caller zeroes the counter shard and the packet-ID counter New was
-// given.
+// The caller zeroes the counters and the packet-ID counter New was given.
 func (s *SM) Reset(prof workload.Profile, seed uint64) {
 	s.prof = prof
 	s.loop = min(prof.KernelBytes, uint64(s.mem.L1InstBytes/2))

@@ -123,7 +123,7 @@ func newTickRig(c tickCase) *tickRig {
 // r.state everything the tick path reads or writes: every warp's scheduling
 // state, the GTO pointer, the outbox (length and front; the FIFO keeps
 // order and every packet is recorded again when it injects, so this pins
-// the contents), the counter shard, cache and MSHR state, the packet-ID
+// the contents), the counters, cache and MSHR state, the packet-ID
 // counter, and the packets injected this cycle.
 func (r *tickRig) step() {
 	n := r.net

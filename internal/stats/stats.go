@@ -232,20 +232,15 @@ type GPU struct {
 	StallCycles  int64 // SM cycles with no warp ready to issue
 }
 
-// Add adds o's counters into g; Cycles stays g's.
-func (g *GPU) Add(o *GPU) { g.addScaled(o, 1) }
-
 // Sub subtracts o's counters from g; Cycles stays g's.
-func (g *GPU) Sub(o *GPU) { g.addScaled(o, -1) }
-
-func (g *GPU) addScaled(o *GPU, k int64) {
-	g.Instructions += k * o.Instructions
-	g.MemRequests += k * o.MemRequests
-	g.L1Hits += k * o.L1Hits
-	g.L1Misses += k * o.L1Misses
-	g.L2Hits += k * o.L2Hits
-	g.L2Misses += k * o.L2Misses
-	g.StallCycles += k * o.StallCycles
+func (g *GPU) Sub(o *GPU) {
+	g.Instructions -= o.Instructions
+	g.MemRequests -= o.MemRequests
+	g.L1Hits -= o.L1Hits
+	g.L1Misses -= o.L1Misses
+	g.L2Hits -= o.L2Hits
+	g.L2Misses -= o.L2Misses
+	g.StallCycles -= o.StallCycles
 }
 
 // IPC returns warp-instructions per cycle, the paper's performance metric.

@@ -78,12 +78,11 @@ func DefaultLatencyBounds() []int64 { return ExpBounds(8, 2, 12) }
 
 // Spine is the counts a network keeps of its per-flit events, always and
 // once, which NetProbes reads through: flits per link (by mesh.LinkIndex)
-// and class, flits in and out per node, and per stall cause the tallies
-// whose sum is the cause's count.
+// and class, flits in and out per node, and the tally of each stall cause.
 type Spine struct {
 	Link                                  [packet.NumClasses][]int64
 	Inj, Ej                               []int64
-	StallCredit, StallRoute, StallVCAlloc []*int64
+	StallCredit, StallRoute, StallVCAlloc *int64
 }
 
 // NetProbes is the probe bundle for one physical network: counters over its
@@ -148,12 +147,12 @@ func NewNetProbes(reg *Registry, m mesh.Mesh, prefix string, sp Spine) *NetProbe
 		reg.CounterOf(fmt.Sprintf("%snode.%d.ejected.flits", prefix, id),
 			Desc{Family: famEjected, Help: "Flits that left the fabric at a node.", Labels: labels}, &sp.Ej[id])
 	}
-	stall := func(cause string, slots []*int64) {
+	stall := func(cause string, slot *int64) {
 		reg.CounterOf(prefix+"net.stall."+cause, Desc{
 			Family: famStall,
 			Help:   "Switch-allocation stall attributions, by cause.",
 			Labels: []string{"subnet", np.subnet(), "cause", cause},
-		}, slots...)
+		}, slot)
 	}
 	stall("credit", sp.StallCredit)
 	stall("route", sp.StallRoute)

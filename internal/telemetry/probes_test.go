@@ -91,10 +91,11 @@ func TestNetProbesNaming(t *testing.T) {
 	NewNetProbes(reg, m, "rep.", newSpine(m))
 }
 
-// newSpine returns zeroed spine slots for m, with no stall tallies: what a
+// newSpine returns zeroed spine slots for m, stall tallies included: what a
 // network would own and count into.
 func newSpine(m mesh.Mesh) Spine {
-	sp := Spine{Inj: make([]int64, m.NumNodes()), Ej: make([]int64, m.NumNodes())}
+	sp := Spine{Inj: make([]int64, m.NumNodes()), Ej: make([]int64, m.NumNodes()),
+		StallCredit: new(int64), StallRoute: new(int64), StallVCAlloc: new(int64)}
 	for c := range sp.Link {
 		sp.Link[c] = make([]int64, m.NumLinkSlots())
 	}

@@ -11,8 +11,7 @@ func TestRenderPrometheusStructuredFamilies(t *testing.T) {
 	m := mesh.New(8, 8)
 	reg := NewRegistry()
 	sp := newSpine(m)
-	credit := int64(5)
-	sp.StallCredit = []*int64{&credit}
+	*sp.StallCredit = 5
 	np := NewNetProbes(reg, m, "", sp)
 	link := mesh.Link{From: 0, Dir: mesh.East}
 	sp.Link[0][m.LinkIndex(link)] = 42
@@ -53,8 +52,7 @@ func TestRenderPrometheusSubnetLabels(t *testing.T) {
 	m := mesh.New(2, 2)
 	reg := NewRegistry()
 	req, rep := newSpine(m), newSpine(m)
-	reqStalls, repStalls := int64(2), int64(3)
-	req.StallVCAlloc, rep.StallVCAlloc = []*int64{&reqStalls}, []*int64{&repStalls}
+	*req.StallVCAlloc, *rep.StallVCAlloc = 2, 3
 	NewNetProbes(reg, m, "req.", req)
 	NewNetProbes(reg, m, "rep.", rep)
 	out := string(reg.RenderPrometheus())

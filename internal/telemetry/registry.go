@@ -208,8 +208,8 @@ type probeEntry struct {
 	name    string
 	kind    Kind
 	desc    Desc
-	labels  string   // desc.Labels rendered once, at registration
-	slots   []*int64 // counter, gauge: the value is the slots' sum
+	labels  string // desc.Labels rendered once, at registration
+	slot    *int64 // counter, gauge: the value
 	gaugeFn func() int64
 	hist    *Histogram
 }
@@ -220,11 +220,7 @@ func (p *probeEntry) scalarValue() int64 {
 	if p.gaugeFn != nil {
 		return p.gaugeFn()
 	}
-	var v int64
-	for _, s := range p.slots {
-		v += *s
-	}
-	return v
+	return *p.slot
 }
 
 // Registry is the set of named probes for one simulation. Registration is
@@ -267,16 +263,16 @@ func (r *Registry) Counter(name string, d Desc) *Counter {
 	return c
 }
 
-// CounterOf registers a read-through counter whose value is the sum of
-// slots, counts the instrumented component keeps and increments itself.
-func (r *Registry) CounterOf(name string, d Desc, slots ...*int64) {
-	r.register(probeEntry{name: name, kind: KindCounter, desc: d, slots: slots})
+// CounterOf registers a read-through counter whose value is *slot, a count
+// the instrumented component keeps and increments itself.
+func (r *Registry) CounterOf(name string, d Desc, slot *int64) {
+	r.register(probeEntry{name: name, kind: KindCounter, desc: d, slot: slot})
 }
 
 // Gauge registers and returns a gauge probe.
 func (r *Registry) Gauge(name string, d Desc) *Gauge {
 	g := &Gauge{}
-	r.register(probeEntry{name: name, kind: KindGauge, desc: d, slots: []*int64{&g.v}})
+	r.register(probeEntry{name: name, kind: KindGauge, desc: d, slot: &g.v})
 	return g
 }
 

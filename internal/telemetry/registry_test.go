@@ -26,21 +26,17 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
-// TestCounterOfReadsThrough: a read-through counter is the sum of the
-// slots it was registered over, read when asked, and exported as a counter.
+// TestCounterOfReadsThrough: a read-through counter is the slot it was
+// registered over, read when asked, and exported as a counter.
 func TestCounterOfReadsThrough(t *testing.T) {
 	r := NewRegistry()
-	slots := []int64{2, 3}
-	r.CounterOf("one", Desc{}, &slots[0])
-	r.CounterOf("sum", Desc{}, &slots[0], &slots[1])
-	r.CounterOf("none", Desc{})
-	slots[0] += 10
-	for name, want := range map[string]int64{"one": 12, "sum": 15, "none": 0} {
-		if v, ok := r.Value(name); !ok || v != want {
-			t.Errorf("Value(%s) = %d,%v, want %d", name, v, ok, want)
-		}
+	slot := int64(2)
+	r.CounterOf("one", Desc{}, &slot)
+	slot += 10
+	if v, ok := r.Value("one"); !ok || v != 12 {
+		t.Errorf("Value(one) = %d,%v, want 12", v, ok)
 	}
-	if kinds := r.ScalarKinds(); !reflect.DeepEqual(kinds, []Kind{KindCounter, KindCounter, KindCounter}) {
+	if kinds := r.ScalarKinds(); !reflect.DeepEqual(kinds, []Kind{KindCounter}) {
 		t.Errorf("kinds = %v", kinds)
 	}
 }
