@@ -1,4 +1,4 @@
-// Package determfix is a lint fixture exercising the determinism analyzer.
+// Package determfix is a lint fixture exercising the determinism rules.
 // Marker comments of the form `want "substring"` mark expected findings.
 package determfix
 
@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Clock aliases must not hide the wall clock from the analyzer.
+// Clock aliases must not hide the wall clock from the check.
 import clk "time"
 
 // WallClock reads the wall clock several ways.
@@ -56,22 +56,22 @@ func Suppressed(m map[string]bool) int {
 }
 
 // BadDirective has a directive with no justification, which is a finding in
-// its own right (reported by the framework, not the analyzer).
+// its own right; the finding it meant to cover stands.
 func BadDirective(m map[string]bool) int {
 	n := 0
-	//noclint:determinism
-	for range m { // want "map iteration order is nondeterministic"
+	/* want "needs a justification" */ //noclint:determinism
+	for range m {                      // want "map iteration order is nondeterministic"
 		n++
 	}
 	return n
 }
 
-// TypoDirective names no analyzer: the framework reports the directive and
-// the finding it meant to cover stands.
+// TypoDirective names no rule: the directive is reported and the finding it
+// meant to cover stands.
 func TypoDirective(m map[string]bool) int {
 	n := 0
-	//noclint:determinsm order-insensitive count
-	for range m { // want "map iteration order is nondeterministic"
+	/* want "//noclint:determinsm names no rule" */ //noclint:determinsm order-insensitive count
+	for range m {                                   // want "map iteration order is nondeterministic"
 		n++
 	}
 	return n
@@ -94,11 +94,11 @@ func SuppressedGoroutine(ch chan int) {
 
 // LeaseExpiry mirrors the fabric coordinator's scheduler pattern: a
 // wall-clock read justified by a directive (lease lifetimes are real
-// elapsed time, not simulation state), while the deadline comparison and
-// the map range over the lease table are still flagged — the directive
-// covers only its own line, and expiry must process leases in sorted
-// order. Production fabric files carry a DefaultConfig allowlist entry
-// instead of per-line directives.
+// elapsed time, not simulation state). The deadline check is the method
+// (time.Time).After, a pure comparison, and is not flagged; the map range
+// is, as the directive covers only its own line and the next, and expiry
+// must process leases in sorted order. Production fabric files carry an
+// allowlist entry instead of per-line directives.
 type leaseRec struct{ expires time.Time }
 
 func LeaseExpiry(leases map[string]leaseRec) []string {
@@ -106,7 +106,7 @@ func LeaseExpiry(leases map[string]leaseRec) []string {
 	now := time.Now()
 	var expired []string
 	for id, l := range leases { // want "map iteration order is nondeterministic"
-		if now.After(l.expires) { // want "time.After reads the wall clock"
+		if now.After(l.expires) {
 			expired = append(expired, id)
 		}
 	}
@@ -118,4 +118,20 @@ func LeaseExpiry(leases map[string]leaseRec) []string {
 func ServeInBackground(serve func() error) {
 	//noclint:determinism HTTP accept loop never touches simulation state
 	go func() { _ = serve() }()
+}
+
+// ClockAsValue takes the wall clock as a function value: no call, same read.
+func ClockAsValue() func() time.Time {
+	return time.Now // want "time.Now reads the wall clock"
+}
+
+// StaleDirective covers nothing, because a slice iterates in index order:
+// a directive that suppresses no finding is itself a finding.
+func StaleDirective(s []int) int {
+	n := 0
+	/* want "suppresses no finding" */ //noclint:determinism order-insensitive count
+	for range s {
+		n++
+	}
+	return n
 }

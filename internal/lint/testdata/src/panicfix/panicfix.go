@@ -1,4 +1,4 @@
-// Package panicfix is a lint fixture exercising the paniclint analyzer.
+// Package panicfix is a lint fixture exercising the paniclint rules.
 // Marker comments of the form `want "substring"` mark expected findings.
 package panicfix
 

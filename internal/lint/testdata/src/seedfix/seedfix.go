@@ -1,4 +1,4 @@
-// Package seedfix is a lint fixture exercising the seedflow analyzer.
+// Package seedfix is a lint fixture exercising the seedflow rules.
 // Marker comments of the form `want "substring"` mark expected findings.
 package seedfix
 
@@ -23,7 +23,7 @@ func GoodGoroutine(seed uint64, n int) {
 	for i := 0; i < n; i++ {
 		child := parent.Split()
 		_ = child
-		go func(r *rng.Stream) {
+		go func(r *rng.Stream) { // want "goroutine scheduling order is nondeterministic"
 			_ = r.Uint64()
 		}(child)
 	}
@@ -50,7 +50,7 @@ func (v *valueField) Draw() uint64 { return v.r.Uint64() }
 // goroutine: draw interleaving then depends on the scheduler.
 func CapturedByGoroutine(seed uint64) {
 	r := rng.New(seed)
-	go func() {
+	go func() { // want "goroutine scheduling order is nondeterministic"
 		_ = r.Uint64() // want "goroutine closure captures rng stream variable"
 	}()
 	_ = r.Uint64()
