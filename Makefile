@@ -6,7 +6,7 @@ PROFILE_OUT ?= profiles
 FABRIC_ADDR ?= 127.0.0.1:9178
 FABRIC_TMP := $(shell mktemp -u /tmp/fabric-smoke.XXXXXX)
 
-.PHONY: check lint vet build test race smoke fabric-smoke bench-smoke bench-quick bench telemetry-demo profile clean
+.PHONY: check lint vet build test race mutants smoke fabric-smoke bench-smoke bench-quick bench telemetry-demo profile clean
 
 # check is the full pre-merge gate: static analysis, build, race-enabled
 # tests, an end-to-end smoke sweep through cmd/sweep, a one-iteration
@@ -35,6 +35,13 @@ test:
 # test timeout.
 race:
 	$(GO) test -race -p 1 ./...
+
+# mutants runs the mutation ledger (testdata/mutations): each diff is applied
+# to a temporary copy of the tree and every test its header names under
+# "Must fail" is run on its own (go test -count=1 -timeout); it fails when a
+# diff no longer applies or a mutant survives one of its tests.
+mutants:
+	bash testdata/mutations/run.sh
 
 # smoke runs the 4-job example spec through the real CLI and engine,
 # then re-runs it against the same output to prove resume skips all 4.

@@ -15,12 +15,11 @@
 // stats.Net (including floating-point Welford latency accumulators, which
 // pin the ejection order), and the full telemetry JSONL export. Runs are
 // sanitized, so CheckInvariants — including the run-mask recount — is
-// exercised throughout. (Test names are kept from when the suite held the
-// lane-parallel kernel to the serial one.)
+// exercised throughout. (The StepperEquivalence names are kept from when
+// the suite held the lane-parallel kernel to the serial one.)
 //
-// The oracle that is not part of the shipped surface, the full-scan
-// reference stepper, is compared where it is visible: in
-// internal/noc/oracle_test.go.
+// The router itself is held to an independent specification model in
+// internal/noc (spec_test.go), where the network's own surface is visible.
 package gpgpunoc_test
 
 import (
@@ -187,7 +186,7 @@ func TestFigureTableEquivalence(t *testing.T) {
 			sim1-sim0, sim2-sim1, reused2-reused0, want, want)
 	}
 	if baseTab.String() != parTab.String() {
-		t.Errorf("Fig7 table diverged:\nconcurrent:\n%s\none at a time, workers=4:\n%s", baseTab, parTab)
+		t.Errorf("Fig7 table diverged:\nconcurrent:\n%s\none at a time, carrying Workers=4:\n%s", baseTab, parTab)
 	}
 
 	// The synthetic-harness sweep exercises the custom RunFunc path.
@@ -200,7 +199,7 @@ func TestFigureTableEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if baseSweep.String() != parSweep.String() {
-		t.Errorf("Sweep table diverged:\nconcurrent:\n%s\none at a time, workers=4:\n%s", baseSweep, parSweep)
+		t.Errorf("Sweep table diverged:\nconcurrent:\n%s\none at a time, carrying Workers=4:\n%s", baseSweep, parSweep)
 	}
 }
 
@@ -281,12 +280,11 @@ func checkStepByStep(t *testing.T, cfg config.Config, prof workload.Profile, run
 	}
 }
 
-// TestStepperEquivalenceFastForward is the run-loop bookkeeping check,
-// named for the jump the loop used to make: over the Figure 9 design space,
-// three seeds each, and on the dual subnets, statistics and telemetry bytes
-// must be identical whether RunContext or a hand-written Step loop drives
-// the simulator.
-func TestStepperEquivalenceFastForward(t *testing.T) {
+// TestRunLoopMatchesHandStepping is the run-loop bookkeeping check: over
+// the Figure 9 design space, three seeds each, and on the dual subnets,
+// statistics and telemetry bytes must be identical whether RunContext or a
+// hand-written Step loop drives the simulator.
+func TestRunLoopMatchesHandStepping(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed design-space sweep")
 	}
@@ -310,11 +308,11 @@ func TestStepperEquivalenceFastForward(t *testing.T) {
 	})
 }
 
-// TestStepperEquivalenceFastForwardIdle covers the most-asleep systems —
-// the two profiles the jump used to fire on: a pure-compute profile (fabric
-// always empty) and a trickle profile whose idle spans border real memory
-// traffic. Both must match the hand-stepped run bit-for-bit.
-func TestStepperEquivalenceFastForwardIdle(t *testing.T) {
+// TestRunLoopMatchesHandSteppingIdle covers the most-asleep systems: a
+// pure-compute profile (fabric always empty) and a trickle profile whose
+// idle spans border real memory traffic. Both must match the hand-stepped
+// run bit-for-bit.
+func TestRunLoopMatchesHandSteppingIdle(t *testing.T) {
 	cfg := equivCfg()
 	for _, prof := range []workload.Profile{idleProfile(), trickleProfile()} {
 		t.Run(prof.Name, func(t *testing.T) {

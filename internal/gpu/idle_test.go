@@ -2,9 +2,9 @@
 // deleted, RunContext jumped over globally idle cycles and these tests
 // compared it with a stepped oracle. The digests under testdata/ are what
 // that fast-forwarding loop produced at its last commit; the plain loop —
-// the only one left — must reproduce them bit for bit at every worker
-// count. IDLE and TRICKLE are the most-asleep systems the suite has, so
-// they now exercise the endpoints' sleep and wake paths.
+// the only one left — must reproduce them bit for bit. IDLE and TRICKLE
+// are the most-asleep systems the suite has, so they now exercise the
+// endpoints' sleep and wake paths.
 package gpu_test
 
 import (
@@ -104,12 +104,11 @@ func digest(t *testing.T, res gpu.Result) string {
 
 var digestSeeds = []uint64{1, 7, 1234577}
 
-// TestFastForwardEquivalence pins whole runs of the Figure 9 design space,
-// three seeds each, on a workload that saturates the fabric, to
-// testdata/fig9.digests. (The name and the digests' origin are the retired
-// run-loop fast-forward's: the file was generated while it was armed on
-// every cycle and never fired.)
-func TestFastForwardEquivalence(t *testing.T) {
+// TestFig9RunDigests pins whole runs of the Figure 9 design space, three
+// seeds each, on a workload that saturates the fabric, to
+// testdata/fig9.digests. (The file was generated while the retired run-loop
+// fast-forward was armed on every cycle and never fired.)
+func TestFig9RunDigests(t *testing.T) {
 	kmn := workload.MustGet("KMN")
 	var keys, got []string
 	for _, s := range experiments.Fig9Schemes() {
@@ -128,12 +127,12 @@ func TestFastForwardEquivalence(t *testing.T) {
 	}
 }
 
-// TestFastForwardEquivalenceIdle pins whole runs of the two mostly-asleep
-// profiles — most of IDLE, and TRICKLE's idle spans beside real memory
-// traffic — on the single network and on the dual physical subnets, three
-// seeds each, to testdata/idle.digests. (Named for the retired run-loop
-// fast-forward, which skipped those spans when the digests were generated.)
-func TestFastForwardEquivalenceIdle(t *testing.T) {
+// TestIdleRunDigests pins whole runs of the two mostly-asleep profiles —
+// most of IDLE, and TRICKLE's idle spans beside real memory traffic — on
+// the single network and on the dual physical subnets, three seeds each, to
+// testdata/idle.digests. (The retired run-loop fast-forward skipped those
+// spans when the digests were generated.)
+func TestIdleRunDigests(t *testing.T) {
 	var keys, got []string
 	for _, net := range []string{"single", "dual"} {
 		for _, prof := range []workload.Profile{idleProfile(), trickleProfile()} {

@@ -86,7 +86,7 @@ func TestCheckInvariantsDetectsFlitConservationBreak(t *testing.T) {
 
 func TestCheckInvariantsCleanAfterDrain(t *testing.T) {
 	n := busyNet(t)
-	if !n.Drain(2000) {
+	if !drain(n, 2000) {
 		t.Fatalf("network failed to drain; %d flits in flight", n.FlitsInFlight())
 	}
 	if err := n.CheckInvariants(); err != nil {
@@ -119,9 +119,9 @@ func TestDualCheckInvariants(t *testing.T) {
 
 // loadedNet returns a saturated network — every mask populated, credits
 // exhausted on the hot links, sinks refusing — verified clean.
-func loadedNet(t *testing.T, workers int, opts ...Option) *Network {
+func loadedNet(t *testing.T, opts ...Option) *Network {
 	t.Helper()
-	n := newWorkerNet(t, config.RoutingXY, config.VCSplit, workers, opts...)
+	n := newTestNet(t, config.RoutingXY, config.VCSplit, opts...)
 	nn := n.Mesh().NumNodes()
 	for i := 0; i < nn; i++ {
 		node := i
@@ -147,11 +147,7 @@ func loadedNet(t *testing.T, workers int, opts ...Option) *Network {
 // queues bit that matters — set on an empty queue, cleared on a queue with
 // local VC space to use — and say which router or node and which mask.
 func TestMaskInvariants(t *testing.T) {
-	eachWorkers(t, maskInvariants)
-}
-
-func maskInvariants(t *testing.T, workers int) {
-	n := loadedNet(t, workers)
+	n := loadedNet(t)
 	populated := map[string]bool{}
 	for i := range n.routers {
 		rt := &n.routers[i]
@@ -225,7 +221,7 @@ func maskInvariants(t *testing.T, workers int) {
 	}
 	// A link register outlives the cycle that filled it only on a half-width
 	// link, so only there does a flip ever turn a links bit off.
-	half := loadedNet(t, workers, WithLinkPeriod(2))
+	half := loadedNet(t, WithLinkPeriod(2))
 	for i := range half.routers {
 		flipRunBit(t, half, i, "links", populated)
 	}
@@ -381,7 +377,7 @@ func TestIdleInvariants(t *testing.T) {
 		},
 	} {
 		t.Run(m.name, func(t *testing.T) {
-			n := loadedNet(t, 1)
+			n := loadedNet(t)
 			who := m.mutate(t, n)
 			err := n.CheckInvariants()
 			if err == nil {

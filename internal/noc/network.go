@@ -16,11 +16,12 @@
 // visit. The masks are exact, set and cleared where the count they summarize
 // leaves or reaches zero and recounted by CheckInvariants, so a drained
 // network steps for free and a saturated one pays a word load per 64 nodes.
-// A naive full-scan stepper (stepReference) is retained as the equivalence
-// oracle: it is selectable only from this package's tests (export_test.go),
-// ignores the masks, and must produce bit-identical results; both steppers
-// share every phase helper and visit routers in ascending ID order, which
-// pins the floating-point statistics accumulation order.
+// Every phase visits in ascending ID order, which pins the order of sink
+// calls and of the floating-point statistics accumulation. The oracle is a
+// specification model in this package's external tests (spec_test.go),
+// written from DESIGN.md's router description and sharing no code with the
+// kernel: it visits every node and router every cycle, with no masks and no
+// in-place moves, and the kernel must match it bit for bit.
 //
 // Each flit is handled where it lands: a head is routed when it becomes the
 // front of its VC, and a traversal (or a credit) into a router the walk has
@@ -164,10 +165,6 @@ type Network struct {
 	// full-width channel; 2 models the half-width channels of an
 	// equal-resource physical subnet (Section 4.2).
 	linkPeriod int64
-	// reference selects the naive full-scan stepper instead of the
-	// run-mask kernel; results must be bit-identical. Test-only: nothing
-	// outside this package's _test.go files sets it.
-	reference bool
 
 	routers []router
 	inj     []injQueue
@@ -704,14 +701,10 @@ func (n *Network) finishCycle() {
 // router pipelines (VA/SA/ST; RC runs where a head reaches the front of its
 // VC), link traversal, credits — then the tail; schedule.go says where each
 // flit and credit lands. A phase visits only the nodes its run mask names,
-// in ascending id order — exactly the order the reference full scan
-// produces, so endpoint callbacks and statistics accumulate identically.
+// in ascending id order; a visit it skips would have done nothing, so the
+// cycle is the one the specification model (spec_test.go), which visits
+// every node and router, computes.
 func (n *Network) Step() {
-	if n.reference {
-		n.stepReference()
-		n.finishCycle()
-		return
-	}
 	if n.stage != nil {
 		n.tickPhase()
 	}
@@ -720,41 +713,6 @@ func (n *Network) Step() {
 	n.linkPhase()
 	n.applyCredits()
 	n.finishCycle()
-}
-
-// stepReference is the naive stepper: every node and every router, every
-// cycle, whatever the run masks say. It shares all phase helpers (and
-// therefore all bookkeeping — the masks' upkeep included) with the shipped
-// kernel; only iteration differs. Equivalence tests hold the two
-// bit-identical.
-func (n *Network) stepReference() {
-	if n.stage != nil {
-		for id := 0; id < n.numNodes; id++ {
-			n.stage(id)
-		}
-	}
-	n.moved = false
-	for id := 0; id < n.numNodes; id++ {
-		n.injectNode(id)
-	}
-	for i := range n.routers {
-		rt := &n.routers[i]
-		n.vcAllocate(rt)
-		n.switchAllocateAndTraverse(rt)
-	}
-	for i := range n.routers {
-		n.deliverReady(&n.routers[i])
-	}
-	n.applyCredits()
-}
-
-// Drain runs the network until no flits remain in flight or maxCycles pass;
-// it returns true if the network drained. Useful in tests.
-func (n *Network) Drain(maxCycles int) bool {
-	for i := 0; i < maxCycles && n.FlitsInFlight() > 0; i++ {
-		n.Step()
-	}
-	return n.FlitsInFlight() == 0
 }
 
 // CheckInvariants validates internal consistency; tests call it after

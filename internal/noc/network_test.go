@@ -44,6 +44,15 @@ func attachCollectors(n *Network) []*collector {
 	return cs
 }
 
+// drain steps n until no flits remain in flight or maxCycles pass, and
+// reports whether it drained.
+func drain(n *Network, maxCycles int) bool {
+	for i := 0; i < maxCycles && n.FlitsInFlight() > 0; i++ {
+		n.Step()
+	}
+	return n.FlitsInFlight() == 0
+}
+
 func mkPacket(id uint64, typ packet.Type, src, dst mesh.NodeID, at int64) *packet.Packet {
 	return &packet.Packet{
 		ID: id, Type: typ, Src: int(src), Dst: int(dst),
@@ -59,7 +68,7 @@ func TestSinglePacketDelivery(t *testing.T) {
 	if !n.Inject(p) {
 		t.Fatal("injection refused on an empty network")
 	}
-	if !n.Drain(1000) {
+	if !drain(n, 1000) {
 		t.Fatalf("packet did not drain; %d flits in flight", n.FlitsInFlight())
 	}
 	if len(cs[dst].packets) != 1 || cs[dst].packets[0] != p {
@@ -92,7 +101,7 @@ func TestSelfDelivery(t *testing.T) {
 	cs := attachCollectors(n)
 	p := mkPacket(1, packet.ReadRequest, 5, 5, 0)
 	n.Inject(p)
-	if !n.Drain(100) {
+	if !drain(n, 100) {
 		t.Fatal("self-addressed packet stuck")
 	}
 	if len(cs[5].packets) != 1 {
@@ -114,7 +123,7 @@ func TestFlitOrderingPreserved(t *testing.T) {
 		n.SetSink(i, func(packet.Flit) bool { return true })
 	}
 	n.Inject(mkPacket(1, packet.ReadReply, 0, 63, 0))
-	n.Drain(1000)
+	drain(n, 1000)
 	if len(seqs) != 5 {
 		t.Fatalf("got %d flits", len(seqs))
 	}
@@ -147,7 +156,7 @@ func TestManyPacketsConservationAndDeterminism(t *testing.T) {
 				}
 			}
 		}
-		if !n.Drain(20000) {
+		if !drain(n, 20000) {
 			t.Fatalf("network did not drain: %d flits stuck", n.FlitsInFlight())
 		}
 		if err := n.CheckInvariants(); err != nil {
@@ -185,7 +194,7 @@ func TestInjectionBackpressure(t *testing.T) {
 	if n.InjectSpace(0) != 1 {
 		t.Errorf("InjectSpace = %d, want 1", n.InjectSpace(0))
 	}
-	if !n.Drain(2000) {
+	if !drain(n, 2000) {
 		t.Fatal("queued packets did not drain")
 	}
 }
@@ -221,7 +230,7 @@ func TestSinkRefusalBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	accepting = true
-	if !n.Drain(2000) {
+	if !drain(n, 2000) {
 		t.Fatalf("network did not drain after sink release: %d left", n.FlitsInFlight())
 	}
 	if got != 15 {
@@ -282,7 +291,7 @@ func TestAllRoutingsDeliverEverything(t *testing.T) {
 			}
 			n.Step()
 		}
-		if !n.Drain(20000) {
+		if !drain(n, 20000) {
 			t.Fatalf("%s: did not drain", rt)
 		}
 		got := 0
@@ -407,7 +416,7 @@ func TestInjectWake(t *testing.T) {
 	n.SetInjectWake(0, func() { wakes++ })
 
 	n.Inject(mkPacket(1, packet.ReadReply, 0, 63, 0))
-	n.Drain(1000)
+	drain(n, 1000)
 	if wakes != 0 {
 		t.Fatalf("%d wakes with no Inject refused", wakes)
 	}
@@ -420,7 +429,7 @@ func TestInjectWake(t *testing.T) {
 	if wakes != 1 {
 		t.Fatalf("%d wakes after the first drain following a refusal, want 1", wakes)
 	}
-	n.Drain(1000)
+	drain(n, 1000)
 	if wakes != 1 {
 		t.Fatalf("%d wakes for one refusal, want 1", wakes)
 	}
@@ -475,7 +484,7 @@ func TestLinkStatsMatchRoute(t *testing.T) {
 	attachCollectors(n)
 	p := mkPacket(1, packet.ReadRequest, 0, 63, 0)
 	n.Inject(p)
-	n.Drain(1000)
+	drain(n, 1000)
 	// XY from (0,0) to (7,7): east along row 0, then south down column 7.
 	for _, l := range routing.AppendPath(nil, n.Mesh(), n.alg, 0, 63, packet.Request) {
 		idx := n.Mesh().LinkIndex(l)

@@ -56,7 +56,7 @@ func TestDeliveryConservationProperty(t *testing.T) {
 			}
 			n.Step()
 		}
-		if !n.Drain(20000) {
+		if !drain(n, 20000) {
 			return false
 		}
 		if n.CheckInvariants() != nil {
@@ -86,7 +86,7 @@ func TestPipelineDelayLatency(t *testing.T) {
 		attachCollectors(n)
 		p := mkPacket(1, packet.ReadRequest, 0, 7, 0) // 7 hops
 		n.Inject(p)
-		n.Drain(1000)
+		drain(n, 1000)
 		return p.EjectedAt - p.InjectedAt
 	}
 	l1, l2, l3 := lat(1), lat(2), lat(3)
@@ -123,7 +123,7 @@ func TestXYYXPartialPolicyTraffic(t *testing.T) {
 		}
 		n.Step()
 	}
-	if !n.Drain(30000) {
+	if !drain(n, 30000) {
 		t.Fatalf("partial policy wedged under XY-YX: %d flits stuck", n.FlitsInFlight())
 	}
 	got := 0

@@ -1,58 +1,45 @@
 package noc
 
 import (
-	"fmt"
 	"testing"
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/mesh"
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/rng"
 	"gpgpunoc/internal/routing"
 	"gpgpunoc/internal/vc"
 )
 
-// eachWorkers runs f as a subtest from configurations carrying the retired
-// Workers values 1 and 4, which must not change what the kernel does (see
-// workers_test.go).
-func eachWorkers(t *testing.T, f func(t *testing.T, workers int)) {
-	for _, w := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) { f(t, w) })
-	}
-}
-
 // TestDrainedNetworkSchedulesNothing: a drained network must have all three
 // run masks zero — that emptiness is exactly what makes idle cycles
 // near-free — and further Steps must keep them zero while the cycle counter
 // advances.
 func TestDrainedNetworkSchedulesNothing(t *testing.T) {
-	eachWorkers(t, func(t *testing.T, workers int) {
-		n := newWorkerNet(t, config.RoutingXY, config.VCSplit, workers)
-		attachCollectors(n)
-		if !n.Inject(mkPacket(1, packet.ReadReply, 0, 63, 0)) {
-			t.Fatal("injection refused")
-		}
-		if !n.Drain(2000) {
-			t.Fatal("failed to drain")
-		}
-		if r, l, q := n.scheduled(); r != 0 || l != 0 || q != 0 {
-			t.Fatalf("drained network still schedules work: %d routers, %d links, %d queues", r, l, q)
-		}
-		before := n.Cycle()
-		for i := 0; i < 100; i++ {
-			n.Step()
-		}
-		if n.Cycle() != before+100 {
-			t.Errorf("idle stepping lost cycles: %d -> %d", before, n.Cycle())
-		}
-		if r, l, q := n.scheduled(); r != 0 || l != 0 || q != 0 {
-			t.Errorf("idle stepping scheduled work: %d routers, %d links, %d queues", r, l, q)
-		}
-		if err := n.CheckInvariants(); err != nil {
-			t.Error(err)
-		}
-	})
+	n := newTestNet(t, config.RoutingXY, config.VCSplit)
+	attachCollectors(n)
+	if !n.Inject(mkPacket(1, packet.ReadReply, 0, 63, 0)) {
+		t.Fatal("injection refused")
+	}
+	if !drain(n, 2000) {
+		t.Fatal("failed to drain")
+	}
+	if r, l, q := n.scheduled(); r != 0 || l != 0 || q != 0 {
+		t.Fatalf("drained network still schedules work: %d routers, %d links, %d queues", r, l, q)
+	}
+	before := n.Cycle()
+	for i := 0; i < 100; i++ {
+		n.Step()
+	}
+	if n.Cycle() != before+100 {
+		t.Errorf("idle stepping lost cycles: %d -> %d", before, n.Cycle())
+	}
+	if r, l, q := n.scheduled(); r != 0 || l != 0 || q != 0 {
+		t.Errorf("idle stepping scheduled work: %d routers, %d links, %d queues", r, l, q)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestRunMasksExactUnderLoad holds the scheduling invariant — every run-mask
@@ -60,11 +47,7 @@ func TestDrainedNetworkSchedulesNothing(t *testing.T) {
 // recount exactly — after every single cycle of a loaded, backpressured
 // run, through drain.
 func TestRunMasksExactUnderLoad(t *testing.T) {
-	eachWorkers(t, runMasksExactUnderLoad)
-}
-
-func runMasksExactUnderLoad(t *testing.T, workers int) {
-	n := newWorkerNet(t, config.RoutingYX, config.VCMonopolized, workers)
+	n := newTestNet(t, config.RoutingYX, config.VCMonopolized)
 	attachCollectors(n)
 	r := rng.New(42)
 	id := uint64(0)
@@ -82,7 +65,7 @@ func runMasksExactUnderLoad(t *testing.T, workers int) {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 	}
-	if !n.Drain(5000) {
+	if !drain(n, 5000) {
 		t.Fatalf("failed to drain; %d flits in flight", n.FlitsInFlight())
 	}
 	if err := n.CheckInvariants(); err != nil {
@@ -94,11 +77,7 @@ func runMasksExactUnderLoad(t *testing.T, workers int) {
 // the router's routers bit (the flit stays buffered) instead of silently
 // unscheduling it, and delivery resumes when the sink relents.
 func TestRefusingSinkKeepsRouterScheduled(t *testing.T) {
-	eachWorkers(t, refusingSinkKeepsRouterScheduled)
-}
-
-func refusingSinkKeepsRouterScheduled(t *testing.T, workers int) {
-	n := newWorkerNet(t, config.RoutingXY, config.VCSplit, workers)
+	n := newTestNet(t, config.RoutingXY, config.VCSplit)
 	accept := false
 	var got []packet.Flit
 	for i := 0; i < 64; i++ {
@@ -129,116 +108,11 @@ func refusingSinkKeepsRouterScheduled(t *testing.T, workers int) {
 		t.Fatal("router with an ejection-blocked packet lost its routers bit")
 	}
 	accept = true
-	if !n.Drain(100) {
+	if !drain(n, 100) {
 		t.Fatalf("network did not drain after the sink relented; %d in flight", n.FlitsInFlight())
 	}
 	if len(got) != packet.Length(packet.ReadRequest) {
 		t.Fatalf("got %d flits, want %d", len(got), packet.Length(packet.ReadRequest))
-	}
-}
-
-// TestStepperEquivalenceNetworkLevel drives the two kernels with an
-// identical injection schedule at the Network level and requires identical
-// statistics, per-cycle movement, and in-flight occupancy — the fastest
-// place to localize a divergence the system-level suite would only report
-// wholesale. Each variant runs three times, under subtest names kept from
-// the lane-parallel kernel: from configurations carrying the retired Workers
-// values 1 and 4, and at 4 with a rate-0 span collector attached, which runs
-// the observed router phase (idle routers attribute their stalls).
-func TestStepperEquivalenceNetworkLevel(t *testing.T) {
-	variants := []struct {
-		rt   config.Routing
-		pol  config.VCPolicy
-		opts []Option
-	}{
-		{config.RoutingXY, config.VCSplit, nil},
-		{config.RoutingYX, config.VCMonopolized, nil},
-		{config.RoutingXYYX, config.VCPartialMonopolized, nil},
-		{config.RoutingXY, config.VCSplit, []Option{WithLinkPeriod(2)}},
-		{config.RoutingXY, config.VCShared, []Option{WithPipelineDelay(1)}},
-	}
-	kernels := []struct {
-		name    string
-		workers int
-		spans   bool
-	}{
-		{"workers=1", 1, false},
-		{"workers=4,pool", 4, false},
-		{"workers=4,stepping", 4, true},
-	}
-	for _, v := range variants {
-		t.Run(string(v.rt)+"/"+string(v.pol), func(t *testing.T) {
-			for _, k := range kernels {
-				t.Run(k.name, func(t *testing.T) {
-					opt := newWorkerNet(t, v.rt, v.pol, k.workers, v.opts...)
-					ref := newWorkerNet(t, v.rt, v.pol, k.workers, v.opts...)
-					ref.reference = true
-					if k.spans {
-						sp, err := obs.NewSpans(1, 0)
-						if err != nil {
-							t.Fatal(err)
-						}
-						opt.SetSpans(sp)
-					}
-					checkStepperEquivalence(t, opt, ref)
-				})
-			}
-		})
-	}
-}
-
-// checkStepperEquivalence drives opt and ref with one injection schedule and
-// compares them.
-func checkStepperEquivalence(t *testing.T, opt, ref *Network) {
-	t.Helper()
-	attachCollectors(opt)
-	attachCollectors(ref)
-	inject := func(n *Network, seed uint64) {
-		r := rng.New(seed)
-		id := uint64(0)
-		for cycle := 0; cycle < 800; cycle++ {
-			for k := 0; k < 2; k++ {
-				id++
-				p := &packet.Packet{
-					ID: id, Type: packet.ReadReply,
-					Src: r.Intn(64), Dst: r.Intn(64),
-					Flits: packet.LongFlits, CreatedAt: n.Cycle(),
-				}
-				n.Inject(p)
-			}
-			n.Step()
-			if err := n.CheckInvariants(); err != nil {
-				t.Fatalf("cycle %d: %v", cycle, err)
-			}
-		}
-	}
-	inject(opt, 99)
-	inject(ref, 99)
-	if opt.FlitsInFlight() != ref.FlitsInFlight() {
-		t.Errorf("in-flight diverged: %d vs %d", opt.FlitsInFlight(), ref.FlitsInFlight())
-	}
-	if opt.lastMove != ref.lastMove {
-		t.Errorf("movement tracking diverged: %d vs %d", opt.lastMove, ref.lastMove)
-	}
-	so, sr := opt.Stats(), ref.Stats()
-	if !spineNodesEqual(opt, ref) || so.EjectedFlits != sr.EjectedFlits {
-		t.Errorf("flit accounting diverged: inj %v/%v ej %v/%v",
-			opt.spine.Inj, ref.spine.Inj, so.EjectedFlits, sr.EjectedFlits)
-	}
-	for c := 0; c < packet.NumClasses; c++ {
-		if so.NetLatency[c] != sr.NetLatency[c] {
-			t.Errorf("class %d latency accumulators diverged", c)
-		}
-		for i := range so.LinkFlits[c] {
-			if so.LinkFlits[c][i] != sr.LinkFlits[c][i] {
-				t.Fatalf("class %d link %d flit counts diverged", c, i)
-			}
-		}
-	}
-	do := opt.Drain(5000)
-	dr := ref.Drain(5000)
-	if do != dr || opt.FlitsInFlight() != ref.FlitsInFlight() {
-		t.Errorf("drain diverged: %v(%d) vs %v(%d)", do, opt.FlitsInFlight(), dr, ref.FlitsInFlight())
 	}
 }
 
@@ -279,7 +153,7 @@ func TestRouteTablePrecompute(t *testing.T) {
 	if !bn.Inject(mkPacket(1, packet.ReadReply, 0, dst, 0)) {
 		t.Fatal("injection refused")
 	}
-	if !bn.Drain(5000) {
+	if !drain(bn, 5000) {
 		t.Fatal("fallback routing failed to deliver")
 	}
 	path := routing.AppendPath(nil, bn.Mesh(), alg, 0, dst, packet.Reply)
@@ -323,7 +197,7 @@ func TestInjectQueueReuse(t *testing.T) {
 	if q.Cap() > grew {
 		t.Errorf("injection queue backing array grew under steady-state traffic: %d -> %d", grew, q.Cap())
 	}
-	if !n.Drain(5000) {
+	if !drain(n, 5000) {
 		t.Fatal("failed to drain")
 	}
 }
