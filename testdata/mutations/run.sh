@@ -17,8 +17,10 @@
 set -uo pipefail
 
 root=$(git rev-parse --show-toplevel) || exit 1
+diffs=()
+for d in "$@"; do diffs+=("$(realpath "$d")"); done
 cd "$root" || exit 1
-if [ $# -gt 0 ]; then diffs=("$@"); else diffs=(testdata/mutations/*.diff); fi
+[ ${#diffs[@]} -gt 0 ] || diffs=("$root"/testdata/mutations/*.diff)
 timeout=${MUTANT_TIMEOUT:-10m}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -29,7 +31,7 @@ for d in "${diffs[@]}"; do
 	tree="$tmp/$name"
 	mkdir "$tree"
 	git ls-files -co --exclude-standard -z | xargs -0 cp --parents -t "$tree"
-	if ! (cd "$tree" && git apply "$root/$d"); then
+	if ! (cd "$tree" && git apply "$d"); then
 		echo "FAIL $name: the diff no longer applies"
 		failed=1
 		rm -rf "$tree"
