@@ -15,8 +15,8 @@
 // stats.Net (including floating-point Welford latency accumulators, which
 // pin the ejection order), and the full telemetry JSONL export. Runs are
 // sanitized, so CheckInvariants — including the run-mask recount — is
-// exercised throughout. (The StepperEquivalence names are kept from when
-// the suite held the lane-parallel kernel to the serial one.)
+// exercised throughout. (Test names are kept from when the suite held the
+// lane-parallel kernel to the serial one.)
 //
 // The router itself is held to an independent specification model in
 // internal/noc (spec_test.go), where the network's own surface is visible.
@@ -280,11 +280,12 @@ func checkStepByStep(t *testing.T, cfg config.Config, prof workload.Profile, run
 	}
 }
 
-// TestRunLoopMatchesHandStepping is the run-loop bookkeeping check: over
-// the Figure 9 design space, three seeds each, and on the dual subnets,
-// statistics and telemetry bytes must be identical whether RunContext or a
-// hand-written Step loop drives the simulator.
-func TestRunLoopMatchesHandStepping(t *testing.T) {
+// TestStepperEquivalenceFastForward is the run-loop bookkeeping check,
+// named for the jump the loop used to make: over the Figure 9 design space,
+// three seeds each, and on the dual subnets, statistics and telemetry bytes
+// must be identical whether RunContext or a hand-written Step loop drives
+// the simulator.
+func TestStepperEquivalenceFastForward(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed design-space sweep")
 	}
@@ -308,11 +309,11 @@ func TestRunLoopMatchesHandStepping(t *testing.T) {
 	})
 }
 
-// TestRunLoopMatchesHandSteppingIdle covers the most-asleep systems: a
-// pure-compute profile (fabric always empty) and a trickle profile whose
-// idle spans border real memory traffic. Both must match the hand-stepped
-// run bit-for-bit.
-func TestRunLoopMatchesHandSteppingIdle(t *testing.T) {
+// TestStepperEquivalenceFastForwardIdle covers the most-asleep systems —
+// the two profiles the jump used to fire on: a pure-compute profile (fabric
+// always empty) and a trickle profile whose idle spans border real memory
+// traffic. Both must match the hand-stepped run bit-for-bit.
+func TestStepperEquivalenceFastForwardIdle(t *testing.T) {
 	cfg := equivCfg()
 	for _, prof := range []workload.Profile{idleProfile(), trickleProfile()} {
 		t.Run(prof.Name, func(t *testing.T) {

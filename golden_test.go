@@ -11,6 +11,7 @@ package gpgpunoc_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -71,14 +72,26 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
-// TestGoldenRunArtifacts runs each system, one network and the dual
-// subnets, and holds every artifact to its golden file.
+// TestGoldenRunArtifacts runs each system from configurations carrying the
+// retired Workers values 1 and 4 (once the lane-parallel kernel's domain
+// count) and holds both to the same files.
 func TestGoldenRunArtifacts(t *testing.T) {
 	for _, tc := range []struct {
 		dir  string
 		dual bool
 	}{{"single", false}, {"dual", true}} {
-		t.Run(tc.dir, func(t *testing.T) { goldenRun(t, tc.dir, goldenCfg(tc.dual)) })
+		t.Run(tc.dir, func(t *testing.T) {
+			for _, w := range []int{1, 4} {
+				t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+					if *update && w != 1 {
+						t.Skip("the goldens are written from the workers=1 run")
+					}
+					cfg := goldenCfg(tc.dual)
+					cfg.NoC.Workers = w
+					goldenRun(t, tc.dir, cfg)
+				})
+			}
+		})
 	}
 }
 

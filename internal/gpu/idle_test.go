@@ -104,11 +104,12 @@ func digest(t *testing.T, res gpu.Result) string {
 
 var digestSeeds = []uint64{1, 7, 1234577}
 
-// TestFig9RunDigests pins whole runs of the Figure 9 design space, three
-// seeds each, on a workload that saturates the fabric, to
-// testdata/fig9.digests. (The file was generated while the retired run-loop
-// fast-forward was armed on every cycle and never fired.)
-func TestFig9RunDigests(t *testing.T) {
+// TestFastForwardEquivalence pins whole runs of the Figure 9 design space,
+// three seeds each, on a workload that saturates the fabric, to
+// testdata/fig9.digests. (The name and the digests' origin are the retired
+// run-loop fast-forward's: the file was generated while it was armed on
+// every cycle and never fired.)
+func TestFastForwardEquivalence(t *testing.T) {
 	kmn := workload.MustGet("KMN")
 	var keys, got []string
 	for _, s := range experiments.Fig9Schemes() {
@@ -127,12 +128,12 @@ func TestFig9RunDigests(t *testing.T) {
 	}
 }
 
-// TestIdleRunDigests pins whole runs of the two mostly-asleep profiles —
-// most of IDLE, and TRICKLE's idle spans beside real memory traffic — on
-// the single network and on the dual physical subnets, three seeds each, to
-// testdata/idle.digests. (The retired run-loop fast-forward skipped those
-// spans when the digests were generated.)
-func TestIdleRunDigests(t *testing.T) {
+// TestFastForwardEquivalenceIdle pins whole runs of the two mostly-asleep
+// profiles — most of IDLE, and TRICKLE's idle spans beside real memory
+// traffic — on the single network and on the dual physical subnets, three
+// seeds each, to testdata/idle.digests. (Named for the retired run-loop
+// fast-forward, which skipped those spans when the digests were generated.)
+func TestFastForwardEquivalenceIdle(t *testing.T) {
 	var keys, got []string
 	for _, net := range []string{"single", "dual"} {
 		for _, prof := range []workload.Profile{idleProfile(), trickleProfile()} {

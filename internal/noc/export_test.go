@@ -55,6 +55,10 @@ func subnets(ic Interconnect) []*Network {
 	panic("noc: foreign Interconnect")
 }
 
+// Stage returns the endpoint stage installed on ic (on a Dual, the request
+// subnet runs it for both).
+func Stage(ic Interconnect) func(node int) bool { return subnets(ic)[0].stage }
+
 // RouteTables returns each physical network's next-hop table.
 func RouteTables(ic Interconnect) []routeTable {
 	var out []routeTable

@@ -119,9 +119,9 @@ func TestDualCheckInvariants(t *testing.T) {
 
 // loadedNet returns a saturated network — every mask populated, credits
 // exhausted on the hot links, sinks refusing — verified clean.
-func loadedNet(t *testing.T, opts ...Option) *Network {
+func loadedNet(t *testing.T, workers int, opts ...Option) *Network {
 	t.Helper()
-	n := newTestNet(t, config.RoutingXY, config.VCSplit, opts...)
+	n := newWorkerNet(t, config.RoutingXY, config.VCSplit, workers, opts...)
 	nn := n.Mesh().NumNodes()
 	for i := 0; i < nn; i++ {
 		node := i
@@ -147,7 +147,11 @@ func loadedNet(t *testing.T, opts ...Option) *Network {
 // queues bit that matters — set on an empty queue, cleared on a queue with
 // local VC space to use — and say which router or node and which mask.
 func TestMaskInvariants(t *testing.T) {
-	n := loadedNet(t)
+	eachWorkers(t, maskInvariants)
+}
+
+func maskInvariants(t *testing.T, workers int) {
+	n := loadedNet(t, workers)
 	populated := map[string]bool{}
 	for i := range n.routers {
 		rt := &n.routers[i]
@@ -221,7 +225,7 @@ func TestMaskInvariants(t *testing.T) {
 	}
 	// A link register outlives the cycle that filled it only on a half-width
 	// link, so only there does a flip ever turn a links bit off.
-	half := loadedNet(t, WithLinkPeriod(2))
+	half := loadedNet(t, workers, WithLinkPeriod(2))
 	for i := range half.routers {
 		flipRunBit(t, half, i, "links", populated)
 	}
@@ -377,7 +381,7 @@ func TestIdleInvariants(t *testing.T) {
 		},
 	} {
 		t.Run(m.name, func(t *testing.T) {
-			n := loadedNet(t)
+			n := loadedNet(t, 1)
 			who := m.mutate(t, n)
 			err := n.CheckInvariants()
 			if err == nil {

@@ -1,10 +1,15 @@
-// Full-system oracle suite: the run-mask kernel must be indistinguishable
-// from stepReference, the naive full-scan stepper — not statistically close,
-// bit-identical. Anything less means a run mask lost a bit or an arbitration
-// got reordered, and every derived result (figure tables, latency
-// distributions, telemetry) silently drifts.
+// Full-system oracle suite: a whole simulator must be indistinguishable from
+// its reference twin — not statistically close, bit-identical. The twin's
+// stage calls the simulator's own for every node every cycle and never lets
+// a node leave the kernel's tick walk, so it is the schedule the shipped
+// one's sleeping endpoints, skipped ticks charged in one add, and wakes
+// (sink tails, inject wakes, a Dual's reply subnet waking the request
+// subnet's walk) must reproduce. Anything less means a wake was lost or a
+// settled count drifted, and every derived result (figure tables, latency
+// distributions, telemetry) silently drifts with it. The router itself is
+// held to the specification model (spec_test.go).
 //
-// The oracle is selectable only through this package's export_test.go, so
+// The stage is reachable only through this package's export_test.go, so
 // these comparisons live here, in the external test package that can drive
 // a whole gpu.Simulator. Each comparison runs from configurations carrying
 // the retired Workers values 1 and 4 (workers_test.go), which must not
@@ -35,9 +40,16 @@ func equivCfg() config.Config {
 	return cfg
 }
 
+// tickEveryCycle makes sim the reference twin: every cycle its stage ticks
+// every endpoint and keeps it in the tick walk.
+func tickEveryCycle(sim *gpu.Simulator) {
+	stage := noc.Stage(sim.Net)
+	sim.Net.SetStage(func(node int) bool { stage(node); return true })
+}
+
 // run simulates prof under cfg with telemetry every 400 cycles and the
 // sanitizer every 256 — so CheckInvariants, the run-mask recount included,
-// is exercised on both paths — on the shipped kernel or on the oracle.
+// is exercised on both schedules — as shipped or as the reference twin.
 func run(t *testing.T, cfg config.Config, prof workload.Profile, reference bool) gpu.Result {
 	t.Helper()
 	sim, err := gpu.NewInstrumented(cfg, prof, gpu.Instrumentation{SanitizeEvery: 256, TelemetryEpoch: 400})
@@ -45,7 +57,7 @@ func run(t *testing.T, cfg config.Config, prof workload.Profile, reference bool)
 		t.Fatal(err)
 	}
 	if reference {
-		noc.UseReferenceStepper(sim.Net)
+		tickEveryCycle(sim)
 	}
 	res, err := sim.RunContext(context.Background())
 	if err != nil {
@@ -54,7 +66,7 @@ func run(t *testing.T, cfg config.Config, prof workload.Profile, reference bool)
 	return res
 }
 
-// checkOracle runs prof under both steppers and requires bit-identical
+// checkOracle runs prof as shipped and as the twin and requires bit-identical
 // observable state: IPC, run shape, core and network statistics (the
 // floating-point Welford latency accumulators pin the ejection order) and
 // the telemetry JSONL bytes.
@@ -66,7 +78,7 @@ func checkOracle(t *testing.T, cfg config.Config, prof workload.Profile) {
 			opt.IPC, ref.IPC, opt.Cycles, ref.Cycles, opt.Deadlocked, ref.Deadlocked)
 	}
 	if opt.GPU != ref.GPU {
-		t.Errorf("GPU stats diverged:\n run-mask %+v\nreference %+v", opt.GPU, ref.GPU)
+		t.Errorf("GPU stats diverged:\n  shipped %+v\nreference %+v", opt.GPU, ref.GPU)
 	}
 	if !reflect.DeepEqual(opt.Net, ref.Net) {
 		t.Errorf("network stats diverged (latency accumulators are order-sensitive: check ejection ordering)")
@@ -164,8 +176,8 @@ func TestReferenceOracleIdle(t *testing.T) {
 
 // TestReferenceOracleSettled: a dormant SM leaves the kernel's tick walk and
 // the ticks it was skipped are charged in one add, which must be exact at
-// every cycle boundary. The shipped kernel and the reference stepper, which
-// calls the stage for every node every cycle, step side by side; after each
+// every cycle boundary. The simulator and its reference twin, which ticks
+// every node every cycle, step side by side; after each
 // cycle the settled core-side totals, StallCycles included, and the SMs'
 // summed SleptTicks must agree — on one network and a Dual (whose reply
 // subnet wakes the request subnet's walk), at Workers 1 and 4, saturated
@@ -200,12 +212,12 @@ func TestReferenceOracleSettled(t *testing.T) {
 						sims[i] = sim
 					}
 					opt, ref := sims[0], sims[1]
-					noc.UseReferenceStepper(ref.Net)
+					tickEveryCycle(ref)
 					for c := 0; c < cycles; c++ {
 						opt.Step()
 						ref.Step()
 						if got, want := opt.Totals(), ref.Totals(); got != want {
-							t.Fatalf("cycle %d: settled totals diverged:\n   kernel %+v\nreference %+v", c, got, want)
+							t.Fatalf("cycle %d: settled totals diverged:\n  shipped %+v\nreference %+v", c, got, want)
 						}
 						if got, want := slept(opt), slept(ref); got != want {
 							t.Fatalf("cycle %d: the SMs slept %d ticks, %d ticked every cycle", c, got, want)
@@ -216,7 +228,7 @@ func TestReferenceOracleSettled(t *testing.T) {
 					t.Logf("%d of %d ticks called", calls, int64(cycles)*nodes)
 					// TRICKLE's SMs sleep until a readyAt, so they stay in the walk.
 					if prof.Name == "KMN" && calls >= int64(cycles)*nodes {
-						t.Errorf("the kernel called the stage for every node every cycle: no tick was skipped")
+						t.Errorf("the simulator called the stage for every node every cycle: no tick was skipped")
 					}
 				})
 			}

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"gpgpunoc/internal/config"
@@ -11,35 +12,46 @@ import (
 	"gpgpunoc/internal/vc"
 )
 
+// eachWorkers runs f as a subtest from configurations carrying the retired
+// Workers values 1 and 4, which must not change what the kernel does (see
+// workers_test.go).
+func eachWorkers(t *testing.T, f func(t *testing.T, workers int)) {
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) { f(t, w) })
+	}
+}
+
 // TestDrainedNetworkSchedulesNothing: a drained network must have all three
 // run masks zero — that emptiness is exactly what makes idle cycles
 // near-free — and further Steps must keep them zero while the cycle counter
 // advances.
 func TestDrainedNetworkSchedulesNothing(t *testing.T) {
-	n := newTestNet(t, config.RoutingXY, config.VCSplit)
-	attachCollectors(n)
-	if !n.Inject(mkPacket(1, packet.ReadReply, 0, 63, 0)) {
-		t.Fatal("injection refused")
-	}
-	if !drain(n, 2000) {
-		t.Fatal("failed to drain")
-	}
-	if r, l, q := n.scheduled(); r != 0 || l != 0 || q != 0 {
-		t.Fatalf("drained network still schedules work: %d routers, %d links, %d queues", r, l, q)
-	}
-	before := n.Cycle()
-	for i := 0; i < 100; i++ {
-		n.Step()
-	}
-	if n.Cycle() != before+100 {
-		t.Errorf("idle stepping lost cycles: %d -> %d", before, n.Cycle())
-	}
-	if r, l, q := n.scheduled(); r != 0 || l != 0 || q != 0 {
-		t.Errorf("idle stepping scheduled work: %d routers, %d links, %d queues", r, l, q)
-	}
-	if err := n.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
+	eachWorkers(t, func(t *testing.T, workers int) {
+		n := newWorkerNet(t, config.RoutingXY, config.VCSplit, workers)
+		attachCollectors(n)
+		if !n.Inject(mkPacket(1, packet.ReadReply, 0, 63, 0)) {
+			t.Fatal("injection refused")
+		}
+		if !drain(n, 2000) {
+			t.Fatal("failed to drain")
+		}
+		if r, l, q := n.scheduled(); r != 0 || l != 0 || q != 0 {
+			t.Fatalf("drained network still schedules work: %d routers, %d links, %d queues", r, l, q)
+		}
+		before := n.Cycle()
+		for i := 0; i < 100; i++ {
+			n.Step()
+		}
+		if n.Cycle() != before+100 {
+			t.Errorf("idle stepping lost cycles: %d -> %d", before, n.Cycle())
+		}
+		if r, l, q := n.scheduled(); r != 0 || l != 0 || q != 0 {
+			t.Errorf("idle stepping scheduled work: %d routers, %d links, %d queues", r, l, q)
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestRunMasksExactUnderLoad holds the scheduling invariant — every run-mask
@@ -47,7 +59,11 @@ func TestDrainedNetworkSchedulesNothing(t *testing.T) {
 // recount exactly — after every single cycle of a loaded, backpressured
 // run, through drain.
 func TestRunMasksExactUnderLoad(t *testing.T) {
-	n := newTestNet(t, config.RoutingYX, config.VCMonopolized)
+	eachWorkers(t, runMasksExactUnderLoad)
+}
+
+func runMasksExactUnderLoad(t *testing.T, workers int) {
+	n := newWorkerNet(t, config.RoutingYX, config.VCMonopolized, workers)
 	attachCollectors(n)
 	r := rng.New(42)
 	id := uint64(0)
@@ -77,7 +93,11 @@ func TestRunMasksExactUnderLoad(t *testing.T) {
 // the router's routers bit (the flit stays buffered) instead of silently
 // unscheduling it, and delivery resumes when the sink relents.
 func TestRefusingSinkKeepsRouterScheduled(t *testing.T) {
-	n := newTestNet(t, config.RoutingXY, config.VCSplit)
+	eachWorkers(t, refusingSinkKeepsRouterScheduled)
+}
+
+func refusingSinkKeepsRouterScheduled(t *testing.T, workers int) {
+	n := newWorkerNet(t, config.RoutingXY, config.VCSplit, workers)
 	accept := false
 	var got []packet.Flit
 	for i := 0; i < 64; i++ {

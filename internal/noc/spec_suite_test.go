@@ -433,3 +433,46 @@ func TestSpecClosedLoop(t *testing.T) {
 		})
 	}
 }
+
+// TestStepperEquivalenceNetworkLevel holds the Table 2 network (8×8, 2 VCs)
+// to the model on five variants — three routing and VC policy pairings,
+// half-width links, and a one-cycle router under the shared policy — each
+// built from configurations carrying the retired Workers values 1 and 4,
+// and at 4 once more observed by a rate-0 span collector. (The names are
+// kept from when it held the lane-parallel kernel, pooled and stepping, to
+// the retired reference stepper.)
+func TestStepperEquivalenceNetworkLevel(t *testing.T) {
+	variants := []struct {
+		rt           config.Routing
+		pol          string
+		pipe, period int
+	}{
+		{config.RoutingXY, "split", 2, 1},
+		{config.RoutingYX, "monopolized", 2, 1},
+		{config.RoutingXYYX, "partial", 2, 1},
+		{config.RoutingXY, "split", 2, 2},
+		{config.RoutingXY, "shared", 1, 1},
+	}
+	kernels := []struct {
+		name    string
+		workers int
+		spans   bool
+	}{
+		{"workers=1", 1, false},
+		{"workers=4,pool", 4, false},
+		{"workers=4,stepping", 4, true},
+	}
+	for _, v := range variants {
+		t.Run(string(v.rt)+"/"+v.pol, func(t *testing.T) {
+			for _, k := range kernels {
+				cfg := specNoC(8, 2, v.rt)
+				cfg.Workers = k.workers
+				c := specCase{cfg: cfg, asg: specAssigner(v.pol, cfg), pipe: v.pipe, period: v.period, spans: k.spans}
+				t.Run(k.name, func(t *testing.T) {
+					t.Parallel()
+					runSpec(t, c)
+				})
+			}
+		})
+	}
+}

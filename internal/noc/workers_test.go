@@ -114,11 +114,11 @@ func TestParallelKernelEquivalence(t *testing.T) {
 						}
 					}
 				}
-				if !n.Drain(5000) {
+				if !drain(n, 5000) {
 					t.Fatalf("workers=%d failed to drain", w)
 				}
 			}
-			if !base.Drain(5000) {
+			if !drain(base, 5000) {
 				t.Fatal("workers=1 failed to drain")
 			}
 		})
@@ -137,7 +137,7 @@ func TestParallelKernelUnderLoadRace(t *testing.T) {
 			n.AttachTelemetry(telemetry.NewRegistry())
 		}
 		driveLoad(t, n, 1500, 42, true)
-		if !n.Drain(10000) {
+		if !drain(n, 10000) {
 			t.Fatalf("telemetry=%v: failed to drain; %d flits in flight", withTelemetry, n.FlitsInFlight())
 		}
 		if err := n.CheckInvariants(); err != nil {
@@ -162,14 +162,14 @@ func TestParallelKernelClose(t *testing.T) {
 	}
 	n.Close()
 	n.Close()
-	if !n.Drain(2000) {
+	if !drain(n, 2000) {
 		t.Fatalf("network unusable after Close; %d in flight", n.FlitsInFlight())
 	}
 }
 
 // TestLaneCallbackInjectVisibleBeforeStep guards the in-flight count: Inject
 // adds its flits at once, and everything that reads the fabric between an
-// Inject and a Step — FlitsInFlight, Drain's loop condition,
+// Inject and a Step — FlitsInFlight, the drain loop's condition,
 // CheckInvariants — must see them, on the single network (whatever Workers
 // value its configuration carries) and on both subnets of a Dual.
 func TestLaneCallbackInjectVisibleBeforeStep(t *testing.T) {
@@ -190,8 +190,8 @@ func TestLaneCallbackInjectVisibleBeforeStep(t *testing.T) {
 		if err := n.CheckInvariants(); err != nil {
 			t.Errorf("workers=%d: invariants before any Step: %v", w, err)
 		}
-		if !n.Drain(2000) || n.Cycle() == 0 {
-			t.Fatalf("workers=%d: Drain stepped %d cycles and left %d flits in flight", w, n.Cycle(), n.FlitsInFlight())
+		if !drain(n, 2000) || n.Cycle() == 0 {
+			t.Fatalf("workers=%d: drain stepped %d cycles and left %d flits in flight", w, n.Cycle(), n.FlitsInFlight())
 		}
 		delivered := 0
 		for _, c := range cs {
@@ -278,7 +278,7 @@ func TestLaneCallbackConcurrentInject(t *testing.T) {
 			s.NetLatency != bs.NetLatency || n.FlitsInFlight() != base.FlitsInFlight() {
 			t.Errorf("workers=%d: statistics diverged from workers=1", w)
 		}
-		if !n.Drain(20000) {
+		if !drain(n, 20000) {
 			t.Fatalf("workers=%d failed to drain", w)
 		}
 	}
