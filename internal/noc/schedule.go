@@ -79,7 +79,7 @@ func (n *Network) injectPhase() {
 
 // routerPhase runs VA/SA/ST for the routers holding flits, ascending; it
 // follows injection, so a router this cycle's injected flits filled is
-// visited, exactly as the reference scan would. Idle routers are
+// visited, exactly as a full scan would. Idle routers are
 // masked out a word at a time unless the run is observed: stall attribution
 // is charged per cycle per stalled VC, so there an idle router still runs
 // countStalls, exactly as its skipped visit would have, with no VC moved.

@@ -374,7 +374,8 @@ func specNoC(size, vcs int, rt config.Routing) config.NoC {
 // TestSpecOpenLoop holds the kernel to the model under open-loop traffic:
 // every routing × VC policy (and the link-aware assigner) × 2 and 4 VCs,
 // rotating through 4×4, 6×6 and 8×8 meshes, pipeline delays 1 and 2 and
-// refusing sinks; and once observed, with a rate-0 span collector.
+// refusing sinks; once observed, with a rate-0 span collector; and once on
+// one network with half-width links (link period 2).
 func TestSpecOpenLoop(t *testing.T) {
 	var cases []specCase
 	k := 0
@@ -392,7 +393,9 @@ func TestSpecOpenLoop(t *testing.T) {
 		}
 	}
 	cfg := specNoC(8, 2, config.RoutingXY)
-	cases = append(cases, specCase{name: "observed", cfg: cfg, asg: specAssigner("split", cfg), pipe: 2, period: 1, refuse: true, spans: true})
+	cases = append(cases,
+		specCase{name: "observed", cfg: cfg, asg: specAssigner("split", cfg), pipe: 2, period: 1, refuse: true, spans: true},
+		specCase{name: "8x8/xy/split/v=2/pd=2/period=2", cfg: cfg, asg: specAssigner("split", cfg), pipe: 2, period: 2, refuse: true})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()

@@ -11,22 +11,16 @@
 # there and runs every listed test on its own. It fails when a diff no
 # longer applies, when a mutant does not build, or when a listed test
 # passes with the mutant in place (the mutant survived).
-#
-# Usage: testdata/mutations/run.sh [DIFF...]   (default: every diff here)
-# MUTANT_TIMEOUT sets go test's -timeout for each test (default 10m).
 set -uo pipefail
 
 root=$(git rev-parse --show-toplevel) || exit 1
-diffs=()
-for d in "$@"; do diffs+=("$(realpath "$d")"); done
 cd "$root" || exit 1
-[ ${#diffs[@]} -gt 0 ] || diffs=("$root"/testdata/mutations/*.diff)
-timeout=${MUTANT_TIMEOUT:-10m}
+timeout=10m
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 failed=0
-for d in "${diffs[@]}"; do
+for d in "$root"/testdata/mutations/*.diff; do
 	name=$(basename "$d" .diff)
 	tree="$tmp/$name"
 	mkdir "$tree"
