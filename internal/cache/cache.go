@@ -41,6 +41,13 @@ type Cache struct {
 // line size. It panics if the geometry is inconsistent (configuration is
 // validated upstream; geometry bugs are programming errors).
 func New(totalBytes, ways, lineBytes int) *Cache {
+	return &NewSlab(1, totalBytes, ways, lineBytes)[0]
+}
+
+// NewSlab builds n caches of one geometry in two allocations, their lines cut
+// from one array: element i is what New returns, for a caller that builds many
+// at once and hands each out by pointer.
+func NewSlab(n, totalBytes, ways, lineBytes int) []Cache {
 	if totalBytes <= 0 || ways <= 0 || lineBytes <= 0 {
 		panic("cache: non-positive geometry")
 	}
@@ -49,13 +56,18 @@ func New(totalBytes, ways, lineBytes int) *Cache {
 		panic(fmt.Sprintf("cache: %dB/%d-way/%dB lines is not a power-of-two number of sets of power-of-two lines",
 			totalBytes, ways, lineBytes))
 	}
-	return &Cache{
-		ways:      ways,
-		lines:     make([]line, sets*ways),
-		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
-		setShift:  uint(bits.TrailingZeros(uint(sets))),
-		setMask:   uint64(sets - 1),
+	per := sets * ways
+	lines, cs := make([]line, n*per), make([]Cache, n)
+	for i := range cs {
+		cs[i] = Cache{
+			ways:      ways,
+			lines:     lines[i*per : (i+1)*per : (i+1)*per],
+			lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
+			setShift:  uint(bits.TrailingZeros(uint(sets))),
+			setMask:   uint64(sets - 1),
+		}
 	}
+	return cs
 }
 
 // Reset empties the cache — every line invalid, LRU stamps and counters
@@ -205,33 +217,56 @@ func (c *Cache) MissRate() float64 {
 // MSHR is a miss-status holding register file: it tracks outstanding line
 // fills and merges secondary misses to the same line, bounding a core's
 // memory-level parallelism exactly as the hardware structure does.
+//
+// It is a fixed table sized by NewMSHR, with no map and no allocation after
+// it: entries 0..n-1 are live, in no particular order, and entry i's waiters
+// are row i of waiters, in merge order.
 type MSHR struct {
-	entries  map[uint64][]int // line address -> waiting warp IDs
-	spare    [][]int          // waiter lists Fill emptied, for Allocate to reuse
-	capacity int
-	// MaxMerged bounds waiters per entry (secondary-miss capacity).
+	lines   []uint64 // line address of each entry
+	counts  []int    // waiters on each entry
+	waiters []int    // mergeWidth warp IDs per entry
+	n       int      // live entries
+	// MaxMerged bounds waiters per entry (secondary-miss capacity); it may be
+	// lowered, not raised, from its default, the row width mergeWidth.
 	MaxMerged int
 }
 
+// mergeWidth is the waiters an MSHR entry has room for and MaxMerged's
+// default.
+const mergeWidth = 8
+
 // NewMSHR builds an MSHR file with the given number of entries.
-func NewMSHR(capacity int) *MSHR {
-	return &MSHR{
-		entries:   make(map[uint64][]int, capacity),
-		capacity:  capacity,
-		MaxMerged: 8,
+func NewMSHR(capacity int) *MSHR { return &NewMSHRSlab(1, capacity)[0] }
+
+// NewMSHRSlab builds n MSHR files of capacity entries each in four
+// allocations: element i is what NewMSHR returns.
+func NewMSHRSlab(n, capacity int) []MSHR {
+	per := capacity * mergeWidth
+	lines, counts := make([]uint64, n*capacity), make([]int, n*capacity)
+	waiters, ms := make([]int, n*per), make([]MSHR, n)
+	for i := range ms {
+		lo, hi := i*capacity, (i+1)*capacity
+		ms[i] = MSHR{
+			lines:     lines[lo:hi:hi],
+			counts:    counts[lo:hi:hi],
+			waiters:   waiters[i*per : (i+1)*per : (i+1)*per],
+			MaxMerged: mergeWidth,
+		}
 	}
+	return ms
 }
 
-// Reset drops every outstanding miss, keeping the waiter lists for Allocate
-// to reuse.
-func (m *MSHR) Reset() {
-	if len(m.entries) == 0 {
-		return
+// Reset drops every outstanding miss.
+func (m *MSHR) Reset() { m.n = 0 }
+
+// find returns lineAddr's entry, -1 if it has none.
+func (m *MSHR) find(lineAddr uint64) int {
+	for i, l := range m.lines[:m.n] {
+		if l == lineAddr {
+			return i
+		}
 	}
-	for _, waiters := range m.entries { //noclint:determinism the lists are emptied, so their order in spare is never observed
-		m.spare = append(m.spare, waiters[:0])
-	}
-	clear(m.entries)
+	return -1
 }
 
 // Outcome of an MSHR allocation attempt.
@@ -250,47 +285,61 @@ const (
 // warps wait on it. It changes nothing: callers use it to decide, before
 // Allocate, whether an access would stall.
 func (m *MSHR) Lookup(lineAddr uint64) (waiters int, ok bool) {
-	w, ok := m.entries[lineAddr]
-	return len(w), ok
+	if i := m.find(lineAddr); i >= 0 {
+		return m.counts[i], true
+	}
+	return 0, false
 }
 
-// Allocate records warp's interest in lineAddr.
+// Allocate records warp's interest in lineAddr. It panics if MaxMerged was
+// raised above mergeWidth.
 func (m *MSHR) Allocate(lineAddr uint64, warp int) Outcome {
-	if waiters, ok := m.entries[lineAddr]; ok {
-		if len(waiters) >= m.MaxMerged {
+	if m.MaxMerged > mergeWidth {
+		panic(fmt.Sprintf("cache: MSHR MaxMerged %d above the %d waiters an entry has room for", m.MaxMerged, mergeWidth))
+	}
+	if i := m.find(lineAddr); i >= 0 {
+		c := m.counts[i]
+		if c >= m.MaxMerged {
 			return Stall
 		}
-		m.entries[lineAddr] = append(waiters, warp)
+		m.waiters[i*mergeWidth+c] = warp
+		m.counts[i] = c + 1
 		return Merged
 	}
-	if len(m.entries) >= m.capacity {
+	if m.n == len(m.lines) {
 		return Stall
 	}
-	var waiters []int
-	if n := len(m.spare); n > 0 {
-		waiters, m.spare = m.spare[n-1], m.spare[:n-1]
-	} else {
-		waiters = make([]int, 0, m.MaxMerged)
-	}
-	m.entries[lineAddr] = append(waiters, warp)
+	i := m.n
+	m.lines[i], m.counts[i], m.waiters[i*mergeWidth] = lineAddr, 1, warp
+	m.n++
 	return Primary
 }
 
 // Fill completes the outstanding miss on lineAddr, returning the warps to
-// wake, valid until the next Allocate reuses the slice. It panics if no
-// entry exists: a fill without a miss is a protocol bug upstream.
+// wake in merge order, valid until the next Allocate reuses the slice. It
+// panics if no entry exists: a fill without a miss is a protocol bug upstream.
 func (m *MSHR) Fill(lineAddr uint64) []int {
-	waiters, ok := m.entries[lineAddr]
-	if !ok {
+	i := m.find(lineAddr)
+	if i < 0 {
 		panic(fmt.Sprintf("cache: MSHR fill for line %#x with no entry", lineAddr))
 	}
-	delete(m.entries, lineAddr)
-	m.spare = append(m.spare, waiters[:0])
-	return waiters
+	// The last live entry takes slot i and the filled one the last slot,
+	// which stays intact until an Allocate reuses it.
+	last, w := m.n-1, mergeWidth
+	c := m.counts[i]
+	if i != last {
+		row, lastRow := m.waiters[i*w:(i+1)*w], m.waiters[last*w:(last+1)*w]
+		for k := range max(c, m.counts[last]) {
+			row[k], lastRow[k] = lastRow[k], row[k]
+		}
+		m.lines[i], m.counts[i] = m.lines[last], m.counts[last]
+	}
+	m.n = last
+	return m.waiters[last*w : last*w+c : last*w+c]
 }
 
 // Occupancy returns the number of live entries.
-func (m *MSHR) Occupancy() int { return len(m.entries) }
+func (m *MSHR) Occupancy() int { return m.n }
 
 // Full reports whether no new primary miss can allocate.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.capacity }
+func (m *MSHR) Full() bool { return m.n >= len(m.lines) }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -256,6 +257,118 @@ func TestMSHRFillPanicsWithoutEntry(t *testing.T) {
 		}
 	}()
 	NewMSHR(2).Fill(0xdead)
+}
+
+// mapMSHR is the reference model for TestMSHRMatchesMapReference: the MSHR
+// file as a map from line address to its waiters, each list made on demand.
+type mapMSHR struct {
+	entries   map[uint64][]int
+	capacity  int
+	maxMerged int
+}
+
+func (r *mapMSHR) allocate(lineAddr uint64, warp int) Outcome {
+	if waiters, ok := r.entries[lineAddr]; ok {
+		if len(waiters) >= r.maxMerged {
+			return Stall
+		}
+		r.entries[lineAddr] = append(waiters, warp)
+		return Merged
+	}
+	if len(r.entries) >= r.capacity {
+		return Stall
+	}
+	r.entries[lineAddr] = []int{warp}
+	return Primary
+}
+
+// fill returns nil, false for a line with no entry.
+func (r *mapMSHR) fill(lineAddr uint64) ([]int, bool) {
+	waiters, ok := r.entries[lineAddr]
+	delete(r.entries, lineAddr)
+	return waiters, ok
+}
+
+// TestMSHRMatchesMapReference: the fixed table is the map-based MSHR file
+// it replaced. Over capacities 1, 4 and 32 and MaxMerged 1, 2 and 8, seeded
+// random Allocate, Lookup, Fill and Reset calls on a few more lines than the
+// file holds agree with the map model call by call: every outcome, waiter
+// count, Occupancy and Full, and each Fill's warps in merge order. A Fill of
+// an absent line panics, a MaxMerged raised above the row width panics
+// with the package prefix, and an Allocate+Fill pair allocates nothing.
+func TestMSHRMatchesMapReference(t *testing.T) {
+	for _, capacity := range []int{1, 4, 32} {
+		for _, merged := range []int{1, 2, 8} {
+			m := NewMSHR(capacity)
+			m.MaxMerged = merged
+			ref := &mapMSHR{entries: map[uint64][]int{}, capacity: capacity, maxMerged: merged}
+			r := rng.New(uint64(capacity*16 + merged))
+			lines := uint64(capacity + 3)
+			for i := 0; i < 40_000; i++ {
+				line := r.Uint64n(lines) * 128
+				switch k := r.Intn(100); {
+				case k < 55:
+					warp := r.Intn(48)
+					if got, want := m.Allocate(line, warp), ref.allocate(line, warp); got != want {
+						t.Fatalf("cap %d merged %d call %d: Allocate(%#x, %d) = %v, model %v", capacity, merged, i, line, warp, got, want)
+					}
+				case k < 70:
+					gn, gok := m.Lookup(line)
+					if want, wok := ref.entries[line]; gn != len(want) || gok != wok {
+						t.Fatalf("cap %d merged %d call %d: Lookup(%#x) = %d, %v, model %d, %v", capacity, merged, i, line, gn, gok, len(want), wok)
+					}
+				case k < 99:
+					want, ok := ref.fill(line)
+					if !ok {
+						continue
+					}
+					if got := m.Fill(line); !slices.Equal(got, want) {
+						t.Fatalf("cap %d merged %d call %d: Fill(%#x) = %v, model %v", capacity, merged, i, line, got, want)
+					}
+				default:
+					m.Reset()
+					clear(ref.entries)
+				}
+				if m.Occupancy() != len(ref.entries) || m.Full() != (len(ref.entries) >= capacity) {
+					t.Fatalf("cap %d merged %d call %d: occupancy %d full %v, model %d of %d",
+						capacity, merged, i, m.Occupancy(), m.Full(), len(ref.entries), capacity)
+				}
+			}
+		}
+	}
+
+	t.Run("FillAbsentPanics", func(t *testing.T) {
+		m := NewMSHR(4)
+		m.Allocate(0x100, 1)
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Fill of a line with no entry did not panic")
+			}
+		}()
+		m.Fill(0x200)
+	})
+	t.Run("MaxMergedAboveWidthPanics", func(t *testing.T) {
+		m := NewMSHR(4)
+		m.MaxMerged = mergeWidth + 1
+		defer func() {
+			r := recover()
+			if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "cache: ") {
+				t.Fatalf("MaxMerged %d above the row width: recovered %v, want a cache: panic", m.MaxMerged, r)
+			}
+		}()
+		for w := 0; w <= mergeWidth; w++ {
+			m.Allocate(0x100, w)
+		}
+	})
+	t.Run("NoAllocs", func(t *testing.T) {
+		m := NewMSHR(32)
+		if a := testing.AllocsPerRun(100, func() {
+			m.Allocate(0x100, 1)
+			m.Fill(0x100)
+		}); a != 0 {
+			t.Errorf("an Allocate+Fill pair allocates %.0f times, want 0", a)
+		}
+	})
 }
 
 // refLRU is the reference model for TestCacheMatchesReferenceLRU: each set

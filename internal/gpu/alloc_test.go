@@ -12,7 +12,7 @@ import (
 // TestStepSteadyStateDoesNotAllocate pins Simulator.Step, endpoints and
 // kernel together, at zero allocations per cycle once a run has warmed up:
 // each SM and MC draws its packets from the storage of the ones it ejected,
-// the MSHR waiter lists circulate, and the DRAM channel reuses its
+// the MSHR is a fixed table, and the DRAM channel reuses its
 // completion list. The free lists fill lazily, so an endpoint still
 // allocates when its in-flight population reaches a new peak: after 4,000
 // cycles that is a few allocations per hundred cycles and falling, which

@@ -126,10 +126,12 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 	s.endpoints = make([]ticker, st.Mesh.NumNodes())
 	net.SetStage(s.tick)
 	s.ids = make([]uint64, cfg.Core.NumSMs)
-	for i := 0; i < cfg.Core.NumSMs; i++ {
-		sm := smcore.New(i, cores[i], cfg.Core, cfg.Mem, prof,
-			smSeed(cfg.Seed, i), net, pl, &s.counters, &s.ids[i])
-		s.SMs = append(s.SMs, sm)
+	slots := make([]smcore.Slot, cfg.Core.NumSMs)
+	for i := range slots {
+		slots[i] = smcore.Slot{Index: i, Node: cores[i], Seed: smSeed(cfg.Seed, i), NextID: &s.ids[i]}
+	}
+	s.SMs = smcore.Build(slots, cfg.Core, cfg.Mem, prof, net, pl, &s.counters)
+	for _, sm := range s.SMs {
 		s.endpoints[sm.Node] = sm
 		net.SetSink(sm.Node, sm.Sink())
 		net.SetInjectWake(sm.Node, sm.WakeInject)

@@ -26,7 +26,7 @@ func newRing(capacity int) ring {
 
 // newRingFrom wraps preallocated storage (len == capacity) as a ring. The
 // network's router arena carves one contiguous bufFlit block into per-VC
-// rings this way, so a spatial domain's buffers are cache-local.
+// rings this way, so neighbouring routers' buffers are neighbours in memory.
 func newRingFrom(buf []bufFlit) ring {
 	return ring{buf: buf}
 }

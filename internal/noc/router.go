@@ -130,8 +130,8 @@ func (m *reqMasks) firstDiff(o *reqMasks) (name string, a, b uint64) {
 
 // routerArena backs every router's per-VC state — input-VC descriptors,
 // ring-buffer storage, credit/pending/owner tables — with a handful of
-// contiguous allocations carved in router-ID order. Domains are contiguous
-// ID ranges, so each worker's hot state is one dense block instead of
+// contiguous allocations carved in router-ID order, so the state the
+// network's phases walk in ID order is a few dense blocks instead of
 // thousands of individually allocated slices.
 type routerArena struct {
 	vcs   []inputVC

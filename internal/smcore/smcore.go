@@ -73,9 +73,10 @@ type SM struct {
 	warps []warp
 	gens  []workload.Generator // warp w's instruction stream
 
-	// Instruction fetch: the 2KB L1I, nil when the profile has no kernel
-	// image. A fill is in flight for each line a warp waits on (fetchLine).
-	icache *cache.Cache
+	// Instruction fetch: icache is the 2KB L1I (l1i), nil when the profile
+	// has no kernel image. A fill is in flight for each line a warp waits on
+	// (fetchLine).
+	icache, l1i *cache.Cache
 	// loop is the hot-loop size: the whole kernel if it is under half the
 	// L1I, else half the L1I (each phase change then pays cold misses).
 	loop uint64
@@ -106,30 +107,62 @@ type SM struct {
 	injBlocked bool
 }
 
-// New builds an SM running prof at the given mesh node: it allocates the
-// SM's storage, then Reset(prof, seed) sets every piece of run state.
+// New builds an SM running prof at the given mesh node: Build of one SM.
 func New(idx int, node mesh.NodeID, core config.Core, memCfg config.Mem,
 	prof workload.Profile, seed uint64, net noc.Interconnect,
 	pl *placement.Placement, gpu *stats.GPU, nextID *uint64) *SM {
+	return Build([]Slot{{Index: idx, Node: node, Seed: seed, NextID: nextID}}, core, memCfg, prof, net, pl, gpu)[0]
+}
 
-	sm := &SM{
-		Index:     idx,
-		Node:      node,
-		core:      core,
-		mem:       memCfg,
-		net:       net,
-		place:     pl,
-		prof:      prof,
-		l1:        cache.New(memCfg.L1DataBytes, memCfg.L1Ways, memCfg.LineBytes),
-		mshr:      cache.NewMSHR(memCfg.L1MSHRs),
-		warps:     make([]warp, core.WarpsPerSM),
-		outboxCap: 16,
-		gpu:       gpu,
-		nextID:    nextID,
+// Slot is what one SM of a Build has of its own: its index, mesh node,
+// workload seed and packet-ID counter.
+type Slot struct {
+	Index  int
+	Node   mesh.NodeID
+	Seed   uint64
+	NextID *uint64
+}
+
+// Build builds one SM per slot, all running prof, and returns them in slot
+// order. The SMs share a handful of allocations — SMs, warps, generators
+// and their streams, L1D and L1I lines, MSHR tables — however many there
+// are, then Reset(prof, seed) sets every piece of each one's run state.
+func Build(slots []Slot, core config.Core, memCfg config.Mem, prof workload.Profile,
+	net noc.Interconnect, pl *placement.Placement, gpu *stats.GPU) []*SM {
+
+	n, nw := len(slots), core.WarpsPerSM
+	sms, out := make([]SM, n), make([]*SM, n)
+	warps := make([]warp, n*nw)
+	l1s := cache.NewSlab(n, memCfg.L1DataBytes, memCfg.L1Ways, memCfg.LineBytes)
+	l1is := cache.NewSlab(n, memCfg.L1InstBytes, memCfg.L1InstWays, memCfg.LineBytes)
+	mshrs := cache.NewMSHRSlab(n, memCfg.L1MSHRs)
+	shares := make([]workload.SMWarps, n)
+	for i, sl := range slots {
+		sms[i] = SM{
+			Index:     sl.Index,
+			Node:      sl.Node,
+			core:      core,
+			mem:       memCfg,
+			net:       net,
+			place:     pl,
+			prof:      prof,
+			l1:        &l1s[i],
+			l1i:       &l1is[i],
+			mshr:      &mshrs[i],
+			warps:     warps[i*nw : (i+1)*nw : (i+1)*nw],
+			outboxCap: 16,
+			gpu:       gpu,
+			nextID:    sl.NextID,
+		}
+		shares[i] = workload.SMWarps{Prof: &sms[i].prof, Seed: sl.Seed, SM: sl.Index}
+		out[i] = &sms[i]
 	}
-	sm.gens = workload.NewGenerators(&sm.prof, seed, idx, core.WarpsPerSM)
-	sm.Reset(prof, seed)
-	return sm
+	gens := workload.NewGenerators(shares, nw)
+	for i, sl := range slots {
+		sms[i].gens = gens[i*nw : (i+1)*nw : (i+1)*nw]
+		sms[i].Reset(prof, sl.Seed)
+	}
+	return out
 }
 
 // Reset rewinds the SM to what New builds for prof and seed — empty caches,
@@ -141,16 +174,15 @@ func (s *SM) Reset(prof workload.Profile, seed uint64) {
 	s.prof = prof
 	s.loop = min(prof.KernelBytes, uint64(s.mem.L1InstBytes/2))
 	s.l1.Reset()
+	s.l1i.Reset()
 	s.mshr.Reset()
 	switch {
 	case prof.KernelBytes == 0:
 		s.icache = nil
 	case s.loop == 0: // Tick's pc wrap could never advance
 		panic(fmt.Sprintf("smcore: a %dB L1I leaves %s's kernel no hot loop to fetch", s.mem.L1InstBytes, prof.Name))
-	case s.icache == nil:
-		s.icache = cache.New(s.mem.L1InstBytes, s.mem.L1InstWays, s.mem.LineBytes)
 	default:
-		s.icache.Reset()
+		s.icache = s.l1i
 	}
 	for s.outbox.Len() > 0 {
 		s.free.Put(s.outbox.Front())

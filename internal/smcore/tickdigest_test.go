@@ -3,6 +3,8 @@ package smcore
 import (
 	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"gpgpunoc/internal/config"
@@ -108,12 +110,29 @@ func tickCases() []tickCase {
 	return cases
 }
 
-func newTickRig(c tickCase) *tickRig {
+// newTickRig puts the SM New builds at index 3 of the Table 2 system on a
+// scriptNet.
+func newTickRig(c tickCase) *tickRig { return newTickRigAt(c, 3, false) }
+
+// newTickRigAt is newTickRig at index idx; with slab set the SM is index idx
+// of the whole system instead, every SM laid out by one Build, only idx ever
+// ticked.
+func newTickRigAt(c tickCase, idx int, slab bool) *tickRig {
 	cfg := config.Default()
 	cfg.Mem.L1MSHRs = c.mshrs
 	pl := placement.MustNew(cfg.Placement, mesh.New(cfg.NoC.Width, cfg.NoC.Height), cfg.Mem.NumMCs)
 	r := &tickRig{net: &scriptNet{delay: c.delay, due: map[int64][]*packet.Packet{}}}
-	r.sm = New(3, pl.Cores()[3], cfg.Core, cfg.Mem, c.prof, c.seed, r.net, pl, &r.gs, &r.nextID)
+	if slab {
+		ids := make([]uint64, cfg.Core.NumSMs)
+		slots := make([]Slot, cfg.Core.NumSMs)
+		for i := range slots {
+			slots[i] = Slot{Index: i, Node: pl.Cores()[i], Seed: c.seed, NextID: &ids[i]}
+		}
+		slots[idx].NextID = &r.nextID
+		r.sm = Build(slots, cfg.Core, cfg.Mem, c.prof, r.net, pl, &r.gs)[idx]
+	} else {
+		r.sm = New(idx, pl.Cores()[idx], cfg.Core, cfg.Mem, c.prof, c.seed, r.net, pl, &r.gs, &r.nextID)
+	}
 	r.sink = r.sm.Sink()
 	return r
 }
@@ -188,8 +207,7 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-func tickDigest(c tickCase, cycles int) string {
-	r := newTickRig(c)
+func tickDigest(r *tickRig, cycles int) string {
 	h := digests.New()
 	for i := 0; i < cycles; i++ {
 		r.step()
@@ -206,9 +224,44 @@ func TestTickDigests(t *testing.T) {
 	cases := tickCases()
 	keys, got := make([]string, len(cases)), make([]string, len(cases))
 	for i, c := range cases {
-		keys[i], got[i] = c.key, tickDigest(c, 16000)
+		keys[i], got[i] = c.key, tickDigest(newTickRig(c), 16000)
 	}
 	for _, msg := range digests.Check(tickDigestFile, *updateDigests, keys, got) {
 		t.Error(msg)
+	}
+}
+
+// TestTickDigestsSlabBuilt: the SMs one Build lays out for the whole Table 2
+// system are the SMs New builds one at a time. Index 3 of the slab ticks to
+// the committed digest of every seed-1, 20-cycle-delay case (each profile,
+// both MSHR files), and every index ticks 2,000 cycles of KMN to the digest
+// of the SM New builds at that index.
+func TestTickDigestsSlabBuilt(t *testing.T) {
+	raw, err := os.ReadFile(tickDigestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, ln := range strings.Split(string(raw), "\n") {
+		if key, dig, ok := strings.Cut(ln, " "); ok {
+			want[key] = dig
+		}
+	}
+	var kmn tickCase
+	for _, c := range tickCases() {
+		if c.seed != 1 || c.delay != 20 {
+			continue
+		}
+		if got := tickDigest(newTickRigAt(c, 3, true), 16000); got != want[c.key] {
+			t.Errorf("%s: SM 3 of a slab digest %s, committed %s", c.key, got, want[c.key])
+		}
+		if c.prof.Name == "KMN" && c.mshrs == 32 {
+			kmn = c
+		}
+	}
+	for idx := range config.Default().Core.NumSMs {
+		if got, one := tickDigest(newTickRigAt(kmn, idx, true), 2000), tickDigest(newTickRigAt(kmn, idx, false), 2000); got != one {
+			t.Errorf("%s: SM %d of a slab digest %s, built alone %s", kmn.key, idx, got, one)
+		}
 	}
 }

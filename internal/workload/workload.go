@@ -231,22 +231,38 @@ func NewGenerator(prof Profile, seed uint64, smID, warpID, warpsPerSM int) *Gene
 	return &g
 }
 
-// NewGenerators builds the generators of all of an SM's warps in three
-// allocations — generators, streams, shared thresholds — not three per warp;
-// element w is what NewGenerator returns for warp w. The generators read
-// *prof for as long as they live and never write it.
-func NewGenerators(prof *Profile, seed uint64, smID, warpsPerSM int) []Generator {
-	streams := rng.NewSlab(warpsPerSM, func(w int) uint64 { return warpSeed(seed, smID, w) })
-	gs, odds := make([]Generator, warpsPerSM), new(chances).set(prof)
-	for w := range gs {
-		gs[w] = newGenerator(prof, odds, &streams[w], smID, w, warpsPerSM)
+// SMWarps is one SM's share of NewGenerators: the profile its generators
+// read for as long as they live (and never write), and the run seed and SM
+// index their streams derive from.
+type SMWarps struct {
+	Prof *Profile
+	Seed uint64
+	SM   int
+}
+
+// NewGenerators builds the generators of every SM in sms, warpsPerSM each, in
+// three allocations — generators, streams, each SM's shared thresholds — not
+// three per warp: SM i's warp w is element i*warpsPerSM+w, what NewGenerator
+// returns for that warp.
+func NewGenerators(sms []SMWarps, warpsPerSM int) []Generator {
+	streams := rng.NewSlab(len(sms)*warpsPerSM, func(k int) uint64 {
+		return warpSeed(sms[k/warpsPerSM].Seed, sms[k/warpsPerSM].SM, k%warpsPerSM)
+	})
+	gs, odds := make([]Generator, len(streams)), make([]chances, len(sms))
+	for i := range sms {
+		sm := &sms[i]
+		odds[i].set(sm.Prof)
+		for w := range warpsPerSM {
+			k := i*warpsPerSM + w
+			gs[k] = newGenerator(sm.Prof, &odds[i], &streams[k], sm.SM, w, warpsPerSM)
+		}
 	}
 	return gs
 }
 
-// ResetGenerators rewinds gs, built by NewGenerators, in place to what
-// NewGenerators(prof, seed, smID, len(gs)) returns for the profile they
-// read now: an SM starts its next run without allocating.
+// ResetGenerators rewinds gs, one SM's generators from NewGenerators, in
+// place to what NewGenerators returns for that SM under seed and the
+// profile they read now: an SM starts its next run without allocating.
 func ResetGenerators(gs []Generator, seed uint64, smID int) {
 	if len(gs) > 0 {
 		gs[0].odds.set(gs[0].prof) // shared by every generator

@@ -258,16 +258,19 @@ func TestNoSharedWhenDisabled(t *testing.T) {
 	}
 }
 
-// TestNewGeneratorsMatchesNewGenerator: the per-SM slab is the same
-// generators NewGenerator builds one at a time.
+// TestNewGeneratorsMatchesNewGenerator: a slab of several SMs, each with its
+// own profile, seed and index, is the same generators NewGenerator builds one
+// at a time.
 func TestNewGeneratorsMatchesNewGenerator(t *testing.T) {
-	prof := MustGet("KMN")
-	slab := NewGenerators(&prof, 7, 3, 48)
-	for w := range slab {
-		one := NewGenerator(prof, 7, 3, w, 48)
+	kmn, ray := MustGet("KMN"), MustGet("RAY")
+	sms := []SMWarps{{Prof: &kmn, Seed: 7, SM: 3}, {Prof: &ray, Seed: 9, SM: 0}, {Prof: &kmn, Seed: 7, SM: 55}}
+	slab := NewGenerators(sms, 48)
+	for k := range slab {
+		sm, w := sms[k/48], k%48
+		one := NewGenerator(*sm.Prof, sm.Seed, sm.SM, w, 48)
 		for i := 0; i < 200; i++ {
-			if a, b := slab[w].Next(), one.Next(); a != b {
-				t.Fatalf("warp %d instruction %d: slab %+v, single %+v", w, i, a, b)
+			if a, b := slab[k].Next(), one.Next(); a != b {
+				t.Fatalf("SM %d warp %d instruction %d: slab %+v, single %+v", sm.SM, w, i, a, b)
 			}
 		}
 	}
@@ -327,7 +330,7 @@ func TestGeneratorMatchesFloatDraws(t *testing.T) {
 			RunAhead: 4, LongOpFraction: 1, LongOpLatency: 600})
 	const seed, sm, warps, n = 5, 3, 48, 10_000
 	prof := profs[len(profs)-1]
-	gs := NewGenerators(&prof, seed, sm, warps)
+	gs := NewGenerators([]SMWarps{{Prof: &prof, Seed: seed, SM: sm}}, warps)
 	for _, p := range profs {
 		prof = p
 		ResetGenerators(gs, seed, sm)
