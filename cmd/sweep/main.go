@@ -4,12 +4,9 @@
 // one JSONL record per job so partial results are usable and re-runs
 // resume where they left off.
 //
-// Beyond the default single-process mode, the same binary is the
-// distributed sweep fabric (internal/fabric): `-serve` runs the shared
-// coordinator — expanding submitted specs, leasing jobs to workers, and
-// caching every result in a content-addressed store so identical
-// configurations are never simulated twice — and `-connect` runs a worker
-// against it.
+// With no instrument flag every job runs uninstrumented, so gpu.Run
+// recycles its simulators. To debug a failed job, rerun the same command
+// with -sanitize N -telemetry-epoch E: resume skips only ok records.
 //
 // Examples:
 //
@@ -17,10 +14,6 @@
 //	sweep -benchmarks KMN,BFS -routings xy,yx -vcpolicies split,monopolized -seeds 1,2
 //	sweep -spec examples/sweepspec.json -out results.jsonl            # re-run: resumes
 //	sweep -spec examples/sweepspec.json -dry-run                      # list the grid
-//
-//	sweep -serve 127.0.0.1:9178 -spec examples/sweepspec.json         # coordinator
-//	sweep -connect http://127.0.0.1:9178                              # worker (run several)
-//	curl http://127.0.0.1:9178/sweeps/<id>/results                    # results, fixed order
 package main
 
 import (
@@ -35,7 +28,6 @@ import (
 	"time"
 
 	"gpgpunoc/internal/config"
-	"gpgpunoc/internal/fabric"
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/profiling"
 	"gpgpunoc/internal/sweep"
@@ -65,9 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		telEpoch = fs.Int64("telemetry-epoch", 0, "sample cycle-domain telemetry every N cycles (0 = off)")
 		telDir   = fs.String("telemetry-dir", "", "directory for per-job telemetry artifacts (default: <out>.telemetry)")
 
-		flightN   = fs.Int("flight-recorder", 4096, "flight-recorder ring size in events (0 = off); dumps recent cycle-domain events as JSONL on panic, invariant failure, or watchdog trip")
-		flightDir = fs.String("flight-dir", "", "directory for flight-recorder post-mortem dumps (default: <out>.flight)")
-
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 
@@ -80,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seeds      = fs.String("seeds", "", "comma-separated seed grid (default: base seed)")
 		skipBad    = fs.Bool("skip-invalid", true, "drop grid points failing validation instead of erroring")
 	)
-	fab := config.BindFabricFlags(fs)
 	// The base configuration under the grid comes from the shared
 	// flag→config API, so `-config file.json` or `-vcs 4` shapes every job.
 	cf := config.BindFlags(fs)
@@ -95,50 +83,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := config.ValidateTelemetryEpoch(*telEpoch); err != nil {
 		return fail(err)
 	}
-	if err := fab.Validate(); err != nil {
-		return fail(err)
-	}
-	switch {
-	case *telEpoch > 0 && fab.Mode() == "connect":
-		return fail(fmt.Errorf("sweep: -telemetry-epoch is refused in worker mode: its artifacts would be stranded on the worker"))
-	case *telDir != "" && *telEpoch == 0:
+	if *telDir != "" && *telEpoch == 0 {
 		return fail(fmt.Errorf("sweep: -telemetry-dir needs -telemetry-epoch"))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// The instruments compose into one value: sanitizer, telemetry, and the
-	// flight recorder all thread through gpu.Instrumentation, and every mode
-	// that simulates runs jobs through the same runner. A worker keeps the
-	// flight recorder: dumps are per-process and land on the worker's own
-	// disk, where its crash is diagnosed.
-	fdir := *flightDir
-	if fdir == "" {
-		fdir = *out + ".flight"
-	}
-	runner := sweep.SimulateWith(gpu.Instrumentation{
-		SanitizeEvery:  *sanitize,
-		TelemetryEpoch: *telEpoch,
-		FlightRecorder: *flightN,
-		FlightDir:      fdir,
-	})
 	telemetryDir := *telDir
 	if *telEpoch > 0 && telemetryDir == "" {
 		telemetryDir = *out + ".telemetry"
-	}
-
-	switch fab.Mode() {
-	case "serve":
-		if err := runServe(ctx, fab, *specFile, *out, stdout, stderr); err != nil {
-			return fail(err)
-		}
-		return 0
-	case "connect":
-		if err := runWorker(ctx, fab, runner, *jobsN, *timeout, stderr); err != nil && ctx.Err() == nil {
-			return fail(err)
-		}
-		return 0
 	}
 
 	spec, err := buildSpec(*specFile, cf, gridFlags{
@@ -193,7 +147,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printer = sweep.NewPrinter(stderr, len(jobs))
 		opts.Progress = printer.Handle
 	}
-	opts.Run = runner
+	// With neither instrument set this is the zero Instrumentation, and
+	// gpu.Run recycles a parked simulator for every job of a known shape.
+	opts.Run = sweep.SimulateWith(gpu.Instrumentation{SanitizeEvery: *sanitize, TelemetryEpoch: *telEpoch})
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -226,72 +182,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(runErr)
 	}
 	return 0
-}
-
-// runServe runs the fabric coordinator: open the content-addressed store,
-// serve the submit/lease/results API, optionally submit an initial spec,
-// and hold until interrupted.
-func runServe(ctx context.Context, fab *config.Fabric, specFile, out string, stdout, stderr io.Writer) error {
-	storeDir := fab.StoreDir
-	if storeDir == "" {
-		storeDir = out + ".store"
-	}
-	store, err := fabric.OpenStore(storeDir)
-	if err != nil {
-		return err
-	}
-	co := fabric.NewCoordinator(store, fabric.Options{
-		LeaseTTL:    fab.LeaseTTL,
-		LeaseJobs:   fab.LeaseJobs,
-		MaxAttempts: fab.MaxAttempts,
-		Logf:        logTo(stderr),
-	})
-	srv, err := fabric.NewServer(fab.Serve, co)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	fmt.Fprintf(stderr, "coordinator: http://%s/{submit,sweeps,results,workers,metrics,progress,healthz}\n", srv.Addr())
-	fmt.Fprintf(stderr, "store: %s (%d cached results)\n", storeDir, store.Len())
-
-	if specFile != "" {
-		spec, err := sweep.ReadSpec(specFile)
-		if err != nil {
-			return err
-		}
-		resp, err := co.Submit(spec)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "sweep %s: %d jobs (%d cached, %d pending, %d skipped)\n",
-			resp.SweepID, resp.Total, resp.Cached, resp.Pending, resp.Skipped)
-		fmt.Fprintf(stdout, "results: http://%s/sweeps/%s/results\n", srv.Addr(), resp.SweepID)
-	}
-
-	<-ctx.Done()
-	fmt.Fprintln(stderr, "coordinator: shutting down")
-	return nil
-}
-
-// runWorker runs the fabric worker loop against a coordinator until
-// interrupted.
-func runWorker(ctx context.Context, fab *config.Fabric, runner sweep.RunFunc, jobs int, timeout time.Duration, stderr io.Writer) error {
-	name, _ := os.Hostname()
-	name = fmt.Sprintf("%s/%d", name, os.Getpid())
-	w := fabric.NewWorker(fab.Connect, fabric.WorkerOptions{
-		Name:    name,
-		Run:     runner,
-		Jobs:    jobs,
-		Timeout: timeout,
-		Logf:    logTo(stderr),
-	})
-	fmt.Fprintf(stderr, "worker %s: connecting to %s\n", name, fab.Connect)
-	return w.Run(ctx)
-}
-
-// logTo adapts w to the fabric's line logger.
-func logTo(w io.Writer) func(format string, args ...any) {
-	return func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
 }
 
 type gridFlags struct {

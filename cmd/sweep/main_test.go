@@ -46,18 +46,23 @@ func TestGoldenDryRun(t *testing.T) {
 }
 
 // TestUsageErrors: a command line that cannot mean anything is refused
-// before any store, server or job starts, naming what is wrong.
+// before any job starts, naming what is wrong. The retired fabric roles and
+// flight-recorder flags are unknown flags: sweep runs in one process, and a
+// failed job is rerun with -sanitize and -telemetry-epoch instead.
 func TestUsageErrors(t *testing.T) {
 	for name, tc := range map[string]struct {
 		args []string
 		code int
 		want string
 	}{
-		"unknown flag":       {[]string{"-worker-obs-addr", ":9"}, 2, "flag provided but not defined: -worker-obs-addr"},
-		"heartbeat flag":     {[]string{"-heartbeat", "1s"}, 2, "flag provided but not defined: -heartbeat"},
-		"both fabric roles":  {[]string{"-serve", "a", "-connect", "http://b"}, 1, "mutually exclusive"},
-		"retired live views": {[]string{"-obs-addr", "127.0.0.1:0"}, 2, "flag provided but not defined: -obs-addr"},
-		"worker telemetry":   {[]string{"-connect", "http://127.0.0.1:1", "-telemetry-epoch", "100"}, 1, "-telemetry-epoch"},
+		"unknown flag":        {[]string{"-worker-obs-addr", ":9"}, 2, "flag provided but not defined: -worker-obs-addr"},
+		"heartbeat flag":      {[]string{"-heartbeat", "1s"}, 2, "flag provided but not defined: -heartbeat"},
+		"retired live views":  {[]string{"-obs-addr", "127.0.0.1:0"}, 2, "flag provided but not defined: -obs-addr"},
+		"retired coordinator": {[]string{"-serve", "127.0.0.1:0"}, 2, "flag provided but not defined: -serve"},
+		"retired worker":      {[]string{"-connect", "http://127.0.0.1:1"}, 2, "flag provided but not defined: -connect"},
+		"retired store":       {[]string{"-store", "x"}, 2, "flag provided but not defined: -store"},
+		"retired recorder":    {[]string{"-flight-recorder", "0"}, 2, "flag provided but not defined: -flight-recorder"},
+		"retired dump dir":    {[]string{"-flight-dir", "x"}, 2, "flag provided but not defined: -flight-dir"},
 		// A dry run would exit 0 at once, so an ignored -telemetry-dir shows.
 		"telemetry dir without epoch": {[]string{"-spec", smokeSpec, "-dry-run", "-telemetry-dir", "x"}, 1, "-telemetry-dir"},
 	} {

@@ -1,33 +1,21 @@
-// Command traceview summarizes packet-level and fleet-level trace artifacts.
+// Command traceview summarizes a span JSONL log produced by `nocsim -spans`:
+// per-type delivery counts and network latencies plus the head-flit hop
+// histogram over the whole log, then each sampled packet's hop timeline —
+// cycle, router, VC, and stall causes along the way.
 //
-// With -spans it reads a span JSONL log produced by `nocsim -spans`: per-type
-// delivery counts and network latencies plus the head-flit hop histogram over
-// the whole log, then each sampled packet's hop timeline — cycle, router, VC,
-// and stall causes along the way. With -timeline it reads a fleet
-// job-lifecycle timeline (the coordinator's /sweeps/{id}/timeline payload)
-// and renders per-job span tables — or, with -chrome, converts it to a
-// Chrome-trace JSON loadable in Perfetto (https://ui.perfetto.dev) or
-// chrome://tracing.
-//
-// Examples:
+// Example:
 //
 //	nocsim -bench KMN -cycles 5000 -spans /tmp/kmn.spans.jsonl -obs-sample-rate 1
-//	traceview -spans -n 5 /tmp/kmn.spans.jsonl
-//
-//	curl -s http://127.0.0.1:9178/sweeps/s0123abc/timeline > tl.json
-//	traceview -timeline tl.json
-//	traceview -timeline -chrome trace.json tl.json
+//	traceview -n 5 /tmp/kmn.spans.jsonl
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 
-	"gpgpunoc/internal/fleetobs"
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 )
@@ -35,19 +23,16 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its inputs and outputs as parameters, so tests can pin
-// what each mode prints. It returns the process exit code.
+// what it prints. It returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("traceview", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	spans := fs.Bool("spans", false, "input is a span JSONL log (from nocsim -spans)")
-	timeline := fs.Bool("timeline", false, "input is a fleet timeline JSON (from the coordinator's /sweeps/{id}/timeline)")
-	chromeOut := fs.String("chrome", "", "with -timeline, write a Chrome-trace/Perfetto JSON file instead of the text summary")
-	limit := fs.Int("n", 0, "show at most N per-packet or per-job timelines (0 = all)")
+	limit := fs.Int("n", 0, "show at most N per-packet timelines (0 = all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() != 1 || *spans == *timeline {
-		fmt.Fprintln(stderr, "usage: traceview {-spans | -timeline [-chrome out.json]} [-n N] <spans.jsonl | timeline.json>")
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: traceview [-n N] <spans.jsonl>")
 		return 2
 	}
 	f, err := os.Open(fs.Arg(0))
@@ -56,86 +41,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer f.Close()
-
-	if *spans {
-		log, err := obs.ReadSpans(f)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		showSpans(stdout, log, *limit)
-		return 0
-	}
-
-	var tl fleetobs.Timeline
-	if err := json.NewDecoder(f).Decode(&tl); err != nil {
-		fmt.Fprintln(stderr, "traceview: parse timeline:", err)
+	log, err := obs.ReadSpans(f)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	if *chromeOut != "" {
-		if err := writeChrome(*chromeOut, &tl); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "chrome trace: %s (load in https://ui.perfetto.dev or chrome://tracing)\n", *chromeOut)
-		return 0
-	}
-	showTimeline(stdout, &tl, *limit)
+	showSpans(stdout, log, *limit)
 	return 0
-}
-
-// writeChrome converts a fleet timeline to a Chrome-trace file.
-func writeChrome(path string, tl *fleetobs.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fleetobs.WriteChromeTimeline(f, tl); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// showTimeline renders each job's fleet lifecycle as a span table.
-func showTimeline(w io.Writer, tl *fleetobs.Timeline, limit int) {
-	fmt.Fprintf(w, "sweep %s: %d jobs, now %dms\n", tl.SweepID, len(tl.Jobs), tl.NowMS)
-	n := len(tl.Jobs)
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	for _, jt := range tl.Jobs[:n] {
-		fmt.Fprintf(w, "\n%s (%s)\n", jt.Key, jt.Fingerprint)
-		fmt.Fprintf(w, "  %9s %9s  %-10s %-8s %s\n", "start", "end", "span", "worker", "detail")
-		for _, sp := range jt.Spans {
-			end := fmt.Sprintf("%dms", sp.EndMS)
-			if sp.EndMS < 0 {
-				end = "open"
-			}
-			detail := sp.Detail
-			if sp.Attempt > 0 {
-				detail = fmt.Sprintf("attempt %d", sp.Attempt) + sep(detail)
-			}
-			if sp.Heartbeats > 0 {
-				detail += fmt.Sprintf(" (%d heartbeats)", sp.Heartbeats)
-			}
-			worker := sp.Worker
-			if worker == "" {
-				worker = "-"
-			}
-			fmt.Fprintf(w, "  %8dms %9s  %-10s %-8s %s\n", sp.StartMS, end, sp.Kind, worker, detail)
-		}
-	}
-	if n < len(tl.Jobs) {
-		fmt.Fprintf(w, "\n... %d more jobs (raise -n to show them)\n", len(tl.Jobs)-n)
-	}
-}
-
-func sep(detail string) string {
-	if detail == "" {
-		return ""
-	}
-	return ": " + detail
 }
 
 // summarizeSpans prints per-type delivered counts with mean and maximum

@@ -44,38 +44,25 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 func TestSpansOutput(t *testing.T) {
-	checkGolden(t, "spans.golden", runOK(t, "-spans", "testdata/spans.jsonl"))
-	checkGolden(t, "spans_n2.golden", runOK(t, "-spans", "-n", "2", "testdata/spans.jsonl"))
+	checkGolden(t, "spans.golden", runOK(t, "testdata/spans.jsonl"))
+	checkGolden(t, "spans_n2.golden", runOK(t, "-n", "2", "testdata/spans.jsonl"))
 }
 
-func TestTimelineOutput(t *testing.T) {
-	checkGolden(t, "timeline.golden", runOK(t, "-timeline", "testdata/timeline.json"))
-	checkGolden(t, "timeline_n1.golden", runOK(t, "-timeline", "-n", "1", "testdata/timeline.json"))
-
-	out := filepath.Join(t.TempDir(), "trace.json")
-	if stdout := runOK(t, "-timeline", "-chrome", out, "testdata/timeline.json"); !bytes.Contains(stdout, []byte(out)) {
-		t.Errorf("-chrome did not say where it wrote: %s", stdout)
-	}
-	trace, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "timeline_chrome.golden", trace)
-}
-
+// TestUsageAndInputErrors: traceview reads span logs only, so the retired
+// mode selectors are unknown flags.
 func TestUsageAndInputErrors(t *testing.T) {
 	for name, tc := range map[string]struct {
 		args []string
 		code int
 		want string
 	}{
-		"no mode":        {[]string{"testdata/spans.jsonl"}, 2, "usage:"},
-		"both modes":     {[]string{"-spans", "-timeline", "testdata/spans.jsonl"}, 2, "usage:"},
-		"no file":        {[]string{"-spans"}, 2, "usage:"},
-		"unknown flag":   {[]string{"-trace", "x.csv"}, 2, "flag provided but not defined"},
-		"missing file":   {[]string{"-spans", "testdata/absent.jsonl"}, 1, "absent.jsonl"},
-		"not a span log": {[]string{"-spans", "testdata/timeline.json"}, 1, "span log line 1"},
-		"not a timeline": {[]string{"-timeline", "main_test.go"}, 1, "parse timeline"},
+		"no file":          {nil, 2, "usage:"},
+		"two files":        {[]string{"testdata/spans.jsonl", "testdata/spans.jsonl"}, 2, "usage:"},
+		"unknown flag":     {[]string{"-trace", "x.csv"}, 2, "flag provided but not defined"},
+		"retired timeline": {[]string{"-timeline", "testdata/spans.jsonl"}, 2, "flag provided but not defined: -timeline"},
+		"retired selector": {[]string{"-spans", "testdata/spans.jsonl"}, 2, "flag provided but not defined: -spans"},
+		"missing file":     {[]string{"testdata/absent.jsonl"}, 1, "absent.jsonl"},
+		"not a span log":   {[]string{"testdata/spans.golden"}, 1, "span log line 1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code {

@@ -251,6 +251,9 @@ func TestDuplicateSubmitServedFromStore(t *testing.T) {
 	if resub.Cached != 4 || resub.Pending != 0 {
 		t.Fatalf("restart resubmit = %+v, want 4 cached, 0 pending", resub)
 	}
+	if v := metricValue(string(co2.Metrics()), "fleet_store_hits_total"); v != 4 {
+		t.Fatalf("restarted coordinator's fleet_store_hits_total = %g, want 4", v)
+	}
 	st, err := co2.Status(resub.SweepID)
 	if err != nil || !st.Finished() {
 		t.Fatalf("restarted sweep not finished: %+v err=%v", st, err)

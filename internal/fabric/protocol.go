@@ -7,6 +7,10 @@
 // single-process engine (sweep.Run with the production RunFuncs), and post
 // the records back.
 //
+// No command runs the fabric: cmd/sweep is single-process. The package
+// remains as the subject of the repository benchmark's fabric_short
+// workload.
+//
 // Robustness model: every lease carries a deadline that worker heartbeats
 // extend; a worker that goes silent forfeits its lease and the coordinator
 // re-queues the unfinished jobs for the next worker. Attempts are capped —

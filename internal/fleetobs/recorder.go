@@ -8,7 +8,7 @@
 // one predictable nil check per site, and recording into an attached one is
 // a plain struct store into a preallocated ring — no allocation, no locks.
 // The ring is single-writer: gpu.Simulator's run loop, on the stepping
-// goroutine.
+// goroutine. Only gpu.Simulator.AttachFlight attaches one; no command does.
 package fleetobs
 
 import (

@@ -144,13 +144,23 @@ func TestFlightDumpOnPanic(t *testing.T) {
 	}
 }
 
-func TestFlightRecordsCleanRun(t *testing.T) {
-	res, err := Run(context.Background(), quickCfg(), "KMN", Instrumentation{
-		FlightRecorder: 4096,
-	})
+// flightRun runs KMN on quickCfg with a recorder of size events attached.
+func flightRun(t *testing.T, size int) Result {
+	t.Helper()
+	s, err := New(quickCfg(), workload.MustGet("KMN"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.AttachFlight(size, "")
+	res, err := s.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestFlightRecordsCleanRun(t *testing.T) {
+	res := flightRun(t, 4096)
 	if res.Flight == nil {
 		t.Fatal("result does not carry the recorder")
 	}
@@ -177,10 +187,7 @@ func TestFlightRecorderDoesNotChangeResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Run(context.Background(), quickCfg(), "KMN", Instrumentation{FlightRecorder: 1 << 14})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := flightRun(t, 1<<14)
 	if base.IPC != rec.IPC || base.GPU != rec.GPU {
 		t.Fatalf("recorder changed results: base IPC %v GPU %+v, recorded IPC %v GPU %+v",
 			base.IPC, base.GPU, rec.IPC, rec.GPU)

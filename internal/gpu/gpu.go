@@ -54,7 +54,7 @@ type Simulator struct {
 	Spans *obs.Spans
 
 	// Flight, when non-nil (see AttachFlight), is the flight recorder,
-	// attached only on request (cmd/sweep's default does): a bounded ring
+	// attached only on request: a bounded ring
 	// of recent cycle-domain events (phase entries, 512-cycle checkpoints,
 	// invariant checks, watchdog, panic) dumped as JSONL post-mortem on
 	// panic, invariant failure, or watchdog trip.
@@ -210,9 +210,9 @@ func (s *Simulator) reclaim(p *packet.Packet) { s.SMs[p.Access.SM].Reclaim(p) }
 
 // NewInstrumented is New plus observability applied at construction, before
 // the first cycle: the invariant sanitizer when inst.SanitizeEvery > 0,
-// telemetry when inst.TelemetryEpoch > 0, span tracing when inst.Spans, the
-// flight recorder when inst.FlightRecorder > 0. Instrumentation is a
-// construction-time decision; the one post-construction hook is AttachFlight.
+// telemetry when inst.TelemetryEpoch > 0, span tracing when inst.Spans.
+// Instrumentation is a construction-time decision; the flight recorder is
+// attached only by AttachFlight.
 func NewInstrumented(cfg config.Config, prof workload.Profile, inst Instrumentation) (*Simulator, error) {
 	s, err := New(cfg, prof)
 	if err != nil {
@@ -227,18 +227,14 @@ func NewInstrumented(cfg config.Config, prof workload.Profile, inst Instrumentat
 			return nil, err
 		}
 	}
-	if inst.FlightRecorder > 0 {
-		s.AttachFlight(inst.FlightRecorder, inst.FlightDir)
-	}
 	return s, nil
 }
 
 // AttachFlight installs the flight recorder retaining the most recent
 // `size` events (rounded up to a power of two), with post-mortem dumps
 // written under dir ("" keeps the ring in memory only). Call once, before
-// the first cycle. Unlike the rest of the observability stack this is also
-// exposed post-construction: benchmarks attach it to an already-built
-// simulator to measure recorder overhead in place.
+// the first cycle. It is the one way to attach the recorder: benchmarks
+// attach it to an already-built simulator to measure its overhead in place.
 func (s *Simulator) AttachFlight(size int, dir string) *fleetobs.Recorder {
 	if s.Flight != nil {
 		panic("gpu: flight recorder attached twice")
@@ -267,12 +263,6 @@ type Instrumentation struct {
 	// nothing).
 	Spans    bool
 	SpanRate float64
-
-	// FlightRecorder > 0 attaches the flight recorder retaining that many
-	// recent events; FlightDir is where post-mortem dumps land ("" keeps
-	// the ring in memory only).
-	FlightRecorder int
-	FlightDir      string
 }
 
 // Close does nothing: a simulator holds no goroutine or other resource to
@@ -579,7 +569,7 @@ func (s *Simulator) result(deadlocked bool, cycles int64) Result {
 // The list holds at most GOMAXPROCS simulators, the oldest dropped first,
 // and a run that finds none of its shape drops the oldest too.
 // An instrumented simulator is always built fresh and never kept: its
-// telemetry, spans and flight recorder escape into the result.
+// telemetry and spans escape into the result.
 func Run(ctx context.Context, cfg config.Config, benchmark string, inst Instrumentation) (Result, error) {
 	prof, err := workload.Get(benchmark)
 	if err != nil {

@@ -66,11 +66,12 @@ const sanitizeEvery = 256
 func run(t *testing.T, cfg config.Config, prof workload.Profile) gpu.Result {
 	t.Helper()
 	sim, err := gpu.NewInstrumented(cfg, prof, gpu.Instrumentation{
-		SanitizeEvery: sanitizeEvery, TelemetryEpoch: 400, FlightRecorder: 1 << 12,
+		SanitizeEvery: sanitizeEvery, TelemetryEpoch: 400,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim.AttachFlight(1<<12, "")
 	res, err := sim.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)

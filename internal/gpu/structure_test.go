@@ -16,7 +16,7 @@ import (
 // leaves, and the race detector must see no write to what they share.
 func TestSharedStructureConcurrentRuns(t *testing.T) {
 	kmn := workload.MustGet("KMN")
-	inst := gpu.Instrumentation{SanitizeEvery: sanitizeEvery, TelemetryEpoch: 400, FlightRecorder: 1 << 12}
+	inst := gpu.Instrumentation{SanitizeEvery: sanitizeEvery, TelemetryEpoch: 400}
 	cfgs := []config.Config{equivCfg(), equivCfg()}
 	cfgs[1].Seed = 7
 
@@ -28,6 +28,7 @@ func TestSharedStructureConcurrentRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sim.AttachFlight(1<<12, "")
 		sims[i] = sim
 	}
 	if sims[0].Place != sims[1].Place {

@@ -122,11 +122,12 @@ func TestWholeStepWrappedNet(t *testing.T) {
 	want := run(t, cfg, workload.MustGet("KMN"))
 
 	sim, err := gpu.NewInstrumented(cfg, workload.MustGet("KMN"), gpu.Instrumentation{
-		SanitizeEvery: 256, TelemetryEpoch: 400, FlightRecorder: 1 << 12,
+		SanitizeEvery: 256, TelemetryEpoch: 400,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim.AttachFlight(1<<12, "")
 	wrap := &countingNet{Interconnect: sim.Net}
 	sim.Net = wrap
 	got, err := sim.RunContext(context.Background())

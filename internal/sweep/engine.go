@@ -26,7 +26,7 @@ func Simulate(ctx context.Context, j Job) (gpu.Result, error) {
 }
 
 // SimulateWith returns a RunFunc like Simulate with the given
-// instrumentation (sanitizer, telemetry, span tracing, flight recorder)
+// instrumentation (sanitizer, telemetry, span tracing)
 // built into every job's simulator. Instrumented results carry their
 // telemetry in Result.Tel; pair with Options.TelemetryDir to persist
 // per-job artifacts.
