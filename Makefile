@@ -41,12 +41,18 @@ race:
 mutants:
 	bash testdata/mutations/run.sh
 
-# smoke runs the 4-job example spec through the real CLI and engine,
-# then re-runs it against the same output to prove resume skips all 4.
+# smoke runs the 4-job example spec through the real CLI and engine and
+# checks that the records' fingerprints (a record's first member) are
+# -dry-run's list line for line, then re-runs it against the same output to
+# prove resume skips all 4: the file's line count does not change.
 smoke:
+	$(GO) run ./cmd/sweep -spec examples/sweepspec_smoke.json -dry-run | grep -v ' jobs (' | cut -d' ' -f1 >$(SMOKE_OUT).want
 	$(GO) run ./cmd/sweep -spec examples/sweepspec_smoke.json -out $(SMOKE_OUT)
+	cut -d'"' -f4 $(SMOKE_OUT) | diff $(SMOKE_OUT).want -
+	wc -l <$(SMOKE_OUT) >$(SMOKE_OUT).lines
 	$(GO) run ./cmd/sweep -spec examples/sweepspec_smoke.json -out $(SMOKE_OUT)
-	@rm -f $(SMOKE_OUT)
+	wc -l <$(SMOKE_OUT) | diff $(SMOKE_OUT).lines -
+	@rm -f $(SMOKE_OUT) $(SMOKE_OUT).want $(SMOKE_OUT).lines
 
 # bench-smoke compiles and runs every testing.B benchmark exactly once — the
 # nine left in the root bench_test.go: GPUCycle, GPUCycleLarge,

@@ -1,8 +1,16 @@
-// Command sweep runs a design-space sweep: a grid of independent
-// simulations defined by a JSON spec file or by flags, executed on a
-// bounded worker pool with per-job timeouts and panic isolation, streaming
-// one JSONL record per job so partial results are usable and re-runs
-// resume where they left off.
+// Command sweep runs a design-space sweep: the grid of independent
+// simulations a JSON spec file declares (axes, filters and the base
+// configuration under them), executed on a bounded worker pool with per-job
+// timeouts and panic isolation, one JSONL record per job.
+//
+// The spec is the whole sweep: -spec is required, and no flag adds to or
+// overrides it. Every run resumes from -out, skipping each job whose ok
+// record is already there, and prints one progress line per job to stderr
+// (silence it with 2>/dev/null). Records reach -out in expansion order, the
+// order -dry-run lists, so two result files of one spec diff cleanly at any
+// -jobs. The cost of that order: a record that finishes before an earlier,
+// slower job is held in memory until that job ends, so a crash loses it and
+// the next run re-runs its job.
 //
 // With no instrument flag every job runs uninstrumented, so gpu.Run
 // recycles its simulators. To debug a failed job, rerun the same command
@@ -11,7 +19,6 @@
 // Examples:
 //
 //	sweep -spec examples/sweepspec.json -out results.jsonl
-//	sweep -benchmarks KMN,BFS -routings xy,yx -vcpolicies split,monopolized -seeds 1,2
 //	sweep -spec examples/sweepspec.json -out results.jsonl            # re-run: resumes
 //	sweep -spec examples/sweepspec.json -dry-run                      # list the grid
 package main
@@ -23,35 +30,29 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
-	"time"
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/profiling"
 	"gpgpunoc/internal/sweep"
-	"gpgpunoc/internal/workload"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its inputs and outputs as parameters, so tests can pin
 // what it prints. It returns the process exit code: 2 for flags it cannot
-// parse, 1 for a refused option or a setup or engine error. Failed jobs are
-// data, not errors: they do not change the exit code.
+// parse, a missing -spec or a stray argument, 1 for a refused option or a
+// setup or engine error. Failed jobs are data, not errors: they do not change
+// the exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		specFile = fs.String("spec", "", "JSON sweep spec file (grid flags are ignored when set)")
-		out      = fs.String("out", "sweep.jsonl", "JSONL results file (appended)")
+		specFile = fs.String("spec", "", "JSON sweep spec file (required)")
+		out      = fs.String("out", "sweep.jsonl", "JSONL results file (appended; jobs already ok in it are skipped)")
 		jobsN    = fs.Int("jobs", 0, "concurrent jobs (default GOMAXPROCS)")
 		timeout  = fs.Duration("timeout", 0, "per-job timeout, e.g. 30s (default none)")
-		resume   = fs.Bool("resume", true, "skip jobs whose fingerprint is already in -out")
-		ordered  = fs.Bool("ordered", false, "write records in grid (expansion) order instead of completion order, so result files of the same spec diff cleanly")
 		dryRun   = fs.Bool("dry-run", false, "print the expanded job list and exit")
-		quiet    = fs.Bool("quiet", false, "suppress per-job progress lines")
 		sanitize = fs.Int("sanitize", 0, "validate interconnect invariants every N cycles (0 = off)")
 
 		telEpoch = fs.Int64("telemetry-epoch", 0, "sample cycle-domain telemetry every N cycles (0 = off)")
@@ -59,20 +60,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = fs.String("memprofile", "", "write an allocation profile to this file at exit")
-
-		benchmarks = fs.String("benchmarks", "", "comma-separated benchmarks ("+strings.Join(workload.Names(), ",")+"); default all")
-		placements = fs.String("placements", "", "comma-separated placement grid (default: base placement)")
-		routings   = fs.String("routings", "", "comma-separated routing grid (default: base routing)")
-		vcpolicies = fs.String("vcpolicies", "", "comma-separated VC policy grid (default: base policy)")
-		vcsList    = fs.String("vcs-grid", "", "comma-separated VCs-per-port grid (default: base)")
-		depthList  = fs.String("depth-grid", "", "comma-separated VC depth grid (default: base)")
-		seeds      = fs.String("seeds", "", "comma-separated seed grid (default: base seed)")
-		skipBad    = fs.Bool("skip-invalid", true, "drop grid points failing validation instead of erroring")
 	)
-	// The base configuration under the grid comes from the shared
-	// flag→config API, so `-config file.json` or `-vcs 4` shapes every job.
-	cf := config.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *specFile == "" {
+		fmt.Fprintln(stderr, "sweep: -spec is required: the spec file declares the whole sweep (see examples/sweepspec.json)")
+		return 2
+	}
+	// Parsing stops at the first argument that is not a flag, so every flag
+	// after it would be dropped unseen.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "sweep: unexpected argument %q: flags go before it, and the spec file declares the rest\n", fs.Arg(0))
 		return 2
 	}
 	fail := func(err error) int {
@@ -95,15 +94,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		telemetryDir = *out + ".telemetry"
 	}
 
-	spec, err := buildSpec(*specFile, cf, gridFlags{
-		benchmarks: *benchmarks, placements: *placements, routings: *routings,
-		vcpolicies: *vcpolicies, vcs: *vcsList, depths: *depthList, seeds: *seeds,
-		skipInvalid: *skipBad,
-	})
+	spec, err := sweep.ReadSpec(*specFile)
 	if err != nil {
 		return fail(err)
 	}
-
 	jobs, skipped, err := spec.Expand()
 	if err != nil {
 		return fail(err)
@@ -120,58 +114,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	done := map[string]bool{}
-	if *resume {
-		var warning string
-		if done, warning, err = sweep.CompletedFingerprints(*out); err != nil {
-			return fail(err)
-		}
-		if warning != "" {
-			fmt.Fprintf(stderr, "sweep: resume from %s: %s\n", *out, warning)
-		}
+	done, warning, err := sweep.CompletedFingerprints(*out)
+	if err != nil {
+		return fail(err)
+	}
+	if warning != "" {
+		fmt.Fprintf(stderr, "sweep: resume from %s: %s\n", *out, warning)
 	}
 	jsonl, err := sweep.OpenJSONL(*out)
 	if err != nil {
 		return fail(err)
 	}
-	var sink sweep.Sink = jsonl
-	var orderedSink *sweep.Ordered
-	if *ordered {
-		orderedSink = sweep.NewOrdered(jsonl, jobs)
-		sink = orderedSink
-	}
+	sink := resumeSink(jsonl, jobs, done)
 
-	opts := sweep.Options{Workers: *jobsN, Timeout: *timeout, Done: done, TelemetryDir: telemetryDir}
-	var printer *sweep.Printer
-	if !*quiet {
-		printer = sweep.NewPrinter(stderr, len(jobs))
-		opts.Progress = printer.Handle
+	printer := sweep.NewPrinter(stderr, len(jobs))
+	opts := sweep.Options{
+		Workers: *jobsN, Timeout: *timeout, Done: done, TelemetryDir: telemetryDir,
+		Progress: printer.Handle,
+		// With neither instrument set this is the zero Instrumentation, and
+		// gpu.Run recycles a parked simulator for every job of a known shape.
+		Run: sweep.SimulateWith(gpu.Instrumentation{SanitizeEvery: *sanitize, TelemetryEpoch: *telEpoch}),
 	}
-	// With neither instrument set this is the zero Instrumentation, and
-	// gpu.Run recycles a parked simulator for every job of a known shape.
-	opts.Run = sweep.SimulateWith(gpu.Instrumentation{SanitizeEvery: *sanitize, TelemetryEpoch: *telEpoch})
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		return fail(err)
 	}
 
-	start := time.Now()
 	outs, runErr := sweep.Run(ctx, jobs, sink, opts)
 	summary := sweep.Summarize(outs)
-	if orderedSink != nil {
-		if ferr := orderedSink.Flush(); ferr != nil && runErr == nil {
-			runErr = ferr
-		}
+	if ferr := sink.Flush(); ferr != nil && runErr == nil {
+		runErr = ferr
 	}
 	if cerr := jsonl.Close(); cerr != nil && runErr == nil {
 		runErr = cerr
 	}
-	if printer != nil {
-		printer.Finish(summary)
-	} else {
-		fmt.Fprintf(stderr, "sweep finished in %.1fs: %s\n", time.Since(start).Seconds(), summary)
-	}
+	printer.Finish(summary)
 	fmt.Fprintf(stdout, "results: %s (%d records this run)\n", *out, summary.OK+summary.Failed)
 	// Flush profiles before any exit: a failed sweep is exactly when the
 	// profile is most wanted.
@@ -184,70 +162,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-type gridFlags struct {
-	benchmarks, placements, routings, vcpolicies, vcs, depths, seeds string
-	skipInvalid                                                      bool
-}
-
-// buildSpec assembles the sweep spec from a file or from the grid flags
-// layered over the shared base configuration.
-func buildSpec(specFile string, cf *config.Flags, g gridFlags) (sweep.Spec, error) {
-	if specFile != "" {
-		return sweep.ReadSpec(specFile)
-	}
-	base, err := cf.Config()
-	if err != nil {
-		return sweep.Spec{}, err
-	}
-	spec := sweep.Spec{Base: &base, SkipInvalid: g.skipInvalid}
-	spec.Benchmarks = splitList(g.benchmarks)
-	for _, p := range splitList(g.placements) {
-		spec.Placements = append(spec.Placements, config.Placement(p))
-	}
-	for _, r := range splitList(g.routings) {
-		spec.Routings = append(spec.Routings, config.Routing(r))
-	}
-	for _, v := range splitList(g.vcpolicies) {
-		spec.VCPolicies = append(spec.VCPolicies, config.VCPolicy(v))
-	}
-	if spec.VCsPerPort, err = splitInts(g.vcs); err != nil {
-		return sweep.Spec{}, fmt.Errorf("-vcs-grid: %w", err)
-	}
-	if spec.VCDepths, err = splitInts(g.depths); err != nil {
-		return sweep.Spec{}, fmt.Errorf("-depth-grid: %w", err)
-	}
-	for _, s := range splitList(g.seeds) {
-		n, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			return sweep.Spec{}, fmt.Errorf("-seeds: %w", err)
-		}
-		spec.Seeds = append(spec.Seeds, n)
-	}
-	return spec, nil
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
+// resumeSink returns the sink a run writes through: records reach w in
+// expansion order. It sequences only the jobs not in done: the engine writes
+// no record for a skipped job, so a position held for one would hold back
+// every later record until Flush.
+func resumeSink(w sweep.Sink, jobs []sweep.Job, done map[string]bool) *sweep.Ordered {
+	todo := make([]sweep.Job, 0, len(jobs))
+	for _, j := range jobs {
+		if !done[j.Fingerprint()] {
+			todo = append(todo, j)
 		}
 	}
-	return out
-}
-
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range splitList(s) {
-		n, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
+	return sweep.NewOrdered(w, todo)
 }

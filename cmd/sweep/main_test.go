@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gpgpunoc/internal/sweep"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current build")
@@ -48,13 +51,17 @@ func TestGoldenDryRun(t *testing.T) {
 // TestUsageErrors: a command line that cannot mean anything is refused
 // before any job starts, naming what is wrong. The retired fabric roles and
 // flight-recorder flags are unknown flags: sweep runs in one process, and a
-// failed job is rerun with -sanitize and -telemetry-epoch instead.
+// failed job is rerun with -sanitize and -telemetry-epoch instead. The spec
+// is the whole sweep, so a grid or configuration flag beside it is an
+// unknown flag too, as are the retired -ordered, -resume and -quiet, whose
+// one useful value is now always taken.
 func TestUsageErrors(t *testing.T) {
-	for name, tc := range map[string]struct {
+	type usageCase struct {
 		args []string
 		code int
 		want string
-	}{
+	}
+	cases := map[string]usageCase{
 		"unknown flag":        {[]string{"-worker-obs-addr", ":9"}, 2, "flag provided but not defined: -worker-obs-addr"},
 		"heartbeat flag":      {[]string{"-heartbeat", "1s"}, 2, "flag provided but not defined: -heartbeat"},
 		"retired live views":  {[]string{"-obs-addr", "127.0.0.1:0"}, 2, "flag provided but not defined: -obs-addr"},
@@ -65,7 +72,27 @@ func TestUsageErrors(t *testing.T) {
 		"retired dump dir":    {[]string{"-flight-dir", "x"}, 2, "flag provided but not defined: -flight-dir"},
 		// A dry run would exit 0 at once, so an ignored -telemetry-dir shows.
 		"telemetry dir without epoch": {[]string{"-spec", smokeSpec, "-dry-run", "-telemetry-dir", "x"}, 1, "-telemetry-dir"},
+		"no spec":                     {[]string{"-dry-run"}, 2, "-spec"},
+		"stray argument":              {[]string{"-spec", smokeSpec, "-dry-run", "extra", "-jobs", "4"}, 2, `unexpected argument "extra"`},
+	}
+	for _, f := range []struct{ name, value string }{
+		// grid flags: a spec axis each, and skip_invalid
+		{"benchmarks", "RAY"}, {"placements", "top"}, {"routings", "yx"}, {"vcpolicies", "shared"},
+		{"vcs-grid", "4"}, {"depth-grid", "8"}, {"seeds", "3"}, {"skip-invalid", ""},
+		// the base configuration: the spec's base, or its warmup and measure
+		{"config", "x.json"}, {"placement", "top"}, {"routing", "yx"}, {"vcpolicy", "shared"},
+		{"vcs", "4"}, {"depth", "8"}, {"reqvcs", "1"}, {"cycles", "99"}, {"warmup", "9"},
+		{"seed", "3"}, {"dual", ""}, {"halfwidth", ""}, {"allow-unsafe", ""},
+		// always on
+		{"ordered", ""}, {"resume", ""}, {"quiet", ""},
 	} {
+		args := []string{"-spec", smokeSpec, "-dry-run", "-" + f.name}
+		if f.value != "" {
+			args = append(args, f.value)
+		}
+		cases["retired -"+f.name] = usageCase{args, 2, "flag provided but not defined: -" + f.name}
+	}
+	for name, tc := range cases {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("%s: sweep %v exited %d with stderr %q; want %d and %q", name, tc.args, code, stderr.String(), tc.code, tc.want)
@@ -73,5 +100,116 @@ func TestUsageErrors(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%s: wrote to stdout: %s", name, stdout.String())
 		}
+	}
+}
+
+// TestResultsFileIsExpansionOrdered: the results file is a function of the
+// spec alone. At one worker and at four, the records land in -dry-run's
+// order and their canonical forms (exec stripped) are byte-identical; a
+// second run on the same -out resumes every job and appends nothing.
+func TestResultsFileIsExpansionOrdered(t *testing.T) {
+	var dry, dryErr bytes.Buffer
+	if code := run([]string{"-spec", smokeSpec, "-dry-run"}, &dry, &dryErr); code != 0 {
+		t.Fatalf("-dry-run exited %d: %s", code, dryErr.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(dry.String(), "\n"), "\n")
+	var want []string
+	for _, l := range lines[:len(lines)-1] { // the last line is the count
+		want = append(want, strings.Fields(l)[0])
+	}
+	var canon []string
+	for _, n := range []string{"1", "4"} {
+		out := filepath.Join(t.TempDir(), "results.jsonl")
+		args := []string{"-spec", smokeSpec, "-jobs", n, "-out", out}
+		for pass := 0; pass < 2; pass++ {
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("sweep %v (pass %d) exited %d: %s", args, pass, code, stderr.String())
+			}
+		}
+		f, err := os.Open(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := sweep.ReadRecords(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != len(want) {
+			t.Fatalf("-jobs %s: %d records after two runs, want %d (the second run must append nothing)", n, len(recs), len(want))
+		}
+		var b strings.Builder
+		for i, r := range recs {
+			if r.Fingerprint != want[i] {
+				t.Errorf("-jobs %s: record %d is %s, -dry-run lists %s there", n, i, r.Fingerprint, want[i])
+			}
+			if r.Status != sweep.StatusOK {
+				t.Errorf("-jobs %s: %s is %s: %s", n, r.Key, r.Status, r.Error)
+			}
+			line, err := json.Marshal(r.Canonical())
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(append(line, '\n'))
+		}
+		canon = append(canon, b.String())
+	}
+	if canon[0] != canon[1] {
+		t.Errorf("canonical results differ between -jobs 1 and -jobs 4:\n%s\n---\n%s", canon[0], canon[1])
+	}
+}
+
+// TestResumeSinkWritesPastDoneJobs: on a resumed run whose first job is
+// already done, each record reaches the results file once every earlier
+// job of this run has written, never later at Flush. The engine writes
+// nothing for a skipped job, so a position held for one would hold back
+// the whole run, and a crash would lose all of it.
+func TestResumeSinkWritesPastDoneJobs(t *testing.T) {
+	spec, err := sweep.ReadSpec(smokeSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, _, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	sink := resumeSink(sweep.NewJSONL(&file), jobs, map[string]bool{jobs[0].Fingerprint(): true})
+	written := func() []string {
+		recs, err := sweep.ReadRecords(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for _, r := range recs {
+			keys = append(keys, r.Key)
+		}
+		return keys
+	}
+	// Job 2 finishes first and waits for job 1; then both go out in order.
+	for _, step := range []struct {
+		job  int
+		want []string
+	}{
+		{2, nil},
+		{1, []string{jobs[1].Key, jobs[2].Key}},
+		{3, []string{jobs[1].Key, jobs[2].Key, jobs[3].Key}},
+	} {
+		rec := sweep.NewRecord(jobs[step.job])
+		rec.Status = sweep.StatusOK
+		if err := sink.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		if got := written(); strings.Join(got, " ") != strings.Join(step.want, " ") {
+			t.Fatalf("after writing job %d the file holds %v, want %v", step.job, got, step.want)
+		}
+	}
+	before := file.Len()
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if file.Len() != before {
+		t.Errorf("Flush wrote %d more bytes: every record was already out", file.Len()-before)
 	}
 }

@@ -590,7 +590,7 @@ func (c *Coordinator) statusLocked(sw *sweepRun) SweepStatus {
 }
 
 // Results returns a sweep's terminal records in expansion order — the same
-// order a single-process `cmd/sweep -ordered` run writes them — plus
+// order a single-process `cmd/sweep` run writes them — plus
 // whether the sweep is finished. Unfinished jobs are simply absent: the
 // prefix property of expansion order is NOT promised mid-run, only that
 // every present record sits at its expansion position relative to the

@@ -526,7 +526,7 @@ func TestCrossModeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Single-process reference: engine + ordered sink, like `cmd/sweep -ordered`.
+	// Single-process reference: engine + ordered sink, like `cmd/sweep`.
 	var single bytes.Buffer
 	ordered := sweep.NewOrdered(sweep.NewJSONL(&single), jobs)
 	if _, err := sweep.Run(context.Background(), jobs, ordered, sweep.Options{Workers: 2}); err != nil {
