@@ -9,6 +9,7 @@
 //	experiments -run fig2,fig3 -format csv > traffic.csv
 //	experiments -run probefig2 -benchmarks KMN,RAY
 //	experiments -run table1,hops
+//	experiments -run checklist -benchmarks KMN,RAY
 //	experiments -list
 //
 // Runs that figures share — the Table 2 baseline under Figs. 2, 3, 7, 8, 9
@@ -49,6 +50,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// experiment's own base configuration.
 	cf := config.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// Parsing stops at the first argument that is not a flag, so every flag
+	// after it would be dropped unseen.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "experiments: unexpected argument %q: flags go before it, and -run names the experiments\n", fs.Arg(0))
 		return 2
 	}
 	overrides, err := cf.Overrides()

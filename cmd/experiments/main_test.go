@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -73,6 +74,24 @@ func TestGoldenHops(t *testing.T) {
 	golden(t, "hops.golden", "-run", "hops")
 }
 
+// TestGoldenChecklist pins the reproduction checklist at reduced scale, and
+// that -run all, which ends with it, simulates nothing for it: every result
+// it reads was finished by a figure before it.
+func TestGoldenChecklist(t *testing.T) {
+	args := []string{"-benchmarks", "KMN,RAY", "-warmup", "200", "-cycles", "800"}
+	golden(t, "checklist.golden", append([]string{"-run", "checklist"}, args...)...)
+
+	var stderr bytes.Buffer
+	if code := run(append([]string{"-run", "all"}, args...), io.Discard, &stderr); code != 0 {
+		t.Fatalf("experiments -run all exited %d: %s", code, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+	var n, reused int
+	if _, err := fmt.Sscanf(lines[len(lines)-1], "checklist: %d results, %d reused", &n, &reused); err != nil || n == 0 || reused != n {
+		t.Errorf("-run all stderr ends %q; want \"checklist: N results, N reused\"", lines[len(lines)-1])
+	}
+}
+
 // TestSyntheticRunnersTakeConfigFlags: the synthetic sweep layers -seed,
 // -cycles and -warmup over its base like every other runner, so changing
 // one of them changes the table.
@@ -132,6 +151,7 @@ func TestGoldenUsageErrors(t *testing.T) {
 		"unknown format":  {[]string{"-format", "xml"}, 1, "unknown -format"},
 		"unknown figure":  {[]string{"-run", "fig99"}, 1, "unknown experiment \"fig99\""},
 		"unknown program": {[]string{"-run", "fig2", "-benchmarks", "KMN,NOPE", "-cycles", "100"}, 1, "NOPE"},
+		"stray argument":  {[]string{"-run", "table1", "extra", "-format", "csv"}, 2, "unexpected argument \"extra\""},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.want) {

@@ -57,6 +57,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Parsing stops at the first argument that is not a flag, so every flag
+	// after it would be dropped unseen.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "nocsim: unexpected argument %q: flags go before it, and -bench names the benchmark\n", fs.Arg(0))
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, err)
 		return 1

@@ -46,6 +46,7 @@ func TestUsageErrors(t *testing.T) {
 		"retired live views":     {[]string{"-obs-addr", "127.0.0.1:0"}, 2, "flag provided but not defined: -obs-addr"},
 		"retired lane kernel":    {[]string{"-workers", "2"}, 2, "flag provided but not defined: -workers"},
 		"sample rate above 1":    {[]string{"-obs-sample-rate", "2"}, 1, "obs sample rate 2 outside (0, 1]"},
+		"stray argument":         {[]string{"-bench", "KMN", "-cycles", "200", "stray", "-bench", "RAY"}, 2, "unexpected argument \"stray\""},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.want) {

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 
 	"gpgpunoc/internal/config"
@@ -138,6 +140,31 @@ func (t *Table) String() string {
 	var b strings.Builder
 	t.Fprint(&b)
 	return b.String()
+}
+
+// Cell returns the number in the named row and column: the row is the one
+// whose first cell is row, and a trailing % is dropped.
+func (t *Table) Cell(row, column string) (float64, error) {
+	_, v, err := t.cell(row, column)
+	return v, err
+}
+
+// cell returns the named cell as printed and as Cell reads it.
+func (t *Table) cell(row, column string) (string, float64, error) {
+	col := slices.Index(t.Columns, column)
+	if col < 0 {
+		return "", 0, fmt.Errorf("%s: no column %q", t.ID, column)
+	}
+	for _, r := range t.Rows {
+		if r[0] == row && col < len(r) {
+			v, err := strconv.ParseFloat(strings.TrimSuffix(r[col], "%"), 64)
+			if err != nil {
+				return "", 0, fmt.Errorf("%s: cell (%s, %s): %w", t.ID, row, column, err)
+			}
+			return r[col], v, nil
+		}
+	}
+	return "", 0, fmt.Errorf("%s: no row %q", t.ID, row)
 }
 
 // tableJSON is the stable wire form of a Table; field names are part of

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,26 +23,27 @@ func quick(benchmarks ...string) Opts {
 	return Opts{Benchmarks: benchmarks, WarmupCycles: 1000, MeasureCycles: 5000}
 }
 
-// cell parses a numeric table cell.
-func cell(t *testing.T, tab *Table, row, col int) float64 {
+// floorsHold fails t for each named target whose floor the tables, keyed
+// by runner id, break.
+func floorsHold(t *testing.T, tables map[string]*Table, ids ...string) {
 	t.Helper()
-	s := strings.TrimSuffix(tab.Rows[row][col], "%")
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("cell (%d,%d) = %q: %v", row, col, tab.Rows[row][col], err)
-	}
-	return v
-}
-
-func findRow(t *testing.T, tab *Table, label string) int {
-	t.Helper()
-	for i, r := range tab.Rows {
-		if r[0] == label {
-			return i
+	for _, id := range ids {
+		i := slices.IndexFunc(targets, func(tg target) bool { return tg.id == id })
+		if i < 0 {
+			t.Fatalf("no target %s", id)
+		}
+		v, shown, err := targets[i].measure(tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := targets[i].relation
+		if targets[i].floor != nil {
+			f = *targets[i].floor
+		}
+		if !f.holds(v) {
+			t.Errorf("target %s: want %s; measured %s", id, f.desc, shown)
 		}
 	}
-	t.Fatalf("table %s has no row %q", tab.ID, label)
-	return -1
 }
 
 func TestGeomean(t *testing.T) {
@@ -72,13 +74,7 @@ func TestFig2ShapesHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RAY must invert (reply < request); read-heavy KMN must exceed 1.5.
-	if v := cell(t, tab, findRow(t, tab, "RAY"), 2); v >= 1.2 {
-		t.Errorf("RAY reply:request = %v, want < 1.2 (write demand inverts it)", v)
-	}
-	if v := cell(t, tab, findRow(t, tab, "KMN"), 2); v < 1.5 {
-		t.Errorf("KMN reply:request = %v, want > 1.5", v)
-	}
+	floorsHold(t, map[string]*Table{"fig2": tab}, "1")
 }
 
 func TestFig3SharesSum(t *testing.T) {
@@ -87,19 +83,19 @@ func TestFig3SharesSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range []string{"KMN", "RAY"} {
-		r := findRow(t, tab, b)
 		sum := 0.0
-		for c := 1; c <= 4; c++ {
-			sum += cell(t, tab, r, c)
+		for _, c := range tab.Columns[1:] {
+			v, err := tab.Cell(b, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += v
 		}
 		if math.Abs(sum-100) > 0.5 {
 			t.Errorf("%s shares sum to %v%%", b, sum)
 		}
 	}
-	// Read replies dominate the read-heavy benchmark's flits.
-	if v := cell(t, tab, findRow(t, tab, "KMN"), 3); v < 40 {
-		t.Errorf("KMN read-reply share = %v%%, want the largest component", v)
-	}
+	floorsHold(t, map[string]*Table{"fig3": tab}, "2")
 }
 
 func TestFig4AnalyticAgreement(t *testing.T) {
@@ -127,11 +123,7 @@ func TestTable1Ordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(p string) float64 { return cell(t, tab, findRow(t, tab, p), 5) }
-	bottom, edge, tb, dia := get("bottom"), get("edge"), get("top-bottom"), get("diamond")
-	if !(bottom > edge && edge > tb && tb > dia) {
-		t.Errorf("hop ordering: %v %v %v %v", bottom, edge, tb, dia)
-	}
+	floorsHold(t, map[string]*Table{"table1": tab}, "3")
 }
 
 func TestFig7Ordering(t *testing.T) {
@@ -139,14 +131,10 @@ func TestFig7Ordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := findRow(t, tab, "Geomean")
-	xy, yx, xyyx := cell(t, tab, g, 1), cell(t, tab, g, 2), cell(t, tab, g, 3)
-	if xy != 1 {
-		t.Errorf("baseline column = %v, want 1", xy)
+	if v, err := tab.Cell("Geomean", tab.Columns[1]); err != nil || v != 1 {
+		t.Errorf("baseline column = %v (%v), want 1", v, err)
 	}
-	if !(yx > 1.05 && xyyx > yx) {
-		t.Errorf("Fig7 geomeans: YX=%v XY-YX=%v; want XY < YX < XY-YX", yx, xyyx)
-	}
+	floorsHold(t, map[string]*Table{"fig7": tab}, "4")
 }
 
 func TestFig8MonopolizingHelps(t *testing.T) {
@@ -154,51 +142,19 @@ func TestFig8MonopolizingHelps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := findRow(t, tab, "Geomean")
-	xyMono, yxMono, xyyxPM := cell(t, tab, g, 2), cell(t, tab, g, 3), cell(t, tab, g, 4)
-	if xyMono <= 1.0 {
-		t.Errorf("XY monopolized = %v, want > 1", xyMono)
-	}
-	if yxMono <= xyMono {
-		t.Errorf("YX mono (%v) should beat XY mono (%v)", yxMono, xyMono)
-	}
-	if xyyxPM <= 1.2 {
-		t.Errorf("XY-YX partial = %v, want a material gain", xyyxPM)
-	}
+	floorsHold(t, map[string]*Table{"fig8": tab}, "5a", "5b")
 }
 
+// TestFig9ProposedBeatsDiamond holds the documented band of target 6b: the
+// paper has bottom+YX+FM beating diamond's best scheme by ~7%; this
+// reproduction trails it by 6-8% at full scale (EXPERIMENTS.md), and warmup
+// bias at short windows penalizes the deeper bottom-placement pipeline.
 func TestFig9ProposedBeatsDiamond(t *testing.T) {
 	tab, err := Fig9(quick("KMN", "RED", "SRAD"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := findRow(t, tab, "Geomean")
-	cols := tab.Columns
-	idx := func(label string) int {
-		for i, c := range cols {
-			if c == label {
-				return i
-			}
-		}
-		t.Fatalf("no column %q", label)
-		return -1
-	}
-	diamond := cell(t, tab, g, idx("Diamond (XY)"))
-	best := cell(t, tab, g, idx("Bottom (YX FM)"))
-	if diamond <= 1.0 {
-		t.Errorf("diamond placement = %v, should beat bottom+XY", diamond)
-	}
-	if best <= 1.3 {
-		t.Errorf("bottom YX FM = %v, should materially beat the baseline", best)
-	}
-	// The paper's headline has bottom+YX+FM beating diamond by ~7%; in this
-	// reproduction the two land within a few percent of each other at full
-	// scale (see EXPERIMENTS.md), and this reduced-scale test only asserts
-	// competitiveness: warmup bias at short windows penalizes the deeper
-	// bottom-placement pipeline.
-	if best < 0.8*diamond {
-		t.Errorf("bottom YX FM (%v) should be competitive with diamond (%v)", best, diamond)
-	}
+	floorsHold(t, map[string]*Table{"fig9": tab}, "6a", "6b")
 }
 
 func TestFig10RunsAndNormalizes(t *testing.T) {
@@ -206,35 +162,26 @@ func TestFig10RunsAndNormalizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := findRow(t, tab, "Geomean")
-	if v := cell(t, tab, g, 1); v != 1 {
-		t.Errorf("baseline column = %v", v)
+	if v, err := tab.Cell("Geomean", tab.Columns[1]); err != nil || v != 1 {
+		t.Errorf("baseline column = %v (%v), want 1", v, err)
 	}
-	if v := cell(t, tab, g, 2); v < 0.9 || v > 1.5 {
-		t.Errorf("asymmetric partition geomean = %v; expected near or above 1", v)
-	}
+	floorsHold(t, map[string]*Table{"fig10": tab}, "7")
 }
 
+// TestNetworkDivisionClose: against the doubled-wire dual, the single net
+// with VC separation is competitive (the paper's Section 4.2 point);
+// against an equal wire budget it must win, since split physical wires
+// cannot be shared across the asymmetric classes.
 func TestNetworkDivisionClose(t *testing.T) {
 	tab, err := NetworkDivision(quick("KMN", "LPS"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := findRow(t, tab, "Geomean")
-	// Against the doubled-wire dual, the single net with VC separation is
-	// competitive (the paper's Section 4.2 point).
-	if v := cell(t, tab, g, 4); v < 0.8 || v > 1.4 {
-		t.Errorf("single/dual2x = %v, want close to 1", v)
-	}
-	// Against an equal wire budget, the single net must win: split physical
-	// wires cannot be shared across the asymmetric classes.
-	if v := cell(t, tab, g, 5); v <= 1.0 {
-		t.Errorf("single/dualEq = %v, want > 1", v)
-	}
+	floorsHold(t, map[string]*Table{"division": tab}, "8")
 }
 
 func TestRunnersComplete(t *testing.T) {
-	if len(Runners()) != 13 {
+	if len(Runners()) != 14 {
 		t.Errorf("runner count = %d", len(Runners()))
 	}
 	if _, err := ByID("fig7"); err != nil {

@@ -238,15 +238,11 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 	return recs, err
 }
 
-// ReadRecordsTolerant parses like ReadRecords but tolerates a torn final
-// line — the partial record a crash mid-write leaves behind. A malformed
-// LAST line is skipped and described in the returned warning ("" when the
-// stream was clean); a malformed line anywhere else is still an error,
-// because mid-file corruption is never a crash artifact.
-func ReadRecordsTolerant(r io.Reader) ([]Record, string, error) {
-	return readRecords(r, true)
-}
-
+// readRecords parses like ReadRecords. When tolerant it also accepts a torn
+// final line — the partial record a crash mid-write leaves behind: a
+// malformed LAST line is skipped and described in the returned warning (""
+// when the stream was clean); a malformed line anywhere else is still an
+// error, because mid-file corruption is never a crash artifact.
 func readRecords(r io.Reader, tolerant bool) ([]Record, string, error) {
 	var out []Record
 	sc := bufio.NewScanner(r)
@@ -298,7 +294,7 @@ func CompletedFingerprints(path string) (map[string]bool, string, error) {
 		return nil, "", err
 	}
 	defer f.Close()
-	recs, warning, err := ReadRecordsTolerant(f)
+	recs, warning, err := readRecords(f, true)
 	if err != nil {
 		return nil, "", err
 	}
