@@ -119,12 +119,14 @@ func runAll(jobs []job, workers int) (map[string]gpu.Result, error) {
 
 // byConfig returns jobs reordered so that jobs of one configuration are
 // adjacent, configurations in order of first appearance and jobs within one
-// in their given order. A figure lists its jobs benchmark by benchmark, so
-// consecutive jobs have different shapes; grouped, each one but a
-// configuration's first few finds the simulator its predecessor left on
-// gpu.Run's idle list, however the workers' runs interleave, and a figure
-// allocates the same from one run to the next. Results are keyed by job,
-// so the order changes nothing else.
+// in their given order. gpu.Run's idle list serves every placement, routing
+// and VC policy of one storage shape, so most figures recycle in any order;
+// division is where it matters, whose jobs cycle through a single network
+// and a full- and a half-width Dual, three shapes. Grouped, each job but a
+// configuration's first few finds the simulator its predecessor left on the
+// idle list, however the workers' runs interleave, and a figure allocates
+// the same from one run to the next. Results are keyed by job, so the order
+// changes nothing else.
 func byConfig(jobs []job) []job {
 	rank := map[config.Config]int{}
 	for _, j := range jobs {

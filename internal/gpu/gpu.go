@@ -95,13 +95,14 @@ func smIDBase(i int) uint64 { return uint64(i+1) << 40 }
 func smSeed(seed uint64, i int) uint64 { return seed + uint64(i)*0x9e3779b9 }
 
 // New builds a simulator for cfg running the named workload profile: it
-// allocates the system cfg's shape describes — network, SMs and MCs each
-// end their construction with their own Reset — then reset sets the
-// simulator's own run state. Validation — structural and protocol-deadlock
-// safety — is centralized in cfg.Validate; set cfg.AllowUnsafe to simulate
-// a deliberately unsafe design and watch it wedge. Placement, routing
-// algorithm and VC assigner come from the design point's shared, read-only
-// core.Structure.
+// allocates the storage cfg's shape describes — network, SMs and MCs each
+// end their construction with their own Reset — then wires it as Reset
+// does, placing the endpoints on the design point's tiles, and reset sets
+// the simulator's own run state. Validation — structural and
+// protocol-deadlock safety — is centralized in cfg.Validate; set
+// cfg.AllowUnsafe to simulate a deliberately unsafe design and watch it
+// wedge. Placement, routing algorithm and VC assigner come from the design
+// point's shared, read-only core.Structure.
 func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -117,7 +118,7 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 
 	net := noc.NewInterconnect(cfg.NoC, st.Algorithm, st.Assigner)
 
-	s := &Simulator{Cfg: cfg, Prof: prof, Net: net, Place: pl}
+	s := &Simulator{Cfg: cfg, Prof: prof, Net: net}
 
 	cores := pl.Cores()
 	if len(cores) < cfg.Core.NumSMs {
@@ -131,42 +132,70 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 		slots[i] = smcore.Slot{Index: i, Node: cores[i], Seed: smSeed(cfg.Seed, i), NextID: &s.ids[i]}
 	}
 	s.SMs = smcore.Build(slots, cfg.Core, cfg.Mem, prof, net, pl, &s.counters)
-	for _, sm := range s.SMs {
-		s.endpoints[sm.Node] = sm
-		net.SetSink(sm.Node, sm.Sink())
-		net.SetInjectWake(sm.Node, sm.WakeInject)
-	}
-	// Unpopulated core tiles (none in the 56+8 system, but possible in
-	// ablations) simply absorb anything misrouted to them.
-	for i := cfg.Core.NumSMs; i < len(cores); i++ {
-		net.SetSink(cores[i], func(packet.Flit) bool { return true })
-	}
 	for i := range pl.MCs {
-		ctrl := mc.New(i, pl.MCNode(i), cfg.Mem, net, &s.counters)
-		s.MCs = append(s.MCs, ctrl)
-		s.endpoints[ctrl.Node] = ctrl
-		net.SetSink(ctrl.Node, ctrl.Sink(func() int64 { return s.cycle }))
-		net.SetInjectWake(ctrl.Node, ctrl.WakeInject)
+		s.MCs = append(s.MCs, mc.New(i, pl.MCNode(i), cfg.Mem, net, &s.counters))
 	}
+	s.place(pl)
 	s.reset(cfg, prof)
 	return s, nil
 }
 
-// shape projects cfg onto what a simulator's storage is built for: every
-// field but the ones Reset rewinds (Seed, WarmupCycles, MeasureCycles).
+// place puts the endpoints on pl's tiles — SM i on the i-th core tile, MC i
+// on its own — and installs each tile's sink, inject wake and endpoint; an
+// unpopulated core tile (none in the 56+8 system, but possible in
+// ablations) absorbs anything misrouted to it. When pl puts the MCs where
+// the current placement has them, every endpoint stays where it is and only
+// the placement the SMs address changes.
+func (s *Simulator) place(pl *placement.Placement) {
+	moved := s.Place == nil || !slices.Equal(s.Place.MCs, pl.MCs)
+	s.Place = pl
+	if !moved {
+		for _, sm := range s.SMs {
+			sm.Rebind(sm.Node, pl)
+		}
+		return
+	}
+	cores := pl.Cores()
+	clear(s.endpoints)
+	for _, node := range cores[len(s.SMs):] {
+		s.Net.SetSink(node, func(packet.Flit) bool { return true })
+		s.Net.SetInjectWake(node, nil)
+	}
+	for i, sm := range s.SMs {
+		sm.Rebind(cores[i], pl)
+		s.endpoints[sm.Node] = sm
+		s.Net.SetSink(sm.Node, sm.Sink())
+		s.Net.SetInjectWake(sm.Node, sm.WakeInject)
+	}
+	for i, m := range s.MCs {
+		m.Node = pl.MCNode(i)
+		s.endpoints[m.Node] = m
+		s.Net.SetSink(m.Node, m.Sink(func() int64 { return s.cycle }))
+		s.Net.SetInjectWake(m.Node, m.WakeInject)
+	}
+}
+
+// shape projects cfg onto what a simulator's storage is built for: the
+// mesh, VCs and their depth, physical subnets, SM and MC counts, cache and
+// queue geometry. It drops what Reset rewinds (Seed, WarmupCycles,
+// MeasureCycles) and what it rewires: the design axes placement, routing,
+// VC policy and AsymmetricRequestVCs.
 func shape(cfg config.Config) config.Config {
 	cfg.Seed, cfg.WarmupCycles, cfg.MeasureCycles = 0, 0, 0
+	cfg.Placement, cfg.NoC.Routing, cfg.NoC.VCPolicy, cfg.NoC.AsymmetricRequestVCs = "", "", "", 0
 	return cfg
 }
 
 // Reset rewinds the simulator to what New(cfg, prof) builds, keeping its
 // storage: caches, queues, buffers and the endpoints' packet free lists.
-// cfg must have the simulator's shape — differ from s.Cfg at most in Seed,
-// WarmupCycles and MeasureCycles — and the simulator must carry no
-// telemetry, spans or flight recorder, which are not rewound
-// (SanitizeEvery is kept). Results of earlier runs stay valid: the network
-// hands its statistics collector to the result and starts the next run
-// with a new one. Call at a cycle boundary.
+// cfg must have the simulator's shape — its storage; placement, routing,
+// VC policy, seed and run length are free — and the simulator must carry
+// no telemetry, spans or flight recorder, which are not rewound
+// (SanitizeEvery is kept). Reset installs cfg's design point: the
+// network's next-hop table and VC ranges (Interconnect.Rewire) and, when
+// the MCs move, every endpoint on its new tile. Results of earlier runs
+// stay valid: the network hands its statistics collector to the result and
+// starts the next run with a new one. Call at a cycle boundary.
 func (s *Simulator) Reset(cfg config.Config, prof workload.Profile) error {
 	switch {
 	case shape(cfg) != shape(s.Cfg):
@@ -180,6 +209,10 @@ func (s *Simulator) Reset(cfg config.Config, prof workload.Profile) error {
 	if err := prof.Validate(); err != nil {
 		return err
 	}
+	st, err := core.StructureFor(cfg)
+	if err != nil {
+		return err
+	}
 	s.Net.Reset(s.reclaim)
 	for _, m := range s.MCs {
 		m.Reset(s.reclaim)
@@ -187,6 +220,8 @@ func (s *Simulator) Reset(cfg config.Config, prof workload.Profile) error {
 	for i, sm := range s.SMs {
 		sm.Reset(prof, smSeed(cfg.Seed, i))
 	}
+	s.Net.Rewire(st.Algorithm, st.Assigner)
+	s.place(st.Placement)
 	s.reset(cfg, prof)
 	return nil
 }
@@ -564,8 +599,10 @@ func (s *Simulator) result(deadlocked bool, cycles int64) Result {
 // together with ctx's error.
 //
 // An uninstrumented run recycles: it takes an idle simulator of cfg's shape
-// when there is one and Resets it, and a simulator whose run completed —
-// no error, no deadlock, no panic — goes back on the idle list.
+// — its storage, whatever its placement, routing and VC policy — when there
+// is one and Resets it, which rewires it to cfg's design point, and a
+// simulator whose run completed — no error, no deadlock, no panic — goes
+// back on the idle list.
 // The list holds at most GOMAXPROCS simulators, the oldest dropped first,
 // and a run that finds none of its shape drops the oldest too.
 // An instrumented simulator is always built fresh and never kept: its

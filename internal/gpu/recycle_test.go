@@ -86,6 +86,53 @@ func TestRunRecyclesCompletedRuns(t *testing.T) {
 	}
 }
 
+// TestRunRewiresIdleSimulators pins the gain of rewiring over rebuilding:
+// after a Table 2 run, a Run of another placement, routing and VC policy at
+// the same size takes the parked simulator back and allocates less than a
+// quarter of what a New of that design point does. On 8x8 a New is about
+// 1.09 MB and the recycled Run 36-92 KB (most of it the endpoints' free
+// lists taking back the packets the first run left in flight), so a Run
+// that rebuilt would fail by a margin of four.
+func TestRunRewiresIdleSimulators(t *testing.T) {
+	emptyIdle(t)
+	ctx := context.Background()
+	other := runCfg(2)
+	other.Placement, other.NoC.Routing, other.NoC.VCPolicy = config.PlacementEdge, config.RoutingXYYX, config.VCPartialMonopolized
+	kmn := workload.MustGet("KMN")
+	if _, err := New(other, kmn); err != nil { // builds and proves other's core.Structure
+		t.Fatal(err)
+	}
+	newBytes := allocated(func() {
+		if _, err := New(other, kmn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if _, err := Run(ctx, runCfg(1), "KMN", Instrumentation{}); err != nil {
+		t.Fatal(err)
+	}
+	parked := idleSims()
+	runBytes := allocated(func() {
+		if _, err := Run(ctx, other, "KMN", Instrumentation{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if again := idleSims(); len(parked) != 1 || !slices.Equal(again, parked) {
+		t.Errorf("a run of another design point did not take the idle simulator back")
+	}
+	if runBytes > newBytes/4 {
+		t.Errorf("a run rewiring an idle simulator allocated %d B, want at most a quarter of New's %d B", runBytes, newBytes)
+	}
+}
+
+// allocated returns the bytes fn allocates on the heap.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestIdleListBound: the idle list keeps at most GOMAXPROCS simulators, the
 // most recently parked, and a run that finds none of its shape drops the
 // oldest before it builds its own.

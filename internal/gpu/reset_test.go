@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"gpgpunoc/internal/config"
+	"gpgpunoc/internal/core"
 	"gpgpunoc/internal/digests"
+	"gpgpunoc/internal/experiments"
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/workload"
 )
@@ -115,22 +117,133 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 }
 
+// TestResetAcrossDesignPoints is the differential test of rewiring: for
+// every ordered pair (A, B) of the design points of Figs. 7-9 — three
+// routings, three VC policies, four MC placements — a simulator built for A
+// that ran A and was then Reset to B must leave exactly what a simulator New
+// built for B leaves, under KMN and under RAY; and two physical subnets
+// likewise across XY and YX. Right after each Reset the fabric must be
+// empty and consistent, and the sanitizer checks every 256 cycles that the
+// rewired network and endpoints keep their invariants.
+func TestResetAcrossDesignPoints(t *testing.T) {
+	seen := map[core.Scheme]bool{}
+	var single []config.Config
+	for _, schemes := range [][]core.Scheme{
+		{core.Baseline, core.YXSplit, core.XYYXSplit},
+		{core.XYMonopolized, core.YXMonopolized, core.XYYXPartialMono},
+		experiments.Fig9Schemes(),
+	} {
+		for _, sc := range schemes {
+			sc.Label = ""
+			if !seen[sc] {
+				seen[sc] = true
+				single = append(single, sc.Apply(designCfg()))
+			}
+		}
+	}
+	var dual []config.Config
+	for _, rt := range []config.Routing{config.RoutingXY, config.RoutingYX} {
+		cfg := designCfg()
+		cfg.NoC.PhysicalSubnets, cfg.NoC.VCsPerPort, cfg.NoC.Routing = true, 4, rt
+		dual = append(dual, cfg)
+	}
+	for _, tc := range []struct {
+		name   string
+		bench  string
+		points []config.Config
+	}{
+		{"single/KMN", "KMN", single},
+		{"single/RAY", "RAY", single},
+		{"dual/KMN", "KMN", dual},
+		{"dual/RAY", "RAY", dual},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prof := workload.MustGet(tc.bench)
+			run := func(sim *gpu.Simulator) string {
+				t.Helper()
+				sim.SanitizeEvery = 256
+				res, err := sim.RunContext(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resultDigest(res)
+			}
+			name := func(cfg config.Config) string {
+				return fmt.Sprintf("%s/%s/%s", cfg.Placement, cfg.NoC.Routing, cfg.NoC.VCPolicy)
+			}
+			fresh := make([]string, len(tc.points))
+			for i, cfg := range tc.points {
+				sim, err := gpu.New(cfg, prof)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh[i] = run(sim)
+			}
+			reset := func(sim *gpu.Simulator, to, from config.Config) {
+				t.Helper()
+				if err := sim.Reset(to, prof); err != nil {
+					t.Fatalf("Reset from %s to %s: %v", name(from), name(to), err)
+				}
+				if n := sim.Net.FlitsInFlight(); n != 0 {
+					t.Fatalf("%s after %s: %d flits in flight after Reset", name(to), name(from), n)
+				}
+				if err := sim.Net.CheckInvariants(); err != nil {
+					t.Fatalf("%s after %s: after Reset: %v", name(to), name(from), err)
+				}
+			}
+			for i, a := range tc.points {
+				sim, err := gpu.New(a, prof)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, b := range tc.points {
+					if got := run(sim); got != fresh[i] {
+						t.Fatalf("%s before a Reset to %s: digest %s, a new simulator's %s", name(a), name(b), got, fresh[i])
+					}
+					reset(sim, b, a)
+					if got := run(sim); got != fresh[j] {
+						t.Errorf("%s after %s: digest %s, a new simulator's %s", name(b), name(a), got, fresh[j])
+					}
+					reset(sim, a, b)
+				}
+			}
+		})
+	}
+}
+
+// designCfg is a short run of the Table 2 system for the design-point
+// sweep of TestResetAcrossDesignPoints.
+func designCfg() config.Config {
+	cfg := config.Default()
+	cfg.WarmupCycles, cfg.MeasureCycles = 200, 300
+	return cfg
+}
+
 // TestResetRefusesOtherShapes: Reset rewinds a simulator only to a design
-// point its storage was built for.
+// point its storage was built for — another VC count, mesh or number of
+// physical subnets is refused — and rewires it to any placement, routing
+// and VC policy.
 func TestResetRefusesOtherShapes(t *testing.T) {
 	cfg := config.Default()
 	sim, err := gpu.New(cfg, workload.MustGet("KMN"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := cfg
-	other.NoC.Routing = config.RoutingYX
-	if err := sim.Reset(other, workload.MustGet("KMN")); err == nil {
-		t.Error("Reset to another routing succeeded")
+	for name, storage := range map[string]func(*config.Config){
+		"VCsPerPort":      func(c *config.Config) { c.NoC.VCsPerPort = 4 },
+		"mesh size":       func(c *config.Config) { c.NoC.Width, c.NoC.Height, c.Core.NumSMs = 6, 6, 28 },
+		"PhysicalSubnets": func(c *config.Config) { c.NoC.PhysicalSubnets = true },
+	} {
+		other := cfg
+		storage(&other)
+		if err := sim.Reset(other, workload.MustGet("KMN")); err == nil {
+			t.Errorf("Reset to another %s succeeded", name)
+		}
 	}
-	same := cfg
-	same.Seed, same.WarmupCycles, same.MeasureCycles = 9, 10, 20
-	if err := sim.Reset(same, workload.MustGet("RAY")); err != nil {
-		t.Errorf("Reset to another seed, run length and benchmark: %v", err)
+	wiring := cfg
+	wiring.Placement, wiring.NoC.Routing, wiring.NoC.VCPolicy = config.PlacementEdge, config.RoutingXYYX, config.VCPartialMonopolized
+	wiring.Seed, wiring.WarmupCycles, wiring.MeasureCycles = 9, 10, 20
+	if err := sim.Reset(wiring, workload.MustGet("RAY")); err != nil {
+		t.Errorf("Reset to another placement, routing, VC policy, seed, run length and benchmark: %v", err)
 	}
 }

@@ -141,6 +141,14 @@ func (d *Dual) Reset(release func(*packet.Packet)) {
 	d.merged = stats.NewNet(d.request.m)
 }
 
+// Rewire sets alg on both subnets. Their VC assignment stays the shared
+// policy NewDual gave them: a subnet carries one class, so asg, which
+// divides VCs between the classes, has nothing to divide there.
+func (d *Dual) Rewire(alg routing.Algorithm, _ vc.Assigner) {
+	d.request.Rewire(alg, d.request.pol)
+	d.reply.Rewire(alg, d.reply.pol)
+}
+
 // FlitsInFlight sums both subnets.
 func (d *Dual) FlitsInFlight() int {
 	return d.request.FlitsInFlight() + d.reply.FlitsInFlight()

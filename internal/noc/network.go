@@ -121,6 +121,9 @@ type Interconnect interface {
 	// Network.Reset), keeping its storage and what is installed on it, and
 	// hands every packet in flight to release (nil drops them).
 	Reset(release func(*packet.Packet))
+	// Rewire installs another design point's routing and VC assignment
+	// (see Network.Rewire). Call after Reset, before the first Step.
+	Rewire(alg routing.Algorithm, asg vc.Assigner)
 }
 
 // injQueue is a node's bounded injection FIFO, in flits. The packets sit in
@@ -289,21 +292,7 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 	n.spine.Inj, n.spine.Ej = take(nn), take(nn)
 	arena := newRouterArena(nn, n.vcs, n.depth)
 	for id := range n.routers {
-		rt := &n.routers[id]
-		rt.init(mesh.NodeID(id), m, n.vcs, n.depth, arena)
-		for d := mesh.North; d < mesh.Local; d++ {
-			op := &rt.out[d]
-			if !op.exists {
-				continue
-			}
-			for cls := range op.elig {
-				r := pol.RangeFor(mesh.Link{From: rt.id, Dir: d}, op.orient, packet.Class(cls))
-				op.elig[cls] = 1<<r.Hi - 1<<r.Lo
-			}
-		}
-		for cls := packet.Class(0); cls < packet.NumClasses; cls++ {
-			n.injRng[id][cls] = pol.RangeFor(mesh.Link{From: mesh.NodeID(id), Dir: mesh.Local}, mesh.LocalPort, cls)
-		}
+		n.routers[id].init(mesh.NodeID(id), m, n.vcs, n.depth, arena)
 	}
 	// Second pass: wire each input port to the upstream output port feeding
 	// it, so credit returns are a pointer bump. The routers slice never
@@ -318,12 +307,41 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 			}
 		}
 	}
-	n.routeTab = nextHopTable(m, alg)
+	n.Rewire(alg, pol)
 	for _, o := range opts {
 		o(n)
 	}
 	n.Reset(nil)
 	return n
+}
+
+// Rewire installs a design point's wiring: alg's next-hop table, and pol's
+// VC ranges on every link output (elig) and injection port (injRng). New
+// wires through it too, so a network built for one design point serves any
+// other of its mesh, VC count and depth. Call on an empty network: between
+// a Reset and the first Step of a run.
+func (n *Network) Rewire(alg routing.Algorithm, pol vc.Assigner) {
+	if n.inFlight != 0 {
+		panic("noc: Rewire with flits in flight")
+	}
+	n.alg, n.pol = alg, pol
+	n.routeTab = nextHopTable(n.m, alg)
+	for id := range n.routers {
+		rt := &n.routers[id]
+		for d := mesh.North; d < mesh.Local; d++ {
+			op := &rt.out[d]
+			if !op.exists {
+				continue
+			}
+			for cls := range op.elig {
+				r := pol.RangeFor(mesh.Link{From: rt.id, Dir: d}, op.orient, packet.Class(cls))
+				op.elig[cls] = 1<<r.Hi - 1<<r.Lo
+			}
+		}
+		for cls := packet.Class(0); cls < packet.NumClasses; cls++ {
+			n.injRng[id][cls] = pol.RangeFor(mesh.Link{From: mesh.NodeID(id), Dir: mesh.Local}, mesh.LocalPort, cls)
+		}
+	}
 }
 
 // releaseInFlight hands every packet in flight to release: those whose tail

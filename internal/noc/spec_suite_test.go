@@ -179,6 +179,12 @@ type specCase struct {
 	refuse       bool // open loop: the sinks refuse on a seeded schedule
 	closed       bool // closed loop through the stub stage (installLoop)
 	spans        bool // the kernel runs observed, with a rate-0 span collector
+
+	// from, when set, is where the kernel starts: built for this routing
+	// and, on one network, fromAsg, run under open-loop traffic, then Reset
+	// and Rewired to the case's own routing and assigner.
+	from    config.Routing
+	fromAsg vc.Assigner
 }
 
 const (
@@ -191,12 +197,26 @@ const (
 func runSpec(t *testing.T, c specCase) {
 	alg := routing.MustNew(c.cfg.Routing)
 	opts := []noc.Option{noc.WithPipelineDelay(c.pipe), noc.WithLinkPeriod(c.period)}
+	kAlg, kAsg := alg, c.asg
+	if c.from != "" {
+		kAlg, kAsg = routing.MustNew(c.from), c.fromAsg
+	}
 	var kernel noc.Interconnect
 	var model specModel
 	if c.asg == nil {
-		kernel, model = noc.NewDual(c.cfg, alg, opts...), newSpecDual(c.cfg, alg, c.pipe, c.period)
+		kernel, model = noc.NewDual(c.cfg, kAlg, opts...), newSpecDual(c.cfg, alg, c.pipe, c.period)
 	} else {
-		kernel, model = noc.New(c.cfg, alg, c.asg, opts...), newSpecNet(c.cfg, alg, c.asg, c.pipe, c.period, specTicks(c.cfg))
+		kernel, model = noc.New(c.cfg, kAlg, kAsg, opts...), newSpecNet(c.cfg, alg, c.asg, c.pipe, c.period, specTicks(c.cfg))
+	}
+	if c.from != "" {
+		prime := &specSide{fab: kernel}
+		traffic := openLoop(prime, c.cfg.Width*c.cfg.Height, false)
+		for range specTraffic {
+			traffic()
+			prime.step()
+		}
+		kernel.Reset(nil)
+		kernel.Rewire(alg, c.asg)
 	}
 	kernel.EnableStats(true)
 	if c.spans {
@@ -360,9 +380,30 @@ func specAssigner(name string, cfg config.NoC) vc.Assigner {
 		return vc.LinkAware{Total: cfg.VCsPerPort, Mixed: func(l mesh.Link) bool { return (int(l.From)+int(l.Dir))%2 == 0 }}
 	case "asymmetric":
 		cfg.AsymmetricRequestVCs = max(1, cfg.VCsPerPort/4)
+	case "injsplit":
+		cfg.VCPolicy = config.VCSplit
+		return injSplit{vc.MustNewPolicy(cfg), cfg.VCsPerPort}
 	}
 	cfg.VCPolicy = config.VCPolicy(name)
 	return vc.MustNewPolicy(cfg)
+}
+
+// injSplit is the split policy with each class held to half the injection
+// VCs too, which no assigner of package vc does: they all give injection
+// every VC.
+type injSplit struct {
+	vc.Assigner
+	total int
+}
+
+func (a injSplit) RangeFor(l mesh.Link, o mesh.Orientation, cls packet.Class) vc.Range {
+	if o != mesh.LocalPort {
+		return a.Assigner.RangeFor(l, o, cls)
+	}
+	if cls == packet.Request {
+		return vc.Range{Lo: 0, Hi: a.total / 2}
+	}
+	return vc.Range{Lo: a.total / 2, Hi: a.total}
 }
 
 func specNoC(size, vcs int, rt config.Routing) config.NoC {
@@ -396,6 +437,49 @@ func TestSpecOpenLoop(t *testing.T) {
 	cases = append(cases,
 		specCase{name: "observed", cfg: cfg, asg: specAssigner("split", cfg), pipe: 2, period: 1, refuse: true, spans: true},
 		specCase{name: "8x8/xy/split/v=2/pd=2/period=2", cfg: cfg, asg: specAssigner("split", cfg), pipe: 2, period: 2, refuse: true})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			runSpec(t, c)
+		})
+	}
+}
+
+// TestSpecRewire holds a rewired kernel to the model: a network built for
+// one design point and run under traffic, then Reset and Rewired to another,
+// must step as the model of the other does. The pairs cross every routing
+// and change the VC ranges on the links and at injection (injsplit holds
+// each class to half the injection VCs); two physical subnets change their
+// routing.
+func TestSpecRewire(t *testing.T) {
+	v4, v2 := specNoC(8, 4, config.RoutingXY), specNoC(8, 2, config.RoutingXY)
+	at := func(cfg config.NoC, rt config.Routing) config.NoC { cfg.Routing = rt; return cfg }
+	var cases []specCase
+	for _, p := range []struct {
+		cfg            config.NoC
+		from, to       config.Routing
+		fromPol, toPol string
+		refuse, closed bool
+	}{
+		{v4, config.RoutingXY, config.RoutingYX, "split", "monopolized", true, false},
+		{v4, config.RoutingYX, config.RoutingXYYX, "monopolized", "partial", false, false},
+		{v4, config.RoutingXYYX, config.RoutingXY, "linkaware", "injsplit", true, false},
+		{v4, config.RoutingXY, config.RoutingYX, "injsplit", "asymmetric", false, false},
+		{v2, config.RoutingXY, config.RoutingYX, "split", "monopolized", false, true},
+	} {
+		cfg := at(p.cfg, p.to)
+		cases = append(cases, specCase{
+			name: fmt.Sprintf("%s/%s->%s/%s/v=%d/closed=%t", p.from, p.fromPol, p.to, p.toPol, cfg.VCsPerPort, p.closed),
+			cfg:  cfg, asg: specAssigner(p.toPol, cfg), pipe: 2, period: 1, refuse: p.refuse, closed: p.closed,
+			from: p.from, fromAsg: specAssigner(p.fromPol, at(p.cfg, p.from)),
+		})
+	}
+	for _, closed := range []bool{false, true} {
+		cases = append(cases, specCase{
+			name: fmt.Sprintf("dual/yx->xy/closed=%t", closed),
+			cfg:  v4, pipe: 2, period: 1, refuse: true, closed: closed, from: config.RoutingYX,
+		})
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()

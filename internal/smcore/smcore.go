@@ -201,6 +201,10 @@ func (s *SM) Reset(prof workload.Profile, seed uint64) {
 	s.greedy, s.idleUntil, s.sleptTicks, s.lastTick, s.injBlocked = 0, 0, 0, -1, false
 }
 
+// Rebind moves the SM to node of placement pl, whose MCs its requests go
+// to from now on. Call between runs.
+func (s *SM) Rebind(node mesh.NodeID, pl *placement.Placement) { s.Node, s.place = node, pl }
+
 // Reclaim gives the SM the storage of a packet of one of its unfinished
 // transactions, which a Reset took out of the network or an MC.
 func (s *SM) Reclaim(p *packet.Packet) { s.free.Put(p) }

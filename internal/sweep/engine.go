@@ -80,14 +80,19 @@ type Event struct {
 }
 
 // Outcome is the in-process view of one job's result: the serializable
-// record plus, for successful runs, the full simulation result so callers
-// like internal/experiments can reach every counter without re-running.
+// record plus, for successful runs of a sweep without a sink, the full
+// simulation result so callers like internal/experiments can reach every
+// counter without re-running.
 type Outcome struct {
-	Job     Job
-	Record  Record
-	Res     *gpu.Result // nil unless the job ran to completion
-	Err     error       // non-nil iff Record.Status == StatusFailed
-	Skipped bool        // true when resume skipped the job
+	Job    Job
+	Record Record
+	// Res is the job's simulation result when it ran to completion and Run
+	// was given no sink; nil otherwise. A sweep with a sink has written
+	// each job's record to it, and keeping the results too would grow it by
+	// one Result per job.
+	Res     *gpu.Result
+	Err     error // non-nil iff Record.Status == StatusFailed
+	Skipped bool  // true when resume skipped the job
 }
 
 // Summary aggregates a finished (or cancelled) sweep.
@@ -128,7 +133,8 @@ func (s Summary) String() string {
 // resume skip-set, the timeout, and panic recovery — a crashing
 // configuration becomes a StatusFailed record, not a crashed sweep — and
 // streams the record to sink (when non-nil) the moment the job finishes.
-// Outcomes are returned in completion order.
+// Outcomes are returned in completion order, without a Res when sink is
+// non-nil.
 //
 // Cancelling ctx stops dispatching new jobs and cooperatively aborts
 // in-flight simulations; Run then returns the outcomes gathered so far
@@ -230,7 +236,9 @@ func Run(ctx context.Context, jobs []Job, sink Sink, opts Options) ([]Outcome, e
 					o.Record.Exec.Cycles = r.Cycles
 					m := r.Metrics()
 					o.Record.Metrics = &m
-					o.Res = &r
+					if sink == nil {
+						o.Res = &r
+					}
 					ev.Type = EventDone
 					ev.IPC = r.IPC
 					if opts.TelemetryDir != "" && r.Tel != nil {

@@ -681,6 +681,39 @@ func TestRunSinkErrorAbortsSweep(t *testing.T) {
 	}
 }
 
+// TestRunWithSinkKeepsNoResults: a sweep with a sink hands back no
+// gpu.Result — every record has gone to the sink, so keeping the results
+// too would grow the sweep by one per job — and one without keeps every
+// completed job's.
+func TestRunWithSinkKeepsNoResults(t *testing.T) {
+	jobs, _, err := smallSpec().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	outs, err := Run(context.Background(), jobs, NewJSONL(&buf), Options{Workers: 2, Run: okRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range outs {
+		if o.Res != nil {
+			t.Fatalf("%s: a sweep with a sink kept its result", o.Job.Key)
+		}
+	}
+	if recs, err := ReadRecords(&buf); err != nil || len(recs) != len(jobs) {
+		t.Fatalf("the sink holds %d records for %d jobs (%v)", len(recs), len(jobs), err)
+	}
+	outs, err = Run(context.Background(), jobs, nil, Options{Workers: 2, Run: okRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range outs {
+		if o.Res == nil || o.Res.Benchmark != o.Job.Benchmark {
+			t.Fatalf("%s: a sweep without a sink lost its result", o.Job.Key)
+		}
+	}
+}
+
 type failSink struct{}
 
 func (failSink) Write(Record) error { return fmt.Errorf("disk full") }
