@@ -4,13 +4,15 @@ TELEMETRY_DEMO_OUT ?= telemetry-demo
 
 PROFILE_OUT ?= profiles
 
-.PHONY: check lint vet build test race mutants smoke bench-smoke bench-quick bench telemetry-demo profile clean
+.PHONY: check lint vet build test pins race mutants smoke bench-smoke bench-quick bench telemetry-demo profile clean
 
-# check is the full pre-merge gate: static analysis, build, race-enabled
-# tests, an end-to-end smoke sweep through cmd/sweep, a one-iteration
-# compile-and-run pass over every microbenchmark, and the repository
-# benchmark at smoke scale (every workload, every output check).
-check: lint build race smoke bench-smoke bench-quick
+# check is the full pre-merge gate: go vet, build, the name guard of the
+# equivalence suites (pins), every test once under the race detector (the
+# determinism check in internal/lint among them), an end-to-end smoke sweep
+# through cmd/sweep, a one-iteration compile-and-run pass over every
+# microbenchmark, and the repository benchmark at smoke scale (every
+# workload, every output check).
+check: vet build pins race smoke bench-smoke bench-quick
 
 # lint is all static analysis: go vet plus the repository's determinism
 # check (determinism, seedflow and paniclint rules — see internal/lint),
@@ -27,12 +29,58 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs one package's tests at a time (-p 1): internal/gpu and
-# internal/noc each take minutes under the race detector, and run beside
-# the other packages on a small machine they pass the 10-minute default
-# test timeout.
+# pins guards the names of the kernel equivalence suites: for each (package,
+# pattern) pair below it runs `go test -list`, nothing else, and fails,
+# naming the pair, when the pattern matches no test there, so neither a
+# rename nor a move can silently drop a suite. The suites run in race.
+#   .                    every run bit for bit, also from the retired Workers=4; run loop == hand-stepping; artifacts == goldens
+#   internal/noc         kernel == the specification model; arbitration digests; run masks and wakes; whole runs == the tick-every-cycle twin; stats window; one next-hop table
+#   internal/smcore      sleeping SM ticks == the tick digests and an always-awake twin; a refused outbox waits for its wake
+#   internal/mc          sleeping MC ticks == the tick digests and an always-awake twin; a reply reuses a request's storage
+#   internal/gpu         whole runs == the fig9/idle digests; no allocation after warm-up; Reset and Run == a new simulator; shared structures
+#   internal/sweep       every job key == the fmt.Sprintf format
+#   internal/obs         the span collector agrees with the routing function
+#   internal/core        one proof per structure; the sparse CDG prover == the dense reference
+#   internal/synthetic   a harness shares gpu.New's core.Structure; concurrent == solo
+#   internal/fabric      concurrent Submits of one spec register one sweep
+#   internal/experiments the result memo: shared == alone, Workers folded, eviction re-simulates equal
+#   cmd/experiments      the CLI's fig2,fig3 JSON == its golden
+#   internal/cache       the set index == a list LRU; the MSHR table == the map reference
+#   internal/workload    integer thresholds == the float draws
+#   internal/config      every Config field is read
+#   internal/lint        every production package passes the determinism check
+pins:
+	@fail=0; \
+	pin() { $(GO) test -list "$$2" "$$1" | grep -q '^Test' || { echo "pins: $$1 $$2 matches no test"; fail=1; }; }; \
+	pin . 'StepperEquivalence|FigureTableEquivalence|GoldenRunArtifacts|RetiredWorkers'; \
+	pin ./internal/noc 'Spec|StepperEquivalenceNetworkLevel|ReferenceOracle|ArbitrationDigests|MaskInvariants|RunMasksExact|IdleInvariants|SaturatedNetworkSleeps|InjectWake|StatsWindow|FlitsLandInPlace'; \
+	pin ./internal/noc 'RouteTable'; \
+	pin ./internal/smcore 'TickDigests|Sleep|RefusedDrainWaitsForWake|RepliesBecomeRequests'; \
+	pin ./internal/mc 'TickDigests|Sleep|ReplyReusesRequestStorage'; \
+	pin ./internal/gpu 'FastForwardEquivalence|SanitizerCadence|WholeStep|EndpointInvariants|StepSteadyState'; \
+	pin ./internal/gpu 'ResetMatchesNew|ResetAcrossDesignPoints|RunResultOwnsItsStorage|RunRecyclesCompletedRuns|RunRewiresIdleSimulators'; \
+	pin ./internal/gpu 'SharedStructure'; \
+	pin ./internal/sweep 'ExpandKeys'; \
+	pin ./internal/obs 'Spans'; \
+	pin ./internal/core 'Structure'; \
+	pin ./internal/core 'CDGMatchesDenseReference'; \
+	pin ./internal/synthetic 'SharedStructure'; \
+	pin ./internal/fabric 'SubmitConcurrent'; \
+	pin ./internal/experiments 'Memo'; \
+	pin ./cmd/experiments 'Golden'; \
+	pin ./internal/cache 'ReferenceLRU'; \
+	pin ./internal/cache 'MSHRMatchesMapReference'; \
+	pin ./internal/workload 'FloatDraws'; \
+	pin ./internal/config 'EveryConfigFieldIsRead'; \
+	pin ./internal/lint 'RepoIsClean'; \
+	exit $$fail
+
+# race runs every test once under the race detector, packages side by side:
+# -count=1 so that no result comes from the test cache, and a 30-minute
+# timeout because internal/gpu and internal/noc each take minutes under the
+# detector on a small machine.
 race:
-	$(GO) test -race -p 1 ./...
+	$(GO) test -race -count=1 -timeout 30m ./...
 
 # mutants runs the mutation ledger (testdata/mutations): each diff is applied
 # to a temporary copy of the tree and every test its header names under

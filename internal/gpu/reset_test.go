@@ -26,14 +26,14 @@ func resultDigest(res gpu.Result) string {
 // pair (A, B) of design points that share a shape — KMN, RAY and NQU at two
 // seeds, on one network and on two physical subnets — a simulator that ran
 // A and was then Reset to B must leave exactly what a simulator New built
-// for B leaves, from configurations carrying the retired Workers values 1
-// and 4. A runs to completion or is
-// cancelled at its first checkpoint with the fabric full; B runs to
-// completion, or is cancelled too, whose partial result reports absolute
-// counters. Right after the Reset the fabric must be empty and consistent,
-// and the
-// sanitizer checks every 256 cycles that Reset left no stale schedule
-// behind.
+// for B from a configuration carrying the retired Workers value 1 leaves;
+// the Reset simulator runs from configurations carrying Workers 1 and 4, one
+// subtest each, against that one table of new simulators. A runs to
+// completion or is cancelled at its first checkpoint with the fabric full; B
+// runs to completion, or is cancelled too, whose partial result reports
+// absolute counters. Right after the Reset the fabric must be empty and
+// consistent, and the sanitizer checks every 256 cycles that Reset left no
+// stale schedule behind.
 func TestResetMatchesNew(t *testing.T) {
 	type point struct {
 		bench string
@@ -48,54 +48,54 @@ func TestResetMatchesNew(t *testing.T) {
 	bg := context.Background()
 	cancelled, cancel := context.WithCancel(bg)
 	cancel()
+	run := func(t *testing.T, sim *gpu.Simulator, ctx context.Context) gpu.Result {
+		t.Helper()
+		sim.SanitizeEvery = 256
+		res, err := sim.RunContext(ctx)
+		if err != ctx.Err() {
+			t.Fatalf("run error %v, context error %v", err, ctx.Err())
+		}
+		return res
+	}
+	type outcome struct {
+		p         point
+		cancelled bool
+	}
 	for _, dual := range []bool{false, true} {
+		cfgOf := func(p point, workers int) config.Config {
+			cfg := config.Default()
+			cfg.WarmupCycles, cfg.MeasureCycles = 520, 180 // a cancelled run stops at warm-up cycle 512
+			cfg.NoC.Workers = workers
+			if dual {
+				cfg.NoC.PhysicalSubnets, cfg.NoC.VCsPerPort = true, 4
+			}
+			cfg.Seed = p.seed
+			return cfg
+		}
+		fresh := map[outcome]string{}
+		for _, p := range points {
+			for _, ctx := range []context.Context{bg, cancelled} {
+				sim, err := gpu.New(cfgOf(p, 1), workload.MustGet(p.bench))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh[outcome{p, ctx.Err() != nil}] = resultDigest(run(t, sim, ctx))
+			}
+		}
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("dual=%v/workers=%d", dual, workers), func(t *testing.T) {
-				cfgOf := func(p point) config.Config {
-					cfg := config.Default()
-					cfg.WarmupCycles, cfg.MeasureCycles = 520, 180 // a cancelled run stops at warm-up cycle 512
-					cfg.NoC.Workers = workers
-					if dual {
-						cfg.NoC.PhysicalSubnets, cfg.NoC.VCsPerPort = true, 4
-					}
-					cfg.Seed = p.seed
-					return cfg
-				}
-				run := func(sim *gpu.Simulator, ctx context.Context) gpu.Result {
-					t.Helper()
-					sim.SanitizeEvery = 256
-					res, err := sim.RunContext(ctx)
-					if err != ctx.Err() {
-						t.Fatalf("run error %v, context error %v", err, ctx.Err())
-					}
-					return res
-				}
-				type outcome struct {
-					p         point
-					cancelled bool
-				}
-				fresh := map[outcome]string{}
-				for _, p := range points {
-					for _, ctx := range []context.Context{bg, cancelled} {
-						sim, err := gpu.New(cfgOf(p), workload.MustGet(p.bench))
-						if err != nil {
-							t.Fatal(err)
-						}
-						fresh[outcome{p, ctx.Err() != nil}] = resultDigest(run(sim, ctx))
-					}
-				}
-				sim, err := gpu.New(cfgOf(points[0]), workload.MustGet(points[0].bench))
+				sim, err := gpu.New(cfgOf(points[0], workers), workload.MustGet(points[0].bench))
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, a := range points {
 					for _, ctxs := range [][2]context.Context{{bg, bg}, {cancelled, bg}, {bg, cancelled}} {
 						for _, b := range points {
-							if err := sim.Reset(cfgOf(a), workload.MustGet(a.bench)); err != nil {
+							if err := sim.Reset(cfgOf(a, workers), workload.MustGet(a.bench)); err != nil {
 								t.Fatal(err)
 							}
-							run(sim, ctxs[0])
-							if err := sim.Reset(cfgOf(b), workload.MustGet(b.bench)); err != nil {
+							run(t, sim, ctxs[0])
+							if err := sim.Reset(cfgOf(b, workers), workload.MustGet(b.bench)); err != nil {
 								t.Fatal(err)
 							}
 							if n := sim.Net.FlitsInFlight(); n != 0 {
@@ -105,7 +105,7 @@ func TestResetMatchesNew(t *testing.T) {
 								t.Fatalf("%v after %v: after Reset: %v", b, a, err)
 							}
 							want := fresh[outcome{b, ctxs[1].Err() != nil}]
-							if got := resultDigest(run(sim, ctxs[1])); got != want {
+							if got := resultDigest(run(t, sim, ctxs[1])); got != want {
 								t.Errorf("%v (cancelled %t) after %v (cancelled %t): digest %s, a new simulator's %s",
 									b, ctxs[1].Err() != nil, a, ctxs[0].Err() != nil, got, want)
 							}

@@ -11,9 +11,9 @@
 //
 // The stage is reachable only through this package's export_test.go, so
 // these comparisons live here, in the external test package that can drive
-// a whole gpu.Simulator. Each comparison runs from configurations carrying
-// the retired Workers values 1 and 4 (workers_test.go), which must not
-// change a bit.
+// a whole gpu.Simulator. Each comparison runs the twin once and the shipped
+// simulator from configurations carrying the retired Workers values 1 and 4
+// (workers_test.go), which must not change a bit.
 package noc_test
 
 import (
@@ -66,13 +66,12 @@ func run(t *testing.T, cfg config.Config, prof workload.Profile, reference bool)
 	return res
 }
 
-// checkOracle runs prof as shipped and as the twin and requires bit-identical
-// observable state: IPC, run shape, core and network statistics (the
-// floating-point Welford latency accumulators pin the ejection order) and
-// the telemetry JSONL bytes.
-func checkOracle(t *testing.T, cfg config.Config, prof workload.Profile) {
+// checkOracle requires the shipped run opt and the twin's run ref to leave
+// bit-identical observable state: IPC, run shape, core and network
+// statistics (the floating-point Welford latency accumulators pin the
+// ejection order) and the telemetry JSONL bytes.
+func checkOracle(t *testing.T, opt, ref gpu.Result) {
 	t.Helper()
-	opt, ref := run(t, cfg, prof, false), run(t, cfg, prof, true)
 	if opt.IPC != ref.IPC || opt.Cycles != ref.Cycles || opt.Deadlocked != ref.Deadlocked {
 		t.Errorf("run shape diverged: IPC %v/%v, cycles %d/%d, deadlocked %v/%v",
 			opt.IPC, ref.IPC, opt.Cycles, ref.Cycles, opt.Deadlocked, ref.Deadlocked)
@@ -95,15 +94,18 @@ func checkOracle(t *testing.T, cfg config.Config, prof workload.Profile) {
 	}
 }
 
-// checkOracleWorkers runs checkOracle as one row per retired Workers value the
-// configuration carries, 1 and 4.
+// checkOracleWorkers runs prof as the twin once, from the configuration
+// carrying the retired Workers value 1, and holds the shipped run of each
+// value the configuration may carry, 1 and 4, to it: one row per value.
 func checkOracleWorkers(t *testing.T, cfg config.Config, prof workload.Profile) {
 	t.Helper()
+	cfg.NoC.Workers = 1
+	ref := run(t, cfg, prof, true)
 	for _, w := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			c := cfg
 			c.NoC.Workers = w
-			checkOracle(t, c, prof)
+			checkOracle(t, run(t, c, prof, false), ref)
 		})
 	}
 }

@@ -9,8 +9,9 @@
 # For each diff the script copies the working tree (tracked and untracked
 # files, ignored ones left out) to a temporary directory, applies the diff
 # there and runs every listed test on its own. It fails when a diff no
-# longer applies, when a mutant does not build, or when a listed test
-# passes with the mutant in place (the mutant survived).
+# longer applies, when a mutant does not build, when a listed test does not
+# exist (a rename), or when a listed test passes with the mutant in place
+# (the mutant survived).
 set -uo pipefail
 
 root=$(git rev-parse --show-toplevel) || exit 1
@@ -43,6 +44,9 @@ for d in "$root"/testdata/mutations/*.diff; do
 			code=$?
 			if grep -q '\[build failed\]\|\[setup failed\]' <<<"$out"; then
 				echo "FAIL $name: $pkg does not build with the mutant"
+				failed=1
+			elif [ $code -eq 0 ] && grep -q '\[no tests to run\]' <<<"$out"; then
+				echo "FAIL $name: $pkg has no test $t"
 				failed=1
 			elif [ $code -eq 0 ]; then
 				echo "FAIL $name: survived $pkg $t"
