@@ -43,7 +43,7 @@ test:
 #   internal/core        one proof per structure; the sparse CDG prover == the dense reference
 #   internal/synthetic   a harness shares gpu.New's core.Structure; concurrent == solo
 #   internal/fabric      concurrent Submits of one spec register one sweep
-#   internal/experiments the result memo: shared == alone, Workers folded, eviction re-simulates equal
+#   internal/experiments the result memo: shared == alone, Workers folded, eviction re-simulates equal; the checklist == EXPERIMENTS.md's block
 #   cmd/experiments      the CLI's fig2,fig3 JSON == its golden
 #   internal/cache       the set index == a list LRU; the MSHR table == the map reference
 #   internal/workload    integer thresholds == the float draws
@@ -66,7 +66,7 @@ pins:
 	pin ./internal/core 'CDGMatchesDenseReference'; \
 	pin ./internal/synthetic 'SharedStructure'; \
 	pin ./internal/fabric 'SubmitConcurrent'; \
-	pin ./internal/experiments 'Memo'; \
+	pin ./internal/experiments 'Memo|ChecklistMatchesResultsFile'; \
 	pin ./cmd/experiments 'Golden'; \
 	pin ./internal/cache 'ReferenceLRU'; \
 	pin ./internal/cache 'MSHRMatchesMapReference'; \

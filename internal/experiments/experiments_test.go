@@ -40,8 +40,8 @@ func floorsHold(t *testing.T, tables map[string]*Table, ids ...string) {
 		if targets[i].floor != nil {
 			f = *targets[i].floor
 		}
-		if !f.holds(v) {
-			t.Errorf("target %s: want %s; measured %s", id, f.desc, shown)
+		if m := f.margin(v); m <= 0 {
+			t.Errorf("target %s: want %s (margin %s); measured %s", id, f.desc, percent(m), shown)
 		}
 	}
 }

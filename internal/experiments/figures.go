@@ -378,7 +378,7 @@ func Runners() []Runner {
 		{"division", "one net + VC split vs two physical nets", NetworkDivision},
 		{"sweep", "extension: synthetic latency/throughput curves", Sweep},
 		{"scaling", "extension: mesh-size scaling of the proposed design", Scaling},
-		{"checklist", "the paper's result shapes, each with its verdict", Checklist},
+		{"checklist", "the paper's result shapes, each with its margin and verdict", Checklist},
 	}
 }
 

@@ -3,7 +3,9 @@ package experiments
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -65,11 +67,10 @@ func parseTextTables(text string) ([]*Table, error) {
 	return tables, nil
 }
 
-// TestChecklistMatchesResultsFile renders the checklist from the committed
-// full-scale results, simulating nothing, and requires EXPERIMENTS.md's
-// checklist block to be that rendering byte for byte. With -update it
-// rewrites the block instead.
-func TestChecklistMatchesResultsFile(t *testing.T) {
+// resultsTables reads the committed full-scale results back into tables
+// keyed by runner id, and fails t unless they print back to the file.
+func resultsTables(t *testing.T) map[string]*Table {
+	t.Helper()
 	data, err := os.ReadFile(resultsFile)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +79,6 @@ func TestChecklistMatchesResultsFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The parse loses nothing: the tables print back to the file.
 	var back strings.Builder
 	tables := map[string]*Table{}
 	for _, tab := range parsed {
@@ -88,7 +88,15 @@ func TestChecklistMatchesResultsFile(t *testing.T) {
 	if back.String() != string(data) {
 		t.Fatalf("%s does not print back from its parsed tables", resultsFile)
 	}
-	tab, err := checklist(tables)
+	return tables
+}
+
+// TestChecklistMatchesResultsFile renders the checklist from the committed
+// full-scale results, simulating nothing, and requires EXPERIMENTS.md's
+// checklist block to be that rendering byte for byte. With -update it
+// rewrites the block instead.
+func TestChecklistMatchesResultsFile(t *testing.T) {
+	tab, err := checklist(resultsTables(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,5 +120,41 @@ func TestChecklistMatchesResultsFile(t *testing.T) {
 	if got := checklistBegin + rest[:len(rest)-len(after)]; got != block {
 		t.Errorf("%s's checklist block differs from the one rendered from %s (go test ./internal/experiments -run TestChecklistMatchesResultsFile -update):\n--- got\n%s--- want\n%s",
 			experimentsFile, resultsFile, got, block)
+	}
+}
+
+// TestMarginRules: a conjunct a > b scores ln(a/b), a band scores its
+// nearer edge, a tie or a reading on a band's edge scores 0 and a
+// non-positive reading -Inf, none of which holds; a target reading a
+// benchmark the tables lack shows no margin.
+func TestMarginRules(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"gt(2, 1)", gt(2, 1), math.Log(2)},
+		{"gt(1, 2)", gt(1, 2), -math.Log(2)},
+		{"gt(1, 1)", gt(1, 1), 0},
+		{"gt(0, 1)", gt(0, 1), math.Inf(-1)},
+		{"gt(1, 0)", gt(1, 0), math.Inf(-1)},
+		{"within(1.5, 1, 2)", within(1.5, 1, 2), math.Log(2 / 1.5)},
+		{"within(1, 1, 2)", within(1, 1, 2), 0},
+		{"within(3, 1, 2)", within(3, 1, 2), math.Log(2.0 / 3)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+
+	tables := resultsTables(t)
+	fig2 := *tables["fig2"]
+	fig2.Rows = slices.DeleteFunc(slices.Clone(fig2.Rows), func(r []string) bool { return r[0] == "RAY" })
+	tables["fig2"] = &fig2
+	tab, err := checklist(tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := tab.Rows[0]; r[0] != "1" || r[4] != "n/a" || r[5] != "not measured" {
+		t.Errorf("target 1 without RAY renders %q, want margin n/a, not measured", r)
 	}
 }

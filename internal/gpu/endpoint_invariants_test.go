@@ -51,29 +51,25 @@ func (l *lateReplyNet) Step() {
 
 // TestEndpointInvariants: the sanitizer covers the endpoints' sleep state.
 // Checked after every cycle, saturated, write-heavy and mostly-idle systems
-// on one and two subnets, at the retired Workers values 1 and 4, never trip
-// it; an MC
-// that is asleep while its DRAM channel has work fails the run with an
-// error naming the controller and the cause, and so does an endpoint still
-// waiting for injection space after its queue drained, and an SM woken by a
-// reply while out of the kernel's tick walk.
+// on one and two subnets never trip it; an MC that is asleep while its DRAM
+// channel has work fails the run with an error naming the controller and
+// the cause, and so does an endpoint still waiting for injection space
+// after its queue drained, and an SM woken by a reply while out of the
+// kernel's tick walk.
 func TestEndpointInvariants(t *testing.T) {
 	for _, prof := range []workload.Profile{workload.MustGet("KMN"), workload.MustGet("RAY"), trickleProfile()} {
 		for _, dual := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/dual=%t/workers=%d", prof.Name, dual, workers), func(t *testing.T) {
-					cfg := equivCfg()
-					cfg.NoC.PhysicalSubnets = dual
-					cfg.NoC.Workers = workers
-					sim, err := gpu.NewInstrumented(cfg, prof, gpu.Instrumentation{SanitizeEvery: 1})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := sim.RunContext(context.Background()); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("%s/dual=%t", prof.Name, dual), func(t *testing.T) {
+				cfg := equivCfg()
+				cfg.NoC.PhysicalSubnets = dual
+				sim, err := gpu.NewInstrumented(cfg, prof, gpu.Instrumentation{SanitizeEvery: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sim.RunContext(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 
