@@ -39,7 +39,7 @@ test:
 #   internal/mc          sleeping MC ticks == the tick digests and an always-awake twin; a reply reuses a request's storage
 #   internal/gpu         whole runs == the fig9/idle digests; no allocation after warm-up; Reset and Run == a new simulator; shared structures
 #   internal/sweep       every job key == the fmt.Sprintf format
-#   internal/obs         the span collector agrees with the routing function
+#   internal/telemetry   the span collector agrees with the routing function
 #   internal/core        one proof per structure; the sparse CDG prover == the dense reference
 #   internal/synthetic   a harness shares gpu.New's core.Structure; concurrent == solo
 #   internal/fabric      concurrent Submits of one spec register one sweep
@@ -61,7 +61,7 @@ pins:
 	pin ./internal/gpu 'ResetMatchesNew|ResetAcrossDesignPoints|RunResultOwnsItsStorage|RunRecyclesCompletedRuns|RunRewiresIdleSimulators'; \
 	pin ./internal/gpu 'SharedStructure'; \
 	pin ./internal/sweep 'ExpandKeys'; \
-	pin ./internal/obs 'Spans'; \
+	pin ./internal/telemetry 'Spans'; \
 	pin ./internal/core 'Structure'; \
 	pin ./internal/core 'CDGMatchesDenseReference'; \
 	pin ./internal/synthetic 'SharedStructure'; \
@@ -122,14 +122,12 @@ bench:
 	bash bench/run.sh -all
 
 # telemetry-demo produces the paper's bottom-vs-diamond link-load contrast
-# as telemetry artifacts: two instrumented runs whose heatmap.csv files
-# show the MC-edge concentration (bottom) against the spread-out diamond.
+# as two traced runs whose heatmap.csv files show the MC-edge concentration
+# (bottom) against the spread-out diamond.
 telemetry-demo:
-	$(GO) run ./cmd/nocsim -bench KMN -placement bottom \
-		-telemetry-epoch 1000 -telemetry-out $(TELEMETRY_DEMO_OUT)/bottom
-	$(GO) run ./cmd/nocsim -bench KMN -placement diamond \
-		-telemetry-epoch 1000 -telemetry-out $(TELEMETRY_DEMO_OUT)/diamond
-	@echo "artifacts in $(TELEMETRY_DEMO_OUT)/{bottom,diamond}/{series.jsonl,heatmap.csv,trace.json}"
+	$(GO) run ./cmd/nocsim -bench KMN -placement bottom -trace $(TELEMETRY_DEMO_OUT)/bottom
+	$(GO) run ./cmd/nocsim -bench KMN -placement diamond -trace $(TELEMETRY_DEMO_OUT)/diamond
+	@echo "traces in $(TELEMETRY_DEMO_OUT)/{bottom,diamond}/{series.jsonl,trace.json,heatmap.csv}"
 
 # profile captures CPU and allocation profiles of a representative run:
 # one full-GPU simulation on the heaviest benchmark. Inspect with

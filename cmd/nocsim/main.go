@@ -6,22 +6,21 @@
 //	nocsim -bench KMN
 //	nocsim -bench BFS -placement diamond -routing xy -vcpolicy partial
 //	nocsim -bench RAY -routing yx -vcpolicy monopolized -cycles 50000
+//	nocsim -bench KMN -cycles 2000 -trace /tmp/kmn   # then: traceview /tmp/kmn/series.jsonl
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/experiments"
 	"gpgpunoc/internal/gpu"
-	"gpgpunoc/internal/mesh"
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/profiling"
 	"gpgpunoc/internal/telemetry"
@@ -42,18 +41,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		heatmap  = fs.Bool("heatmap", false, "print per-direction link utilization heatmaps")
 		sanitize = fs.Int("sanitize", 0, "validate interconnect invariants every N cycles (0 = off)")
 
-		telEpoch = fs.Int64("telemetry-epoch", 0, "sample cycle-domain telemetry every N cycles (0 = off)")
-		telOut   = fs.String("telemetry-out", "telemetry", "directory for telemetry artifacts (series.jsonl, heatmap.csv, trace.json)")
+		trace      = fs.String("trace", "", "write the run's trace (series.jsonl, trace.json, heatmap.csv) into this directory")
+		traceEpoch = fs.Int64("trace-epoch", 1000, "with -trace: sample the probes every N cycles")
+		traceRate  = fs.Float64("trace-rate", 0.01, "with -trace: fraction of request packets traced end to end, in (0, 1]")
 
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	// All simulation-configuration flags (-config, -placement, -routing,
 	// -vcpolicy, -vcs, -depth, -cycles, -seed, -allow-unsafe, ...) come
-	// from the shared config.BindFlags API; the span-tracing flags
-	// (-obs-sample-rate, -spans, -span-trace) from config.BindObsFlags.
+	// from the shared config.BindFlags API.
 	cf := config.BindFlags(fs)
-	of := config.BindObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -72,11 +70,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return fail(err)
 	}
-	if err := config.ValidateTelemetryEpoch(*telEpoch); err != nil {
-		return fail(err)
-	}
-	if err := of.Validate(); err != nil {
-		return fail(err)
+	inst := gpu.Instrumentation{SanitizeEvery: *sanitize}
+	if *trace != "" {
+		if err := errors.Join(telemetry.ValidateEpoch(*traceEpoch), telemetry.ValidateRate(*traceRate)); err != nil {
+			return fail(err)
+		}
+		inst.TelemetryEpoch, inst.Spans, inst.SpanRate = *traceEpoch, true, *traceRate
+	} else if f := tracingFlag(fs); f != "" {
+		return fail(fmt.Errorf("nocsim: -%s needs -trace", f))
 	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
@@ -98,12 +99,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return fail(err)
 	}
-	inst := gpu.Instrumentation{
-		SanitizeEvery:  *sanitize,
-		TelemetryEpoch: *telEpoch,
-		Spans:          of.SpansEnabled(),
-		SpanRate:       of.SampleRate,
-	}
 	sim, err := gpu.NewInstrumented(cfg, prof, inst)
 	if err != nil {
 		return fail(err)
@@ -114,27 +109,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// result; the non-zero exit is what CI keys on.
 		fmt.Fprintln(stderr, runErr)
 	}
-	if res.Spans != nil {
-		if err := writeSpans(res.Spans, of.SpansOut, of.TraceOut); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "spans: %d packets traced at rate %g", res.Spans.NumTraces(), res.Spans.Rate())
-		if of.SpansOut != "" {
-			fmt.Fprintf(stdout, "  log %s", of.SpansOut)
-		}
-		if of.TraceOut != "" {
-			fmt.Fprintf(stdout, "  trace %s", of.TraceOut)
-		}
-		fmt.Fprintln(stdout)
-	}
 	if res.Tel != nil {
-		m := mesh.New(cfg.NoC.Width, cfg.NoC.Height)
-		if err := writeTelemetry(res, m, *telOut); err != nil {
+		if err := telemetry.WriteTrace(*trace, res.Tel, res.Spans, res.Net.Mesh); err != nil {
 			return fail(err)
 		}
 		sum := res.Tel.Summarize()
-		fmt.Fprintf(stdout, "telemetry: %s/{series.jsonl,heatmap.csv,trace.json}  reply:request link flits %.2f (%d:%d)\n\n",
-			*telOut, sum.ReplyRequestRatio(), sum.LinkFlits[packet.Reply], sum.LinkFlits[packet.Request])
+		fmt.Fprintf(stdout, "trace: %s/{series.jsonl,trace.json,heatmap.csv}  %d packets traced at rate %g  reply:request link flits %.2f (%d:%d)\n\n",
+			*trace, res.Spans.NumTraces(), *traceRate, sum.ReplyRequestRatio(), sum.LinkFlits[packet.Reply], sum.LinkFlits[packet.Request])
 	}
 	fmt.Fprintln(stdout, experiments.Summary(res))
 	if *heatmap {
@@ -151,54 +132,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	return 0
 }
 
-// writeSpans exports the sampled-packet spans: the JSONL log (one line per
-// traced packet, ReadSpans round-trippable) and/or the Chrome trace-event
-// file (loadable in Perfetto, one track per packet).
-func writeSpans(sp *obs.Spans, jsonlPath, tracePath string) error {
-	if jsonlPath != "" {
-		if err := writeFile(jsonlPath, sp.WriteJSONL); err != nil {
-			return err
+// tracingFlag names a -trace-* flag set on the command line, or returns "".
+func tracingFlag(fs *flag.FlagSet) (name string) {
+	fs.Visit(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "trace-") {
+			name = f.Name
 		}
-	}
-	if tracePath == "" {
-		return nil
-	}
-	return writeFile(tracePath, sp.WriteChromeTrace)
-}
-
-// writeTelemetry exports the instrumented run's three artifacts into dir:
-// the epoch time-series (series.jsonl), the link-utilization heatmap keyed
-// by mesh coordinates (heatmap.csv), and a Chrome trace-event file
-// (trace.json) loadable in chrome://tracing or Perfetto.
-func writeTelemetry(res gpu.Result, m mesh.Mesh, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	write := func(name string, fn func(w io.Writer) error) error {
-		return writeFile(filepath.Join(dir, name), fn)
-	}
-	if err := write("series.jsonl", res.Tel.WriteJSONL); err != nil {
-		return err
-	}
-	if err := write("heatmap.csv", func(w io.Writer) error {
-		return res.Tel.WriteHeatmapCSV(w, m)
-	}); err != nil {
-		return err
-	}
-	return write("trace.json", func(w io.Writer) error {
-		return res.Tel.WriteChromeTrace(w, telemetry.DefaultTraceFilter)
 	})
-}
-
-// writeFile creates path and writes it with fn.
-func writeFile(path string, fn func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return name
 }

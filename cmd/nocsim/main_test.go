@@ -5,23 +5,19 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current build")
 
-// TestGoldenKMN pins the report of a short Table 2 run of KMN, byte for
-// byte.
-func TestGoldenKMN(t *testing.T) {
-	path := filepath.Join("testdata", "kmn.golden")
-	args := []string{"-bench", "KMN", "-warmup", "100", "-cycles", "400"}
-	var stdout, stderr bytes.Buffer
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("nocsim %v exited %d: %s", args, code, stderr.String())
-	}
+// checkGolden pins got to testdata/name, byte for byte.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
-		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -29,9 +25,56 @@ func TestGoldenKMN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Errorf("output differs from %s:\n--- got\n%s--- want\n%s", path, stdout.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s:\n--- got\n%s--- want\n%s", path, got, want)
 	}
+}
+
+// TestGoldenKMN pins the report of a short Table 2 run of KMN, byte for
+// byte.
+func TestGoldenKMN(t *testing.T) {
+	args := []string{"-bench", "KMN", "-warmup", "100", "-cycles", "400"}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("nocsim %v exited %d: %s", args, code, stderr.String())
+	}
+	checkGolden(t, "kmn.golden", stdout.Bytes())
+}
+
+// TestTraceKMN: -trace writes the run's three files and nothing else, and
+// trace.json carries counter tracks ("C") and packet spans ("X") on one
+// clock; a golden pins it.
+func TestTraceKMN(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "kmn")
+	args := []string{"-bench", "KMN", "-cycles", "2000", "-trace", dir}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("nocsim %v exited %d: %s", args, code, stderr.String())
+	}
+	if !strings.HasPrefix(stdout.String(), "trace: "+dir+"/{series.jsonl,trace.json,heatmap.csv}") {
+		t.Errorf("report does not name the trace: %s", stdout.String())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"heatmap.csv", "series.jsonl", "trace.json"}; !slices.Equal(names, want) {
+		t.Fatalf("-trace wrote %v, want %v", names, want)
+	}
+	trace, err := os.ReadFile(filepath.Join(dir, "trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ph := range []string{`"ph":"C"`, `"ph":"X"`} {
+		if !bytes.Contains(trace, []byte(ph)) {
+			t.Errorf("trace.json has no %s event", ph)
+		}
+	}
+	checkGolden(t, "kmn_trace.golden", trace)
 }
 
 // TestUsageErrors: a command line that cannot mean anything is refused
@@ -45,8 +88,16 @@ func TestUsageErrors(t *testing.T) {
 		"retired publish period": {[]string{"-obs-publish", "500"}, 2, "flag provided but not defined: -obs-publish"},
 		"retired live views":     {[]string{"-obs-addr", "127.0.0.1:0"}, 2, "flag provided but not defined: -obs-addr"},
 		"retired lane kernel":    {[]string{"-workers", "2"}, 2, "flag provided but not defined: -workers"},
-		"sample rate above 1":    {[]string{"-obs-sample-rate", "2"}, 1, "obs sample rate 2 outside (0, 1]"},
-		"stray argument":         {[]string{"-bench", "KMN", "-cycles", "200", "stray", "-bench", "RAY"}, 2, "unexpected argument \"stray\""},
+		// -trace, -trace-epoch and -trace-rate
+		"retired telemetry epoch": {[]string{"-telemetry-epoch", "100"}, 2, "flag provided but not defined: -telemetry-epoch"},
+		"retired telemetry out":   {[]string{"-telemetry-out", "x"}, 2, "flag provided but not defined: -telemetry-out"},
+		"retired sample rate":     {[]string{"-obs-sample-rate", "1"}, 2, "flag provided but not defined: -obs-sample-rate"},
+		"retired span log":        {[]string{"-spans", "x.jsonl"}, 2, "flag provided but not defined: -spans"},
+		"retired span trace":      {[]string{"-span-trace", "x.json"}, 2, "flag provided but not defined: -span-trace"},
+		"trace rate above 1":      {[]string{"-trace", "x", "-trace-rate", "2"}, 1, "trace rate 2 outside (0, 1]"},
+		"trace epoch 0":           {[]string{"-trace", "x", "-trace-epoch", "0"}, 1, "trace epoch 0 cycles"},
+		"rate without -trace":     {[]string{"-trace-rate", "1"}, 1, "-trace-rate needs -trace"},
+		"stray argument":          {[]string{"-bench", "KMN", "-cycles", "200", "stray", "-bench", "RAY"}, 2, "unexpected argument \"stray\""},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.want) {

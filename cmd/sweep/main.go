@@ -14,7 +14,7 @@
 //
 // With no instrument flag every job runs uninstrumented, so gpu.Run
 // recycles its simulators. To debug a failed job, rerun the same command
-// with -sanitize N -telemetry-epoch E: resume skips only ok records.
+// with -sanitize N -trace DIR: resume skips only ok records.
 //
 // Examples:
 //
@@ -31,10 +31,10 @@ import (
 	"os"
 	"os/signal"
 
-	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/profiling"
 	"gpgpunoc/internal/sweep"
+	"gpgpunoc/internal/telemetry"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -55,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dryRun   = fs.Bool("dry-run", false, "print the expanded job list and exit")
 		sanitize = fs.Int("sanitize", 0, "validate interconnect invariants every N cycles (0 = off)")
 
-		telEpoch = fs.Int64("telemetry-epoch", 0, "sample cycle-domain telemetry every N cycles (0 = off)")
-		telDir   = fs.String("telemetry-dir", "", "directory for per-job telemetry artifacts (default: <out>.telemetry)")
+		trace      = fs.String("trace", "", "write each job's trace into <dir>/<fingerprint>/ (series.jsonl, trace.json, heatmap.csv)")
+		traceEpoch = fs.Int64("trace-epoch", 1000, "with -trace: sample the probes every N cycles")
 
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = fs.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -79,20 +79,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if err := config.ValidateTelemetryEpoch(*telEpoch); err != nil {
-		return fail(err)
-	}
-	if *telDir != "" && *telEpoch == 0 {
-		return fail(fmt.Errorf("sweep: -telemetry-dir needs -telemetry-epoch"))
+	// With neither instrument set this is the zero Instrumentation, and
+	// gpu.Run recycles a parked simulator for every job of a known shape.
+	inst := gpu.Instrumentation{SanitizeEvery: *sanitize}
+	if *trace != "" {
+		if err := telemetry.ValidateEpoch(*traceEpoch); err != nil {
+			return fail(err)
+		}
+		inst.TelemetryEpoch = *traceEpoch
+	} else if isSet(fs, "trace-epoch") {
+		return fail(fmt.Errorf("sweep: -trace-epoch needs -trace"))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	telemetryDir := *telDir
-	if *telEpoch > 0 && telemetryDir == "" {
-		telemetryDir = *out + ".telemetry"
-	}
 
 	spec, err := sweep.ReadSpec(*specFile)
 	if err != nil {
@@ -129,11 +129,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	printer := sweep.NewPrinter(stderr, len(jobs))
 	opts := sweep.Options{
-		Workers: *jobsN, Timeout: *timeout, Done: done, TelemetryDir: telemetryDir,
+		Workers: *jobsN, Timeout: *timeout, Done: done, TraceDir: *trace,
 		Progress: printer.Handle,
-		// With neither instrument set this is the zero Instrumentation, and
-		// gpu.Run recycles a parked simulator for every job of a known shape.
-		Run: sweep.SimulateWith(gpu.Instrumentation{SanitizeEvery: *sanitize, TelemetryEpoch: *telEpoch}),
+		Run:      sweep.SimulateWith(inst),
 	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
@@ -174,4 +172,10 @@ func resumeSink(w sweep.Sink, jobs []sweep.Job, done map[string]bool) *sweep.Ord
 		}
 	}
 	return sweep.NewOrdered(w, todo)
+}
+
+// isSet reports whether the named flag was set on the command line.
+func isSet(fs *flag.FlagSet, name string) (set bool) {
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }

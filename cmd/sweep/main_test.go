@@ -51,7 +51,7 @@ func TestGoldenDryRun(t *testing.T) {
 // TestUsageErrors: a command line that cannot mean anything is refused
 // before any job starts, naming what is wrong. The retired fabric roles and
 // flight-recorder flags are unknown flags: sweep runs in one process, and a
-// failed job is rerun with -sanitize and -telemetry-epoch instead. The spec
+// failed job is rerun with -sanitize and -trace instead. The spec
 // is the whole sweep, so a grid or configuration flag beside it is an
 // unknown flag too, as are the retired -ordered, -resume and -quiet, whose
 // one useful value is now always taken.
@@ -70,10 +70,11 @@ func TestUsageErrors(t *testing.T) {
 		"retired store":       {[]string{"-store", "x"}, 2, "flag provided but not defined: -store"},
 		"retired recorder":    {[]string{"-flight-recorder", "0"}, 2, "flag provided but not defined: -flight-recorder"},
 		"retired dump dir":    {[]string{"-flight-dir", "x"}, 2, "flag provided but not defined: -flight-dir"},
-		// A dry run would exit 0 at once, so an ignored -telemetry-dir shows.
-		"telemetry dir without epoch": {[]string{"-spec", smokeSpec, "-dry-run", "-telemetry-dir", "x"}, 1, "-telemetry-dir"},
-		"no spec":                     {[]string{"-dry-run"}, 2, "-spec"},
-		"stray argument":              {[]string{"-spec", smokeSpec, "-dry-run", "extra", "-jobs", "4"}, 2, `unexpected argument "extra"`},
+		// A dry run would exit 0 at once, so an ignored -trace-epoch shows.
+		"trace epoch 0":        {[]string{"-spec", smokeSpec, "-dry-run", "-trace", "x", "-trace-epoch", "0"}, 1, "trace epoch 0"},
+		"epoch without -trace": {[]string{"-spec", smokeSpec, "-dry-run", "-trace-epoch", "500"}, 1, "-trace-epoch needs -trace"},
+		"no spec":              {[]string{"-dry-run"}, 2, "-spec"},
+		"stray argument":       {[]string{"-spec", smokeSpec, "-dry-run", "extra", "-jobs", "4"}, 2, `unexpected argument "extra"`},
 	}
 	for _, f := range []struct{ name, value string }{
 		// grid flags: a spec axis each, and skip_invalid
@@ -85,6 +86,8 @@ func TestUsageErrors(t *testing.T) {
 		{"seed", "3"}, {"dual", ""}, {"halfwidth", ""}, {"allow-unsafe", ""},
 		// always on
 		{"ordered", ""}, {"resume", ""}, {"quiet", ""},
+		// -trace and -trace-epoch
+		{"telemetry-epoch", "100"}, {"telemetry-dir", "x"},
 	} {
 		args := []string{"-spec", smokeSpec, "-dry-run", "-" + f.name}
 		if f.value != "" {

@@ -1,12 +1,12 @@
-// Command traceview summarizes a span JSONL log produced by `nocsim -spans`:
-// per-type delivery counts and network latencies plus the head-flit hop
-// histogram over the whole log, then each sampled packet's hop timeline —
-// cycle, router, VC, and stall causes along the way.
+// Command traceview summarizes the sampled packets of a run's series.jsonl
+// (`nocsim -trace DIR`): per-type delivery counts and network latencies
+// plus the head-flit hop histogram, then each sampled packet's hop
+// timeline — cycle, router, VC, and stall causes along the way.
 //
 // Example:
 //
-//	nocsim -bench KMN -cycles 5000 -spans /tmp/kmn.spans.jsonl -obs-sample-rate 1
-//	traceview -n 5 /tmp/kmn.spans.jsonl
+//	nocsim -bench KMN -cycles 5000 -trace /tmp/kmn -trace-rate 1
+//	traceview -n 5 /tmp/kmn/series.jsonl
 package main
 
 import (
@@ -16,8 +16,8 @@ import (
 	"os"
 	"sort"
 
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
+	"gpgpunoc/internal/telemetry"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -32,7 +32,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: traceview [-n N] <spans.jsonl>")
+		fmt.Fprintln(stderr, "usage: traceview [-n N] <series.jsonl>")
 		return 2
 	}
 	f, err := os.Open(fs.Arg(0))
@@ -41,27 +41,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer f.Close()
-	log, err := obs.ReadSpans(f)
+	tr, err := telemetry.ReadTrace(f)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	showSpans(stdout, log, *limit)
+	showSpans(stdout, tr, *limit)
 	return 0
 }
 
 // summarizeSpans prints per-type delivered counts with mean and maximum
 // network latency (injection to ejection) and the histogram of head-flit
-// hops per packet. At sample rate 1 the log holds every packet, so this is
-// the run's full delivery picture; below 1 it describes the sample.
-func summarizeSpans(w io.Writer, log *obs.SpanLog) {
+// hops per packet. At sample rate 1 the trace holds every packet, so this
+// is the run's full delivery picture; below 1 it describes the sample.
+func summarizeSpans(w io.Writer, pkts []*telemetry.PacketTrace) {
 	type stat struct {
 		delivered      int
 		sumLat, maxLat int64
 	}
 	byType := map[string]*stat{}
 	hops := map[int]int{}
-	for _, t := range log.Traces {
+	for _, t := range pkts {
 		if n := len(t.Hops()); n > 0 {
 			hops[n]++
 		}
@@ -98,17 +98,17 @@ func summarizeSpans(w io.Writer, log *obs.SpanLog) {
 	}
 }
 
-// showSpans prints the log-wide delivery summary, then each sampled
+// showSpans prints the trace-wide delivery summary, then each sampled
 // packet's lifecycle as a cycle-ordered timeline table.
-func showSpans(w io.Writer, log *obs.SpanLog, limit int) {
-	fmt.Fprintf(w, "span log: seed %d, sample rate %g, %d traced packets\n",
-		log.Seed, log.Rate, len(log.Traces))
-	summarizeSpans(w, log)
-	n := len(log.Traces)
+func showSpans(w io.Writer, tr *telemetry.Trace, limit int) {
+	pkts := tr.Packets
+	fmt.Fprintf(w, "span log: seed %d, sample rate %g, %d traced packets\n", tr.Seed, tr.Rate, len(pkts))
+	summarizeSpans(w, pkts)
+	n := len(pkts)
 	if limit > 0 && limit < n {
 		n = limit
 	}
-	for _, t := range log.Traces[:n] {
+	for _, t := range pkts[:n] {
 		fmt.Fprintf(w, "\npkt#%d %s N%d->N%d (%d flits, trace#%d)\n",
 			t.ID, t.Type, t.Src, t.Dst, t.Flits, t.Trace)
 		fmt.Fprintf(w, "  %10s  %-10s %6s  %s\n", "cycle", "router", "vc", "event")
@@ -117,52 +117,52 @@ func showSpans(w io.Writer, log *obs.SpanLog, limit int) {
 				e.Cycle, routerCol(e), vcCol(e), eventCol(e))
 		}
 	}
-	if n < len(log.Traces) {
-		fmt.Fprintf(w, "\n... %d more packets (raise -n to show them)\n", len(log.Traces)-n)
+	if n < len(pkts) {
+		fmt.Fprintf(w, "\n... %d more packets (raise -n to show them)\n", len(pkts)-n)
 	}
 }
 
-func routerCol(e obs.Event) string {
+func routerCol(e telemetry.Event) string {
 	switch e.Kind {
-	case obs.EvCreated, obs.EvReply:
+	case telemetry.EvCreated, telemetry.EvReply:
 		return "-"
 	default:
 		return fmt.Sprintf("N%d", e.Node)
 	}
 }
 
-func vcCol(e obs.Event) string {
+func vcCol(e telemetry.Event) string {
 	switch e.Kind {
-	case obs.EvInjected, obs.EvVCGrant, obs.EvHop:
+	case telemetry.EvInjected, telemetry.EvVCGrant, telemetry.EvHop:
 		return fmt.Sprintf("vc%d", e.VC)
 	default:
 		return "-"
 	}
 }
 
-func eventCol(e obs.Event) string {
+func eventCol(e telemetry.Event) string {
 	switch e.Kind {
-	case obs.EvCreated:
+	case telemetry.EvCreated:
 		return "created"
-	case obs.EvInjected:
+	case telemetry.EvInjected:
 		return "injected into the fabric"
-	case obs.EvVCGrant:
+	case telemetry.EvVCGrant:
 		return fmt.Sprintf("VC granted toward N%d", e.To)
-	case obs.EvHop:
+	case telemetry.EvHop:
 		return fmt.Sprintf("link traversal -> N%d", e.To)
-	case obs.EvStall:
+	case telemetry.EvStall:
 		return fmt.Sprintf("stalled %d cycle(s): %s", e.N, e.Cause)
-	case obs.EvEjected:
+	case telemetry.EvEjected:
 		return "ejected at destination"
-	case obs.EvMCService:
+	case telemetry.EvMCService:
 		return fmt.Sprintf("L2 %s", hitMiss(e.Hit))
-	case obs.EvDRAMQueued:
+	case telemetry.EvDRAMQueued:
 		return "DRAM queued"
-	case obs.EvDRAMIssue:
+	case telemetry.EvDRAMIssue:
 		return fmt.Sprintf("DRAM issue bank %d, row %s", e.Bank, hitMiss(e.Hit))
-	case obs.EvDRAMDone:
+	case telemetry.EvDRAMDone:
 		return "DRAM done"
-	case obs.EvReply:
+	case telemetry.EvReply:
 		return fmt.Sprintf("reply pkt#%d created", e.Reply)
 	default:
 		return e.Kind.String()

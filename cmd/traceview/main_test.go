@@ -44,12 +44,12 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 func TestSpansOutput(t *testing.T) {
-	checkGolden(t, "spans.golden", runOK(t, "testdata/spans.jsonl"))
-	checkGolden(t, "spans_n2.golden", runOK(t, "-n", "2", "testdata/spans.jsonl"))
+	checkGolden(t, "spans.golden", runOK(t, "testdata/series.jsonl"))
+	checkGolden(t, "spans_n2.golden", runOK(t, "-n", "2", "testdata/series.jsonl"))
 }
 
-// TestUsageAndInputErrors: traceview reads span logs only, so the retired
-// mode selectors are unknown flags.
+// TestUsageAndInputErrors: traceview reads a trace's series.jsonl only, so
+// the retired mode selectors are unknown flags.
 func TestUsageAndInputErrors(t *testing.T) {
 	for name, tc := range map[string]struct {
 		args []string
@@ -57,12 +57,12 @@ func TestUsageAndInputErrors(t *testing.T) {
 		want string
 	}{
 		"no file":          {nil, 2, "usage:"},
-		"two files":        {[]string{"testdata/spans.jsonl", "testdata/spans.jsonl"}, 2, "usage:"},
+		"two files":        {[]string{"testdata/series.jsonl", "testdata/series.jsonl"}, 2, "usage:"},
 		"unknown flag":     {[]string{"-trace", "x.csv"}, 2, "flag provided but not defined"},
-		"retired timeline": {[]string{"-timeline", "testdata/spans.jsonl"}, 2, "flag provided but not defined: -timeline"},
-		"retired selector": {[]string{"-spans", "testdata/spans.jsonl"}, 2, "flag provided but not defined: -spans"},
+		"retired timeline": {[]string{"-timeline", "testdata/series.jsonl"}, 2, "flag provided but not defined: -timeline"},
+		"retired selector": {[]string{"-spans", "testdata/series.jsonl"}, 2, "flag provided but not defined: -spans"},
 		"missing file":     {[]string{"testdata/absent.jsonl"}, 1, "absent.jsonl"},
-		"not a span log":   {[]string{"testdata/spans.golden"}, 1, "span log line 1"},
+		"not a trace":      {[]string{"testdata/spans.golden"}, 1, "series line 1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code {

@@ -92,7 +92,7 @@ func compareResults(t *testing.T, opt, ref gpu.Result) {
 func telemetryJSONL(t *testing.T, res gpu.Result) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := res.Tel.WriteJSONL(&b); err != nil {
+	if err := res.Tel.WriteJSONL(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -272,7 +272,7 @@ func checkStepByStep(t *testing.T, cfg config.Config, prof workload.Profile, run
 		t.Errorf("network stats diverged between RunContext and hand-stepping")
 	}
 	var b bytes.Buffer
-	if err := sim.Tel.WriteJSONL(&b); err != nil {
+	if err := sim.Tel.WriteJSONL(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if rb := telemetryJSONL(t, run); !bytes.Equal(rb, b.Bytes()) {

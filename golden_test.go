@@ -1,7 +1,6 @@
-// Golden pins for every artifact one instrumented run can produce. The files
-// under testdata/golden were written by this test at the commit before the
-// observability packages were collapsed onto one spine; any byte that moves
-// is a change to a format users read.
+// Golden pins for every artifact one instrumented run can produce: the three
+// files of its trace and its Prometheus exposition. Any byte that moves is a
+// change to a format users read.
 //
 // Regenerate (only when a format change is intended) with
 //
@@ -12,7 +11,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,8 +93,8 @@ func TestGoldenRunArtifacts(t *testing.T) {
 	}
 }
 
-// goldenRun runs cfg with every instrument attached and checks each artifact
-// against its golden under dir.
+// goldenRun runs cfg with every instrument attached and checks each file of
+// its trace, and its Prometheus exposition, against its golden under dir.
 func goldenRun(t *testing.T, dir string, cfg config.Config) {
 	t.Helper()
 	sim := newSim(t, cfg, "KMN", gpu.Instrumentation{
@@ -107,23 +105,17 @@ func goldenRun(t *testing.T, dir string, cfg config.Config) {
 		t.Fatal("golden run deadlocked")
 	}
 
-	render := func(name string, write func(io.Writer) error) {
-		t.Helper()
-		var b bytes.Buffer
-		if err := write(&b); err != nil {
+	out := t.TempDir()
+	if err := telemetry.WriteTrace(out, res.Tel, res.Spans, mesh.New(cfg.NoC.Width, cfg.NoC.Height)); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"series.jsonl", "trace.json", "heatmap.csv"} {
+		b, err := os.ReadFile(filepath.Join(out, name))
+		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, filepath.Join(dir, name), b.Bytes())
+		checkGolden(t, filepath.Join(dir, name), b)
 	}
-	render("series.jsonl", res.Tel.WriteJSONL)
-	render("heatmap.csv", func(w io.Writer) error {
-		return res.Tel.WriteHeatmapCSV(w, mesh.New(cfg.NoC.Width, cfg.NoC.Height))
-	})
-	render("trace.json", func(w io.Writer) error {
-		return res.Tel.WriteChromeTrace(w, telemetry.DefaultTraceFilter)
-	})
-	render("spans.jsonl", res.Spans.WriteJSONL)
-	render("spans.trace.json", res.Spans.WriteChromeTrace)
 
 	// The Prometheus exposition of the run's registry at its end.
 	checkGolden(t, filepath.Join(dir, "metrics.prom"), res.Tel.Reg.RenderPrometheus())

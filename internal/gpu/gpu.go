@@ -17,7 +17,6 @@ import (
 	"gpgpunoc/internal/mc"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/noc"
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/placement"
 	"gpgpunoc/internal/smcore"
@@ -50,8 +49,8 @@ type Simulator struct {
 	// Spans, when non-nil (see Instrumentation.Spans), is the per-packet
 	// span collector: every probe site in the fabric and the memory system
 	// records lifecycle events for the deterministic sample of packets it
-	// selects. Nil-gated like Tel.
-	Spans *obs.Spans
+	// selects. Nil-gated like Tel; telemetry.WriteTrace writes both.
+	Spans *telemetry.Spans
 
 	// Flight, when non-nil (see AttachFlight), is the flight recorder,
 	// attached only on request: a bounded ring
@@ -355,11 +354,11 @@ func (s *Simulator) attachTelemetry(epochLen int64) *telemetry.Telemetry {
 // for them and their replies. Call once, before the first cycle. Rate 0
 // installs the collector but samples nothing — useful for overhead
 // equivalence checks.
-func (s *Simulator) attachSpans(rate float64) (*obs.Spans, error) {
+func (s *Simulator) attachSpans(rate float64) (*telemetry.Spans, error) {
 	if s.Spans != nil {
 		panic("gpu: spans attached twice")
 	}
-	sp, err := obs.NewSpans(s.Cfg.Seed, rate)
+	sp, err := telemetry.NewSpans(s.Cfg.Seed, rate)
 	if err != nil {
 		return nil, err
 	}
@@ -400,14 +399,13 @@ type Result struct {
 	Net *stats.Net
 
 	// Tel carries the telemetry subsystem when the run was instrumented
-	// (Instrumentation.TelemetryEpoch); nil otherwise. Its exporters write
-	// the run's time-series, heatmap, and trace artifacts.
+	// (Instrumentation.TelemetryEpoch); nil otherwise.
 	Tel *telemetry.Telemetry
 
 	// Spans carries the per-packet span collector when the run was traced
-	// (Instrumentation.Spans); nil otherwise. Its exporters write the span
-	// JSONL log and the Chrome trace-event file.
-	Spans *obs.Spans
+	// (Instrumentation.Spans); nil otherwise. telemetry.WriteTrace writes
+	// it beside Tel.
+	Spans *telemetry.Spans
 
 	// Flight carries the flight recorder when one was attached
 	// (AttachFlight); nil otherwise.

@@ -96,7 +96,7 @@ func digest(t *testing.T, res gpu.Result) string {
 	t.Helper()
 	h := digests.New()
 	fmt.Fprintf(h, "%d %+v %v\n", math.Float64bits(res.IPC), res.GPU, *res.Net)
-	if err := res.Tel.WriteJSONL(h); err != nil {
+	if err := res.Tel.WriteJSONL(h, nil); err != nil {
 		t.Fatal(err)
 	}
 	h.Ints(sanitized(res)...)

@@ -18,7 +18,6 @@ import (
 	"gpgpunoc/internal/dram"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/noc"
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/stats"
 	"gpgpunoc/internal/telemetry"
@@ -66,7 +65,7 @@ type MC struct {
 	injBlocked bool
 
 	gpu   *stats.GPU
-	spans *obs.Spans
+	spans *telemetry.Spans
 
 	// ReadsServed and WritesServed count serviced requests.
 	ReadsServed, WritesServed int64
@@ -151,7 +150,7 @@ func (m *MC) AttachTelemetry(reg *telemetry.Registry) {
 // for sampled requests, and links each reply to its request's trace. The
 // DRAM issue hook is installed only when spans are on, so an untraced
 // channel pays nothing.
-func (m *MC) SetSpans(sp *obs.Spans) {
+func (m *MC) SetSpans(sp *telemetry.Spans) {
 	m.spans = sp
 	if sp == nil {
 		m.dram.SetIssueHook(nil)

@@ -5,7 +5,6 @@ import (
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/mesh"
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/routing"
 	"gpgpunoc/internal/stats"
@@ -165,7 +164,7 @@ func (d *Dual) AttachTelemetry(reg *telemetry.Registry) {
 // SetSpans installs one span collector on both subnets. The sampling hash
 // is a pure function of the packet ID, so a transaction's request (on one
 // subnet) and reply (on the other) land in the same trace.
-func (d *Dual) SetSpans(sp *obs.Spans) {
+func (d *Dual) SetSpans(sp *telemetry.Spans) {
 	d.request.SetSpans(sp)
 	d.reply.SetSpans(sp)
 }

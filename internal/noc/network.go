@@ -39,7 +39,6 @@ import (
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/mesh"
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/routing"
 	"gpgpunoc/internal/stats"
@@ -116,7 +115,7 @@ type Interconnect interface {
 	// SetSpans installs the per-packet span collector (nil disables span
 	// tracing; disabled tracing costs one predictable nil check per probe
 	// site).
-	SetSpans(sp *obs.Spans)
+	SetSpans(sp *telemetry.Spans)
 	// Reset returns the interconnect to the state a run starts from (see
 	// Network.Reset), keeping its storage and what is installed on it, and
 	// hands every packet in flight to release (nil drops them).
@@ -202,13 +201,13 @@ type Network struct {
 	linkBase, linkAcc [packet.NumClasses][]int64
 	counts            []int64
 
-	// stalls tallies stall attributions by obs.StallCause since Reset; the
-	// net.stall.* probes read it through.
-	stalls [obs.NumStallCauses]int64
+	// stalls tallies stall attributions by telemetry.StallCause since
+	// Reset; the net.stall.* probes read it through.
+	stalls [telemetry.NumStallCauses]int64
 
 	stats    *stats.Net
 	tel      *telemetry.NetProbes
-	spans    *obs.Spans
+	spans    *telemetry.Spans
 	cycle    int64
 	moved    bool // any flit moved this cycle
 	lastMove int64
@@ -402,7 +401,7 @@ func (n *Network) Reset(release func(*packet.Packet)) {
 		n.ticks.set(id)
 	}
 	n.credits = n.credits[:0]
-	n.stalls = [obs.NumStallCauses]int64{}
+	n.stalls = [telemetry.NumStallCauses]int64{}
 	clear(n.counts)
 	n.stats = stats.NewNet(n.m)
 	n.cycle, n.moved, n.lastMove, n.inFlight = 0, false, 0, 0
@@ -517,7 +516,7 @@ func (n *Network) Ticking(node mesh.NodeID) bool { return n.ticks.has(int(node))
 // SetSpans installs the per-packet span collector (nil disables span
 // tracing). Probe sites gate on the collector pointer and the packet's
 // Sampled bit, so tracing off costs one branch per site.
-func (n *Network) SetSpans(sp *obs.Spans) { n.spans = sp }
+func (n *Network) SetSpans(sp *telemetry.Spans) { n.spans = sp }
 
 // AttachTelemetry registers this network's probe set on reg (nil is a
 // no-op). Counters read the spine and stall tallies through; instantaneous
@@ -534,9 +533,7 @@ func (n *Network) attachTelemetry(reg *telemetry.Registry, prefix string) {
 		return
 	}
 	sp := n.spine
-	sp.StallCredit = &n.stalls[obs.StallCredit]
-	sp.StallRoute = &n.stalls[obs.StallRoute]
-	sp.StallVCAlloc = &n.stalls[obs.StallVCAlloc]
+	sp.Stall = &n.stalls
 	n.tel = telemetry.NewNetProbes(reg, n.m, prefix, sp)
 	// Buffer-fill gauges live here because VC buffers are router-private:
 	// one GaugeFunc per (link, VC) reading the downstream input buffer, and

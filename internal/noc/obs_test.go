@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"gpgpunoc/internal/config"
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
+	"gpgpunoc/internal/telemetry"
 )
 
 // TestNetworkSpanProbesRecordJourney wires a span collector at rate 1 into
@@ -14,7 +14,7 @@ import (
 func TestNetworkSpanProbesRecordJourney(t *testing.T) {
 	n := newTestNet(t, config.RoutingXY, config.VCSplit)
 	attachCollectors(n)
-	sp, err := obs.NewSpans(1, 1)
+	sp, err := telemetry.NewSpans(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,20 +34,20 @@ func TestNetworkSpanProbesRecordJourney(t *testing.T) {
 		t.Fatalf("traces = %d, want 1", sp.NumTraces())
 	}
 	tr := sp.Traces()[0]
-	if _, ok := tr.Find(obs.EvCreated); !ok {
+	if _, ok := tr.Find(telemetry.EvCreated); !ok {
 		t.Error("trace missing created event")
 	}
-	inj, ok := tr.Find(obs.EvInjected)
+	inj, ok := tr.Find(telemetry.EvInjected)
 	if !ok || inj.Cycle != p.InjectedAt {
 		t.Errorf("injected event %+v does not match InjectedAt %d", inj, p.InjectedAt)
 	}
-	ej, ok := tr.Find(obs.EvEjected)
+	ej, ok := tr.Find(telemetry.EvEjected)
 	if !ok || ej.Cycle != p.EjectedAt {
 		t.Errorf("ejected event %+v does not match EjectedAt %d", ej, p.EjectedAt)
 	}
 	hops := 0
 	for _, e := range tr.Events {
-		if e.Kind == obs.EvHop {
+		if e.Kind == telemetry.EvHop {
 			hops++
 		}
 	}

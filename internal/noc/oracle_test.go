@@ -83,10 +83,10 @@ func checkOracle(t *testing.T, opt, ref gpu.Result) {
 		t.Errorf("network stats diverged (latency accumulators are order-sensitive: check ejection ordering)")
 	}
 	var ob, rb bytes.Buffer
-	if err := opt.Tel.WriteJSONL(&ob); err != nil {
+	if err := opt.Tel.WriteJSONL(&ob, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Tel.WriteJSONL(&rb); err != nil {
+	if err := ref.Tel.WriteJSONL(&rb, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ob.Bytes(), rb.Bytes()) {

@@ -5,8 +5,8 @@ import (
 	"math/bits"
 
 	"gpgpunoc/internal/mesh"
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
+	"gpgpunoc/internal/telemetry"
 )
 
 // inputVC is one virtual channel at a router input port. The front packet's
@@ -415,14 +415,14 @@ func (n *Network) countStalls(rt *router, moved uint64) {
 		if n.cycle < ivc.readyAt {
 			continue // still in the first pipeline stage
 		}
-		var cause obs.StallCause
+		var cause telemetry.StallCause
 		switch {
 		case rt.credOK>>i&1 != 0:
-			cause = obs.StallRoute
+			cause = telemetry.StallRoute
 		case ivc.outVC == -1:
-			cause = obs.StallVCAlloc
+			cause = telemetry.StallVCAlloc
 		default:
-			cause = obs.StallCredit
+			cause = telemetry.StallCredit
 		}
 		n.stalls[cause]++
 		if n.spans != nil {

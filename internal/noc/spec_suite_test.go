@@ -12,10 +12,10 @@ import (
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/noc"
-	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/rng"
 	"gpgpunoc/internal/routing"
+	"gpgpunoc/internal/telemetry"
 	"gpgpunoc/internal/vc"
 )
 
@@ -220,7 +220,7 @@ func runSpec(t *testing.T, c specCase) {
 	}
 	kernel.EnableStats(true)
 	if c.spans {
-		sp, err := obs.NewSpans(1, 0)
+		sp, err := telemetry.NewSpans(1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

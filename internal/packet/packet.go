@@ -100,8 +100,6 @@ func Length(t Type) int {
 type MemAccess struct {
 	Addr   uint64 // line-aligned byte address
 	SM     int    // issuing SM index (reply destination lookup)
-	Warp   int    // issuing warp within the SM
-	MSHR   int    // MSHR slot to wake on reply delivery
 	IsInst bool   // instruction fetch (unused by data-only workloads)
 }
 

@@ -219,7 +219,7 @@ func (s *SM) lineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(s.mem.LineBytes) - 1)
 }
 
-func (s *SM) newPacket(t packet.Type, addr uint64, warpID int, now int64) *packet.Packet {
+func (s *SM) newPacket(t packet.Type, addr uint64, now int64) *packet.Packet {
 	*s.nextID++
 	home := s.place.HomeMC(addr, s.mem.LineBytes)
 	return s.free.Get(packet.Packet{
@@ -231,7 +231,6 @@ func (s *SM) newPacket(t packet.Type, addr uint64, warpID int, now int64) *packe
 		Access: packet.MemAccess{
 			Addr: s.lineAddr(addr),
 			SM:   s.Index,
-			Warp: warpID,
 		},
 		CreatedAt: now,
 	})
@@ -267,11 +266,11 @@ func (s *SM) Sink() noc.Sink {
 	}
 }
 
-// fetch models the instruction-fetch stage for warp wi: true means the
+// fetch models the instruction-fetch stage for warp w: true means the
 // instruction is available this cycle. A miss sends a fetch to the line's
 // home MC (instruction lines live in a reserved region shared by all SMs)
 // and blocks the warp until the fill returns.
-func (s *SM) fetch(w *warp, wi int, now int64) bool {
+func (s *SM) fetch(w *warp, now int64) bool {
 	if s.icache == nil {
 		return true
 	}
@@ -283,7 +282,7 @@ func (s *SM) fetch(w *warp, wi int, now int64) bool {
 		if s.outbox.Len() >= s.outboxCap {
 			return false // fetch retries next cycle; warp stays eligible
 		}
-		p := s.newPacket(packet.ReadRequest, line, wi, now)
+		p := s.newPacket(packet.ReadRequest, line, now)
 		p.Access.IsInst = true
 		s.outbox.Push(p)
 	}
@@ -435,7 +434,7 @@ func (s *SM) Tick(now int64) bool {
 	// replayed (stalled) instruction was already fetched. A fetch miss
 	// changes state (fetchWait, a request in the outbox), so the next tick
 	// may choose another warp: no sleep.
-	if !w.stalled && !s.fetch(w, wi, now) {
+	if !w.stalled && !s.fetch(w, now) {
 		s.stall()
 		return true
 	}
@@ -518,9 +517,9 @@ func (s *SM) execute(w *warp, wi int, in workload.Instr, now int64) bool {
 		case cache.Primary:
 			res := s.l1.Access(in.Addr, false) // install line (fill in flight)
 			if res.Eviction {
-				s.outbox.Push(s.newPacket(packet.WriteRequest, res.VictimAddr, wi, now))
+				s.outbox.Push(s.newPacket(packet.WriteRequest, res.VictimAddr, now))
 			}
-			s.outbox.Push(s.newPacket(packet.ReadRequest, in.Addr, wi, now))
+			s.outbox.Push(s.newPacket(packet.ReadRequest, in.Addr, now))
 		default:
 			panic("smcore: MSHR refused an allocation missBlocked admitted")
 		}
@@ -544,7 +543,7 @@ func (s *SM) execute(w *warp, wi int, in workload.Instr, now int64) bool {
 			if s.gpu != nil {
 				s.gpu.MemRequests++
 			}
-			s.outbox.Push(s.newPacket(packet.WriteRequest, res.VictimAddr, wi, now))
+			s.outbox.Push(s.newPacket(packet.WriteRequest, res.VictimAddr, now))
 		}
 		w.readyAt = now + 1
 		return true

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"gpgpunoc/internal/gpu"
+	"gpgpunoc/internal/telemetry"
 )
 
 // RunFunc executes one job. The default, Simulate, runs the full GPU
@@ -28,8 +28,8 @@ func Simulate(ctx context.Context, j Job) (gpu.Result, error) {
 // SimulateWith returns a RunFunc like Simulate with the given
 // instrumentation (sanitizer, telemetry, span tracing)
 // built into every job's simulator. Instrumented results carry their
-// telemetry in Result.Tel; pair with Options.TelemetryDir to persist
-// per-job artifacts.
+// telemetry in Result.Tel; pair with Options.TraceDir to persist each
+// job's trace.
 func SimulateWith(inst gpu.Instrumentation) RunFunc {
 	return func(ctx context.Context, j Job) (gpu.Result, error) {
 		return gpu.Run(ctx, j.Cfg, j.Benchmark, inst)
@@ -49,13 +49,12 @@ type Options struct {
 	Progress func(Event)
 	// Run substitutes the job executor; nil means Simulate.
 	Run RunFunc
-	// TelemetryDir, when non-empty, persists each instrumented job's
-	// telemetry (Result.Tel != nil) as
-	// <dir>/<fingerprint>.telemetry.jsonl and <fingerprint>.heatmap.csv.
-	// Fingerprint-keyed names make artifacts line up with the output JSONL
-	// and survive resumes: a skipped job keeps its existing artifacts. A
-	// write failure aborts the sweep, like a sink failure.
-	TelemetryDir string
+	// TraceDir, when non-empty, persists each instrumented job's trace
+	// (Result.Tel != nil) in <dir>/<fingerprint>/ (telemetry.WriteTrace).
+	// Fingerprint-keyed directories line up with the output JSONL and
+	// survive resumes: a skipped job keeps its existing trace. A write
+	// failure aborts the sweep, like a sink failure.
+	TraceDir string
 }
 
 // EventType distinguishes progress callbacks.
@@ -241,9 +240,9 @@ func Run(ctx context.Context, jobs []Job, sink Sink, opts Options) ([]Outcome, e
 					}
 					ev.Type = EventDone
 					ev.IPC = r.IPC
-					if opts.TelemetryDir != "" && r.Tel != nil {
-						if werr := writeJobTelemetry(opts.TelemetryDir, rec.Fingerprint, &r); werr != nil {
-							cancel(fmt.Errorf("sweep: telemetry artifact: %w", werr))
+					if opts.TraceDir != "" && r.Tel != nil {
+						if werr := telemetry.WriteTrace(filepath.Join(opts.TraceDir, rec.Fingerprint), r.Tel, r.Spans, r.Net.Mesh); werr != nil {
+							cancel(fmt.Errorf("sweep: trace: %w", werr))
 							return
 						}
 					}
@@ -274,34 +273,6 @@ feed:
 		return outs, err
 	}
 	return outs, nil
-}
-
-// writeJobTelemetry persists one instrumented job's artifacts, named by the
-// job's fingerprint so they key to the same record as the output JSONL.
-func writeJobTelemetry(dir, fingerprint string, r *gpu.Result) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, fingerprint+".telemetry.jsonl"))
-	if err != nil {
-		return err
-	}
-	if err := r.Tel.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	h, err := os.Create(filepath.Join(dir, fingerprint+".heatmap.csv"))
-	if err != nil {
-		return err
-	}
-	if err := r.Tel.WriteHeatmapCSV(h, r.Net.Mesh); err != nil {
-		h.Close()
-		return err
-	}
-	return h.Close()
 }
 
 // allocCounter returns a reader of the process's cumulative heap allocation

@@ -33,7 +33,7 @@ func TestRunWritesTelemetryArtifacts(t *testing.T) {
 	jobs = jobs[:3]
 	dir := filepath.Join(t.TempDir(), "tel")
 	outs, err := Run(context.Background(), jobs, nil, Options{
-		Workers: 2, Run: telRun, TelemetryDir: dir,
+		Workers: 2, Run: telRun, TraceDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,11 +43,11 @@ func TestRunWritesTelemetryArtifacts(t *testing.T) {
 	}
 	for _, j := range jobs {
 		fp := j.Fingerprint()
-		f, err := os.Open(filepath.Join(dir, fp+".telemetry.jsonl"))
+		f, err := os.Open(filepath.Join(dir, fp, "series.jsonl"))
 		if err != nil {
 			t.Fatalf("missing series artifact: %v", err)
 		}
-		ex, err := telemetry.ReadJSONL(f)
+		ex, err := telemetry.ReadTrace(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", fp, err)
@@ -55,8 +55,10 @@ func TestRunWritesTelemetryArtifacts(t *testing.T) {
 		if len(ex.Samples) == 0 {
 			t.Errorf("%s: empty series", fp)
 		}
-		if _, err := os.Stat(filepath.Join(dir, fp+".heatmap.csv")); err != nil {
-			t.Errorf("missing heatmap artifact: %v", err)
+		for _, name := range []string{"trace.json", "heatmap.csv"} {
+			if _, err := os.Stat(filepath.Join(dir, fp, name)); err != nil {
+				t.Errorf("missing trace artifact: %v", err)
+			}
 		}
 	}
 }
@@ -70,10 +72,10 @@ func TestRunTelemetrySkipKeepsArtifacts(t *testing.T) {
 	}
 	jobs = jobs[:2]
 	dir := t.TempDir()
-	if _, err := Run(context.Background(), jobs, nil, Options{Run: telRun, TelemetryDir: dir}); err != nil {
+	if _, err := Run(context.Background(), jobs, nil, Options{Run: telRun, TraceDir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, jobs[0].Fingerprint()+".telemetry.jsonl")
+	path := filepath.Join(dir, jobs[0].Fingerprint(), "series.jsonl")
 	before, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +88,7 @@ func TestRunTelemetrySkipKeepsArtifacts(t *testing.T) {
 		return telRun(ctx, j)
 	}
 	if _, err := Run(context.Background(), jobs, nil, Options{
-		Workers: 1, Run: counting, Done: done, TelemetryDir: dir,
+		Workers: 1, Run: counting, Done: done, TraceDir: dir,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestRunTelemetryWriteErrorAbortsSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Run(context.Background(), jobs, nil, Options{
-		Workers: 1, Run: telRun, TelemetryDir: blocker,
+		Workers: 1, Run: telRun, TraceDir: blocker,
 	}); err == nil {
 		t.Fatal("artifact write failure did not abort the sweep")
 	}
@@ -125,7 +127,7 @@ func TestRunTelemetryWriteErrorAbortsSweep(t *testing.T) {
 // network would own and count into.
 func newSpine(m mesh.Mesh) telemetry.Spine {
 	sp := telemetry.Spine{Inj: make([]int64, m.NumNodes()), Ej: make([]int64, m.NumNodes()),
-		StallCredit: new(int64), StallRoute: new(int64), StallVCAlloc: new(int64)}
+		Stall: new([telemetry.NumStallCauses]int64)}
 	for c := range sp.Link {
 		sp.Link[c] = make([]int64, m.NumLinkSlots())
 	}

@@ -2,9 +2,12 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"gpgpunoc/internal/mesh"
@@ -16,8 +19,68 @@ import (
 // Exporters that aggregate by link sum across whichever exist.
 var subnetPrefixes = []string{"", "req.", "rep."}
 
-// jsonlLine is the wire form of one JSONL export line; the Type field
-// selects which of the remaining fields are meaningful.
+// ValidateEpoch rejects a trace epoch New would refuse: the sampler
+// snapshots every epoch cycles, so the epoch must be positive.
+func ValidateEpoch(epoch int64) error {
+	if epoch <= 0 {
+		return fmt.Errorf("telemetry: trace epoch %d cycles, need > 0", epoch)
+	}
+	return nil
+}
+
+// ValidateRate rejects a span sample rate outside (0, 1]: a command asked
+// for spans, and rate 0 would trace nothing, silently.
+func ValidateRate(rate float64) error {
+	if !(rate > 0 && rate <= 1) {
+		return fmt.Errorf("telemetry: trace rate %v outside (0, 1]", rate)
+	}
+	return nil
+}
+
+// WriteTrace writes one run's trace into dir, creating it: series.jsonl
+// (WriteJSONL), trace.json (the Chrome trace: counter tracks and, when sp
+// is not nil, packet spans on one cycle clock) and heatmap.csv (flits per
+// link of m by class).
+func WriteTrace(dir string, t *Telemetry, sp *Spans, m mesh.Mesh) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"series.jsonl", func(w io.Writer) error { return t.WriteJSONL(w, sp) }},
+		{"trace.json", func(w io.Writer) error { return t.writeChrome(w, sp) }},
+		{"heatmap.csv", func(w io.Writer) error { return t.writeHeatmap(w, m) }},
+	} {
+		if err := writeFile(filepath.Join(dir, f.name), f.write); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeFile creates path and writes it, buffered, with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	if err := write(bw); err != nil {
+		f.Close()
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// jsonlLine is the wire form of a header, sample or histogram line of
+// series.jsonl; the Type field selects which of the remaining fields are
+// meaningful. A packet line is packetLine.
 type jsonlLine struct {
 	Type string `json:"type"`
 
@@ -25,6 +88,8 @@ type jsonlLine struct {
 	Epoch int64    `json:"epoch,omitempty"`
 	Names []string `json:"names,omitempty"`
 	Kinds []string `json:"kinds,omitempty"`
+	Seed  uint64   `json:"seed,omitempty"` // span sampler, when sp is not nil
+	Rate  float64  `json:"rate,omitempty"`
 
 	// sample
 	Cycle  int64   `json:"cycle"`
@@ -40,20 +105,26 @@ type jsonlLine struct {
 	Max    int64   `json:"max,omitempty"`
 }
 
-// WriteJSONL streams the telemetry time-series as line-delimited JSON: one
-// header line naming every scalar probe (the column schema), one line per
-// epoch sample, and one trailing line per histogram. The format is
-// self-describing, append-friendly, and round-trips through ReadJSONL.
-func (t *Telemetry) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	kinds := t.Reg.ScalarKinds()
-	kindNames := make([]string, len(kinds))
-	for i, k := range kinds {
-		kindNames[i] = k.String()
+// packetLine is one sampled packet's line of series.jsonl.
+type packetLine struct {
+	Type string `json:"type"` // "packet"
+	PacketTrace
+}
+
+// WriteJSONL writes series.jsonl: a header line naming every scalar probe
+// (the column schema) and, when sp is not nil, its sampler's seed and rate;
+// one line per epoch sample; one per histogram; then one per packet sp
+// sampled, in first-seen order. ReadTrace reads it back.
+func (t *Telemetry) WriteJSONL(w io.Writer, sp *Spans) error {
+	enc := json.NewEncoder(w)
+	h := jsonlLine{Type: "header", Epoch: t.EpochLen, Names: t.Reg.ScalarNames()}
+	for _, k := range t.Reg.ScalarKinds() {
+		h.Kinds = append(h.Kinds, k.String())
 	}
-	if err := enc.Encode(jsonlLine{Type: "header", Epoch: t.EpochLen,
-		Names: t.Reg.ScalarNames(), Kinds: kindNames}); err != nil {
+	if sp != nil {
+		h.Seed, h.Rate = sp.seed, sp.rate
+	}
+	if err := enc.Encode(h); err != nil {
 		return err
 	}
 	for _, s := range t.samples {
@@ -61,19 +132,26 @@ func (t *Telemetry) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	var werr error
-	t.Reg.EachHistogram(func(name string, h *Histogram) {
-		if werr != nil {
-			return
+	for i := range t.Reg.probes {
+		p := &t.Reg.probes[i]
+		if p.kind != KindHistogram {
+			continue
 		}
-		bounds, counts := h.Buckets()
-		werr = enc.Encode(jsonlLine{Type: "hist", Name: name, Bounds: bounds, Counts: counts,
-			Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max()})
-	})
-	if werr != nil {
-		return werr
+		bounds, counts := p.hist.Buckets()
+		if err := enc.Encode(jsonlLine{Type: "hist", Name: p.name, Bounds: bounds, Counts: counts,
+			Count: p.hist.Count(), Sum: p.hist.Sum(), Min: p.hist.Min(), Max: p.hist.Max()}); err != nil {
+			return err
+		}
 	}
-	return bw.Flush()
+	if sp == nil {
+		return nil
+	}
+	for _, p := range sp.order {
+		if err := enc.Encode(packetLine{Type: "packet", PacketTrace: *p}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ExportedHistogram is the parsed form of one histogram line.
@@ -84,51 +162,77 @@ type ExportedHistogram struct {
 	Min, Max       int64
 }
 
-// Export is a parsed JSONL telemetry file.
-type Export struct {
+// Trace is a parsed series.jsonl.
+type Trace struct {
 	EpochLen   int64
 	Names      []string
 	Kinds      []string
 	Samples    []Sample
 	Histograms []ExportedHistogram
+
+	// Seed and Rate are the span sampler's, and Packets the sampled
+	// packets in first-seen order; all zero for a run without spans.
+	Seed    uint64
+	Rate    float64
+	Packets []*PacketTrace
 }
 
-// ReadJSONL parses a telemetry JSONL stream written by WriteJSONL.
-func ReadJSONL(r io.Reader) (*Export, error) {
+// ReadTrace parses a series.jsonl written by WriteJSONL. The header must
+// be its first record; every error names the line it is about.
+func ReadTrace(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	var ex Export
 	line := 0
+	fail := func(format string, a ...any) (*Trace, error) {
+		return nil, fmt.Errorf("telemetry: series line %d: %s", line, fmt.Sprintf(format, a...))
+	}
+	var tr *Trace
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
 			continue
 		}
-		var l jsonlLine
-		if err := json.Unmarshal([]byte(text), &l); err != nil {
-			return nil, fmt.Errorf("telemetry: jsonl line %d: %w", line, err)
+		var l struct {
+			jsonlLine
+			PacketTrace
 		}
-		switch l.Type {
-		case "header":
-			ex.EpochLen, ex.Names, ex.Kinds = l.Epoch, l.Names, l.Kinds
-		case "sample":
-			if len(l.Values) != len(ex.Names) {
-				return nil, fmt.Errorf("telemetry: jsonl line %d: sample has %d values for %d probes",
-					line, len(l.Values), len(ex.Names))
+		if err := json.Unmarshal(raw, &l); err != nil {
+			return fail("%v", err)
+		}
+		typ := l.jsonlLine.Type
+		switch {
+		case tr == nil && typ != "header":
+			return fail("the header must come first, not a %q record", typ)
+		case tr == nil:
+			if len(l.Kinds) != len(l.Names) {
+				return fail("header has %d kinds for %d probes", len(l.Kinds), len(l.Names))
 			}
-			ex.Samples = append(ex.Samples, Sample{Cycle: l.Cycle, Values: l.Values})
-		case "hist":
-			ex.Histograms = append(ex.Histograms, ExportedHistogram{Name: l.Name,
+			tr = &Trace{EpochLen: l.Epoch, Names: l.Names, Kinds: l.Kinds, Seed: l.Seed, Rate: l.Rate}
+		case typ == "sample":
+			if len(l.Values) != len(tr.Names) {
+				return fail("sample has %d values for %d probes", len(l.Values), len(tr.Names))
+			}
+			tr.Samples = append(tr.Samples, Sample{Cycle: l.Cycle, Values: l.Values})
+		case typ == "hist":
+			tr.Histograms = append(tr.Histograms, ExportedHistogram{Name: l.Name,
 				Bounds: l.Bounds, Counts: l.Counts, Count: l.Count, Sum: l.Sum, Min: l.Min, Max: l.Max})
+		case typ == "packet":
+			p := l.PacketTrace
+			tr.Packets = append(tr.Packets, &p)
 		default:
-			return nil, fmt.Errorf("telemetry: jsonl line %d: unknown line type %q", line, l.Type)
+			return fail("unexpected %q record", typ)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		line++
+		return fail("%v", err)
 	}
-	return &ex, nil
+	if tr == nil {
+		line++
+		return fail("no header record")
+	}
+	return tr, nil
 }
 
 // linkClassFlits sums the probe value for one link and class across every
@@ -144,13 +248,12 @@ func (t *Telemetry) linkClassFlits(m mesh.Mesh, l mesh.Link, cls packet.Class) i
 	return sum
 }
 
-// WriteHeatmapCSV writes the per-link flit counts by class as CSV keyed by
-// mesh coordinates — the data behind the paper's Figure 4/6 pictures,
+// writeHeatmap writes heatmap.csv: the per-link flit counts by class keyed
+// by mesh coordinates — the data behind the paper's Figure 4/6 pictures,
 // measured from probes. For a dual-subnet fabric the req./rep. probe sets
 // are summed per link. Utilization is total flits over sampled cycles.
-func (t *Telemetry) WriteHeatmapCSV(w io.Writer, m mesh.Mesh) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "from_row,from_col,to_row,to_col,dir,request_flits,reply_flits,total_flits,utilization"); err != nil {
+func (t *Telemetry) writeHeatmap(w io.Writer, m mesh.Mesh) error {
+	if _, err := fmt.Fprintln(w, "from_row,from_col,to_row,to_col,dir,request_flits,reply_flits,total_flits,utilization"); err != nil {
 		return err
 	}
 	cycles := t.LastCycle()
@@ -163,20 +266,20 @@ func (t *Telemetry) WriteHeatmapCSV(w io.Writer, m mesh.Mesh) error {
 		if cycles > 0 {
 			util = float64(req+rep) / float64(cycles)
 		}
-		if _, err := fmt.Fprintf(bw, "%d,%d,%d,%d,%s,%d,%d,%d,%.4f\n",
+		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%s,%d,%d,%d,%.4f\n",
 			from.Row, from.Col, to.Row, to.Col, l.Dir, req, rep, req+rep, util); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // TraceEvent is one event of the Chrome trace-event JSON format (loadable by
 // chrome://tracing and Perfetto). It is the one event shape every exporter in
-// the repository writes — telemetry counter tracks, per-packet spans, fleet
-// job timelines — so the field order here is the field order of all three
-// files. Ph "C" is a counter sample, "X" a complete span (Dur set, possibly
-// to zero), "i" an instant (S is its scope), "M" metadata.
+// the repository writes — a run's trace.json and the fleet job timeline — so
+// the field order here is the field order of both. Ph "C" is a counter
+// sample, "X" a complete span (Dur set, possibly to zero), "i" an instant
+// (S is its scope), "M" metadata.
 type TraceEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
@@ -187,21 +290,6 @@ type TraceEvent struct {
 	Cat  string         `json:"cat,omitempty"`
 	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
-}
-
-// WriteTraceObject writes events in the trace format's object form, one
-// line: {"traceEvents":[...],"displayTimeUnit":unit,"otherData":other},
-// otherData omitted when nil.
-func WriteTraceObject(w io.Writer, events []TraceEvent, unit string, other map[string]any) error {
-	bw := bufio.NewWriter(w)
-	if err := json.NewEncoder(bw).Encode(struct {
-		TraceEvents     []TraceEvent   `json:"traceEvents"`
-		DisplayTimeUnit string         `json:"displayTimeUnit"`
-		OtherData       map[string]any `json:"otherData,omitempty"`
-	}{events, unit, other}); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 // WriteTraceArray writes events in the trace format's bare-array form, one
@@ -223,28 +311,25 @@ func WriteTraceArray(w io.Writer, events []TraceEvent) error {
 	return bw.Flush() // reports the first write error, if any
 }
 
-// DefaultTraceFilter keeps the aggregate series (stalls, MC/DRAM state,
-// core counters, latency) and drops the per-link and per-node probe swarm,
+// counterTrack keeps the aggregate series (stalls, MC/DRAM state, core
+// counters) in trace.json and drops the per-link and per-node probe swarm,
 // which would bury a timeline view under thousands of tracks.
-func DefaultTraceFilter(name string) bool {
+func counterTrack(name string) bool {
 	return !strings.Contains(name, "link.") && !strings.Contains(name, "node.")
 }
 
-// WriteChromeTrace exports the epoch series as Chrome trace-event JSON:
-// one counter track per scalar probe passing filter (nil means
-// DefaultTraceFilter), with the timestamp axis in simulated cycles
-// (displayed as microseconds by the viewer). Counters are emitted as
-// per-epoch deltas — the rate the timeline view is after — and gauges as
-// sampled levels.
-func (t *Telemetry) WriteChromeTrace(w io.Writer, filter func(name string) bool) error {
-	if filter == nil {
-		filter = DefaultTraceFilter
-	}
+// writeChrome writes trace.json in the trace format's object form. Process
+// 1 holds one counter track per scalar probe counterTrack keeps — counters
+// as per-epoch deltas, the rate a timeline is read for, and gauges as
+// sampled levels; process 2, when sp is not nil, one track per sampled
+// packet (Spans.appendEvents). Both run on one clock: one simulated cycle
+// is one microsecond of trace time.
+func (t *Telemetry) writeChrome(w io.Writer, sp *Spans) error {
 	names := t.Reg.ScalarNames()
 	kinds := t.Reg.ScalarKinds()
 	keep := make([]int, 0, len(names))
 	for i, n := range names {
-		if filter(n) {
+		if counterTrack(n) {
 			keep = append(keep, i)
 		}
 	}
@@ -267,6 +352,12 @@ func (t *Telemetry) WriteChromeTrace(w io.Writer, filter func(name string) bool)
 			})
 		}
 	}
-	return WriteTraceObject(w, events, "ms",
-		map[string]any{"epoch_cycles": t.EpochLen, "source": "gpgpunoc telemetry"})
+	if sp != nil {
+		events = sp.appendEvents(events)
+	}
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents     []TraceEvent   `json:"traceEvents"`
+		DisplayTimeUnit string         `json:"displayTimeUnit"`
+		OtherData       map[string]any `json:"otherData"`
+	}{events, "ms", map[string]any{"epoch_cycles": t.EpochLen, "source": "gpgpunoc telemetry"}})
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,6 +16,8 @@ import (
 	"gpgpunoc/internal/packet"
 )
 
+// TestJSONLRoundTrip: the epoch records of series.jsonl read back as
+// written.
 func TestJSONLRoundTrip(t *testing.T) {
 	tel := New(50)
 	c := tel.Reg.Counter("flits", Desc{})
@@ -29,10 +33,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tel.Flush(120)
 
 	var buf bytes.Buffer
-	if err := tel.WriteJSONL(&buf); err != nil {
+	if err := tel.WriteJSONL(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	ex, err := ReadJSONL(&buf)
+	ex, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,16 +62,70 @@ func TestJSONLRoundTrip(t *testing.T) {
 		eh.Count != 2 || eh.Sum != 103 || eh.Min != 3 || eh.Max != 100 {
 		t.Errorf("histogram round-trip = %+v", eh)
 	}
+	if len(ex.Packets) != 0 {
+		t.Errorf("%d packets read back from a series without spans", len(ex.Packets))
+	}
 }
 
+// TestSpansJSONLRoundTrip: the span records of series.jsonl — the
+// sampler in the header and one packet line per traced packet — read
+// back as written.
+func TestSpansJSONLRoundTrip(t *testing.T) {
+	tel := New(50)
+	tel.Reg.Counter("flits", Desc{}).Inc()
+	tel.Flush(10)
+	sp := buildTracedPair(t)
+
+	var buf bytes.Buffer
+	if err := tel.WriteJSONL(&buf, sp); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Seed != sp.seed || ex.Rate != sp.rate {
+		t.Errorf("span sampler (%d, %v) read back as (%d, %v)", sp.seed, sp.rate, ex.Seed, ex.Rate)
+	}
+	if !reflect.DeepEqual(ex.Packets, sp.Traces()) {
+		t.Errorf("packets read back as %+v, want %+v", ex.Packets, sp.Traces())
+	}
+	if !reflect.DeepEqual(ex.Samples, tel.Samples()) {
+		t.Errorf("Samples = %v, want %v", ex.Samples, tel.Samples())
+	}
+}
+
+// TestReadJSONLErrors: a series.jsonl ReadTrace cannot use is refused,
+// naming the line at fault.
 func TestReadJSONLErrors(t *testing.T) {
-	for name, in := range map[string]string{
-		"garbage":        "not json\n",
-		"unknown type":   `{"type":"zap","cycle":0}` + "\n",
-		"value mismatch": `{"type":"header","epoch":1,"names":["a","b"],"kinds":["counter","counter"]}` + "\n" + `{"type":"sample","cycle":1,"values":[1]}` + "\n",
+	const header = `{"type":"header","epoch":1,"names":["a","b"],"kinds":["counter","counter"]}` + "\n"
+	for name, tc := range map[string]struct{ in, want string }{
+		"empty":          {"", "line 1: no header record"},
+		"garbage":        {"not json\n", "line 1: invalid character"},
+		"kinds mismatch": {`{"type":"header","names":["a"]}` + "\n", "line 1: header has 0 kinds for 1 probes"},
+		"unknown type":   {header + `{"type":"zap","cycle":0}` + "\n", "line 2: unexpected \"zap\" record"},
+		"second header":  {header + "\n" + header, "line 3: unexpected \"header\" record"},
+		"value mismatch": {header + `{"type":"sample","cycle":1,"values":[1]}` + "\n", "line 2: sample has 1 values for 2 probes"},
 	} {
-		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
+		_, err := ReadTrace(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestReadTraceRejectsBadPacketRecords: a packet record ReadTrace cannot
+// use is refused, naming the line at fault.
+func TestReadTraceRejectsBadPacketRecords(t *testing.T) {
+	const header = `{"type":"header","epoch":1,"names":["a"],"kinds":["counter"],"seed":9,"rate":1}` + "\n"
+	for name, tc := range map[string]struct{ in, want string }{
+		"packet before header": {`{"type":"packet","id":1}` + "\n", "line 1: the header must come first"},
+		"bad packet event":     {header + `{"type":"packet","events":[{"k":"hop"}]}` + "\n", "line 2: json"},
+		"bad record line":      {header + `{"type":"packet","id":1}` + "\nnot-json\n", "line 3: invalid character"},
+	} {
+		_, err := ReadTrace(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, tc.want)
 		}
 	}
 }
@@ -85,7 +143,7 @@ func TestHeatmapCSVRoundTrip(t *testing.T) {
 	tel.Flush(100)
 
 	var buf bytes.Buffer
-	if err := tel.WriteHeatmapCSV(&buf, m); err != nil {
+	if err := tel.writeHeatmap(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(&buf).ReadAll()
@@ -145,7 +203,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := tel.WriteChromeTrace(&buf, nil); err != nil {
+	if err := tel.writeChrome(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var tr struct {
@@ -186,4 +244,104 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if len(gaugeVals) != 3 || gaugeVals[10] != 10 || gaugeVals[20] != 20 || gaugeVals[30] != 30 {
 		t.Errorf("gauge events = %v", gaugeVals)
 	}
+}
+
+// TestChromeTraceIsValidAndNested: with spans attached, trace.json holds
+// one track per sampled packet in a process of its own, each named by a
+// metadata event, with the lifetime, hop, stall and service spans nested
+// on it beside the counter tracks.
+func TestChromeTraceIsValidAndNested(t *testing.T) {
+	tel := New(100)
+	tel.Reg.Counter("net.stall.vcalloc", Desc{})
+	tel.Flush(100)
+	tel.Flush(250)
+	var buf bytes.Buffer
+	if err := tel.writeChrome(&buf, buildTracedPair(t)); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Ts   int64  `json:"ts"`
+			Dur  *int64 `json:"dur"`
+			PID  int    `json:"pid"`
+			TID  int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v", err)
+	}
+	names := map[string]bool{}
+	tids := map[int]bool{}
+	for _, e := range doc.TraceEvents {
+		names[e.Ph+":"+e.Name] = true
+		if e.Ph == "X" && e.Dur == nil {
+			t.Fatalf("complete event %q has no duration", e.Name)
+		}
+		if e.PID == 2 && e.Name != "process_name" {
+			tids[e.TID] = true
+		}
+		if e.PID == 2 && e.Ph == "C" || e.PID == 1 && e.Ph == "X" {
+			t.Fatalf("event %+v in the wrong process", e)
+		}
+	}
+	// One track per packet (request + reply), each named via metadata.
+	if len(tids) != 2 {
+		t.Fatalf("got tracks %v, want 2 (request + reply)", tids)
+	}
+	for _, want := range []string{
+		"C:net.stall.vcalloc", "M:thread_name", "X:READ-REQUEST", "X:READ-REPLY", "X:srcqueue",
+		"X:N0->N8 vc0", "X:stall:vcalloc@N8", "X:dram", "X:mc.service",
+		"i:dram issue bank3 hit",
+	} {
+		if !names[want] {
+			t.Fatalf("chrome trace missing %q; have %v", want, names)
+		}
+	}
+}
+
+func TestValidateEpoch(t *testing.T) {
+	for _, e := range []int64{0, -1} {
+		if err := ValidateEpoch(e); err == nil {
+			t.Errorf("epoch %d accepted", e)
+		}
+	}
+	if err := ValidateEpoch(1); err != nil {
+		t.Errorf("epoch 1 rejected: %v", err)
+	}
+}
+
+func TestValidateRate(t *testing.T) {
+	for _, r := range []float64{0, -0.5, 1.5, math.NaN()} {
+		if err := ValidateRate(r); err == nil {
+			t.Errorf("rate %v accepted", r)
+		}
+	}
+	for _, r := range []float64{0.001, 0.5, 1} {
+		if err := ValidateRate(r); err != nil {
+			t.Errorf("rate %v rejected: %v", r, err)
+		}
+	}
+}
+
+// FuzzReadTrace: ReadTrace never panics, whatever it is given, and every
+// error it returns names the line at fault. The seed corpus under
+// testdata/fuzz/FuzzReadTrace runs with every plain go test.
+func FuzzReadTrace(f *testing.F) {
+	lineRef := regexp.MustCompile(`^telemetry: series line [1-9][0-9]*: `)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tr, err := ReadTrace(bytes.NewReader(in))
+		if err != nil {
+			if !lineRef.MatchString(err.Error()) {
+				t.Fatalf("error does not name its line: %v", err)
+			}
+			return
+		}
+		for _, s := range tr.Samples {
+			if len(s.Values) != len(tr.Names) {
+				t.Fatalf("sample at cycle %d has %d values for %d probes", s.Cycle, len(s.Values), len(tr.Names))
+			}
+		}
+	})
 }

@@ -80,9 +80,9 @@ func DefaultLatencyBounds() []int64 { return ExpBounds(8, 2, 12) }
 // once, which NetProbes reads through: flits per link (by mesh.LinkIndex)
 // and class, flits in and out per node, and the tally of each stall cause.
 type Spine struct {
-	Link                                  [packet.NumClasses][]int64
-	Inj, Ej                               []int64
-	StallCredit, StallRoute, StallVCAlloc *int64
+	Link    [packet.NumClasses][]int64
+	Inj, Ej []int64
+	Stall   *[NumStallCauses]int64
 }
 
 // NetProbes is the probe bundle for one physical network: counters over its
@@ -147,16 +147,14 @@ func NewNetProbes(reg *Registry, m mesh.Mesh, prefix string, sp Spine) *NetProbe
 		reg.CounterOf(fmt.Sprintf("%snode.%d.ejected.flits", prefix, id),
 			Desc{Family: famEjected, Help: "Flits that left the fabric at a node.", Labels: labels}, &sp.Ej[id])
 	}
-	stall := func(cause string, slot *int64) {
-		reg.CounterOf(prefix+"net.stall."+cause, Desc{
+	// Registration order is the column order of series.jsonl.
+	for _, c := range []StallCause{StallCredit, StallRoute, StallVCAlloc} {
+		reg.CounterOf(prefix+"net.stall."+c.String(), Desc{
 			Family: famStall,
 			Help:   "Switch-allocation stall attributions, by cause.",
-			Labels: []string{"subnet", np.subnet(), "cause", cause},
-		}, slot)
+			Labels: []string{"subnet", np.subnet(), "cause", c.String()},
+		}, &sp.Stall[c])
 	}
-	stall("credit", sp.StallCredit)
-	stall("route", sp.StallRoute)
-	stall("vcalloc", sp.StallVCAlloc)
 	bounds := DefaultLatencyBounds()
 	for tx := 0; tx < numTx; tx++ {
 		for seg := Segment(0); seg < NumSegments; seg++ {

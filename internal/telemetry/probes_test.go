@@ -95,7 +95,7 @@ func TestNetProbesNaming(t *testing.T) {
 // network would own and count into.
 func newSpine(m mesh.Mesh) Spine {
 	sp := Spine{Inj: make([]int64, m.NumNodes()), Ej: make([]int64, m.NumNodes()),
-		StallCredit: new(int64), StallRoute: new(int64), StallVCAlloc: new(int64)}
+		Stall: new([NumStallCauses]int64)}
 	for c := range sp.Link {
 		sp.Link[c] = make([]int64, m.NumLinkSlots())
 	}

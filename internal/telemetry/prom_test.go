@@ -11,7 +11,7 @@ func TestRenderPrometheusStructuredFamilies(t *testing.T) {
 	m := mesh.New(8, 8)
 	reg := NewRegistry()
 	sp := newSpine(m)
-	*sp.StallCredit = 5
+	sp.Stall[StallCredit] = 5
 	np := NewNetProbes(reg, m, "", sp)
 	link := mesh.Link{From: 0, Dir: mesh.East}
 	sp.Link[0][m.LinkIndex(link)] = 42
@@ -52,7 +52,7 @@ func TestRenderPrometheusSubnetLabels(t *testing.T) {
 	m := mesh.New(2, 2)
 	reg := NewRegistry()
 	req, rep := newSpine(m), newSpine(m)
-	*req.StallVCAlloc, *rep.StallVCAlloc = 2, 3
+	req.Stall[StallVCAlloc], rep.Stall[StallVCAlloc] = 2, 3
 	NewNetProbes(reg, m, "req.", req)
 	NewNetProbes(reg, m, "rep.", rep)
 	out := string(reg.RenderPrometheus())

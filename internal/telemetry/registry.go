@@ -1,8 +1,9 @@
 // Package telemetry is the cycle-domain observability subsystem: a registry
 // of typed probes (counters, gauges, fixed-bucket histograms) registered by
 // name, an epoch sampler that snapshots the registry into in-memory
-// time-series, a per-packet latency decomposition, and exporters (JSONL,
-// link-utilization heatmap CSV, Chrome trace-event JSON).
+// time-series, a per-packet latency decomposition, sampled per-packet span
+// tracing, and one writer and one reader of a run's trace (WriteTrace:
+// series.jsonl, trace.json, heatmap.csv; ReadTrace).
 //
 // The subsystem is opt-in and built for a zero-allocation hot path: probe
 // sites hold pointers obtained once at registration, incrementing a probe is
@@ -331,15 +332,6 @@ func (r *Registry) Value(name string) (int64, bool) {
 		return 0, false
 	}
 	return r.probes[idx].scalarValue(), true
-}
-
-// EachHistogram calls fn for every histogram probe in registration order.
-func (r *Registry) EachHistogram(fn func(name string, h *Histogram)) {
-	for i := range r.probes {
-		if r.probes[i].kind == KindHistogram {
-			fn(r.probes[i].name, r.probes[i].hist)
-		}
-	}
 }
 
 // FindHistogram returns the named histogram, or nil.

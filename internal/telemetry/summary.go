@@ -22,8 +22,8 @@ type Summary struct {
 	LinkFlits [packet.NumClasses]int64
 	// InjectedFlits / EjectedFlits total fabric entry/exit flits.
 	InjectedFlits, EjectedFlits int64
-	// Stall attributions summed across the run.
-	CreditStalls, RouteStalls, VCAllocStalls int64
+	// Stalls sums the stall attributions across the run, by cause.
+	Stalls [NumStallCauses]int64
 	// Latency lists the per-segment decomposition stats in a fixed order
 	// (read then write, segments in pipeline order), skipping empty ones.
 	Latency []LatencySegmentStat
@@ -60,14 +60,7 @@ func (t *Telemetry) Summarize() Summary {
 		case famEjected:
 			s.EjectedFlits += p.scalarValue()
 		case famStall:
-			switch p.desc.label("cause") {
-			case "credit":
-				s.CreditStalls += p.scalarValue()
-			case "route":
-				s.RouteStalls += p.scalarValue()
-			case "vcalloc":
-				s.VCAllocStalls += p.scalarValue()
-			}
+			s.Stalls[indexOf(stallNames[:], p.desc.label("cause"))] += p.scalarValue()
 		case famLatency:
 			tx := indexOf(txNames[:], p.desc.label("kind"))
 			seg := indexOf(segmentNames[:], p.desc.label("segment"))
