@@ -33,11 +33,11 @@ test:
 # pattern) pair below it runs `go test -list`, nothing else, and fails,
 # naming the pair, when the pattern matches no test there, so neither a
 # rename nor a move can silently drop a suite. The suites run in race.
-#   .                    every run bit for bit, also from the retired Workers=4; run loop == hand-stepping; artifacts == goldens
-#   internal/noc         kernel == the specification model; arbitration digests; run masks and wakes; whole runs == the tick-every-cycle twin; stats window; one next-hop table
+#   .                    every run bit for bit, also from the retired Workers=4; run loop == hand-stepping; dense readers == sparse; figure tables concurrent == one at a time; artifacts == goldens; old inputs carrying the retired Workers
+#   internal/noc         whole runs == the tick-every-cycle twin (statistics, telemetry, sanitizer cycles), also from the retired Workers 1 and 4; kernel == the specification model; arbitration digests; run masks and wakes; settled totals == the twin's; stats window; one next-hop table
 #   internal/smcore      sleeping SM ticks == the tick digests and an always-awake twin; a refused outbox waits for its wake
 #   internal/mc          sleeping MC ticks == the tick digests and an always-awake twin; a reply reuses a request's storage
-#   internal/gpu         whole runs == the fig9/idle digests; no allocation after warm-up; Reset and Run == a new simulator; shared structures
+#   internal/gpu         whole runs == the fig9/idle digests; the sanitizer cadence; no allocation after warm-up; Reset and Run == a new simulator; shared structures
 #   internal/sweep       every job key == the fmt.Sprintf format
 #   internal/telemetry   the span collector agrees with the routing function
 #   internal/core        one proof per structure; the sparse CDG prover == the dense reference

@@ -102,6 +102,12 @@ func summarizeSpans(w io.Writer, pkts []*telemetry.PacketTrace) {
 // packet's lifecycle as a cycle-ordered timeline table.
 func showSpans(w io.Writer, tr *telemetry.Trace, limit int) {
 	pkts := tr.Packets
+	if len(pkts) == 0 {
+		// A sweep job's trace, or a run that sampled none: say so rather
+		// than print an empty table.
+		fmt.Fprintf(w, "no sampled packets in this trace (sample rate %g); `nocsim -trace DIR -trace-rate R` samples them\n", tr.Rate)
+		return
+	}
 	fmt.Fprintf(w, "span log: seed %d, sample rate %g, %d traced packets\n", tr.Seed, tr.Rate, len(pkts))
 	summarizeSpans(w, pkts)
 	n := len(pkts)

@@ -48,6 +48,22 @@ func TestSpansOutput(t *testing.T) {
 	checkGolden(t, "spans_n2.golden", runOK(t, "-n", "2", "testdata/series.jsonl"))
 }
 
+// TestNoSampledPackets: a series.jsonl with no packet records, as `sweep
+// -trace` writes one per job, is read and reported as holding no sampled
+// packets, with no table.
+func TestNoSampledPackets(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "series.jsonl")
+	series := `{"type":"header","epoch":100,"names":["net.flits"],"kinds":["counter"],"cycle":0}` + "\n" +
+		`{"type":"sample","cycle":100,"values":[42]}` + "\n"
+	if err := os.WriteFile(path, []byte(series), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := string(runOK(t, path))
+	if !strings.HasPrefix(out, "no sampled packets in this trace") || strings.Count(out, "\n") != 1 {
+		t.Errorf("traceview on a trace without packets printed:\n%s", out)
+	}
+}
+
 // TestUsageAndInputErrors: traceview reads a trace's series.jsonl only, so
 // the retired mode selectors are unknown flags.
 func TestUsageAndInputErrors(t *testing.T) {

@@ -15,11 +15,15 @@
 // stats.Net (including floating-point Welford latency accumulators, which
 // pin the ejection order), and the full telemetry JSONL export. Runs are
 // sanitized, so CheckInvariants — including the run-mask recount — is
-// exercised throughout. (Test names are kept from when the suite held the
+// exercised throughout. Each Figure 9 point is simulated as shipped once
+// per package run, and that run is held both to its rerun and to the
+// hand-stepped loop. (Test names are kept from when the suite held the
 // lane-parallel kernel to the serial one.)
 //
-// The router itself is held to an independent specification model in
-// internal/noc (spec_test.go), where the network's own surface is visible.
+// The same Figure 9 points are held to their committed digests in
+// internal/gpu (idle_test.go) and to the tick-every-cycle twin in
+// internal/noc (oracle_test.go), and the router itself to an independent
+// specification model there (spec_test.go).
 package gpgpunoc_test
 
 import (
@@ -27,9 +31,11 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"gpgpunoc/internal/config"
+	"gpgpunoc/internal/core"
 	"gpgpunoc/internal/experiments"
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/workload"
@@ -98,6 +104,31 @@ func telemetryJSONL(t *testing.T, res gpu.Result) []byte {
 	return b.Bytes()
 }
 
+// fig9Runs holds each Figure 9 point's instrumented KMN run, simulated once
+// per package run: TestStepperEquivalenceFig9Schemes holds it to a rerun
+// and TestStepperEquivalenceFastForward to a hand-stepped loop.
+var fig9Runs sync.Map // "<scheme>/seed=<n>" → func() (gpu.Result, error)
+
+// fig9Point returns the Figure 9 scheme s's configuration at seed and its
+// shared run.
+func fig9Point(t *testing.T, s core.Scheme, seed uint64) (config.Config, gpu.Result) {
+	t.Helper()
+	cfg := s.Apply(equivCfg())
+	cfg.Seed = seed
+	once, _ := fig9Runs.LoadOrStore(fmt.Sprintf("%s/seed=%d", s.Label, seed), sync.OnceValues(func() (gpu.Result, error) {
+		sim, err := gpu.NewInstrumented(cfg, workload.MustGet("KMN"), instrumented)
+		if err != nil {
+			return gpu.Result{}, err
+		}
+		return sim.RunContext(context.Background())
+	}))
+	res, err := once.(func() (gpu.Result, error))()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg, res
+}
+
 // TestStepperEquivalenceFig9Schemes covers the full Figure 9 design space,
 // three seeds each: each run reproduced by a second one (checkRerun).
 func TestStepperEquivalenceFig9Schemes(t *testing.T) {
@@ -108,9 +139,8 @@ func TestStepperEquivalenceFig9Schemes(t *testing.T) {
 		for _, seed := range []uint64{1, 7, 1234577} {
 			t.Run(fmt.Sprintf("%s/seed=%d", s.Label, seed), func(t *testing.T) {
 				t.Parallel()
-				cfg := s.Apply(equivCfg())
-				cfg.Seed = seed
-				checkRerun(t, cfg, "KMN", runOne(t, cfg, "KMN"))
+				cfg, run := fig9Point(t, s, seed)
+				checkRerun(t, cfg, "KMN", run)
 			})
 		}
 	}
@@ -146,13 +176,12 @@ func TestStepperEquivalenceAsymmetric(t *testing.T) {
 var figureTablePasses uint64
 
 // TestFigureTableEquivalence regenerates a figure table with jobs run
-// concurrently and then one at a time from configurations carrying the
-// retired Workers=4, and requires the rendered tables to be byte-identical
-// — the property that makes the regenerated EXPERIMENTS.md trustworthy
-// regardless of job parallelism or stored configurations. The figure
-// runners' result memo folds Workers away, so the second Fig7 is answered
-// entirely from the first one's runs; the synthetic-harness Sweep, which
-// the memo does not serve, simulates both times.
+// concurrently and then one at a time, and requires the rendered tables to
+// be byte-identical — the property that makes the regenerated
+// EXPERIMENTS.md trustworthy regardless of job parallelism. The figure
+// runners' result memo answers the second Fig7 entirely from the first
+// one's runs; the synthetic-harness Sweep, which the memo does not serve,
+// simulates both times.
 func TestFigureTableEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates a figure grid twice")
@@ -168,7 +197,6 @@ func TestFigureTableEquivalence(t *testing.T) {
 	}
 	par := base
 	par.Parallel = 1
-	par.Overrides = retiredWorkers
 
 	sim0, reused0 := experiments.MemoCounts()
 	baseTab, err := experiments.Fig7(base)
@@ -182,11 +210,11 @@ func TestFigureTableEquivalence(t *testing.T) {
 	}
 	sim2, reused2 := experiments.MemoCounts()
 	if want := int64(3 * len(base.Benchmarks)); sim1-sim0 != want || sim2-sim1 != 0 || reused2-reused0 != want {
-		t.Fatalf("Fig7 simulated %d then %d runs and reused %d; want %d, 0, %d: Workers must not split the memo",
+		t.Fatalf("Fig7 simulated %d then %d runs and reused %d; want %d, 0, %d: the second pass must be answered from the memo",
 			sim1-sim0, sim2-sim1, reused2-reused0, want, want)
 	}
 	if baseTab.String() != parTab.String() {
-		t.Errorf("Fig7 table diverged:\nconcurrent:\n%s\none at a time, carrying Workers=4:\n%s", baseTab, parTab)
+		t.Errorf("Fig7 table diverged:\nconcurrent:\n%s\none at a time:\n%s", baseTab, parTab)
 	}
 
 	// The synthetic-harness sweep exercises the custom RunFunc path.
@@ -194,12 +222,12 @@ func TestFigureTableEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parSweep, err := experiments.Sweep(experiments.Opts{MeasureCycles: 1500, Parallel: 1, Overrides: retiredWorkers})
+	parSweep, err := experiments.Sweep(experiments.Opts{MeasureCycles: 1500, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if baseSweep.String() != parSweep.String() {
-		t.Errorf("Sweep table diverged:\nconcurrent:\n%s\none at a time, carrying Workers=4:\n%s", baseSweep, parSweep)
+		t.Errorf("Sweep table diverged:\nconcurrent:\n%s\none at a time:\n%s", baseSweep, parSweep)
 	}
 }
 
@@ -249,8 +277,9 @@ func runWith(t *testing.T, cfg config.Config, prof workload.Profile, inst gpu.In
 // checkStepByStep drives a second, identically built simulator through the
 // exported per-cycle API by hand — one Step per cycle, statistics off for
 // the warmup, no run loop — and requires what that leaves observable from
-// outside, the network statistics and the telemetry series (which samples
-// the core counters), to match the run loop's result bit for bit.
+// outside, the measured window of the core counters, the network
+// statistics and the telemetry series, to match the run loop's result bit
+// for bit.
 func checkStepByStep(t *testing.T, cfg config.Config, prof workload.Profile, run gpu.Result) {
 	t.Helper()
 	sim, err := gpu.NewInstrumented(cfg, prof, instrumented)
@@ -261,11 +290,18 @@ func checkStepByStep(t *testing.T, cfg config.Config, prof workload.Profile, run
 	for i := 0; i < cfg.WarmupCycles; i++ {
 		sim.Step()
 	}
+	before := sim.Totals()
 	sim.Net.EnableStats(true)
 	for i := 0; i < cfg.MeasureCycles; i++ {
 		sim.Step()
 	}
 	sim.Tel.Flush(int64(cfg.WarmupCycles + cfg.MeasureCycles))
+	core := sim.Totals()
+	core.Sub(&before)
+	core.Cycles = int64(cfg.MeasureCycles)
+	if run.GPU != core || run.IPC != core.IPC() {
+		t.Errorf("core counters diverged between RunContext and hand-stepping:\n%+v\n%+v", run.GPU, core)
+	}
 	net := sim.Net.Stats()
 	net.Cycles = int64(cfg.MeasureCycles)
 	if !reflect.DeepEqual(run.Net, net) {
@@ -294,9 +330,8 @@ func TestStepperEquivalenceFastForward(t *testing.T) {
 		for _, seed := range []uint64{1, 7, 1234577} {
 			t.Run(fmt.Sprintf("%s/seed=%d", s.Label, seed), func(t *testing.T) {
 				t.Parallel()
-				cfg := s.Apply(equivCfg())
-				cfg.Seed = seed
-				checkStepByStep(t, cfg, kmn, runProfile(t, cfg, kmn))
+				cfg, run := fig9Point(t, s, seed)
+				checkStepByStep(t, cfg, kmn, run)
 			})
 		}
 	}
@@ -323,30 +358,28 @@ func TestStepperEquivalenceFastForwardIdle(t *testing.T) {
 	}
 }
 
-// TestStepperEquivalenceSoak reproduces longer runs with dense cycle-boundary
-// readers: the telemetry sampler settles and reads the core-side counters
-// every 16 cycles, and the sanitizer recounts the fabric against the in-flight
-// tally every 7 — on the single network and on the dual subnets — and
-// requires each run bit-identical to its rerun (carrying the retired
-// Workers=4) and to the same run under the suite's sparse instrumentation.
+// TestStepperEquivalenceSoak runs longer KMN runs with dense cycle-boundary
+// readers — the telemetry sampler settles and reads the core-side counters
+// every 16 cycles, the sanitizer recounts the fabric against the in-flight
+// tally every 7 — on the single network and on the dual subnets, and
+// requires each to match the same run under the suite's sparse
+// instrumentation.
 func TestStepperEquivalenceSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
 	}
-	cfg := equivCfg()
+	cfg := config.Default()
 	cfg.WarmupCycles = 800
 	cfg.MeasureCycles = 4000
 
 	dense := gpu.Instrumentation{SanitizeEvery: 7, TelemetryEpoch: 16}
-	kmn := workload.MustGet("KMN")
 	for _, dual := range []bool{false, true} {
 		if dual {
 			cfg.NoC.PhysicalSubnets = true
 			cfg.NoC.VCsPerPort = 4
 		}
-		run := runWith(t, cfg, kmn, dense)
-		compareResults(t, runWith(t, retiredWorkers(cfg), kmn, dense), run)
-		if sparse := runProfile(t, cfg, kmn); sparse.IPC != run.IPC || !reflect.DeepEqual(sparse.Net, run.Net) {
+		run := runWith(t, cfg, workload.MustGet("KMN"), dense)
+		if s := runOne(t, cfg, "KMN"); s.IPC != run.IPC || !reflect.DeepEqual(s.GPU, run.GPU) || !reflect.DeepEqual(s.Net, run.Net) {
 			t.Errorf("dual=%v: the sanitizer or sampler cadence changed the run", dual)
 		}
 	}

@@ -201,7 +201,7 @@ func TestStructureProvedOncePerKey(t *testing.T) {
 	// The same pointer for every configuration of a key.
 	a, _ := core.StructureFor(cfgs[0])
 	other := cfgs[0]
-	other.Seed, other.NoC.VCDepth, other.NoC.Workers = 99, 8, 4
+	other.Seed, other.NoC.VCDepth = 99, 8
 	if b, _ := core.StructureFor(other); a == nil || a != b {
 		t.Errorf("configurations of one key got structures %p and %p", a, b)
 	}

@@ -258,18 +258,17 @@ func TestDuplicateSubmitServedFromStore(t *testing.T) {
 	if err != nil || !st.Finished() {
 		t.Fatalf("restarted sweep not finished: %+v err=%v", st, err)
 	}
-	// The same grid at another kernel worker count is the same simulations:
+	// The same grid over an explicit default base is the same simulations:
 	// a different spec (and sweep), answered entirely from the same store.
-	base4 := config.Default()
-	base4.NoC.Workers = 4
-	spec4 := spec
-	spec4.Base = &base4
-	resub4, err := co2.Submit(spec4)
+	explicit := config.Default()
+	spelled := spec
+	spelled.Base = &explicit
+	resub2, err := co2.Submit(spelled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resub4.SweepID == resub.SweepID || resub4.Cached != 4 || resub4.Pending != 0 {
-		t.Fatalf("workers=4 resubmit = %+v, want a new sweep with 4 cached, 0 pending", resub4)
+	if resub2.SweepID == resub.SweepID || resub2.Cached != 4 || resub2.Pending != 0 {
+		t.Fatalf("explicit-base resubmit = %+v, want a new sweep with 4 cached, 0 pending", resub2)
 	}
 	if n := sims.Load(); n != 4 {
 		t.Fatalf("resubmits triggered simulations: %d total, want 4", n)

@@ -143,14 +143,13 @@ func TestWholeStepWrappedNet(t *testing.T) {
 }
 
 // TestWholeStepOnePoolPerSimulator: a simulator steps on the calling
-// goroutine alone — one network or the two subnets of a Dual, from a
-// configuration carrying the retired Workers=4 — so once Step returns no
-// goroutine of the process is inside package noc. (The name is kept from
-// the lane-parallel kernel, whose worker pool it counted.)
+// goroutine alone — one network or the two subnets of a Dual — so once
+// Step returns no goroutine of the process is inside package noc. (The
+// name is kept from the lane-parallel kernel, whose worker pool it
+// counted.)
 func TestWholeStepOnePoolPerSimulator(t *testing.T) {
 	for _, dual := range []bool{false, true} {
 		cfg := config.Default()
-		cfg.NoC.Workers = 4
 		if dual {
 			cfg.NoC.PhysicalSubnets = true
 			cfg.NoC.VCsPerPort = 4

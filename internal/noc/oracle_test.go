@@ -13,7 +13,8 @@
 // these comparisons live here, in the external test package that can drive
 // a whole gpu.Simulator. Each comparison runs the twin once and the shipped
 // simulator from configurations carrying the retired Workers values 1 and 4
-// (workers_test.go), which must not change a bit.
+// (workers_test.go), which must not change a bit. Both carry the flight
+// recorder, so the sanitizer's passed checks are compared cycle for cycle.
 package noc_test
 
 import (
@@ -21,10 +22,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/experiments"
+	"gpgpunoc/internal/fleetobs"
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/noc"
 	"gpgpunoc/internal/workload"
@@ -49,13 +52,15 @@ func tickEveryCycle(sim *gpu.Simulator) {
 
 // run simulates prof under cfg with telemetry every 400 cycles and the
 // sanitizer every 256 — so CheckInvariants, the run-mask recount included,
-// is exercised on both schedules — as shipped or as the reference twin.
+// is exercised on both schedules — and the flight recorder, as shipped or
+// as the reference twin.
 func run(t *testing.T, cfg config.Config, prof workload.Profile, reference bool) gpu.Result {
 	t.Helper()
 	sim, err := gpu.NewInstrumented(cfg, prof, gpu.Instrumentation{SanitizeEvery: 256, TelemetryEpoch: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim.AttachFlight(1<<12, "")
 	if reference {
 		tickEveryCycle(sim)
 	}
@@ -69,7 +74,8 @@ func run(t *testing.T, cfg config.Config, prof workload.Profile, reference bool)
 // checkOracle requires the shipped run opt and the twin's run ref to leave
 // bit-identical observable state: IPC, run shape, core and network
 // statistics (the floating-point Welford latency accumulators pin the
-// ejection order) and the telemetry JSONL bytes.
+// ejection order), the telemetry JSONL bytes and the cycles at which the
+// sanitizer's invariant checks passed.
 func checkOracle(t *testing.T, opt, ref gpu.Result) {
 	t.Helper()
 	if opt.IPC != ref.IPC || opt.Cycles != ref.Cycles || opt.Deadlocked != ref.Deadlocked {
@@ -92,6 +98,19 @@ func checkOracle(t *testing.T, opt, ref gpu.Result) {
 	if !bytes.Equal(ob.Bytes(), rb.Bytes()) {
 		t.Errorf("telemetry export diverged (%d vs %d bytes)", ob.Len(), rb.Len())
 	}
+	if o, r := sanitized(opt), sanitized(ref); len(o) == 0 || !slices.Equal(o, r) {
+		t.Errorf("invariant checks passed at cycles %v, the twin's at %v", o, r)
+	}
+}
+
+// sanitized lists the cycles of the run's passed invariant checks.
+func sanitized(res gpu.Result) (cycles []int64) {
+	for _, e := range res.Flight.Events() {
+		if e.Kind == fleetobs.KindInvariantOK {
+			cycles = append(cycles, e.Cycle)
+		}
+	}
+	return cycles
 }
 
 // checkOracleWorkers runs prof as the twin once, from the configuration
@@ -162,17 +181,37 @@ var trickle = workload.Profile{Name: "TRICKLE", Suite: "synthetic", MemFraction:
 
 // TestReferenceOracleIdle covers the mostly-empty fabric: a pure-compute
 // profile that never touches it, and a trickle profile, so the kernel is
-// repeatedly entered from and left in the empty state.
+// repeatedly entered from and left in the empty state; on one network and
+// on a Dual, at the seeds of internal/gpu's idle.digests.
 func TestReferenceOracleIdle(t *testing.T) {
-	for _, prof := range []workload.Profile{
+	profs := []workload.Profile{
 		{Name: "IDLE", Suite: "synthetic", Locality: 0.5, FootprintBytes: 256 << 10,
 			RunAhead: 4, LongOpFraction: 1, LongOpLatency: 600},
 		trickle,
-	} {
+	}
+	for _, prof := range profs {
 		t.Run(prof.Name, func(t *testing.T) {
 			t.Parallel()
 			checkOracleWorkers(t, equivCfg(), prof)
 		})
+	}
+	for _, dual := range []bool{false, true} {
+		for _, prof := range profs {
+			for _, seed := range []uint64{1, 7, 1234577} {
+				if !dual && seed == 1 {
+					continue // the rows above
+				}
+				t.Run(fmt.Sprintf("dual=%v/%s/seed=%d", dual, prof.Name, seed), func(t *testing.T) {
+					t.Parallel()
+					cfg := equivCfg()
+					cfg.Seed = seed
+					if dual {
+						cfg.NoC.PhysicalSubnets, cfg.NoC.VCsPerPort = true, 4
+					}
+					checkOracle(t, run(t, cfg, prof, false), run(t, cfg, prof, true))
+				})
+			}
+		}
 	}
 }
 
