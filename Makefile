@@ -91,15 +91,19 @@ mutants:
 
 # smoke runs the 4-job example spec through the real CLI and engine and
 # checks that the records' fingerprints (a record's first member) are
-# -dry-run's list line for line, then re-runs it against the same output to
-# prove resume skips all 4: the file's line count does not change.
+# -dry-run's list line for line. Then it appends a torn partial record (no
+# trailing newline), the tail a crash mid-write leaves, and re-runs against
+# the same output: the resume must exit 0, drop the torn bytes and run none
+# of the 4 jobs, so the line count and the fingerprints do not change.
 smoke:
 	$(GO) run ./cmd/sweep -spec examples/sweepspec_smoke.json -dry-run | grep -v ' jobs (' | cut -d' ' -f1 >$(SMOKE_OUT).want
 	$(GO) run ./cmd/sweep -spec examples/sweepspec_smoke.json -out $(SMOKE_OUT)
 	cut -d'"' -f4 $(SMOKE_OUT) | diff $(SMOKE_OUT).want -
 	wc -l <$(SMOKE_OUT) >$(SMOKE_OUT).lines
+	printf '{"fingerprint":"torn","key":"KMN' >>$(SMOKE_OUT)
 	$(GO) run ./cmd/sweep -spec examples/sweepspec_smoke.json -out $(SMOKE_OUT)
 	wc -l <$(SMOKE_OUT) | diff $(SMOKE_OUT).lines -
+	cut -d'"' -f4 $(SMOKE_OUT) | diff $(SMOKE_OUT).want -
 	@rm -f $(SMOKE_OUT) $(SMOKE_OUT).want $(SMOKE_OUT).lines
 
 # bench-smoke compiles and runs every testing.B benchmark exactly once — the

@@ -16,13 +16,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/experiments"
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/packet"
-	"gpgpunoc/internal/profiling"
 	"gpgpunoc/internal/telemetry"
 	"gpgpunoc/internal/workload"
 )
@@ -80,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return fail(fmt.Errorf("nocsim: -%s needs -trace", f))
 	}
 
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
+	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		return fail(err)
 	}
@@ -130,6 +131,44 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 1
 	}
 	return 0
+}
+
+// startProfiles starts a CPU profile into cpuPath, when set, and returns the
+// function that stops it and writes an allocation profile into memPath, when
+// set, after a GC so it shows what lives, not transient garbage. Call stop
+// once, on every exit path that should produce profiles.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		werr := pprof.Lookup("allocs").WriteTo(f, 0)
+		if cerr := f.Close(); werr == nil {
+			return cerr
+		}
+		return fmt.Errorf("mem profile: %w", werr)
+	}, nil
 }
 
 // tracingFlag names a -trace-* flag set on the command line, or returns "".

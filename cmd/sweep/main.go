@@ -4,17 +4,17 @@
 // timeouts and panic isolation, one JSONL record per job.
 //
 // The spec is the whole sweep: -spec is required, and no flag adds to or
-// overrides it. Every run resumes from -out, skipping each job whose ok
-// record is already there, and prints one progress line per job to stderr
-// (silence it with 2>/dev/null). Records reach -out in expansion order, the
-// order -dry-run lists, so two result files of one spec diff cleanly at any
+// overrides it. Every run resumes from -out: it runs only the jobs with no
+// ok record there, and prints one progress line per job to stderr (silence
+// it with 2>/dev/null). Records reach -out in expansion order, the order
+// -dry-run lists, so two result files of one spec diff cleanly at any
 // -jobs. The cost of that order: a record that finishes before an earlier,
 // slower job is held in memory until that job ends, so a crash loses it and
 // the next run re-runs its job.
 //
 // With no instrument flag every job runs uninstrumented, so gpu.Run
 // recycles its simulators. To debug a failed job, rerun the same command
-// with -sanitize N -trace DIR: resume skips only ok records.
+// with -sanitize N -trace DIR: resume leaves out only ok records.
 //
 // Examples:
 //
@@ -30,9 +30,10 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 
 	"gpgpunoc/internal/gpu"
-	"gpgpunoc/internal/profiling"
 	"gpgpunoc/internal/sweep"
 	"gpgpunoc/internal/telemetry"
 )
@@ -49,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		specFile = fs.String("spec", "", "JSON sweep spec file (required)")
-		out      = fs.String("out", "sweep.jsonl", "JSONL results file (appended; jobs already ok in it are skipped)")
+		out      = fs.String("out", "sweep.jsonl", "JSONL results file (appended; jobs already ok in it are not run again)")
 		jobsN    = fs.Int("jobs", 0, "concurrent jobs (default GOMAXPROCS)")
 		timeout  = fs.Duration("timeout", 0, "per-job timeout, e.g. 30s (default none)")
 		dryRun   = fs.Bool("dry-run", false, "print the expanded job list and exit")
@@ -114,64 +115,96 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	done, warning, err := sweep.CompletedFingerprints(*out)
+	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		return fail(err)
 	}
-	if warning != "" {
-		fmt.Fprintf(stderr, "sweep: resume from %s: %s\n", *out, warning)
+	opts := sweep.Options{Workers: *jobsN, Timeout: *timeout, TraceDir: *trace, Run: sweep.SimulateWith(inst)}
+	outs, err := resume(ctx, *out, jobs, opts, stderr)
+	fmt.Fprintf(stdout, "results: %s (%d records this run)\n", *out, len(outs))
+	// Profiles land on the failure path too: a failed sweep is exactly when
+	// the profile is most wanted.
+	if perr := stopProf(); err == nil {
+		err = perr
 	}
-	jsonl, err := sweep.OpenJSONL(*out)
 	if err != nil {
 		return fail(err)
-	}
-	sink := resumeSink(jsonl, jobs, done)
-
-	printer := sweep.NewPrinter(stderr, len(jobs))
-	opts := sweep.Options{
-		Workers: *jobsN, Timeout: *timeout, Done: done, TraceDir: *trace,
-		Progress: printer.Handle,
-		Run:      sweep.SimulateWith(inst),
-	}
-
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		return fail(err)
-	}
-
-	outs, runErr := sweep.Run(ctx, jobs, sink, opts)
-	summary := sweep.Summarize(outs)
-	if ferr := sink.Flush(); ferr != nil && runErr == nil {
-		runErr = ferr
-	}
-	if cerr := jsonl.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
-	}
-	printer.Finish(summary)
-	fmt.Fprintf(stdout, "results: %s (%d records this run)\n", *out, summary.OK+summary.Failed)
-	// Flush profiles before any exit: a failed sweep is exactly when the
-	// profile is most wanted.
-	if perr := stopProf(); perr != nil && runErr == nil {
-		runErr = perr
-	}
-	if runErr != nil {
-		return fail(runErr)
 	}
 	return 0
 }
 
-// resumeSink returns the sink a run writes through: records reach w in
-// expansion order. It sequences only the jobs not in done: the engine writes
-// no record for a skipped job, so a position held for one would hold back
-// every later record until Flush.
-func resumeSink(w sweep.Sink, jobs []sweep.Job, done map[string]bool) *sweep.Ordered {
+// resume runs the jobs that have no ok record in the results file out yet,
+// appending their records to it in job order, and reports progress on
+// stderr. It opens out with sweep.OpenJSONL, which drops a torn final line,
+// and then reads it strictly, so corruption anywhere else fails the run.
+func resume(ctx context.Context, out string, jobs []sweep.Job, opts sweep.Options, stderr io.Writer) ([]sweep.Outcome, error) {
+	before, statErr := os.Stat(out)
+	file, err := sweep.OpenJSONL(out)
+	if err != nil {
+		return nil, err
+	}
+	if after, err := os.Stat(out); statErr == nil && err == nil && after.Size() < before.Size() {
+		fmt.Fprintf(stderr, "resume: dropped a torn final line (%d bytes) from %s\n", before.Size()-after.Size(), out)
+	}
+	done, err := sweep.CompletedFingerprints(out)
+	if err != nil {
+		file.Close()
+		return nil, err
+	}
 	todo := make([]sweep.Job, 0, len(jobs))
 	for _, j := range jobs {
 		if !done[j.Fingerprint()] {
 			todo = append(todo, j)
 		}
 	}
-	return sweep.NewOrdered(w, todo)
+	fmt.Fprintf(stderr, "resume: %d of %d jobs already in %s\n", len(jobs)-len(todo), len(jobs), out)
+
+	printer := sweep.NewPrinter(stderr, len(todo))
+	opts.Progress = printer.Handle
+	outs, err := sweep.Run(ctx, todo, file, opts)
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	printer.Finish(sweep.Summarize(outs))
+	return outs, err
+}
+
+// startProfiles starts a CPU profile into cpuPath, when set, and returns the
+// function that stops it and writes an allocation profile into memPath, when
+// set, after a GC so it shows what lives, not transient garbage. Call stop
+// once, on every exit path that should produce profiles.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		werr := pprof.Lookup("allocs").WriteTo(f, 0)
+		if cerr := f.Close(); werr == nil {
+			return cerr
+		}
+		return fmt.Errorf("mem profile: %w", werr)
+	}, nil
 }
 
 // isSet reports whether the named flag was set on the command line.

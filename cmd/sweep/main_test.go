@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/sweep"
 )
 
@@ -164,10 +168,11 @@ func TestResultsFileIsExpansionOrdered(t *testing.T) {
 }
 
 // TestResumeSinkWritesPastDoneJobs: on a resumed run whose first job is
-// already done, each record reaches the results file once every earlier
-// job of this run has written, never later at Flush. The engine writes
-// nothing for a skipped job, so a position held for one would hold back
-// the whole run, and a crash would lose all of it.
+// already done, each record reaches the results file as soon as every
+// earlier job of this run has written, not when the run ends: when a job
+// starts, the record of the one before it is on disk. A run that held a
+// position for the done job would hold back the whole run, and a crash
+// would lose all of it.
 func TestResumeSinkWritesPastDoneJobs(t *testing.T) {
 	spec, err := sweep.ReadSpec(smokeSpec)
 	if err != nil {
@@ -177,10 +182,22 @@ func TestResumeSinkWritesPastDoneJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var file bytes.Buffer
-	sink := resumeSink(sweep.NewJSONL(&file), jobs, map[string]bool{jobs[0].Fingerprint(): true})
+	out := filepath.Join(t.TempDir(), "results.jsonl")
+	first := sweep.NewRecord(jobs[0])
+	first.Status = sweep.StatusOK
+	line, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(out, append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	written := func() []string {
-		recs, err := sweep.ReadRecords(bytes.NewReader(file.Bytes()))
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := sweep.ReadRecords(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,29 +207,26 @@ func TestResumeSinkWritesPastDoneJobs(t *testing.T) {
 		}
 		return keys
 	}
-	// Job 2 finishes first and waits for job 1; then both go out in order.
-	for _, step := range []struct {
-		job  int
-		want []string
-	}{
-		{2, nil},
-		{1, []string{jobs[1].Key, jobs[2].Key}},
-		{3, []string{jobs[1].Key, jobs[2].Key, jobs[3].Key}},
-	} {
-		rec := sweep.NewRecord(jobs[step.job])
-		rec.Status = sweep.StatusOK
-		if err := sink.Write(rec); err != nil {
-			t.Fatal(err)
+	var ran []string
+	run := func(_ context.Context, j sweep.Job) (gpu.Result, error) {
+		if got, want := written(), append([]string{jobs[0].Key}, ran...); !slices.Equal(got, want) {
+			t.Errorf("when %s starts the file holds %v, want %v", j.Key, got, want)
 		}
-		if got := written(); strings.Join(got, " ") != strings.Join(step.want, " ") {
-			t.Fatalf("after writing job %d the file holds %v, want %v", step.job, got, step.want)
-		}
+		ran = append(ran, j.Key)
+		return gpu.Result{Benchmark: j.Benchmark, IPC: 1}, nil
 	}
-	before := file.Len()
-	if err := sink.Flush(); err != nil {
+	var stderr bytes.Buffer
+	outs, err := resume(context.Background(), out, jobs, sweep.Options{Workers: 1, Run: run}, &stderr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if file.Len() != before {
-		t.Errorf("Flush wrote %d more bytes: every record was already out", file.Len()-before)
+	if len(outs) != len(jobs)-1 || len(ran) != len(jobs)-1 {
+		t.Fatalf("the resumed run ran %v, want the %d jobs after the first", ran, len(jobs)-1)
+	}
+	if want := fmt.Sprintf("resume: 1 of %d jobs already in %s\n", len(jobs), out); !strings.HasPrefix(stderr.String(), want) {
+		t.Errorf("stderr starts %q, want %q", stderr.String(), want)
+	}
+	if got := written(); len(got) != len(jobs) {
+		t.Errorf("the file holds %v, want all %d jobs", got, len(jobs))
 	}
 }

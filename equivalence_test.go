@@ -30,6 +30,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -38,6 +39,7 @@ import (
 	"gpgpunoc/internal/core"
 	"gpgpunoc/internal/experiments"
 	"gpgpunoc/internal/gpu"
+	"gpgpunoc/internal/sweep"
 	"gpgpunoc/internal/workload"
 )
 
@@ -178,16 +180,18 @@ var figureTablePasses uint64
 // TestFigureTableEquivalence regenerates a figure table with jobs run
 // concurrently and then one at a time, and requires the rendered tables to
 // be byte-identical — the property that makes the regenerated
-// EXPERIMENTS.md trustworthy regardless of job parallelism. The figure
-// runners' result memo answers the second Fig7 entirely from the first
-// one's runs; the synthetic-harness Sweep, which the memo does not serve,
-// simulates both times.
+// EXPERIMENTS.md trustworthy regardless of job parallelism. The concurrent
+// pass is Fig7 itself; the one-at-a-time pass runs Fig7's six jobs through
+// sweep.Run at one worker, around the figure runners' result memo, and
+// renders their rows the way Fig7 does. The synthetic-harness Sweep, which
+// the memo does not serve, runs through Sweep both times.
 func TestFigureTableEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates a figure grid twice")
 	}
-	// A seed no earlier pass of this test used (go test -count=N), so every
-	// pass simulates and the counter assertion below means what it says.
+	// A seed no earlier pass of this test used (go test -count=N), so the
+	// concurrent pass simulates and the counter assertion below means what
+	// it says.
 	figureTablePasses++
 	base := experiments.Opts{
 		Benchmarks:    []string{"KMN", "RED"},
@@ -195,26 +199,56 @@ func TestFigureTableEquivalence(t *testing.T) {
 		MeasureCycles: 1600,
 		Seed:          figureTablePasses,
 	}
-	par := base
-	par.Parallel = 1
 
-	sim0, reused0 := experiments.MemoCounts()
+	sim0, _ := experiments.MemoCounts()
 	baseTab, err := experiments.Fig7(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim1, _ := experiments.MemoCounts()
-	parTab, err := experiments.Fig7(par)
+	schemes := []core.Scheme{core.Baseline, core.YXSplit, core.XYYXSplit}
+	if sim1, _ := experiments.MemoCounts(); sim1-sim0 != int64(len(schemes)*len(base.Benchmarks)) {
+		t.Fatalf("Fig7 simulated %d runs, want %d", sim1-sim0, len(schemes)*len(base.Benchmarks))
+	}
+
+	cfg := equivCfg()
+	cfg.Seed = base.Seed
+	var jobs []sweep.Job
+	for _, b := range base.Benchmarks {
+		for _, s := range schemes {
+			jobs = append(jobs, sweep.Job{Key: b + "/" + s.Label, Benchmark: b, Cfg: s.Apply(cfg)})
+		}
+	}
+	outs, err := sweep.Run(context.Background(), jobs, nil, sweep.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim2, reused2 := experiments.MemoCounts()
-	if want := int64(3 * len(base.Benchmarks)); sim1-sim0 != want || sim2-sim1 != 0 || reused2-reused0 != want {
-		t.Fatalf("Fig7 simulated %d then %d runs and reused %d; want %d, 0, %d: the second pass must be answered from the memo",
-			sim1-sim0, sim2-sim1, reused2-reused0, want, want)
+	if len(outs) != len(jobs) {
+		t.Fatalf("%d outcomes for %d jobs", len(outs), len(jobs))
 	}
-	if baseTab.String() != parTab.String() {
-		t.Errorf("Fig7 table diverged:\nconcurrent:\n%s\none at a time:\n%s", baseTab, parTab)
+	// Fig7's rows: IPC normalized to the first scheme, then the geomean row.
+	var rows [][]string
+	logSum := make([]float64, len(schemes))
+	for bi, b := range base.Benchmarks {
+		row := []string{b}
+		ipc := outs[bi*len(schemes)].Res.IPC
+		for si := range schemes {
+			o := outs[bi*len(schemes)+si]
+			if o.Err != nil {
+				t.Fatalf("%s: %v", o.Job.Key, o.Err)
+			}
+			v := o.Res.IPC / ipc
+			row = append(row, fmt.Sprintf("%.3f", v))
+			logSum[si] += math.Log(v)
+		}
+		rows = append(rows, row)
+	}
+	gm := []string{"Geomean"}
+	for _, l := range logSum {
+		gm = append(gm, fmt.Sprintf("%.3f", math.Exp(l/float64(len(base.Benchmarks)))))
+	}
+	rows = append(rows, gm)
+	if !reflect.DeepEqual(baseTab.Rows, rows) {
+		t.Errorf("Fig7 table diverged:\nconcurrent:\n%s\none at a time:\n%v", baseTab, rows)
 	}
 
 	// The synthetic-harness sweep exercises the custom RunFunc path.

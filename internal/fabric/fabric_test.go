@@ -505,9 +505,10 @@ func TestConcurrentWorkers(t *testing.T) {
 }
 
 // TestCrossModeGolden: the 4-job smoke spec through the real simulator must
-// produce byte-identical JSONL from (a) the single-process engine with the
-// ordered sink and (b) a coordinator with two workers, fetched from
-// /sweeps/{id}/results. This is the distributed-determinism contract.
+// produce byte-identical JSONL from (a) the single-process engine, which
+// writes in job order itself, and (b) a coordinator with two workers,
+// fetched from /sweeps/{id}/results. This is the distributed-determinism
+// contract.
 func TestCrossModeGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations; skipped in -short")
@@ -525,13 +526,10 @@ func TestCrossModeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Single-process reference: engine + ordered sink, like `cmd/sweep`.
+	// Single-process reference: the engine straight into JSONL, like
+	// `cmd/sweep`.
 	var single bytes.Buffer
-	ordered := sweep.NewOrdered(sweep.NewJSONL(&single), jobs)
-	if _, err := sweep.Run(context.Background(), jobs, ordered, sweep.Options{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ordered.Flush(); err != nil {
+	if _, err := sweep.Run(context.Background(), jobs, sweep.NewJSONL(&single), sweep.Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 

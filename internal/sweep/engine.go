@@ -42,9 +42,6 @@ type Options struct {
 	Workers int
 	// Timeout aborts a single job after this long; 0 means no limit.
 	Timeout time.Duration
-	// Done holds fingerprints to skip — typically
-	// CompletedFingerprints(outputPath) for a resumed sweep.
-	Done map[string]bool
 	// Progress, when set, receives one event per job transition.
 	Progress func(Event)
 	// Run substitutes the job executor; nil means Simulate.
@@ -52,8 +49,8 @@ type Options struct {
 	// TraceDir, when non-empty, persists each instrumented job's trace
 	// (Result.Tel != nil) in <dir>/<fingerprint>/ (telemetry.WriteTrace).
 	// Fingerprint-keyed directories line up with the output JSONL and
-	// survive resumes: a skipped job keeps its existing trace. A write
-	// failure aborts the sweep, like a sink failure.
+	// survive resumes: a job a resumed sweep does not run keeps its
+	// existing trace. A write failure aborts the sweep, like a sink failure.
 	TraceDir string
 }
 
@@ -64,7 +61,6 @@ const (
 	EventStart EventType = "start"
 	EventDone  EventType = "done"
 	EventFail  EventType = "fail"
-	EventSkip  EventType = "skip"
 )
 
 // Event is one progress notification.
@@ -89,54 +85,50 @@ type Outcome struct {
 	// was given no sink; nil otherwise. A sweep with a sink has written
 	// each job's record to it, and keeping the results too would grow it by
 	// one Result per job.
-	Res     *gpu.Result
-	Err     error // non-nil iff Record.Status == StatusFailed
-	Skipped bool  // true when resume skipped the job
+	Res *gpu.Result
+	Err error // non-nil iff Record.Status == StatusFailed
 }
 
 // Summary aggregates a finished (or cancelled) sweep.
 type Summary struct {
-	Total      int // jobs handed to Run
+	Total      int // finished jobs: fewer than Run was given when cancelled
 	OK         int
 	Failed     int
-	Skipped    int // resume skips
 	Deadlocked int // OK jobs whose configuration protocol-deadlocked
 }
 
-// Summarize folds outcomes into a Summary. Total counts processed jobs, so
-// on cancellation it is less than the job-list length.
+// Summarize folds outcomes into a Summary.
 func Summarize(outs []Outcome) Summary {
 	s := Summary{Total: len(outs)}
 	for _, o := range outs {
-		switch {
-		case o.Skipped:
-			s.Skipped++
-		case o.Err != nil:
+		if o.Err != nil {
 			s.Failed++
-		default:
-			s.OK++
-			if o.Record.Deadlocked {
-				s.Deadlocked++
-			}
+			continue
+		}
+		s.OK++
+		if o.Record.Deadlocked {
+			s.Deadlocked++
 		}
 	}
 	return s
 }
 
 func (s Summary) String() string {
-	return fmt.Sprintf("%d jobs: %d ok (%d deadlocked), %d failed, %d skipped",
-		s.Total, s.OK, s.Deadlocked, s.Failed, s.Skipped)
+	return fmt.Sprintf("%d jobs: %d ok (%d deadlocked), %d failed",
+		s.Total, s.OK, s.Deadlocked, s.Failed)
 }
 
-// Run executes the jobs on a bounded worker pool. Per job it applies the
-// resume skip-set, the timeout, and panic recovery — a crashing
-// configuration becomes a StatusFailed record, not a crashed sweep — and
-// streams the record to sink (when non-nil) the moment the job finishes.
-// Outcomes are returned in completion order, without a Res when sink is
-// non-nil.
+// Run executes exactly the given jobs on a bounded worker pool. Per job it
+// applies the timeout and panic recovery — a crashing configuration becomes
+// a StatusFailed record, not a crashed sweep — and hands the records to sink
+// (when non-nil) in job order: a job that finishes before an earlier one is
+// parked in a reorder buffer until every earlier job is out, and its worker
+// goes on to the next job meanwhile. Outcomes are returned in job order,
+// without a Res when sink is non-nil.
 //
 // Cancelling ctx stops dispatching new jobs and cooperatively aborts
-// in-flight simulations; Run then returns the outcomes gathered so far
+// in-flight simulations; Run then writes the records still parked, skipping
+// the jobs that never finished, and returns the outcomes gathered so far
 // together with ctx's error. A sink write error also aborts the sweep —
 // results that cannot be recorded would otherwise be silently lost.
 func Run(ctx context.Context, jobs []Job, sink Sink, opts Options) ([]Outcome, error) {
@@ -156,17 +148,40 @@ func Run(ctx context.Context, jobs []Job, sink Sink, opts Options) ([]Outcome, e
 	sinkCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
+	// The reorder buffer: outs[i] holds job i's outcome, and a zero
+	// Record.Status marks a job that has not finished. next is the first
+	// position not yet handed to the sink; writing is set while one worker
+	// writes, and that worker also writes what the others park meanwhile.
 	var (
-		mu   sync.Mutex
-		outs []Outcome
+		mu      sync.Mutex
+		outs    = make([]Outcome, len(jobs))
+		next    int
+		writing bool
+		sinkErr error
 	)
-	emit := func(o Outcome, ev Event) {
-		mu.Lock()
-		outs = append(outs, o)
-		mu.Unlock()
-		if opts.Progress != nil {
-			opts.Progress(ev)
+	finished := func(i int) bool { return outs[i].Record.Status != "" }
+	// release writes the finished records from next on, stopping at the
+	// first unfinished job unless pastGaps. Callers hold mu; it is dropped
+	// around each Write, so no lock is held across the sink.
+	release := func(pastGaps bool) {
+		if sink == nil || writing {
+			return
 		}
+		writing = true
+		for ; sinkErr == nil && next < len(outs) && (pastGaps || finished(next)); next++ {
+			if !finished(next) {
+				continue
+			}
+			rec := outs[next].Record
+			mu.Unlock()
+			err := sink.Write(rec)
+			mu.Lock()
+			if err != nil {
+				sinkErr = err
+				cancel(fmt.Errorf("sweep: sink: %w", err))
+			}
+		}
+		writing = false
 	}
 
 	idx := make(chan int)
@@ -178,13 +193,6 @@ func Run(ctx context.Context, jobs []Job, sink Sink, opts Options) ([]Outcome, e
 			allocBytes := allocCounter()
 			for i := range idx {
 				j := jobs[i]
-				rec := newRecord(j)
-				if opts.Done[rec.Fingerprint] {
-					rec.Status = StatusOK
-					emit(Outcome{Job: j, Record: rec, Skipped: true},
-						Event{Type: EventSkip, Job: j, Index: i, Total: len(jobs)})
-					continue
-				}
 				if opts.Progress != nil {
 					opts.Progress(Event{Type: EventStart, Job: j, Index: i, Total: len(jobs)})
 				}
@@ -207,16 +215,15 @@ func Run(ctx context.Context, jobs []Job, sink Sink, opts Options) ([]Outcome, e
 					return
 				}
 
-				o := Outcome{Job: j, Record: rec}
+				o := Outcome{Job: j, Record: NewRecord(j)}
 				ev := Event{Job: j, Index: i, Total: len(jobs), Elapsed: elapsed}
-				// The execution footprint is stamped on ran jobs (ok and
-				// failed, never skips). AllocBytes is the process-wide
-				// allocation delta across the job — the job's own at Workers=1
-				// (see allocCounter for how closely), an upper-bound
-				// approximation when jobs overlap. Attempt
-				// starts at 1; the fabric coordinator overwrites Worker and
-				// Attempt with fleet-level attribution when it accepts the
-				// record.
+				// The execution footprint is stamped on every record.
+				// AllocBytes is the process-wide allocation delta across the
+				// job — the job's own at Workers=1 (see allocCounter for how
+				// closely), an upper-bound approximation when jobs overlap.
+				// Attempt starts at 1; the fabric coordinator overwrites
+				// Worker and Attempt with fleet-level attribution when it
+				// accepts the record.
 				o.Record.Exec = &Exec{
 					WallMS:     elapsed.Milliseconds(),
 					AllocBytes: int64(allocBytes() - allocBefore),
@@ -241,19 +248,19 @@ func Run(ctx context.Context, jobs []Job, sink Sink, opts Options) ([]Outcome, e
 					ev.Type = EventDone
 					ev.IPC = r.IPC
 					if opts.TraceDir != "" && r.Tel != nil {
-						if werr := telemetry.WriteTrace(filepath.Join(opts.TraceDir, rec.Fingerprint), r.Tel, r.Spans, r.Net.Mesh); werr != nil {
+						if werr := telemetry.WriteTrace(filepath.Join(opts.TraceDir, o.Record.Fingerprint), r.Tel, r.Spans, r.Net.Mesh); werr != nil {
 							cancel(fmt.Errorf("sweep: trace: %w", werr))
 							return
 						}
 					}
 				}
-				if sink != nil {
-					if werr := sink.Write(o.Record); werr != nil {
-						cancel(fmt.Errorf("sweep: sink: %w", werr))
-						return
-					}
+				mu.Lock()
+				outs[i] = o
+				release(false)
+				mu.Unlock()
+				if opts.Progress != nil {
+					opts.Progress(ev)
 				}
-				emit(o, ev)
 			}
 		}()
 	}
@@ -269,10 +276,18 @@ feed:
 	close(idx)
 	wg.Wait()
 
-	if err := context.Cause(sinkCtx); err != nil {
-		return outs, err
+	// Every worker has stopped: the records parked behind a job that never
+	// finished go out now, so nothing recorded is lost.
+	mu.Lock()
+	release(true)
+	mu.Unlock()
+	done := outs[:0]
+	for i := range outs {
+		if finished(i) {
+			done = append(done, outs[i])
+		}
 	}
-	return outs, nil
+	return done, context.Cause(sinkCtx)
 }
 
 // allocCounter returns a reader of the process's cumulative heap allocation

@@ -3,6 +3,8 @@ package sweep
 import (
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -30,10 +32,6 @@ func (p *Printer) Handle(ev Event) {
 	switch ev.Type {
 	case EventStart:
 		return // start events would double the log volume for little value
-	case EventSkip:
-		p.done++
-		fmt.Fprintf(p.w, "[%*d/%d] skip %s (already in results)\n",
-			width(p.total), p.done, p.total, ev.Job.Key)
 	case EventDone:
 		p.done++
 		note := ""
@@ -41,11 +39,12 @@ func (p *Printer) Handle(ev Event) {
 			note = " (unsafe)"
 		}
 		fmt.Fprintf(p.w, "[%*d/%d] ok   %s ipc=%.3f (%.1fs)%s\n",
-			width(p.total), p.done, p.total, ev.Job.Key, ev.IPC, ev.Elapsed.Seconds(), note)
+			len(strconv.Itoa(p.total)), p.done, p.total, ev.Job.Key, ev.IPC, ev.Elapsed.Seconds(), note)
 	case EventFail:
 		p.done++
+		msg, _, _ := strings.Cut(ev.Err.Error(), "\n")
 		fmt.Fprintf(p.w, "[%*d/%d] FAIL %s: %s\n",
-			width(p.total), p.done, p.total, ev.Job.Key, firstLine(ev.Err.Error()))
+			len(strconv.Itoa(p.total)), p.done, p.total, ev.Job.Key, msg)
 	}
 }
 
@@ -54,22 +53,4 @@ func (p *Printer) Finish(s Summary) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	fmt.Fprintf(p.w, "sweep finished in %.1fs: %s\n", time.Since(p.start).Seconds(), s)
-}
-
-func width(total int) int {
-	w := 1
-	for total >= 10 {
-		total /= 10
-		w++
-	}
-	return w
-}
-
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
 }

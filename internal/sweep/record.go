@@ -106,13 +106,10 @@ func (j Job) Fingerprint() string {
 }
 
 // NewRecord returns the dimension-filled record skeleton for j, status
-// unset — the starting point for any executor reporting on j. Exported for
-// external schedulers (the fabric coordinator quarantines a poison job by
-// filing a failure record it never got from a worker).
-func NewRecord(j Job) Record { return newRecord(j) }
-
-// newRecord fills the dimension fields shared by every outcome of j.
-func newRecord(j Job) Record {
+// unset — the starting point for any executor reporting on j: the engine,
+// and the fabric coordinator filing a failure record for a poison job it
+// quarantines.
+func NewRecord(j Job) Record {
 	return Record{
 		Fingerprint: j.Fingerprint(),
 		Key:         j.Key,
@@ -128,9 +125,33 @@ func newRecord(j Job) Record {
 	}
 }
 
-// Sink receives one record per finished job, from multiple goroutines.
+// Sink receives one record per finished job, in job order. Run calls Write
+// from one goroutine at a time, but not always the same one.
 type Sink interface {
 	Write(Record) error
+}
+
+// Memory is a Sink that collects records in memory, for callers that
+// forward them elsewhere (the fabric worker batches them back to its
+// coordinator). Records returns a snapshot; the zero value is ready to use.
+type Memory struct {
+	mu   sync.Mutex
+	recs []Record
+}
+
+// Write appends one record.
+func (m *Memory) Write(rec Record) error {
+	m.mu.Lock()
+	m.recs = append(m.recs, rec)
+	m.mu.Unlock()
+	return nil
+}
+
+// Records returns a copy of everything written so far.
+func (m *Memory) Records() []Record {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]Record(nil), m.recs...)
 }
 
 // JSONL is a Sink writing one JSON object per line. Each record is flushed
@@ -232,71 +253,49 @@ func (s *JSONL) Close() error {
 }
 
 // ReadRecords parses a JSONL results stream. Blank lines are ignored; a
-// malformed line fails with its line number.
+// malformed line, a torn final line included, fails with its line number.
 func ReadRecords(r io.Reader) ([]Record, error) {
-	recs, _, err := readRecords(r, false)
-	return recs, err
-}
-
-// readRecords parses like ReadRecords. When tolerant it also accepts a torn
-// final line — the partial record a crash mid-write leaves behind: a
-// malformed LAST line is skipped and described in the returned warning (""
-// when the stream was clean); a malformed line anywhere else is still an
-// error, because mid-file corruption is never a crash artifact.
-func readRecords(r io.Reader, tolerant bool) ([]Record, string, error) {
 	var out []Record
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	line := 0
-	badLine, badErr := 0, error(nil)
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
 		if text == "" {
 			continue
 		}
-		if badErr != nil {
-			// The malformed line was not the final one after all.
-			return nil, "", fmt.Errorf("sweep: results line %d: %w", badLine, badErr)
-		}
 		var rec Record
 		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			if !tolerant {
-				return nil, "", fmt.Errorf("sweep: results line %d: %w", line, err)
-			}
-			badLine, badErr = line, err
-			continue
+			return nil, fmt.Errorf("sweep: results line %d: %w", line, err)
 		}
 		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, "", err
+		return nil, fmt.Errorf("sweep: results line %d: %w", line+1, err)
 	}
-	warning := ""
-	if badErr != nil {
-		warning = fmt.Sprintf("skipped torn final line %d (crash mid-write?): %v", badLine, badErr)
-	}
-	return out, warning, nil
+	return out, nil
 }
 
 // CompletedFingerprints returns the fingerprints of every StatusOK record
-// in the results file at path — the set a resumed sweep skips. Failed jobs
-// are deliberately not included: a re-run retries them. A missing file is
-// an empty set, so resume against a fresh output path just runs everything.
-// A torn final line (crash mid-write) is skipped — its job re-runs — and
-// reported in the warning instead of failing the resume.
-func CompletedFingerprints(path string) (map[string]bool, string, error) {
+// in the results file at path — the jobs a resumed sweep leaves out. Failed
+// jobs are deliberately not included: a re-run retries them. A missing file
+// is an empty set, so resume against a fresh output path just runs
+// everything. The read is strict, like ReadRecords: open the file with
+// OpenJSONL first, which repairs the torn final line a crash mid-write
+// leaves.
+func CompletedFingerprints(path string) (map[string]bool, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return map[string]bool{}, "", nil
+		return map[string]bool{}, nil
 	}
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	defer f.Close()
-	recs, warning, err := readRecords(f, true)
+	recs, err := ReadRecords(f)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	done := make(map[string]bool, len(recs))
 	for _, r := range recs {
@@ -304,5 +303,5 @@ func CompletedFingerprints(path string) (map[string]bool, string, error) {
 			done[r.Fingerprint] = true
 		}
 	}
-	return done, warning, nil
+	return done, nil
 }

@@ -3,9 +3,9 @@
 // routing × VC policy × VC shape × seed, pruned by include/exclude filters)
 // into independent simulation jobs and runs them on a bounded worker pool
 // with cancellation, per-job timeouts and per-job panic isolation. Results
-// stream to a JSONL sink — one self-describing record per job — so a
-// partially-completed sweep is usable and a re-run resumes by skipping the
-// jobs already on disk.
+// stream to a JSONL sink in job order — one self-describing record per job —
+// so a partially-completed sweep is usable and a re-run resumes by running
+// only the jobs not already on disk.
 //
 // The paper's evaluation (Figures 7-10) is exactly such a sweep; the
 // internal/experiments figure runners are thin consumers of this engine.

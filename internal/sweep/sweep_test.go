@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/metrics"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -256,7 +256,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	sink := NewJSONL(&buf)
 	var want []Record
 	for i, j := range jobs[:3] {
-		rec := newRecord(j)
+		rec := NewRecord(j)
 		rec.Status = StatusOK
 		if i == 1 {
 			rec.Status = StatusFailed
@@ -390,6 +390,9 @@ func TestRunPerJobTimeout(t *testing.T) {
 	}
 }
 
+// TestRunResumeSkipsCompleted: resume is a filter, then Run. The jobs
+// whose ok records CompletedFingerprints finds are left out of the job list,
+// and the engine runs exactly the rest: here the one job that failed.
 func TestRunResumeSkipsCompleted(t *testing.T) {
 	jobs, _, err := smallSpec().Expand()
 	if err != nil {
@@ -417,15 +420,18 @@ func TestRunResumeSkipsCompleted(t *testing.T) {
 	}
 
 	// Pass 2: resume must re-run only the failed job.
-	done, warning, err := CompletedFingerprints(path)
+	done, err := CompletedFingerprints(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warning != "" {
-		t.Fatalf("clean file produced warning %q", warning)
-	}
 	if len(done) != len(jobs)-1 {
 		t.Fatalf("completed set = %d, want %d (failed job excluded)", len(done), len(jobs)-1)
+	}
+	var todo []Job
+	for _, j := range jobs {
+		if !done[j.Fingerprint()] {
+			todo = append(todo, j)
+		}
 	}
 	sink2, err := OpenJSONL(path)
 	if err != nil {
@@ -439,7 +445,7 @@ func TestRunResumeSkipsCompleted(t *testing.T) {
 		}
 		return okRun(ctx, j)
 	}
-	outs, err := Run(context.Background(), jobs, sink2, Options{Workers: 4, Done: done, Run: run2})
+	outs, err := Run(context.Background(), todo, sink2, Options{Workers: 4, Run: run2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,12 +455,11 @@ func TestRunResumeSkipsCompleted(t *testing.T) {
 	if got := reran.Load(); got != 1 {
 		t.Fatalf("resume executed %d jobs, want 1", got)
 	}
-	s := Summarize(outs)
-	if s.Skipped != len(jobs)-1 || s.OK != 1 {
+	if s := Summarize(outs); s.Total != 1 || s.OK != 1 {
 		t.Fatalf("resume summary wrong: %v", s)
 	}
 	// After the resumed pass every job is complete.
-	done, _, err = CompletedFingerprints(path)
+	done, err = CompletedFingerprints(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +469,7 @@ func TestRunResumeSkipsCompleted(t *testing.T) {
 }
 
 func TestCompletedFingerprintsMissingFile(t *testing.T) {
-	done, _, err := CompletedFingerprints(filepath.Join(t.TempDir(), "nope.jsonl"))
+	done, err := CompletedFingerprints(filepath.Join(t.TempDir(), "nope.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,8 +479,10 @@ func TestCompletedFingerprintsMissingFile(t *testing.T) {
 }
 
 // TestCompletedFingerprintsTornFinalLine: a crash mid-write leaves a
-// partial record on the last line; resume must skip it with a warning, and
-// a torn line anywhere else must still be an error.
+// partial record on the last line. The strict read refuses it; OpenJSONL
+// truncates it away, after which the read returns the complete records and
+// the next record starts on a clean line. A malformed line anywhere else is
+// corruption, which OpenJSONL leaves alone and the read refuses.
 func TestCompletedFingerprintsTornFinalLine(t *testing.T) {
 	jobs, _, err := smallSpec().Expand()
 	if err != nil {
@@ -487,7 +494,7 @@ func TestCompletedFingerprintsTornFinalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, j := range jobs[:3] {
-		rec := newRecord(j)
+		rec := NewRecord(j)
 		rec.Status = StatusOK
 		if err := sink.Write(rec); err != nil {
 			t.Fatal(err)
@@ -506,48 +513,24 @@ func TestCompletedFingerprintsTornFinalLine(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	done, warning, err := CompletedFingerprints(path)
-	if err != nil {
-		t.Fatalf("torn final line failed resume: %v", err)
-	}
-	if warning == "" || !strings.Contains(warning, "torn final line") {
-		t.Fatalf("warning = %q, want torn-final-line diagnostic", warning)
-	}
-	if len(done) != 3 {
-		t.Fatalf("completed set = %d, want 3 (torn line skipped)", len(done))
+	if _, err := CompletedFingerprints(path); err == nil || !strings.HasPrefix(err.Error(), "sweep: results line 4: ") {
+		t.Fatalf("the strict read of a torn file returned %v, want an error naming line 4", err)
 	}
 
-	// Strict reader still refuses the torn file.
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := ReadRecords(f); err == nil {
-		t.Fatal("strict ReadRecords accepted a torn file")
-	}
-
-	// A malformed line that is NOT final is corruption, not a crash
-	// artifact: the tolerant reader must reject it too.
-	bad := append(append([]byte(`{"broken`), '\n'), full...)
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := CompletedFingerprints(path); err == nil {
-		t.Fatal("tolerant reader accepted mid-file corruption")
-	}
-
-	// Re-opening the torn file for append truncates the partial tail so
-	// the next record starts on a clean line.
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// OpenJSONL repairs; then the read sees the three complete records and
+	// an appended record lands on its own line.
 	sink2, err := OpenJSONL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := newRecord(jobs[3])
+	done, err := CompletedFingerprints(path)
+	if err != nil {
+		t.Fatalf("read after repair: %v", err)
+	}
+	if len(done) != 3 {
+		t.Fatalf("completed set = %d, want 3 (torn line dropped)", len(done))
+	}
+	rec := NewRecord(jobs[3])
 	rec.Status = StatusOK
 	if err := sink2.Write(rec); err != nil {
 		t.Fatal(err)
@@ -555,102 +538,82 @@ func TestCompletedFingerprintsTornFinalLine(t *testing.T) {
 	if err := sink2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f2, err := os.Open(path)
+	if done, err = CompletedFingerprints(path); err != nil || len(done) != 4 {
+		t.Fatalf("%d records after repair+append, want 4 (%v)", len(done), err)
+	}
+
+	// Mid-file corruption survives OpenJSONL and fails the read.
+	bad := append(append([]byte(`{"broken`), '\n'), full...)
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sink3, err := OpenJSONL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f2.Close()
-	recs, err := ReadRecords(f2)
-	if err != nil {
-		t.Fatalf("appending after repair left a corrupt file: %v", err)
+	if err := sink3.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if len(recs) != 4 {
-		t.Fatalf("%d records after repair+append, want 4", len(recs))
+	if _, err := CompletedFingerprints(path); err == nil || !strings.HasPrefix(err.Error(), "sweep: results line 1: ") {
+		t.Fatalf("mid-file corruption read as %v, want an error naming line 1", err)
 	}
 }
 
-// TestOrderedSink: records written in scrambled completion order reach the
-// wrapped sink in expansion order, and Flush recovers cancellation gaps.
+// TestOrderedSink: the engine with a RunFunc that completes the jobs in
+// reverse order, every job running at once, still hands the sink the
+// records in job order, and none before job 0 has finished.
 func TestOrderedSink(t *testing.T) {
 	jobs, _, err := smallSpec().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	ord := NewOrdered(NewJSONL(&buf), jobs)
-	// Write in reverse completion order: nothing may flush until job 0 lands.
-	for i := len(jobs) - 1; i >= 1; i-- {
-		rec := newRecord(jobs[i])
-		rec.Status = StatusOK
-		if err := ord.Write(rec); err != nil {
-			t.Fatal(err)
+	index := map[string]int{}
+	returned := make([]chan struct{}, len(jobs))
+	for i, j := range jobs {
+		index[j.Key] = i
+		returned[i] = make(chan struct{})
+	}
+	var sink Memory
+	run := func(ctx context.Context, j Job) (gpu.Result, error) {
+		i := index[j.Key]
+		defer close(returned[i])
+		if i+1 < len(jobs) {
+			<-returned[i+1]
 		}
+		if i == 0 && len(sink.Records()) != 0 {
+			t.Errorf("the sink holds %d records before job 0 finished", len(sink.Records()))
+		}
+		return okRun(ctx, j)
 	}
-	if buf.Len() != 0 {
-		t.Fatalf("ordered sink flushed %d bytes before the first job finished", buf.Len())
-	}
-	first := newRecord(jobs[0])
-	first.Status = StatusOK
-	if err := ord.Write(first); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadRecords(bytes.NewReader(buf.Bytes()))
+	outs, err := Run(context.Background(), jobs, &sink, Options{Workers: len(jobs), Run: run})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != len(jobs) {
-		t.Fatalf("%d records, want %d", len(recs), len(jobs))
+	recs := sink.Records()
+	if len(recs) != len(jobs) || len(outs) != len(jobs) {
+		t.Fatalf("%d records and %d outcomes, want %d", len(recs), len(outs), len(jobs))
 	}
 	for i, rec := range recs {
-		if rec.Fingerprint != jobs[i].Fingerprint() {
-			t.Fatalf("record %d is %s, want %s (expansion order)", i, rec.Key, jobs[i].Key)
-		}
-	}
-
-	// Gaps (a cancelled sweep) hold later records until Flush.
-	var buf2 bytes.Buffer
-	ord2 := NewOrdered(NewJSONL(&buf2), jobs)
-	for _, i := range []int{0, 2, 3} {
-		rec := newRecord(jobs[i])
-		rec.Status = StatusOK
-		if err := ord2.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs2, _ := ReadRecords(bytes.NewReader(buf2.Bytes()))
-	if len(recs2) != 1 {
-		t.Fatalf("flushed %d records past the gap, want 1", len(recs2))
-	}
-	if err := ord2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	recs2, err = ReadRecords(bytes.NewReader(buf2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs2) != 3 {
-		t.Fatalf("after Flush %d records, want 3", len(recs2))
-	}
-	for i, want := range []int{0, 2, 3} {
-		if recs2[i].Fingerprint != jobs[want].Fingerprint() {
-			t.Fatalf("flushed record %d is %s, want %s", i, recs2[i].Key, jobs[want].Key)
+		if rec.Fingerprint != jobs[i].Fingerprint() || outs[i].Job.Key != jobs[i].Key {
+			t.Fatalf("position %d holds record %s and outcome %s, want %s (job order)", i, rec.Key, outs[i].Job.Key, jobs[i].Key)
 		}
 	}
 }
 
-// TestRunOrderedEndToEnd: the engine with an Ordered sink emits expansion
-// order no matter how many workers race.
+// TestRunOrderedEndToEnd: the engine writes expansion order to a JSONL
+// results file no matter how many workers race or how long each job takes.
 func TestRunOrderedEndToEnd(t *testing.T) {
 	jobs, _, err := smallSpec().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	ord := NewOrdered(NewJSONL(&buf), jobs)
-	if _, err := Run(context.Background(), jobs, ord, Options{Workers: 8, Run: okRun}); err != nil {
-		t.Fatal(err)
+	run := func(ctx context.Context, j Job) (gpu.Result, error) {
+		// Later keys sleep less, so completion order is far from job order.
+		time.Sleep(time.Duration(len(jobs)-slices.IndexFunc(jobs, func(o Job) bool { return o.Key == j.Key })) * time.Millisecond)
+		return okRun(ctx, j)
 	}
-	if err := ord.Flush(); err != nil {
+	var buf bytes.Buffer
+	if _, err := Run(context.Background(), jobs, NewJSONL(&buf), Options{Workers: 8, Run: run}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := ReadRecords(bytes.NewReader(buf.Bytes()))
@@ -667,12 +630,100 @@ func TestRunOrderedEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunNoWorkerWaitsForEarlierJob: with job 0 held until every other job
+// has finished, two workers still run jobs 1..n: the one not holding job 0
+// parks each record and takes the next job rather than waiting for job 0.
+func TestRunNoWorkerWaitsForEarlierJob(t *testing.T) {
+	jobs, _, err := smallSpec().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var finished atomic.Int32
+	others := make(chan struct{})
+	run := func(ctx context.Context, j Job) (gpu.Result, error) {
+		if j.Key != jobs[0].Key {
+			if finished.Add(1) == int32(len(jobs)-1) {
+				close(others)
+			}
+			return okRun(ctx, j)
+		}
+		select {
+		case <-others:
+		case <-time.After(10 * time.Second):
+			t.Errorf("jobs 1..%d did not finish while job 0 was held: %d did", len(jobs)-1, finished.Load())
+		}
+		return okRun(ctx, j)
+	}
+	var sink Memory
+	if _, err := Run(context.Background(), jobs, &sink, Options{Workers: 2, Run: run}); err != nil {
+		t.Fatal(err)
+	}
+	if recs := sink.Records(); len(recs) != len(jobs) || recs[0].Key != jobs[0].Key {
+		t.Fatalf("%d records, the first %v; want %d, job 0 first", len(recs), recs[0].Key, len(jobs))
+	}
+}
+
+// TestRunCancelledJobKeepsLaterRecords: a record that finished behind a job
+// the cancellation cut short is on disk when Run returns, and the cut job
+// has no record, so a resume re-runs it.
+func TestRunCancelledJobKeepsLaterRecords(t *testing.T) {
+	jobs, _, err := smallSpec().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	run := func(ctx context.Context, j Job) (gpu.Result, error) {
+		if j.Key == jobs[0].Key {
+			<-ctx.Done()
+			return gpu.Result{}, ctx.Err()
+		}
+		return okRun(ctx, j)
+	}
+	progress := func(ev Event) {
+		if ev.Type == EventDone && ev.Index == 1 {
+			cancel() // job 1 is parked behind job 0
+		}
+	}
+	path := filepath.Join(t.TempDir(), "out.jsonl")
+	sink, err := OpenJSONL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(ctx, jobs, sink, Options{Workers: 2, Run: run, Progress: progress})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	done, err := CompletedFingerprints(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !done[jobs[1].Fingerprint()] || done[jobs[0].Fingerprint()] {
+		t.Fatalf("after the cancelled run the file holds %v; want job 1 (%s) and not job 0", done, jobs[1].Fingerprint())
+	}
+}
+
 func TestRunSinkErrorAbortsSweep(t *testing.T) {
 	jobs, _, err := smallSpec().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := Run(context.Background(), jobs, failSink{}, Options{Workers: 2, Run: okRun})
+	// Every job but the first runs until the sweep is cancelled: job 0's
+	// record is the first the sink sees, and its failure must stop the rest.
+	run := func(ctx context.Context, j Job) (gpu.Result, error) {
+		if j.Key != jobs[0].Key {
+			select {
+			case <-ctx.Done():
+				return gpu.Result{}, ctx.Err()
+			case <-time.After(10 * time.Second):
+			}
+		}
+		return okRun(ctx, j)
+	}
+	outs, err := Run(context.Background(), jobs, failSink{}, Options{Workers: 2, Run: run})
 	if err == nil || !strings.Contains(err.Error(), "sink") {
 		t.Fatalf("sink failure not surfaced: %v", err)
 	}
@@ -719,7 +770,7 @@ type failSink struct{}
 func (failSink) Write(Record) error { return fmt.Errorf("disk full") }
 
 // TestRunDeterministic: the same spec run twice through the real simulator
-// produces byte-identical JSONL, modulo completion order.
+// produces byte-identical JSONL, in job order both times.
 func TestRunDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations")
@@ -757,7 +808,6 @@ func TestRunDeterministic(t *testing.T) {
 			}
 			ls = append(ls, string(b))
 		}
-		sort.Strings(ls)
 		return ls
 	}
 	a, b := lines(), lines()
@@ -849,4 +899,66 @@ func TestExecAllocBytesIsTotalAlloc(t *testing.T) {
 		t.Errorf("Exec.AllocBytes %.0f + span-cache lag %.0f = %.0f, MemStats.TotalAlloc moved by %.0f; want within 1%% below it",
 			got, lag, got+lag, want)
 	}
+}
+
+// FuzzResume: whatever bytes a results file holds, the resume read —
+// OpenJSONL, then CompletedFingerprints — does not panic, leaves the file
+// empty or ending in a newline, and either fails naming the first malformed
+// line or returns exactly the ok fingerprints of the complete lines.
+func FuzzResume(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512<<10 {
+			t.Skip("inputs stay below the reader's 1 MB line limit")
+		}
+		path := filepath.Join(t.TempDir(), "out.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sink, err := OpenJSONL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := CompletedFingerprints(path)
+
+		kept, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		complete := data[:bytes.LastIndexByte(data, '\n')+1]
+		if !bytes.Equal(kept, complete) {
+			t.Fatalf("OpenJSONL left %q of %q, want the complete lines %q", kept, data, complete)
+		}
+
+		// The reference: each complete line on its own.
+		want, bad := map[string]bool{}, 0
+		for n, line := range bytes.Split(complete, []byte("\n")) {
+			line = bytes.TrimSpace(line)
+			if len(line) == 0 {
+				continue
+			}
+			var rec Record
+			if json.Unmarshal(line, &rec) != nil {
+				bad = n + 1
+				break
+			}
+			if rec.Status == StatusOK {
+				want[rec.Fingerprint] = true
+			}
+		}
+		if bad > 0 {
+			if prefix := fmt.Sprintf("sweep: results line %d: ", bad); err == nil || !strings.HasPrefix(err.Error(), prefix) {
+				t.Fatalf("read returned %v, want an error starting %q", err, prefix)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("read of well-formed lines failed: %v", err)
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("read %v, want %v", got, want)
+		}
+	})
 }

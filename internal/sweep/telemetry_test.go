@@ -64,7 +64,8 @@ func TestRunWritesTelemetryArtifacts(t *testing.T) {
 }
 
 // TestRunTelemetrySkipKeepsArtifacts checks resumability: a resumed sweep
-// skips completed jobs without touching their existing artifacts.
+// runs only the jobs with no ok record, so a completed job's artifacts are
+// left as they were and the re-run job gets its own.
 func TestRunTelemetrySkipKeepsArtifacts(t *testing.T) {
 	jobs, _, err := smallSpec().Expand()
 	if err != nil {
@@ -72,7 +73,15 @@ func TestRunTelemetrySkipKeepsArtifacts(t *testing.T) {
 	}
 	jobs = jobs[:2]
 	dir := t.TempDir()
-	if _, err := Run(context.Background(), jobs, nil, Options{Run: telRun, TraceDir: dir}); err != nil {
+	out := filepath.Join(dir, "out.jsonl")
+	sink, err := OpenJSONL(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), jobs[:1], sink, Options{Run: telRun, TraceDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, jobs[0].Fingerprint(), "series.jsonl")
@@ -81,14 +90,23 @@ func TestRunTelemetrySkipKeepsArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	done := map[string]bool{jobs[0].Fingerprint(): true}
+	done, err := CompletedFingerprints(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var todo []Job
+	for _, j := range jobs {
+		if !done[j.Fingerprint()] {
+			todo = append(todo, j)
+		}
+	}
 	ran := 0
 	counting := func(ctx context.Context, j Job) (gpu.Result, error) {
 		ran++
 		return telRun(ctx, j)
 	}
-	if _, err := Run(context.Background(), jobs, nil, Options{
-		Workers: 1, Run: counting, Done: done, TraceDir: dir,
+	if _, err := Run(context.Background(), todo, nil, Options{
+		Workers: 1, Run: counting, TraceDir: dir,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +118,10 @@ func TestRunTelemetrySkipKeepsArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !after.ModTime().Equal(before.ModTime()) || after.Size() != before.Size() {
-		t.Error("resume rewrote a skipped job's artifact")
+		t.Error("resume rewrote a completed job's artifact")
+	}
+	if _, err := os.Stat(filepath.Join(dir, jobs[1].Fingerprint(), "series.jsonl")); err != nil {
+		t.Errorf("the re-run job has no artifact: %v", err)
 	}
 }
 
